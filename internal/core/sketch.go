@@ -24,9 +24,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -182,12 +184,17 @@ func (s *Sketch) NumValOrder() []int32 {
 		}
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := nums[order[a]], nums[order[b]]
-		if va != vb {
-			return va < vb
+	// A typed sort, not sort.Slice: compressed numeric records recompute
+	// this on every decode, and the reflection swapper was most of it.
+	slices.SortFunc(order, func(a, b int32) int {
+		va, vb := nums[a], nums[b]
+		switch {
+		case va < vb:
+			return -1
+		case va > vb:
+			return 1
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b) // equal values, -0 and +0 included
 	})
 	// A racing computation stores an identical slice; either wins.
 	s.valOrder.Store(&order)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"misketch/internal/mi"
@@ -620,5 +622,64 @@ func TestNullAsCategoryInformativeMissingness(t *testing.T) {
 	// X = <null> iff y = 0, so I(X;Y) = H(Y) = ln 2.
 	if math.Abs(r.MI-math.Ln2) > 0.15 {
 		t.Errorf("informative missingness MI = %v, want about ln2", r.MI)
+	}
+}
+
+// numValOrderReference is NumValOrder as it was first written (a
+// sort.Slice over entry indices): the order the packed format stores and
+// every rank tier consumes, kept here as the oracle for the typed sort.
+func numValOrderReference(nums []float64) []int32 {
+	order := make([]int32, len(nums))
+	for i := range order {
+		if math.IsNaN(nums[i]) {
+			return nil
+		}
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool {
+		va, vb := nums[order[a]], nums[order[b]]
+		if va != vb {
+			return va < vb
+		}
+		return order[a] < order[b]
+	})
+	return order
+}
+
+// TestNumValOrderMatchesReference pins "ascending value, ties by
+// ascending entry index" on the inputs where a sort can go wrong: heavy
+// ties, signed zeros (equal as values, so ordered by index), ±Inf,
+// subnormals, and NaN (no order at all).
+func TestNumValOrderMatchesReference(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), 1, -1, 1, 2.5, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 300; trial++ {
+		nums := make([]float64, rng.Intn(400))
+		for i := range nums {
+			switch trial % 3 {
+			case 0: // tie-heavy and special values only
+				nums[i] = pool[rng.Intn(len(pool))]
+			case 1: // few distinct values
+				nums[i] = float64(rng.Intn(5)) - 2
+			default: // continuous with the occasional special value
+				nums[i] = rng.NormFloat64()
+				if rng.Intn(10) == 0 {
+					nums[i] = pool[rng.Intn(len(pool))]
+				}
+			}
+		}
+		got := (&Sketch{Numeric: true, Nums: nums}).NumValOrder()
+		want := numValOrderReference(nums)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: NumValOrder diverges from the reference on %v:\n got %v\nwant %v", trial, nums, got, want)
+		}
+	}
+	withNaN := &Sketch{Numeric: true, Nums: []float64{1, math.NaN(), 0}}
+	if got := withNaN.NumValOrder(); got != nil {
+		t.Fatalf("NaN input ordered as %v, want nil", got)
+	}
+	if got := (&Sketch{Nums: []float64{1, 2}}).NumValOrder(); got != nil {
+		t.Fatalf("categorical sketch ordered as %v, want nil", got)
 	}
 }

@@ -933,7 +933,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "sketches": s.st.Stats().Sketches})
+	// Len, not Stats: a probe needs one number, not the segment table.
+	n, _ := s.st.Len() // Len never fails; the error is API symmetry
+	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "sketches": n})
 }
 
 // readBody drains a request body honoring the MaxBytesReader cap.

@@ -1,0 +1,198 @@
+package store
+
+// The catalog view: everything a rank query needs from the manifest,
+// derived once per catalog state instead of once per query. Each train
+// probe's distinct key hashes are intersected against the per-segment
+// key indexes (keyindex.go), accumulating exact KeyOverlap counts per
+// candidate record; the view maps every record the counts push past
+// MinJoinSize straight to its manifest entry, so the visit list costs
+// the postings touched plus the candidates that match, not a walk of the
+// catalog. Candidates no index can vouch for (the unsealed active
+// segment, frozen and legacy v1 segments, corrupt index sections,
+// duplicated key hashes) are always visited and left to the worker
+// loop's probe prefilter, so the indexed, fallback, and mem-backend
+// paths produce bit-identical rankings and identical Pruned counts.
+//
+// Consistency contract: a view describes one (manifest, segment table)
+// state. viewLocked builds it under s.mu when a rank, List or Metas
+// finds none, and every site that writes s.manifest or changes which
+// segments the backend serves drops it under s.mu: Put, Delete, the
+// compaction roll and swap (which moves records without bumping Gen),
+// RebuildManifest, Close's seal. All but the seeds map is immutable once
+// published; seeds gains entries only under s.mu, each immutable once
+// added. A query takes the view, its seed's lists and the segment pins
+// in one critical section — an atomic snapshot that always contains a
+// Put or Delete that returned before the rank started.
+
+import (
+	"slices"
+	"sort"
+	"strings"
+
+	"misketch/internal/core"
+)
+
+type catalogView struct {
+	entries []Meta              // every manifest record, sorted by name
+	pins    map[uint64]struct{} // every segment an entry lives in
+	segs    []viewSegment       // the segments with a usable key index
+	// always lists, ascending, the non-empty candidates index selection
+	// can never exclude: no usable index covers their record, or the
+	// index flags them as repeating a key hash (prefilter-exempt).
+	always     []int32
+	maxRecords int                  // largest segs[i].ix.records()
+	seeds      map[uint32]*seedView // guarded by Store.mu
+}
+
+// viewSegment resolves one segment's index ordinals to entry positions.
+type viewSegment struct {
+	ix  *keyIndex
+	pos []int32 // ordinal → 1 + position in entries; 0: not a live candidate
+}
+
+// seedView partitions the entries by what a query on one hash seed does
+// with them. Each list holds ascending positions, i.e. is in name order.
+type seedView struct {
+	cands   []int32 // joinable candidates with at least one entry
+	empty   []int32 // joinable candidates with none: ranked only when MinJoinSize < 0
+	skipped []int32 // other seed or train role: reported as Skipped
+}
+
+// viewLocked returns the current catalog view, building it if a mutation
+// dropped the last one. The caller holds s.mu.
+func (s *Store) viewLocked() *catalogView {
+	if s.view != nil {
+		return s.view
+	}
+	v := &catalogView{
+		entries: make([]Meta, 0, len(s.manifest)),
+		pins:    make(map[uint64]struct{}),
+		seeds:   make(map[uint32]*seedView),
+	}
+	for _, m := range s.manifest {
+		v.entries = append(v.entries, m)
+	}
+	slices.SortFunc(v.entries, func(a, b Meta) int { return strings.Compare(a.Name, b.Name) })
+	fb, _ := s.backend.(*fsBackend)
+	bySeg := make(map[uint64]*viewSegment) // nil: no usable index
+	for i := range v.entries {
+		m := &v.entries[i]
+		v.pins[m.Segment] = struct{}{}
+		if m.Role != core.RoleCandidate || m.Entries == 0 {
+			continue // never selected: not ranked, or joins nothing
+		}
+		vs, seen := bySeg[m.Segment]
+		if !seen {
+			// No pin needed: nothing retires a segment without s.mu.
+			if fb != nil {
+				if ix := fb.keyIndexOf(m.Segment); ix != nil {
+					vs = &viewSegment{ix: ix, pos: make([]int32, ix.records())}
+					v.maxRecords = max(v.maxRecords, len(vs.pos))
+				}
+			}
+			bySeg[m.Segment] = vs
+		}
+		if vs != nil {
+			if ord, ok := vs.ix.ordinalOf(m.Offset); ok {
+				vs.pos[ord] = int32(i) + 1
+				if !vs.ix.isDup(ord) {
+					continue
+				}
+			}
+			// Not in the index: fail open, always visit it.
+		}
+		v.always = append(v.always, int32(i))
+	}
+	for _, vs := range bySeg {
+		if vs != nil {
+			v.segs = append(v.segs, *vs)
+		}
+	}
+	s.view = v
+	return v
+}
+
+// seed returns the partition for one hash seed. The caller holds s.mu.
+func (v *catalogView) seed(seed uint32) *seedView {
+	if sv := v.seeds[seed]; sv != nil {
+		return sv
+	}
+	sv := &seedView{}
+	for i := range v.entries {
+		switch m := &v.entries[i]; {
+		case m.Seed != seed || m.Role != core.RoleCandidate:
+			sv.skipped = append(sv.skipped, int32(i))
+		case m.Entries == 0:
+			sv.empty = append(sv.empty, int32(i))
+		default:
+			sv.cands = append(sv.cands, int32(i))
+		}
+	}
+	// Remembering only seeds the catalog holds bounds the map by it.
+	if len(sv.skipped) < len(v.entries) {
+		v.seeds[seed] = sv
+	}
+	return sv
+}
+
+// prefixRange returns the positions [lo, hi) of the entries whose name
+// starts with prefix — contiguous, because entries is sorted by name.
+func (v *catalogView) prefixRange(prefix string) (lo, hi int32) {
+	e := v.entries
+	l := sort.Search(len(e), func(i int) bool { return e[i].Name >= prefix })
+	h := sort.Search(len(e)-l, func(i int) bool { return !strings.HasPrefix(e[l+i].Name, prefix) })
+	return int32(l), int32(l + h)
+}
+
+// within returns the run of the ascending positions ps inside [lo, hi).
+func within(ps []int32, lo, hi int32) []int32 {
+	a, _ := slices.BinarySearch(ps, lo)
+	b, _ := slices.BinarySearch(ps, hi)
+	return ps[a:b]
+}
+
+// selectScratch is selectVisit's pooled state; acc is all zero at rest.
+type selectScratch struct {
+	acc     []int64
+	touched []int32
+}
+
+// selectVisit narrows eligible — the seed's non-empty candidates in
+// [lo, hi) — to those a query must load, ascending (so in name order),
+// and counts the ones the key indexes excluded without a decode: each
+// was proven prunable for every train, so it is one pruned pair per
+// query. The caller holds pins on every segment of the view.
+func (s *Store) selectVisit(v *catalogView, seed uint32, eligible []int32, lo, hi int32, probes []*core.TrainProbe, minJoin int) (visit []int32, prunedAll int) {
+	if len(v.segs) == 0 {
+		return eligible, 0 // nothing is indexed: the full walk covers it all
+	}
+	sc := s.selectPool.Get().(*selectScratch)
+	if len(sc.acc) < v.maxRecords {
+		sc.acc = make([]int64, v.maxRecords)
+	}
+	for _, vs := range v.segs {
+		for q := range probes {
+			hashes, mults := probes[q].DistinctKeyHashes()
+			sc.touched = sc.touched[:0]
+			for i, hk := range hashes {
+				sc.touched = vs.ix.accumulate(hk, int64(mults[i]), sc.acc, sc.touched)
+			}
+			for _, ord := range sc.touched {
+				if p := vs.pos[ord] - 1; sc.acc[ord] > int64(minJoin) && p >= lo && p < hi && v.entries[p].Seed == seed {
+					visit = append(visit, p)
+				}
+				sc.acc[ord] = 0
+			}
+		}
+	}
+	s.selectPool.Put(sc)
+	for _, p := range within(v.always, lo, hi) {
+		if v.entries[p].Seed == seed {
+			visit = append(visit, p)
+		}
+	}
+	// Several trains (or the duplicate flag) can select one candidate.
+	slices.Sort(visit)
+	visit = slices.Compact(visit)
+	return visit, len(eligible) - len(visit)
+}

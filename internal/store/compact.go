@@ -71,18 +71,25 @@ func (s *Store) compact(ctx context.Context, force bool) (CompactStats, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
+	// Snapshot phase, with mutations held off (see Store.appendMu).
+	s.appendMu.Lock()
 	s.mu.Lock()
+	unlock := func() {
+		s.mu.Unlock()
+		s.appendMu.Unlock()
+	}
 	fb, ok := s.backend.(*fsBackend)
 	if !ok {
-		s.mu.Unlock()
+		unlock()
 		return CompactStats{}, nil
 	}
 	// Roll the active segment so every record is in a compactable
 	// (immutable) segment; appends during the pass go to a new active.
 	if err := fb.roll(); err != nil {
-		s.mu.Unlock()
+		unlock()
 		return CompactStats{}, err
 	}
+	s.view = nil // the rolled segment's records are indexed from here on
 	sources, srcBytes := fb.sealedSet()
 	live := make([]Meta, 0, len(s.manifest))
 	for _, m := range s.manifest {
@@ -115,7 +122,7 @@ func (s *Store) compact(ctx context.Context, force bool) (CompactStats, error) {
 	}
 	if len(sources) == 0 || (force && allIndexed && !wantRecompress) ||
 		(!force && len(sources) == 1 && !hasGarbage(sources, len(live)) && !wantRecompress) {
-		s.mu.Unlock()
+		unlock()
 		stats.SegmentsAfter = stats.SegmentsBefore
 		stats.BytesAfter = stats.BytesBefore
 		return stats, nil
@@ -124,7 +131,7 @@ func (s *Store) compact(ctx context.Context, force bool) (CompactStats, error) {
 	// this also covers any in-flight queries.
 	release := fb.pin(keys(sources))
 	newSeq := fb.allocSeq()
-	s.mu.Unlock()
+	unlock()
 
 	// Copy phase, outside the store lock: raw record bytes move from the
 	// source mappings into the new segment, in name order (locality for
@@ -159,8 +166,12 @@ func (s *Store) compact(ctx context.Context, force bool) (CompactStats, error) {
 			continue // overwritten during the pass
 		}
 		m.Segment, m.Offset, m.Bytes = loc.seg, loc.off, loc.length
-		s.manifest[name] = m
+		s.setMetaLocked(name, m, true)
 	}
+	// The swap bumps no generation (the contents did not change), which
+	// is why the view cannot be keyed on Gen: the records moved, and the
+	// sources retire below, so no view of them may outlive this section.
+	s.view = nil
 	s.covered[newSeg.seq] = newSeg.recEnd // sealed and fully indexed
 	for seq := range sources {
 		delete(s.covered, seq)

@@ -13,24 +13,25 @@ package store
 // ever runs, at a small fraction of the estimator's cost. Rankings are
 // bit-identical to running RankQuery per train.
 //
-// rankTrains below is the one copy of the ranking machinery — manifest
-// snapshot, index-driven candidate selection, worker pool,
+// rankTrains below is the one copy of the ranking machinery — catalog
+// view snapshot, index-driven candidate selection, worker pool,
 // mutation-race triage, bounded heaps, deterministic merge — shared by
 // RankQuery (one train) and RankBatch (N trains). Both paths run the
 // prefilter by default; NoIndex restores the historic
 // estimate-everything reference semantics for differential testing and
 // benchmarking. On top of the per-pair probe prefilter, sealed segments
-// carry a persistent inverted key index (keyindex.go, rankindex.go)
-// that excludes never-joining candidates before they are even loaded —
-// selection cost grows with matching candidates, not catalog size.
+// carry a persistent inverted key index (keyindex.go) that, through the
+// store's catalog view (catalogview.go), excludes never-joining
+// candidates before they are even loaded — selection cost grows with the
+// postings touched and the matching candidates, not with catalog size.
 
 import (
 	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -230,7 +231,7 @@ func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}) (*core.Sketch, er
 }
 
 // rankTrains is the shared ranking core. Candidates are admitted by one
-// manifest snapshot (filtered on the trains' common seed), selected
+// catalog view (partitioned on the trains' common seed), selected
 // against the sealed segments' inverted key indexes, striped across a
 // worker pool, loaded once each, and scored against every train. With
 // prefilter set (and MinJoinSize >= 0 — a negative cutoff keeps even
@@ -246,32 +247,22 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	res := &BatchResult{Queries: make([]BatchQueryResult, len(trains))}
 	prefilter = prefilter && opt.MinJoinSize >= 0
 
-	// Snapshot the manifest and pin the snapshot's segments in one
-	// critical section: the pins keep the mmap'd record bytes (which the
-	// workers' zero-copy sketch views borrow) valid even if a concurrent
-	// compaction retires the segments mid-query.
-	var eligible []Meta
-	var skipped []string
-	segSet := make(map[uint64]struct{})
+	// The catalog view, this seed's partition of it and the segment pins
+	// come from one critical section — one atomic snapshot. The pins keep
+	// the mmap'd record bytes (which the workers' zero-copy sketch views
+	// borrow) and key indexes valid even if a compaction retires them.
 	s.mu.Lock()
-	for name, m := range s.manifest {
-		if !strings.HasPrefix(name, opt.Prefix) {
-			continue
-		}
-		if m.Seed != seed || m.Role != core.RoleCandidate {
-			skipped = append(skipped, name)
-			continue
-		}
-		if m.Entries == 0 && opt.MinJoinSize >= 0 {
-			continue // an empty sketch joins nothing; filter without a read
-		}
-		eligible = append(eligible, m)
-		segSet[m.Segment] = struct{}{}
-	}
-	bk := s.backend
-	release := bk.pin(segSet)
+	v := s.viewLocked()
+	sv := v.seed(seed)
+	release := s.backend.pin(v.pins)
 	s.mu.Unlock()
 	defer release()
+
+	lo, hi := v.prefixRange(opt.Prefix)
+	var skipped []string
+	for _, p := range within(sv.skipped, lo, hi) {
+		skipped = append(skipped, v.entries[p].Name)
+	}
 
 	probes := make([]*core.TrainProbe, len(trains))
 	for q, tr := range trains {
@@ -282,25 +273,27 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 		}
 	}
 
-	// Index-driven selection: exclude, without loading them, candidates
-	// whose segment index proves every train's overlap at or below the
-	// cutoff. Each exclusion is a pruned pair for every query (the same
-	// pairs the probe prefilter below would count one load later).
+	// visit holds the entry positions of the candidates to load, in name
+	// order (locality for the workers' segment reads). Index-driven
+	// selection excludes, without loading them, candidates whose segment
+	// index proves every train's overlap at or below the cutoff; each is
+	// a pruned pair for every query (the same pairs the probe prefilter
+	// below would count one load later). An empty sketch joins nothing and
+	// is never read unless the cutoff is negative.
+	visit := within(sv.cands, lo, hi)
 	if prefilter && !opt.NoIndex {
 		var prunedAll int
-		eligible, prunedAll = selectCandidates(bk, eligible, probes, opt.MinJoinSize)
+		visit, prunedAll = s.selectVisit(v, seed, visit, lo, hi, probes, opt.MinJoinSize)
 		if prunedAll > 0 {
 			s.candNoDecode.Add(int64(prunedAll))
 			for q := range res.Queries {
 				res.Queries[q].Pruned = prunedAll
 			}
 		}
+	} else if empty := within(sv.empty, lo, hi); opt.MinJoinSize < 0 && len(empty) > 0 {
+		visit = append(slices.Clone(visit), empty...)
+		slices.Sort(visit)
 	}
-	// Name order gives the workers' segment reads locality. Sorting after
-	// selection keeps the cost proportional to the candidates actually
-	// visited; results don't depend on this order — the final (MI, name)
-	// sort is a total order, and Skipped is sorted at merge time.
-	sort.Slice(eligible, func(i, j int) bool { return eligible[i].Name < eligible[j].Name })
 
 	workers := opt.Workers
 	if workers <= 0 {
@@ -309,12 +302,12 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 		// goroutine to score a handful of candidates costs more than the
 		// scoring. An explicit Workers value is honored as given.
 		workers = runtime.GOMAXPROCS(0)
-		if mw := (len(eligible) + workerMinChunk - 1) / workerMinChunk; workers > mw {
+		if mw := (len(visit) + workerMinChunk - 1) / workerMinChunk; workers > mw {
 			workers = mw
 		}
 	}
-	if workers > len(eligible) {
-		workers = len(eligible)
+	if workers > len(visit) {
+		workers = len(visit)
 	}
 	if workers < 1 {
 		workers = 1
@@ -324,7 +317,7 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	// read or an expensive estimate simply claims fewer chunks, and the
 	// chunk size keeps cursor contention ~an order of magnitude below
 	// per-candidate claiming while still splitting the tail finely.
-	chunk := len(eligible) / (workers * 8)
+	chunk := len(visit) / (workers * 8)
 	if chunk < 1 {
 		chunk = 1
 	}
@@ -429,14 +422,14 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	// full height after its first few exact runs instead of after most
 	// of the catalog. Decoded sketches are retained (zero-copy views
 	// into the pinned segments) so phase 2 never decodes again.
-	cands := make([]*core.Sketch, len(eligible))
-	runWorkers(len(eligible), chunk, func(w int, scratch *core.Scratch, i int) bool {
+	cands := make([]*core.Sketch, len(visit))
+	runWorkers(len(visit), chunk, func(w int, scratch *core.Scratch, i int) bool {
 		if err := ctx.Err(); err != nil {
 			setErr(err)
 			return false
 		}
-		m := eligible[i]
-		cand, err := s.getForRank(m, segSet)
+		m := v.entries[visit[i]]
+		cand, err := s.getForRank(m, v.pins)
 		if err != nil {
 			// The snapshot admitted this candidate; distinguish a
 			// concurrent mutation (the manifest no longer carries the
@@ -528,9 +521,8 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 			if pa != pb {
 				return pa > pb
 			}
-			na, nb := eligible[tasks[a].ci].Name, eligible[tasks[b].ci].Name
-			if na != nb {
-				return na < nb
+			if tasks[a].ci != tasks[b].ci {
+				return tasks[a].ci < tasks[b].ci // visit is in name order
 			}
 			return tasks[a].q < tasks[b].q
 		})
@@ -564,7 +556,7 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 			// Exempt pairs pay the exact tier too: together the two
 			// counters partition every pair that survived the filters.
 			cascadeW[w][1]++
-			m := eligible[t.ci]
+			m := v.entries[visit[t.ci]]
 			js, err := probes[t.q].JoinScratch(cands[t.ci], scratch)
 			if err != nil {
 				setErr(fmt.Errorf("store: estimating %q: %w", m.Name, err))
@@ -641,7 +633,7 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 // phase 1: the pair survived the prefilter and min-join cut, its cheap
 // score and ceiling are cached, and phase 2 decides its exact-tier fate.
 type cascadeTask struct {
-	ci     int32 // index into eligible/cands
+	ci     int32 // index into visit/cands
 	q      int32 // train index
 	cheap  float64
 	ceil   float64

@@ -22,7 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,8 +50,13 @@ type Store struct {
 
 	mu       sync.Mutex
 	manifest map[string]Meta
-	cache    *lruCache // nil when caching is disabled
-	dirty    bool      // manifest has unpersisted mutations
+	// view is what rank, List and Metas read in manifest's place
+	// (catalogview.go); nil from any mutation until one of them runs.
+	view *catalogView
+	// liveBytes is the sum of manifest[*].Bytes, kept by setMetaLocked.
+	liveBytes int64
+	cache     *lruCache // nil when caching is disabled
+	dirty     bool      // manifest has unpersisted mutations
 	// covered tracks, per segment, the end offset of the last record
 	// whose index entry this manifest map reflects. A Flush snapshots it
 	// together with the manifest, so a mutation that is durable in its
@@ -78,6 +83,12 @@ type Store struct {
 	compactStop chan struct{}
 	compactDone chan struct{}
 	compactMu   sync.Mutex // serializes Compact calls
+	// appendMu makes a mutation's record append and manifest update one
+	// step to compaction: Put and Delete hold it shared across both,
+	// compaction exclusively while it seals the active segment and
+	// snapshots the manifest. Otherwise a record appended before the seal
+	// and indexed after the snapshot is retired with its source segment.
+	appendMu sync.RWMutex
 
 	diskReads   atomic.Int64 // record decodes out of the backend
 	puts        atomic.Int64 // successful Put calls
@@ -103,6 +114,9 @@ type Store struct {
 	// queries draw per-worker scratch from when the caller supplies none,
 	// so consecutive queries on one handle reuse grown-to-size buffers.
 	rankScratch core.ScratchPool
+	// selectPool recycles index selection's overlap accumulators
+	// (*selectScratch), which are sized by segment, not by query.
+	selectPool sync.Pool
 }
 
 // Defaults for OpenOptions zero values.
@@ -167,6 +181,7 @@ func Open(dir string) (*Store, error) {
 // layout (flat or sharded) are migrated into segments transparently.
 func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 	s := &Store{dir: dir}
+	s.selectPool.New = func() any { return new(selectScratch) }
 	if opt.CacheBytes >= 0 {
 		max := opt.CacheBytes
 		if max == 0 {
@@ -181,11 +196,11 @@ func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 			return nil, err
 		}
 		s.backend = fb
-		s.manifest = metas
+		s.resetManifestLocked(metas)
 		s.covered = fb.coveredSnapshot()
 	case BackendMem:
 		s.backend = newMemBackend()
-		s.manifest = make(map[string]Meta)
+		s.resetManifestLocked(make(map[string]Meta))
 		s.covered = make(map[uint64]int64)
 	default:
 		return nil, fmt.Errorf("store: unknown backend %q", opt.Backend)
@@ -225,6 +240,28 @@ func (s *Store) flushLocked() error {
 	return nil
 }
 
+// setMetaLocked installs name's manifest record (removes it when live is
+// false), keeping liveBytes in step and dropping the catalog view. Every
+// write to s.manifest goes through here or resetManifestLocked.
+func (s *Store) setMetaLocked(name string, m Meta, live bool) {
+	s.liveBytes -= s.manifest[name].Bytes
+	if live {
+		s.manifest[name] = m
+		s.liveBytes += m.Bytes
+	} else {
+		delete(s.manifest, name)
+	}
+	s.view = nil
+}
+
+// resetManifestLocked replaces the whole manifest (open and repair).
+func (s *Store) resetManifestLocked(metas map[string]Meta) {
+	s.manifest, s.view, s.liveBytes = metas, nil, 0
+	for _, m := range metas {
+		s.liveBytes += m.Bytes
+	}
+}
+
 // Close stops the auto-compaction loop (if any), flushes the manifest,
 // and seals the active segment so the next open maps everything without
 // replay. The Store remains usable afterwards; Close exists so callers
@@ -243,6 +280,7 @@ func (s *Store) Close() error {
 	if err := s.flushLocked(); err != nil {
 		return err
 	}
+	s.view = nil // sealing the active segment gives its records an index
 	return s.backend.close()
 }
 
@@ -255,6 +293,8 @@ func (s *Store) Put(name string, sk *core.Sketch) error {
 	if name == "" {
 		return fmt.Errorf("store: empty sketch name")
 	}
+	s.appendMu.RLock()
+	defer s.appendMu.RUnlock()
 	for {
 		s.mu.Lock()
 		b := s.backend
@@ -275,7 +315,7 @@ func (s *Store) Put(name string, sk *core.Sketch) error {
 			s.mu.Unlock()
 			continue
 		}
-		s.manifest[name] = metaOf(name, sk, seg, off, length)
+		s.setMetaLocked(name, metaOf(name, sk, seg, off, length), true)
 		if end := off + length; s.covered[seg] < end {
 			s.covered[seg] = end
 		}
@@ -344,6 +384,8 @@ func (s *Store) Get(name string) (*core.Sketch, error) {
 // durably and the entry leaves the manifest and cache; compaction later
 // reclaims the dead bytes.
 func (s *Store) Delete(name string) error {
+	s.appendMu.RLock()
+	defer s.appendMu.RUnlock()
 	s.mu.Lock()
 	_, known := s.manifest[name]
 	b := s.backend
@@ -356,10 +398,8 @@ func (s *Store) Delete(name string) error {
 		return err
 	}
 	s.mu.Lock()
-	if _, ok := s.manifest[name]; ok {
-		delete(s.manifest, name)
-		s.dirty = true
-	}
+	s.setMetaLocked(name, Meta{}, false)
+	s.dirty = true
 	if s.backend == b && s.covered[seg] < end {
 		s.covered[seg] = end
 	}
@@ -376,12 +416,12 @@ func (s *Store) Delete(name string) error {
 // the manifest — no storage access.
 func (s *Store) List() ([]string, error) {
 	s.mu.Lock()
-	names := make([]string, 0, len(s.manifest))
-	for name := range s.manifest {
-		names = append(names, name)
-	}
+	v := s.viewLocked()
 	s.mu.Unlock()
-	sort.Strings(names)
+	names := make([]string, len(v.entries))
+	for i := range v.entries {
+		names[i] = v.entries[i].Name
+	}
 	return names, nil
 }
 
@@ -396,13 +436,9 @@ func (s *Store) Meta(name string) (Meta, bool) {
 // Metas returns every manifest record, sorted by name.
 func (s *Store) Metas() []Meta {
 	s.mu.Lock()
-	metas := make([]Meta, 0, len(s.manifest))
-	for _, m := range s.manifest {
-		metas = append(metas, m)
-	}
+	v := s.viewLocked()
 	s.mu.Unlock()
-	sort.Slice(metas, func(i, j int) bool { return metas[i].Name < metas[j].Name })
-	return metas
+	return slices.Clone(v.entries) // the view's own slice is shared and immutable
 }
 
 // RebuildManifest re-derives the manifest from the storage backend — the
@@ -434,7 +470,7 @@ func (s *Store) RebuildManifest() error {
 	}
 	old := fb
 	s.backend = newFB
-	s.manifest = metas
+	s.resetManifestLocked(metas)
 	s.covered = newFB.coveredSnapshot()
 	if s.cache != nil {
 		s.cache = newLRUCache(s.cache.max)
@@ -570,9 +606,7 @@ func (s *Store) Stats() Stats {
 				st.RawBytes += info.RawBytes
 			}
 		}
-		for _, m := range s.manifest {
-			st.LiveBytes += m.Bytes
-		}
+		st.LiveBytes = s.liveBytes
 	}
 	return st
 }
