@@ -10,6 +10,7 @@ package misketch
 // join) follow, backing the Section V-D performance discussion.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -167,6 +168,44 @@ func BenchmarkSketchBuild(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/N=%d", method, n), func(b *testing.B) {
 				benchmarkSketchBuild(b, method, n)
 			})
+		}
+	}
+}
+
+// BenchmarkSketchTable is the write path before the store: parse one
+// 2 000-row CSV (500 repeated keys, two numeric and two categorical
+// value columns) and sketch all four columns as candidates — the shape
+// the repository benchmark's ingest_compact workload ingests. The four
+// builds share the table's key plan.
+func BenchmarkSketchTable(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	var csv bytes.Buffer
+	csv.WriteString("key,n1,n2,c1,c2\n")
+	for r := 0; r < 2000; r++ {
+		g := rng.Intn(500)
+		fmt.Fprintf(&csv, "k%d,%.7g,%.7g,grade-%02d,site-%02d\n",
+			g, float64(g%17)+0.5*rng.NormFloat64(), rng.NormFloat64(), g%20, rng.Intn(15))
+	}
+	cols := []struct {
+		name string
+		agg  AggFunc
+	}{{"n1", AggAvg}, {"n2", AggAvg}, {"c1", AggMode}, {"c2", AggMode}}
+	b.ReportAllocs()
+	b.SetBytes(int64(csv.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb, err := ReadCSV(bytes.NewReader(csv.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range cols {
+			sk, err := SketchCandidate(tb, "key", c.name, Options{Size: 256, Agg: c.agg})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sk.Len() != 256 {
+				b.Fatalf("%s: %d entries, want a full sketch", c.name, sk.Len())
+			}
 		}
 	}
 }

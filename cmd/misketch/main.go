@@ -290,13 +290,12 @@ func die(err error) {
 
 // runStoreIngest bulk-ingests CSV files into a sketch store: every
 // non-key column of every file gets a candidate sketch persisted under
-// "file#column@key". Files fan out across a worker pool, and each column
-// is sketched in one streaming pass (StreamBuilder), which avoids the
-// per-column aggregate-table materialization of the batch path. (Each
-// CSV is still loaded as a table once per file; up to -workers tables
-// are resident at a time.) Exits non-zero if any store write failed;
-// unreadable files and files without the key column are skipped with a
-// warning, as before.
+// "file#column@key". Files fan out across a worker pool; each CSV is
+// loaded as a table once, its keys are grouped and hashed once (the
+// table's key plan), and every column's sketch aggregates only the keys
+// it samples. Up to -workers tables are resident at a time. Exits
+// non-zero if any store write failed; unreadable or malformed files and
+// files without the key column are skipped with a warning.
 func runStoreIngest(args []string) {
 	fs := flag.NewFlagSet("store ingest", flag.ExitOnError)
 	storeDir := fs.String("store", "", "sketch store directory")
@@ -397,11 +396,10 @@ func expandCSVArgs(args []string) []string {
 	return paths
 }
 
-// ingestFile sketches every non-key column of one CSV through a
-// streaming builder and stores the results. It returns the number of
-// sketches ingested, a benign skip reason (unreadable file, missing key
-// column), and a store-write error — only the latter should fail the
-// run.
+// ingestFile sketches every non-key column of one CSV as a candidate
+// and stores the results. It returns the number of sketches ingested, a
+// benign skip reason (unreadable or malformed file, missing key column),
+// and a store-write error — only the latter should fail the run.
 func ingestFile(st *misketch.Store, path, key string, opt misketch.Options, agg misketch.AggFunc) (n int, skip, err error) {
 	tb, err := misketch.ReadCSVFile(path)
 	if err != nil {
@@ -416,7 +414,7 @@ func ingestFile(st *misketch.Store, path, key string, opt misketch.Options, agg 
 		}
 		o := opt
 		o.Agg = pickAgg(agg, col)
-		sk, err := misketch.BuildStreaming(tb, key, col.Name, misketch.RoleCandidate, o)
+		sk, err := misketch.SketchCandidate(tb, key, col.Name, o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skipping %s#%s: %v\n", path, col.Name, err)
 			continue

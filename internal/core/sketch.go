@@ -204,16 +204,31 @@ func (s *Sketch) NumValOrder() []int32 {
 // Len returns the number of entries stored in the sketch.
 func (s *Sketch) Len() int { return len(s.KeyHashes) }
 
-// value returns entry i as a string or float depending on kind.
-func (s *Sketch) appendValue(c *table.Column, row int) {
-	if s.Numeric {
-		s.Nums = append(s.Nums, c.Num[row])
-	} else {
-		s.Strs = append(s.Strs, c.Str[row])
+// values is where a build reads its entry values: row at of col, or —
+// for an aggregated candidate build — AGG over group at of the key plan.
+type values struct {
+	col *table.Column
+	agg *table.GroupAgg
+}
+
+// appendValue appends the value v holds at at; it is the one place a
+// build reads values, so an aggregated build aggregates only what it
+// keeps.
+func (s *Sketch) appendValue(v values, at int) {
+	switch {
+	case v.agg != nil && s.Numeric:
+		s.Nums = append(s.Nums, v.agg.Num(at))
+	case v.agg != nil:
+		s.Strs = append(s.Strs, v.agg.Str(at))
+	case s.Numeric:
+		s.Nums = append(s.Nums, v.col.Num[at])
+	default:
+		s.Strs = append(s.Strs, v.col.Str[at])
 	}
 }
 
-// rowRef identifies a source row during sketch construction.
+// rowRef identifies a source row — or, in an aggregated candidate
+// build, a source group — during sketch construction.
 type rowRef struct {
 	keyHash uint32
 	row     int
@@ -225,9 +240,19 @@ type liveRow struct {
 	j uint32 // 1-based occurrence index of the key
 }
 
+// testHookAggregated, when set, is told how many groups an aggregated
+// candidate build evaluated AGG for.
+var testHookAggregated func(groups int)
+
 // Build constructs a sketch of (keyCol, valCol) in t for the given role.
 // Rows whose key or value is NULL are skipped, implementing the paper's
 // policy of discarding NULL-producing rows before estimation.
+//
+// Grouping and key hashes come from t's key plan, shared by every build
+// over keyCol. An aggregated candidate build (every method but CSK)
+// samples first and aggregates after: selection needs only the hash of
+// each key whose group has a value, so AGG runs for the at most Size
+// keys the sketch keeps, never for the table.
 func Build(t *table.Table, keyCol, valCol string, role Role, opt Options) (*Sketch, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, err
@@ -242,6 +267,9 @@ func Build(t *table.Table, keyCol, valCol string, role Role, opt Options) (*Sket
 		if vc.Kind != table.KindString {
 			return nil, fmt.Errorf("core: NullAsCategory requires a categorical value column")
 		}
+		if keyCol == valCol {
+			return nil, fmt.Errorf("core: key and value columns must differ")
+		}
 		replaced := make([]string, vc.Len())
 		for i := range replaced {
 			if vc.IsNull(i) {
@@ -250,23 +278,13 @@ func Build(t *table.Table, keyCol, valCol string, role Role, opt Options) (*Sket
 				replaced[i] = vc.Str[i]
 			}
 		}
-		cols := []*table.Column{kc, table.NewStringColumn(valCol, replaced)}
-		if keyCol == valCol {
-			return nil, fmt.Errorf("core: key and value columns must differ")
-		}
-		t = table.New(cols...)
-		kc = t.MustColumn(keyCol)
-		vc = t.MustColumn(valCol)
+		vc = table.NewStringColumn(valCol, replaced)
 	}
-	if role == RoleCandidate && opt.Method != CSK {
-		agg, err := table.Aggregate(t, keyCol, valCol, opt.Agg)
-		if err != nil {
-			return nil, err
-		}
-		t = agg
-		kc = t.MustColumn(keyCol)
-		vc = t.MustColumn(valCol)
+	plan, err := t.KeyPlan(keyCol)
+	if err != nil {
+		return nil, err
 	}
+	hashes := plan.Hashes(opt.Seed)
 
 	s := &Sketch{
 		Method:  opt.Method,
@@ -276,16 +294,41 @@ func Build(t *table.Table, keyCol, valCol string, role Role, opt Options) (*Sket
 		Numeric: vc.Kind == table.KindFloat,
 	}
 
-	// Collect usable rows with their key hashes and occurrence indexes.
-	occ := make(map[uint32]uint32, t.NumRows())
+	// Collect what is usable — groups with a value when aggregating, rows
+	// otherwise — with key hashes and occurrence indexes. Two keys of one
+	// table can share a hash; the index tells them apart.
+	src := values{col: vc}
+	occ := make(map[uint32]uint32, len(hashes))
 	var live []liveRow
-	for i := 0; i < t.NumRows(); i++ {
-		if kc.IsNull(i) || vc.IsNull(i) {
-			continue
+	if role == RoleCandidate && opt.Method != CSK {
+		if src.agg, err = plan.Aggregator(vc, opt.Agg); err != nil {
+			return nil, err
 		}
-		hk := hash.Key(kc.StringAt(i), opt.Seed)
-		occ[hk]++
-		live = append(live, liveRow{rowRef{hk, i}, occ[hk]})
+		s.Numeric = src.agg.Kind == table.KindFloat
+		live = make([]liveRow, 0, len(hashes))
+		for g, hk := range hashes {
+			if src.agg.Live(g) {
+				occ[hk]++
+				live = append(live, liveRow{rowRef{hk, g}, occ[hk]})
+			}
+		}
+		if testHookAggregated != nil {
+			defer func() { testHookAggregated(src.agg.Evals) }()
+		}
+	} else {
+		rowHash := make([]uint32, t.NumRows())
+		for g, hk := range hashes {
+			for _, r := range plan.Rows(g) {
+				rowHash[r] = hk
+			}
+		}
+		for i, hk := range rowHash {
+			if kc.IsNull(i) || vc.IsNull(i) {
+				continue
+			}
+			occ[hk]++
+			live = append(live, liveRow{rowRef{hk, i}, occ[hk]})
+		}
 	}
 	s.SourceRows = len(live)
 	if len(live) == 0 {
@@ -294,21 +337,21 @@ func Build(t *table.Table, keyCol, valCol string, role Role, opt Options) (*Sket
 
 	switch opt.Method {
 	case TUPSK:
-		buildTUPSK(s, vc, live, opt)
+		buildTUPSK(s, src, live, opt)
 	case LV2SK, PRISK:
-		buildTwoLevel(s, vc, live, occ, opt, role)
+		buildTwoLevel(s, src, live, occ, opt, role)
 	case CSK:
-		buildCSK(s, vc, live, opt)
+		buildCSK(s, src, live, opt)
 	case INDSK:
-		buildINDSK(s, vc, live, opt, role)
+		buildINDSK(s, src, live, opt, role)
 	}
 	return s, nil
 }
 
-// buildTUPSK selects the n rows with minimum hu(⟨k, j⟩). For candidate
-// sketches the aggregation above has made keys unique, so j = 1 for every
-// row and the hashes coordinate with the train side's first occurrences.
-func buildTUPSK(s *Sketch, vc *table.Column, live []liveRow, opt Options) {
+// buildTUPSK selects the n rows with minimum hu(⟨k, j⟩). An aggregated
+// candidate build has one live entry per key, so j = 1 for every one and
+// the hashes coordinate with the train side's first occurrences.
+func buildTUPSK(s *Sketch, src values, live []liveRow, opt Options) {
 	kmv := sample.NewKMV[rowRef](opt.Size)
 	for _, r := range live {
 		u := hash.UnitTuple(r.keyHash, r.j, opt.Seed)
@@ -316,7 +359,7 @@ func buildTUPSK(s *Sketch, vc *table.Column, live []liveRow, opt Options) {
 	}
 	for _, r := range kmv.Items() {
 		s.KeyHashes = append(s.KeyHashes, r.keyHash)
-		s.appendValue(vc, r.row)
+		s.appendValue(src, r.row)
 	}
 }
 
@@ -324,7 +367,7 @@ func buildTUPSK(s *Sketch, vc *table.Column, live []liveRow, opt Options) {
 // keys — by minimum hu(k) for LV2SK, by priority N_k/hu(k) for PRISK.
 // Level 2 caps each selected key at n_k = max(1, ⌊n·N_k/N⌋) rows, drawn
 // uniformly without replacement.
-func buildTwoLevel(s *Sketch, vc *table.Column, live []liveRow, occ map[uint32]uint32, opt Options, role Role) {
+func buildTwoLevel(s *Sketch, src values, live []liveRow, occ map[uint32]uint32, opt Options, role Role) {
 	// Group the live rows by key hash, preserving encounter order.
 	rowsByKey := make(map[uint32][]int, len(occ))
 	for _, r := range live {
@@ -363,7 +406,7 @@ func buildTwoLevel(s *Sketch, vc *table.Column, live []liveRow, occ map[uint32]u
 		}
 		for _, pick := range sample.WithoutReplacement(len(rows), nk, rng) {
 			s.KeyHashes = append(s.KeyHashes, hk)
-			s.appendValue(vc, rows[pick])
+			s.appendValue(src, rows[pick])
 		}
 	}
 }
@@ -371,7 +414,7 @@ func buildTwoLevel(s *Sketch, vc *table.Column, live []liveRow, occ map[uint32]u
 // buildCSK keeps, for each of the n minimum-hash distinct keys, the first
 // value seen with that key — the straightforward extension of Correlation
 // Sketches, which does not prescribe repeated-key handling.
-func buildCSK(s *Sketch, vc *table.Column, live []liveRow, opt Options) {
+func buildCSK(s *Sketch, src values, live []liveRow, opt Options) {
 	kmv := sample.NewKMV[rowRef](opt.Size)
 	for _, r := range live {
 		if r.j != 1 {
@@ -381,19 +424,19 @@ func buildCSK(s *Sketch, vc *table.Column, live []liveRow, opt Options) {
 	}
 	for _, r := range kmv.Items() {
 		s.KeyHashes = append(s.KeyHashes, r.keyHash)
-		s.appendValue(vc, r.row)
+		s.appendValue(src, r.row)
 	}
 }
 
 // buildINDSK selects n rows uniformly at random with no coordination; the
 // two roles use different RNG streams, making the table samples
 // independent as the baseline requires.
-func buildINDSK(s *Sketch, vc *table.Column, live []liveRow, opt Options, role Role) {
+func buildINDSK(s *Sketch, src values, live []liveRow, opt Options, role Role) {
 	rng := rand.New(rand.NewSource(hash.SubSeed(uint64(opt.RNGSeed), 0x1d5+uint64(role))))
 	for _, pick := range sample.WithoutReplacement(len(live), opt.Size, rng) {
 		r := live[pick]
 		s.KeyHashes = append(s.KeyHashes, r.keyHash)
-		s.appendValue(vc, r.row)
+		s.appendValue(src, r.row)
 	}
 }
 

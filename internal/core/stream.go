@@ -417,9 +417,10 @@ func (b *StreamBuilder) finalizeAgg(st *aggState) streamValue {
 	return st.first
 }
 
-// BuildStreaming runs a table through a StreamBuilder — a convenience for
-// comparing streaming and batch construction, and the natural entry point
-// when the caller already has columnar data.
+// BuildStreaming runs a table through a StreamBuilder: the oracle the
+// tests compare batch Build against. A caller that already holds a
+// table should use Build, which shares the table's key plan across
+// columns; StreamBuilder is for rows that never form a table.
 func BuildStreaming(t *table.Table, keyCol, valCol string, role Role, opt Options) (*Sketch, error) {
 	kc := t.Column(keyCol)
 	vc := t.Column(valCol)

@@ -185,6 +185,33 @@ func TestSketchSeedSizeRange(t *testing.T) {
 	}
 }
 
+// TestSketchMalformedHeader checks /v1/sketch answers a CSV whose header
+// cannot form a table — repeated or empty column names — with 400 and a
+// message, not with the connection reset table.New's panic used to
+// cause; and that a byte-order mark does not hide the key column.
+func TestSketchMalformedHeader(t *testing.T) {
+	_, ts, _, _ := newTestServer(t, 1, Options{})
+	for _, tc := range []struct {
+		name, csv string
+		status    int
+	}{
+		{"duplicate name", "k,v,v\na,1,2\n", http.StatusBadRequest},
+		{"empty name", "k,v,\na,1,2\n", http.StatusBadRequest},
+		{"two empty names", "k,v,,\na,1,2,3\n", http.StatusBadRequest},
+		{"byte-order mark", "\ufeffk,v\na,1\nb,2\n", http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sketch?key=k&value=v", "text/csv", strings.NewReader(tc.csv))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || tc.status != http.StatusOK && !strings.Contains(string(body), "reading CSV") {
+			t.Errorf("%s: status %d body %s, want %d", tc.name, resp.StatusCode, body, tc.status)
+		}
+	}
+}
+
 // TestShutdownTimeoutSemantics pins the resolved shutdown bound: zero
 // means the 30s default, positive means that duration, and negative
 // disables the bound entirely — the same convention the four connection

@@ -539,8 +539,20 @@ func (b *fsBackend) segmentInfos() []SegmentInfo {
 // without replay. Mappings and descriptors stay valid — like the
 // file-per-sketch engine before it, a closed Store remains usable (the
 // Close contract), so teardown is left to process exit or retirement.
+// What close does give up is the mappings' resident pages: a closed
+// store is usually dropped, and a process that opens store after store
+// (bulk ingest rounds) otherwise grew by each one's size for good. A
+// later read faults them back in.
 func (b *fsBackend) close() error {
-	return b.roll()
+	b.segMu.Lock()
+	defer b.segMu.Unlock()
+	if err := b.rollLocked(); err != nil {
+		return err
+	}
+	for _, seg := range b.segs {
+		dropResident(seg.data)
+	}
+	return nil
 }
 
 // resetSegments drops every open segment (recovery-fallback path; no

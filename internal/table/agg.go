@@ -3,7 +3,7 @@ package table
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // AggFunc names a featurization function AGG that collapses the values
@@ -48,7 +48,8 @@ func (a AggFunc) OutputKind(in Kind) (Kind, bool) {
 // order. Rows with NULL keys are dropped; NULL values are excluded from
 // the aggregate (but a group of only NULLs still emits a row with a NULL
 // feature, matching SQL semantics for everything except COUNT, which
-// yields 0).
+// yields 0). The grouping comes from the table's key plan, so repeated
+// aggregations over one key regroup nothing.
 func Aggregate(t *Table, keyCol, valCol string, agg AggFunc) (*Table, error) {
 	kc := t.Column(keyCol)
 	vc := t.Column(valCol)
@@ -56,134 +57,29 @@ func Aggregate(t *Table, keyCol, valCol string, agg AggFunc) (*Table, error) {
 		return nil, fmt.Errorf("table: Aggregate columns missing (%q: %v, %q: %v)",
 			keyCol, kc != nil, valCol, vc != nil)
 	}
-	outKind, ok := agg.OutputKind(vc.Kind)
-	if !ok {
-		return nil, fmt.Errorf("table: aggregate %q does not support %s input", agg, vc.Kind)
+	p, err := t.KeyPlan(keyCol)
+	if err != nil {
+		return nil, err
 	}
-
-	order := make([]string, 0, 64)
-	groups := make(map[string][]int, 64)
-	for i := 0; i < t.NumRows(); i++ {
-		if kc.IsNull(i) {
-			continue
-		}
-		k := kc.StringAt(i)
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
+	ga, err := p.Aggregator(vc, agg)
+	if err != nil {
+		return nil, err
 	}
-
-	outKey := NewStringColumn(keyCol, make([]string, 0, len(order)))
-	outVal := &Column{Name: valCol, Kind: outKind}
-	for _, k := range order {
-		outKey.Str = append(outKey.Str, k)
-		applyAgg(outVal, vc, groups[k], agg)
+	// The key column is a copy: the plan's own slice outlives this result.
+	outKey := NewStringColumn(keyCol, slices.Clone(p.order))
+	outVal := &Column{Name: valCol, Kind: ga.Kind}
+	if ga.Kind == KindFloat {
+		outVal.Num = make([]float64, len(p.order))
+		for g := range outVal.Num {
+			outVal.Num[g] = ga.Num(g)
+		}
+	} else {
+		outVal.Str = make([]string, len(p.order))
+		for g := range outVal.Str {
+			outVal.Str[g] = ga.Str(g)
+		}
 	}
 	return New(outKey, outVal), nil
-}
-
-// applyAgg appends AGG(vc[rows]) to out.
-func applyAgg(out, vc *Column, rows []int, agg AggFunc) {
-	// Collect non-NULL member indices.
-	var live []int
-	for _, i := range rows {
-		if !vc.IsNull(i) {
-			live = append(live, i)
-		}
-	}
-	if agg == AggCount {
-		out.Num = append(out.Num, float64(len(live)))
-		return
-	}
-	if len(live) == 0 {
-		out.appendNull()
-		return
-	}
-	switch agg {
-	case AggFirst:
-		out.appendFrom(vc, live[0])
-	case AggMode:
-		out.appendFrom(vc, modeIndex(vc, live))
-	case AggMin, AggMax:
-		out.appendFrom(vc, extremeIndex(vc, live, agg == AggMax))
-	case AggAvg:
-		s := 0.0
-		for _, i := range live {
-			s += vc.Num[i]
-		}
-		out.Num = append(out.Num, s/float64(len(live)))
-	case AggSum:
-		s := 0.0
-		for _, i := range live {
-			s += vc.Num[i]
-		}
-		out.Num = append(out.Num, s)
-	case AggMedian:
-		vals := make([]float64, len(live))
-		for j, i := range live {
-			vals[j] = vc.Num[i]
-		}
-		sort.Float64s(vals)
-		n := len(vals)
-		if n%2 == 1 {
-			out.Num = append(out.Num, vals[n/2])
-		} else {
-			out.Num = append(out.Num, (vals[n/2-1]+vals[n/2])/2)
-		}
-	default:
-		panic(fmt.Sprintf("table: unknown aggregate %q", agg))
-	}
-}
-
-// modeIndex returns the index (within live) of the most frequent value,
-// breaking ties toward the value seen first.
-func modeIndex(vc *Column, live []int) int {
-	counts := make(map[string]int, len(live))
-	firstAt := make(map[string]int, len(live))
-	for _, i := range live {
-		v := vc.StringAt(i)
-		counts[v]++
-		if _, ok := firstAt[v]; !ok {
-			firstAt[v] = i
-		}
-	}
-	bestIdx, bestCount := -1, -1
-	for _, i := range live {
-		v := vc.StringAt(i)
-		if counts[v] > bestCount {
-			bestCount = counts[v]
-			bestIdx = firstAt[v]
-		}
-	}
-	return bestIdx
-}
-
-// extremeIndex returns the index of the min (or max) value: numeric order
-// for float columns, lexicographic for string columns. NaNs are excluded
-// by the caller.
-func extremeIndex(vc *Column, live []int, wantMax bool) int {
-	best := live[0]
-	for _, i := range live[1:] {
-		var better bool
-		if vc.Kind == KindFloat {
-			if wantMax {
-				better = vc.Num[i] > vc.Num[best]
-			} else {
-				better = vc.Num[i] < vc.Num[best]
-			}
-		} else {
-			if wantMax {
-				better = vc.Str[i] > vc.Str[best]
-			} else {
-				better = vc.Str[i] < vc.Str[best]
-			}
-		}
-		if better {
-			best = i
-		}
-	}
-	return best
 }
 
 // AugmentationJoin evaluates the paper's join-aggregation query (Section

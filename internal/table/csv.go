@@ -1,28 +1,64 @@
 package table
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
+
+// parseFloat is strconv.ParseFloat; a variable so a test can count calls.
+var parseFloat = strconv.ParseFloat
 
 // ReadCSV parses a CSV stream with a header row into a Table, inferring
 // each column's kind: a column is numeric if every non-empty cell parses
 // as a float64, otherwise it is a string column. Empty cells become NULLs.
 // This plays the role of Tablesaw's type inference in the paper's
-// real-data pipeline.
+// real-data pipeline. A leading UTF-8 byte-order mark is skipped; empty
+// and repeated column names are errors.
+//
+// Each cell is converted once: a column is parsed as numeric as it is
+// read, until its first cell that is not a number.
 func ReadCSV(r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = false
+	size := inputSize(r)
+	br := bufio.NewReader(r)
+	if lead, _ := br.Peek(len(utf8BOM)); string(lead) == utf8BOM {
+		_, _ = br.Discard(len(utf8BOM)) // cannot fail: just peeked
+	}
+	cr := csv.NewReader(br)
+	cr.ReuseRecord = true // cells are substrings of a string made per record
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("table: reading CSV header: %w", err)
 	}
-	raw := make([][]string, len(header))
-	for {
+	cols := make([]csvColumn, len(header))
+	seen := make(map[string]bool, len(header))
+	for i, name := range header {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			return nil, fmt.Errorf("table: CSV column %d has an empty name", i+1)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("table: CSV has two columns named %q", name)
+		}
+		seen[name] = true
+		cols[i] = csvColumn{name: name, numeric: true}
+	}
+	headerEnd := cr.InputOffset()
+	for n := 0; ; n++ {
+		if n == sizingRows && size > cr.InputOffset() {
+			// The rows so far give a row's length: reserve the rest of the
+			// input's rows at once, where append would copy its way up.
+			rest := (size - cr.InputOffset()) * sizingRows / (cr.InputOffset() - headerEnd)
+			for i := range cols {
+				cols[i].reserve(int(min(rest+rest/16, maxReserve)))
+			}
+		}
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
@@ -34,48 +70,78 @@ func ReadCSV(r io.Reader) (*Table, error) {
 			return nil, fmt.Errorf("table: CSV row has %d fields, header has %d", len(rec), len(header))
 		}
 		for i, v := range rec {
-			raw[i] = append(raw[i], v)
+			cols[i].add(strings.TrimSpace(v))
 		}
 	}
-	cols := make([]*Column, len(header))
-	for i, name := range header {
-		cols[i] = inferColumn(strings.TrimSpace(name), raw[i])
+	out := make([]*Column, len(cols))
+	for i := range cols {
+		out[i] = cols[i].column()
 	}
-	return New(cols...), nil
+	return New(out...), nil
 }
 
-// inferColumn decides the kind of a raw string column and converts it.
-func inferColumn(name string, vals []string) *Column {
-	numeric := false
-	allNumeric := true
-	for _, v := range vals {
-		v = strings.TrimSpace(v)
-		if v == "" {
-			continue
+const (
+	utf8BOM = "\ufeff"
+	// sizingRows is how many rows ReadCSV reads before it sizes the
+	// column buffers from their mean length; maxReserve bounds that
+	// reservation, so rows that are short only at the top of a large
+	// input cannot make it over-allocate by much.
+	sizingRows = 64
+	maxReserve = 1 << 20
+)
+
+// inputSize returns the bytes r has left when r can tell — in-memory
+// readers and regular files can — and 0 otherwise.
+func inputSize(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size()
 		}
-		if _, err := strconv.ParseFloat(v, 64); err != nil {
-			allNumeric = false
-			break
+	}
+	return 0
+}
+
+// csvColumn accumulates one column: the cells as read and, while every
+// non-empty one has parsed as a number, their values.
+type csvColumn struct {
+	name    string
+	strs    []string
+	nums    []float64
+	numeric bool // no non-numeric cell so far
+	any     bool // some cell was non-empty
+}
+
+func (c *csvColumn) add(v string) {
+	c.strs = append(c.strs, v)
+	switch {
+	case !c.numeric:
+	case v == "":
+		c.nums = append(c.nums, math.NaN())
+	default:
+		f, err := parseFloat(v, 64)
+		if err != nil {
+			c.numeric, c.nums = false, nil
+			return
 		}
-		numeric = true
+		c.nums, c.any = append(c.nums, f), true
 	}
-	if numeric && allNumeric {
-		nums := make([]float64, len(vals))
-		for i, v := range vals {
-			v = strings.TrimSpace(v)
-			if v == "" {
-				nums[i] = math.NaN()
-				continue
-			}
-			nums[i], _ = strconv.ParseFloat(v, 64)
-		}
-		return NewFloatColumn(name, nums)
+}
+
+func (c *csvColumn) reserve(rows int) {
+	c.strs = slices.Grow(c.strs, rows)
+	if c.numeric {
+		c.nums = slices.Grow(c.nums, rows)
 	}
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = strings.TrimSpace(v)
+}
+
+func (c *csvColumn) column() *Column {
+	if c.numeric && c.any {
+		return NewFloatColumn(c.name, c.nums)
 	}
-	return NewStringColumn(name, out)
+	return NewStringColumn(c.name, c.strs)
 }
 
 // WriteCSV writes the table as CSV with a header row. NULLs are written

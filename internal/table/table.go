@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 )
 
 // Kind distinguishes the two value distributions the paper works with:
@@ -40,6 +41,10 @@ const NullString = ""
 
 // Column is a named, typed column. Exactly one of Str or Num is populated,
 // matching Kind. Float NULLs are NaN; string NULLs are NullString.
+//
+// Once a column is part of a Table its slices must not be modified: the
+// table's key plans, and every table that shares the column (joins and
+// WithCompositeKey share, not copy), rely on the values staying put.
 type Column struct {
 	Name string
 	Kind Kind
@@ -114,16 +119,23 @@ func (c *Column) emptyLike() *Column {
 	return &Column{Name: c.Name, Kind: c.Kind}
 }
 
-// Table is a columnar table. All columns have equal length.
+// Table is a columnar table. All columns have equal length. A table is
+// immutable once constructed — no column is added, removed or edited
+// after New or WithCompositeKey returns — which is what lets it keep a
+// KeyPlan per key column for its whole lifetime without invalidation.
+// It is safe for concurrent use.
 type Table struct {
 	cols   []*Column
 	byName map[string]int
+
+	planMu sync.Mutex
+	plans  map[string]*KeyPlan // by key column name, built on first use
 }
 
 // New builds a table from columns; all must have the same length and
 // distinct names.
 func New(cols ...*Column) *Table {
-	t := &Table{byName: make(map[string]int, len(cols))}
+	t := &Table{byName: make(map[string]int, len(cols)), plans: map[string]*KeyPlan{}}
 	for _, c := range cols {
 		t.mustAdd(c)
 	}

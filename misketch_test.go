@@ -243,3 +243,23 @@ func TestRankSmoothed(t *testing.T) {
 		t.Error("min join filter not applied")
 	}
 }
+
+func TestReadCSVMalformedHeaderIsAnError(t *testing.T) {
+	// A file's header reaches NewTable's duplicate-name panic only
+	// through ReadCSV, which must turn it into an error for the caller
+	// (`store ingest` skips the file, /v1/sketch answers 400).
+	for _, in := range []string{"key,a,a\n1,2,3\n", "key,,a\n1,2,3\n", "key,,\n1,2,3\n"} {
+		if tb, err := ReadCSV(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadCSV(%q) = %v, want an error", in, tb.ColumnNames())
+		}
+	}
+	path := writeTempCSV(t, "dup.csv", "key,a,a\n1,2,3\n")
+	if _, err := ReadCSVFile(path); err == nil || !strings.Contains(err.Error(), "dup.csv") {
+		t.Errorf("ReadCSVFile: err %v, want one naming the file", err)
+	}
+	// A byte-order mark is not part of the first column's name.
+	tb, err := ReadCSV(strings.NewReader("\ufeffkey,v\nk1,2\n"))
+	if err != nil || tb.Column("key") == nil {
+		t.Errorf("BOM-prefixed CSV: columns %v, err %v", tb.ColumnNames(), err)
+	}
+}

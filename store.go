@@ -35,15 +35,6 @@ func NewStreamBuilder(role Role, numeric bool, opt Options) (*StreamBuilder, err
 	return core.NewStreamBuilder(role, numeric, normalizeOptions(opt))
 }
 
-// BuildStreaming runs a table's (key, value) column pair through a
-// StreamBuilder in one pass — the natural entry point when the caller
-// already has columnar data and wants streaming construction semantics
-// (no intermediate aggregate-table materialization on the candidate
-// side).
-func BuildStreaming(t *Table, keyCol, valCol string, role Role, opt Options) (*Sketch, error) {
-	return core.BuildStreaming(t, keyCol, valCol, role, normalizeOptions(opt))
-}
-
 // WriteSketch serializes a sketch to w in the versioned binary format.
 func WriteSketch(w io.Writer, s *Sketch) error {
 	_, err := s.WriteTo(w)
