@@ -382,68 +382,24 @@ func BenchmarkAblationTupleVsKeyHashing(b *testing.B) {
 
 // --- Store-scale discovery benches ----------------------------------------
 
-// benchStore fills a store with nCand small candidate sketches (plus a
-// decoy population excluded by prefix) and returns it with a matching
-// train sketch. Streaming builders keep setup time proportional to the
-// candidate count, not to table materialization.
-//
-// The corpus is a heterogeneous discovery workload, the shape the paper's
-// ranking scenario assumes: the train target carries a 20-level signal
-// over the key universe, a small planted cohort of candidates shares that
-// signal at graded noise scales (strong joinable features down to
-// marginal ones), and the bulk of the catalog is pure noise. A realistic
-// top-10 therefore sits well above the noise floor — the regime the
-// ranking cascade exploits by settling the noise bulk with its cheap
-// tier. The earlier all-noise corpus (every candidate MI ≈ 0, top-10
-// decided by estimator jitter) measured the same per-pair estimator cost
-// but was not a discovery workload at all.
+// benchStore fills a store with the first nCand candidates of the
+// planted-cohort discovery corpus (synth.PlantedCohort, which describes
+// the workload) under "bench/", plus a decoy population the prefix
+// filter must exclude, and returns it with the matching train sketch.
 func benchStore(b *testing.B, dir string, nCand int, opt OpenStoreOptions) (*Store, *Sketch) {
 	b.Helper()
 	st, err := OpenStoreWithOptions(dir, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(17))
-	sopt := Options{Size: 256}
-	signal := func(g int) float64 { return float64(g % 20) }
-	tb, err := NewStreamBuilder(RoleTrain, true, sopt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 4000; i++ {
-		g := rng.Intn(400)
-		tb.AddNum(fmt.Sprintf("g%d", g), signal(g)+0.25*rng.NormFloat64())
-	}
-	train := tb.Sketch()
-	for c := 0; c < nCand; c++ {
-		cb, err := NewStreamBuilder(RoleCandidate, true, sopt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for g := 0; g < 400; g++ {
-			var v float64
-			switch {
-			case c%64 == 0:
-				// Planted cohort, graded: noise scales 0.08..0.46 across
-				// the cohort — strongly to moderately dependent features.
-				sigma := 0.08 + 0.035*float64(c/64)
-				v = signal(g) + sigma*rng.NormFloat64()
-			case c%64 == 1:
-				// Marginal stragglers: dependence weak enough to fall
-				// around the cascade's decision boundary.
-				v = signal(g) + (1.0+float64(c/64))*rng.NormFloat64()
-			default:
-				// The catalog bulk: joinable but independent of the target.
-				v = rng.NormFloat64()
-			}
-			cb.AddNum(fmt.Sprintf("g%d", g), v)
-		}
-		if err := st.Put(fmt.Sprintf("bench/t%04d#x", c), cb.Sketch()); err != nil {
+	train, cands := synth.PlantedCohort(nCand)
+	for c, sk := range cands {
+		if err := st.Put(fmt.Sprintf("bench/t%04d#x", c), sk); err != nil {
 			b.Fatal(err)
 		}
 		// A decoy the prefix filter must exclude without reading it.
 		if c%4 == 0 {
-			if err := st.Put(fmt.Sprintf("decoy/t%04d#x", c), cb.Sketch()); err != nil {
+			if err := st.Put(fmt.Sprintf("decoy/t%04d#x", c), sk); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -477,7 +433,7 @@ func BenchmarkStoreRank(b *testing.B) {
 	b.Run("top10", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ranked, _, err := st.RankContext(ctx, train, "bench/", 50, DefaultK, 10)
+			ranked, _, err := st.RankQuery(ctx, train, RankOptions{Prefix: "bench/", MinJoinSize: 50, K: DefaultK, TopK: 10})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -489,7 +445,7 @@ func BenchmarkStoreRank(b *testing.B) {
 	b.Run("all", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := st.RankContext(ctx, train, "bench/", 50, DefaultK, 0); err != nil {
+			if _, _, err := st.RankQuery(ctx, train, RankOptions{Prefix: "bench/", MinJoinSize: 50, K: DefaultK}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -501,7 +457,7 @@ func BenchmarkStoreRank(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := cold.RankContext(ctx, train, "bench/", 50, DefaultK, 10); err != nil {
+			if _, _, err := cold.RankQuery(ctx, train, RankOptions{Prefix: "bench/", MinJoinSize: 50, K: DefaultK, TopK: 10}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -602,7 +558,7 @@ func BenchmarkStoreRankCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ranked, _, err := cold.RankContext(ctx, train, "bench/", 50, DefaultK, 10)
+		ranked, _, err := cold.RankQuery(ctx, train, RankOptions{Prefix: "bench/", MinJoinSize: 50, K: DefaultK, TopK: 10})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -720,11 +676,11 @@ func BenchmarkStoreRankCompressed(b *testing.B) {
 		b.Fatalf("compression ratio below 2x: %+v", ss)
 	}
 	ratio := float64(ss.RawBytes) / float64(ss.CompressedBytes)
-	rawRanked, _, err := raw.RankContext(ctx, train, "bench/", 50, DefaultK, 10)
+	rawRanked, _, err := raw.RankQuery(ctx, train, RankOptions{Prefix: "bench/", MinJoinSize: 50, K: DefaultK, TopK: 10})
 	if err != nil {
 		b.Fatal(err)
 	}
-	compRanked, _, err := comp.RankContext(ctx, train, "bench/", 50, DefaultK, 10)
+	compRanked, _, err := comp.RankQuery(ctx, train, RankOptions{Prefix: "bench/", MinJoinSize: 50, K: DefaultK, TopK: 10})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -741,7 +697,7 @@ func BenchmarkStoreRankCompressed(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ranked, _, err := st.RankContext(ctx, train, "bench/", 50, DefaultK, 10)
+				ranked, _, err := st.RankQuery(ctx, train, RankOptions{Prefix: "bench/", MinJoinSize: 50, K: DefaultK, TopK: 10})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -761,7 +717,7 @@ func BenchmarkStoreRankCompressed(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := cold.RankContext(ctx, train, "bench/", 50, DefaultK, 10); err != nil {
+			if _, _, err := cold.RankQuery(ctx, train, RankOptions{Prefix: "bench/", MinJoinSize: 50, K: DefaultK, TopK: 10}); err != nil {
 				b.Fatal(err)
 			}
 		}

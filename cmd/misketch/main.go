@@ -39,7 +39,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -53,6 +52,7 @@ import (
 	"time"
 
 	"misketch"
+	"misketch/internal/synth"
 	"misketch/internal/table"
 )
 
@@ -304,7 +304,6 @@ func runStoreIngest(args []string) {
 	agg := fs.String("agg", "first", "aggregation for repeated keys")
 	seed := fs.Uint("seed", 0, "hash seed (0 = default)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel ingestion workers")
-	shards := fs.Int("shards", 0, "legacy directory fan-out (ignored: sketches are packed into segments)")
 	die(fs.Parse(args))
 	requireFlags(map[string]string{"store": *storeDir, "key": *key})
 	if fs.NArg() == 0 {
@@ -328,7 +327,7 @@ func runStoreIngest(args []string) {
 		}
 		byBase[base] = p
 	}
-	st, err := misketch.OpenStoreWithOptions(*storeDir, misketch.OpenStoreOptions{Shards: *shards})
+	st, err := misketch.OpenStore(*storeDir)
 	die(err)
 	opt := misketch.Options{Size: *size, Seed: uint32(*seed)}
 
@@ -630,12 +629,11 @@ func runStoreIndex(args []string) {
 		cs.SegmentsBefore, cs.Records, ss.IndexedSegments, ss.Segments, ss.PostingBytes)
 }
 
-// runBench builds a synthetic sketch store mirroring the repo's
-// BenchmarkStoreRank workload (a heterogeneous discovery corpus: a
-// planted cohort of dependent candidates at graded noise scales,
-// marginal stragglers near the cascade's decision boundary, and an
-// independent bulk — 400 keys each, against a 256-entry train sketch
-// over 4000 rows), times warm top-K ranking queries against it, and
+// runBench builds a sketch store of the repo's BenchmarkStoreRank
+// workload (synth.PlantedCohort: a planted cohort of dependent
+// candidates at graded noise scales, marginal stragglers near the
+// cascade's decision boundary, and an independent bulk), times warm
+// top-K ranking queries against it, and
 // emits one BENCH_rank.json record — the store-rank perf number,
 // measurable without the Go test harness. -cpuprofile/-memprofile
 // write pprof profiles of the timed loop for tier-level attribution.
@@ -670,39 +668,16 @@ func runBench(args []string) {
 	}
 	st, err := misketch.OpenStore(storeDir)
 	die(err)
-	rng := rand.New(rand.NewSource(17))
-	sopt := misketch.Options{Size: 256}
-	signal := func(g int) float64 { return float64(g % 20) }
-	tb, err := misketch.NewStreamBuilder(misketch.RoleTrain, true, sopt)
-	die(err)
-	for i := 0; i < 4000; i++ {
-		g := rng.Intn(400)
-		tb.AddNum(fmt.Sprintf("g%d", g), signal(g)+0.25*rng.NormFloat64())
-	}
-	train := tb.Sketch()
-	for c := 0; c < *nCand; c++ {
-		cb, err := misketch.NewStreamBuilder(misketch.RoleCandidate, true, sopt)
-		die(err)
-		for g := 0; g < 400; g++ {
-			var v float64
-			switch {
-			case c%64 == 0:
-				v = signal(g) + (0.08+0.035*float64(c/64))*rng.NormFloat64()
-			case c%64 == 1:
-				v = signal(g) + (1.0+float64(c/64))*rng.NormFloat64()
-			default:
-				v = rng.NormFloat64()
-			}
-			cb.AddNum(fmt.Sprintf("g%d", g), v)
-		}
-		// Sharded builds generate every candidate (the rng stream must
-		// not diverge between shards) but store only this shard's slice,
-		// so N runs produce disjoint stores whose union is the full
-		// single-node corpus.
+	train, cands := synth.PlantedCohort(*nCand)
+	for c, sk := range cands {
+		// Sharded builds draw every candidate (the generator's rng stream
+		// must not diverge between shards) but store only this shard's
+		// slice, so N runs produce disjoint stores whose union is the
+		// full single-node corpus.
 		if c%*shardCount != *shardIndex {
 			continue
 		}
-		die(st.Put(fmt.Sprintf("bench/t%04d#x", c), cb.Sketch()))
+		die(st.Put(fmt.Sprintf("bench/t%04d#x", c), sk))
 	}
 	die(st.Flush())
 

@@ -106,7 +106,7 @@ func main() {
 	defer cancel()
 	start = time.Now()
 	const topK = 10
-	ranked, skipped, err := cold.RankContext(ctx, trainSk, "wbf/", 100, misketch.DefaultK, topK)
+	ranked, skipped, err := cold.RankQuery(ctx, trainSk, misketch.RankOptions{Prefix: "wbf/", MinJoinSize: 100, K: misketch.DefaultK, TopK: topK})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,8 +30,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
+	"crypto/sha256"
 	"fmt"
 	"net"
 	"net/http"
@@ -41,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"misketch/internal/cache"
 	"misketch/internal/server"
 )
 
@@ -57,8 +57,6 @@ const (
 	// DefaultRetryBackoff is the wait before the first retry; each
 	// further retry doubles it.
 	DefaultRetryBackoff = 100 * time.Millisecond
-	// DefaultShutdownTimeout bounds the graceful drain on shutdown.
-	DefaultShutdownTimeout = 30 * time.Second
 )
 
 // Options tunes a cluster coordinator. Every duration follows the
@@ -95,19 +93,6 @@ type Options struct {
 	ReadTimeout       time.Duration
 	WriteTimeout      time.Duration
 	IdleTimeout       time.Duration
-}
-
-// timeout resolves one Options duration: zero means the default,
-// negative means disabled.
-func timeout(v, def time.Duration) time.Duration {
-	switch {
-	case v < 0:
-		return 0
-	case v == 0:
-		return def
-	default:
-		return v
-	}
 }
 
 // retryBudget resolves Options.Retries: zero means the default,
@@ -199,16 +184,22 @@ type Coordinator struct {
 	opt    Options
 	mux    *http.ServeMux
 
-	// results is the shard-ETag-driven result cache (nil when
-	// disabled); see resultcache.go.
-	results *clusterCache
+	// maxBody caps request bodies at the single-node server's default
+	// (a field only so tests can lower it).
+	maxBody int64
 
-	rankRequests  atomic.Int64
-	rankPartial   atomic.Int64
-	rankFailures  atomic.Int64
-	batchRequests atomic.Int64
-	batchPartial  atomic.Int64
-	batchFailures atomic.Int64
+	// rank and batch describe the two rank endpoints and hold their
+	// counters (rank.go).
+	rank, batch *endpoint
+
+	// results is the shard-ETag-driven result cache and flights the
+	// singleflight table beside it (both nil when disabled); see
+	// resultcache.go. The three counters are the cache's own.
+	results     *cache.LRU[ccKey, *ccEntry]
+	flights     *cache.Flights[[sha256.Size]byte, server.Outcome]
+	shardHits   atomic.Int64 // shard 304s whose decoded heap fed a merge
+	mergedHits  atomic.Int64 // merged bodies replayed without a merge
+	notModified atomic.Int64 // client If-None-Match answered 304
 }
 
 // New builds a coordinator over the given shard base URLs (e.g.
@@ -233,14 +224,14 @@ func New(shardURLs []string, opt Options) (*Coordinator, error) {
 		seen[base] = true
 		shards = append(shards, newShard(base, opt))
 	}
-	c := &Coordinator{
-		shards:  shards,
-		opt:     opt,
-		mux:     http.NewServeMux(),
-		results: newClusterCache(opt.ResultCacheBytes),
+	c := &Coordinator{shards: shards, opt: opt, mux: http.NewServeMux(), maxBody: server.DefaultMaxBodyBytes}
+	c.rank, c.batch = rankEndpoint(), batchEndpoint()
+	if opt.ResultCacheBytes > 0 {
+		c.results = cache.NewLRU[ccKey, *ccEntry](opt.ResultCacheBytes)
+		c.flights = cache.NewFlights[[sha256.Size]byte, server.Outcome]()
 	}
-	c.mux.HandleFunc("POST /v1/rank", c.handleRank)
-	c.mux.HandleFunc("POST /v1/rank/batch", c.handleRankBatch)
+	c.mux.HandleFunc("POST /v1/rank", c.serveRank(c.rank))
+	c.mux.HandleFunc("POST /v1/rank/batch", c.serveRank(c.batch))
 	c.mux.HandleFunc("GET /v1/ls", c.handleLs)
 	c.mux.HandleFunc("GET /v1/stats", c.handleStats)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
@@ -256,13 +247,16 @@ func (c *Coordinator) Shards() []string {
 	return out
 }
 
+// ServeHTTP implements http.Handler. Request bodies are capped as a
+// single node caps them, so an oversized one is a 413 here too.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, c.maxBody)
 	c.mux.ServeHTTP(w, r)
 }
 
 // ListenAndServe serves on addr until ctx is cancelled, then drains
 // in-flight requests bounded by Options.ShutdownTimeout (zero means
-// DefaultShutdownTimeout, negative waits unboundedly).
+// server.DefaultShutdownTimeout, negative waits unboundedly).
 func (c *Coordinator) ListenAndServe(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -275,49 +269,17 @@ func (c *Coordinator) ListenAndServe(ctx context.Context, addr string) error {
 // takes ownership of) — the entry point when the caller needs the
 // bound address, e.g. after listening on port 0.
 func (c *Coordinator) ServeListener(ctx context.Context, ln net.Listener) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hs := &http.Server{
-		Handler:           c,
-		ReadHeaderTimeout: timeout(c.opt.ReadHeaderTimeout, server.DefaultReadHeaderTimeout),
-		ReadTimeout:       timeout(c.opt.ReadTimeout, server.DefaultReadTimeout),
-		WriteTimeout:      timeout(c.opt.WriteTimeout, server.DefaultWriteTimeout),
-		IdleTimeout:       timeout(c.opt.IdleTimeout, server.DefaultIdleTimeout),
-	}
-	done := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		shCtx, cancel := c.shutdownContext()
-		defer cancel()
-		done <- hs.Shutdown(shCtx)
-	}()
-	err := hs.Serve(ln)
-	if errors.Is(err, http.ErrServerClosed) {
-		err = <-done
-	}
-	return err
-}
-
-// shutdownContext resolves Options.ShutdownTimeout with the same
-// semantics the server package uses: zero means DefaultShutdownTimeout,
-// negative disables the bound.
-func (c *Coordinator) shutdownContext() (context.Context, context.CancelFunc) {
-	if d := timeout(c.opt.ShutdownTimeout, DefaultShutdownTimeout); d > 0 {
-		return context.WithTimeout(context.Background(), d)
-	}
-	return context.WithCancel(context.Background())
+	return server.Serve(ctx, ln, c, server.Timeouts{
+		Shutdown: c.opt.ShutdownTimeout, ReadHeader: c.opt.ReadHeaderTimeout,
+		Read: c.opt.ReadTimeout, Write: c.opt.WriteTimeout, Idle: c.opt.IdleTimeout,
+	})
 }
 
 // scatter issues the same request to every shard concurrently and
-// returns one result per shard, in shard order.
-func (c *Coordinator) scatter(ctx context.Context, method, pathAndQuery string, body []byte, contentType string) []shardResult {
-	return c.scatterRevalidating(ctx, method, pathAndQuery, body, contentType, nil)
-}
-
-// scatterRevalidating is scatter with a per-shard If-None-Match value
-// (inm[i] for shard i; empty sends none), so shards holding unchanged
-// answers reply 304 without a body.
-func (c *Coordinator) scatterRevalidating(ctx context.Context, method, pathAndQuery string, body []byte, contentType string, inm []string) []shardResult {
+// returns one result per shard, in shard order. inm, when non-nil, is a
+// per-shard If-None-Match value (inm[i] for shard i; empty sends none),
+// so shards holding unchanged answers reply 304 without a body.
+func (c *Coordinator) scatter(ctx context.Context, method, pathAndQuery string, body []byte, contentType string, inm []string) []shardResult {
 	out := make([]shardResult, len(c.shards))
 	var wg sync.WaitGroup
 	for i, sh := range c.shards {
@@ -386,22 +348,22 @@ type StatsResponse struct {
 // Stats snapshots the coordinator's counters (also served at
 // /v1/stats).
 func (c *Coordinator) Stats() StatsResponse {
-	rc := c.results.stats()
+	rc := c.results.Stats()
 	resp := StatsResponse{
 		Shards: make([]ShardStats, len(c.shards)),
 		Coordinator: CoordinatorStats{
-			RankRequests:      c.rankRequests.Load(),
-			RankPartial:       c.rankPartial.Load(),
-			RankFailures:      c.rankFailures.Load(),
-			BatchRequests:     c.batchRequests.Load(),
-			BatchPartial:      c.batchPartial.Load(),
-			BatchFailures:     c.batchFailures.Load(),
-			ResultShardHits:   rc.ShardHits,
-			ResultMergedHits:  rc.MergedHits,
-			ResultCoalesced:   rc.Coalesced,
+			RankRequests:      c.rank.requests.Load(),
+			RankPartial:       c.rank.partial.Load(),
+			RankFailures:      c.rank.failures.Load(),
+			BatchRequests:     c.batch.requests.Load(),
+			BatchPartial:      c.batch.partial.Load(),
+			BatchFailures:     c.batch.failures.Load(),
+			ResultShardHits:   c.shardHits.Load(),
+			ResultMergedHits:  c.mergedHits.Load(),
+			ResultCoalesced:   c.flights.Coalesced(),
 			ResultEvictions:   rc.Evictions,
-			ResultNotModified: rc.NotModified,
-			ResultBytes:       rc.Bytes,
+			ResultNotModified: c.notModified.Load(),
+			ResultBytes:       rc.Used,
 			ResultEntries:     rc.Entries,
 		},
 	}
@@ -412,7 +374,7 @@ func (c *Coordinator) Stats() StatsResponse {
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Stats())
+	server.WriteJSON(w, http.StatusOK, c.Stats())
 }
 
 // handleHealthz reports coordinator liveness plus a best-effort
@@ -423,7 +385,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		URL string `json:"url"`
 		OK  bool   `json:"ok"`
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout(c.opt.ConnectTimeout, DefaultConnectTimeout))
+	ctx, cancel := context.WithTimeout(r.Context(), server.Timeout(c.opt.ConnectTimeout, DefaultConnectTimeout))
 	defer cancel()
 	health := make([]shardHealth, len(c.shards))
 	var wg sync.WaitGroup
@@ -436,37 +398,8 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}(i, sh)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, struct {
+	server.WriteJSON(w, http.StatusOK, struct {
 		OK     bool          `json:"ok"`
 		Shards []shardHealth `json:"shards"`
 	}{true, health})
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeClusterError maps a query failure onto the wire: the
-// ClusterError's status and message, with the per-shard failures
-// attached so the operator sees which replicas are sick.
-func writeClusterError(w http.ResponseWriter, err error) {
-	var ce *ClusterError
-	if !errors.As(err, &ce) {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, ce.StatusCode, struct {
-		Error       string       `json:"error"`
-		ShardErrors []ShardError `json:"shard_errors,omitempty"`
-	}{ce.Message, ce.Shards})
 }

@@ -7,6 +7,12 @@ package cluster
 // under the store's total order — MI descending, name ascending on
 // ties — so the merged top-K is bit-identical to a single node ranking
 // the union catalog.
+//
+// /v1/rank and /v1/rank/batch run the same code: a single rank is a
+// batch of one train. What differs — the body's shape coming in, a
+// shard answer's shape coming back, the merged response's shape going
+// out, and the counters — is an endpoint value; prep, scatterMerge and
+// serveRank are written once.
 
 import (
 	"context"
@@ -14,9 +20,11 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
+	"maps"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -31,314 +39,265 @@ type (
 	RankBatchRequest = server.RankBatchRequest
 )
 
+// endpoint is everything that differs between the two rank endpoints.
+type endpoint struct {
+	// path is the shard path scattered to; tag separates the endpoints'
+	// request digests; what prefixes an every-shard-failed error.
+	path, tag, what string
+	// requests, partial and failures are the /v1/stats counters.
+	requests, partial, failures atomic.Int64
+	// decode parses and validates a request body.
+	decode func(body []byte) (*scatterRequest, error)
+	// decodeShard parses one shard's 200 body, for a request of n
+	// trains, into the batch shape both endpoints merge in.
+	decodeShard func(body []byte, n int) (*server.RankBatchResponse, error)
+	// respond shapes m, the merge of the answered shards' answers after
+	// the top-K cut, as the endpoint's response; lost lists the shards
+	// that did not contribute (none on a full answer).
+	respond func(m *server.RankBatchResponse, answered int, lost []ShardError) any
+}
+
+// scatterRequest is a decoded request of either endpoint.
+type scatterRequest struct {
+	// wire is the request as the shards take it; it is re-marshaled
+	// after by-name trains are inlined, so JSON field order and spelling
+	// cannot split the cache.
+	wire any
+	// trains and sketches point at each train's by-name and inline
+	// fields inside wire.
+	trains, sketches []*string
+	// names label a batch's per-train slices.
+	names []string
+	top   int
+
+	// canon and digest are set by prep: the canonical body and the key
+	// of the cache and flight tables.
+	canon  []byte
+	digest [sha256.Size]byte
+}
+
+func rankEndpoint() *endpoint {
+	return &endpoint{
+		path: "/v1/rank", tag: "rank", what: "rank",
+		decode: func(body []byte) (*scatterRequest, error) {
+			req, err := server.DecodeRankRequest(body)
+			if err != nil {
+				return nil, err
+			}
+			return &scatterRequest{
+				wire: req, trains: []*string{&req.Train}, sketches: []*string{&req.Sketch},
+				names: []string{""}, top: req.Top,
+			}, nil
+		},
+		decodeShard: func(body []byte, _ int) (*server.RankBatchResponse, error) {
+			var sr server.RankResponse
+			if err := json.Unmarshal(body, &sr); err != nil {
+				return nil, fmt.Errorf("undecodable response: %v", err)
+			}
+			return sr.AsBatch(), nil
+		},
+		respond: func(m *server.RankBatchResponse, answered int, lost []ShardError) any {
+			resp := &RankResponse{RankResponse: *m.AsSingle(), Partial: len(lost) > 0, ShardErrors: lost}
+			// Cached only if every shard that answered had it cached.
+			resp.ProbeCached = m.ProbesCached == answered
+			return resp
+		},
+	}
+}
+
+func batchEndpoint() *endpoint {
+	return &endpoint{
+		path: "/v1/rank/batch", tag: "batch", what: "rank batch",
+		decode: func(body []byte) (*scatterRequest, error) {
+			req, err := server.DecodeRankBatchRequest(body)
+			if err != nil {
+				return nil, err
+			}
+			sreq := &scatterRequest{wire: req, top: req.Top}
+			for i := range req.Trains {
+				ref := &req.Trains[i]
+				sreq.trains = append(sreq.trains, &ref.Train)
+				sreq.sketches = append(sreq.sketches, &ref.Sketch)
+				sreq.names = append(sreq.names, ref.Name)
+			}
+			return sreq, nil
+		},
+		decodeShard: func(body []byte, n int) (*server.RankBatchResponse, error) {
+			var sr server.RankBatchResponse
+			if err := json.Unmarshal(body, &sr); err != nil || len(sr.Queries) != n {
+				return nil, errors.New("undecodable batch response")
+			}
+			return &sr, nil
+		},
+		respond: func(m *server.RankBatchResponse, _ int, lost []ShardError) any {
+			return &RankBatchResponse{RankBatchResponse: *m, Partial: len(lost) > 0, ShardErrors: lost}
+		},
+	}
+}
+
 // Rank scatters one rank query to every shard and merges the answers.
 // It returns a *ClusterError when the request is invalid or no shard
 // could answer; a degraded answer (some shards lost) is not an error —
 // inspect Partial and ShardErrors. The returned response may be shared
 // with the coordinator's result cache and must not be mutated.
 func (c *Coordinator) Rank(ctx context.Context, req RankRequest) (*RankResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, &ClusterError{StatusCode: http.StatusBadRequest, Message: err.Error()}
-	}
-	c.rankRequests.Add(1)
-	preq, canon, digest, cerr := c.prepRank(ctx, body)
-	if cerr != nil {
-		c.rankFailures.Add(1)
-		return nil, cerr
-	}
-	resp, _, _, rerr := c.rankScattered(ctx, preq, canon, digest)
-	return resp, rerr
-}
-
-// prepRank turns a raw request body into its canonical scattered form:
-// decoded, by-name trains resolved to inline sketches, re-marshaled
-// (so JSON field order and spelling cannot split the cache), and
-// digested for the cache and singleflight keys.
-func (c *Coordinator) prepRank(ctx context.Context, body []byte) (*RankRequest, []byte, [sha256.Size]byte, *ClusterError) {
-	var zero [sha256.Size]byte
-	req, err := server.DecodeRankRequest(body)
-	if err != nil {
-		return nil, nil, zero, &ClusterError{StatusCode: http.StatusBadRequest, Message: err.Error()}
-	}
-	if req.Train != "" {
-		sketch, cerr := c.resolveTrain(ctx, req.Train)
-		if cerr != nil {
-			return nil, nil, zero, cerr
-		}
-		req.Train, req.Sketch = "", sketch
-	}
-	canon, err := json.Marshal(req)
-	if err != nil {
-		return nil, nil, zero, &ClusterError{StatusCode: http.StatusInternalServerError, Message: err.Error()}
-	}
-	return req, canon, requestDigest("rank", canon), nil
-}
-
-// rankScattered runs the cached scatter-merge: revalidate cached
-// per-shard answers with If-None-Match, decode only the shards that
-// changed, and replay the merged body outright when nothing did. It
-// returns the merged response, the coordinator's ETag ("" when the
-// answer is partial or a shard sent no ETag), and the encoded body.
-func (c *Coordinator) rankScattered(ctx context.Context, req *RankRequest, canon []byte, digest [sha256.Size]byte) (*RankResponse, string, []byte, error) {
-	started := time.Now()
-	inm := make([]string, len(c.shards))
-	cached := make([]*ccEntry, len(c.shards))
-	if c.results != nil {
-		for i := range c.shards {
-			if ent := c.results.get(ccKey{shard: i, digest: digest}); ent != nil {
-				cached[i] = ent
-				inm[i] = ent.etag
-			}
-		}
-	}
-	results := c.scatterRevalidating(ctx, http.MethodPost, "/v1/rank", canon, "application/json", inm)
-
-	resp := &RankResponse{RankResponse: server.RankResponse{Ranked: []server.RankedResult{}, ProbeCached: true}}
-	skipped := map[string]bool{}
-	tags := make([]string, len(results))
-	answered := 0
-	allRevalidated := true
-	merge := func(sr *server.RankResponse) {
-		answered++
-		resp.Ranked = append(resp.Ranked, sr.Ranked...)
-		for _, name := range sr.Skipped {
-			skipped[name] = true
-		}
-		resp.ProbeCached = resp.ProbeCached && sr.ProbeCached
-		if sr.Workers > resp.Workers {
-			resp.Workers = sr.Workers
-		}
-	}
-	for i, r := range results {
-		switch {
-		case r.err == nil && r.status == http.StatusNotModified && cached[i] != nil:
-			// The shard vouched that its cached answer still holds:
-			// reuse the decoded heap, no body crossed the wire.
-			c.results.shardHits.Add(1)
-			tags[i] = cached[i].etag
-			merge(cached[i].decoded.(*server.RankResponse))
-		case r.err == nil && r.status == http.StatusOK:
-			allRevalidated = false
-			var sr server.RankResponse
-			if err := json.Unmarshal(r.body, &sr); err != nil {
-				resp.ShardErrors = append(resp.ShardErrors, ShardError{Shard: r.shard.url, Error: "undecodable response: " + err.Error()})
-				continue
-			}
-			tags[i] = r.etag
-			if c.results != nil && r.etag != "" {
-				c.results.add(&ccEntry{
-					key:     ccKey{shard: i, digest: digest},
-					etag:    r.etag,
-					decoded: &sr,
-					size:    int64(len(r.body)) + ccEntryOverhead,
-				})
-			}
-			merge(&sr)
-		default:
-			allRevalidated = false
-			resp.ShardErrors = append(resp.ShardErrors, r.shardError())
-		}
-	}
-	if answered == 0 {
-		c.rankFailures.Add(1)
-		return nil, "", nil, allShardsFailed("rank", resp.ShardErrors)
-	}
-	resp.Partial = answered < len(results)
-	if resp.Partial {
-		c.rankPartial.Add(1)
-	} else {
-		resp.ShardErrors = nil
-	}
-
-	etag := ""
-	if !resp.Partial && allTagged(tags) {
-		etag = coordEtagFor(digest, tags)
-		if allRevalidated && c.results != nil {
-			if ent := c.results.get(ccKey{shard: mergedShard, digest: digest}); ent != nil && ent.etag == etag && sameTags(ent.shardTags, tags) {
-				// Every shard revalidated and the merge for exactly this
-				// set of shard answers is cached: replay its bytes.
-				c.results.mergedHits.Add(1)
-				return ent.decoded.(*RankResponse), etag, ent.body, nil
-			}
-		}
-	}
-	mergeRanked(resp.Ranked, req.Top, &resp.Ranked)
-	resp.Skipped = sortedNames(skipped)
-	resp.ElapsedNS = time.Since(started).Nanoseconds()
-	encoded := encodeJSON(resp)
-	if etag != "" && c.results != nil {
-		c.results.add(&ccEntry{
-			key:       ccKey{shard: mergedShard, digest: digest},
-			etag:      etag,
-			decoded:   resp,
-			body:      encoded,
-			shardTags: tags,
-			size:      int64(len(encoded)) + ccEntryOverhead,
-		})
-	}
-	return resp, etag, encoded, nil
-}
-
-// allTagged reports whether every shard sent an ETag; without one the
-// coordinator cannot vouch for content stability and emits none.
-func allTagged(tags []string) bool {
-	for _, t := range tags {
-		if t == "" {
-			return false
-		}
-	}
-	return true
+	return query[RankResponse](ctx, c, c.rank, req)
 }
 
 // RankBatch scatters one batch rank query to every shard and merges
 // the answers; error and sharing semantics mirror Rank.
 func (c *Coordinator) RankBatch(ctx context.Context, req RankBatchRequest) (*RankBatchResponse, error) {
+	return query[RankBatchResponse](ctx, c, c.batch, req)
+}
+
+// query is the programmatic entry of both endpoints; R is the response
+// type ep.respond builds.
+func query[R any](ctx context.Context, c *Coordinator, ep *endpoint, req any) (*R, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, &ClusterError{StatusCode: http.StatusBadRequest, Message: err.Error()}
 	}
-	c.batchRequests.Add(1)
-	preq, canon, digest, cerr := c.prepRankBatch(ctx, body)
+	ep.requests.Add(1)
+	sreq, cerr := c.prep(ctx, ep, body)
 	if cerr != nil {
-		c.batchFailures.Add(1)
+		ep.failures.Add(1)
 		return nil, cerr
 	}
-	resp, _, _, rerr := c.rankBatchScattered(ctx, preq, canon, digest)
-	return resp, rerr
+	resp, _, cerr := c.scatterMerge(ctx, ep, sreq)
+	if cerr != nil {
+		return nil, cerr
+	}
+	return resp.(*R), nil
 }
 
-// prepRankBatch mirrors prepRank for the batch endpoint.
-func (c *Coordinator) prepRankBatch(ctx context.Context, body []byte) (*RankBatchRequest, []byte, [sha256.Size]byte, *ClusterError) {
-	var zero [sha256.Size]byte
-	req, err := server.DecodeRankBatchRequest(body)
+// prep turns a raw request body into its canonical scattered form:
+// decoded, by-name trains resolved to inline sketches, re-marshaled,
+// and digested for the cache and singleflight keys.
+func (c *Coordinator) prep(ctx context.Context, ep *endpoint, body []byte) (*scatterRequest, *ClusterError) {
+	req, err := ep.decode(body)
 	if err != nil {
-		return nil, nil, zero, &ClusterError{StatusCode: http.StatusBadRequest, Message: err.Error()}
+		return nil, &ClusterError{StatusCode: http.StatusBadRequest, Message: err.Error()}
 	}
-	for i := range req.Trains {
-		if req.Trains[i].Train == "" {
+	for i, name := range req.trains {
+		if *name == "" {
 			continue
 		}
-		sketch, cerr := c.resolveTrain(ctx, req.Trains[i].Train)
+		sketch, cerr := c.resolveTrain(ctx, *name)
 		if cerr != nil {
-			return nil, nil, zero, cerr
+			return nil, cerr
 		}
-		req.Trains[i].Train, req.Trains[i].Sketch = "", sketch
+		*req.trains[i], *req.sketches[i] = "", sketch
 	}
-	canon, err := json.Marshal(req)
-	if err != nil {
-		return nil, nil, zero, &ClusterError{StatusCode: http.StatusInternalServerError, Message: err.Error()}
+	if req.canon, err = json.Marshal(req.wire); err != nil {
+		return nil, &ClusterError{StatusCode: http.StatusInternalServerError, Message: err.Error()}
 	}
-	return req, canon, requestDigest("batch", canon), nil
+	req.digest = requestDigest(ep.tag, req.canon)
+	return req, nil
 }
 
-// rankBatchScattered is rankScattered for the batch endpoint.
-func (c *Coordinator) rankBatchScattered(ctx context.Context, req *RankBatchRequest, canon []byte, digest [sha256.Size]byte) (*RankBatchResponse, string, []byte, error) {
+// scatterMerge runs the cached scatter-merge: revalidate cached
+// per-shard answers with If-None-Match, decode only the shards that
+// changed, and replay the merged body outright when nothing did. It
+// returns the merged response and its wire outcome, whose ETag is ""
+// when the answer is partial or a shard sent no ETag.
+func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatterRequest) (any, server.Outcome, *ClusterError) {
 	started := time.Now()
 	inm := make([]string, len(c.shards))
 	cached := make([]*ccEntry, len(c.shards))
-	if c.results != nil {
-		for i := range c.shards {
-			if ent := c.results.get(ccKey{shard: i, digest: digest}); ent != nil {
-				cached[i] = ent
-				inm[i] = ent.etag
-			}
+	for i := range c.shards {
+		if ent, ok := c.results.Get(ccKey{shard: i, digest: req.digest}); ok {
+			cached[i] = ent
+			inm[i] = ent.etag
 		}
 	}
-	results := c.scatterRevalidating(ctx, http.MethodPost, "/v1/rank/batch", canon, "application/json", inm)
+	results := c.scatter(ctx, http.MethodPost, ep.path, req.canon, "application/json", inm)
 
-	resp := &RankBatchResponse{RankBatchResponse: server.RankBatchResponse{}}
 	// Queries merge positionally: every shard answers in request order,
 	// so query q's slices concatenate across shards.
-	merged := make([]server.BatchQueryResponse, len(req.Trains))
-	for q := range merged {
-		merged[q] = server.BatchQueryResponse{Name: req.Trains[q].Name, Ranked: []server.RankedResult{}}
+	m := &server.RankBatchResponse{Queries: make([]server.BatchQueryResponse, len(req.names))}
+	for q, name := range req.names {
+		m.Queries[q] = server.BatchQueryResponse{Name: name, Ranked: []server.RankedResult{}}
 	}
 	skipped := map[string]bool{}
+	var lost []ShardError
 	tags := make([]string, len(results))
 	answered := 0
 	allRevalidated := true
 	merge := func(sr *server.RankBatchResponse) {
 		answered++
 		for q := range sr.Queries {
-			merged[q].Ranked = append(merged[q].Ranked, sr.Queries[q].Ranked...)
-			merged[q].Pruned += sr.Queries[q].Pruned
+			m.Queries[q].Ranked = append(m.Queries[q].Ranked, sr.Queries[q].Ranked...)
+			m.Queries[q].Pruned += sr.Queries[q].Pruned
 		}
 		for _, name := range sr.Skipped {
 			skipped[name] = true
 		}
-		resp.ProbesCached += sr.ProbesCached
-		if sr.Workers > resp.Workers {
-			resp.Workers = sr.Workers
-		}
+		m.ProbesCached += sr.ProbesCached
+		m.Workers = max(m.Workers, sr.Workers)
 	}
 	for i, r := range results {
 		switch {
 		case r.err == nil && r.status == http.StatusNotModified && cached[i] != nil:
-			c.results.shardHits.Add(1)
+			// The shard vouched that its cached answer still holds:
+			// reuse the decoded heap, no body crossed the wire.
+			c.shardHits.Add(1)
 			tags[i] = cached[i].etag
-			merge(cached[i].decoded.(*server.RankBatchResponse))
+			merge(cached[i].shard)
 		case r.err == nil && r.status == http.StatusOK:
 			allRevalidated = false
-			var sr server.RankBatchResponse
-			if err := json.Unmarshal(r.body, &sr); err != nil || len(sr.Queries) != len(merged) {
-				resp.ShardErrors = append(resp.ShardErrors, ShardError{Shard: r.shard.url, Error: "undecodable batch response"})
+			sr, err := ep.decodeShard(r.body, len(req.names))
+			if err != nil {
+				lost = append(lost, ShardError{Shard: r.shard.url, Error: err.Error()})
 				continue
 			}
 			tags[i] = r.etag
-			if c.results != nil && r.etag != "" {
-				c.results.add(&ccEntry{
-					key:     ccKey{shard: i, digest: digest},
-					etag:    r.etag,
-					decoded: &sr,
-					size:    int64(len(r.body)) + ccEntryOverhead,
-				})
+			if r.etag != "" {
+				c.results.Add(ccKey{shard: i, digest: req.digest},
+					&ccEntry{etag: r.etag, shard: sr}, int64(len(r.body))+ccEntryOverhead)
 			}
-			merge(&sr)
+			merge(sr)
 		default:
 			allRevalidated = false
-			resp.ShardErrors = append(resp.ShardErrors, r.shardError())
+			lost = append(lost, r.shardError())
 		}
 	}
 	if answered == 0 {
-		c.batchFailures.Add(1)
-		return nil, "", nil, allShardsFailed("rank batch", resp.ShardErrors)
+		ep.failures.Add(1)
+		return nil, server.Outcome{}, allShardsFailed(ep.what, lost)
 	}
-	resp.Partial = answered < len(results)
-	if resp.Partial {
-		c.batchPartial.Add(1)
-	} else {
-		resp.ShardErrors = nil
+	// Every shard either answered or is in lost, so lost is non-empty
+	// exactly on a partial answer.
+	if len(lost) > 0 {
+		ep.partial.Add(1)
 	}
 
 	etag := ""
-	if !resp.Partial && allTagged(tags) {
-		etag = coordEtagFor(digest, tags)
-		if allRevalidated && c.results != nil {
-			if ent := c.results.get(ccKey{shard: mergedShard, digest: digest}); ent != nil && ent.etag == etag && sameTags(ent.shardTags, tags) {
-				c.results.mergedHits.Add(1)
-				return ent.decoded.(*RankBatchResponse), etag, ent.body, nil
+	mergedKey := ccKey{shard: mergedShard, digest: req.digest}
+	// Without an ETag from every shard the coordinator cannot vouch for
+	// content stability and emits none.
+	if len(lost) == 0 && !slices.Contains(tags, "") {
+		etag = coordEtagFor(req.digest, tags)
+		if allRevalidated {
+			if ent, ok := c.results.Get(mergedKey); ok && ent.etag == etag && slices.Equal(ent.shardTags, tags) {
+				// Every shard revalidated and the merge for exactly this
+				// set of shard answers is cached: replay its bytes.
+				c.mergedHits.Add(1)
+				return ent.merged, server.Outcome{Status: http.StatusOK, ETag: etag, Body: ent.body}, nil
 			}
 		}
 	}
-	for q := range merged {
-		mergeRanked(merged[q].Ranked, req.Top, &merged[q].Ranked)
+	for q := range m.Queries {
+		m.Queries[q].Ranked = mergeRanked(m.Queries[q].Ranked, req.top)
 	}
-	resp.Queries = merged
-	resp.Skipped = sortedNames(skipped)
-	resp.ElapsedNS = time.Since(started).Nanoseconds()
-	encoded := encodeJSON(resp)
-	if etag != "" && c.results != nil {
-		c.results.add(&ccEntry{
-			key:       ccKey{shard: mergedShard, digest: digest},
-			etag:      etag,
-			decoded:   resp,
-			body:      encoded,
-			shardTags: tags,
-			size:      int64(len(encoded)) + ccEntryOverhead,
-		})
+	m.Skipped = sortedNames(skipped)
+	m.ElapsedNS = time.Since(started).Nanoseconds()
+	resp := ep.respond(m, answered, lost)
+	encoded := server.EncodeJSON(resp)
+	if etag != "" {
+		c.results.Add(mergedKey,
+			&ccEntry{etag: etag, merged: resp, body: encoded, shardTags: tags}, int64(len(encoded))+ccEntryOverhead)
 	}
-	return resp, etag, encoded, nil
+	return resp, server.Outcome{Status: http.StatusOK, ETag: etag, Body: encoded}, nil
 }
 
 // resolveTrain locates a stored train by name: scatter GET /v1/get, the
@@ -348,7 +307,7 @@ func (c *Coordinator) rankBatchScattered(ctx context.Context, req *RankBatchRequ
 // nowhere; a sick shard (5xx, unreachable) could be the owner, so the
 // resolution fails 502 rather than inventing a 404.
 func (c *Coordinator) resolveTrain(ctx context.Context, name string) (string, *ClusterError) {
-	results := c.scatter(ctx, http.MethodGet, "/v1/get?name="+url.QueryEscape(name), nil, "")
+	results := c.scatter(ctx, http.MethodGet, "/v1/get?name="+url.QueryEscape(name), nil, "", nil)
 	notFound := 0
 	var serrs []ShardError
 	for _, r := range results {
@@ -406,7 +365,7 @@ func allShardsFailed(what string, serrs []ShardError) *ClusterError {
 // disjoint, so names are unique and (MI desc, name asc) is total —
 // the merge is deterministic and bit-identical to a single-node rank
 // over the union catalog.
-func mergeRanked(in []server.RankedResult, top int, out *[]server.RankedResult) {
+func mergeRanked(in []server.RankedResult, top int) []server.RankedResult {
 	sort.Slice(in, func(i, j int) bool {
 		if in[i].MI != in[j].MI {
 			return in[i].MI > in[j].MI
@@ -416,131 +375,80 @@ func mergeRanked(in []server.RankedResult, top int, out *[]server.RankedResult) 
 	if top > 0 && len(in) > top {
 		in = in[:top]
 	}
-	*out = in
+	return in
 }
 
 func sortedNames(set map[string]bool) []string {
 	if len(set) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(set))
-	for name := range set {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(set))
 }
 
-func (c *Coordinator) handleRank(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	c.rankRequests.Add(1)
-	req, canon, digest, cerr := c.prepRank(r.Context(), body)
-	if cerr != nil {
-		c.rankFailures.Add(1)
-		writeClusterError(w, cerr)
-		return
-	}
-
-	f, leader, release := c.results.joinFlight(r.Context(), digest)
-	defer release()
-	if !leader {
-		c.awaitFlight(w, r, f, &c.rankFailures)
-		return
-	}
-	resp, etag, encoded, rerr := c.rankScattered(f.ctx, req, canon, digest)
-	_ = resp
-	if rerr != nil {
-		status, errBody := clusterErrorBytes(rerr)
-		c.results.finishFlight(digest, f, status, "", errBody)
-		writeOutcome(w, r, c.results, status, "", errBody)
-		return
-	}
-	c.results.finishFlight(digest, f, http.StatusOK, etag, encoded)
-	writeOutcome(w, r, c.results, http.StatusOK, etag, encoded)
-}
-
-func (c *Coordinator) handleRankBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	c.batchRequests.Add(1)
-	req, canon, digest, cerr := c.prepRankBatch(r.Context(), body)
-	if cerr != nil {
-		c.batchFailures.Add(1)
-		writeClusterError(w, cerr)
-		return
-	}
-
-	f, leader, release := c.results.joinFlight(r.Context(), digest)
-	defer release()
-	if !leader {
-		c.awaitFlight(w, r, f, &c.batchFailures)
-		return
-	}
-	resp, etag, encoded, rerr := c.rankBatchScattered(f.ctx, req, canon, digest)
-	_ = resp
-	if rerr != nil {
-		status, errBody := clusterErrorBytes(rerr)
-		c.results.finishFlight(digest, f, status, "", errBody)
-		writeOutcome(w, r, c.results, status, "", errBody)
-		return
-	}
-	c.results.finishFlight(digest, f, http.StatusOK, etag, encoded)
-	writeOutcome(w, r, c.results, http.StatusOK, etag, encoded)
-}
-
-// awaitFlight serves a coalesced request from its flight's published
-// outcome; failures counts the replayed error against this endpoint.
-func (c *Coordinator) awaitFlight(w http.ResponseWriter, r *http.Request, f *cflight, failures *atomic.Int64) {
-	select {
-	case <-f.done:
-		if f.status != http.StatusOK {
-			failures.Add(1)
-		}
-		writeOutcome(w, r, c.results, f.status, f.etag, f.body)
-	case <-r.Context().Done():
-		httpError(w, http.StatusServiceUnavailable,
-			"client cancelled while coalesced behind an identical in-flight query")
-	}
-}
-
-// writeOutcome puts a (status, etag, body) outcome on the wire,
-// honoring the request's own If-None-Match when the outcome carries an
-// ETag — each coalesced participant revalidates independently.
-func writeOutcome(w http.ResponseWriter, r *http.Request, cc *clusterCache, status int, etag string, body []byte) {
-	if status == http.StatusOK && etag != "" {
-		if etagMatches(r.Header.Get("If-None-Match"), etag) {
-			if cc != nil {
-				cc.notModified.Add(1)
-			}
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
+// serveRank is the handler of both rank endpoints.
+func (c *Coordinator) serveRank(ep *endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := server.ReadBody(r)
+		if err != nil {
+			server.HTTPError(w, server.BodyErrStatus(err), "reading body: %v", err)
 			return
 		}
-		w.Header().Set("ETag", etag)
+		ep.requests.Add(1)
+		req, cerr := c.prep(r.Context(), ep, body)
+		if cerr != nil {
+			ep.failures.Add(1)
+			errorOutcome(cerr).Write(w)
+			return
+		}
+
+		f, leader, release := c.flights.Join(r.Context(), req.digest)
+		defer release()
+		if !leader {
+			// Serve the flight's published outcome; a replayed error
+			// counts against this endpoint.
+			select {
+			case <-f.Done():
+				if f.Result().Status != http.StatusOK {
+					ep.failures.Add(1)
+				}
+				c.writeOutcome(w, r, f.Result())
+			case <-r.Context().Done():
+				server.HTTPError(w, http.StatusServiceUnavailable,
+					"client cancelled while coalesced behind an identical in-flight query")
+			}
+			return
+		}
+		_, out, cerr := c.scatterMerge(f.Context(), ep, req)
+		if cerr != nil {
+			out = errorOutcome(cerr)
+		}
+		c.flights.Finish(req.digest, f, out)
+		c.writeOutcome(w, r, out)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
 }
 
-// clusterErrorBytes encodes a query failure exactly as
-// writeClusterError serves it, for replay to coalesced waiters.
-func clusterErrorBytes(err error) (int, []byte) {
-	var ce *ClusterError
-	if !errors.As(err, &ce) {
-		return http.StatusInternalServerError, encodeJSON(errorResponse{Error: err.Error()})
+// writeOutcome puts an outcome on the wire, honoring the request's own
+// If-None-Match when the outcome carries an ETag — each coalesced
+// participant revalidates independently.
+func (c *Coordinator) writeOutcome(w http.ResponseWriter, r *http.Request, out server.Outcome) {
+	if out.ETag != "" && server.ETagMatches(r.Header.Get("If-None-Match"), out.ETag) {
+		if c.results != nil {
+			c.notModified.Add(1)
+		}
+		server.WriteNotModified(w, out.ETag)
+		return
 	}
-	return ce.StatusCode, encodeJSON(struct {
+	out.Write(w)
+}
+
+// errorOutcome maps a query failure onto the wire: the ClusterError's
+// status and message, with the per-shard failures attached so the
+// operator sees which replicas are sick.
+func errorOutcome(ce *ClusterError) server.Outcome {
+	return server.Outcome{Status: ce.StatusCode, Body: server.EncodeJSON(struct {
 		Error       string       `json:"error"`
 		ShardErrors []ShardError `json:"shard_errors,omitempty"`
-	}{ce.Message, ce.Shards})
+	}{ce.Message, ce.Shards})}
 }
 
 // handleLs merges the shard manifests into one listing, sorted by name.
@@ -549,7 +457,7 @@ func (c *Coordinator) handleLs(w http.ResponseWriter, r *http.Request) {
 	if prefix := r.URL.Query().Get("prefix"); prefix != "" {
 		pathAndQuery += "?prefix=" + url.QueryEscape(prefix)
 	}
-	results := c.scatter(r.Context(), http.MethodGet, pathAndQuery, nil, "")
+	results := c.scatter(r.Context(), http.MethodGet, pathAndQuery, nil, "", nil)
 	resp := LsResponse{LsResponse: server.LsResponse{Sketches: []server.MetaResult{}}}
 	answered := 0
 	for _, res := range results {
@@ -566,7 +474,7 @@ func (c *Coordinator) handleLs(w http.ResponseWriter, r *http.Request) {
 		resp.Sketches = append(resp.Sketches, sr.Sketches...)
 	}
 	if answered == 0 {
-		writeClusterError(w, allShardsFailed("ls", resp.ShardErrors))
+		errorOutcome(allShardsFailed("ls", resp.ShardErrors)).Write(w)
 		return
 	}
 	resp.Partial = answered < len(results)
@@ -575,10 +483,5 @@ func (c *Coordinator) handleLs(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Slice(resp.Sketches, func(i, j int) bool { return resp.Sketches[i].Name < resp.Sketches[j].Name })
 	resp.Count = len(resp.Sketches)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func readBody(r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	return io.ReadAll(r.Body)
+	server.WriteJSON(w, http.StatusOK, resp)
 }

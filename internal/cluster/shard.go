@@ -15,6 +15,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"misketch/internal/server"
 )
 
 // shard is the coordinator's handle on one replica.
@@ -30,7 +32,7 @@ type shard struct {
 }
 
 func newShard(baseURL string, opt Options) *shard {
-	dialer := &net.Dialer{Timeout: timeout(opt.ConnectTimeout, DefaultConnectTimeout)}
+	dialer := &net.Dialer{Timeout: server.Timeout(opt.ConnectTimeout, DefaultConnectTimeout)}
 	return &shard{
 		url: baseURL,
 		client: &http.Client{
@@ -83,7 +85,7 @@ func (r shardResult) transient() bool {
 func (s *shard) do(ctx context.Context, method, pathAndQuery string, body []byte, contentType, ifNoneMatch string, opt Options) shardResult {
 	s.requests.Add(1)
 	started := time.Now()
-	backoff := timeout(opt.RetryBackoff, DefaultRetryBackoff)
+	backoff := server.Timeout(opt.RetryBackoff, DefaultRetryBackoff)
 	attempts := retryBudget(opt.Retries) + 1
 	var res shardResult
 	for attempt := 0; ; attempt++ {
@@ -116,7 +118,7 @@ func (s *shard) do(ctx context.Context, method, pathAndQuery string, body []byte
 // doOnce is a single attempt: one request, one response, body fully
 // read so the connection returns to the pool.
 func (s *shard) doOnce(ctx context.Context, method, pathAndQuery string, body []byte, contentType, ifNoneMatch string, opt Options) shardResult {
-	if d := timeout(opt.RequestTimeout, DefaultRequestTimeout); d > 0 {
+	if d := server.Timeout(opt.RequestTimeout, DefaultRequestTimeout); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
@@ -178,7 +180,7 @@ func (r shardResult) shardError() ShardError {
 // errBody extracts the error message from a shard's JSON error
 // response, falling back to the (truncated) raw body.
 func errBody(body []byte) string {
-	var er errorResponse
+	var er server.ErrorResponse
 	if err := json.Unmarshal(body, &er); err == nil && er.Error != "" {
 		return er.Error
 	}

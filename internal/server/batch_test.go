@@ -231,7 +231,7 @@ func TestRankBatchErrors(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, raw)
 			}
-			var e errorResponse
+			var e ErrorResponse
 			if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
 				t.Fatalf("unstructured error response: %s", raw)
 			}

@@ -224,7 +224,7 @@ func TestShutdownTimeoutSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		ctx, cancel := New(st, opt).shutdownContext()
+		ctx, cancel := New(st, opt).timeouts().shutdownContext()
 		defer cancel()
 		return ctx.Deadline()
 	}

@@ -1,0 +1,568 @@
+package server
+
+// POST /v1/rank and POST /v1/rank/batch: one serving path. A single
+// rank is a batch of one train — same fence, digest, revalidation,
+// cache, flight, probe reuse, admission and store pass — and differs
+// from a batch only in how its body decodes, how its canonical digest
+// is tagged, which store entry point and counters it moves, and the
+// shape of its response. Those differences are an endpoint value;
+// serveRank and leadRank are the one handler and the one leader body.
+//
+// An analyst sweeping many target columns over the same catalog sends
+// them as one batch; the store then walks the corpus once with the
+// key-overlap prefilter pruning dead pairs. Either endpoint is admitted
+// through the same weighted semaphore, its worker fan-out clamped to
+// the server bound, so one batch queues behind (and never starves)
+// concurrent single queries.
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"sync/atomic"
+	"time"
+
+	"misketch/internal/core"
+	"misketch/internal/store"
+)
+
+// MaxBatchTrains bounds how many train sketches one batch request may
+// carry; larger sweeps should be split into multiple requests so the
+// admission semaphore can interleave them with other traffic.
+const MaxBatchTrains = 64
+
+// RankRequest is the body of POST /v1/rank. Exactly one of Sketch and
+// Train selects the train side.
+type RankRequest struct {
+	// Sketch is the serialized train sketch, standard base64.
+	Sketch string `json:"sketch,omitempty"`
+	// Train names a stored sketch to use as the train side instead of
+	// uploading one.
+	Train string `json:"train,omitempty"`
+	// Prefix restricts ranking to stored names with this prefix.
+	Prefix string `json:"prefix,omitempty"`
+	// MinJoin drops candidates whose sketch join has at most this many
+	// samples; unset means 100 (the paper's confidence filter), -1 keeps
+	// even empty joins.
+	MinJoin *int `json:"min_join,omitempty"`
+	// K is the KSG-family neighbor parameter; 0 means the default.
+	K int `json:"k,omitempty"`
+	// Top bounds the result to the best K candidates; 0 returns all.
+	Top int `json:"top,omitempty"`
+	// Workers requests an estimation fan-out; 0 means the server bound.
+	// Requests are clamped to the server's MaxWorkers and admitted
+	// through a weighted semaphore, so concurrent queries queue rather
+	// than oversubscribe.
+	Workers int `json:"workers,omitempty"`
+	// NoCascade disables the two-tier estimator cascade for this query,
+	// forcing the exact KSG-family tier on every candidate pair.
+	NoCascade bool `json:"no_cascade,omitempty"`
+	// CascadeMargin overrides the cascade's calibrated safety margin in
+	// nats; 0 keeps the default, negative disables the margin (the
+	// saturation guard still applies). Rankings are identical at any
+	// margin at or above the calibrated default; smaller margins trade
+	// that guarantee for more pruning.
+	CascadeMargin float64 `json:"cascade_margin,omitempty"`
+}
+
+// RankedResult is one row of a RankResponse.
+type RankedResult struct {
+	Name      string  `json:"name"`
+	MI        float64 `json:"mi"`
+	Estimator string  `json:"estimator"`
+	JoinSize  int     `json:"join_size"`
+}
+
+// RankResponse is the body of a successful POST /v1/rank.
+type RankResponse struct {
+	Ranked []RankedResult `json:"ranked"`
+	// Skipped lists prefix-matching stored sketches that could not be
+	// joined (incompatible seed or role, or mutated mid-query).
+	Skipped []string `json:"skipped,omitempty"`
+	// ProbeCached reports whether the compiled train probe came from the
+	// server's cache (a warm query) or was compiled for this request.
+	ProbeCached bool `json:"probe_cached"`
+	// Workers is the admitted estimation fan-out after clamping.
+	Workers int `json:"workers"`
+	// ElapsedNS is the server-side wall time of the ranking itself.
+	ElapsedNS int64 `json:"elapsed_ns"`
+}
+
+// BatchTrainRef selects one train side of a batch rank request. Exactly
+// one of Sketch and Train must be set, mirroring RankRequest.
+type BatchTrainRef struct {
+	// Name labels this query's slice of the response. Required for
+	// inline sketches; defaults to the stored name for by-name trains.
+	// Names must be unique within a batch.
+	Name string `json:"name,omitempty"`
+	// Sketch is the serialized train sketch, standard base64.
+	Sketch string `json:"sketch,omitempty"`
+	// Train names a stored sketch to use as the train side.
+	Train string `json:"train,omitempty"`
+}
+
+// RankBatchRequest is the body of POST /v1/rank/batch. The shared knobs
+// (prefix, min_join, k, top, workers, no_cascade, cascade_margin) mean
+// what they mean on /v1/rank and apply to every query in the batch.
+type RankBatchRequest struct {
+	Trains        []BatchTrainRef `json:"trains"`
+	Prefix        string          `json:"prefix,omitempty"`
+	MinJoin       *int            `json:"min_join,omitempty"`
+	K             int             `json:"k,omitempty"`
+	Top           int             `json:"top,omitempty"`
+	Workers       int             `json:"workers,omitempty"`
+	NoCascade     bool            `json:"no_cascade,omitempty"`
+	CascadeMargin float64         `json:"cascade_margin,omitempty"`
+}
+
+// BatchQueryResponse is one train's slice of a RankBatchResponse.
+type BatchQueryResponse struct {
+	Name   string         `json:"name"`
+	Ranked []RankedResult `json:"ranked"`
+	// Pruned counts the candidates the key-overlap prefilter removed
+	// for this train without running an estimator.
+	Pruned int `json:"pruned"`
+}
+
+// RankBatchResponse is the body of a successful POST /v1/rank/batch.
+type RankBatchResponse struct {
+	// Queries holds one result per requested train, in request order.
+	Queries []BatchQueryResponse `json:"queries"`
+	// Skipped lists prefix-matching stored sketches no query could join.
+	Skipped []string `json:"skipped,omitempty"`
+	// ProbesCached counts how many of the batch's compiled train probes
+	// came from the server's cache.
+	ProbesCached int `json:"probes_cached"`
+	// Workers is the admitted estimation fan-out after clamping.
+	Workers int `json:"workers"`
+	// ElapsedNS is the server-side wall time of the batch ranking.
+	ElapsedNS int64 `json:"elapsed_ns"`
+}
+
+// decodeStrict parses body into v, rejecting unknown fields and
+// trailing data; what names the request in the error.
+func decodeStrict(body []byte, v any, what string) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding %s request: %w", what, err)
+	}
+	if dec.More() {
+		return fmt.Errorf("trailing data after %s request", what)
+	}
+	return nil
+}
+
+// validateKnobs range-checks the knobs both endpoints share.
+func validateKnobs(k, top, workers int, minJoin *int) error {
+	if k < 0 || top < 0 || workers < 0 {
+		return fmt.Errorf("k, top, and workers must be non-negative")
+	}
+	if minJoin != nil && *minJoin < -1 {
+		return fmt.Errorf("min_join must be >= -1")
+	}
+	return nil
+}
+
+// asBatch is the request as the batch of one train it is served as.
+func (req *RankRequest) asBatch() *RankBatchRequest {
+	return &RankBatchRequest{
+		Trains: []BatchTrainRef{{Sketch: req.Sketch, Train: req.Train}},
+		Prefix: req.Prefix, MinJoin: req.MinJoin, K: req.K, Top: req.Top, Workers: req.Workers,
+		NoCascade: req.NoCascade, CascadeMargin: req.CascadeMargin,
+	}
+}
+
+// AsSingle is a one-train batch response in /v1/rank's shape (which has
+// no place for the train's name or its pruned count).
+func (resp *RankBatchResponse) AsSingle() *RankResponse {
+	return &RankResponse{
+		Ranked: resp.Queries[0].Ranked, Skipped: resp.Skipped, ProbeCached: resp.ProbesCached == 1,
+		Workers: resp.Workers, ElapsedNS: resp.ElapsedNS,
+	}
+}
+
+// AsBatch is the inverse of AsSingle, for the cluster coordinator: it
+// merges shard answers of either endpoint in the batch shape.
+func (resp *RankResponse) AsBatch() *RankBatchResponse {
+	b := &RankBatchResponse{
+		Queries: []BatchQueryResponse{{Ranked: resp.Ranked}}, Skipped: resp.Skipped,
+		Workers: resp.Workers, ElapsedNS: resp.ElapsedNS,
+	}
+	if resp.ProbeCached {
+		b.ProbesCached = 1
+	}
+	return b
+}
+
+// DecodeRankRequest parses and validates a rank request body. Exported
+// for the cluster coordinator, which validates a request once before
+// scattering it to every shard.
+func DecodeRankRequest(body []byte) (*RankRequest, error) {
+	var req RankRequest
+	if err := decodeStrict(body, &req, "rank"); err != nil {
+		return nil, err
+	}
+	if (req.Sketch == "") == (req.Train == "") {
+		return nil, fmt.Errorf("exactly one of \"sketch\" and \"train\" must be set")
+	}
+	if err := validateKnobs(req.K, req.Top, req.Workers, req.MinJoin); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+// DecodeRankBatchRequest parses and validates a batch rank request
+// body. Exported for the cluster coordinator, which validates a batch
+// once before scattering it to every shard.
+func DecodeRankBatchRequest(body []byte) (*RankBatchRequest, error) {
+	var req RankBatchRequest
+	if err := decodeStrict(body, &req, "batch rank"); err != nil {
+		return nil, err
+	}
+	if len(req.Trains) == 0 {
+		return nil, fmt.Errorf("\"trains\" must carry at least one train")
+	}
+	if len(req.Trains) > MaxBatchTrains {
+		return nil, fmt.Errorf("batch carries %d trains, max %d", len(req.Trains), MaxBatchTrains)
+	}
+	seen := make(map[string]bool, len(req.Trains))
+	for i := range req.Trains {
+		tr := &req.Trains[i]
+		if (tr.Sketch == "") == (tr.Train == "") {
+			return nil, fmt.Errorf("trains[%d]: exactly one of \"sketch\" and \"train\" must be set", i)
+		}
+		if tr.Name == "" {
+			if tr.Train == "" {
+				return nil, fmt.Errorf("trains[%d]: inline sketches require a \"name\"", i)
+			}
+			tr.Name = tr.Train
+		}
+		if seen[tr.Name] {
+			return nil, fmt.Errorf("trains[%d]: duplicate name %q", i, tr.Name)
+		}
+		seen[tr.Name] = true
+	}
+	if err := validateKnobs(req.K, req.Top, req.Workers, req.MinJoin); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+// endpoint is everything that differs between the two rank endpoints.
+type endpoint struct {
+	// requests and failures are the endpoint's /v1/stats counters.
+	requests, failures atomic.Int64
+	// decode parses and validates a body into the batch form.
+	decode func(body []byte) (*RankBatchRequest, error)
+	// label names train i in an error message.
+	label func(i int, ref *BatchTrainRef) string
+	// digest is the canonical request digest, tagged per endpoint so a
+	// one-train batch and the same single query never share a key.
+	digest func(names []string, trains []probeDigest, p rankParams) [sha256.Size]byte
+	// rank is the store entry point (it decides which store counter the
+	// query moves) and what prefixes its error.
+	rank func(st *store.Store, ctx context.Context, trains []*core.Sketch, opt store.BatchOptions) (*store.BatchResult, error)
+	what string
+	// shape puts a finished ranking in the endpoint's response shape.
+	shape func(resp *RankBatchResponse) any
+}
+
+func rankEndpoint() *endpoint {
+	return &endpoint{
+		decode: func(body []byte) (*RankBatchRequest, error) {
+			req, err := DecodeRankRequest(body)
+			if err != nil {
+				return nil, err
+			}
+			return req.asBatch(), nil
+		},
+		label: func(int, *BatchTrainRef) string { return "train sketch" },
+		digest: func(_ []string, trains []probeDigest, p rankParams) [sha256.Size]byte {
+			return canonicalRankDigest(trains[0], p)
+		},
+		rank: func(st *store.Store, ctx context.Context, trains []*core.Sketch, o store.BatchOptions) (*store.BatchResult, error) {
+			ranked, skipped, err := st.RankQuery(ctx, trains[0], store.RankOptions{
+				Prefix: o.Prefix, MinJoinSize: o.MinJoinSize, K: o.K, TopK: o.TopK, Workers: o.Workers,
+				Probe: o.Probes[0], ScratchPool: o.ScratchPool,
+				NoCascade: o.NoCascade, CascadeMargin: o.CascadeMargin,
+			})
+			return &store.BatchResult{Queries: []store.BatchQueryResult{{Ranked: ranked}}, Skipped: skipped}, err
+		},
+		what:  "rank",
+		shape: func(resp *RankBatchResponse) any { return resp.AsSingle() },
+	}
+}
+
+func batchEndpoint() *endpoint {
+	return &endpoint{
+		decode: DecodeRankBatchRequest,
+		label: func(i int, ref *BatchTrainRef) string {
+			return fmt.Sprintf("trains[%d] %q", i, ref.Name)
+		},
+		digest: canonicalBatchDigest,
+		rank:   (*store.Store).RankBatch,
+		what:   "rank batch",
+		shape:  func(resp *RankBatchResponse) any { return resp },
+	}
+}
+
+// trainErrStatus classifies a trainSketch failure. An inline sketch that
+// fails to decode is the client's payload (400). A by-name train maps to
+// 404 only when the store reports the name missing (store.ErrNotFound);
+// any other by-name failure — a CRC mismatch on a corrupt record, a
+// truncated segment, an I/O error — is a server-side fault and must be
+// 500: a cluster coordinator (or any retrying client) treats 404 as
+// authoritative "does not exist" and 5xx as "this replica is sick", so
+// misclassifying corruption as 404 silently converts data loss into an
+// empty answer.
+func trainErrStatus(ref *BatchTrainRef, err error) int {
+	if ref.Train == "" {
+		return http.StatusBadRequest
+	}
+	if errors.Is(err, store.ErrNotFound) {
+		return http.StatusNotFound
+	}
+	return http.StatusInternalServerError
+}
+
+// trainDigest is the content digest of a stored train sketch as of one
+// store generation.
+type trainDigest struct {
+	gen    uint64
+	digest probeDigest
+}
+
+// maxTrainDigests bounds the stored-train digest memo's entry count.
+const maxTrainDigests = 1024
+
+// trainSketch resolves one train reference to (sketch, content digest).
+// An inline sketch is digested from its uploaded bytes; a stored sketch
+// is serialized once to derive its digest, which is then memoized by
+// (name, store generation) so the warm path skips the re-serialization
+// until the next store mutation.
+func (s *Server) trainSketch(ref *BatchTrainRef) (*core.Sketch, probeDigest, error) {
+	if ref.Sketch != "" {
+		raw, err := base64.StdEncoding.DecodeString(ref.Sketch)
+		if err != nil {
+			return nil, probeDigest{}, fmt.Errorf("decoding sketch base64: %w", err)
+		}
+		sk, err := core.ReadSketch(bytes.NewReader(raw))
+		if err != nil {
+			return nil, probeDigest{}, err
+		}
+		return sk, sha256.Sum256(raw), nil
+	}
+	gen := s.st.Gen()
+	sk, err := s.st.Get(ref.Train)
+	if err != nil {
+		return nil, probeDigest{}, err
+	}
+	if memo, ok := s.digests.Get(ref.Train); ok && memo.gen == gen {
+		return sk, memo.digest, nil
+	}
+	var buf bytes.Buffer
+	if _, err := sk.WriteTo(&buf); err != nil {
+		return nil, probeDigest{}, err
+	}
+	d := probeDigest(sha256.Sum256(buf.Bytes()))
+	s.digests.Add(ref.Train, trainDigest{gen: gen, digest: d}, 1)
+	return sk, d, nil
+}
+
+// serveRank is the handler of both rank endpoints.
+func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ep.requests.Add(1)
+		fail := func(status int, format string, args ...any) {
+			ep.failures.Add(1)
+			HTTPError(w, status, format, args...)
+		}
+		body, err := ReadBody(r)
+		if err != nil {
+			fail(BodyErrStatus(err), "reading body: %v", err)
+			return
+		}
+		req, err := ep.decode(body)
+		if err != nil {
+			fail(http.StatusBadRequest, "%v", err)
+			return
+		}
+		// The cache fence: read the generation before resolving any train
+		// or snapshotting the manifest, so an entry keyed by it can only
+		// ever reflect this generation or a newer one — never a stale
+		// one, and never fresher data than the snapshot the computation
+		// will see.
+		gen := s.st.Gen()
+
+		// Resolve every train before admission, so a queued request holds
+		// no capacity while its sketches decode. Probe compilation waits
+		// for the flight leader — a coalesced or cached request never
+		// compiles.
+		trains := make([]*core.Sketch, len(req.Trains))
+		digests := make([]probeDigest, len(req.Trains))
+		names := make([]string, len(req.Trains))
+		for i := range req.Trains {
+			ref := &req.Trains[i]
+			train, digest, err := s.trainSketch(ref)
+			if err != nil {
+				fail(trainErrStatus(ref, err), "%s: %v", ep.label(i, ref), err)
+				return
+			}
+			if train.Role != core.RoleTrain {
+				fail(http.StatusBadRequest, "%s: role is %d, want train", ep.label(i, ref), train.Role)
+				return
+			}
+			if i > 0 && train.Seed != trains[0].Seed {
+				fail(http.StatusBadRequest,
+					"%s: seed %#x differs from trains[0]'s %#x (a batch shares one candidate filter)",
+					ep.label(i, ref), train.Seed, trains[0].Seed)
+				return
+			}
+			trains[i], digests[i], names[i] = train, digest, ref.Name
+		}
+
+		p := resolveRankParams(req.Prefix, req.MinJoin, req.K, req.Top, req.Workers,
+			req.NoCascade, req.CascadeMargin, s.opt.MaxWorkers)
+		canon := ep.digest(names, digests, p)
+		key := cacheKey{digest: canon, gen: gen}
+		etag := etagFor(s.epoch, canon, gen)
+		// Revalidation needs no ranking, no cache, and no semaphore: the
+		// ETag is a pure function of (epoch, canonical request, generation).
+		if ETagMatches(r.Header.Get("If-None-Match"), etag) {
+			if s.results != nil {
+				s.notModified.Add(1)
+			}
+			WriteNotModified(w, etag)
+			return
+		}
+		if cached, ok := s.results.Get(key); ok {
+			Outcome{Status: http.StatusOK, ETag: etag, Body: cached}.Write(w)
+			return
+		}
+
+		// Miss: coalesce concurrent identical queries into one computation.
+		f, leader, release := s.flights.Join(r.Context(), key)
+		defer release()
+		if !leader {
+			select {
+			case <-f.Done():
+				if f.Result().Status != http.StatusOK {
+					ep.failures.Add(1)
+				}
+				f.Result().Write(w)
+			case <-r.Context().Done():
+				s.rankRejected.Add(1)
+				HTTPError(w, http.StatusServiceUnavailable, "%v", errCoalescedCancel)
+			}
+			return
+		}
+
+		fresh, cacheable := s.leadRank(f.Context(), ep, req, trains, digests, p)
+		if fresh.Status == http.StatusOK {
+			fresh.ETag, cacheable.ETag = etag, etag
+			s.results.Add(key, cacheable.Body, int64(len(cacheable.Body)+len(etag))+cacheEntryOverhead)
+		}
+		// Waiters receive the cacheable variant: by the time they read it,
+		// the probes this computation compiled are warm, so reporting them
+		// cached is both accurate for them and bit-identical to what an
+		// uncached server would have told a second caller.
+		s.flights.Finish(key, f, cacheable)
+		fresh.Write(w)
+	}
+}
+
+// leadRank is the flight leader's body: probe compile-or-reuse,
+// semaphore admission, the store ranking, and JSON encoding. It returns
+// two outcomes: fresh is the response for the caller that paid the
+// computation (its probe_cached / probes_cached reports what this
+// request actually experienced), cacheable is the variant stored in the
+// result cache and replayed to coalesced waiters (every probe reported
+// cached, which is what any later identical request would observe). On
+// errors both are the same encoded error object.
+func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchRequest, trains []*core.Sketch, digests []probeDigest, p rankParams) (fresh, cacheable Outcome) {
+	failed := func(status int, format string, args ...any) (Outcome, Outcome) {
+		o := Outcome{Status: status, Body: EncodeJSON(ErrorResponse{Error: fmt.Sprintf(format, args...)})}
+		return o, o
+	}
+	probes := make([]*core.TrainProbe, len(trains))
+	probesCached := 0
+	for i := range trains {
+		probe, cached := s.probes.Get(digests[i])
+		if !cached {
+			probe = core.CompileTrainProbe(trains[i])
+			// Racing adds of the same digest are harmless: probes
+			// compiled from identical bytes are interchangeable.
+			s.probes.Add(digests[i], probe, 1)
+		} else {
+			// The cached probe was compiled from bit-identical sketch
+			// bytes; rank against its train so they always agree.
+			trains[i] = probe.Train()
+			probesCached++
+		}
+		probes[i] = probe
+	}
+
+	if err := s.sem.acquire(ctx, p.workers); err != nil {
+		// Every interested client went away while queued; the waiter is
+		// already unlinked, so its slots were never held. Counted as a
+		// rejection only: the clients left before capacity freed, which
+		// is not the endpoint's failure.
+		s.rankRejected.Add(1)
+		return failed(http.StatusServiceUnavailable, "cancelled while queued for capacity: %v", err)
+	}
+	defer s.sem.release(p.workers)
+
+	started := time.Now()
+	res, err := ep.rank(s.st, ctx, trains, store.BatchOptions{
+		Prefix:        p.prefix,
+		MinJoinSize:   p.minJoin,
+		K:             p.k,
+		TopK:          p.top,
+		Workers:       p.workers,
+		Probes:        probes,
+		ScratchPool:   s.scratch,
+		NoCascade:     p.noCascade,
+		CascadeMargin: p.margin,
+	})
+	if err != nil {
+		ep.failures.Add(1)
+		status := http.StatusInternalServerError
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			status = http.StatusServiceUnavailable
+		}
+		return failed(status, "%s: %v", ep.what, err)
+	}
+	resp := &RankBatchResponse{
+		Queries:      make([]BatchQueryResponse, len(res.Queries)),
+		Skipped:      res.Skipped,
+		ProbesCached: probesCached,
+		Workers:      p.workers,
+		ElapsedNS:    time.Since(started).Nanoseconds(),
+	}
+	for q, qr := range res.Queries {
+		out := BatchQueryResponse{
+			Name:   req.Trains[q].Name,
+			Ranked: make([]RankedResult, len(qr.Ranked)),
+			Pruned: qr.Pruned,
+		}
+		for i, rs := range qr.Ranked {
+			out.Ranked[i] = RankedResult{
+				Name: rs.Name, MI: rs.MI, Estimator: string(rs.Estimator), JoinSize: rs.JoinSize,
+			}
+		}
+		resp.Queries[q] = out
+	}
+	fresh = Outcome{Status: http.StatusOK, Body: EncodeJSON(ep.shape(resp))}
+	cacheable = fresh
+	if resp.ProbesCached != len(trains) {
+		resp.ProbesCached = len(trains)
+		cacheable.Body = EncodeJSON(ep.shape(resp))
+	}
+	return fresh, cacheable
+}

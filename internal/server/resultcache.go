@@ -3,7 +3,9 @@ package server
 // The rank result cache: a byte-bounded LRU of fully-encoded rank and
 // batch responses, fenced by the store's mutation generation so a stale
 // answer is structurally impossible, with a singleflight layer so N
-// concurrent identical misses share one rank computation.
+// concurrent identical misses share one rank computation. The LRU and
+// the flight table are internal/cache's; this file holds what is the
+// server's own: what a key is, what an entry costs, and the ETag.
 //
 // Keying. An entry is keyed by (canonical request digest, store
 // generation). The canonical digest is computed over the *resolved*
@@ -42,8 +44,6 @@ package server
 // cache is disabled.
 
 import (
-	"container/list"
-	"context"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -51,252 +51,31 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"net/http"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"misketch/internal/mi"
 	"misketch/internal/store"
 )
 
+// probeDigest identifies a train sketch by the SHA-256 of its serialized
+// bytes. Content addressing (rather than a client-supplied name) makes
+// the probe cache safe by construction: two sketches share a compiled
+// probe exactly when their bytes are identical, so an overwritten stored
+// sketch or a re-uploaded query can never be served a stale index.
+type probeDigest [sha256.Size]byte
+
 // cacheKey identifies one cacheable response: the canonical request
-// digest plus the store generation it was computed against.
+// digest plus the store generation it was computed against. It keys
+// both the result LRU (whose values are the encoded 200 bodies) and the
+// flight table.
 type cacheKey struct {
 	digest [sha256.Size]byte
 	gen    uint64
 }
 
-// cacheEntry is one cached encoded response.
-type cacheEntry struct {
-	key  cacheKey
-	etag string
-	body []byte
-}
-
-// cacheEntryOverhead approximates the bookkeeping bytes an entry costs
-// beyond its body: key, etag, list element, map bucket share.
+// cacheEntryOverhead approximates the bookkeeping bytes a cached
+// response costs beyond its body and ETag: key, list element, map
+// bucket share.
 const cacheEntryOverhead = 160
-
-func (e *cacheEntry) bytes() int64 {
-	return int64(len(e.body)) + int64(len(e.etag)) + cacheEntryOverhead
-}
-
-// flight is one in-progress rank computation shared by all concurrent
-// identical misses.
-type flight struct {
-	done chan struct{}
-
-	// ctx is the computation context. It is cancelled when refs — the
-	// number of requests still interested in the result — drops to
-	// zero, so the leader's semaphore wait and ranking abort exactly
-	// when no client is left to receive the answer.
-	ctx    context.Context
-	cancel context.CancelFunc
-	refs   int64
-	refMu  sync.Mutex
-
-	// Published result, valid after done closes: the exact status and
-	// body every participant writes, plus the ETag for 200s.
-	status int
-	etag   string
-	body   []byte
-}
-
-// join registers one request's interest in the flight and returns a
-// release func the request must call exactly once when it stops
-// waiting (normally via defer). The request's own context is watched
-// so a client that disconnects mid-wait releases automatically.
-func (f *flight) join(rctx context.Context) (release func()) {
-	f.refMu.Lock()
-	f.refs++
-	f.refMu.Unlock()
-	var once sync.Once
-	dec := func() {
-		once.Do(func() {
-			f.refMu.Lock()
-			f.refs--
-			last := f.refs == 0
-			f.refMu.Unlock()
-			if last {
-				select {
-				case <-f.done: // published; cancel frees nothing of value
-				default:
-					f.cancel()
-				}
-			}
-		})
-	}
-	stop := context.AfterFunc(rctx, dec)
-	return func() {
-		stop()
-		dec()
-	}
-}
-
-// publish resolves the flight. The cancel releases the computation
-// context's resources; the result is already out, so aborting nothing.
-func (f *flight) publish(status int, etag string, body []byte) {
-	f.status, f.etag, f.body = status, etag, body
-	close(f.done)
-	f.cancel()
-}
-
-// resultCache is the byte-bounded LRU plus the singleflight table.
-// A nil *resultCache disables caching and coalescing entirely (every
-// lookup misses, joinFlight always elects a leader); the ETag protocol
-// does not depend on it.
-type resultCache struct {
-	mu      sync.Mutex
-	max     int64
-	used    int64
-	ll      *list.List // front = most recently used
-	byKey   map[cacheKey]*list.Element
-	flights map[cacheKey]*flight
-
-	hits        atomic.Int64
-	misses      atomic.Int64
-	coalesced   atomic.Int64
-	evictions   atomic.Int64
-	notModified atomic.Int64
-}
-
-// newResultCache returns a cache bounded to maxBytes; maxBytes <= 0
-// returns nil (caching and coalescing off).
-func newResultCache(maxBytes int64) *resultCache {
-	if maxBytes <= 0 {
-		return nil
-	}
-	return &resultCache{
-		max:     maxBytes,
-		ll:      list.New(),
-		byKey:   make(map[cacheKey]*list.Element),
-		flights: make(map[cacheKey]*flight),
-	}
-}
-
-// get returns the cached encoded response for key, marking it most
-// recently used.
-func (c *resultCache) get(key cacheKey) (etag string, body []byte, ok bool) {
-	if c == nil {
-		return "", nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, found := c.byKey[key]
-	if !found {
-		c.misses.Add(1)
-		return "", nil, false
-	}
-	c.ll.MoveToFront(e)
-	c.hits.Add(1)
-	ent := e.Value.(*cacheEntry)
-	return ent.etag, ent.body, true
-}
-
-// add inserts an encoded response, evicting least-recently-used
-// entries past the byte bound. An entry larger than the whole bound is
-// not cached at all — admitting it would evict everything and then
-// still break the used <= max invariant.
-func (c *resultCache) add(key cacheKey, etag string, body []byte) {
-	if c == nil {
-		return
-	}
-	ent := &cacheEntry{key: key, etag: etag, body: body}
-	sz := ent.bytes()
-	if sz > c.max {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.byKey[key]; ok {
-		// Racing computations of the same key produce interchangeable
-		// bodies; keep the newer one and fix the accounting.
-		old := e.Value.(*cacheEntry)
-		c.used += sz - old.bytes()
-		e.Value = ent
-		c.ll.MoveToFront(e)
-	} else {
-		c.byKey[key] = c.ll.PushFront(ent)
-		c.used += sz
-	}
-	for c.used > c.max {
-		last := c.ll.Back()
-		lent := last.Value.(*cacheEntry)
-		c.ll.Remove(last)
-		delete(c.byKey, lent.key)
-		c.used -= lent.bytes()
-		c.evictions.Add(1)
-	}
-}
-
-// joinFlight returns the in-progress flight for key, creating one (and
-// electing the caller leader) if none exists. With caching disabled
-// (nil receiver) every caller is a solo leader over its own context —
-// the uncoalesced pre-cache behavior.
-func (c *resultCache) joinFlight(rctx context.Context, key cacheKey) (f *flight, leader bool, release func()) {
-	if c == nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		f = &flight{done: make(chan struct{}), ctx: ctx, cancel: cancel}
-		return f, true, f.join(rctx)
-	}
-	c.mu.Lock()
-	f, ok := c.flights[key]
-	if !ok {
-		ctx, cancel := context.WithCancel(context.Background())
-		f = &flight{done: make(chan struct{}), ctx: ctx, cancel: cancel}
-		c.flights[key] = f
-		leader = true
-	}
-	c.mu.Unlock()
-	if !leader {
-		c.coalesced.Add(1)
-	}
-	return f, leader, f.join(rctx)
-}
-
-// finishFlight unlinks the flight so later misses start a fresh
-// computation, then publishes the result to the waiters. Unlink must
-// precede publish: a waiter woken by publish may immediately retry and
-// must not rejoin the spent flight.
-func (c *resultCache) finishFlight(key cacheKey, f *flight, status int, etag string, body []byte) {
-	if c != nil {
-		c.mu.Lock()
-		if c.flights[key] == f {
-			delete(c.flights, key)
-		}
-		c.mu.Unlock()
-	}
-	f.publish(status, etag, body)
-}
-
-// stats snapshots the cache counters.
-type resultCacheStats struct {
-	Hits        int64
-	Misses      int64
-	Coalesced   int64
-	Evictions   int64
-	NotModified int64
-	Bytes       int64
-	Entries     int
-}
-
-func (c *resultCache) stats() resultCacheStats {
-	if c == nil {
-		return resultCacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return resultCacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Coalesced:   c.coalesced.Load(),
-		Evictions:   c.evictions.Load(),
-		NotModified: c.notModified.Load(),
-		Bytes:       c.used,
-		Entries:     c.ll.Len(),
-	}
-}
 
 // --- canonical request digests -------------------------------------
 
@@ -444,58 +223,6 @@ func etagFor(epoch [8]byte, digest [sha256.Size]byte, gen uint64) string {
 	h.Write(g[:])
 	sum := h.Sum(nil)
 	return `"` + hex.EncodeToString(sum[:16]) + `"`
-}
-
-// etagMatches reports whether an If-None-Match header value matches
-// the given ETag: a literal "*", or any member of the comma-separated
-// list (weak-comparison prefixes stripped — the server only ever emits
-// strong ETags, and W/"x" must still revalidate against "x").
-func etagMatches(ifNoneMatch, etag string) bool {
-	if ifNoneMatch == "" {
-		return false
-	}
-	if strings.TrimSpace(ifNoneMatch) == "*" {
-		return true
-	}
-	for _, part := range strings.Split(ifNoneMatch, ",") {
-		part = strings.TrimSpace(part)
-		part = strings.TrimPrefix(part, "W/")
-		if part == etag {
-			return true
-		}
-	}
-	return false
-}
-
-// writeCachedResponse writes an already-encoded 200 JSON response with
-// its ETag — the single code path hits, coalesced waiters, and fresh
-// computations all exit through, so every outcome emits bit-identical
-// bytes and headers.
-func writeCachedResponse(w http.ResponseWriter, etag string, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("ETag", etag)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-}
-
-// writeNotModified answers an If-None-Match revalidation: 304, no
-// body, the current ETag so the client can keep revalidating.
-func writeNotModified(w http.ResponseWriter, etag string) {
-	w.Header().Set("ETag", etag)
-	w.WriteHeader(http.StatusNotModified)
-}
-
-// replayFlight writes a published flight result for a coalesced
-// waiter: 200s carry the shared ETag and body, error statuses replay
-// the leader's error body verbatim.
-func replayFlight(w http.ResponseWriter, f *flight) {
-	if f.status == http.StatusOK {
-		writeCachedResponse(w, f.etag, f.body)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(f.status)
-	_, _ = w.Write(f.body)
 }
 
 var errCoalescedCancel = fmt.Errorf("client cancelled while coalesced behind an identical in-flight query")

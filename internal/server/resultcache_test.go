@@ -2,12 +2,14 @@ package server
 
 // Tests for the generation-fenced result cache: the bit-identity
 // contract against the uncached reference path, generation fencing
-// under concurrent mutation, eviction accounting, singleflight error
-// propagation, canonicalization, and the ETag revalidation protocol.
+// under concurrent mutation, what a coalesced request is served,
+// canonicalization, and the ETag revalidation protocol. (LRU eviction
+// accounting and the flight refcount are pinned in internal/cache.)
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -199,145 +201,82 @@ func TestResultCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestResultCacheEvictionAccounting drives the LRU directly: used
-// bytes never exceed the bound, eviction runs oldest-first, an entry
-// larger than the whole bound is refused, and replacing an entry fixes
-// the accounting instead of leaking it.
-func TestResultCacheEvictionAccounting(t *testing.T) {
-	entrySize := func(body, etag int) int64 {
-		return int64(body) + int64(etag) + cacheEntryOverhead
+// TestCoalescedWaiterGetsError: a request that joins an in-flight
+// identical query is served the leader's exact status and body — an
+// error included, counted against the endpoint — and one whose client
+// gives up while waiting is a rejection, not a failure. The test holds
+// the flight itself, so the HTTP requests are waiters by construction.
+func TestCoalescedWaiterGetsError(t *testing.T) {
+	srv, ts, st, train := newTestServer(t, 4, Options{ResultCacheBytes: 1 << 20})
+	var raw bytes.Buffer
+	if _, err := train.WriteTo(&raw); err != nil {
+		t.Fatal(err)
 	}
-	keyOf := func(i byte) cacheKey {
-		var k cacheKey
-		k.digest[0] = i
-		return k
-	}
-	body := make([]byte, 100)
-	per := entrySize(len(body), 4) // etag "tag" + quote = 4 chars below
-	c := newResultCache(3 * per)
+	q := mustJSON(t, RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", Top: 3})
+	p := resolveRankParams("corpus/", nil, 0, 3, 0, false, 0, srv.opt.MaxWorkers)
+	key := cacheKey{digest: canonicalRankDigest(sha256.Sum256(raw.Bytes()), p), gen: st.Gen()}
 
-	for i := byte(0); i < 5; i++ {
-		c.add(cacheKey{digest: [32]byte{i}}, `"ta`, body)
-		if c.used > c.max {
-			t.Fatalf("after add %d: used %d > max %d", i, c.used, c.max)
+	f, leader, release := srv.flights.Join(context.Background(), key)
+	defer release()
+	if !leader {
+		t.Fatal("test did not get to lead the flight")
+	}
+	awaitCoalesced := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); srv.flights.Coalesced() < n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("request %d never joined the flight", n)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
-	st := c.stats()
-	if st.Entries != 3 {
-		t.Fatalf("entries = %d, want 3", st.Entries)
+
+	// A waiter whose client goes away: 503-class outcome for nobody to
+	// read, one rejection, no failure.
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/rank", bytes.NewReader(q))
+		_, err := http.DefaultClient.Do(req)
+		gone <- err
+	}()
+	awaitCoalesced(1)
+	cancel()
+	if err := <-gone; err == nil {
+		t.Fatal("cancelled waiter got an answer")
 	}
-	if st.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", st.Evictions)
-	}
-	// Oldest (0, 1) evicted; 2..4 live.
-	if _, _, ok := c.get(keyOf(0)); ok {
-		t.Fatal("entry 0 survived eviction")
-	}
-	if _, _, ok := c.get(keyOf(4)); !ok {
-		t.Fatal("entry 4 missing")
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Server.RankRejected != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("rank_rejected = %d, want 1", srv.Stats().Server.RankRejected)
+		}
+		time.Sleep(time.Millisecond)
 	}
 
-	// Touch 2 so it is MRU, then add one more: 3 must evict, 2 survive.
-	if _, _, ok := c.get(keyOf(2)); !ok {
-		t.Fatal("entry 2 missing")
+	// A waiter that stays: the leader's error, verbatim, without an ETag.
+	type answer struct {
+		status int
+		hdr    http.Header
+		body   []byte
 	}
-	c.add(keyOf(9), `"ta`, body)
-	if _, _, ok := c.get(keyOf(3)); ok {
-		t.Fatal("LRU order ignored: entry 3 should have been evicted")
-	}
-	if _, _, ok := c.get(keyOf(2)); !ok {
-		t.Fatal("recently-used entry 2 evicted")
-	}
-
-	// Replacing a key must adjust used, not double-count.
-	before := c.stats().Bytes
-	c.add(keyOf(9), `"ta`, body[:10])
-	after := c.stats().Bytes
-	if delta, want := before-after, int64(90); delta != want {
-		t.Fatalf("replace accounting: used shrank by %d, want %d", delta, want)
-	}
-
-	// An oversized entry is refused outright.
-	c.add(keyOf(8), `"ta`, make([]byte, 4*int(per)))
-	if _, _, ok := c.get(keyOf(8)); ok {
-		t.Fatal("oversized entry admitted")
-	}
-	if c.used > c.max {
-		t.Fatalf("used %d > max %d after oversized add", c.used, c.max)
-	}
-}
-
-// TestCoalescedWaiterGetsError: a waiter joined to a flight whose
-// leader fails must replay the leader's exact status and body.
-func TestCoalescedWaiterGetsError(t *testing.T) {
-	c := newResultCache(1 << 20)
-	key := cacheKey{gen: 1}
-
-	f1, leader1, rel1 := c.joinFlight(context.Background(), key)
-	defer rel1()
-	if !leader1 {
-		t.Fatal("first join not leader")
-	}
-	f2, leader2, rel2 := c.joinFlight(context.Background(), key)
-	defer rel2()
-	if leader2 {
-		t.Fatal("second join elected leader")
-	}
-	if f1 != f2 {
-		t.Fatal("joiners got different flights")
-	}
-
+	got := make(chan answer, 1)
+	go func() {
+		status, hdr, body := postRaw(t, ts.URL, "/v1/rank", q, nil)
+		got <- answer{status, hdr, body}
+	}()
+	awaitCoalesced(2)
 	errBody := []byte(`{"error":"rank: boom"}` + "\n")
-	c.finishFlight(key, f1, http.StatusInternalServerError, "", errBody)
-
-	select {
-	case <-f2.done:
-	case <-time.After(time.Second):
-		t.Fatal("waiter never woke")
+	srv.flights.Finish(key, f, Outcome{Status: http.StatusInternalServerError, Body: errBody})
+	a := <-got
+	if a.status != http.StatusInternalServerError || !bytes.Equal(a.body, errBody) || a.hdr.Get("ETag") != "" {
+		t.Fatalf("waiter saw %d %q etag %q, want the leader's 500 body and no ETag", a.status, a.body, a.hdr.Get("ETag"))
 	}
-	if f2.status != http.StatusInternalServerError || !bytes.Equal(f2.body, errBody) {
-		t.Fatalf("waiter saw status %d body %q", f2.status, f2.body)
+	ss := srv.Stats().Server
+	if ss.RankFailures != 1 || ss.ResultCoalesced != 2 || ss.ResultEntries != 0 {
+		t.Fatalf("failures %d coalesced %d entries %d, want 1, 2 and nothing cached", ss.RankFailures, ss.ResultCoalesced, ss.ResultEntries)
 	}
-	rec := httptest.NewRecorder()
-	replayFlight(rec, f2)
-	if rec.Code != http.StatusInternalServerError || !bytes.Equal(rec.Body.Bytes(), errBody) {
-		t.Fatalf("replay wrote %d %q", rec.Code, rec.Body.Bytes())
-	}
-	// The flight is unlinked: a retry starts fresh and nothing is cached.
-	if _, _, ok := c.get(key); ok {
-		t.Fatal("error result was cached")
-	}
-	_, leader3, rel3 := c.joinFlight(context.Background(), key)
-	defer rel3()
-	if !leader3 {
-		t.Fatal("post-failure join did not start a fresh flight")
-	}
-}
-
-// TestFlightRefcountCancel: the computation context survives the
-// leader's client disconnecting while a waiter remains, and cancels
-// once the last participant leaves.
-func TestFlightRefcountCancel(t *testing.T) {
-	c := newResultCache(1 << 20)
-	key := cacheKey{gen: 2}
-
-	leaderReq, cancelLeader := context.WithCancel(context.Background())
-	f, _, relLeader := c.joinFlight(leaderReq, key)
-	_, _, relWaiter := c.joinFlight(context.Background(), key)
-
-	cancelLeader()
-	relLeader()
-	select {
-	case <-f.ctx.Done():
-		t.Fatal("flight cancelled while a waiter was still interested")
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	relWaiter()
-	select {
-	case <-f.ctx.Done():
-	case <-time.After(time.Second):
-		t.Fatal("flight not cancelled after last participant left")
+	// The flight is spent: the same query now computes, and succeeds.
+	if status, _, body := postRaw(t, ts.URL, "/v1/rank", q, nil); status != http.StatusOK {
+		t.Fatalf("post-failure query: %d %s", status, body)
 	}
 }
 

@@ -23,11 +23,8 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net"
 	"net/http"
@@ -35,10 +32,10 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"misketch/internal/cache"
 	"misketch/internal/core"
 	"misketch/internal/store"
 	"misketch/internal/table"
@@ -125,55 +122,43 @@ type Options struct {
 	IdleTimeout       time.Duration
 }
 
-// timeout resolves one Options timeout field: zero means the default,
-// negative means disabled.
-func timeout(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // Server is the discovery service: an http.Handler over one open store.
 type Server struct {
 	st      *store.Store
 	opt     Options
 	sem     *semaphore
-	probes  *probeCache
 	scratch *core.ScratchPool
 	mux     *http.ServeMux
 
-	// results is the generation-fenced rank result cache (nil when
-	// disabled); epoch salts this process's ETags so a restart can
-	// never revalidate against the previous incarnation's answers.
-	results *resultCache
-	epoch   [8]byte
-
+	// probes memoizes compiled core.TrainProbe values by sketch digest,
+	// bounded to Options.ProbeCache entries (each costs 1). Compiling a
+	// probe is the per-query fixed cost of ranking (hash-table build
+	// over the train sketch); a service answering repeated queries
+	// against the same train sketch skips it entirely on a hit. Probes
+	// are immutable and shared across concurrent requests.
+	probes *cache.LRU[probeDigest, *core.TrainProbe]
 	// digests memoizes the content digest of stored train sketches by
-	// (name, store generation), so warm by-name rank requests skip
-	// re-serializing the sketch just to key the probe cache.
-	digestMu sync.Mutex
-	digests  map[string]digestMemo
+	// name, valid for one store generation, so warm by-name rank
+	// requests skip re-serializing the sketch just to key the probe
+	// cache.
+	digests *cache.LRU[string, trainDigest]
 
-	rankRequests   atomic.Int64
-	rankFailures   atomic.Int64
+	// results is the generation-fenced rank result cache and flights
+	// the singleflight table beside it (both nil when disabled; see
+	// resultcache.go); epoch salts this process's ETags so a restart can
+	// never revalidate against the previous incarnation's answers.
+	results     *cache.LRU[cacheKey, []byte]
+	flights     *cache.Flights[cacheKey, Outcome]
+	notModified atomic.Int64
+	epoch       [8]byte
+
+	// rank and batch describe the two rank endpoints and hold their
+	// request and failure counters (rank.go).
+	rank, batch    *endpoint
 	rankRejected   atomic.Int64 // admission aborted: client gone before capacity freed
-	batchRequests  atomic.Int64
-	batchFailures  atomic.Int64
 	sketchRequests atomic.Int64
 	putRequests    atomic.Int64
 }
-
-type digestMemo struct {
-	gen    uint64
-	digest probeDigest
-}
-
-// maxDigestMemo bounds the stored-train digest memo.
-const maxDigestMemo = 1024
 
 // New wraps an open store in a discovery server. The caller keeps
 // ownership of the store handle; ListenAndServe flushes its manifest on
@@ -189,21 +174,26 @@ func New(st *store.Store, opt Options) *Server {
 	if opt.MaxBodyBytes <= 0 {
 		opt.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	// ShutdownTimeout is resolved at shutdown time (shutdownContext), not
+	// ShutdownTimeout is resolved at shutdown time (Timeouts), not
 	// clamped here: zero means the default, negative means unbounded.
 	s := &Server{
 		st:      st,
 		opt:     opt,
 		sem:     newSemaphore(opt.MaxWorkers),
-		probes:  newProbeCache(probeMax),
+		probes:  cache.NewLRU[probeDigest, *core.TrainProbe](int64(probeMax)),
 		scratch: new(core.ScratchPool),
-		digests: make(map[string]digestMemo),
+		digests: cache.NewLRU[string, trainDigest](maxTrainDigests),
 		mux:     http.NewServeMux(),
-		results: newResultCache(opt.ResultCacheBytes),
 		epoch:   newEpoch(),
+		rank:    rankEndpoint(),
+		batch:   batchEndpoint(),
 	}
-	s.mux.HandleFunc("POST /v1/rank", s.handleRank)
-	s.mux.HandleFunc("POST /v1/rank/batch", s.handleRankBatch)
+	if opt.ResultCacheBytes > 0 {
+		s.results = cache.NewLRU[cacheKey, []byte](opt.ResultCacheBytes)
+		s.flights = cache.NewFlights[cacheKey, Outcome]()
+	}
+	s.mux.HandleFunc("POST /v1/rank", s.serveRank(s.rank))
+	s.mux.HandleFunc("POST /v1/rank/batch", s.serveRank(s.batch))
 	s.mux.HandleFunc("POST /v1/sketch", s.handleSketch)
 	s.mux.HandleFunc("POST /v1/put", s.handlePut)
 	s.mux.HandleFunc("GET /v1/get", s.handleGet)
@@ -247,381 +237,19 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 // takes ownership of) — the entry point when the caller needs the bound
 // address, e.g. after listening on port 0.
 func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
-	// The shutdown goroutine must not outlive this call when Serve fails
-	// on its own (bad listener, external close) under a long-lived ctx.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hs := &http.Server{
-		Handler:           s,
-		ReadHeaderTimeout: timeout(s.opt.ReadHeaderTimeout, DefaultReadHeaderTimeout),
-		ReadTimeout:       timeout(s.opt.ReadTimeout, DefaultReadTimeout),
-		WriteTimeout:      timeout(s.opt.WriteTimeout, DefaultWriteTimeout),
-		IdleTimeout:       timeout(s.opt.IdleTimeout, DefaultIdleTimeout),
-	}
-	done := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		shCtx, cancel := s.shutdownContext()
-		defer cancel()
-		done <- hs.Shutdown(shCtx)
-	}()
-	err := hs.Serve(ln)
-	if errors.Is(err, http.ErrServerClosed) {
-		err = <-done // wait for the drain before persisting
-	}
+	err := Serve(ctx, ln, s, s.timeouts())
+	// The drain is over (or Serve failed on its own): persist.
 	if ferr := s.st.Flush(); err == nil {
 		err = ferr
 	}
 	return err
 }
 
-// shutdownContext resolves Options.ShutdownTimeout into the context the
-// graceful drain runs under: zero means DefaultShutdownTimeout, a
-// positive value bounds the drain to it, and a negative value disables
-// the bound — the returned context has no deadline and the drain waits
-// for the last in-flight request. Factored out (and tested) because the
-// semantics must match the connection-timeout convention exactly.
-func (s *Server) shutdownContext() (context.Context, context.CancelFunc) {
-	if d := timeout(s.opt.ShutdownTimeout, DefaultShutdownTimeout); d > 0 {
-		return context.WithTimeout(context.Background(), d)
+func (s *Server) timeouts() Timeouts {
+	return Timeouts{
+		Shutdown: s.opt.ShutdownTimeout, ReadHeader: s.opt.ReadHeaderTimeout,
+		Read: s.opt.ReadTimeout, Write: s.opt.WriteTimeout, Idle: s.opt.IdleTimeout,
 	}
-	return context.WithCancel(context.Background())
-}
-
-// errorResponse is the error body of every non-2xx JSON response.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// bodyErrStatus distinguishes a body over the MaxBodyBytes cap (413,
-// retryable with a smaller payload) from a malformed request (400).
-func bodyErrStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-// trainErrStatus classifies a trainSketch failure. An inline sketch that
-// fails to decode is the client's payload (400). A by-name train maps to
-// 404 only when the store reports the name missing (store.ErrNotFound);
-// any other by-name failure — a CRC mismatch on a corrupt record, a
-// truncated segment, an I/O error — is a server-side fault and must be
-// 500: a cluster coordinator (or any retrying client) treats 404 as
-// authoritative "does not exist" and 5xx as "this replica is sick", so
-// misclassifying corruption as 404 silently converts data loss into an
-// empty answer.
-func trainErrStatus(req *RankRequest, err error) int {
-	if req.Train == "" {
-		return http.StatusBadRequest
-	}
-	if errors.Is(err, store.ErrNotFound) {
-		return http.StatusNotFound
-	}
-	return http.StatusInternalServerError
-}
-
-// RankRequest is the body of POST /v1/rank. Exactly one of Sketch and
-// Train selects the train side.
-type RankRequest struct {
-	// Sketch is the serialized train sketch, standard base64.
-	Sketch string `json:"sketch,omitempty"`
-	// Train names a stored sketch to use as the train side instead of
-	// uploading one.
-	Train string `json:"train,omitempty"`
-	// Prefix restricts ranking to stored names with this prefix.
-	Prefix string `json:"prefix,omitempty"`
-	// MinJoin drops candidates whose sketch join has at most this many
-	// samples; unset means 100 (the paper's confidence filter), -1 keeps
-	// even empty joins.
-	MinJoin *int `json:"min_join,omitempty"`
-	// K is the KSG-family neighbor parameter; 0 means the default.
-	K int `json:"k,omitempty"`
-	// Top bounds the result to the best K candidates; 0 returns all.
-	Top int `json:"top,omitempty"`
-	// Workers requests an estimation fan-out; 0 means the server bound.
-	// Requests are clamped to the server's MaxWorkers and admitted
-	// through a weighted semaphore, so concurrent queries queue rather
-	// than oversubscribe.
-	Workers int `json:"workers,omitempty"`
-	// NoCascade disables the two-tier estimator cascade for this query,
-	// forcing the exact KSG-family tier on every candidate pair.
-	NoCascade bool `json:"no_cascade,omitempty"`
-	// CascadeMargin overrides the cascade's calibrated safety margin in
-	// nats; 0 keeps the default, negative disables the margin (the
-	// saturation guard still applies). Rankings are identical at any
-	// margin at or above the calibrated default; smaller margins trade
-	// that guarantee for more pruning.
-	CascadeMargin float64 `json:"cascade_margin,omitempty"`
-}
-
-// RankedResult is one row of a RankResponse.
-type RankedResult struct {
-	Name      string  `json:"name"`
-	MI        float64 `json:"mi"`
-	Estimator string  `json:"estimator"`
-	JoinSize  int     `json:"join_size"`
-}
-
-// RankResponse is the body of a successful POST /v1/rank.
-type RankResponse struct {
-	Ranked []RankedResult `json:"ranked"`
-	// Skipped lists prefix-matching stored sketches that could not be
-	// joined (incompatible seed or role, or mutated mid-query).
-	Skipped []string `json:"skipped,omitempty"`
-	// ProbeCached reports whether the compiled train probe came from the
-	// server's cache (a warm query) or was compiled for this request.
-	ProbeCached bool `json:"probe_cached"`
-	// Workers is the admitted estimation fan-out after clamping.
-	Workers int `json:"workers"`
-	// ElapsedNS is the server-side wall time of the ranking itself.
-	ElapsedNS int64 `json:"elapsed_ns"`
-}
-
-// DecodeRankRequest parses and validates a rank request body. Exported
-// for the cluster coordinator, which validates a request once before
-// scattering it to every shard.
-func DecodeRankRequest(body []byte) (*RankRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var req RankRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding rank request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("trailing data after rank request")
-	}
-	if (req.Sketch == "") == (req.Train == "") {
-		return nil, fmt.Errorf("exactly one of \"sketch\" and \"train\" must be set")
-	}
-	if req.K < 0 || req.Top < 0 || req.Workers < 0 {
-		return nil, fmt.Errorf("k, top, and workers must be non-negative")
-	}
-	if req.MinJoin != nil && *req.MinJoin < -1 {
-		return nil, fmt.Errorf("min_join must be >= -1")
-	}
-	return &req, nil
-}
-
-// trainSketch resolves the request's train side to (sketch, content
-// digest). An inline sketch is digested from its uploaded bytes; a
-// stored sketch is serialized once to derive its digest, which is then
-// memoized by (name, store generation) so the warm path skips the
-// re-serialization until the next store mutation.
-func (s *Server) trainSketch(req *RankRequest) (*core.Sketch, probeDigest, error) {
-	if req.Sketch != "" {
-		raw, err := base64.StdEncoding.DecodeString(req.Sketch)
-		if err != nil {
-			return nil, probeDigest{}, fmt.Errorf("decoding sketch base64: %w", err)
-		}
-		sk, err := core.ReadSketch(bytes.NewReader(raw))
-		if err != nil {
-			return nil, probeDigest{}, err
-		}
-		return sk, sha256.Sum256(raw), nil
-	}
-	gen := s.st.Gen()
-	sk, err := s.st.Get(req.Train)
-	if err != nil {
-		return nil, probeDigest{}, err
-	}
-	s.digestMu.Lock()
-	memo, ok := s.digests[req.Train]
-	s.digestMu.Unlock()
-	if ok && memo.gen == gen {
-		return sk, memo.digest, nil
-	}
-	var buf bytes.Buffer
-	if _, err := sk.WriteTo(&buf); err != nil {
-		return nil, probeDigest{}, err
-	}
-	d := probeDigest(sha256.Sum256(buf.Bytes()))
-	s.digestMu.Lock()
-	if len(s.digests) >= maxDigestMemo {
-		clear(s.digests) // crude bound; repopulates from live queries
-	}
-	s.digests[req.Train] = digestMemo{gen: gen, digest: d}
-	s.digestMu.Unlock()
-	return sk, d, nil
-}
-
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	s.rankRequests.Add(1)
-	body, err := readBody(r)
-	if err != nil {
-		s.rankFailures.Add(1)
-		httpError(w, bodyErrStatus(err), "reading body: %v", err)
-		return
-	}
-	req, err := DecodeRankRequest(body)
-	if err != nil {
-		s.rankFailures.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The cache fence: read the generation before resolving the train
-	// or snapshotting the manifest, so an entry keyed by it can only
-	// ever reflect this generation or a newer one — never a stale one.
-	gen := s.st.Gen()
-	train, digest, err := s.trainSketch(req)
-	if err != nil {
-		s.rankFailures.Add(1)
-		httpError(w, trainErrStatus(req, err), "train sketch: %v", err)
-		return
-	}
-	if train.Role != core.RoleTrain {
-		s.rankFailures.Add(1)
-		httpError(w, http.StatusBadRequest, "train sketch: role is %d, want train", train.Role)
-		return
-	}
-
-	p := resolveRankParams(req.Prefix, req.MinJoin, req.K, req.Top, req.Workers,
-		req.NoCascade, req.CascadeMargin, s.opt.MaxWorkers)
-	canon := canonicalRankDigest(digest, p)
-	key := cacheKey{digest: canon, gen: gen}
-	etag := etagFor(s.epoch, canon, gen)
-	// Revalidation needs no ranking, no cache, and no semaphore: the
-	// ETag is a pure function of (epoch, canonical request, generation).
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		if s.results != nil {
-			s.results.notModified.Add(1)
-		}
-		writeNotModified(w, etag)
-		return
-	}
-	if cachedTag, cachedBody, ok := s.results.get(key); ok {
-		writeCachedResponse(w, cachedTag, cachedBody)
-		return
-	}
-
-	// Miss: coalesce concurrent identical queries into one computation.
-	f, leader, release := s.results.joinFlight(r.Context(), key)
-	defer release()
-	if !leader {
-		select {
-		case <-f.done:
-			if f.status != http.StatusOK {
-				s.rankFailures.Add(1)
-			}
-			replayFlight(w, f)
-		case <-r.Context().Done():
-			s.rankRejected.Add(1)
-			httpError(w, http.StatusServiceUnavailable, "%v", errCoalescedCancel)
-		}
-		return
-	}
-
-	status, fresh, cacheable := s.computeRank(f.ctx, req, train, digest, p)
-	if status == http.StatusOK {
-		s.results.add(key, etag, cacheable)
-	}
-	// Waiters receive the cacheable variant: by the time they read it,
-	// the probe this computation compiled is warm, so probe_cached:true
-	// is both accurate for them and bit-identical to what an uncached
-	// server would have told a second caller.
-	s.results.finishFlight(key, f, status, etag, cacheable)
-	if status == http.StatusOK {
-		writeCachedResponse(w, etag, fresh)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(fresh)
-}
-
-// computeRank runs one rank query end to end — probe compile-or-reuse,
-// semaphore admission, store ranking, JSON encoding — and returns the
-// HTTP status plus two encoded bodies: fresh is the response for the
-// caller that paid the computation (its probe_cached reports what this
-// request actually experienced), cacheable is the variant stored in the
-// result cache and replayed to coalesced waiters (probe_cached forced
-// true, which is what any later identical request would observe). On
-// errors both bodies are the encoded error object.
-func (s *Server) computeRank(ctx context.Context, req *RankRequest, train *core.Sketch, digest probeDigest, p rankParams) (status int, fresh, cacheable []byte) {
-	probe, cached := s.probes.get(digest)
-	if !cached {
-		probe = core.CompileTrainProbe(train)
-		s.probes.add(digest, probe)
-	} else {
-		// The cached probe was compiled from bit-identical sketch bytes;
-		// rank against its train so probe and train always agree.
-		train = probe.Train()
-	}
-
-	if err := s.sem.acquire(ctx, p.workers); err != nil {
-		// Every interested client went away while queued; the waiter is
-		// already unlinked, so its slots were never held.
-		s.rankRejected.Add(1)
-		body := encodeJSON(errorResponse{Error: fmt.Sprintf("cancelled while queued for capacity: %v", err)})
-		return http.StatusServiceUnavailable, body, body
-	}
-	defer s.sem.release(p.workers)
-
-	started := time.Now()
-	ranked, skipped, err := s.st.RankQuery(ctx, train, store.RankOptions{
-		Prefix:        req.Prefix,
-		MinJoinSize:   p.minJoin,
-		K:             p.k,
-		TopK:          req.Top,
-		Workers:       p.workers,
-		Probe:         probe,
-		ScratchPool:   s.scratch,
-		NoCascade:     req.NoCascade,
-		CascadeMargin: req.CascadeMargin,
-	})
-	if err != nil {
-		s.rankFailures.Add(1)
-		status := http.StatusInternalServerError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = http.StatusServiceUnavailable
-		}
-		body := encodeJSON(errorResponse{Error: fmt.Sprintf("rank: %v", err)})
-		return status, body, body
-	}
-	resp := RankResponse{
-		Ranked:      make([]RankedResult, len(ranked)),
-		Skipped:     skipped,
-		ProbeCached: cached,
-		Workers:     p.workers,
-		ElapsedNS:   time.Since(started).Nanoseconds(),
-	}
-	for i, rs := range ranked {
-		resp.Ranked[i] = RankedResult{
-			Name: rs.Name, MI: rs.MI, Estimator: string(rs.Estimator), JoinSize: rs.JoinSize,
-		}
-	}
-	fresh = encodeJSON(resp)
-	cacheable = fresh
-	if !resp.ProbeCached {
-		resp.ProbeCached = true
-		cacheable = encodeJSON(resp)
-	}
-	return http.StatusOK, fresh, cacheable
-}
-
-// encodeJSON marshals v exactly as writeJSON puts it on the wire
-// (trailing newline included), so cached bytes and streamed bytes are
-// interchangeable.
-func encodeJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// Response types marshal by construction; reaching here is a
-		// programming error, surfaced as a well-formed 500 body.
-		return []byte(`{"error":"encoding response"}` + "\n")
-	}
-	return append(b, '\n')
 }
 
 // SketchResponse is the body of a successful POST /v1/sketch.
@@ -644,7 +272,7 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	keyCol, valCol := q.Get("key"), q.Get("value")
 	if keyCol == "" || valCol == "" {
-		httpError(w, http.StatusBadRequest, "query parameters \"key\" and \"value\" are required")
+		HTTPError(w, http.StatusBadRequest, "query parameters \"key\" and \"value\" are required")
 		return
 	}
 	role := core.RoleTrain
@@ -653,7 +281,7 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 	case "candidate":
 		role = core.RoleCandidate
 	default:
-		httpError(w, http.StatusBadRequest, "role must be \"train\" or \"candidate\"")
+		HTTPError(w, http.StatusBadRequest, "role must be \"train\" or \"candidate\"")
 		return
 	}
 	opt := core.Options{Method: core.TUPSK, Size: defaultSketchSize}
@@ -667,31 +295,31 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 	// coordinated-sampling filter compares seeds bit-for-bit), turning a
 	// client typo into empty rankings with no error anywhere.
 	if opt.Size, err = intParam(q.Get("size"), defaultSketchSize); err != nil || opt.Size < 1 || opt.Size > maxSketchSize {
-		httpError(w, http.StatusBadRequest, "size %q out of range [1, %d]", q.Get("size"), maxSketchSize)
+		HTTPError(w, http.StatusBadRequest, "size %q out of range [1, %d]", q.Get("size"), maxSketchSize)
 		return
 	}
 	if opt.Seed, err = seedParam(q.Get("seed")); err != nil {
-		httpError(w, http.StatusBadRequest, "seed %q out of range [0, %d]", q.Get("seed"), uint64(math.MaxUint32))
+		HTTPError(w, http.StatusBadRequest, "seed %q out of range [0, %d]", q.Get("seed"), uint64(math.MaxUint32))
 		return
 	}
 	opt.Agg = table.AggFunc(q.Get("agg"))
 
 	tb, err := table.ReadCSV(r.Body)
 	if err != nil {
-		httpError(w, bodyErrStatus(err), "reading CSV: %v", err)
+		HTTPError(w, BodyErrStatus(err), "reading CSV: %v", err)
 		return
 	}
 	sk, err := core.Build(tb, keyCol, valCol, role, opt)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "building sketch: %v", err)
+		HTTPError(w, http.StatusBadRequest, "building sketch: %v", err)
 		return
 	}
 	var buf bytes.Buffer
 	if _, err := sk.WriteTo(&buf); err != nil {
-		httpError(w, http.StatusInternalServerError, "serializing sketch: %v", err)
+		HTTPError(w, http.StatusInternalServerError, "serializing sketch: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SketchResponse{
+	WriteJSON(w, http.StatusOK, SketchResponse{
 		Sketch:     base64.StdEncoding.EncodeToString(buf.Bytes()),
 		Entries:    sk.Len(),
 		Numeric:    sk.Numeric,
@@ -716,19 +344,19 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	s.putRequests.Add(1)
 	name := r.URL.Query().Get("name")
 	if name == "" {
-		httpError(w, http.StatusBadRequest, "query parameter \"name\" is required")
+		HTTPError(w, http.StatusBadRequest, "query parameter \"name\" is required")
 		return
 	}
 	sk, err := core.ReadSketch(r.Body)
 	if err != nil {
-		httpError(w, bodyErrStatus(err), "decoding sketch: %v", err)
+		HTTPError(w, BodyErrStatus(err), "decoding sketch: %v", err)
 		return
 	}
 	if err := s.st.Put(name, sk); err != nil {
-		httpError(w, http.StatusInternalServerError, "storing sketch: %v", err)
+		HTTPError(w, http.StatusInternalServerError, "storing sketch: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PutResponse{
+	WriteJSON(w, http.StatusOK, PutResponse{
 		Name: name, Entries: sk.Len(), Numeric: sk.Numeric, Seed: sk.Seed,
 	})
 }
@@ -743,7 +371,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
-		httpError(w, http.StatusBadRequest, "query parameter \"name\" is required")
+		HTTPError(w, http.StatusBadRequest, "query parameter \"name\" is required")
 		return
 	}
 	sk, err := s.st.Get(name)
@@ -752,12 +380,12 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, store.ErrNotFound) {
 			status = http.StatusNotFound
 		}
-		httpError(w, status, "loading sketch: %v", err)
+		HTTPError(w, status, "loading sketch: %v", err)
 		return
 	}
 	var buf bytes.Buffer
 	if _, err := sk.WriteTo(&buf); err != nil {
-		httpError(w, http.StatusInternalServerError, "serializing sketch: %v", err)
+		HTTPError(w, http.StatusInternalServerError, "serializing sketch: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -803,7 +431,7 @@ func (s *Server) handleLs(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	resp.Count = len(resp.Sketches)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // ServerStats are the server-side counters of GET /v1/stats.
@@ -834,118 +462,52 @@ type ServerStats struct {
 	ResultEntries     int   `json:"result_entries"`
 }
 
-// StoreStats mirrors store.Stats for the JSON response.
-type StoreStats struct {
-	Backend         string `json:"backend"`
-	Sketches        int    `json:"sketches"`
-	Segments        int    `json:"segments"`
-	IndexedSegments int    `json:"indexed_segments"`
-	SegmentBytes    int64  `json:"segment_bytes"`
-	PostingBytes    int64  `json:"posting_bytes"`
-	LiveBytes       int64  `json:"live_bytes"`
-	Compactions     int64  `json:"compactions"`
-	CacheBytes      int64  `json:"cache_bytes"`
-	CacheHits       int64  `json:"cache_hits"`
-	CacheMisses     int64  `json:"cache_misses"`
-	Evictions       int64  `json:"evictions"`
-	DiskReads       int64  `json:"disk_reads"`
-	Puts            int64  `json:"puts"`
-	Deletes         int64  `json:"deletes"`
-	RankQueries     int64  `json:"rank_queries"`
-	RankBatches     int64  `json:"rank_batches"`
-	PrunedPairs     int64  `json:"pruned_pairs"`
-	// CandidatesSkippedNoDecode counts candidates excluded by the
-	// segment key indexes before any record decode.
-	CandidatesSkippedNoDecode int64 `json:"candidates_skipped_no_decode"`
-	// The ranking cascade's tier counters: pairs settled by the cheap
-	// binned tier alone, pairs that paid the exact KSG-family tier, and
-	// exact runs the safety margin or saturation guard admitted that
-	// then entered a top-K heap.
-	CascadeCheapOnly     int64 `json:"cascade_cheap_only"`
-	CascadeExact         int64 `json:"cascade_exact"`
-	CascadeMarginRescues int64 `json:"cascade_margin_rescues"`
-	// Segment compression: FSST-compressed segment count, what their
-	// records occupy on disk, and what the same records would occupy
-	// raw (the achieved ratio is raw_bytes/compressed_bytes).
-	CompressedSegments int   `json:"compressed_segments"`
-	CompressedBytes    int64 `json:"compressed_bytes"`
-	RawBytes           int64 `json:"raw_bytes"`
-}
-
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
-	Store  StoreStats  `json:"store"`
+	Store  store.Stats `json:"store"`
 	Server ServerStats `json:"server"`
 }
 
 // Stats snapshots the server's counters (also served at /v1/stats).
 func (s *Server) Stats() StatsResponse {
-	ss := s.st.Stats()
-	hits, misses, entries := s.probes.stats()
+	probes := s.probes.Stats()
 	held, waiting := s.sem.inFlight()
-	rc := s.results.stats()
+	rc := s.results.Stats()
 	return StatsResponse{
-		Store: StoreStats{
-			Backend: ss.Backend, Sketches: ss.Sketches,
-			Segments: ss.Segments, IndexedSegments: ss.IndexedSegments,
-			SegmentBytes: ss.SegmentBytes, PostingBytes: ss.PostingBytes,
-			LiveBytes: ss.LiveBytes, Compactions: ss.Compactions,
-			CacheBytes: ss.CacheBytes,
-			CacheHits:  ss.CacheHits, CacheMisses: ss.CacheMisses,
-			Evictions: ss.Evictions, DiskReads: ss.DiskReads,
-			Puts: ss.Puts, Deletes: ss.Deletes, RankQueries: ss.RankQueries,
-			RankBatches: ss.RankBatches, PrunedPairs: ss.PrunedPairs,
-			CandidatesSkippedNoDecode: ss.CandidatesSkippedNoDecode,
-			CascadeCheapOnly:          ss.CascadeCheapOnly,
-			CascadeExact:              ss.CascadeExact,
-			CascadeMarginRescues:      ss.CascadeMarginRescues,
-			CompressedSegments:        ss.CompressedSegments,
-			CompressedBytes:           ss.CompressedBytes,
-			RawBytes:                  ss.RawBytes,
-		},
+		Store: s.st.Stats(),
 		Server: ServerStats{
-			RankRequests:      s.rankRequests.Load(),
-			RankFailures:      s.rankFailures.Load(),
+			RankRequests:      s.rank.requests.Load(),
+			RankFailures:      s.rank.failures.Load(),
 			RankRejected:      s.rankRejected.Load(),
-			BatchRequests:     s.batchRequests.Load(),
-			BatchFailures:     s.batchFailures.Load(),
+			BatchRequests:     s.batch.requests.Load(),
+			BatchFailures:     s.batch.failures.Load(),
 			SketchRequests:    s.sketchRequests.Load(),
 			PutRequests:       s.putRequests.Load(),
-			ProbeHits:         hits,
-			ProbeMisses:       misses,
-			ProbesCached:      entries,
+			ProbeHits:         probes.Hits,
+			ProbeMisses:       probes.Misses,
+			ProbesCached:      probes.Entries,
 			WorkersHeld:       held,
 			RanksQueued:       waiting,
 			MaxWorkers:        s.opt.MaxWorkers,
 			ResultHits:        rc.Hits,
 			ResultMisses:      rc.Misses,
-			ResultCoalesced:   rc.Coalesced,
+			ResultCoalesced:   s.flights.Coalesced(),
 			ResultEvictions:   rc.Evictions,
-			ResultNotModified: rc.NotModified,
-			ResultBytes:       rc.Bytes,
+			ResultNotModified: s.notModified.Load(),
+			ResultBytes:       rc.Used,
 			ResultEntries:     rc.Entries,
 		},
 	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// Len, not Stats: a probe needs one number, not the segment table.
 	n, _ := s.st.Len() // Len never fails; the error is API symmetry
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "sketches": n})
-}
-
-// readBody drains a request body honoring the MaxBytesReader cap.
-func readBody(r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "sketches": n})
 }
 
 // intParam parses an optional decimal query parameter.

@@ -359,7 +359,7 @@ func TestRankErrors(t *testing.T) {
 		if status != tc.status {
 			t.Errorf("%s: status %d (want %d): %s", tc.name, status, tc.status, body)
 		}
-		var er errorResponse
+		var er ErrorResponse
 		if err := json.Unmarshal([]byte(body), &er); err != nil || er.Error == "" {
 			t.Errorf("%s: error body not structured: %s", tc.name, body)
 		}
@@ -427,7 +427,7 @@ func TestOverLimitBodyDoesNotLeakCapacity(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: status %d, want 413: %s", tc.name, resp.StatusCode, raw)
 		}
-		var er errorResponse
+		var er ErrorResponse
 		if err := json.Unmarshal(raw, &er); err != nil || er.Error == "" {
 			t.Errorf("%s: error body not structured: %s", tc.name, raw)
 		}

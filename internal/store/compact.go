@@ -185,9 +185,12 @@ func (s *Store) compact(ctx context.Context, force bool) (CompactStats, error) {
 		s.mu.Unlock()
 		return stats, err
 	}
-	if s.cache != nil {
-		s.cache.purgeSegments(sources)
-	}
+	// Drop every cached view borrowing from the sources before their
+	// mappings are torn down.
+	s.cache.DeleteFunc(func(_ string, ent cachedSketch) bool {
+		_, gone := sources[ent.seg]
+		return ent.seg != 0 && gone
+	})
 	fb.retire(sources)
 	// Persist again now that the sources are out of the segment table:
 	// the manifest written above still listed them (needed in case we

@@ -1,37 +1,31 @@
 package store
 
 import (
-	"container/list"
-
+	"misketch/internal/cache"
 	"misketch/internal/core"
 )
 
-// lruCache is a byte-bounded LRU of decoded sketches, replacing the
-// unbounded map a small store could get away with: a catalog of millions
-// of sketches must not grow memory with every load. Entries are tagged
-// with the segment their sketch borrows memory from (0 = the sketch owns
-// its memory), so a compaction retiring segments can purge the views
-// that alias them before the mappings go away. It is not safe for
-// concurrent use on its own; Store serializes access under its mutex.
-type lruCache struct {
-	max  int64 // byte budget
-	used int64
+// sketchCache is the byte-bounded LRU of decoded sketches (a
+// cache.LRU keyed by sketch name, charged sketchBytes per entry),
+// replacing the unbounded map a small store could get away with: a
+// catalog of millions of sketches must not grow memory with every
+// load. Store still takes its own mutex around every cache operation:
+// that lock, not the cache's, is what orders a lookup against the
+// manifest check beside it and a compaction's purge against its unmap.
+type sketchCache = cache.LRU[string, cachedSketch]
 
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-
-	hits, misses, evictions int64
+// cachedSketch tags a cached sketch with the segment it borrows memory
+// from (0 = the sketch owns its memory), so a compaction retiring
+// segments can purge the views that alias them before the mappings go
+// away.
+type cachedSketch struct {
+	sk  *core.Sketch
+	seg uint64
 }
 
-type lruEntry struct {
-	name  string
-	sk    *core.Sketch
-	bytes int64
-	seg   uint64 // segment the sketch borrows from; 0 = owned memory
-}
-
-func newLRUCache(max int64) *lruCache {
-	return &lruCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
+// cacheLocked admits sk under name, charged its resident size.
+func (s *Store) cacheLocked(name string, sk *core.Sketch, seg uint64) {
+	s.cache.Add(name, cachedSketch{sk, seg}, sketchBytes(sk))
 }
 
 // sketchBytes approximates the resident (or, for a borrowed view, the
@@ -51,72 +45,4 @@ func sketchBytes(sk *core.Sketch) int64 {
 		n += int64(len(s)) + 16
 	}
 	return n
-}
-
-func (c *lruCache) get(name string) (*core.Sketch, uint64, bool) {
-	if e, ok := c.items[name]; ok {
-		c.ll.MoveToFront(e)
-		c.hits++
-		ent := e.Value.(*lruEntry)
-		return ent.sk, ent.seg, true
-	}
-	c.misses++
-	return nil, 0, false
-}
-
-func (c *lruCache) add(name string, sk *core.Sketch, seg uint64) {
-	b := sketchBytes(sk)
-	if b > c.max {
-		// Larger than the whole budget: never resident — and if an update
-		// grew an existing entry past the budget, drop it too.
-		c.remove(name)
-		return
-	}
-	if e, ok := c.items[name]; ok {
-		ent := e.Value.(*lruEntry)
-		c.used += b - ent.bytes
-		ent.sk, ent.bytes, ent.seg = sk, b, seg
-		c.ll.MoveToFront(e)
-	} else {
-		c.items[name] = c.ll.PushFront(&lruEntry{name: name, sk: sk, bytes: b, seg: seg})
-		c.used += b
-	}
-	// Evict from the cold end; never evict the entry just touched.
-	for c.used > c.max && c.ll.Len() > 1 {
-		c.evict(c.ll.Back())
-	}
-}
-
-func (c *lruCache) remove(name string) {
-	if e, ok := c.items[name]; ok {
-		ent := e.Value.(*lruEntry)
-		c.ll.Remove(e)
-		delete(c.items, name)
-		c.used -= ent.bytes
-	}
-}
-
-func (c *lruCache) evict(e *list.Element) {
-	ent := e.Value.(*lruEntry)
-	c.ll.Remove(e)
-	delete(c.items, ent.name)
-	c.used -= ent.bytes
-	c.evictions++
-}
-
-// purgeSegments drops every entry borrowing from the given segments —
-// called before a compaction's sources are torn down.
-func (c *lruCache) purgeSegments(segs map[uint64]*segment) {
-	for e := c.ll.Front(); e != nil; {
-		next := e.Next()
-		ent := e.Value.(*lruEntry)
-		if ent.seg != 0 {
-			if _, gone := segs[ent.seg]; gone {
-				c.ll.Remove(e)
-				delete(c.items, ent.name)
-				c.used -= ent.bytes
-			}
-		}
-		e = next
-	}
 }

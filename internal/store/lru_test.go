@@ -41,47 +41,50 @@ func TestSketchBytesChargesValOrder(t *testing.T) {
 	}
 }
 
-// TestLRUBudgetInvariant holds used <= max across fills, updates, and
-// evictions, with every resident numeric sketch's value-order memo
-// materialized — the state the old accounting undercounted, letting the
-// cache keep more bytes reachable than its budget.
+// TestLRUBudgetInvariant holds CacheBytes <= the budget across fills,
+// updates, and evictions as the store charges its cache, with every
+// resident numeric sketch's value-order memo materialized — the state
+// the old accounting undercounted, letting the cache keep more bytes
+// reachable than its budget. (The LRU mechanics themselves are pinned
+// in internal/cache.)
 func TestLRUBudgetInvariant(t *testing.T) {
-	sk := numSketch(t, 256)
-	per := sketchBytes(sk)
-	c := newLRUCache(4 * per)
+	per := sketchBytes(numSketch(t, 256))
+	st, err := OpenWithOptions("", OpenOptions{Backend: BackendMem, CacheBytes: 4 * per})
+	if err != nil {
+		t.Fatal(err)
+	}
 	check := func(step string) {
 		t.Helper()
-		if c.used > c.max {
-			t.Fatalf("%s: used %d exceeds budget %d", step, c.used, c.max)
+		cs := st.cache.Stats()
+		if cs.Used > st.cache.Max() {
+			t.Fatalf("%s: used %d exceeds budget %d", step, cs.Used, st.cache.Max())
 		}
 		var sum int64
-		for _, e := range c.items {
-			ent := e.Value.(*lruEntry)
+		st.cache.DeleteFunc(func(_ string, ent cachedSketch) bool {
 			ent.sk.NumValOrder() // resident sketches carry their memo
-			sum += ent.bytes
-		}
-		if sum != c.used {
-			t.Fatalf("%s: used %d but entries account %d", step, c.used, sum)
+			sum += sketchBytes(ent.sk)
+			return false
+		})
+		if sum != cs.Used {
+			t.Fatalf("%s: used %d but entries account %d", step, cs.Used, sum)
 		}
 	}
 	for i := 0; i < 16; i++ {
-		c.add(fmt.Sprintf("s%d", i), numSketch(t, 256), 0)
+		st.cacheLocked(fmt.Sprintf("s%d", i), numSketch(t, 256), 0)
 		check(fmt.Sprintf("add %d", i))
 	}
-	if c.ll.Len() != 4 {
-		t.Fatalf("resident entries = %d, want 4 (budget %d, %d bytes each)", c.ll.Len(), c.max, per)
-	}
-	if c.evictions != 12 {
-		t.Fatalf("evictions = %d, want 12", c.evictions)
+	if cs := st.cache.Stats(); cs.Entries != 4 || cs.Evictions != 12 {
+		t.Fatalf("resident entries = %d, evictions = %d, want 4 and 12 (budget %d, %d bytes each)",
+			cs.Entries, cs.Evictions, st.cache.Max(), per)
 	}
 	// Updating an entry in place re-charges, never leaks.
-	c.add("s15", numSketch(t, 256), 0)
+	st.cacheLocked("s15", numSketch(t, 256), 0)
 	check("update")
 	// An entry larger than the whole budget is refused and drops any
 	// prior version.
-	c.add("s15", numSketch(t, 4096), 0)
+	st.cacheLocked("s15", numSketch(t, 4096), 0)
 	check("oversized")
-	if _, _, ok := c.get("s15"); ok {
+	if _, ok := st.cache.Get("s15"); ok {
 		t.Fatal("oversized entry stayed resident")
 	}
 }

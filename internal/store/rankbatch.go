@@ -184,18 +184,12 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt BatchO
 // mutation triage handles incompatible ones.
 func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}) (*core.Sketch, error) {
 	s.mu.Lock()
-	if s.cache != nil {
-		if sk, tag, ok := s.cache.get(m.Name); ok {
-			if tag == 0 {
-				s.mu.Unlock()
-				return sk, nil
-			}
-			if _, ok := pinned[tag]; ok {
-				s.mu.Unlock()
-				return sk, nil
-			}
-			// Borrowed from a segment outside the pin set; fall through.
+	if ent, ok := s.cache.Get(m.Name); ok {
+		if _, isPinned := pinned[ent.seg]; ent.seg == 0 || isPinned {
+			s.mu.Unlock()
+			return ent.sk, nil
 		}
+		// Borrowed from a segment outside the pin set; fall through.
 	}
 	b := s.backend
 	s.mu.Unlock()
@@ -223,8 +217,8 @@ func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}) (*core.Sketch, er
 	s.mu.Lock()
 	// Cache the decode only if the sketch was not overwritten or deleted
 	// meanwhile: a stale view must not shadow the mutation's result.
-	if cur, ok := s.manifest[m.Name]; ok && cur == m && s.backend == b && s.cache != nil {
-		s.cache.add(m.Name, sk, tag)
+	if cur, ok := s.manifest[m.Name]; ok && cur == m && s.backend == b {
+		s.cacheLocked(m.Name, sk, tag)
 	}
 	s.mu.Unlock()
 	return sk, nil

@@ -12,8 +12,7 @@ import (
 
 // TestRankQueryWorkersConsistent checks that the worker fan-out override
 // never changes a ranking: any worker count returns the same candidates,
-// order, and bit-identical MI values as the sequential query and the
-// positional RankContext entry point.
+// order, and bit-identical MI values as the default fan-out.
 func TestRankQueryWorkersConsistent(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -44,7 +43,7 @@ func TestRankQueryWorkersConsistent(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	base, skipped, err := st.RankContext(ctx, train, "", 10, 3, 0)
+	base, skipped, err := st.RankQuery(ctx, train, RankOptions{MinJoinSize: 10, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

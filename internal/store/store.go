@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"misketch/internal/cache"
 	"misketch/internal/core"
 	"misketch/internal/mi"
 )
@@ -55,8 +56,8 @@ type Store struct {
 	view *catalogView
 	// liveBytes is the sum of manifest[*].Bytes, kept by setMetaLocked.
 	liveBytes int64
-	cache     *lruCache // nil when caching is disabled
-	dirty     bool      // manifest has unpersisted mutations
+	cache     *sketchCache // nil when caching is disabled
+	dirty     bool         // manifest has unpersisted mutations
 	// covered tracks, per segment, the end offset of the last record
 	// whose index entry this manifest map reflects. A Flush snapshots it
 	// together with the manifest, so a mutation that is durable in its
@@ -159,10 +160,6 @@ type OpenOptions struct {
 	// CompactMinGarbage overrides the dead-byte fraction that triggers
 	// auto-compaction (zero means DefaultCompactMinGarbage).
 	CompactMinGarbage float64
-	// Shards is accepted for compatibility with the file-per-sketch
-	// layout and ignored: the segment engine has no directory fan-out,
-	// and legacy stores of any fan-out migrate on open.
-	Shards int
 }
 
 // Open opens (creating if necessary) a sketch store rooted at dir with
@@ -187,7 +184,7 @@ func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 		if max == 0 {
 			max = DefaultCacheBytes
 		}
-		s.cache = newLRUCache(max)
+		s.cache = cache.NewLRU[string, cachedSketch](max)
 	}
 	switch opt.Backend {
 	case "", BackendFS:
@@ -321,9 +318,7 @@ func (s *Store) Put(name string, sk *core.Sketch) error {
 		}
 		s.gen.Add(1)
 		s.dirty = true
-		if s.cache != nil {
-			s.cache.add(name, sk, 0)
-		}
+		s.cacheLocked(name, sk, 0)
 		s.mu.Unlock()
 		s.puts.Add(1)
 		return nil
@@ -336,22 +331,21 @@ func (s *Store) Put(name string, sk *core.Sketch) error {
 func (s *Store) Get(name string) (*core.Sketch, error) {
 	for attempt := 0; ; attempt++ {
 		s.mu.Lock()
-		if s.cache != nil {
-			if sk, tag, ok := s.cache.get(name); ok {
-				if tag != 0 {
-					// A ranking query cached a borrowed view; hand the
-					// caller an owning copy instead of a sketch whose
-					// memory a compaction could retire. The clone happens
-					// under the lock — a concurrent compaction purges and
-					// unmaps retired segments under the same lock, so the
-					// view's bytes cannot vanish mid-copy — and replaces
-					// the borrowed entry so later Gets are plain hits.
-					sk = core.CloneSketch(sk)
-					s.cache.add(name, sk, 0)
-				}
-				s.mu.Unlock()
-				return sk, nil
+		if ent, ok := s.cache.Get(name); ok {
+			sk := ent.sk
+			if ent.seg != 0 {
+				// A ranking query cached a borrowed view; hand the
+				// caller an owning copy instead of a sketch whose
+				// memory a compaction could retire. The clone happens
+				// under the lock — a concurrent compaction purges and
+				// unmaps retired segments under the same lock, so the
+				// view's bytes cannot vanish mid-copy — and replaces
+				// the borrowed entry so later Gets are plain hits.
+				sk = core.CloneSketch(sk)
+				s.cacheLocked(name, sk, 0)
 			}
+			s.mu.Unlock()
+			return sk, nil
 		}
 		m, known := s.manifest[name]
 		gen := s.gen.Load()
@@ -372,8 +366,8 @@ func (s *Store) Get(name string) (*core.Sketch, error) {
 		// Only cache the load if no Put or Delete raced it: a stale (or
 		// deleted) version must not be resurrected into the cache over
 		// the mutation's result.
-		if _, ok := s.manifest[name]; ok && s.gen.Load() == gen && s.backend == b && s.cache != nil {
-			s.cache.add(name, sk, 0)
+		if _, ok := s.manifest[name]; ok && s.gen.Load() == gen && s.backend == b {
+			s.cacheLocked(name, sk, 0)
 		}
 		s.mu.Unlock()
 		return sk, nil
@@ -404,9 +398,7 @@ func (s *Store) Delete(name string) error {
 		s.covered[seg] = end
 	}
 	s.gen.Add(1)
-	if s.cache != nil {
-		s.cache.remove(name)
-	}
+	s.cache.Delete(name)
 	s.mu.Unlock()
 	s.deletes.Add(1)
 	return nil
@@ -473,7 +465,7 @@ func (s *Store) RebuildManifest() error {
 	s.resetManifestLocked(metas)
 	s.covered = newFB.coveredSnapshot()
 	if s.cache != nil {
-		s.cache = newLRUCache(s.cache.max)
+		s.cache = cache.NewLRU[string, cachedSketch](s.cache.Max())
 	}
 	s.dirty = true
 	old.abandon()
@@ -501,53 +493,52 @@ func (s *Store) verifyCleanLocked(fb *fsBackend) bool {
 // crashed process cannot leave half-written telemetry behind. Callers
 // wanting durable metrics should export Stats snapshots to their own
 // monitoring system. TestStatsAreProcessLifetime pins this contract.
+//
+// The field order and tags are the "store" object of the discovery
+// server's GET /v1/stats, which serves this struct as is.
 type Stats struct {
 	// Backend is the storage engine ("fs" or "mem").
-	Backend string
+	Backend string `json:"backend"`
 	// Sketches is the number of indexed sketches.
-	Sketches int
+	Sketches int `json:"sketches"`
 	// Segments is the number of live segment files and SegmentBytes
 	// their total size; LiveBytes is the portion still referenced by
-	// the manifest — the rest is garbage awaiting compaction. All zero
-	// on the mem backend.
-	Segments     int
-	SegmentBytes int64
-	LiveBytes    int64
+	// the manifest — the rest is garbage awaiting compaction.
+	// IndexedSegments counts live segments carrying an inverted key
+	// index and PostingBytes their total index section size on disk.
+	// All zero on the mem backend.
+	Segments        int   `json:"segments"`
+	IndexedSegments int   `json:"indexed_segments"`
+	SegmentBytes    int64 `json:"segment_bytes"`
+	PostingBytes    int64 `json:"posting_bytes"`
+	LiveBytes       int64 `json:"live_bytes"`
 	// Compactions counts completed compaction passes by this handle.
-	Compactions int64
+	Compactions int64 `json:"compactions"`
 	// CacheBytes is the current size of the decoded-sketch cache.
-	CacheBytes int64
+	CacheBytes int64 `json:"cache_bytes"`
 	// CacheHits/CacheMisses/Evictions count cache outcomes.
-	CacheHits, CacheMisses, Evictions int64
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
+	Evictions   int64 `json:"evictions"`
 	// DiskReads counts sketch record decodes out of the backend — the
 	// operation manifest filtering and the cache exist to avoid.
-	DiskReads int64
+	DiskReads int64 `json:"disk_reads"`
 	// Puts/Deletes count successful mutations through this handle.
-	Puts, Deletes int64
+	Puts    int64 `json:"puts"`
+	Deletes int64 `json:"deletes"`
 	// RankQueries counts discovery queries served by this handle.
-	RankQueries int64
+	RankQueries int64 `json:"rank_queries"`
 	// RankBatches counts batch discovery queries (RankBatch calls).
-	RankBatches int64
+	RankBatches int64 `json:"rank_batches"`
 	// PrunedPairs counts the (train, candidate) pairs discovery queries
 	// skipped via the key-overlap prefilter — estimator invocations the
 	// coordinated-sample intersection proved unnecessary (whether the
 	// overlap came from a segment's key index or a loaded candidate).
-	PrunedPairs int64
-	// IndexedSegments counts live segments carrying an inverted key
-	// index and PostingBytes their total index section size on disk.
-	IndexedSegments int
-	PostingBytes    int64
-	// CompressedSegments counts live FSST-compressed segments;
-	// CompressedBytes is what their records occupy on disk and
-	// RawBytes what the same records would occupy raw — the achieved
-	// ratio is RawBytes/CompressedBytes.
-	CompressedSegments int
-	CompressedBytes    int64
-	RawBytes           int64
+	PrunedPairs int64 `json:"pruned_pairs"`
 	// CandidatesSkippedNoDecode counts candidates the per-segment key
 	// indexes excluded from ranking without decoding a single record —
 	// the prune rate that makes selection sub-linear in catalog size.
-	CandidatesSkippedNoDecode int64
+	CandidatesSkippedNoDecode int64 `json:"candidates_skipped_no_decode"`
 	// CascadeCheapOnly / CascadeExact split the cascade-eligible
 	// (train, candidate) pairs of ranking queries by how they resolved:
 	// by the cheap binned tier alone (the exact estimator never ran) or
@@ -555,15 +546,22 @@ type Stats struct {
 	// cascade-eligible pairs estimated; pairs of two categorical columns
 	// (whose exact estimator is already the cheap plug-in) and queries
 	// run with NoCascade or without a top-K bound are not counted.
-	CascadeCheapOnly int64
-	CascadeExact     int64
+	CascadeCheapOnly int64 `json:"cascade_cheap_only"`
+	CascadeExact     int64 `json:"cascade_exact"`
 	// CascadeMarginRescues counts exact-tier runs that the raw cheap
 	// score alone would have pruned — the safety margin or the
 	// saturation guard admitted them — and that then entered a running
 	// top-K heap. A zero rescue count under a representative workload is
 	// evidence the margin has slack; a high one means the cheap tier
 	// misorders that workload and the margin is load-bearing.
-	CascadeMarginRescues int64
+	CascadeMarginRescues int64 `json:"cascade_margin_rescues"`
+	// CompressedSegments counts live FSST-compressed segments;
+	// CompressedBytes is what their records occupy on disk and
+	// RawBytes what the same records would occupy raw — the achieved
+	// ratio is RawBytes/CompressedBytes.
+	CompressedSegments int   `json:"compressed_segments"`
+	CompressedBytes    int64 `json:"compressed_bytes"`
+	RawBytes           int64 `json:"raw_bytes"`
 }
 
 // Stats returns a snapshot of the handle's counters.
@@ -586,12 +584,8 @@ func (s *Store) Stats() Stats {
 		CascadeExact:              s.cascadeExact.Load(),
 		CascadeMarginRescues:      s.cascadeRescues.Load(),
 	}
-	if s.cache != nil {
-		st.CacheBytes = s.cache.used
-		st.CacheHits = s.cache.hits
-		st.CacheMisses = s.cache.misses
-		st.Evictions = s.cache.evictions
-	}
+	cs := s.cache.Stats()
+	st.CacheBytes, st.CacheHits, st.CacheMisses, st.Evictions = cs.Used, cs.Hits, cs.Misses, cs.Evictions
 	if fb, ok := s.backend.(*fsBackend); ok {
 		for _, info := range fb.segmentInfos() {
 			st.Segments++
@@ -673,11 +667,6 @@ type RankedSketch struct {
 	JoinSize  int
 }
 
-// Rank is RankContext with a background context and no top-K bound.
-func (s *Store) Rank(train *core.Sketch, prefix string, minJoinSize, k int) (ranked []RankedSketch, skipped []string, err error) {
-	return s.RankContext(context.Background(), train, prefix, minJoinSize, k, 0)
-}
-
 // RankOptions tunes a discovery query; see RankQuery.
 type RankOptions struct {
 	// Prefix restricts ranking to stored sketches whose name has this
@@ -731,12 +720,6 @@ type RankOptions struct {
 	// so that exact−cheap residuals across the golden and synthetic
 	// corpora stay within it.
 	CascadeMargin float64
-}
-
-// RankContext is RankQuery with positional options, kept for callers of
-// the original signature.
-func (s *Store) RankContext(ctx context.Context, train *core.Sketch, prefix string, minJoinSize, k, topK int) (ranked []RankedSketch, skipped []string, err error) {
-	return s.RankQuery(ctx, train, RankOptions{Prefix: prefix, MinJoinSize: minJoinSize, K: k, TopK: topK})
 }
 
 // RankQuery estimates MI between the train sketch and every stored

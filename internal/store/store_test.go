@@ -228,29 +228,6 @@ func TestLegacyShardedLayoutMigration(t *testing.T) {
 	}
 }
 
-func TestShardsOptionAcceptedAndIgnored(t *testing.T) {
-	// The legacy fan-out option must stay accepted (callers set it) and
-	// harmless — including values the old engine had to clamp.
-	st, err := OpenWithOptions(t.TempDir(), OpenOptions{Shards: 1 << 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk := buildSketch(t, core.RoleCandidate, 0, func(g int) float64 { return float64(g) })
-	if err := st.Put("a#x", sk); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := OpenWithOptions(st.Dir(), OpenOptions{Shards: 512})
-	if err != nil {
-		t.Fatalf("reopen with a different fan-out: %v", err)
-	}
-	if _, err := st2.Get("a#x"); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLegacyFlatLayoutMigration(t *testing.T) {
 	dir := t.TempDir()
 	sk := buildSketch(t, core.RoleCandidate, 0, func(g int) float64 { return float64(g) })
@@ -476,7 +453,7 @@ func TestRankManifestOnlyFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, skipped, err := cold.Rank(train, "cand/", 0, mi.DefaultK)
+	ranked, skipped, err := cold.RankQuery(context.Background(), train, RankOptions{Prefix: "cand/", K: mi.DefaultK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,12 +484,12 @@ func TestRankTopK(t *testing.T) {
 			return float64(g%7) + noise*rng.NormFloat64()
 		}))
 	}
-	full, _, err := st.Rank(train, "", 0, mi.DefaultK)
+	full, _, err := st.RankQuery(context.Background(), train, RankOptions{K: mi.DefaultK})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 3, len(full), len(full) + 5} {
-		top, _, err := st.RankContext(context.Background(), train, "", 0, mi.DefaultK, k)
+		top, _, err := st.RankQuery(context.Background(), train, RankOptions{K: mi.DefaultK, TopK: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,7 +512,7 @@ func TestRankContextCancellation(t *testing.T) {
 	st.Put("c", buildSketch(t, core.RoleCandidate, 0, func(g int) float64 { return float64(g % 5) }))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := st.RankContext(ctx, train, "", 0, mi.DefaultK, 0); !errors.Is(err, context.Canceled) {
+	if _, _, err := st.RankQuery(ctx, train, RankOptions{K: mi.DefaultK}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -625,7 +602,7 @@ func TestConcurrentPutGetRank(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, _, err := st.RankContext(context.Background(), train, "seed", 0, mi.DefaultK, 2); err != nil {
+					if _, _, err := st.RankQuery(context.Background(), train, RankOptions{Prefix: "seed", K: mi.DefaultK, TopK: 2}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -656,7 +633,7 @@ func TestRankOrdersByMI(t *testing.T) {
 	st.Put("cand/noise", buildSketch(t, core.RoleCandidate, 0, func(g int) float64 { return rng.NormFloat64() }))
 	st.Put("other/unrelated", buildSketch(t, core.RoleCandidate, 99, func(g int) float64 { return float64(g) })) // wrong seed
 
-	ranked, skipped, err := st.Rank(train, "cand/", 100, mi.DefaultK)
+	ranked, skipped, err := st.RankQuery(context.Background(), train, RankOptions{Prefix: "cand/", MinJoinSize: 100, K: mi.DefaultK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +651,7 @@ func TestRankOrdersByMI(t *testing.T) {
 	}
 
 	// Without the prefix, the wrong-seed sketch is skipped, not an error.
-	_, skipped, err = st.Rank(train, "", 100, mi.DefaultK)
+	_, skipped, err = st.RankQuery(context.Background(), train, RankOptions{MinJoinSize: 100, K: mi.DefaultK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,7 +664,7 @@ func TestRankSkipsTrainRoleSketches(t *testing.T) {
 	st, _ := Open(t.TempDir())
 	train := buildSketch(t, core.RoleTrain, 0, func(g int) float64 { return float64(g % 5) })
 	st.Put("a-train-sketch", train)
-	_, skipped, err := st.Rank(train, "", 0, mi.DefaultK)
+	_, skipped, err := st.RankQuery(context.Background(), train, RankOptions{K: mi.DefaultK})
 	if err != nil {
 		t.Fatal(err)
 	}

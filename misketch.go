@@ -245,7 +245,7 @@ type Ranked struct {
 // data-discovery query ("which external tables are worth joining?").
 // Candidates whose sketch join has at most minJoinSize samples are
 // dropped: minJoinSize is the largest join size still excluded, matching
-// the paper's "JoinSize ≤ 100" filter and the boundary Store.Rank
+// the paper's "JoinSize ≤ 100" filter and the boundary Store.RankQuery
 // applies. Zero keeps every candidate with a non-empty join.
 func Rank(train *Sketch, cands []Candidate, minJoinSize int) ([]Ranked, error) {
 	probe := core.CompileTrainProbe(train)

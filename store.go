@@ -93,8 +93,8 @@ func LoadSketch(path string) (*Sketch, error) {
 // fresh segments. The "mem" backend keeps everything in process memory
 // for diskless services and tests. Ranking filters candidates on the
 // manifest alone (no record decodes for excluded candidates), supports
-// context cancellation via RankContext, and bounds results to the top K
-// with per-worker heaps.
+// context cancellation, and bounds results to the top K with per-worker
+// heaps (Store.RankQuery).
 type Store = store.Store
 
 // Storage backends selectable via OpenStoreOptions.Backend.
@@ -142,9 +142,7 @@ const DefaultCascadeMargin = store.DefaultCascadeMargin
 // per-segment symbol table, key hashes dictionary-coded) — rankings stay
 // bit-identical, raw and compressed segments mix freely, and existing
 // segments compress at their next compaction (`store compact -compress`
-// backfills in one pass). Shards is the legacy file-per-sketch fan-out,
-// accepted and ignored (legacy stores of any fan-out migrate
-// transparently on open).
+// backfills in one pass).
 type OpenStoreOptions = store.OpenOptions
 
 // SketchMeta is one manifest record: the per-sketch metadata (seed,
@@ -172,14 +170,13 @@ type StoreStats = store.Stats
 // with default options. Typical usage: at ingestion time,
 // SketchCandidate every column of every dataset and Put it (then Close
 // to persist the manifest); at query time, SketchTrain the user's table
-// and Rank — or RankContext for cancellation and top-K — against the
-// store.
+// and RankQuery against the store.
 func OpenStore(dir string) (*Store, error) {
 	return store.Open(dir)
 }
 
-// OpenStoreWithOptions is OpenStore with explicit cache and sharding
-// options.
+// OpenStoreWithOptions is OpenStore with explicit cache, backend and
+// compaction options.
 func OpenStoreWithOptions(dir string, opt OpenStoreOptions) (*Store, error) {
 	return store.OpenWithOptions(dir, opt)
 }

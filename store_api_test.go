@@ -109,7 +109,7 @@ func TestStoreAPIEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ranked, skipped, err := st.Rank(trainSk, "", 100, DefaultK)
+	ranked, skipped, err := st.RankQuery(context.Background(), trainSk, RankOptions{MinJoinSize: 100, K: DefaultK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestStoreAPIEndToEnd(t *testing.T) {
 
 func TestStoreOptionsAndTopKAPI(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStoreWithOptions(dir, OpenStoreOptions{CacheBytes: 4 << 20, Shards: 8})
+	st, err := OpenStoreWithOptions(dir, OpenStoreOptions{CacheBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestStoreOptionsAndTopKAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := cold.Rank(trainSk, "", 100, DefaultK)
+	full, _, err := cold.RankQuery(context.Background(), trainSk, RankOptions{MinJoinSize: 100, K: DefaultK})
 	if err != nil {
 		t.Fatal(err)
 	}
-	top3, _, err := cold.RankContext(context.Background(), trainSk, "", 100, DefaultK, 3)
+	top3, _, err := cold.RankQuery(context.Background(), trainSk, RankOptions{MinJoinSize: 100, K: DefaultK, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
