@@ -179,6 +179,9 @@ func runLoadtest(args []string) {
 			rec["result_hits"] = hits
 			rec["result_coalesced"] = coalesced
 			rec["result_shard_hits"] = shardHits
+			for _, k := range []string{"floor_queries", "round2_requests", "round2_skipped", "floor_fallbacks"} {
+				rec[k] = after[k] - before[k]
+			}
 			rec["hit_rate"] = math2(float64(hits) / n)
 			rec["coalesce_rate"] = math2(float64(coalesced) / n)
 		}

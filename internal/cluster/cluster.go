@@ -13,12 +13,26 @@
 // engine already provides:
 //
 //   - Shards are disjoint, so a candidate appears in exactly one
-//     shard's top-K and concatenation never double-counts.
-//   - Each shard ranks with the same total order the store uses —
-//     MI descending, name ascending on ties — and a per-shard top-K
-//     is a superset of that shard's contribution to the global top-K.
+//     shard's answer and concatenation never double-counts.
+//   - Each shard ranks with the same total order the store uses — MI
+//     descending, name ascending on ties — and contributes a superset
+//     of its share of the global top-K: its top-K of {MI ≥ floor}, or,
+//     when its seed bound is under the floor, its seed rows.
 //     Concatenate, sort by the same order, cut at K: bit-identical to
 //     a single node ranking the union catalog.
+//
+// The floor lets a shard prune like a single node would: one holding
+// none of the strong candidates has a low K-th MI of its own and would
+// otherwise score its whole slice exactly. A query with a top-K cut and
+// the cascade on, over more than one shard, runs in two rounds. Round 1
+// asks every shard for a seed answer: its first K candidates in
+// cheap-score order, scored exactly, and a certified upper bound on the
+// rest. The floor is the K-th best of all seed scores: K candidates of
+// the union reach it, so nothing under it is in the top-K. Round 2
+// sends min_mi = floor — a filter, so the answer is exact whatever the
+// floor — to the shards whose bound reaches it. A floored merge of
+// fewer than K rows means a mutation landed between the rounds, and
+// round 2 is rerun without the floor: only speed rests on the floor.
 //
 // Failure handling is degraded-results, not fail-stop: a scattered
 // query that loses shards still answers from the shards that responded,
@@ -77,13 +91,13 @@ type Options struct {
 	// immediately.
 	RetryBackoff time.Duration
 	// ResultCacheBytes bounds the coordinator's result cache: per-shard
-	// decoded answers revalidated by shard ETag (an unchanged shard
-	// answers 304 and its cached top-K feeds the merge without a body
-	// transfer or decode), merged encoded responses replayed when every
-	// shard revalidates, and singleflight coalescing of concurrent
-	// identical requests. Zero or negative disables caching and
-	// coalescing; the coordinator still emits ETags and honors client
-	// If-None-Match. Partial (degraded) responses are never cached.
+	// answers revalidated by shard ETag (an unchanged shard answers 304
+	// and its cached answer feeds the merge without a body transfer),
+	// merged encoded responses replayed when every shard revalidates, and
+	// singleflight coalescing of concurrent identical requests. Zero or
+	// negative disables caching and coalescing; the coordinator still
+	// emits ETags and honors client If-None-Match. Partial (degraded)
+	// responses are never cached.
 	ResultCacheBytes int64
 	// ShutdownTimeout bounds the graceful drain in ListenAndServe.
 	ShutdownTimeout time.Duration
@@ -197,9 +211,11 @@ type Coordinator struct {
 	// resultcache.go. The three counters are the cache's own.
 	results     *cache.LRU[ccKey, *ccEntry]
 	flights     *cache.Flights[[sha256.Size]byte, server.Outcome]
-	shardHits   atomic.Int64 // shard 304s whose decoded heap fed a merge
+	shardHits   atomic.Int64 // shard 304s whose cached answer fed a merge
 	mergedHits  atomic.Int64 // merged bodies replayed without a merge
 	notModified atomic.Int64 // client If-None-Match answered 304
+	// The two-round scatter's counters (rank.go).
+	floorQueries, round2Requests, round2Skipped, floorFallbacks atomic.Int64
 }
 
 // New builds a coordinator over the given shard base URLs (e.g.
@@ -278,11 +294,15 @@ func (c *Coordinator) ServeListener(ctx context.Context, ln net.Listener) error 
 // scatter issues the same request to every shard concurrently and
 // returns one result per shard, in shard order. inm, when non-nil, is a
 // per-shard If-None-Match value (inm[i] for shard i; empty sends none),
-// so shards holding unchanged answers reply 304 without a body.
-func (c *Coordinator) scatter(ctx context.Context, method, pathAndQuery string, body []byte, contentType string, inm []string) []shardResult {
+// so shards holding unchanged answers reply 304 without a body. only,
+// when non-nil, marks the shards to ask; the others' results stay zero.
+func (c *Coordinator) scatter(ctx context.Context, method, pathAndQuery string, body []byte, inm []string, only []bool) []shardResult {
 	out := make([]shardResult, len(c.shards))
 	var wg sync.WaitGroup
 	for i, sh := range c.shards {
+		if only != nil && !only[i] {
+			continue
+		}
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
@@ -290,7 +310,7 @@ func (c *Coordinator) scatter(ctx context.Context, method, pathAndQuery string, 
 			if i < len(inm) {
 				tag = inm[i]
 			}
-			out[i] = sh.do(ctx, method, pathAndQuery, body, contentType, tag, c.opt)
+			out[i] = sh.do(ctx, method, pathAndQuery, body, tag, c.opt)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -337,6 +357,13 @@ type CoordinatorStats struct {
 	ResultNotModified int64 `json:"result_not_modified"`
 	ResultBytes       int64 `json:"result_bytes"`
 	ResultEntries     int   `json:"result_entries"`
+	// The two-round scatter: queries that ran a seed round, round-2
+	// requests sent, shards round 2 skipped (their seed bound under the
+	// floor), and floored merges that came up short and were rerun.
+	FloorQueries   int64 `json:"floor_queries"`
+	Round2Requests int64 `json:"round2_requests"`
+	Round2Skipped  int64 `json:"round2_skipped"`
+	FloorFallbacks int64 `json:"floor_fallbacks"`
 }
 
 // StatsResponse is the body of GET /v1/stats on a coordinator.
@@ -365,6 +392,10 @@ func (c *Coordinator) Stats() StatsResponse {
 			ResultNotModified: c.notModified.Load(),
 			ResultBytes:       rc.Used,
 			ResultEntries:     rc.Entries,
+			FloorQueries:      c.floorQueries.Load(),
+			Round2Requests:    c.round2Requests.Load(),
+			Round2Skipped:     c.round2Skipped.Load(),
+			FloorFallbacks:    c.floorFallbacks.Load(),
 		},
 	}
 	for i, sh := range c.shards {
@@ -393,7 +424,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			res := sh.doOnce(ctx, http.MethodGet, "/healthz", nil, "", "", c.opt)
+			res := sh.doOnce(ctx, http.MethodGet, "/healthz", nil, "", c.opt)
 			health[i] = shardHealth{URL: sh.url, OK: res.err == nil && res.status == http.StatusOK}
 		}(i, sh)
 	}

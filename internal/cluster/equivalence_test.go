@@ -226,9 +226,10 @@ func TestStatsKeySets(t *testing.T) {
 			"rank_queries", "raw_bytes", "segment_bytes", "segments", "sketches",
 		},
 		coord.URL + " coordinator": {
-			"batch_failures", "batch_partial", "batch_requests", "rank_failures", "rank_partial", "rank_requests",
+			"batch_failures", "batch_partial", "batch_requests", "floor_fallbacks", "floor_queries",
+			"rank_failures", "rank_partial", "rank_requests",
 			"result_bytes", "result_coalesced", "result_entries", "result_evictions", "result_merged_hits",
-			"result_not_modified", "result_shard_hits",
+			"result_not_modified", "result_shard_hits", "round2_requests", "round2_skipped",
 		},
 		// last_error is omitempty and absent on a healthy shard.
 		coord.URL + " shards": {"errors", "mean_latency_ns", "requests", "retries", "total_latency_ns", "url"},

@@ -3,10 +3,10 @@ package cluster
 // Scatter-gather ranking. The coordinator validates a request once,
 // resolves by-name trains to inline sketch bytes (a stored train lives
 // on exactly one shard; the others must still rank against it), fans
-// the request out to every shard, and merges the per-shard top-K heaps
-// under the store's total order — MI descending, name ascending on
-// ties — so the merged top-K is bit-identical to a single node ranking
-// the union catalog.
+// the request out to every shard, and merges the per-shard rows under
+// the store's total order — MI descending, name ascending on ties — so
+// the merged top-K is bit-identical to a single node ranking the union
+// catalog.
 //
 // /v1/rank and /v1/rank/batch run the same code: a single rank is a
 // batch of one train. What differs — the body's shape coming in, a
@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"net/http"
 	"net/url"
 	"slices"
@@ -64,11 +63,16 @@ type scatterRequest struct {
 	// cannot split the cache.
 	wire any
 	// trains and sketches point at each train's by-name and inline
-	// fields inside wire.
+	// fields inside wire; minMI at each train's floor and seed at the
+	// seed flag, which encode rewrites between the rounds.
 	trains, sketches []*string
+	minMI            []*float64
+	seed             *bool
 	// names label a batch's per-train slices.
-	names []string
-	top   int
+	names  []string
+	top    int
+	seeded bool      // the query runs a seed round
+	own    []float64 // the floors the request came with
 
 	// canon and digest are set by prep: the canonical body and the key
 	// of the cache and flight tables.
@@ -86,7 +90,8 @@ func rankEndpoint() *endpoint {
 			}
 			return &scatterRequest{
 				wire: req, trains: []*string{&req.Train}, sketches: []*string{&req.Sketch},
-				names: []string{""}, top: req.Top,
+				minMI: []*float64{&req.MinMI}, seed: &req.Seed,
+				names: []string{""}, top: req.Top, seeded: !req.NoCascade,
 			}, nil
 		},
 		decodeShard: func(body []byte, _ int) (*server.RankBatchResponse, error) {
@@ -113,11 +118,12 @@ func batchEndpoint() *endpoint {
 			if err != nil {
 				return nil, err
 			}
-			sreq := &scatterRequest{wire: req, top: req.Top}
+			sreq := &scatterRequest{wire: req, seed: &req.Seed, top: req.Top, seeded: !req.NoCascade}
 			for i := range req.Trains {
 				ref := &req.Trains[i]
 				sreq.trains = append(sreq.trains, &ref.Train)
 				sreq.sketches = append(sreq.sketches, &ref.Sketch)
+				sreq.minMI = append(sreq.minMI, &ref.MinMI)
 				sreq.names = append(sreq.names, ref.Name)
 			}
 			return sreq, nil
@@ -138,8 +144,7 @@ func batchEndpoint() *endpoint {
 // Rank scatters one rank query to every shard and merges the answers.
 // It returns a *ClusterError when the request is invalid or no shard
 // could answer; a degraded answer (some shards lost) is not an error —
-// inspect Partial and ShardErrors. The returned response may be shared
-// with the coordinator's result cache and must not be mutated.
+// inspect Partial and ShardErrors.
 func (c *Coordinator) Rank(ctx context.Context, req RankRequest) (*RankResponse, error) {
 	return query[RankResponse](ctx, c, c.rank, req)
 }
@@ -163,11 +168,15 @@ func query[R any](ctx context.Context, c *Coordinator, ep *endpoint, req any) (*
 		ep.failures.Add(1)
 		return nil, cerr
 	}
-	resp, _, cerr := c.scatterMerge(ctx, ep, sreq)
+	out, cerr := c.scatterMerge(ctx, ep, sreq)
 	if cerr != nil {
 		return nil, cerr
 	}
-	return resp.(*R), nil
+	resp := new(R)
+	if err := json.Unmarshal(out.Body, resp); err != nil {
+		return nil, &ClusterError{StatusCode: http.StatusInternalServerError, Message: err.Error()}
+	}
+	return resp, nil
 }
 
 // prep turns a raw request body into its canonical scattered form:
@@ -188,116 +197,201 @@ func (c *Coordinator) prep(ctx context.Context, ep *endpoint, body []byte) (*sca
 		}
 		*req.trains[i], *req.sketches[i] = "", sketch
 	}
-	if req.canon, err = json.Marshal(req.wire); err != nil {
+	for _, f := range req.minMI {
+		req.own = append(req.own, *f)
+	}
+	// A seed round pays when there is a floor to find — a top-K cut the
+	// cascade prunes under — and more than one shard to carry it to.
+	req.seeded = req.seeded && req.top > 0 && len(c.shards) > 1
+	if req.canon, err = req.encode(req.seeded, req.own); err != nil {
 		return nil, &ClusterError{StatusCode: http.StatusInternalServerError, Message: err.Error()}
 	}
 	req.digest = requestDigest(ep.tag, req.canon)
 	return req, nil
 }
 
-// scatterMerge runs the cached scatter-merge: revalidate cached
-// per-shard answers with If-None-Match, decode only the shards that
-// changed, and replay the merged body outright when nothing did. It
-// returns the merged response and its wire outcome, whose ETag is ""
-// when the answer is partial or a shard sent no ETag.
-func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatterRequest) (any, server.Outcome, *ClusterError) {
+// encode marshals the request as the shards take it, under the given
+// seed flag and per-train floors.
+func (r *scatterRequest) encode(seed bool, floors []float64) ([]byte, error) {
+	*r.seed = seed
+	for q, f := range floors {
+		*r.minMI[q] = f
+	}
+	return json.Marshal(r.wire)
+}
+
+// scatterMerge runs the cached scatter-merge, in the package comment's
+// two rounds when the query is seeded. Round 1 is the request as prep
+// canonicalized it, revalidated per shard with If-None-Match; when every
+// shard revalidates and the merge of exactly those answers is cached,
+// its bytes are replayed and nothing else runs. Round 2 depends on every
+// shard's seeds and is never cached. Skipped, pruned, probes_cached and
+// workers are round 1's, whose phase 1 computes them in full. The
+// outcome's ETag is "" when the answer is partial or a shard sent none.
+func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatterRequest) (server.Outcome, *ClusterError) {
 	started := time.Now()
-	inm := make([]string, len(c.shards))
-	cached := make([]*ccEntry, len(c.shards))
+	n := len(c.shards)
+	inm, cached := make([]string, n), make([]*ccEntry, n)
 	for i := range c.shards {
 		if ent, ok := c.results.Get(ccKey{shard: i, digest: req.digest}); ok {
-			cached[i] = ent
-			inm[i] = ent.etag
+			cached[i], inm[i] = ent, ent.etag
 		}
 	}
-	results := c.scatter(ctx, http.MethodPost, ep.path, req.canon, "application/json", inm)
+	results := c.scatter(ctx, http.MethodPost, ep.path, req.canon, inm, nil)
+	tags := make([]string, n)
+	hits := 0
+	for i := range results {
+		if r := &results[i]; r.err == nil && r.status == http.StatusNotModified && cached[i] != nil {
+			// The shard vouched for its cached answer: no body crossed.
+			r.status, r.body, r.etag = http.StatusOK, cached[i].body, cached[i].etag
+			hits++
+		}
+		tags[i] = results[i].etag
+	}
+	c.shardHits.Add(int64(hits))
+	mergedKey := ccKey{shard: mergedShard, digest: req.digest}
+	if ent, ok := c.results.Get(mergedKey); ok && hits == n && ent.etag == coordEtagFor(req.digest, tags) {
+		c.mergedHits.Add(1)
+		return server.Outcome{Status: http.StatusOK, ETag: ent.etag, Body: ent.body}, nil
+	}
 
-	// Queries merge positionally: every shard answers in request order,
-	// so query q's slices concatenate across shards.
-	m := &server.RankBatchResponse{Queries: make([]server.BatchQueryResponse, len(req.names))}
-	for q, name := range req.names {
-		m.Queries[q] = server.BatchQueryResponse{Name: name, Ranked: []server.RankedResult{}}
-	}
-	skipped := map[string]bool{}
 	var lost []ShardError
-	tags := make([]string, len(results))
-	answered := 0
-	allRevalidated := true
-	merge := func(sr *server.RankBatchResponse) {
-		answered++
-		for q := range sr.Queries {
-			m.Queries[q].Ranked = append(m.Queries[q].Ranked, sr.Queries[q].Ranked...)
-			m.Queries[q].Pruned += sr.Queries[q].Pruned
+	// answer decodes one shard's 200; anything else loses the shard.
+	answer := func(r shardResult) *server.RankBatchResponse {
+		if r.err != nil || r.status != http.StatusOK {
+			lost = append(lost, r.shardError())
+			return nil
 		}
-		for _, name := range sr.Skipped {
-			skipped[name] = true
+		sr, err := ep.decodeShard(r.body, len(req.names))
+		if err != nil {
+			lost = append(lost, ShardError{Shard: r.shard.url, Error: err.Error()})
+			return nil
 		}
-		m.ProbesCached += sr.ProbesCached
-		m.Workers = max(m.Workers, sr.Workers)
+		return sr
 	}
+	// first[i] is shard i's round-1 answer, nil once the shard is lost; a
+	// round-2 answer replaces its ranked rows and nothing else.
+	first := make([]*server.RankBatchResponse, n)
 	for i, r := range results {
-		switch {
-		case r.err == nil && r.status == http.StatusNotModified && cached[i] != nil:
-			// The shard vouched that its cached answer still holds:
-			// reuse the decoded heap, no body crossed the wire.
-			c.shardHits.Add(1)
-			tags[i] = cached[i].etag
-			merge(cached[i].shard)
-		case r.err == nil && r.status == http.StatusOK:
-			allRevalidated = false
-			sr, err := ep.decodeShard(r.body, len(req.names))
-			if err != nil {
-				lost = append(lost, ShardError{Shard: r.shard.url, Error: err.Error()})
+		first[i] = answer(r)
+		if first[i] != nil && r.etag != "" && (cached[i] == nil || cached[i].etag != r.etag) {
+			c.remember(ccKey{shard: i, digest: req.digest}, r.etag, r.body)
+		}
+	}
+	floors := req.own
+	// round2 asks the shards still answering — all of them, or those
+	// whose seed bound reaches the floor — for their rows under floors.
+	round2 := func(all bool) {
+		only := make([]bool, n)
+		for i, sr := range first {
+			if only[i] = sr != nil && (all || reaches(sr, floors)); sr != nil && !only[i] {
+				c.round2Skipped.Add(1)
+			}
+		}
+		body, _ := req.encode(false, floors) // prep marshaled it; only floats moved
+		for i, r := range c.scatter(ctx, http.MethodPost, ep.path, body, nil, only) {
+			if !only[i] {
 				continue
 			}
-			tags[i] = r.etag
-			if r.etag != "" {
-				c.results.Add(ccKey{shard: i, digest: req.digest},
-					&ccEntry{etag: r.etag, shard: sr}, int64(len(r.body))+ccEntryOverhead)
+			c.round2Requests.Add(1)
+			if sr := answer(r); sr == nil {
+				first[i] = nil
+			} else {
+				for q := range sr.Queries {
+					first[i].Queries[q].Ranked = sr.Queries[q].Ranked
+				}
 			}
-			merge(sr)
-		default:
-			allRevalidated = false
-			lost = append(lost, r.shardError())
+		}
+	}
+	// gather merges the answers in hand into m. Every shard answers in
+	// request order, so query q's rows at or above its floor concatenate
+	// across shards. It reports a raised floor leaving a query short of K.
+	var m *server.RankBatchResponse
+	var answered int
+	gather := func() (short bool) {
+		m = &server.RankBatchResponse{Queries: make([]server.BatchQueryResponse, len(req.names))}
+		answered = 0
+		for q, name := range req.names {
+			m.Queries[q] = server.BatchQueryResponse{Name: name, Ranked: []server.RankedResult{}}
+		}
+		for _, sr := range first {
+			if sr == nil {
+				continue
+			}
+			answered++
+			for q := range sr.Queries {
+				m.Queries[q].Pruned += sr.Queries[q].Pruned
+				for _, row := range sr.Queries[q].Ranked {
+					if row.MI >= floors[q] {
+						m.Queries[q].Ranked = append(m.Queries[q].Ranked, row)
+					}
+				}
+			}
+			m.Skipped = append(m.Skipped, sr.Skipped...)
+			m.ProbesCached += sr.ProbesCached
+			m.Workers = max(m.Workers, sr.Workers)
+		}
+		for q := range m.Queries {
+			sortRanked(m.Queries[q].Ranked)
+			short = short || len(m.Queries[q].Ranked) < req.top && floors[q] > req.own[q]
+		}
+		return short
+	}
+	gather()
+	if req.seeded {
+		c.floorQueries.Add(1)
+		// A train's floor is the K-th best of all its seed scores; with
+		// fewer than K seeds it keeps its own.
+		floors = slices.Clone(req.own)
+		for q := range m.Queries {
+			if r := m.Queries[q].Ranked; len(r) >= req.top {
+				floors[q] = r[req.top-1].MI
+			}
+		}
+		round2(false)
+		if gather() {
+			c.floorFallbacks.Add(1)
+			floors = req.own
+			round2(true)
+			gather()
 		}
 	}
 	if answered == 0 {
 		ep.failures.Add(1)
-		return nil, server.Outcome{}, allShardsFailed(ep.what, lost)
+		return server.Outcome{}, allShardsFailed(ep.what, lost)
 	}
 	// Every shard either answered or is in lost, so lost is non-empty
 	// exactly on a partial answer.
 	if len(lost) > 0 {
 		ep.partial.Add(1)
 	}
-
-	etag := ""
-	mergedKey := ccKey{shard: mergedShard, digest: req.digest}
+	for q := range m.Queries {
+		if r := m.Queries[q].Ranked; req.top > 0 && len(r) > req.top {
+			m.Queries[q].Ranked = r[:req.top]
+		}
+	}
+	slices.Sort(m.Skipped)
+	m.Skipped = slices.Compact(m.Skipped)
+	m.ElapsedNS = time.Since(started).Nanoseconds()
+	out := server.Outcome{Status: http.StatusOK, Body: server.EncodeJSON(ep.respond(m, answered, lost))}
 	// Without an ETag from every shard the coordinator cannot vouch for
 	// content stability and emits none.
 	if len(lost) == 0 && !slices.Contains(tags, "") {
-		etag = coordEtagFor(req.digest, tags)
-		if allRevalidated {
-			if ent, ok := c.results.Get(mergedKey); ok && ent.etag == etag && slices.Equal(ent.shardTags, tags) {
-				// Every shard revalidated and the merge for exactly this
-				// set of shard answers is cached: replay its bytes.
-				c.mergedHits.Add(1)
-				return ent.merged, server.Outcome{Status: http.StatusOK, ETag: etag, Body: ent.body}, nil
-			}
+		out.ETag = coordEtagFor(req.digest, tags)
+		c.remember(mergedKey, out.ETag, out.Body)
+	}
+	return out, nil
+}
+
+// reaches reports whether a seed answer leaves its shard anything a
+// floor admits: on some train it has no bound, or one at or above it.
+func reaches(sr *server.RankBatchResponse, floors []float64) bool {
+	for q, f := range floors {
+		if b := sr.Queries[q].SeedBound; b == nil || *b >= f {
+			return true
 		}
 	}
-	for q := range m.Queries {
-		m.Queries[q].Ranked = mergeRanked(m.Queries[q].Ranked, req.top)
-	}
-	m.Skipped = sortedNames(skipped)
-	m.ElapsedNS = time.Since(started).Nanoseconds()
-	resp := ep.respond(m, answered, lost)
-	encoded := server.EncodeJSON(resp)
-	if etag != "" {
-		c.results.Add(mergedKey,
-			&ccEntry{etag: etag, merged: resp, body: encoded, shardTags: tags}, int64(len(encoded))+ccEntryOverhead)
-	}
-	return resp, server.Outcome{Status: http.StatusOK, ETag: etag, Body: encoded}, nil
+	return false
 }
 
 // resolveTrain locates a stored train by name: scatter GET /v1/get, the
@@ -307,7 +401,7 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 // nowhere; a sick shard (5xx, unreachable) could be the owner, so the
 // resolution fails 502 rather than inventing a 404.
 func (c *Coordinator) resolveTrain(ctx context.Context, name string) (string, *ClusterError) {
-	results := c.scatter(ctx, http.MethodGet, "/v1/get?name="+url.QueryEscape(name), nil, "", nil)
+	results := c.scatter(ctx, http.MethodGet, "/v1/get?name="+url.QueryEscape(name), nil, nil, nil)
 	notFound := 0
 	var serrs []ShardError
 	for _, r := range results {
@@ -360,29 +454,17 @@ func allShardsFailed(what string, serrs []ShardError) *ClusterError {
 	return ce
 }
 
-// mergeRanked sorts the concatenated per-shard rankings under the
-// store's total order and cuts at top (0 keeps all). Shards are
-// disjoint, so names are unique and (MI desc, name asc) is total —
-// the merge is deterministic and bit-identical to a single-node rank
-// over the union catalog.
-func mergeRanked(in []server.RankedResult, top int) []server.RankedResult {
+// sortRanked sorts the concatenated per-shard rankings under the
+// store's total order. Shards are disjoint, so names are unique and
+// (MI desc, name asc) is total — the merge is deterministic and, cut at
+// top, bit-identical to a single-node rank over the union catalog.
+func sortRanked(in []server.RankedResult) {
 	sort.Slice(in, func(i, j int) bool {
 		if in[i].MI != in[j].MI {
 			return in[i].MI > in[j].MI
 		}
 		return in[i].Name < in[j].Name
 	})
-	if top > 0 && len(in) > top {
-		in = in[:top]
-	}
-	return in
-}
-
-func sortedNames(set map[string]bool) []string {
-	if len(set) == 0 {
-		return nil
-	}
-	return slices.Sorted(maps.Keys(set))
 }
 
 // serveRank is the handler of both rank endpoints.
@@ -418,7 +500,7 @@ func (c *Coordinator) serveRank(ep *endpoint) http.HandlerFunc {
 			}
 			return
 		}
-		_, out, cerr := c.scatterMerge(f.Context(), ep, req)
+		out, cerr := c.scatterMerge(f.Context(), ep, req)
 		if cerr != nil {
 			out = errorOutcome(cerr)
 		}
@@ -457,7 +539,7 @@ func (c *Coordinator) handleLs(w http.ResponseWriter, r *http.Request) {
 	if prefix := r.URL.Query().Get("prefix"); prefix != "" {
 		pathAndQuery += "?prefix=" + url.QueryEscape(prefix)
 	}
-	results := c.scatter(r.Context(), http.MethodGet, pathAndQuery, nil, "", nil)
+	results := c.scatter(r.Context(), http.MethodGet, pathAndQuery, nil, nil, nil)
 	resp := LsResponse{LsResponse: server.LsResponse{Sketches: []server.MetaResult{}}}
 	answered := 0
 	for _, res := range results {

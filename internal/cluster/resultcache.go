@@ -5,25 +5,24 @@ package cluster
 // already encodes.
 //
 // Per-shard entries. Each (request digest, shard) pair remembers the
-// shard's last ETag and its *decoded* top-K answer. On the next
-// identical request the coordinator scatters with If-None-Match: an
-// unchanged shard answers 304 with no body, and the cached decoded
-// heap feeds the merge directly — no body transfer, no JSON decode.
-// A shard whose catalog moved (or that restarted — its ETag epoch is
-// new) answers 200 with a fresh body, which replaces the entry. A
-// stale entry is therefore harmless by construction: its only power
-// is an If-None-Match header, and a shard that cannot revalidate it
-// sends full data.
+// shard's last ETag and the encoded body of its round-1 answer. On the
+// next identical request the coordinator scatters with If-None-Match:
+// an unchanged shard answers 304 with no body, and the cached one feeds
+// the merge — no ranking, no body transfer. A shard whose catalog moved
+// (or that restarted — its ETag epoch is new) answers 200 with a fresh
+// body, which replaces the entry. A stale entry is therefore harmless
+// by construction: its only power is an If-None-Match header, and a
+// shard that cannot revalidate it sends full data.
 //
 // Merged entries. When every shard revalidated (all 304) and the
 // merged response for exactly that set of shard ETags is cached, the
-// coordinator replays its encoded bytes — skipping the merge sort and
-// re-encode too. The coordinator's own ETag is derived from the
-// request digest plus the per-shard ETags, so it is pure content: it
-// survives coordinator restarts and changes exactly when some shard's
-// answer changes. Clients revalidate with If-None-Match against the
-// coordinator the same way the coordinator revalidates against
-// shards.
+// coordinator replays its encoded bytes — skipping the decodes, round
+// 2, the merge sort and the re-encode. The coordinator's own ETag is
+// derived from the request digest plus the per-shard ETags, so it is
+// pure content: it survives coordinator restarts and changes exactly
+// when some shard's answer changes. Clients revalidate with
+// If-None-Match against the coordinator the same way the coordinator
+// revalidates against shards.
 //
 // Partial (degraded) responses are never cached and never carry an
 // ETag: a lost shard means the answer is not a pure function of the
@@ -40,11 +39,10 @@ package cluster
 // one, honoring If-None-Match from clients) does not depend on either.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-
-	"misketch/internal/server"
 )
 
 // ccKey identifies one cache entry: a per-shard answer (shard >= 0) or
@@ -57,22 +55,24 @@ type ccKey struct {
 // mergedShard is the ccKey.shard sentinel for merged entries.
 const mergedShard = -1
 
-// ccEntry is one cached answer. Shard entries hold the decoded
-// response (the merge wants structs, not bytes); merged entries hold
-// the response, its encoded body (the client wants bytes) and the shard
-// ETags the merge consumed, which gate replay. An entry is charged the
-// wire body it came from or encodes to, plus ccEntryOverhead — for
-// shard entries an estimate of what the decode kept.
+// ccEntry is one cached answer: a shard's round-1 body under the shard's
+// ETag, or the merged body under the coordinator's — which hashes the
+// shard ETags the merge consumed, so an equal ETag is what gates replay.
 type ccEntry struct {
-	etag      string
-	shard     *server.RankBatchResponse
-	merged    any
-	body      []byte
-	shardTags []string
+	etag string
+	body []byte
 }
 
 // ccEntryOverhead approximates per-entry bookkeeping bytes.
 const ccEntryOverhead = 200
+
+// remember caches body under key, charged what the entry holds: an
+// exact-size copy, without the growth slack of a body read off the wire.
+func (c *Coordinator) remember(key ccKey, etag string, body []byte) {
+	if c.results != nil {
+		c.results.Add(key, &ccEntry{etag: etag, body: bytes.Clone(body)}, int64(len(body)+len(etag))+ccEntryOverhead)
+	}
+}
 
 // requestDigest keys a scattered request: a tag separating the
 // endpoints plus the canonical (decoded and re-marshaled) body, so

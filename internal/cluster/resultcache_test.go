@@ -280,6 +280,40 @@ func TestClusterPartialNeverCached(t *testing.T) {
 	if st := coord.Stats().Coordinator; st.ResultMergedHits != 0 {
 		t.Fatalf("merged replays = %d during degraded service, want 0", st.ResultMergedHits)
 	}
+
+	// A shard that answers round 1 and is gone before round 2: its seeds
+	// are in hand, and the answer is still partial, untagged and uncached.
+	// (Shard 0 holds eleven candidates, one more than the seeds of a top
+	// 10, so round 2 has to come back to it.)
+	shard0 := server.New(tc.shardSts[0], server.Options{})
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		raw, _ := io.ReadAll(r.Body)
+		if !bytes.Contains(raw, []byte(`"seed":true`)) {
+			panic(http.ErrAbortHandler) // drop the connection
+		}
+		r.Body = io.NopCloser(bytes.NewReader(raw))
+		shard0.ServeHTTP(w, r)
+	}))
+	defer flaky.Close()
+	coord2, err := New([]string{flaky.URL, tc.shards[2].URL}, Options{ResultCacheBytes: 1 << 20, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs2 := httptest.NewServer(coord2)
+	defer cs2.Close()
+	for pass := 0; pass < 2; pass++ {
+		status, etag, raw := postCoord(t, cs2.URL, body, "")
+		var rr RankResponse
+		mustUnmarshal(t, raw, &rr)
+		if status != http.StatusOK || !rr.Partial || etag != "" || len(rr.ShardErrors) != 1 || rr.ShardErrors[0].Shard != flaky.URL {
+			t.Fatalf("round-2 loss, pass %d: status %d etag %q: %s", pass, status, etag, raw)
+		}
+	}
+	// Only the two seed answers are cached — each authoritative for its
+	// shard — and the second pass revalidated both.
+	if st := coord2.Stats().Coordinator; st.ResultMergedHits != 0 || st.ResultEntries != 2 || st.ResultShardHits != 2 || st.Round2Requests < 2 {
+		t.Fatalf("round-2 loss: %+v", st)
+	}
 }
 
 // buildCandidate makes one joinable candidate whose values depend on

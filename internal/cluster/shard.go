@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -23,6 +24,8 @@ import (
 type shard struct {
 	url    string
 	client *http.Client
+	// maxResponse is maxShardResponse (a field only so tests can lower it).
+	maxResponse int64
 
 	requests  atomic.Int64
 	errors    atomic.Int64
@@ -34,7 +37,7 @@ type shard struct {
 func newShard(baseURL string, opt Options) *shard {
 	dialer := &net.Dialer{Timeout: server.Timeout(opt.ConnectTimeout, DefaultConnectTimeout)}
 	return &shard{
-		url: baseURL,
+		url: baseURL, maxResponse: maxShardResponse,
 		client: &http.Client{
 			Transport: &http.Transport{
 				DialContext:         dialer.DialContext,
@@ -68,7 +71,7 @@ type shardResult struct {
 // retry budget.
 func (r shardResult) transient() bool {
 	if r.err != nil {
-		return true
+		return !errors.Is(r.err, errTooLong)
 	}
 	switch r.status {
 	case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
@@ -80,16 +83,17 @@ func (r shardResult) transient() bool {
 // do issues one request to the shard, retrying transient failures with
 // exponential backoff up to the Options budget. The context bounds the
 // whole exchange including backoff waits; each attempt additionally
-// gets its own RequestTimeout. A non-empty ifNoneMatch is sent as the
-// If-None-Match header so an unchanged shard can answer 304 bodyless.
-func (s *shard) do(ctx context.Context, method, pathAndQuery string, body []byte, contentType, ifNoneMatch string, opt Options) shardResult {
+// gets its own RequestTimeout. A non-nil body is a JSON rank request. A
+// non-empty ifNoneMatch is sent as the If-None-Match header so an
+// unchanged shard can answer 304 bodyless.
+func (s *shard) do(ctx context.Context, method, pathAndQuery string, body []byte, ifNoneMatch string, opt Options) shardResult {
 	s.requests.Add(1)
 	started := time.Now()
 	backoff := server.Timeout(opt.RetryBackoff, DefaultRetryBackoff)
 	attempts := retryBudget(opt.Retries) + 1
 	var res shardResult
 	for attempt := 0; ; attempt++ {
-		res = s.doOnce(ctx, method, pathAndQuery, body, contentType, ifNoneMatch, opt)
+		res = s.doOnce(ctx, method, pathAndQuery, body, ifNoneMatch, opt)
 		if !res.transient() || attempt+1 >= attempts || ctx.Err() != nil {
 			break
 		}
@@ -115,9 +119,17 @@ func (s *shard) do(ctx context.Context, method, pathAndQuery string, body []byte
 	return res
 }
 
+// maxShardResponse caps one shard response, so a sick or lying shard
+// cannot make the coordinator buffer without bound. It is the request
+// cap: a shard holds no sketch larger than it accepts.
+const maxShardResponse = server.DefaultMaxBodyBytes
+
+// errTooLong fails a response over the cap; a retry would draw the same.
+var errTooLong = errors.New("response exceeds the shard response cap")
+
 // doOnce is a single attempt: one request, one response, body fully
 // read so the connection returns to the pool.
-func (s *shard) doOnce(ctx context.Context, method, pathAndQuery string, body []byte, contentType, ifNoneMatch string, opt Options) shardResult {
+func (s *shard) doOnce(ctx context.Context, method, pathAndQuery string, body []byte, ifNoneMatch string, opt Options) shardResult {
 	if d := server.Timeout(opt.RequestTimeout, DefaultRequestTimeout); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
@@ -131,8 +143,13 @@ func (s *shard) doOnce(ctx context.Context, method, pathAndQuery string, body []
 	if err != nil {
 		return shardResult{shard: s, err: err}
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+		if opt.ResultCacheBytes > 0 {
+			// The coordinator keeps what it can revalidate; the shard's
+			// own copy would buy nothing.
+			req.Header.Set("Cache-Control", "no-store")
+		}
 	}
 	if ifNoneMatch != "" {
 		req.Header.Set("If-None-Match", ifNoneMatch)
@@ -142,7 +159,10 @@ func (s *shard) doOnce(ctx context.Context, method, pathAndQuery string, body []
 		return shardResult{shard: s, err: err}
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := io.ReadAll(io.LimitReader(resp.Body, s.maxResponse+1))
+	if err == nil && int64(len(b)) > s.maxResponse {
+		err = errTooLong
+	}
 	if err != nil {
 		return shardResult{shard: s, err: fmt.Errorf("reading response: %w", err)}
 	}

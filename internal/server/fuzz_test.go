@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -70,6 +71,10 @@ func FuzzRankRequest(f *testing.F) {
 	f.Add([]byte(`{"train":"fuzz/c","top":5,"cascade_margin":-1}`))
 	f.Add([]byte(`{"train":"fuzz/c","cascade_margin":1e308}`))
 	f.Add([]byte(`{"train":"fuzz/c","no_cascade":"yes","cascade_margin":"wide"}`))
+	f.Add([]byte(`{"train":"fuzz/c","top":5,"min_mi":0.25,"seed":true}`))
+	f.Add([]byte(`{"train":"fuzz/c","min_mi":-0.25}`))
+	f.Add([]byte(`{"train":"fuzz/c","min_mi":1e999,"seed":1}`))
+	f.Add([]byte(`{"train":"fuzz/c","min_mi":-0.0,"seed":true}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`null`))
@@ -78,6 +83,10 @@ func FuzzRankRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzPost(t, srv, "/v1/rank", body)
+		// A floor the decoder lets through is one a ranking can take.
+		if req, err := DecodeRankRequest(body); err == nil && !(req.MinMI >= 0 && req.MinMI <= math.MaxFloat64) {
+			t.Fatalf("body %q decoded with min_mi %v", body, req.MinMI)
+		}
 	})
 }
 
@@ -141,6 +150,10 @@ func FuzzRankBatchRequest(f *testing.F) {
 	f.Add([]byte(`{"trains":[{"name":"a","sketch":"` + b64 + `"}],"top":999999999,"k":-3}`))
 	f.Add([]byte(`{"trains":[{"train":"fuzz/c"}],"top":5,"no_cascade":true,"cascade_margin":-0.5}`))
 	f.Add([]byte(`{"trains":[{"train":"fuzz/c"}],"cascade_margin":1e999}`))
+	f.Add([]byte(`{"trains":[{"train":"fuzz/c","min_mi":0.5},{"name":"b","sketch":"` + b64 + `","min_mi":0}],"top":2,"seed":true}`))
+	f.Add([]byte(`{"trains":[{"train":"fuzz/c","min_mi":-1}]}`))
+	f.Add([]byte(`{"trains":[{"train":"fuzz/c","min_mi":1e999}],"seed":"yes"}`))
+	f.Add([]byte(`{"trains":[{"train":"fuzz/c"}],"min_mi":1}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`null`))
@@ -149,25 +162,37 @@ func FuzzRankBatchRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzPost(t, srv, "/v1/rank/batch", body)
+		if req, err := DecodeRankBatchRequest(body); err == nil {
+			for i, tr := range req.Trains {
+				if !(tr.MinMI >= 0 && tr.MinMI <= math.MaxFloat64) {
+					t.Fatalf("body %q decoded with trains[%d].min_mi %v", body, i, tr.MinMI)
+				}
+			}
+		}
 	})
 }
 
 // FuzzCanonicalization is the result-cache key differential: two
 // semantically equal rank requests — one spelling its knobs implicitly,
 // one spelling the resolved defaults explicitly — MUST land on the same
-// canonical digest, and any change to a resolved knob, the train
-// content, or the order of a batch's trains MUST change it. A collision
+// canonical digest, and any change to a resolved knob, the seed flag, a
+// floor (down to its last bit), the train content, or the order of a
+// batch's trains MUST change it. A collision
 // in either direction is a correctness bug: the cache would silently
 // serve one query's answer to a different query.
 func FuzzCanonicalization(f *testing.F) {
-	f.Add("bench/", 100, true, 4, 10, 2, false, 0.5, 4, uint64(1))
-	f.Add("", -3, false, 0, 0, 0, true, 0.0, 8, uint64(2))
-	f.Add("p", 7, true, 1, 1, 99, false, -2.0, 3, uint64(3))
-	f.Add("corpus/", 50, true, 6, 25, 1, false, 1e308, 1, uint64(4))
+	f.Add("bench/", 100, true, 4, 10, 2, false, 0.5, 4, uint64(1), 0.0, false)
+	f.Add("", -3, false, 0, 0, 0, true, 0.0, 8, uint64(2), 2.37, true)
+	f.Add("p", 7, true, 1, 1, 99, false, -2.0, 3, uint64(3), math.SmallestNonzeroFloat64, false)
+	f.Add("corpus/", 50, true, 6, 25, 1, false, 1e308, 1, uint64(4), math.MaxFloat64, true)
 	f.Fuzz(func(t *testing.T, prefix string, minJoin int, hasMinJoin bool,
-		k, top, workers int, noCascade bool, margin float64, maxWorkers int, seed uint64) {
+		k, top, workers int, noCascade bool, margin float64, maxWorkers int, seed uint64,
+		floor float64, seedFlag bool) {
 		if maxWorkers < 1 {
 			maxWorkers = 1
+		}
+		if !(floor >= 0 && floor <= math.MaxFloat64) {
+			floor = 0 // the decoder admits nothing else
 		}
 		if math.IsNaN(margin) {
 			// A JSON request can never carry NaN, and NaN breaks the
@@ -179,6 +204,7 @@ func FuzzCanonicalization(f *testing.F) {
 			mj = &minJoin
 		}
 		p := resolveRankParams(prefix, mj, k, top, workers, noCascade, margin, maxWorkers)
+		p.seed, p.floors = seedFlag, []float64{floor}
 		train := probeDigest(sha256.Sum256([]byte(fmt.Sprintf("train-%d", seed))))
 		key := canonicalRankDigest(train, p)
 
@@ -186,7 +212,8 @@ func FuzzCanonicalization(f *testing.F) {
 		// is the same request and must collide with the implicit form.
 		mj2 := p.minJoin
 		p2 := resolveRankParams(p.prefix, &mj2, p.k, p.top, p.workers, p.noCascade, p.margin, maxWorkers)
-		if p2 != p {
+		p2.seed, p2.floors = p.seed, p.floors
+		if !reflect.DeepEqual(p2, p) {
 			t.Fatalf("resolution is not idempotent: %+v -> %+v", p, p2)
 		}
 		if canonicalRankDigest(train, p2) != key {
@@ -195,7 +222,7 @@ func FuzzCanonicalization(f *testing.F) {
 
 		// Differential 2: every single-knob change to the resolved
 		// params must change the key (injectivity of the digest).
-		perturbed := []rankParams{p, p, p, p, p, p, p}
+		perturbed := []rankParams{p, p, p, p, p, p, p, p, p, p, p}
 		perturbed[0].prefix += "x"
 		perturbed[1].minJoin++
 		perturbed[2].k++
@@ -207,6 +234,15 @@ func FuzzCanonicalization(f *testing.F) {
 		} else {
 			perturbed[6].margin = -1
 		}
+		perturbed[7].seed = !p.seed
+		// One bit up, one bit down (or, from 0, the smallest floor there
+		// is), and one floor more.
+		perturbed[8].floors = []float64{math.Nextafter(floor, math.Inf(1))}
+		perturbed[9].floors = []float64{math.Nextafter(floor, -1)}
+		if floor == 0 {
+			perturbed[9].floors = []float64{math.SmallestNonzeroFloat64 * 2}
+		}
+		perturbed[10].floors = []float64{floor, floor}
 		for i, q := range perturbed {
 			if canonicalRankDigest(train, q) == key {
 				t.Fatalf("perturbation %d collided: %+v vs %+v", i, p, q)
@@ -222,6 +258,16 @@ func FuzzCanonicalization(f *testing.F) {
 		// order — so the keys must NOT collide. Nor may a one-train
 		// batch collide with the equivalent single rank query.
 		names := []string{"a", "b"}
+		alt := 1.0
+		if floor == alt {
+			alt = 2
+		}
+		p.floors = []float64{floor, alt}
+		swapped := p
+		swapped.floors = []float64{alt, floor}
+		if canonicalBatchDigest(names, []probeDigest{train, other}, p) == canonicalBatchDigest(names, []probeDigest{train, other}, swapped) {
+			t.Fatalf("two trains trading floors collided for %+v", p)
+		}
 		ab := canonicalBatchDigest(names, []probeDigest{train, other}, p)
 		ba := canonicalBatchDigest([]string{"b", "a"}, []probeDigest{other, train}, p)
 		if ab == ba {

@@ -110,7 +110,8 @@ type ErrorResponse struct {
 }
 
 // EncodeJSON marshals v with the trailing newline json.Encoder puts on
-// the wire, so cached bytes and streamed bytes are interchangeable.
+// the wire, so cached bytes and streamed bytes are interchangeable. The
+// result has no spare capacity: result caches retain it as it is.
 func EncodeJSON(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -118,7 +119,9 @@ func EncodeJSON(v any) []byte {
 		// programming error, surfaced as a well-formed 500 body.
 		return []byte(`{"error":"encoding response"}` + "\n")
 	}
-	return append(b, '\n')
+	out := make([]byte, len(b)+1)
+	out[copy(out, b)] = '\n'
+	return out
 }
 
 // WriteJSON writes v as a JSON response with the given status.

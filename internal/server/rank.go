@@ -23,7 +23,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -68,6 +70,13 @@ type RankRequest struct {
 	// margin at or above the calibrated default; smaller margins trade
 	// that guarantee for more pruning.
 	CascadeMargin float64 `json:"cascade_margin,omitempty"`
+	// MinMI is a floor on the result: candidates whose exact MI is below
+	// it are dropped before the top cut, and the cascade prunes under it.
+	MinMI float64 `json:"min_mi,omitempty"`
+	// Seed asks for a seed answer, round 1 of a cluster coordinator's
+	// scatter: only the first top candidates in the cascade's cheap-score
+	// order, scored exactly, plus seed_bound.
+	Seed bool `json:"seed,omitempty"`
 }
 
 // RankedResult is one row of a RankResponse.
@@ -91,6 +100,10 @@ type RankResponse struct {
 	Workers int `json:"workers"`
 	// ElapsedNS is the server-side wall time of the ranking itself.
 	ElapsedNS int64 `json:"elapsed_ns"`
+	// SeedBound, on a seed answer, is a certified upper bound on the exact
+	// MI of every candidate it left unscored (-1: none was); absent when
+	// nothing can be certified.
+	SeedBound *float64 `json:"seed_bound,omitempty"`
 }
 
 // BatchTrainRef selects one train side of a batch rank request. Exactly
@@ -104,11 +117,13 @@ type BatchTrainRef struct {
 	Sketch string `json:"sketch,omitempty"`
 	// Train names a stored sketch to use as the train side.
 	Train string `json:"train,omitempty"`
+	// MinMI is this train's result floor; see RankRequest.MinMI.
+	MinMI float64 `json:"min_mi,omitempty"`
 }
 
 // RankBatchRequest is the body of POST /v1/rank/batch. The shared knobs
-// (prefix, min_join, k, top, workers, no_cascade, cascade_margin) mean
-// what they mean on /v1/rank and apply to every query in the batch.
+// (prefix, min_join, k, top, workers, no_cascade, cascade_margin, seed)
+// mean what they mean on /v1/rank and apply to every query in the batch.
 type RankBatchRequest struct {
 	Trains        []BatchTrainRef `json:"trains"`
 	Prefix        string          `json:"prefix,omitempty"`
@@ -118,6 +133,7 @@ type RankBatchRequest struct {
 	Workers       int             `json:"workers,omitempty"`
 	NoCascade     bool            `json:"no_cascade,omitempty"`
 	CascadeMargin float64         `json:"cascade_margin,omitempty"`
+	Seed          bool            `json:"seed,omitempty"`
 }
 
 // BatchQueryResponse is one train's slice of a RankBatchResponse.
@@ -127,6 +143,8 @@ type BatchQueryResponse struct {
 	// Pruned counts the candidates the key-overlap prefilter removed
 	// for this train without running an estimator.
 	Pruned int `json:"pruned"`
+	// SeedBound is this train's RankResponse.SeedBound.
+	SeedBound *float64 `json:"seed_bound,omitempty"`
 }
 
 // RankBatchResponse is the body of a successful POST /v1/rank/batch.
@@ -158,13 +176,20 @@ func decodeStrict(body []byte, v any, what string) error {
 	return nil
 }
 
-// validateKnobs range-checks the knobs both endpoints share.
-func validateKnobs(k, top, workers int, minJoin *int) error {
-	if k < 0 || top < 0 || workers < 0 {
+// validateKnobs range-checks the knobs both endpoints share and the
+// batch form's per-train floors.
+func (req *RankBatchRequest) validateKnobs() error {
+	if req.K < 0 || req.Top < 0 || req.Workers < 0 {
 		return fmt.Errorf("k, top, and workers must be non-negative")
 	}
-	if minJoin != nil && *minJoin < -1 {
+	if req.MinJoin != nil && *req.MinJoin < -1 {
 		return fmt.Errorf("min_join must be >= -1")
+	}
+	for i := range req.Trains {
+		// !(>= 0) also catches a NaN built outside a JSON decoder.
+		if f := req.Trains[i].MinMI; !(f >= 0) || math.IsInf(f, 1) {
+			return fmt.Errorf("min_mi must be a finite non-negative number")
+		}
 	}
 	return nil
 }
@@ -172,9 +197,9 @@ func validateKnobs(k, top, workers int, minJoin *int) error {
 // asBatch is the request as the batch of one train it is served as.
 func (req *RankRequest) asBatch() *RankBatchRequest {
 	return &RankBatchRequest{
-		Trains: []BatchTrainRef{{Sketch: req.Sketch, Train: req.Train}},
+		Trains: []BatchTrainRef{{Sketch: req.Sketch, Train: req.Train, MinMI: req.MinMI}},
 		Prefix: req.Prefix, MinJoin: req.MinJoin, K: req.K, Top: req.Top, Workers: req.Workers,
-		NoCascade: req.NoCascade, CascadeMargin: req.CascadeMargin,
+		NoCascade: req.NoCascade, CascadeMargin: req.CascadeMargin, Seed: req.Seed,
 	}
 }
 
@@ -183,7 +208,7 @@ func (req *RankRequest) asBatch() *RankBatchRequest {
 func (resp *RankBatchResponse) AsSingle() *RankResponse {
 	return &RankResponse{
 		Ranked: resp.Queries[0].Ranked, Skipped: resp.Skipped, ProbeCached: resp.ProbesCached == 1,
-		Workers: resp.Workers, ElapsedNS: resp.ElapsedNS,
+		Workers: resp.Workers, ElapsedNS: resp.ElapsedNS, SeedBound: resp.Queries[0].SeedBound,
 	}
 }
 
@@ -191,7 +216,7 @@ func (resp *RankBatchResponse) AsSingle() *RankResponse {
 // merges shard answers of either endpoint in the batch shape.
 func (resp *RankResponse) AsBatch() *RankBatchResponse {
 	b := &RankBatchResponse{
-		Queries: []BatchQueryResponse{{Ranked: resp.Ranked}}, Skipped: resp.Skipped,
+		Queries: []BatchQueryResponse{{Ranked: resp.Ranked, SeedBound: resp.SeedBound}}, Skipped: resp.Skipped,
 		Workers: resp.Workers, ElapsedNS: resp.ElapsedNS,
 	}
 	if resp.ProbeCached {
@@ -211,7 +236,7 @@ func DecodeRankRequest(body []byte) (*RankRequest, error) {
 	if (req.Sketch == "") == (req.Train == "") {
 		return nil, fmt.Errorf("exactly one of \"sketch\" and \"train\" must be set")
 	}
-	if err := validateKnobs(req.K, req.Top, req.Workers, req.MinJoin); err != nil {
+	if err := req.asBatch().validateKnobs(); err != nil {
 		return nil, err
 	}
 	return &req, nil
@@ -248,7 +273,7 @@ func DecodeRankBatchRequest(body []byte) (*RankBatchRequest, error) {
 		}
 		seen[tr.Name] = true
 	}
-	if err := validateKnobs(req.K, req.Top, req.Workers, req.MinJoin); err != nil {
+	if err := req.validateKnobs(); err != nil {
 		return nil, err
 	}
 	return &req, nil
@@ -287,10 +312,14 @@ func rankEndpoint() *endpoint {
 			return canonicalRankDigest(trains[0], p)
 		},
 		rank: func(st *store.Store, ctx context.Context, trains []*core.Sketch, o store.BatchOptions) (*store.BatchResult, error) {
+			if o.Seed {
+				// RankQuery has nowhere to return a seed bound.
+				return st.RankBatch(ctx, trains, o)
+			}
 			ranked, skipped, err := st.RankQuery(ctx, trains[0], store.RankOptions{
 				Prefix: o.Prefix, MinJoinSize: o.MinJoinSize, K: o.K, TopK: o.TopK, Workers: o.Workers,
 				Probe: o.Probes[0], ScratchPool: o.ScratchPool,
-				NoCascade: o.NoCascade, CascadeMargin: o.CascadeMargin,
+				NoCascade: o.NoCascade, CascadeMargin: o.CascadeMargin, MinMI: o.MinMI[0],
 			})
 			return &store.BatchResult{Queries: []store.BatchQueryResult{{Ranked: ranked}}, Skipped: skipped}, err
 		},
@@ -407,6 +436,9 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 		trains := make([]*core.Sketch, len(req.Trains))
 		digests := make([]probeDigest, len(req.Trains))
 		names := make([]string, len(req.Trains))
+		p := resolveRankParams(req.Prefix, req.MinJoin, req.K, req.Top, req.Workers,
+			req.NoCascade, req.CascadeMargin, s.opt.MaxWorkers)
+		p.seed, p.floors = req.Seed, make([]float64, len(req.Trains))
 		for i := range req.Trains {
 			ref := &req.Trains[i]
 			train, digest, err := s.trainSketch(ref)
@@ -424,11 +456,10 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 					ep.label(i, ref), train.Seed, trains[0].Seed)
 				return
 			}
-			trains[i], digests[i], names[i] = train, digest, ref.Name
+			// + 0 folds -0 into 0: one floor, one cache key.
+			trains[i], digests[i], names[i], p.floors[i] = train, digest, ref.Name, ref.MinMI+0
 		}
 
-		p := resolveRankParams(req.Prefix, req.MinJoin, req.K, req.Top, req.Workers,
-			req.NoCascade, req.CascadeMargin, s.opt.MaxWorkers)
 		canon := ep.digest(names, digests, p)
 		key := cacheKey{digest: canon, gen: gen}
 		etag := etagFor(s.epoch, canon, gen)
@@ -466,7 +497,11 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 		fresh, cacheable := s.leadRank(f.Context(), ep, req, trains, digests, p)
 		if fresh.Status == http.StatusOK {
 			fresh.ETag, cacheable.ETag = etag, etag
-			s.results.Add(key, cacheable.Body, int64(len(cacheable.Body)+len(etag))+cacheEntryOverhead)
+			// no-store: the caller keeps the answer itself (a coordinator
+			// does), so the result is served and not retained.
+			if !strings.Contains(r.Header.Get("Cache-Control"), "no-store") {
+				s.results.Add(key, cacheable.Body, int64(len(cacheable.Body)+len(etag))+cacheEntryOverhead)
+			}
 		}
 		// Waiters receive the cacheable variant: by the time they read it,
 		// the probes this computation compiled are warm, so reporting them
@@ -529,6 +564,8 @@ func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchReque
 		ScratchPool:   s.scratch,
 		NoCascade:     p.noCascade,
 		CascadeMargin: p.margin,
+		MinMI:         p.floors,
+		Seed:          p.seed,
 	})
 	if err != nil {
 		ep.failures.Add(1)
@@ -550,6 +587,9 @@ func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchReque
 			Name:   req.Trains[q].Name,
 			Ranked: make([]RankedResult, len(qr.Ranked)),
 			Pruned: qr.Pruned,
+		}
+		if p.seed && !math.IsInf(qr.SeedBound, 1) {
+			out.SeedBound = &res.Queries[q].SeedBound
 		}
 		for i, rs := range qr.Ranked {
 			out.Ranked[i] = RankedResult{

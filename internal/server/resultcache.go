@@ -91,6 +91,9 @@ type rankParams struct {
 	workers   int
 	noCascade bool
 	margin    float64
+	// seed and floors (one per train) are the handler's to set.
+	seed   bool
+	floors []float64
 }
 
 // resolveRankParams collapses a decoded rank request's shared knobs to
@@ -131,6 +134,11 @@ func (p rankParams) hashInto(h *digestWriter) {
 	h.int64(int64(p.workers))
 	h.bool(p.noCascade)
 	h.float(p.margin)
+	h.bool(p.seed)
+	h.int64(int64(len(p.floors)))
+	for _, f := range p.floors {
+		h.float(f)
+	}
 }
 
 // canonicalRankDigest is the canonical digest of a single rank query:

@@ -214,6 +214,7 @@ func TestCoalescedWaiterGetsError(t *testing.T) {
 	}
 	q := mustJSON(t, RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", Top: 3})
 	p := resolveRankParams("corpus/", nil, 0, 3, 0, false, 0, srv.opt.MaxWorkers)
+	p.floors = []float64{0} // the handler digests one floor per train
 	key := cacheKey{digest: canonicalRankDigest(sha256.Sum256(raw.Bytes()), p), gen: st.Gen()}
 
 	f, leader, release := srv.flights.Join(context.Background(), key)

@@ -119,6 +119,19 @@ type BatchOptions struct {
 	// RankOptions.CascadeMargin (0 means DefaultCascadeMargin, negative
 	// means none).
 	CascadeMargin float64
+	// MinMI, when non-nil, must be parallel to the trains slice: train
+	// q's result is the top TopK of the candidates whose exact MI is at
+	// least MinMI[q]. The cascade's K-th-MI bound starts there, so a pair
+	// is pruned only when cheap + margin puts it provably below the floor
+	// or provably outside the local top K: the result is exact whatever
+	// the floor, and cheaper the higher it is.
+	MinMI []float64
+	// Seed asks for a seed answer instead of the ranking: phase 1 runs
+	// in full, then only each train's first TopK pairs in the cascade's
+	// deterministic cheap-descending order are scored exactly and
+	// returned, BatchQueryResult.SeedBound covering the rest. It is how a
+	// cluster coordinator finds a global MinMI.
+	Seed bool
 }
 
 // BatchQueryResult is one train's slice of a batch discovery result.
@@ -130,6 +143,11 @@ type BatchQueryResult struct {
 	// for this train: their key-hash overlap proved the sketch join
 	// would have at most MinJoinSize samples, so no estimator ran.
 	Pruned int
+	// SeedBound, under BatchOptions.Seed, bounds from above the exact MI
+	// of every candidate left unscored: their largest cheap + margin, -1
+	// when none was left, +Inf when one of them is saturated or
+	// categorical–categorical, or the query ran without the cascade.
+	SeedBound float64
 }
 
 // BatchResult is the result of a batch discovery query.
@@ -164,6 +182,9 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt BatchO
 	}
 	if opt.Probes != nil && len(opt.Probes) != len(trains) {
 		return nil, fmt.Errorf("store: RankBatch got %d probes for %d trains", len(opt.Probes), len(trains))
+	}
+	if opt.MinMI != nil && len(opt.MinMI) != len(trains) {
+		return nil, fmt.Errorf("store: RankBatch got %d MinMI floors for %d trains", len(opt.MinMI), len(trains))
 	}
 	for q, tr := range trains {
 		if tr.Seed != trains[0].Seed {
@@ -334,9 +355,25 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	} else if margin < 0 {
 		margin = 0
 	}
+	minMI := opt.MinMI
+	if minMI == nil {
+		minMI = make([]float64, len(trains))
+	}
 	var kthBound []atomic.Uint64
 	if cascade {
 		kthBound = make([]atomic.Uint64, len(trains))
+		for q, floor := range minMI {
+			if floor > 0 {
+				raiseBound(&kthBound[q], floor)
+			}
+		}
+	}
+	for q := range res.Queries {
+		if opt.Seed && cascade {
+			res.Queries[q].SeedBound = -1 // until a pair is left unscored
+		} else if opt.Seed {
+			res.Queries[q].SeedBound = math.Inf(1)
+		}
 	}
 
 	pool := opt.ScratchPool
@@ -479,6 +516,9 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 			}
 			r := probes[q].EstimateJoined(cand, js, opt.K, scratch)
 			rs := RankedSketch{Name: m.Name, MI: r.MI, Estimator: r.Estimator, JoinSize: r.N}
+			if r.MI < minMI[q] {
+				continue
+			}
 			if opt.TopK > 0 {
 				topsW[w][q].offer(rs, opt.TopK)
 			} else {
@@ -520,6 +560,24 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 			}
 			return tasks[a].q < tasks[b].q
 		})
+		if opt.Seed {
+			// Keep each train's first TopK pairs; every pair after them
+			// only feeds the train's bound on what the answer leaves out.
+			taken := make([]int, len(trains))
+			seeds := tasks[:0]
+			for _, t := range tasks {
+				switch b := &res.Queries[t.q].SeedBound; {
+				case taken[t.q] < opt.TopK:
+					taken[t.q]++
+					seeds = append(seeds, t)
+				case t.exempt || t.cheap+margin >= t.ceil:
+					*b = math.Inf(1)
+				default:
+					*b = max(*b, t.cheap+margin)
+				}
+			}
+			tasks = seeds
+		}
 		chunkB := len(tasks) / (workers * 8)
 		if chunkB < 1 {
 			chunkB = 1
@@ -534,7 +592,7 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 			}
 			t := tasks[ti]
 			rescue := false
-			if !t.exempt {
+			if !t.exempt && !opt.Seed {
 				if tb := kthBound[t.q].Load(); tb != 0 {
 					kth := math.Float64frombits(tb - 1)
 					ub := t.cheap + margin
@@ -558,7 +616,7 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 			}
 			r := probes[t.q].EstimateJoined(cands[t.ci], js, opt.K, scratch)
 			rs := RankedSketch{Name: m.Name, MI: r.MI, Estimator: r.Estimator, JoinSize: r.N}
-			if topsW[w][t.q].offer(rs, opt.TopK) {
+			if r.MI >= minMI[t.q] && topsW[w][t.q].offer(rs, opt.TopK) {
 				if rescue {
 					cascadeW[w][2]++
 				}

@@ -720,6 +720,9 @@ type RankOptions struct {
 	// so that exact−cheap residuals across the golden and synthetic
 	// corpora stay within it.
 	CascadeMargin float64
+	// MinMI is a floor on the result: candidates whose exact MI is below
+	// it are dropped before the TopK cut; see BatchOptions.MinMI.
+	MinMI float64
 }
 
 // RankQuery estimates MI between the train sketch and every stored
@@ -778,6 +781,7 @@ func (s *Store) RankQuery(ctx context.Context, train *core.Sketch, opt RankOptio
 		NoIndex:       opt.NoIndex,
 		NoCascade:     opt.NoCascade,
 		CascadeMargin: opt.CascadeMargin,
+		MinMI:         []float64{opt.MinMI},
 	}, !opt.NoIndex)
 	if err != nil {
 		return nil, nil, err
