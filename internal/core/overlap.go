@@ -5,12 +5,12 @@ package core
 // sketches' key-hash sets is exactly the set of keys their sketch join
 // recovers — and the sketch join size, the quantity the min-join
 // confidence filter thresholds on, is computable from key hashes alone:
-// no value pairing, no estimator, no per-pair scratch. Batch ranking
-// (store.RankBatch) probes this count for every (train, candidate) pair
-// before running an estimator; any pair whose overlap proves the join
-// would fall at or below the min-join cutoff is pruned for a small
-// fraction of the estimator's cost, with a result provably identical to
-// having estimated and then dropped it.
+// no value pairing, no estimator, no per-pair scratch. Ranking takes
+// this count from the first step of its scratch join (JoinAbove) for
+// every (train, candidate) pair before any value is read; any pair whose
+// overlap proves the join would fall at or below the min-join cutoff is
+// pruned there, with a result provably identical to having estimated and
+// then dropped it.
 
 // KeyOverlap returns the sketch join size of (train, cand) computed from
 // key hashes alone: the number of (train entry, candidate entry) pairs
@@ -22,8 +22,9 @@ package core
 // meaningful; KeyOverlap does not check, because prefilter callers have
 // already filtered on seed.
 //
-// This is the reference implementation; the ranking hot path uses the
-// allocation-free TrainProbe.KeyOverlap on its compiled index.
+// This is the reference implementation; TrainProbe.KeyOverlap computes
+// it allocation-free on a compiled index, and TrainProbe.JoinAbove, the
+// ranking hot path, reports it as the Size of every join it probes.
 func KeyOverlap(train, cand *Sketch) int {
 	mult := make(map[uint32]int, train.Len())
 	for _, hk := range train.KeyHashes {

@@ -116,6 +116,7 @@ type Scratch struct {
 	// candFirst heads them and nextJoined links them (both offset by 1).
 	candFirst  []int32
 	nextJoined []int32
+	chained    bool    // the three arrays above describe the match in candOf
 	xOrder     []int32 // joined x ordering hint (train value order filtered)
 	yOrder     []int32 // joined y ordering hint (cand value order filtered)
 }
@@ -150,14 +151,60 @@ func (sp *ScratchPool) Put(s *Scratch) {
 // sketch and returns the paired values, exactly like Join, but probing
 // the compiled train index with zero steady-state allocations: the
 // sample is written into the scratch's joined-pair buffers, which stay
-// valid until the next JoinScratch call on the same scratch. Both
-// sketches must share a hash seed. Unlike Join, duplicate candidate key
-// hashes are reported only when they actually join a train entry;
-// duplicates that match nothing cannot affect the sample.
+// valid until the next join on the same scratch. Both sketches must
+// share a hash seed. Unlike Join, duplicate candidate key hashes are
+// reported only when they actually join a train entry; duplicates that
+// match nothing cannot affect the sample. The scratch is left ready for
+// EstimateJoined.
 func (p *TrainProbe) JoinScratch(cand *Sketch, s *Scratch) (JoinedSample, error) {
+	return p.JoinAbove(cand, -1, true, s)
+}
+
+// JoinAbove is JoinScratch for a caller that discards joins of at most
+// minJoin samples, in one probe of the train index: a pair whose key
+// overlap (KeyOverlap's count, which the probe yields before any value
+// is read) is at or below minJoin comes back with only Size set and
+// nothing emitted. A duplicated candidate hash that joins is an error
+// whatever the overlap. exact says whether EstimateJoined will follow;
+// a caller that only reads the sample, like the cascade's cheap tier,
+// passes false and spares the ordering-hint chains.
+func (p *TrainProbe) JoinAbove(cand *Sketch, minJoin int, exact bool, s *Scratch) (JoinedSample, error) {
+	overlap, err := p.match(cand, s)
+	if err != nil || overlap <= minJoin {
+		return JoinedSample{Size: overlap}, err
+	}
+	if exact && p.valOrder != nil && cand.Numeric {
+		p.chains(cand, s, overlap)
+	}
+	train := p.train
+	js := JoinedSample{Size: overlap}
+	if train.Numeric {
+		s.MI.JoinYNum = gather(s.MI.JoinYNum, train.Nums, s.candOf, false)
+		js.Y = mi.NumericColumn(s.MI.JoinYNum)
+	} else {
+		s.MI.JoinYStr = gather(s.MI.JoinYStr, train.Strs, s.candOf, false)
+		js.Y = mi.CategoricalColumn(s.MI.JoinYStr)
+	}
+	if cand.Numeric {
+		s.MI.JoinXNum = gather(s.MI.JoinXNum, cand.Nums, s.candOf, true)
+		js.X = mi.NumericColumn(s.MI.JoinXNum)
+	} else {
+		s.MI.JoinXStr = gather(s.MI.JoinXStr, cand.Strs, s.candOf, true)
+		js.X = mi.CategoricalColumn(s.MI.JoinXStr)
+	}
+	return js, nil
+}
+
+// match is the one loop that probes the train index with candidate key
+// hashes. It scatters the matches by train entry into s.candOf (matched
+// candidate entry + 1, or 0) and returns their count, the sketch join
+// size. Candidate key hashes are unique, so each train entry matches at
+// most one candidate entry, and a second hit on the same slot means a
+// duplicated candidate hash — exactly the condition Join rejects.
+func (p *TrainProbe) match(cand *Sketch, s *Scratch) (int, error) {
 	train := p.train
 	if train.Seed != cand.Seed {
-		return JoinedSample{}, fmt.Errorf("core: sketches built with different seeds (%#x vs %#x)", train.Seed, cand.Seed)
+		return 0, fmt.Errorf("core: sketches built with different seeds (%#x vs %#x)", train.Seed, cand.Seed)
 	}
 	if cap(s.candOf) < train.Len() {
 		s.candOf = make([]int32, train.Len())
@@ -166,14 +213,8 @@ func (p *TrainProbe) JoinScratch(cand *Sketch, s *Scratch) (JoinedSample, error)
 		clear(s.candOf)
 	}
 	candOf := s.candOf
-	// Scatter matches by train entry: candidate key hashes are unique,
-	// so each train entry matches at most one candidate entry, and a
-	// second hit on the same slot means a duplicated candidate hash —
-	// exactly the condition Join rejects. Emitting by ascending train
-	// entry below then recovers the train-entry order Join emits (the
-	// estimate is bit-identical to the legacy path) without
-	// materializing and sorting a match list.
-	matches := 0
+	s.chained = false
+	overlap := 0
 	mask := p.mask
 	for j, hk := range cand.KeyHashes {
 		i := hk & mask
@@ -185,87 +226,75 @@ func (p *TrainProbe) JoinScratch(cand *Sketch, s *Scratch) (JoinedSample, error)
 			if p.htabKey[i] == hk {
 				for _, ti := range p.order[uint32(v>>32)-1 : uint32(v)] {
 					if candOf[ti] != 0 {
-						return JoinedSample{}, fmt.Errorf("core: candidate sketch has duplicate key hash %#x", train.KeyHashes[ti])
+						return 0, fmt.Errorf("core: candidate sketch has duplicate key hash %#x", train.KeyHashes[ti])
 					}
 					candOf[ti] = int32(j) + 1
-					matches++
+					overlap++
 				}
 				break
 			}
 			i = (i + 1) & mask
 		}
 	}
+	return overlap, nil
+}
 
-	if cap(s.matchedTrain) < train.Len() {
-		s.matchedTrain = make([]int32, train.Len())
-	} else {
-		s.matchedTrain = s.matchedTrain[:train.Len()]
-		clear(s.matchedTrain)
+// gather emits one side of the sample match left in candOf, in ascending
+// train-entry order: src is the train's values, or with byCand the
+// candidate's. That order is the one Join emits, and it is what keeps
+// every float sum downstream — the cheap tier's first-touch joint order,
+// the exact estimators — bit-identical to the legacy path without
+// materializing and sorting a match list. An empty result is non-nil, so
+// the column it backs still knows its kind.
+func gather[T any](dst, src []T, candOf []int32, byCand bool) []T {
+	dst = dst[:0]
+	for ti, cj := range candOf {
+		if cj == 0 {
+			continue
+		}
+		if byCand {
+			ti = int(cj) - 1
+		}
+		dst = append(dst, src[ti])
 	}
+	if dst == nil {
+		dst = []T{}
+	}
+	return dst
+}
+
+// chains builds, from the match left in candOf, what hints reads: each
+// matched train entry's joined index, and per candidate entry the chain
+// of joined indices it produced (a candidate entry joins several train
+// entries when train keys repeat). Only a numeric–numeric pair headed
+// for the exact tier needs them.
+func (p *TrainProbe) chains(cand *Sketch, s *Scratch, overlap int) {
+	if cap(s.matchedTrain) < len(s.candOf) {
+		s.matchedTrain = make([]int32, len(s.candOf))
+	}
+	s.matchedTrain = s.matchedTrain[:len(s.candOf)] // every entry is written below
 	if cap(s.candFirst) < cand.Len() {
 		s.candFirst = make([]int32, cand.Len())
 	} else {
 		s.candFirst = s.candFirst[:cand.Len()]
 		clear(s.candFirst)
 	}
-	if cap(s.nextJoined) < matches {
-		s.nextJoined = make([]int32, matches)
-	} else {
-		s.nextJoined = s.nextJoined[:matches]
+	if cap(s.nextJoined) < overlap {
+		s.nextJoined = make([]int32, overlap)
 	}
-
-	yNum, xNum := s.MI.JoinYNum[:0], s.MI.JoinXNum[:0]
-	yStr, xStr := s.MI.JoinYStr[:0], s.MI.JoinXStr[:0]
-	joined := 0
-	for ti, cj := range candOf {
-		if cj == 0 {
-			continue
-		}
-		j := int(cj) - 1
-		if train.Numeric {
-			yNum = append(yNum, train.Nums[ti])
+	s.nextJoined = s.nextJoined[:overlap]
+	s.chained = true
+	joined := int32(0)
+	for ti, cj := range s.candOf {
+		if cj != 0 {
+			s.nextJoined[joined] = s.candFirst[cj-1]
+			joined++
+			s.candFirst[cj-1] = joined
+			s.matchedTrain[ti] = joined
 		} else {
-			yStr = append(yStr, train.Strs[ti])
+			s.matchedTrain[ti] = 0
 		}
-		if cand.Numeric {
-			xNum = append(xNum, cand.Nums[j])
-		} else {
-			xStr = append(xStr, cand.Strs[j])
-		}
-		s.matchedTrain[ti] = int32(joined) + 1
-		s.nextJoined[joined] = s.candFirst[j]
-		s.candFirst[j] = int32(joined) + 1
-		joined++
 	}
-
-	js := JoinedSample{Size: matches}
-	if train.Numeric {
-		if yNum == nil {
-			yNum = []float64{}
-		}
-		s.MI.JoinYNum = yNum
-		js.Y = mi.NumericColumn(yNum)
-	} else {
-		if yStr == nil {
-			yStr = []string{}
-		}
-		s.MI.JoinYStr = yStr
-		js.Y = mi.CategoricalColumn(yStr)
-	}
-	if cand.Numeric {
-		if xNum == nil {
-			xNum = []float64{}
-		}
-		s.MI.JoinXNum = xNum
-		js.X = mi.NumericColumn(xNum)
-	} else {
-		if xStr == nil {
-			xStr = []string{}
-		}
-		s.MI.JoinXStr = xStr
-		js.X = mi.CategoricalColumn(xStr)
-	}
-	return js, nil
 }
 
 // hints derives the estimator's ordering hints for the sample produced
@@ -273,38 +302,40 @@ func (p *TrainProbe) JoinScratch(cand *Sketch, s *Scratch) (JoinedSample, error)
 // (filtering the probe's compile-once value order down to matched
 // entries) and the joined candidate side's (filtering the candidate's
 // memoized value order). Both filters are O(entries) walks with no
-// comparisons — the estimator never sorts on the ranking hot path.
+// comparisons — the estimator never sorts on the ranking hot path. Only
+// numeric–numeric pairs have hints: the estimator reads them when both
+// orders are present and never otherwise. A join that built no chains
+// has none either, and the estimator sorts for itself — same bits.
 func (p *TrainProbe) hints(cand *Sketch, s *Scratch) mi.Hints {
-	var h mi.Hints
-	if p.valOrder != nil {
-		xOrder := s.xOrder[:0]
-		for _, ti := range p.valOrder {
-			if joined := s.matchedTrain[ti]; joined != 0 {
-				xOrder = append(xOrder, joined-1)
-			}
-		}
-		s.xOrder = xOrder
-		h.XOrder = xOrder
+	candOrder := cand.NumValOrder()
+	if !s.chained || candOrder == nil {
+		return mi.Hints{}
 	}
-	if candOrder := cand.NumValOrder(); candOrder != nil {
-		yOrder := s.yOrder[:0]
-		for _, j := range candOrder {
-			for joined := s.candFirst[j]; joined != 0; joined = s.nextJoined[joined-1] {
-				yOrder = append(yOrder, joined-1)
-			}
+	xOrder := s.xOrder[:0]
+	for _, ti := range p.valOrder {
+		if joined := s.matchedTrain[ti]; joined != 0 {
+			xOrder = append(xOrder, joined-1)
 		}
-		s.yOrder = yOrder
-		h.YOrder = yOrder
 	}
-	return h
+	s.xOrder = xOrder
+	yOrder := s.yOrder[:0]
+	for _, j := range candOrder {
+		for joined := s.candFirst[j]; joined != 0; joined = s.nextJoined[joined-1] {
+			yOrder = append(yOrder, joined-1)
+		}
+	}
+	s.yOrder = yOrder
+	return mi.Hints{XOrder: xOrder, YOrder: yOrder}
 }
 
 // EstimateJoined applies the type-appropriate exact MI estimator to the
-// sample the latest JoinScratch call on s produced for this probe and
-// candidate. Splitting the join from the estimate lets a caller compute
-// the join once and feed it to several consumers — the cascaded ranker
-// scores the joined sample with the cheap binned tier first and only
-// calls EstimateJoined on candidates that can still contend. The result
+// sample the latest join on s produced for this probe and candidate
+// (JoinScratch, or JoinAbove with exact set; after one without, the
+// estimate is the same but pays the sorts the hints spare). Splitting
+// the join from the estimate lets a caller compute the join once and
+// feed it to several consumers — the cascaded ranker scores the joined
+// sample with the cheap binned tier first and only calls EstimateJoined
+// on candidates that can still contend. The result
 // is bit-identical to EstimateMIScratch on the same pair: the ordering
 // hints are derived from the scratch's join state exactly as there, and
 // neither the cheap tier nor this call disturbs that state.

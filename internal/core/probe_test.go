@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"misketch/internal/mi"
 )
 
 // probeTrainSketch streams skewed keyed rows into a train sketch.
@@ -126,6 +129,14 @@ func TestEstimateMIScratchBitIdentical(t *testing.T) {
 					t.Fatalf("train=%v cand=%v trial=%d: MI %v != %v",
 						trainNum, candNum, trial, got.MI, want.MI)
 				}
+				// Ordering hints exist for numeric–numeric pairs only:
+				// cat×num, num×cat and cat×cat estimators never read them,
+				// so none may be derived.
+				h := probe.hints(cand, &scratch)
+				if both := trainNum && candNum; (h.XOrder != nil) != both || (h.YOrder != nil) != both {
+					t.Fatalf("train=%v cand=%v: hints derived x=%v y=%v, want both only for numeric pairs",
+						trainNum, candNum, h.XOrder != nil, h.YOrder != nil)
+				}
 			}
 		}
 	}
@@ -163,6 +174,137 @@ func TestJoinScratchDuplicateCandHash(t *testing.T) {
 	if _, err := probe.JoinScratch(cand, &scratch); err == nil ||
 		!strings.Contains(err.Error(), "duplicate key hash") {
 		t.Fatalf("expected duplicate-hash error, got %v", err)
+	}
+}
+
+// handSketch assembles a sketch entry by entry, for pairs no builder
+// produces: chosen key hashes, repeated or duplicated at will.
+func handSketch(role Role, numeric bool, hashes []uint32, rng *rand.Rand) *Sketch {
+	sk := &Sketch{Method: TUPSK, Role: role, Seed: 7, Size: 64, Numeric: numeric,
+		KeyHashes: hashes, SourceRows: len(hashes)}
+	if numeric {
+		sk.Nums = make([]float64, len(hashes))
+		for i := range sk.Nums {
+			sk.Nums[i] = float64(rng.Intn(6)) + float64(hashes[i]%5) // ties and signal
+		}
+	} else {
+		sk.Strs = make([]string, len(hashes))
+		for i := range sk.Strs {
+			sk.Strs[i] = fmt.Sprintf("v%d", (int(hashes[i])+rng.Intn(2))%4)
+		}
+	}
+	return sk
+}
+
+// TestJoinAboveMatchesJoinScratch holds the phase-1 entry to the calls
+// it replaced, over generated pairs: its Size is KeyOverlap's count, its
+// error is JoinScratch's, above the cutoff its columns are JoinScratch's
+// element for element and at or below it nothing is emitted — for every
+// cutoff around the overlap, with repeated train keys, duplicated
+// candidate hashes that join and that do not, empty and disjoint
+// candidates, numeric and categorical on both sides. A full
+// JoinScratch + EstimateJoined on the same scratch right after must
+// equal EstimateMIScratch on a fresh one: phase 1 builds no chains and
+// may leave none half-built.
+func TestJoinAboveMatchesJoinScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	var scratch Scratch // one scratch across every pair and shape
+	// handSketch values are never NaN, so == compares them.
+	sameColumn := func(a, b mi.Column) bool {
+		return a.IsNumeric() == b.IsNumeric() && slices.Equal(a.Num, b.Num) && slices.Equal(a.Str, b.Str)
+	}
+	var rejected, emitted, cut int
+	for trial := 0; trial < 400; trial++ {
+		trainNum, candNum := trial&1 == 0, trial&2 == 0
+		// Train entries repeat keys of a small universe.
+		universe := 20 + rng.Intn(60)
+		trainHashes := make([]uint32, 1+rng.Intn(64))
+		for i := range trainHashes {
+			trainHashes[i] = uint32(1 + rng.Intn(universe))
+		}
+		// Candidate hashes are unique: a slice of the universe (empty, or
+		// wholly outside the train's keys, in some trials) ...
+		var candHashes []uint32
+		switch shape := trial % 7; shape {
+		case 5: // empty candidate
+		case 6: // disjoint key sets
+			for h := 0; h < 30; h++ {
+				candHashes = append(candHashes, uint32(1000+h))
+			}
+		default:
+			for h := 1; h <= universe; h++ {
+				if rng.Intn(3) != 0 {
+					candHashes = append(candHashes, uint32(h))
+				}
+			}
+			rng.Shuffle(len(candHashes), func(i, j int) { candHashes[i], candHashes[j] = candHashes[j], candHashes[i] })
+			// ... plus, in some, one duplicated hash: one that joins a
+			// train entry, or one that joins nothing.
+			if shape == 3 {
+				candHashes = append(candHashes, trainHashes[rng.Intn(len(trainHashes))], trainHashes[0])
+				candHashes = append(candHashes, candHashes[len(candHashes)-1])
+			} else if shape == 4 {
+				candHashes = append(candHashes, 5000, 5000)
+			}
+		}
+		train := handSketch(RoleTrain, trainNum, trainHashes, rng)
+		cand := handSketch(RoleCandidate, candNum, candHashes, rng)
+		probe := CompileTrainProbe(train)
+		overlap := probe.KeyOverlap(cand)
+		if overlap != KeyOverlap(train, cand) {
+			t.Fatalf("trial %d: fixture overlaps disagree", trial)
+		}
+
+		var ref Scratch
+		wantJS, wantErr := probe.JoinScratch(cand, &ref)
+		for _, minJoin := range []int{-1, 0, overlap - 1, overlap, overlap + 1} {
+			label := fmt.Sprintf("trial %d (train num=%v, cand num=%v, overlap %d) minJoin %d", trial, trainNum, candNum, overlap, minJoin)
+			got, err := probe.JoinAbove(cand, minJoin, false, &scratch)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%s: error %v, JoinScratch's %v", label, err, wantErr)
+			}
+			switch {
+			case err != nil:
+				rejected++
+			case got.Size != overlap:
+				t.Fatalf("%s: size %d", label, got.Size)
+			case overlap <= minJoin:
+				cut++
+				if got.Y.Len() != 0 || got.X.Len() != 0 || got.Y.IsNumeric() || got.X.IsNumeric() {
+					t.Fatalf("%s: a pair at or below the cutoff emitted %+v", label, got)
+				}
+			default:
+				emitted++
+				if got.Y.IsNumeric() != trainNum || got.X.IsNumeric() != candNum ||
+					!sameColumn(got.Y, wantJS.Y) || !sameColumn(got.X, wantJS.X) {
+					t.Fatalf("%s: sample %+v, JoinScratch's %+v", label, got, wantJS)
+				}
+			}
+
+			// The exact tier on the scratch phase 1 just used: straight
+			// off the phase-1 sample (no chains, so no hints) and after
+			// a full join.
+			var fresh Scratch
+			want, wantErr2 := EstimateMIScratch(probe, cand, 3, &fresh)
+			if err == nil && got.Size > minJoin {
+				if r := probe.EstimateJoined(cand, got, 3, &scratch); r != want {
+					t.Fatalf("%s: exact estimate of the phase-1 sample %+v, want %+v", label, r, want)
+				}
+			}
+			js, err := probe.JoinScratch(cand, &scratch)
+			if (err == nil) != (wantErr2 == nil) {
+				t.Fatalf("%s: follow-up join error %v, want %v", label, err, wantErr2)
+			}
+			if err == nil {
+				if r := probe.EstimateJoined(cand, js, 3, &scratch); r.Estimator != want.Estimator || r.N != want.N ||
+					math.Float64bits(r.MI) != math.Float64bits(want.MI) {
+					t.Fatalf("%s: exact estimate after phase 1 %+v, want %+v", label, r, want)
+				}
+			}
+		}
+	}
+	if rejected < 100 || emitted < 500 || cut < 500 {
+		t.Fatalf("degenerate generator: %d rejected, %d emitted, %d cut", rejected, emitted, cut)
 	}
 }
 

@@ -58,6 +58,15 @@ type CheapResult struct {
 // flat count arrays. Results are deterministic to the last bit; the
 // scratch's join buffers and exact-estimator state are untouched, so a
 // cheap pass between a scratch join and EstimateHinted is safe.
+//
+// After the two reductions one loop does all the counting: per sample it
+// bins or looks up both IDs and increments both marginals and the joint
+// cell. Three invariants keep the bits what the multi-pass reference
+// (cheapMIReference in the tests) produces: a numeric ID is the
+// reference's (v-lo)/width expression with its clamps and NaN rule; the
+// marginal entropies sum in ID order and the joint entropy in the order
+// cells were first touched; and every term is float64(p * math.Log(p)),
+// rounded before it is subtracted, whether it comes from the memo or not.
 func (s *Scratch) CheapMI(x, y Column, bins int) CheapResult {
 	if x.Len() != y.Len() {
 		panic("mi: CheapMI requires equal-length columns")
@@ -69,23 +78,63 @@ func (s *Scratch) CheapMI(x, y Column, bins int) CheapResult {
 	if n == 0 {
 		return CheapResult{}
 	}
-	var cardX, cardY int32
-	s.cheapXIDs, cardX = cheapIDs(x, bins, s.cheapXIDs, &s.cheapXLevels)
-	s.cheapYIDs, cardY = cheapIDs(y, bins, s.cheapYIDs, &s.cheapYLevels)
-
-	hx := cheapMarginal(&s.cheapXCounts, s.cheapXIDs, cardX, n)
-	hy := cheapMarginal(&s.cheapYCounts, s.cheapYIDs, cardY, n)
-
-	var hxy float64
-	if cells := int64(cardX) * int64(cardY); cells <= cheapMaxFlatCells {
-		hxy = s.cheapJointFlat(int32(cells), cardY, n)
+	xs := cheapReduce(x, bins, &s.cheapXIDs, &s.cheapXLevels)
+	ys := cheapReduce(y, bins, &s.cheapYIDs, &s.cheapYLevels)
+	cells := int64(xs.card) * int64(ys.card)
+	flat := cells <= cheapMaxFlatCells
+	if !flat {
+		// Two high-cardinality categorical columns (or one against many
+		// bins) can overflow any flat layout; the joint cells then go
+		// through cheapJointMap, which reads both sides as IDs.
+		xs.materialize(bins, &s.cheapXIDs)
+		ys.materialize(bins, &s.cheapYIDs)
+		cells = 0
+	}
+	xc := zeroed(&s.cheapXCounts, int(xs.card))
+	yc := zeroed(&s.cheapYCounts, int(ys.card))
+	// The joint table's whole backing array is all-zero between calls:
+	// only the cells a call touched are re-zeroed, so its cost is O(n)
+	// whatever the table size.
+	joint := sized(&s.cheapJoint, int(cells))
+	touched, k := sized(&s.cheapTouched, n), 0
+	for i := 0; i < n; i++ {
+		a, b := xs.id(i, bins), ys.id(i, bins)
+		xc[a]++
+		yc[b]++
+		if flat {
+			// First-touch append without a branch: on a sparse table
+			// "is this cell new" is a coin flip no predictor wins, so the
+			// cell is always stored and the cursor advances by
+			// joint[c] == 0 (counts are nonnegative: c-1 has its sign
+			// bit set only at zero).
+			c := a*ys.card + b
+			touched[k] = c
+			k += int(uint32(joint[c]-1) >> 31)
+			joint[c]++
+		}
+	}
+	if len(s.cheapTerms) <= n {
+		s.cheapTerms = make([]cheapTerm, n+1)
+	}
+	var hx, hy, hxy float64
+	for _, c := range xc {
+		if c != 0 {
+			hx -= s.plogp(c, n)
+		}
+	}
+	for _, c := range yc {
+		if c != 0 {
+			hy -= s.plogp(c, n)
+		}
+	}
+	if flat {
+		for _, c := range touched[:k] {
+			hxy -= s.plogp(joint[c], n)
+			joint[c] = 0
+		}
 	} else {
-		// Two high-cardinality categorical columns can overflow any flat
-		// layout; fall back to the joint-cell map (the same one MLE owns
-		// and re-clears at its own start).
 		hxy = s.cheapJointMap(n)
 	}
-
 	return CheapResult{MI: hx + hy - hxy, Ceil: math.Min(hx, hy)}
 }
 
@@ -95,17 +144,51 @@ func (s *Scratch) CheapMI(x, y Column, bins int) CheapResult {
 // distinct values on both sides overflow into the map path.
 const cheapMaxFlatCells = 1 << 18
 
-// cheapIDs reduces a column to dense int IDs in [0, card): numeric
-// values by equal-width binning over the observed range (constant,
-// empty, all-NaN, or overflow-wide ranges collapse to a single bin, and
-// NaNs land in bin 0), categorical values by first-appearance interning.
-func cheapIDs(c Column, bins int, ids []int32, levels *map[string]int32) ([]int32, int32) {
-	n := c.Len()
-	if cap(ids) < n {
-		ids = make([]int32, n)
-	} else {
-		ids = ids[:n]
+// cheapTerm memoises one entropy term p·log p, p = c/n, at index c of
+// Scratch.cheapTerms. It is stamped with the n it was computed for, so
+// a call with another n finds every entry stale without clearing any: a
+// joined sample has a few hundred cells but about ten distinct counts.
+type cheapTerm struct {
+	n int
+	v float64
+}
+
+// plogp returns float64(p * math.Log(p)) for p = c/n, 0 < c <= n. The
+// explicit conversion rounds the product before the caller's subtraction
+// can fuse with it (arm64 would otherwise emit one FMSUB for a computed
+// term and two roundings for a memoised one). The miss is a function of
+// its own so that the hit inlines into CheapMI's entropy loops.
+func (s *Scratch) plogp(c int32, n int) float64 {
+	if t := s.cheapTerms[c]; t.n == n {
+		return t.v
 	}
+	return s.plogpMiss(c, n)
+}
+
+func (s *Scratch) plogpMiss(c int32, n int) float64 {
+	p := float64(c) / float64(n)
+	v := float64(p * math.Log(p))
+	s.cheapTerms[c] = cheapTerm{n: n, v: v}
+	return v
+}
+
+// cheapSide is one column reduced for counting, with IDs in [0, card):
+// a categorical column to its first-appearance interned ids, a numeric
+// one to the origin and width of its equal-width bins, applied per
+// sample by id.
+type cheapSide struct {
+	num       []float64 // nil when ids carries the column
+	ids       []int32
+	lo, width float64
+	card      int32
+}
+
+// cheapReduce reduces a column to a cheapSide: categorical values are
+// interned into *ids; numeric values get equal-width bins over the
+// observed range. A constant, all-NaN or overflow-wide range collapses
+// to one bin, expressed as an infinite width: every quotient is then 0
+// or NaN, which id sends to bin 0.
+func cheapReduce(c Column, bins int, ids *[]int32, levels *map[string]int32) cheapSide {
 	if !c.IsNumeric() {
 		if *levels == nil {
 			*levels = make(map[string]int32, 64)
@@ -113,17 +196,17 @@ func cheapIDs(c Column, bins int, ids []int32, levels *map[string]int32) ([]int3
 			clear(*levels)
 		}
 		lv := *levels
-		var card int32
+		sd := cheapSide{ids: sized(ids, len(c.Str))}
 		for i, v := range c.Str {
 			id, ok := lv[v]
 			if !ok {
-				id = card
+				id = sd.card
 				lv[v] = id
-				card++
+				sd.card++
 			}
-			ids[i] = id
+			sd.ids[i] = id
 		}
-		return ids, card
+		return sd
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range c.Num {
@@ -136,77 +219,49 @@ func cheapIDs(c Column, bins int, ids []int32, levels *map[string]int32) ([]int3
 	}
 	width := (hi - lo) / float64(bins)
 	if !(width > 0) || math.IsInf(width, 0) {
-		clear(ids)
-		return ids, 1
+		return cheapSide{num: c.Num, width: math.Inf(1), card: 1}
 	}
-	for i, v := range c.Num {
-		b := 0
-		// NaN fails the comparison and stays in bin 0 deterministically.
-		if f := (v - lo) / width; f > 0 {
-			b = int(f)
-			if b >= bins {
-				b = bins - 1
-			}
-		}
-		ids[i] = int32(b)
-	}
-	return ids, int32(bins)
+	return cheapSide{num: c.Num, lo: lo, width: width, card: int32(bins)}
 }
 
-// cheapMarginal counts one ID column into the reusable flat array and
-// returns its empirical entropy. The entropy sum runs over the count
-// array in index order, never over map iteration, so it is
-// deterministic.
-func cheapMarginal(counts *[]int32, ids []int32, card int32, n int) float64 {
-	cs := *counts
-	if cap(cs) < int(card) {
-		cs = make([]int32, card)
-	} else {
-		cs = cs[:card]
-		clear(cs)
+// id returns sample i's ID.
+func (sd *cheapSide) id(i, bins int) int32 {
+	if sd.num == nil {
+		return sd.ids[i]
 	}
-	for _, id := range ids {
-		cs[id]++
+	// NaN fails the comparison and stays in bin 0 deterministically.
+	if f := (sd.num[i] - sd.lo) / sd.width; f > 0 {
+		return int32(min(int(f), bins-1))
 	}
-	fn := float64(n)
-	h := 0.0
-	for _, c := range cs {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / fn
-		h -= p * math.Log(p)
-	}
-	*counts = cs
-	return h
+	return 0
 }
 
-// cheapJointFlat counts joint cells into the flat table (kept all-zero
-// between calls: only the cells this pass touched are re-zeroed, so the
-// cost is O(n) regardless of table size) and returns the joint entropy.
-func (s *Scratch) cheapJointFlat(cells, stride int32, n int) float64 {
-	if cap(s.cheapJoint) < int(cells) {
-		s.cheapJoint = make([]int32, cells)
-	} else {
-		s.cheapJoint = s.cheapJoint[:cells]
+// materialize turns a numeric side into an ID side, for the map path.
+func (sd *cheapSide) materialize(bins int, ids *[]int32) {
+	if sd.num == nil {
+		return
 	}
-	touched := s.cheapTouched[:0]
-	for i := 0; i < n; i++ {
-		c := s.cheapXIDs[i]*stride + s.cheapYIDs[i]
-		if s.cheapJoint[c] == 0 {
-			touched = append(touched, c)
-		}
-		s.cheapJoint[c]++
+	out := sized(ids, len(sd.num))
+	for i := range out {
+		out[i] = sd.id(i, bins)
 	}
-	fn := float64(n)
-	h := 0.0
-	for _, c := range touched {
-		p := float64(s.cheapJoint[c]) / fn
-		h -= p * math.Log(p)
-		s.cheapJoint[c] = 0
+	sd.num, sd.ids = nil, out
+}
+
+// sized returns *buf resliced (or reallocated) to n elements of
+// unspecified content; zeroed also clears them.
+func sized(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
 	}
-	s.cheapTouched = touched
-	return h
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+func zeroed(buf *[]int32, n int) []int32 {
+	out := sized(buf, n)
+	clear(out)
+	return out
 }
 
 // cheapJointMap is the overflow path for pairs whose ID cross product
@@ -235,7 +290,7 @@ func (s *Scratch) cheapJointMap(n int) float64 {
 	h := 0.0
 	for _, c := range s.jCounts {
 		p := float64(c) / fn
-		h -= p * math.Log(p)
+		h -= float64(p * math.Log(p)) // rounded first, like plogp
 	}
 	return h
 }

@@ -1,6 +1,7 @@
 package mi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -220,6 +221,396 @@ func TestCheapMIPreservesExactEstimate(t *testing.T) {
 	if before != after {
 		t.Fatalf("cheap pass disturbed the exact estimator: %+v vs %+v", before, after)
 	}
+}
+
+// cheapReference is the state of the multi-pass cheap tier CheapMI
+// replaced, kept as the oracle the one-loop kernel is held to bit for
+// bit: IDs for both columns, then each marginal, then the joint, seven
+// passes over the sample. The bodies below are that code verbatim, on
+// this struct instead of the Scratch, with one edit shared with the
+// kernel: every entropy term is float64(p * math.Log(p)), so that a
+// fused multiply-subtract (arm64) cannot round the two differently.
+type cheapReference struct {
+	xIDs, yIDs         []int32
+	xCounts, yCounts   []int32
+	joint, touched     []int32
+	xLevels, yLevels   map[string]int32
+	jLevels            map[uint64]int
+	jCounts            []int
+	flatCalls, mapCall int
+}
+
+func (s *cheapReference) cheapMI(x, y Column, bins int) CheapResult {
+	n := x.Len()
+	if n == 0 {
+		return CheapResult{}
+	}
+	var cardX, cardY int32
+	s.xIDs, cardX = cheapIDsReference(x, bins, s.xIDs, &s.xLevels)
+	s.yIDs, cardY = cheapIDsReference(y, bins, s.yIDs, &s.yLevels)
+
+	hx := cheapMarginalReference(&s.xCounts, s.xIDs, cardX, n)
+	hy := cheapMarginalReference(&s.yCounts, s.yIDs, cardY, n)
+
+	var hxy float64
+	if cells := int64(cardX) * int64(cardY); cells <= cheapMaxFlatCells {
+		s.flatCalls++
+		hxy = s.jointFlat(int32(cells), cardY, n)
+	} else {
+		s.mapCall++
+		hxy = s.jointMap(n)
+	}
+
+	return CheapResult{MI: hx + hy - hxy, Ceil: math.Min(hx, hy)}
+}
+
+// cheapMIReference scores one pair on fresh reference state.
+func cheapMIReference(x, y Column, bins int) CheapResult {
+	return new(cheapReference).cheapMI(x, y, bins)
+}
+
+func cheapIDsReference(c Column, bins int, ids []int32, levels *map[string]int32) ([]int32, int32) {
+	n := c.Len()
+	if cap(ids) < n {
+		ids = make([]int32, n)
+	} else {
+		ids = ids[:n]
+	}
+	if !c.IsNumeric() {
+		if *levels == nil {
+			*levels = make(map[string]int32, 64)
+		} else {
+			clear(*levels)
+		}
+		lv := *levels
+		var card int32
+		for i, v := range c.Str {
+			id, ok := lv[v]
+			if !ok {
+				id = card
+				lv[v] = id
+				card++
+			}
+			ids[i] = id
+		}
+		return ids, card
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range c.Num {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	width := (hi - lo) / float64(bins)
+	if !(width > 0) || math.IsInf(width, 0) {
+		clear(ids)
+		return ids, 1
+	}
+	for i, v := range c.Num {
+		b := 0
+		// NaN fails the comparison and stays in bin 0 deterministically.
+		if f := (v - lo) / width; f > 0 {
+			b = int(f)
+			if b >= bins {
+				b = bins - 1
+			}
+		}
+		ids[i] = int32(b)
+	}
+	return ids, int32(bins)
+}
+
+func cheapMarginalReference(counts *[]int32, ids []int32, card int32, n int) float64 {
+	cs := *counts
+	if cap(cs) < int(card) {
+		cs = make([]int32, card)
+	} else {
+		cs = cs[:card]
+		clear(cs)
+	}
+	for _, id := range ids {
+		cs[id]++
+	}
+	fn := float64(n)
+	h := 0.0
+	for _, c := range cs {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / fn
+		h -= float64(p * math.Log(p))
+	}
+	*counts = cs
+	return h
+}
+
+func (s *cheapReference) jointFlat(cells, stride int32, n int) float64 {
+	if cap(s.joint) < int(cells) {
+		s.joint = make([]int32, cells)
+	} else {
+		s.joint = s.joint[:cells]
+	}
+	touched := s.touched[:0]
+	for i := 0; i < n; i++ {
+		c := s.xIDs[i]*stride + s.yIDs[i]
+		if s.joint[c] == 0 {
+			touched = append(touched, c)
+		}
+		s.joint[c]++
+	}
+	fn := float64(n)
+	h := 0.0
+	for _, c := range touched {
+		p := float64(s.joint[c]) / fn
+		h -= float64(p * math.Log(p))
+		s.joint[c] = 0
+	}
+	s.touched = touched
+	return h
+}
+
+func (s *cheapReference) jointMap(n int) float64 {
+	if s.jLevels == nil {
+		s.jLevels = make(map[uint64]int, 64)
+	} else {
+		clear(s.jLevels)
+	}
+	s.jCounts = s.jCounts[:0]
+	for i := 0; i < n; i++ {
+		key := uint64(uint32(s.xIDs[i]))<<32 | uint64(uint32(s.yIDs[i]))
+		ji, ok := s.jLevels[key]
+		if !ok {
+			ji = len(s.jCounts)
+			s.jLevels[key] = ji
+			s.jCounts = append(s.jCounts, 0)
+		}
+		s.jCounts[ji]++
+	}
+	fn := float64(n)
+	h := 0.0
+	for _, c := range s.jCounts {
+		p := float64(c) / fn
+		h -= float64(p * math.Log(p))
+	}
+	return h
+}
+
+// sameCheapBits fails unless two cheap results agree bit for bit.
+func sameCheapBits(t *testing.T, label string, got, want CheapResult) {
+	t.Helper()
+	if math.Float64bits(got.MI) != math.Float64bits(want.MI) || math.Float64bits(got.Ceil) != math.Float64bits(want.Ceil) {
+		t.Fatalf("%s: CheapMI %+v (%016x, %016x), reference %+v (%016x, %016x)", label,
+			got, math.Float64bits(got.MI), math.Float64bits(got.Ceil),
+			want, math.Float64bits(want.MI), math.Float64bits(want.Ceil))
+	}
+}
+
+// cheapShapes are the five column shapes the one-loop kernel was sized
+// on: y independent of x, y correlated with x, both tied on a few
+// values, a constant x, and both quantised to a floor grid (values on
+// bin edges). The fuzz corpus is seeded with the same five.
+var cheapShapes = []struct {
+	name string
+	gen  func(rng *rand.Rand, n int) (xs, ys []float64)
+}{
+	{"independent", func(rng *rand.Rand, n int) ([]float64, []float64) {
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ys[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		return xs, ys
+	}},
+	{"correlated", func(rng *rand.Rand, n int) ([]float64, []float64) {
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
+			ys[i] = 2*xs[i] + 0.3*rng.NormFloat64()
+		}
+		return xs, ys
+	}},
+	{"tied", func(rng *rand.Rand, n int) ([]float64, []float64) {
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(5))
+			ys[i] = xs[i] + float64(rng.Intn(3))
+		}
+		return xs, ys
+	}},
+	{"constant", func(rng *rand.Rand, n int) ([]float64, []float64) {
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ys[i] = 3, rng.NormFloat64()
+		}
+		return xs, ys
+	}},
+	{"floor-quantised", func(rng *rand.Rand, n int) ([]float64, []float64) {
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Floor(8 * rng.Float64())
+			ys[i] = math.Floor(xs[i]/2 + 4*rng.Float64())
+		}
+		return xs, ys
+	}},
+}
+
+// labels buckets a numeric column into categorical labels.
+func labels(vs []float64) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fmt.Sprintf("L%d", int(math.Floor(2*v)))
+	}
+	return out
+}
+
+// TestCheapMIMatchesReferenceBits holds the one-loop kernel to the
+// multi-pass reference, bit for bit, on one Scratch reused across every
+// pair: five column shapes, every n from 1 to 300 (so the p·log p memo
+// is invalidated by a change of n on nearly every call, and revalidated
+// by the repeats), all four type combinations, four bin counts, and the
+// two pairs that overflow the flat joint table into the map path.
+func TestCheapMIMatchesReferenceBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var s Scratch
+	var ref cheapReference
+	check := func(label string, x, y Column, bins int) {
+		t.Helper()
+		sameCheapBits(t, label, s.CheapMI(x, y, bins), ref.cheapMI(x, y, bins))
+	}
+	pairs := 0
+	for n := 1; n <= 300; n++ {
+		for si, shape := range cheapShapes {
+			xs, ys := shape.gen(rng, n)
+			bins := []int{1, 7, DefaultCheapBins, 64}[(n+si)%4]
+			numX, numY := NumericColumn(xs), NumericColumn(ys)
+			catX, catY := CategoricalColumn(labels(xs)), CategoricalColumn(labels(ys))
+			for ci, c := range [][2]Column{{numX, numY}, {numX, catY}, {catX, numY}, {catX, catY}} {
+				check(fmt.Sprintf("%s n=%d bins=%d combo=%d", shape.name, n, bins, ci), c[0], c[1], bins)
+				pairs++
+			}
+			if n%50 == 0 {
+				// The same n again: every memo entry is a hit.
+				check(fmt.Sprintf("%s n=%d repeated", shape.name, n), numX, numY, bins)
+			}
+		}
+	}
+	// Past cheapMaxFlatCells: 64 bins against 5000 distinct labels, and
+	// 600 labels against 600.
+	n := 5000
+	xs, _ := cheapShapes[0].gen(rng, n)
+	wide := make([]string, n)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("w%d", i)
+	}
+	check("numeric x 5000 labels", NumericColumn(xs), CategoricalColumn(wide), 64)
+	check("5000 labels x numeric", CategoricalColumn(wide), NumericColumn(xs), 64)
+	a, b := make([]string, n), make([]string, n)
+	for i := range a {
+		a[i], b[i] = fmt.Sprintf("a%d", i%600), fmt.Sprintf("b%d", rng.Intn(600))
+	}
+	check("600 x 600 labels", CategoricalColumn(a), CategoricalColumn(b), DefaultCheapBins)
+	check("back under the flat bound", NumericColumn(xs[:200]), NumericColumn(xs[100:300]), DefaultCheapBins)
+	if ref.mapCall != 3 || ref.flatCalls < pairs {
+		t.Fatalf("fixture took the map path %d times and the flat path %d times, want 3 and >= %d", ref.mapCall, ref.flatCalls, pairs)
+	}
+}
+
+// fuzzSpecials are the values a byte below len(fuzzSpecials) decodes to.
+var fuzzSpecials = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+
+// fuzzColumns decodes two equal-length columns from fuzz bytes. mode
+// bits 0 and 1 make x and y categorical (a byte bucketed into one of a
+// few labels); a numeric value is one byte — a special from
+// fuzzSpecials, else a multiple of 1/4 in [-30, 32) — or, with bit 6,
+// eight bytes of raw float bits. finite reports whether every numeric
+// value is finite.
+func fuzzColumns(data []byte, mode uint8) (x, y Column, finite bool) {
+	width := 1
+	if mode&0x40 != 0 {
+		width = 8
+	}
+	n := min(len(data)/(2*width), 300)
+	finite = true
+	decode := func(categorical bool, off int) Column {
+		if categorical {
+			strs := make([]string, n)
+			for i := range strs {
+				strs[i] = fmt.Sprintf("L%d", data[(2*i+off)*width]%11)
+			}
+			return CategoricalColumn(strs)
+		}
+		nums := make([]float64, n)
+		for i := range nums {
+			b := data[(2*i+off)*width : (2*i+off+1)*width]
+			switch {
+			case width == 8:
+				nums[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			case int(b[0]) < len(fuzzSpecials):
+				nums[i] = fuzzSpecials[b[0]]
+			default:
+				nums[i] = float64(int(b[0])-128) / 4
+			}
+			finite = finite && !math.IsNaN(nums[i]) && !math.IsInf(nums[i], 0)
+		}
+		return NumericColumn(nums)
+	}
+	return decode(mode&1 != 0, 0), decode(mode&2 != 0, 1), finite
+}
+
+// FuzzCheapMI holds CheapMI to cheapMIReference bit for bit on decoded
+// column pairs — NaN, ±Inf, −0, constant columns, n = 1, all four type
+// combinations, bins of 1, 7, 16 and 64 — scored on ONE Scratch at
+// several lengths in a row, so that every call but the first meets a
+// p·log p memo filled for another n. A cheap pass must also leave a
+// following exact estimate undisturbed (TestCheapMIPreservesExactEstimate's
+// contract), checked wherever the values are finite.
+func FuzzCheapMI(f *testing.F) {
+	rng := rand.New(rand.NewSource(19))
+	for si, shape := range cheapShapes {
+		xs, ys := shape.gen(rng, 120)
+		narrow, wide := make([]byte, 0, 2*len(xs)), make([]byte, 0, 16*len(xs))
+		for i := range xs {
+			narrow = append(narrow, byte(128+4*max(-30, min(31, xs[i]))), byte(128+4*max(-30, min(31, ys[i]))))
+			wide = binary.LittleEndian.AppendUint64(wide, math.Float64bits(xs[i]))
+			wide = binary.LittleEndian.AppendUint64(wide, math.Float64bits(ys[i]))
+		}
+		f.Add(narrow, uint8(si<<2))
+		f.Add(narrow, uint8(si<<2|si&3))
+		f.Add(wide, uint8(0x40|si<<2))
+	}
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 200, 9}, uint8(2<<2)) // every special
+	f.Add([]byte{77, 77}, uint8(0))                            // n = 1
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		x, y, finite := fuzzColumns(data, mode)
+		bins := []int{1, 7, 16, 64}[mode>>2&3]
+		prefix := func(c Column, n int) Column {
+			if c.IsNumeric() {
+				return NumericColumn(c.Num[:n])
+			}
+			return CategoricalColumn(c.Str[:n])
+		}
+		var s Scratch
+		n := x.Len()
+		for _, m := range []int{n, n / 2, 1, n, n - 1, n} {
+			if m < 1 || m > n {
+				continue
+			}
+			px, py := prefix(x, m), prefix(y, m)
+			if !finite {
+				sameCheapBits(t, fmt.Sprintf("n=%d", m), s.CheapMI(px, py, bins), cheapMIReference(px, py, bins))
+				continue
+			}
+			before := s.Estimate(px, py, DefaultK)
+			sameCheapBits(t, fmt.Sprintf("n=%d", m), s.CheapMI(px, py, bins), cheapMIReference(px, py, bins))
+			if after := s.Estimate(px, py, DefaultK); after.Estimator != before.Estimator || after.N != before.N ||
+				math.Float64bits(after.MI) != math.Float64bits(before.MI) {
+				t.Fatalf("n=%d: cheap pass disturbed the exact estimator: %+v vs %+v", m, before, after)
+			}
+		}
+	})
 }
 
 func BenchmarkCheapMI(b *testing.B) {

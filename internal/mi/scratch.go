@@ -65,17 +65,19 @@ type Scratch struct {
 	grouped     []float64
 	classSorted []float64
 
-	// Cheap-tier (cascade) state: dense per-row IDs for both columns,
-	// flat marginal count arrays, the flat joint count array together
-	// with the touched-cell list that bounds its clearing cost by the
-	// sample size, and the interning maps for categorical columns. Kept
-	// separate from the MLE/DC-KSG state so a cheap-tier pass between a
-	// scratch join and the exact estimator cannot disturb either.
+	// Cheap-tier (cascade) state: dense per-row IDs for categorical
+	// columns, flat marginal count arrays, the flat joint count array
+	// together with the touched-cell list that bounds its clearing cost
+	// by the sample size, the interning maps for categorical columns and
+	// the p·log p memo. Kept separate from the MLE/DC-KSG state so a
+	// cheap-tier pass between a scratch join and the exact estimator
+	// cannot disturb either.
 	cheapXIDs, cheapYIDs       []int32
 	cheapXCounts, cheapYCounts []int32
 	cheapJoint                 []int32 // all-zero between calls (cleared via cheapTouched)
 	cheapTouched               []int32
 	cheapXLevels, cheapYLevels map[string]int32
+	cheapTerms                 []cheapTerm // indexed by count, stamped with n
 }
 
 // MLE returns the plug-in MI estimate for two discrete (categorical)

@@ -26,6 +26,7 @@ package store
 // postings touched and the matching candidates, not with catalog size.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -165,8 +166,9 @@ type BatchResult struct {
 // is bit-for-bit identical to an independent RankQuery call with the
 // same options, but the batch pays the per-candidate costs once instead
 // of once per train: one manifest snapshot, one candidate load (and one
-// cache slot touch) per candidate, and the key-overlap prefilter
-// (core.KeyOverlap on the compiled train index) skips the estimator for
+// cache slot touch) per candidate, and the key-overlap prefilter (the
+// overlap core.KeyOverlap defines, read off the join's own probe of the
+// compiled train index) skips the estimator for
 // every (train, candidate) pair whose coordinated-sample key
 // intersection already proves the join at or below MinJoinSize. Pruned
 // pair counts are reported per query and aggregated in Stats.
@@ -413,7 +415,10 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	// runWorkers drives one phase: the worker pool claims chunks of
 	// [0, total) off a shared cursor and feeds each index to body with a
 	// pooled scratch. body returns false to stop the worker (after
-	// setErr); the other workers drain via the cancelled context.
+	// setErr); the other workers drain via the cancelled context, which
+	// is checked once per claimed chunk — at most maxRankChunk items, a
+	// few milliseconds of exact estimates at worst — not per item: Err
+	// takes a mutex.
 	runWorkers := func(total, chunk int, body func(w int, scratch *core.Scratch, i int) bool) {
 		var next int64
 		var wg sync.WaitGroup
@@ -426,6 +431,10 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 				for {
 					start := int(atomic.AddInt64(&next, int64(chunk))) - chunk
 					if start >= total {
+						return
+					}
+					if err := ctx.Err(); err != nil {
+						setErr(err)
 						return
 					}
 					end := start + chunk
@@ -443,8 +452,9 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 		wg.Wait()
 	}
 
-	// Phase 1: decode and triage every candidate once, prefilter and
-	// scratch-join it against every train. Without the cascade the exact
+	// Phase 1: decode and triage every candidate once, then prefilter and
+	// scratch-join it against every train in one probe per pair
+	// (core.TrainProbe.JoinAbove). Without the cascade the exact
 	// estimator runs inline, exactly the historic single-pass semantics.
 	// With it, the pair's cheap binned score (mi.CheapMI, O(join) time)
 	// is recorded instead and the exact tier is deferred to phase 2 —
@@ -455,10 +465,6 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	// into the pinned segments) so phase 2 never decodes again.
 	cands := make([]*core.Sketch, len(visit))
 	runWorkers(len(visit), chunk, func(w int, scratch *core.Scratch, i int) bool {
-		if err := ctx.Err(); err != nil {
-			setErr(err)
-			return false
-		}
 		m := v.entries[visit[i]]
 		cand, err := s.getForRank(m, v.pins)
 		if err != nil {
@@ -486,18 +492,21 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 		// actually joins).
 		prune := prefilter && !cand.HasDuplicateKeyHashes()
 		for q := range trains {
-			if prune && probes[q].KeyOverlap(cand) <= opt.MinJoinSize {
-				prunedW[w][q]++
-				continue
-			}
-			js, err := probes[q].JoinScratch(cand, scratch)
+			// One probe of the train index yields the overlap, the error
+			// and the sample; the ordering-hint chains are built only
+			// when the exact estimator runs inline.
+			js, err := probes[q].JoinAbove(cand, opt.MinJoinSize, !cascade, scratch)
 			if err != nil {
 				setErr(fmt.Errorf("store: estimating %q: %w", m.Name, err))
 				return false
 			}
 			if js.Size <= opt.MinJoinSize {
-				// The min-join confidence filter would discard the
-				// estimate unseen; skip both tiers.
+				// Nothing was emitted: the prefilter counts the pair as
+				// pruned; otherwise the min-join confidence filter would
+				// discard the estimate unseen. Either way skip both tiers.
+				if prune {
+					prunedW[w][q]++
+				}
 				continue
 			}
 			if cascade {
@@ -509,7 +518,7 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 					// Categorical–categorical: the exact estimator is
 					// already the plug-in, so there is no cheaper tier —
 					// the pair is exempt and always scored exactly.
-					t.exempt = true
+					t.cheap = math.Inf(1)
 				}
 				tasksW[w] = append(tasksW[w], t)
 				continue
@@ -549,16 +558,18 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 		}
 		// Deterministic visit order regardless of phase-1 scheduling:
 		// cheap score descending (exempt pairs first), names and train
-		// index breaking ties.
-		sort.Slice(tasks, func(a, b int) bool {
-			pa, pb := tasks[a].prio(), tasks[b].prio()
-			if pa != pb {
-				return pa > pb
+		// index breaking ties. No two tasks share (ci, q), so this is a
+		// total order and any sorting algorithm gives the same list.
+		slices.SortFunc(tasks, func(a, b cascadeTask) int {
+			switch {
+			case a.cheap > b.cheap:
+				return -1
+			case a.cheap < b.cheap:
+				return 1
+			case a.ci != b.ci:
+				return cmp.Compare(a.ci, b.ci) // visit is in name order
 			}
-			if tasks[a].ci != tasks[b].ci {
-				return tasks[a].ci < tasks[b].ci // visit is in name order
-			}
-			return tasks[a].q < tasks[b].q
+			return cmp.Compare(a.q, b.q)
 		})
 		if opt.Seed {
 			// Keep each train's first TopK pairs; every pair after them
@@ -570,7 +581,7 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 				case taken[t.q] < opt.TopK:
 					taken[t.q]++
 					seeds = append(seeds, t)
-				case t.exempt || t.cheap+margin >= t.ceil:
+				case t.cheap+margin >= t.ceil: // saturated, or exempt
 					*b = math.Inf(1)
 				default:
 					*b = max(*b, t.cheap+margin)
@@ -586,13 +597,9 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 			chunkB = maxRankChunk
 		}
 		runWorkers(len(tasks), chunkB, func(w int, scratch *core.Scratch, ti int) bool {
-			if err := ctx.Err(); err != nil {
-				setErr(err)
-				return false
-			}
 			t := tasks[ti]
 			rescue := false
-			if !t.exempt && !opt.Seed {
+			if !opt.Seed { // an exempt pair's +Inf passes through: never settled, never a rescue
 				if tb := kthBound[t.q].Load(); tb != 0 {
 					kth := math.Float64frombits(tb - 1)
 					ub := t.cheap + margin
@@ -653,7 +660,8 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	res.Skipped = skipped
 	// Each worker kept the top K of its subset, so merging the subsets'
 	// survivors and cutting at K yields the exact global top K — and the
-	// (MI, name) sort makes the cut deterministic across partitions.
+	// (MI, name) sort makes the cut deterministic across partitions and,
+	// names being distinct, across sorting algorithms.
 	var prunedTotal int64
 	for q := range trains {
 		var ranked []RankedSketch
@@ -666,11 +674,14 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 			res.Queries[q].Pruned += int(prunedW[w][q])
 		}
 		prunedTotal += int64(res.Queries[q].Pruned)
-		sort.Slice(ranked, func(i, j int) bool {
-			if ranked[i].MI != ranked[j].MI {
-				return ranked[i].MI > ranked[j].MI
+		slices.SortFunc(ranked, func(a, b RankedSketch) int {
+			switch {
+			case a.MI > b.MI:
+				return -1
+			case a.MI < b.MI:
+				return 1
 			}
-			return ranked[i].Name < ranked[j].Name
+			return cmp.Compare(a.Name, b.Name)
 		})
 		if opt.TopK > 0 && len(ranked) > opt.TopK {
 			ranked = ranked[:opt.TopK]
@@ -685,18 +696,11 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 // phase 1: the pair survived the prefilter and min-join cut, its cheap
 // score and ceiling are cached, and phase 2 decides its exact-tier fate.
 type cascadeTask struct {
-	ci     int32 // index into visit/cands
-	q      int32 // train index
-	cheap  float64
-	ceil   float64
-	exempt bool // categorical–categorical: no cheaper tier exists
-}
-
-// prio is the phase-2 visit priority: exempt pairs sort first (they are
-// scored exactly no matter what), then by cheap score descending.
-func (t cascadeTask) prio() float64 {
-	if t.exempt {
-		return math.Inf(1)
-	}
-	return t.cheap
+	ci int32 // index into visit/cands
+	q  int32 // train index
+	// cheap is also the phase-2 visit priority, descending. An exempt
+	// pair (categorical–categorical: no cheaper tier exists) carries
+	// +Inf and a zero ceil: it sorts first and no bound ever settles it.
+	cheap float64
+	ceil  float64
 }
