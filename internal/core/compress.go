@@ -39,7 +39,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"unsafe"
 
 	"misketch/internal/binio"
@@ -225,6 +227,30 @@ func (d *RecordDecoder) keyRefs(b []byte, n int) ([]uint32, error) {
 	return keys, nil
 }
 
+// decodeScratch is what decoding one categorical record needs and its
+// Sketch does not keep. Pooled: a rank over a compressed catalog decodes
+// tens of records per query, and these — the map above all — were most
+// of what it allocated.
+type decodeScratch struct {
+	lens     []int             // value lengths
+	interned map[string]string // compressed blob → decoded value
+	buf      []byte            // FSST output
+}
+
+var decodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// release returns sc to the pool empty — and small: clearing a map costs
+// its capacity, which one huge record must not make every later decode
+// pay.
+func (sc *decodeScratch) release() {
+	const maxPooled = 4096
+	if len(sc.interned) > maxPooled || cap(sc.lens) > maxPooled {
+		*sc = decodeScratch{}
+	}
+	clear(sc.interned)
+	decodeScratchPool.Put(sc)
+}
+
 // decodeCompressed decodes the body of a compressed record whose frame
 // rec already carries. Compressed arrays are materialized (owned) —
 // only the raw numeric value array honors borrow.
@@ -285,7 +311,9 @@ func decodeCompressed(dec *RecordDecoder, data []byte, off int, rec Record, borr
 			keys[i] = dec.keyDict[v]
 			pos += c
 		}
-		lens := make([]int, n)
+		sc := decodeScratchPool.Get().(*decodeScratch)
+		defer sc.release()
+		lens := slices.Grow(sc.lens[:0], n)[:n]
 		total := 0
 		for i := 0; i < n; i++ {
 			v, c := binio.UvarintAt(payload, pos)
@@ -307,8 +335,10 @@ func decodeCompressed(dec *RecordDecoder, data []byte, off int, rec Record, borr
 		s.Strs = make([]string, n)
 		// Intern per distinct compressed blob: a repeated value decodes
 		// (and allocates) once per record, not once per row.
-		var interned map[string]string
-		var buf []byte
+		if sc.interned == nil {
+			sc.interned = make(map[string]string, 64)
+		}
+		interned, buf := sc.interned, sc.buf
 		bo := 0
 		for i := 0; i < n; i++ {
 			cs := blob[bo : bo+lens[i]]
@@ -322,13 +352,11 @@ func decodeCompressed(dec *RecordDecoder, data []byte, off int, rec Record, borr
 			if err != nil {
 				return Record{}, fmt.Errorf("core: record at %d: value %d: %w", off, i, err)
 			}
-			v := string(buf)
-			if interned == nil {
-				interned = make(map[string]string, n)
-			}
+			v := string(buf) // a copy: nothing pooled reaches the Sketch
 			interned[string(cs)] = v
 			s.Strs[i] = v
 		}
+		sc.lens, sc.buf = lens, buf
 	}
 	rec.Sketch = s
 	return rec, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"misketch/internal/fsst"
@@ -174,6 +175,103 @@ func TestCompressedRecordFailsClosed(t *testing.T) {
 	if _, err := DecodeRecordWith(NewRecordDecoder(nil, nil), buf, 0, false); err == nil {
 		t.Fatal("decode against an empty dictionary succeeded")
 	}
+}
+
+// catRecords encodes nRec categorical sketches over one key universe
+// whose value sets (under root) overlap record to record but whose rows
+// differ, and returns them with the records and the shared decoder.
+func catRecords(t *testing.T, nRec int, root string) ([]*Sketch, [][]byte, *RecordDecoder) {
+	t.Helper()
+	sks := make([]*Sketch, nRec)
+	for r := range sks {
+		sk := &Sketch{Method: CSK, Role: RoleCandidate, Seed: 1, Size: 256, SourceRows: 256}
+		for i := 0; i < 200+r; i++ {
+			sk.KeyHashes = append(sk.KeyHashes, uint32(i*2654435761))
+			sk.Strs = append(sk.Strs, fmt.Sprintf("%s/region-%03d/level-%02d", root, r%3, (i*(r+3))%(7+r)))
+		}
+		sks[r] = sk
+	}
+	c := compressorFor(sks...)
+	bufs := make([][]byte, nRec)
+	for r, sk := range sks {
+		buf, compressed, err := AppendRecordCompressed(nil, fmt.Sprintf("sel/t%03d", r), sk, c)
+		if err != nil || !compressed {
+			t.Fatalf("record %d: compressed=%v err=%v", r, compressed, err)
+		}
+		bufs[r] = buf
+	}
+	return sks, bufs, c.Decoder()
+}
+
+// TestCompressedDecodeScratchDoesNotEscape: the interning map, the
+// length array and the FSST buffer of a categorical decode are pooled,
+// so the next decode on the goroutine overwrites them. Every value of
+// record A must read the same after records B, C, … were decoded — a
+// string aliasing the pooled buffer, or a map entry surviving into the
+// next record (the same blob decodes to the same value only under the
+// same table, but a stale entry under a reused key would be returned
+// unseen), fails here — and a failed decode must hand the scratch back
+// clean.
+func TestCompressedDecodeScratchDoesNotEscape(t *testing.T) {
+	sks, bufs, dec := catRecords(t, 6, "category")
+	decoded := make([]*Sketch, len(bufs))
+	for r, buf := range bufs {
+		rec, err := DecodeRecordWith(dec, buf, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded[r] = rec.Sketch
+		// A decode that fails after interning values (wrong table: the
+		// CRC holds, the codes do not) between two that succeed.
+		if _, err := DecodeRecordWith(NewRecordDecoder(dec.keyDict, nil), buf, 0, false); err == nil {
+			t.Fatal("decode against an empty symbol table succeeded")
+		}
+	}
+	for r, sk := range decoded {
+		packedSketchesEqual(t, fmt.Sprintf("record %d after %d later decodes", r, len(bufs)-1-r), sk, sks[r])
+	}
+	// Under another table the same blobs mean other values: nothing the
+	// first decoder interned may answer for the second's.
+	others, otherBufs, otherDec := catRecords(t, 6, "kind")
+	for r, buf := range otherBufs {
+		if _, err := DecodeRecordWith(dec, bufs[r], 0, false); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := DecodeRecordWith(otherDec, buf, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packedSketchesEqual(t, fmt.Sprintf("other table, record %d", r), rec.Sketch, others[r])
+	}
+}
+
+// TestCompressedDecodeConcurrent decodes the same records from several
+// goroutines at once (run under -race in CI): pooled scratch is per
+// decode, never shared.
+func TestCompressedDecodeConcurrent(t *testing.T) {
+	sks, bufs, dec := catRecords(t, 8, "category")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				r := (g + round) % len(bufs)
+				rec, err := DecodeRecordWith(dec, bufs[r], 0, false)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, v := range rec.Sketch.Strs {
+					if v != sks[r].Strs[i] {
+						t.Errorf("goroutine %d record %d: value %d is %q, want %q", g, r, i, v, sks[r].Strs[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func FuzzDecodeCompressedRecord(f *testing.F) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"misketch/internal/mi"
@@ -116,9 +117,11 @@ type Scratch struct {
 	// candFirst heads them and nextJoined links them (both offset by 1).
 	candFirst  []int32
 	nextJoined []int32
-	chained    bool    // the three arrays above describe the match in candOf
-	xOrder     []int32 // joined x ordering hint (train value order filtered)
-	yOrder     []int32 // joined y ordering hint (cand value order filtered)
+	// chained: the arrays above describe the match in candOf, each as far
+	// as its side is numeric.
+	chained bool
+	xOrder  []int32 // joined x ordering hint (train value order filtered)
+	yOrder  []int32 // joined y ordering hint (cand value order filtered)
 }
 
 // ScratchPool recycles Scratch values across ranking queries. A
@@ -173,7 +176,7 @@ func (p *TrainProbe) JoinAbove(cand *Sketch, minJoin int, exact bool, s *Scratch
 	if err != nil || overlap <= minJoin {
 		return JoinedSample{Size: overlap}, err
 	}
-	if exact && p.valOrder != nil && cand.Numeric {
+	if exact && (p.valOrder != nil || cand.Numeric) {
 		p.chains(cand, s, overlap)
 	}
 	train := p.train
@@ -263,82 +266,87 @@ func gather[T any](dst, src []T, candOf []int32, byCand bool) []T {
 	return dst
 }
 
-// chains builds, from the match left in candOf, what hints reads: each
-// matched train entry's joined index, and per candidate entry the chain
-// of joined indices it produced (a candidate entry joins several train
-// entries when train keys repeat). Only a numeric–numeric pair headed
-// for the exact tier needs them.
+// chains builds, from the match left in candOf, what hints reads, one
+// numeric side at a time: for a train with a value order each matched
+// train entry's joined index, for a numeric candidate the chain of
+// joined indices each of its entries produced (a candidate entry joins
+// several train entries when train keys repeat). A categorical side gets
+// nothing, and only a pair headed for the exact tier comes here.
 func (p *TrainProbe) chains(cand *Sketch, s *Scratch, overlap int) {
-	if cap(s.matchedTrain) < len(s.candOf) {
-		s.matchedTrain = make([]int32, len(s.candOf))
-	}
-	s.matchedTrain = s.matchedTrain[:len(s.candOf)] // every entry is written below
-	if cap(s.candFirst) < cand.Len() {
-		s.candFirst = make([]int32, cand.Len())
-	} else {
-		s.candFirst = s.candFirst[:cand.Len()]
-		clear(s.candFirst)
-	}
-	if cap(s.nextJoined) < overlap {
-		s.nextJoined = make([]int32, overlap)
-	}
-	s.nextJoined = s.nextJoined[:overlap]
 	s.chained = true
-	joined := int32(0)
-	for ti, cj := range s.candOf {
-		if cj != 0 {
-			s.nextJoined[joined] = s.candFirst[cj-1]
-			joined++
-			s.candFirst[cj-1] = joined
-			s.matchedTrain[ti] = joined
-		} else {
-			s.matchedTrain[ti] = 0
+	if p.valOrder != nil {
+		s.matchedTrain = slices.Grow(s.matchedTrain[:0], len(s.candOf))[:len(s.candOf)] // every entry is written below
+		joined := int32(0)
+		for ti, cj := range s.candOf {
+			if cj != 0 {
+				joined++
+				s.matchedTrain[ti] = joined
+			} else {
+				s.matchedTrain[ti] = 0
+			}
+		}
+	}
+	if cand.Numeric {
+		s.candFirst = slices.Grow(s.candFirst[:0], cand.Len())[:cand.Len()]
+		clear(s.candFirst)
+		s.nextJoined = slices.Grow(s.nextJoined[:0], overlap)[:overlap] // every entry is written below
+		joined := int32(0)
+		for _, cj := range s.candOf {
+			if cj != 0 {
+				s.nextJoined[joined] = s.candFirst[cj-1]
+				joined++
+				s.candFirst[cj-1] = joined
+			}
 		}
 	}
 }
 
 // hints derives the estimator's ordering hints for the sample produced
-// by the latest JoinScratch: the joined train side's ascending order
-// (filtering the probe's compile-once value order down to matched
-// entries) and the joined candidate side's (filtering the candidate's
-// memoized value order). Both filters are O(entries) walks with no
-// comparisons — the estimator never sorts on the ranking hot path. Only
-// numeric–numeric pairs have hints: the estimator reads them when both
-// orders are present and never otherwise. A join that built no chains
-// has none either, and the estimator sorts for itself — same bits.
+// by the latest JoinScratch, one per numeric side: the joined train
+// side's ascending order (the probe's compile-once value order filtered
+// down to matched entries) and the joined candidate side's (the
+// candidate's memoized value order walked through its chains) — O(entries)
+// each, no comparisons, so no estimator sorts on the ranking hot path.
+// Mixed-KSG reads both, DC-KSG its numeric column's; a categorical side
+// has none, nor has a side holding a NaN (no value order) or a join that
+// built no chains: the estimator then sorts for itself — same bits.
 func (p *TrainProbe) hints(cand *Sketch, s *Scratch) mi.Hints {
-	candOrder := cand.NumValOrder()
-	if !s.chained || candOrder == nil {
-		return mi.Hints{}
+	var h mi.Hints
+	if !s.chained {
+		return h
 	}
-	xOrder := s.xOrder[:0]
-	for _, ti := range p.valOrder {
-		if joined := s.matchedTrain[ti]; joined != 0 {
-			xOrder = append(xOrder, joined-1)
+	if p.valOrder != nil {
+		xOrder := s.xOrder[:0]
+		for _, ti := range p.valOrder {
+			if joined := s.matchedTrain[ti]; joined != 0 {
+				xOrder = append(xOrder, joined-1)
+			}
 		}
+		s.xOrder, h.XOrder = xOrder, xOrder
 	}
-	s.xOrder = xOrder
-	yOrder := s.yOrder[:0]
-	for _, j := range candOrder {
-		for joined := s.candFirst[j]; joined != 0; joined = s.nextJoined[joined-1] {
-			yOrder = append(yOrder, joined-1)
+	if candOrder := cand.NumValOrder(); candOrder != nil {
+		yOrder := s.yOrder[:0]
+		for _, j := range candOrder {
+			for joined := s.candFirst[j]; joined != 0; joined = s.nextJoined[joined-1] {
+				yOrder = append(yOrder, joined-1)
+			}
 		}
+		s.yOrder, h.YOrder = yOrder, yOrder
 	}
-	s.yOrder = yOrder
-	return mi.Hints{XOrder: xOrder, YOrder: yOrder}
+	return h
 }
 
 // EstimateJoined applies the type-appropriate exact MI estimator to the
 // sample the latest join on s produced for this probe and candidate
 // (JoinScratch, or JoinAbove with exact set; after one without, the
-// estimate is the same but pays the sorts the hints spare). Splitting
-// the join from the estimate lets a caller compute the join once and
-// feed it to several consumers — the cascaded ranker scores the joined
-// sample with the cheap binned tier first and only calls EstimateJoined
-// on candidates that can still contend. The result
-// is bit-identical to EstimateMIScratch on the same pair: the ordering
-// hints are derived from the scratch's join state exactly as there, and
-// neither the cheap tier nor this call disturbs that state.
+// estimate is the same but Mixed-KSG and DC-KSG pay the sorts the hints
+// spare them). Splitting the join from the estimate lets a caller
+// compute the join once and feed it to several consumers — the cascaded
+// ranker scores the joined sample with the cheap binned tier first and
+// only calls EstimateJoined on candidates that can still contend. The
+// result is bit-identical to EstimateMIScratch on the same pair: the
+// ordering hints are derived from the scratch's join state exactly as
+// there, and neither the cheap tier nor this call disturbs that state.
 func (p *TrainProbe) EstimateJoined(cand *Sketch, js JoinedSample, k int, s *Scratch) mi.Result {
 	return s.MI.EstimateHinted(js.Y, js.X, k, p.hints(cand, s))
 }

@@ -129,14 +129,108 @@ func TestEstimateMIScratchBitIdentical(t *testing.T) {
 					t.Fatalf("train=%v cand=%v trial=%d: MI %v != %v",
 						trainNum, candNum, trial, got.MI, want.MI)
 				}
-				// Ordering hints exist for numeric–numeric pairs only:
-				// cat×num, num×cat and cat×cat estimators never read them,
-				// so none may be derived.
+				// Each numeric side has its order — Mixed-KSG reads both,
+				// DC-KSG its numeric column's — and a categorical side
+				// none, so cat×cat derives nothing.
 				h := probe.hints(cand, &scratch)
-				if both := trainNum && candNum; (h.XOrder != nil) != both || (h.YOrder != nil) != both {
-					t.Fatalf("train=%v cand=%v: hints derived x=%v y=%v, want both only for numeric pairs",
+				if (h.XOrder != nil) != trainNum || (h.YOrder != nil) != candNum {
+					t.Fatalf("train=%v cand=%v: hints derived x=%v y=%v, want one per numeric side",
 						trainNum, candNum, h.XOrder != nil, h.YOrder != nil)
 				}
+				for _, order := range [][]int32{h.XOrder, h.YOrder} {
+					if order != nil && len(order) != got.N {
+						t.Fatalf("train=%v cand=%v: an order of %d rows for a sample of %d",
+							trainNum, candNum, len(order), got.N)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHintsOrderEachNumericSide checks the hints against the sample
+// itself rather than against another run of the estimator: on sketches
+// whose train keys repeat (so candidate entries chain several joined
+// rows) and whose values tie, each numeric side's order must be a
+// permutation of the joined rows along which that side's column never
+// descends, whatever the other side's kind — the chains of one side are
+// built without the other's. With it the mixed pairs' estimates, for
+// k 1…5 on one scratch, must equal EstimateMI's, which sorts for itself;
+// so must those of a column holding a NaN, which has no value order and
+// therefore no hint.
+func TestHintsOrderEachNumericSide(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var scratch Scratch
+	for trial := 0; trial < 200; trial++ {
+		trainNum, candNum := trial&1 == 0, trial&2 == 0
+		universe := 40 + rng.Intn(260)
+		trainHashes := make([]uint32, 2+rng.Intn(255))
+		for i := range trainHashes {
+			trainHashes[i] = uint32(1 + rng.Intn(universe))
+		}
+		var candHashes []uint32
+		for h := 1; h <= universe; h++ {
+			if rng.Intn(4) != 0 {
+				candHashes = append(candHashes, uint32(h))
+			}
+		}
+		rng.Shuffle(len(candHashes), func(i, j int) { candHashes[i], candHashes[j] = candHashes[j], candHashes[i] })
+		train := handSketch(RoleTrain, trainNum, trainHashes, rng)
+		cand := handSketch(RoleCandidate, candNum, candHashes, rng)
+		withNaN := trial%8 >= 6 && (trainNum || candNum)
+		if withNaN {
+			if trainNum {
+				train.Nums[rng.Intn(train.Len())] = math.NaN()
+			} else {
+				cand.Nums[rng.Intn(cand.Len())] = math.NaN()
+			}
+		}
+		probe := CompileTrainProbe(train)
+		label := fmt.Sprintf("trial %d (train num=%v, cand num=%v, NaN=%v)", trial, trainNum, candNum, withNaN)
+		js, err := probe.JoinScratch(cand, &scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := probe.hints(cand, &scratch)
+		for _, side := range []struct {
+			order []int32
+			col   mi.Column
+			sk    *Sketch
+		}{{h.XOrder, js.Y, train}, {h.YOrder, js.X, cand}} {
+			if want := side.sk.NumValOrder() != nil; (side.order != nil) != want {
+				t.Fatalf("%s: order derived %v, want %v", label, side.order != nil, want)
+			}
+			if side.order == nil {
+				continue
+			}
+			if len(side.order) != js.Size {
+				t.Fatalf("%s: an order of %d rows for a sample of %d", label, len(side.order), js.Size)
+			}
+			seen := make([]bool, js.Size)
+			for j, row := range side.order {
+				if int(row) >= js.Size || seen[row] {
+					t.Fatalf("%s: order %v is not a permutation of %d rows", label, side.order, js.Size)
+				}
+				seen[row] = true
+				if j > 0 && side.col.Num[side.order[j-1]] > side.col.Num[row] {
+					t.Fatalf("%s: column descends along its order at %d", label, j)
+				}
+			}
+		}
+		if trainNum == candNum {
+			continue
+		}
+		for k := 1; k <= 5; k++ {
+			want, err := EstimateMI(train, cand, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := EstimateMIScratch(probe, cand, k, &scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Estimator != mi.EstDCKSG || got.N != want.N || math.Float64bits(got.MI) != math.Float64bits(want.MI) {
+				t.Fatalf("%s k=%d: hinted %+v, EstimateMI %+v", label, k, got, want)
 			}
 		}
 	}

@@ -250,9 +250,9 @@ func (sd *cheapSide) materialize(bins int, ids *[]int32) {
 
 // sized returns *buf resliced (or reallocated) to n elements of
 // unspecified content; zeroed also clears them.
-func sized(buf *[]int32, n int) []int32 {
+func sized[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int32, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

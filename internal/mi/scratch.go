@@ -1,8 +1,9 @@
 package mi
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"misketch/internal/knn"
 	"misketch/internal/stats"
@@ -55,15 +56,17 @@ type Scratch struct {
 	yCounts []int
 	jCounts []int
 
-	// DC-KSG state: per-row class IDs, per-class counts and cursors, and
-	// the class-grouped value buffers (one kept in row order, one sorted
-	// per class section, one globally sorted).
+	// DC-KSG state: per-row class IDs and places among the class's rows,
+	// per-class counts, section starts and fill cursors, the masked values
+	// sorted per class section (the global sorted copy and both ranks use
+	// the hinted-path buffers), and the value order when sorted here.
 	rowClass    []int32
+	rowSlot     []int32
 	classCounts []int
 	classStart  []int
 	classCursor []int
-	grouped     []float64
 	classSorted []float64
+	order       []int32
 
 	// Cheap-tier (cascade) state: dense per-row IDs for categorical
 	// columns, flat marginal count arrays, the flat joint count array
@@ -92,15 +95,9 @@ func (s *Scratch) MLE(xs, ys []string) float64 {
 	if n == 0 {
 		return 0
 	}
-	if s.xLevels == nil {
-		s.xLevels = make(map[string]int, 64)
-		s.yLevels = make(map[string]int, 64)
-		s.jLevels = make(map[uint64]int, 64)
-	} else {
-		clear(s.xLevels)
-		clear(s.yLevels)
-		clear(s.jLevels)
-	}
+	s.xLevels = emptied(s.xLevels)
+	s.yLevels = emptied(s.yLevels)
+	s.jLevels = emptied(s.jLevels)
 	s.xCounts = s.xCounts[:0]
 	s.yCounts = s.yCounts[:0]
 	s.jCounts = s.jCounts[:0]
@@ -131,6 +128,15 @@ func (s *Scratch) MLE(xs, ys []string) float64 {
 	return stats.EntropyFromCounts(s.xCounts, n) +
 		stats.EntropyFromCounts(s.yCounts, n) -
 		stats.EntropyFromCounts(s.jCounts, n)
+}
+
+// emptied returns the interning map m with no entries, made on first use.
+func emptied[K comparable](m map[K]int) map[K]int {
+	if m == nil {
+		return make(map[K]int, 64)
+	}
+	clear(m)
+	return m
 }
 
 // gridMaxN is the sample size up to which the KSG-family estimators use
@@ -191,9 +197,11 @@ func (s *Scratch) KSG(xs, ys []float64, k int) float64 {
 // Hints carries optional precomputed orderings a caller (the ranking hot
 // path) can supply to spare the estimator its per-call sorts: XOrder and
 // YOrder are the ascending orders of the x and y columns — Order[j] is
-// the index of the j-th smallest value. Both must be set to take
-// effect; invalid lengths are ignored. Hinted estimates are
-// bit-identical to unhinted ones.
+// the index of the j-th smallest value, equal values in any order. Each
+// is used on its own: DC-KSG reads the order of its one numeric column,
+// Mixed-KSG reads both and sorts for itself unless it has both, the
+// plug-in reads neither. An order of the wrong length is ignored.
+// Hinted estimates are bit-identical to unhinted ones.
 type Hints struct {
 	XOrder []int32
 	YOrder []int32
@@ -289,29 +297,33 @@ func (s *Scratch) mixedKSG(xs, ys []float64, k int, h Hints) float64 {
 
 // growHinted sizes the hinted-path buffers for a sample of n points.
 func (s *Scratch) growHinted(n int) {
-	if cap(s.sortedX) < n {
-		s.sortedX = make([]float64, n)
-		s.sortedY = make([]float64, n)
-		s.rankX = make([]int32, n)
-		s.rankY = make([]int32, n)
-		s.rho = make([]float64, n)
-	} else {
-		s.sortedX = s.sortedX[:n]
-		s.sortedY = s.sortedY[:n]
-		s.rankX = s.rankX[:n]
-		s.rankY = s.rankY[:n]
-		s.rho = s.rho[:n]
-	}
+	sized(&s.sortedX, n)
+	sized(&s.sortedY, n)
+	sized(&s.rankX, n)
+	sized(&s.rankY, n)
+	sized(&s.rho, n)
 }
 
 // DCKSG returns Ross's (2014) MI estimate between a discrete column cs
 // and a continuous column ys; see the package-level DCKSG for the
-// formula. Classes are interned in first-appearance order and their
-// values grouped into one backing array with per-class sorted sections,
-// so the per-class neighbor structures cost no allocations and the
-// masked-point iteration order — hence the result, to the last bit — is
-// deterministic.
+// formula.
 func (s *Scratch) DCKSG(cs []string, ys []float64, k int) float64 {
+	return s.dcKSG(cs, ys, k, nil)
+}
+
+// dcKSG is DCKSG driven by the ascending order of ys (order[j] is the
+// row of the j-th smallest value, ties in any order): the caller's when
+// it has len(ys) entries, sorted here otherwise. ONE pass over it appends
+// every masked value to the global sorted array and to its class's
+// sorted section and records both ranks at the row's class-grouped
+// position, so a point's in-class k-NN distance is a k-step walk outward
+// from its class rank and its neighborhood count a walk outward from its
+// global rank — nothing is sorted or searched for again. The sums run
+// over classes in first-appearance order and rows in row order inside a
+// class, which fixes the result to the last bit whichever valid order
+// drove the pass (ranks inside a run of equal values differ, no distance
+// or count does).
+func (s *Scratch) dcKSG(cs []string, ys []float64, k int, order []int32) float64 {
 	if len(cs) != len(ys) {
 		panic("mi: DCKSG requires equal-length slices")
 	}
@@ -319,18 +331,8 @@ func (s *Scratch) DCKSG(cs []string, ys []float64, k int) float64 {
 		panic("mi: k must be positive")
 	}
 	n := len(cs)
-	if s.xLevels == nil {
-		s.xLevels = make(map[string]int, 64)
-		s.yLevels = make(map[string]int, 64)
-		s.jLevels = make(map[uint64]int, 64)
-	} else {
-		clear(s.xLevels)
-	}
-	if cap(s.rowClass) < n {
-		s.rowClass = make([]int32, n)
-	} else {
-		s.rowClass = s.rowClass[:n]
-	}
+	s.xLevels = emptied(s.xLevels)
+	rowClass, rowSlot := sized(&s.rowClass, n), sized(&s.rowSlot, n)
 	s.classCounts = s.classCounts[:0]
 	for i, c := range cs {
 		id, ok := s.xLevels[c]
@@ -339,24 +341,18 @@ func (s *Scratch) DCKSG(cs []string, ys []float64, k int) float64 {
 			s.xLevels[c] = id
 			s.classCounts = append(s.classCounts, 0)
 		}
+		rowClass[i] = int32(id)
+		rowSlot[i] = int32(s.classCounts[id]) // the row's place among its class's rows
 		s.classCounts[id]++
-		s.rowClass[i] = int32(id)
 	}
-	// Group the values of classes with at least 2 members (points from
-	// singleton classes have no within-class neighborhood and are
-	// excluded, as in the reference implementation).
+	// Points from singleton classes have no within-class neighborhood
+	// and are masked out, as in the reference implementation.
 	nClasses := len(s.classCounts)
-	if cap(s.classStart) < nClasses {
-		s.classStart = make([]int, nClasses)
-		s.classCursor = make([]int, nClasses)
-	} else {
-		s.classStart = s.classStart[:nClasses]
-		s.classCursor = s.classCursor[:nClasses]
-	}
+	classStart, classCursor := sized(&s.classStart, nClasses), sized(&s.classCursor, nClasses)
 	masked := 0
 	for id, c := range s.classCounts {
-		s.classStart[id] = masked
-		s.classCursor[id] = masked
+		classStart[id] = masked
+		classCursor[id] = masked
 		if c > 1 {
 			masked += c
 		}
@@ -364,30 +360,24 @@ func (s *Scratch) DCKSG(cs []string, ys []float64, k int) float64 {
 	if masked < 2 {
 		return 0
 	}
-	if cap(s.grouped) < masked {
-		s.grouped = make([]float64, masked)
-		s.classSorted = make([]float64, masked)
-	} else {
-		s.grouped = s.grouped[:masked]
-		s.classSorted = s.classSorted[:masked]
+	if len(order) != n {
+		order = s.ascending(ys)
 	}
-	for i := 0; i < n; i++ {
-		id := s.rowClass[i]
+	global, classSorted := sized(&s.sortedX, masked)[:0], sized(&s.classSorted, masked)
+	globalRank, classRank := sized(&s.rankX, masked), sized(&s.rankY, masked)
+	for _, i := range order {
+		id := rowClass[i]
 		if s.classCounts[id] <= 1 {
 			continue
 		}
-		s.grouped[s.classCursor[id]] = ys[i]
-		s.classCursor[id]++
+		at := classStart[id] + int(rowSlot[i])
+		globalRank[at] = int32(len(global))
+		global = append(global, ys[i])
+		c := classCursor[id]
+		classCursor[id] = c + 1
+		classRank[at] = int32(c)
+		classSorted[c] = ys[i]
 	}
-	copy(s.classSorted, s.grouped)
-	for id, c := range s.classCounts {
-		if c > 1 {
-			start := s.classStart[id]
-			sort.Float64s(s.classSorted[start : start+c])
-		}
-	}
-	s.sx.Reset(s.grouped) // global sorted multiset of masked values
-	global := &s.sx
 	nMasked := float64(masked)
 	var sumK, sumNc, sumM float64
 	for id, nc := range s.classCounts {
@@ -398,18 +388,18 @@ func (s *Scratch) DCKSG(cs []string, ys []float64, k int) float64 {
 		if ki > nc-1 {
 			ki = nc - 1
 		}
-		start := s.classStart[id]
-		classView := knn.SortedView(s.classSorted[start : start+nc])
-		for _, v := range s.grouped[start : start+nc] {
-			d := classView.KNNDist(v, ki, true)
+		start := classStart[id]
+		class := classSorted[start : start+nc]
+		for at := start; at < start+nc; at++ {
+			d := kthNearest(class, int(classRank[at])-start, ki)
 			var m int
 			if d == 0 {
 				// Tied neighborhood: count exact ties (self included), as
 				// the reference implementation's zero-radius query does.
-				m = global.CountWithin(v, 0, 0)
+				m = knn.RangeCountTies(global, int(globalRank[at]))
 			} else {
 				// Strictly-within count, self included (distance 0 < d).
-				m = global.CountStrictlyWithin(v, d, 0)
+				m = knn.RangeCountStrict(global, int(globalRank[at]), d) + 1
 			}
 			sumK += stats.DigammaInt(ki)
 			sumNc += stats.DigammaInt(nc)
@@ -417,6 +407,37 @@ func (s *Scratch) DCKSG(cs []string, ys []float64, k int) float64 {
 		}
 	}
 	return stats.Digamma(nMasked) + (sumK-sumNc-sumM)/nMasked
+}
+
+// ascending sorts the rows of ys by value for a caller that brings no
+// order; cmp.Compare ranks NaN lowest, so any input has one.
+func (s *Scratch) ascending(ys []float64) []int32 {
+	order := s.order[:0]
+	for i := range ys {
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(ys[a], ys[b]) })
+	s.order = order
+	return order
+}
+
+// kthNearest returns the distance from sorted[rank] to the k-th nearest
+// of the other values, k < len(sorted): a merge of the two runs leaving
+// rank, the upper one first on equal distances.
+func kthNearest(sorted []float64, rank, k int) float64 {
+	x := sorted[rank]
+	lo, hi := rank-1, rank+1
+	var d float64
+	for ; k > 0; k-- {
+		if lo >= 0 && (hi == len(sorted) || x-sorted[lo] < sorted[hi]-x) {
+			d = x - sorted[lo]
+			lo--
+		} else {
+			d = sorted[hi] - x
+			hi++
+		}
+	}
+	return d
 }
 
 // Estimate computes MI between two sample columns using the estimator
@@ -427,9 +448,8 @@ func (s *Scratch) Estimate(x, y Column, k int) Result {
 }
 
 // EstimateHinted is Estimate with optional precomputed orderings (see
-// Hints). The hints only accelerate the numeric–numeric path; they are
-// ignored — never wrong — everywhere else, and the result is
-// bit-identical to Estimate's.
+// Hints): every estimator with a numeric column reads that column's
+// order, and the result is bit-identical to Estimate's.
 func (s *Scratch) EstimateHinted(x, y Column, k int, h Hints) Result {
 	if x.Len() != y.Len() {
 		panic("mi: Estimate requires equal-length columns")
@@ -447,12 +467,12 @@ func (s *Scratch) EstimateHinted(x, y Column, k int, h Hints) Result {
 	case x.IsNumeric():
 		r.Estimator = EstDCKSG
 		if r.N > k {
-			r.MI = s.DCKSG(y.Str, x.Num, k)
+			r.MI = s.dcKSG(y.Str, x.Num, k, h.XOrder)
 		}
 	default:
 		r.Estimator = EstDCKSG
 		if r.N > k {
-			r.MI = s.DCKSG(x.Str, y.Num, k)
+			r.MI = s.dcKSG(x.Str, y.Num, k, h.YOrder)
 		}
 	}
 	if r.MI < 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -64,6 +65,76 @@ func goldenCatalog(t *testing.T) (names []string, cands, trains []*core.Sketch) 
 	return names, cands, trains
 }
 
+// selCatalog is the benchmark's sel20k shape at test size: two disjoint
+// 300-key domains of 40 candidates, half numeric half categorical (20
+// long labels a domain), 8 of each domain planted on the 20-level
+// signal, compacted into one compressed segment and read with no sketch
+// cache — so every rank decodes its records (pooled decode scratch, at
+// Workers 4 concurrently), half its pairs are DC-KSG, and with TopK 10
+// reaching past the 8 planted the cheap tier settles almost nothing.
+// The train is domain 0's.
+func selCatalog(t *testing.T) (*Store, []*core.Sketch) {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := OpenWithOptions(dir, OpenOptions{Compression: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(53))
+	opt := core.Options{Method: core.TUPSK, Size: 256}
+	signal := func(g int) float64 { return float64(g % 20) }
+	builder := func(role core.Role, numeric bool) *core.StreamBuilder {
+		b, err := core.NewStreamBuilder(role, numeric, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for d := 0; d < 2; d++ {
+		for j := 0; j < 40; j++ {
+			numeric, planted := j%2 == 0, j%10 < 2
+			b := builder(core.RoleCandidate, numeric)
+			for g := 0; g < 300; g++ {
+				key := fmt.Sprintf("d%03d-k%d", d, g)
+				label := func(l int) string { return fmt.Sprintf("category/region-%03d/level-%02d", d, l) }
+				switch {
+				case numeric && planted:
+					b.AddNum(key, signal(g)+0.3*rng.NormFloat64())
+				case numeric:
+					b.AddNum(key, rng.NormFloat64())
+				case planted:
+					b.AddStr(key, label(g%20))
+				default:
+					b.AddStr(key, label(rng.Intn(12)))
+				}
+			}
+			if err := st.Put(fmt.Sprintf("sel/d%03d/t%03d#x", d, j), b.Sketch()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if cs, err := st.Compact(context.Background()); err != nil || !cs.Compacted {
+		t.Fatalf("compact = %+v, %v", cs, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = OpenWithOptions(dir, OpenOptions{Compression: true, CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if ss := st.Stats(); ss.CompressedSegments != 1 || ss.IndexedSegments != 1 {
+		t.Fatalf("fixture stats %+v, want one compressed, indexed segment", ss)
+	}
+	tb := builder(core.RoleTrain, true)
+	for i := 0; i < 4000; i++ {
+		g := rng.Intn(300)
+		tb.AddNum(fmt.Sprintf("d000-k%d", g), signal(g)+0.25*rng.NormFloat64())
+	}
+	return st, []*core.Sketch{tb.Sketch()}
+}
+
 func TestCascadeObservablesPinned(t *testing.T) {
 	type counters struct{ cheapOnly, exact, rescues, pruned, noDecode int64 }
 	cases := []struct {
@@ -121,6 +192,15 @@ func TestCascadeObservablesPinned(t *testing.T) {
 			opt:  BatchOptions{MinJoinSize: 30, K: 3, TopK: 3},
 			rank: counters{exact: 20, pruned: 20, noDecode: 10},
 			seed: counters{exact: 6, pruned: 20, noDecode: 10},
+		},
+		{
+			// Recorded at commit c8bc2de, the parent of the order-driven
+			// DC-KSG and of the pooled decode scratch.
+			name: "sel20k",
+			open: selCatalog,
+			opt:  BatchOptions{Prefix: "sel/", MinJoinSize: 50, K: 3, TopK: 10},
+			rank: counters{exact: 40, pruned: 40, noDecode: 40},
+			seed: counters{exact: 10, pruned: 40, noDecode: 40},
 		},
 	}
 	ctx := context.Background()
