@@ -1,12 +1,14 @@
-// Command datagen materializes the synthetic workloads as CSV files: the
-// paper's Trinomial/CDUnif benchmark tables and the NYC/WBF open-data
-// stand-in corpora. Useful for inspecting the data the experiments run
-// on, and for feeding the misketch CLI realistic inputs.
+// Command datagen materializes the synthetic workloads: the paper's
+// Trinomial/CDUnif benchmark tables and the NYC/WBF open-data stand-in
+// corpora as CSV files, and the planted-cohort rank corpus as ready-to-
+// serve sketch stores. Useful for inspecting the data the experiments
+// run on, and for feeding the misketch CLI and `misketch serve`
+// realistic inputs.
 //
 // Usage:
 //
-//	datagen -out DIR [-kind trinomial|cdunif|corpus] [-m 512] [-rows 10000]
-//	        [-collection NYC|WBF] [-tables 20] [-seed 1]
+//	datagen -out DIR [-kind trinomial|cdunif|corpus|cohort] [-m 512] [-rows 10000]
+//	        [-collection NYC|WBF] [-tables 20] [-shards 1] [-seed 1]
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"misketch"
 	"misketch/internal/corpus"
 	"misketch/internal/synth"
 	"misketch/internal/table"
@@ -24,12 +27,13 @@ import (
 func main() {
 	var (
 		out        = flag.String("out", "", "output directory (required)")
-		kind       = flag.String("kind", "trinomial", "what to generate: trinomial, cdunif, corpus")
+		kind       = flag.String("kind", "trinomial", "what to generate: trinomial, cdunif, corpus, cohort")
 		m          = flag.Int("m", 512, "distinct-value parameter for synthetic distributions")
 		rows       = flag.Int("rows", 10000, "rows per synthetic dataset")
 		keygen     = flag.String("keygen", "keydep", "key decomposition: keyind or keydep")
 		collection = flag.String("collection", "WBF", "corpus config: NYC or WBF")
-		tables     = flag.Int("tables", 0, "override number of corpus tables (0 = config default)")
+		tables     = flag.Int("tables", 0, "override number of corpus tables or cohort candidates (0 = config default; cohort: 1000)")
+		shards     = flag.Int("shards", 1, "cohort: split the candidates over this many disjoint stores, OUT/shard0..")
 		seed       = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
@@ -73,6 +77,33 @@ func main() {
 			writeCSV(filepath.Join(*out, name), tb.T)
 		}
 		fmt.Printf("wrote %d tables of the %s stand-in to %s\n", len(c.Tables), cfg.Name, *out)
+	case "cohort":
+		// Candidate c goes to store c % shards under "bench/", so the
+		// stores are disjoint and their union is the single-node corpus.
+		// One pass feeds them all: every sketch comes off PlantedCohort's
+		// single rng stream.
+		n := *tables
+		if n <= 0 {
+			n = 1000
+		}
+		if *shards < 1 {
+			flag.Usage()
+			os.Exit(2)
+		}
+		stores := make([]*misketch.Store, *shards)
+		for i := range stores {
+			st, err := misketch.OpenStore(filepath.Join(*out, fmt.Sprintf("shard%d", i)))
+			die(err)
+			stores[i] = st
+		}
+		_, cands := synth.PlantedCohort(n)
+		for c, sk := range cands {
+			die(stores[c%*shards].Put(fmt.Sprintf("bench/t%04d#x", c), sk))
+		}
+		for _, st := range stores {
+			die(st.Close())
+		}
+		fmt.Printf("wrote %d planted-cohort candidates into %d sketch store(s) under %s\n", n, *shards, *out)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown kind %q\n", *kind)
 		os.Exit(2)

@@ -15,8 +15,8 @@ package main
 // server's result-cache hit and coalesce rates over the measured
 // window, sampled from /v1/stats before and after.
 //
-// The JSON record appends to the same BENCH file the bench command
-// writes, so single-node and cluster throughput sit side by side.
+// The JSON record goes to stdout and, with -out, is appended to a file,
+// so single-node and cluster runs can sit side by side.
 
 import (
 	"bytes"
@@ -349,7 +349,7 @@ func flattenInts(v any, into map[string]int64) {
 // loadtestTrain resolves the query's train side: a saved sketch file,
 // or a synthetic train shaped like the bench corpus (keys g0..g399,
 // default seed and method) so a loadtest joins a store built by
-// `misketch bench -dir` without extra setup.
+// `datagen -kind cohort` without extra setup.
 func loadtestTrain(path string) (*misketch.Sketch, error) {
 	if path != "" {
 		return misketch.LoadSketch(path)

@@ -35,15 +35,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -52,7 +49,6 @@ import (
 	"time"
 
 	"misketch"
-	"misketch/internal/synth"
 	"misketch/internal/table"
 )
 
@@ -70,14 +66,8 @@ func main() {
 		runStore(os.Args[2:])
 	case "serve":
 		runServe(os.Args[2:])
-	case "bench":
-		runBench(os.Args[2:])
 	case "loadtest":
 		runLoadtest(os.Args[2:])
-	case "sketch": // legacy spelling of "store ingest" over explicit files
-		runStoreIngest(os.Args[2:])
-	case "store-rank": // legacy spelling of "store rank"
-		runStoreRank(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -94,16 +84,12 @@ func usage() {
   misketch store ls      -store DIR [-segments]
   misketch store rebuild -store DIR
   misketch store compact -store DIR [-compress]
-  misketch store index   -store DIR
   misketch serve         -store DIR [-addr :8080] [-max-workers N] [-probe-cache N] [-cache BYTES]
                          [-backend fs|mem] [-compact-every DUR] [-segment-bytes N] [-pprof]
   misketch serve         -coordinator -shards URL,URL,... [-addr :8080] [-shard-timeout DUR]
                          [-shard-connect-timeout DUR] [-shard-retries N]
-  misketch bench         [-candidates N] [-top K] [-iters N] [-no-cascade] [-out FILE]
-                         [-shard-index I -shard-count N] [-cpuprofile FILE] [-memprofile FILE]
   misketch loadtest      -url URL [-duration 10s] [-concurrency N] [-top K] [-min-join N]
-                         [-prefix P] [-sketch FILE] [-label NAME] [-out FILE]
-  (legacy aliases: "sketch" = store ingest, "store-rank" = store rank)`)
+                         [-prefix P] [-sketch FILE] [-label NAME] [-out FILE]`)
 }
 
 // runStore dispatches the store subcommand family.
@@ -123,8 +109,6 @@ func runStore(args []string) {
 		runStoreRebuild(args[1:])
 	case "compact":
 		runStoreCompact(args[1:])
-	case "index":
-		runStoreIndex(args[1:])
 	default:
 		usage()
 		os.Exit(2)
@@ -597,152 +581,6 @@ func runStoreCompact(args []string) {
 	if *compress && ss.CompressedBytes > 0 {
 		fmt.Printf("compressed: %d record bytes (raw equivalent %d, %.2fx)\n",
 			ss.CompressedBytes, ss.RawBytes, float64(ss.RawBytes)/float64(ss.CompressedBytes))
-	}
-}
-
-// runStoreIndex backfills per-segment key indexes: segments written
-// before the inverted index existed (or whose index emission was torn
-// by a crash) are folded through a forced compaction pass, whose output
-// always carries an index. Already-indexed stores are a no-op.
-func runStoreIndex(args []string) {
-	fs := flag.NewFlagSet("store index", flag.ExitOnError)
-	storeDir := fs.String("store", "", "sketch store directory")
-	die(fs.Parse(args))
-	requireFlags(map[string]string{"store": *storeDir})
-	st, err := misketch.OpenStore(*storeDir)
-	die(err)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	cs, err := st.IndexSegments(ctx)
-	if err != nil {
-		st.Close()
-		die(err)
-	}
-	ss := st.Stats()
-	die(st.Close())
-	if !cs.Compacted {
-		fmt.Printf("nothing to index: %d/%d sealed segment(s) already indexed (%d posting bytes)\n",
-			ss.IndexedSegments, ss.Segments, ss.PostingBytes)
-		return
-	}
-	fmt.Printf("indexed %d segment(s) into 1: %d records, %d/%d segment(s) now indexed, %d posting bytes\n",
-		cs.SegmentsBefore, cs.Records, ss.IndexedSegments, ss.Segments, ss.PostingBytes)
-}
-
-// runBench builds a sketch store of the repo's BenchmarkStoreRank
-// workload (synth.PlantedCohort: a planted cohort of dependent
-// candidates at graded noise scales, marginal stragglers near the
-// cascade's decision boundary, and an independent bulk), times warm
-// top-K ranking queries against it, and
-// emits one BENCH_rank.json record — the store-rank perf number,
-// measurable without the Go test harness. -cpuprofile/-memprofile
-// write pprof profiles of the timed loop for tier-level attribution.
-func runBench(args []string) {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	nCand := fs.Int("candidates", 1000, "number of candidate sketches")
-	top := fs.Int("top", 10, "top-K bound of the timed queries")
-	iters := fs.Int("iters", 5, "timed query iterations (after one warm-up)")
-	noCascade := fs.Bool("no-cascade", false, "time the exact tier on every pair (cascade disabled)")
-	out := fs.String("out", "", "append the JSON record to this file (default: stdout only)")
-	dir := fs.String("dir", "", "store directory (default: a temp dir, removed afterwards)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the timed queries to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile taken after the timed queries to this file")
-	shardIndex := fs.Int("shard-index", 0, "with -shard-count, keep only candidates c where c%%count == index")
-	shardCount := fs.Int("shard-count", 1, "build shard I of N disjoint stores (N runs with the same -candidates cover the full corpus)")
-	die(fs.Parse(args))
-	if *iters < 1 || *nCand < 1 {
-		fmt.Fprintln(os.Stderr, "bench: -iters and -candidates must be positive")
-		os.Exit(2)
-	}
-	if *shardCount < 1 || *shardIndex < 0 || *shardIndex >= *shardCount {
-		fmt.Fprintln(os.Stderr, "bench: -shard-index must be in [0, -shard-count)")
-		os.Exit(2)
-	}
-
-	storeDir := *dir
-	if storeDir == "" {
-		tmp, err := os.MkdirTemp("", "misketch-bench-*")
-		die(err)
-		defer os.RemoveAll(tmp)
-		storeDir = tmp
-	}
-	st, err := misketch.OpenStore(storeDir)
-	die(err)
-	train, cands := synth.PlantedCohort(*nCand)
-	for c, sk := range cands {
-		// Sharded builds draw every candidate (the generator's rng stream
-		// must not diverge between shards) but store only this shard's
-		// slice, so N runs produce disjoint stores whose union is the
-		// full single-node corpus.
-		if c%*shardCount != *shardIndex {
-			continue
-		}
-		die(st.Put(fmt.Sprintf("bench/t%04d#x", c), sk))
-	}
-	die(st.Flush())
-
-	ctx := context.Background()
-	query := func() time.Duration {
-		start := time.Now()
-		ranked, _, err := st.RankQuery(ctx, train, misketch.RankOptions{
-			Prefix: "bench/", MinJoinSize: 50, K: misketch.DefaultK, TopK: *top,
-			NoCascade: *noCascade,
-		})
-		die(err)
-		if len(ranked) == 0 {
-			die(fmt.Errorf("bench: empty ranking"))
-		}
-		return time.Since(start)
-	}
-	query() // warm the cache
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		die(err)
-		die(pprof.StartCPUProfile(f))
-		defer func() { die(f.Close()) }()
-		defer pprof.StopCPUProfile()
-	}
-	pre := st.Stats()
-	best, total := time.Duration(1<<62), time.Duration(0)
-	for i := 0; i < *iters; i++ {
-		d := query()
-		total += d
-		if d < best {
-			best = d
-		}
-	}
-	post := st.Stats()
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		die(err)
-		runtime.GC()
-		die(pprof.WriteHeapProfile(f))
-		die(f.Close())
-	}
-	// The record mirrors the committed BENCH_rank.json rows (same
-	// "bench" naming as the Go benchmark) so appended runs stay
-	// queryable alongside the per-PR baseline/after entries.
-	rec := map[string]any{
-		"stage":         "run",
-		"bench":         fmt.Sprintf("BenchmarkStoreRank/top%d", *top),
-		"candidates":    *nCand,
-		"iters":         *iters,
-		"ns_per_op":     total.Nanoseconds() / int64(*iters),
-		"best_ns":       best.Nanoseconds(),
-		"cascade":       !*noCascade,
-		"cascade_cheap": (post.CascadeCheapOnly - pre.CascadeCheapOnly) / int64(*iters),
-		"cascade_exact": (post.CascadeExact - pre.CascadeExact) / int64(*iters),
-		"gomaxprocs":    runtime.GOMAXPROCS(0),
-		"date":          time.Now().UTC().Format("2006-01-02"),
-	}
-	line, err := json.Marshal(rec)
-	die(err)
-	fmt.Println(string(line))
-	if *out != "" {
-		f, err := os.OpenFile(*out, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		die(err)
-		_, werr := f.Write(append(line, '\n'))
-		die(errors.Join(werr, f.Close()))
 	}
 }
 

@@ -501,8 +501,12 @@ func TestLaterColumnsDoNoKeyWork(t *testing.T) {
 				col string
 				agg table.AggFunc
 			}{{"n2", table.AggAvg}, {"c1", table.AggMode}, {"c2", table.AggMode}} {
-				if _, err := Build(tb, "key", c.col, RoleCandidate, Options{Method: TUPSK, Size: 256, Agg: c.agg}); err != nil {
+				s, err := Build(tb, "key", c.col, RoleCandidate, Options{Method: TUPSK, Size: 256, Agg: c.agg})
+				if err != nil {
 					t.Fatal(err)
+				}
+				if s.Len() != 256 {
+					t.Fatalf("%s: %d entries, want a full sketch over 500 keys", c.col, s.Len())
 				}
 			}
 		})

@@ -290,96 +290,6 @@ func (t *Tree) searchKNN(q Point, k int, selfIdx int32, h *distHeap) {
 	}
 }
 
-// KNNIndices returns the original indices of the k nearest neighbors of q
-// (L∞ metric), excluding selfIdx, ordered from nearest to farthest. Ties
-// are broken arbitrarily but deterministically.
-func (t *Tree) KNNIndices(q Point, k int, selfIdx int) []int {
-	type cand struct {
-		d   float64
-		idx int32
-	}
-	// Bounded max-heap on distance holding the k best candidates so far.
-	best := make([]cand, 0, k)
-	push := func(c cand) {
-		if len(best) < k {
-			best = append(best, c)
-			i := len(best) - 1
-			for i > 0 {
-				p := (i - 1) / 2
-				if best[p].d >= best[i].d {
-					break
-				}
-				best[p], best[i] = best[i], best[p]
-				i = p
-			}
-			return
-		}
-		if c.d >= best[0].d {
-			return
-		}
-		best[0] = c
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			largest := i
-			if l < len(best) && best[l].d > best[largest].d {
-				largest = l
-			}
-			if r < len(best) && best[r].d > best[largest].d {
-				largest = r
-			}
-			if largest == i {
-				return
-			}
-			best[i], best[largest] = best[largest], best[i]
-			i = largest
-		}
-	}
-	var visit func(lo, hi int)
-	visit = func(lo, hi int) {
-		if hi-lo <= leafSize {
-			for i := lo; i < hi; i++ {
-				if int(t.idx[i]) != selfIdx {
-					push(cand{Chebyshev(q, t.pts[i]), t.idx[i]})
-				}
-			}
-			return
-		}
-		mid := (lo + hi) / 2
-		if int(t.idx[mid]) != selfIdx {
-			push(cand{Chebyshev(q, t.pts[mid]), t.idx[mid]})
-		}
-		ax := t.axis[mid]
-		var qc, mc float64
-		if ax == 0 {
-			qc, mc = q.X, t.pts[mid].X
-		} else {
-			qc, mc = q.Y, t.pts[mid].Y
-		}
-		if qc <= mc {
-			visit(lo, mid)
-			if len(best) < k || math.Abs(qc-mc) <= best[0].d {
-				visit(mid+1, hi)
-			}
-		} else {
-			visit(mid+1, hi)
-			if len(best) < k || math.Abs(qc-mc) <= best[0].d {
-				visit(lo, mid)
-			}
-		}
-	}
-	visit(0, len(t.pts))
-	if len(best) < k {
-		panic("knn: not enough points for k-NN query")
-	}
-	sort.Slice(best, func(a, b int) bool { return best[a].d < best[b].d })
-	out := make([]int, k)
-	for i := range out {
-		out[i] = int(best[i].idx)
-	}
-	return out
-}
-
 // CountWithin returns the number of tree points p with Chebyshev(q, p) ≤ r,
 // excluding original index selfIdx (−1 to include all).
 func (t *Tree) CountWithin(q Point, r float64, selfIdx int) int {

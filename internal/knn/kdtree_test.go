@@ -253,78 +253,3 @@ func BenchmarkTreeKNN10k(b *testing.B) {
 		tree.KNNDist(pts[i%len(pts)], 3, i%len(pts))
 	}
 }
-
-// bruteKNNIndices is the O(n log n) reference for Tree.KNNIndices.
-func bruteKNNIndices(pts []Point, q Point, k, selfIdx int) []int {
-	type cand struct {
-		d   float64
-		idx int
-	}
-	var cs []cand
-	for i, p := range pts {
-		if i == selfIdx {
-			continue
-		}
-		cs = append(cs, cand{Chebyshev(q, p), i})
-	}
-	sort.Slice(cs, func(a, b int) bool { return cs[a].d < cs[b].d })
-	out := make([]int, k)
-	for i := range out {
-		out[i] = cs[i].idx
-	}
-	return out
-}
-
-func TestKNNIndicesMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 25; trial++ {
-		n := 20 + rng.Intn(150)
-		pts := randomPoints(rng, n, false) // continuous: distances unique a.s.
-		tree := Build(pts)
-		for q := 0; q < 10; q++ {
-			i := rng.Intn(n)
-			k := 1 + rng.Intn(6)
-			got := tree.KNNIndices(pts[i], k, i)
-			want := bruteKNNIndices(pts, pts[i], k, i)
-			if len(got) != len(want) {
-				t.Fatalf("len %d vs %d", len(got), len(want))
-			}
-			for j := range got {
-				// Distances must agree (indices may differ only under ties,
-				// which are measure-zero for continuous data).
-				gd := Chebyshev(pts[i], pts[got[j]])
-				wd := Chebyshev(pts[i], pts[want[j]])
-				if gd != wd {
-					t.Fatalf("trial %d: neighbor %d dist %v, want %v", trial, j, gd, wd)
-				}
-			}
-		}
-	}
-}
-
-func TestKNNIndicesWithTies(t *testing.T) {
-	// Duplicate points: the k indices must be distinct and exclude self.
-	pts := []Point{{1, 1}, {1, 1}, {1, 1}, {2, 2}, {3, 3}}
-	tree := Build(pts)
-	got := tree.KNNIndices(pts[0], 3, 0)
-	seen := map[int]bool{0: true}
-	for _, idx := range got {
-		if seen[idx] {
-			t.Fatalf("duplicate or self index in %v", got)
-		}
-		seen[idx] = true
-	}
-	// The two other copies of (1,1) must come first.
-	if Chebyshev(pts[0], pts[got[0]]) != 0 || Chebyshev(pts[0], pts[got[1]]) != 0 {
-		t.Errorf("ties should be nearest: %v", got)
-	}
-}
-
-func TestKNNIndicesPanicsTooFew(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Build([]Point{{0, 0}}).KNNIndices(Point{0, 0}, 1, 0)
-}

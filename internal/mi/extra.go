@@ -4,17 +4,14 @@ import (
 	"math"
 	"math/rand"
 
-	"misketch/internal/knn"
 	"misketch/internal/stats"
 )
 
 // This file implements the estimator extensions the paper points at
 // beyond its core evaluation: the Laplace-smoothed plug-in estimator the
-// conclusion recommends for controlling false discoveries, the
-// Miller–Madow bias correction behind Eq. 6, KSG algorithm 2, the
-// Kozachenko–Leonenko differential entropy estimator underlying the KSG
-// family, and bootstrap confidence intervals in the spirit of the
-// subsampling error bounds cited in Section IV-B.
+// conclusion recommends for controlling false discoveries, and
+// subsampling confidence intervals in the spirit of the error bounds
+// cited in Section IV-B.
 
 // MLESmoothed returns the Laplace-smoothed plug-in MI estimate with
 // pseudocount alpha: joint cells get probability (N_xy + α)/(N + α·m_X·m_Y)
@@ -72,101 +69,6 @@ func indexLevels(vals []string) map[string]int {
 		}
 	}
 	return idx
-}
-
-// MLEMillerMadow returns the Miller–Madow bias-corrected plug-in MI:
-// Î_MLE + (m_X + m_Y − m_XY − 1)/(2N), the first-order correction implied
-// by Eq. 6 of the paper, with m_* the observed distinct counts.
-func MLEMillerMadow(xs, ys []string) float64 {
-	if len(xs) != len(ys) {
-		panic("mi: MLEMillerMadow requires equal-length slices")
-	}
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	mx := stats.DistinctCount(xs)
-	my := stats.DistinctCount(ys)
-	pairs := make(map[[2]string]struct{}, n)
-	for i := range xs {
-		pairs[[2]string{xs[i], ys[i]}] = struct{}{}
-	}
-	return MLE(xs, ys) + stats.MLEBiasApprox(mx, my, len(pairs), n)
-}
-
-// KSG2 returns the Kraskov et al. (2004) algorithm-2 MI estimate:
-//
-//	Î = ψ(k) − 1/k + ψ(N) − ⟨ψ(n_x) + ψ(n_y)⟩
-//
-// where, per point, the k nearest joint neighbors define marginal radii
-// eps_x, eps_y (the largest marginal distances among those neighbors) and
-// n_x, n_y count points within them inclusively (excluding the point
-// itself). Algorithm 2 trades algorithm 1's slight negative bias for
-// lower variance on strongly dependent data.
-func KSG2(xs, ys []float64, k int) float64 {
-	n := checkNumericPair(xs, ys, k)
-	if n == 0 {
-		return 0
-	}
-	pts := makePoints(xs, ys)
-	tree := knn.Build(pts)
-	sx := knn.NewSorted1D(xs)
-	sy := knn.NewSorted1D(ys)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		nbrs := tree.KNNIndices(pts[i], k, i)
-		var ex, ey float64
-		for _, j := range nbrs {
-			dx := math.Abs(xs[j] - xs[i])
-			dy := math.Abs(ys[j] - ys[i])
-			if dx > ex {
-				ex = dx
-			}
-			if dy > ey {
-				ey = dy
-			}
-		}
-		nx := sx.CountWithin(xs[i], ex, 1)
-		ny := sy.CountWithin(ys[i], ey, 1)
-		if nx < 1 {
-			nx = 1
-		}
-		if ny < 1 {
-			ny = 1
-		}
-		sum += stats.DigammaInt(nx) + stats.DigammaInt(ny)
-	}
-	return stats.DigammaInt(k) - 1/float64(k) +
-		stats.DigammaInt(n) - sum/float64(n)
-}
-
-// EntropyKL returns the Kozachenko–Leonenko k-NN estimate of the
-// differential entropy (nats) of a 1-D continuous sample:
-//
-//	Ĥ = ψ(N) − ψ(k) + ln 2 + (1/N) Σ ln eps_i
-//
-// where eps_i is the distance from x_i to its k-th nearest neighbor
-// (ln 2 is the log-volume of the 1-D unit max-norm ball). Ties make the
-// estimate −Inf; perturb tied data first.
-func EntropyKL(xs []float64, k int) float64 {
-	n := len(xs)
-	if k <= 0 {
-		panic("mi: k must be positive")
-	}
-	if n <= k {
-		return 0
-	}
-	s := knn.NewSorted1D(xs)
-	sum := 0.0
-	for _, x := range xs {
-		eps := s.KNNDist(x, k, true)
-		if eps == 0 {
-			return math.Inf(-1)
-		}
-		sum += math.Log(eps)
-	}
-	return stats.DigammaInt(n) - stats.DigammaInt(k) +
-		math.Ln2 + sum/float64(n)
 }
 
 // Interval is a two-sided confidence interval around an MI estimate.

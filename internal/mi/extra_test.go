@@ -85,98 +85,6 @@ func TestMLESmoothedFalseDiscoveryControl(t *testing.T) {
 	}
 }
 
-func TestMLEMillerMadowReducesBias(t *testing.T) {
-	// Independent uniform pair: truth 0; Miller–Madow should land closer
-	// to 0 than the raw MLE on average.
-	rng := rand.New(rand.NewSource(4))
-	var rawSum, mmSum float64
-	const trials = 200
-	for tr := 0; tr < trials; tr++ {
-		xs := make([]string, 300)
-		ys := make([]string, 300)
-		for i := range xs {
-			xs[i] = fmt.Sprintf("x%d", rng.Intn(8))
-			ys[i] = fmt.Sprintf("y%d", rng.Intn(8))
-		}
-		rawSum += MLE(xs, ys)
-		mmSum += MLEMillerMadow(xs, ys)
-	}
-	raw, mm := rawSum/trials, mmSum/trials
-	if math.Abs(mm) >= math.Abs(raw) {
-		t.Errorf("Miller–Madow |bias| %v should beat raw %v", mm, raw)
-	}
-}
-
-func TestKSG2Gaussian(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, r := range []float64{0, 0.6, 0.9} {
-		want := stats.BivariateNormalMI(r)
-		var got float64
-		const trials = 4
-		for tr := 0; tr < trials; tr++ {
-			xs, ys := gaussianPair(2500, r, rng)
-			got += KSG2(xs, ys, 3)
-		}
-		got /= trials
-		if !approxEq(got, want, 0.08) {
-			t.Errorf("KSG2 gaussian r=%g: got %v, want %v", r, got, want)
-		}
-	}
-}
-
-func TestKSG2AgreesWithKSG1(t *testing.T) {
-	// The two algorithms estimate the same quantity; on well-behaved data
-	// they must agree closely.
-	rng := rand.New(rand.NewSource(6))
-	xs, ys := gaussianPair(2000, 0.7, rng)
-	a, b := KSG(xs, ys, 3), KSG2(xs, ys, 3)
-	if !approxEq(a, b, 0.1) {
-		t.Errorf("KSG1 %v vs KSG2 %v", a, b)
-	}
-}
-
-func TestEntropyKLUniform(t *testing.T) {
-	// Unif[0, c] has differential entropy ln c.
-	rng := rand.New(rand.NewSource(7))
-	for _, c := range []float64{1, 4} {
-		var got float64
-		const trials = 5
-		for tr := 0; tr < trials; tr++ {
-			xs := make([]float64, 3000)
-			for i := range xs {
-				xs[i] = c * rng.Float64()
-			}
-			got += EntropyKL(xs, 3)
-		}
-		got /= trials
-		if !approxEq(got, math.Log(c), 0.05) {
-			t.Errorf("EntropyKL Unif[0,%g] = %v, want %v", c, got, math.Log(c))
-		}
-	}
-}
-
-func TestEntropyKLGaussian(t *testing.T) {
-	// N(0, σ²) has differential entropy ½ ln(2πeσ²).
-	rng := rand.New(rand.NewSource(8))
-	xs := make([]float64, 5000)
-	for i := range xs {
-		xs[i] = 2 * rng.NormFloat64()
-	}
-	want := 0.5 * math.Log(2*math.Pi*math.E*4)
-	if got := EntropyKL(xs, 3); !approxEq(got, want, 0.08) {
-		t.Errorf("EntropyKL gaussian = %v, want %v", got, want)
-	}
-}
-
-func TestEntropyKLTies(t *testing.T) {
-	if !math.IsInf(EntropyKL([]float64{1, 1, 1, 1, 2}, 1), -1) {
-		t.Error("tied data should give -Inf")
-	}
-	if EntropyKL([]float64{1, 2}, 5) != 0 {
-		t.Error("too-small sample should give 0")
-	}
-}
-
 func TestEstimateWithCICoversTruth(t *testing.T) {
 	// The 90% interval should contain the large-sample truth most of the
 	// time on well-behaved data.
@@ -242,9 +150,6 @@ func TestExtraPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"smoothed mismatch": func() { MLESmoothed([]string{"a"}, []string{"a", "b"}, 1) },
 		"smoothed negative": func() { MLESmoothed([]string{"a"}, []string{"a"}, -1) },
-		"mm mismatch":       func() { MLEMillerMadow([]string{"a"}, []string{"a", "b"}) },
-		"ksg2 bad k":        func() { KSG2([]float64{1, 2, 3}, []float64{1, 2, 3}, 0) },
-		"entropy bad k":     func() { EntropyKL([]float64{1, 2, 3}, 0) },
 		"ci bad boots": func() {
 			EstimateWithCI(NumericColumn([]float64{1}), NumericColumn([]float64{1}), 3, 1, 0.9, rng)
 		},

@@ -17,8 +17,6 @@ package mi
 
 import (
 	"math/rand"
-
-	"misketch/internal/knn"
 )
 
 // DefaultK is the neighbor count used by the KSG-family estimators unless
@@ -164,12 +162,4 @@ func checkNumericPair(xs, ys []float64, k int) int {
 		return 0 // not enough samples for a k-NN query
 	}
 	return len(xs)
-}
-
-func makePoints(xs, ys []float64) []knn.Point {
-	pts := make([]knn.Point, len(xs))
-	for i := range xs {
-		pts[i] = knn.Point{X: xs[i], Y: ys[i]}
-	}
-	return pts
 }

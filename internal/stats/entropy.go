@@ -92,18 +92,6 @@ func DistinctCount(xs []string) int {
 	return len(seen)
 }
 
-// MillerMadowEntropy returns the Miller–Madow bias-corrected entropy
-// estimate: Ĥ_MLE + (m−1)/(2N) where m is the number of observed distinct
-// values. Exposed because the paper discusses MLE bias (Eq. 6) and the
-// correction is the textbook counterpart.
-func MillerMadowEntropy(xs []string) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := DistinctCount(xs)
-	return EntropyMLE(xs) + float64(m-1)/(2*float64(len(xs)))
-}
-
 // MLEBiasApprox returns the first-order bias of the MLE MI estimator from
 // Eq. 6 of the paper: (m_X + m_Y − m_XY − 1) / (2N). Positive values mean
 // the estimator overestimates MI by roughly that amount.

@@ -109,32 +109,6 @@ func TestEntropySubadditivityProperty(t *testing.T) {
 	}
 }
 
-func TestMillerMadowReducesBias(t *testing.T) {
-	// Against a known uniform distribution with small samples, the
-	// Miller–Madow estimate should sit above plain MLE (which is biased
-	// down) and closer to the truth on average.
-	rng := rand.New(rand.NewSource(3))
-	const m = 50
-	truth := math.Log(m)
-	var mleSum, mmSum float64
-	const trials = 200
-	for tr := 0; tr < trials; tr++ {
-		xs := make([]string, 100)
-		for i := range xs {
-			xs[i] = fmt.Sprintf("%d", rng.Intn(m))
-		}
-		mleSum += EntropyMLE(xs)
-		mmSum += MillerMadowEntropy(xs)
-	}
-	mle, mm := mleSum/trials, mmSum/trials
-	if mle >= truth {
-		t.Errorf("MLE should underestimate: got %v truth %v", mle, truth)
-	}
-	if math.Abs(mm-truth) >= math.Abs(mle-truth) {
-		t.Errorf("Miller–Madow (%v) should beat MLE (%v) against truth %v", mm, mle, truth)
-	}
-}
-
 func TestMLEBiasApprox(t *testing.T) {
 	// Eq. 6 with mx=my=10, mxy=100, N=1000 -> (10+10-100-1)/2000 < 0.
 	got := MLEBiasApprox(10, 10, 100, 1000)

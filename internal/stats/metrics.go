@@ -22,16 +22,6 @@ func RMSE(est, truth []float64) float64 {
 	return math.Sqrt(MSE(est, truth))
 }
 
-// MAE returns the mean absolute error.
-func MAE(est, truth []float64) float64 {
-	checkPairs(est, truth)
-	s := 0.0
-	for i := range est {
-		s += math.Abs(est[i] - truth[i])
-	}
-	return s / float64(len(est))
-}
-
 // MeanBias returns the mean signed error (estimate − truth); positive means
 // systematic overestimation.
 func MeanBias(est, truth []float64) float64 {
@@ -148,11 +138,6 @@ func Quantile(xs []float64, q float64) float64 {
 		return s[len(s)-1]
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
 }
 
 func checkPairs(a, b []float64) {

@@ -8,7 +8,7 @@ package store
 // MinJoinSize straight to its manifest entry, so the visit list costs
 // the postings touched plus the candidates that match, not a walk of the
 // catalog. Candidates no index can vouch for (the unsealed active
-// segment, frozen and legacy v1 segments, corrupt index sections,
+// segment, frozen segments, corrupt index sections,
 // duplicated key hashes) are always visited and left to the worker
 // loop's probe prefilter, so the indexed, fallback, and mem-backend
 // paths produce bit-identical rankings and identical Pruned counts.

@@ -236,14 +236,9 @@ func TestCatalogViewDifferentialWalk(t *testing.T) {
 					if err := w.st.Flush(); err != nil {
 						t.Fatal(err)
 					}
-				case r == 16:
+				case r == 16 || r == 17:
 					op = "compact"
 					if _, err := w.st.Compact(ctx); err != nil {
-						t.Fatal(err)
-					}
-				case r == 17:
-					op = "index segments"
-					if _, err := w.st.IndexSegments(ctx); err != nil {
 						t.Fatal(err)
 					}
 				case r == 18:

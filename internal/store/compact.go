@@ -49,25 +49,11 @@ type CompactStats struct {
 // Compact folds all sealed segments into one fresh compacted segment,
 // dropping overwritten records and tombstones, and retires the sources.
 // It is a no-op on the mem backend and on an fs store whose records
-// already live in a single fully-live segment. Safe to run concurrently
-// with queries and mutations; concurrent Compact calls serialize.
+// already live in a single fully-live sealed segment; a crash-frozen
+// segment always counts as work, and the pass's output carries the key
+// index the torn seal lost. Safe to run concurrently with queries and
+// mutations; concurrent Compact calls serialize.
 func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
-	return s.compact(ctx, false)
-}
-
-// IndexSegments backfills inverted key indexes for segments that predate
-// them (legacy v1 footers, frozen crash leftovers): when any live
-// segment lacks an index, every sealed segment is folded through a
-// forced compaction pass — whose output always carries an index — and
-// a no-op otherwise. The `store index` CLI verb drives it.
-func (s *Store) IndexSegments(ctx context.Context) (CompactStats, error) {
-	return s.compact(ctx, true)
-}
-
-// compact implements Compact and IndexSegments. With force set the pass
-// runs even without reclaimable garbage, as long as some source segment
-// lacks a key index; with every source already indexed it is a no-op.
-func (s *Store) compact(ctx context.Context, force bool) (CompactStats, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
@@ -98,15 +84,8 @@ func (s *Store) compact(ctx context.Context, force bool) (CompactStats, error) {
 		}
 	}
 	stats := CompactStats{SegmentsBefore: len(sources), BytesBefore: srcBytes, Records: len(live)}
-	allIndexed := true
-	for _, seg := range sources {
-		if seg.kixOff == 0 {
-			allIndexed = false
-			break
-		}
-	}
 	// A store opened with Compression set treats uncompressed sources as
-	// work: the `store compact -compress` backfill (forced) and the
+	// work: the `store compact -compress` backfill and the
 	// background loop both rewrite them even when nothing else would
 	// trigger a pass. The inverse mismatch (compressed segments in a
 	// store opened without Compression) is not a trigger — they stay
@@ -120,8 +99,7 @@ func (s *Store) compact(ctx context.Context, force bool) (CompactStats, error) {
 			}
 		}
 	}
-	if len(sources) == 0 || (force && allIndexed && !wantRecompress) ||
-		(!force && len(sources) == 1 && !hasGarbage(sources, len(live)) && !wantRecompress) {
+	if len(sources) == 0 || (len(sources) == 1 && !hasGarbage(sources, len(live)) && !wantRecompress) {
 		unlock()
 		stats.SegmentsAfter = stats.SegmentsBefore
 		stats.BytesAfter = stats.BytesBefore
@@ -373,8 +351,8 @@ func (b *fsBackend) abandon() {
 // verifyClean checks that the on-disk manifest and segment files agree
 // byte-for-byte with the in-memory index: manifest checksum, segment
 // footers and whole-file CRCs, covered extents, and the absence of
-// unknown segment or legacy sketch files. A clean store needs no
-// rebuild — and the check performs no per-sketch file opens.
+// unknown segment files. A clean store needs no rebuild — and the check
+// performs no per-sketch file opens.
 func (b *fsBackend) verifyClean(metas map[string]Meta) bool {
 	man, err := loadManifestV2(filepath.Join(b.dir, ManifestFile))
 	if err != nil {
@@ -382,10 +360,6 @@ func (b *fsBackend) verifyClean(metas map[string]Meta) bool {
 	}
 	files, err := scanSegmentFiles(b.dir)
 	if err != nil {
-		return false
-	}
-	legacy, err := scanLegacyFiles(b.dir)
-	if err != nil || len(legacy) > 0 {
 		return false
 	}
 	if len(man.metas) != len(metas) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -88,6 +90,42 @@ func TestCompactFoldsGarbage(t *testing.T) {
 	}
 	if n, _ := st2.Len(); n != 7 {
 		t.Errorf("Len after reopen = %d", n)
+	}
+}
+
+// TestManifestAfterCompactListsOnlyExistingSegments pins the second
+// manifest write of a compaction: once the sources are retired and
+// unlinked, the persisted manifest must no longer list them — or the
+// next open would find it inconsistent and fall back to a full replay.
+func TestManifestAfterCompactListsOnlyExistingSegments(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := buildSketch(t, core.RoleCandidate, 42, func(g int) float64 { return float64(g) })
+	for i := 0; i < 10; i++ {
+		if err := st.Put("a", sk); err != nil { // overwrites => garbage
+			t.Fatal(err)
+		}
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if cs, err := st.Compact(context.Background()); err != nil || !cs.Compacted {
+		t.Fatalf("compact = %+v, %v", cs, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	man, err := loadManifestV2(filepath.Join(dir, ManifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ms := range man.segs {
+		if _, err := os.Stat(segmentPath(dir, ms.seq)); err != nil {
+			t.Errorf("manifest lists segment %d but file missing: %v", ms.seq, err)
+		}
 	}
 }
 

@@ -26,9 +26,6 @@ package store
 //     the manifest swap: deleted. Compacted segments absent from the
 //     manifest are output of a compaction whose swap never happened —
 //     their contents still live in the listed sources: deleted.
-//   - Legacy layouts (one file per sketch, flat or sharded, with a v1
-//     manifest or none) are migrated wholesale into segments on first
-//     open, then removed; a crash mid-migration re-runs it.
 
 import (
 	"fmt"
@@ -60,7 +57,7 @@ type fsBackend struct {
 
 func (b *fsBackend) name() string { return BackendFS }
 
-// openFSBackend opens (creating, recovering, or migrating as needed) the
+// openFSBackend opens (creating or recovering as needed) the
 // segment store rooted at dir and returns the backend together with the
 // recovered catalog index.
 func openFSBackend(dir string, rollBytes int64, compress bool) (*fsBackend, map[string]Meta, error) {
@@ -119,21 +116,12 @@ func openFSBackend(dir string, rollBytes int64, compress bool) (*fsBackend, map[
 		}
 	}
 
-	// Legacy layouts (file-per-sketch, flat or sharded) migrate into
-	// segments; stale v1 manifests are superseded by the next flush.
-	migrated, err := b.migrateLegacy(metas)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(migrated) > 0 || dirty {
+	if dirty {
 		// The open path is single-threaded: the metas snapshot is
 		// complete, so every current byte is covered.
 		if err := b.persist(metas, nil); err != nil {
 			return nil, nil, err
 		}
-	}
-	if len(migrated) > 0 {
-		removeLegacyFiles(dir, migrated)
 	}
 	return b, metas, nil
 }
@@ -494,7 +482,7 @@ func (b *fsBackend) coveredSnapshot() map[uint64]int64 {
 }
 
 // keyIndexOf returns the parsed key index of a sealed segment, or nil
-// when the segment has none (unsealed, frozen, legacy, or failed
+// when the segment has none (unsealed, frozen, or failed
 // validation). The caller must hold a pin on the segment.
 func (b *fsBackend) keyIndexOf(seq uint64) *keyIndex {
 	b.segMu.Lock()
@@ -593,132 +581,6 @@ func scanSegmentFiles(dir string) (map[uint64]string, error) {
 		}
 	}
 	return segFiles, nil
-}
-
-// --- Legacy layout migration ----------------------------------------------
-
-// scanLegacyFiles finds file-per-sketch files in both legacy layouts:
-// flat (dir/*.misk) and sharded (dir/shards/*/*.misk).
-func scanLegacyFiles(dir string) (map[string]string, error) {
-	found := make(map[string]string)
-	collect := func(d string) error {
-		entries, err := os.ReadDir(d)
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return fmt.Errorf("store: scanning %s: %w", d, err)
-		}
-		for _, e := range entries {
-			if e.IsDir() {
-				continue
-			}
-			file := e.Name()
-			if strings.Contains(file, sketchExt+".tmp") {
-				os.Remove(filepath.Join(d, file)) // orphan of a crashed write
-				continue
-			}
-			if name, ok := decodeName(file); ok {
-				found[name] = filepath.Join(d, file)
-			}
-		}
-		return nil
-	}
-	if err := collect(dir); err != nil {
-		return nil, err
-	}
-	shardRoot := filepath.Join(dir, shardsDir)
-	dirs, err := os.ReadDir(shardRoot)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: scanning %s: %w", shardRoot, err)
-	}
-	for _, d := range dirs {
-		if !d.IsDir() {
-			continue
-		}
-		if err := collect(filepath.Join(shardRoot, d.Name())); err != nil {
-			return nil, err
-		}
-	}
-	return found, nil
-}
-
-// migrateLegacy packs every legacy file-per-sketch into the segment
-// engine and returns the migrated files (only those are deleted —
-// foreign or unreadable files that merely look like sketches stay put,
-// unindexed, as they always did). The legacy files are left in place
-// until the caller has persisted the new manifest — a crash
-// mid-migration simply re-runs it (same names overwrite; the duplicate
-// records are garbage a compaction folds away).
-func (b *fsBackend) migrateLegacy(metas map[string]Meta) (map[string]string, error) {
-	legacy, err := scanLegacyFiles(b.dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(legacy) == 0 {
-		return nil, nil
-	}
-	names := make([]string, 0, len(legacy))
-	for name := range legacy {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	migrated := make(map[string]string, len(legacy))
-	b.segMu.Lock()
-	defer b.segMu.Unlock()
-	for _, name := range names {
-		sk, err := readLegacySketch(legacy[name])
-		if err != nil {
-			continue // unreadable or foreign file; leave it unindexed
-		}
-		w, err := b.activeLocked()
-		if err != nil {
-			return nil, err
-		}
-		off, length, err := w.appendSketch(name, sk, false)
-		if err != nil {
-			return nil, err
-		}
-		applyRecord(metas, w.seg.seq)(core.RecordInfo{
-			Kind: core.RecordSketch, Name: name, Len: int(length),
-			Method: sk.Method, Role: sk.Role, Seed: sk.Seed, Size: sk.Size,
-			Numeric: sk.Numeric, SourceRows: sk.SourceRows, Entries: sk.Len(),
-		}, off)
-		migrated[name] = legacy[name]
-		if err := b.maybeRollLocked(); err != nil {
-			return nil, err
-		}
-	}
-	if b.active != nil {
-		if err := b.active.seg.f.Sync(); err != nil {
-			return nil, err
-		}
-	}
-	return migrated, nil
-}
-
-func readLegacySketch(path string) (*core.Sketch, error) {
-	f, err := openFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.ReadSketch(f)
-}
-
-// removeLegacyFiles deletes the migrated file-per-sketch files and any
-// shard directories they leave empty.
-func removeLegacyFiles(dir string, migrated map[string]string) {
-	for _, path := range migrated {
-		os.Remove(path)
-	}
-	shardRoot := filepath.Join(dir, shardsDir)
-	if dirs, err := os.ReadDir(shardRoot); err == nil {
-		for _, d := range dirs {
-			os.Remove(filepath.Join(shardRoot, d.Name())) // only if empty
-		}
-		os.Remove(shardRoot)
-	}
 }
 
 // removeTempOrphans clears crashed atomic-write leftovers in the store

@@ -31,11 +31,6 @@ func crashPoint(p string) error {
 	return nil
 }
 
-// testHookSealLegacyFooter, when set, makes seal write the pre-key-index
-// v1 footer (no index section) — how the differential tests fabricate
-// bit-faithful legacy segments and exercise the real fallback path.
-var testHookSealLegacyFooter bool
-
 // testHookFileOpen, when non-nil, observes every file the store layer
 // opens (segment and manifest reads — not temp-file creation).
 var testHookFileOpen func(path string)

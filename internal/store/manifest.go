@@ -26,25 +26,18 @@ package store
 // replayed at open. "bytes" is the packed record's length and (segment, offset) its
 // location. The trailing checksum makes a cleanly-loading manifest
 // trustworthy as-is — opening an indexed store costs one file read and
-// zero per-sketch work regardless of catalog size.
-//
-// Version 1 (the file-per-sketch era: no segments, no checksum) is kept
-// below only so tests can fabricate legacy stores; the open path treats
-// any store whose manifest is not v2 as a candidate for recovery or
-// migration.
+// zero per-sketch work regardless of catalog size. A manifest that does
+// not load (missing, corrupt, or any other version byte) is never read
+// further: the open path replays the segments instead.
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/base32"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"misketch/internal/binio"
 	"misketch/internal/core"
@@ -52,17 +45,12 @@ import (
 
 const (
 	manifestMagic     = "MISX"
-	manifestVersion1  = 1
 	manifestVersion   = 2
 	manifestCRCBytes  = 4
 	manifestMinV2Size = 4 + 1 + 1 + 1 + 1 + manifestCRCBytes
 
 	// ManifestFile is the manifest's filename inside the store root.
 	ManifestFile = "MANIFEST"
-
-	// shardsDir is the subdirectory the legacy sharded layout kept its
-	// sketch files in; the migration path scans it.
-	shardsDir = "shards"
 )
 
 // Meta is one manifest record: everything ranking needs to know about a
@@ -126,8 +114,8 @@ type manifestV2 struct {
 	metas   map[string]Meta
 }
 
-// errManifestVersion marks a manifest readable but not v2 (a legacy v1
-// store about to be migrated).
+// errManifestVersion marks a manifest whose magic is right but whose
+// version byte is not 2; the open path recovers from the segments.
 var errManifestVersion = errors.New("store: manifest is not version 2")
 
 // writeManifestV2 atomically persists the manifest next to the segments.
@@ -183,7 +171,7 @@ func writeManifestV2(path string, nextSeq uint64, segs []manifestSeg, metas map[
 }
 
 // loadManifestV2 reads a manifest written by writeManifestV2. A missing
-// file surfaces as an os.IsNotExist error; a v1 manifest as
+// file surfaces as an os.IsNotExist error; any other version byte as
 // errManifestVersion.
 func loadManifestV2(path string) (*manifestV2, error) {
 	raw, err := readFileHooked(path)
@@ -318,81 +306,4 @@ func syncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// --- Legacy (v1) manifest codec -------------------------------------------
-//
-// The file-per-sketch era's manifest: no segment list, no checksum, a
-// shard fan-out header instead. Kept so the migration tests can
-// fabricate bit-faithful legacy stores; the open path never writes it.
-
-// writeManifestV1 persists a legacy v1 manifest (tests only).
-func writeManifestV1(path string, shards uint32, metas map[string]Meta) error {
-	names := make([]string, 0, len(metas))
-	for name := range metas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	err := atomicWrite(path, ManifestFile+".tmp*", func(f *os.File) error {
-		buf := bufio.NewWriter(f)
-		mw := &binio.Writer{W: buf}
-		mw.Bytes([]byte(manifestMagic))
-		mw.U8(manifestVersion1)
-		mw.U32(shards)
-		mw.Uvarint(uint64(len(names)))
-		for _, name := range names {
-			m := metas[name]
-			mw.Str(name)
-			mw.Str(string(m.Method))
-			mw.U8(uint8(m.Role))
-			mw.U32(m.Seed)
-			mw.Uvarint(uint64(m.Size))
-			mw.U8(b2u8(m.Numeric))
-			mw.Uvarint(uint64(m.SourceRows))
-			mw.Uvarint(uint64(m.Entries))
-			mw.Uvarint(uint64(m.Bytes))
-		}
-		if mw.Err == nil {
-			mw.Err = buf.Flush()
-		}
-		return mw.Err
-	})
-	if err != nil {
-		return fmt.Errorf("store: writing manifest: %w", err)
-	}
-	return nil
-}
-
-// --- Legacy layout helpers (shared with migration) ------------------------
-
-// sketchExt is the file extension the legacy layouts stored sketches
-// under.
-const sketchExt = ".misk"
-
-// base32Encoding encodes sketch names with '-' padding so filenames
-// stay shell-safe (legacy layout).
-var base32Encoding = base32.StdEncoding.WithPadding('-')
-
-// encodeName maps an arbitrary sketch name to its legacy filename.
-func encodeName(name string) string {
-	return base32Encoding.EncodeToString([]byte(name)) + sketchExt
-}
-
-func decodeName(file string) (string, bool) {
-	if !strings.HasSuffix(file, sketchExt) {
-		return "", false
-	}
-	raw, err := base32Encoding.DecodeString(strings.TrimSuffix(file, sketchExt))
-	if err != nil {
-		return "", false
-	}
-	return string(raw), true
-}
-
-// shardOf maps a sketch name to its legacy shard directory name: an
-// FNV-1a fan-out (migration and tests only).
-func shardOf(name string, shards uint32) string {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return fmt.Sprintf("%04x", h.Sum32()%shards)
 }

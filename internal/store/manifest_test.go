@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -50,6 +51,10 @@ func TestManifestV2RoundTrip(t *testing.T) {
 	}
 }
 
+// otherVersionManifest is a well-formed manifest header whose version
+// byte is not the one this build reads.
+var otherVersionManifest = append([]byte(manifestMagic), 1, 64, 0, 0, 0, 0, 0, 0, 0, 0)
+
 func TestLoadManifestV2RejectsCorruptInput(t *testing.T) {
 	dir := t.TempDir()
 
@@ -88,34 +93,16 @@ func TestLoadManifestV2RejectsCorruptInput(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		}
 	}
-	// A v1 manifest is not corrupt — it is a legacy store marker.
-	v1 := filepath.Join(dir, "v1")
-	if err := writeManifestV1(v1, 64, nil); err != nil {
+	// A well-formed header with any other version byte is refused by
+	// version, before its body or checksum is looked at.
+	other := filepath.Join(dir, "version-1")
+	if err := os.WriteFile(other, otherVersionManifest, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadManifestV2(v1); err == nil {
-		t.Error("v1 manifest: expected errManifestVersion")
+	if _, err := loadManifestV2(other); !errors.Is(err, errManifestVersion) {
+		t.Errorf("version byte 1: got %v, want errManifestVersion", err)
 	}
 	if _, err := loadManifestV2(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
 		t.Errorf("missing manifest should surface as not-exist, got %v", err)
-	}
-}
-
-func TestShardOfIsStableAndBounded(t *testing.T) {
-	const shards = 16
-	seen := map[string]bool{}
-	for _, name := range []string{"a", "b", "table.csv#col@key", "uni-cödé", ""} {
-		s1 := shardOf(name, shards)
-		s2 := shardOf(name, shards)
-		if s1 != s2 {
-			t.Errorf("shardOf(%q) unstable: %s vs %s", name, s1, s2)
-		}
-		if len(s1) != 4 {
-			t.Errorf("shardOf(%q) = %q, want 4 hex digits", name, s1)
-		}
-		seen[s1] = true
-	}
-	if len(seen) < 2 {
-		t.Error("expected some fan-out across shard names")
 	}
 }

@@ -1,10 +1,10 @@
 package store
 
-// Differential tests for the storage-engine refactor: the mmap-backed
-// zero-copy ranking path must produce bit-for-bit the rankings the
-// file-per-sketch engine produced — across both legacy on-disk layouts,
-// opened in place and migrated transparently — and the open/rebuild
-// paths must cost O(segment files), never O(sketches), in file opens.
+// Differential tests for the segment engine: the mmap-backed zero-copy
+// ranking path must produce bit-for-bit the rankings of the same
+// sketches served from memory — cold, warm, reopened, compacted and
+// compressed — and the open/rebuild paths must cost O(segment files),
+// never O(sketches), in file opens.
 
 import (
 	"context"
@@ -17,10 +17,10 @@ import (
 	"misketch/internal/mi"
 )
 
-// legacyCorpus builds a deterministic mixed corpus: numeric and
+// mixedCorpus builds a deterministic mixed corpus: numeric and
 // categorical candidates over overlapping key universes, plus sketches
 // an eligible query must skip (foreign seed, train role).
-func legacyCorpus(t *testing.T) (train *core.Sketch, sketches map[string]*core.Sketch) {
+func mixedCorpus(t *testing.T) (train *core.Sketch, sketches map[string]*core.Sketch) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	sopt := core.Options{Method: core.TUPSK, Size: 256}
@@ -89,87 +89,81 @@ func rankingsBitEqual(t *testing.T, label string, got, want []RankedSketch) {
 	}
 }
 
-// TestMigrationRankingsBitForBit opens stores fabricated in both legacy
-// layouts (flat, and sharded with a v1 manifest) in place, and asserts
-// the migrated segment engine ranks bit-for-bit identically to the
-// reference: the same sketches served from memory, estimated by the
-// same query — the legacy path's semantics without its I/O.
+// TestMigrationRankingsBitForBit follows one catalog through every state
+// the fs backend can hold it in — active segment, warm cache, sealed and
+// reopened, compacted, compression-backfilled — and asserts each ranks
+// bit-for-bit identically to the reference: the same sketches served
+// from memory (no packing, no mmap), estimated by the same query.
 func TestMigrationRankingsBitForBit(t *testing.T) {
-	train, sketches := legacyCorpus(t)
+	train, sketches := mixedCorpus(t)
+	fill := func(st *Store) {
+		for name, sk := range sketches {
+			if err := st.Put(name, sk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
-	// Reference rankings from a mem-backed store (no packing, no mmap —
-	// the sketches exactly as built).
 	ref, err := OpenWithOptions("", OpenOptions{Backend: BackendMem})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, sk := range sketches {
-		if err := ref.Put(name, sk); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fill(ref)
 	wantFull, wantTop, wantSkipped := rankAll(t, ref, train)
 	if len(wantFull) == 0 || len(wantTop) != 5 || len(wantSkipped) != 2 {
 		t.Fatalf("degenerate reference: %d full, %d top, %v skipped", len(wantFull), len(wantTop), wantSkipped)
 	}
-
-	for _, layout := range []struct {
-		name   string
-		shards uint32
-	}{{"flat", 0}, {"sharded", 16}} {
-		t.Run(layout.name, func(t *testing.T) {
-			dir := t.TempDir()
-			writeLegacyStore(t, dir, sketches, layout.shards)
-			st, err := Open(dir) // migrates in place
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotFull, gotTop, gotSkipped := rankAll(t, st, train)
-			rankingsBitEqual(t, layout.name+"/cold-full", gotFull, wantFull)
-			rankingsBitEqual(t, layout.name+"/cold-top", gotTop, wantTop)
-			if len(gotSkipped) != len(wantSkipped) {
-				t.Errorf("skipped = %v, want %v", gotSkipped, wantSkipped)
-			}
-			// Warm pass (cache hits on borrowed views) and a fresh handle
-			// on the migrated store must agree too.
-			warmFull, warmTop, _ := rankAll(t, st, train)
-			rankingsBitEqual(t, layout.name+"/warm-full", warmFull, wantFull)
-			rankingsBitEqual(t, layout.name+"/warm-top", warmTop, wantTop)
-			st2, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reFull, reTop, _ := rankAll(t, st2, train)
-			rankingsBitEqual(t, layout.name+"/reopen-full", reFull, wantFull)
-			rankingsBitEqual(t, layout.name+"/reopen-top", reTop, wantTop)
-			// And after compaction.
-			if _, err := st2.Compact(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			coFull, coTop, _ := rankAll(t, st2, train)
-			rankingsBitEqual(t, layout.name+"/compacted-full", coFull, wantFull)
-			rankingsBitEqual(t, layout.name+"/compacted-top", coTop, wantTop)
-			if err := st2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// And through a compression backfill of the migrated store:
-			// legacy layout -> segments -> FSST-compressed segments, still
-			// bit-identical to the in-memory reference.
-			st3, err := OpenWithOptions(dir, OpenOptions{Compression: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cs, err := st3.Compact(context.Background()); err != nil || !cs.Compacted {
-				t.Fatalf("compression backfill = %+v, %v", cs, err)
-			}
-			if ss := st3.Stats(); ss.CompressedSegments == 0 {
-				t.Fatalf("backfill left no compressed segment: %+v", ss)
-			}
-			czFull, czTop, _ := rankAll(t, st3, train)
-			rankingsBitEqual(t, layout.name+"/compressed-full", czFull, wantFull)
-			rankingsBitEqual(t, layout.name+"/compressed-top", czTop, wantTop)
-		})
+	same := func(label string, st *Store) {
+		t.Helper()
+		gotFull, gotTop, gotSkipped := rankAll(t, st, train)
+		rankingsBitEqual(t, label+"-full", gotFull, wantFull)
+		rankingsBitEqual(t, label+"-top", gotTop, wantTop)
+		if len(gotSkipped) != len(wantSkipped) {
+			t.Errorf("%s: skipped = %v, want %v", label, gotSkipped, wantSkipped)
+		}
 	}
+
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(st)
+	same("cold", st)
+	same("warm", st) // cache hits on the first pass's decodes
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("reopen", st2) // borrowed views out of the sealed mapping
+	// Overwrite one sketch with itself so the pass has a dead record to
+	// fold; the catalog's contents do not change.
+	if err := st2.Put("corpus/t00#x", sketches["corpus/t00#x"]); err != nil {
+		t.Fatal(err)
+	}
+	if cs, err := st2.Compact(context.Background()); err != nil || !cs.Compacted {
+		t.Fatalf("compact = %+v, %v", cs, err)
+	}
+	same("compacted", st2)
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// And through a compression backfill: raw segments -> FSST-compressed
+	// segments, still bit-identical to the in-memory reference.
+	st3, err := OpenWithOptions(dir, OpenOptions{Compression: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs, err := st3.Compact(context.Background()); err != nil || !cs.Compacted {
+		t.Fatalf("compression backfill = %+v, %v", cs, err)
+	}
+	if ss := st3.Stats(); ss.CompressedSegments == 0 {
+		t.Fatalf("backfill left no compressed segment: %+v", ss)
+	}
+	same("compressed", st3)
 }
 
 // TestOpenCostIsIndependentOfSketchCount pins the open-count fix: a

@@ -1,11 +1,13 @@
 package store
 
 // Differential coverage for index-driven candidate selection: the same
-// catalog served from an indexed store, a legacy (index-less) store, a
-// mixed store, and the mem backend must produce bit-identical rankings
-// and identical Pruned counts, and only the indexed store may skip
-// decodes. The legacy fixtures are fabricated with the
-// testHookSealLegacyFooter hook, which seals v1 (pre-index) segments.
+// catalog served from an indexed store, an index-less store, a mixed
+// store, and the mem backend must produce bit-identical rankings and
+// identical Pruned counts, and only indexed segments may skip decodes.
+// The index-less fixtures are the two states a store can be in without
+// a key index: a segment whose seal was torn at the seal.keyindex
+// kill-point (it reopens frozen and replayed) and records still in the
+// unsealed active segment.
 
 import (
 	"context"
@@ -52,40 +54,58 @@ func diffSketches(t testing.TB, nCand, nTrains int) (names []string, cands, trai
 	return
 }
 
-// sealedStore writes the catalog, seals it (Close), and reopens so every
-// record sits in a sealed segment — indexed, or legacy v1 when requested.
-func sealedStore(t *testing.T, names []string, cands []*core.Sketch, legacy bool) *Store {
+// sealedStore writes the catalog, closes the store, and reopens it, so
+// every record sits in one segment: sealed and indexed, or — with torn —
+// frozen without an index because the seal crashed at seal.keyindex.
+func sealedStore(t *testing.T, names []string, cands []*core.Sketch, torn bool) *Store {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, name := range names {
-		if err := st.Put(name, cands[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if legacy {
-		testHookSealLegacyFooter = true
-		defer func() { testHookSealLegacyFooter = false }()
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	putAll(t, st, names, cands)
+	closeStore(t, st, torn)
 	st, err = Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	wantIndexed := 0
-	if !legacy {
-		wantIndexed = 1
+	wantIndexed := 1
+	if torn {
+		wantIndexed = 0
 	}
-	if ss := st.Stats(); ss.IndexedSegments != wantIndexed {
-		t.Fatalf("fixture has %d indexed segments, want %d (legacy=%v)", ss.IndexedSegments, wantIndexed, legacy)
+	if ss := st.Stats(); ss.IndexedSegments != wantIndexed || ss.Segments != 1 {
+		t.Fatalf("fixture has %d/%d segments indexed, want %d/1 (torn=%v)", ss.IndexedSegments, ss.Segments, wantIndexed, torn)
 	}
 	return st
+}
+
+func putAll(t *testing.T, st *Store, names []string, cands []*core.Sketch) {
+	t.Helper()
+	for i, name := range names {
+		if err := st.Put(name, cands[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// closeStore closes st; with torn the seal dies at the seal.keyindex
+// kill-point, leaving the active segment footer-less on disk.
+func closeStore(t *testing.T, st *Store, torn bool) {
+	t.Helper()
+	if !torn {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	disarm := crashAt(t, "seal.keyindex", 1)
+	err := st.Close()
+	disarm()
+	if !errors.Is(err, errInjectedCrash) {
+		t.Fatalf("Close = %v, want injected crash", err)
+	}
 }
 
 type diffRanking struct {
@@ -144,51 +164,51 @@ func diffCompare(t *testing.T, label string, got, want []diffRanking) {
 }
 
 // TestIndexedRankingsBitIdentical is the core differential: indexed,
-// legacy-fallback, mixed (one legacy + one indexed segment), and mem
-// stores — plus the indexed store's own NoIndex reference walk — agree
-// bit for bit on every ranking and on every Pruned count.
+// torn (frozen, index-less), active (never sealed), mixed (one torn, one
+// indexed and the active segment), and mem stores — plus the indexed
+// store's own NoIndex reference walk — agree bit for bit on every
+// ranking and on every Pruned count.
 func TestIndexedRankingsBitIdentical(t *testing.T) {
 	names, cands, trains := diffSketches(t, 80, 4)
 	const minJoin = 20
 
 	indexed := sealedStore(t, names, cands, false)
-	legacy := sealedStore(t, names, cands, true)
+	torn := sealedStore(t, names, cands, true)
 
-	// Mixed: first half sealed legacy, second half sealed indexed.
+	// Active: every record still in the unsealed append segment.
+	active, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { active.Close() })
+	putAll(t, active, names, cands)
+	if ss := active.Stats(); ss.IndexedSegments != 0 || ss.Segments != 1 {
+		t.Fatalf("active fixture: %d/%d segments indexed", ss.IndexedSegments, ss.Segments)
+	}
+
+	// Mixed: a third torn at seal, a third sealed and indexed, a third
+	// still in the active segment.
 	mixed := func() *Store {
 		dir := t.TempDir()
+		n := len(names)
+		for _, part := range []struct {
+			lo, hi int
+			torn   bool
+		}{{0, n / 3, true}, {n / 3, 2 * n / 3, false}} {
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			putAll(t, st, names[part.lo:part.hi], cands[part.lo:part.hi])
+			closeStore(t, st, part.torn)
+		}
 		st, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < len(names)/2; i++ {
-			if err := st.Put(names[i], cands[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		testHookSealLegacyFooter = true
-		err = st.Close()
-		testHookSealLegacyFooter = false
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st, err = Open(dir); err != nil {
-			t.Fatal(err)
-		}
-		for i := len(names) / 2; i < len(names); i++ {
-			if err := st.Put(names[i], cands[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if st, err = Open(dir); err != nil {
-			t.Fatal(err)
-		}
 		t.Cleanup(func() { st.Close() })
-		ss := st.Stats()
-		if ss.IndexedSegments != 1 || ss.Segments != 2 {
+		putAll(t, st, names[2*n/3:], cands[2*n/3:])
+		if ss := st.Stats(); ss.IndexedSegments != 1 || ss.Segments != 3 {
 			t.Fatalf("mixed fixture: %d/%d segments indexed", ss.IndexedSegments, ss.Segments)
 		}
 		return st
@@ -199,11 +219,7 @@ func TestIndexedRankingsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mem.Close() })
-	for i, name := range names {
-		if err := mem.Put(name, cands[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	putAll(t, mem, names, cands)
 
 	ref := rankAllTrains(t, indexed, trains, minJoin, true) // historic full walk
 	anyRanked, anyPruned := false, false
@@ -220,17 +236,21 @@ func TestIndexedRankingsBitIdentical(t *testing.T) {
 	}
 
 	diffCompare(t, "indexed", rankAllTrains(t, indexed, trains, minJoin, false), ref)
-	diffCompare(t, "legacy", rankAllTrains(t, legacy, trains, minJoin, false), ref)
+	diffCompare(t, "torn", rankAllTrains(t, torn, trains, minJoin, false), ref)
+	diffCompare(t, "active", rankAllTrains(t, active, trains, minJoin, false), ref)
 	diffCompare(t, "mixed", rankAllTrains(t, mixed, trains, minJoin, false), ref)
 	diffCompare(t, "mem", rankAllTrains(t, mem, trains, minJoin, false), ref)
 
-	// Only the indexed paths may skip decodes; the legacy store must
+	// Only indexed segments may skip decodes; the index-less stores must
 	// have answered everything through the full walk.
 	if got := indexed.Stats().CandidatesSkippedNoDecode; got == 0 {
 		t.Fatal("indexed store never skipped a decode")
 	}
-	if got := legacy.Stats().CandidatesSkippedNoDecode; got != 0 {
-		t.Fatalf("legacy store claims %d decode skips", got)
+	if got := torn.Stats().CandidatesSkippedNoDecode; got != 0 {
+		t.Fatalf("torn store claims %d decode skips", got)
+	}
+	if got := active.Stats().CandidatesSkippedNoDecode; got != 0 {
+		t.Fatalf("active store claims %d decode skips", got)
 	}
 	if got := mixed.Stats().CandidatesSkippedNoDecode; got == 0 {
 		t.Fatal("mixed store never skipped a decode on its indexed segment")
@@ -305,16 +325,12 @@ func TestCrashDuringSealKeyIndex(t *testing.T) {
 		}
 		want[name] = sk
 	}
-	disarm := crashAt(t, "seal.keyindex", 1)
-	cerr := st.Close()
-	disarm()
-	if !errors.Is(cerr, errInjectedCrash) {
-		t.Fatalf("Close = %v, want injected crash", cerr)
-	}
+	closeStore(t, st, true)
 	expectState(t, dir, want)
 
-	// The torn index must not have produced an indexed segment; a forced
-	// index pass rebuilds it and ranking agrees before and after.
+	// The torn index must not have produced an indexed segment; a plain
+	// compaction counts the frozen segment as work, rebuilds the index,
+	// and ranking agrees before and after.
 	st2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -328,12 +344,12 @@ func TestCrashDuringSealKeyIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := st2.IndexSegments(context.Background())
+	cs, err := st2.Compact(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cs.Compacted {
-		t.Fatal("IndexSegments skipped a store with an unindexed segment")
+		t.Fatal("Compact skipped a store with a frozen, unindexed segment")
 	}
 	if ss := st2.Stats(); ss.IndexedSegments == 0 || ss.PostingBytes == 0 {
 		t.Fatalf("backfill left no index: %+v", ss)
@@ -353,29 +369,29 @@ func TestCrashDuringSealKeyIndex(t *testing.T) {
 	}
 }
 
-// TestIndexSegmentsNoOpWhenIndexed pins the backfill verb's idempotence:
-// on a store whose every sealed segment already carries an index, a
-// second IndexSegments pass must not rewrite anything.
-func TestIndexSegmentsNoOpWhenIndexed(t *testing.T) {
+// TestCompactNoOpWhenSealedAndIndexed pins the pass's idempotence: a
+// store whose records sit fully live in one sealed, indexed segment is
+// not rewritten, while the same catalog in a crash-frozen segment — no
+// garbage either — is folded into indexed output.
+func TestCompactNoOpWhenSealedAndIndexed(t *testing.T) {
 	names, cands, _ := diffSketches(t, 10, 1)
 	st := sealedStore(t, names, cands, false)
-	cs, err := st.IndexSegments(context.Background())
+	cs, err := st.Compact(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cs.Compacted {
-		t.Fatal("IndexSegments rewrote an already-indexed store")
+		t.Fatal("Compact rewrote a fully-live indexed store")
 	}
-	// A legacy store, by contrast, gets folded even without garbage.
-	leg := sealedStore(t, names, cands, true)
-	cs, err = leg.IndexSegments(context.Background())
+	torn := sealedStore(t, names, cands, true)
+	cs, err = torn.Compact(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cs.Compacted {
-		t.Fatal("IndexSegments skipped a legacy store")
+		t.Fatal("Compact skipped a frozen store")
 	}
-	if ss := leg.Stats(); ss.IndexedSegments == 0 {
-		t.Fatal("legacy store still unindexed after IndexSegments")
+	if ss := torn.Stats(); ss.IndexedSegments == 0 {
+		t.Fatal("frozen store still unindexed after Compact")
 	}
 }

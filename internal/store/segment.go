@@ -18,8 +18,7 @@ package store
 //	               seed u32 | size uvarint | entries uvarint |
 //	               sourceRows uvarint }
 //	key index:     inverted key hash → posting list section (keyindex.go);
-//	               absent when the segment predates it or could not be
-//	               indexed
+//	               absent when the segment could not be indexed
 //	dict section:  compression dictionaries (compress.go); present only
 //	               on compressed compaction output
 //	footer (40 B): kixOff u64 | indexOff u64 | count u64 | crc u32 |
@@ -32,14 +31,12 @@ package store
 // segments from compaction output (see recovery in fsbackend.go); seq is
 // the segment's identity within the store. The footer CRC covers every
 // byte before the footer — key index section included. kixOff locates
-// the key index section (zero: none). Segments sealed before the key
-// index existed carry the 32-byte v1 footer (indexOff u64 | count u64 |
-// crc u32 | reserved u32 | magic "MSEGIDX1") and are opened read-compatibly
-// with no key index; queries fall back to the full candidate walk until
-// a compaction (or Store.IndexSegments) rewrites them. An unsealed
-// segment (crash before seal — including a crash inside key index
-// emission) is recognized by its missing footer and replayed record by
-// record, each record's own CRC bounding the valid prefix.
+// the key index section (zero: none — queries fall back to the full
+// candidate walk over that segment). An unsealed segment (crash before
+// seal — including a crash inside key index emission) is recognized by
+// its missing footer and replayed record by record, each record's own
+// CRC bounding the valid prefix; it serves without a key index until any
+// compaction folds it into indexed output.
 
 import (
 	"bufio"
@@ -57,13 +54,11 @@ import (
 
 const (
 	segMagic         = "MSEG"
-	segFooterMagic   = "MSEGIDX1" // v1: no key index section
 	segFooterMagicV2 = "MSEGIDX2"
 	segFooterMagicV3 = "MSEGIDX3" // v3: adds the compression dict section
 	segVersion       = 1
 
 	segHeaderBytes   = 16
-	segFooterBytes   = 32 // v1 footer
 	segFooterV2Bytes = 40
 	segFooterV3Bytes = 48
 
@@ -107,7 +102,7 @@ type segment struct {
 	recEnd  int64  // end of the record region (== index offset when sealed)
 	count   int    // records in the record region
 	sealed  bool
-	footLen int64 // footer length (v1 or v2); meaningful when sealed
+	footLen int64 // footer length (v2 or v3); meaningful when sealed
 	// kixOff/kixLen locate the key index section (0: none). The section
 	// is parsed lazily at first use (keyIndex below) so opening a store
 	// stays O(segments) work regardless of index size.
@@ -221,8 +216,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // appendRecord writes one already-encoded record at the current offset.
 // With sync set the record is fsynced before returning — the durability
-// point a Put is acknowledged at. Bulk paths (migration, compaction)
-// leave sync off and fsync once at seal.
+// point a Put is acknowledged at. The bulk path (compaction)
+// leaves sync off and fsyncs once at seal.
 func (w *segmentWriter) appendRecord(rec []byte, info core.RecordInfo, sync bool) (int64, error) {
 	off := w.off
 	if _, err := w.seg.f.WriteAt(rec, off); err != nil {
@@ -344,7 +339,7 @@ func (w *segmentWriter) seal() (*segment, error) {
 		}
 	}
 	var dictOff, dictLen int64
-	if w.comp != nil && !testHookSealLegacyFooter {
+	if w.comp != nil {
 		// The dict section is mandatory for a compressed segment — its
 		// compressed records are undecodable without it — so unlike the
 		// key index there is no seal-without-it path; an emit error
@@ -356,34 +351,19 @@ func (w *segmentWriter) seal() (*segment, error) {
 			return nil, fmt.Errorf("store: sealing segment %d dict section: %w", seg.seq, err)
 		}
 	}
-	footLen := int64(segFooterV2Bytes)
+	// The v3 footer is the v2 footer with dictOff in front.
+	footLen, magic := int64(segFooterV2Bytes), segFooterMagicV2
 	footer := make([]byte, 0, segFooterV3Bytes)
-	switch {
-	case testHookSealLegacyFooter:
-		footLen = segFooterBytes
-		footer = binio.AppendU64(footer, uint64(w.off))
-		footer = binio.AppendU64(footer, uint64(len(w.index)))
-		footer = binio.AppendU32(footer, crc)
-		footer = binio.AppendU32(footer, 0)
-		footer = append(footer, segFooterMagic...)
-		kixOff = 0
-	case dictOff > 0:
-		footLen = segFooterV3Bytes
+	if dictOff > 0 {
+		footLen, magic = segFooterV3Bytes, segFooterMagicV3
 		footer = binio.AppendU64(footer, uint64(dictOff))
-		footer = binio.AppendU64(footer, uint64(kixOff))
-		footer = binio.AppendU64(footer, uint64(w.off))
-		footer = binio.AppendU64(footer, uint64(len(w.index)))
-		footer = binio.AppendU32(footer, crc)
-		footer = binio.AppendU32(footer, 0)
-		footer = append(footer, segFooterMagicV3...)
-	default:
-		footer = binio.AppendU64(footer, uint64(kixOff))
-		footer = binio.AppendU64(footer, uint64(w.off))
-		footer = binio.AppendU64(footer, uint64(len(w.index)))
-		footer = binio.AppendU32(footer, crc)
-		footer = binio.AppendU32(footer, 0)
-		footer = append(footer, segFooterMagicV2...)
 	}
+	footer = binio.AppendU64(footer, uint64(kixOff))
+	footer = binio.AppendU64(footer, uint64(w.off))
+	footer = binio.AppendU64(footer, uint64(len(w.index)))
+	footer = binio.AppendU32(footer, crc)
+	footer = binio.AppendU32(footer, 0)
+	footer = append(footer, magic...)
 	if _, err := seg.f.Write(footer); err != nil {
 		return nil, fmt.Errorf("store: sealing segment %d: %w", seg.seq, err)
 	}
@@ -417,9 +397,6 @@ func (w *segmentWriter) seal() (*segment, error) {
 // records were appended as raw bytes and never decoded. A nil return
 // means the segment seals without an index.
 func (w *segmentWriter) buildKeyIndex() []byte {
-	if testHookSealLegacyFooter {
-		return nil
-	}
 	kb := newKeyIndexBuilder()
 	var rbuf []byte
 	for _, e := range w.index {
@@ -544,7 +521,7 @@ func (c crcWriter) Write(p []byte) (int, error) {
 // openSegment opens an existing segment file. A sealed segment comes
 // back mapped and ready; an unsealed one (no valid footer — the store
 // crashed before sealing it) is returned with sealed=false and must go
-// through recoverSegment before use.
+// through freezeSegment before use.
 func openSegment(path string) (*segment, error) {
 	f, err := openFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -585,114 +562,68 @@ func openSegment(path string) (*segment, error) {
 	seg.seq = binio.U64At(hdr, 8)
 	seg.kind = hdr[5]
 	seg.refs.Store(1)
-	if size >= segHeaderBytes+segFooterV3Bytes {
-		footer := make([]byte, segFooterV3Bytes)
-		if _, err := f.ReadAt(footer, size-segFooterV3Bytes); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if string(footer[40:48]) == segFooterMagicV3 {
-			dictOff := int64(binio.U64At(footer, 0))
-			kixOff := int64(binio.U64At(footer, 8))
-			indexOff := int64(binio.U64At(footer, 16))
-			count := int64(binio.U64At(footer, 24))
-			if indexOff < segHeaderBytes || indexOff > size-segFooterV3Bytes {
-				f.Close()
-				return nil, fmt.Errorf("store: %s: implausible index offset %d", path, indexOff)
-			}
-			seg.size = size
-			seg.recEnd = indexOff
-			seg.count = int(count)
-			seg.sealed = true
-			seg.footLen = segFooterV3Bytes
-			// An implausible dict offset leaves the segment without a
-			// decoder: raw records still serve, compressed ones fail
-			// their decodes (fail closed, surfaced to the query).
-			if dictOff >= indexOff && dictOff+dictHeaderBytes <= size-segFooterV3Bytes {
-				seg.dictOff = dictOff
-				seg.dictLen = size - segFooterV3Bytes - dictOff
-			}
-			kixEnd := size - segFooterV3Bytes
-			if seg.dictOff > 0 {
-				kixEnd = seg.dictOff
-			}
-			// An implausible key index offset degrades to "no index"
-			// (the full walk); the record region stands on its own.
-			if kixOff >= indexOff && kixOff+kixHeaderBytes <= kixEnd {
-				seg.kixOff = kixOff
-				seg.kixLen = kixEnd - kixOff
-			}
-			seg.data, err = mmapFile(f, size)
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("store: mapping %s: %w", path, err)
-			}
-			return seg, nil
-		}
+	// A sealed segment ends in a footer whose last 8 bytes are its magic.
+	// The v3 footer is the v2 footer with dictOff in front, so one decoder
+	// reads both, picking the length by magic.
+	n := min(size-segHeaderBytes, segFooterV3Bytes)
+	if n < segFooterV2Bytes {
+		return seg, nil // unsealed: too short to hold a footer
 	}
-	if size >= segHeaderBytes+segFooterV2Bytes {
-		footer := make([]byte, segFooterV2Bytes)
-		if _, err := f.ReadAt(footer, size-segFooterV2Bytes); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if string(footer[32:40]) == segFooterMagicV2 {
-			kixOff := int64(binio.U64At(footer, 0))
-			indexOff := int64(binio.U64At(footer, 8))
-			count := int64(binio.U64At(footer, 16))
-			if indexOff < segHeaderBytes || indexOff > size-segFooterV2Bytes {
-				f.Close()
-				return nil, fmt.Errorf("store: %s: implausible index offset %d", path, indexOff)
-			}
-			seg.size = size
-			seg.recEnd = indexOff
-			seg.count = int(count)
-			seg.sealed = true
-			seg.footLen = segFooterV2Bytes
-			// An implausible key index offset degrades to "no index"
-			// (the full walk); the record region stands on its own.
-			if kixOff >= indexOff && kixOff+kixHeaderBytes <= size-segFooterV2Bytes {
-				seg.kixOff = kixOff
-				seg.kixLen = size - segFooterV2Bytes - kixOff
-			}
-			seg.data, err = mmapFile(f, size)
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("store: mapping %s: %w", path, err)
-			}
-			return seg, nil
-		}
+	tail := make([]byte, n)
+	if _, err := f.ReadAt(tail, size-n); err != nil {
+		f.Close()
+		return nil, err
 	}
-	if size >= segHeaderBytes+segFooterBytes {
-		footer := make([]byte, segFooterBytes)
-		if _, err := f.ReadAt(footer, size-segFooterBytes); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if string(footer[24:32]) == segFooterMagic {
-			// Legacy v1 footer: sealed before the key index existed.
-			// Fully readable; queries walk its candidates until a
-			// compaction or Store.IndexSegments rewrites it.
-			indexOff := int64(binio.U64At(footer, 0))
-			count := int64(binio.U64At(footer, 8))
-			if indexOff < segHeaderBytes || indexOff > size-segFooterBytes {
-				f.Close()
-				return nil, fmt.Errorf("store: %s: implausible index offset %d", path, indexOff)
-			}
-			seg.size = size
-			seg.recEnd = indexOff
-			seg.count = int(count)
-			seg.sealed = true
-			seg.footLen = segFooterBytes
-			seg.data, err = mmapFile(f, size)
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("store: mapping %s: %w", path, err)
-			}
-			return seg, nil
-		}
+	var footLen int64
+	switch string(tail[n-8:]) {
+	case segFooterMagicV2:
+		footLen = segFooterV2Bytes
+	case segFooterMagicV3:
+		footLen = segFooterV3Bytes
 	}
-	return seg, nil // unsealed: crashed before seal
+	if footLen == 0 || footLen > n {
+		return seg, nil // unsealed: crashed before seal
+	}
+	foot, secEnd := tail[n-footLen:], size-footLen
+	var dictOff int64
+	if footLen == segFooterV3Bytes {
+		dictOff, foot = int64(binio.U64At(foot, 0)), foot[8:]
+	}
+	kixOff := int64(binio.U64At(foot, 0))
+	indexOff := int64(binio.U64At(foot, 8))
+	count := int64(binio.U64At(foot, 16))
+	if indexOff < segHeaderBytes || indexOff > secEnd {
+		f.Close()
+		return nil, fmt.Errorf("store: %s: implausible index offset %d", path, indexOff)
+	}
+	seg.size = size
+	seg.recEnd = indexOff
+	seg.count = int(count)
+	seg.sealed = true
+	seg.footLen = footLen
+	// An implausible dict offset leaves the segment without a decoder:
+	// raw records still serve, compressed ones fail their decodes (fail
+	// closed, surfaced to the query).
+	if dictOff >= indexOff && dictOff+dictHeaderBytes <= secEnd {
+		seg.dictOff = dictOff
+		seg.dictLen = secEnd - dictOff
+	}
+	kixEnd := secEnd
+	if seg.dictOff > 0 {
+		kixEnd = seg.dictOff
+	}
+	// An implausible key index offset degrades to "no index" (the full
+	// walk); the record region stands on its own.
+	if kixOff >= indexOff && kixOff+kixHeaderBytes <= kixEnd {
+		seg.kixOff = kixOff
+		seg.kixLen = kixEnd - kixOff
+	}
+	seg.data, err = mmapFile(f, size)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: mapping %s: %w", path, err)
+	}
+	return seg, nil
 }
 
 // verify checks the sealed segment's footer CRC — the whole-file

@@ -174,8 +174,7 @@ func Open(dir string) (*Store, error) {
 // segment, regardless of catalog size; acked mutations from after the
 // last manifest write are recovered by replaying the segment tails. When
 // the manifest is missing or corrupt the store heals itself from the
-// segment records alone, and stores in either legacy file-per-sketch
-// layout (flat or sharded) are migrated into segments transparently.
+// segment records alone.
 func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 	s := &Store{dir: dir}
 	s.selectPool.New = func() any { return new(selectScratch) }
@@ -623,7 +622,7 @@ type SegmentInfo struct {
 	LiveRecords int
 	LiveBytes   int64
 	// Indexed marks sealed segments carrying an inverted key index and
-	// IndexBytes its section size; legacy and frozen segments report
+	// IndexBytes its section size; active and frozen segments report
 	// false and are served by the full candidate walk.
 	Indexed    bool
 	IndexBytes int64
@@ -735,7 +734,7 @@ type RankOptions struct {
 // key indexes then exclude candidates whose exact key-hash overlap with
 // the train proves their join at or below MinJoinSize — selection work
 // grows with matching candidates, not catalog size. Candidates in
-// segments without an index (the active segment, legacy segments) are
+// segments without an index (the active segment, frozen segments) are
 // loaded and prefiltered per pair instead; either way the pruned pairs
 // are identical and counted in Stats.PrunedPairs. Prefix-ineligible
 // sketches are silently ignored; prefix-matching sketches with a

@@ -122,17 +122,27 @@ func TestListIgnoresForeignFiles(t *testing.T) {
 	if _, err := Open(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("hi"), 0o644); err != nil {
+	// Strays in the store root — including names an earlier
+	// file-per-sketch layout would have used — are not the store's:
+	// Open neither indexes nor deletes them.
+	strays := []string{
+		"README.txt",
+		"ORSXG5A-.misk", // a sketch-looking name with garbage content
+		filepath.Join("shards", "0007", "ORSXG5A-.misk"),
+	}
+	for _, rel := range strays {
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "subdir.misk"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Mkdir(filepath.Join(dir, "subdir"+sketchExt), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// A validly named file with garbage content must not be indexed.
-	if err := os.WriteFile(filepath.Join(dir, encodeName("fake")), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir) // reopen: reconcile scans the directory
+	st, err := Open(dir) // reopen: recovery scans the directory
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,130 +153,10 @@ func TestListIgnoresForeignFiles(t *testing.T) {
 	if len(names) != 0 {
 		t.Errorf("List should ignore foreign entries: %v", names)
 	}
-}
-
-// writeLegacyStore fabricates a file-per-sketch store the way the
-// pre-segment engine laid it out: flat (shards == 0) or sharded with a
-// v1 manifest (shards > 0).
-func writeLegacyStore(t *testing.T, dir string, sketches map[string]*core.Sketch, shards uint32) {
-	t.Helper()
-	metas := make(map[string]Meta, len(sketches))
-	for name, sk := range sketches {
-		path := filepath.Join(dir, encodeName(name))
-		if shards > 0 {
-			path = filepath.Join(dir, shardsDir, shardOf(name, shards), encodeName(name))
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
+	for _, rel := range append(strays, "subdir.misk") {
+		if _, err := os.Stat(filepath.Join(dir, rel)); err != nil {
+			t.Errorf("Open removed a file it does not own: %v", err)
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := sk.WriteTo(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		metas[name] = Meta{
-			Name: name, Method: sk.Method, Role: sk.Role, Seed: sk.Seed,
-			Size: sk.Size, Numeric: sk.Numeric, SourceRows: sk.SourceRows,
-			Entries: sk.Len(), Bytes: n,
-		}
-	}
-	if shards > 0 {
-		if err := writeManifestV1(filepath.Join(dir, ManifestFile), shards, metas); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestLegacyShardedLayoutMigration(t *testing.T) {
-	dir := t.TempDir()
-	sk := buildSketch(t, core.RoleCandidate, 0, func(g int) float64 { return float64(g) })
-	sketches := make(map[string]*core.Sketch)
-	for i := 0; i < 20; i++ {
-		sketches[fmt.Sprintf("t%02d#x", i)] = sk
-	}
-	writeLegacyStore(t, dir, sketches, 8)
-
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names, err := st.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 20 {
-		t.Fatalf("List after sharded migration = %d names", len(names))
-	}
-	got, err := st.Get("t07#x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != sk.Len() || got.Seed != sk.Seed {
-		t.Error("migrated sketch mismatch")
-	}
-	// The legacy files and shard directories are gone; the sketches now
-	// live in segments.
-	if _, err := os.Stat(filepath.Join(dir, shardsDir)); !os.IsNotExist(err) {
-		t.Error("shards directory should be removed after migration")
-	}
-	if len(st.Segments()) == 0 {
-		t.Error("expected at least one segment after migration")
-	}
-	// A reopen sees the migrated store directly (no second migration).
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := st2.Len(); n != 20 {
-		t.Errorf("Len after reopen = %d, want 20", n)
-	}
-}
-
-func TestLegacyFlatLayoutMigration(t *testing.T) {
-	dir := t.TempDir()
-	sk := buildSketch(t, core.RoleCandidate, 0, func(g int) float64 { return float64(g) })
-	// Simulate a pre-manifest store: flat .misk files in the root.
-	for _, name := range []string{"old/a#x", "old/b#y"} {
-		f, err := os.Create(filepath.Join(dir, encodeName(name)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sk.WriteTo(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names, err := st.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || names[0] != "old/a#x" {
-		t.Fatalf("List after migration = %v", names)
-	}
-	// Files packed into segments; the root holds none.
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), sketchExt) {
-			t.Errorf("legacy file %s not migrated", e.Name())
-		}
-	}
-	if _, err := st.Get("old/b#y"); err != nil {
-		t.Error(err)
-	}
-	// DiskReads counts the Get's record decode; the migration pass is
-	// backend-internal and does not count.
-	if got := st.Stats().DiskReads; got != 1 {
-		t.Errorf("DiskReads = %d, want 1", got)
 	}
 }
 
@@ -301,19 +191,25 @@ func TestOpenHealsLostOrCorruptManifest(t *testing.T) {
 		t.Error("recovery should persist the rebuilt manifest")
 	}
 
-	// Corrupt the manifest: Open must fall back to segment replay.
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names, _ := st3.List(); len(names) != 3 {
-		t.Fatalf("List after manifest corruption = %v", names)
-	}
-	if got, err := st3.Get("b#x"); err != nil || got.Len() != sk.Len() {
-		t.Errorf("Get after heal: %v", err)
+	// Corrupt the manifest, or leave one of a version this build does not
+	// read: Open must fall back to segment replay.
+	for label, content := range map[string][]byte{
+		"garbage":       []byte("garbage"),
+		"other version": otherVersionManifest,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, ManifestFile), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st3, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names, _ := st3.List(); len(names) != 3 {
+			t.Fatalf("%s manifest: List = %v", label, names)
+		}
+		if got, err := st3.Get("b#x"); err != nil || got.Len() != sk.Len() {
+			t.Errorf("%s manifest: Get after heal: %v", label, err)
+		}
 	}
 }
 
@@ -697,21 +593,5 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if n, _ := st.Len(); n != 8 {
 		t.Errorf("Len = %d", n)
-	}
-}
-
-func TestNameEncodingRoundTrip(t *testing.T) {
-	for _, name := range []string{"simple", "with/slash", "sp ace", "uni-cödé#x@y", "..", "CON"} {
-		f := encodeName(name)
-		if filepath.Base(f) != f {
-			t.Errorf("%q encodes to path-traversing %q", name, f)
-		}
-		back, ok := decodeName(f)
-		if !ok || back != name {
-			t.Errorf("%q -> %q -> %q (%v)", name, f, back, ok)
-		}
-	}
-	if _, ok := decodeName("not-base32!!!" + sketchExt); ok {
-		t.Error("garbage filename should not decode")
 	}
 }

@@ -8,9 +8,10 @@ import (
 	"misketch/internal/core"
 )
 
-// PlantedCohort generates the store-rank bench corpus — the one both
-// BenchmarkStoreRank* and `misketch bench` rank — as a train sketch
-// and a sequence of (c, candidate sketch) for c in [0, nCand).
+// PlantedCohort generates the store-rank corpus — the one `datagen
+// -kind cohort` builds shard stores from and the pinned cascade tests
+// rank — as a train sketch and a sequence of (c, candidate sketch) for
+// c in [0, nCand).
 //
 // The corpus is a heterogeneous discovery workload, the shape the paper's
 // ranking scenario assumes: the train target carries a 20-level signal
