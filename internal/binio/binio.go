@@ -157,8 +157,17 @@ func AppendUvarint(dst []byte, v uint64) []byte {
 // UvarintAt decodes the unsigned LEB128 varint at b[off:], returning
 // the value and the number of bytes it occupies. n <= 0 reports corrupt
 // or truncated input (the binary.Uvarint contract), never a panic —
-// callers walking untrusted mmap'd bytes branch on it.
+// callers walking untrusted mmap'd bytes branch on it. The one-byte case
+// — nearly every posting delta and multiplicity of a key index — is
+// decided inline; the general case stays out of line.
 func UvarintAt(b []byte, off int) (v uint64, n int) {
+	if uint(off) < uint(len(b)) && b[off] < 0x80 {
+		return uint64(b[off]), 1
+	}
+	return uvarintSlow(b, off)
+}
+
+func uvarintSlow(b []byte, off int) (uint64, int) {
 	if off < 0 || off > len(b) {
 		return 0, 0
 	}

@@ -3,6 +3,7 @@ package binio
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -85,5 +86,40 @@ func TestRawBufferHelpers(t *testing.T) {
 	}
 	if got := AppendPad(padded, 8); len(got) != 8 {
 		t.Error("AppendPad of aligned input must be a no-op")
+	}
+}
+
+// TestUvarintAtMatchesBinaryUvarint holds the inline one-byte case and
+// the out-of-line rest to binary.Uvarint's contract at every offset of
+// well-formed, truncated, over-long and overflowing inputs, and to
+// (0, 0) outside the buffer.
+func TestUvarintAtMatchesBinaryUvarint(t *testing.T) {
+	inputs := [][]byte{
+		nil,
+		{0x00},
+		{0x7f},
+		{0x80},                             // truncated after one byte
+		{0x80, 0x01},                       // 128
+		{0xff, 0x7f, 0x05},                 // two bytes, then a one-byte value
+		{0x80, 0x80, 0x80, 0x80},           // truncated, every byte a continuation
+		{0x80, 0x00},                       // over-long zero: accepted, two bytes
+		binary.AppendUvarint(nil, 1<<63),   // ten bytes
+		binary.AppendUvarint(nil, 1<<64-1), // ten bytes, last byte 0x01
+		append(bytes.Repeat([]byte{0xff}, 9), 0x02),  // ten bytes, overflows
+		append(bytes.Repeat([]byte{0x80}, 10), 0x01), // eleven bytes
+		binary.AppendUvarint(binary.AppendUvarint([]byte{0x05}, 300), 1<<40),
+	}
+	for _, b := range inputs {
+		for off := 0; off <= len(b); off++ {
+			wantV, wantN := binary.Uvarint(b[off:])
+			if v, n := UvarintAt(b, off); v != wantV || n != wantN {
+				t.Errorf("UvarintAt(% x, %d) = (%d, %d), binary.Uvarint says (%d, %d)", b, off, v, n, wantV, wantN)
+			}
+		}
+		for _, off := range []int{-1, len(b) + 1, len(b) + 64} {
+			if v, n := UvarintAt(b, off); v != 0 || n != 0 {
+				t.Errorf("UvarintAt(% x, %d) = (%d, %d) outside the buffer, want (0, 0)", b, off, v, n)
+			}
+		}
 	}
 }

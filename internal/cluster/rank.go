@@ -231,6 +231,7 @@ func (r *scatterRequest) encode(seed bool, floors []float64) ([]byte, error) {
 func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatterRequest) (server.Outcome, *ClusterError) {
 	started := time.Now()
 	n := len(c.shards)
+	admit := c.admits(req.digest)
 	inm, cached := make([]string, n), make([]*ccEntry, n)
 	for i := range c.shards {
 		if ent, ok := c.results.Get(ccKey{shard: i, digest: req.digest}); ok {
@@ -274,7 +275,7 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 	first := make([]*server.RankBatchResponse, n)
 	for i, r := range results {
 		first[i] = answer(r)
-		if first[i] != nil && r.etag != "" && (cached[i] == nil || cached[i].etag != r.etag) {
+		if admit && first[i] != nil && r.etag != "" && (cached[i] == nil || cached[i].etag != r.etag) {
 			c.remember(ccKey{shard: i, digest: req.digest}, r.etag, r.body)
 		}
 	}
@@ -378,7 +379,9 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 	// content stability and emits none.
 	if len(lost) == 0 && !slices.Contains(tags, "") {
 		out.ETag = coordEtagFor(req.digest, tags)
-		c.remember(mergedKey, out.ETag, out.Body)
+		if admit {
+			c.remember(mergedKey, out.ETag, out.Body)
+		}
 	}
 	return out, nil
 }

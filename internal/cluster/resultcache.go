@@ -31,7 +31,15 @@ package cluster
 // each one is authoritative for its own shard regardless of what the
 // others did.
 //
-// The LRU over both kinds of entry and the singleflight table that
+// Admission on second sight. A digest's first scatter leaves a marker
+// (no body, ccEntryOverhead bytes) and caches nothing; bodies are kept
+// from the second identical request on. Most queries never repeat, and a
+// shard answer each plus the merge grew the cache, and the process, with
+// every query served. The price is one extra full scatter per distinct
+// repeated query, once: the marker is keyed by digest alone, so it
+// survives the shards' mutations.
+//
+// The LRU over all three kinds of entry and the singleflight table that
 // coalesces identical concurrent requests (keyed by request digest,
 // refcounted so the scatter is cancelled only when every coalesced
 // client has gone away) are internal/cache's. Both are nil when
@@ -52,8 +60,12 @@ type ccKey struct {
 	digest [sha256.Size]byte
 }
 
-// mergedShard is the ccKey.shard sentinel for merged entries.
-const mergedShard = -1
+// mergedShard and seenShard are the ccKey.shard sentinels for merged
+// entries and first-sight markers.
+const (
+	mergedShard = -1
+	seenShard   = -2
+)
 
 // ccEntry is one cached answer: a shard's round-1 body under the shard's
 // ETag, or the merged body under the coordinator's — which hashes the
@@ -72,6 +84,16 @@ func (c *Coordinator) remember(key ccKey, etag string, body []byte) {
 	if c.results != nil {
 		c.results.Add(key, &ccEntry{etag: etag, body: bytes.Clone(body)}, int64(len(body)+len(etag))+ccEntryOverhead)
 	}
+}
+
+// admits reports whether digest was requested before, so that this
+// request's answers may be remembered, and marks it seen.
+func (c *Coordinator) admits(digest [sha256.Size]byte) (seen bool) {
+	key := ccKey{shard: seenShard, digest: digest}
+	if _, seen = c.results.Get(key); !seen {
+		c.results.Add(key, &ccEntry{}, ccEntryOverhead)
+	}
+	return seen
 }
 
 // requestDigest keys a scattered request: a tag separating the

@@ -52,6 +52,61 @@ func postCoord(t testing.TB, url string, body []byte, inm string) (int, string, 
 	return resp.StatusCode, resp.Header.Get("ETag"), raw
 }
 
+// prime posts body once so its digest is past the coordinator cache's
+// first sight, which marks the digest and keeps no answer: the bodies of
+// the next identical request are the first ones cached.
+func prime(t testing.TB, url string, body []byte) {
+	t.Helper()
+	if status, _, raw := postCoord(t, url, body, ""); status != http.StatusOK {
+		t.Fatalf("priming request: status %d: %s", status, raw)
+	}
+}
+
+// TestClusterFirstSightRetainsNoBody: the first request for a digest
+// leaves a marker of fixed cost and no answer, so a stream of queries
+// that never repeat grows the cache by ccEntryOverhead each, not by
+// three bodies; the second identical request is a full scatter too and
+// leaves the shard answers and the merge; the third replays them.
+func TestClusterFirstSightRetainsNoBody(t *testing.T) {
+	tc := newTestCluster(t, 3, 31)
+	coord := tc.coordinator(t, Options{ResultCacheBytes: 1 << 20})
+	cs := httptest.NewServer(coord)
+	defer cs.Close()
+	body := mustMarshal(t, tc.rankRequest(t, 10))
+
+	_, etag, _ := postCoord(t, cs.URL, body, "")
+	st := coord.Stats().Coordinator
+	if st.ResultEntries != 1 || st.ResultBytes != ccEntryOverhead {
+		t.Fatalf("first sight retains %d entries, %d bytes; want the marker's 1 and %d", st.ResultEntries, st.ResultBytes, ccEntryOverhead)
+	}
+	if etag == "" {
+		t.Fatal("a first-sight answer carries its ETag all the same")
+	}
+	if status, etag2, raw := postCoord(t, cs.URL, body, ""); status != http.StatusOK || etag2 != etag {
+		t.Fatalf("second sight: status %d etag %q, want 200 under %q: %s", status, etag2, etag, raw)
+	}
+	st = coord.Stats().Coordinator
+	if st.ResultEntries != 5 || st.ResultShardHits != 0 || st.ResultMergedHits != 0 {
+		t.Fatalf("second sight: %+v, want marker + 3 shard answers + merge and no hit yet", st)
+	}
+	if status, _, _ := postCoord(t, cs.URL, body, etag); status != http.StatusNotModified {
+		t.Fatalf("third sight: status %d, want 304", status)
+	}
+	if st = coord.Stats().Coordinator; st.ResultShardHits != 3 || st.ResultMergedHits != 1 || st.ResultEntries != 5 {
+		t.Fatalf("third sight: %+v, want three shard 304s and the merged replay", st)
+	}
+	// A mutation moves the ETags, not the marker: the very next request
+	// caches its bodies again.
+	if err := tc.shardSts[0].Put("corpus/extra", buildCandidate(t, 91)); err != nil {
+		t.Fatal(err)
+	}
+	prime(t, cs.URL, body)
+	postCoord(t, cs.URL, body, "")
+	if after := coord.Stats().Coordinator; after.ResultMergedHits != 2 || after.ResultShardHits != 3+2+3 {
+		t.Fatalf("after a mutation: %+v, want the request after it cached (2 + 3 more shard 304s, one more replay)", after)
+	}
+}
+
 // TestClusterShard304MergeBitIdentical: with the coordinator cache on,
 // a repeated query revalidates every shard (304, no bodies) and the
 // merged answer is bit-identical to the first full-body scatter and to
@@ -66,6 +121,7 @@ func TestClusterShard304MergeBitIdentical(t *testing.T) {
 	body := mustMarshal(t, req)
 	want := tc.singleNodeRank(t, req)
 
+	prime(t, cs.URL, body)
 	status, etag1, first := postCoord(t, cs.URL, body, "")
 	if status != http.StatusOK {
 		t.Fatalf("first query: status %d: %s", status, first)
@@ -117,6 +173,7 @@ func TestClusterCacheMutationInvalidates(t *testing.T) {
 
 	req := tc.rankRequest(t, 0) // all results, so the new candidate must appear
 	body := mustMarshal(t, req)
+	prime(t, cs.URL, body)
 	_, etag1, _ := postCoord(t, cs.URL, body, "")
 
 	// Mutate shard 0 (and the union ground truth identically).
@@ -258,6 +315,7 @@ func TestClusterPartialNeverCached(t *testing.T) {
 	body := mustMarshal(t, req)
 
 	// Warm the full merge first, then lose a shard.
+	prime(t, cs.URL, body)
 	if status, etag, _ := postCoord(t, cs.URL, body, ""); status != http.StatusOK || etag == "" {
 		t.Fatalf("warmup: status %d etag %q", status, etag)
 	}
@@ -301,7 +359,7 @@ func TestClusterPartialNeverCached(t *testing.T) {
 	}
 	cs2 := httptest.NewServer(coord2)
 	defer cs2.Close()
-	for pass := 0; pass < 2; pass++ {
+	for pass := 0; pass < 3; pass++ { // first sight, cached, revalidated
 		status, etag, raw := postCoord(t, cs2.URL, body, "")
 		var rr RankResponse
 		mustUnmarshal(t, raw, &rr)
@@ -309,9 +367,9 @@ func TestClusterPartialNeverCached(t *testing.T) {
 			t.Fatalf("round-2 loss, pass %d: status %d etag %q: %s", pass, status, etag, raw)
 		}
 	}
-	// Only the two seed answers are cached — each authoritative for its
-	// shard — and the second pass revalidated both.
-	if st := coord2.Stats().Coordinator; st.ResultMergedHits != 0 || st.ResultEntries != 2 || st.ResultShardHits != 2 || st.Round2Requests < 2 {
+	// Only the two seed answers are cached (beside the digest's marker) —
+	// each authoritative for its shard — and the last pass revalidated both.
+	if st := coord2.Stats().Coordinator; st.ResultMergedHits != 0 || st.ResultEntries != 3 || st.ResultShardHits != 2 || st.Round2Requests < 2 {
 		t.Fatalf("round-2 loss: %+v", st)
 	}
 }

@@ -131,9 +131,9 @@ func TestClusterDeleteBetweenRounds(t *testing.T) {
 	// round 2. With the two strongest gone at most four candidates reach
 	// the floor, whatever the sixth scores.
 	victims := []string{matrixPrefix + "cohort-00", matrixPrefix + "cohort-02"}
-	var deleted atomic.Bool
+	var armed, deleted atomic.Bool
 	front := betweenRounds(t, server.New(cl.shards[0], server.Options{}), func() {
-		if deleted.CompareAndSwap(false, true) {
+		if armed.Load() && deleted.CompareAndSwap(false, true) {
 			for _, victim := range victims {
 				if err := errors.Join(cl.shards[0].Delete(victim), cl.union.Delete(victim)); err != nil {
 					t.Error(err)
@@ -146,6 +146,12 @@ func TestClusterDeleteBetweenRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := topK(t, mc, 5)
+	// First sight keeps nothing; the deletes wait for the query after it,
+	// whose seed answers are the ones the cache holds.
+	if _, err := c.Rank(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
 	resp, err := c.Rank(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +163,8 @@ func TestClusterDeleteBetweenRounds(t *testing.T) {
 	if slices.ContainsFunc(resp.Ranked, func(r server.RankedResult) bool { return slices.Contains(victims, r.Name) }) {
 		t.Fatalf("a deleted candidate is in the answer: %+v", resp.Ranked)
 	}
-	if cs := c.Stats().Coordinator; cs.FloorFallbacks != 1 || cs.FloorQueries != 1 {
-		t.Fatalf("two-round counters %+v, want one fallback", cs)
+	if cs := c.Stats().Coordinator; cs.FloorFallbacks != 1 || cs.FloorQueries != 2 {
+		t.Fatalf("two-round counters %+v, want one fallback in two floored queries", cs)
 	}
 	// The next identical query sees a moved shard 0 and needs no rerun.
 	resp, err = c.Rank(context.Background(), req)
@@ -180,6 +186,7 @@ func TestClusterOneShardMovesOthersRevalidate(t *testing.T) {
 	mc := cohortCorpus(t)
 	cl := newMatrixCluster(t, mc, 3, func(i int, _ placed) int { return i }, Options{ResultCacheBytes: 1 << 20})
 	body := mustMarshal(t, topK(t, mc, 5))
+	prime(t, cl.url, body)
 	status, etag1, raw := postCoord(t, cl.url, body, "")
 	var first RankResponse
 	mustUnmarshal(t, raw, &first)
@@ -242,6 +249,7 @@ func TestClusterFullRevalidationIsOneRound(t *testing.T) {
 				{Name: "a", Sketch: sketchBase64(t, mc.trains[0])}, {Name: "b", Sketch: sketchBase64(t, mc.trains[3])},
 			}, Prefix: matrixPrefix, MinJoin: &mj, K: 3, Top: 5})
 		}
+		post(t, cl.url+path, body) // first sight: nothing kept
 		status, first := post(t, cl.url+path, body)
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", path, status, first)
@@ -373,9 +381,10 @@ func TestClusterShardResponseCap(t *testing.T) {
 		t.Fatalf("the firehose was asked %d times for %d requests (%d retries): an over-cap answer must not be retried", served.Load(), st.Shards[0].Requests, st.Shards[0].Retries)
 	}
 	// The honest shard's answer to each distinct scattered request (the
-	// by-name query scatters the inline one) and nothing else.
-	if st.Coordinator.ResultMergedHits != 0 || st.Coordinator.ResultEntries != 2 {
-		t.Fatalf("cache: %d merged replays, %d entries; want 0 and the honest shard's 2", st.Coordinator.ResultMergedHits, st.Coordinator.ResultEntries)
+	// by-name query scatters the inline one), each request's first-sight
+	// marker, and nothing else.
+	if st.Coordinator.ResultMergedHits != 0 || st.Coordinator.ResultEntries != 4 {
+		t.Fatalf("cache: %d merged replays, %d entries; want 0 and the honest shard's 2 + 2 markers", st.Coordinator.ResultMergedHits, st.Coordinator.ResultEntries)
 	}
 	// A train only the firehose could own is not "missing": 502, not 404.
 	_, rerr := c.Rank(context.Background(), RankRequest{Train: "no/such", Prefix: "corpus/", MinJoin: &mj})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"misketch/internal/mi"
 )
@@ -17,6 +18,7 @@ import (
 // ranker brings its own Scratch).
 type TrainProbe struct {
 	train *Sketch
+	id    uint64
 	// Open-addressing hash table from key hash to the packed range
 	// [(val>>32)−1, uint32(val)) into order; a zero val marks an empty
 	// slot (the +1 start bias keeps real entries nonzero). Linear
@@ -39,6 +41,9 @@ type TrainProbe struct {
 	distMult []int32
 }
 
+// probeIDs numbers the probes this process compiles.
+var probeIDs atomic.Uint64
+
 // CompileTrainProbe builds the per-query index over a train sketch.
 func CompileTrainProbe(train *Sketch) *TrainProbe {
 	n := train.Len()
@@ -52,6 +57,7 @@ func CompileTrainProbe(train *Sketch) *TrainProbe {
 	}
 	p := &TrainProbe{
 		train:    train,
+		id:       probeIDs.Add(1),
 		htabKey:  make([]uint32, size),
 		htabVal:  make([]uint64, size),
 		mask:     uint32(size - 1),
@@ -88,6 +94,10 @@ func CompileTrainProbe(train *Sketch) *TrainProbe {
 
 // Train returns the sketch the probe was compiled from.
 func (p *TrainProbe) Train() *Sketch { return p.train }
+
+// ID is the probe's process-unique number: a key under which work
+// derived from the probe can be memoised without keeping it reachable.
+func (p *TrainProbe) ID() uint64 { return p.id }
 
 // DistinctKeyHashes returns the train sketch's distinct key hashes and,
 // parallel to them, how many train entries carry each hash. Summing

@@ -37,7 +37,7 @@ type Grid2D struct {
 const gridCellsPerPoint = 3
 
 // smallKMax is the largest k served by the insertion-array fast path of
-// Grid2D.KNNDist; linear insertion into a tiny descending array beats
+// Grid2D.AllKNNDist; linear insertion into a tiny descending array beats
 // heap maintenance (and its call overhead) up to well past the k the
 // KSG estimators use (3 by default).
 const smallKMax = 16
@@ -174,27 +174,13 @@ func (g *Grid2D) cellY(y float64) int {
 	return c
 }
 
-// KNNDist returns the L∞ distance from (x, y) — which must be one of the
-// stored points — to its k-th nearest neighbor, excluding one occurrence
-// of the point itself. It panics if fewer than k other points exist.
-func (g *Grid2D) KNNDist(x, y float64, k int) float64 {
-	if len(g.cellPts)-1 < k {
-		panic("knn: not enough points for k-NN query")
-	}
-	if k <= smallKMax {
-		return g.knnDistSmall(x, y, k)
-	}
-	return g.knnDistHeap(x, y, k)
-}
-
 // AllKNNDist computes the k-NN distance of every stored point (self
 // excluded) into out[originalIndex] — the access pattern of the KSG
 // estimators, which query each sample point exactly once. Batching by
 // cell shares the ring geometry between a cell's points, fuses rings 0
 // and 1 into one three-row block scan, and excludes the query point by
-// its exact slot, so the whole pass runs measurably faster than n
-// separate KNNDist calls while returning identical distances. It panics
-// if fewer than k+1 points are stored.
+// its exact slot. The distances are exact (grid2d_test.go holds them to
+// a brute-force scan). It panics if fewer than k+1 points are stored.
 func (g *Grid2D) AllKNNDist(k int, out []float64) {
 	n := len(g.cellPts)
 	if n-1 < k {
@@ -243,6 +229,9 @@ func (g *Grid2D) AllKNNDist(k int, out []float64) {
 				for i := 0; i < k; i++ {
 					best[i] = inf
 				}
+				// Ring rows are contiguous in the row-major CSR layout.
+				// math.Abs compiles to a sign-bit mask; spelled as a
+				// branch it would mispredict half the time on random data.
 				scanRange := func(lo, hi int32) {
 					for _, p := range g.cellPts[lo:hi] {
 						d := max(math.Abs(x-p.X), math.Abs(y-p.Y))
@@ -313,92 +302,7 @@ func (g *Grid2D) AllKNNDist(k int, out []float64) {
 	}
 }
 
-func (g *Grid2D) knnDistSmall(x, y float64, k int) float64 {
-	inf := math.Inf(1)
-	var best [smallKMax]float64
-	for i := 0; i < k; i++ {
-		best[i] = inf
-	}
-	selfLeft := true
-	// scanRange examines the points of a contiguous cell range — ring
-	// rows are contiguous in the row-major CSR layout, so most of a ring
-	// is covered by two of these calls. math.Abs compiles to a sign-bit
-	// mask; spelled as a branch it would mispredict half the time on
-	// random data and dominate the scan.
-	scanRange := func(lo, hi int32) {
-		for _, p := range g.cellPts[lo:hi] {
-			dx := max(math.Abs(x-p.X), math.Abs(y-p.Y))
-			if dx < best[0] {
-				if dx == 0 && selfLeft && p.X == x && p.Y == y {
-					selfLeft = false
-					continue
-				}
-				j := 1
-				for j < k && dx < best[j] {
-					best[j-1] = best[j]
-					j++
-				}
-				best[j-1] = dx
-			}
-		}
-	}
-	cx, cy := g.cellX(x), g.cellY(y)
-	nx, ny := g.nx, g.ny
-	maxRing := nx
-	if ny > maxRing {
-		maxRing = ny
-	}
-	for r := 0; r <= maxRing; r++ {
-		// Any point in a ring-r cell is at least (r−1) whole cells away
-		// on some axis, so its distance is at least (r−1)·side.
-		if r >= 2 && best[0] < inf && float64(r-1)*g.side >= best[0] {
-			break
-		}
-		if r == 0 {
-			c := cy*nx + cx
-			scanRange(g.cellStart[c], g.cellStart[c+1])
-			continue
-		}
-		x0, x1 := cx-r, cx+r
-		if x0 < 0 {
-			x0 = 0
-		}
-		if x1 >= nx {
-			x1 = nx - 1
-		}
-		y0, y1 := cy-r, cy+r
-		if y0 >= 0 {
-			row := y0 * nx
-			scanRange(g.cellStart[row+x0], g.cellStart[row+x1+1])
-		}
-		if y1 < ny {
-			row := y1 * nx
-			scanRange(g.cellStart[row+x0], g.cellStart[row+x1+1])
-		}
-		gy0, gy1 := y0+1, y1-1
-		if gy0 < 0 {
-			gy0 = 0
-		}
-		if gy1 >= ny {
-			gy1 = ny - 1
-		}
-		left, right := cx-r, cx+r
-		for gy := gy0; gy <= gy1; gy++ {
-			row := gy * nx
-			if left >= 0 {
-				scanRange(g.cellStart[row+left], g.cellStart[row+left+1])
-			}
-			if right < nx {
-				scanRange(g.cellStart[row+right], g.cellStart[row+right+1])
-			}
-		}
-	}
-	// A self-occurrence that never surfaced cannot happen: (x, y) is a
-	// stored point, so its cell was scanned in ring 0.
-	return best[0]
-}
-
-// scanCellHeap is the large-k counterpart of knnDistSmall's range scan,
+// scanCellHeap is the large-k counterpart of AllKNNDist's range scan,
 // maintaining the bounded max-heap instead of the insertion array.
 func (g *Grid2D) scanCellHeap(c int, x, y float64, k int, selfLeft *bool) {
 	lo, hi := g.cellStart[c], g.cellStart[c+1]

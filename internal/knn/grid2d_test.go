@@ -68,9 +68,9 @@ func gridCases(rng *rand.Rand, n int) map[string][2][]float64 {
 	}
 }
 
-// TestGrid2DMatchesBruteForce checks KNNDist and AllKNNDist against
-// brute force on every regime, and that the batched pass agrees with
-// the per-point queries.
+// TestGrid2DMatchesBruteForce checks AllKNNDist against brute force on
+// every regime, on both sides of smallKMax (the insertion array and the
+// heap).
 func TestGrid2DMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{5, 40, 200} {
@@ -79,16 +79,13 @@ func TestGrid2DMatchesBruteForce(t *testing.T) {
 			var g Grid2D
 			g.Reset(xs, ys)
 			out := make([]float64, n)
-			for _, k := range []int{1, 3} {
+			for _, k := range []int{1, 3, smallKMax + 4} {
 				if n-1 < k {
 					continue
 				}
 				g.AllKNNDist(k, out)
 				for i := 0; i < n; i++ {
 					want := bruteKNNDistXY(xs, ys, i, k)
-					if got := g.KNNDist(xs[i], ys[i], k); got != want {
-						t.Fatalf("%s n=%d k=%d KNNDist(%d) = %v, want %v", name, n, k, i, got, want)
-					}
 					if out[i] != want {
 						t.Fatalf("%s n=%d k=%d AllKNNDist[%d] = %v, want %v", name, n, k, i, out[i], want)
 					}
@@ -126,10 +123,11 @@ func TestGrid2DExtremeRangeRatioBounded(t *testing.T) {
 	if cells := g.nx * g.ny; cells > 2*gridCellsPerPoint*n+4 {
 		t.Fatalf("cell count %d (nx=%d ny=%d) exceeds the ~2x target bound", cells, g.nx, g.ny)
 	}
-	for i := range xs {
-		want := bruteKNNDistXY(xs, ys, i, 3)
-		if got := g.KNNDist(xs[i], ys[i], 3); got != want {
-			t.Fatalf("KNNDist(%d) = %v, want %v", i, got, want)
+	out := make([]float64, n)
+	g.AllKNNDist(3, out)
+	for i, got := range out {
+		if want := bruteKNNDistXY(xs, ys, i, 3); got != want {
+			t.Fatalf("AllKNNDist[%d] = %v, want %v", i, got, want)
 		}
 	}
 }
@@ -147,10 +145,11 @@ func TestGrid2DReuseShrinksCleanly(t *testing.T) {
 			ys[i] = float64(rng.Intn(6))
 		}
 		g.Reset(xs, ys)
-		for i := 0; i < n; i++ {
-			want := bruteKNNDistXY(xs, ys, i, 3)
-			if got := g.KNNDist(xs[i], ys[i], 3); got != want {
-				t.Fatalf("n=%d KNNDist(%d) = %v, want %v", n, i, got, want)
+		out := make([]float64, n)
+		g.AllKNNDist(3, out)
+		for i, got := range out {
+			if want := bruteKNNDistXY(xs, ys, i, 3); got != want {
+				t.Fatalf("n=%d AllKNNDist[%d] = %v, want %v", n, i, got, want)
 			}
 		}
 	}

@@ -161,6 +161,24 @@ func (s *Scratch) points(xs, ys []float64) []knn.Point {
 	return s.pts
 }
 
+// knnDists rebuilds the joint-space neighbor structure over the sample
+// — the grid up to gridMaxN points, the kd-tree (over s.pts) beyond — and
+// returns every point's k-NN distance, self excluded, in sample order.
+func (s *Scratch) knnDists(xs, ys []float64, k int) []float64 {
+	rho := sized(&s.rho, len(xs))
+	if len(xs) <= gridMaxN {
+		s.grid.Reset(xs, ys)
+		s.grid.AllKNNDist(k, rho)
+		return rho
+	}
+	pts := s.points(xs, ys)
+	s.tree.Reset(pts)
+	for i := range pts {
+		rho[i] = s.tree.KNNDist(pts[i], k, i)
+	}
+	return rho
+}
+
 // KSG returns the Kraskov et al. (2004) algorithm-1 MI estimate; see the
 // package-level KSG for the formula. The neighbor structures and sorted
 // arrays are rebuilt in place.
@@ -169,27 +187,13 @@ func (s *Scratch) KSG(xs, ys []float64, k int) float64 {
 	if n == 0 {
 		return 0
 	}
+	s.sx.Reset(xs)
 	s.sy.Reset(ys)
 	sum := 0.0
-	if n <= gridMaxN {
-		s.sx.Reset(xs)
-		s.grid.Reset(xs, ys)
-		for i := 0; i < n; i++ {
-			rho := s.grid.KNNDist(xs[i], ys[i], k)
-			nx := s.sx.CountStrictlyWithin(xs[i], rho, 1)
-			ny := s.sy.CountStrictlyWithin(ys[i], rho, 1)
-			sum += stats.DigammaInt(nx+1) + stats.DigammaInt(ny+1)
-		}
-	} else {
-		s.sx.Reset(xs)
-		pts := s.points(xs, ys)
-		s.tree.Reset(pts)
-		for i := 0; i < n; i++ {
-			rho := s.tree.KNNDist(pts[i], k, i)
-			nx := s.sx.CountStrictlyWithin(xs[i], rho, 1)
-			ny := s.sy.CountStrictlyWithin(ys[i], rho, 1)
-			sum += stats.DigammaInt(nx+1) + stats.DigammaInt(ny+1)
-		}
+	for i, rho := range s.knnDists(xs, ys, k) {
+		nx := s.sx.CountStrictlyWithin(xs[i], rho, 1)
+		ny := s.sy.CountStrictlyWithin(ys[i], rho, 1)
+		sum += stats.DigammaInt(nx+1) + stats.DigammaInt(ny+1)
 	}
 	return stats.DigammaInt(k) + stats.DigammaInt(n) - sum/float64(n)
 }
@@ -226,7 +230,10 @@ func (s *Scratch) mixedKSG(xs, ys []float64, k int, h Hints) float64 {
 		// precomputed orders by O(n) gathers (no sorts), the grid
 		// answers every k-NN query in one batched pass, and the
 		// interval counts walk outward from each value's known rank.
-		s.growHinted(n)
+		sized(&s.sortedX, n)
+		sized(&s.sortedY, n)
+		sized(&s.rankX, n)
+		sized(&s.rankY, n)
 		for pos, j := range h.XOrder {
 			s.sortedX[pos] = xs[j]
 			s.rankX[j] = int32(pos)
@@ -235,10 +242,7 @@ func (s *Scratch) mixedKSG(xs, ys []float64, k int, h Hints) float64 {
 			s.sortedY[pos] = ys[j]
 			s.rankY[j] = int32(pos)
 		}
-		s.grid.Reset(xs, ys)
-		s.grid.AllKNNDist(k, s.rho)
-		for i := 0; i < n; i++ {
-			rho := s.rho[i]
+		for i, rho := range s.knnDists(xs, ys, k) {
 			var ktilde, nx, ny int // all counts include the point itself
 			if rho == 0 {
 				ktilde = s.grid.CountJointTies(xs[i], ys[i])
@@ -252,35 +256,17 @@ func (s *Scratch) mixedKSG(xs, ys []float64, k int, h Hints) float64 {
 			sum += stats.DigammaInt(ktilde) + logN -
 				stats.DigammaInt(nx) - stats.DigammaInt(ny)
 		}
-	case n <= gridMaxN:
-		s.sx.Reset(xs)
-		s.sy.Reset(ys)
-		s.grid.Reset(xs, ys)
-		for i := 0; i < n; i++ {
-			rho := s.grid.KNNDist(xs[i], ys[i], k)
-			var ktilde, nx, ny int
-			if rho == 0 {
-				ktilde = s.grid.CountJointTies(xs[i], ys[i])
-				nx = s.sx.CountWithin(xs[i], 0, 1) + 1
-				ny = s.sy.CountWithin(ys[i], 0, 1) + 1
-			} else {
-				ktilde = k
-				nx = s.sx.CountStrictlyWithin(xs[i], rho, 1) + 1
-				ny = s.sy.CountStrictlyWithin(ys[i], rho, 1) + 1
-			}
-			sum += stats.DigammaInt(ktilde) + logN -
-				stats.DigammaInt(nx) - stats.DigammaInt(ny)
-		}
 	default:
 		s.sx.Reset(xs)
 		s.sy.Reset(ys)
-		pts := s.points(xs, ys)
-		s.tree.Reset(pts)
-		for i := 0; i < n; i++ {
-			rho := s.tree.KNNDist(pts[i], k, i)
+		for i, rho := range s.knnDists(xs, ys, k) {
 			var ktilde, nx, ny int
 			if rho == 0 {
-				ktilde = s.tree.CountWithin(pts[i], 0, i) + 1
+				if n <= gridMaxN {
+					ktilde = s.grid.CountJointTies(xs[i], ys[i])
+				} else {
+					ktilde = s.tree.CountWithin(s.pts[i], 0, i) + 1
+				}
 				nx = s.sx.CountWithin(xs[i], 0, 1) + 1
 				ny = s.sy.CountWithin(ys[i], 0, 1) + 1
 			} else {
@@ -293,15 +279,6 @@ func (s *Scratch) mixedKSG(xs, ys []float64, k int, h Hints) float64 {
 		}
 	}
 	return sum / float64(n)
-}
-
-// growHinted sizes the hinted-path buffers for a sample of n points.
-func (s *Scratch) growHinted(n int) {
-	sized(&s.sortedX, n)
-	sized(&s.sortedY, n)
-	sized(&s.rankX, n)
-	sized(&s.rankY, n)
-	sized(&s.rho, n)
 }
 
 // DCKSG returns Ross's (2014) MI estimate between a discrete column cs

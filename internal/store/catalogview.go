@@ -18,17 +18,19 @@ package store
 // finds none, and every site that writes s.manifest or changes which
 // segments the backend serves drops it under s.mu: Put, Delete, the
 // compaction roll and swap (which moves records without bumping Gen),
-// RebuildManifest, Close's seal. All but the seeds map is immutable once
-// published; seeds gains entries only under s.mu, each immutable once
-// added. A query takes the view, its seed's lists and the segment pins
-// in one critical section — an atomic snapshot that always contains a
-// Put or Delete that returned before the rank started.
+// RebuildManifest, Close's seal. All but the seeds map and the plan cache
+// is immutable once published; seeds gains entries only under s.mu, each
+// immutable once added, and plans (rankplan.go) locks for itself. A query
+// takes the view, its seed's lists and the segment pins in one critical
+// section — an atomic snapshot that always contains a Put or Delete that
+// returned before the rank started.
 
 import (
 	"slices"
 	"sort"
 	"strings"
 
+	"misketch/internal/cache"
 	"misketch/internal/core"
 )
 
@@ -42,6 +44,8 @@ type catalogView struct {
 	always     []int32
 	maxRecords int                  // largest segs[i].ix.records()
 	seeds      map[uint32]*seedView // guarded by Store.mu
+	// plans memoises phase 1 of the cascaded ranks run on this view.
+	plans *cache.LRU[planKey, *rankPlan]
 }
 
 // viewSegment resolves one segment's index ordinals to entry positions.
@@ -68,6 +72,7 @@ func (s *Store) viewLocked() *catalogView {
 		entries: make([]Meta, 0, len(s.manifest)),
 		pins:    make(map[uint64]struct{}),
 		seeds:   make(map[uint32]*seedView),
+		plans:   cache.NewLRU[planKey, *rankPlan](planCacheBytes),
 	}
 	for _, m := range s.manifest {
 		v.entries = append(v.entries, m)

@@ -430,9 +430,35 @@ func TestCatalogViewRaceHammer(t *testing.T) {
 			}
 		})
 	}
+	// Two more rankers share one compiled probe across TopK values, so
+	// between mutations they reuse each other's phase-1 plan: a plan met
+	// on a view is that view's, and its candidates load wherever a
+	// compaction has moved them since.
+	probe := core.CompileTrainProbe(train)
+	hits0 := st.Stats().PlanHits
+	for r := 0; r < 2; r++ {
+		r := r
+		run(func(i int) {
+			o := opt
+			o.Probe, o.TopK = probe, []int{5, 12, 30}[(i+r)%3]
+			got, skipped, err := st.RankQuery(ctx, train, o)
+			if err != nil {
+				t.Error(err)
+				stop.Store(true)
+				return
+			}
+			if len(skipped) != 0 || !sameRanked(got, want[:min(o.TopK, stable)]) {
+				t.Errorf("top %d with a shared probe: %d rows, skipped %v", o.TopK, len(got), skipped)
+				stop.Store(true)
+			}
+		})
+	}
 	wg.Wait()
 	if !t.Failed() && passes.Load() == 0 {
 		t.Fatal("degenerate hammer: no compaction pass completed beside the rankers")
+	}
+	if !t.Failed() && st.Stats().PlanHits == hits0 {
+		t.Fatal("degenerate hammer: no rank reused a plan")
 	}
 }
 

@@ -16,14 +16,13 @@ package store
 // rankTrains below is the one copy of the ranking machinery — catalog
 // view snapshot, index-driven candidate selection, worker pool,
 // mutation-race triage, bounded heaps, deterministic merge — shared by
-// RankQuery (one train) and RankBatch (N trains). Both paths run the
-// prefilter by default; NoIndex restores the historic
-// estimate-everything reference semantics for differential testing and
-// benchmarking. On top of the per-pair probe prefilter, sealed segments
+// RankQuery (one train) and RankBatch (N trains). Both run the prefilter
+// by default; NoIndex restores the historic estimate-everything reference
+// semantics. On top of the per-pair probe prefilter, sealed segments
 // carry a persistent inverted key index (keyindex.go) that, through the
-// store's catalog view (catalogview.go), excludes never-joining
-// candidates before they are even loaded — selection cost grows with the
-// postings touched and the matching candidates, not with catalog size.
+// catalog view (catalogview.go), excludes never-joining candidates before
+// they are loaded — selection cost grows with the postings touched and
+// the matching candidates, not with catalog size.
 
 import (
 	"cmp"
@@ -32,12 +31,10 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"misketch/internal/core"
-	"misketch/internal/mi"
 )
 
 // DefaultCascadeMargin is the safety margin in nats the cascade adds to
@@ -247,11 +244,14 @@ func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}) (*core.Sketch, er
 	return sk, nil
 }
 
-// rankTrains is the shared ranking core. Candidates are admitted by one
-// catalog view (partitioned on the trains' common seed), selected
-// against the sealed segments' inverted key indexes, striped across a
-// worker pool, loaded once each, and scored against every train. With
-// prefilter set (and MinJoinSize >= 0 — a negative cutoff keeps even
+// rankTrains is the shared ranking core, in two named stages with a value
+// between them: planRank (rankplan.go) is phase 1 — select, load, join,
+// cheap-score — and runPlan is phase 2 — seed cut, MinMI floors, K-th
+// bound, exact tier, heaps, merge. Phase 1 reads nothing of TopK, MinMI,
+// Seed, K, CascadeMargin or Workers, so under the cascade its plan is
+// memoised on the catalog view and calls that differ only in those (and
+// reuse their compiled probes) share it until the catalog moves.
+// With prefilter set (and MinJoinSize >= 0 — a negative cutoff keeps even
 // empty joins, so nothing is prunable), a (train, candidate) pair whose
 // key-hash overlap is at or below MinJoinSize is counted as pruned
 // instead of estimated — by the index when the candidate's segment has
@@ -260,420 +260,291 @@ func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}) (*core.Sketch, er
 // malformed-input error behavior matches the unprefiltered path
 // exactly. Callers have validated that all trains share a seed.
 func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt BatchOptions, prefilter bool) (*BatchResult, error) {
-	seed := trains[0].Seed
-	res := &BatchResult{Queries: make([]BatchQueryResult, len(trains))}
-	prefilter = prefilter && opt.MinJoinSize >= 0
+	if opt.K <= 0 {
+		return nil, fmt.Errorf("store: rank needs a positive K, got %d", opt.K)
+	}
+	r := &rankRun{s: s, trains: trains, opt: opt, seed: trains[0].Seed, minMI: opt.MinMI, pool: opt.ScratchPool}
+	r.prefilter = prefilter && opt.MinJoinSize >= 0
+	r.cascade = opt.TopK > 0 && !opt.NoCascade
+	if r.margin = opt.CascadeMargin; r.margin == 0 {
+		r.margin = DefaultCascadeMargin
+	} else if r.margin < 0 {
+		r.margin = 0
+	}
+	if r.minMI == nil {
+		r.minMI = make([]float64, len(trains))
+	}
+	if r.pool == nil {
+		r.pool = &s.rankScratch
+	}
+	// Any worker's error cancels the rest: ranking either returns every
+	// result or an error, so work after the first failure is wasted.
+	r.ctx, r.cancel = context.WithCancel(ctx)
+	defer r.cancel()
 
 	// The catalog view, this seed's partition of it and the segment pins
 	// come from one critical section — one atomic snapshot. The pins keep
 	// the mmap'd record bytes (which the workers' zero-copy sketch views
 	// borrow) and key indexes valid even if a compaction retires them.
 	s.mu.Lock()
-	v := s.viewLocked()
-	sv := v.seed(seed)
-	release := s.backend.pin(v.pins)
+	r.v = s.viewLocked()
+	sv := r.v.seed(r.seed)
+	release := s.backend.pin(r.v.pins)
 	s.mu.Unlock()
 	defer release()
 
-	lo, hi := v.prefixRange(opt.Prefix)
-	var skipped []string
-	for _, p := range within(sv.skipped, lo, hi) {
-		skipped = append(skipped, v.entries[p].Name)
-	}
-
-	probes := make([]*core.TrainProbe, len(trains))
+	// A probe compiled here has a number no later call can present: its
+	// plan could never be reused and is not kept.
+	memo := r.cascade
+	r.probes = make([]*core.TrainProbe, len(trains))
 	for q, tr := range trains {
 		if opt.Probes != nil && opt.Probes[q] != nil {
-			probes[q] = opt.Probes[q]
+			r.probes[q] = opt.Probes[q]
 		} else {
-			probes[q] = core.CompileTrainProbe(tr)
+			r.probes[q], memo = core.CompileTrainProbe(tr), false
 		}
 	}
-
-	// visit holds the entry positions of the candidates to load, in name
-	// order (locality for the workers' segment reads). Index-driven
-	// selection excludes, without loading them, candidates whose segment
-	// index proves every train's overlap at or below the cutoff; each is
-	// a pruned pair for every query (the same pairs the probe prefilter
-	// below would count one load later). An empty sketch joins nothing and
-	// is never read unless the cutoff is negative.
-	visit := within(sv.cands, lo, hi)
-	if prefilter && !opt.NoIndex {
-		var prunedAll int
-		visit, prunedAll = s.selectVisit(v, seed, visit, lo, hi, probes, opt.MinJoinSize)
-		if prunedAll > 0 {
-			s.candNoDecode.Add(int64(prunedAll))
-			for q := range res.Queries {
-				res.Queries[q].Pruned = prunedAll
-			}
+	var key planKey
+	if memo {
+		key = r.planKey()
+		if p, ok := r.v.plans.Get(key); ok {
+			s.planHits.Add(1)
+			r.start(p.visit)
+			return r.runPlan(p)
 		}
-	} else if empty := within(sv.empty, lo, hi); opt.MinJoinSize < 0 && len(empty) > 0 {
-		visit = append(slices.Clone(visit), empty...)
-		slices.Sort(visit)
+		s.planMisses.Add(1)
 	}
+	p, clean := r.planRank(sv)
+	if r.firstErr != nil {
+		return nil, r.firstErr
+	}
+	if memo && clean {
+		r.v.plans.Add(key, p, p.cost(key))
+	}
+	return r.runPlan(p)
+}
 
-	workers := opt.Workers
+// rankRun is what one ranking call threads through its stages.
+type rankRun struct {
+	s      *Store
+	ctx    context.Context
+	cancel context.CancelFunc
+	trains []*core.Sketch
+	probes []*core.TrainProbe
+	opt    BatchOptions
+	seed   uint32
+	// Derived from opt: the two modes, and CascadeMargin and MinMI with
+	// their defaults applied.
+	prefilter, cascade bool
+	margin             float64
+	minMI              []float64
+	pool               *core.ScratchPool
+	v                  *catalogView
+	visit              []int32 // the plan's: entry positions, in name order
+	w                  []*rankWorker
+
+	errMu    sync.Mutex
+	firstErr error
+
+	// Phase 2 only. kthBound holds the per-train monotone lower bounds on
+	// the K-th exact MI found so far, shared across workers and encoded as
+	// raiseBound describes. A bound only ever comes from some worker's
+	// full heap root, a certified lower bound on the global K-th exact MI:
+	// pruning against it never evicts a true top-K result (see scoreTask).
+	tasks    []cascadeTask
+	kthBound []atomic.Uint64
+	// cands holds, by visit index, the candidates phase 2 scores: left by
+	// phase 1 when this call ran it (nothing is decoded twice), loaded on
+	// first use under a reused plan; lateSkip once triage dropped one.
+	cands []atomic.Pointer[core.Sketch]
+}
+
+// rankWorker is one worker's partial state: bounded heaps under a TopK
+// bound (plain slices otherwise), its tallies, its share of phase 1's tasks.
+type rankWorker struct {
+	tops   []rankHeap
+	all    [][]RankedSketch
+	pruned []int64
+	late   []string
+	counts [3]int64 // cheap-only, exact, rescues
+	tasks  []cascadeTask
+}
+
+// lateSkip marks a rankRun.cands slot whose candidate was skipped.
+var lateSkip = new(core.Sketch)
+
+func (r *rankRun) setErr(err error) {
+	r.errMu.Lock()
+	if r.firstErr == nil {
+		r.firstErr = err
+	}
+	r.errMu.Unlock()
+	r.cancel()
+}
+
+// start sizes the worker pool and its state for a plan's visit list.
+func (r *rankRun) start(visit []int32) {
+	r.visit = visit
+	workers := r.opt.Workers
 	if workers <= 0 {
 		// Default fan-out: one worker per P, but never more workers than
 		// there are minimum-sized chunks of useful work — spinning a
 		// goroutine to score a handful of candidates costs more than the
 		// scoring. An explicit Workers value is honored as given.
-		workers = runtime.GOMAXPROCS(0)
-		if mw := (len(visit) + workerMinChunk - 1) / workerMinChunk; workers > mw {
-			workers = mw
+		workers = min(runtime.GOMAXPROCS(0), (len(visit)+workerMinChunk-1)/workerMinChunk)
+	}
+	workers = max(1, min(workers, len(visit)))
+	r.w = make([]*rankWorker, workers)
+	for i := range r.w {
+		r.w[i] = &rankWorker{
+			tops:   make([]rankHeap, len(r.trains)),
+			all:    make([][]RankedSketch, len(r.trains)),
+			pruned: make([]int64, len(r.trains)),
 		}
 	}
-	if workers > len(visit) {
-		workers = len(visit)
+	if r.cascade {
+		r.cands = make([]atomic.Pointer[core.Sketch], len(visit))
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Work is claimed in chunks off a shared atomic cursor (work
-	// stealing, not static striding): a worker stalled on a slow segment
-	// read or an expensive estimate simply claims fewer chunks, and the
-	// chunk size keeps cursor contention ~an order of magnitude below
-	// per-candidate claiming while still splitting the tail finely.
-	chunk := len(visit) / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > maxRankChunk {
-		chunk = maxRankChunk
-	}
+}
 
-	// Cascade state: per-train monotone lower bounds on the K-th exact
-	// MI found so far, shared across workers. Encoded as Float64bits+1
-	// (zero = no full heap yet); exact MIs are clamped nonnegative, and
-	// the bit patterns of nonnegative floats order like the floats, so a
-	// plain uint64 CAS-max maintains each bound. A bound only ever comes
-	// from some worker's full heap root, which is a certified lower
-	// bound on the global K-th exact MI — pruning against it can never
-	// evict a true top-K result (see the phase-2 loop below).
-	cascade := opt.TopK > 0 && !opt.NoCascade
-	margin := opt.CascadeMargin
-	if margin == 0 {
-		margin = DefaultCascadeMargin
-	} else if margin < 0 {
-		margin = 0
+// forEach drives one phase: the workers claim chunks of [0, total) off a
+// shared cursor (work stealing, not static striding: a worker stalled on
+// a slow segment read or an expensive estimate claims fewer chunks; the
+// chunk size keeps cursor contention ~an order of magnitude below per-item
+// claiming and still splits the tail finely) and feed each index to body,
+// which returns false to stop its worker (after setErr, which cancels).
+func (r *rankRun) forEach(total int, body func(*rankRun, *rankWorker, *core.Scratch, int) bool) {
+	chunk := max(1, min(total/(len(r.w)*8), maxRankChunk))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for _, w := range r.w {
+		wg.Add(1)
+		go r.work(w, &next, total, chunk, body, &wg)
 	}
-	minMI := opt.MinMI
-	if minMI == nil {
-		minMI = make([]float64, len(trains))
-	}
-	var kthBound []atomic.Uint64
-	if cascade {
-		kthBound = make([]atomic.Uint64, len(trains))
-		for q, floor := range minMI {
-			if floor > 0 {
-				raiseBound(&kthBound[q], floor)
+	wg.Wait()
+}
+
+// work is one worker of forEach, with a pooled scratch. After an error
+// the others drain via the cancelled context, checked once per claimed
+// chunk (a few milliseconds of exact estimates at worst): Err takes a mutex.
+func (r *rankRun) work(w *rankWorker, next *atomic.Int64, total, chunk int, body func(*rankRun, *rankWorker, *core.Scratch, int) bool, wg *sync.WaitGroup) {
+	defer wg.Done()
+	scratch := r.pool.Get()
+	defer r.pool.Put(scratch)
+	for {
+		start := int(next.Add(int64(chunk))) - chunk
+		if start >= total {
+			return
+		}
+		if err := r.ctx.Err(); err != nil {
+			r.setErr(err)
+			return
+		}
+		for i := start; i < min(start+chunk, total); i++ {
+			if !body(r, w, scratch, i) {
+				return
 			}
 		}
 	}
+}
+
+// load fetches a snapshot-admitted candidate for either phase and
+// triages a racing mutation: nil with no error means skipped.
+func (r *rankRun) load(w *rankWorker, m Meta) (*core.Sketch, error) {
+	cand, err := r.s.getForRank(m, r.v.pins)
+	if err != nil {
+		// The snapshot admitted this candidate; distinguish a
+		// concurrent mutation (the manifest no longer carries the
+		// snapshotted record — skip, the racing writer wins) from
+		// genuine corruption behind an unchanged manifest (fail).
+		if cur, ok := r.s.Meta(m.Name); !ok || cur != m {
+			w.late = append(w.late, m.Name)
+			return nil, nil
+		}
+		return nil, err
+	}
+	if cand.Seed != r.seed || cand.Role != core.RoleCandidate {
+		// A Put overwrote the sketch with an incompatible one
+		// after the snapshot filtered on the old metadata.
+		w.late = append(w.late, m.Name)
+		return nil, nil
+	}
+	return cand, nil
+}
+
+// runPlan is phase 2 and the merge. Under the cascade it visits the
+// plan's pairs from strongest cheap score down. The first exact runs are
+// the true contenders, so each train's shared bound reaches the final
+// K-th MI almost immediately, and every later pair settles with the O(1)
+// check cheap + margin < bound — the exact tier (and its re-join) runs
+// only for contenders, margin-band pairs, and pairs whose score is
+// saturated against its binned ceiling. Survivors' joins are recomputed
+// rather than kept: a scatter join costs microseconds, every phase-1 join
+// kept would be the whole catalog's samples in memory. Without the
+// cascade phase 1 scored every pair exactly and only the merge is left.
+func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
+	opt, s := &r.opt, r.s
+	res := &BatchResult{Queries: make([]BatchQueryResult, len(r.trains))}
 	for q := range res.Queries {
-		if opt.Seed && cascade {
+		res.Queries[q].Pruned = p.pruned[q]
+		if opt.Seed && r.cascade {
 			res.Queries[q].SeedBound = -1 // until a pair is left unscored
 		} else if opt.Seed {
 			res.Queries[q].SeedBound = math.Inf(1)
 		}
 	}
-
-	pool := opt.ScratchPool
-	if pool == nil {
-		pool = &s.rankScratch
-	}
-	// Any worker's error cancels the rest: ranking either returns every
-	// result or an error, so work after the first failure is wasted.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancel()
-	}
-	// Per-worker partial state, indexed by worker: bounded heaps under a
-	// TopK bound (plain slices otherwise), prune and skip tallies,
-	// cascade counters, and — under the cascade — the phase-1 task list.
-	topsW := make([][]rankHeap, workers)
-	allW := make([][][]RankedSketch, workers)
-	prunedW := make([][]int64, workers)
-	lateSkipped := make([][]string, workers)
-	cascadeW := make([][3]int64, workers) // cheap-only, exact, rescues
-	tasksW := make([][]cascadeTask, workers)
-	for w := 0; w < workers; w++ {
-		topsW[w] = make([]rankHeap, len(trains))
-		allW[w] = make([][]RankedSketch, len(trains))
-		prunedW[w] = make([]int64, len(trains))
-	}
-	// runWorkers drives one phase: the worker pool claims chunks of
-	// [0, total) off a shared cursor and feeds each index to body with a
-	// pooled scratch. body returns false to stop the worker (after
-	// setErr); the other workers drain via the cancelled context, which
-	// is checked once per claimed chunk — at most maxRankChunk items, a
-	// few milliseconds of exact estimates at worst — not per item: Err
-	// takes a mutex.
-	runWorkers := func(total, chunk int, body func(w int, scratch *core.Scratch, i int) bool) {
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				scratch := pool.Get()
-				defer pool.Put(scratch)
-				for {
-					start := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-					if start >= total {
-						return
-					}
-					if err := ctx.Err(); err != nil {
-						setErr(err)
-						return
-					}
-					end := start + chunk
-					if end > total {
-						end = total
-					}
-					for i := start; i < end; i++ {
-						if !body(w, scratch, i) {
-							return
-						}
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	// Phase 1: decode and triage every candidate once, then prefilter and
-	// scratch-join it against every train in one probe per pair
-	// (core.TrainProbe.JoinAbove). Without the cascade the exact
-	// estimator runs inline, exactly the historic single-pass semantics.
-	// With it, the pair's cheap binned score (mi.CheapMI, O(join) time)
-	// is recorded instead and the exact tier is deferred to phase 2 —
-	// scoring ALL candidates cheaply first is what lets phase 2 visit
-	// them from strongest cheap score down, so the top-K threshold is at
-	// full height after its first few exact runs instead of after most
-	// of the catalog. Decoded sketches are retained (zero-copy views
-	// into the pinned segments) so phase 2 never decodes again.
-	cands := make([]*core.Sketch, len(visit))
-	runWorkers(len(visit), chunk, func(w int, scratch *core.Scratch, i int) bool {
-		m := v.entries[visit[i]]
-		cand, err := s.getForRank(m, v.pins)
-		if err != nil {
-			// The snapshot admitted this candidate; distinguish a
-			// concurrent mutation (the manifest no longer carries the
-			// snapshotted record — skip, the racing writer wins) from
-			// genuine corruption behind an unchanged manifest (fail).
-			if cur, ok := s.Meta(m.Name); !ok || cur != m {
-				lateSkipped[w] = append(lateSkipped[w], m.Name)
-				return true
-			}
-			setErr(err)
-			return false
-		}
-		if cand.Seed != seed || cand.Role != core.RoleCandidate {
-			// A Put overwrote the sketch with an incompatible one
-			// after the snapshot filtered on the old metadata.
-			lateSkipped[w] = append(lateSkipped[w], m.Name)
-			return true
-		}
-		cands[i] = cand
-		// A candidate with duplicated key hashes is exempt from the
-		// prefilter: estimating it reproduces the unprefiltered
-		// behavior exactly (it fails the query only if a duplicate
-		// actually joins).
-		prune := prefilter && !cand.HasDuplicateKeyHashes()
-		for q := range trains {
-			// One probe of the train index yields the overlap, the error
-			// and the sample; the ordering-hint chains are built only
-			// when the exact estimator runs inline.
-			js, err := probes[q].JoinAbove(cand, opt.MinJoinSize, !cascade, scratch)
-			if err != nil {
-				setErr(fmt.Errorf("store: estimating %q: %w", m.Name, err))
-				return false
-			}
-			if js.Size <= opt.MinJoinSize {
-				// Nothing was emitted: the prefilter counts the pair as
-				// pruned; otherwise the min-join confidence filter would
-				// discard the estimate unseen. Either way skip both tiers.
-				if prune {
-					prunedW[w][q]++
-				}
-				continue
-			}
-			if cascade {
-				t := cascadeTask{ci: int32(i), q: int32(q)}
-				if js.X.IsNumeric() || js.Y.IsNumeric() {
-					cr := scratch.MI.CheapMI(js.Y, js.X, mi.DefaultCheapBins)
-					t.cheap, t.ceil = cr.MI, cr.Ceil
-				} else {
-					// Categorical–categorical: the exact estimator is
-					// already the plug-in, so there is no cheaper tier —
-					// the pair is exempt and always scored exactly.
-					t.cheap = math.Inf(1)
-				}
-				tasksW[w] = append(tasksW[w], t)
-				continue
-			}
-			r := probes[q].EstimateJoined(cand, js, opt.K, scratch)
-			rs := RankedSketch{Name: m.Name, MI: r.MI, Estimator: r.Estimator, JoinSize: r.N}
-			if r.MI < minMI[q] {
-				continue
-			}
-			if opt.TopK > 0 {
-				topsW[w][q].offer(rs, opt.TopK)
-			} else {
-				allW[w][q] = append(allW[w][q], rs)
-			}
-		}
-		return true
-	})
-
-	// Phase 2 (cascade only): visit the recorded pairs from strongest
-	// cheap score down. The first exact runs are the true contenders, so
-	// each train's shared bound reaches the final K-th MI almost
-	// immediately, and every later pair settles with the O(1) check
-	// cheap + margin < bound — the exact tier (and its re-join) runs
-	// only for contenders, margin-band pairs, and pairs whose score is
-	// saturated against its binned ceiling. Once some worker's heap for
-	// a train is full, its root is a lower bound L on the final K-th
-	// exact MI — at least K candidates scored ≥ L, so a pair with
-	// cheap + margin < L has exact MI < L (margin calibration) and
-	// cannot appear in the final top K no matter how names break ties.
-	// Survivors' joins are recomputed rather than cached across phases:
-	// a scatter join costs microseconds, caching every phase-1 join
-	// would hold the whole catalog's samples in memory.
-	if cascade && firstErr == nil {
-		var tasks []cascadeTask
-		for _, ts := range tasksW {
-			tasks = append(tasks, ts...)
-		}
-		// Deterministic visit order regardless of phase-1 scheduling:
-		// cheap score descending (exempt pairs first), names and train
-		// index breaking ties. No two tasks share (ci, q), so this is a
-		// total order and any sorting algorithm gives the same list.
-		slices.SortFunc(tasks, func(a, b cascadeTask) int {
-			switch {
-			case a.cheap > b.cheap:
-				return -1
-			case a.cheap < b.cheap:
-				return 1
-			case a.ci != b.ci:
-				return cmp.Compare(a.ci, b.ci) // visit is in name order
-			}
-			return cmp.Compare(a.q, b.q)
-		})
+	if r.cascade {
+		r.tasks = p.tasks
 		if opt.Seed {
 			// Keep each train's first TopK pairs; every pair after them
 			// only feeds the train's bound on what the answer leaves out.
-			taken := make([]int, len(trains))
-			seeds := tasks[:0]
-			for _, t := range tasks {
+			// The plan's list is shared, so the cut is a copy.
+			taken := make([]int, len(r.trains))
+			r.tasks = nil
+			for _, t := range p.tasks {
 				switch b := &res.Queries[t.q].SeedBound; {
 				case taken[t.q] < opt.TopK:
 					taken[t.q]++
-					seeds = append(seeds, t)
-				case t.cheap+margin >= t.ceil: // saturated, or exempt
+					r.tasks = append(r.tasks, t)
+				case t.cheap+r.margin >= t.ceil: // saturated, or exempt
 					*b = math.Inf(1)
 				default:
-					*b = max(*b, t.cheap+margin)
+					*b = max(*b, t.cheap+r.margin)
 				}
 			}
-			tasks = seeds
 		}
-		chunkB := len(tasks) / (workers * 8)
-		if chunkB < 1 {
-			chunkB = 1
+		r.kthBound = make([]atomic.Uint64, len(r.trains))
+		for q, floor := range r.minMI {
+			if floor > 0 {
+				raiseBound(&r.kthBound[q], floor)
+			}
 		}
-		if chunkB > maxRankChunk {
-			chunkB = maxRankChunk
-		}
-		runWorkers(len(tasks), chunkB, func(w int, scratch *core.Scratch, ti int) bool {
-			t := tasks[ti]
-			rescue := false
-			if !opt.Seed { // an exempt pair's +Inf passes through: never settled, never a rescue
-				if tb := kthBound[t.q].Load(); tb != 0 {
-					kth := math.Float64frombits(tb - 1)
-					ub := t.cheap + margin
-					if ub < t.ceil && ub < kth {
-						cascadeW[w][0]++ // settled by the cheap tier alone
-						return true
-					}
-					// Admitted only thanks to the margin or the
-					// saturation guard: a rescue if it lands.
-					rescue = t.cheap < kth
-				}
-			}
-			// Exempt pairs pay the exact tier too: together the two
-			// counters partition every pair that survived the filters.
-			cascadeW[w][1]++
-			m := v.entries[visit[t.ci]]
-			js, err := probes[t.q].JoinScratch(cands[t.ci], scratch)
-			if err != nil {
-				setErr(fmt.Errorf("store: estimating %q: %w", m.Name, err))
-				return false
-			}
-			r := probes[t.q].EstimateJoined(cands[t.ci], js, opt.K, scratch)
-			rs := RankedSketch{Name: m.Name, MI: r.MI, Estimator: r.Estimator, JoinSize: r.N}
-			if r.MI >= minMI[t.q] && topsW[w][t.q].offer(rs, opt.TopK) {
-				if rescue {
-					cascadeW[w][2]++
-				}
-				if len(topsW[w][t.q]) == opt.TopK {
-					raiseBound(&kthBound[t.q], topsW[w][t.q][0].MI)
-				}
-			}
-			return true
-		})
+		r.forEach(len(r.tasks), (*rankRun).scoreTask)
 	}
-
-	if firstErr != nil {
-		return nil, firstErr
+	if r.firstErr != nil {
+		return nil, r.firstErr
 	}
-	var cheapOnly, exact, rescues int64
-	for _, c := range cascadeW {
-		cheapOnly += c[0]
-		exact += c[1]
-		rescues += c[2]
+	res.Skipped = slices.Clone(p.skipped)
+	for _, w := range r.w {
+		s.cascadeCheap.Add(w.counts[0])
+		s.cascadeExact.Add(w.counts[1])
+		s.cascadeRescues.Add(w.counts[2])
+		res.Skipped = append(res.Skipped, w.late...)
 	}
-	if cheapOnly != 0 {
-		s.cascadeCheap.Add(cheapOnly)
+	if len(res.Skipped) > len(p.skipped) {
+		// Two workers can triage one candidate of a batch.
+		slices.Sort(res.Skipped)
+		res.Skipped = slices.Compact(res.Skipped)
 	}
-	if exact != 0 {
-		s.cascadeExact.Add(exact)
-	}
-	if rescues != 0 {
-		s.cascadeRescues.Add(rescues)
-	}
-	for _, names := range lateSkipped {
-		skipped = append(skipped, names...)
-	}
-	sort.Strings(skipped)
-	res.Skipped = skipped
 	// Each worker kept the top K of its subset, so merging the subsets'
 	// survivors and cutting at K yields the exact global top K — and the
 	// (MI, name) sort makes the cut deterministic across partitions and,
 	// names being distinct, across sorting algorithms.
-	var prunedTotal int64
-	for q := range trains {
+	for q := range r.trains {
 		var ranked []RankedSketch
-		for w := 0; w < workers; w++ {
-			if opt.TopK > 0 {
-				ranked = append(ranked, topsW[w][q]...)
-			} else {
-				ranked = append(ranked, allW[w][q]...)
-			}
-			res.Queries[q].Pruned += int(prunedW[w][q])
+		for _, w := range r.w {
+			ranked = append(append(ranked, w.tops[q]...), w.all[q]...)
 		}
-		prunedTotal += int64(res.Queries[q].Pruned)
 		slices.SortFunc(ranked, func(a, b RankedSketch) int {
 			switch {
 			case a.MI > b.MI:
@@ -688,8 +559,67 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 		}
 		res.Queries[q].Ranked = ranked
 	}
-	s.prunedPairs.Add(prunedTotal)
 	return res, nil
+}
+
+// scoreTask is phase 2 for one pair. Once some worker's heap for a train
+// is full, its root is a lower bound L on the final K-th exact MI — at
+// least K candidates scored ≥ L, so a pair with cheap + margin < L has
+// exact MI < L (margin calibration) and cannot appear in the final top K
+// no matter how names break ties.
+func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, ti int) bool {
+	t := r.tasks[ti]
+	rescue := false
+	if !r.opt.Seed { // an exempt pair's +Inf passes through: never settled, never a rescue
+		if tb := r.kthBound[t.q].Load(); tb != 0 {
+			kth := math.Float64frombits(tb - 1)
+			ub := t.cheap + r.margin
+			if ub < t.ceil && ub < kth {
+				w.counts[0]++ // settled by the cheap tier alone
+				return true
+			}
+			// Admitted only thanks to the margin or the
+			// saturation guard: a rescue if it lands.
+			rescue = t.cheap < kth
+		}
+	}
+	// Exempt pairs pay the exact tier too: together the two
+	// counters partition every pair that survived the filters.
+	w.counts[1]++
+	m := r.v.entries[r.visit[t.ci]]
+	cand := r.cands[t.ci].Load()
+	if cand == nil { // a reused plan: it keeps positions, not sketches
+		var err error
+		if cand, err = r.load(w, m); err != nil {
+			r.setErr(err)
+			return false
+		} else if cand == nil {
+			cand = lateSkip
+		}
+		r.cands[t.ci].Store(cand)
+	}
+	if cand == lateSkip {
+		return true
+	}
+	// A compatible overwrite since phase 1 may no longer join.
+	js, err := r.probes[t.q].JoinAbove(cand, r.opt.MinJoinSize, true, scratch)
+	if err != nil {
+		r.setErr(fmt.Errorf("store: estimating %q: %w", m.Name, err))
+		return false
+	} else if js.Size <= r.opt.MinJoinSize {
+		return true
+	}
+	e := r.probes[t.q].EstimateJoined(cand, js, r.opt.K, scratch)
+	rs := RankedSketch{Name: m.Name, MI: e.MI, Estimator: e.Estimator, JoinSize: e.N}
+	if tops := &w.tops[t.q]; e.MI >= r.minMI[t.q] && tops.offer(rs, r.opt.TopK) {
+		if rescue {
+			w.counts[2]++
+		}
+		if len(*tops) == r.opt.TopK {
+			raiseBound(&r.kthBound[t.q], (*tops)[0].MI)
+		}
+	}
+	return true
 }
 
 // cascadeTask is one (candidate, train) pair recorded by the cascade's

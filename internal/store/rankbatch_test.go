@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"misketch/internal/core"
@@ -220,7 +221,9 @@ func TestRankBatchSharedProbesAndScratch(t *testing.T) {
 }
 
 // TestRankBatchValidation covers the up-front failure modes: mixed
-// seeds, probe/train length mismatch, and the empty batch.
+// seeds, probe/train length mismatch, the empty batch, and — on both
+// entry points — a non-positive K, which used to panic inside a worker
+// goroutine ("mi: k must be positive") and take the process with it.
 func TestRankBatchValidation(t *testing.T) {
 	st, trains := batchStore(t, 5, 2)
 	ctx := context.Background()
@@ -238,6 +241,16 @@ func TestRankBatchValidation(t *testing.T) {
 	}
 	if len(res.Queries) != 0 || len(res.Skipped) != 0 {
 		t.Fatalf("empty batch returned %+v", res)
+	}
+	for _, k := range []int{0, -1} {
+		for _, topK := range []int{0, 3} { // inline exact tier, and the cascade's
+			if _, err := st.RankBatch(ctx, trains, BatchOptions{K: k, TopK: topK}); err == nil || !strings.Contains(err.Error(), "positive K") {
+				t.Fatalf("RankBatch with K=%d TopK=%d: %v, want an error naming K", k, topK, err)
+			}
+			if _, _, err := st.RankQuery(ctx, trains[0], RankOptions{K: k, TopK: topK}); err == nil || !strings.Contains(err.Error(), "positive K") {
+				t.Fatalf("RankQuery with K=%d TopK=%d: %v, want an error naming K", k, topK, err)
+			}
+		}
 	}
 }
 

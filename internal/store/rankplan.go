@@ -1,0 +1,205 @@
+package store
+
+// The rank plan: phase 1 of a ranking as a value. Which candidates a
+// query visits, which pairs survive the prefilter and the min-join cut,
+// their cheap scores and phase 2's visit order depend on the catalog
+// state, the probes, Prefix, MinJoinSize and the prefilter mode — and on
+// nothing else. So the plan is memoised on the catalog view under exactly
+// that key: a `top` variant of one train, or a coordinator's floored
+// round 2 after its seed round, runs phase 2 alone. Every mutation drops
+// the view and its plans with it, so there is no invalidation code. A
+// plan holds positions and scores only — never a probe, a train or a
+// decoded sketch — so it pins nothing but itself.
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+
+	"misketch/internal/binio"
+	"misketch/internal/core"
+	"misketch/internal/mi"
+)
+
+// planCacheBytes bounds the plans one catalog view keeps.
+const planCacheBytes = 1 << 20
+
+// planKey is everything phase 1 reads besides the view it is cached on.
+// probes is the probes' process-unique numbers in train order.
+type planKey struct {
+	probes, prefix      string
+	minJoin             int
+	prefilter, useIndex bool
+}
+
+func (r *rankRun) planKey() planKey {
+	ids := make([]byte, 0, 8*len(r.probes))
+	for _, p := range r.probes {
+		ids = binio.AppendU64(ids, p.ID())
+	}
+	return planKey{string(ids), r.opt.Prefix, r.opt.MinJoinSize, r.prefilter, !r.opt.NoIndex}
+}
+
+// rankPlan is what planRank hands runPlan. Immutable once built: a
+// memoised plan is read by concurrent queries.
+type rankPlan struct {
+	visit []int32 // entry positions of the candidates phase 1 loaded, in name order
+	// tasks is every pair past the prefilter and the min-join cut, in
+	// phase 2's visit order; empty without the cascade.
+	tasks   []cascadeTask
+	pruned  []int    // per train: pairs the prefilter removed
+	skipped []string // sorted; nil when empty
+}
+
+// cost is what a view's plan cache charges for p under key.
+func (p *rankPlan) cost(key planKey) int64 {
+	n := 200 + len(key.probes) + len(key.prefix) + 4*cap(p.visit) + 24*cap(p.tasks) + 8*len(p.pruned)
+	for _, name := range p.skipped {
+		n += 16 + len(name)
+	}
+	return int64(n)
+}
+
+// planRank is phase 1: decode and triage every selected candidate once,
+// then prefilter and scratch-join it against every train in one probe
+// per pair (core.TrainProbe.JoinAbove). Without the cascade the exact
+// estimator runs inline, exactly the historic single-pass semantics.
+// With it, the pair's cheap binned score (mi.CheapMI, O(join) time) is
+// recorded instead and the exact tier is deferred to phase 2 — scoring
+// ALL candidates cheaply first is what lets phase 2 visit them from
+// strongest cheap score down, so the top-K threshold is at full height
+// after its first few exact runs instead of after most of the catalog.
+// clean: no racing mutation was triaged, so the plan may be memoised.
+func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
+	s, v, opt := r.s, r.v, &r.opt
+	p = &rankPlan{pruned: make([]int, len(r.trains))}
+	lo, hi := v.prefixRange(opt.Prefix)
+	for _, e := range within(sv.skipped, lo, hi) {
+		p.skipped = append(p.skipped, v.entries[e].Name)
+	}
+	// visit holds the entry positions of the candidates to load, in name
+	// order (locality for the workers' segment reads). Index-driven
+	// selection excludes, without loading them, candidates whose segment
+	// index proves every train's overlap at or below the cutoff; each is
+	// a pruned pair for every query (the same pairs the probe prefilter
+	// would count one load later). An empty sketch joins nothing and is
+	// never read unless the cutoff is negative.
+	p.visit = within(sv.cands, lo, hi)
+	if r.prefilter && !opt.NoIndex {
+		var prunedAll int
+		p.visit, prunedAll = s.selectVisit(v, r.seed, p.visit, lo, hi, r.probes, opt.MinJoinSize)
+		s.candNoDecode.Add(int64(prunedAll))
+		for q := range p.pruned {
+			p.pruned[q] = prunedAll
+		}
+	} else if empty := within(sv.empty, lo, hi); opt.MinJoinSize < 0 && len(empty) > 0 {
+		p.visit = append(slices.Clone(p.visit), empty...)
+		slices.Sort(p.visit)
+	}
+	r.start(p.visit)
+	r.forEach(len(p.visit), (*rankRun).joinCandidate)
+	if r.firstErr != nil {
+		return nil, false
+	}
+	total, clean := 0, true
+	for _, w := range r.w {
+		total += len(w.tasks)
+	}
+	// One exact-size list, handed to runPlan and the view's cache as is.
+	p.tasks = make([]cascadeTask, 0, total)
+	for _, w := range r.w {
+		p.tasks = append(p.tasks, w.tasks...)
+		for q, n := range w.pruned {
+			p.pruned[q] += int(n)
+		}
+		p.skipped = append(p.skipped, w.late...)
+		clean = clean && len(w.late) == 0
+		w.tasks, w.late = nil, nil
+	}
+	for _, n := range p.pruned {
+		s.prunedPairs.Add(int64(n))
+	}
+	slices.Sort(p.skipped)
+	// Deterministic visit order regardless of phase-1 scheduling: cheap
+	// score descending (exempt pairs first), names and train index
+	// breaking ties. No two tasks share (ci, q), so this is a total order
+	// and any sorting algorithm gives the same list.
+	slices.SortFunc(p.tasks, func(a, b cascadeTask) int {
+		switch {
+		case a.cheap > b.cheap:
+			return -1
+		case a.cheap < b.cheap:
+			return 1
+		case a.ci != b.ci:
+			return cmp.Compare(a.ci, b.ci) // visit is in name order
+		}
+		return cmp.Compare(a.q, b.q)
+	})
+	return p, clean
+}
+
+// joinCandidate is phase 1 for one visit position.
+func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) bool {
+	opt := &r.opt
+	m := r.v.entries[r.visit[i]]
+	cand, err := r.load(w, m)
+	if err != nil {
+		r.setErr(err)
+		return false
+	} else if cand == nil {
+		return true
+	}
+	// A candidate with duplicated key hashes is exempt from the
+	// prefilter: estimating it reproduces the unprefiltered
+	// behavior exactly (it fails the query only if a duplicate
+	// actually joins).
+	prune := r.prefilter && !cand.HasDuplicateKeyHashes()
+	if r.cascade {
+		r.cands[i].Store(cand) // phase 2 of this call reads it back
+	}
+	for q, probe := range r.probes {
+		// One probe of the train index yields the overlap, the error
+		// and the sample; the ordering-hint chains are built only
+		// when the exact estimator runs inline.
+		js, err := probe.JoinAbove(cand, opt.MinJoinSize, !r.cascade, scratch)
+		if err != nil {
+			r.setErr(fmt.Errorf("store: estimating %q: %w", m.Name, err))
+			return false
+		}
+		if js.Size <= opt.MinJoinSize {
+			// Nothing was emitted: the prefilter counts the pair as
+			// pruned; otherwise the min-join confidence filter would
+			// discard the estimate unseen. Either way skip both tiers.
+			if prune {
+				w.pruned[q]++
+			}
+			continue
+		}
+		if r.cascade {
+			t := cascadeTask{ci: int32(i), q: int32(q)}
+			if js.X.IsNumeric() || js.Y.IsNumeric() {
+				cr := scratch.MI.CheapMI(js.Y, js.X, mi.DefaultCheapBins)
+				t.cheap, t.ceil = cr.MI, cr.Ceil
+			} else {
+				// Categorical–categorical: the exact estimator is
+				// already the plug-in, so there is no cheaper tier —
+				// the pair is exempt and always scored exactly.
+				t.cheap = math.Inf(1)
+			}
+			w.tasks = append(w.tasks, t)
+			continue
+		}
+		e := probe.EstimateJoined(cand, js, opt.K, scratch)
+		rs := RankedSketch{Name: m.Name, MI: e.MI, Estimator: e.Estimator, JoinSize: e.N}
+		if e.MI < r.minMI[q] {
+			continue
+		}
+		if opt.TopK > 0 {
+			w.tops[q].offer(rs, opt.TopK)
+		} else {
+			w.all[q] = append(w.all[q], rs)
+		}
+	}
+	return true
+}

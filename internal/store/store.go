@@ -111,6 +111,8 @@ type Store struct {
 	cascadeExact   atomic.Int64
 	cascadeRescues atomic.Int64
 
+	planHits, planMisses atomic.Int64 // see Stats.PlanHits
+
 	// rankScratch is the store-owned estimator scratch pool ranking
 	// queries draw per-worker scratch from when the caller supplies none,
 	// so consecutive queries on one handle reuse grown-to-size buffers.
@@ -554,6 +556,12 @@ type Stats struct {
 	// evidence the margin has slack; a high one means the cheap tier
 	// misorders that workload and the margin is load-bearing.
 	CascadeMarginRescues int64 `json:"cascade_margin_rescues"`
+	// PlanHits counts cascaded ranks that found their phase 1 memoised on
+	// the catalog view (rankplan.go) and ran phase 2 alone, PlanMisses
+	// those that looked and had to plan. A rank that compiles its own
+	// probe, or runs without the cascade, never looks.
+	PlanHits   int64 `json:"plan_hits"`
+	PlanMisses int64 `json:"plan_misses"`
 	// CompressedSegments counts live FSST-compressed segments;
 	// CompressedBytes is what their records occupy on disk and
 	// RawBytes what the same records would occupy raw — the achieved
@@ -582,6 +590,8 @@ func (s *Store) Stats() Stats {
 		CascadeCheapOnly:          s.cascadeCheap.Load(),
 		CascadeExact:              s.cascadeExact.Load(),
 		CascadeMarginRescues:      s.cascadeRescues.Load(),
+		PlanHits:                  s.planHits.Load(),
+		PlanMisses:                s.planMisses.Load(),
 	}
 	cs := s.cache.Stats()
 	st.CacheBytes, st.CacheHits, st.CacheMisses, st.Evictions = cs.Used, cs.Hits, cs.Misses, cs.Evictions
