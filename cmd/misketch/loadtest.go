@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"misketch"
+	"misketch/internal/synth"
 )
 
 func runLoadtest(args []string) {
@@ -46,7 +47,7 @@ func runLoadtest(args []string) {
 	top := fs.Int("top", 10, "top-K bound of each query")
 	minJoin := fs.Int("min-join", 50, "min join size of each query")
 	prefix := fs.String("prefix", "bench/", "candidate name prefix of each query")
-	sketchFile := fs.String("sketch", "", "saved train sketch to query with (default: a synthetic bench-shaped train)")
+	sketchFile := fs.String("sketch", "", "saved train sketch to query with (default: the planted-cohort corpus's train)")
 	queries := fs.Int("queries", 1, "number of distinct query variants (prefix/top-K combinations)")
 	zipf := fs.Float64("zipf", 0, "zipf skew exponent for variant selection (> 1; 0 = uniform)")
 	mutateEvery := fs.Duration("mutate-every", 0, "interval between background Puts during the run (0 = none)")
@@ -347,22 +348,15 @@ func flattenInts(v any, into map[string]int64) {
 }
 
 // loadtestTrain resolves the query's train side: a saved sketch file,
-// or a synthetic train shaped like the bench corpus (keys g0..g399,
-// default seed and method) so a loadtest joins a store built by
-// `datagen -kind cohort` without extra setup.
+// or the planted-cohort corpus's own train, so a loadtest asks a store
+// built by `datagen -kind cohort` the question its cohort was planted to
+// answer, without extra setup.
 func loadtestTrain(path string) (*misketch.Sketch, error) {
 	if path != "" {
 		return misketch.LoadSketch(path)
 	}
-	tb, err := misketch.NewStreamBuilder(misketch.RoleTrain, true, misketch.Options{Size: 256})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < 4000; i++ {
-		g := i % 400
-		tb.AddNum(fmt.Sprintf("g%d", g), float64(g%20)+0.1*float64(i%7))
-	}
-	return tb.Sketch(), nil
+	train, _ := synth.PlantedCohort(0)
+	return train, nil
 }
 
 // loadtestQuery posts one rank query and reports whether the answer

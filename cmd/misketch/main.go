@@ -460,7 +460,7 @@ func runStoreRank(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	started := time.Now()
-	res, err := misketch.RankBatch(ctx, sketches, trainSks, misketch.BatchRankOptions{
+	res, err := misketch.RankBatch(ctx, sketches, trainSks, misketch.RankOptions{
 		Prefix:        *prefix,
 		MinJoinSize:   *minJoin,
 		K:             misketch.DefaultK,

@@ -93,9 +93,10 @@ func TestE2EServiceMatchesDirectRanking(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rank over HTTP (top-10), twice: the repeat must hit the probe cache.
+	// Rank over HTTP (top-10), twice: the repeat must hit the probe cache,
+	// which only its Server-Timing header tells — the bodies are the answer.
 	minJoin := 10
-	rank := func() RankResponse {
+	rank := func() (RankResponse, string) {
 		t.Helper()
 		body, _ := json.Marshal(RankRequest{
 			Sketch: trainReply.Sketch, Prefix: "e2e/", MinJoin: &minJoin, K: DefaultK, Top: 10,
@@ -113,15 +114,15 @@ func TestE2EServiceMatchesDirectRanking(t *testing.T) {
 		if err := json.Unmarshal(raw, &rr); err != nil {
 			t.Fatal(err)
 		}
-		return rr
+		return rr, resp.Header.Get("Server-Timing")
 	}
-	cold := rank()
-	warm := rank()
-	if cold.ProbeCached {
-		t.Fatal("first query claims a cached probe")
+	cold, coldTiming := rank()
+	warm, warmTiming := rank()
+	if !strings.Contains(coldTiming, `probes;desc="0/1"`) {
+		t.Fatalf("first query claims a cached probe: Server-Timing %q", coldTiming)
 	}
-	if !warm.ProbeCached {
-		t.Fatal("repeat query missed the probe cache")
+	if !strings.Contains(warmTiming, `probes;desc="1/1"`) {
+		t.Fatalf("repeat query missed the probe cache: Server-Timing %q", warmTiming)
 	}
 
 	// Direct path on the same store and the same sketch bytes.
@@ -196,8 +197,8 @@ func TestE2EServiceMatchesDirectRanking(t *testing.T) {
 	if len(br.Queries) != 2 || br.Queries[0].Name != "t1" || br.Queries[1].Name != "t2" {
 		t.Fatalf("batch queries: %+v", br.Queries)
 	}
-	if br.ProbesCached < 1 {
-		t.Fatalf("batch reused %d probes; the single-rank queries above compiled t1's", br.ProbesCached)
+	if timing := bresp.Header.Get("Server-Timing"); !strings.Contains(timing, `probes;desc="1/2"`) {
+		t.Fatalf("batch Server-Timing %q; the single-rank queries above compiled t1's probe", timing)
 	}
 	for q, b64 := range []string{trainReply.Sketch, train2Reply.Sketch} {
 		skRaw, err := base64.StdEncoding.DecodeString(b64)

@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,6 +25,7 @@ import (
 
 	"misketch/internal/core"
 	"misketch/internal/server"
+	"misketch/internal/store"
 )
 
 func post(t *testing.T, url string, body []byte) (int, []byte) {
@@ -148,12 +150,72 @@ func TestSingleVsBatchEquivalence(t *testing.T) {
 				if !slices.Contains(sr.Skipped, "corpus/odd-seed") || slices.Contains(sr.Skipped, "query/train") != (c.knobs.Prefix == "") {
 					t.Fatalf("skipped %v: want the odd-seed candidate, and the stored train iff unprefixed", sr.Skipped)
 				}
-				if sr.Partial || br.Partial || sr.Workers != br.Workers {
-					t.Fatalf("partial %v/%v workers %d/%d", sr.Partial, br.Partial, sr.Workers, br.Workers)
+				if sr.Partial || br.Partial {
+					t.Fatalf("partial %v/%v", sr.Partial, br.Partial)
 				}
 			})
 		}
 	}
+
+	// Under the wire the store's two entry points are one path as well:
+	// RankQuery and a one-train RankBatch take the same options value and
+	// agree on rows, skipped list and — NoIndex meaning only "no
+	// index-driven selection" at both — on what the probe's overlap cut
+	// pruned. Narrower candidates join the corpus first, so join sizes
+	// vary; the cutoff is a middle one, pruning some pairs and not others.
+	t.Run("store/NoIndex", func(t *testing.T) {
+		ctx, st := context.Background(), tc.unionSt
+		for j := 0; j < 8; j++ {
+			cb, err := core.NewStreamBuilder(core.RoleCandidate, true, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := 0; g < 10+10*j; g++ {
+				cb.AddNum(fmt.Sprintf("g%d", g), rng.NormFloat64())
+			}
+			if err := st.Put(fmt.Sprintf("corpus/narrow-%d", j), cb.Sketch()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		all, _, err := st.RankQuery(ctx, tc.train, store.RankOptions{Prefix: "corpus/", MinJoinSize: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := make([]int, len(all))
+		for i, r := range all {
+			sizes[i] = r.JoinSize
+		}
+		sort.Ints(sizes)
+		cut, wantPruned := sizes[4], 0
+		for _, n := range sizes {
+			if n <= cut {
+				wantPruned++
+			}
+		}
+		opt := store.RankOptions{Prefix: "corpus/", MinJoinSize: cut, TopK: 5, NoIndex: true}
+		s0 := st.Stats()
+		ranked, skipped, err := st.RankQuery(ctx, tc.train, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1 := st.Stats()
+		res, err := st.RankBatch(ctx, []*core.Sketch{tc.train}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2 := st.Stats()
+		if len(ranked) == 0 || !reflect.DeepEqual(res.Queries[0].Ranked, ranked) || !reflect.DeepEqual(res.Skipped, skipped) {
+			t.Fatalf("RankQuery %v (skipped %v), one-train RankBatch %v (skipped %v)", ranked, skipped, res.Queries[0].Ranked, res.Skipped)
+		}
+		queryPruned, batchPruned := s1.PrunedPairs-s0.PrunedPairs, s2.PrunedPairs-s1.PrunedPairs
+		if queryPruned != int64(wantPruned) || batchPruned != int64(wantPruned) || res.Queries[0].Pruned != wantPruned {
+			t.Fatalf("pruned pairs: RankQuery %d, RankBatch %d (its Pruned %d), want %d at min join %d",
+				queryPruned, batchPruned, res.Queries[0].Pruned, wantPruned, cut)
+		}
+		if q, b := s2.RankQueries-s0.RankQueries, s2.RankBatches-s0.RankBatches; q != 2 || b != 0 {
+			t.Fatalf("two one-train ranks counted as %d queries and %d batches", q, b)
+		}
+	})
 }
 
 // TestClusterBodyCapReturns413: the coordinator caps request bodies as

@@ -108,23 +108,6 @@ func cohortCorpus(t testing.TB) matrixCorpus {
 	return mc
 }
 
-// weakCorpus is forty weakly dependent candidates at graded noise. The
-// cheap tier's binned score runs above the exact one at this strength,
-// so the cascade's order holds even with no margin at all — the one
-// regime in which a negative cascade_margin still promises the exact
-// answer, on one node or many.
-func weakCorpus(t testing.TB) matrixCorpus {
-	rng := rand.New(rand.NewSource(37))
-	mc := matrixCorpus{trains: numericTrains(t, rng)}
-	for j := 0; j < 40; j++ {
-		mc.cands = append(mc.cands, placed{
-			name:   fmt.Sprintf("%sweak-%02d", matrixPrefix, (j*11)%40),
-			sketch: numericCandidate(t, rng, "g", 0, 400, 4+0.4*float64(j), true),
-		})
-	}
-	return mc
-}
-
 // fewCorpus has fewer joinable candidates than any K the matrix asks.
 func fewCorpus(t testing.TB) matrixCorpus {
 	mc := cohortCorpus(t)
@@ -223,9 +206,8 @@ func newMatrixCluster(t testing.TB, mc matrixCorpus, nShards int, home func(i in
 
 // matrixKnobs are the request knobs a matrix cell varies.
 type matrixKnobs struct {
-	Top           int
-	NoCascade     bool
-	CascadeMargin float64
+	Top       int
+	NoCascade bool
 }
 
 const matrixMinJoin = 50
@@ -255,15 +237,15 @@ func (cl *matrixCluster) checkAgainstUnion(t *testing.T, trains []*core.Sketch, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The full walk prunes nothing; the pruned counts come from the
-	// prefiltered exact pass, whose rows must equal the full walk's.
-	want, err := cl.union.RankBatch(ctx, trains, store.BatchOptions{
+	// The indexed exact pass and the full walk must agree on rows and on
+	// what the overlap cut pruned.
+	want, err := cl.union.RankBatch(ctx, trains, store.RankOptions{
 		Prefix: matrixPrefix, MinJoinSize: matrixMinJoin, K: 3, TopK: k.Top, NoCascade: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullWalk, err := cl.union.RankBatch(ctx, trains, store.BatchOptions{
+	fullWalk, err := cl.union.RankBatch(ctx, trains, store.RankOptions{
 		Prefix: matrixPrefix, MinJoinSize: matrixMinJoin, K: 3, TopK: k.Top, NoCascade: true, NoIndex: true,
 	})
 	if err != nil {
@@ -273,7 +255,7 @@ func (cl *matrixCluster) checkAgainstUnion(t *testing.T, trains []*core.Sketch, 
 	mj := matrixMinJoin
 	status, raw := post(t, cl.url+"/v1/rank", mustMarshal(t, server.RankRequest{
 		Sketch: sketchBase64(t, trains[0]), Prefix: matrixPrefix, MinJoin: &mj, K: 3,
-		Top: k.Top, NoCascade: k.NoCascade, CascadeMargin: k.CascadeMargin,
+		Top: k.Top, NoCascade: k.NoCascade,
 	}))
 	var single RankResponse
 	if status != http.StatusOK || json.Unmarshal(raw, &single) != nil || single.Partial {
@@ -290,7 +272,7 @@ func (cl *matrixCluster) checkAgainstUnion(t *testing.T, trains []*core.Sketch, 
 	}
 	status, raw = post(t, cl.url+"/v1/rank/batch", mustMarshal(t, server.RankBatchRequest{
 		Trains: refs, Prefix: matrixPrefix, MinJoin: &mj, K: 3,
-		Top: k.Top, NoCascade: k.NoCascade, CascadeMargin: k.CascadeMargin,
+		Top: k.Top, NoCascade: k.NoCascade,
 	}))
 	var batch RankBatchResponse
 	if status != http.StatusOK || json.Unmarshal(raw, &batch) != nil || batch.Partial || len(batch.Queries) != len(trains) {
@@ -299,9 +281,9 @@ func (cl *matrixCluster) checkAgainstUnion(t *testing.T, trains []*core.Sketch, 
 	for q := range trains {
 		label := fmt.Sprintf("/v1/rank/batch q%d", q)
 		sameRows(t, label, batch.Queries[q].Ranked, fullWalk.Queries[q].Ranked)
-		sameRows(t, label+" (prefiltered reference)", batch.Queries[q].Ranked, want.Queries[q].Ranked)
-		if batch.Queries[q].Pruned != want.Queries[q].Pruned {
-			t.Fatalf("%s: pruned %d, single node %d", label, batch.Queries[q].Pruned, want.Queries[q].Pruned)
+		sameRows(t, label+" (indexed reference)", batch.Queries[q].Ranked, want.Queries[q].Ranked)
+		if p := batch.Queries[q].Pruned; p != want.Queries[q].Pruned || p != fullWalk.Queries[q].Pruned {
+			t.Fatalf("%s: pruned %d, single node %d (full walk %d)", label, p, want.Queries[q].Pruned, fullWalk.Queries[q].Pruned)
 		}
 	}
 	if !reflect.DeepEqual(batch.Skipped, want.Skipped) {
@@ -311,15 +293,14 @@ func (cl *matrixCluster) checkAgainstUnion(t *testing.T, trains []*core.Sketch, 
 
 func TestClusterPlacementMatrix(t *testing.T) {
 	roundRobin := func(i int, _ placed) int { return i }
-	cohort, few, tied, categorical, weak := cohortCorpus(t), fewCorpus(t), tiedCorpus(t), categoricalCorpus(t), weakCorpus(t)
+	cohort, few, tied, categorical := cohortCorpus(t), fewCorpus(t), tiedCorpus(t), categoricalCorpus(t)
 	cells := []struct {
 		name   string
 		corpus matrixCorpus
 		home   func(nShards int) func(i int, c placed) int
 		knobs  matrixKnobs
-		// check reads the two-round counters, and how many pairs the
-		// shards' cheap tiers settled, after the cell's two queries.
-		check func(t *testing.T, nShards int, cs CoordinatorStats, cheapOnly int64)
+		// check reads the two-round counters after the cell's two queries.
+		check func(t *testing.T, nShards int, cs CoordinatorStats)
 	}{
 		{name: "whole cohort on one shard", corpus: cohort, knobs: matrixKnobs{Top: 5},
 			home: func(int) func(int, placed) int {
@@ -330,7 +311,7 @@ func TestClusterPlacementMatrix(t *testing.T) {
 					return i
 				}
 			},
-			check: func(t *testing.T, nShards int, cs CoordinatorStats, _ int64) {
+			check: func(t *testing.T, nShards int, cs CoordinatorStats) {
 				// Every shard but the cohort's is settled by its bound on
 				// the single query; the batch may need some of them.
 				if cs.FloorQueries != 2 || cs.Round2Skipped < int64(nShards-1) || cs.Round2Requests < 2 || cs.FloorFallbacks != 0 {
@@ -341,7 +322,7 @@ func TestClusterPlacementMatrix(t *testing.T) {
 			home: func(int) func(int, placed) int { return roundRobin }},
 		{name: "fewer than K joinable candidates", corpus: few, knobs: matrixKnobs{Top: 10},
 			home: func(int) func(int, placed) int { return roundRobin },
-			check: func(t *testing.T, _ int, cs CoordinatorStats, _ int64) {
+			check: func(t *testing.T, _ int, cs CoordinatorStats) {
 				// Every shard showed all it has: no floor, no round 2.
 				if cs.FloorQueries != 2 || cs.Round2Requests != 0 || cs.FloorFallbacks != 0 {
 					t.Fatalf("two-round counters %+v", cs)
@@ -360,7 +341,7 @@ func TestClusterPlacementMatrix(t *testing.T) {
 			home: func(int) func(int, placed) int { return roundRobin }},
 		{name: "categorical-categorical only", corpus: categorical, knobs: matrixKnobs{Top: 5},
 			home: func(int) func(int, placed) int { return roundRobin },
-			check: func(t *testing.T, nShards int, cs CoordinatorStats, _ int64) {
+			check: func(t *testing.T, nShards int, cs CoordinatorStats) {
 				// Exempt pairs certify nothing: every shard gets round 2.
 				if cs.FloorQueries != 2 || cs.Round2Requests != int64(2*nShards) || cs.Round2Skipped != 0 {
 					t.Fatalf("two-round counters %+v", cs)
@@ -370,23 +351,16 @@ func TestClusterPlacementMatrix(t *testing.T) {
 			home: func(int) func(int, placed) int { return roundRobin }},
 		{name: "top 0", corpus: cohort, knobs: matrixKnobs{},
 			home: func(int) func(int, placed) int { return roundRobin },
-			check: func(t *testing.T, _ int, cs CoordinatorStats, _ int64) {
+			check: func(t *testing.T, _ int, cs CoordinatorStats) {
 				if cs.FloorQueries != 0 || cs.Round2Requests != 0 {
 					t.Fatalf("an uncut query ran a seed round: %+v", cs)
 				}
 			}},
 		{name: "no_cascade", corpus: cohort, knobs: matrixKnobs{Top: 5, NoCascade: true},
 			home: func(int) func(int, placed) int { return roundRobin },
-			check: func(t *testing.T, _ int, cs CoordinatorStats, _ int64) {
+			check: func(t *testing.T, _ int, cs CoordinatorStats) {
 				if cs.FloorQueries != 0 || cs.Round2Requests != 0 {
 					t.Fatalf("an uncascaded query ran a seed round: %+v", cs)
-				}
-			}},
-		{name: "negative cascade_margin", corpus: weak, knobs: matrixKnobs{Top: 5, CascadeMargin: -1},
-			home: func(int) func(int, placed) int { return roundRobin },
-			check: func(t *testing.T, _ int, cs CoordinatorStats, cheapOnly int64) {
-				if cs.FloorQueries != 2 || cs.FloorFallbacks != 0 || cheapOnly == 0 {
-					t.Fatalf("two-round counters %+v, %d pairs settled by the cheap tier", cs, cheapOnly)
 				}
 			}},
 	}
@@ -397,11 +371,7 @@ func TestClusterPlacementMatrix(t *testing.T) {
 				cl.checkAgainstUnion(t, cell.corpus.trains, cell.knobs)
 				cs := cl.coord.Stats()
 				if cell.check != nil {
-					var cheapOnly int64
-					for _, st := range cl.shards {
-						cheapOnly += st.Stats().CascadeCheapOnly
-					}
-					cell.check(t, nShards, cs.Coordinator, cheapOnly)
+					cell.check(t, nShards, cs.Coordinator)
 				}
 				var requests int64
 				for _, sh := range cs.Shards {

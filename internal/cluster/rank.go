@@ -53,7 +53,7 @@ type endpoint struct {
 	// respond shapes m, the merge of the answered shards' answers after
 	// the top-K cut, as the endpoint's response; lost lists the shards
 	// that did not contribute (none on a full answer).
-	respond func(m *server.RankBatchResponse, answered int, lost []ShardError) any
+	respond func(m *server.RankBatchResponse, lost []ShardError) any
 }
 
 // scatterRequest is a decoded request of either endpoint.
@@ -101,11 +101,8 @@ func rankEndpoint() *endpoint {
 			}
 			return sr.AsBatch(), nil
 		},
-		respond: func(m *server.RankBatchResponse, answered int, lost []ShardError) any {
-			resp := &RankResponse{RankResponse: *m.AsSingle(), Partial: len(lost) > 0, ShardErrors: lost}
-			// Cached only if every shard that answered had it cached.
-			resp.ProbeCached = m.ProbesCached == answered
-			return resp
+		respond: func(m *server.RankBatchResponse, lost []ShardError) any {
+			return &RankResponse{RankResponse: *m.AsSingle(), Partial: len(lost) > 0, ShardErrors: lost}
 		},
 	}
 }
@@ -135,7 +132,7 @@ func batchEndpoint() *endpoint {
 			}
 			return &sr, nil
 		},
-		respond: func(m *server.RankBatchResponse, _ int, lost []ShardError) any {
+		respond: func(m *server.RankBatchResponse, lost []ShardError) any {
 			return &RankBatchResponse{RankBatchResponse: *m, Partial: len(lost) > 0, ShardErrors: lost}
 		},
 	}
@@ -168,7 +165,7 @@ func query[R any](ctx context.Context, c *Coordinator, ep *endpoint, req any) (*
 		ep.failures.Add(1)
 		return nil, cerr
 	}
-	out, cerr := c.scatterMerge(ctx, ep, sreq)
+	out, _, cerr := c.scatterMerge(ctx, ep, sreq)
 	if cerr != nil {
 		return nil, cerr
 	}
@@ -225,11 +222,13 @@ func (r *scatterRequest) encode(seed bool, floors []float64) ([]byte, error) {
 // canonicalized it, revalidated per shard with If-None-Match; when every
 // shard revalidates and the merge of exactly those answers is cached,
 // its bytes are replayed and nothing else runs. Round 2 depends on every
-// shard's seeds and is never cached. Skipped, pruned, probes_cached and
-// workers are round 1's, whose phase 1 computes them in full. The
-// outcome's ETag is "" when the answer is partial or a shard sent none.
-func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatterRequest) (server.Outcome, *ClusterError) {
-	started := time.Now()
+// shard's seeds and is never cached. Skipped and pruned are round 1's,
+// whose phase 1 computes them in full. The outcome's ETag is "" when the
+// answer is partial or a shard sent none; replayed reports a merged body
+// served from the cache. The body is the answer alone — what the shards'
+// own requests experienced stays in their Server-Timing headers — so one
+// ETag is one byte string here too.
+func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatterRequest) (out server.Outcome, replayed bool, cerr *ClusterError) {
 	n := len(c.shards)
 	admit := c.admits(req.digest)
 	inm, cached := make([]string, n), make([]*ccEntry, n)
@@ -253,7 +252,7 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 	mergedKey := ccKey{shard: mergedShard, digest: req.digest}
 	if ent, ok := c.results.Get(mergedKey); ok && hits == n && ent.etag == coordEtagFor(req.digest, tags) {
 		c.mergedHits.Add(1)
-		return server.Outcome{Status: http.StatusOK, ETag: ent.etag, Body: ent.body}, nil
+		return server.Outcome{Status: http.StatusOK, ETag: ent.etag, Body: ent.body}, true, nil
 	}
 
 	var lost []ShardError
@@ -329,8 +328,6 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 				}
 			}
 			m.Skipped = append(m.Skipped, sr.Skipped...)
-			m.ProbesCached += sr.ProbesCached
-			m.Workers = max(m.Workers, sr.Workers)
 		}
 		for q := range m.Queries {
 			sortRanked(m.Queries[q].Ranked)
@@ -359,7 +356,7 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 	}
 	if answered == 0 {
 		ep.failures.Add(1)
-		return server.Outcome{}, allShardsFailed(ep.what, lost)
+		return server.Outcome{}, false, allShardsFailed(ep.what, lost)
 	}
 	// Every shard either answered or is in lost, so lost is non-empty
 	// exactly on a partial answer.
@@ -373,8 +370,7 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 	}
 	slices.Sort(m.Skipped)
 	m.Skipped = slices.Compact(m.Skipped)
-	m.ElapsedNS = time.Since(started).Nanoseconds()
-	out := server.Outcome{Status: http.StatusOK, Body: server.EncodeJSON(ep.respond(m, answered, lost))}
+	out = server.Outcome{Status: http.StatusOK, Body: server.EncodeJSON(ep.respond(m, lost))}
 	// Without an ETag from every shard the coordinator cannot vouch for
 	// content stability and emits none.
 	if len(lost) == 0 && !slices.Contains(tags, "") {
@@ -383,7 +379,7 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 			c.remember(mergedKey, out.ETag, out.Body)
 		}
 	}
-	return out, nil
+	return out, false, nil
 }
 
 // reaches reports whether a seed answer leaves its shard anything a
@@ -496,6 +492,7 @@ func (c *Coordinator) serveRank(ep *endpoint) http.HandlerFunc {
 				if f.Result().Status != http.StatusOK {
 					ep.failures.Add(1)
 				}
+				server.SetServerTiming(w, "coalesced", "")
 				c.writeOutcome(w, r, f.Result())
 			case <-r.Context().Done():
 				server.HTTPError(w, http.StatusServiceUnavailable,
@@ -503,11 +500,17 @@ func (c *Coordinator) serveRank(ep *endpoint) http.HandlerFunc {
 			}
 			return
 		}
-		out, cerr := c.scatterMerge(f.Context(), ep, req)
+		started := time.Now()
+		out, replayed, cerr := c.scatterMerge(f.Context(), ep, req)
 		if cerr != nil {
 			out = errorOutcome(cerr)
 		}
 		c.flights.Finish(req.digest, f, out)
+		cache := "miss"
+		if replayed {
+			cache = "hit"
+		}
+		server.SetServerTiming(w, cache, fmt.Sprintf("rank;dur=%.3f", float64(time.Since(started))/float64(time.Millisecond)))
 		c.writeOutcome(w, r, out)
 	}
 }

@@ -13,7 +13,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,12 +22,6 @@ import (
 	"misketch/internal/server"
 	"misketch/internal/store"
 )
-
-var elapsedRE = regexp.MustCompile(`"elapsed_ns":\d+`)
-
-func normalizeElapsed(b []byte) []byte {
-	return elapsedRE.ReplaceAll(b, []byte(`"elapsed_ns":0`))
-}
 
 // postCoord posts a rank body to a coordinator server and returns the
 // status, ETag, and raw body.
@@ -140,7 +135,7 @@ func TestClusterShard304MergeBitIdentical(t *testing.T) {
 	if etag2 != etag1 {
 		t.Fatalf("ETag changed without a mutation: %q -> %q", etag1, etag2)
 	}
-	if !bytes.Equal(normalizeElapsed(first), normalizeElapsed(second)) {
+	if !bytes.Equal(first, second) {
 		t.Fatalf("304-merged answer diverges from full scatter:\n%s\n%s", first, second)
 	}
 	st := coord.Stats().Coordinator
@@ -419,5 +414,105 @@ func mustUnmarshal(t testing.TB, b []byte, v any) {
 	t.Helper()
 	if err := json.Unmarshal(b, v); err != nil {
 		t.Fatalf("decoding %q: %v", b, err)
+	}
+}
+
+// TestStrongETagMeansSameBytes is the coordinator's half of the server
+// test of the same name: every 200 it gives one request under one ETag —
+// merged from full shard bodies, merged from revalidated ones, replayed
+// from the cache, shared with a coalesced request, or (cache off) merged
+// again from scratch — is the same bytes. Shard 0 answers through a gate
+// so that concurrent requests meet in one flight.
+func TestStrongETagMeansSameBytes(t *testing.T) {
+	for _, cacheBytes := range []int64{1 << 20, 0} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
+			tc := newTestCluster(t, 2, 24)
+			var gate atomic.Pointer[chan struct{}]
+			gated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if g := gate.Load(); g != nil {
+					<-*g
+				}
+				tc.shards[0].Config.Handler.ServeHTTP(w, r)
+			}))
+			defer gated.Close()
+			coord, err := New([]string{gated.URL, tc.shards[1].URL}, Options{ResultCacheBytes: cacheBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs := httptest.NewServer(coord)
+			defer cs.Close()
+
+			// post reports a failure with t.Error: it also runs off the
+			// test's goroutine.
+			post := func(body []byte) (etag, timing string, raw []byte) {
+				resp, err := http.Post(cs.URL+"/v1/rank", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return "", "", nil
+				}
+				defer resp.Body.Close()
+				if raw, err = io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == "" {
+					t.Errorf("status %d, ETag %q, %v: %s", resp.StatusCode, resp.Header.Get("ETag"), err, raw)
+				}
+				return resp.Header.Get("ETag"), resp.Header.Get("Server-Timing"), raw
+			}
+			// First sight (full bodies, nothing kept), second (full bodies,
+			// kept), third (every shard revalidates, the merge is replayed).
+			body := mustMarshal(t, tc.rankRequest(t, 5))
+			etag, _, first := post(body)
+			for i, wantCache := range []string{"miss", "hit"} {
+				if cacheBytes == 0 {
+					wantCache = "miss"
+				}
+				e, timing, raw := post(body)
+				if e != etag || !bytes.Equal(raw, first) {
+					t.Fatalf("repeat %d: ETag %q and body\n%s\nafter ETag %q and body\n%s", i, e, raw, etag, first)
+				}
+				if !strings.HasPrefix(timing, "cache;desc="+wantCache+", rank;dur=") {
+					t.Fatalf("repeat %d: Server-Timing %q, want a %s", i, timing, wantCache)
+				}
+			}
+			if cacheBytes == 0 {
+				return // nothing coalesces without the flight table
+			}
+			open := make(chan struct{})
+			gate.Store(&open)
+			body = mustMarshal(t, tc.rankRequest(t, 6))
+			type answer struct {
+				etag, timing string
+				raw          []byte
+			}
+			answers := make(chan answer, 3)
+			for i := 0; i < cap(answers); i++ {
+				go func() {
+					e, timing, raw := post(body)
+					answers <- answer{e, timing, raw}
+				}()
+			}
+			for deadline := time.Now().Add(5 * time.Second); coord.flights.Coalesced() < int64(cap(answers))-1; {
+				if time.Now().After(deadline) {
+					t.Fatal("the concurrent requests never coalesced")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			gate.Store(nil)
+			close(open)
+			a := <-answers
+			how := map[string]int{}
+			for i := 0; i < cap(answers); i++ {
+				b := a
+				if i > 0 {
+					b = <-answers
+				}
+				cache, _, _ := strings.Cut(b.timing, ",")
+				how[cache]++
+				if b.etag != a.etag || b.etag == etag || !bytes.Equal(b.raw, a.raw) {
+					t.Fatalf("concurrent: ETag %q and body\n%s\nbeside ETag %q and body\n%s", b.etag, b.raw, a.etag, a.raw)
+				}
+			}
+			if how["cache;desc=miss"] != 1 || how["cache;desc=coalesced"] != cap(answers)-1 {
+				t.Fatalf("concurrent: Server-Timing said %v, want one miss and the rest coalesced", how)
+			}
+		})
 	}
 }

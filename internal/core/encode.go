@@ -22,13 +22,11 @@ import (
 //
 // str = varint length + raw bytes.
 //
-// Everything before the keyHashes array is the sketch header;
-// ReadSketchHeader decodes it alone, without touching the (much larger)
-// body. Stores that index many sketches pair this format with a manifest
-// file (magic "MISX") holding one such metadata record per sketch so
-// discovery queries can filter candidates without opening sketch files;
-// the manifest layout is documented in internal/store/manifest.go, and
-// manifest rebuild/repair is what ReadSketchHeader exists for.
+// Everything before the keyHashes array is the sketch header, which
+// readSketchHeader decodes and validates before ReadSketch sizes the
+// body by it. The store keeps the same metadata per sketch in its
+// manifest (magic "MISX", internal/store/manifest.go) so discovery
+// queries can filter candidates without decoding a record.
 
 const (
 	sketchMagic   = "MISK"
@@ -122,17 +120,6 @@ func readSketchHeader(br *binio.Reader) (*SketchHeader, error) {
 	}
 	h.Entries = int(count)
 	return h, nil
-}
-
-// ReadSketchHeader decodes only the header of a sketch written by
-// WriteTo, skipping the body deserialization cost — the cheap path for
-// rebuilding or repairing a store manifest from a directory of sketch
-// files. Note that buffered read-ahead may consume r past the header
-// bytes: to decode the body afterwards, reopen the source (or use
-// ReadSketch from the start) rather than continuing on the same reader.
-func ReadSketchHeader(r io.Reader) (*SketchHeader, error) {
-	br := &binio.Reader{R: bufio.NewReader(r)}
-	return readSketchHeader(br)
 }
 
 // ReadSketch deserializes a sketch written by WriteTo.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"misketch/internal/binio"
 	"misketch/internal/mi"
 	"misketch/internal/table"
 )
@@ -181,7 +183,7 @@ func TestReadSketchHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	h, err := ReadSketchHeader(bytes.NewReader(full))
+	h, err := readSketchHeader(&binio.Reader{R: bufio.NewReader(bytes.NewReader(full))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestReadSketchHeader(t *testing.T) {
 	if cut <= 0 {
 		t.Fatal("test sketch unexpectedly small")
 	}
-	h2, err := ReadSketchHeader(bytes.NewReader(full[:cut]))
+	h2, err := readSketchHeader(&binio.Reader{R: bufio.NewReader(bytes.NewReader(full[:cut]))})
 	if err != nil {
 		t.Fatalf("header decode should survive a missing body: %v", err)
 	}
@@ -211,7 +213,7 @@ func TestReadSketchHeader(t *testing.T) {
 	for name, in := range map[string]string{
 		"empty": "", "bad magic": "NOPE\x01", "bad version": "MISK\x63",
 	} {
-		if _, err := ReadSketchHeader(strings.NewReader(in)); err == nil {
+		if _, err := readSketchHeader(&binio.Reader{R: bufio.NewReader(strings.NewReader(in))}); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}

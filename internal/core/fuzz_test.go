@@ -1,17 +1,20 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"math"
 	"testing"
+
+	"misketch/internal/binio"
 )
 
-// FuzzReadSketchHeader hardens the header-only decode path (the one
-// manifest rebuilds and services run over untrusted files) against
-// truncated and corrupt input: it must never panic, and it must agree
-// with the full decoder — any input ReadSketch accepts must yield a
-// header whose fields match the decoded sketch, and any input whose
-// header is rejected must be rejected by ReadSketch too.
+// FuzzReadSketchHeader hardens the header decode ReadSketch sizes its
+// body by (services run it over untrusted uploads) against truncated and
+// corrupt input: it must never panic, and it must agree with the full
+// decoder — any input ReadSketch accepts must yield a header whose fields
+// match the decoded sketch, and any input whose header is rejected must
+// be rejected by ReadSketch too.
 func FuzzReadSketchHeader(f *testing.F) {
 	valid := &Sketch{
 		Method: TUPSK, Role: RoleCandidate, Seed: 3, Size: 8, Numeric: true,
@@ -33,7 +36,7 @@ func FuzzReadSketchHeader(f *testing.F) {
 	f.Add([]byte("MISK\x01\x05TUPSK\x00\x00\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, herr := ReadSketchHeader(bytes.NewReader(data))
+		h, herr := readSketchHeader(&binio.Reader{R: bufio.NewReader(bytes.NewReader(data))})
 		s, serr := ReadSketch(bytes.NewReader(data))
 		if herr != nil {
 			if serr == nil {

@@ -99,18 +99,6 @@ func (s *Series) MSE() float64 {
 	return stats.MSE(s.Estimates(), s.TrueMIs())
 }
 
-// MeanJoinSize returns the average sketch join size across the series.
-func (s *Series) MeanJoinSize() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	t := 0.0
-	for _, p := range s.Points {
-		t += float64(p.JoinSize)
-	}
-	return t / float64(len(s.Points))
-}
-
 // generator abstracts the two synthetic distributions so runners can sweep
 // them uniformly.
 type generator struct {

@@ -331,11 +331,7 @@ func TestSeriesHelpers(t *testing.T) {
 	if got := s.MSE(); math.Abs(got-0.125) > 1e-12 {
 		t.Errorf("MSE = %v", got)
 	}
-	if got := s.MeanJoinSize(); got != 20 {
-		t.Errorf("MeanJoinSize = %v", got)
-	}
-	empty := &Series{}
-	if empty.MSE() != 0 || empty.MeanJoinSize() != 0 {
+	if empty := (&Series{}); empty.MSE() != 0 {
 		t.Error("empty series helpers should be 0")
 	}
 }

@@ -11,8 +11,6 @@
 // form the sampling frame.
 package hash
 
-import "math"
-
 // DefaultSeed is the seed used by sketches unless the caller overrides it.
 // Sketches built with different seeds cannot be meaningfully joined.
 const DefaultSeed uint32 = 0x9747b28c
@@ -92,12 +90,6 @@ func Key(k string, seed uint32) uint32 {
 	return Murmur3String(k, seed)
 }
 
-// UnitKey computes hu(h(k)): the uniform [0,1) position of a join key.
-// This drives first-level (distinct-key) coordinated sampling.
-func UnitKey(k string, seed uint32) float64 {
-	return Unit32(Key(k, seed))
-}
-
 // TupleHash computes the 32-bit hash of the pair ⟨hk, j⟩ where hk = h(k) is
 // the hash of a join key and j is the 1-based occurrence index of that key
 // within its table. The pair uniquely identifies a row in the left table,
@@ -132,10 +124,4 @@ func Mix64(x uint64) uint64 {
 // SubSeed derives the i-th independent 64-bit seed from master.
 func SubSeed(master uint64, i uint64) int64 {
 	return int64(Mix64(master ^ Mix64(i)))
-}
-
-// UnitIsValid reports whether u is a valid unit-interval hash value.
-// Used by property tests and defensive checks.
-func UnitIsValid(u float64) bool {
-	return u >= 0 && u < 1 && !math.IsNaN(u)
 }

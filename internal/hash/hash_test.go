@@ -75,7 +75,8 @@ func TestMurmur3TailLengths(t *testing.T) {
 
 func TestUnitRange(t *testing.T) {
 	f := func(x uint64) bool {
-		return UnitIsValid(Unit(x))
+		u := Unit(x)
+		return u >= 0 && u < 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -106,7 +107,7 @@ func TestUnitKeyUniformity(t *testing.T) {
 	const buckets = 20
 	counts := make([]int, buckets)
 	for i := 0; i < n; i++ {
-		u := UnitKey(fmt.Sprintf("key-%d", i), DefaultSeed)
+		u := Unit32(Key(fmt.Sprintf("key-%d", i), DefaultSeed))
 		counts[int(u*buckets)]++
 	}
 	want := float64(n) / buckets
@@ -140,8 +141,8 @@ func TestTupleHashCoordination(t *testing.T) {
 			j = 1
 		}
 		hk := Key(k, DefaultSeed)
-		return TupleHash(hk, j, DefaultSeed) == TupleHash(hk, j, DefaultSeed) &&
-			UnitIsValid(UnitTuple(hk, j, DefaultSeed))
+		u := UnitTuple(hk, j, DefaultSeed)
+		return TupleHash(hk, j, DefaultSeed) == TupleHash(hk, j, DefaultSeed) && u >= 0 && u < 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -182,6 +183,6 @@ func BenchmarkMurmur3_16B(b *testing.B) {
 
 func BenchmarkUnitKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		UnitKey("some-join-key-value", DefaultSeed)
+		Unit32(Key("some-join-key-value", DefaultSeed))
 	}
 }

@@ -47,9 +47,6 @@ func (r *Reservoir[T]) Add(item T) {
 // slice aliases internal storage.
 func (r *Reservoir[T]) Items() []T { return r.items }
 
-// Seen returns how many items have been offered.
-func (r *Reservoir[T]) Seen() int { return r.seen }
-
 // kmvEntry pairs an item with its hash position used for ordering.
 type kmvEntry[T any] struct {
 	u    float64

@@ -102,12 +102,12 @@ func TestRankBatchMatchesDirect(t *testing.T) {
 		})
 	}
 	cold := rankBatchViaHTTP(t, ts.URL, req)
-	warm := rankBatchViaHTTP(t, ts.URL, req)
-	if cold.ProbesCached != 0 {
-		t.Fatalf("cold batch claims %d cached probes", cold.ProbesCached)
+	if ss := srv.Stats().Server; ss.ProbeHits != 0 || ss.ProbeMisses != int64(len(trains)) {
+		t.Fatalf("cold batch: %d probe hits, %d misses", ss.ProbeHits, ss.ProbeMisses)
 	}
-	if warm.ProbesCached != len(trains) {
-		t.Fatalf("warm batch hit %d probes, want %d", warm.ProbesCached, len(trains))
+	warm := rankBatchViaHTTP(t, ts.URL, req)
+	if ss := srv.Stats().Server; ss.ProbeHits != int64(len(trains)) {
+		t.Fatalf("warm batch hit %d probes, want %d", ss.ProbeHits, len(trains))
 	}
 
 	prunedTotal := 0

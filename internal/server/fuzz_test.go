@@ -174,19 +174,20 @@ func FuzzRankBatchRequest(f *testing.F) {
 
 // FuzzCanonicalization is the result-cache key differential: two
 // semantically equal rank requests — one spelling its knobs implicitly,
-// one spelling the resolved defaults explicitly — MUST land on the same
-// canonical digest, and any change to a resolved knob, the seed flag, a
-// floor (down to its last bit), the train content, or the order of a
-// batch's trains MUST change it. A collision
-// in either direction is a correctness bug: the cache would silently
-// serve one query's answer to a different query.
+// one spelling the resolved defaults explicitly, or asking for another
+// worker count — MUST land on the same canonical digest, and any change
+// to a resolved knob that can move the answer, the seed flag, a floor
+// (down to its last bit), the train content, or the order of a batch's
+// trains MUST change it. A collision in either direction is a
+// correctness bug: the cache would silently serve one query's answer to
+// a different query.
 func FuzzCanonicalization(f *testing.F) {
-	f.Add("bench/", 100, true, 4, 10, 2, false, 0.5, 4, uint64(1), 0.0, false)
-	f.Add("", -3, false, 0, 0, 0, true, 0.0, 8, uint64(2), 2.37, true)
-	f.Add("p", 7, true, 1, 1, 99, false, -2.0, 3, uint64(3), math.SmallestNonzeroFloat64, false)
-	f.Add("corpus/", 50, true, 6, 25, 1, false, 1e308, 1, uint64(4), math.MaxFloat64, true)
+	f.Add("bench/", 100, true, 4, 10, 2, false, 4, uint64(1), 0.0, false)
+	f.Add("", -3, false, 0, 0, 0, true, 8, uint64(2), 2.37, true)
+	f.Add("p", 7, true, 1, 1, 99, false, 3, uint64(3), math.SmallestNonzeroFloat64, false)
+	f.Add("corpus/", 50, true, 6, 25, 1, false, 1, uint64(4), math.MaxFloat64, true)
 	f.Fuzz(func(t *testing.T, prefix string, minJoin int, hasMinJoin bool,
-		k, top, workers int, noCascade bool, margin float64, maxWorkers int, seed uint64,
+		k, top, workers int, noCascade bool, maxWorkers int, seed uint64,
 		floor float64, seedFlag bool) {
 		if maxWorkers < 1 {
 			maxWorkers = 1
@@ -194,62 +195,66 @@ func FuzzCanonicalization(f *testing.F) {
 		if !(floor >= 0 && floor <= math.MaxFloat64) {
 			floor = 0 // the decoder admits nothing else
 		}
-		if math.IsNaN(margin) {
-			// A JSON request can never carry NaN, and NaN breaks the
-			// explicit-respelling comparison below (NaN != NaN).
-			margin = 0
-		}
-		var mj *int
+		req := RankRequest{Prefix: prefix, K: k, Top: top, Workers: workers, NoCascade: noCascade, MinMI: floor, Seed: seedFlag}
 		if hasMinJoin {
-			mj = &minJoin
+			req.MinJoin = &minJoin
 		}
-		p := resolveRankParams(prefix, mj, k, top, workers, noCascade, margin, maxWorkers)
-		p.seed, p.floors = seedFlag, []float64{floor}
+		if req.asBatch().validateKnobs() != nil {
+			return // a negative k, top or workers, or min_join under -1: a 400
+		}
+		opt, err := req.asBatch().options(maxWorkers)
+		if err != nil {
+			t.Fatalf("a request the decoder admits does not resolve: %v", err)
+		}
 		train := probeDigest(sha256.Sum256([]byte(fmt.Sprintf("train-%d", seed))))
-		key := canonicalRankDigest(train, p)
+		digest := func(o store.RankOptions) [sha256.Size]byte {
+			return canonicalDigest("rank", []string{""}, []probeDigest{train}, o)
+		}
+		key := digest(opt)
 
 		// Differential 1: respelling every resolved default explicitly
-		// is the same request and must collide with the implicit form.
-		mj2 := p.minJoin
-		p2 := resolveRankParams(p.prefix, &mj2, p.k, p.top, p.workers, p.noCascade, p.margin, maxWorkers)
-		p2.seed, p2.floors = p.seed, p.floors
-		if !reflect.DeepEqual(p2, p) {
-			t.Fatalf("resolution is not idempotent: %+v -> %+v", p, p2)
+		// is the same request and must collide with the implicit form,
+		// as must any other worker count.
+		explicit := req
+		explicit.MinJoin, explicit.K, explicit.Workers = &opt.MinJoinSize, opt.K, opt.Workers
+		opt2, err := explicit.asBatch().options(maxWorkers)
+		if err != nil || !reflect.DeepEqual(opt2, opt) {
+			t.Fatalf("resolution is not idempotent: %+v -> %+v (%v)", opt, opt2, err)
 		}
-		if canonicalRankDigest(train, p2) != key {
-			t.Fatalf("explicit defaults changed the cache key for %+v", p)
+		if digest(opt2) != key {
+			t.Fatalf("explicit defaults changed the cache key for %+v", opt)
+		}
+		fanout := opt
+		fanout.Workers++
+		if digest(fanout) != key {
+			t.Fatalf("the worker count changed the cache key for %+v", opt)
 		}
 
 		// Differential 2: every single-knob change to the resolved
-		// params must change the key (injectivity of the digest).
-		perturbed := []rankParams{p, p, p, p, p, p, p, p, p, p, p}
-		perturbed[0].prefix += "x"
-		perturbed[1].minJoin++
-		perturbed[2].k++
-		perturbed[3].top++
-		perturbed[4].workers++
-		perturbed[5].noCascade = !p.noCascade
-		if p.margin == -1 {
-			perturbed[6].margin = store.DefaultCascadeMargin
-		} else {
-			perturbed[6].margin = -1
-		}
-		perturbed[7].seed = !p.seed
+		// options must change the key (injectivity of the digest).
+		perturbed := []store.RankOptions{opt, opt, opt, opt, opt, opt, opt, opt, opt}
+		perturbed[0].Prefix += "x"
+		perturbed[1].MinJoinSize++
+		perturbed[2].K++
+		perturbed[3].TopK++
+		perturbed[4].NoCascade = !opt.NoCascade
+		perturbed[5].Seed = !opt.Seed
 		// One bit up, one bit down (or, from 0, the smallest floor there
 		// is), and one floor more.
-		perturbed[8].floors = []float64{math.Nextafter(floor, math.Inf(1))}
-		perturbed[9].floors = []float64{math.Nextafter(floor, -1)}
-		if floor == 0 {
-			perturbed[9].floors = []float64{math.SmallestNonzeroFloat64 * 2}
+		f0 := opt.MinMI[0]
+		perturbed[6].MinMI = []float64{math.Nextafter(f0, math.Inf(1))}
+		perturbed[7].MinMI = []float64{math.Nextafter(f0, -1)}
+		if f0 == 0 {
+			perturbed[7].MinMI = []float64{math.SmallestNonzeroFloat64 * 2}
 		}
-		perturbed[10].floors = []float64{floor, floor}
+		perturbed[8].MinMI = []float64{f0, f0}
 		for i, q := range perturbed {
-			if canonicalRankDigest(train, q) == key {
-				t.Fatalf("perturbation %d collided: %+v vs %+v", i, p, q)
+			if digest(q) == key {
+				t.Fatalf("perturbation %d collided: %+v vs %+v", i, opt, q)
 			}
 		}
 		other := probeDigest(sha256.Sum256([]byte(fmt.Sprintf("train-%d'", seed))))
-		if canonicalRankDigest(other, p) == key {
+		if canonicalDigest("rank", []string{""}, []probeDigest{other}, opt) == key {
 			t.Fatal("different train content collided with the original key")
 		}
 
@@ -259,24 +264,24 @@ func FuzzCanonicalization(f *testing.F) {
 		// batch collide with the equivalent single rank query.
 		names := []string{"a", "b"}
 		alt := 1.0
-		if floor == alt {
+		if f0 == alt {
 			alt = 2
 		}
-		p.floors = []float64{floor, alt}
-		swapped := p
-		swapped.floors = []float64{alt, floor}
-		if canonicalBatchDigest(names, []probeDigest{train, other}, p) == canonicalBatchDigest(names, []probeDigest{train, other}, swapped) {
-			t.Fatalf("two trains trading floors collided for %+v", p)
+		if one := canonicalDigest("rank batch", []string{""}, []probeDigest{train}, opt); one == key {
+			t.Fatalf("one-train batch collided with the single rank key for %+v", opt)
 		}
-		ab := canonicalBatchDigest(names, []probeDigest{train, other}, p)
-		ba := canonicalBatchDigest([]string{"b", "a"}, []probeDigest{other, train}, p)
-		if ab == ba {
-			t.Fatalf("reordered batch trains collided for %+v", p)
+		opt.MinMI = []float64{f0, alt}
+		swapped := opt
+		swapped.MinMI = []float64{alt, f0}
+		both := []probeDigest{train, other}
+		ab := canonicalDigest("rank batch", names, both, opt)
+		if ab == canonicalDigest("rank batch", names, both, swapped) {
+			t.Fatalf("two trains trading floors collided for %+v", opt)
 		}
-		if one := canonicalBatchDigest([]string{"a"}, []probeDigest{train}, p); one == key {
-			t.Fatalf("one-train batch collided with the single rank key for %+v", p)
+		if ab == canonicalDigest("rank batch", []string{"b", "a"}, []probeDigest{other, train}, opt) {
+			t.Fatalf("reordered batch trains collided for %+v", opt)
 		}
-		if again := canonicalBatchDigest(names, []probeDigest{train, other}, p); again != ab {
+		if again := canonicalDigest("rank batch", names, both, opt); again != ab {
 			t.Fatal("batch digest is not deterministic")
 		}
 	})

@@ -137,7 +137,7 @@ func HTTPError(w http.ResponseWriter, status int, format string, args ...any) {
 // Outcome is a fully-encoded JSON response: what a rank computation
 // publishes to the requests coalesced behind it, and the single form
 // cache hits, coalesced waiters, and fresh computations all leave in,
-// so every outcome emits bit-identical bytes and headers. ETag is set
+// so every outcome emits bit-identical bytes under one ETag. ETag is set
 // on the 200s that carry one.
 type Outcome struct {
 	Status int
@@ -153,6 +153,18 @@ func (o Outcome) Write(w http.ResponseWriter) {
 	}
 	w.WriteHeader(o.Status)
 	_, _ = w.Write(o.Body) // the status line is already out; nothing to recover
+}
+
+// SetServerTiming sets the Server-Timing header of a rank response,
+// which carries what this request experienced and no body or cache ever
+// does: cache is the result cache's part (hit, coalesced or miss) and
+// measured, when not empty, the metrics of the computation a miss ran.
+func SetServerTiming(w http.ResponseWriter, cache, measured string) {
+	v := "cache;desc=" + cache
+	if measured != "" {
+		v += ", " + measured
+	}
+	w.Header().Set("Server-Timing", v)
 }
 
 // WriteNotModified answers an If-None-Match revalidation: 304, no

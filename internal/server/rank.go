@@ -4,9 +4,17 @@ package server
 // rank is a batch of one train — same fence, digest, revalidation,
 // cache, flight, probe reuse, admission and store pass — and differs
 // from a batch only in how its body decodes, how its canonical digest
-// is tagged, which store entry point and counters it moves, and the
-// shape of its response. Those differences are an endpoint value;
-// serveRank and leadRank are the one handler and the one leader body.
+// is tagged, which counters it moves, and the shape of its response.
+// Those differences are an endpoint value; serveRank and leadRank are
+// the one handler and the one leader body. The decoded request fills one
+// store.RankOptions, which is what is digested and what the store runs.
+//
+// A response body is the answer and nothing else: a pure function of the
+// request and the store generation, so one strong ETag names one byte
+// string whether the answer was computed, replayed from the result cache
+// or shared by a flight. What a request experienced — the result cache's
+// part, the ranking's wall time, probe-cache hits, admitted workers — is
+// its Server-Timing header, written per request and never cached.
 //
 // An analyst sweeping many target columns over the same catalog sends
 // them as one batch; the store then walks the corpus once with the
@@ -64,12 +72,6 @@ type RankRequest struct {
 	// NoCascade disables the two-tier estimator cascade for this query,
 	// forcing the exact KSG-family tier on every candidate pair.
 	NoCascade bool `json:"no_cascade,omitempty"`
-	// CascadeMargin overrides the cascade's calibrated safety margin in
-	// nats; 0 keeps the default, negative disables the margin (the
-	// saturation guard still applies). Rankings are identical at any
-	// margin at or above the calibrated default; smaller margins trade
-	// that guarantee for more pruning.
-	CascadeMargin float64 `json:"cascade_margin,omitempty"`
 	// MinMI is a floor on the result: candidates whose exact MI is below
 	// it are dropped before the top cut, and the cascade prunes under it.
 	MinMI float64 `json:"min_mi,omitempty"`
@@ -93,13 +95,6 @@ type RankResponse struct {
 	// Skipped lists prefix-matching stored sketches that could not be
 	// joined (incompatible seed or role, or mutated mid-query).
 	Skipped []string `json:"skipped,omitempty"`
-	// ProbeCached reports whether the compiled train probe came from the
-	// server's cache (a warm query) or was compiled for this request.
-	ProbeCached bool `json:"probe_cached"`
-	// Workers is the admitted estimation fan-out after clamping.
-	Workers int `json:"workers"`
-	// ElapsedNS is the server-side wall time of the ranking itself.
-	ElapsedNS int64 `json:"elapsed_ns"`
 	// SeedBound, on a seed answer, is a certified upper bound on the exact
 	// MI of every candidate it left unscored (-1: none was); absent when
 	// nothing can be certified.
@@ -122,18 +117,17 @@ type BatchTrainRef struct {
 }
 
 // RankBatchRequest is the body of POST /v1/rank/batch. The shared knobs
-// (prefix, min_join, k, top, workers, no_cascade, cascade_margin, seed)
-// mean what they mean on /v1/rank and apply to every query in the batch.
+// (prefix, min_join, k, top, workers, no_cascade, seed) mean what they
+// mean on /v1/rank and apply to every query in the batch.
 type RankBatchRequest struct {
-	Trains        []BatchTrainRef `json:"trains"`
-	Prefix        string          `json:"prefix,omitempty"`
-	MinJoin       *int            `json:"min_join,omitempty"`
-	K             int             `json:"k,omitempty"`
-	Top           int             `json:"top,omitempty"`
-	Workers       int             `json:"workers,omitempty"`
-	NoCascade     bool            `json:"no_cascade,omitempty"`
-	CascadeMargin float64         `json:"cascade_margin,omitempty"`
-	Seed          bool            `json:"seed,omitempty"`
+	Trains    []BatchTrainRef `json:"trains"`
+	Prefix    string          `json:"prefix,omitempty"`
+	MinJoin   *int            `json:"min_join,omitempty"`
+	K         int             `json:"k,omitempty"`
+	Top       int             `json:"top,omitempty"`
+	Workers   int             `json:"workers,omitempty"`
+	NoCascade bool            `json:"no_cascade,omitempty"`
+	Seed      bool            `json:"seed,omitempty"`
 }
 
 // BatchQueryResponse is one train's slice of a RankBatchResponse.
@@ -153,13 +147,6 @@ type RankBatchResponse struct {
 	Queries []BatchQueryResponse `json:"queries"`
 	// Skipped lists prefix-matching stored sketches no query could join.
 	Skipped []string `json:"skipped,omitempty"`
-	// ProbesCached counts how many of the batch's compiled train probes
-	// came from the server's cache.
-	ProbesCached int `json:"probes_cached"`
-	// Workers is the admitted estimation fan-out after clamping.
-	Workers int `json:"workers"`
-	// ElapsedNS is the server-side wall time of the batch ranking.
-	ElapsedNS int64 `json:"elapsed_ns"`
 }
 
 // decodeStrict parses body into v, rejecting unknown fields and
@@ -194,35 +181,48 @@ func (req *RankBatchRequest) validateKnobs() error {
 	return nil
 }
 
+// options is the request as the store runs it, and as it is digested:
+// min_join unset is the paper's confidence filter, workers are clamped to
+// the server bound, each train's floor is its MinMI, and the store
+// resolves the defaults that are its own (k).
+func (req *RankBatchRequest) options(maxWorkers int) (store.RankOptions, error) {
+	opt := store.RankOptions{
+		Prefix: req.Prefix, MinJoinSize: defaultMinJoin, K: req.K, TopK: req.Top, Workers: req.Workers,
+		NoCascade: req.NoCascade, Seed: req.Seed, MinMI: make([]float64, len(req.Trains)),
+	}
+	if req.MinJoin != nil {
+		opt.MinJoinSize = *req.MinJoin
+	}
+	if opt.Workers <= 0 || opt.Workers > maxWorkers {
+		opt.Workers = maxWorkers
+	}
+	for i := range req.Trains {
+		opt.MinMI[i] = req.Trains[i].MinMI + 0 // folds -0 into 0: one floor, one cache key
+	}
+	return opt.Resolve(len(req.Trains))
+}
+
 // asBatch is the request as the batch of one train it is served as.
 func (req *RankRequest) asBatch() *RankBatchRequest {
 	return &RankBatchRequest{
 		Trains: []BatchTrainRef{{Sketch: req.Sketch, Train: req.Train, MinMI: req.MinMI}},
 		Prefix: req.Prefix, MinJoin: req.MinJoin, K: req.K, Top: req.Top, Workers: req.Workers,
-		NoCascade: req.NoCascade, CascadeMargin: req.CascadeMargin, Seed: req.Seed,
+		NoCascade: req.NoCascade, Seed: req.Seed,
 	}
 }
 
 // AsSingle is a one-train batch response in /v1/rank's shape (which has
 // no place for the train's name or its pruned count).
 func (resp *RankBatchResponse) AsSingle() *RankResponse {
-	return &RankResponse{
-		Ranked: resp.Queries[0].Ranked, Skipped: resp.Skipped, ProbeCached: resp.ProbesCached == 1,
-		Workers: resp.Workers, ElapsedNS: resp.ElapsedNS, SeedBound: resp.Queries[0].SeedBound,
-	}
+	return &RankResponse{Ranked: resp.Queries[0].Ranked, Skipped: resp.Skipped, SeedBound: resp.Queries[0].SeedBound}
 }
 
 // AsBatch is the inverse of AsSingle, for the cluster coordinator: it
 // merges shard answers of either endpoint in the batch shape.
 func (resp *RankResponse) AsBatch() *RankBatchResponse {
-	b := &RankBatchResponse{
+	return &RankBatchResponse{
 		Queries: []BatchQueryResponse{{Ranked: resp.Ranked, SeedBound: resp.SeedBound}}, Skipped: resp.Skipped,
-		Workers: resp.Workers, ElapsedNS: resp.ElapsedNS,
 	}
-	if resp.ProbeCached {
-		b.ProbesCached = 1
-	}
-	return b
 }
 
 // DecodeRankRequest parses and validates a rank request body. Exported
@@ -283,23 +283,21 @@ func DecodeRankBatchRequest(body []byte) (*RankBatchRequest, error) {
 type endpoint struct {
 	// requests and failures are the endpoint's /v1/stats counters.
 	requests, failures atomic.Int64
+	// what prefixes a failed ranking's error and tags the endpoint's
+	// canonical digests, so a one-train batch and the same single query
+	// never share a key.
+	what string
 	// decode parses and validates a body into the batch form.
 	decode func(body []byte) (*RankBatchRequest, error)
 	// label names train i in an error message.
 	label func(i int, ref *BatchTrainRef) string
-	// digest is the canonical request digest, tagged per endpoint so a
-	// one-train batch and the same single query never share a key.
-	digest func(names []string, trains []probeDigest, p rankParams) [sha256.Size]byte
-	// rank is the store entry point (it decides which store counter the
-	// query moves) and what prefixes its error.
-	rank func(st *store.Store, ctx context.Context, trains []*core.Sketch, opt store.BatchOptions) (*store.BatchResult, error)
-	what string
 	// shape puts a finished ranking in the endpoint's response shape.
 	shape func(resp *RankBatchResponse) any
 }
 
 func rankEndpoint() *endpoint {
 	return &endpoint{
+		what: "rank",
 		decode: func(body []byte) (*RankBatchRequest, error) {
 			req, err := DecodeRankRequest(body)
 			if err != nil {
@@ -308,36 +306,18 @@ func rankEndpoint() *endpoint {
 			return req.asBatch(), nil
 		},
 		label: func(int, *BatchTrainRef) string { return "train sketch" },
-		digest: func(_ []string, trains []probeDigest, p rankParams) [sha256.Size]byte {
-			return canonicalRankDigest(trains[0], p)
-		},
-		rank: func(st *store.Store, ctx context.Context, trains []*core.Sketch, o store.BatchOptions) (*store.BatchResult, error) {
-			if o.Seed {
-				// RankQuery has nowhere to return a seed bound.
-				return st.RankBatch(ctx, trains, o)
-			}
-			ranked, skipped, err := st.RankQuery(ctx, trains[0], store.RankOptions{
-				Prefix: o.Prefix, MinJoinSize: o.MinJoinSize, K: o.K, TopK: o.TopK, Workers: o.Workers,
-				Probe: o.Probes[0], ScratchPool: o.ScratchPool,
-				NoCascade: o.NoCascade, CascadeMargin: o.CascadeMargin, MinMI: o.MinMI[0],
-			})
-			return &store.BatchResult{Queries: []store.BatchQueryResult{{Ranked: ranked}}, Skipped: skipped}, err
-		},
-		what:  "rank",
 		shape: func(resp *RankBatchResponse) any { return resp.AsSingle() },
 	}
 }
 
 func batchEndpoint() *endpoint {
 	return &endpoint{
+		what:   "rank batch",
 		decode: DecodeRankBatchRequest,
 		label: func(i int, ref *BatchTrainRef) string {
 			return fmt.Sprintf("trains[%d] %q", i, ref.Name)
 		},
-		digest: canonicalBatchDigest,
-		rank:   (*store.Store).RankBatch,
-		what:   "rank batch",
-		shape:  func(resp *RankBatchResponse) any { return resp },
+		shape: func(resp *RankBatchResponse) any { return resp },
 	}
 }
 
@@ -436,9 +416,11 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 		trains := make([]*core.Sketch, len(req.Trains))
 		digests := make([]probeDigest, len(req.Trains))
 		names := make([]string, len(req.Trains))
-		p := resolveRankParams(req.Prefix, req.MinJoin, req.K, req.Top, req.Workers,
-			req.NoCascade, req.CascadeMargin, s.opt.MaxWorkers)
-		p.seed, p.floors = req.Seed, make([]float64, len(req.Trains))
+		opt, err := req.options(s.opt.MaxWorkers)
+		if err != nil {
+			fail(http.StatusBadRequest, "%v", err)
+			return
+		}
 		for i := range req.Trains {
 			ref := &req.Trains[i]
 			train, digest, err := s.trainSketch(ref)
@@ -456,11 +438,10 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 					ep.label(i, ref), train.Seed, trains[0].Seed)
 				return
 			}
-			// + 0 folds -0 into 0: one floor, one cache key.
-			trains[i], digests[i], names[i], p.floors[i] = train, digest, ref.Name, ref.MinMI+0
+			trains[i], digests[i], names[i] = train, digest, ref.Name
 		}
 
-		canon := ep.digest(names, digests, p)
+		canon := canonicalDigest(ep.what, names, digests, opt)
 		key := cacheKey{digest: canon, gen: gen}
 		etag := etagFor(s.epoch, canon, gen)
 		// Revalidation needs no ranking, no cache, and no semaphore: the
@@ -473,6 +454,7 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 			return
 		}
 		if cached, ok := s.results.Get(key); ok {
+			SetServerTiming(w, "hit", "")
 			Outcome{Status: http.StatusOK, ETag: etag, Body: cached}.Write(w)
 			return
 		}
@@ -486,6 +468,7 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 				if f.Result().Status != http.StatusOK {
 					ep.failures.Add(1)
 				}
+				SetServerTiming(w, "coalesced", "")
 				f.Result().Write(w)
 			case <-r.Context().Done():
 				s.rankRejected.Add(1)
@@ -494,38 +477,31 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 			return
 		}
 
-		fresh, cacheable := s.leadRank(f.Context(), ep, req, trains, digests, p)
-		if fresh.Status == http.StatusOK {
-			fresh.ETag, cacheable.ETag = etag, etag
+		out, measured := s.leadRank(f.Context(), ep, req, trains, digests, opt)
+		if out.Status == http.StatusOK {
+			out.ETag = etag
 			// no-store: the caller keeps the answer itself (a coordinator
 			// does), so the result is served and not retained.
 			if !strings.Contains(r.Header.Get("Cache-Control"), "no-store") {
-				s.results.Add(key, cacheable.Body, int64(len(cacheable.Body)+len(etag))+cacheEntryOverhead)
+				s.results.Add(key, out.Body, int64(len(out.Body)+len(etag))+cacheEntryOverhead)
 			}
 		}
-		// Waiters receive the cacheable variant: by the time they read it,
-		// the probes this computation compiled are warm, so reporting them
-		// cached is both accurate for them and bit-identical to what an
-		// uncached server would have told a second caller.
-		s.flights.Finish(key, f, cacheable)
-		fresh.Write(w)
+		s.flights.Finish(key, f, out)
+		SetServerTiming(w, "miss", measured)
+		out.Write(w)
 	}
 }
 
 // leadRank is the flight leader's body: probe compile-or-reuse,
-// semaphore admission, the store ranking, and JSON encoding. It returns
-// two outcomes: fresh is the response for the caller that paid the
-// computation (its probe_cached / probes_cached reports what this
-// request actually experienced), cacheable is the variant stored in the
-// result cache and replayed to coalesced waiters (every probe reported
-// cached, which is what any later identical request would observe). On
-// errors both are the same encoded error object.
-func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchRequest, trains []*core.Sketch, digests []probeDigest, p rankParams) (fresh, cacheable Outcome) {
-	failed := func(status int, format string, args ...any) (Outcome, Outcome) {
-		o := Outcome{Status: status, Body: EncodeJSON(ErrorResponse{Error: fmt.Sprintf(format, args...)})}
-		return o, o
+// semaphore admission, the store ranking, and JSON encoding — once: the
+// caller that paid the computation, the result cache and every coalesced
+// waiter get the same bytes. The string is the Server-Timing of what this
+// computation experienced, the leader's alone; empty when it failed.
+func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchRequest, trains []*core.Sketch, digests []probeDigest, opt store.RankOptions) (Outcome, string) {
+	failed := func(status int, format string, args ...any) (Outcome, string) {
+		return Outcome{Status: status, Body: EncodeJSON(ErrorResponse{Error: fmt.Sprintf(format, args...)})}, ""
 	}
-	probes := make([]*core.TrainProbe, len(trains))
+	opt.Probes = make([]*core.TrainProbe, len(trains))
 	probesCached := 0
 	for i := range trains {
 		probe, cached := s.probes.Get(digests[i])
@@ -540,10 +516,10 @@ func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchReque
 			trains[i] = probe.Train()
 			probesCached++
 		}
-		probes[i] = probe
+		opt.Probes[i] = probe
 	}
 
-	if err := s.sem.acquire(ctx, p.workers); err != nil {
+	if err := s.sem.acquire(ctx, opt.Workers); err != nil {
 		// Every interested client went away while queued; the waiter is
 		// already unlinked, so its slots were never held. Counted as a
 		// rejection only: the clients left before capacity freed, which
@@ -551,22 +527,11 @@ func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchReque
 		s.rankRejected.Add(1)
 		return failed(http.StatusServiceUnavailable, "cancelled while queued for capacity: %v", err)
 	}
-	defer s.sem.release(p.workers)
+	defer s.sem.release(opt.Workers)
 
 	started := time.Now()
-	res, err := ep.rank(s.st, ctx, trains, store.BatchOptions{
-		Prefix:        p.prefix,
-		MinJoinSize:   p.minJoin,
-		K:             p.k,
-		TopK:          p.top,
-		Workers:       p.workers,
-		Probes:        probes,
-		ScratchPool:   s.scratch,
-		NoCascade:     p.noCascade,
-		CascadeMargin: p.margin,
-		MinMI:         p.floors,
-		Seed:          p.seed,
-	})
+	res, err := s.st.RankBatch(ctx, trains, opt)
+	elapsed := time.Since(started)
 	if err != nil {
 		ep.failures.Add(1)
 		status := http.StatusInternalServerError
@@ -575,20 +540,14 @@ func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchReque
 		}
 		return failed(status, "%s: %v", ep.what, err)
 	}
-	resp := &RankBatchResponse{
-		Queries:      make([]BatchQueryResponse, len(res.Queries)),
-		Skipped:      res.Skipped,
-		ProbesCached: probesCached,
-		Workers:      p.workers,
-		ElapsedNS:    time.Since(started).Nanoseconds(),
-	}
+	resp := &RankBatchResponse{Queries: make([]BatchQueryResponse, len(res.Queries)), Skipped: res.Skipped}
 	for q, qr := range res.Queries {
 		out := BatchQueryResponse{
 			Name:   req.Trains[q].Name,
 			Ranked: make([]RankedResult, len(qr.Ranked)),
 			Pruned: qr.Pruned,
 		}
-		if p.seed && !math.IsInf(qr.SeedBound, 1) {
+		if opt.Seed && !math.IsInf(qr.SeedBound, 1) {
 			out.SeedBound = &res.Queries[q].SeedBound
 		}
 		for i, rs := range qr.Ranked {
@@ -598,11 +557,7 @@ func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchReque
 		}
 		resp.Queries[q] = out
 	}
-	fresh = Outcome{Status: http.StatusOK, Body: EncodeJSON(ep.shape(resp))}
-	cacheable = fresh
-	if resp.ProbesCached != len(trains) {
-		resp.ProbesCached = len(trains)
-		cacheable.Body = EncodeJSON(ep.shape(resp))
-	}
-	return fresh, cacheable
+	return Outcome{Status: http.StatusOK, Body: EncodeJSON(ep.shape(resp))},
+		fmt.Sprintf(`rank;dur=%.3f, probes;desc="%d/%d", workers;desc=%d`,
+			float64(elapsed)/float64(time.Millisecond), probesCached, len(trains), opt.Workers)
 }

@@ -9,15 +9,15 @@ package server
 //
 // Keying. An entry is keyed by (canonical request digest, store
 // generation). The canonical digest is computed over the *resolved*
-// request — train sketch content digest (not its name or its base64
-// spelling), min-join with the default applied, K with the default
-// applied, workers after clamping to the server bound, the cascade
-// margin with its zero-means-default and negative-means-disabled
-// conventions collapsed — so two requests collide exactly when the
-// server would compute bit-identical rankings for both, and nothing
-// else. The generation is read *before* the ranking's manifest
-// snapshot: the snapshot then reflects that generation or a newer one,
-// so an entry can serve a concurrent reader fresher data than it asked
+// request — train sketch content digests (not their names or base64
+// spelling) and the store.RankOptions the store will run, min-join and K
+// with their defaults applied, minus what cannot move an answer (the
+// worker count: rankings are bit-identical at every fan-out) — so two
+// requests collide exactly when the server would compute bit-identical
+// answers for both, and nothing else. The generation is read *before* the
+// ranking's manifest snapshot: the snapshot then reflects that generation
+// or a newer one, so an entry can serve a concurrent reader fresher data
+// than it asked
 // for (linearizable) but never older data, and any Put or Delete that
 // completes before a query begins moves Gen and misses every older
 // entry. Invalidation is therefore free: stale entries become
@@ -52,7 +52,6 @@ import (
 	"hash"
 	"math"
 
-	"misketch/internal/mi"
 	"misketch/internal/store"
 )
 
@@ -79,89 +78,32 @@ const cacheEntryOverhead = 160
 
 // --- canonical request digests -------------------------------------
 
-// rankParams is a rank request with every default resolved and every
-// equivalence collapsed — the exact inputs the ranking depends on.
-// Two requests produce bit-identical rankings iff their rankParams
-// (plus train content digests) are equal.
-type rankParams struct {
-	prefix    string
-	minJoin   int
-	k         int
-	top       int
-	workers   int
-	noCascade bool
-	margin    float64
-	// seed and floors (one per train) are the handler's to set.
-	seed   bool
-	floors []float64
-}
-
-// resolveRankParams collapses a decoded rank request's shared knobs to
-// canonical form: min_join nil means the default confidence filter,
-// k 0 means the estimator default, workers is clamped to the server
-// bound, cascade margin 0 means the calibrated default and every
-// negative value means "no margin" identically.
-func resolveRankParams(prefix string, minJoin *int, k, top, workers int, noCascade bool, margin float64, maxWorkers int) rankParams {
-	p := rankParams{prefix: prefix, top: top, noCascade: noCascade}
-	p.minJoin = defaultMinJoin
-	if minJoin != nil {
-		p.minJoin = *minJoin
-	}
-	p.k = k
-	if p.k == 0 {
-		p.k = mi.DefaultK
-	}
-	p.workers = workers
-	if p.workers <= 0 || p.workers > maxWorkers {
-		p.workers = maxWorkers
-	}
-	switch {
-	case margin == 0:
-		p.margin = store.DefaultCascadeMargin
-	case margin < 0:
-		p.margin = -1
-	default:
-		p.margin = margin
-	}
-	return p
-}
-
-func (p rankParams) hashInto(h *digestWriter) {
-	h.str(p.prefix)
-	h.int64(int64(p.minJoin))
-	h.int64(int64(p.k))
-	h.int64(int64(p.top))
-	h.int64(int64(p.workers))
-	h.bool(p.noCascade)
-	h.float(p.margin)
-	h.bool(p.seed)
-	h.int64(int64(len(p.floors)))
-	for _, f := range p.floors {
-		h.float(f)
-	}
-}
-
-// canonicalRankDigest is the canonical digest of a single rank query:
-// the train sketch's content digest plus the resolved shared knobs.
-func canonicalRankDigest(train probeDigest, p rankParams) [sha256.Size]byte {
-	h := newDigestWriter("rank")
-	h.bytes(train[:])
-	p.hashInto(h)
-	return h.sum()
-}
-
-// canonicalBatchDigest is the canonical digest of a batch rank query:
-// the ordered (response name, train content digest) pairs plus the
-// resolved shared knobs. Order matters — the response lists queries in
-// request order, so a reordered batch is a different request.
-func canonicalBatchDigest(names []string, trains []probeDigest, p rankParams) [sha256.Size]byte {
-	h := newDigestWriter("batch")
+// canonicalDigest is the canonical digest of a rank query of either
+// endpoint: the endpoint's tag, the ordered (response name, train content
+// digest) pairs and the resolved options. Order matters — the response
+// lists queries in request order, so a reordered batch is a different
+// request. Every RankOptions field is written but the two that cannot
+// move an answer: Workers, and Probes (the trains' content stands for
+// them); a test flips each field to hold a new one to that.
+func canonicalDigest(tag string, names []string, trains []probeDigest, opt store.RankOptions) [sha256.Size]byte {
+	h := newDigestWriter(tag)
 	h.int64(int64(len(names)))
 	for i := range names {
 		h.str(names[i])
 		h.bytes(trains[i][:])
 	}
-	p.hashInto(h)
+	h.str(opt.Prefix)
+	h.int64(int64(opt.MinJoinSize))
+	h.int64(int64(opt.K))
+	h.int64(int64(opt.TopK))
+	h.bool(opt.NoIndex)
+	h.bool(opt.NoCascade)
+	h.float(opt.CascadeMargin)
+	h.bool(opt.Seed)
+	h.int64(int64(len(opt.MinMI)))
+	for _, f := range opt.MinMI {
+		h.float(f)
+	}
 	return h.sum()
 }
 

@@ -1,6 +1,6 @@
 package server
 
-// Tests for the generation-fenced result cache: the bit-identity
+// Tests for the generation-fenced result cache: the byte-identity
 // contract against the uncached reference path, generation fencing
 // under concurrent mutation, what a coalesced request is served,
 // canonicalization, and the ETag revalidation protocol. (LRU eviction
@@ -13,25 +13,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"misketch/internal/core"
+	"misketch/internal/mi"
 	"misketch/internal/store"
 )
-
-// elapsedRE blanks the one legitimately nondeterministic response
-// field so bodies can be compared byte-for-byte.
-var elapsedRE = regexp.MustCompile(`"elapsed_ns":\d+`)
-
-func normalizeElapsed(b []byte) []byte {
-	return elapsedRE.ReplaceAll(b, []byte(`"elapsed_ns":0`))
-}
 
 // postRaw posts body and returns (status, headers, raw body).
 func postRaw(t testing.TB, url, path string, body []byte, hdr http.Header) (int, http.Header, []byte) {
@@ -60,8 +55,7 @@ func postRaw(t testing.TB, url, path string, body []byte, hdr http.Header) (int,
 
 // TestResultCacheBitIdentical is the correctness gate: a cache-enabled
 // server must answer every query — cold, warm-hit, and batch — with
-// bytes identical to a cache-disabled server over the same store
-// (timing field aside).
+// bytes identical to a cache-disabled server over the same store.
 func TestResultCacheBitIdentical(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -86,17 +80,8 @@ func TestResultCacheBitIdentical(t *testing.T) {
 			if su != http.StatusOK || sc != http.StatusOK {
 				t.Fatalf("q%d pass%d: status %d/%d: %s %s", qi, pass, su, sc, bu, bc)
 			}
-			nu, nc := normalizeElapsed(bu), normalizeElapsed(bc)
-			if pass == 0 {
-				// The cold pass differs only in probe_cached (both
-				// false) and timing; it must already be identical.
-				if !bytes.Equal(nu, nc) {
-					t.Fatalf("q%d cold: cached body diverges:\n%s\n%s", qi, nu, nc)
-				}
-				continue
-			}
-			if !bytes.Equal(nu, nc) {
-				t.Fatalf("q%d pass%d: cached hit diverges from uncached:\n%s\n%s", qi, pass, nu, nc)
+			if !bytes.Equal(bu, bc) {
+				t.Fatalf("q%d pass%d: cached body diverges from uncached:\n%s\n%s", qi, pass, bu, bc)
 			}
 			if hc.Get("ETag") == "" {
 				t.Fatalf("q%d pass%d: cached response missing ETag", qi, pass)
@@ -127,7 +112,7 @@ func TestResultCacheBitIdentical(t *testing.T) {
 			}
 			break
 		}
-		if !bytes.Equal(normalizeElapsed(bu), normalizeElapsed(bc)) {
+		if !bytes.Equal(bu, bc) {
 			t.Fatalf("batch pass%d: bodies diverge:\n%s\n%s", pass, bu, bc)
 		}
 	}
@@ -212,10 +197,9 @@ func TestCoalescedWaiterGetsError(t *testing.T) {
 	if _, err := train.WriteTo(&raw); err != nil {
 		t.Fatal(err)
 	}
-	q := mustJSON(t, RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", Top: 3})
-	p := resolveRankParams("corpus/", nil, 0, 3, 0, false, 0, srv.opt.MaxWorkers)
-	p.floors = []float64{0} // the handler digests one floor per train
-	key := cacheKey{digest: canonicalRankDigest(sha256.Sum256(raw.Bytes()), p), gen: st.Gen()}
+	req := RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", Top: 3}
+	q := mustJSON(t, req)
+	key := cacheKey{digest: rankKey(t, sha256.Sum256(raw.Bytes()), req, srv.opt.MaxWorkers), gen: st.Gen()}
 
 	f, leader, release := srv.flights.Join(context.Background(), key)
 	defer release()
@@ -447,62 +431,127 @@ func TestGenerationFencingHammer(t *testing.T) {
 	}
 }
 
+// rankKey is the canonical digest the /v1/rank handler computes for req
+// over a train whose content digest is dig.
+func rankKey(t testing.TB, dig probeDigest, req RankRequest, maxWorkers int) [sha256.Size]byte {
+	t.Helper()
+	opt, err := req.asBatch().options(maxWorkers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return canonicalDigest(rankEndpoint().what, []string{""}, []probeDigest{dig}, opt)
+}
+
 // TestCanonicalization pins the request-equivalence contract directly:
 // semantically equal requests share a key, distinct ones never do.
 func TestCanonicalization(t *testing.T) {
 	var dig probeDigest
 	dig[3] = 7
 	maxW := 8
-	base := resolveRankParams("p/", nil, 0, 10, 0, false, 0, maxW)
+	base := RankRequest{Prefix: "p/", Top: 10}
+	baseKey := rankKey(t, dig, base, maxW)
 
-	equal := []rankParams{
-		resolveRankParams("p/", intp(defaultMinJoin), 0, 10, 0, false, 0, maxW),         // explicit default min_join
-		resolveRankParams("p/", nil, 5, 10, 0, false, 0, maxW),                          // k default == 5? resolved below
-		resolveRankParams("p/", nil, 0, 10, maxW, false, 0, maxW),                       // workers explicit == clamp
-		resolveRankParams("p/", nil, 0, 10, maxW+9, false, 0, maxW),                     // workers over-ask clamps
-		resolveRankParams("p/", nil, 0, 10, 0, false, store.DefaultCascadeMargin, maxW), // explicit default margin
+	equal := []RankRequest{
+		{Prefix: "p/", Top: 10, MinJoin: intp(defaultMinJoin)}, // explicit default min_join
+		{Prefix: "p/", Top: 10, K: mi.DefaultK},                // explicit default k
+		// The worker count cannot move an answer, asked for or clamped.
+		{Prefix: "p/", Top: 10, Workers: 1},
+		{Prefix: "p/", Top: 10, Workers: maxW},
+		{Prefix: "p/", Top: 10, Workers: maxW + 9},
+		{Prefix: "p/", Top: 10, MinMI: math.Copysign(0, -1)}, // -0 is the floor 0
 	}
-	// Entry 1 is only equal if mi.DefaultK is 5; drop it otherwise.
-	if equal[1].k != base.k {
-		equal = append(equal[:1], equal[2:]...)
-	}
-	baseKey := canonicalRankDigest(dig, base)
-	for i, p := range equal {
-		if canonicalRankDigest(dig, p) != baseKey {
-			t.Errorf("equivalent request %d produced a different key: %+v vs %+v", i, p, base)
+	for i, req := range equal {
+		if rankKey(t, dig, req, maxW) != baseKey {
+			t.Errorf("equivalent request %d produced a different key: %+v vs %+v", i, req, base)
 		}
 	}
 
-	distinct := []rankParams{
-		resolveRankParams("p/x", nil, 0, 10, 0, false, 0, maxW),
-		resolveRankParams("p/", intp(0), 0, 10, 0, false, 0, maxW),
-		resolveRankParams("p/", nil, 0, 11, 0, false, 0, maxW),
-		resolveRankParams("p/", nil, 0, 10, 1, false, 0, maxW),
-		resolveRankParams("p/", nil, 0, 10, 0, true, 0, maxW),
-		resolveRankParams("p/", nil, 0, 10, 0, false, 0.9, maxW),
-		resolveRankParams("p/", nil, 0, 10, 0, false, -1, maxW),
+	distinct := []RankRequest{
+		{Prefix: "p/x", Top: 10},
+		{Prefix: "p/", Top: 10, MinJoin: intp(0)},
+		{Prefix: "p/", Top: 11},
+		{Prefix: "p/", Top: 10, K: mi.DefaultK + 1},
+		{Prefix: "p/", Top: 10, NoCascade: true},
+		{Prefix: "p/", Top: 10, Seed: true},
+		{Prefix: "p/", Top: 10, MinMI: math.SmallestNonzeroFloat64},
 	}
-	for i, p := range distinct {
-		if canonicalRankDigest(dig, p) == baseKey {
-			t.Errorf("distinct request %d collided with base: %+v", i, p)
+	for i, req := range distinct {
+		if rankKey(t, dig, req, maxW) == baseKey {
+			t.Errorf("distinct request %d collided with base: %+v", i, req)
 		}
 	}
 	var dig2 probeDigest
 	dig2[3] = 8
-	if canonicalRankDigest(dig2, base) == baseKey {
+	if rankKey(t, dig2, base, maxW) == baseKey {
 		t.Error("different train digest collided")
 	}
 
 	// Batch: order matters, and a batch never collides with a single
-	// rank even over the same train.
+	// rank even over the same train under the same (empty) name.
+	opt, err := base.asBatch().options(maxW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := batchEndpoint().what
 	a, b := dig, dig2
-	k1 := canonicalBatchDigest([]string{"a", "b"}, []probeDigest{a, b}, base)
-	k2 := canonicalBatchDigest([]string{"b", "a"}, []probeDigest{b, a}, base)
+	k1 := canonicalDigest(batch, []string{"a", "b"}, []probeDigest{a, b}, opt)
+	k2 := canonicalDigest(batch, []string{"b", "a"}, []probeDigest{b, a}, opt)
 	if k1 == k2 {
 		t.Error("reordered batch trains collided")
 	}
-	if canonicalBatchDigest([]string{"a"}, []probeDigest{a}, base) == canonicalRankDigest(a, base) {
+	if canonicalDigest(batch, []string{""}, []probeDigest{a}, opt) == baseKey {
 		t.Error("single-train batch collided with plain rank")
+	}
+}
+
+// TestDigestCoversRankOptions holds the canonical digest to the options
+// type by reflection: changing any field of store.RankOptions must change
+// the digest, unless the field is declared here as unable to move an
+// answer. A field added later lands on one side or the other in the open —
+// it cannot silently merge two answers under one cache key, or split one.
+func TestDigestCoversRankOptions(t *testing.T) {
+	answerNeutral := map[string]bool{
+		"Workers": true, // rankings are bit-identical at every fan-out
+		"Probes":  true, // compiled from the trains, whose content is digested
+	}
+	base := store.RankOptions{
+		Prefix: "p/", MinJoinSize: 100, K: 3, TopK: 10, Workers: 2,
+		Probes: []*core.TrainProbe{nil}, CascadeMargin: store.DefaultCascadeMargin, MinMI: []float64{0.5},
+	}
+	var dig probeDigest
+	key := func(opt store.RankOptions) [sha256.Size]byte {
+		return canonicalDigest("rank", []string{""}, []probeDigest{dig}, opt)
+	}
+	typ := reflect.TypeOf(base)
+	seen := 0
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		flipped := base
+		switch f := reflect.ValueOf(&flipped).Elem().Field(i); f.Interface().(type) {
+		case string:
+			f.SetString(f.String() + "x")
+		case int:
+			f.SetInt(f.Int() + 1)
+		case bool:
+			f.SetBool(!f.Bool())
+		case float64:
+			f.SetFloat(f.Float() + 0.25)
+		case []float64:
+			f.Set(reflect.ValueOf([]float64{0.75}))
+		case []*core.TrainProbe:
+			f.Set(reflect.ValueOf([]*core.TrainProbe{new(core.TrainProbe)}))
+		default:
+			t.Fatalf("RankOptions.%s has type %s: teach this test to flip it", name, f.Type())
+		}
+		if changed := key(flipped) != key(base); changed == answerNeutral[name] {
+			t.Errorf("RankOptions.%s: digest changed = %v, declared answer-neutral = %v", name, changed, answerNeutral[name])
+		}
+		if answerNeutral[name] {
+			seen++
+		}
+	}
+	if seen != len(answerNeutral) {
+		t.Errorf("answerNeutral names %d fields RankOptions does not have", len(answerNeutral)-seen)
 	}
 }
 
@@ -538,5 +587,103 @@ func TestETagEpochDiffersAcrossServers(t *testing.T) {
 	status, _, _ := postRaw(t, ts2.URL, "/v1/rank", q, http.Header{"If-None-Match": {e1}})
 	if status != http.StatusOK {
 		t.Fatalf("cross-incarnation If-None-Match: status %d, want 200", status)
+	}
+}
+
+// TestStrongETagMeansSameBytes: RFC 9110 §8.8.1 lets a strong ETag name
+// one byte string. Every 200 of one request on one store generation
+// carries the same ETag, so every one of them must carry the same bytes —
+// the first computation, a replay from the result cache, a coalesced
+// wait behind another request's computation, and (cache off) each repeat
+// computed from scratch. What differs between them is the Server-Timing
+// header, which says which of those a request was.
+func TestStrongETagMeansSameBytes(t *testing.T) {
+	for _, cacheBytes := range []int64{1 << 20, 0} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
+			srv, ts, _, train := newTestServer(t, 30, Options{ResultCacheBytes: cacheBytes, MaxWorkers: 2})
+			b64 := sketchBase64(t, train)
+			for path, bodies := range map[string][2][]byte{
+				"/v1/rank": {
+					mustJSON(t, RankRequest{Sketch: b64, Prefix: "corpus/", Top: 5}),
+					mustJSON(t, RankRequest{Sketch: b64, Prefix: "corpus/", Top: 6}),
+				},
+				"/v1/rank/batch": {
+					mustJSON(t, RankBatchRequest{Trains: []BatchTrainRef{{Name: "a", Sketch: b64}, {Name: "b", Sketch: b64}}, Prefix: "corpus/", Top: 5}),
+					mustJSON(t, RankBatchRequest{Trains: []BatchTrainRef{{Name: "a", Sketch: b64}, {Name: "b", Sketch: b64}}, Prefix: "corpus/", Top: 6}),
+				},
+			} {
+				// Sequential repeats: computed, then replayed (or, with the
+				// cache off, computed again with a warm probe cache).
+				var etag string
+				var first []byte
+				for i, wantCache := range []string{"miss", "hit", "hit"} {
+					if cacheBytes == 0 {
+						wantCache = "miss"
+					}
+					status, hdr, body := postRaw(t, ts.URL, path, bodies[0], nil)
+					if status != http.StatusOK || hdr.Get("ETag") == "" {
+						t.Fatalf("%s #%d: status %d, ETag %q: %s", path, i, status, hdr.Get("ETag"), body)
+					}
+					if timing := hdr.Get("Server-Timing"); !strings.HasPrefix(timing, "cache;desc="+wantCache) ||
+						strings.Contains(timing, "rank;dur=") != (wantCache == "miss") {
+						t.Fatalf("%s #%d: Server-Timing %q, want a %s", path, i, timing, wantCache)
+					}
+					if i == 0 {
+						etag, first = hdr.Get("ETag"), body
+					} else if hdr.Get("ETag") != etag || !bytes.Equal(body, first) {
+						t.Fatalf("%s #%d: ETag %q and body\n%s\nafter ETag %q and body\n%s", path, i, hdr.Get("ETag"), body, etag, first)
+					}
+				}
+				if cacheBytes == 0 {
+					continue // nothing coalesces without the flight table
+				}
+				// Concurrent identical misses: hold every worker slot so the
+				// leader queues for capacity until the others have joined it.
+				if err := srv.sem.acquire(context.Background(), srv.opt.MaxWorkers); err != nil {
+					t.Fatal(err)
+				}
+				coalesced0 := srv.flights.Coalesced()
+				type answer struct {
+					hdr  http.Header
+					body []byte
+				}
+				answers := make(chan answer, 3)
+				for i := 0; i < cap(answers); i++ {
+					go func() {
+						status, hdr, body := postRaw(t, ts.URL, path, bodies[1], nil)
+						if status != http.StatusOK {
+							t.Errorf("%s concurrent: status %d: %s", path, status, body)
+						}
+						answers <- answer{hdr, body}
+					}()
+				}
+				for deadline := time.Now().Add(5 * time.Second); srv.flights.Coalesced()-coalesced0 < int64(cap(answers))-1; {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s: the concurrent requests never coalesced", path)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				srv.sem.release(srv.opt.MaxWorkers)
+				a := <-answers
+				how := map[string]int{}
+				for i := 0; i < cap(answers); i++ {
+					b := a
+					if i > 0 {
+						b = <-answers
+					}
+					cache, _, _ := strings.Cut(b.hdr.Get("Server-Timing"), ",")
+					how[cache]++
+					if b.hdr.Get("ETag") != a.hdr.Get("ETag") || b.hdr.Get("ETag") == etag || !bytes.Equal(b.body, a.body) {
+						t.Fatalf("%s concurrent: ETag %q and body\n%s\nbeside ETag %q and body\n%s", path, b.hdr.Get("ETag"), b.body, a.hdr.Get("ETag"), a.body)
+					}
+				}
+				if how["cache;desc=miss"] != 1 || how["cache;desc=coalesced"] != cap(answers)-1 {
+					t.Fatalf("%s concurrent: Server-Timing said %v, want one miss and the rest coalesced", path, how)
+				}
+				if _, hdr, body := postRaw(t, ts.URL, path, bodies[1], nil); hdr.Get("Server-Timing") != "cache;desc=hit" || !bytes.Equal(body, a.body) {
+					t.Fatalf("%s: the replay of the coalesced answer (Server-Timing %q) differs:\n%s\n%s", path, hdr.Get("Server-Timing"), body, a.body)
+				}
+			}
+		})
 	}
 }

@@ -3,8 +3,8 @@
 // into something that can serve sustained query traffic. One open
 // store.Store is shared across all requests (no per-query store open or
 // manifest load), compiled train probes are cached by sketch content so
-// repeated queries skip compilation, per-worker estimator scratch is
-// pooled across requests, and a weighted semaphore bounds the total
+// repeated queries skip compilation, the store pools per-worker estimator
+// scratch across requests, and a weighted semaphore bounds the total
 // rank-worker fan-out regardless of request concurrency.
 //
 // Endpoints (all request/response bodies are JSON unless noted):
@@ -95,7 +95,7 @@ type Options struct {
 	// coalescing of concurrent identical misses (see resultcache.go).
 	// Zero or negative disables both caching and coalescing — the
 	// uncached path is the reference semantics, and cached responses
-	// are bit-identical to it (timing metadata aside). The ETag /
+	// are byte-identical to it. The ETag /
 	// If-None-Match revalidation protocol is independent of this knob
 	// and always on.
 	ResultCacheBytes int64
@@ -124,11 +124,10 @@ type Options struct {
 
 // Server is the discovery service: an http.Handler over one open store.
 type Server struct {
-	st      *store.Store
-	opt     Options
-	sem     *semaphore
-	scratch *core.ScratchPool
-	mux     *http.ServeMux
+	st  *store.Store
+	opt Options
+	sem *semaphore
+	mux *http.ServeMux
 
 	// probes memoizes compiled core.TrainProbe values by sketch digest,
 	// bounded to Options.ProbeCache entries (each costs 1). Compiling a
@@ -181,7 +180,6 @@ func New(st *store.Store, opt Options) *Server {
 		opt:     opt,
 		sem:     newSemaphore(opt.MaxWorkers),
 		probes:  cache.NewLRU[probeDigest, *core.TrainProbe](int64(probeMax)),
-		scratch: new(core.ScratchPool),
 		digests: cache.NewLRU[string, trainDigest](maxTrainDigests),
 		mux:     http.NewServeMux(),
 		epoch:   newEpoch(),

@@ -77,6 +77,13 @@ func sketchBase64(t testing.TB, sk *core.Sketch) string {
 // rankViaHTTP posts a rank request and decodes the response.
 func rankViaHTTP(t testing.TB, url string, req RankRequest) RankResponse {
 	t.Helper()
+	rr, _ := rankTimed(t, url, req)
+	return rr
+}
+
+// rankTimed is rankViaHTTP plus the response's Server-Timing header.
+func rankTimed(t testing.TB, url string, req RankRequest) (RankResponse, string) {
+	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +101,7 @@ func rankViaHTTP(t testing.TB, url string, req RankRequest) RankResponse {
 	if err := json.Unmarshal(raw, &rr); err != nil {
 		t.Fatalf("rank: decoding %q: %v", raw, err)
 	}
-	return rr
+	return rr, resp.Header.Get("Server-Timing")
 }
 
 // assertSameRanking compares an HTTP ranking to a direct RankQuery
@@ -136,19 +143,19 @@ func TestRankMatchesDirect(t *testing.T) {
 		Sketch: sketchBase64(t, train), Prefix: "corpus/",
 		MinJoin: &minJoin, K: 3, Top: 12,
 	}
-	first := rankViaHTTP(t, ts.URL, req)
+	first, timing := rankTimed(t, ts.URL, req)
 	assertSameRanking(t, first.Ranked, want)
 	if len(first.Skipped) != len(wantSkipped) {
 		t.Fatalf("skipped %v, want %v", first.Skipped, wantSkipped)
 	}
-	if first.ProbeCached {
-		t.Fatal("first query claims a probe cache hit")
+	if !strings.Contains(timing, `probes;desc="0/1"`) {
+		t.Fatalf("first query's Server-Timing %q claims a probe cache hit", timing)
 	}
 
-	second := rankViaHTTP(t, ts.URL, req)
+	second, timing := rankTimed(t, ts.URL, req)
 	assertSameRanking(t, second.Ranked, want)
-	if !second.ProbeCached {
-		t.Fatal("second identical query missed the probe cache")
+	if !strings.Contains(timing, `probes;desc="1/1"`) {
+		t.Fatalf("second identical query missed the probe cache: Server-Timing %q", timing)
 	}
 
 	// Top unset returns the full ranking, still bit-identical.
@@ -172,7 +179,7 @@ func TestRankByStoredTrain(t *testing.T) {
 	}
 	minJoin := 10
 	byName := rankViaHTTP(t, ts.URL, RankRequest{Train: "query/train", Prefix: "corpus/", MinJoin: &minJoin, K: 3})
-	byUpload := rankViaHTTP(t, ts.URL, RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", MinJoin: &minJoin, K: 3})
+	byUpload, timing := rankTimed(t, ts.URL, RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", MinJoin: &minJoin, K: 3})
 	if len(byName.Ranked) == 0 {
 		t.Fatal("empty ranking")
 	}
@@ -183,8 +190,8 @@ func TestRankByStoredTrain(t *testing.T) {
 	}
 	// The two paths share a content-addressed probe: the second query,
 	// whichever it was, must have hit the cache.
-	if !byUpload.ProbeCached {
-		t.Fatal("upload of the bit-identical stored sketch missed the probe cache")
+	if !strings.Contains(timing, `probes;desc="1/1"`) {
+		t.Fatalf("upload of the bit-identical stored sketch missed the probe cache: Server-Timing %q", timing)
 	}
 
 	// Overwriting the stored train must invalidate the digest memo: the
@@ -201,9 +208,9 @@ func TestRankByStoredTrain(t *testing.T) {
 	if err := st.Put("query/train", tb2.Sketch()); err != nil {
 		t.Fatal(err)
 	}
-	after := rankViaHTTP(t, ts.URL, RankRequest{Train: "query/train", Prefix: "corpus/", MinJoin: &minJoin, K: 3})
-	if after.ProbeCached {
-		t.Fatal("overwritten stored train still served the old cached probe")
+	_, timing = rankTimed(t, ts.URL, RankRequest{Train: "query/train", Prefix: "corpus/", MinJoin: &minJoin, K: 3})
+	if !strings.Contains(timing, `probes;desc="0/1"`) {
+		t.Fatalf("overwritten stored train still served the old cached probe: Server-Timing %q", timing)
 	}
 }
 

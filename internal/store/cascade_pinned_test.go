@@ -140,14 +140,14 @@ func TestCascadeObservablesPinned(t *testing.T) {
 	cases := []struct {
 		name string
 		open func(t *testing.T) (*Store, []*core.Sketch)
-		opt  BatchOptions
+		opt  RankOptions
 		// At Workers 1, recorded at commit ca1e605.
 		rank, seed counters
 	}{
 		{
 			name: "cascadeStore",
 			open: func(t *testing.T) (*Store, []*core.Sketch) { return cascadeStore(t, 60) },
-			opt:  BatchOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: 5},
+			opt:  RankOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: 5},
 			rank: counters{cheapOnly: 25, exact: 95, rescues: 6},
 			seed: counters{exact: 10},
 		},
@@ -157,7 +157,7 @@ func TestCascadeObservablesPinned(t *testing.T) {
 				st, train := cohortStore(t)
 				return st, []*core.Sketch{train}
 			},
-			opt:  BatchOptions{Prefix: "bench/", MinJoinSize: 100, K: 3, TopK: 3},
+			opt:  RankOptions{Prefix: "bench/", MinJoinSize: 100, K: 3, TopK: 3},
 			rank: counters{cheapOnly: 195, exact: 5, rescues: 1},
 			seed: counters{exact: 3},
 		},
@@ -178,7 +178,7 @@ func TestCascadeObservablesPinned(t *testing.T) {
 				}
 				return st, trains
 			},
-			opt:  BatchOptions{MinJoinSize: 30, K: 3, TopK: 3},
+			opt:  RankOptions{MinJoinSize: 30, K: 3, TopK: 3},
 			rank: counters{exact: 20, pruned: 20},
 			seed: counters{exact: 6, pruned: 20},
 		},
@@ -189,7 +189,7 @@ func TestCascadeObservablesPinned(t *testing.T) {
 				names, cands, trains := goldenCatalog(t)
 				return sealedStore(t, names, cands, false), trains
 			},
-			opt:  BatchOptions{MinJoinSize: 30, K: 3, TopK: 3},
+			opt:  RankOptions{MinJoinSize: 30, K: 3, TopK: 3},
 			rank: counters{exact: 20, pruned: 20, noDecode: 10},
 			seed: counters{exact: 6, pruned: 20, noDecode: 10},
 		},
@@ -198,7 +198,7 @@ func TestCascadeObservablesPinned(t *testing.T) {
 			// DC-KSG and of the pooled decode scratch.
 			name: "sel20k",
 			open: selCatalog,
-			opt:  BatchOptions{Prefix: "sel/", MinJoinSize: 50, K: 3, TopK: 10},
+			opt:  RankOptions{Prefix: "sel/", MinJoinSize: 50, K: 3, TopK: 10},
 			rank: counters{exact: 40, pruned: 40, noDecode: 40},
 			seed: counters{exact: 10, pruned: 40, noDecode: 40},
 		},

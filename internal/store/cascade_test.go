@@ -133,7 +133,7 @@ func TestCascadeBitIdentical(t *testing.T) {
 	for _, topK := range []int{1, 10, 100, 0} {
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("topK=%d workers=%d", topK, workers)
-			base := BatchOptions{
+			base := RankOptions{
 				Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: topK, Workers: workers,
 			}
 			exactOpt := base
@@ -196,7 +196,7 @@ func TestCascadeBitIdentical(t *testing.T) {
 func TestCascadeCounters(t *testing.T) {
 	st, trains := cascadeStore(t, 48)
 	ctx := context.Background()
-	opt := BatchOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, Workers: 2}
+	opt := RankOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, Workers: 2}
 
 	// The unbounded query runs no cascade and also measures the scored
 	// pair count: every surviving pair appears in its ranking.
@@ -253,7 +253,7 @@ func TestCascadeMarginSweep(t *testing.T) {
 	st, trains := cascadeStore(t, 60)
 	ctx := context.Background()
 	numTrain := trains[:1] // numeric train only: every pair has a cheap tier
-	base := BatchOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: 5, Workers: 2}
+	base := RankOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: 5, Workers: 2}
 	exactOpt := base
 	exactOpt.NoCascade = true
 	want, err := st.RankBatch(ctx, numTrain, exactOpt)
@@ -264,7 +264,7 @@ func TestCascadeMarginSweep(t *testing.T) {
 	prevExact := int64(-1)
 	for _, margin := range []float64{0, 1.5, 3} { // 0 = calibrated default
 		pre := st.Stats()
-		got, err := st.RankBatch(ctx, numTrain, BatchOptions{
+		got, err := st.RankBatch(ctx, numTrain, RankOptions{
 			Prefix: base.Prefix, MinJoinSize: base.MinJoinSize, K: base.K,
 			TopK: base.TopK, Workers: base.Workers, CascadeMargin: margin,
 		})
@@ -296,7 +296,7 @@ func TestCascadeMarginSweep(t *testing.T) {
 	// visibly loses results the exact pass has. This is the negative
 	// control: if identity survived a zero margin, the margin would be
 	// dead weight.
-	got, err := st.RankBatch(ctx, numTrain, BatchOptions{
+	got, err := st.RankBatch(ctx, numTrain, RankOptions{
 		Prefix: base.Prefix, MinJoinSize: base.MinJoinSize, K: base.K,
 		TopK: base.TopK, Workers: base.Workers, CascadeMargin: -1,
 	})

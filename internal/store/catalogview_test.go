@@ -142,7 +142,7 @@ func (w *viewWalk) check(step string) {
 				t.Fatalf("%s: Skipped = %v (NoIndex %v), want %v", label, gotSkipped, refSkipped, wantSkipped)
 			}
 
-			bopt := BatchOptions{Prefix: prefix, MinJoinSize: minJoin, K: 3}
+			bopt := RankOptions{Prefix: prefix, MinJoinSize: minJoin, K: 3}
 			before = w.st.Stats().DiskReads
 			bgot, err := w.st.RankBatch(ctx, w.trains, bopt)
 			if err != nil {
@@ -440,7 +440,7 @@ func TestCatalogViewRaceHammer(t *testing.T) {
 		r := r
 		run(func(i int) {
 			o := opt
-			o.Probe, o.TopK = probe, []int{5, 12, 30}[(i+r)%3]
+			o.Probes, o.TopK = []*core.TrainProbe{probe}, []int{5, 12, 30}[(i+r)%3]
 			got, skipped, err := st.RankQuery(ctx, train, o)
 			if err != nil {
 				t.Error(err)

@@ -159,9 +159,10 @@ func TestRankDuringPutNotHalfVisible(t *testing.T) {
 }
 
 // TestRankQueryProbeAndScratchPool checks that threading a pre-compiled
-// probe and a scratch pool through RankOptions changes nothing about the
-// results: same order, bit-identical MI, across repeated queries reusing
-// the same pool (no cross-query scratch contamination).
+// probe through RankOptions changes nothing about the results: same
+// order, bit-identical MI, across repeated queries at different worker
+// counts drawing from the store's one scratch pool (no cross-query scratch
+// contamination).
 func TestRankQueryProbeAndScratchPool(t *testing.T) {
 	st, train := corpusStore(t, t.TempDir(), 24)
 	ctx := context.Background()
@@ -171,11 +172,10 @@ func TestRankQueryProbeAndScratchPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := core.CompileTrainProbe(train)
-	pool := new(core.ScratchPool)
 	for iter := 0; iter < 5; iter++ {
 		got, _, err := st.RankQuery(ctx, train, RankOptions{
 			Prefix: "corpus/", MinJoinSize: 5, K: 3,
-			Workers: 1 + iter%4, Probe: probe, ScratchPool: pool,
+			Workers: 1 + iter%4, Probes: []*core.TrainProbe{probe},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -23,9 +23,9 @@ import (
 // exactReference is every train's full exact ranking of cascadeStore.
 func exactReference(t *testing.T, st *Store, trains []*core.Sketch) []BatchQueryResult {
 	t.Helper()
-	ref, err := st.rankTrains(context.Background(), trains, BatchOptions{
+	ref, err := st.RankBatch(context.Background(), trains, RankOptions{
 		Prefix: "casc/", MinJoinSize: 30, K: 3, NoCascade: true, NoIndex: true,
-	}, false)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestMinMIEqualsFilteredRanking(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				for _, noCascade := range []bool{false, true} {
 					label := fmt.Sprintf("floors=%v topK=%d workers=%d noCascade=%v", minMI, topK, workers, noCascade)
-					opt := BatchOptions{
+					opt := RankOptions{
 						Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: topK, Workers: workers,
 						NoCascade: noCascade, MinMI: minMI,
 					}
@@ -80,7 +80,7 @@ func TestMinMIEqualsFilteredRanking(t *testing.T) {
 					}
 					single, _, err := st.RankQuery(ctx, trains[0], RankOptions{
 						Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: topK, Workers: workers,
-						NoCascade: noCascade, MinMI: floor,
+						NoCascade: noCascade, MinMI: []float64{floor},
 					})
 					if err != nil {
 						t.Fatalf("%s: RankQuery: %v", label, err)
@@ -91,7 +91,7 @@ func TestMinMIEqualsFilteredRanking(t *testing.T) {
 		}
 	}
 
-	if _, err := st.RankBatch(ctx, trains, BatchOptions{Prefix: "casc/", MinMI: []float64{1}}); err == nil {
+	if _, err := st.RankBatch(ctx, trains, RankOptions{Prefix: "casc/", MinMI: []float64{1}}); err == nil {
 		t.Fatal("RankBatch took 1 floor for 2 trains")
 	}
 }
@@ -127,7 +127,7 @@ func TestMinMIFloorPrunes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	exactPairs := func(opt BatchOptions) (int64, *BatchResult) {
+	exactPairs := func(opt RankOptions) (int64, *BatchResult) {
 		t.Helper()
 		opt.Prefix, opt.MinJoinSize, opt.K, opt.TopK, opt.Workers = "bench/", 100, 3, 3, 1
 		before := st.Stats().CascadeExact
@@ -137,14 +137,14 @@ func TestMinMIFloorPrunes(t *testing.T) {
 		}
 		return st.Stats().CascadeExact - before, res
 	}
-	unfloored, _ := exactPairs(BatchOptions{})
+	unfloored, _ := exactPairs(RankOptions{})
 	// The deleted cohort scores 2.89 nats and up.
 	const cohortFloor = 2.8
-	floored, res := exactPairs(BatchOptions{MinMI: []float64{cohortFloor}})
+	floored, res := exactPairs(RankOptions{MinMI: []float64{cohortFloor}})
 	if unfloored < 100 || floored > 5 || len(res.Queries[0].Ranked) != 0 {
 		t.Fatalf("exact-tier pairs: %d unfloored, %d floored at %v nats (%d rows)", unfloored, floored, cohortFloor, len(res.Queries[0].Ranked))
 	}
-	seeded, res := exactPairs(BatchOptions{Seed: true})
+	seeded, res := exactPairs(RankOptions{Seed: true})
 	if b := res.Queries[0].SeedBound; seeded != 3 || b <= 0 || b >= cohortFloor {
 		t.Fatalf("seed answer scored %d pairs exactly under bound %v, want 3 under a bound in (0, %v)", seeded, b, cohortFloor)
 	}
@@ -154,7 +154,7 @@ func TestSeedAnswer(t *testing.T) {
 	st, trains := cascadeStore(t, 60)
 	ref := exactReference(t, st, trains)
 	ctx := context.Background()
-	seed := func(opt BatchOptions) *BatchResult {
+	seed := func(opt RankOptions) *BatchResult {
 		t.Helper()
 		opt.Prefix, opt.MinJoinSize, opt.K, opt.Seed = "casc/", 30, 3, true
 		res, err := st.RankBatch(ctx, trains, opt)
@@ -165,10 +165,10 @@ func TestSeedAnswer(t *testing.T) {
 	}
 
 	const k = 5
-	want := seed(BatchOptions{TopK: k, Workers: 1})
+	want := seed(RankOptions{TopK: k, Workers: 1})
 	for run := 0; run < 3; run++ {
 		for _, workers := range []int{1, 2, 4} {
-			if got := seed(BatchOptions{TopK: k, Workers: workers}); !reflect.DeepEqual(got, want) {
+			if got := seed(RankOptions{TopK: k, Workers: workers}); !reflect.DeepEqual(got, want) {
 				t.Fatalf("run %d workers %d: seed answer differs from the first:\n%+v\n%+v", run, workers, got, want)
 			}
 		}
@@ -201,7 +201,7 @@ func TestSeedAnswer(t *testing.T) {
 	}
 
 	// K beyond the catalog: everything is a seed, nothing is left.
-	all := seed(BatchOptions{TopK: 1000})
+	all := seed(RankOptions{TopK: 1000})
 	for q, qr := range all.Queries {
 		diffRankings(t, fmt.Sprintf("all-seeds train %d", q), qr.Ranked, ref[q].Ranked)
 		if qr.SeedBound != -1 {
@@ -210,7 +210,7 @@ func TestSeedAnswer(t *testing.T) {
 	}
 	// Without the cascade there is no cheap order to seed from: the
 	// answer is the ranking and certifies nothing.
-	for _, opt := range []BatchOptions{{TopK: 0}, {TopK: k, NoCascade: true}} {
+	for _, opt := range []RankOptions{{TopK: 0}, {TopK: k, NoCascade: true}} {
 		for q, qr := range seed(opt).Queries {
 			diffRankings(t, fmt.Sprintf("uncascaded %+v train %d", opt, q), qr.Ranked, filtered(ref[q].Ranked, 0, opt.TopK))
 			if !math.IsInf(qr.SeedBound, 1) {
@@ -220,7 +220,7 @@ func TestSeedAnswer(t *testing.T) {
 	}
 	// A floor drops seed rows under it and nothing else.
 	floor := want.Queries[0].Ranked[2].MI
-	floored := seed(BatchOptions{TopK: k, MinMI: []float64{floor, 0}})
+	floored := seed(RankOptions{TopK: k, MinMI: []float64{floor, 0}})
 	diffRankings(t, "floored seeds", floored.Queries[0].Ranked, filtered(want.Queries[0].Ranked, floor, 0))
 	if floored.Queries[0].SeedBound != want.Queries[0].SeedBound {
 		t.Fatalf("floor moved the seed bound: %v vs %v", floored.Queries[0].SeedBound, want.Queries[0].SeedBound)

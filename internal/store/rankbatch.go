@@ -16,13 +16,13 @@ package store
 // rankTrains below is the one copy of the ranking machinery — catalog
 // view snapshot, index-driven candidate selection, worker pool,
 // mutation-race triage, bounded heaps, deterministic merge — shared by
-// RankQuery (one train) and RankBatch (N trains). Both run the prefilter
-// by default; NoIndex restores the historic estimate-everything reference
-// semantics. On top of the per-pair probe prefilter, sealed segments
-// carry a persistent inverted key index (keyindex.go) that, through the
-// catalog view (catalogview.go), excludes never-joining candidates before
-// they are loaded — selection cost grows with the postings touched and
-// the matching candidates, not with catalog size.
+// RankQuery (one train) and RankBatch (N trains), which hand it their
+// RankOptions as they got it. The per-pair probe prefilter is always on;
+// on top of it, sealed segments carry a persistent inverted key index
+// (keyindex.go) that, through the catalog view (catalogview.go), excludes
+// never-joining candidates before they are loaded — selection cost grows
+// with the postings touched and the matching candidates, not with catalog
+// size. NoIndex turns that selection off and nothing else.
 
 import (
 	"cmp"
@@ -73,65 +73,6 @@ func raiseBound(b *atomic.Uint64, v float64) {
 	}
 }
 
-// BatchOptions tunes a batch discovery query; see RankBatch. The fields
-// shared with RankOptions (Prefix, MinJoinSize, K, TopK, Workers,
-// ScratchPool) mean exactly what they mean there and apply to every
-// query in the batch.
-type BatchOptions struct {
-	// Prefix restricts ranking to stored sketches whose name has this
-	// prefix; empty ranks everything.
-	Prefix string
-	// MinJoinSize drops candidates whose sketch join has at most this
-	// many samples. It is also the prefilter threshold: pairs whose
-	// key-hash overlap proves the join at or below it are pruned without
-	// estimation.
-	MinJoinSize int
-	// K is the neighbor parameter of the KSG-family estimators.
-	K int
-	// TopK > 0 bounds each query's result to its K best candidates;
-	// <= 0 returns every candidate per query.
-	TopK int
-	// Workers overrides the estimation fan-out; <= 0 means GOMAXPROCS.
-	Workers int
-	// Probes, when non-nil, must be parallel to the trains slice;
-	// non-nil entries are pre-compiled indexes (core.CompileTrainProbe
-	// on the same sketch) reused instead of compiling. Nil entries are
-	// compiled here. Long-running services cache probes by train-sketch
-	// content across batches.
-	Probes []*core.TrainProbe
-	// ScratchPool, when non-nil, supplies the per-worker estimator
-	// scratch, shared across every query in the batch; when nil the
-	// store's own pool is used, so scratch buffers stay warm across
-	// queries on one handle either way.
-	ScratchPool *core.ScratchPool
-	// NoIndex disables index-driven candidate selection: every
-	// manifest-admitted candidate is loaded and prefiltered per pair,
-	// exactly as before segments carried inverted key indexes. Rankings
-	// and Pruned counts are identical either way — the flag exists for
-	// differential tests and full-walk benchmarking.
-	NoIndex bool
-	// NoCascade disables the two-tier estimator cascade; see
-	// RankOptions.NoCascade.
-	NoCascade bool
-	// CascadeMargin overrides the cascade safety margin in nats; see
-	// RankOptions.CascadeMargin (0 means DefaultCascadeMargin, negative
-	// means none).
-	CascadeMargin float64
-	// MinMI, when non-nil, must be parallel to the trains slice: train
-	// q's result is the top TopK of the candidates whose exact MI is at
-	// least MinMI[q]. The cascade's K-th-MI bound starts there, so a pair
-	// is pruned only when cheap + margin puts it provably below the floor
-	// or provably outside the local top K: the result is exact whatever
-	// the floor, and cheaper the higher it is.
-	MinMI []float64
-	// Seed asks for a seed answer instead of the ranking: phase 1 runs
-	// in full, then only each train's first TopK pairs in the cascade's
-	// deterministic cheap-descending order are scored exactly and
-	// returned, BatchQueryResult.SeedBound covering the rest. It is how a
-	// cluster coordinator finds a global MinMI.
-	Seed bool
-}
-
 // BatchQueryResult is one train's slice of a batch discovery result.
 type BatchQueryResult struct {
 	// Ranked is the query's result, ordered exactly as RankQuery orders
@@ -141,7 +82,7 @@ type BatchQueryResult struct {
 	// for this train: their key-hash overlap proved the sketch join
 	// would have at most MinJoinSize samples, so no estimator ran.
 	Pruned int
-	// SeedBound, under BatchOptions.Seed, bounds from above the exact MI
+	// SeedBound, under RankOptions.Seed, bounds from above the exact MI
 	// of every candidate left unscored: their largest cheap + margin, -1
 	// when none was left, +Inf when one of them is saturated or
 	// categorical–categorical, or the query ran without the cascade.
@@ -174,23 +115,8 @@ type BatchResult struct {
 // filter otherwise); a batch mixing seeds fails up front. An empty
 // batch returns an empty result. Estimation stops early when ctx is
 // cancelled, and any worker's error cancels the whole batch.
-func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt BatchOptions) (*BatchResult, error) {
-	s.rankBatches.Add(1)
-	if len(trains) == 0 {
-		return &BatchResult{Queries: []BatchQueryResult{}}, nil
-	}
-	if opt.Probes != nil && len(opt.Probes) != len(trains) {
-		return nil, fmt.Errorf("store: RankBatch got %d probes for %d trains", len(opt.Probes), len(trains))
-	}
-	if opt.MinMI != nil && len(opt.MinMI) != len(trains) {
-		return nil, fmt.Errorf("store: RankBatch got %d MinMI floors for %d trains", len(opt.MinMI), len(trains))
-	}
-	for q, tr := range trains {
-		if tr.Seed != trains[0].Seed {
-			return nil, fmt.Errorf("store: batch trains must share a hash seed (train 0 has %#x, train %d has %#x)", trains[0].Seed, q, tr.Seed)
-		}
-	}
-	return s.rankTrains(ctx, trains, opt, true)
+func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOptions) (*BatchResult, error) {
+	return s.rankTrains(ctx, trains, opt)
 }
 
 // getForRank loads a candidate for a ranking worker, preferring the
@@ -251,32 +177,36 @@ func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}) (*core.Sketch, er
 // Seed, K, CascadeMargin or Workers, so under the cascade its plan is
 // memoised on the catalog view and calls that differ only in those (and
 // reuse their compiled probes) share it until the catalog moves.
-// With prefilter set (and MinJoinSize >= 0 — a negative cutoff keeps even
-// empty joins, so nothing is prunable), a (train, candidate) pair whose
-// key-hash overlap is at or below MinJoinSize is counted as pruned
-// instead of estimated — by the index when the candidate's segment has
-// one (the candidate is then never decoded at all), by the probe
-// otherwise; candidates with duplicated key hashes are exempted so the
-// malformed-input error behavior matches the unprefiltered path
-// exactly. Callers have validated that all trains share a seed.
-func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt BatchOptions, prefilter bool) (*BatchResult, error) {
-	if opt.K <= 0 {
-		return nil, fmt.Errorf("store: rank needs a positive K, got %d", opt.K)
+// A (train, candidate) pair whose key-hash overlap is at or below
+// MinJoinSize (when that is >= 0 — a negative cutoff keeps even empty
+// joins, so nothing is prunable) is counted as pruned instead of
+// estimated — by the index when the candidate's segment has one and
+// NoIndex is off (the candidate is then never decoded at all), by the
+// probe otherwise; candidates with duplicated key hashes are exempted so
+// the malformed-input error behavior is the same on both routes. One
+// train counts as a query in Stats and any other number as a batch,
+// whichever entry point the call came through.
+func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt RankOptions) (*BatchResult, error) {
+	if len(trains) == 1 {
+		s.rankQueries.Add(1)
+	} else {
+		s.rankBatches.Add(1)
 	}
-	r := &rankRun{s: s, trains: trains, opt: opt, seed: trains[0].Seed, minMI: opt.MinMI, pool: opt.ScratchPool}
-	r.prefilter = prefilter && opt.MinJoinSize >= 0
+	if len(trains) == 0 {
+		return &BatchResult{Queries: []BatchQueryResult{}}, nil
+	}
+	opt, err := opt.Resolve(len(trains))
+	if err != nil {
+		return nil, err
+	}
+	for q, tr := range trains {
+		if tr.Seed != trains[0].Seed {
+			return nil, fmt.Errorf("store: batch trains must share a hash seed (train 0 has %#x, train %d has %#x)", trains[0].Seed, q, tr.Seed)
+		}
+	}
+	r := &rankRun{s: s, trains: trains, opt: opt, seed: trains[0].Seed}
 	r.cascade = opt.TopK > 0 && !opt.NoCascade
-	if r.margin = opt.CascadeMargin; r.margin == 0 {
-		r.margin = DefaultCascadeMargin
-	} else if r.margin < 0 {
-		r.margin = 0
-	}
-	if r.minMI == nil {
-		r.minMI = make([]float64, len(trains))
-	}
-	if r.pool == nil {
-		r.pool = &s.rankScratch
-	}
+	r.margin = max(opt.CascadeMargin, 0)
 	// Any worker's error cancels the rest: ranking either returns every
 	// result or an error, so work after the first failure is wasted.
 	r.ctx, r.cancel = context.WithCancel(ctx)
@@ -331,17 +261,15 @@ type rankRun struct {
 	cancel context.CancelFunc
 	trains []*core.Sketch
 	probes []*core.TrainProbe
-	opt    BatchOptions
+	opt    RankOptions // resolved
 	seed   uint32
-	// Derived from opt: the two modes, and CascadeMargin and MinMI with
-	// their defaults applied.
-	prefilter, cascade bool
-	margin             float64
-	minMI              []float64
-	pool               *core.ScratchPool
-	v                  *catalogView
-	visit              []int32 // the plan's: entry positions, in name order
-	w                  []*rankWorker
+	// Derived from opt: whether the cascade runs, and its margin with a
+	// negative one read as none.
+	cascade bool
+	margin  float64
+	v       *catalogView
+	visit   []int32 // the plan's: entry positions, in name order
+	w       []*rankWorker
 
 	errMu    sync.Mutex
 	firstErr error
@@ -429,8 +357,8 @@ func (r *rankRun) forEach(total int, body func(*rankRun, *rankWorker, *core.Scra
 // chunk (a few milliseconds of exact estimates at worst): Err takes a mutex.
 func (r *rankRun) work(w *rankWorker, next *atomic.Int64, total, chunk int, body func(*rankRun, *rankWorker, *core.Scratch, int) bool, wg *sync.WaitGroup) {
 	defer wg.Done()
-	scratch := r.pool.Get()
-	defer r.pool.Put(scratch)
+	scratch := r.s.rankScratch.Get()
+	defer r.s.rankScratch.Put(scratch)
 	for {
 		start := int(next.Add(int64(chunk))) - chunk
 		if start >= total {
@@ -514,7 +442,7 @@ func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
 			}
 		}
 		r.kthBound = make([]atomic.Uint64, len(r.trains))
-		for q, floor := range r.minMI {
+		for q, floor := range opt.MinMI {
 			if floor > 0 {
 				raiseBound(&r.kthBound[q], floor)
 			}
@@ -611,7 +539,7 @@ func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, ti int) bool {
 	}
 	e := r.probes[t.q].EstimateJoined(cand, js, r.opt.K, scratch)
 	rs := RankedSketch{Name: m.Name, MI: e.MI, Estimator: e.Estimator, JoinSize: e.N}
-	if tops := &w.tops[t.q]; e.MI >= r.minMI[t.q] && tops.offer(rs, r.opt.TopK) {
+	if tops := &w.tops[t.q]; e.MI >= r.opt.MinMI[t.q] && tops.offer(rs, r.opt.TopK) {
 		if rescue {
 			w.counts[2]++
 		}

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"misketch/internal/core"
+	"misketch/internal/mi"
 )
 
 // batchStore fills a store with candidates covering sliding key windows
@@ -63,7 +65,7 @@ func TestRankBatchMatchesPerQueryRankQuery(t *testing.T) {
 	const minJoin = 20
 	for _, topK := range []int{0, 7} {
 		for _, workers := range []int{1, 3} {
-			res, err := st.RankBatch(ctx, trains, BatchOptions{
+			res, err := st.RankBatch(ctx, trains, RankOptions{
 				Prefix: "batch/", MinJoinSize: minJoin, K: 3, TopK: topK, Workers: workers,
 			})
 			if err != nil {
@@ -121,7 +123,7 @@ func TestRankBatchPrefilterExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.RankBatch(ctx, trains, BatchOptions{
+	res, err := st.RankBatch(ctx, trains, RankOptions{
 		Prefix: "batch/", MinJoinSize: minJoin, K: 3,
 	})
 	if err != nil {
@@ -169,7 +171,7 @@ func TestRankBatchPrefilterExact(t *testing.T) {
 // at or below -1, so every pair is estimated, exactly as RankQuery does.
 func TestRankBatchMinJoinNegative(t *testing.T) {
 	st, trains := batchStore(t, 20, 2)
-	res, err := st.RankBatch(context.Background(), trains, BatchOptions{MinJoinSize: -1, K: 3})
+	res, err := st.RankBatch(context.Background(), trains, RankOptions{MinJoinSize: -1, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,22 +190,19 @@ func TestRankBatchMinJoinNegative(t *testing.T) {
 }
 
 // TestRankBatchSharedProbesAndScratch exercises the service plumbing:
-// pre-compiled probes (some supplied, some nil) and a shared scratch
-// pool must not change a single bit of any ranking.
+// pre-compiled probes (some supplied, some nil) and a second worker on
+// the store's scratch pool must not change a single bit of any ranking.
 func TestRankBatchSharedProbesAndScratch(t *testing.T) {
 	st, trains := batchStore(t, 30, 3)
 	ctx := context.Background()
-	base, err := st.RankBatch(ctx, trains, BatchOptions{MinJoinSize: 10, K: 3})
+	base, err := st.RankBatch(ctx, trains, RankOptions{MinJoinSize: 10, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	probes := make([]*core.TrainProbe, len(trains))
 	probes[0] = core.CompileTrainProbe(trains[0])
 	probes[2] = core.CompileTrainProbe(trains[2])
-	var pool core.ScratchPool
-	got, err := st.RankBatch(ctx, trains, BatchOptions{
-		MinJoinSize: 10, K: 3, Probes: probes, ScratchPool: &pool, Workers: 2,
-	})
+	got, err := st.RankBatch(ctx, trains, RankOptions{MinJoinSize: 10, K: 3, Probes: probes, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,34 +221,43 @@ func TestRankBatchSharedProbesAndScratch(t *testing.T) {
 
 // TestRankBatchValidation covers the up-front failure modes: mixed
 // seeds, probe/train length mismatch, the empty batch, and — on both
-// entry points — a non-positive K, which used to panic inside a worker
+// entry points — a negative K, which used to panic inside a worker
 // goroutine ("mi: k must be positive") and take the process with it.
+// K 0 is the default, as it is on the wire: the zero RankOptions ranks.
 func TestRankBatchValidation(t *testing.T) {
 	st, trains := batchStore(t, 5, 2)
 	ctx := context.Background()
 
 	odd := &core.Sketch{Method: core.TUPSK, Role: core.RoleTrain, Seed: trains[0].Seed + 1, Numeric: true}
-	if _, err := st.RankBatch(ctx, []*core.Sketch{trains[0], odd}, BatchOptions{}); err == nil {
+	if _, err := st.RankBatch(ctx, []*core.Sketch{trains[0], odd}, RankOptions{}); err == nil {
 		t.Fatal("mixed-seed batch did not fail")
 	}
-	if _, err := st.RankBatch(ctx, trains, BatchOptions{Probes: make([]*core.TrainProbe, 1)}); err == nil {
+	if _, err := st.RankBatch(ctx, trains, RankOptions{Probes: make([]*core.TrainProbe, 1)}); err == nil {
 		t.Fatal("probe length mismatch did not fail")
 	}
-	res, err := st.RankBatch(ctx, nil, BatchOptions{})
+	res, err := st.RankBatch(ctx, nil, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Queries) != 0 || len(res.Skipped) != 0 {
 		t.Fatalf("empty batch returned %+v", res)
 	}
-	for _, k := range []int{0, -1} {
-		for _, topK := range []int{0, 3} { // inline exact tier, and the cascade's
-			if _, err := st.RankBatch(ctx, trains, BatchOptions{K: k, TopK: topK}); err == nil || !strings.Contains(err.Error(), "positive K") {
-				t.Fatalf("RankBatch with K=%d TopK=%d: %v, want an error naming K", k, topK, err)
-			}
-			if _, _, err := st.RankQuery(ctx, trains[0], RankOptions{K: k, TopK: topK}); err == nil || !strings.Contains(err.Error(), "positive K") {
-				t.Fatalf("RankQuery with K=%d TopK=%d: %v, want an error naming K", k, topK, err)
-			}
+	for _, topK := range []int{0, 3} { // inline exact tier, and the cascade's
+		if _, err := st.RankBatch(ctx, trains, RankOptions{K: -1, TopK: topK}); err == nil || !strings.Contains(err.Error(), "non-negative K") {
+			t.Fatalf("RankBatch with K=-1 TopK=%d: %v, want an error naming K", topK, err)
+		}
+		if _, _, err := st.RankQuery(ctx, trains[0], RankOptions{K: -1, TopK: topK}); err == nil || !strings.Contains(err.Error(), "non-negative K") {
+			t.Fatalf("RankQuery with K=-1 TopK=%d: %v, want an error naming K", topK, err)
+		}
+		want, _, err := st.RankQuery(ctx, trains[0], RankOptions{K: mi.DefaultK, TopK: topK})
+		if err != nil || len(want) == 0 {
+			t.Fatalf("RankQuery with the default K spelled out: %d rows, %v", len(want), err)
+		}
+		if got, _, err := st.RankQuery(ctx, trains[0], RankOptions{TopK: topK}); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("RankQuery with K=0 TopK=%d: %v, %v; want K=%d's %v", topK, got, err, mi.DefaultK, want)
+		}
+		if got, err := st.RankBatch(ctx, trains[:1], RankOptions{TopK: topK}); err != nil || !reflect.DeepEqual(got.Queries[0].Ranked, want) {
+			t.Fatalf("RankBatch with K=0 TopK=%d: %v, %v; want K=%d's %v", topK, got, err, mi.DefaultK, want)
 		}
 	}
 }
@@ -276,7 +284,7 @@ func TestRankBatchDuplicateHashCandidate(t *testing.T) {
 	if err := st.Put("dup/benign", benign); err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.RankBatch(ctx, trains, BatchOptions{MinJoinSize: -1, K: 3})
+	res, err := st.RankBatch(ctx, trains, RankOptions{MinJoinSize: -1, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +307,7 @@ func TestRankBatchDuplicateHashCandidate(t *testing.T) {
 	if _, _, err := st.RankQuery(ctx, train, RankOptions{MinJoinSize: -1, K: 3}); err == nil {
 		t.Fatal("RankQuery accepted a joining duplicate")
 	}
-	if _, err := st.RankBatch(ctx, trains, BatchOptions{MinJoinSize: -1, K: 3}); err == nil {
+	if _, err := st.RankBatch(ctx, trains, RankOptions{MinJoinSize: -1, K: 3}); err == nil {
 		t.Fatal("RankBatch accepted a joining duplicate")
 	}
 }
@@ -337,7 +345,9 @@ func TestStatsAreProcessLifetime(t *testing.T) {
 	if _, _, err := st.RankQuery(ctx, trains[0], RankOptions{MinJoinSize: 5, K: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.RankBatch(ctx, trains, BatchOptions{MinJoinSize: 1 << 30, K: 3}); err != nil {
+	// Two trains: a rank counts as a batch by its train count, not by the
+	// entry point it came through.
+	if _, err := st.RankBatch(ctx, append(trains, trains[0]), RankOptions{MinJoinSize: 1 << 30, K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Delete("c5"); err != nil {

@@ -119,7 +119,7 @@ type diffRanking struct {
 func rankAllTrains(t *testing.T, st *Store, trains []*core.Sketch, minJoin int, noIndex bool) []diffRanking {
 	t.Helper()
 	ctx := context.Background()
-	res, err := st.RankBatch(ctx, trains, BatchOptions{MinJoinSize: minJoin, K: 3, NoIndex: noIndex})
+	res, err := st.RankBatch(ctx, trains, RankOptions{MinJoinSize: minJoin, K: 3, NoIndex: noIndex})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,8 @@ package store
 // The rank plan: phase 1 of a ranking as a value. Which candidates a
 // query visits, which pairs survive the prefilter and the min-join cut,
 // their cheap scores and phase 2's visit order depend on the catalog
-// state, the probes, Prefix, MinJoinSize and the prefilter mode — and on
-// nothing else. So the plan is memoised on the catalog view under exactly
+// state, the probes, Prefix, MinJoinSize and NoIndex — and on nothing
+// else. So the plan is memoised on the catalog view under exactly
 // that key: a `top` variant of one train, or a coordinator's floored
 // round 2 after its seed round, runs phase 2 alone. Every mutation drops
 // the view and its plans with it, so there is no invalidation code. A
@@ -28,9 +28,9 @@ const planCacheBytes = 1 << 20
 // planKey is everything phase 1 reads besides the view it is cached on.
 // probes is the probes' process-unique numbers in train order.
 type planKey struct {
-	probes, prefix      string
-	minJoin             int
-	prefilter, useIndex bool
+	probes, prefix string
+	minJoin        int
+	noIndex        bool
 }
 
 func (r *rankRun) planKey() planKey {
@@ -38,7 +38,7 @@ func (r *rankRun) planKey() planKey {
 	for _, p := range r.probes {
 		ids = binio.AppendU64(ids, p.ID())
 	}
-	return planKey{string(ids), r.opt.Prefix, r.opt.MinJoinSize, r.prefilter, !r.opt.NoIndex}
+	return planKey{string(ids), r.opt.Prefix, r.opt.MinJoinSize, r.opt.NoIndex}
 }
 
 // rankPlan is what planRank hands runPlan. Immutable once built: a
@@ -86,7 +86,7 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 	// would count one load later). An empty sketch joins nothing and is
 	// never read unless the cutoff is negative.
 	p.visit = within(sv.cands, lo, hi)
-	if r.prefilter && !opt.NoIndex {
+	if opt.MinJoinSize >= 0 && !opt.NoIndex {
 		var prunedAll int
 		p.visit, prunedAll = s.selectVisit(v, r.seed, p.visit, lo, hi, r.probes, opt.MinJoinSize)
 		s.candNoDecode.Add(int64(prunedAll))
@@ -150,11 +150,10 @@ func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) boo
 	} else if cand == nil {
 		return true
 	}
-	// A candidate with duplicated key hashes is exempt from the
-	// prefilter: estimating it reproduces the unprefiltered
-	// behavior exactly (it fails the query only if a duplicate
-	// actually joins).
-	prune := r.prefilter && !cand.HasDuplicateKeyHashes()
+	// A candidate with duplicated key hashes is never counted as pruned,
+	// here or by the index: it always reaches the join, and fails the
+	// query only if a duplicate actually joins.
+	prune := !cand.HasDuplicateKeyHashes()
 	if r.cascade {
 		r.cands[i].Store(cand) // phase 2 of this call reads it back
 	}
@@ -192,7 +191,7 @@ func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) boo
 		}
 		e := probe.EstimateJoined(cand, js, opt.K, scratch)
 		rs := RankedSketch{Name: m.Name, MI: e.MI, Estimator: e.Estimator, JoinSize: e.N}
-		if e.MI < r.minMI[q] {
+		if e.MI < opt.MinMI[q] {
 			continue
 		}
 		if opt.TopK > 0 {

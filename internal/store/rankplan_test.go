@@ -69,18 +69,18 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 	cases := []struct {
 		name string
 		open func(t *testing.T) (*Store, []*core.Sketch)
-		opt  BatchOptions
+		opt  RankOptions
 	}{
-		{"cascadeStore", func(t *testing.T) (*Store, []*core.Sketch) { return cascadeStore(t, 60) }, BatchOptions{Prefix: "casc/", MinJoinSize: 30}},
+		{"cascadeStore", func(t *testing.T) (*Store, []*core.Sketch) { return cascadeStore(t, 60) }, RankOptions{Prefix: "casc/", MinJoinSize: 30}},
 		{"cohortStore", func(t *testing.T) (*Store, []*core.Sketch) {
 			st, train := cohortStore(t)
 			return st, []*core.Sketch{train}
-		}, BatchOptions{Prefix: "bench/", MinJoinSize: 100}},
-		{"golden/fs-open", goldenIn(unsealed(BackendFS)), BatchOptions{MinJoinSize: 30}},
+		}, RankOptions{Prefix: "bench/", MinJoinSize: 100}},
+		{"golden/fs-open", goldenIn(unsealed(BackendFS)), RankOptions{MinJoinSize: 30}},
 		{"golden/fs-sealed", goldenIn(func(t *testing.T, names []string, cands []*core.Sketch) *Store {
 			return sealedStore(t, names, cands, false)
-		}), BatchOptions{MinJoinSize: 30}},
-		{"golden/mem", goldenIn(unsealed(BackendMem)), BatchOptions{MinJoinSize: 30}},
+		}), RankOptions{MinJoinSize: 30}},
+		{"golden/mem", goldenIn(unsealed(BackendMem)), RankOptions{MinJoinSize: 30}},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
@@ -102,7 +102,7 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 					mid[q], above[q] = qr.Ranked[len(qr.Ranked)/2].MI, qr.Ranked[0].MI+1
 				}
 			}
-			var variants []BatchOptions
+			var variants []RankOptions
 			for _, topK := range []int{1, 5, 10, 50} {
 				for _, floors := range [][]float64{nil, mid, above} {
 					for _, seed := range []bool{false, true} {
@@ -150,12 +150,12 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 			// different key from the batch's list unless the batch is it.
 			hits0, misses0 = planCounters(st)
 			for i, topK := range []int{3, 1, 10} {
-				o := RankOptions{Prefix: tc.opt.Prefix, MinJoinSize: tc.opt.MinJoinSize, K: 3, TopK: topK, MinMI: mid[0] * float64(i%2)}
+				o := RankOptions{Prefix: tc.opt.Prefix, MinJoinSize: tc.opt.MinJoinSize, K: 3, TopK: topK, MinMI: []float64{mid[0] * float64(i%2)}}
 				want, wantSkipped, err := st.RankQuery(ctx, trains[0], o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				o.Probe = probes[0]
+				o.Probes = probes[:1]
 				got, gotSkipped, err := st.RankQuery(ctx, trains[0], o)
 				if err != nil {
 					t.Fatal(err)
@@ -179,7 +179,7 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 			prefix.Prefix += "c"
 			minJoin.MinJoinSize++
 			noIndex.NoIndex = true
-			for _, o := range []BatchOptions{prefix, minJoin, noIndex} {
+			for _, o := range []RankOptions{prefix, minJoin, noIndex} {
 				o.K, o.TopK = 3, 5
 				want, err := st.RankBatch(ctx, trains, o)
 				if err != nil {
@@ -208,7 +208,7 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 	probes := compileAll(trains)
 	rank := func(label string, trains []*core.Sketch, probes []*core.TrainProbe, topK int, wantHit int64) {
 		t.Helper()
-		o := BatchOptions{Prefix: "batch/", MinJoinSize: 20, K: 3, TopK: topK}
+		o := RankOptions{Prefix: "batch/", MinJoinSize: 20, K: 3, TopK: topK}
 		want, err := st.RankBatch(ctx, trains, o)
 		if err != nil {
 			t.Fatal(err)
@@ -250,13 +250,13 @@ func TestPlanDiesWithItsView(t *testing.T) {
 	}
 	train := windowSketch(t, core.RoleTrain, 0, 60, 90, 77)
 	ctx := context.Background()
-	opt := RankOptions{Prefix: "view/", MinJoinSize: 20, K: 3, TopK: 30, Probe: core.CompileTrainProbe(train)}
+	opt := RankOptions{Prefix: "view/", MinJoinSize: 20, K: 3, TopK: 30, Probes: []*core.TrainProbe{core.CompileTrainProbe(train)}}
 	// rank answers with the shared probe, checks it against the probe-less
 	// reference on the same catalog state, and reports hit or miss.
 	rank := func(label string) (ranked []RankedSketch, hit bool) {
 		t.Helper()
 		ref := opt
-		ref.Probe = nil
+		ref.Probes = nil
 		want, wantSkipped, err := st.RankQuery(ctx, train, ref)
 		if err != nil {
 			t.Fatal(err)
@@ -349,7 +349,7 @@ func TestPlanPinsNothing(t *testing.T) {
 		probe := core.CompileTrainProbe(tr)
 		runtime.SetFinalizer(probe, func(*core.TrainProbe) { finalized.Add(1) })
 		runtime.SetFinalizer(tr, func(*core.Sketch) { finalized.Add(1) })
-		if _, _, err := st.RankQuery(ctx, tr, RankOptions{Prefix: "bench/", MinJoinSize: 100, K: 3, TopK: 3, Probe: probe}); err != nil {
+		if _, _, err := st.RankQuery(ctx, tr, RankOptions{Prefix: "bench/", MinJoinSize: 100, K: 3, TopK: 3, Probes: []*core.TrainProbe{probe}}); err != nil {
 			t.Fatal(err)
 		}
 		if used, _ := viewPlans(); used > planCacheBytes {

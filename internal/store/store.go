@@ -94,8 +94,8 @@ type Store struct {
 	diskReads   atomic.Int64 // record decodes out of the backend
 	puts        atomic.Int64 // successful Put calls
 	deletes     atomic.Int64 // successful Delete calls
-	rankQueries atomic.Int64 // RankQuery calls (including failed ones)
-	rankBatches atomic.Int64 // RankBatch calls (including failed ones)
+	rankQueries atomic.Int64 // ranks of one train (including failed ones)
+	rankBatches atomic.Int64 // ranks of several trains (including failed ones)
 	prunedPairs atomic.Int64 // (train, candidate) pairs pruned by the key-overlap prefilter
 	// candNoDecode counts candidates the per-segment key indexes excluded
 	// from ranking without a record decode — the sub-linear selection win.
@@ -113,9 +113,9 @@ type Store struct {
 
 	planHits, planMisses atomic.Int64 // see Stats.PlanHits
 
-	// rankScratch is the store-owned estimator scratch pool ranking
-	// queries draw per-worker scratch from when the caller supplies none,
-	// so consecutive queries on one handle reuse grown-to-size buffers.
+	// rankScratch is the estimator scratch pool ranking workers draw
+	// from, so consecutive queries on one handle reuse grown-to-size
+	// buffers.
 	rankScratch core.ScratchPool
 	// selectPool recycles index selection's overlap accumulators
 	// (*selectScratch), which are sized by segment, not by query.
@@ -527,9 +527,11 @@ type Stats struct {
 	// Puts/Deletes count successful mutations through this handle.
 	Puts    int64 `json:"puts"`
 	Deletes int64 `json:"deletes"`
-	// RankQueries counts discovery queries served by this handle.
+	// RankQueries counts the ranks of one train this handle ran and
+	// RankBatches the ranks of several, whichever of RankQuery and
+	// RankBatch (or of /v1/rank and /v1/rank/batch) they entered by: the
+	// shared core counts by train count, failed ranks included.
 	RankQueries int64 `json:"rank_queries"`
-	// RankBatches counts batch discovery queries (RankBatch calls).
 	RankBatches int64 `json:"rank_batches"`
 	// PrunedPairs counts the (train, candidate) pairs discovery queries
 	// skipped via the key-overlap prefilter — estimator invocations the
@@ -676,38 +678,37 @@ type RankedSketch struct {
 	JoinSize  int
 }
 
-// RankOptions tunes a discovery query; see RankQuery.
+// RankOptions describes a discovery query — RankQuery's one train or
+// RankBatch's many — from whichever boundary it entered by to the workers
+// that run it: nothing re-packs it on the way. Probes and MinMI are per
+// train, everything else applies to every train of the call.
 type RankOptions struct {
 	// Prefix restricts ranking to stored sketches whose name has this
 	// prefix; empty ranks everything.
 	Prefix string
 	// MinJoinSize drops candidates whose sketch join has at most this
-	// many samples (the paper's "JoinSize ≤ 100" confidence filter).
+	// many samples (the paper's "JoinSize ≤ 100" confidence filter). The
+	// join's own probe of the train's key hashes proves such a pair before
+	// any estimator runs, and the pair is counted as pruned.
 	MinJoinSize int
-	// K is the neighbor parameter of the KSG-family estimators.
+	// K is the neighbor parameter of the KSG-family estimators; 0 means
+	// mi.DefaultK and a negative K is rejected.
 	K int
-	// TopK > 0 bounds the result to the K best candidates, accumulated
-	// in per-worker bounded heaps; <= 0 returns every candidate.
+	// TopK > 0 bounds each train's result to its K best candidates,
+	// accumulated in per-worker bounded heaps; <= 0 returns every one.
 	TopK int
 	// Workers overrides the estimation fan-out; <= 0 means GOMAXPROCS.
+	// Rankings are bit-identical at every worker count.
 	Workers int
-	// Probe, when non-nil, is a pre-compiled index over the train sketch
-	// (core.CompileTrainProbe on the same sketch); the query probes it
-	// instead of compiling its own. Long-running services cache probes by
-	// train-sketch content so repeated queries skip compilation.
-	Probe *core.TrainProbe
-	// ScratchPool, when non-nil, supplies the per-worker estimator
-	// scratch: workers draw from it and return their scratch when done,
-	// so consecutive queries reuse grown-to-size buffers instead of
-	// allocating fresh ones. When nil, queries draw from a pool owned by
-	// the store handle — per-query scratch allocation never happens in
-	// steady state either way.
-	ScratchPool *core.ScratchPool
-	// NoIndex disables both the key-overlap prefilter and index-driven
-	// candidate selection: every manifest-admitted candidate is loaded
-	// and estimated, the historic full-walk reference semantics.
-	// Rankings are identical either way (the prefilter only removes
-	// candidates the min-join filter would drop after estimation); the
+	// Probes, when non-nil, must be parallel to the trains; non-nil
+	// entries are pre-compiled indexes (core.CompileTrainProbe on the same
+	// sketch) reused instead of compiling. Long-running services cache
+	// probes by train-sketch content so repeated queries skip compilation.
+	Probes []*core.TrainProbe
+	// NoIndex disables index-driven candidate selection: every
+	// manifest-admitted candidate is loaded and its overlap cut per pair
+	// by the probe, exactly as before segments carried inverted key
+	// indexes. Rankings and pruned counts are identical either way — the
 	// flag exists for differential tests and full-walk benchmarking.
 	NoIndex bool
 	// NoCascade disables the two-tier estimator cascade: every surviving
@@ -729,15 +730,55 @@ type RankOptions struct {
 	// so that exact−cheap residuals across the golden and synthetic
 	// corpora stay within it.
 	CascadeMargin float64
-	// MinMI is a floor on the result: candidates whose exact MI is below
-	// it are dropped before the TopK cut; see BatchOptions.MinMI.
-	MinMI float64
+	// MinMI, when non-nil, must be parallel to the trains: train q's
+	// result is the top TopK of the candidates whose exact MI is at least
+	// MinMI[q]. The cascade's K-th-MI bound starts there, so a pair is
+	// pruned only when cheap + margin puts it provably below the floor or
+	// provably outside the local top K: the result is exact whatever the
+	// floor, and cheaper the higher it is.
+	MinMI []float64
+	// Seed asks for a seed answer instead of the ranking: phase 1 runs
+	// in full, then only each train's first TopK pairs in the cascade's
+	// deterministic cheap-descending order are scored exactly and
+	// returned, BatchQueryResult.SeedBound covering the rest. It is how a
+	// cluster coordinator finds a global MinMI.
+	Seed bool
+}
+
+// Resolve returns opt as a rank of n trains runs it: K 0 is mi.DefaultK,
+// CascadeMargin 0 is DefaultCascadeMargin, a nil MinMI is n zero floors.
+// It fails on what no catalog can make valid. Every rank resolves its
+// options here, so zero means the default at every boundary; a caller
+// that keys on the answer (the server's result cache) resolves first and
+// digests the result, so that equal answers share a key. Resolving a
+// resolved value changes nothing.
+func (opt RankOptions) Resolve(n int) (RankOptions, error) {
+	if opt.K < 0 {
+		return opt, fmt.Errorf("store: rank needs a non-negative K (0 is the default), got %d", opt.K)
+	}
+	if opt.Probes != nil && len(opt.Probes) != n {
+		return opt, fmt.Errorf("store: rank got %d probes for %d trains", len(opt.Probes), n)
+	}
+	if opt.MinMI != nil && len(opt.MinMI) != n {
+		return opt, fmt.Errorf("store: rank got %d MinMI floors for %d trains", len(opt.MinMI), n)
+	}
+	if opt.K == 0 {
+		opt.K = mi.DefaultK
+	}
+	if opt.CascadeMargin == 0 {
+		opt.CascadeMargin = DefaultCascadeMargin
+	}
+	if opt.MinMI == nil {
+		opt.MinMI = make([]float64, n)
+	}
+	return opt, nil
 }
 
 // RankQuery estimates MI between the train sketch and every stored
 // candidate sketch, dropping candidates whose sketch join has at most
 // opt.MinJoinSize samples, and returns the rest ordered by decreasing
-// MI (bounded to the best opt.TopK when positive).
+// MI (bounded to the best opt.TopK when positive). It is RankBatch for
+// one train (opt.Probes and opt.MinMI, when set, hold one element).
 //
 // Candidate selection never decodes excluded sketches: the manifest
 // filters on prefix, hash seed, and role, and sealed segments' inverted
@@ -745,15 +786,15 @@ type RankOptions struct {
 // the train proves their join at or below MinJoinSize — selection work
 // grows with matching candidates, not catalog size. Candidates in
 // segments without an index (the active segment, frozen segments) are
-// loaded and prefiltered per pair instead; either way the pruned pairs
-// are identical and counted in Stats.PrunedPairs. Prefix-ineligible
+// loaded and cut per pair by the probe instead; either way the pruned
+// pairs are identical and counted in Stats.PrunedPairs. Prefix-ineligible
 // sketches are silently ignored; prefix-matching sketches with a
 // different seed or a train role are reported in the skipped list (they
 // cannot be joined).
 // A malformed candidate with duplicated key hashes fails the query only
 // when a duplicate actually joins the train sketch; duplicates that
 // match nothing cannot affect any result and are ranked normally. The
-// query is compiled once (core.TrainProbe, reused from opt.Probe when
+// query is compiled once (core.TrainProbe, reused from opt.Probes when
 // set) and estimation fans out across opt.Workers workers, each owning a
 // core.Scratch so the per-candidate hot path performs no steady-state
 // allocations. On the fs backend, candidates are decoded in place out of
@@ -769,29 +810,7 @@ type RankOptions struct {
 // racing an in-flight rank is safe from both sides, as is a concurrent
 // compaction.
 func (s *Store) RankQuery(ctx context.Context, train *core.Sketch, opt RankOptions) (ranked []RankedSketch, skipped []string, err error) {
-	s.rankQueries.Add(1)
-	// One train through the shared machinery in rankTrains
-	// (rankbatch.go). The prefilter (and the segment key indexes behind
-	// it) only ever removes candidates the min-join filter would drop
-	// after estimation, so results are bit-identical to the full walk —
-	// which remains reachable via NoIndex for differential testing.
-	var probes []*core.TrainProbe
-	if opt.Probe != nil {
-		probes = []*core.TrainProbe{opt.Probe}
-	}
-	res, err := s.rankTrains(ctx, []*core.Sketch{train}, BatchOptions{
-		Prefix:        opt.Prefix,
-		MinJoinSize:   opt.MinJoinSize,
-		K:             opt.K,
-		TopK:          opt.TopK,
-		Workers:       opt.Workers,
-		Probes:        probes,
-		ScratchPool:   opt.ScratchPool,
-		NoIndex:       opt.NoIndex,
-		NoCascade:     opt.NoCascade,
-		CascadeMargin: opt.CascadeMargin,
-		MinMI:         []float64{opt.MinMI},
-	}, !opt.NoIndex)
+	res, err := s.rankTrains(ctx, []*core.Sketch{train}, opt)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -87,9 +87,6 @@ func newKeyPlan(kc *Column) *KeyPlan {
 	return p
 }
 
-// NumGroups returns the number of distinct non-NULL keys.
-func (p *KeyPlan) NumGroups() int { return len(p.order) }
-
 // Rows returns the row indices of group g, ascending. The slice is the
 // plan's own and must not be modified.
 func (p *KeyPlan) Rows(g int) []int32 { return p.rows[p.start[g]:p.start[g+1]] }

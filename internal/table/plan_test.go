@@ -19,7 +19,7 @@ func TestKeyPlanLayout(t *testing.T) {
 		t.Errorf("order = %v, want first-seen order without the NULL key", p.order)
 	}
 	var groups [][]int32
-	for g := 0; g < p.NumGroups(); g++ {
+	for g := range p.order {
 		groups = append(groups, p.Rows(g))
 	}
 	if !reflect.DeepEqual(groups, [][]int32{{0, 3, 6}, {1, 5}, {4}}) {
@@ -51,7 +51,7 @@ func TestKeyPlanBuiltOncePerKeyAndSeed(t *testing.T) {
 	if p2, _ := tb.KeyPlan("k"); p1 != p2 {
 		t.Error("a second request for the same key column built a second plan")
 	}
-	if other, _ := tb.KeyPlan("k2"); other == p1 || other.NumGroups() != 2 {
+	if other, _ := tb.KeyPlan("k2"); other == p1 || len(other.order) != 2 {
 		t.Error("each key column has its own plan")
 	}
 	h1, h2, h3 := p1.Hashes(7), p1.Hashes(7), p1.Hashes(8)

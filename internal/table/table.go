@@ -194,44 +194,6 @@ func (t *Table) ColumnNames() []string {
 	return out
 }
 
-// InnerJoin computes the standard many-to-many equi-join of left and right
-// on leftKey = rightKey. The result contains all left columns followed by
-// the right table's non-key columns (renamed with a "right." prefix on
-// collision). NULL keys never match.
-func InnerJoin(left, right *Table, leftKey, rightKey string) (*Table, error) {
-	lk := left.Column(leftKey)
-	rk := right.Column(rightKey)
-	if lk == nil || rk == nil {
-		return nil, fmt.Errorf("table: join key missing (%q in left: %v, %q in right: %v)",
-			leftKey, lk != nil, rightKey, rk != nil)
-	}
-	idx := buildKeyIndex(rk)
-	outLeft, outRight := joinOutputColumns(left, right, rightKey)
-	for i := 0; i < left.NumRows(); i++ {
-		if lk.IsNull(i) {
-			continue
-		}
-		rows, ok := idx[lk.StringAt(i)]
-		if !ok {
-			continue
-		}
-		for _, j := range rows {
-			for ci, c := range left.cols {
-				outLeft[ci].appendFrom(c, i)
-			}
-			ri := 0
-			for _, c := range right.cols {
-				if c.Name == rightKey {
-					continue
-				}
-				outRight[ri].appendFrom(c, j)
-				ri++
-			}
-		}
-	}
-	return New(append(outLeft, outRight...)...), nil
-}
-
 // LeftJoin computes the many-to-one left-outer join of the data
 // augmentation setting: every left row appears exactly once; right keys
 // must be unique (aggregate first if not — see Aggregate). When
@@ -308,19 +270,6 @@ func joinOutputColumns(left, right *Table, rightKey string) (outLeft, outRight [
 		outRight = append(outRight, o)
 	}
 	return outLeft, outRight
-}
-
-// buildKeyIndex maps each non-NULL key to the row indices where it occurs.
-func buildKeyIndex(c *Column) map[string][]int {
-	idx := make(map[string][]int, c.Len())
-	for i := 0; i < c.Len(); i++ {
-		if c.IsNull(i) {
-			continue
-		}
-		k := c.StringAt(i)
-		idx[k] = append(idx[k], i)
-	}
-	return idx
 }
 
 // KeyFrequencies returns the occurrence count of each distinct non-NULL

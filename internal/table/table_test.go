@@ -78,45 +78,6 @@ func TestTableAccessors(t *testing.T) {
 	}()
 }
 
-func TestInnerJoinManyToMany(t *testing.T) {
-	left := New(strCol("k", "a", "b", "a"), numCol("y", 1, 2, 3))
-	right := New(strCol("k", "a", "a", "c"), strCol("x", "p", "q", "r"))
-	j, err := InnerJoin(left, right, "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a matches twice for each of rows 0 and 2; b and c don't match.
-	if j.NumRows() != 4 {
-		t.Fatalf("rows = %d, want 4", j.NumRows())
-	}
-	wantY := []float64{1, 1, 3, 3}
-	wantX := []string{"p", "q", "p", "q"}
-	if !Float64sEqualNaN(j.Column("y").Num, wantY) {
-		t.Errorf("y = %v", j.Column("y").Num)
-	}
-	if !reflect.DeepEqual(j.Column("x").Str, wantX) {
-		t.Errorf("x = %v", j.Column("x").Str)
-	}
-}
-
-func TestInnerJoinNullKeysNeverMatch(t *testing.T) {
-	left := New(strCol("k", "", "a"), numCol("y", 1, 2))
-	right := New(strCol("k", "", "a"), numCol("x", 10, 20))
-	j, err := InnerJoin(left, right, "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.NumRows() != 1 {
-		t.Fatalf("rows = %d, want 1 (NULLs must not join)", j.NumRows())
-	}
-}
-
-func TestInnerJoinMissingKey(t *testing.T) {
-	if _, err := InnerJoin(New(strCol("k", "a")), New(strCol("k", "a")), "zzz", "k"); err == nil {
-		t.Error("expected error for missing key column")
-	}
-}
-
 func TestLeftJoinManyToOne(t *testing.T) {
 	left := New(strCol("k", "a", "a", "b", "c"), numCol("y", 1, 2, 3, 4))
 	right := New(strCol("k", "a", "b"), numCol("x", 10, 20))

@@ -13,11 +13,9 @@ import (
 // (train, candidate) pair whose coordinated-sample key intersection
 // already proves the join too small to pass the min-join filter.
 
-// BatchRankOptions tunes a batch discovery query (Store.RankBatch /
-// RankBatch): shared prefix, min join size, neighbor parameter, top-K
-// bound and worker fan-out, plus optional pre-compiled probes (parallel
-// to the trains) and a shared scratch pool.
-type BatchRankOptions = store.BatchOptions
+// BatchRankOptions is another name for RankOptions: one value describes a
+// rank of one train or of many.
+type BatchRankOptions = RankOptions
 
 // BatchRanking is the result of a batch discovery query: one
 // BatchQueryRanking per train, in input order, plus the shared skipped

@@ -46,19 +46,6 @@ func ReadSketch(r io.Reader) (*Sketch, error) {
 	return core.ReadSketch(r)
 }
 
-// SketchHeader is the metadata prefix of a serialized sketch: seed,
-// role, method, value kind, sizes — everything a catalog needs to filter
-// candidates without decoding sketch bodies.
-type SketchHeader = core.SketchHeader
-
-// ReadSketchHeader decodes only the header of a serialized sketch,
-// skipping its body. Stores use it to rebuild their manifest from a
-// directory of sketch files. Buffered read-ahead may consume r past the
-// header bytes; reopen the source to decode the full sketch afterwards.
-func ReadSketchHeader(r io.Reader) (*SketchHeader, error) {
-	return core.ReadSketchHeader(r)
-}
-
 // SaveSketch writes a sketch to a file.
 func SaveSketch(path string, s *Sketch) error {
 	f, err := os.Create(path)
@@ -118,12 +105,14 @@ type CompactStats = store.CompactStats
 // RankedSketch is one result of a Store discovery query.
 type RankedSketch = store.RankedSketch
 
-// RankOptions tunes a Store discovery query (Store.RankQuery): name
-// prefix, min join size, neighbor parameter, top-K bound, worker
-// fan-out (0 picks a default from GOMAXPROCS and the candidate count),
-// and the two-tier estimator cascade (on by default for top-K queries;
-// NoCascade forces the exact tier everywhere, CascadeMargin overrides
-// the calibrated safety margin).
+// RankOptions describes a Store discovery query, of one train
+// (Store.RankQuery) or of many in one corpus pass (RankBatch): name
+// prefix, min join size, neighbor parameter (0 is DefaultK), top-K bound,
+// worker fan-out (0 picks a default from GOMAXPROCS and the candidate
+// count), the two-tier estimator cascade (on by default for top-K
+// queries; NoCascade forces the exact tier everywhere, CascadeMargin
+// overrides the calibrated safety margin), and, per train, optional
+// pre-compiled probes and result floors.
 type RankOptions = store.RankOptions
 
 // DefaultCascadeMargin is the calibrated safety margin, in nats, the

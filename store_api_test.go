@@ -182,25 +182,6 @@ func TestStoreOptionsAndTopKAPI(t *testing.T) {
 	}
 }
 
-func TestSketchHeaderAPI(t *testing.T) {
-	train, _ := syntheticPair(t, 2000, 200)
-	sk, err := SketchTrain(train, "key", "y", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteSketch(&buf, sk); err != nil {
-		t.Fatal(err)
-	}
-	h, err := ReadSketchHeader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Seed != sk.Seed || h.Entries != sk.Len() || h.Method != sk.Method {
-		t.Errorf("header = %+v", h)
-	}
-}
-
 func TestCompositeKeyAPI(t *testing.T) {
 	tb := NewTable(
 		NewStringColumn("date", []string{"d1", "d1", "d2"}),
