@@ -284,7 +284,7 @@ func TestStatsKeySets(t *testing.T) {
 			"backend", "cache_bytes", "cache_hits", "cache_misses", "candidates_skipped_no_decode",
 			"cascade_cheap_only", "cascade_exact", "cascade_margin_rescues", "compactions",
 			"compressed_bytes", "compressed_segments", "deletes", "disk_reads", "evictions",
-			"indexed_segments", "live_bytes", "plan_hits", "plan_misses", "posting_bytes", "pruned_pairs", "puts", "rank_batches",
+			"indexed_segments", "live_bytes", "plan_hits", "plan_misses", "posting_bytes", "pruned_pairs", "puts", "rank_batches", "rank_panics",
 			"rank_queries", "raw_bytes", "segment_bytes", "segments", "sketches",
 		},
 		coord.URL + " coordinator": {

@@ -7,10 +7,7 @@
 // internal/core; this package only provides the mechanics.
 package sample
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // Reservoir maintains a uniform without-replacement sample of up to k items
 // from a stream (Vitter's Algorithm R). The zero value is not usable; use
@@ -53,28 +50,13 @@ type kmvEntry[T any] struct {
 	item T
 }
 
-// kmvHeap is a max-heap on u so the largest retained hash is evictable.
-type kmvHeap[T any] []kmvEntry[T]
-
-func (h kmvHeap[T]) Len() int            { return len(h) }
-func (h kmvHeap[T]) Less(i, j int) bool  { return h[i].u > h[j].u }
-func (h kmvHeap[T]) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *kmvHeap[T]) Push(x interface{}) { *h = append(*h, x.(kmvEntry[T])) }
-func (h *kmvHeap[T]) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // KMV retains the k items with the minimum hash values from a stream.
 // Feeding the same (item, hash) universe in any order yields the same
 // selection, which is what makes hash-based sampling coordinated across
 // tables. Duplicate hash values are retained up to capacity.
 type KMV[T any] struct {
 	k int
-	h kmvHeap[T]
+	h []kmvEntry[T] // max-heap on u: the largest retained hash is evictable
 }
 
 // NewKMV returns a KMV selector of capacity k.
@@ -88,14 +70,22 @@ func NewKMV[T any](k int) *KMV[T] {
 // Offer considers an item whose hash position is u ∈ [0,1).
 func (s *KMV[T]) Offer(u float64, item T) {
 	if len(s.h) < s.k {
-		heap.Push(&s.h, kmvEntry[T]{u, item})
+		s.h = append(s.h, kmvEntry[T]{u, item})
+		for j := len(s.h) - 1; j > 0; { // sift up
+			i := (j - 1) / 2
+			if !(s.h[j].u > s.h[i].u) {
+				break
+			}
+			s.h[i], s.h[j] = s.h[j], s.h[i]
+			j = i
+		}
 		return
 	}
 	if u >= s.h[0].u {
 		return
 	}
 	s.h[0] = kmvEntry[T]{u, item}
-	heap.Fix(&s.h, 0)
+	siftDownKMV(s.h, 0)
 }
 
 // Threshold returns the largest retained hash value (the eviction
@@ -110,7 +100,7 @@ func (s *KMV[T]) Threshold() float64 {
 // Items returns the retained items ordered by ascending hash value.
 func (s *KMV[T]) Items() []T {
 	out := make([]T, len(s.h))
-	entries := append(kmvHeap[T](nil), s.h...)
+	entries := append([]kmvEntry[T](nil), s.h...)
 	// Heap-sort descending, fill from the back.
 	for i := len(entries) - 1; i >= 0; i-- {
 		out[i] = entries[0].item
@@ -121,7 +111,10 @@ func (s *KMV[T]) Items() []T {
 	return out
 }
 
-func siftDownKMV[T any](h kmvHeap[T], i int) {
+// siftDownKMV restores the heap below i. Like container/heap it takes the
+// right child only when strictly larger, so layouts (and with them the
+// order Items gives equal hashes) are what that package produced.
+func siftDownKMV[T any](h []kmvEntry[T], i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
@@ -147,28 +140,7 @@ func (s *KMV[T]) Len() int { return len(s.h) }
 // and the k largest priorities win. Heavy items are selected with high
 // probability while the hash keeps selection coordinated.
 type Priority[T any] struct {
-	k int
-	h prioHeap[T]
-}
-
-type prioEntry[T any] struct {
-	q    float64
-	item T
-}
-
-// prioHeap is a min-heap on q so the smallest retained priority is evictable.
-type prioHeap[T any] []prioEntry[T]
-
-func (h prioHeap[T]) Len() int            { return len(h) }
-func (h prioHeap[T]) Less(i, j int) bool  { return h[i].q < h[j].q }
-func (h prioHeap[T]) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *prioHeap[T]) Push(x interface{}) { *h = append(*h, x.(prioEntry[T])) }
-func (h *prioHeap[T]) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	neg KMV[T] // the k largest q are the k smallest −q
 }
 
 // NewPriority returns a priority sampler of capacity k.
@@ -176,7 +148,7 @@ func NewPriority[T any](k int) *Priority[T] {
 	if k <= 0 {
 		panic("sample: priority capacity must be positive")
 	}
-	return &Priority[T]{k: k}
+	return &Priority[T]{KMV[T]{k: k}}
 }
 
 // Offer considers an item with weight w > 0 and uniform hash u ∈ (0,1).
@@ -184,29 +156,20 @@ func (s *Priority[T]) Offer(w, u float64, item T) {
 	if u <= 0 {
 		u = 1e-18 // avoid division by zero from a pathological hash
 	}
-	q := w / u
-	if len(s.h) < s.k {
-		heap.Push(&s.h, prioEntry[T]{q, item})
-		return
-	}
-	if q <= s.h[0].q {
-		return
-	}
-	s.h[0] = prioEntry[T]{q, item}
-	heap.Fix(&s.h, 0)
+	s.neg.Offer(-w/u, item)
 }
 
 // Items returns the retained items (arbitrary order).
 func (s *Priority[T]) Items() []T {
-	out := make([]T, len(s.h))
-	for i, e := range s.h {
+	out := make([]T, len(s.neg.h))
+	for i, e := range s.neg.h {
 		out[i] = e.item
 	}
 	return out
 }
 
 // Len returns the number of retained items.
-func (s *Priority[T]) Len() int { return len(s.h) }
+func (s *Priority[T]) Len() int { return s.neg.Len() }
 
 // Bernoulli returns the indices of a Bernoulli(p) sample of n items.
 func Bernoulli(n int, p float64, rng *rand.Rand) []int {

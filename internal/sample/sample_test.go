@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"sort"
@@ -240,5 +241,82 @@ func TestWithoutReplacementUniform(t *testing.T) {
 		if math.Abs(float64(c)-want) > 0.05*want {
 			t.Errorf("index %d drawn %d times, want about %.0f", i, c, want)
 		}
+	}
+}
+
+// boxedHeap is the container/heap adapter KMV and Priority went through
+// before their typed sifts: the reference the heap layouts are held to.
+type boxedHeap struct {
+	e   []kmvEntry[int]
+	max bool // max-heap on u (KMV); min-heap otherwise (Priority, on q)
+}
+
+func (h *boxedHeap) Len() int { return len(h.e) }
+func (h *boxedHeap) Less(i, j int) bool {
+	if h.max {
+		return h.e[i].u > h.e[j].u
+	}
+	return h.e[i].u < h.e[j].u
+}
+func (h *boxedHeap) Swap(i, j int) { h.e[i], h.e[j] = h.e[j], h.e[i] }
+func (h *boxedHeap) Push(x any)    { h.e = append(h.e, x.(kmvEntry[int])) }
+func (h *boxedHeap) Pop() any {
+	x := h.e[len(h.e)-1]
+	h.e = h.e[:len(h.e)-1]
+	return x
+}
+
+// TestHeapLayoutsMatchContainerHeap: under streams thick with equal
+// keys, every heap slot after every offer is the one container/heap
+// left there — which is what keeps Items' order among equal hashes, and
+// with it golden sketch bytes, where they were.
+func TestHeapLayoutsMatchContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		k, distinct := 1+rng.Intn(24), 1+rng.Intn(40)
+		kmv, pri := NewKMV[int](k), NewPriority[int](k)
+		refK, refP := &boxedHeap{max: true}, &boxedHeap{}
+		offer := func(ref *boxedHeap, key float64, item int) {
+			if len(ref.e) < k {
+				heap.Push(ref, kmvEntry[int]{key, item})
+			} else if root := ref.e[0].u; ref.max && key < root || !ref.max && key > root {
+				ref.e[0] = kmvEntry[int]{key, item}
+				heap.Fix(ref, 0)
+			}
+		}
+		for i := 0; i < 150; i++ {
+			u := float64(1+rng.Intn(distinct)) / float64(distinct+1)
+			w := float64(1 + rng.Intn(3))
+			kmv.Offer(u, i)
+			offer(refK, u, i)
+			pri.Offer(w, u, i)
+			offer(refP, w/u, i)
+			for j := range refK.e {
+				if kmv.h[j] != refK.e[j] {
+					t.Fatalf("trial %d offer %d: KMV slot %d holds %+v, container/heap %+v", trial, i, j, kmv.h[j], refK.e[j])
+				}
+			}
+			for j := range refP.e {
+				if got := pri.neg.h[j]; got.item != refP.e[j].item || -got.u != refP.e[j].u {
+					t.Fatalf("trial %d offer %d: Priority slot %d holds %+v, container/heap %+v", trial, i, j, got, refP.e[j])
+				}
+			}
+		}
+		if kmv.Len() != len(refK.e) || pri.Len() != len(refP.e) {
+			t.Fatalf("trial %d: lengths %d/%d, want %d/%d", trial, kmv.Len(), pri.Len(), len(refK.e), len(refP.e))
+		}
+	}
+}
+
+// TestKMVOfferDoesNotAllocate: a full selector takes an offer — kept or
+// turned away — without touching the allocator.
+func TestKMVOfferDoesNotAllocate(t *testing.T) {
+	s := NewKMV[int](256)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 256; i++ {
+		s.Offer(rng.Float64(), i)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { s.Offer(rng.Float64()*s.Threshold()*2, 0) }); avg != 0 {
+		t.Fatalf("KMV.Offer allocates %.1f times per call at steady state", avg)
 	}
 }

@@ -26,6 +26,7 @@ package store
 // returned before the rank started.
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -158,46 +159,69 @@ func within(ps []int32, lo, hi int32) []int32 {
 
 // selectScratch is selectVisit's pooled state; acc is all zero at rest.
 type selectScratch struct {
-	acc     []int64
-	touched []int32
+	acc     []int64  // by index ordinal: the overlap summed so far
+	touched []int32  // the ordinals with a nonzero acc
+	crossed []int32  // the ordinals the last hash carried past the cutoff
+	sel     []uint64 // bit p-lo: entry position p is selected
+	read    int      // postings read by the last selectVisit
 }
 
 // selectVisit narrows eligible — the seed's non-empty candidates in
 // [lo, hi) — to those a query must load, ascending (so in name order),
 // and counts the ones the key indexes excluded without a decode: each
 // was proven prunable for every train, so it is one pruned pair per
-// query. The caller holds pins on every segment of the view.
-func (s *Store) selectVisit(v *catalogView, seed uint32, eligible []int32, lo, hi int32, probes []*core.TrainProbe, minJoin int) (visit []int32, prunedAll int) {
-	if len(v.segs) == 0 {
-		return eligible, 0 // nothing is indexed: the full walk covers it all
-	}
-	sc := s.selectPool.Get().(*selectScratch)
+// query. A candidate is selected the moment its overlap with some train
+// passes minJoin (overlaps only grow: weights and multiplicities are at
+// least 1); once every eligible one is, no posting left could exclude
+// anything, so none is read and eligible itself is the answer. The caller
+// holds pins on every segment of the view.
+func (sc *selectScratch) selectVisit(v *catalogView, seed uint32, eligible []int32, lo, hi int32, probes []*core.TrainProbe, minJoin int) (visit []int32, prunedAll int) {
 	if len(sc.acc) < v.maxRecords {
 		sc.acc = make([]int64, v.maxRecords)
 	}
+	// One bit per position: several trains (or the duplicate flag) can
+	// select one candidate, which counts once; read in order, the bits
+	// are the ascending visit list.
+	sc.sel = append(sc.sel[:0], make([]uint64, (hi-lo+63)/64)...)
+	sc.read = 0
+	n := 0
+	pick := func(p int32) {
+		if p < lo || p >= hi || v.entries[p].Seed != seed {
+			return
+		}
+		if w, b := (p-lo)/64, uint64(1)<<((p-lo)%64); sc.sel[w]&b == 0 {
+			sc.sel[w] |= b
+			n++
+		}
+	}
+	for _, p := range within(v.always, lo, hi) {
+		pick(p)
+	}
+	cut := int64(max(minJoin, 0)) // a touched ordinal holds at least 1
 	for _, vs := range v.segs {
-		for q := range probes {
-			hashes, mults := probes[q].DistinctKeyHashes()
-			sc.touched = sc.touched[:0]
-			for i, hk := range hashes {
-				sc.touched = vs.ix.accumulate(hk, int64(mults[i]), sc.acc, sc.touched)
+		for _, probe := range probes {
+			hashes, mults := probe.DistinctKeyHashes()
+			for i := 0; i < len(hashes) && n < len(eligible); i++ {
+				sc.crossed = sc.crossed[:0]
+				vs.ix.accumulate(hashes[i], int64(mults[i]), cut, sc)
+				for _, ord := range sc.crossed {
+					pick(vs.pos[ord] - 1)
+				}
 			}
 			for _, ord := range sc.touched {
-				if p := vs.pos[ord] - 1; sc.acc[ord] > int64(minJoin) && p >= lo && p < hi && v.entries[p].Seed == seed {
-					visit = append(visit, p)
-				}
 				sc.acc[ord] = 0
 			}
+			sc.touched = sc.touched[:0]
 		}
 	}
-	s.selectPool.Put(sc)
-	for _, p := range within(v.always, lo, hi) {
-		if v.entries[p].Seed == seed {
-			visit = append(visit, p)
+	if n == len(eligible) {
+		return eligible, 0
+	}
+	visit = make([]int32, 0, n)
+	for w, word := range sc.sel {
+		for ; word != 0; word &= word - 1 {
+			visit = append(visit, lo+int32(w*64+bits.TrailingZeros64(word)))
 		}
 	}
-	// Several trains (or the duplicate flag) can select one candidate.
-	slices.Sort(visit)
-	visit = slices.Compact(visit)
-	return visit, len(eligible) - len(visit)
+	return visit, len(eligible) - n
 }

@@ -31,6 +31,11 @@ func crashPoint(p string) error {
 	return nil
 }
 
+// testHookRankWork, when non-nil, runs on a rank worker's goroutine before
+// each index it claims (a visit position in phase 1, a pair in phase 2):
+// a test panics or cancels from it.
+var testHookRankWork func(i int)
+
 // testHookFileOpen, when non-nil, observes every file the store layer
 // opens (segment and manifest reads — not temp-file creation).
 var testHookFileOpen func(path string)

@@ -210,24 +210,26 @@ func (ix *keyIndex) isDup(ord int) bool {
 	return ix.dup[ord/8]&(1<<(ord%8)) != 0
 }
 
-// accumulate adds weight × multiplicity into acc[ordinal] for every
-// posting of hk, appending newly touched ordinals to touched (so the
-// caller can reset acc in O(touched)). Bounds were validated at parse
-// time; acc must have records() elements.
-func (ix *keyIndex) accumulate(hk uint32, weight int64, acc []int64, touched []int32) []int32 {
+// accumulate adds weight × multiplicity into sc.acc[ordinal] for every
+// posting of hk, appending newly touched ordinals to sc.touched (so the
+// caller can reset acc in O(touched)) and those whose sum this hash
+// carried past cut to sc.crossed. Bounds were validated at parse time;
+// sc.acc must have records() elements.
+func (ix *keyIndex) accumulate(hk uint32, weight, cut int64, sc *selectScratch) {
 	if ix.slots == 0 {
-		return touched
+		return
 	}
 	i := hk & ix.mask
 	for probes := 0; probes < ix.slots; probes++ {
 		ref := binio.U32At(ix.refs, int(i)*4)
 		if ref == 0 {
-			return touched
+			return
 		}
 		if binio.U32At(ix.keys, int(i)*4) == hk {
 			off := int(ref) - 1
 			n, sz := binio.UvarintAt(ix.postings, off)
 			off += sz
+			sc.read += int(n)
 			var ord uint32
 			for j := uint64(0); j < n; j++ {
 				d, sz := binio.UvarintAt(ix.postings, off)
@@ -235,16 +237,20 @@ func (ix *keyIndex) accumulate(hk uint32, weight int64, acc []int64, touched []i
 				m, sz := binio.UvarintAt(ix.postings, off)
 				off += sz
 				ord += uint32(d)
-				if acc[ord] == 0 {
-					touched = append(touched, int32(ord))
+				was := sc.acc[ord]
+				now := was + weight*int64(m)
+				sc.acc[ord] = now
+				if was == 0 {
+					sc.touched = append(sc.touched, int32(ord))
 				}
-				acc[ord] += weight * int64(m)
+				if was <= cut && now > cut {
+					sc.crossed = append(sc.crossed, int32(ord))
+				}
 			}
-			return touched
+			return
 		}
 		i = (i + 1) & ix.mask
 	}
-	return touched
 }
 
 // parseKeyIndex decodes and fully validates a key index section: header,

@@ -82,27 +82,38 @@ func TestKeyIndexRoundTrip(t *testing.T) {
 			model[hk][r]++
 		}
 	}
-	acc := make([]int64, ix.records())
-	var touched []int32
+	// Cutoff 3 at weight 3: a record crosses on a hash it repeats.
+	sc := &selectScratch{acc: make([]int64, ix.records())}
 	for hk, byOrd := range model {
-		touched = ix.accumulate(hk, 3, acc[:ix.records()], touched[:0])
-		want := map[int]int64{}
+		sc.touched, sc.crossed = sc.touched[:0], sc.crossed[:0]
+		ix.accumulate(hk, 3, 3, sc)
+		want, crossed := map[int]int64{}, 0
 		for ord, m := range byOrd {
 			want[ord] = 3 * m
-		}
-		if len(touched) != len(want) {
-			t.Fatalf("hash %#x touched %d records, want %d", hk, len(touched), len(want))
-		}
-		for _, ord := range touched {
-			if acc[ord] != want[int(ord)] {
-				t.Fatalf("hash %#x record %d: acc %d, want %d", hk, ord, acc[ord], want[int(ord)])
+			if m > 1 {
+				crossed++
 			}
-			acc[ord] = 0
+		}
+		if len(sc.touched) != len(want) || len(sc.crossed) != crossed {
+			t.Fatalf("hash %#x touched %d records and carried %d past the cutoff, want %d and %d",
+				hk, len(sc.touched), len(sc.crossed), len(want), crossed)
+		}
+		for _, ord := range sc.crossed {
+			if sc.acc[ord] <= 3 {
+				t.Fatalf("hash %#x record %d: crossed at %d", hk, ord, sc.acc[ord])
+			}
+		}
+		for _, ord := range sc.touched {
+			if sc.acc[ord] != want[int(ord)] {
+				t.Fatalf("hash %#x record %d: acc %d, want %d", hk, ord, sc.acc[ord], want[int(ord)])
+			}
+			sc.acc[ord] = 0
 		}
 	}
 	// A hash absent from every record touches nothing.
-	if got := ix.accumulate(0xffffffff, 1, acc, touched[:0]); len(got) != 0 {
-		t.Fatalf("absent hash touched %d records", len(got))
+	sc.touched = sc.touched[:0]
+	if ix.accumulate(0xffffffff, 1, 0, sc); len(sc.touched) != 0 {
+		t.Fatalf("absent hash touched %d records", len(sc.touched))
 	}
 }
 
@@ -132,7 +143,8 @@ func TestKeyIndexEmptySegment(t *testing.T) {
 	if ix.records() != 0 {
 		t.Fatalf("records = %d", ix.records())
 	}
-	if got := ix.accumulate(42, 1, nil, nil); len(got) != 0 {
+	sc := new(selectScratch)
+	if ix.accumulate(42, 1, 0, sc); len(sc.touched) != 0 {
 		t.Fatal("empty index accumulated postings")
 	}
 }
@@ -190,15 +202,15 @@ func FuzzSegmentIndex(f *testing.F) {
 		if err != nil {
 			return
 		}
-		acc := make([]int64, ix.records())
-		var touched []int32
+		sc := &selectScratch{acc: make([]int64, ix.records())}
 		probe := func(hk uint32) {
-			touched = ix.accumulate(hk, 2, acc, touched[:0])
-			for _, ord := range touched {
-				if int(ord) >= len(acc) {
+			sc.touched = sc.touched[:0]
+			ix.accumulate(hk, 2, 0, sc)
+			for _, ord := range sc.touched {
+				if int(ord) >= len(sc.acc) {
 					t.Fatalf("accumulate touched out-of-range ordinal %d", ord)
 				}
-				acc[ord] = 0
+				sc.acc[ord] = 0
 			}
 		}
 		for s := 0; s < ix.slots; s++ {

@@ -99,14 +99,18 @@ func TestMinMIEqualsFilteredRanking(t *testing.T) {
 // cohortStore holds synth.PlantedCohort(200): four strongly dependent
 // candidates (c%64 == 0) far above a bulk of joinable noise — a catalog
 // whose cheap scores separate, unlike cascadeStore's contested one.
-func cohortStore(t *testing.T) (*Store, *core.Sketch) {
+func cohortStore(t *testing.T) (*Store, *core.Sketch) { return cohortStoreN(t, 200) }
+
+// cohortStoreN is cohortStore at n candidates; 1000 is the benchmark's
+// num1k catalog.
+func cohortStoreN(t *testing.T, n int) (*Store, *core.Sketch) {
 	t.Helper()
 	st, err := OpenWithOptions(t.TempDir(), OpenOptions{Backend: BackendMem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	train, cands := synth.PlantedCohort(200)
+	train, cands := synth.PlantedCohort(n)
 	for c, sk := range cands {
 		if err := st.Put(fmt.Sprintf("bench/c%04d", c), sk); err != nil {
 			t.Fatal(err)

@@ -15,7 +15,8 @@ package store
 //
 // rankTrains below is the one copy of the ranking machinery — catalog
 // view snapshot, index-driven candidate selection, worker pool,
-// mutation-race triage, bounded heaps, deterministic merge — shared by
+// mutation-race triage, one bounded heap per train, deterministic order —
+// shared by
 // RankQuery (one train) and RankBatch (N trains), which hand it their
 // RankOptions as they got it. The per-pair probe prefilter is always on;
 // on top of it, sealed segments carry a persistent inverted key index
@@ -25,11 +26,12 @@ package store
 // size. NoIndex turns that selection off and nothing else.
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -54,13 +56,13 @@ const DefaultCascadeMargin = 1.25
 // ceil(eligible/workerMinChunk).
 const workerMinChunk = 32
 
-// maxRankChunk caps the work-stealing claim size so the tail of a query
-// still splits across workers even at very large candidate counts.
+// maxRankChunk caps phase 1's work-stealing claim size so the tail of a
+// query still splits across workers even at very large candidate counts.
 const maxRankChunk = 64
 
 // raiseBound lifts the train's shared K-th-MI lower bound to v if v is
 // higher. Bounds are encoded as Float64bits(v)+1 in a uint64 (zero
-// meaning "no full heap yet"); v is always a clamped, nonnegative exact
+// meaning "no bound yet"); v is always a clamped, nonnegative exact
 // MI, whose bit patterns order like the values, so the CAS loop is a
 // plain integer max.
 func raiseBound(b *atomic.Uint64, v float64) {
@@ -173,7 +175,7 @@ func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}) (*core.Sketch, er
 // rankTrains is the shared ranking core, in two named stages with a value
 // between them: planRank (rankplan.go) is phase 1 — select, load, join,
 // cheap-score — and runPlan is phase 2 — seed cut, MinMI floors, K-th
-// bound, exact tier, heaps, merge. Phase 1 reads nothing of TopK, MinMI,
+// bound, exact tier, ordering. Phase 1 reads nothing of TopK, MinMI,
 // Seed, K, CascadeMargin or Workers, so under the cascade its plan is
 // memoised on the catalog view and calls that differ only in those (and
 // reuse their compiled probes) share it until the catalog moves.
@@ -207,10 +209,11 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt RankO
 	r := &rankRun{s: s, trains: trains, opt: opt, seed: trains[0].Seed}
 	r.cascade = opt.TopK > 0 && !opt.NoCascade
 	r.margin = max(opt.CascadeMargin, 0)
-	// Any worker's error cancels the rest: ranking either returns every
-	// result or an error, so work after the first failure is wasted.
-	r.ctx, r.cancel = context.WithCancel(ctx)
-	defer r.cancel()
+	// Any worker's error cancels the rest, as the caller's cancellation
+	// does: ranking either returns every result or an error — the first
+	// one, the context's cause — so work after a failure is wasted.
+	r.ctx, r.cancel = context.WithCancelCause(ctx)
+	defer r.cancel(nil)
 
 	// The catalog view, this seed's partition of it and the segment pins
 	// come from one critical section — one atomic snapshot. The pins keep
@@ -245,8 +248,8 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt RankO
 		s.planMisses.Add(1)
 	}
 	p, clean := r.planRank(sv)
-	if r.firstErr != nil {
-		return nil, r.firstErr
+	if err := context.Cause(r.ctx); err != nil {
+		return nil, err
 	}
 	if memo && clean {
 		r.v.plans.Add(key, p, p.cost(key))
@@ -258,7 +261,7 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt RankO
 type rankRun struct {
 	s      *Store
 	ctx    context.Context
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc
 	trains []*core.Sketch
 	probes []*core.TrainProbe
 	opt    RankOptions // resolved
@@ -270,28 +273,17 @@ type rankRun struct {
 	v       *catalogView
 	visit   []int32 // the plan's: entry positions, in name order
 	w       []*rankWorker
-
-	errMu    sync.Mutex
-	firstErr error
-
-	// Phase 2 only. kthBound holds the per-train monotone lower bounds on
-	// the K-th exact MI found so far, shared across workers and encoded as
-	// raiseBound describes. A bound only ever comes from some worker's
-	// full heap root, a certified lower bound on the global K-th exact MI:
-	// pruning against it never evicts a true top-K result (see scoreTask).
-	tasks    []cascadeTask
-	kthBound []atomic.Uint64
+	tops    []rankHeap    // per train
+	tasks   []cascadeTask // phase 2 only: the pairs it visits, in order
 	// cands holds, by visit index, the candidates phase 2 scores: left by
 	// phase 1 when this call ran it (nothing is decoded twice), loaded on
 	// first use under a reused plan; lateSkip once triage dropped one.
 	cands []atomic.Pointer[core.Sketch]
 }
 
-// rankWorker is one worker's partial state: bounded heaps under a TopK
-// bound (plain slices otherwise), its tallies, its share of phase 1's tasks.
+// rankWorker is one worker's partial state: its tallies and its share of
+// phase 1's tasks.
 type rankWorker struct {
-	tops   []rankHeap
-	all    [][]RankedSketch
 	pruned []int64
 	late   []string
 	counts [3]int64 // cheap-only, exact, rescues
@@ -300,15 +292,6 @@ type rankWorker struct {
 
 // lateSkip marks a rankRun.cands slot whose candidate was skipped.
 var lateSkip = new(core.Sketch)
-
-func (r *rankRun) setErr(err error) {
-	r.errMu.Lock()
-	if r.firstErr == nil {
-		r.firstErr = err
-	}
-	r.errMu.Unlock()
-	r.cancel()
-}
 
 // start sizes the worker pool and its state for a plan's visit list.
 func (r *rankRun) start(visit []int32) {
@@ -322,27 +305,26 @@ func (r *rankRun) start(visit []int32) {
 		workers = min(runtime.GOMAXPROCS(0), (len(visit)+workerMinChunk-1)/workerMinChunk)
 	}
 	workers = max(1, min(workers, len(visit)))
+	r.tops = make([]rankHeap, len(r.trains))
 	r.w = make([]*rankWorker, workers)
 	for i := range r.w {
-		r.w[i] = &rankWorker{
-			tops:   make([]rankHeap, len(r.trains)),
-			all:    make([][]RankedSketch, len(r.trains)),
-			pruned: make([]int64, len(r.trains)),
-		}
+		r.w[i] = &rankWorker{pruned: make([]int64, len(r.trains))}
 	}
 	if r.cascade {
 		r.cands = make([]atomic.Pointer[core.Sketch], len(visit))
 	}
 }
 
-// forEach drives one phase: the workers claim chunks of [0, total) off a
-// shared cursor (work stealing, not static striding: a worker stalled on
-// a slow segment read or an expensive estimate claims fewer chunks; the
-// chunk size keeps cursor contention ~an order of magnitude below per-item
-// claiming and still splits the tail finely) and feed each index to body,
-// which returns false to stop its worker (after setErr, which cancels).
-func (r *rankRun) forEach(total int, body func(*rankRun, *rankWorker, *core.Scratch, int) bool) {
-	chunk := max(1, min(total/(len(r.w)*8), maxRankChunk))
+// forEach drives one phase: the workers claim chunk indexes of [0, total)
+// at a time off a shared cursor (work stealing, not static striding: a
+// worker stalled on a slow segment read or an expensive estimate claims
+// less) and feed each to body, which returns false to stop its worker
+// (after cancelling the run with its error). Phase 1 claims chunks, which
+// keeps the cursor an order of magnitude cheaper than its items; phase 2
+// claims single pairs, because its list is sorted by promise: a chunk
+// would hand one worker every contender and leave the next one scoring
+// pairs that the bound, once up, settles in O(1).
+func (r *rankRun) forEach(total, chunk int, body func(*rankRun, *rankWorker, *core.Scratch, int) bool) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for _, w := range r.w {
@@ -352,23 +334,40 @@ func (r *rankRun) forEach(total int, body func(*rankRun, *rankWorker, *core.Scra
 	wg.Wait()
 }
 
-// work is one worker of forEach, with a pooled scratch. After an error
-// the others drain via the cancelled context, checked once per claimed
-// chunk (a few milliseconds of exact estimates at worst): Err takes a mutex.
+// work is one worker of forEach, with a pooled scratch. Once the run is
+// cancelled — an error here or in another worker, or the caller's context
+// — it stops at its next claim: reading Done takes no lock, Err would. A
+// panic under body is the query's error, not the process's end: no
+// request handler's recovery covers a worker goroutine.
 func (r *rankRun) work(w *rankWorker, next *atomic.Int64, total, chunk int, body func(*rankRun, *rankWorker, *core.Scratch, int) bool, wg *sync.WaitGroup) {
 	defer wg.Done()
 	scratch := r.s.rankScratch.Get()
-	defer r.s.rankScratch.Put(scratch)
+	defer func() {
+		if v := recover(); v != nil {
+			// The scratch may be half-written: dropped, not pooled.
+			err := fmt.Errorf("store: rank worker panicked: %v", v)
+			fmt.Fprintf(os.Stderr, "%v\n%s", err, debug.Stack())
+			r.s.rankPanics.Add(1)
+			r.cancel(err)
+			return
+		}
+		r.s.rankScratch.Put(scratch)
+	}()
+	done := r.ctx.Done()
 	for {
 		start := int(next.Add(int64(chunk))) - chunk
 		if start >= total {
 			return
 		}
-		if err := r.ctx.Err(); err != nil {
-			r.setErr(err)
+		select {
+		case <-done:
 			return
+		default:
 		}
 		for i := start; i < min(start+chunk, total); i++ {
+			if testHookRankWork != nil {
+				testHookRankWork(i)
+			}
 			if !body(r, w, scratch, i) {
 				return
 			}
@@ -400,16 +399,17 @@ func (r *rankRun) load(w *rankWorker, m Meta) (*core.Sketch, error) {
 	return cand, nil
 }
 
-// runPlan is phase 2 and the merge. Under the cascade it visits the
-// plan's pairs from strongest cheap score down. The first exact runs are
-// the true contenders, so each train's shared bound reaches the final
-// K-th MI almost immediately, and every later pair settles with the O(1)
-// check cheap + margin < bound — the exact tier (and its re-join) runs
-// only for contenders, margin-band pairs, and pairs whose score is
-// saturated against its binned ceiling. Survivors' joins are recomputed
+// runPlan is phase 2 and the final ordering. Under the cascade it visits
+// the plan's pairs from strongest cheap score down. The first exact runs
+// are the true contenders, so each train's heap fills and its bound
+// reaches the final K-th MI almost immediately, and every later pair
+// settles with the O(1) check cheap + margin < bound — the exact tier (and
+// its re-join) runs only for contenders, margin-band pairs, pairs whose
+// score is saturated against its binned ceiling, and the at most Workers
+// − 1 pairs in flight when the bound lands. Survivors' joins are recomputed
 // rather than kept: a scatter join costs microseconds, every phase-1 join
-// kept would be the whole catalog's samples in memory. Without the
-// cascade phase 1 scored every pair exactly and only the merge is left.
+// kept would be the whole catalog's samples in memory. Without the cascade
+// phase 1 scored every pair exactly and only the ordering is left.
 func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
 	opt, s := &r.opt, r.s
 	res := &BatchResult{Queries: make([]BatchQueryResult, len(r.trains))}
@@ -441,16 +441,15 @@ func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
 				}
 			}
 		}
-		r.kthBound = make([]atomic.Uint64, len(r.trains))
 		for q, floor := range opt.MinMI {
 			if floor > 0 {
-				raiseBound(&r.kthBound[q], floor)
+				raiseBound(&r.tops[q].bound, floor)
 			}
 		}
-		r.forEach(len(r.tasks), (*rankRun).scoreTask)
+		r.forEach(len(r.tasks), 1, (*rankRun).scoreTask)
 	}
-	if r.firstErr != nil {
-		return nil, r.firstErr
+	if err := context.Cause(r.ctx); err != nil {
+		return nil, err
 	}
 	res.Skipped = slices.Clone(p.skipped)
 	for _, w := range r.w {
@@ -464,42 +463,26 @@ func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
 		slices.Sort(res.Skipped)
 		res.Skipped = slices.Compact(res.Skipped)
 	}
-	// Each worker kept the top K of its subset, so merging the subsets'
-	// survivors and cutting at K yields the exact global top K — and the
-	// (MI, name) sort makes the cut deterministic across partitions and,
-	// names being distinct, across sorting algorithms.
+	// A train's heap holds its global top K, or without TopK every result;
+	// byRank is a total order (names are distinct), so the ranking is the
+	// same whatever the scheduling and the sorting algorithm.
 	for q := range r.trains {
-		var ranked []RankedSketch
-		for _, w := range r.w {
-			ranked = append(append(ranked, w.tops[q]...), w.all[q]...)
-		}
-		slices.SortFunc(ranked, func(a, b RankedSketch) int {
-			switch {
-			case a.MI > b.MI:
-				return -1
-			case a.MI < b.MI:
-				return 1
-			}
-			return cmp.Compare(a.Name, b.Name)
-		})
-		if opt.TopK > 0 && len(ranked) > opt.TopK {
-			ranked = ranked[:opt.TopK]
-		}
-		res.Queries[q].Ranked = ranked
+		slices.SortFunc(r.tops[q].s, byRank)
+		res.Queries[q].Ranked = r.tops[q].s
 	}
 	return res, nil
 }
 
-// scoreTask is phase 2 for one pair. Once some worker's heap for a train
-// is full, its root is a lower bound L on the final K-th exact MI — at
-// least K candidates scored ≥ L, so a pair with cheap + margin < L has
-// exact MI < L (margin calibration) and cannot appear in the final top K
-// no matter how names break ties.
+// scoreTask is phase 2 for one pair. Once the train's heap is full, its
+// root is a lower bound L on the final K-th exact MI — at least K
+// candidates scored ≥ L, so a pair with cheap + margin < L has exact MI
+// < L (margin calibration) and cannot appear in the final top K no matter
+// how names break ties.
 func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, ti int) bool {
 	t := r.tasks[ti]
 	rescue := false
 	if !r.opt.Seed { // an exempt pair's +Inf passes through: never settled, never a rescue
-		if tb := r.kthBound[t.q].Load(); tb != 0 {
+		if tb := r.tops[t.q].bound.Load(); tb != 0 {
 			kth := math.Float64frombits(tb - 1)
 			ub := t.cheap + r.margin
 			if ub < t.ceil && ub < kth {
@@ -519,7 +502,7 @@ func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, ti int) bool {
 	if cand == nil { // a reused plan: it keeps positions, not sketches
 		var err error
 		if cand, err = r.load(w, m); err != nil {
-			r.setErr(err)
+			r.cancel(err)
 			return false
 		} else if cand == nil {
 			cand = lateSkip
@@ -532,20 +515,15 @@ func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, ti int) bool {
 	// A compatible overwrite since phase 1 may no longer join.
 	js, err := r.probes[t.q].JoinAbove(cand, r.opt.MinJoinSize, true, scratch)
 	if err != nil {
-		r.setErr(fmt.Errorf("store: estimating %q: %w", m.Name, err))
+		r.cancel(fmt.Errorf("store: estimating %q: %w", m.Name, err))
 		return false
 	} else if js.Size <= r.opt.MinJoinSize {
 		return true
 	}
 	e := r.probes[t.q].EstimateJoined(cand, js, r.opt.K, scratch)
 	rs := RankedSketch{Name: m.Name, MI: e.MI, Estimator: e.Estimator, JoinSize: e.N}
-	if tops := &w.tops[t.q]; e.MI >= r.opt.MinMI[t.q] && tops.offer(rs, r.opt.TopK) {
-		if rescue {
-			w.counts[2]++
-		}
-		if len(*tops) == r.opt.TopK {
-			raiseBound(&r.kthBound[t.q], (*tops)[0].MI)
-		}
+	if e.MI >= r.opt.MinMI[t.q] && r.tops[t.q].offer(rs, r.opt.TopK) && rescue {
+		w.counts[2]++
 	}
 	return true
 }

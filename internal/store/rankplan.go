@@ -87,8 +87,10 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 	// never read unless the cutoff is negative.
 	p.visit = within(sv.cands, lo, hi)
 	if opt.MinJoinSize >= 0 && !opt.NoIndex {
+		sc := s.selectPool.Get().(*selectScratch)
 		var prunedAll int
-		p.visit, prunedAll = s.selectVisit(v, r.seed, p.visit, lo, hi, r.probes, opt.MinJoinSize)
+		p.visit, prunedAll = sc.selectVisit(v, r.seed, p.visit, lo, hi, r.probes, opt.MinJoinSize)
+		s.selectPool.Put(sc)
 		s.candNoDecode.Add(int64(prunedAll))
 		for q := range p.pruned {
 			p.pruned[q] = prunedAll
@@ -98,8 +100,8 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 		slices.Sort(p.visit)
 	}
 	r.start(p.visit)
-	r.forEach(len(p.visit), (*rankRun).joinCandidate)
-	if r.firstErr != nil {
+	r.forEach(len(p.visit), max(1, min(len(p.visit)/(len(r.w)*8), maxRankChunk)), (*rankRun).joinCandidate)
+	if r.ctx.Err() != nil {
 		return nil, false
 	}
 	total, clean := 0, true
@@ -145,7 +147,7 @@ func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) boo
 	m := r.v.entries[r.visit[i]]
 	cand, err := r.load(w, m)
 	if err != nil {
-		r.setErr(err)
+		r.cancel(err)
 		return false
 	} else if cand == nil {
 		return true
@@ -163,7 +165,7 @@ func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) boo
 		// when the exact estimator runs inline.
 		js, err := probe.JoinAbove(cand, opt.MinJoinSize, !r.cascade, scratch)
 		if err != nil {
-			r.setErr(fmt.Errorf("store: estimating %q: %w", m.Name, err))
+			r.cancel(fmt.Errorf("store: estimating %q: %w", m.Name, err))
 			return false
 		}
 		if js.Size <= opt.MinJoinSize {
@@ -189,15 +191,8 @@ func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) boo
 			w.tasks = append(w.tasks, t)
 			continue
 		}
-		e := probe.EstimateJoined(cand, js, opt.K, scratch)
-		rs := RankedSketch{Name: m.Name, MI: e.MI, Estimator: e.Estimator, JoinSize: e.N}
-		if e.MI < opt.MinMI[q] {
-			continue
-		}
-		if opt.TopK > 0 {
-			w.tops[q].offer(rs, opt.TopK)
-		} else {
-			w.all[q] = append(w.all[q], rs)
+		if e := probe.EstimateJoined(cand, js, opt.K, scratch); e.MI >= opt.MinMI[q] {
+			r.tops[q].offer(RankedSketch{Name: m.Name, MI: e.MI, Estimator: e.Estimator, JoinSize: e.N}, opt.TopK)
 		}
 	}
 	return true

@@ -18,7 +18,7 @@
 package store
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -112,6 +112,7 @@ type Store struct {
 	cascadeRescues atomic.Int64
 
 	planHits, planMisses atomic.Int64 // see Stats.PlanHits
+	rankPanics           atomic.Int64 // see Stats.RankPanics
 
 	// rankScratch is the estimator scratch pool ranking workers draw
 	// from, so consecutive queries on one handle reuse grown-to-size
@@ -564,6 +565,9 @@ type Stats struct {
 	// probe, or runs without the cascade, never looks.
 	PlanHits   int64 `json:"plan_hits"`
 	PlanMisses int64 `json:"plan_misses"`
+	// RankPanics counts rank workers that panicked; each one failed its
+	// own query ("store: rank worker panicked: …") and nothing else.
+	RankPanics int64 `json:"rank_panics"`
 	// CompressedSegments counts live FSST-compressed segments;
 	// CompressedBytes is what their records occupy on disk and
 	// RawBytes what the same records would occupy raw — the achieved
@@ -594,6 +598,7 @@ func (s *Store) Stats() Stats {
 		CascadeMarginRescues:      s.cascadeRescues.Load(),
 		PlanHits:                  s.planHits.Load(),
 		PlanMisses:                s.planMisses.Load(),
+		RankPanics:                s.rankPanics.Load(),
 	}
 	cs := s.cache.Stats()
 	st.CacheBytes, st.CacheHits, st.CacheMisses, st.Evictions = cs.Used, cs.Hits, cs.Misses, cs.Evictions
@@ -695,7 +700,7 @@ type RankOptions struct {
 	// mi.DefaultK and a negative K is rejected.
 	K int
 	// TopK > 0 bounds each train's result to its K best candidates,
-	// accumulated in per-worker bounded heaps; <= 0 returns every one.
+	// accumulated in one bounded heap per train; <= 0 returns every one.
 	TopK int
 	// Workers overrides the estimation fan-out; <= 0 means GOMAXPROCS.
 	// Rankings are bit-identical at every worker count.
@@ -817,42 +822,63 @@ func (s *Store) RankQuery(ctx context.Context, train *core.Sketch, opt RankOptio
 	return res.Queries[0].Ranked, res.Skipped, nil
 }
 
-// rankHeap is a bounded min-heap holding the best K results seen so far;
-// the weakest result (lowest MI, then lexicographically last name) sits
-// at the root so offer can displace it in O(log K).
-type rankHeap []RankedSketch
-
-func (h rankHeap) Len() int { return len(h) }
-func (h rankHeap) Less(i, j int) bool {
-	if h[i].MI != h[j].MI {
-		return h[i].MI < h[j].MI
+// byRank orders results as a ranking lists them: decreasing MI, ties by
+// name.
+func byRank(a, b RankedSketch) int {
+	switch {
+	case a.MI > b.MI:
+		return -1
+	case a.MI < b.MI:
+		return 1
 	}
-	return h[i].Name > h[j].Name
+	return cmp.Compare(a.Name, b.Name)
 }
-func (h rankHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *rankHeap) Push(x any)   { *h = append(*h, x.(RankedSketch)) }
-func (h *rankHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// rankHeap collects one train's exact results from every worker: the best
+// k of them, in a bounded min-heap with the weakest (last under byRank) at
+// the root so offer can displace it in O(log k), or all of them when k is
+// not positive. bound is the cascade's lower bound on the train's final
+// k-th exact MI, encoded as raiseBound describes: a MinMI floor, or the
+// root once the heap holds k results — k candidates scored at least that,
+// whichever workers scored them, so pruning against it never evicts a
+// true top-k result.
+type rankHeap struct {
+	mu    sync.Mutex
+	s     []RankedSketch
+	bound atomic.Uint64
 }
 
 // offer reports whether the result entered the heap (displacing the
-// weakest when full) — the signal the cascade's rescue counter needs.
+// weakest when full) — the signal the cascade's rescue counter needs. The
+// lock is taken once per exact estimate, never per pair.
 func (h *rankHeap) offer(r RankedSketch, k int) bool {
-	if len(*h) < k {
-		heap.Push(h, r)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.s) < k || k <= 0 {
+		h.s = append(h.s, r)
+		if len(h.s) == k { // sorted weakest first, the slice is a heap
+			slices.SortFunc(h.s, func(a, b RankedSketch) int { return byRank(b, a) })
+			raiseBound(&h.bound, h.s[0].MI)
+		}
 		return true
+	} else if byRank(r, h.s[0]) >= 0 {
+		return false
 	}
-	w := (*h)[0]
-	if r.MI > w.MI || (r.MI == w.MI && r.Name < w.Name) {
-		(*h)[0] = r
-		heap.Fix(h, 0)
-		return true
+	s := h.s
+	s[0] = r
+	for i := 0; ; { // sift down
+		j := 2*i + 1
+		if j+1 < k && byRank(s[j+1], s[j]) > 0 {
+			j++
+		}
+		if j >= k || byRank(s[j], s[i]) <= 0 {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
 	}
-	return false
+	raiseBound(&h.bound, s[0].MI)
+	return true
 }
 
 // Gen returns the store's mutation generation, which increments on

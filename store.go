@@ -80,8 +80,8 @@ func LoadSketch(path string) (*Sketch, error) {
 // fresh segments. The "mem" backend keeps everything in process memory
 // for diskless services and tests. Ranking filters candidates on the
 // manifest alone (no record decodes for excluded candidates), supports
-// context cancellation, and bounds results to the top K with per-worker
-// heaps (Store.RankQuery).
+// context cancellation, and bounds results to the top K with one heap
+// per train that every worker shares (Store.RankQuery).
 type Store = store.Store
 
 // Storage backends selectable via OpenStoreOptions.Backend.
