@@ -18,7 +18,7 @@
 //
 //	misketch estimate -full ...
 //
-// Maintain an on-disk sketch store (sharded, manifest-indexed): bulk
+// Maintain an on-disk sketch store (segment-packed, manifest-indexed): bulk
 // ingest every column of every CSV in a directory through a parallel
 // StreamBuilder pool, then answer discovery queries against it:
 //
@@ -657,8 +657,10 @@ func runServe(args []string) {
 	fmt.Println("misketch serve: drained and persisted, bye")
 }
 
-// runStoreRebuild re-derives a store's manifest from the sketch files on
-// disk via header-only reads — repair after manifest loss or corruption.
+// runStoreRebuild opens a store — which replays the segment records into
+// a fresh manifest when it is lost, corrupt or stale, and persists it —
+// then verifies every segment's CRCs and closes it. Bit rot is not
+// repairable: it exits nonzero, naming each corrupt segment.
 func runStoreRebuild(args []string) {
 	fs := flag.NewFlagSet("store rebuild", flag.ExitOnError)
 	storeDir := fs.String("store", "", "sketch store directory")
@@ -666,7 +668,9 @@ func runStoreRebuild(args []string) {
 	requireFlags(map[string]string{"store": *storeDir})
 	st, err := misketch.OpenStore(*storeDir)
 	die(err)
-	die(st.RebuildManifest())
+	verr := st.Verify()
+	die(st.Close())
+	die(verr)
 	n, err := st.Len()
 	die(err)
 	fmt.Printf("rebuilt manifest: %d sketches indexed in %s\n", n, *storeDir)

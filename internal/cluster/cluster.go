@@ -2,9 +2,9 @@
 // replicas and gathers their per-shard top-K heaps into one ranking —
 // the multi-node deployment mode. Each replica owns a disjoint shard of
 // the catalog (segment files are immutable and content-addressed, so
-// placement is file copying: rsync a subset of segments per replica and
-// let each rebuild its manifest). The coordinator speaks the exact same
-// HTTP/JSON protocol as a single node, so clients cannot tell a
+// placement is file copying: rsync a subset of segments per replica;
+// opening the copied directory heals it). The coordinator speaks the
+// exact same HTTP/JSON protocol as a single node, so clients cannot tell a
 // coordinator from a replica except for two additive response fields:
 // "partial" and "shard_errors", reported when a shard was unreachable
 // and the ranking covers only the shards that answered.

@@ -417,7 +417,7 @@ func DecodeRecordInfo(data []byte, off int) (RecordInfo, error) {
 
 // VerifyRecord checks the frame and CRC of the record at data[off] and
 // returns its total length. It is the torn-write and bit-rot detector
-// used when replaying a segment tail after a crash and when repairing.
+// used when replaying a segment tail after a crash and when verifying.
 func VerifyRecord(data []byte, off int) (int, error) {
 	info, err := DecodeRecordInfo(data, off)
 	if err != nil {

@@ -11,9 +11,11 @@ package store
 //
 // The interface is deliberately narrow: append-style mutation, two load
 // flavors (owned vs borrowed), pinning for borrowed lifetimes, and index
-// persistence. Compaction and repair are fs-specific and reached by
+// persistence. Compaction and verification are fs-specific and reached by
 // type assertion, not interface bloat — a mem store has nothing to
-// compact or repair.
+// compact or verify. Repair is not a backend operation at all: opening a
+// store (openFSBackend) is the one place it happens, and a Store keeps
+// the backend it opened with until it is dropped.
 
 import (
 	"fmt"

@@ -14,7 +14,7 @@ import (
 	"misketch/internal/table"
 )
 
-// Phase 1 of rankTrains decides, per (train, candidate) pair, between
+// Phase 1 of RankBatch decides, per (train, candidate) pair, between
 // pruned, skipped, cheaply scored and exactly scored, and every one of
 // those decisions is visible: in the ranking, in Pruned and Skipped, in
 // a seed answer's rows and bound, and in five Stats counters. The other

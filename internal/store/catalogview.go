@@ -14,16 +14,17 @@ package store
 // paths produce bit-identical rankings and identical Pruned counts.
 //
 // Consistency contract: a view describes one (manifest, segment table)
-// state. viewLocked builds it under s.mu when a rank, List or Metas
-// finds none, and every site that writes s.manifest or changes which
-// segments the backend serves drops it under s.mu: Put, Delete, the
-// compaction roll and swap (which moves records without bumping Gen),
-// RebuildManifest, Close's seal. All but the seeds map and the plan cache
-// is immutable once published; seeds gains entries only under s.mu, each
-// immutable once added, and plans (rankplan.go) locks for itself. A query
-// takes the view, its seed's lists and the segment pins in one critical
-// section — an atomic snapshot that always contains a Put or Delete that
-// returned before the rank started.
+// state of the one backend a handle keeps for its whole life. viewLocked
+// builds it under s.mu when a rank, List or Metas finds none, and every
+// site that writes s.manifest or changes which segments the backend
+// serves drops it under s.mu: Put, Delete, the compaction roll and swap
+// (which moves records without bumping Gen), Close's seal. All but the
+// seeds map and the plan cache is immutable once published; seeds gains
+// entries only under s.mu, each immutable once added, and plans
+// (rankplan.go) locks for itself. A query takes the view, its seed's
+// lists and the segment pins in one critical section — an atomic
+// snapshot that always contains a Put or Delete that returned before the
+// rank started.
 
 import (
 	"math/bits"

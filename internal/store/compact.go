@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"misketch/internal/core"
@@ -76,7 +75,9 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 		return CompactStats{}, err
 	}
 	s.view = nil // the rolled segment's records are indexed from here on
-	sources, srcBytes := fb.sealedSet()
+	// Pin the sources for the copy phase; retirement is pin-aware, so the
+	// pins also cover any in-flight queries.
+	sources, srcBytes, release := fb.pinSealed()
 	live := make([]Meta, 0, len(s.manifest))
 	for _, m := range s.manifest {
 		if _, ok := sources[m.Segment]; ok {
@@ -100,14 +101,12 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 		}
 	}
 	if len(sources) == 0 || (len(sources) == 1 && !hasGarbage(sources, len(live)) && !wantRecompress) {
+		release()
 		unlock()
 		stats.SegmentsAfter = stats.SegmentsBefore
 		stats.BytesAfter = stats.BytesBefore
 		return stats, nil
 	}
-	// Pin the sources for the copy phase; retirement is pin-aware, so
-	// this also covers any in-flight queries.
-	release := fb.pin(keys(sources))
 	newSeq := fb.allocSeq()
 	unlock()
 
@@ -127,13 +126,6 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 	// Swap phase: move each still-unmoved sketch to its new location,
 	// persist the manifest, then retire the sources.
 	s.mu.Lock()
-	if s.backend != fb {
-		s.mu.Unlock() // a RebuildManifest raced us; drop the pass
-		munmapFile(newSeg.data)
-		newSeg.f.Close()
-		os.Remove(newSeg.path)
-		return stats, fmt.Errorf("store: compaction abandoned: backend was rebuilt")
-	}
 	fb.install(newSeg)
 	for name, loc := range newLocs {
 		m, ok := s.manifest[name]
@@ -203,31 +195,31 @@ func hasGarbage(sources map[uint64]*segment, liveRecords int) bool {
 	return false
 }
 
-func keys(m map[uint64]*segment) map[uint64]struct{} {
-	out := make(map[uint64]struct{}, len(m))
-	for k := range m {
-		out[k] = struct{}{}
-	}
-	return out
-}
-
 // recLoc is a record location in the new compacted segment.
 type recLoc struct {
 	seg         uint64
 	off, length int64
 }
 
-// sealedSet snapshots the sealed/frozen segments and their total size.
-func (b *fsBackend) sealedSet() (map[uint64]*segment, int64) {
+// pinSealed pins every sealed and frozen segment and returns them with
+// their total size and the release func. Listing and pinning share one
+// segMu section: a segment a compaction installs and retires in between
+// is either returned under its pin or not returned at all.
+func (b *fsBackend) pinSealed() (map[uint64]*segment, int64, func()) {
 	b.segMu.Lock()
 	defer b.segMu.Unlock()
 	out := make(map[uint64]*segment, len(b.segs))
 	var bytes int64
 	for seq, seg := range b.segs {
+		seg.acquire()
 		out[seq] = seg
 		bytes += seg.size
 	}
-	return out, bytes
+	return out, bytes, func() {
+		for _, seg := range out {
+			seg.release()
+		}
+	}
 }
 
 // allocSeq reserves the next segment sequence number.
@@ -330,109 +322,4 @@ func (b *fsBackend) retire(sources map[uint64]*segment) {
 		seg.retired.Store(true)
 		seg.release() // the segment-table ref
 	}
-}
-
-// abandon releases the backend's hold on its segments without unlinking
-// the files — the RebuildManifest swap path, where a new backend owns
-// the same directory.
-func (b *fsBackend) abandon() {
-	b.segMu.Lock()
-	segs := b.segs
-	b.segs = make(map[uint64]*segment)
-	b.active = nil
-	b.segMu.Unlock()
-	for _, seg := range segs {
-		seg.keepFile.Store(true)
-		seg.retired.Store(true)
-		seg.release()
-	}
-}
-
-// verifyClean checks that the on-disk manifest and segment files agree
-// byte-for-byte with the in-memory index: manifest checksum, segment
-// footers and whole-file CRCs, covered extents, and the absence of
-// unknown segment files. A clean store needs no rebuild — and the check
-// performs no per-sketch file opens.
-func (b *fsBackend) verifyClean(metas map[string]Meta) bool {
-	man, err := loadManifestV2(filepath.Join(b.dir, ManifestFile))
-	if err != nil {
-		return false
-	}
-	files, err := scanSegmentFiles(b.dir)
-	if err != nil {
-		return false
-	}
-	if len(man.metas) != len(metas) {
-		return false
-	}
-	for name, m := range metas {
-		if man.metas[name] != m {
-			return false
-		}
-	}
-	b.segMu.Lock()
-	segs := make(map[uint64]*segment, len(b.segs))
-	for seq, seg := range b.segs {
-		segs[seq] = seg
-	}
-	active := b.active
-	b.segMu.Unlock()
-	listed := make(map[uint64]bool, len(man.segs))
-	for _, ms := range man.segs {
-		listed[ms.seq] = true
-		if active != nil && active.seg.seq == ms.seq {
-			if ms.covered != active.off {
-				return false
-			}
-			delete(files, ms.seq)
-			continue
-		}
-		seg, ok := segs[ms.seq]
-		if !ok || ms.covered != seg.recEnd {
-			return false
-		}
-		if seg.sealed {
-			if ms.indexed != (seg.kixOff > 0) {
-				return false // manifest's key-index flag disagrees
-			}
-			if seg.verify() != nil {
-				return false
-			}
-			// The sealed index must parse and agree with the manifest:
-			// every live record the manifest places in this segment has
-			// to appear at the indexed offset.
-			entries, err := seg.readIndex()
-			if err != nil || len(entries) != seg.count {
-				return false
-			}
-			byOff := make(map[int64]segIndexEntry, len(entries))
-			for _, e := range entries {
-				byOff[e.off] = e
-			}
-			for _, m := range metas {
-				if m.Segment != ms.seq {
-					continue
-				}
-				e, ok := byOff[m.Offset]
-				if !ok || e.info.Name != m.Name || int64(e.info.Len) != m.Bytes {
-					return false
-				}
-			}
-		} else if replayRecords(seg.data, segHeaderBytes, seg.recEnd, nil) != seg.recEnd {
-			return false // frozen segment: per-record CRC walk
-		}
-		delete(files, ms.seq)
-	}
-	if len(files) > 0 {
-		return false // segment files the manifest does not know
-	}
-	for seq := range segs {
-		if !listed[seq] {
-			return false
-		}
-	}
-	if active != nil && !listed[active.seg.seq] {
-		return false
-	}
-	return true
 }

@@ -62,12 +62,17 @@ func expectState(t *testing.T, dir string, want map[string]*core.Sketch) {
 			t.Errorf("%q recovered wrong sketch", name)
 		}
 	}
-	// The recovered store must rank, and a rebuild must agree.
-	if err := st.RebuildManifest(); err != nil {
-		t.Fatal(err)
+	// The recovered store's segments must verify, and a second reopen of
+	// what the first one healed and persisted must agree with it.
+	if err := st.Verify(); err != nil {
+		t.Fatalf("recovered store fails Verify: %v", err)
 	}
-	if n, _ := st.Len(); n != len(want) {
-		t.Errorf("rebuild after recovery disagrees: %d sketches", n)
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("second reopen after crash: %v", err)
+	}
+	if n, _ := st2.Len(); n != len(want) {
+		t.Errorf("second reopen disagrees: %d sketches, want %d", n, len(want))
 	}
 }
 

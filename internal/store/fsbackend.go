@@ -279,7 +279,7 @@ func (b *fsBackend) tombstone(name string) (uint64, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := w.appendTombstone(name, true); err != nil {
+	if err := w.appendTombstone(name); err != nil {
 		return 0, 0, err
 	}
 	seq, end := w.seg.seq, w.off

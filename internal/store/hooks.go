@@ -7,8 +7,8 @@ import "os"
 // a precise point inside a mutation — the hook returns an error, the
 // operation aborts exactly where a crash would have left it, and the
 // test reopens the directory — and (b) count file opens, pinning the
-// invariant that opening or rebuilding an intact store touches O(segment
-// files), never O(sketches).
+// invariant that opening an intact store touches O(segment files), never
+// O(sketches), and that verifying it opens none.
 
 // testHookCrash, when non-nil, is consulted at named crash points; a
 // non-nil return aborts the surrounding operation at that point. Points:

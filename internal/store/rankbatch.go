@@ -13,12 +13,11 @@ package store
 // ever runs, at a small fraction of the estimator's cost. Rankings are
 // bit-identical to running RankQuery per train.
 //
-// rankTrains below is the one copy of the ranking machinery — catalog
+// RankBatch below is the one copy of the ranking machinery — catalog
 // view snapshot, index-driven candidate selection, worker pool,
 // mutation-race triage, one bounded heap per train, deterministic order —
-// shared by
-// RankQuery (one train) and RankBatch (N trains), which hand it their
-// RankOptions as they got it. The per-pair probe prefilter is always on;
+// and RankQuery is RankBatch on one train, handing it its RankOptions as
+// it got them. The per-pair probe prefilter is always on;
 // on top of it, sealed segments carry a persistent inverted key index
 // (keyindex.go) that, through the catalog view (catalogview.go), excludes
 // never-joining candidates before they are loaded — selection cost grows
@@ -102,93 +101,40 @@ type BatchResult struct {
 }
 
 // RankBatch ranks every train sketch against the stored candidates in
-// one corpus pass. Each train's ranking — estimates, order, top-K cut —
-// is bit-for-bit identical to an independent RankQuery call with the
-// same options, but the batch pays the per-candidate costs once instead
-// of once per train: one manifest snapshot, one candidate load (and one
-// cache slot touch) per candidate, and the key-overlap prefilter (the
-// overlap core.KeyOverlap defines, read off the join's own probe of the
-// compiled train index) skips the estimator for
-// every (train, candidate) pair whose coordinated-sample key
-// intersection already proves the join at or below MinJoinSize. Pruned
-// pair counts are reported per query and aggregated in Stats.
+// one corpus pass; it is the shared ranking core, and RankQuery is
+// RankBatch on one train. Each train's ranking — estimates, order, top-K
+// cut — is bit-for-bit identical to an independent RankQuery call with
+// the same options, but the batch pays the per-candidate costs once
+// instead of once per train: one manifest snapshot, one candidate load
+// (and one cache slot touch) per candidate, and the key-overlap prefilter
+// (the overlap core.KeyOverlap defines, read off the join's own probe of
+// the compiled train index) skips the estimator for every (train,
+// candidate) pair whose coordinated-sample key intersection already
+// proves the join at or below MinJoinSize. Pruned pair counts are
+// reported per query and aggregated in Stats.
+//
+// It runs in two named stages with a value between them: planRank
+// (rankplan.go) is phase 1 — select, load, join, cheap-score — and
+// runPlan is phase 2 — seed cut, MinMI floors, K-th bound, exact tier,
+// ordering. Phase 1 reads nothing of TopK, MinMI, Seed, K, CascadeMargin
+// or Workers, so under the cascade its plan is memoised on the catalog
+// view and calls that differ only in those (and reuse their compiled
+// probes) share it until the catalog moves. A (train, candidate) pair
+// whose key-hash overlap is at or below MinJoinSize (when that is >= 0 —
+// a negative cutoff keeps even empty joins, so nothing is prunable) is
+// counted as pruned instead of estimated — by the index when the
+// candidate's segment has one and NoIndex is off (the candidate is then
+// never decoded at all), by the probe otherwise; candidates with
+// duplicated key hashes are exempted so the malformed-input error
+// behavior is the same on both routes.
 //
 // All trains must share a hash seed (they could not share a candidate
 // filter otherwise); a batch mixing seeds fails up front. An empty
-// batch returns an empty result. Estimation stops early when ctx is
-// cancelled, and any worker's error cancels the whole batch.
+// batch returns an empty result. One train counts as a query in Stats
+// and any other number as a batch, whichever entry point the call came
+// through. Estimation stops early when ctx is cancelled, and any
+// worker's error cancels the whole batch.
 func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOptions) (*BatchResult, error) {
-	return s.rankTrains(ctx, trains, opt)
-}
-
-// getForRank loads a candidate for a ranking worker, preferring the
-// cache and falling back to a zero-copy view decoded out of the pinned
-// segment mappings. A cached entry is only trusted if it owns its
-// memory or borrows from a segment this query pinned; anything else
-// (a view into a newer, unpinned segment) is bypassed in favor of the
-// snapshot's own — pinned — location, whose bytes are immutable.
-// Like the legacy path, a cache hit may surface a newer compatible
-// version of the sketch than the snapshot admitted; the caller's
-// mutation triage handles incompatible ones.
-func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}) (*core.Sketch, error) {
-	s.mu.Lock()
-	if ent, ok := s.cache.Get(m.Name); ok {
-		if _, isPinned := pinned[ent.seg]; ent.seg == 0 || isPinned {
-			s.mu.Unlock()
-			return ent.sk, nil
-		}
-		// Borrowed from a segment outside the pin set; fall through.
-	}
-	b := s.backend
-	s.mu.Unlock()
-	sk, tag, err := b.loadView(m)
-	for attempt := 0; err == errSegmentGone && attempt < 3; attempt++ {
-		// A compaction retired the snapshot's segment between this
-		// query's pin and this load: the record was copied, not lost.
-		// Chase its current location with an owning load (the new
-		// segment is outside our pin set, so a borrowed view could be
-		// retired again mid-query; a clone cannot).
-		s.mu.Lock()
-		cur, ok := s.manifest[m.Name]
-		b = s.backend
-		s.mu.Unlock()
-		if !ok {
-			break // genuinely deleted meanwhile; triage skips it
-		}
-		sk, err = b.loadOwned(cur)
-		tag = 0
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.diskReads.Add(1)
-	s.mu.Lock()
-	// Cache the decode only if the sketch was not overwritten or deleted
-	// meanwhile: a stale view must not shadow the mutation's result.
-	if cur, ok := s.manifest[m.Name]; ok && cur == m && s.backend == b {
-		s.cacheLocked(m.Name, sk, tag)
-	}
-	s.mu.Unlock()
-	return sk, nil
-}
-
-// rankTrains is the shared ranking core, in two named stages with a value
-// between them: planRank (rankplan.go) is phase 1 — select, load, join,
-// cheap-score — and runPlan is phase 2 — seed cut, MinMI floors, K-th
-// bound, exact tier, ordering. Phase 1 reads nothing of TopK, MinMI,
-// Seed, K, CascadeMargin or Workers, so under the cascade its plan is
-// memoised on the catalog view and calls that differ only in those (and
-// reuse their compiled probes) share it until the catalog moves.
-// A (train, candidate) pair whose key-hash overlap is at or below
-// MinJoinSize (when that is >= 0 — a negative cutoff keeps even empty
-// joins, so nothing is prunable) is counted as pruned instead of
-// estimated — by the index when the candidate's segment has one and
-// NoIndex is off (the candidate is then never decoded at all), by the
-// probe otherwise; candidates with duplicated key hashes are exempted so
-// the malformed-input error behavior is the same on both routes. One
-// train counts as a query in Stats and any other number as a batch,
-// whichever entry point the call came through.
-func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt RankOptions) (*BatchResult, error) {
 	if len(trains) == 1 {
 		s.rankQueries.Add(1)
 	} else {
@@ -255,6 +201,55 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt RankO
 		r.v.plans.Add(key, p, p.cost(key))
 	}
 	return r.runPlan(p)
+}
+
+// getForRank loads a candidate for a ranking worker, preferring the
+// cache and falling back to a zero-copy view decoded out of the pinned
+// segment mappings. A cached entry is only trusted if it owns its
+// memory or borrows from a segment this query pinned; anything else
+// (a view into a newer, unpinned segment) is bypassed in favor of the
+// snapshot's own — pinned — location, whose bytes are immutable.
+// Like the legacy path, a cache hit may surface a newer compatible
+// version of the sketch than the snapshot admitted; the caller's
+// mutation triage handles incompatible ones.
+func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}) (*core.Sketch, error) {
+	s.mu.Lock()
+	if ent, ok := s.cache.Get(m.Name); ok {
+		if _, isPinned := pinned[ent.seg]; ent.seg == 0 || isPinned {
+			s.mu.Unlock()
+			return ent.sk, nil
+		}
+		// Borrowed from a segment outside the pin set; fall through.
+	}
+	s.mu.Unlock()
+	sk, tag, err := s.backend.loadView(m)
+	for attempt := 0; err == errSegmentGone && attempt < 3; attempt++ {
+		// A compaction retired the snapshot's segment between this
+		// query's pin and this load: the record was copied, not lost.
+		// Chase its current location with an owning load (the new
+		// segment is outside our pin set, so a borrowed view could be
+		// retired again mid-query; a clone cannot).
+		s.mu.Lock()
+		cur, ok := s.manifest[m.Name]
+		s.mu.Unlock()
+		if !ok {
+			break // genuinely deleted meanwhile; triage skips it
+		}
+		sk, err = s.backend.loadOwned(cur)
+		tag = 0
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.diskReads.Add(1)
+	s.mu.Lock()
+	// Cache the decode only if the sketch was not overwritten or deleted
+	// meanwhile: a stale view must not shadow the mutation's result.
+	if cur, ok := s.manifest[m.Name]; ok && cur == m {
+		s.cacheLocked(m.Name, sk, tag)
+	}
+	s.mu.Unlock()
+	return sk, nil
 }
 
 // rankRun is what one ranking call threads through its stages.

@@ -123,11 +123,9 @@ type segment struct {
 	// membership plus one per pinned reader. retire drops the table ref;
 	// the last unpin (or retire itself) unmaps, closes, and — because
 	// retirement follows a manifest swap that no longer references the
-	// segment — unlinks the file. keepFile suppresses the unlink (the
-	// RebuildManifest swap, where a new backend owns the same file).
-	refs     atomic.Int64
-	retired  atomic.Bool
-	keepFile atomic.Bool
+	// segment — unlinks the file.
+	refs    atomic.Int64
+	retired atomic.Bool
 }
 
 // acquire takes a reader pin. The caller must hold the backend's segment
@@ -143,9 +141,7 @@ func (g *segment) release() {
 		if g.f != nil {
 			g.f.Close()
 		}
-		if !g.keepFile.Load() {
-			os.Remove(g.path)
-		}
+		os.Remove(g.path)
 	}
 }
 
@@ -263,8 +259,9 @@ func (w *segmentWriter) appendSketch(name string, sk *core.Sketch, sync bool) (i
 	return off, int64(len(buf)), err
 }
 
-// appendTombstone encodes and appends a deletion marker for name.
-func (w *segmentWriter) appendTombstone(name string, sync bool) error {
+// appendTombstone encodes and appends a deletion marker for name, fsynced
+// before it returns: a Delete is acknowledged at that point.
+func (w *segmentWriter) appendTombstone(name string) error {
 	buf, err := core.AppendTombstone(w.buf[:0], name)
 	if err != nil {
 		return err
@@ -274,7 +271,7 @@ func (w *segmentWriter) appendTombstone(name string, sync bool) error {
 	if err != nil {
 		return err
 	}
-	_, err = w.appendRecord(buf, info, sync)
+	_, err = w.appendRecord(buf, info, true)
 	return err
 }
 
@@ -626,11 +623,15 @@ func openSegment(path string) (*segment, error) {
 	return seg, nil
 }
 
-// verify checks the sealed segment's footer CRC — the whole-file
-// bit-rot check run by RebuildManifest, not on the query path.
+// verify is Store.Verify's check of one pinned segment: a sealed segment's
+// footer CRC over every byte before the footer, or a frozen segment's
+// record CRCs up to the end its open replayed to. Not on the query path.
 func (g *segment) verify() error {
 	if !g.sealed {
-		return fmt.Errorf("store: segment %d is unsealed", g.seq)
+		if end := replayRecords(g.data, min(segHeaderBytes, g.recEnd), g.recEnd, nil); end != g.recEnd {
+			return fmt.Errorf("store: segment %d fails a record CRC at offset %d", g.seq, end)
+		}
+		return nil
 	}
 	// Both footer versions end with crc u32 | reserved u32 | magic (8 B);
 	// the CRC covers every byte before the footer, key index included.
@@ -640,44 +641,6 @@ func (g *segment) verify() error {
 		return fmt.Errorf("store: segment %d fails CRC (%08x != %08x)", g.seq, got, want)
 	}
 	return nil
-}
-
-// readIndex parses the sealed segment's index section.
-func (g *segment) readIndex() ([]segIndexEntry, error) {
-	if !g.sealed {
-		return nil, fmt.Errorf("store: segment %d is unsealed", g.seq)
-	}
-	end := g.size - g.footLen
-	if g.dictOff > 0 {
-		end = g.dictOff
-	}
-	if g.kixOff > 0 {
-		end = g.kixOff
-	}
-	r := newBytesBinioReader(g.data[g.recEnd:end])
-	entries := make([]segIndexEntry, 0, g.count)
-	for i := 0; i < g.count; i++ {
-		var e segIndexEntry
-		e.info.Name = r.Str()
-		e.info.Kind = int(r.U8())
-		e.off = int64(r.Uvarint())
-		e.info.Len = int(r.Uvarint())
-		e.info.Method = core.MethodOfCode(r.U8())
-		e.info.Role = core.Role(r.U8())
-		e.info.Numeric = r.U8() == 1
-		e.info.Seed = r.U32()
-		e.info.Size = int(r.Uvarint())
-		e.info.Entries = int(r.Uvarint())
-		e.info.SourceRows = int(r.Uvarint())
-		if r.Err != nil {
-			return nil, fmt.Errorf("store: segment %d index entry %d: %w", g.seq, i, r.Err)
-		}
-		if e.off < segHeaderBytes || e.off+int64(e.info.Len) > g.recEnd {
-			return nil, fmt.Errorf("store: segment %d index entry %d out of bounds", g.seq, i)
-		}
-		entries = append(entries, e)
-	}
-	return entries, nil
 }
 
 // replayRecords iterates the records in [from, to), validating each

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -176,8 +177,10 @@ func Open(dir string) (*Store, error) {
 // opening an indexed store costs one file read plus one mmap per
 // segment, regardless of catalog size; acked mutations from after the
 // last manifest write are recovered by replaying the segment tails. When
-// the manifest is missing or corrupt the store heals itself from the
-// segment records alone.
+// the manifest is missing, corrupt or inconsistent with the segment files
+// the store heals itself from the segment records alone and persists the
+// result. This is the store's one repair path: a handle keeps the backend,
+// cache and covered offsets it opened with for its whole life.
 func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 	s := &Store{dir: dir}
 	s.selectPool.New = func() any { return new(selectScratch) }
@@ -195,14 +198,15 @@ func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 			return nil, err
 		}
 		s.backend = fb
-		s.resetManifestLocked(metas)
-		s.covered = fb.coveredSnapshot()
+		s.manifest, s.covered = metas, fb.coveredSnapshot()
 	case BackendMem:
 		s.backend = newMemBackend()
-		s.resetManifestLocked(make(map[string]Meta))
-		s.covered = make(map[uint64]int64)
+		s.manifest, s.covered = make(map[string]Meta), make(map[uint64]int64)
 	default:
 		return nil, fmt.Errorf("store: unknown backend %q", opt.Backend)
+	}
+	for _, m := range s.manifest {
+		s.liveBytes += m.Bytes
 	}
 	if opt.CompactEvery > 0 {
 		minGarbage := opt.CompactMinGarbage
@@ -241,7 +245,7 @@ func (s *Store) flushLocked() error {
 
 // setMetaLocked installs name's manifest record (removes it when live is
 // false), keeping liveBytes in step and dropping the catalog view. Every
-// write to s.manifest goes through here or resetManifestLocked.
+// write to s.manifest after OpenWithOptions goes through here.
 func (s *Store) setMetaLocked(name string, m Meta, live bool) {
 	s.liveBytes -= s.manifest[name].Bytes
 	if live {
@@ -251,14 +255,6 @@ func (s *Store) setMetaLocked(name string, m Meta, live bool) {
 		delete(s.manifest, name)
 	}
 	s.view = nil
-}
-
-// resetManifestLocked replaces the whole manifest (open and repair).
-func (s *Store) resetManifestLocked(metas map[string]Meta) {
-	s.manifest, s.view, s.liveBytes = metas, nil, 0
-	for _, m := range metas {
-		s.liveBytes += m.Bytes
-	}
 }
 
 // Close stops the auto-compaction loop (if any), flushes the manifest,
@@ -294,37 +290,24 @@ func (s *Store) Put(name string, sk *core.Sketch) error {
 	}
 	s.appendMu.RLock()
 	defer s.appendMu.RUnlock()
-	for {
-		s.mu.Lock()
-		b := s.backend
-		s.mu.Unlock()
-		seg, off, length, err := b.put(name, sk)
-		if err != nil {
-			return fmt.Errorf("store: writing %q: %w", name, err)
-		}
-		if err := crashPoint("put.appended"); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.backend != b {
-			// A concurrent RebuildManifest swapped the backend under us;
-			// the appended record landed in an abandoned segment (where
-			// a future replay may still find it). Re-append through the
-			// new backend so this handle's index is right now.
-			s.mu.Unlock()
-			continue
-		}
-		s.setMetaLocked(name, metaOf(name, sk, seg, off, length), true)
-		if end := off + length; s.covered[seg] < end {
-			s.covered[seg] = end
-		}
-		s.gen.Add(1)
-		s.dirty = true
-		s.cacheLocked(name, sk, 0)
-		s.mu.Unlock()
-		s.puts.Add(1)
-		return nil
+	seg, off, length, err := s.backend.put(name, sk)
+	if err != nil {
+		return fmt.Errorf("store: writing %q: %w", name, err)
 	}
+	if err := crashPoint("put.appended"); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.setMetaLocked(name, metaOf(name, sk, seg, off, length), true)
+	if end := off + length; s.covered[seg] < end {
+		s.covered[seg] = end
+	}
+	s.gen.Add(1)
+	s.dirty = true
+	s.cacheLocked(name, sk, 0)
+	s.mu.Unlock()
+	s.puts.Add(1)
+	return nil
 }
 
 // Get loads the named sketch (from cache when warm). The returned sketch
@@ -351,12 +334,11 @@ func (s *Store) Get(name string) (*core.Sketch, error) {
 		}
 		m, known := s.manifest[name]
 		gen := s.gen.Load()
-		b := s.backend
 		s.mu.Unlock()
 		if !known {
 			return nil, fmt.Errorf("store: no sketch %q: %w", name, ErrNotFound)
 		}
-		sk, err := b.loadOwned(m)
+		sk, err := s.backend.loadOwned(m)
 		if err == errSegmentGone && attempt < 3 {
 			continue // compaction moved the record; re-read its location
 		}
@@ -368,7 +350,7 @@ func (s *Store) Get(name string) (*core.Sketch, error) {
 		// Only cache the load if no Put or Delete raced it: a stale (or
 		// deleted) version must not be resurrected into the cache over
 		// the mutation's result.
-		if _, ok := s.manifest[name]; ok && s.gen.Load() == gen && s.backend == b {
+		if _, ok := s.manifest[name]; ok && s.gen.Load() == gen {
 			s.cacheLocked(name, sk, 0)
 		}
 		s.mu.Unlock()
@@ -384,19 +366,18 @@ func (s *Store) Delete(name string) error {
 	defer s.appendMu.RUnlock()
 	s.mu.Lock()
 	_, known := s.manifest[name]
-	b := s.backend
 	s.mu.Unlock()
 	if !known {
 		return fmt.Errorf("store: no sketch %q: %w", name, ErrNotFound)
 	}
-	seg, end, err := b.tombstone(name)
+	seg, end, err := s.backend.tombstone(name)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	s.setMetaLocked(name, Meta{}, false)
 	s.dirty = true
-	if s.backend == b && s.covered[seg] < end {
+	if s.covered[seg] < end {
 		s.covered[seg] = end
 	}
 	s.gen.Add(1)
@@ -435,52 +416,29 @@ func (s *Store) Metas() []Meta {
 	return slices.Clone(v.entries) // the view's own slice is shared and immutable
 }
 
-// RebuildManifest re-derives the manifest from the storage backend — the
-// repair path for stores whose manifest was lost, corrupted, or bypassed
-// outside the store's control. On the fs backend it first verifies the
-// current index against the segment files (manifest checksum, segment
-// footers, per-segment CRCs); a store that checks out clean is left
-// untouched without replaying a single record, so repeated rebuilds of a
-// healthy store cost reads of the segment pages, never per-sketch work.
-// Otherwise the segments are re-opened and replayed from scratch. On the
-// mem backend there is nothing to rebuild.
-func (s *Store) RebuildManifest() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Verify is the bit-rot check: it reads every sealed segment in full
+// against its footer CRC and replays every frozen segment's record CRCs up
+// to the end open recovered, and returns one error per failing segment
+// (errors.Join), naming it. The active segment, whose records this handle
+// appended and fsynced, is not read. Verify repairs nothing — a record
+// whose bytes rotted is gone, and opening the store is the one repair path
+// for everything else — and runs beside queries, mutations and compaction:
+// the segments it reads are pinned while it reads them. Nil on the mem
+// backend.
+func (s *Store) Verify() error {
 	fb, ok := s.backend.(*fsBackend)
 	if !ok {
 		return nil
 	}
-	if s.verifyCleanLocked(fb) {
-		return nil
+	segs, _, release := fb.pinSealed()
+	defer release()
+	var errs []error
+	for _, seq := range slices.Sorted(maps.Keys(segs)) {
+		if err := segs[seq].verify(); err != nil {
+			errs = append(errs, err)
+		}
 	}
-	// Full repair: re-open the directory from scratch and swap the
-	// backend. The old backend's segments are released without
-	// unlinking (the new backend owns the same files); in-flight
-	// queries keep their pins on the old mappings until they finish.
-	newFB, metas, err := openFSBackend(s.dir, fb.rollBytes, fb.compress)
-	if err != nil {
-		return err
-	}
-	old := fb
-	s.backend = newFB
-	s.resetManifestLocked(metas)
-	s.covered = newFB.coveredSnapshot()
-	if s.cache != nil {
-		s.cache = cache.NewLRU[string, cachedSketch](s.cache.Max())
-	}
-	s.dirty = true
-	old.abandon()
-	return s.flushLocked()
-}
-
-// verifyCleanLocked reports whether the in-memory index, the on-disk
-// manifest, and the segment files all agree — the rebuild short-circuit.
-func (s *Store) verifyCleanLocked(fb *fsBackend) bool {
-	if s.dirty {
-		return false
-	}
-	return fb.verifyClean(s.manifest)
+	return errors.Join(errs...)
 }
 
 // Stats are observability counters for a store handle.
@@ -815,7 +773,7 @@ func (opt RankOptions) Resolve(n int) (RankOptions, error) {
 // racing an in-flight rank is safe from both sides, as is a concurrent
 // compaction.
 func (s *Store) RankQuery(ctx context.Context, train *core.Sketch, opt RankOptions) (ranked []RankedSketch, skipped []string, err error) {
-	res, err := s.rankTrains(ctx, []*core.Sketch{train}, opt)
+	res, err := s.RankBatch(ctx, []*core.Sketch{train}, opt)
 	if err != nil {
 		return nil, nil, err
 	}

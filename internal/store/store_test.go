@@ -250,46 +250,122 @@ func TestOpenRemovesOrphanedTempFiles(t *testing.T) {
 	}
 }
 
-func TestRebuildManifest(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+// TestVerifyReportsCorruptSegments pins Verify's contract: nil on a clean
+// store, one error naming each segment whose bytes rotted — a sealed one
+// by its footer CRC, a crash-frozen one by its record CRCs — and nil on
+// the mem backend. Bit rot is reported, not repaired: a reopen still
+// reports it and Get of the damaged sketch fails its record CRC.
+func TestVerifyReportsCorruptSegments(t *testing.T) {
+	sketch := func(i int) *core.Sketch {
+		return buildSketch(t, core.RoleCandidate, 0, func(g int) float64 { return float64((g + i) % 9) })
 	}
-	sk := buildSketch(t, core.RoleCandidate, 0, func(g int) float64 { return float64(g) })
-	if err := st.Put("a#x", sk); err != nil {
-		t.Fatal(err)
+	put := func(st *Store, names ...string) {
+		t.Helper()
+		for i, name := range names {
+			if err := st.Put(name, sketch(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
+	reopen := func(dir string) *Store {
+		t.Helper()
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	// A clean store rebuilds to the same index.
-	if err := st.RebuildManifest(); err != nil {
-		t.Fatal(err)
+	// flip overwrites a byte in the middle of name's record with another
+	// value, behind the open handle's back, and returns the record's segment.
+	flip := func(st *Store, name string) uint64 {
+		t.Helper()
+		m, ok := st.Meta(name)
+		if !ok {
+			t.Fatalf("no sketch %q", name)
+		}
+		f, err := os.OpenFile(segmentPath(st.Dir(), m.Segment), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		b, off := make([]byte, 1), m.Offset+m.Bytes/2
+		if _, err := f.ReadAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0xff
+		if _, err := f.WriteAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+		return m.Segment
 	}
-	names, _ := st.List()
-	if len(names) != 1 || names[0] != "a#x" {
-		t.Errorf("List after clean rebuild = %v", names)
+	// names reports which of the segments err names.
+	names := func(err error, segs ...uint64) (named []uint64) {
+		for _, seq := range segs {
+			if err != nil && strings.Contains(err.Error(), fmt.Sprintf("segment %d ", seq)) {
+				named = append(named, seq)
+			}
+		}
+		return named
 	}
-	m, ok := st.Meta("a#x")
-	if !ok || m.Entries != sk.Len() || m.Seed != sk.Seed || m.Role != core.RoleCandidate {
-		t.Errorf("rebuilt meta = %+v", m)
-	}
-	// Rebuild on the live handle also repairs out-of-band damage: here,
-	// records appended behind the manifest's back by a foreign writer
-	// (simulated by corrupting the manifest on disk).
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.RebuildManifest(); err != nil {
-		t.Fatal(err)
-	}
-	if names, _ := st.List(); len(names) != 1 || names[0] != "a#x" {
-		t.Errorf("List after repair rebuild = %v", names)
-	}
-	if got, err := st.Get("a#x"); err != nil || got.Len() != sk.Len() {
-		t.Errorf("Get after rebuild: %v", err)
-	}
+
+	t.Run("sealed", func(t *testing.T) {
+		dir := t.TempDir()
+		st := reopen(dir)
+		put(st, "a0", "a1", "a2")
+		if err := st.Close(); err != nil { // seals segment 1
+			t.Fatal(err)
+		}
+		put(st, "b0", "b1")
+		if err := st.Close(); err != nil { // seals segment 2
+			t.Fatal(err)
+		}
+		st = reopen(dir)
+		if err := st.Verify(); err != nil {
+			t.Fatalf("clean store: Verify = %v", err)
+		}
+		bad := flip(st, "a1")
+		good, _ := st.Meta("b0")
+		err := st.Verify()
+		if got := names(err, bad, good.Segment); len(got) != 1 || got[0] != bad {
+			t.Fatalf("Verify = %v; want an error naming segment %d alone", err, bad)
+		}
+		if _, err := st.Get("a1"); err == nil || errors.Is(err, ErrNotFound) {
+			t.Errorf("Get of the damaged sketch = %v; want a CRC failure", err)
+		}
+		if _, err := st.Get("b0"); err != nil {
+			t.Errorf("Get of an intact sketch: %v", err)
+		}
+		if err := reopen(dir).Verify(); len(names(err, bad)) != 1 {
+			t.Errorf("after a reopen Verify = %v; want segment %d still named", err, bad)
+		}
+	})
+
+	t.Run("frozen", func(t *testing.T) {
+		dir := t.TempDir()
+		put(reopen(dir), "c0", "c1", "c2") // the handle dies before its seal
+		st := reopen(dir)
+		if segs := st.Segments(); len(segs) != 1 || segs[0].Sealed {
+			t.Fatalf("fixture: segments %+v; want one frozen segment", segs)
+		}
+		if err := st.Verify(); err != nil {
+			t.Fatalf("clean frozen segment: Verify = %v", err)
+		}
+		bad := flip(st, "c1")
+		if err := st.Verify(); len(names(err, bad)) != 1 {
+			t.Fatalf("Verify = %v; want an error naming segment %d", err, bad)
+		}
+	})
+
+	t.Run("mem", func(t *testing.T) {
+		st, err := OpenWithOptions("", OpenOptions{Backend: BackendMem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(st, "m0")
+		if err := st.Verify(); err != nil {
+			t.Fatalf("mem backend: Verify = %v", err)
+		}
+	})
 }
 
 func TestManifestMetadataRoundTrip(t *testing.T) {
