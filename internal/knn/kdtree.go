@@ -54,7 +54,7 @@ const treeMaxDepth = 64
 // exception).
 //
 // A Tree's query methods share internal scratch space: queries on one
-// Tree must not run concurrently. Build one Tree per goroutine (or per
+// Tree must not run concurrently. Keep one Tree per goroutine (or per
 // mi.Scratch) for parallel estimation.
 type Tree struct {
 	pts  []Point // points in tree order
@@ -65,17 +65,10 @@ type Tree struct {
 	stack [treeMaxDepth]searchFrame // reusable traversal stack
 }
 
-// Build constructs a kd-tree over pts. The input slice is not modified.
-func Build(pts []Point) *Tree {
-	t := &Tree{}
-	t.Reset(pts)
-	return t
-}
-
-// Reset rebuilds the tree in place over a new point set, reusing the
+// Reset builds the tree in place over a new point set, reusing the
 // existing backing arrays when they are large enough. The input slice is
-// not modified. A Reset tree is indistinguishable from a freshly Built
-// one.
+// not modified. A Reset tree is indistinguishable from a fresh one Reset
+// over the same points.
 func (t *Tree) Reset(pts []Point) {
 	n := len(pts)
 	t.pts = append(t.pts[:0], pts...)
@@ -418,14 +411,7 @@ type Sorted1D struct {
 	keys []uint64 // scratch for the key-transform sort
 }
 
-// NewSorted1D builds the structure from vals (input not modified).
-func NewSorted1D(vals []float64) *Sorted1D {
-	s := &Sorted1D{}
-	s.Reset(vals)
-	return s
-}
-
-// Reset rebuilds the structure in place over a new value multiset,
+// Reset builds the structure in place over a new value multiset,
 // reusing the sorted backing array when it is large enough. The input
 // slice is not modified.
 func (s *Sorted1D) Reset(vals []float64) {

@@ -8,6 +8,20 @@ import (
 	"testing/quick"
 )
 
+// Build constructs a kd-tree over pts. The input slice is not modified.
+func Build(pts []Point) *Tree {
+	t := &Tree{}
+	t.Reset(pts)
+	return t
+}
+
+// NewSorted1D builds the structure from vals (input not modified).
+func NewSorted1D(vals []float64) *Sorted1D {
+	s := &Sorted1D{}
+	s.Reset(vals)
+	return s
+}
+
 // bruteKNNDist is the O(n) reference for Tree.KNNDist.
 func bruteKNNDist(pts []Point, q Point, k, selfIdx int) float64 {
 	var ds []float64

@@ -58,7 +58,8 @@ func dcksgReference(cs []string, ys []float64, k int) float64 {
 			sort.Float64s(classSorted[classStart[id] : classStart[id]+c])
 		}
 	}
-	global := knn.NewSorted1D(grouped)
+	var global knn.Sorted1D
+	global.Reset(grouped)
 	nMasked := float64(masked)
 	var sumK, sumNc, sumM float64
 	for id, nc := range classCounts {

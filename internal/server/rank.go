@@ -557,7 +557,10 @@ func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchReque
 		}
 		resp.Queries[q] = out
 	}
-	return Outcome{Status: http.StatusOK, Body: EncodeJSON(ep.shape(resp))},
-		fmt.Sprintf(`rank;dur=%.3f, probes;desc="%d/%d", workers;desc=%d`,
-			float64(elapsed)/float64(time.Millisecond), probesCached, len(trains), opt.Workers)
+	measured := fmt.Sprintf(`rank;dur=%.3f, probes;desc="%d/%d", workers;desc=%d`,
+		float64(elapsed)/float64(time.Millisecond), probesCached, len(trains), opt.Workers)
+	if res.ViewBuild > 0 { // this rank rebuilt the catalog view an open or a mutation dropped
+		measured += fmt.Sprintf(", view;dur=%.3f", float64(res.ViewBuild)/float64(time.Millisecond))
+	}
+	return Outcome{Status: http.StatusOK, Body: EncodeJSON(ep.shape(resp))}, measured
 }

@@ -170,6 +170,32 @@ func TestRankMatchesDirect(t *testing.T) {
 	assertSameRanking(t, all.Ranked, wantAll)
 }
 
+// TestServerTimingViewBuild: the rank that builds the store's catalog
+// view reports it as view;dur — the first after open, and the first after
+// a Put dropped the view — and a rank that finds the view built does not.
+func TestServerTimingViewBuild(t *testing.T) {
+	_, ts, st, train := newTestServer(t, 12, Options{})
+	minJoin := 10
+	req := RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", MinJoin: &minJoin, K: 3}
+	extra, err := st.Get("corpus/c000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, step := range []struct {
+		put  bool
+		view bool
+	}{{false, true}, {false, false}, {true, true}, {false, false}} {
+		if step.put {
+			if err := st.Put("corpus/extra", extra); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, timing := rankTimed(t, ts.URL, req); strings.Contains(timing, ", view;dur=") != step.view {
+			t.Fatalf("rank %d (after a put: %v): Server-Timing %q, want view;dur: %v", i, step.put, timing, step.view)
+		}
+	}
+}
+
 // TestRankByStoredTrain ranks by referencing a stored train sketch
 // instead of uploading one; results must match the upload path exactly.
 func TestRankByStoredTrain(t *testing.T) {

@@ -83,15 +83,6 @@ func EntropyFromCounts(counts []int, n int) float64 {
 	return h
 }
 
-// DistinctCount returns the number of distinct values in xs.
-func DistinctCount(xs []string) int {
-	seen := make(map[string]struct{}, len(xs))
-	for _, x := range xs {
-		seen[x] = struct{}{}
-	}
-	return len(seen)
-}
-
 // MLEBiasApprox returns the first-order bias of the MLE MI estimator from
 // Eq. 6 of the paper: (m_X + m_Y − m_XY − 1) / (2N). Positive values mean
 // the estimator overestimates MI by roughly that amount.

@@ -8,6 +8,15 @@ import (
 	"testing/quick"
 )
 
+// DistinctCount returns the number of distinct values in xs.
+func DistinctCount(xs []string) int {
+	seen := make(map[string]struct{}, len(xs))
+	for _, x := range xs {
+		seen[x] = struct{}{}
+	}
+	return len(seen)
+}
+
 func TestEntropyMLEUniform(t *testing.T) {
 	// m equally frequent symbols -> H = ln m exactly.
 	for _, m := range []int{1, 2, 4, 16, 100} {

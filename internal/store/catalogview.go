@@ -8,7 +8,7 @@ package store
 // MinJoinSize straight to its manifest entry, so the visit list costs
 // the postings touched plus the candidates that match, not a walk of the
 // catalog. Candidates no index can vouch for (the unsealed active
-// segment, frozen segments, corrupt index sections,
+// segment, frozen segments, corrupt index sections or posting lists,
 // duplicated key hashes) are always visited and left to the worker
 // loop's probe prefilter, so the indexed, fallback, and mem-backend
 // paths produce bit-identical rankings and identical Pruned counts.
@@ -27,6 +27,7 @@ package store
 // rank started.
 
 import (
+	"maps"
 	"math/bits"
 	"slices"
 	"sort"
@@ -70,16 +71,18 @@ func (s *Store) viewLocked() *catalogView {
 	if s.view != nil {
 		return s.view
 	}
+	// Sort the names and gather the entries after: a sort moves strings,
+	// not whole Metas.
+	names := slices.Sorted(maps.Keys(s.manifest))
 	v := &catalogView{
-		entries: make([]Meta, 0, len(s.manifest)),
+		entries: make([]Meta, len(names)),
 		pins:    make(map[uint64]struct{}),
 		seeds:   make(map[uint32]*seedView),
 		plans:   cache.NewLRU[planKey, *rankPlan](planCacheBytes),
 	}
-	for _, m := range s.manifest {
-		v.entries = append(v.entries, m)
+	for i, name := range names {
+		v.entries[i] = s.manifest[name]
 	}
-	slices.SortFunc(v.entries, func(a, b Meta) int { return strings.Compare(a.Name, b.Name) })
 	fb, _ := s.backend.(*fsBackend)
 	bySeg := make(map[uint64]*viewSegment) // nil: no usable index
 	for i := range v.entries {
@@ -174,8 +177,9 @@ type selectScratch struct {
 // query. A candidate is selected the moment its overlap with some train
 // passes minJoin (overlaps only grow: weights and multiplicities are at
 // least 1); once every eligible one is, no posting left could exclude
-// anything, so none is read and eligible itself is the answer. The caller
-// holds pins on every segment of the view.
+// anything, so none is read and eligible itself is the answer. A segment
+// whose index is or turns bad contributes all its live candidates. The
+// caller holds pins on every segment of the view.
 func (sc *selectScratch) selectVisit(v *catalogView, seed uint32, eligible []int32, lo, hi int32, probes []*core.TrainProbe, minJoin int) (visit []int32, prunedAll int) {
 	if len(sc.acc) < v.maxRecords {
 		sc.acc = make([]int64, v.maxRecords)
@@ -200,11 +204,12 @@ func (sc *selectScratch) selectVisit(v *catalogView, seed uint32, eligible []int
 	}
 	cut := int64(max(minJoin, 0)) // a touched ordinal holds at least 1
 	for _, vs := range v.segs {
+		ok := !vs.ix.bad.Load()
 		for _, probe := range probes {
 			hashes, mults := probe.DistinctKeyHashes()
-			for i := 0; i < len(hashes) && n < len(eligible); i++ {
+			for i := 0; ok && i < len(hashes) && n < len(eligible); i++ {
 				sc.crossed = sc.crossed[:0]
-				vs.ix.accumulate(hashes[i], int64(mults[i]), cut, sc)
+				ok = vs.ix.accumulate(hashes[i], int64(mults[i]), cut, sc)
 				for _, ord := range sc.crossed {
 					pick(vs.pos[ord] - 1)
 				}
@@ -213,6 +218,14 @@ func (sc *selectScratch) selectVisit(v *catalogView, seed uint32, eligible []int
 				sc.acc[ord] = 0
 			}
 			sc.touched = sc.touched[:0]
+		}
+		if !ok {
+			// A posting list failed validation, now or in an earlier
+			// query: the index vouches for nothing, so every live
+			// candidate of the segment is visited, as if it had none.
+			for _, p := range vs.pos {
+				pick(p - 1)
+			}
 		}
 	}
 	if n == len(eligible) {

@@ -482,8 +482,8 @@ func (b *fsBackend) coveredSnapshot() map[uint64]int64 {
 }
 
 // keyIndexOf returns the parsed key index of a sealed segment, or nil
-// when the segment has none (unsealed, frozen, or failed
-// validation). The caller must hold a pin on the segment.
+// when the segment has none (unsealed, frozen, or failed its
+// parse). The caller must hold a pin on the segment.
 func (b *fsBackend) keyIndexOf(seq uint64) *keyIndex {
 	b.segMu.Lock()
 	seg, ok := b.segs[seq]

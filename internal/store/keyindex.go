@@ -36,16 +36,20 @@ package store
 // estimator exactly as the full walk would), so the index marks them in
 // dupBitmap and selection always visits them.
 //
-// Fail-closed contract: the section carries its own CRC and every
-// referenced posting list is structurally validated before first use
-// (parseKeyIndex); any defect makes the whole segment fall back to the
-// full candidate walk. A corrupt index can cost time, never results.
+// Fail-closed contract: parseKeyIndex checks the section's own CRC and
+// its structure short of the posting lists; each list is validated when
+// a query first reads it (accumulate), so a cold open pays only for the
+// lists it reads. A parse defect leaves the segment unindexed; a list
+// defect unindexes it from then on — that query and every later one
+// visit all its live candidates. A corrupt index can cost time, never
+// results.
 
 import (
 	"fmt"
 	"hash/crc32"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"misketch/internal/binio"
 )
@@ -180,8 +184,10 @@ func (b *keyIndexBuilder) encode() (section []byte, ok bool) {
 	return append(section, payload...), true
 }
 
-// keyIndex is a parsed, validated index ready to be probed straight out
-// of the segment mapping.
+// keyIndex is a parsed index ready to be probed straight out of the
+// segment mapping. Its posting lists are validated one by one as queries
+// first read them; bad is sticky, and a caller that finds it set must not
+// read the index at all.
 type keyIndex struct {
 	recOffsets []int64
 	dup        []byte
@@ -190,6 +196,8 @@ type keyIndex struct {
 	mask       uint32
 	slots      int
 	postings   []byte
+	checked    []atomic.Uint64 // bit s: slot s's posting list validated
+	bad        atomic.Bool     // some posting list failed validation
 }
 
 // records returns the number of indexed candidate records.
@@ -213,20 +221,30 @@ func (ix *keyIndex) isDup(ord int) bool {
 // accumulate adds weight × multiplicity into sc.acc[ordinal] for every
 // posting of hk, appending newly touched ordinals to sc.touched (so the
 // caller can reset acc in O(touched)) and those whose sum this hash
-// carried past cut to sc.crossed. Bounds were validated at parse time;
-// sc.acc must have records() elements.
-func (ix *keyIndex) accumulate(hk uint32, weight, cut int64, sc *selectScratch) {
+// carried past cut to sc.crossed. The list is validated on its first
+// read; one that fails is not read, marks ix bad, and makes accumulate
+// report false. sc.acc must have records() elements.
+func (ix *keyIndex) accumulate(hk uint32, weight, cut int64, sc *selectScratch) bool {
 	if ix.slots == 0 {
-		return
+		return true
 	}
 	i := hk & ix.mask
 	for probes := 0; probes < ix.slots; probes++ {
 		ref := binio.U32At(ix.refs, int(i)*4)
 		if ref == 0 {
-			return
+			return true
 		}
 		if binio.U32At(ix.keys, int(i)*4) == hk {
 			off := int(ref) - 1
+			// Racing first reads each validate the list and agree, so
+			// its bit needs no lock.
+			if w, bit := &ix.checked[i/64], uint64(1)<<(i%64); w.Load()&bit == 0 {
+				if validatePostings(ix.postings, off, uint64(len(ix.recOffsets))) != nil {
+					ix.bad.Store(true)
+					return false
+				}
+				w.Or(bit)
+			}
 			n, sz := binio.UvarintAt(ix.postings, off)
 			off += sz
 			sc.read += int(n)
@@ -247,19 +265,21 @@ func (ix *keyIndex) accumulate(hk uint32, weight, cut int64, sc *selectScratch) 
 					sc.crossed = append(sc.crossed, int32(ord))
 				}
 			}
-			return
+			return true
 		}
 		i = (i + 1) & ix.mask
 	}
+	return true
 }
 
-// parseKeyIndex decodes and fully validates a key index section: header,
-// checksum (skippable so the fuzz target can reach the structural
-// checks), record offsets, table geometry, and every referenced posting
-// list — ordinals in range and strictly ascending, multiplicities within
-// [1, maxKixMult], varints well formed. Anything off returns an error
-// and the caller treats the segment as unindexed; accumulate can then
-// trust the bytes without per-probe bounds checks.
+// parseKeyIndex decodes a key index section and validates all but its
+// posting lists: header, checksum (skippable so the fuzz target can reach
+// the structural checks), record offsets and table geometry. Anything off
+// returns an error and the caller treats the segment as unindexed. Each
+// posting list — ordinals in range and strictly ascending, multiplicities
+// within [1, maxKixMult], varints well formed — is validated by
+// accumulate before its first read, which past that check trusts the
+// bytes without per-probe bounds checks.
 func parseKeyIndex(section []byte, verifyCRC bool) (*keyIndex, error) {
 	if len(section) < kixHeaderBytes {
 		return nil, fmt.Errorf("store: key index section too short (%d bytes)", len(section))
@@ -325,20 +345,11 @@ func parseKeyIndex(section []byte, verifyCRC bool) (*keyIndex, error) {
 	ix.refs = payload[pos : pos+4*ix.slots]
 	pos += 4 * ix.slots
 	ix.postings = payload[pos:]
-
-	for s := 0; s < ix.slots; s++ {
-		ref := binio.U32At(ix.refs, s*4)
-		if ref == 0 {
-			continue
-		}
-		if err := validatePostings(ix.postings, int(ref)-1, recCount); err != nil {
-			return nil, fmt.Errorf("store: key index slot %d: %w", s, err)
-		}
-	}
+	ix.checked = make([]atomic.Uint64, (ix.slots+63)/64)
 	return ix, nil
 }
 
-// validatePostings structurally checks one posting list.
+// validatePostings structurally checks the posting list at off.
 func validatePostings(blob []byte, off int, recCount uint64) error {
 	n, sz := binio.UvarintAt(blob, off)
 	if sz <= 0 || n == 0 || n > recCount {

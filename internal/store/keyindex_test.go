@@ -86,7 +86,9 @@ func TestKeyIndexRoundTrip(t *testing.T) {
 	sc := &selectScratch{acc: make([]int64, ix.records())}
 	for hk, byOrd := range model {
 		sc.touched, sc.crossed = sc.touched[:0], sc.crossed[:0]
-		ix.accumulate(hk, 3, 3, sc)
+		if !ix.accumulate(hk, 3, 3, sc) {
+			t.Fatalf("hash %#x: a well-formed posting list failed validation", hk)
+		}
 		want, crossed := map[int]int64{}, 0
 		for ord, m := range byOrd {
 			want[ord] = 3 * m
@@ -187,7 +189,8 @@ func TestParseKeyIndexFailsClosed(t *testing.T) {
 // FuzzSegmentIndex drives the structural validator (CRC off, so the
 // fuzzer reaches past the checksum) with arbitrary bytes: parse must
 // never panic, and any section it does accept must be safe to probe —
-// accumulate stays in bounds for every hash the section mentions.
+// accumulate stays in bounds for every hash the section mentions, and a
+// list it reports bad was not read and leaves the index bad.
 func FuzzSegmentIndex(f *testing.F) {
 	kb, _, _ := kixFixture(20, 8, 3, 4, 5)
 	section, _ := kb.encode()
@@ -205,7 +208,9 @@ func FuzzSegmentIndex(f *testing.F) {
 		sc := &selectScratch{acc: make([]int64, ix.records())}
 		probe := func(hk uint32) {
 			sc.touched = sc.touched[:0]
-			ix.accumulate(hk, 2, 0, sc)
+			if !ix.accumulate(hk, 2, 0, sc) && (len(sc.touched) != 0 || !ix.bad.Load()) {
+				t.Fatalf("a bad list for %#x touched %d ordinals, bad=%v", hk, len(sc.touched), ix.bad.Load())
+			}
 			for _, ord := range sc.touched {
 				if int(ord) >= len(sc.acc) {
 					t.Fatalf("accumulate touched out-of-range ordinal %d", ord)

@@ -34,6 +34,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"misketch/internal/core"
 )
@@ -98,6 +99,10 @@ type BatchResult struct {
 	// (incompatible seed or role, or mutated mid-query). The list is
 	// shared: every query in a batch filters on the same seed.
 	Skipped []string
+	// ViewBuild is how long this call held the store's lock building the
+	// catalog view an open or a mutation had dropped; zero when it found
+	// one built.
+	ViewBuild time.Duration
 }
 
 // RankBatch ranks every train sketch against the stored candidates in
@@ -166,6 +171,11 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 	// the mmap'd record bytes (which the workers' zero-copy sketch views
 	// borrow) and key indexes valid even if a compaction retires them.
 	s.mu.Lock()
+	if s.view == nil {
+		start := time.Now()
+		s.viewLocked()
+		r.viewBuild = max(time.Since(start), time.Nanosecond) // non-zero: it was built
+	}
 	r.v = s.viewLocked()
 	sv := r.v.seed(r.seed)
 	release := s.backend.pin(r.v.pins)
@@ -274,6 +284,8 @@ type rankRun struct {
 	// phase 1 when this call ran it (nothing is decoded twice), loaded on
 	// first use under a reused plan; lateSkip once triage dropped one.
 	cands []atomic.Pointer[core.Sketch]
+	// viewBuild is BatchResult.ViewBuild: nonzero when this call built v.
+	viewBuild time.Duration
 }
 
 // rankWorker is one worker's partial state: its tallies and its share of
@@ -407,7 +419,7 @@ func (r *rankRun) load(w *rankWorker, m Meta) (*core.Sketch, error) {
 // phase 1 scored every pair exactly and only the ordering is left.
 func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
 	opt, s := &r.opt, r.s
-	res := &BatchResult{Queries: make([]BatchQueryResult, len(r.trains))}
+	res := &BatchResult{Queries: make([]BatchQueryResult, len(r.trains)), ViewBuild: r.viewBuild}
 	for q := range res.Queries {
 		res.Queries[q].Pruned = p.pruned[q]
 		if opt.Seed && r.cascade {

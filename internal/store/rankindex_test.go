@@ -13,10 +13,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"sync"
 	"testing"
 
+	"misketch/internal/binio"
 	"misketch/internal/core"
 )
 
@@ -393,5 +397,208 @@ func TestCompactNoOpWhenSealedAndIndexed(t *testing.T) {
 	}
 	if ss := torn.Stats(); ss.IndexedSegments == 0 {
 		t.Fatal("frozen store still unindexed after Compact")
+	}
+}
+
+// twoSegmentStore writes the first half of the catalog into sealed,
+// indexed segment 1 of a fresh directory and the second half into
+// segment 2, and returns the directory.
+func twoSegmentStore(t *testing.T, names []string, cands []*core.Sketch) string {
+	t.Helper()
+	dir := t.TempDir()
+	n := len(names)
+	for _, part := range [][2]int{{0, n / 2}, {n / 2, n}} {
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putAll(t, st, names[part[0]:part[1]], cands[part[0]:part[1]])
+		closeStore(t, st, false)
+	}
+	return dir
+}
+
+// breakPostingList rewrites, in place and keeping every length, the
+// posting list of the first hash in segment seq's key index that want
+// accepts: its first ordinal goes out of range, or with zeroMult its
+// first multiplicity becomes zero. It then recomputes the key index CRC
+// and the footer CRC, so only the structural check can tell.
+func breakPostingList(t *testing.T, dir string, seq uint64, zeroMult bool, want func(uint32) bool) {
+	t.Helper()
+	path := segmentPath(dir, seq)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(data) - segFooterV2Bytes
+	if string(data[len(data)-8:]) != segFooterMagicV2 {
+		t.Fatalf("segment %d has no v2 footer", seq)
+	}
+	kixOff := int(binio.U64At(data, end))
+	ix, err := parseKeyIndex(data[kixOff:end], true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.records() > 127 {
+		t.Fatalf("segment %d indexes %d records: ordinal 127 would be in range", seq, ix.records())
+	}
+	for s := 0; s < ix.slots; s++ {
+		ref, hk := binio.U32At(ix.refs, s*4), binio.U32At(ix.keys, s*4)
+		if ref == 0 || !want(hk) {
+			continue
+		}
+		at := end - len(ix.postings) + int(ref) - 1
+		_, n := binio.UvarintAt(data, at)
+		at += n // the first posting's ordinal and multiplicity, one byte each
+		if zeroMult {
+			data[at+1] = 0
+		} else {
+			data[at] = 127
+		}
+		binio.PutU32(data[kixOff+12:], crc32.Checksum(data[kixOff+kixHeaderBytes:end], crcTable))
+		binio.PutU32(data[end+24:], crc32.Checksum(data[:end], crcTable))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatalf("segment %d indexes no wanted hash", seq)
+}
+
+// TestPostingDefectFallsBackPerSegment plants a structurally invalid
+// posting list behind valid CRCs — an ordinal out of range, or a zero
+// multiplicity — in the first of two sealed segments. Until a query reads
+// that list the segment's index serves; the query that reads it and every
+// later one, including those that never would, visit every candidate of
+// that segment as if it had no index, while the other segment keeps
+// excluding through its own. Every ranking and Pruned count equals the
+// NoIndex walk's.
+func TestPostingDefectFallsBackPerSegment(t *testing.T) {
+	names, cands, trains := diffSketches(t, 80, 4)
+	const minJoin = 20
+	a, b := trains[0], trains[3] // key windows [0, 120) and [120, 240)
+	hashesOf := func(tr *core.Sketch) map[uint32]bool {
+		hs, _ := core.CompileTrainProbe(tr).DistinctKeyHashes()
+		set := make(map[uint32]bool, len(hs))
+		for _, hk := range hs {
+			set[hk] = true
+		}
+		return set
+	}
+	inA, inB := hashesOf(a), hashesOf(b)
+	// excluded counts, per segment, the candidates an index excludes for tr.
+	excluded := func(tr *core.Sketch) (seg1, seg2 int64) {
+		for i, c := range cands {
+			switch {
+			case core.KeyOverlap(tr, c) > minJoin:
+			case i < len(cands)/2:
+				seg1++
+			default:
+				seg2++
+			}
+		}
+		return seg1, seg2
+	}
+	a1, a2 := excluded(a)
+	b1, b2 := excluded(b)
+	if a1 == 0 || a2 == 0 || b1 == 0 || b2 == 0 {
+		t.Fatalf("degenerate fixture: %d+%d and %d+%d candidates excluded", a1, a2, b1, b2)
+	}
+	ctx := context.Background()
+	for _, zeroMult := range []bool{false, true} {
+		dir := twoSegmentStore(t, names, cands)
+		breakPostingList(t, dir, 1, zeroMult, func(hk uint32) bool { return inA[hk] && !inB[hk] })
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := st.Meta(names[0]); !ok || m.Segment != 1 {
+			t.Fatalf("%s lives in segment %d, want 1", names[0], m.Segment)
+		}
+		if err := st.Verify(); err != nil {
+			t.Fatalf("the rewritten segment fails its CRC: %v", err)
+		}
+		for i, step := range []struct {
+			train *core.Sketch
+			skips int64
+		}{
+			{b, b1 + b2}, // b never reads the bad list: both indexes serve
+			{a, a2},      // a reads it: segment 1 is walked in full
+			{b, b2},      // and stays walked for b
+			{a, a2},
+		} {
+			label := fmt.Sprintf("zeroMult=%v step %d", zeroMult, i)
+			trains := []*core.Sketch{step.train}
+			want, err := st.RankBatch(ctx, trains, RankOptions{MinJoinSize: minJoin, K: 3, NoIndex: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := st.Stats().CandidatesSkippedNoDecode
+			got, err := st.RankBatch(ctx, trains, RankOptions{MinJoinSize: minJoin, K: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, g := want.Queries[0], got.Queries[0]
+			if len(w.Ranked) == 0 || !sameRanked(g.Ranked, w.Ranked) || g.Pruned != w.Pruned {
+				t.Fatalf("%s: %d results pruning %d, the NoIndex walk %d pruning %d", label, len(g.Ranked), g.Pruned, len(w.Ranked), w.Pruned)
+			}
+			if skips := st.Stats().CandidatesSkippedNoDecode - before; skips != step.skips {
+				t.Fatalf("%s: %d candidates skipped without a decode, want %d", label, skips, step.skips)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLazyPostingValidationRace ranks eight distinct trains at once on a
+// freshly opened indexed store, so first reads of the posting lists they
+// share race to validate them; every ranking must equal the one-goroutine
+// run's.
+func TestLazyPostingValidationRace(t *testing.T) {
+	names, cands, trains := diffSketches(t, 80, 8)
+	dir := twoSegmentStore(t, names, cands)
+	open := func() *Store {
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	rank := func(st *Store, tr *core.Sketch) BatchQueryResult {
+		res, err := st.RankBatch(context.Background(), []*core.Sketch{tr}, RankOptions{MinJoinSize: 20, K: 3, TopK: 10})
+		if err != nil {
+			t.Error(err)
+			return BatchQueryResult{}
+		}
+		return res.Queries[0]
+	}
+	st := open()
+	want := make([]BatchQueryResult, len(trains))
+	for q, tr := range trains {
+		if want[q] = rank(st, tr); len(want[q].Ranked) == 0 || want[q].Pruned == 0 {
+			t.Fatalf("degenerate fixture: train %d ranks %d and prunes %d", q, len(want[q].Ranked), want[q].Pruned)
+		}
+	}
+	st.Close()
+	for round := 0; round < 3; round++ {
+		st := open()
+		got := make([]BatchQueryResult, len(trains))
+		var wg sync.WaitGroup
+		for q := range trains {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[q] = rank(st, trains[q])
+			}()
+		}
+		wg.Wait()
+		st.Close()
+		for q := range trains {
+			if !sameRanked(got[q].Ranked, want[q].Ranked) || got[q].Pruned != want[q].Pruned {
+				t.Fatalf("round %d train %d: %d results pruning %d, alone %d pruning %d", round, q, len(got[q].Ranked), got[q].Pruned, len(want[q].Ranked), want[q].Pruned)
+			}
+		}
 	}
 }

@@ -421,9 +421,10 @@ func (w *segmentWriter) buildKeyIndex() []byte {
 }
 
 // keyIndex parses (once) and returns the segment's key index, or nil
-// when the segment has none or the section fails validation — the
-// fail-closed path back to the full candidate walk. The caller must
-// hold a pin on the segment.
+// when the segment has none or the section fails its parse — the
+// fail-closed path back to the full candidate walk. Posting lists are
+// validated later, each on its first read (keyindex.go). The caller
+// must hold a pin on the segment.
 func (g *segment) keyIndex() *keyIndex {
 	if !g.sealed || g.kixOff == 0 {
 		return nil
