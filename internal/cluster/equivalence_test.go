@@ -127,6 +127,16 @@ func TestSingleVsBatchEquivalence(t *testing.T) {
 							t.Fatalf("error body %q is not an error object", raw)
 						}
 					}
+					// A coordinator asks its shards in the batch shape, so
+					// the 400 it forwards for a single rank names the one
+					// train as a batch's; a single node names it as its own.
+					want := `"train sketch: `
+					if tier.name == "coordinator" {
+						want = `"rank: trains[0] \"train\": `
+					}
+					if c.name == "wrong role" && !bytes.Contains(sRaw, []byte(want)) {
+						t.Fatalf("single wrong-role error %s, want it to contain %s", sRaw, want)
+					}
 					return
 				}
 				var sr RankResponse
@@ -154,6 +164,22 @@ func TestSingleVsBatchEquivalence(t *testing.T) {
 					t.Fatalf("partial %v/%v", sr.Partial, br.Partial)
 				}
 			})
+		}
+	}
+
+	// Whichever endpoint the coordinator was called on, its shards were
+	// asked in one shape: /v1/rank/batch.
+	for i, sh := range tc.shards {
+		resp, err := http.Get(sh.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats server.StatsResponse
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil || stats.Server.RankRequests != 0 || stats.Server.BatchRequests == 0 {
+			t.Fatalf("shard %d served %d /v1/rank and %d /v1/rank/batch requests (%v), want 0 and some",
+				i, stats.Server.RankRequests, stats.Server.BatchRequests, err)
 		}
 	}
 

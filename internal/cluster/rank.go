@@ -8,10 +8,13 @@ package cluster
 // the merged top-K is bit-identical to a single node ranking the union
 // catalog.
 //
-// /v1/rank and /v1/rank/batch run the same code: a single rank is a
-// batch of one train. What differs — the body's shape coming in, a
-// shard answer's shape coming back, the merged response's shape going
-// out, and the counters — is an endpoint value; prep, scatterMerge and
+// /v1/rank and /v1/rank/batch run the same code, and every shard is
+// asked in one shape: POST /v1/rank/batch. A single rank decodes into
+// the server's own one-train batch form (its train under a fixed name),
+// so there is one wire body going out and one answer shape coming back
+// whichever endpoint the client called. What differs — how the client's
+// body decodes, the merged response's shape going out, the digest tag
+// and the counters — is an endpoint value; prep, scatterMerge and
 // serveRank are written once.
 
 import (
@@ -19,7 +22,6 @@ import (
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -38,18 +40,20 @@ type (
 	RankBatchRequest = server.RankBatchRequest
 )
 
+// shardRankPath is the one rank endpoint a coordinator asks its shards.
+const shardRankPath = "/v1/rank/batch"
+
 // endpoint is everything that differs between the two rank endpoints.
 type endpoint struct {
-	// path is the shard path scattered to; tag separates the endpoints'
-	// request digests; what prefixes an every-shard-failed error.
-	path, tag, what string
+	// what tags the endpoint's request digests — a single rank and a
+	// one-train batch can scatter the same body but answer in different
+	// shapes — and prefixes an every-shard-failed error.
+	what string
 	// requests, partial and failures are the /v1/stats counters.
 	requests, partial, failures atomic.Int64
-	// decode parses and validates a request body.
-	decode func(body []byte) (*scatterRequest, error)
-	// decodeShard parses one shard's 200 body, for a request of n
-	// trains, into the batch shape both endpoints merge in.
-	decodeShard func(body []byte, n int) (*server.RankBatchResponse, error)
+	// decode parses and validates a request body into the batch form
+	// the shards are asked in.
+	decode func(body []byte) (*server.RankBatchRequest, error)
 	// respond shapes m, the merge of the answered shards' answers after
 	// the top-K cut, as the endpoint's response; lost lists the shards
 	// that did not contribute (none on a full answer).
@@ -60,17 +64,9 @@ type endpoint struct {
 type scatterRequest struct {
 	// wire is the request as the shards take it; it is re-marshaled
 	// after by-name trains are inlined, so JSON field order and spelling
-	// cannot split the cache.
-	wire any
-	// trains and sketches point at each train's by-name and inline
-	// fields inside wire; minMI at each train's floor and seed at the
-	// seed flag, which encode rewrites between the rounds.
-	trains, sketches []*string
-	minMI            []*float64
-	seed             *bool
-	// names label a batch's per-train slices.
-	names  []string
-	top    int
+	// cannot split the cache, and encode rewrites its seed flag and
+	// floors between the rounds.
+	wire   *server.RankBatchRequest
 	seeded bool      // the query runs a seed round
 	own    []float64 // the floors the request came with
 
@@ -82,25 +78,7 @@ type scatterRequest struct {
 
 func rankEndpoint() *endpoint {
 	return &endpoint{
-		path: "/v1/rank", tag: "rank", what: "rank",
-		decode: func(body []byte) (*scatterRequest, error) {
-			req, err := server.DecodeRankRequest(body)
-			if err != nil {
-				return nil, err
-			}
-			return &scatterRequest{
-				wire: req, trains: []*string{&req.Train}, sketches: []*string{&req.Sketch},
-				minMI: []*float64{&req.MinMI}, seed: &req.Seed,
-				names: []string{""}, top: req.Top, seeded: !req.NoCascade,
-			}, nil
-		},
-		decodeShard: func(body []byte, _ int) (*server.RankBatchResponse, error) {
-			var sr server.RankResponse
-			if err := json.Unmarshal(body, &sr); err != nil {
-				return nil, fmt.Errorf("undecodable response: %v", err)
-			}
-			return sr.AsBatch(), nil
-		},
+		what: "rank", decode: server.DecodeRankRequest,
 		respond: func(m *server.RankBatchResponse, lost []ShardError) any {
 			return &RankResponse{RankResponse: *m.AsSingle(), Partial: len(lost) > 0, ShardErrors: lost}
 		},
@@ -109,29 +87,7 @@ func rankEndpoint() *endpoint {
 
 func batchEndpoint() *endpoint {
 	return &endpoint{
-		path: "/v1/rank/batch", tag: "batch", what: "rank batch",
-		decode: func(body []byte) (*scatterRequest, error) {
-			req, err := server.DecodeRankBatchRequest(body)
-			if err != nil {
-				return nil, err
-			}
-			sreq := &scatterRequest{wire: req, seed: &req.Seed, top: req.Top, seeded: !req.NoCascade}
-			for i := range req.Trains {
-				ref := &req.Trains[i]
-				sreq.trains = append(sreq.trains, &ref.Train)
-				sreq.sketches = append(sreq.sketches, &ref.Sketch)
-				sreq.minMI = append(sreq.minMI, &ref.MinMI)
-				sreq.names = append(sreq.names, ref.Name)
-			}
-			return sreq, nil
-		},
-		decodeShard: func(body []byte, n int) (*server.RankBatchResponse, error) {
-			var sr server.RankBatchResponse
-			if err := json.Unmarshal(body, &sr); err != nil || len(sr.Queries) != n {
-				return nil, errors.New("undecodable batch response")
-			}
-			return &sr, nil
-		},
+		what: "rank batch", decode: server.DecodeRankBatchRequest,
 		respond: func(m *server.RankBatchResponse, lost []ShardError) any {
 			return &RankBatchResponse{RankBatchResponse: *m, Partial: len(lost) > 0, ShardErrors: lost}
 		},
@@ -180,39 +136,38 @@ func query[R any](ctx context.Context, c *Coordinator, ep *endpoint, req any) (*
 // decoded, by-name trains resolved to inline sketches, re-marshaled,
 // and digested for the cache and singleflight keys.
 func (c *Coordinator) prep(ctx context.Context, ep *endpoint, body []byte) (*scatterRequest, *ClusterError) {
-	req, err := ep.decode(body)
+	wire, err := ep.decode(body)
 	if err != nil {
 		return nil, &ClusterError{StatusCode: http.StatusBadRequest, Message: err.Error()}
 	}
-	for i, name := range req.trains {
-		if *name == "" {
-			continue
+	req := &scatterRequest{wire: wire}
+	for i := range wire.Trains {
+		tr := &wire.Trains[i]
+		if tr.Train != "" {
+			sketch, cerr := c.resolveTrain(ctx, tr.Train)
+			if cerr != nil {
+				return nil, cerr
+			}
+			tr.Train, tr.Sketch = "", sketch
 		}
-		sketch, cerr := c.resolveTrain(ctx, *name)
-		if cerr != nil {
-			return nil, cerr
-		}
-		*req.trains[i], *req.sketches[i] = "", sketch
-	}
-	for _, f := range req.minMI {
-		req.own = append(req.own, *f)
+		req.own = append(req.own, tr.MinMI)
 	}
 	// A seed round pays when there is a floor to find — a top-K cut the
 	// cascade prunes under — and more than one shard to carry it to.
-	req.seeded = req.seeded && req.top > 0 && len(c.shards) > 1
+	req.seeded = !wire.NoCascade && wire.Top > 0 && len(c.shards) > 1
 	if req.canon, err = req.encode(req.seeded, req.own); err != nil {
 		return nil, &ClusterError{StatusCode: http.StatusInternalServerError, Message: err.Error()}
 	}
-	req.digest = requestDigest(ep.tag, req.canon)
+	req.digest = requestDigest(ep.what, req.canon)
 	return req, nil
 }
 
 // encode marshals the request as the shards take it, under the given
 // seed flag and per-train floors.
 func (r *scatterRequest) encode(seed bool, floors []float64) ([]byte, error) {
-	*r.seed = seed
+	r.wire.Seed = seed
 	for q, f := range floors {
-		*r.minMI[q] = f
+		r.wire.Trains[q].MinMI = f
 	}
 	return json.Marshal(r.wire)
 }
@@ -237,7 +192,7 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 			cached[i], inm[i] = ent, ent.etag
 		}
 	}
-	results := c.scatter(ctx, http.MethodPost, ep.path, req.canon, inm, nil)
+	results := c.scatter(ctx, http.MethodPost, shardRankPath, req.canon, inm, nil)
 	tags := make([]string, n)
 	hits := 0
 	for i := range results {
@@ -256,18 +211,23 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 	}
 
 	var lost []ShardError
-	// answer decodes one shard's 200; anything else loses the shard.
+	// answer decodes one shard's 200, which must answer every train;
+	// anything else loses the shard.
 	answer := func(r shardResult) *server.RankBatchResponse {
 		if r.err != nil || r.status != http.StatusOK {
 			lost = append(lost, r.shardError())
 			return nil
 		}
-		sr, err := ep.decodeShard(r.body, len(req.names))
+		var sr server.RankBatchResponse
+		err := json.Unmarshal(r.body, &sr)
+		if err == nil && len(sr.Queries) != len(req.wire.Trains) {
+			err = fmt.Errorf("%d queries answered for %d trains", len(sr.Queries), len(req.wire.Trains))
+		}
 		if err != nil {
-			lost = append(lost, ShardError{Shard: r.shard.url, Error: err.Error()})
+			lost = append(lost, ShardError{Shard: r.shard.url, Error: "undecodable response: " + err.Error()})
 			return nil
 		}
-		return sr
+		return &sr
 	}
 	// first[i] is shard i's round-1 answer, nil once the shard is lost; a
 	// round-2 answer replaces its ranked rows and nothing else.
@@ -289,7 +249,7 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 			}
 		}
 		body, _ := req.encode(false, floors) // prep marshaled it; only floats moved
-		for i, r := range c.scatter(ctx, http.MethodPost, ep.path, body, nil, only) {
+		for i, r := range c.scatter(ctx, http.MethodPost, shardRankPath, body, nil, only) {
 			if !only[i] {
 				continue
 			}
@@ -309,10 +269,10 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 	var m *server.RankBatchResponse
 	var answered int
 	gather := func() (short bool) {
-		m = &server.RankBatchResponse{Queries: make([]server.BatchQueryResponse, len(req.names))}
+		m = &server.RankBatchResponse{Queries: make([]server.BatchQueryResponse, len(req.wire.Trains))}
 		answered = 0
-		for q, name := range req.names {
-			m.Queries[q] = server.BatchQueryResponse{Name: name, Ranked: []server.RankedResult{}}
+		for q := range m.Queries {
+			m.Queries[q] = server.BatchQueryResponse{Name: req.wire.Trains[q].Name, Ranked: []server.RankedResult{}}
 		}
 		for _, sr := range first {
 			if sr == nil {
@@ -331,7 +291,7 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 		}
 		for q := range m.Queries {
 			sortRanked(m.Queries[q].Ranked)
-			short = short || len(m.Queries[q].Ranked) < req.top && floors[q] > req.own[q]
+			short = short || len(m.Queries[q].Ranked) < req.wire.Top && floors[q] > req.own[q]
 		}
 		return short
 	}
@@ -342,8 +302,8 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 		// fewer than K seeds it keeps its own.
 		floors = slices.Clone(req.own)
 		for q := range m.Queries {
-			if r := m.Queries[q].Ranked; len(r) >= req.top {
-				floors[q] = r[req.top-1].MI
+			if r := m.Queries[q].Ranked; len(r) >= req.wire.Top {
+				floors[q] = r[req.wire.Top-1].MI
 			}
 		}
 		round2(false)
@@ -364,8 +324,8 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 		ep.partial.Add(1)
 	}
 	for q := range m.Queries {
-		if r := m.Queries[q].Ranked; req.top > 0 && len(r) > req.top {
-			m.Queries[q].Ranked = r[:req.top]
+		if r := m.Queries[q].Ranked; req.wire.Top > 0 && len(r) > req.wire.Top {
+			m.Queries[q].Ranked = r[:req.wire.Top]
 		}
 	}
 	slices.Sort(m.Skipped)

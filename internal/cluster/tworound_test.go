@@ -6,7 +6,8 @@ package cluster
 // short merge and answered without the floor; a catalog that moves
 // between two queries revalidates shard by shard; a full revalidation is
 // one round of bodyless requests; a shard that streams past the response
-// cap is a lost shard, never a buffered one.
+// cap, or answers 200 with a body that does not decode to one answer per
+// train, is a lost shard, never a buffered or a believed one.
 
 import (
 	"bytes"
@@ -390,5 +391,61 @@ func TestClusterShardResponseCap(t *testing.T) {
 	_, rerr := c.Rank(context.Background(), RankRequest{Train: "no/such", Prefix: "corpus/", MinJoin: &mj})
 	if ce, ok := rerr.(*ClusterError); !ok || ce.StatusCode != http.StatusBadGateway || len(ce.Shards) != 1 {
 		t.Fatalf("unresolvable train: %v, want a 502 naming the firehose", rerr)
+	}
+}
+
+// TestClusterShardAnswerUndecodable: a shard that answers 200 with a body
+// that is not JSON, or with a batch answer of the wrong query count, is
+// that shard's failure on both endpoints — one shard_errors row, partial:
+// true, no ETag — and nothing it sent is cached.
+func TestClusterShardAnswerUndecodable(t *testing.T) {
+	tc := newTestCluster(t, 1, 12)
+	var lie atomic.Value
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("ETag", `"liar"`)
+		w.Write([]byte(lie.Load().(string)))
+	}))
+	defer liar.Close()
+	c, err := New([]string{liar.URL, tc.shards[0].URL}, Options{ResultCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := httptest.NewServer(c)
+	defer cs.Close()
+
+	mj := 10
+	inline := sketchBase64(t, tc.train)
+	bodies := map[string][]byte{
+		"/v1/rank":       mustMarshal(t, RankRequest{Sketch: inline, Prefix: "corpus/", MinJoin: &mj, K: 3, Top: 3}),
+		"/v1/rank/batch": mustMarshal(t, RankBatchRequest{Trains: []server.BatchTrainRef{{Name: "q", Sketch: inline}}, Prefix: "corpus/", MinJoin: &mj, K: 3, Top: 3}),
+	}
+	for _, body := range []string{"not json", `{"queries":[]}`} {
+		lie.Store(body)
+		for _, path := range []string{"/v1/rank", "/v1/rank/batch"} {
+			for pass := 0; pass < 2; pass++ {
+				resp, err := http.Post(cs.URL+path, "application/json", bytes.NewReader(bodies[path]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				status, etag := resp.StatusCode, resp.Header.Get("ETag")
+				var got struct {
+					Partial     bool         `json:"partial"`
+					ShardErrors []ShardError `json:"shard_errors"`
+				}
+				mustUnmarshal(t, raw, &got)
+				if status != http.StatusOK || !got.Partial || etag != "" || len(got.ShardErrors) != 1 ||
+					got.ShardErrors[0].Shard != liar.URL || !strings.Contains(got.ShardErrors[0].Error, "undecodable response") {
+					t.Fatalf("liar %q, %s pass %d: status %d etag %q: %s", body, path, pass, status, etag, raw)
+				}
+			}
+		}
+	}
+	// The honest shard's answer to each of the two scattered requests and
+	// each request's first-sight marker, and nothing else.
+	if st := c.Stats().Coordinator; st.ResultMergedHits != 0 || st.ResultEntries != 4 {
+		t.Fatalf("cache: %d merged replays, %d entries; want 0 and the honest shard's 2 + 2 markers", st.ResultMergedHits, st.ResultEntries)
 	}
 }

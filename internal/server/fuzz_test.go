@@ -84,8 +84,8 @@ func FuzzRankRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzPost(t, srv, "/v1/rank", body)
 		// A floor the decoder lets through is one a ranking can take.
-		if req, err := DecodeRankRequest(body); err == nil && !(req.MinMI >= 0 && req.MinMI <= math.MaxFloat64) {
-			t.Fatalf("body %q decoded with min_mi %v", body, req.MinMI)
+		if req, err := DecodeRankRequest(body); err == nil && !(req.Trains[0].MinMI >= 0 && req.Trains[0].MinMI <= math.MaxFloat64) {
+			t.Fatalf("body %q decoded with min_mi %v", body, req.Trains[0].MinMI)
 		}
 	})
 }

@@ -202,10 +202,15 @@ func (req *RankBatchRequest) options(maxWorkers int) (store.RankOptions, error) 
 	return opt.Resolve(len(req.Trains))
 }
 
+// singleTrain names a single rank's one train in its batch form. It is
+// fixed, whether the train came inline or by name, so a by-name query and
+// its inline equivalent are one batch body once the name is resolved.
+const singleTrain = "train"
+
 // asBatch is the request as the batch of one train it is served as.
 func (req *RankRequest) asBatch() *RankBatchRequest {
 	return &RankBatchRequest{
-		Trains: []BatchTrainRef{{Sketch: req.Sketch, Train: req.Train, MinMI: req.MinMI}},
+		Trains: []BatchTrainRef{{Name: singleTrain, Sketch: req.Sketch, Train: req.Train, MinMI: req.MinMI}},
 		Prefix: req.Prefix, MinJoin: req.MinJoin, K: req.K, Top: req.Top, Workers: req.Workers,
 		NoCascade: req.NoCascade, Seed: req.Seed,
 	}
@@ -217,18 +222,11 @@ func (resp *RankBatchResponse) AsSingle() *RankResponse {
 	return &RankResponse{Ranked: resp.Queries[0].Ranked, Skipped: resp.Skipped, SeedBound: resp.Queries[0].SeedBound}
 }
 
-// AsBatch is the inverse of AsSingle, for the cluster coordinator: it
-// merges shard answers of either endpoint in the batch shape.
-func (resp *RankResponse) AsBatch() *RankBatchResponse {
-	return &RankBatchResponse{
-		Queries: []BatchQueryResponse{{Ranked: resp.Ranked, SeedBound: resp.SeedBound}}, Skipped: resp.Skipped,
-	}
-}
-
-// DecodeRankRequest parses and validates a rank request body. Exported
-// for the cluster coordinator, which validates a request once before
-// scattering it to every shard.
-func DecodeRankRequest(body []byte) (*RankRequest, error) {
+// DecodeRankRequest parses and validates a rank request body into the
+// batch of one train it is served as: a body DecodeRankBatchRequest
+// accepts. Exported for the cluster coordinator, which validates a
+// request once and asks every shard for it in the batch shape.
+func DecodeRankRequest(body []byte) (*RankBatchRequest, error) {
 	var req RankRequest
 	if err := decodeStrict(body, &req, "rank"); err != nil {
 		return nil, err
@@ -236,10 +234,11 @@ func DecodeRankRequest(body []byte) (*RankRequest, error) {
 	if (req.Sketch == "") == (req.Train == "") {
 		return nil, fmt.Errorf("exactly one of \"sketch\" and \"train\" must be set")
 	}
-	if err := req.asBatch().validateKnobs(); err != nil {
+	batch := req.asBatch()
+	if err := batch.validateKnobs(); err != nil {
 		return nil, err
 	}
-	return &req, nil
+	return batch, nil
 }
 
 // DecodeRankBatchRequest parses and validates a batch rank request
@@ -297,16 +296,10 @@ type endpoint struct {
 
 func rankEndpoint() *endpoint {
 	return &endpoint{
-		what: "rank",
-		decode: func(body []byte) (*RankBatchRequest, error) {
-			req, err := DecodeRankRequest(body)
-			if err != nil {
-				return nil, err
-			}
-			return req.asBatch(), nil
-		},
-		label: func(int, *BatchTrainRef) string { return "train sketch" },
-		shape: func(resp *RankBatchResponse) any { return resp.AsSingle() },
+		what:   "rank",
+		decode: DecodeRankRequest,
+		label:  func(int, *BatchTrainRef) string { return "train sketch" },
+		shape:  func(resp *RankBatchResponse) any { return resp.AsSingle() },
 	}
 }
 

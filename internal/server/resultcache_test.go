@@ -435,11 +435,12 @@ func TestGenerationFencingHammer(t *testing.T) {
 // over a train whose content digest is dig.
 func rankKey(t testing.TB, dig probeDigest, req RankRequest, maxWorkers int) [sha256.Size]byte {
 	t.Helper()
-	opt, err := req.asBatch().options(maxWorkers)
+	batch := req.asBatch()
+	opt, err := batch.options(maxWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return canonicalDigest(rankEndpoint().what, []string{""}, []probeDigest{dig}, opt)
+	return canonicalDigest(rankEndpoint().what, []string{batch.Trains[0].Name}, []probeDigest{dig}, opt)
 }
 
 // TestCanonicalization pins the request-equivalence contract directly:

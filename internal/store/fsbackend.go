@@ -442,11 +442,7 @@ func (b *fsBackend) persist(metas map[string]Meta, covered map[uint64]int64) err
 	b.segMu.Lock()
 	segs := make([]manifestSeg, 0, len(b.segs)+1)
 	for _, seg := range b.segs {
-		segs = append(segs, manifestSeg{
-			seq: seg.seq, kind: seg.kind,
-			covered: capAt(seg.seq, seg.recEnd),
-			indexed: seg.kixOff > 0,
-		})
+		segs = append(segs, manifestSeg{seq: seg.seq, kind: seg.kind, covered: capAt(seg.seq, seg.recEnd)})
 	}
 	if b.active != nil {
 		segs = append(segs, manifestSeg{seq: b.active.seg.seq, kind: b.active.seg.kind, covered: capAt(b.active.seg.seq, b.active.off)})

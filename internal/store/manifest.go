@@ -18,9 +18,10 @@ package store
 //	crc u32 (CRC-32C of every preceding byte)
 //
 // str = varint length + raw bytes. The segment kind byte carries the
-// segment kind in its low bits plus, in bit 7 (manifestSegIndexed), a
-// flag recording that the sealed segment holds an inverted key index —
-// older manifests simply leave it clear. "covered" is the byte offset
+// segment kind in its low bits. Bit 7 (manifestSegIndexed) was set by
+// older builds on a sealed segment holding an inverted key index; it is
+// ignored on read and never written, so a MANIFEST that carries it still
+// loads without a replay. "covered" is the byte offset
 // within the segment's record region that this manifest accounts for:
 // records beyond it (acked Puts after the manifest was written) are
 // replayed at open. "bytes" is the packed record's length and (segment, offset) its
@@ -93,8 +94,8 @@ func metaOf(name string, sk *core.Sketch, seg uint64, off, bytes int64) Meta {
 	}
 }
 
-// manifestSegIndexed flags, in the manifest's segment kind byte, a
-// sealed segment carrying an inverted key index.
+// manifestSegIndexed is the kind byte's bit 7, which older builds set on a
+// sealed segment carrying an inverted key index: masked off on read.
 const manifestSegIndexed = 0x80
 
 // manifestSeg is one segment-list entry.
@@ -102,9 +103,6 @@ type manifestSeg struct {
 	seq     uint64
 	kind    uint8
 	covered int64
-	// indexed records whether the sealed segment carries an inverted key
-	// index (observability; queries consult the segment itself).
-	indexed bool
 }
 
 // manifestV2 is a parsed v2 manifest.
@@ -134,11 +132,7 @@ func writeManifestV2(path string, nextSeq uint64, segs []manifestSeg, metas map[
 	mw.Uvarint(uint64(len(segs)))
 	for _, s := range segs {
 		mw.Uvarint(s.seq)
-		kind := s.kind
-		if s.indexed {
-			kind |= manifestSegIndexed
-		}
-		mw.U8(kind)
+		mw.U8(s.kind)
 		mw.Uvarint(uint64(s.covered))
 	}
 	mw.Uvarint(uint64(len(names)))
@@ -201,9 +195,7 @@ func loadManifestV2(path string) (*manifestV2, error) {
 	for i := uint64(0); i < segCount; i++ {
 		var s manifestSeg
 		s.seq = mr.Uvarint()
-		kind := mr.U8()
-		s.kind = kind &^ manifestSegIndexed
-		s.indexed = kind&manifestSegIndexed != 0
+		s.kind = mr.U8() &^ manifestSegIndexed
 		s.covered = int64(mr.Uvarint())
 		if mr.Err != nil {
 			return nil, fmt.Errorf("store: reading manifest segment %d: %w", i, mr.Err)

@@ -2,11 +2,13 @@ package store
 
 import (
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"misketch/internal/binio"
 	"misketch/internal/core"
 )
 
@@ -48,6 +50,39 @@ func TestManifestV2RoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(man.metas, metas) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", man.metas, metas)
+	}
+}
+
+// TestManifestV2IgnoresIndexedBit: bit 7 of a segment's kind byte, which
+// older builds set on a sealed segment holding a key index, is never
+// written and is masked off on read, so their MANIFESTs still load.
+func TestManifestV2IgnoresIndexedBit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), ManifestFile)
+	segs := []manifestSeg{{seq: 3, kind: segKindCompacted, covered: 96}}
+	metas := map[string]Meta{"a": {Name: "a", Method: core.TUPSK, Entries: 4, Bytes: 80, Segment: 3, Offset: 16}}
+	if err := writeManifestV2(path, 6, segs, metas); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, version, nextSeq 6, one segment, seq 3: the kind byte is at 8.
+	const kindAt = 8
+	if raw[kindAt] != segKindCompacted {
+		t.Fatalf("kind byte written as %#x, want %#x", raw[kindAt], segKindCompacted)
+	}
+	body := raw[:len(raw)-manifestCRCBytes]
+	body[kindAt] |= manifestSegIndexed
+	if err := os.WriteFile(path, binio.AppendU32(body, crc32.Checksum(body, crcTable)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, err := loadManifestV2(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(man.segs, segs) || !reflect.DeepEqual(man.metas, metas) {
+		t.Fatalf("older build's manifest loaded as %+v %+v, want %+v %+v", man.segs, man.metas, segs, metas)
 	}
 }
 
