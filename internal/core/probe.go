@@ -14,8 +14,8 @@ import (
 // the hash→entry index, the partition into numeric/categorical value
 // views, and the ascending value order are built once here and probed by
 // every candidate without further allocation. A TrainProbe is immutable
-// after compilation and safe to share across concurrent rankers (each
-// ranker brings its own Scratch).
+// after compilation, as its train sketch must be, and safe to share
+// across concurrent rankers (each ranker brings its own Scratch).
 type TrainProbe struct {
 	train *Sketch
 	id    uint64
@@ -33,10 +33,10 @@ type TrainProbe struct {
 	// sketch (nil for categorical), from which each candidate's joined
 	// x-ordering is derived by an O(entries) filter instead of a sort.
 	valOrder []int32
-	// distinct/distMult expose the train's distinct key hashes and their
-	// entry multiplicities (parallel slices) — the exact quantities an
-	// inverted key index needs to compute KeyOverlap without touching
-	// candidate sketches.
+	// distinct/distMult expose the train's distinct key hashes, ascending,
+	// and their entry multiplicities (parallel slices) — the exact
+	// quantities an inverted key index needs to compute KeyOverlap without
+	// touching candidate sketches.
 	distinct []uint32
 	distMult []int32
 }
@@ -47,12 +47,23 @@ var probeIDs atomic.Uint64
 // CompileTrainProbe builds the per-query index over a train sketch.
 func CompileTrainProbe(train *Sketch) *TrainProbe {
 	n := train.Len()
-	counts := make(map[uint32]uint32, n)
-	for _, hk := range train.KeyHashes {
-		counts[hk]++
+	// The distinct hashes ascending, each with its multiplicity: a sorted
+	// copy of the keys, run-length coded in place.
+	distinct := slices.Clone(train.KeyHashes)
+	slices.Sort(distinct)
+	var mults []int32
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && distinct[j] == distinct[i] {
+			j++
+		}
+		distinct[len(mults)] = distinct[i]
+		mults = append(mults, int32(j-i))
+		i = j
 	}
+	distinct = distinct[:len(mults)]
 	size := 4
-	for size < 2*len(counts) {
+	for size < 2*len(distinct) {
 		size <<= 1
 	}
 	p := &TrainProbe{
@@ -63,6 +74,8 @@ func CompileTrainProbe(train *Sketch) *TrainProbe {
 		mask:     uint32(size - 1),
 		order:    make([]int32, n),
 		valOrder: train.NumValOrder(),
+		distinct: distinct,
+		distMult: mults,
 	}
 	slotOf := func(hk uint32) uint32 {
 		i := hk & p.mask
@@ -71,16 +84,12 @@ func CompileTrainProbe(train *Sketch) *TrainProbe {
 		}
 		return i
 	}
-	p.distinct = make([]uint32, 0, len(counts))
-	p.distMult = make([]int32, 0, len(counts))
 	var off uint32
-	for hk, c := range counts {
+	for d, hk := range distinct {
 		i := slotOf(hk)
 		p.htabKey[i] = hk
 		p.htabVal[i] = uint64(off+1)<<32 | uint64(off)
-		off += c
-		p.distinct = append(p.distinct, hk)
-		p.distMult = append(p.distMult, int32(c))
+		off += uint32(mults[d])
 	}
 	for i, hk := range train.KeyHashes {
 		s := slotOf(hk)
@@ -104,15 +113,16 @@ func (p *TrainProbe) ID() uint64 { return p.id }
 // multiplicity × (candidate multiplicity) over the hashes a candidate
 // shares reproduces KeyOverlap exactly — the contract inverted key
 // indexes rely on to select candidates without decoding them. The
-// slices are owned by the probe and must not be modified; their order
-// is unspecified.
+// slices are owned by the probe and must not be modified; the hashes
+// ascend, so two trains with one key sample give equal slices.
 func (p *TrainProbe) DistinctKeyHashes() (hashes []uint32, multiplicities []int32) {
 	return p.distinct, p.distMult
 }
 
 // Scratch owns the reusable per-worker state of the ranking hot path:
 // the estimator scratch (with the joined-pair buffers) plus the join
-// match list and the marker arrays the ordering hints are derived from.
+// match list, the marker arrays the ordering hints are derived from and
+// the join memo.
 // The zero value is ready to use; a Scratch must not be shared between
 // concurrent rankers.
 type Scratch struct {
@@ -132,6 +142,20 @@ type Scratch struct {
 	chained bool
 	xOrder  []int32 // joined x ordering hint (train value order filtered)
 	yOrder  []int32 // joined y ordering hint (cand value order filtered)
+
+	// The join memo: the last successful match, by its probe and a copy of
+	// the candidate key hashes it matched (a candidate's own may borrow a
+	// segment mapping no later query pins). The seed check comes first, so
+	// the probe fixes the seed too. A candidate carrying equal hashes
+	// matches identically: it reuses candOf and the overlap, and trainSide,
+	// when nonzero, says the joined-pair buffers still hold this match's
+	// train side and names that column to the cheap tier. gathers numbers
+	// the train sides gathered on this scratch.
+	memoProbe   uint64 // 0: nothing remembered
+	memoKeys    []uint32
+	memoOverlap int
+	trainSide   uint64
+	gathers     uint64
 }
 
 // ScratchPool recycles Scratch values across ranking queries. A
@@ -190,12 +214,21 @@ func (p *TrainProbe) JoinAbove(cand *Sketch, minJoin int, exact bool, s *Scratch
 		p.chains(cand, s, overlap)
 	}
 	train := p.train
+	if s.trainSide == 0 {
+		// The first sample of this match: its train side is gathered once
+		// for every candidate that shares the key sample.
+		if train.Numeric {
+			s.MI.JoinYNum = gather(s.MI.JoinYNum, train.Nums, s.candOf, false)
+		} else {
+			s.MI.JoinYStr = gather(s.MI.JoinYStr, train.Strs, s.candOf, false)
+		}
+		s.gathers++
+		s.trainSide = s.gathers
+	}
 	js := JoinedSample{Size: overlap}
 	if train.Numeric {
-		s.MI.JoinYNum = gather(s.MI.JoinYNum, train.Nums, s.candOf, false)
 		js.Y = mi.NumericColumn(s.MI.JoinYNum)
 	} else {
-		s.MI.JoinYStr = gather(s.MI.JoinYStr, train.Strs, s.candOf, false)
 		js.Y = mi.CategoricalColumn(s.MI.JoinYStr)
 	}
 	if cand.Numeric {
@@ -213,12 +246,21 @@ func (p *TrainProbe) JoinAbove(cand *Sketch, minJoin int, exact bool, s *Scratch
 // candidate entry + 1, or 0) and returns their count, the sketch join
 // size. Candidate key hashes are unique, so each train entry matches at
 // most one candidate entry, and a second hit on the same slot means a
-// duplicated candidate hash — exactly the condition Join rejects.
+// duplicated candidate hash — exactly the condition Join rejects. A
+// candidate whose key hashes equal those of the last match on s against
+// this probe is answered from the join memo, with no probe at all.
 func (p *TrainProbe) match(cand *Sketch, s *Scratch) (int, error) {
 	train := p.train
 	if train.Seed != cand.Seed {
 		return 0, fmt.Errorf("core: sketches built with different seeds (%#x vs %#x)", train.Seed, cand.Seed)
 	}
+	s.chained = false
+	if s.memoProbe == p.id && slices.Equal(s.memoKeys, cand.KeyHashes) {
+		return s.memoOverlap, nil
+	}
+	// Forgotten before candOf changes: a failing match leaves it half
+	// written.
+	s.memoProbe, s.trainSide = 0, 0
 	if cap(s.candOf) < train.Len() {
 		s.candOf = make([]int32, train.Len())
 	} else {
@@ -226,7 +268,6 @@ func (p *TrainProbe) match(cand *Sketch, s *Scratch) (int, error) {
 		clear(s.candOf)
 	}
 	candOf := s.candOf
-	s.chained = false
 	overlap := 0
 	mask := p.mask
 	for j, hk := range cand.KeyHashes {
@@ -249,6 +290,8 @@ func (p *TrainProbe) match(cand *Sketch, s *Scratch) (int, error) {
 			i = (i + 1) & mask
 		}
 	}
+	s.memoProbe, s.memoOverlap = p.id, overlap
+	s.memoKeys = append(s.memoKeys[:0], cand.KeyHashes...)
 	return overlap, nil
 }
 
@@ -359,6 +402,14 @@ func (p *TrainProbe) hints(cand *Sketch, s *Scratch) mi.Hints {
 // there, and neither the cheap tier nor this call disturbs that state.
 func (p *TrainProbe) EstimateJoined(cand *Sketch, js JoinedSample, k int, s *Scratch) mi.Result {
 	return s.MI.EstimateHinted(js.Y, js.X, k, p.hints(cand, s))
+}
+
+// CheapMI is the cheap tier's score of js, the sample the latest join on
+// s produced: mi.Scratch.CheapMI(js.Y, js.X, bins), bit for bit, except
+// that candidates the join memo found to share a key sample also share
+// the reduction of its train side.
+func (s *Scratch) CheapMI(js JoinedSample, bins int) mi.CheapResult {
+	return s.MI.CheapMIKeepX(s.trainSide, js.Y, js.X, bins)
 }
 
 // EstimateMIScratch joins the candidate against the compiled train probe

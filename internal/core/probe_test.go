@@ -402,6 +402,137 @@ func TestJoinAboveMatchesJoinScratch(t *testing.T) {
 	}
 }
 
+// TestJoinMemoBitIdentical holds the join memo to a scratch that never
+// joined before. One scratch runs a shuffled stream of joins: runs of
+// candidates that share a key sample (one slice or equal copies) but not
+// values or kinds, switches to other samples, the same sketch again,
+// other probes — one of them a second compile of the same train, one on
+// another seed — and a candidate whose duplicated hash may join. Each
+// join's error, sample, cheap score (with direct CheapMI calls on other
+// columns in between) and exact estimate must equal, bit for bit, those
+// of the fresh scratch.
+func TestJoinMemoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	const universe = 120
+	var probes []*TrainProbe
+	for i := 0; i < 4; i++ {
+		hashes := make([]uint32, 40+rng.Intn(120))
+		for j := range hashes {
+			hashes[j] = uint32(1 + rng.Intn(universe))
+		}
+		train := handSketch(RoleTrain, i%2 == 0, hashes, rng)
+		if i == 3 {
+			train.Seed++
+		}
+		probes = append(probes, CompileTrainProbe(train))
+	}
+	probes = append(probes, CompileTrainProbe(probes[0].Train()))
+	var groups [][]*Sketch // one key sample each
+	for g := 0; g < 4; g++ {
+		var keys []uint32
+		for h := 1; h <= universe; h++ {
+			if rng.Intn(3) != 0 {
+				keys = append(keys, uint32(h))
+			}
+		}
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		if g == 3 {
+			keys = append(keys, keys[0]) // a duplicated hash
+		}
+		var group []*Sketch
+		for v := 0; v < 5; v++ {
+			ks := keys
+			if v%2 == 1 {
+				ks = slices.Clone(keys)
+			}
+			group = append(group, handSketch(RoleCandidate, v%3 != 0, ks, rng))
+		}
+		other := handSketch(RoleCandidate, true, keys, rng)
+		other.Seed = probes[3].Train().Seed
+		groups = append(groups, append(group, other))
+	}
+	sameColumn := func(a, b mi.Column) bool { // handSketch values are never NaN
+		return a.IsNumeric() == b.IsNumeric() && slices.Equal(a.Num, b.Num) && slices.Equal(a.Str, b.Str)
+	}
+	// Direct calls on columns of their own: a categorical x rewrites the
+	// IDs a kept reduction lives in.
+	noise := [2]mi.Column{mi.NumericColumn(make([]float64, 200)), mi.CategoricalColumn(make([]string, 200))}
+	for i := range 200 {
+		noise[0].Num[i], noise[1].Str[i] = float64(i%9), fmt.Sprint(i%11)
+	}
+	var s Scratch
+	p, group := probes[0], groups[0]
+	var hits, misses, cheap, direct int
+	for step := 0; step < 1500; step++ {
+		if rng.Intn(5) == 0 {
+			p = probes[rng.Intn(len(probes))]
+		}
+		if rng.Intn(4) == 0 {
+			group = groups[rng.Intn(len(groups))]
+		}
+		cand := group[rng.Intn(len(group))]
+		minJoin := []int{-1, 0, 20, 60, 200}[rng.Intn(5)]
+		exact := rng.Intn(2) == 0
+		bins := []int{mi.DefaultCheapBins, 5}[rng.Intn(2)]
+		label := fmt.Sprintf("step %d (train num=%v seed %d, cand num=%v seed %d, minJoin %d, exact %v)",
+			step, p.Train().Numeric, p.Train().Seed, cand.Numeric, cand.Seed, minJoin, exact)
+		if s.memoProbe == p.id && slices.Equal(s.memoKeys, cand.KeyHashes) {
+			hits++
+		} else {
+			misses++
+		}
+		var fresh Scratch
+		want, wantErr := p.JoinAbove(cand, minJoin, exact, &fresh)
+		got, err := p.JoinAbove(cand, minJoin, exact, &s)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: error %v, a fresh scratch's %v", label, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if got.Size != want.Size || !sameColumn(got.Y, want.Y) || !sameColumn(got.X, want.X) {
+			t.Fatalf("%s: sample %+v, a fresh scratch's %+v", label, got, want)
+		}
+		if got.Size <= minJoin {
+			continue
+		}
+		if rng.Intn(3) == 0 {
+			c := noise[direct%2]
+			s.MI.CheapMI(c, c, bins)
+			direct++
+		}
+		cheap++
+		if g, w := s.CheapMI(got, bins), fresh.MI.CheapMI(want.Y, want.X, bins); math.Float64bits(g.MI) != math.Float64bits(w.MI) ||
+			math.Float64bits(g.Ceil) != math.Float64bits(w.Ceil) {
+			t.Fatalf("%s bins %d: cheap %+v, a fresh scratch's %+v", label, bins, g, w)
+		}
+		if g, w := p.EstimateJoined(cand, got, 3, &s), p.EstimateJoined(cand, want, 3, &fresh); g.Estimator != w.Estimator ||
+			g.N != w.N || math.Float64bits(g.MI) != math.Float64bits(w.MI) {
+			t.Fatalf("%s: exact %+v, a fresh scratch's %+v", label, g, w)
+		}
+	}
+	if hits < 300 || misses < 300 || cheap < 300 || direct < 50 {
+		t.Fatalf("degenerate stream: %d memo hits, %d misses, %d cheap scores, %d direct calls", hits, misses, cheap, direct)
+	}
+}
+
+// TestDistinctKeyHashesDeterministic: a train's distinct key hashes come
+// out in ascending order, so two compiles of one train give equal slices
+// and index selection reads postings in a reproducible order.
+func TestDistinctKeyHashesDeterministic(t *testing.T) {
+	train := probeTrainSketch(t, 3000, 150, true, 41)
+	h1, m1 := CompileTrainProbe(train).DistinctKeyHashes()
+	h2, m2 := CompileTrainProbe(train).DistinctKeyHashes()
+	if !slices.Equal(h1, h2) || !slices.Equal(m1, m2) {
+		t.Fatal("two compiles of one train list its distinct key hashes differently")
+	}
+	for i := 1; i < len(h1); i++ {
+		if h1[i-1] >= h1[i] {
+			t.Fatalf("hash %d (%#x) does not ascend from %#x", i, h1[i], h1[i-1])
+		}
+	}
+}
+
 // TestTrainProbeConcurrentRankers shares one TrainProbe across
 // concurrent rankers, each with its own Scratch, and checks every
 // worker reproduces the sequential estimates exactly. Run under -race

@@ -68,6 +68,17 @@ type CheapResult struct {
 // cells were first touched; and every term is float64(p * math.Log(p)),
 // rounded before it is subtracted, whether it comes from the memo or not.
 func (s *Scratch) CheapMI(x, y Column, bins int) CheapResult {
+	return s.CheapMIKeepX(0, x, y, bins)
+}
+
+// CheapMIKeepX is CheapMI for a caller that scores one x column against
+// many y columns, bit for bit. A nonzero xKey names x: the call keeps x's
+// reduction — its IDs and its entropy — under that key, and the next call
+// with the same key and bins reuses it instead of reading x, so a caller
+// gives one key to one column only. Key 0 is plain CheapMI. A call that
+// reduces an x of its own overwrites what was kept, and what it keeps (if
+// anything) is its own, so no call ever reads another column's reduction.
+func (s *Scratch) CheapMIKeepX(xKey uint64, x, y Column, bins int) CheapResult {
 	if x.Len() != y.Len() {
 		panic("mi: CheapMI requires equal-length columns")
 	}
@@ -78,7 +89,15 @@ func (s *Scratch) CheapMI(x, y Column, bins int) CheapResult {
 	if n == 0 {
 		return CheapResult{}
 	}
-	xs := cheapReduce(x, bins, &s.cheapXIDs, &s.cheapXLevels)
+	kept := xKey != 0 && xKey == s.cheapXKey && bins == s.cheapXBins
+	xs := s.cheapX
+	if !kept {
+		s.cheapXKey = 0 // the IDs it names are rewritten here
+		xs = cheapReduce(x, bins, &s.cheapXIDs, &s.cheapXLevels)
+		if xKey != 0 {
+			xs.materialize(bins, &s.cheapXIDs)
+		}
+	}
 	ys := cheapReduce(y, bins, &s.cheapYIDs, &s.cheapYLevels)
 	cells := int64(xs.card) * int64(ys.card)
 	flat := cells <= cheapMaxFlatCells
@@ -117,9 +136,16 @@ func (s *Scratch) CheapMI(x, y Column, bins int) CheapResult {
 		s.cheapTerms = make([]cheapTerm, n+1)
 	}
 	var hx, hy, hxy float64
-	for _, c := range xc {
-		if c != 0 {
-			hx -= s.plogp(c, n)
+	if kept {
+		hx = s.cheapHX
+	} else {
+		for _, c := range xc {
+			if c != 0 {
+				hx -= s.plogp(c, n)
+			}
+		}
+		if xKey != 0 {
+			s.cheapX, s.cheapXKey, s.cheapXBins, s.cheapHX = xs, xKey, bins, hx
 		}
 	}
 	for _, c := range yc {

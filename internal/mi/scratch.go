@@ -81,6 +81,12 @@ type Scratch struct {
 	cheapTouched               []int32
 	cheapXLevels, cheapYLevels map[string]int32
 	cheapTerms                 []cheapTerm // indexed by count, stamped with n
+	// The x side CheapMIKeepX kept — IDs in cheapXIDs, its entropy — and
+	// the key and bin count it was kept under; key 0: nothing kept.
+	cheapX     cheapSide
+	cheapXKey  uint64
+	cheapXBins int
+	cheapHX    float64
 }
 
 // MLE returns the plug-in MI estimate for two discrete (categorical)

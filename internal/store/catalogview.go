@@ -19,12 +19,12 @@ package store
 // site that writes s.manifest or changes which segments the backend
 // serves drops it under s.mu: Put, Delete, the compaction roll and swap
 // (which moves records without bumping Gen), Close's seal. All but the
-// seeds map and the plan cache is immutable once published; seeds gains
-// entries only under s.mu, each immutable once added, and plans
-// (rankplan.go) locks for itself. A query takes the view, its seed's
-// lists and the segment pins in one critical section — an atomic
-// snapshot that always contains a Put or Delete that returned before the
-// rank started.
+// seeds map and the plan and selection caches is immutable once
+// published; seeds gains entries only under s.mu, each immutable once
+// added, and the caches (rankplan.go) lock for themselves. A query takes
+// the view, its seed's lists and the segment pins in one critical
+// section — an atomic snapshot that always contains a Put or Delete that
+// returned before the rank started.
 
 import (
 	"maps"
@@ -47,8 +47,10 @@ type catalogView struct {
 	always     []int32
 	maxRecords int                  // largest segs[i].ix.records()
 	seeds      map[uint32]*seedView // guarded by Store.mu
-	// plans memoises phase 1 of the cascaded ranks run on this view.
-	plans *cache.LRU[planKey, *rankPlan]
+	// plans memoises phase 1 of the cascaded ranks run on this view, and
+	// selections the index selection of every rank (rankplan.go).
+	plans      *cache.LRU[planKey, *rankPlan]
+	selections *cache.LRU[selectKey, selection]
 }
 
 // viewSegment resolves one segment's index ordinals to entry positions.
@@ -75,10 +77,11 @@ func (s *Store) viewLocked() *catalogView {
 	// not whole Metas.
 	names := slices.Sorted(maps.Keys(s.manifest))
 	v := &catalogView{
-		entries: make([]Meta, len(names)),
-		pins:    make(map[uint64]struct{}),
-		seeds:   make(map[uint32]*seedView),
-		plans:   cache.NewLRU[planKey, *rankPlan](planCacheBytes),
+		entries:    make([]Meta, len(names)),
+		pins:       make(map[uint64]struct{}),
+		seeds:      make(map[uint32]*seedView),
+		plans:      cache.NewLRU[planKey, *rankPlan](planCacheBytes),
+		selections: cache.NewLRU[selectKey, selection](selectCacheBytes),
 	}
 	for i, name := range names {
 		v.entries[i] = s.manifest[name]

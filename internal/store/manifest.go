@@ -39,6 +39,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"misketch/internal/binio"
 	"misketch/internal/core"
@@ -185,47 +186,116 @@ func loadManifestV2(path string) (*manifestV2, error) {
 	if got, want := crc32.Checksum(body, crcTable), binio.U32At(tail, 0); got != want {
 		return nil, fmt.Errorf("store: manifest fails CRC (%08x != %08x)", got, want)
 	}
-	mr := newBytesBinioReader(body[5:])
-	man := &manifestV2{metas: make(map[string]Meta)}
-	man.nextSeq = mr.Uvarint()
-	segCount := mr.Uvarint()
-	if mr.Err != nil || segCount > uint64(len(body)) {
-		return nil, fmt.Errorf("store: reading manifest segment list: %v", mr.Err)
+	mr := &manifestReader{b: body, s: string(body), off: 5}
+	man := &manifestV2{}
+	man.nextSeq = mr.uvarint()
+	segCount := mr.uvarint()
+	if mr.err != nil || segCount > uint64(len(body)) {
+		return nil, fmt.Errorf("store: reading manifest segment list: %v", mr.err)
 	}
 	for i := uint64(0); i < segCount; i++ {
 		var s manifestSeg
-		s.seq = mr.Uvarint()
-		s.kind = mr.U8() &^ manifestSegIndexed
-		s.covered = int64(mr.Uvarint())
-		if mr.Err != nil {
-			return nil, fmt.Errorf("store: reading manifest segment %d: %w", i, mr.Err)
+		s.seq = mr.uvarint()
+		s.kind = mr.u8() &^ manifestSegIndexed
+		s.covered = int64(mr.uvarint())
+		if mr.err != nil {
+			return nil, fmt.Errorf("store: reading manifest segment %d: %w", i, mr.err)
 		}
 		man.segs = append(man.segs, s)
 	}
-	count := mr.Uvarint()
-	if mr.Err != nil || count > uint64(len(body))/minEntryBytes {
+	count := mr.uvarint()
+	if mr.err != nil || count > uint64(len(body))/minEntryBytes {
 		return nil, fmt.Errorf("store: implausible manifest (%d sketches in %d bytes)", count, len(body))
 	}
 	man.metas = make(map[string]Meta, count)
+	// A handful of methods, interned: no Meta's method keeps the body.
+	methods := map[string]core.Method{}
 	for i := uint64(0); i < count; i++ {
 		var m Meta
-		m.Name = mr.Str()
-		m.Method = core.Method(mr.Str())
-		m.Role = core.Role(mr.U8())
-		m.Seed = mr.U32()
-		m.Size = int(mr.Uvarint())
-		m.Numeric = mr.U8() == 1
-		m.SourceRows = int(mr.Uvarint())
-		m.Entries = int(mr.Uvarint())
-		m.Bytes = int64(mr.Uvarint())
-		m.Segment = mr.Uvarint()
-		m.Offset = int64(mr.Uvarint())
-		if mr.Err != nil {
-			return nil, fmt.Errorf("store: reading manifest entry %d: %w", i, mr.Err)
+		m.Name = mr.str()
+		method := mr.str()
+		if m.Method = methods[method]; m.Method == "" {
+			m.Method = core.Method(strings.Clone(method))
+			methods[method] = m.Method
+		}
+		m.Role = core.Role(mr.u8())
+		m.Seed = mr.u32()
+		m.Size = int(mr.uvarint())
+		m.Numeric = mr.u8() == 1
+		m.SourceRows = int(mr.uvarint())
+		m.Entries = int(mr.uvarint())
+		m.Bytes = int64(mr.uvarint())
+		m.Segment = mr.uvarint()
+		m.Offset = int64(mr.uvarint())
+		if mr.err != nil {
+			return nil, fmt.Errorf("store: reading manifest entry %d: %w", i, mr.err)
 		}
 		man.metas[m.Name] = m
 	}
 	return man, nil
+}
+
+// errManifestField is the error of a field that is malformed or runs past
+// the end of the manifest body.
+var errManifestField = errors.New("malformed or truncated field")
+
+// manifestReader walks a manifest body in place. A string is a substring
+// of s, so every name shares the body's one copy. The first bad field
+// sets err, and every read after it returns zero.
+type manifestReader struct {
+	b   []byte
+	s   string // string(b)
+	off int
+	err error
+}
+
+func (r *manifestReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binio.UvarintAt(r.b, r.off)
+	if n <= 0 {
+		r.err = errManifestField
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// take steps over the next n bytes and returns where they start; ok is
+// false when the body holds fewer.
+func (r *manifestReader) take(n uint64) (at int, ok bool) {
+	if r.err == nil && n > uint64(len(r.b)-r.off) {
+		r.err = errManifestField
+	}
+	if r.err != nil {
+		return 0, false
+	}
+	r.off += int(n)
+	return r.off - int(n), true
+}
+
+func (r *manifestReader) u8() uint8 {
+	if at, ok := r.take(1); ok {
+		return r.b[at]
+	}
+	return 0
+}
+
+func (r *manifestReader) u32() uint32 {
+	if at, ok := r.take(4); ok {
+		return binio.U32At(r.b, at)
+	}
+	return 0
+}
+
+// str reads a varint length and that many bytes.
+func (r *manifestReader) str() string {
+	n := r.uvarint()
+	if at, ok := r.take(n); ok {
+		return r.s[at:r.off]
+	}
+	return ""
 }
 
 // minEntryBytes bounds the per-entry size from below so a corrupt count

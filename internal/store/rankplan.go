@@ -10,6 +10,17 @@ package store
 // the view and its plans with it, so there is no invalidation code. A
 // plan holds positions and scores only — never a probe, a train or a
 // decoded sketch — so it pins nothing but itself.
+//
+// Phase 1 has a first half that reads no value at all: index selection
+// depends on the trains' key samples alone. TUPSK gives every column of
+// one table sketched on one key the same sample, so a fresh train on its
+// base train's keys, a coordinator's round 1 or the next target of a
+// sweep selects what an earlier rank on the view selected. That
+// selection is memoised beside the plans, keyed by the samples
+// themselves, and dies with them. The second half's key-only work — the
+// probe of the train index, the train side of the join and of the cheap
+// tier — is shared the same way inside each worker's core.Scratch, across
+// consecutive candidates that carry one key sample.
 
 import (
 	"cmp"
@@ -87,10 +98,8 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 	// never read unless the cutoff is negative.
 	p.visit = within(sv.cands, lo, hi)
 	if opt.MinJoinSize >= 0 && !opt.NoIndex {
-		sc := s.selectPool.Get().(*selectScratch)
 		var prunedAll int
-		p.visit, prunedAll = sc.selectVisit(v, r.seed, p.visit, lo, hi, r.probes, opt.MinJoinSize)
-		s.selectPool.Put(sc)
+		p.visit, prunedAll = r.selectVisit(p.visit, lo, hi)
 		s.candNoDecode.Add(int64(prunedAll))
 		for q := range p.pruned {
 			p.pruned[q] = prunedAll
@@ -141,6 +150,62 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 	return p, clean
 }
 
+// selectCacheBytes bounds the selections one catalog view keeps.
+const selectCacheBytes = 1 << 19
+
+// selectKey is everything index selection reads besides the view and the
+// state of its key indexes: the seed, Prefix, MinJoinSize and, in train
+// order, each train's distinct key hashes with their multiplicities —
+// its key sample, never a value.
+type selectKey struct {
+	seed    uint32
+	prefix  string
+	minJoin int
+	sample  string
+}
+
+// selection is what selectVisit returned for a selectKey.
+type selection struct {
+	visit     []int32 // shared by every query that reuses it: read only
+	prunedAll int
+}
+
+// selectVisit is index selection with the view's memo in front: trains
+// that share a key sample — fresh values on the same keys, a
+// coordinator's round 1, the next target of a sweep — select the same
+// candidates. A key index that turns bad widens what its segment selects,
+// so no entry is stored or used while any index of the view is bad: an
+// entry stored before one turned bad is never met again. A hit counts its
+// excluded candidates as not decoded, as the selection would have.
+func (r *rankRun) selectVisit(eligible []int32, lo, hi int32) ([]int32, int) {
+	s, v := r.s, r.v
+	var sample []byte
+	for _, p := range r.probes {
+		hashes, mults := p.DistinctKeyHashes()
+		sample = binio.AppendU32(sample, uint32(len(hashes)))
+		for i, hk := range hashes {
+			sample = binio.AppendU32(binio.AppendU32(sample, hk), uint32(mults[i]))
+		}
+	}
+	key := selectKey{r.seed, r.opt.Prefix, r.opt.MinJoinSize, string(sample)}
+	intact := !slices.ContainsFunc(v.segs, func(vs viewSegment) bool { return vs.ix.bad.Load() })
+	if intact {
+		if sel, ok := v.selections.Get(key); ok {
+			s.selectHits.Add(1)
+			return sel.visit, sel.prunedAll
+		}
+	}
+	s.selectMisses.Add(1)
+	sc := s.selectPool.Get().(*selectScratch)
+	visit, prunedAll := sc.selectVisit(v, r.seed, eligible, lo, hi, r.probes, r.opt.MinJoinSize)
+	s.selectPool.Put(sc)
+	if intact {
+		cost := 64 + len(key.prefix) + len(key.sample) + 4*len(visit)
+		v.selections.Add(key, selection{visit, prunedAll}, int64(cost))
+	}
+	return visit, prunedAll
+}
+
 // joinCandidate is phase 1 for one visit position.
 func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) bool {
 	opt := &r.opt
@@ -180,7 +245,7 @@ func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) boo
 		if r.cascade {
 			t := cascadeTask{ci: int32(i), q: int32(q)}
 			if js.X.IsNumeric() || js.Y.IsNumeric() {
-				cr := scratch.MI.CheapMI(js.Y, js.X, mi.DefaultCheapBins)
+				cr := scratch.CheapMI(js, mi.DefaultCheapBins)
 				t.cheap, t.ceil = cr.MI, cr.Ceil
 			} else {
 				// Categorical–categorical: the exact estimator is

@@ -40,7 +40,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -704,12 +703,6 @@ func freezeSegment(g *segment, covered int64, fn func(info core.RecordInfo, off 
 		g.recEnd = covered
 	}
 	return nil
-}
-
-// newBytesBinioReader adapts an in-memory byte slice to the binio
-// reader the index codec shares with the manifest.
-func newBytesBinioReader(b []byte) *binio.Reader {
-	return &binio.Reader{R: bufio.NewReader(bytes.NewReader(b))}
 }
 
 func b2u8(b bool) uint8 {

@@ -112,8 +112,9 @@ type Store struct {
 	cascadeExact   atomic.Int64
 	cascadeRescues atomic.Int64
 
-	planHits, planMisses atomic.Int64 // see Stats.PlanHits
-	rankPanics           atomic.Int64 // see Stats.RankPanics
+	planHits, planMisses     atomic.Int64 // see Stats.PlanHits
+	selectHits, selectMisses atomic.Int64 // see Stats.SelectHits
+	rankPanics               atomic.Int64 // see Stats.RankPanics
 
 	// rankScratch is the estimator scratch pool ranking workers draw
 	// from, so consecutive queries on one handle reuse grown-to-size
@@ -523,6 +524,11 @@ type Stats struct {
 	// probe, or runs without the cascade, never looks.
 	PlanHits   int64 `json:"plan_hits"`
 	PlanMisses int64 `json:"plan_misses"`
+	// SelectHits counts index selections answered by the catalog view's
+	// memo, because an earlier rank on the view presented the same key
+	// sample (rankplan.go); SelectMisses those the key indexes ran.
+	SelectHits   int64 `json:"select_hits"`
+	SelectMisses int64 `json:"select_misses"`
 	// RankPanics counts rank workers that panicked; each one failed its
 	// own query ("store: rank worker panicked: …") and nothing else.
 	RankPanics int64 `json:"rank_panics"`
@@ -556,6 +562,8 @@ func (s *Store) Stats() Stats {
 		CascadeMarginRescues:      s.cascadeRescues.Load(),
 		PlanHits:                  s.planHits.Load(),
 		PlanMisses:                s.planMisses.Load(),
+		SelectHits:                s.selectHits.Load(),
+		SelectMisses:              s.selectMisses.Load(),
 		RankPanics:                s.rankPanics.Load(),
 	}
 	cs := s.cache.Stats()
