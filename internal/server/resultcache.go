@@ -21,7 +21,11 @@ package server
 // for (linearizable) but never older data, and any Put or Delete that
 // completes before a query begins moves Gen and misses every older
 // entry. Invalidation is therefore free: stale entries become
-// unreachable the moment the generation moves and age out of the LRU.
+// unreachable the moment the generation moves, and the first answer
+// cached under a newer generation drops them all, so they hold no
+// memory while a busy write rate piles up generations. An answer
+// computed under an older generation than the newest cached one is
+// served but not kept.
 //
 // Singleflight. A miss enters a per-key flight. The first caller (the
 // leader) admits through the weighted semaphore and computes the
@@ -75,6 +79,29 @@ type cacheKey struct {
 // response costs beyond its body and ETag: key, list element, map
 // bucket share.
 const cacheEntryOverhead = 160
+
+// cacheResult keeps an encoded answer under key unless a newer
+// generation's answer is already cached; the first answer of a newer
+// generation drops every older one. An Add that races a newer sweep
+// deletes itself, so no entry outlives the generation that superseded it.
+func (s *Server) cacheResult(key cacheKey, body []byte, cost int64) {
+	if s.results == nil || key.gen < s.resultGen.Load() {
+		return
+	}
+	s.results.Add(key, body, cost)
+	for {
+		switch newest := s.resultGen.Load(); {
+		case key.gen == newest:
+			return
+		case key.gen < newest:
+			s.results.Delete(key)
+			return
+		case s.resultGen.CompareAndSwap(newest, key.gen):
+			s.results.DeleteFunc(func(k cacheKey, _ []byte) bool { return k.gen < key.gen })
+			return
+		}
+	}
+}
 
 // --- canonical request digests -------------------------------------
 

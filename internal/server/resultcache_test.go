@@ -186,6 +186,41 @@ func TestResultCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestResultCacheDropsStaleGenerations: entries of a generation a
+// mutation has left behind, which no new query can reach, go when the
+// first answer of a newer generation is cached; an answer computed under
+// an older generation than the newest cached one is not kept.
+func TestResultCacheDropsStaleGenerations(t *testing.T) {
+	srv, ts, st, train := newTestServer(t, 12, Options{ResultCacheBytes: 1 << 20})
+	rank := func(top int) {
+		t.Helper()
+		q := mustJSON(t, RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", Top: top})
+		if status, _, body := postRaw(t, ts.URL, "/v1/rank", q, nil); status != http.StatusOK {
+			t.Fatalf("top %d: status %d: %s", top, status, body)
+		}
+	}
+	entries := func(label string, want int) {
+		t.Helper()
+		if s := statsOf(t, ts.URL); s.ResultEntries != want {
+			t.Fatalf("%s: %d result entries, want %d", label, s.ResultEntries, want)
+		}
+	}
+	for _, top := range []int{3, 5, 0} {
+		rank(top)
+	}
+	entries("three answers of one generation", 3)
+	if err := st.Delete("corpus/c000"); err != nil {
+		t.Fatal(err)
+	}
+	entries("after a Delete, before any answer", 3)
+	rank(5)
+	entries("after the new generation's first answer", 1)
+	rank(3)
+	entries("after its second", 2)
+	srv.cacheResult(cacheKey{gen: st.Gen() - 1}, []byte("{}\n"), 200)
+	entries("after an older generation's answer", 2)
+}
+
 // TestCoalescedWaiterGetsError: a request that joins an in-flight
 // identical query is served the leader's exact status and body — an
 // error included, counted against the endpoint — and one whose client

@@ -144,10 +144,12 @@ type Server struct {
 
 	// results is the generation-fenced rank result cache and flights
 	// the singleflight table beside it (both nil when disabled; see
-	// resultcache.go); epoch salts this process's ETags so a restart can
+	// resultcache.go); resultGen is the newest generation an answer was
+	// cached under; epoch salts this process's ETags so a restart can
 	// never revalidate against the previous incarnation's answers.
 	results     *cache.LRU[cacheKey, []byte]
 	flights     *cache.Flights[cacheKey, Outcome]
+	resultGen   atomic.Uint64
 	notModified atomic.Int64
 	epoch       [8]byte
 

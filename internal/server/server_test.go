@@ -11,6 +11,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -193,6 +195,39 @@ func TestServerTimingViewBuild(t *testing.T) {
 		if _, timing := rankTimed(t, ts.URL, req); strings.Contains(timing, ", view;dur=") != step.view {
 			t.Fatalf("rank %d (after a put: %v): Server-Timing %q, want view;dur: %v", i, step.put, timing, step.view)
 		}
+	}
+}
+
+// TestServerTimingTierCounts: a cascaded rank says whether it reused its
+// plan and how many of its exact-tier pairs the plan remembered, as
+// plan;desc and exact;desc="remembered/exact" — a second `top` of one
+// train reuses the first's plan and answers — and a rank without the
+// cascade says neither.
+func TestServerTimingTierCounts(t *testing.T) {
+	_, ts, _, train := newTestServer(t, 30, Options{})
+	minJoin := 10
+	req := RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", MinJoin: &minJoin, K: 3, Top: 5}
+	tiers := regexp.MustCompile(`, plan;desc=(hit|miss), exact;desc="(\d+)/(\d+)"$`)
+	for _, step := range []struct {
+		top      int
+		plan     string
+		remember bool
+	}{{5, "miss", false}, {8, "hit", true}} {
+		req.Top = step.top
+		_, timing := rankTimed(t, ts.URL, req)
+		m := tiers.FindStringSubmatch(timing)
+		if m == nil {
+			t.Fatalf("top %d: Server-Timing %q carries no plan and exact entries", step.top, timing)
+		}
+		memo, _ := strconv.Atoi(m[2])
+		exact, _ := strconv.Atoi(m[3])
+		if m[1] != step.plan || (memo > 0) != step.remember || memo > exact || exact == 0 {
+			t.Fatalf("top %d: Server-Timing %q, want plan;desc=%s and remembered answers: %v", step.top, timing, step.plan, step.remember)
+		}
+	}
+	req.Top = 0
+	if _, timing := rankTimed(t, ts.URL, req); strings.Contains(timing, "plan;") || strings.Contains(timing, "exact;") {
+		t.Fatalf("rank without the cascade: Server-Timing %q", timing)
 	}
 }
 

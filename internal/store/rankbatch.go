@@ -103,6 +103,12 @@ type BatchResult struct {
 	// catalog view an open or a mutation had dropped; zero when it found
 	// one built.
 	ViewBuild time.Duration
+	// Plan is "hit" or "miss" when the call looked for a memoised plan (a
+	// cascaded rank on caller-supplied probes) and "" when it did not.
+	// Exact counts the pairs it scored in the exact tier, and ExactMemo
+	// those of them whose answer the plan remembered from an earlier call.
+	Plan             string
+	Exact, ExactMemo int
 }
 
 // RankBatch ranks every train sketch against the stored candidates in
@@ -166,10 +172,11 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 	r.ctx, r.cancel = context.WithCancelCause(ctx)
 	defer r.cancel(nil)
 
-	// The catalog view, this seed's partition of it and the segment pins
-	// come from one critical section — one atomic snapshot. The pins keep
-	// the mmap'd record bytes (which the workers' zero-copy sketch views
-	// borrow) and key indexes valid even if a compaction retires them.
+	// The catalog view, this seed's partition of it, its generation and
+	// the segment pins come from one critical section — one atomic
+	// snapshot. The pins keep the mmap'd record bytes (which the workers'
+	// zero-copy sketch views borrow) and key indexes valid even if a
+	// compaction retires them.
 	s.mu.Lock()
 	if s.view == nil {
 		start := time.Now()
@@ -177,6 +184,7 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 		r.viewBuild = max(time.Since(start), time.Nanosecond) // non-zero: it was built
 	}
 	r.v = s.viewLocked()
+	r.gen = s.gen.Load()
 	sv := r.v.seed(r.seed)
 	release := s.backend.pin(r.v.pins)
 	s.mu.Unlock()
@@ -198,10 +206,12 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 		key = r.planKey()
 		if p, ok := r.v.plans.Get(key); ok {
 			s.planHits.Add(1)
+			r.planMemo = "hit"
 			r.start(p.visit)
 			return r.runPlan(p)
 		}
 		s.planMisses.Add(1)
+		r.planMemo = "miss"
 	}
 	p, clean := r.planRank(sv)
 	if err := context.Cause(r.ctx); err != nil {
@@ -276,16 +286,21 @@ type rankRun struct {
 	cascade bool
 	margin  float64
 	v       *catalogView
+	gen     uint64  // the store's generation when v was taken
 	visit   []int32 // the plan's: entry positions, in name order
 	w       []*rankWorker
-	tops    []rankHeap    // per train
-	tasks   []cascadeTask // phase 2 only: the pairs it visits, in order
+	tops    []rankHeap // per train
+	// Phase 2 only: the plan it runs and, under Seed, the plan positions
+	// of the pairs it visits, in order (nil: it visits them all).
+	plan  *rankPlan
+	order []int32
 	// cands holds, by visit index, the candidates phase 2 scores: left by
 	// phase 1 when this call ran it (nothing is decoded twice), loaded on
 	// first use under a reused plan; lateSkip once triage dropped one.
 	cands []atomic.Pointer[core.Sketch]
-	// viewBuild is BatchResult.ViewBuild: nonzero when this call built v.
+	// viewBuild and planMemo are BatchResult.ViewBuild and .Plan.
 	viewBuild time.Duration
+	planMemo  string
 }
 
 // rankWorker is one worker's partial state: its tallies and its share of
@@ -293,7 +308,7 @@ type rankRun struct {
 type rankWorker struct {
 	pruned []int64
 	late   []string
-	counts [3]int64 // cheap-only, exact, rescues
+	counts [4]int64 // cheap-only, exact, rescues, exact answers the plan remembered
 	tasks  []cascadeTask
 }
 
@@ -419,7 +434,7 @@ func (r *rankRun) load(w *rankWorker, m Meta) (*core.Sketch, error) {
 // phase 1 scored every pair exactly and only the ordering is left.
 func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
 	opt, s := &r.opt, r.s
-	res := &BatchResult{Queries: make([]BatchQueryResult, len(r.trains)), ViewBuild: r.viewBuild}
+	res := &BatchResult{Queries: make([]BatchQueryResult, len(r.trains)), ViewBuild: r.viewBuild, Plan: r.planMemo}
 	for q := range res.Queries {
 		res.Queries[q].Pruned = p.pruned[q]
 		if opt.Seed && r.cascade {
@@ -429,31 +444,33 @@ func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
 		}
 	}
 	if r.cascade {
-		r.tasks = p.tasks
+		r.plan = p
+		n := len(p.tasks)
 		if opt.Seed {
 			// Keep each train's first TopK pairs; every pair after them
 			// only feeds the train's bound on what the answer leaves out.
-			// The plan's list is shared, so the cut is a copy.
+			// The cut lists plan positions, which the exact slots share.
 			taken := make([]int, len(r.trains))
-			r.tasks = nil
-			for _, t := range p.tasks {
+			r.order = []int32{}
+			for i, t := range p.tasks {
 				switch b := &res.Queries[t.q].SeedBound; {
 				case taken[t.q] < opt.TopK:
 					taken[t.q]++
-					r.tasks = append(r.tasks, t)
+					r.order = append(r.order, int32(i))
 				case t.cheap+r.margin >= t.ceil: // saturated, or exempt
 					*b = math.Inf(1)
 				default:
 					*b = max(*b, t.cheap+r.margin)
 				}
 			}
+			n = len(r.order)
 		}
 		for q, floor := range opt.MinMI {
 			if floor > 0 {
 				raiseBound(&r.tops[q].bound, floor)
 			}
 		}
-		r.forEach(len(r.tasks), 1, (*rankRun).scoreTask)
+		r.forEach(n, 1, (*rankRun).scoreTask)
 	}
 	if err := context.Cause(r.ctx); err != nil {
 		return nil, err
@@ -463,6 +480,9 @@ func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
 		s.cascadeCheap.Add(w.counts[0])
 		s.cascadeExact.Add(w.counts[1])
 		s.cascadeRescues.Add(w.counts[2])
+		s.exactMemoHits.Add(w.counts[3])
+		res.Exact += int(w.counts[1])
+		res.ExactMemo += int(w.counts[3])
 		res.Skipped = append(res.Skipped, w.late...)
 	}
 	if len(res.Skipped) > len(p.skipped) {
@@ -484,9 +504,13 @@ func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
 // root is a lower bound L on the final K-th exact MI — at least K
 // candidates scored ≥ L, so a pair with cheap + margin < L has exact MI
 // < L (margin calibration) and cannot appear in the final top K no matter
-// how names break ties.
-func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, ti int) bool {
-	t := r.tasks[ti]
+// how names break ties. A pair the plan remembers an answer for at this K
+// is offered that answer, and nothing is loaded, joined or estimated.
+func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, i int) bool {
+	if r.order != nil {
+		i = int(r.order[i])
+	}
+	t := r.plan.tasks[i]
 	rescue := false
 	if !r.opt.Seed { // an exempt pair's +Inf passes through: never settled, never a rescue
 		if tb := r.tops[t.q].bound.Load(); tb != 0 {
@@ -505,31 +529,44 @@ func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, ti int) bool {
 	// counters partition every pair that survived the filters.
 	w.counts[1]++
 	m := r.v.entries[r.visit[t.ci]]
-	cand := r.cands[t.ci].Load()
-	if cand == nil { // a reused plan: it keeps positions, not sketches
-		var err error
-		if cand, err = r.load(w, m); err != nil {
-			r.cancel(err)
-			return false
-		} else if cand == nil {
-			cand = lateSkip
+	slot := &r.plan.exact[i]
+	rs, remembered := slot.get(r.opt.K)
+	if remembered {
+		w.counts[3]++
+	} else {
+		cand := r.cands[t.ci].Load()
+		if cand == nil { // a reused plan: it keeps positions, not sketches
+			var err error
+			if cand, err = r.load(w, m); err != nil {
+				r.cancel(err)
+				return false
+			} else if cand == nil {
+				cand = lateSkip
+			}
+			r.cands[t.ci].Store(cand)
 		}
-		r.cands[t.ci].Store(cand)
+		if cand == lateSkip {
+			return true
+		}
+		// A compatible overwrite since phase 1 may no longer join.
+		js, err := r.probes[t.q].JoinAbove(cand, r.opt.MinJoinSize, true, scratch)
+		if err != nil {
+			r.cancel(fmt.Errorf("store: estimating %q: %w", m.Name, err))
+			return false
+		} else if js.Size <= r.opt.MinJoinSize {
+			return true
+		}
+		e := r.probes[t.q].EstimateJoined(cand, js, r.opt.K, scratch)
+		rs = RankedSketch{MI: e.MI, Estimator: e.Estimator, JoinSize: e.N}
+		// Remembered only if no mutation has moved the store since the view
+		// was taken: a cache hit in load can surface a newer, compatible
+		// overwrite, whose answer is not the view's record's.
+		if r.s.gen.Load() == r.gen {
+			slot.put(r.opt.K, rs)
+		}
 	}
-	if cand == lateSkip {
-		return true
-	}
-	// A compatible overwrite since phase 1 may no longer join.
-	js, err := r.probes[t.q].JoinAbove(cand, r.opt.MinJoinSize, true, scratch)
-	if err != nil {
-		r.cancel(fmt.Errorf("store: estimating %q: %w", m.Name, err))
-		return false
-	} else if js.Size <= r.opt.MinJoinSize {
-		return true
-	}
-	e := r.probes[t.q].EstimateJoined(cand, js, r.opt.K, scratch)
-	rs := RankedSketch{Name: m.Name, MI: e.MI, Estimator: e.Estimator, JoinSize: e.N}
-	if e.MI >= r.opt.MinMI[t.q] && r.tops[t.q].offer(rs, r.opt.TopK) && rescue {
+	rs.Name = m.Name
+	if rs.MI >= r.opt.MinMI[t.q] && r.tops[t.q].offer(rs, r.opt.TopK) && rescue {
 		w.counts[2]++
 	}
 	return true

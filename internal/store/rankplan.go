@@ -11,6 +11,16 @@ package store
 // plan holds positions and scores only — never a probe, a train or a
 // decoded sketch — so it pins nothing but itself.
 //
+// Phase 2 is exact once per plan. Each exact estimate is a function of
+// the probe, the candidate record and K, and a plan's key and view fix
+// the first two, so a plan carries one write-once slot per pair:
+// the first call to score a pair on a catalog no mutation has moved
+// leaves its answer there, and every later call at the same K offers it
+// instead of re-estimating — a `top` variant rescores nothing its
+// predecessors scored, a floored round 2 nothing its seed round did. The
+// slots are numbers, live and die with the plan, and change no answer:
+// only a call holding the plan's view can read them.
+//
 // Phase 1 has a first half that reads no value at all: index selection
 // depends on the trains' key samples alone. TUPSK gives every column of
 // one table sketched on one key the same sample, so a fresh train on its
@@ -27,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"misketch/internal/binio"
 	"misketch/internal/core"
@@ -52,24 +63,70 @@ func (r *rankRun) planKey() planKey {
 	return planKey{string(ids), r.opt.Prefix, r.opt.MinJoinSize, r.opt.NoIndex}
 }
 
-// rankPlan is what planRank hands runPlan. Immutable once built: a
-// memoised plan is read by concurrent queries.
+// rankPlan is what planRank hands runPlan. Immutable once built but for
+// its exact slots: a memoised plan is read by concurrent queries.
 type rankPlan struct {
 	visit []int32 // entry positions of the candidates phase 1 loaded, in name order
 	// tasks is every pair past the prefilter and the min-join cut, in
 	// phase 2's visit order; empty without the cascade.
-	tasks   []cascadeTask
+	tasks []cascadeTask
+	// exact is parallel to tasks: each pair's exact answer once a call
+	// has scored it.
+	exact   []exactSlot
 	pruned  []int    // per train: pairs the prefilter removed
 	skipped []string // sorted; nil when empty
 }
 
 // cost is what a view's plan cache charges for p under key.
 func (p *rankPlan) cost(key planKey) int64 {
-	n := 200 + len(key.probes) + len(key.prefix) + 4*cap(p.visit) + 24*cap(p.tasks) + 8*len(p.pruned)
+	n := 200 + len(key.probes) + len(key.prefix) + 4*cap(p.visit) + 24*cap(p.tasks) + 16*cap(p.exact) + 8*len(p.pruned)
 	for _, name := range p.skipped {
 		n += 16 + len(name)
 	}
 	return int64(n)
+}
+
+// exactSlot is one plan pair's remembered exact answer: the MI's bits and
+// a word packing the done and busy flags, K, the estimator and the join
+// size. The first writer claims the slot by CAS and stores the MI before
+// the done bit, so a reader that sees done reads a whole answer.
+type exactSlot struct {
+	mi, word atomic.Uint64
+}
+
+const (
+	slotDone     = 1 << 63
+	slotBusy     = 1 << 62
+	slotKShift   = 36 // K: bits 36–61
+	slotEstShift = 32 // estimator: bits 32–35; the join size is bits 0–31
+	slotMaxK     = 1<<26 - 1
+)
+
+// slotEstimators numbers the estimators a slot can name.
+var slotEstimators = [...]mi.Estimator{mi.EstMLE, mi.EstKSG, mi.EstMixedKSG, mi.EstDCKSG}
+
+// get returns the answer remembered at k, its Name unset.
+func (sl *exactSlot) get(k int) (RankedSketch, bool) {
+	w := sl.word.Load()
+	if w&slotDone == 0 || int(w>>slotKShift&slotMaxK) != k {
+		return RankedSketch{}, false
+	}
+	return RankedSketch{
+		MI:        math.Float64frombits(sl.mi.Load()),
+		Estimator: slotEstimators[w>>slotEstShift&15],
+		JoinSize:  int(uint32(w)),
+	}, true
+}
+
+// put remembers rs as the answer at k, unless another call claimed the
+// slot first or the answer does not fit the word.
+func (sl *exactSlot) put(k int, rs RankedSketch) {
+	est := slices.Index(slotEstimators[:], rs.Estimator)
+	if est < 0 || k > slotMaxK || uint64(rs.JoinSize) > math.MaxUint32 || !sl.word.CompareAndSwap(0, slotBusy) {
+		return
+	}
+	sl.mi.Store(math.Float64bits(rs.MI))
+	sl.word.Store(slotDone | uint64(k)<<slotKShift | uint64(est)<<slotEstShift | uint64(rs.JoinSize))
 }
 
 // planRank is phase 1: decode and triage every selected candidate once,
@@ -118,7 +175,7 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 		total += len(w.tasks)
 	}
 	// One exact-size list, handed to runPlan and the view's cache as is.
-	p.tasks = make([]cascadeTask, 0, total)
+	p.tasks, p.exact = make([]cascadeTask, 0, total), make([]exactSlot, total)
 	for _, w := range r.w {
 		p.tasks = append(p.tasks, w.tasks...)
 		for q, n := range w.pruned {

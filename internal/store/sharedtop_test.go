@@ -15,6 +15,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -114,8 +115,14 @@ func TestCancelMidPhase2(t *testing.T) {
 	// index the hook sees is a pair of it.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// Counting and cancelling are one step: a worker preempted between
+	// them would let the other claim pairs — remembered ones cost next to
+	// nothing — before the cancel it has already been counted for.
+	var claimedMu sync.Mutex
 	var claimed atomic.Int64
 	testHookRankWork = func(int) {
+		claimedMu.Lock()
+		defer claimedMu.Unlock()
 		if claimed.Add(1) == 5 {
 			cancel()
 		}

@@ -111,6 +111,7 @@ type Store struct {
 	cascadeCheap   atomic.Int64
 	cascadeExact   atomic.Int64
 	cascadeRescues atomic.Int64
+	exactMemoHits  atomic.Int64 // see Stats.ExactMemoHits
 
 	planHits, planMisses     atomic.Int64 // see Stats.PlanHits
 	selectHits, selectMisses atomic.Int64 // see Stats.SelectHits
@@ -518,6 +519,10 @@ type Stats struct {
 	// evidence the margin has slack; a high one means the cheap tier
 	// misorders that workload and the margin is load-bearing.
 	CascadeMarginRescues int64 `json:"cascade_margin_rescues"`
+	// ExactMemoHits counts the CascadeExact pairs whose answer a reused
+	// plan remembered from an earlier call at the same K (rankplan.go):
+	// offered as computed then, with no load, join or estimate.
+	ExactMemoHits int64 `json:"exact_memo_hits"`
 	// PlanHits counts cascaded ranks that found their phase 1 memoised on
 	// the catalog view (rankplan.go) and ran phase 2 alone, PlanMisses
 	// those that looked and had to plan. A rank that compiles its own
@@ -560,6 +565,7 @@ func (s *Store) Stats() Stats {
 		CascadeCheapOnly:          s.cascadeCheap.Load(),
 		CascadeExact:              s.cascadeExact.Load(),
 		CascadeMarginRescues:      s.cascadeRescues.Load(),
+		ExactMemoHits:             s.exactMemoHits.Load(),
 		PlanHits:                  s.planHits.Load(),
 		PlanMisses:                s.planMisses.Load(),
 		SelectHits:                s.selectHits.Load(),
