@@ -106,6 +106,25 @@ func (c *LRU[K, V]) Add(key K, val V, cost int64) {
 	}
 }
 
+// SeenBefore is admission on second sight: it reports whether key is
+// marked, and marks it with marker at cost if not, counting no hit or
+// miss. A nil cache has seen nothing.
+func (c *LRU[K, V]) SeenBefore(key K, marker V, cost int64) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	e, seen := c.items[key]
+	if seen {
+		c.ll.MoveToFront(e)
+	}
+	c.mu.Unlock()
+	if !seen {
+		c.Add(key, marker, cost)
+	}
+	return seen
+}
+
 // Delete drops the entry under key, if any. It is not an eviction.
 func (c *LRU[K, V]) Delete(key K) {
 	if c == nil {

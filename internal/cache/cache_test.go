@@ -128,6 +128,33 @@ func TestLRUCountsAndEntryBound(t *testing.T) {
 	}
 }
 
+// TestLRUSeenBefore: a key is seen from its second sighting on, its
+// marker is an entry charged like any other (so it can be evicted, and
+// is then unseen again), and no sighting counts as a hit or a miss.
+func TestLRUSeenBefore(t *testing.T) {
+	c := NewLRU[string, int](20)
+	for i, want := range []bool{false, true, true} {
+		if got := c.SeenBefore("a", -1, 10); got != want {
+			t.Fatalf("sighting %d: seen %v, want %v", i, got, want)
+		}
+	}
+	if v, ok := c.Get("a"); !ok || v != -1 {
+		t.Fatalf("marker: %v, %v", v, ok)
+	}
+	c.Add("b", 1, 10)
+	c.Add("c", 2, 10) // evicts the marker, the least recently used
+	if c.SeenBefore("a", -1, 10) {
+		t.Fatal("an evicted marker is still seen")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 || st.Entries != 2 || st.Used != 20 {
+		t.Fatalf("stats %+v, want the one Get's hit and two entries", st)
+	}
+	var off *LRU[string, int]
+	if off.SeenBefore("a", -1, 10) || off.SeenBefore("a", -1, 10) {
+		t.Fatal("a nil cache saw a key")
+	}
+}
+
 func TestLRUDeleteAndDeleteFunc(t *testing.T) {
 	c := NewLRU[string, int](100)
 	for i, k := range []string{"a", "b", "c", "d"} {

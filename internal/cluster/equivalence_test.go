@@ -311,7 +311,7 @@ func TestStatsKeySets(t *testing.T) {
 			"cascade_cheap_only", "cascade_exact", "cascade_margin_rescues", "compactions",
 			"compressed_bytes", "compressed_segments", "deletes", "disk_reads", "evictions", "exact_memo_hits",
 			"indexed_segments", "live_bytes", "plan_hits", "plan_misses", "posting_bytes", "pruned_pairs", "puts", "rank_batches", "rank_panics",
-			"rank_queries", "raw_bytes", "segment_bytes", "segments", "select_hits", "select_misses", "sketches",
+			"rank_queries", "raw_bytes", "segment_bytes", "segments", "select_hits", "select_misses", "side_fills", "side_hits", "sketches",
 		},
 		coord.URL + " coordinator": {
 			"batch_failures", "batch_partial", "batch_requests", "floor_fallbacks", "floor_queries",

@@ -88,12 +88,8 @@ func (c *Coordinator) remember(key ccKey, etag string, body []byte) {
 
 // admits reports whether digest was requested before, so that this
 // request's answers may be remembered, and marks it seen.
-func (c *Coordinator) admits(digest [sha256.Size]byte) (seen bool) {
-	key := ccKey{shard: seenShard, digest: digest}
-	if _, seen = c.results.Get(key); !seen {
-		c.results.Add(key, &ccEntry{}, ccEntryOverhead)
-	}
-	return seen
+func (c *Coordinator) admits(digest [sha256.Size]byte) bool {
+	return c.results.SeenBefore(ccKey{shard: seenShard, digest: digest}, &ccEntry{}, ccEntryOverhead)
 }
 
 // requestDigest keys a scattered request: a tag separating the

@@ -147,15 +147,24 @@ type Scratch struct {
 	// the candidate key hashes it matched (a candidate's own may borrow a
 	// segment mapping no later query pins). The seed check comes first, so
 	// the probe fixes the seed too. A candidate carrying equal hashes
-	// matches identically: it reuses candOf and the overlap, and trainSide,
-	// when nonzero, says the joined-pair buffers still hold this match's
-	// train side and names that column to the cheap tier. gathers numbers
-	// the train sides gathered on this scratch.
+	// matches identically: it reuses candOf, the overlap and its Rows.
 	memoProbe   uint64 // 0: nothing remembered
 	memoKeys    []uint32
 	memoOverlap int
-	trainSide   uint64
-	gathers     uint64
+	rows        *JoinRows // the memo's Rows, once asked for
+	// trainSide, when nonzero, names to the cheap tier the train side the
+	// joined-pair buffers hold: the memo's match's, or with sideRows set
+	// probe sideProbe's at sideRows. gathers numbers the names.
+	trainSide uint64
+	sideRows  *JoinRows
+	sideProbe uint64
+	gathers   uint64
+}
+
+// JoinRows is a match as a value: per train entry, the candidate entry it
+// joined + 1, or 0 — which train rows the joined sample lists, in order.
+type JoinRows struct {
+	candOf []int32
 }
 
 // ScratchPool recycles Scratch values across ranking queries. A
@@ -213,24 +222,13 @@ func (p *TrainProbe) JoinAbove(cand *Sketch, minJoin int, exact bool, s *Scratch
 	if exact && (p.valOrder != nil || cand.Numeric) {
 		p.chains(cand, s, overlap)
 	}
-	train := p.train
-	if s.trainSide == 0 {
+	if s.trainSide == 0 || s.sideRows != nil {
 		// The first sample of this match: its train side is gathered once
 		// for every candidate that shares the key sample.
-		if train.Numeric {
-			s.MI.JoinYNum = gather(s.MI.JoinYNum, train.Nums, s.candOf, false)
-		} else {
-			s.MI.JoinYStr = gather(s.MI.JoinYStr, train.Strs, s.candOf, false)
-		}
-		s.gathers++
-		s.trainSide = s.gathers
+		s.gatherTrain(p.train, s.candOf)
+		s.sideRows = nil
 	}
-	js := JoinedSample{Size: overlap}
-	if train.Numeric {
-		js.Y = mi.NumericColumn(s.MI.JoinYNum)
-	} else {
-		js.Y = mi.CategoricalColumn(s.MI.JoinYStr)
-	}
+	js := JoinedSample{Size: overlap, Y: s.trainColumn(p.train)}
 	if cand.Numeric {
 		s.MI.JoinXNum = gather(s.MI.JoinXNum, cand.Nums, s.candOf, true)
 		js.X = mi.NumericColumn(s.MI.JoinXNum)
@@ -260,14 +258,10 @@ func (p *TrainProbe) match(cand *Sketch, s *Scratch) (int, error) {
 	}
 	// Forgotten before candOf changes: a failing match leaves it half
 	// written.
-	s.memoProbe, s.trainSide = 0, 0
-	if cap(s.candOf) < train.Len() {
-		s.candOf = make([]int32, train.Len())
-	} else {
-		s.candOf = s.candOf[:train.Len()]
-		clear(s.candOf)
-	}
-	candOf := s.candOf
+	s.memoProbe, s.trainSide, s.rows = 0, 0, nil
+	candOf := slices.Grow(s.candOf[:0], train.Len())[:train.Len()]
+	clear(candOf)
+	s.candOf = candOf
 	overlap := 0
 	mask := p.mask
 	for j, hk := range cand.KeyHashes {
@@ -407,9 +401,50 @@ func (p *TrainProbe) EstimateJoined(cand *Sketch, js JoinedSample, k int, s *Scr
 // CheapMI is the cheap tier's score of js, the sample the latest join on
 // s produced: mi.Scratch.CheapMI(js.Y, js.X, bins), bit for bit, except
 // that candidates the join memo found to share a key sample also share
-// the reduction of its train side.
-func (s *Scratch) CheapMI(js JoinedSample, bins int) mi.CheapResult {
-	return s.MI.CheapMIKeepX(s.trainSide, js.Y, js.X, bins)
+// the reduction of its train side. A non-nil ky is filled with the
+// candidate side's (mi.Scratch.CheapMIKeep), for CheapMIKept.
+func (s *Scratch) CheapMI(js JoinedSample, ky *mi.CheapY, bins int) mi.CheapResult {
+	return s.MI.CheapMIKeep(s.trainSide, js.Y, js.X, ky, bins)
+}
+
+// Rows returns the latest successful match on s as a value. Candidates
+// the join memo matched as one share one value.
+func (s *Scratch) Rows() *JoinRows {
+	if s.rows == nil {
+		s.rows = &JoinRows{slices.Clone(s.candOf)}
+	}
+	return s.rows
+}
+
+// CheapMIKept is CheapMI, bit for bit, for a pair joined before against a
+// train with the same key hashes in the same order, from that join's Rows
+// and the candidate side it filled: the candidate is not read.
+func (p *TrainProbe) CheapMIKept(rows *JoinRows, y *mi.CheapY, bins int, s *Scratch) mi.CheapResult {
+	if s.trainSide == 0 || s.sideRows != rows || s.sideProbe != p.id {
+		s.gatherTrain(p.train, rows.candOf)
+		s.sideRows, s.sideProbe = rows, p.id
+	}
+	return s.MI.CheapMIKeep(s.trainSide, s.trainColumn(p.train), mi.Column{}, y, bins)
+}
+
+// gatherTrain gathers train's side of the match candOf into the
+// joined-pair buffers, under a name no column on s has had.
+func (s *Scratch) gatherTrain(train *Sketch, candOf []int32) {
+	if train.Numeric {
+		s.MI.JoinYNum = gather(s.MI.JoinYNum, train.Nums, candOf, false)
+	} else {
+		s.MI.JoinYStr = gather(s.MI.JoinYStr, train.Strs, candOf, false)
+	}
+	s.gathers++
+	s.trainSide = s.gathers
+}
+
+// trainColumn is the train side the joined-pair buffers hold.
+func (s *Scratch) trainColumn(train *Sketch) mi.Column {
+	if train.Numeric {
+		return mi.NumericColumn(s.MI.JoinYNum)
+	}
+	return mi.CategoricalColumn(s.MI.JoinYStr)
 }
 
 // EstimateMIScratch joins the candidate against the compiled train probe

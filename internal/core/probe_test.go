@@ -502,7 +502,7 @@ func TestJoinMemoBitIdentical(t *testing.T) {
 			direct++
 		}
 		cheap++
-		if g, w := s.CheapMI(got, bins), fresh.MI.CheapMI(want.Y, want.X, bins); math.Float64bits(g.MI) != math.Float64bits(w.MI) ||
+		if g, w := s.CheapMI(got, nil, bins), fresh.MI.CheapMI(want.Y, want.X, bins); math.Float64bits(g.MI) != math.Float64bits(w.MI) ||
 			math.Float64bits(g.Ceil) != math.Float64bits(w.Ceil) {
 			t.Fatalf("%s bins %d: cheap %+v, a fresh scratch's %+v", label, bins, g, w)
 		}

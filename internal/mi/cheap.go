@@ -68,24 +68,30 @@ type CheapResult struct {
 // cells were first touched; and every term is float64(p * math.Log(p)),
 // rounded before it is subtracted, whether it comes from the memo or not.
 func (s *Scratch) CheapMI(x, y Column, bins int) CheapResult {
-	return s.CheapMIKeepX(0, x, y, bins)
+	return s.CheapMIKeep(0, x, y, nil, bins)
 }
 
-// CheapMIKeepX is CheapMI for a caller that scores one x column against
-// many y columns, bit for bit. A nonzero xKey names x: the call keeps x's
-// reduction — its IDs and its entropy — under that key, and the next call
-// with the same key and bins reuses it instead of reading x, so a caller
-// gives one key to one column only. Key 0 is plain CheapMI. A call that
-// reduces an x of its own overwrites what was kept, and what it keeps (if
-// anything) is its own, so no call ever reads another column's reduction.
-func (s *Scratch) CheapMIKeepX(xKey uint64, x, y Column, bins int) CheapResult {
-	if x.Len() != y.Len() {
+// CheapY is a y column's IDs as the cheap tier counts them, and their number.
+type CheapY struct {
+	IDs  []uint8
+	Card int32
+}
+
+// CheapMIKeep is CheapMI for a caller that scores one column against
+// many, bit for bit. A nonzero xKey names x: the call keeps x's IDs and
+// entropy under it, and the next call with the same key and bins reuses
+// them instead of reading x, so a caller gives one key to one column
+// only; a call that reduces an x of its own overwrites them. An empty *ky
+// is filled with y's IDs unless they are over 256 or the pair overflows
+// the flat joint table; a filled one (at the same bins) stands in for y.
+func (s *Scratch) CheapMIKeep(xKey uint64, x, y Column, ky *CheapY, bins int) CheapResult {
+	n, take := x.Len(), ky != nil && ky.Card > 0
+	if (!take && y.Len() != n) || (take && len(ky.IDs) != n) {
 		panic("mi: CheapMI requires equal-length columns")
 	}
 	if bins <= 0 {
 		panic("mi: bins must be positive")
 	}
-	n := x.Len()
 	if n == 0 {
 		return CheapResult{}
 	}
@@ -98,7 +104,18 @@ func (s *Scratch) CheapMIKeepX(xKey uint64, x, y Column, bins int) CheapResult {
 			xs.materialize(bins, &s.cheapXIDs)
 		}
 	}
-	ys := cheapReduce(y, bins, &s.cheapYIDs, &s.cheapYLevels)
+	var ys cheapSide
+	if take {
+		ys = cheapSide{ids: sized(&s.cheapYIDs, n), card: ky.Card}
+		for i, id := range ky.IDs {
+			ys.ids[i] = int32(id)
+		}
+	} else {
+		ys = cheapReduce(y, bins, &s.cheapYIDs, &s.cheapYLevels)
+		if ky != nil {
+			ys.materialize(bins, &s.cheapYIDs)
+		}
+	}
 	cells := int64(xs.card) * int64(ys.card)
 	flat := cells <= cheapMaxFlatCells
 	if !flat {
@@ -109,8 +126,9 @@ func (s *Scratch) CheapMIKeepX(xKey uint64, x, y Column, bins int) CheapResult {
 		ys.materialize(bins, &s.cheapYIDs)
 		cells = 0
 	}
-	xc := zeroed(&s.cheapXCounts, int(xs.card))
-	yc := zeroed(&s.cheapYCounts, int(ys.card))
+	xc, yc := sized(&s.cheapXCounts, int(xs.card)), sized(&s.cheapYCounts, int(ys.card))
+	clear(xc)
+	clear(yc)
 	// The joint table's whole backing array is all-zero between calls:
 	// only the cells a call touched are re-zeroed, so its cost is O(n)
 	// whatever the table size.
@@ -160,6 +178,12 @@ func (s *Scratch) CheapMIKeepX(xKey uint64, x, y Column, bins int) CheapResult {
 		}
 	} else {
 		hxy = s.cheapJointMap(n)
+	}
+	if ky != nil && !take && flat && ys.card <= 256 {
+		*ky = CheapY{IDs: make([]uint8, n), Card: ys.card}
+		for i, id := range ys.ids {
+			ky.IDs[i] = uint8(id)
+		}
 	}
 	return CheapResult{MI: hx + hy - hxy, Ceil: math.Min(hx, hy)}
 }
@@ -216,11 +240,7 @@ type cheapSide struct {
 // or NaN, which id sends to bin 0.
 func cheapReduce(c Column, bins int, ids *[]int32, levels *map[string]int32) cheapSide {
 	if !c.IsNumeric() {
-		if *levels == nil {
-			*levels = make(map[string]int32, 64)
-		} else {
-			clear(*levels)
-		}
+		*levels = emptied(*levels)
 		lv := *levels
 		sd := cheapSide{ids: sized(ids, len(c.Str))}
 		for i, v := range c.Str {
@@ -275,7 +295,7 @@ func (sd *cheapSide) materialize(bins int, ids *[]int32) {
 }
 
 // sized returns *buf resliced (or reallocated) to n elements of
-// unspecified content; zeroed also clears them.
+// unspecified content.
 func sized[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n)
@@ -284,23 +304,13 @@ func sized[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-func zeroed(buf *[]int32, n int) []int32 {
-	out := sized(buf, n)
-	clear(out)
-	return out
-}
-
 // cheapJointMap is the overflow path for pairs whose ID cross product
 // exceeds the flat table: joint cells go through the packed-key map the
 // plug-in estimator owns (MLE clears it at its own start, so sharing is
 // safe). Entropy is summed over the count slice in first-appearance
 // order, deterministically.
 func (s *Scratch) cheapJointMap(n int) float64 {
-	if s.jLevels == nil {
-		s.jLevels = make(map[uint64]int, 64)
-	} else {
-		clear(s.jLevels)
-	}
+	s.jLevels = emptied(s.jLevels)
 	s.jCounts = s.jCounts[:0]
 	for i := 0; i < n; i++ {
 		key := uint64(uint32(s.cheapXIDs[i]))<<32 | uint64(uint32(s.cheapYIDs[i]))

@@ -517,6 +517,65 @@ func TestCheapMIMatchesReferenceBits(t *testing.T) {
 	}
 }
 
+// TestCheapMIKeptYMatchesCheapMI: a y column's reduction, kept once and
+// taken in its place, scores bit for bit what CheapMI scores on the
+// column — against the x it was kept with and against other x columns of
+// every kind, with x kept or not, through the flat table and the map
+// path — on one Scratch whose memos every call disturbs. Nothing is kept
+// of a y of more than 256 IDs or of a pair past the flat table.
+func TestCheapMIKeptYMatchesCheapMI(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	var s, ref Scratch
+	wide := func(n, levels int) Column {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("w%d", i%levels)
+		}
+		return CategoricalColumn(out)
+	}
+	kept := 0
+	for n := 1; n <= 300; n += 7 {
+		for si, shape := range cheapShapes {
+			xs, ys := shape.gen(rng, n)
+			x2, _ := cheapShapes[(si+1)%len(cheapShapes)].gen(rng, n)
+			for _, y := range []Column{NumericColumn(ys), CategoricalColumn(labels(ys))} {
+				label := fmt.Sprintf("%s n=%d y numeric=%v", shape.name, n, y.IsNumeric())
+				var ky CheapY
+				r := s.CheapMIKeep(uint64(n), NumericColumn(xs), y, &ky, DefaultCheapBins)
+				sameCheapBits(t, label+" filling", r, ref.CheapMI(NumericColumn(xs), y, DefaultCheapBins))
+				if ky.Card == 0 {
+					t.Fatalf("%s: nothing kept", label)
+				}
+				for xi, x := range []Column{NumericColumn(xs), NumericColumn(x2), CategoricalColumn(labels(x2)), wide(n, 1100)} {
+					for _, key := range []uint64{0, uint64(1000 + xi), uint64(1000 + xi)} {
+						got := s.CheapMIKeep(key, x, Column{}, &ky, DefaultCheapBins)
+						sameCheapBits(t, fmt.Sprintf("%s against x %d key %d", label, xi, key), got, ref.CheapMI(x, y, DefaultCheapBins))
+						kept++
+					}
+				}
+			}
+		}
+	}
+	// 256 IDs yield against a numeric x; against 2000 labels they take
+	// the map path.
+	xs, _ := cheapShapes[0].gen(rng, 2000)
+	y := wide(2000, 256)
+	var ky CheapY
+	if s.CheapMIKeep(0, NumericColumn(xs), y, &ky, DefaultCheapBins); ky.Card != 256 {
+		t.Fatalf("a y of 256 IDs was kept with %d", ky.Card)
+	}
+	sameCheapBits(t, "map path", s.CheapMIKeep(5, wide(2000, 2000), Column{}, &ky, DefaultCheapBins), ref.CheapMI(wide(2000, 2000), y, DefaultCheapBins))
+	for _, c := range [][2]Column{{NumericColumn(make([]float64, 300)), wide(300, 257)}, {wide(2000, 1100), wide(2000, 256)}} {
+		var none CheapY
+		if s.CheapMIKeep(0, c[0], c[1], &none, DefaultCheapBins); none.Card != 0 || none.IDs != nil {
+			t.Fatalf("kept %d IDs of a y past 256 IDs or a pair past the flat table", none.Card)
+		}
+	}
+	if kept == 0 {
+		t.Fatal("degenerate fixture")
+	}
+}
+
 // fuzzSpecials are the values a byte below len(fuzzSpecials) decodes to.
 var fuzzSpecials = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
 	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}

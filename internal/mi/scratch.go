@@ -81,7 +81,7 @@ type Scratch struct {
 	cheapTouched               []int32
 	cheapXLevels, cheapYLevels map[string]int32
 	cheapTerms                 []cheapTerm // indexed by count, stamped with n
-	// The x side CheapMIKeepX kept — IDs in cheapXIDs, its entropy — and
+	// The x side CheapMIKeep kept — IDs in cheapXIDs, its entropy — and
 	// the key and bin count it was kept under; key 0: nothing kept.
 	cheapX     cheapSide
 	cheapXKey  uint64
@@ -137,9 +137,9 @@ func (s *Scratch) MLE(xs, ys []string) float64 {
 }
 
 // emptied returns the interning map m with no entries, made on first use.
-func emptied[K comparable](m map[K]int) map[K]int {
+func emptied[K comparable, V any](m map[K]V) map[K]V {
 	if m == nil {
-		return make(map[K]int, 64)
+		return make(map[K]V, 64)
 	}
 	clear(m)
 	return m

@@ -475,7 +475,8 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 			out.ETag = etag
 			// no-store: the caller keeps the answer itself (a coordinator
 			// does), so the result is served and not retained.
-			if !strings.Contains(r.Header.Get("Cache-Control"), "no-store") {
+			if !strings.Contains(r.Header.Get("Cache-Control"), "no-store") &&
+				s.results.SeenBefore(cacheKey{digest: canon, gen: seenGen}, nil, cacheEntryOverhead) {
 				s.cacheResult(key, out.Body, int64(len(out.Body)+len(etag))+cacheEntryOverhead)
 			}
 		}
@@ -554,6 +555,9 @@ func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchReque
 		float64(elapsed)/float64(time.Millisecond), probesCached, len(trains), opt.Workers)
 	if res.ViewBuild > 0 { // this rank rebuilt the catalog view an open or a mutation dropped
 		measured += fmt.Sprintf(", view;dur=%.3f", float64(res.ViewBuild)/float64(time.Millisecond))
+	}
+	if res.Plan != "hit" { // phase 1 ran: the candidates it answered without a load, of those it visited
+		measured += fmt.Sprintf(`, phase1;desc="%d/%d"`, res.SideHits, res.Visited)
 	}
 	if res.Plan != "" { // a cascaded rank: whether phase 1 was reused, and what phase 2 remembered
 		measured += fmt.Sprintf(`, plan;desc=%s, exact;desc="%d/%d"`, res.Plan, res.ExactMemo, res.Exact)

@@ -27,6 +27,10 @@ package server
 // computed under an older generation than the newest cached one is
 // served but not kept.
 //
+// Admission on second sight, as on the coordinator: a digest's first
+// answer leaves only a marker, keyed by the digest alone so it survives
+// every generation, and answers are kept from the digest's second miss on.
+//
 // Singleflight. A miss enters a per-key flight. The first caller (the
 // leader) admits through the weighted semaphore and computes the
 // ranking; every concurrent identical miss joins as a waiter and
@@ -79,6 +83,10 @@ type cacheKey struct {
 // response costs beyond its body and ETag: key, list element, map
 // bucket share.
 const cacheEntryOverhead = 160
+
+// seenGen is a marker's generation: no store reaches it, so no answer's
+// lookup finds a marker and no sweep of older generations drops one.
+const seenGen = math.MaxUint64
 
 // cacheResult keeps an encoded answer under key unless a newer
 // generation's answer is already cached; the first answer of a newer
@@ -146,16 +154,12 @@ func newDigestWriter(tag string) *digestWriter {
 }
 
 func (w *digestWriter) bytes(b []byte) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
-	w.h.Write(n[:])
+	w.int64(int64(len(b)))
 	w.h.Write(b)
 }
 func (w *digestWriter) str(s string) { w.bytes([]byte(s)) }
 func (w *digestWriter) int64(v int64) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(v))
-	w.h.Write(n[:])
+	w.h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
 }
 func (w *digestWriter) bool(v bool) {
 	if v {
@@ -164,12 +168,8 @@ func (w *digestWriter) bool(v bool) {
 		w.int64(0)
 	}
 }
-func (w *digestWriter) float(v float64) { w.int64(int64(math.Float64bits(v))) }
-func (w *digestWriter) sum() [sha256.Size]byte {
-	var out [sha256.Size]byte
-	copy(out[:], w.h.Sum(nil))
-	return out
-}
+func (w *digestWriter) float(v float64)        { w.int64(int64(math.Float64bits(v))) }
+func (w *digestWriter) sum() [sha256.Size]byte { return [sha256.Size]byte(w.h.Sum(nil)) }
 
 // --- ETags ----------------------------------------------------------
 
@@ -195,9 +195,7 @@ func etagFor(epoch [8]byte, digest [sha256.Size]byte, gen uint64) string {
 	h := sha256.New()
 	h.Write(epoch[:])
 	h.Write(digest[:])
-	var g [8]byte
-	binary.LittleEndian.PutUint64(g[:], gen)
-	h.Write(g[:])
+	h.Write(binary.LittleEndian.AppendUint64(nil, gen))
 	sum := h.Sum(nil)
 	return `"` + hex.EncodeToString(sum[:16]) + `"`
 }

@@ -231,6 +231,36 @@ func TestServerTimingTierCounts(t *testing.T) {
 	}
 }
 
+// TestServerTimingSideHits: a rank that ran phase 1 says how many of the
+// candidates it visited it answered without a load, as
+// phase1;desc="hits/visited". Fresh trains on one key sample leave a
+// marker, then the candidate sides, and from the third on load nothing in
+// phase 1; a plan hit runs no phase 1 and says nothing of it.
+func TestServerTimingSideHits(t *testing.T) {
+	_, ts, st, train := newTestServer(t, 20, Options{})
+	minJoin := 10
+	phase1 := regexp.MustCompile(`, phase1;desc="(\d+)/(\d+)", plan;desc=miss`)
+	var req RankRequest
+	for i, want := range []string{"0/20", "0/20", "20/20"} {
+		fresh := &core.Sketch{Method: train.Method, Role: train.Role, Seed: train.Seed, Size: train.Size, Numeric: true,
+			KeyHashes: train.KeyHashes, Nums: make([]float64, len(train.Nums)), SourceRows: train.SourceRows}
+		for j, v := range train.Nums {
+			fresh.Nums[j] = v + float64(i)
+		}
+		req = RankRequest{Sketch: sketchBase64(t, fresh), Prefix: "corpus/", MinJoin: &minJoin, K: 3, Top: 5}
+		if _, timing := rankTimed(t, ts.URL, req); phase1.FindStringSubmatch(timing) == nil || !strings.Contains(timing, `"`+want+`"`) {
+			t.Fatalf("fresh train %d: Server-Timing %q, want phase1;desc=%q", i, timing, want)
+		}
+	}
+	if ss := st.Stats(); ss.SideHits != 20 || ss.SideFills != 20 {
+		t.Fatalf("side_hits %d, side_fills %d; want 20 and 20", ss.SideHits, ss.SideFills)
+	}
+	req.Top = 8
+	if _, timing := rankTimed(t, ts.URL, req); !strings.Contains(timing, "plan;desc=hit") || strings.Contains(timing, "phase1;") {
+		t.Fatalf("a plan hit: Server-Timing %q", timing)
+	}
+}
+
 // TestRankByStoredTrain ranks by referencing a stored train sketch
 // instead of uploading one; results must match the upload path exactly.
 func TestRankByStoredTrain(t *testing.T) {

@@ -19,9 +19,9 @@ package store
 // site that writes s.manifest or changes which segments the backend
 // serves drops it under s.mu: Put, Delete, the compaction roll and swap
 // (which moves records without bumping Gen), Close's seal. All but the
-// seeds map and the plan and selection caches is immutable once
-// published; seeds gains entries only under s.mu, each immutable once
-// added, and the caches (rankplan.go) lock for themselves. A query takes
+// seeds map and the caches is immutable once published; seeds gains
+// entries only under s.mu, each immutable once added, and the caches
+// (rankplan.go) lock for themselves or fill write-once slots. A query takes
 // the view, its seed's lists and the segment pins in one critical
 // section — an atomic snapshot that always contains a Put or Delete that
 // returned before the rank started.
@@ -47,10 +47,11 @@ type catalogView struct {
 	always     []int32
 	maxRecords int                  // largest segs[i].ix.records()
 	seeds      map[uint32]*seedView // guarded by Store.mu
-	// plans memoises phase 1 of the cascaded ranks run on this view, and
-	// selections the index selection of every rank (rankplan.go).
+	// rankplan.go's memos: phase-1 plans of cascaded ranks, index
+	// selections, and the candidate sides of joins by key sample.
 	plans      *cache.LRU[planKey, *rankPlan]
 	selections *cache.LRU[selectKey, selection]
+	sides      *cache.LRU[sideKey, *sideSet]
 }
 
 // viewSegment resolves one segment's index ordinals to entry positions.
@@ -82,6 +83,7 @@ func (s *Store) viewLocked() *catalogView {
 		seeds:      make(map[uint32]*seedView),
 		plans:      cache.NewLRU[planKey, *rankPlan](planCacheBytes),
 		selections: cache.NewLRU[selectKey, selection](selectCacheBytes),
+		sides:      cache.NewLRU[sideKey, *sideSet](sideCacheBytes),
 	}
 	for i, name := range names {
 		v.entries[i] = s.manifest[name]

@@ -123,12 +123,18 @@ func (w *viewWalk) check(step string) {
 
 			opt := RankOptions{Prefix: prefix, MinJoinSize: minJoin, K: 3, TopK: 5}
 			before := w.st.Stats().DiskReads
-			got, gotSkipped, err := w.st.RankQuery(ctx, w.trains[0], opt)
+			res, err := w.st.RankBatch(ctx, w.trains[:1], opt)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if reads, must := w.st.Stats().DiskReads-before, w.mustVisit(w.trains[:1], prefix, minJoin); reads != must {
-				t.Fatalf("%s: RankQuery decoded %d candidates, brute force says %d", label, reads, must)
+			got, gotSkipped := res.Queries[0].Ranked, res.Skipped
+			// Every visited candidate is decoded once at most: by phase 1,
+			// or, if phase 1 answered it from the view's candidate sides,
+			// by phase 2 when it scores the pair exactly.
+			reads, must := w.st.Stats().DiskReads-before, w.mustVisit(w.trains[:1], prefix, minJoin)
+			if int64(res.Visited) != must || reads != int64(res.Decoded) || res.Decoded < res.Visited-res.SideHits || res.Decoded > res.Visited {
+				t.Fatalf("%s: the cascaded rank visited %d candidates and decoded %d (%d read), %d side hits; brute force says %d",
+					label, res.Visited, res.Decoded, reads, res.SideHits, must)
 			}
 			opt.NoIndex = true
 			ref, refSkipped, err := w.st.RankQuery(ctx, w.trains[0], opt)

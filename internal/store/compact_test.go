@@ -391,7 +391,7 @@ func TestRankLoadChasesCompactedRecord(t *testing.T) {
 	if cur, _ := st.Meta("keep"); cur.Segment == m.Segment {
 		t.Fatal("compaction did not move the record; test is vacuous")
 	}
-	got, err := st.getForRank(m, map[uint64]struct{}{m.Segment: {}})
+	got, err := st.getForRank(m, map[uint64]struct{}{m.Segment: {}}, st.Gen())
 	if err != nil {
 		t.Fatalf("getForRank after compaction move: %v", err)
 	}
@@ -415,7 +415,7 @@ func TestRankLoadChasesCompactedRecord(t *testing.T) {
 	if _, err := st.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.getForRank(mg, nil); err == nil {
+	if _, err := st.getForRank(mg, nil, st.Gen()); err == nil {
 		t.Error("deleted candidate should error (and be skipped by triage)")
 	}
 }

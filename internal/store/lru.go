@@ -17,15 +17,15 @@ type sketchCache = cache.LRU[string, cachedSketch]
 // cachedSketch tags a cached sketch with the segment it borrows memory
 // from (0 = the sketch owns its memory), so a compaction retiring
 // segments can purge the views that alias them before the mappings go
-// away.
+// away, and with a generation its version was current at (getForRank).
 type cachedSketch struct {
-	sk  *core.Sketch
-	seg uint64
+	sk       *core.Sketch
+	seg, gen uint64
 }
 
-// cacheLocked admits sk under name, charged its resident size.
-func (s *Store) cacheLocked(name string, sk *core.Sketch, seg uint64) {
-	s.cache.Add(name, cachedSketch{sk, seg}, sketchBytes(sk))
+// cacheLocked admits sk, name's version current at gen, charged its size.
+func (s *Store) cacheLocked(name string, sk *core.Sketch, seg, gen uint64) {
+	s.cache.Add(name, cachedSketch{sk, seg, gen}, sketchBytes(sk))
 }
 
 // sketchBytes approximates the resident (or, for a borrowed view, the

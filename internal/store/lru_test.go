@@ -70,7 +70,7 @@ func TestLRUBudgetInvariant(t *testing.T) {
 		}
 	}
 	for i := 0; i < 16; i++ {
-		st.cacheLocked(fmt.Sprintf("s%d", i), numSketch(t, 256), 0)
+		st.cacheLocked(fmt.Sprintf("s%d", i), numSketch(t, 256), 0, 0)
 		check(fmt.Sprintf("add %d", i))
 	}
 	if cs := st.cache.Stats(); cs.Entries != 4 || cs.Evictions != 12 {
@@ -78,11 +78,11 @@ func TestLRUBudgetInvariant(t *testing.T) {
 			cs.Entries, cs.Evictions, st.cache.Max(), per)
 	}
 	// Updating an entry in place re-charges, never leaks.
-	st.cacheLocked("s15", numSketch(t, 256), 0)
+	st.cacheLocked("s15", numSketch(t, 256), 0, 0)
 	check("update")
 	// An entry larger than the whole budget is refused and drops any
 	// prior version.
-	st.cacheLocked("s15", numSketch(t, 4096), 0)
+	st.cacheLocked("s15", numSketch(t, 4096), 0, 0)
 	check("oversized")
 	if _, ok := st.cache.Get("s15"); ok {
 		t.Fatal("oversized entry stayed resident")

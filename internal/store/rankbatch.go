@@ -109,20 +109,19 @@ type BatchResult struct {
 	// those of them whose answer the plan remembered from an earlier call.
 	Plan             string
 	Exact, ExactMemo int
+	// Visited counts the candidates this call's phase 1 visited (none on a
+	// plan hit), SideHits those it did not load (rankplan.go), and Decoded
+	// the loads of both phases, sketch-cache hits included.
+	Visited, Decoded, SideHits int
 }
 
 // RankBatch ranks every train sketch against the stored candidates in
 // one corpus pass; it is the shared ranking core, and RankQuery is
 // RankBatch on one train. Each train's ranking — estimates, order, top-K
 // cut — is bit-for-bit identical to an independent RankQuery call with
-// the same options, but the batch pays the per-candidate costs once
-// instead of once per train: one manifest snapshot, one candidate load
-// (and one cache slot touch) per candidate, and the key-overlap prefilter
-// (the overlap core.KeyOverlap defines, read off the join's own probe of
-// the compiled train index) skips the estimator for every (train,
-// candidate) pair whose coordinated-sample key intersection already
-// proves the join at or below MinJoinSize. Pruned pair counts are
-// reported per query and aggregated in Stats.
+// the same options, but the batch pays the per-candidate costs once, as
+// the file header tells. Pruned pair counts are reported per query and
+// aggregated in Stats.
 //
 // It runs in two named stages with a value between them: planRank
 // (rankplan.go) is phase 1 — select, load, join, cheap-score — and
@@ -223,18 +222,16 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 	return r.runPlan(p)
 }
 
-// getForRank loads a candidate for a ranking worker, preferring the
-// cache and falling back to a zero-copy view decoded out of the pinned
-// segment mappings. A cached entry is only trusted if it owns its
-// memory or borrows from a segment this query pinned; anything else
-// (a view into a newer, unpinned segment) is bypassed in favor of the
+// getForRank loads a candidate for a rank whose view is of generation
+// gen, preferring the cache and falling back to a zero-copy view decoded
+// out of the pinned segment mappings. A cached entry is only trusted if
+// its version is no newer than the view and it owns its memory or borrows
+// from a segment this query pinned; anything else (an overwrite since the
+// view, a view into a newer, unpinned segment) is bypassed in favor of the
 // snapshot's own — pinned — location, whose bytes are immutable.
-// Like the legacy path, a cache hit may surface a newer compatible
-// version of the sketch than the snapshot admitted; the caller's
-// mutation triage handles incompatible ones.
-func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}) (*core.Sketch, error) {
+func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}, gen uint64) (*core.Sketch, error) {
 	s.mu.Lock()
-	if ent, ok := s.cache.Get(m.Name); ok {
+	if ent, ok := s.cache.Get(m.Name); ok && ent.gen <= gen {
 		if _, isPinned := pinned[ent.seg]; ent.seg == 0 || isPinned {
 			s.mu.Unlock()
 			return ent.sk, nil
@@ -266,7 +263,7 @@ func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}) (*core.Sketch, er
 	// Cache the decode only if the sketch was not overwritten or deleted
 	// meanwhile: a stale view must not shadow the mutation's result.
 	if cur, ok := s.manifest[m.Name]; ok && cur == m {
-		s.cacheLocked(m.Name, sk, tag)
+		s.cacheLocked(m.Name, sk, tag, gen)
 	}
 	s.mu.Unlock()
 	return sk, nil
@@ -295,9 +292,11 @@ type rankRun struct {
 	plan  *rankPlan
 	order []int32
 	// cands holds, by visit index, the candidates phase 2 scores: left by
-	// phase 1 when this call ran it (nothing is decoded twice), loaded on
-	// first use under a reused plan; lateSkip once triage dropped one.
+	// phase 1 when this call loaded them (nothing is decoded twice), loaded
+	// on first use under a reused plan or after a side hit; lateSkip once
+	// triage dropped one.
 	cands []atomic.Pointer[core.Sketch]
+	sides []*sideSet // per train: its key sample's candidate sides, if kept
 	// viewBuild and planMemo are BatchResult.ViewBuild and .Plan.
 	viewBuild time.Duration
 	planMemo  string
@@ -308,8 +307,9 @@ type rankRun struct {
 type rankWorker struct {
 	pruned []int64
 	late   []string
-	counts [4]int64 // cheap-only, exact, rescues, exact answers the plan remembered
+	counts [6]int64 // cheap-only, exact, rescues, remembered exact, loads, side hits
 	tasks  []cascadeTask
+	rows   *core.JoinRows // the joined rows keep last charged to a side set
 }
 
 // lateSkip marks a rankRun.cands slot whose candidate was skipped.
@@ -327,7 +327,7 @@ func (r *rankRun) start(visit []int32) {
 		workers = min(runtime.GOMAXPROCS(0), (len(visit)+workerMinChunk-1)/workerMinChunk)
 	}
 	workers = max(1, min(workers, len(visit)))
-	r.tops = make([]rankHeap, len(r.trains))
+	r.tops, r.sides = make([]rankHeap, len(r.trains)), make([]*sideSet, len(r.trains))
 	r.w = make([]*rankWorker, workers)
 	for i := range r.w {
 		r.w[i] = &rankWorker{pruned: make([]int64, len(r.trains))}
@@ -400,7 +400,7 @@ func (r *rankRun) work(w *rankWorker, next *atomic.Int64, total, chunk int, body
 // load fetches a snapshot-admitted candidate for either phase and
 // triages a racing mutation: nil with no error means skipped.
 func (r *rankRun) load(w *rankWorker, m Meta) (*core.Sketch, error) {
-	cand, err := r.s.getForRank(m, r.v.pins)
+	cand, err := r.s.getForRank(m, r.v.pins, r.gen)
 	if err != nil {
 		// The snapshot admitted this candidate; distinguish a
 		// concurrent mutation (the manifest no longer carries the
@@ -412,6 +412,7 @@ func (r *rankRun) load(w *rankWorker, m Meta) (*core.Sketch, error) {
 		}
 		return nil, err
 	}
+	w.counts[4]++
 	if cand.Seed != r.seed || cand.Role != core.RoleCandidate {
 		// A Put overwrote the sketch with an incompatible one
 		// after the snapshot filtered on the old metadata.
@@ -476,13 +477,19 @@ func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
 		return nil, err
 	}
 	res.Skipped = slices.Clone(p.skipped)
+	if r.planMemo != "hit" {
+		res.Visited = len(p.visit)
+	}
 	for _, w := range r.w {
 		s.cascadeCheap.Add(w.counts[0])
 		s.cascadeExact.Add(w.counts[1])
 		s.cascadeRescues.Add(w.counts[2])
 		s.exactMemoHits.Add(w.counts[3])
+		s.sideHits.Add(w.counts[5])
 		res.Exact += int(w.counts[1])
 		res.ExactMemo += int(w.counts[3])
+		res.Decoded += int(w.counts[4])
+		res.SideHits += int(w.counts[5])
 		res.Skipped = append(res.Skipped, w.late...)
 	}
 	if len(res.Skipped) > len(p.skipped) {
@@ -535,7 +542,9 @@ func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, i int) bool {
 		w.counts[3]++
 	} else {
 		cand := r.cands[t.ci].Load()
-		if cand == nil { // a reused plan: it keeps positions, not sketches
+		// A reused plan keeps positions, not sketches, and phase 1 loads no
+		// candidate it answers from the view's sides.
+		if cand == nil {
 			var err error
 			if cand, err = r.load(w, m); err != nil {
 				r.cancel(err)
@@ -559,8 +568,8 @@ func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, i int) bool {
 		e := r.probes[t.q].EstimateJoined(cand, js, r.opt.K, scratch)
 		rs = RankedSketch{MI: e.MI, Estimator: e.Estimator, JoinSize: e.N}
 		// Remembered only if no mutation has moved the store since the view
-		// was taken: a cache hit in load can surface a newer, compatible
-		// overwrite, whose answer is not the view's record's.
+		// was taken: a record a compaction moved is read at its new home,
+		// and a mem store has only the newest version to read.
 		if r.s.gen.Load() == r.gen {
 			slot.put(r.opt.K, rs)
 		}

@@ -31,6 +31,12 @@ package store
 // probe of the train index, the train side of the join and of the cheap
 // tier — is shared the same way inside each worker's core.Scratch, across
 // consecutive candidates that carry one key sample.
+//
+// The candidate side is once per key sample too: the overlap, the joined
+// train rows and the candidate's binned IDs are fixed by the candidate
+// record and the train's key hashes in entry order, so the view keeps them
+// per (sample, candidate), from a sample's second phase 1 on the view, and
+// later ones score the pair in one joint-count pass with no load.
 
 import (
 	"cmp"
@@ -166,7 +172,15 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 		slices.Sort(p.visit)
 	}
 	r.start(p.visit)
+	if r.cascade {
+		r.lookupSides()
+	}
 	r.forEach(len(p.visit), max(1, min(len(p.visit)/(len(r.w)*8), maxRankChunk)), (*rankRun).joinCandidate)
+	for _, set := range r.sides {
+		if set != nil { // charged for what this call kept
+			r.storeSides(set)
+		}
+	}
 	if r.ctx.Err() != nil {
 		return nil, false
 	}
@@ -263,59 +277,184 @@ func (r *rankRun) selectVisit(eligible []int32, lo, hi int32) ([]int32, int) {
 	return visit, prunedAll
 }
 
-// joinCandidate is phase 1 for one visit position.
+// joinCandidate is phase 1 for one visit position. The candidate is
+// loaded unless the view keeps its side for every train's key sample.
 func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) bool {
 	opt := &r.opt
-	m := r.v.entries[r.visit[i]]
-	cand, err := r.load(w, m)
-	if err != nil {
-		r.cancel(err)
-		return false
-	} else if cand == nil {
-		return true
-	}
-	// A candidate with duplicated key hashes is never counted as pruned,
-	// here or by the index: it always reaches the join, and fails the
-	// query only if a duplicate actually joins.
-	prune := !cand.HasDuplicateKeyHashes()
-	if r.cascade {
-		r.cands[i].Store(cand) // phase 2 of this call reads it back
+	pos := r.visit[i]
+	m := r.v.entries[pos]
+	var cand *core.Sketch
+	if !slices.ContainsFunc(r.sides, func(set *sideSet) bool { _, hit := set.get(pos, opt.MinJoinSize); return !hit }) {
+		w.counts[5]++ // a side hit
+	} else {
+		var err error
+		if cand, err = r.load(w, m); err != nil {
+			r.cancel(err)
+			return false
+		} else if cand == nil {
+			return true
+		}
+		if r.cascade {
+			r.cands[i].Store(cand) // phase 2 of this call reads it back
+		}
 	}
 	for q, probe := range r.probes {
-		// One probe of the train index yields the overlap, the error
-		// and the sample; the ordering-hint chains are built only
-		// when the exact estimator runs inline.
-		js, err := probe.JoinAbove(cand, opt.MinJoinSize, !r.cascade, scratch)
-		if err != nil {
-			r.cancel(fmt.Errorf("store: estimating %q: %w", m.Name, err))
-			return false
+		var js core.JoinedSample
+		set := r.sides[q]
+		e, hit := set.get(pos, opt.MinJoinSize)
+		if !hit {
+			// One probe of the train index yields the overlap, the error
+			// and the sample; the ordering-hint chains are built only
+			// when the exact estimator runs inline.
+			var err error
+			if js, err = probe.JoinAbove(cand, opt.MinJoinSize, !r.cascade, scratch); err != nil {
+				r.cancel(fmt.Errorf("store: estimating %q: %w", m.Name, err))
+				return false
+			}
+			// A candidate with duplicated key hashes is never counted as
+			// pruned, here or by the index: it always reaches the join, and
+			// fails the query only if a duplicate actually joins.
+			e = sideEntry{overlap: js.Size, dup: cand.HasDuplicateKeyHashes()}
 		}
-		if js.Size <= opt.MinJoinSize {
+		if e.overlap <= opt.MinJoinSize {
 			// Nothing was emitted: the prefilter counts the pair as
 			// pruned; otherwise the min-join confidence filter would
 			// discard the estimate unseen. Either way skip both tiers.
-			if prune {
+			if !e.dup {
 				w.pruned[q]++
 			}
-			continue
-		}
-		if r.cascade {
-			t := cascadeTask{ci: int32(i), q: int32(q)}
-			if js.X.IsNumeric() || js.Y.IsNumeric() {
-				cr := scratch.CheapMI(js, mi.DefaultCheapBins)
-				t.cheap, t.ceil = cr.MI, cr.Ceil
-			} else {
-				// Categorical–categorical: the exact estimator is
-				// already the plug-in, so there is no cheaper tier —
-				// the pair is exempt and always scored exactly.
-				t.cheap = math.Inf(1)
+			if !hit {
+				r.keep(w, set, pos, e)
 			}
-			w.tasks = append(w.tasks, t)
 			continue
 		}
-		if e := probe.EstimateJoined(cand, js, opt.K, scratch); e.MI >= opt.MinMI[q] {
-			r.tops[q].offer(RankedSketch{Name: m.Name, MI: e.MI, Estimator: e.Estimator, JoinSize: e.N}, opt.TopK)
+		if !r.cascade {
+			if est := probe.EstimateJoined(cand, js, opt.K, scratch); est.MI >= opt.MinMI[q] {
+				r.tops[q].offer(RankedSketch{Name: m.Name, MI: est.MI, Estimator: est.Estimator, JoinSize: est.N}, opt.TopK)
+			}
+			continue
 		}
+		var cr mi.CheapResult
+		switch {
+		case !m.Numeric && !probe.Train().Numeric:
+			// Categorical–categorical: the exact estimator is already the
+			// plug-in, so there is no cheaper tier — the pair is exempt
+			// and always scored exactly.
+			cr.MI = math.Inf(1)
+		case hit:
+			cr = probe.CheapMIKept(e.rows, &e.y, mi.DefaultCheapBins, scratch)
+		case set != nil:
+			if cr = scratch.CheapMI(js, &e.y, mi.DefaultCheapBins); e.y.Card > 0 {
+				e.rows = scratch.Rows()
+				r.keep(w, set, pos, e)
+			}
+		default:
+			cr = scratch.CheapMI(js, nil, mi.DefaultCheapBins)
+		}
+		w.tasks = append(w.tasks, cascadeTask{ci: int32(i), q: int32(q), cheap: cr.MI, ceil: cr.Ceil})
 	}
 	return true
+}
+
+// sideCacheBytes bounds the candidate sides one catalog view keeps.
+const sideCacheBytes = 2 << 20
+
+// sideKey is a key sample: the seed and a train's key hashes in entry
+// order, the joined rows' order, which the cheap tier's sums follow.
+type sideKey struct {
+	seed uint32
+	keys string
+}
+
+// sideSet is what a view keeps of one key sample's joins, by entry
+// position; without slots, a marker: of a sample seen once, or, oversize,
+// of one whose sides do not fit the view's bound.
+type sideSet struct {
+	key      sideKey
+	oversize bool
+	slots    []atomic.Pointer[sideEntry]
+	bytes    atomic.Int64 // what its entries hold, shared rows charged once
+}
+
+// cost is what the view's cache charges for set.
+func (set *sideSet) cost() int64 {
+	return int64(64+len(set.key.keys)+8*len(set.slots)) + set.bytes.Load()
+}
+
+// sideEntry is one candidate's side of its join with a key sample: what
+// answers the pair without loading, probing or binning the candidate.
+type sideEntry struct {
+	overlap int
+	dup     bool           // the candidate repeats a key hash: never counted as pruned
+	rows    *core.JoinRows // nil when the join was at or below the cutoff: nothing scored
+	y       mi.CheapY      // the candidate's IDs at mi.DefaultCheapBins
+}
+
+// lookupSides finds, per train, the candidate sides the view keeps for
+// its key sample; a sample seen for the first time gets only a marker.
+func (r *rankRun) lookupSides() {
+	for q, p := range r.probes {
+		var b []byte
+		for _, hk := range p.Train().KeyHashes {
+			b = binio.AppendU32(b, hk)
+		}
+		key := sideKey{r.seed, string(b)}
+		switch set, ok := r.v.sides.Get(key); {
+		case !ok:
+			r.storeSides(&sideSet{key: key})
+		case set.slots != nil:
+			r.sides[q] = set
+		case !set.oversize:
+			// Filled from the second sight, unless what the visit list could
+			// fill, its rows shared, is past the bound: a side has at most
+			// one ID a train entry.
+			set = &sideSet{key: key, slots: make([]atomic.Pointer[sideEntry], len(r.v.entries))}
+			set.oversize = set.cost()+int64(len(r.visit)*(64+len(b)/4)) > sideCacheBytes
+			if r.storeSides(set) {
+				r.sides[q] = set
+			}
+		}
+	}
+}
+
+// storeSides charges set to the view and reports whether the view keeps
+// it. A set past the bound would be dropped and refilled by every other
+// phase 1 of its sample, so the view keeps an oversize marker instead,
+// never filled.
+func (r *rankRun) storeSides(set *sideSet) bool {
+	if set.oversize || set.cost() > sideCacheBytes {
+		set = &sideSet{key: set.key, oversize: true}
+	}
+	r.v.sides.Add(set.key, set, set.cost())
+	return !set.oversize
+}
+
+// get returns the side kept at entry position pos if it answers the pair
+// at the cutoff minJoin.
+func (set *sideSet) get(pos int32, minJoin int) (sideEntry, bool) {
+	if set != nil {
+		if e := set.slots[pos].Load(); e != nil && (e.rows != nil || e.overlap <= minJoin) {
+			return *e, true
+		}
+	}
+	return sideEntry{}, false
+}
+
+// keep stores e as the candidate side at pos, unless one is stored or a
+// mutation has moved the store past the view the candidate was read in.
+func (r *rankRun) keep(w *rankWorker, set *sideSet, pos int32, e sideEntry) {
+	if set == nil || r.s.gen.Load() != r.gen {
+		return
+	}
+	if kept := e; set.slots[pos].CompareAndSwap(nil, &kept) {
+		n := 64 + len(e.y.IDs)
+		if e.rows != nil && e.rows != w.rows {
+			// Rows are shared by a run of candidates the join memo matched
+			// as one, on one worker: 4 bytes a train entry, charged once.
+			n += len(set.key.keys)
+			w.rows = e.rows
+		}
+		set.bytes.Add(int64(n))
+		r.s.sideFills.Add(1)
+	}
 }

@@ -1,0 +1,422 @@
+package store
+
+// Candidate side once per key sample: phase 1 answers a pair whose key
+// sample the view keeps the candidate's side for without loading,
+// probing or binning the candidate — and must answer what it answers
+// without it. The reference is the same call on a freshly opened twin
+// store, where the view keeps nothing.
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"misketch/internal/core"
+)
+
+// sideSketch is a sketch of 512 entries over the key window [lo,
+// lo+width), every key four times: numeric, or categorical over levels
+// labels.
+func sideSketch(t testing.TB, role core.Role, numeric bool, lo, width, levels int, salt int64) *core.Sketch {
+	t.Helper()
+	rng := rand.New(rand.NewSource(salt))
+	b, err := core.NewStreamBuilder(role, numeric, core.Options{Method: core.TUPSK, Size: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4*width; i++ {
+		g := lo + i%width
+		if key := fmt.Sprintf("g%d", g); numeric {
+			b.AddNum(key, float64(g%5)+rng.NormFloat64())
+		} else {
+			b.AddStr(key, fmt.Sprintf("L%d", (g+rng.Intn(2))%levels))
+		}
+	}
+	return b.Sketch()
+}
+
+// sideCatalog is 48 candidates in two name groups: numeric key windows
+// from full to no overlap with the trains' keys, runs of candidates on
+// one key set, categorical ones of 6 and of ~500 levels, and candidates
+// that repeat a key hash the trains do not carry. Sealed, so the key
+// index selects; read with no sketch cache, so every load decodes.
+func sideCatalog(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := OpenWithOptions(dir, OpenOptions{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 48; c++ {
+		var sk *core.Sketch
+		switch salt := int64(c); c % 8 {
+		case 0, 1:
+			sk = sideSketch(t, core.RoleCandidate, true, (c*37)%700, 300, 0, salt)
+		case 2, 3:
+			sk = sideSketch(t, core.RoleCandidate, true, 0, 600, 0, salt)
+		case 4:
+			sk = sideSketch(t, core.RoleCandidate, false, (c*11)%300, 400, 6, salt)
+		case 5:
+			sk = sideSketch(t, core.RoleCandidate, false, 0, 600, 1000, salt)
+		case 6:
+			sk = sideSketch(t, core.RoleCandidate, true, c%200, 500, 0, salt)
+			sk.KeyHashes = append(sk.KeyHashes, 0xdeadbeef, 0xdeadbeef)
+			sk.Nums = append(sk.Nums, 1, 2)
+		default:
+			sk = sideSketch(t, core.RoleCandidate, true, 590, 40, 0, salt)
+		}
+		if err := st.Put(fmt.Sprintf("side/%c/c%02d", "ab"[c%2], c), sk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// sideTrains are a numeric train over keys 0–599 and its fresh-valued
+// variants: fresh(i) for i > 0 carries the same key sample with other
+// values, cat(i) the same sample with categorical values, and permuted
+// the same key multiset in another entry order.
+type sideTrains struct {
+	base *core.Sketch
+}
+
+func (st sideTrains) fresh(i int) *core.Sketch {
+	b := st.base
+	nums := make([]float64, len(b.Nums))
+	for j, v := range b.Nums {
+		nums[j] = v + 0.3*float64(i)*float64(j%3)
+	}
+	return &core.Sketch{Method: b.Method, Role: b.Role, Seed: b.Seed, Size: b.Size, Numeric: true,
+		KeyHashes: b.KeyHashes, Nums: nums, SourceRows: b.SourceRows}
+}
+
+func (st sideTrains) cat(i int) *core.Sketch {
+	b := st.base
+	strs := make([]string, len(b.Nums))
+	for j, v := range b.Nums {
+		strs[j] = fmt.Sprintf("T%d", (int(v)+i*(j%2))%4)
+	}
+	return &core.Sketch{Method: b.Method, Role: b.Role, Seed: b.Seed, Size: b.Size,
+		KeyHashes: b.KeyHashes, Strs: strs, SourceRows: b.SourceRows}
+}
+
+func (st sideTrains) permuted(i int) *core.Sketch {
+	f := st.fresh(i)
+	perm := rand.New(rand.NewSource(9)).Perm(len(f.KeyHashes))
+	keys, nums := make([]uint32, len(perm)), make([]float64, len(perm))
+	for to, from := range perm {
+		keys[to], nums[to] = f.KeyHashes[from], f.Nums[from]
+	}
+	f.KeyHashes, f.Nums = keys, nums
+	return f
+}
+
+// TestSideMemoBitIdentical: fresh trains on one key sample, alone and in
+// a batch with a categorical train on the same sample, at MinJoinSize
+// −1, 0 and 50, two prefixes, with and without the index, half of them
+// seed calls — every call answers, in rankings, Pruned, Skipped, seed
+// bounds and the cheap/exact/rescue and pruned-pair counters, what a
+// freshly opened twin answers, whether it
+// loaded every candidate, some or none. A train with the same key
+// multiset in another entry order shares nothing with them.
+func TestSideMemoBitIdentical(t *testing.T) {
+	dir, twin := sideCatalog(t), sideCatalog(t)
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	trains := sideTrains{sideSketch(t, core.RoleTrain, true, 0, 600, 0, 99)}
+	ctx := context.Background()
+	counters := func(a, b Stats) [4]int64 {
+		return [4]int64{b.CascadeCheapOnly - a.CascadeCheapOnly, b.CascadeExact - a.CascadeExact,
+			b.CascadeMarginRescues - a.CascadeMarginRescues, b.PrunedPairs - a.PrunedPairs}
+	}
+	rank := func(label string, batch []*core.Sketch, opt RankOptions) *BatchResult {
+		t.Helper()
+		fresh, err := Open(twin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.RankBatch(ctx, batch, opt)
+		if err != nil {
+			t.Fatalf("%s on the twin: %v", label, err)
+		}
+		wantCounters := counters(Stats{}, fresh.Stats())
+		if err := fresh.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s0 := st.Stats()
+		got, err := st.RankBatch(ctx, batch, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		s1 := st.Stats()
+		sameBatch(t, label, got, want)
+		if c := counters(s0, s1); c != wantCounters {
+			t.Fatalf("%s: counters (cheap, exact, rescues, pruned) %v, a fresh twin %v", label, c, wantCounters)
+		}
+		if int64(got.SideHits) != s1.SideHits-s0.SideHits || got.SideHits > got.Visited {
+			t.Fatalf("%s: %d side hits of %d visited, Stats moved %d", label, got.SideHits, got.Visited, s1.SideHits-s0.SideHits)
+		}
+		return got
+	}
+	allHit := 0
+	call := 0
+	for _, minJoin := range []int{-1, 0, 50} {
+		for _, prefix := range []string{"", "side/a"} {
+			for _, noIndex := range []bool{false, true} {
+				opt := RankOptions{Prefix: prefix, MinJoinSize: minJoin, K: 3, TopK: 4, Workers: 1, NoIndex: noIndex}
+				for i := 0; i < 3; i++ {
+					// A seed answer's rows and bound are the cheap scores'.
+					call++
+					opt.Seed = call%2 == 0
+					label := fmt.Sprintf("minJoin %d prefix %q noIndex %v seed %v, fresh train %d", minJoin, prefix, noIndex, opt.Seed, i)
+					if got := rank(label, []*core.Sketch{trains.fresh(call)}, opt); got.SideHits == got.Visited && got.Visited > 0 {
+						allHit++
+					}
+					rank(label+" in a batch", []*core.Sketch{trains.fresh(call), trains.cat(call)}, opt)
+				}
+			}
+		}
+	}
+	if ss := st.Stats(); allHit == 0 || ss.SideFills == 0 {
+		t.Fatalf("degenerate: %d calls loaded no candidate, %d sides kept", allHit, ss.SideFills)
+	}
+	opt := RankOptions{Prefix: "side/a", MinJoinSize: 0, K: 3, TopK: 4, Workers: 1, Seed: true}
+	for i, wantHits := range []bool{false, false, true} {
+		got := rank(fmt.Sprintf("permuted train %d", i), []*core.Sketch{trains.permuted(i)}, opt)
+		if (got.SideHits > 0) != wantHits {
+			t.Fatalf("permuted train %d: %d side hits, want hits: %v — entry order is part of the key sample", i, got.SideHits, wantHits)
+		}
+	}
+}
+
+// TestSideMemoOversizeSampleNeverFills: a key sample whose sides would not
+// fit the view's bound is never kept. When the visit list alone could
+// overflow it, no side is filled. When the joins' rows do, the sides are
+// filled once and never again on the view: a set dropped after every fill
+// would have every other rank refill it. The ranks answer as before.
+func TestSideMemoOversizeSampleNeverFills(t *testing.T) {
+	build := func(role core.Role, lo, width, size int, salt int64) *core.Sketch {
+		rng := rand.New(rand.NewSource(salt))
+		b, err := core.NewStreamBuilder(role, true, core.Options{Method: core.TUPSK, Size: size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := lo; g < lo+width; g++ {
+			b.AddNum(fmt.Sprintf("g%d", g), float64(g%5)+rng.NormFloat64())
+		}
+		return b.Sketch()
+	}
+	train := build(core.RoleTrain, 0, 6000, 4096, 99)
+	entry := 64 + len(train.KeyHashes) // a side's cost bound, its rows shared
+	for _, tc := range []struct {
+		name  string
+		cands int
+		fills bool // the sample's second rank fills its sides
+	}{{"visit list over the bound", 600, false}, {"rows over the bound", 150, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := OpenWithOptions(t.TempDir(), OpenOptions{Backend: BackendMem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for c := 0; c < tc.cands; c++ {
+				// Key windows of their own: no two candidates share rows.
+				if err := st.Put(fmt.Sprintf("big/c%03d", c), build(core.RoleCandidate, c*9%5800, 200, 32, int64(c))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx := context.Background()
+			opt := RankOptions{MinJoinSize: 0, K: 3, TopK: 5, Workers: 1}
+			var want *BatchResult
+			for i := range 6 {
+				fills := st.Stats().SideFills
+				got, err := st.RankBatch(ctx, []*core.Sketch{train}, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					want = got
+					if over := got.Visited*entry > sideCacheBytes; over == tc.fills || got.Visited*4*len(train.KeyHashes) <= sideCacheBytes {
+						t.Fatalf("fixture: %d candidates visited", got.Visited)
+					}
+				}
+				sameBatch(t, fmt.Sprintf("rank %d", i), got, want)
+				if n := st.Stats().SideFills - fills; got.SideHits != 0 || (n > 0) != (i == 1 && tc.fills) {
+					t.Fatalf("rank %d: %d side hits, %d sides kept", i, got.SideHits, n)
+				}
+			}
+		})
+	}
+}
+
+// TestSideMemoSkipsRacingPut: a Put that lands during the phase 1 that
+// would keep the candidate sides moves the store past the call's view, so
+// none is kept, and the call still answers the view's catalog — the
+// overwritten candidate is loaded from its snapshot, not from the cache
+// the Put filled. On a quiet store the same calls keep them.
+func TestSideMemoSkipsRacingPut(t *testing.T) {
+	st, trains := cascadeStore(t, 60)
+	ctx := context.Background()
+	opt := RankOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: 5, Workers: 1}
+	want, err := st.RankBatch(ctx, trains, opt) // the samples' first sight
+	if err != nil {
+		t.Fatal(err)
+	}
+	over, err := st.Get("casc/c006#x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fills := st.Stats().SideFills
+	fired := false
+	testHookRankWork = func(int) {
+		if !fired {
+			fired = true
+			if err := st.Put("casc/c000#x", over); err != nil {
+				panic(err)
+			}
+		}
+	}
+	got, err := st.RankBatch(ctx, trains, opt)
+	testHookRankWork = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBatch(t, "Put mid-phase-1", got, want)
+	if n := st.Stats().SideFills - fills; !fired || n != 0 {
+		t.Fatalf("Put fired %v; %d sides kept after it", fired, n)
+	}
+	for i, wantFills := range []bool{false, true} {
+		fills := st.Stats().SideFills
+		if _, err := st.RankBatch(ctx, trains, opt); err != nil {
+			t.Fatal(err)
+		}
+		if n := st.Stats().SideFills - fills; (n > 0) != wantFills {
+			t.Fatalf("quiet rank %d: %d sides kept, want some: %v", i, n, wantFills)
+		}
+	}
+}
+
+// TestPlanHitLoadsItsSnapshot: under a reused plan phase 2 loads each
+// candidate on first use. A compatible overwrite that lands meanwhile
+// fills the sketch cache with the new version, which the call must not
+// take for its view's: it scores the candidate the view admitted.
+func TestPlanHitLoadsItsSnapshot(t *testing.T) {
+	st, trains := cascadeStore(t, 60)
+	ctx := context.Background()
+	opt := RankOptions{Prefix: "casc/", MinJoinSize: 30, K: 5, TopK: 5, Workers: 1}
+	want, err := st.RankBatch(ctx, trains, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keeps the plan, and its exact answers at K 3: at K 5 every pair
+	// phase 2 scores loads its candidate.
+	opt.Probes, opt.K = compileAll(trains), 3
+	if _, err := st.RankBatch(ctx, trains, opt); err != nil {
+		t.Fatal(err)
+	}
+	over, err := st.Get("casc/c006#x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := false
+	testHookRankWork = func(int) {
+		if !fired {
+			fired = true
+			if err := st.Put("casc/c000#x", over); err != nil {
+				panic(err)
+			}
+		}
+	}
+	opt.K = 5
+	got, err := st.RankBatch(ctx, trains, opt)
+	testHookRankWork = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fired || got.Plan != "hit" || got.Decoded == 0 {
+		t.Fatalf("fixture: Put fired %v, plan %q, %d loads", fired, got.Plan, got.Decoded)
+	}
+	sameBatch(t, "Put mid-phase-2 of a plan hit", got, want)
+}
+
+// TestSideMemoAcrossCompaction ranks fresh probes of one train on one
+// worker again and again while each round overwrites candidates and
+// compacts, retiring and unmapping the segments the last queries'
+// candidates were borrowed from — and a second ranker races the
+// compactions. Each view's third rank of the sample answers phase 1 from
+// the sides its second kept, which must hold no borrowed bytes: the
+// answers stay the first round's. Run it with -race.
+func TestSideMemoAcrossCompaction(t *testing.T) {
+	st, err := OpenWithOptions(t.TempDir(), OpenOptions{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cands := make([]*core.Sketch, 24)
+	for c := range cands {
+		cands[c] = windowSketch(t, core.RoleCandidate, 0, 0, 80, int64(c))
+		if err := st.Put(fmt.Sprintf("side/c%02d", c), cands[c]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	train := windowSketch(t, core.RoleTrain, 0, 0, 80, 99)
+	ctx := context.Background()
+	if _, err := st.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rank := func() ([]RankedSketch, error) {
+		// A probe of its own: no plan is ever reused, phase 1 always runs.
+		opt := RankOptions{Prefix: "side/", MinJoinSize: 20, K: 3, TopK: 5, Workers: 1, Probes: []*core.TrainProbe{core.CompileTrainProbe(train)}}
+		got, _, err := st.RankQuery(ctx, train, opt)
+		return got, err
+	}
+	want, err := rank()
+	if err != nil || len(want) != 5 {
+		t.Fatalf("fixture: %v, %d ranked", err, len(want))
+	}
+	check := func(label string) {
+		if got, err := rank(); err != nil || !sameRanked(got, want) {
+			t.Errorf("%s: %v, %d ranked, differing from the first round", label, err, len(got))
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+				check(fmt.Sprintf("racing rank %d", i))
+			}
+		}
+	}()
+	for round := 0; round < 20 && !t.Failed(); round++ {
+		for _, c := range []int{round % 24, (round + 7) % 24} {
+			if err := st.Put(fmt.Sprintf("side/c%02d", c), cands[c]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cs, err := st.Compact(ctx); err != nil || !cs.Compacted {
+			t.Fatalf("round %d: compact %+v, %v", round, cs, err)
+		}
+		for i := range 3 {
+			check(fmt.Sprintf("round %d rank %d", round, i))
+		}
+	}
+	close(done)
+	wg.Wait()
+	if st.Stats().SideHits == 0 {
+		t.Fatal("no rank answered a candidate from its side")
+	}
+}

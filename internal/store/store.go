@@ -115,6 +115,7 @@ type Store struct {
 
 	planHits, planMisses     atomic.Int64 // see Stats.PlanHits
 	selectHits, selectMisses atomic.Int64 // see Stats.SelectHits
+	sideHits, sideFills      atomic.Int64 // see Stats.SideHits
 	rankPanics               atomic.Int64 // see Stats.RankPanics
 
 	// rankScratch is the estimator scratch pool ranking workers draw
@@ -304,9 +305,9 @@ func (s *Store) Put(name string, sk *core.Sketch) error {
 	if end := off + length; s.covered[seg] < end {
 		s.covered[seg] = end
 	}
-	s.gen.Add(1)
+	gen := s.gen.Add(1)
 	s.dirty = true
-	s.cacheLocked(name, sk, 0)
+	s.cacheLocked(name, sk, 0, gen)
 	s.mu.Unlock()
 	s.puts.Add(1)
 	return nil
@@ -329,7 +330,7 @@ func (s *Store) Get(name string) (*core.Sketch, error) {
 				// view's bytes cannot vanish mid-copy — and replaces
 				// the borrowed entry so later Gets are plain hits.
 				sk = core.CloneSketch(sk)
-				s.cacheLocked(name, sk, 0)
+				s.cacheLocked(name, sk, 0, ent.gen)
 			}
 			s.mu.Unlock()
 			return sk, nil
@@ -353,7 +354,7 @@ func (s *Store) Get(name string) (*core.Sketch, error) {
 		// deleted) version must not be resurrected into the cache over
 		// the mutation's result.
 		if _, ok := s.manifest[name]; ok && s.gen.Load() == gen {
-			s.cacheLocked(name, sk, 0)
+			s.cacheLocked(name, sk, 0, gen)
 		}
 		s.mu.Unlock()
 		return sk, nil
@@ -534,6 +535,10 @@ type Stats struct {
 	// sample (rankplan.go); SelectMisses those the key indexes ran.
 	SelectHits   int64 `json:"select_hits"`
 	SelectMisses int64 `json:"select_misses"`
+	// SideHits counts candidates phase 1 answered from the candidate sides
+	// the catalog view keeps (rankplan.go); SideFills the sides kept.
+	SideHits  int64 `json:"side_hits"`
+	SideFills int64 `json:"side_fills"`
 	// RankPanics counts rank workers that panicked; each one failed its
 	// own query ("store: rank worker panicked: …") and nothing else.
 	RankPanics int64 `json:"rank_panics"`
@@ -570,6 +575,8 @@ func (s *Store) Stats() Stats {
 		PlanMisses:                s.planMisses.Load(),
 		SelectHits:                s.selectHits.Load(),
 		SelectMisses:              s.selectMisses.Load(),
+		SideHits:                  s.sideHits.Load(),
+		SideFills:                 s.sideFills.Load(),
 		RankPanics:                s.rankPanics.Load(),
 	}
 	cs := s.cache.Stats()
