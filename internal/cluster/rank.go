@@ -265,16 +265,21 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 	}
 	// gather merges the answers in hand into m. Every shard answers in
 	// request order, so query q's rows at or above its floor concatenate
-	// across shards. It reports a raised floor leaving a query short of K.
+	// across shards. Shards are meant to be disjoint; a candidate two of
+	// them return keeps its better-ranked row and is reported in dups. It
+	// reports a raised floor leaving a query short of K.
 	var m *server.RankBatchResponse
 	var answered int
+	var dups []ShardError
 	gather := func() (short bool) {
 		m = &server.RankBatchResponse{Queries: make([]server.BatchQueryResponse, len(req.wire.Trains))}
-		answered = 0
+		answered, dups = 0, nil
+		from := make([]map[string][2]int, len(m.Queries)) // per query, by name: a row's shard and index
 		for q := range m.Queries {
 			m.Queries[q] = server.BatchQueryResponse{Name: req.wire.Trains[q].Name, Ranked: []server.RankedResult{}}
+			from[q] = map[string][2]int{}
 		}
-		for _, sr := range first {
+		for i, sr := range first {
 			if sr == nil {
 				continue
 			}
@@ -282,8 +287,17 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 			for q := range sr.Queries {
 				m.Queries[q].Pruned += sr.Queries[q].Pruned
 				for _, row := range sr.Queries[q].Ranked {
-					if row.MI >= floors[q] {
-						m.Queries[q].Ranked = append(m.Queries[q].Ranked, row)
+					rows := m.Queries[q].Ranked
+					if at, ok := from[q][row.Name]; ok && row.MI >= floors[q] {
+						if se := (ShardError{Shard: c.shards[i].url, Error: fmt.Sprintf("candidate %q is also on shard %s", row.Name, c.shards[at[0]].url)}); !slices.Contains(dups, se) {
+							dups = append(dups, se)
+						}
+						if row.MI > rows[at[1]].MI {
+							rows[at[1]] = row
+						}
+					} else if row.MI >= floors[q] {
+						from[q][row.Name] = [2]int{i, len(rows)}
+						m.Queries[q].Ranked = append(rows, row)
 					}
 				}
 			}
@@ -318,9 +332,10 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 		ep.failures.Add(1)
 		return server.Outcome{}, false, allShardsFailed(ep.what, lost)
 	}
-	// Every shard either answered or is in lost, so lost is non-empty
-	// exactly on a partial answer.
-	if len(lost) > 0 {
+	// Every shard either answered or is in lost, and a candidate two shards
+	// returned makes the answer partial too, so lost is non-empty exactly
+	// on a partial answer, which is never cached or ETagged.
+	if lost = append(lost, dups...); len(lost) > 0 {
 		ep.partial.Add(1)
 	}
 	for q := range m.Queries {
@@ -414,8 +429,8 @@ func allShardsFailed(what string, serrs []ShardError) *ClusterError {
 }
 
 // sortRanked sorts the concatenated per-shard rankings under the
-// store's total order. Shards are disjoint, so names are unique and
-// (MI desc, name asc) is total — the merge is deterministic and, cut at
+// store's total order. Once gather drops a name two shards returned,
+// names are unique and (MI desc, name asc) is total — the merge is deterministic and, cut at
 // top, bit-identical to a single-node rank over the union catalog.
 func sortRanked(in []server.RankedResult) {
 	sort.Slice(in, func(i, j int) bool {

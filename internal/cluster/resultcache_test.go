@@ -369,6 +369,59 @@ func TestClusterPartialNeverCached(t *testing.T) {
 	}
 }
 
+// TestClusterDuplicateCandidate: shards are meant to be disjoint. A
+// candidate two of them both return is ranked once, by its better-ranked
+// row, and the answer is partial — a shard error names the candidate and
+// both shards — so it is never ETagged or cached. One shard gets a copy of
+// the union's best candidate, and the second best's name over the worst
+// one's sketch; single-round and seeded two-round queries answer the
+// union's ranking, first sight, second and third.
+func TestClusterDuplicateCandidate(t *testing.T) {
+	tc := newTestCluster(t, 2, 24)
+	all := tc.singleNodeRank(t, tc.rankRequest(t, 0)).Ranked
+	best := all[0].Name
+	for name, from := range map[string]string{best: best, all[1].Name: all[len(all)-1].Name} {
+		var c int // newTestCluster deals corpus/cNNN to shard NNN % 2
+		fmt.Sscanf(name, "corpus/c%d", &c)
+		sk, err := tc.unionSt.Get(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.shardSts[1-c%2].Put(name, sk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coord := tc.coordinator(t, Options{ResultCacheBytes: 1 << 20})
+	cs := httptest.NewServer(coord)
+	defer cs.Close()
+	for _, top := range []int{0, 5} {
+		req := tc.rankRequest(t, top)
+		want := tc.singleNodeRank(t, req).Ranked
+		for pass := 0; pass < 3; pass++ {
+			status, etag, raw := postCoord(t, cs.URL, mustMarshal(t, req), "")
+			var rr RankResponse
+			mustUnmarshal(t, raw, &rr)
+			if status != http.StatusOK || etag != "" || !rr.Partial || len(rr.ShardErrors) == 0 {
+				t.Fatalf("top %d pass %d: status %d etag %q: %s", top, pass, status, etag, raw)
+			}
+			named := false
+			for _, se := range rr.ShardErrors {
+				if both := se.Shard + " " + se.Error; !strings.Contains(both, tc.shards[0].URL) || !strings.Contains(both, tc.shards[1].URL) {
+					t.Fatalf("top %d pass %d: shard error %+v does not name both shards", top, pass, se)
+				}
+				named = named || strings.Contains(se.Error, `"`+best+`"`)
+			}
+			if !named {
+				t.Fatalf("top %d pass %d: no shard error names %q: %s", top, pass, best, raw)
+			}
+			assertIdenticalRanked(t, rr.Ranked, want)
+		}
+	}
+	if st := coord.Stats().Coordinator; st.ResultMergedHits != 0 || st.FloorQueries == 0 {
+		t.Fatalf("%+v: want seeded queries and no merged replay", st)
+	}
+}
+
 // buildCandidate makes one joinable candidate whose values depend on
 // salt, so different salts give different sketch content.
 func buildCandidate(t testing.TB, salt int) *core.Sketch {

@@ -1,30 +1,24 @@
 package store
 
-// The catalog view: everything a rank query needs from the manifest,
-// derived once per catalog state instead of once per query. Each train
-// probe's distinct key hashes are intersected against the per-segment
-// key indexes (keyindex.go), accumulating exact KeyOverlap counts per
-// candidate record; the view maps every record the counts push past
-// MinJoinSize straight to its manifest entry, so the visit list costs
-// the postings touched plus the candidates that match, not a walk of the
-// catalog. Candidates no index can vouch for (the unsealed active
-// segment, frozen segments, corrupt index sections or posting lists,
-// duplicated key hashes) are always visited and left to the worker
-// loop's probe prefilter, so the indexed, fallback, and mem-backend
-// paths produce bit-identical rankings and identical Pruned counts.
+// The catalog view: everything a rank needs from the manifest, derived
+// once per catalog state instead of once per query. Index selection
+// intersects each train's distinct key hashes with the per-segment key
+// indexes (keyindex.go) and maps every record whose exact overlap passes
+// MinJoinSize to its manifest entry, so a visit list costs the postings
+// touched plus the matches, not a walk of the catalog. Candidates no index
+// vouches for (active or frozen segments, corrupt index sections or
+// posting lists, duplicated key hashes) are always visited and left to the
+// probe prefilter, so indexed, fallback and mem-backend ranks answer alike.
 //
-// Consistency contract: a view describes one (manifest, segment table)
-// state of the one backend a handle keeps for its whole life. viewLocked
-// builds it under s.mu when a rank, List or Metas finds none, and every
-// site that writes s.manifest or changes which segments the backend
-// serves drops it under s.mu: Put, Delete, the compaction roll and swap
-// (which moves records without bumping Gen), Close's seal. All but the
-// seeds map and the caches is immutable once published; seeds gains
-// entries only under s.mu, each immutable once added, and the caches
-// (rankplan.go) lock for themselves or fill write-once slots. A query takes
-// the view, its seed's lists and the segment pins in one critical
-// section — an atomic snapshot that always contains a Put or Delete that
-// returned before the rank started.
+// Consistency: a view describes one (manifest, segment table) state.
+// viewLocked builds it under s.mu when a rank, List or Metas finds none;
+// every site that changes either drops it under s.mu: Put, Delete, the
+// compaction roll and swap (which moves records without bumping Gen),
+// Close's seal. Once published it changes only in seeds, which gains
+// immutable entries under s.mu, and in its plans (rankplan.go), which lock
+// for themselves. A query takes the view, its seed's lists and the segment
+// pins in one critical section: a snapshot holding every Put or Delete
+// that returned before the rank started.
 
 import (
 	"maps"
@@ -45,13 +39,9 @@ type catalogView struct {
 	// can never exclude: no usable index covers their record, or the
 	// index flags them as repeating a key hash (prefilter-exempt).
 	always     []int32
-	maxRecords int                  // largest segs[i].ix.records()
-	seeds      map[uint32]*seedView // guarded by Store.mu
-	// rankplan.go's memos: phase-1 plans of cascaded ranks, index
-	// selections, and the candidate sides of joins by key sample.
-	plans      *cache.LRU[planKey, *rankPlan]
-	selections *cache.LRU[selectKey, selection]
-	sides      *cache.LRU[sideKey, *sideSet]
+	maxRecords int                            // largest segs[i].ix.records()
+	seeds      map[uint32]*seedView           // guarded by Store.mu
+	plans      *cache.LRU[planKey, *rankPlan] // nil under testHookNoMemo
 }
 
 // viewSegment resolves one segment's index ordinals to entry positions.
@@ -78,12 +68,12 @@ func (s *Store) viewLocked() *catalogView {
 	// not whole Metas.
 	names := slices.Sorted(maps.Keys(s.manifest))
 	v := &catalogView{
-		entries:    make([]Meta, len(names)),
-		pins:       make(map[uint64]struct{}),
-		seeds:      make(map[uint32]*seedView),
-		plans:      cache.NewLRU[planKey, *rankPlan](planCacheBytes),
-		selections: cache.NewLRU[selectKey, selection](selectCacheBytes),
-		sides:      cache.NewLRU[sideKey, *sideSet](sideCacheBytes),
+		entries: make([]Meta, len(names)),
+		pins:    make(map[uint64]struct{}),
+		seeds:   make(map[uint32]*seedView),
+	}
+	if testHookNoMemo == nil || !testHookNoMemo(s) {
+		v.plans = cache.NewLRU[planKey, *rankPlan](planCacheBytes)
 	}
 	for i, name := range names {
 		v.entries[i] = s.manifest[name]

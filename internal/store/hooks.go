@@ -36,6 +36,10 @@ func crashPoint(p string) error {
 // a test panics or cancels from it.
 var testHookRankWork func(i int)
 
+// testHookNoMemo, when non-nil, names the stores whose catalog views keep
+// no plan (rankplan.go): FuzzRankMemos's memo-off reference.
+var testHookNoMemo func(s *Store) bool
+
 // testHookFileOpen, when non-nil, observes every file the store layer
 // opens (segment and manifest reads — not temp-file creation).
 var testHookFileOpen func(path string)

@@ -295,8 +295,9 @@ type rankRun struct {
 	// phase 1 when this call loaded them (nothing is decoded twice), loaded
 	// on first use under a reused plan or after a side hit; lateSkip once
 	// triage dropped one.
-	cands []atomic.Pointer[core.Sketch]
-	sides []*sideSet // per train: its key sample's candidate sides, if kept
+	cands   []atomic.Pointer[core.Sketch]
+	sides   []sideEntry // the sample plan's candidate sides (rankplan.go)
+	collect bool        // phase 1 fills sides for a new sample plan and reads none
 	// viewBuild and planMemo are BatchResult.ViewBuild and .Plan.
 	viewBuild time.Duration
 	planMemo  string
@@ -309,7 +310,6 @@ type rankWorker struct {
 	late   []string
 	counts [6]int64 // cheap-only, exact, rescues, remembered exact, loads, side hits
 	tasks  []cascadeTask
-	rows   *core.JoinRows // the joined rows keep last charged to a side set
 }
 
 // lateSkip marks a rankRun.cands slot whose candidate was skipped.
@@ -327,7 +327,7 @@ func (r *rankRun) start(visit []int32) {
 		workers = min(runtime.GOMAXPROCS(0), (len(visit)+workerMinChunk-1)/workerMinChunk)
 	}
 	workers = max(1, min(workers, len(visit)))
-	r.tops, r.sides = make([]rankHeap, len(r.trains)), make([]*sideSet, len(r.trains))
+	r.tops = make([]rankHeap, len(r.trains))
 	r.w = make([]*rankWorker, workers)
 	for i := range r.w {
 		r.w[i] = &rankWorker{pruned: make([]int64, len(r.trains))}

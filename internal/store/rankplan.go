@@ -1,45 +1,27 @@
 package store
 
-// The rank plan: phase 1 of a ranking as a value. Which candidates a
-// query visits, which pairs survive the prefilter and the min-join cut,
-// their cheap scores and phase 2's visit order depend on the catalog
-// state, the probes, Prefix, MinJoinSize and NoIndex — and on nothing
-// else. So the plan is memoised on the catalog view under exactly
-// that key: a `top` variant of one train, or a coordinator's floored
-// round 2 after its seed round, runs phase 2 alone. Every mutation drops
-// the view and its plans with it, so there is no invalidation code. A
-// plan holds positions and scores only — never a probe, a train or a
-// decoded sketch — so it pins nothing but itself.
+// Rank plans: phase 1 of a ranking as values on the catalog view, in one
+// LRU under one cost rule. A plan is built whole by one call, kept only if
+// that call met no racing mutation, and dies with its view: no invalidation
+// code. It holds positions, numbers and owned copies, so it pins nothing.
 //
-// Phase 2 is exact once per plan. Each exact estimate is a function of
-// the probe, the candidate record and K, and a plan's key and view fix
-// the first two, so a plan carries one write-once slot per pair:
-// the first call to score a pair on a catalog no mutation has moved
-// leaves its answer there, and every later call at the same K offers it
-// instead of re-estimating — a `top` variant rescores nothing its
-// predecessors scored, a floored round 2 nothing its seed round did. The
-// slots are numbers, live and die with the plan, and change no answer:
-// only a call holding the plan's view can read them.
+// A probe plan is all of phase 1, keyed by the probes, Prefix, MinJoinSize
+// and NoIndex: a `top` variant of one train, or a coordinator's round 2
+// after its seed round, runs phase 2 alone, and a pair scored once at a K
+// is not estimated again (exactSlot).
 //
-// Phase 1 has a first half that reads no value at all: index selection
-// depends on the trains' key samples alone. TUPSK gives every column of
-// one table sketched on one key the same sample, so a fresh train on its
-// base train's keys, a coordinator's round 1 or the next target of a
-// sweep selects what an earlier rank on the view selected. That
-// selection is memoised beside the plans, keyed by the samples
-// themselves, and dies with them. The second half's key-only work — the
-// probe of the train index, the train side of the join and of the cheap
-// tier — is shared the same way inside each worker's core.Scratch, across
-// consecutive candidates that carry one key sample.
-//
-// The candidate side is once per key sample too: the overlap, the joined
-// train rows and the candidate's binned IDs are fixed by the candidate
-// record and the train's key hashes in entry order, so the view keeps them
-// per (sample, candidate), from a sample's second phase 1 on the view, and
-// later ones score the pair in one joint-count pass with no load.
+// A sample plan is the part of phase 1 no train value touches, keyed by
+// the trains' key samples instead. TUPSK gives every column of one table
+// sketched on one key the same sample, so a fresh train on known keys, a
+// coordinator's round 1 or a sweep's next target meets one an earlier rank
+// planned. The call that misses keeps index selection's answer; the next
+// also collects each pair's candidate side — overlap, joined train rows,
+// binned candidate IDs — after which phase 1 scores a pair in one
+// joint-count pass and loads nothing.
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -50,15 +32,17 @@ import (
 	"misketch/internal/mi"
 )
 
-// planCacheBytes bounds the plans one catalog view keeps.
-const planCacheBytes = 1 << 20
+// planCacheBytes bounds the plans one catalog view keeps, of both kinds.
+const planCacheBytes = 3 << 19
 
-// planKey is everything phase 1 reads besides the view it is cached on.
-// probes is the probes' process-unique numbers in train order.
+// planKey is everything a plan reads besides the view it is cached on.
+// ids is, for a probe plan, the probes' process-unique numbers in train
+// order; for a sample plan, the seed and each train's key hashes in entry
+// order — the joined rows' order, which the cheap tier's sums follow.
 type planKey struct {
-	probes, prefix string
-	minJoin        int
-	noIndex        bool
+	ids, prefix     string
+	minJoin         int
+	noIndex, sample bool
 }
 
 func (r *rankRun) planKey() planKey {
@@ -66,28 +50,49 @@ func (r *rankRun) planKey() planKey {
 	for _, p := range r.probes {
 		ids = binio.AppendU64(ids, p.ID())
 	}
-	return planKey{string(ids), r.opt.Prefix, r.opt.MinJoinSize, r.opt.NoIndex}
+	return planKey{string(ids), r.opt.Prefix, r.opt.MinJoinSize, r.opt.NoIndex, false}
 }
 
-// rankPlan is what planRank hands runPlan. Immutable once built but for
-// its exact slots: a memoised plan is read by concurrent queries.
+func (r *rankRun) sampleKey() planKey {
+	ids := binio.AppendU32(nil, r.seed)
+	for _, p := range r.probes {
+		keys := p.Train().KeyHashes
+		ids, _ = binary.Append(binio.AppendU32(ids, uint32(len(keys))), binary.LittleEndian, keys)
+	}
+	return planKey{string(ids), r.opt.Prefix, r.opt.MinJoinSize, r.opt.NoIndex, true}
+}
+
+// rankPlan is a plan of either kind; a memoised one is read by concurrent
+// queries.
 type rankPlan struct {
-	visit []int32 // entry positions of the candidates phase 1 loaded, in name order
-	// tasks is every pair past the prefilter and the min-join cut, in
-	// phase 2's visit order; empty without the cascade.
-	tasks []cascadeTask
-	// exact is parallel to tasks: each pair's exact answer once a call
-	// has scored it.
+	visit []int32 // entry positions of the candidates phase 1 visits, in name order
+	// A probe plan's: tasks is every pair past the prefilter and the
+	// min-join cut, in phase 2's visit order (empty without the cascade),
+	// and exact, parallel to it, each pair's exact answer once a call has
+	// scored it.
+	tasks   []cascadeTask
 	exact   []exactSlot
 	pruned  []int    // per train: pairs the prefilter removed
 	skipped []string // sorted; nil when empty
+	// A sample plan's: the candidates the index excluded, each a pruned
+	// pair for every train, and, once a call collected them, the candidate
+	// sides, len(visit) × trains of them, by visit index then train.
+	// sideBytes is what the sides hold: until a collection measures it, a
+	// bound of an entry and one ID a train entry for each pair.
+	excluded  int
+	sides     []sideEntry
+	sideBytes int64
 }
 
-// cost is what a view's plan cache charges for p under key.
+// cost is what a view's plan cache charges for p under key. The visit list
+// may be a run of the view's own seed lists, so its length is charged.
 func (p *rankPlan) cost(key planKey) int64 {
-	n := 200 + len(key.probes) + len(key.prefix) + 4*cap(p.visit) + 24*cap(p.tasks) + 16*cap(p.exact) + 8*len(p.pruned)
+	n := 200 + len(key.ids) + len(key.prefix) + 4*len(p.visit) + 24*cap(p.tasks) + 16*cap(p.exact) + 8*len(p.pruned)
 	for _, name := range p.skipped {
 		n += 16 + len(name)
+	}
+	if p.sides != nil {
+		n += int(p.sideBytes)
 	}
 	return int64(n)
 }
@@ -135,52 +140,43 @@ func (sl *exactSlot) put(k int, rs RankedSketch) {
 	sl.word.Store(slotDone | uint64(k)<<slotKShift | uint64(est)<<slotEstShift | uint64(rs.JoinSize))
 }
 
-// planRank is phase 1: decode and triage every selected candidate once,
-// then prefilter and scratch-join it against every train in one probe
-// per pair (core.TrainProbe.JoinAbove). Without the cascade the exact
-// estimator runs inline, exactly the historic single-pass semantics.
-// With it, the pair's cheap binned score (mi.CheapMI, O(join) time) is
-// recorded instead and the exact tier is deferred to phase 2 — scoring
-// ALL candidates cheaply first is what lets phase 2 visit them from
-// strongest cheap score down, so the top-K threshold is at full height
-// after its first few exact runs instead of after most of the catalog.
-// clean: no racing mutation was triaged, so the plan may be memoised.
+// planRank is phase 1: triage every selected candidate once, then
+// prefilter and join it against every train in one probe per pair
+// (core.TrainProbe.JoinAbove). Without the cascade the exact estimator runs
+// inline; with it the pair's cheap binned score is recorded instead, so
+// phase 2 can visit pairs from the strongest down and its top-K bound is
+// at full height after a few exact runs. clean: no racing mutation was
+// triaged, so the plan may be memoised.
 func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 	s, v, opt := r.s, r.v, &r.opt
-	p = &rankPlan{pruned: make([]int, len(r.trains))}
+	p = &rankPlan{}
 	lo, hi := v.prefixRange(opt.Prefix)
 	for _, e := range within(sv.skipped, lo, hi) {
 		p.skipped = append(p.skipped, v.entries[e].Name)
 	}
-	// visit holds the entry positions of the candidates to load, in name
-	// order (locality for the workers' segment reads). Index-driven
-	// selection excludes, without loading them, candidates whose segment
-	// index proves every train's overlap at or below the cutoff; each is
-	// a pruned pair for every query (the same pairs the probe prefilter
-	// would count one load later). An empty sketch joins nothing and is
-	// never read unless the cutoff is negative.
-	p.visit = within(sv.cands, lo, hi)
-	if opt.MinJoinSize >= 0 && !opt.NoIndex {
-		var prunedAll int
-		p.visit, prunedAll = r.selectVisit(p.visit, lo, hi)
-		s.candNoDecode.Add(int64(prunedAll))
-		for q := range p.pruned {
-			p.pruned[q] = prunedAll
-		}
-	} else if empty := within(sv.empty, lo, hi); opt.MinJoinSize < 0 && len(empty) > 0 {
-		p.visit = append(slices.Clone(p.visit), empty...)
-		slices.Sort(p.visit)
+	// A key index that turns bad widens what its segment selects, so no
+	// sample plan is read or kept while any index of the view is bad: one
+	// kept before an index turned bad is never met again.
+	key := r.sampleKey()
+	intact := !slices.ContainsFunc(v.segs, func(vs viewSegment) bool { return vs.ix.bad.Load() })
+	sp, found := v.plans.Get(key)
+	if found = found && intact; found {
+		s.selectHits.Add(1)
+	} else {
+		s.selectMisses.Add(1)
+		sp = r.selectVisit(sv, lo, hi)
 	}
+	p.visit, p.pruned = sp.visit, slices.Repeat([]int{sp.excluded}, len(r.trains))
+	s.candNoDecode.Add(int64(sp.excluded))
 	r.start(p.visit)
-	if r.cascade {
-		r.lookupSides()
+	if r.cascade && found {
+		// The sample's sides or, on its second phase 1, a collection of
+		// them, unless they would not fit.
+		if r.sides = sp.sides; r.sides == nil && sp.cost(key)+sp.sideBytes <= planCacheBytes {
+			r.sides, r.collect = make([]sideEntry, len(p.visit)*len(r.probes)), true
+		}
 	}
 	r.forEach(len(p.visit), max(1, min(len(p.visit)/(len(r.w)*8), maxRankChunk)), (*rankRun).joinCandidate)
-	for _, set := range r.sides {
-		if set != nil { // charged for what this call kept
-			r.storeSides(set)
-		}
-	}
 	if r.ctx.Err() != nil {
 		return nil, false
 	}
@@ -203,6 +199,14 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 		s.prunedPairs.Add(int64(n))
 	}
 	slices.Sort(p.skipped)
+	if intact && clean && s.gen.Load() == r.gen {
+		switch {
+		case !found:
+			v.plans.Add(key, sp, sp.cost(key))
+		case r.collect:
+			r.keepSides(key, sp)
+		}
+	}
 	// Deterministic visit order regardless of phase-1 scheduling: cheap
 	// score descending (exempt pairs first), names and train index
 	// breaking ties. No two tasks share (ci, q), so this is a total order
@@ -221,70 +225,36 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 	return p, clean
 }
 
-// selectCacheBytes bounds the selections one catalog view keeps.
-const selectCacheBytes = 1 << 19
-
-// selectKey is everything index selection reads besides the view and the
-// state of its key indexes: the seed, Prefix, MinJoinSize and, in train
-// order, each train's distinct key hashes with their multiplicities —
-// its key sample, never a value.
-type selectKey struct {
-	seed    uint32
-	prefix  string
-	minJoin int
-	sample  string
-}
-
-// selection is what selectVisit returned for a selectKey.
-type selection struct {
-	visit     []int32 // shared by every query that reuses it: read only
-	prunedAll int
-}
-
-// selectVisit is index selection with the view's memo in front: trains
-// that share a key sample — fresh values on the same keys, a
-// coordinator's round 1, the next target of a sweep — select the same
-// candidates. A key index that turns bad widens what its segment selects,
-// so no entry is stored or used while any index of the view is bad: an
-// entry stored before one turned bad is never met again. A hit counts its
-// excluded candidates as not decoded, as the selection would have.
-func (r *rankRun) selectVisit(eligible []int32, lo, hi int32) ([]int32, int) {
-	s, v := r.s, r.v
-	var sample []byte
+// selectVisit builds a sample plan without sides: the visit list,
+// narrowed by index selection when the index may exclude.
+func (r *rankRun) selectVisit(sv *seedView, lo, hi int32) *rankPlan {
+	s, opt := r.s, &r.opt
+	sp := &rankPlan{visit: within(sv.cands, lo, hi)}
+	if opt.MinJoinSize >= 0 && !opt.NoIndex {
+		sc := s.selectPool.Get().(*selectScratch)
+		sp.visit, sp.excluded = sc.selectVisit(r.v, r.seed, sp.visit, lo, hi, r.probes, opt.MinJoinSize)
+		s.selectPool.Put(sc)
+	} else if empty := within(sv.empty, lo, hi); opt.MinJoinSize < 0 && len(empty) > 0 {
+		sp.visit = append(slices.Clone(sp.visit), empty...)
+		slices.Sort(sp.visit)
+	}
 	for _, p := range r.probes {
-		hashes, mults := p.DistinctKeyHashes()
-		sample = binio.AppendU32(sample, uint32(len(hashes)))
-		for i, hk := range hashes {
-			sample = binio.AppendU32(binio.AppendU32(sample, hk), uint32(mults[i]))
-		}
+		sp.sideBytes += int64(len(sp.visit)) * (sideEntryBytes + int64(p.Train().Len()))
 	}
-	key := selectKey{r.seed, r.opt.Prefix, r.opt.MinJoinSize, string(sample)}
-	intact := !slices.ContainsFunc(v.segs, func(vs viewSegment) bool { return vs.ix.bad.Load() })
-	if intact {
-		if sel, ok := v.selections.Get(key); ok {
-			s.selectHits.Add(1)
-			return sel.visit, sel.prunedAll
-		}
-	}
-	s.selectMisses.Add(1)
-	sc := s.selectPool.Get().(*selectScratch)
-	visit, prunedAll := sc.selectVisit(v, r.seed, eligible, lo, hi, r.probes, r.opt.MinJoinSize)
-	s.selectPool.Put(sc)
-	if intact {
-		cost := 64 + len(key.prefix) + len(key.sample) + 4*len(visit)
-		v.selections.Add(key, selection{visit, prunedAll}, int64(cost))
-	}
-	return visit, prunedAll
+	return sp
 }
 
 // joinCandidate is phase 1 for one visit position. The candidate is
-// loaded unless the view keeps its side for every train's key sample.
+// loaded unless the sample plan keeps its side for every train.
 func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) bool {
 	opt := &r.opt
-	pos := r.visit[i]
-	m := r.v.entries[pos]
+	m := r.v.entries[r.visit[i]]
+	var sides []sideEntry // this candidate's, one per train: kept, or being collected
+	if r.sides != nil {
+		sides = r.sides[i*len(r.probes) : (i+1)*len(r.probes)]
+	}
 	var cand *core.Sketch
-	if !slices.ContainsFunc(r.sides, func(set *sideSet) bool { _, hit := set.get(pos, opt.MinJoinSize); return !hit }) {
+	if sides != nil && !slices.ContainsFunc(sides, func(e sideEntry) bool { return !e.answers }) {
 		w.counts[5]++ // a side hit
 	} else {
 		var err error
@@ -300,9 +270,11 @@ func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) boo
 	}
 	for q, probe := range r.probes {
 		var js core.JoinedSample
-		set := r.sides[q]
-		e, hit := set.get(pos, opt.MinJoinSize)
-		if !hit {
+		var e sideEntry
+		hit := sides != nil && sides[q].answers
+		if hit {
+			e = sides[q]
+		} else {
 			// One probe of the train index yields the overlap, the error
 			// and the sample; the ordering-hint chains are built only
 			// when the exact estimator runs inline.
@@ -323,138 +295,77 @@ func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) boo
 			if !e.dup {
 				w.pruned[q]++
 			}
-			if !hit {
-				r.keep(w, set, pos, e)
-			}
-			continue
-		}
-		if !r.cascade {
+		} else if !r.cascade {
 			if est := probe.EstimateJoined(cand, js, opt.K, scratch); est.MI >= opt.MinMI[q] {
 				r.tops[q].offer(RankedSketch{Name: m.Name, MI: est.MI, Estimator: est.Estimator, JoinSize: est.N}, opt.TopK)
 			}
-			continue
-		}
-		var cr mi.CheapResult
-		switch {
-		case !m.Numeric && !probe.Train().Numeric:
-			// Categorical–categorical: the exact estimator is already the
-			// plug-in, so there is no cheaper tier — the pair is exempt
-			// and always scored exactly.
-			cr.MI = math.Inf(1)
-		case hit:
-			cr = probe.CheapMIKept(e.rows, &e.y, mi.DefaultCheapBins, scratch)
-		case set != nil:
-			if cr = scratch.CheapMI(js, &e.y, mi.DefaultCheapBins); e.y.Card > 0 {
-				e.rows = scratch.Rows()
-				r.keep(w, set, pos, e)
+		} else {
+			var cr mi.CheapResult
+			switch {
+			case !m.Numeric && !probe.Train().Numeric:
+				// Categorical–categorical: the exact estimator is already the
+				// plug-in, so there is no cheaper tier — the pair is exempt
+				// and always scored exactly.
+				cr.MI = math.Inf(1)
+			case hit:
+				cr = probe.CheapMIKept(e.rows, &e.y, mi.DefaultCheapBins, scratch)
+			case r.collect:
+				if cr = scratch.CheapMI(js, &e.y, mi.DefaultCheapBins); e.y.Card > 0 {
+					e.rows = scratch.Rows()
+				}
+			default:
+				cr = scratch.CheapMI(js, nil, mi.DefaultCheapBins)
 			}
-		default:
-			cr = scratch.CheapMI(js, nil, mi.DefaultCheapBins)
+			w.tasks = append(w.tasks, cascadeTask{ci: int32(i), q: int32(q), cheap: cr.MI, ceil: cr.Ceil})
 		}
-		w.tasks = append(w.tasks, cascadeTask{ci: int32(i), q: int32(q), cheap: cr.MI, ceil: cr.Ceil})
+		if r.collect {
+			e.answers = e.rows != nil || e.overlap <= opt.MinJoinSize
+			sides[q] = e
+		}
 	}
 	return true
 }
 
-// sideCacheBytes bounds the candidate sides one catalog view keeps.
-const sideCacheBytes = 2 << 20
-
-// sideKey is a key sample: the seed and a train's key hashes in entry
-// order, the joined rows' order, which the cheap tier's sums follow.
-type sideKey struct {
-	seed uint32
-	keys string
-}
-
-// sideSet is what a view keeps of one key sample's joins, by entry
-// position; without slots, a marker: of a sample seen once, or, oversize,
-// of one whose sides do not fit the view's bound.
-type sideSet struct {
-	key      sideKey
-	oversize bool
-	slots    []atomic.Pointer[sideEntry]
-	bytes    atomic.Int64 // what its entries hold, shared rows charged once
-}
-
-// cost is what the view's cache charges for set.
-func (set *sideSet) cost() int64 {
-	return int64(64+len(set.key.keys)+8*len(set.slots)) + set.bytes.Load()
-}
-
-// sideEntry is one candidate's side of its join with a key sample: what
-// answers the pair without loading, probing or binning the candidate.
+// sideEntry is one candidate's side of its join with one train's key
+// sample: what answers the pair without loading, probing or binning the
+// candidate.
 type sideEntry struct {
 	overlap int
 	dup     bool           // the candidate repeats a key hash: never counted as pruned
-	rows    *core.JoinRows // nil when the join was at or below the cutoff: nothing scored
+	rows    *core.JoinRows // nil unless the pair was scored and its side kept
 	y       mi.CheapY      // the candidate's IDs at mi.DefaultCheapBins
+	// answers: the entry answers its pair, pruned or scored — not a
+	// categorical–categorical pair, more than 256 IDs or a pair past the
+	// flat joint table.
+	answers bool
 }
 
-// lookupSides finds, per train, the candidate sides the view keeps for
-// its key sample; a sample seen for the first time gets only a marker.
-func (r *rankRun) lookupSides() {
-	for q, p := range r.probes {
-		var b []byte
-		for _, hk := range p.Train().KeyHashes {
-			b = binio.AppendU32(b, hk)
-		}
-		key := sideKey{r.seed, string(b)}
-		switch set, ok := r.v.sides.Get(key); {
-		case !ok:
-			r.storeSides(&sideSet{key: key})
-		case set.slots != nil:
-			r.sides[q] = set
-		case !set.oversize:
-			// Filled from the second sight, unless what the visit list could
-			// fill, its rows shared, is past the bound: a side has at most
-			// one ID a train entry.
-			set = &sideSet{key: key, slots: make([]atomic.Pointer[sideEntry], len(r.v.entries))}
-			set.oversize = set.cost()+int64(len(r.visit)*(64+len(b)/4)) > sideCacheBytes
-			if r.storeSides(set) {
-				r.sides[q] = set
-			}
-		}
-	}
-}
+// sideEntryBytes is what a sample plan charges for an entry besides its IDs.
+const sideEntryBytes = 64
 
-// storeSides charges set to the view and reports whether the view keeps
-// it. A set past the bound would be dropped and refilled by every other
-// phase 1 of its sample, so the view keeps an oversize marker instead,
-// never filled.
-func (r *rankRun) storeSides(set *sideSet) bool {
-	if set.oversize || set.cost() > sideCacheBytes {
-		set = &sideSet{key: set.key, oversize: true}
-	}
-	r.v.sides.Add(set.key, set, set.cost())
-	return !set.oversize
-}
-
-// get returns the side kept at entry position pos if it answers the pair
-// at the cutoff minJoin.
-func (set *sideSet) get(pos int32, minJoin int) (sideEntry, bool) {
-	if set != nil {
-		if e := set.slots[pos].Load(); e != nil && (e.rows != nil || e.overlap <= minJoin) {
-			return *e, true
+// keepSides publishes the sides this call collected as the sample's plan
+// or, if they do not fit, the plan it found with what they measured, which
+// no later call collects again. Joined rows are shared by a run of
+// candidates the join memo matched as one: 4 bytes a train entry, charged
+// once.
+func (r *rankRun) keepSides(key planKey, sp *rankPlan) {
+	full := *sp // a sample plan's other fields are its visit list and excluded count
+	full.sides, full.sideBytes = r.sides, 0
+	charged := map[*core.JoinRows]bool{}
+	kept := 0
+	for k, e := range r.sides {
+		full.sideBytes += sideEntryBytes + int64(len(e.y.IDs))
+		if e.rows != nil && !charged[e.rows] {
+			charged[e.rows] = true
+			full.sideBytes += 4 * int64(r.probes[k%len(r.probes)].Train().Len())
+		}
+		if e.answers {
+			kept++
 		}
 	}
-	return sideEntry{}, false
-}
-
-// keep stores e as the candidate side at pos, unless one is stored or a
-// mutation has moved the store past the view the candidate was read in.
-func (r *rankRun) keep(w *rankWorker, set *sideSet, pos int32, e sideEntry) {
-	if set == nil || r.s.gen.Load() != r.gen {
-		return
+	r.s.sideFills.Add(int64(kept))
+	if full.cost(key) > planCacheBytes {
+		full.sides = nil
 	}
-	if kept := e; set.slots[pos].CompareAndSwap(nil, &kept) {
-		n := 64 + len(e.y.IDs)
-		if e.rows != nil && e.rows != w.rows {
-			// Rows are shared by a run of candidates the join memo matched
-			// as one, on one worker: 4 bytes a train entry, charged once.
-			n += len(set.key.keys)
-			w.rows = e.rows
-		}
-		set.bytes.Add(int64(n))
-		r.s.sideFills.Add(1)
-	}
+	r.v.plans.Add(key, &full, full.cost(key))
 }

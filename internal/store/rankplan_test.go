@@ -236,97 +236,6 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 	rank("a prefix of the list", trains[:7], probes[:7], 5, 0)
 }
 
-// TestSelectionMemoMatchesFreshSelection: trains that share a key sample
-// but not values reuse one index selection, and every rank answers — in
-// rankings, Pruned, Skipped and candidates excluded undecoded — what the
-// same rank answers on a freshly opened twin store, with rankings and
-// Pruned equal to the NoIndex walk's. What selection reads is in the key:
-// train order, Prefix and MinJoinSize each select afresh; TopK does not.
-func TestSelectionMemoMatchesFreshSelection(t *testing.T) {
-	names, cands, trains := diffSketches(t, 80, 4)
-	c := cands[0]
-	other := &core.Sketch{Method: c.Method, Role: c.Role, Seed: c.Seed + 1, Size: c.Size, Numeric: true,
-		KeyHashes: c.KeyHashes, Nums: c.Nums, SourceRows: c.SourceRows}
-	names, cands = append(names, "c999"), append(cands, other) // reported skipped
-	dir, twin := twoSegmentStore(t, names, cands), twoSegmentStore(t, names, cands)
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	rng := rand.New(rand.NewSource(28))
-	revalue := func(q int) *core.Sketch {
-		tr := trains[q]
-		nums := make([]float64, len(tr.Nums))
-		for i := range nums {
-			nums[i] = rng.NormFloat64()
-		}
-		return &core.Sketch{Method: tr.Method, Role: tr.Role, Seed: tr.Seed, Size: tr.Size, Numeric: true,
-			KeyHashes: tr.KeyHashes, Nums: nums, SourceRows: tr.SourceRows}
-	}
-	ctx := context.Background()
-	seen := map[string]bool{}
-	var hits int64
-	rank := func(qs []int, opt RankOptions) {
-		t.Helper()
-		batch := make([]*core.Sketch, len(qs))
-		for i, q := range qs {
-			batch[i] = revalue(q)
-		}
-		key := fmt.Sprint(qs, opt.Prefix, opt.MinJoinSize)
-		label := fmt.Sprintf("trains %v prefix %q minJoin %d top %d", qs, opt.Prefix, opt.MinJoinSize, opt.TopK)
-		walk := opt
-		walk.NoIndex = true
-		want, err := st.RankBatch(ctx, batch, walk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := Open(twin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freshWant, err := fresh.RankBatch(ctx, batch, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freshSkips := fresh.Stats().CandidatesSkippedNoDecode
-		if err := fresh.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s0 := st.Stats()
-		got, err := st.RankBatch(ctx, batch, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s1 := st.Stats()
-		sameBatch(t, label+" against the NoIndex walk", got, want)
-		sameBatch(t, label+" against a fresh store", got, freshWant)
-		if skips := s1.CandidatesSkippedNoDecode - s0.CandidatesSkippedNoDecode; skips != freshSkips {
-			t.Fatalf("%s: %d candidates skipped undecoded, a fresh store %d", label, skips, freshSkips)
-		}
-		hit := s1.SelectHits - s0.SelectHits
-		if hit+s1.SelectMisses-s0.SelectMisses != 1 || (hit == 1) != seen[key] {
-			t.Fatalf("%s: %d selection hits and %d misses, seen before: %v", label, hit, s1.SelectMisses-s0.SelectMisses, seen[key])
-		}
-		seen[key] = true
-		hits += hit
-	}
-	for _, top := range []int{0, 10} {
-		for q := range trains {
-			for range 2 {
-				rank([]int{q}, RankOptions{MinJoinSize: 20, K: 3, TopK: top})
-			}
-		}
-		rank([]int{0, 3}, RankOptions{MinJoinSize: 20, K: 3, TopK: top})
-		rank([]int{3, 0}, RankOptions{MinJoinSize: 20, K: 3, TopK: top})
-		rank([]int{1}, RankOptions{Prefix: "c05", MinJoinSize: 20, K: 3, TopK: top})
-		rank([]int{1}, RankOptions{MinJoinSize: 30, K: 3, TopK: top})
-	}
-	if hits != 16 {
-		t.Fatalf("%d selections reused, want 16", hits)
-	}
-}
-
 // TestJoinMemoAcrossCompaction ranks on one worker again and again while
 // each round overwrites candidates and compacts, retiring and unmapping
 // the segments the last query's candidates borrowed their key hashes

@@ -244,7 +244,7 @@ func TestSideMemoOversizeSampleNeverFills(t *testing.T) {
 				}
 				if i == 0 {
 					want = got
-					if over := got.Visited*entry > sideCacheBytes; over == tc.fills || got.Visited*4*len(train.KeyHashes) <= sideCacheBytes {
+					if over := got.Visited*entry > planCacheBytes; over == tc.fills || got.Visited*4*len(train.KeyHashes) <= planCacheBytes {
 						t.Fatalf("fixture: %d candidates visited", got.Visited)
 					}
 				}
@@ -254,6 +254,84 @@ func TestSideMemoOversizeSampleNeverFills(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSamplePlanBytesFollowTheVisitList: a sample plan is charged for
+// the candidates its phase 1 visits, not for the catalog. Catalogs of
+// 2 000 and 20 000 candidates, 200 a key domain, give a train on one
+// domain's keys the same plan, to the byte, once its sides are kept — 200
+// visited candidates' worth, where a slot a catalog entry would be 160 KB.
+// A train whose sides could not fit keeps a plan of its visit list alone,
+// which every later call finds, and none collects sides.
+func TestSamplePlanBytesFollowTheVisitList(t *testing.T) {
+	sketch := func(role core.Role, d, keys, size int, salt int64) *core.Sketch {
+		rng := rand.New(rand.NewSource(salt))
+		b, err := core.NewStreamBuilder(role, true, core.Options{Method: core.TUPSK, Size: size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < keys; g++ {
+			b.AddNum(fmt.Sprintf("d%03d-k%d", d+g/400, g%400), float64(g%7)+rng.NormFloat64())
+		}
+		return b.Sketch()
+	}
+	ctx := context.Background()
+	opt := RankOptions{Prefix: "s/d000/", MinJoinSize: 10, K: 3, TopK: 5, Workers: 1}
+	samplePlan := func(st *Store, train *core.Sketch) (*rankPlan, int64) {
+		r := &rankRun{probes: compileAll([]*core.Sketch{train}), opt: opt, seed: train.Seed}
+		p, ok := currentView(st).plans.Get(r.sampleKey())
+		if !ok {
+			t.Fatal("the view keeps no plan for the sample")
+		}
+		return p, p.cost(r.sampleKey())
+	}
+	train := sketch(core.RoleTrain, 0, 400, 256, 99)
+	var costs []int64
+	for _, domains := range []int{10, 100} {
+		st, err := OpenWithOptions(t.TempDir(), OpenOptions{Backend: BackendMem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		for d := range domains {
+			sk := sketch(core.RoleCandidate, d, 400, 64, int64(d))
+			for c := range 200 {
+				if err := st.Put(fmt.Sprintf("s/d%03d/c%03d", d, c), sk); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var res *BatchResult
+		for range 3 {
+			if res, err = st.RankBatch(ctx, []*core.Sketch{train}, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, cost := samplePlan(st, train)
+		if res.Visited != 200 || res.SideHits != 200 || p.sides == nil {
+			t.Fatalf("%d candidates: the third rank visited %d, %d side hits", 200*domains, res.Visited, res.SideHits)
+		}
+		costs = append(costs, cost)
+
+		// Over the bound: 200 visited candidates of a train of 12 000 keys.
+		big := sketch(core.RoleTrain, 0, 12000, 16384, 98)
+		if int64(200*(sideEntryBytes+big.Len())) <= planCacheBytes {
+			t.Fatalf("fixture: a %d-key train's sides fit", big.Len())
+		}
+		s0 := st.Stats()
+		for range 4 {
+			if res, err = st.RankBatch(ctx, []*core.Sketch{big}, opt); err != nil || res.SideHits != 0 {
+				t.Fatalf("the big train: %v, %d side hits", err, res.SideHits)
+			}
+		}
+		s1 := st.Stats()
+		if p, _ := samplePlan(st, big); p.sides != nil || s1.SelectHits-s0.SelectHits != 3 || s1.SideFills != s0.SideFills {
+			t.Fatalf("the big train: %d plan hits, %d sides collected", s1.SelectHits-s0.SelectHits, s1.SideFills-s0.SideFills)
+		}
+	}
+	if costs[0] != costs[1] || costs[1] > 200*1024 {
+		t.Fatalf("sample plans cost %d and %d bytes on catalogs of 2 000 and 20 000", costs[0], costs[1])
 	}
 }
 

@@ -530,13 +530,12 @@ type Stats struct {
 	// probe, or runs without the cascade, never looks.
 	PlanHits   int64 `json:"plan_hits"`
 	PlanMisses int64 `json:"plan_misses"`
-	// SelectHits counts index selections answered by the catalog view's
-	// memo, because an earlier rank on the view presented the same key
-	// sample (rankplan.go); SelectMisses those the key indexes ran.
+	// SelectHits counts phase 1s that found their trains' sample plan on
+	// the catalog view (rankplan.go); SelectMisses those that selected anew.
 	SelectHits   int64 `json:"select_hits"`
 	SelectMisses int64 `json:"select_misses"`
-	// SideHits counts candidates phase 1 answered from the candidate sides
-	// the catalog view keeps (rankplan.go); SideFills the sides kept.
+	// SideHits counts candidates phase 1 answered from a sample plan's
+	// sides (rankplan.go); SideFills the sides phase 1 collected for one.
 	SideHits  int64 `json:"side_hits"`
 	SideFills int64 `json:"side_fills"`
 	// RankPanics counts rank workers that panicked; each one failed its
