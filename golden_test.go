@@ -18,7 +18,10 @@ package misketch
 // diff like any other semantic change.
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -427,5 +430,38 @@ func TestGoldenRankings(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGoldenSketchBytesPinned pins the SHA-256 of WriteSketch's bytes
+// over every golden-corpus sketch — the two trains, then each stored
+// candidate in name order — at the value older builds wrote: the MISK
+// format does not drift.
+func TestGoldenSketchBytesPinned(t *testing.T) {
+	st, trains := goldenStore(t)
+	defer st.Close()
+	var all bytes.Buffer
+	for _, target := range []string{"y_num", "y_cat"} {
+		if err := WriteSketch(&all, trains[target]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		sk, err := st.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteSketch(&all, sk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := sha256.Sum256(all.Bytes())
+	if got, want := hex.EncodeToString(sum[:]), "da2ffaec268ebfda3124f338553c64f5f2ddb0c06d57d63f8d4e2243353633e8"; got != want {
+		t.Errorf("golden sketch bytes digest %s over %d sketches, want %s", got, len(names)+2, want)
 	}
 }

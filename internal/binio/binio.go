@@ -1,134 +1,115 @@
-// Package binio holds the little-endian binary codec helpers shared by
-// the sketch format (internal/core/encode.go), the packed record codec
+// Package binio holds the little-endian binary codec shared by the
+// sketch format (internal/core/encode.go), the packed record codec
 // (internal/core/packed.go), the store manifest format
-// (internal/store/manifest.go), and the segment files
-// (internal/store/segment.go): sticky first-error tracking, byte
-// counting on the write side, length-prefixed strings with a corruption
-// cap on the read side, and raw in-buffer primitives for formats that
-// are assembled in memory before hitting disk.
+// (internal/store/manifest.go), and the segment files and their
+// sections (internal/store/segment.go, keyindex.go, compress.go). Every
+// format is built by appending to a byte slice and parsed in place: the
+// Append helpers write, Reader walks a whole input with a sticky first
+// error, and the At loaders read fixed offsets of mmap'd bytes.
 package binio
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 )
 
 // maxStrBytes caps length-prefixed strings so corrupt input cannot ask
-// for absurd allocations.
+// for absurd lengths.
 const maxStrBytes = 1 << 24
 
-// Writer writes primitives, tracking bytes written and the first error.
-type Writer struct {
-	W   io.Writer
-	N   int64
-	Err error
-}
+// errField is the error of a field that is malformed or runs past the
+// end of the input.
+var errField = errors.New("malformed or truncated field")
 
-func (w *Writer) Bytes(b []byte) {
-	if w.Err != nil {
-		return
-	}
-	n, err := w.W.Write(b)
-	w.N += int64(n)
-	w.Err = err
-}
-
-func (w *Writer) U8(v uint8) { w.Bytes([]byte{v}) }
-
-func (w *Writer) U32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Bytes(b[:])
-}
-
-func (w *Writer) U64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Bytes(b[:])
-}
-
-func (w *Writer) Uvarint(v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	w.Bytes(b[:binary.PutUvarint(b[:], v)])
-}
-
-// Str writes a varint length prefix followed by the raw bytes.
-func (w *Writer) Str(s string) {
-	w.Uvarint(uint64(len(s)))
-	w.Bytes([]byte(s))
-}
-
-// Reader reads primitives, tracking the first error. Short input
-// surfaces as an error on the field it truncates.
+// Reader walks a byte slice in place. A string is a substring of one
+// string copy of the input, made at the first Str, so every string it
+// reads shares that copy. The first bad field sets Err, and every read
+// after it returns zero.
 type Reader struct {
-	R   *bufio.Reader
+	b   []byte
+	s   string // string(b), once a Str needs it
+	off int
 	Err error
 }
 
-func (r *Reader) Bytes(n int) []byte {
-	if r.Err != nil {
-		return nil
+// NewReader returns a Reader at the start of b.
+func NewReader(b []byte) *Reader { return &Reader{b: b} }
+
+// Left returns the number of bytes not yet read.
+func (r *Reader) Left() int { return len(r.b) - r.off }
+
+// take steps over the next n bytes and returns where they start; ok is
+// false when the input holds fewer.
+func (r *Reader) take(n uint64) (at int, ok bool) {
+	if r.Err == nil && n > uint64(r.Left()) {
+		r.Err = errField
 	}
-	b := make([]byte, n)
-	_, r.Err = io.ReadFull(r.R, b)
-	return b
+	if r.Err != nil {
+		return 0, false
+	}
+	r.off += int(n)
+	return r.off - int(n), true
+}
+
+// Bytes returns the next n bytes, a subslice of the input.
+func (r *Reader) Bytes(n int) []byte {
+	if at, ok := r.take(uint64(n)); ok {
+		return r.b[at:r.off]
+	}
+	return nil
 }
 
 func (r *Reader) U8() uint8 {
-	b := r.Bytes(1)
-	if r.Err != nil {
-		return 0
+	if at, ok := r.take(1); ok {
+		return r.b[at]
 	}
-	return b[0]
+	return 0
 }
 
 func (r *Reader) U32() uint32 {
-	b := r.Bytes(4)
-	if r.Err != nil {
-		return 0
+	if at, ok := r.take(4); ok {
+		return U32At(r.b, at)
 	}
-	return binary.LittleEndian.Uint32(b)
+	return 0
 }
 
 func (r *Reader) U64() uint64 {
-	b := r.Bytes(8)
-	if r.Err != nil {
-		return 0
+	if at, ok := r.take(8); ok {
+		return U64At(r.b, at)
 	}
-	return binary.LittleEndian.Uint64(b)
+	return 0
 }
 
 func (r *Reader) Uvarint() uint64 {
 	if r.Err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(r.R)
-	r.Err = err
+	v, n := UvarintAt(r.b, r.off)
+	if n <= 0 {
+		r.Err = errField
+		return 0
+	}
+	r.off += n
 	return v
 }
 
-// Str reads a string written by Writer.Str, rejecting implausible
+// Str reads a string written by AppendStr, rejecting implausible
 // lengths from corrupt input.
 func (r *Reader) Str() string {
 	n := r.Uvarint()
-	if r.Err != nil {
-		return ""
-	}
-	if n > maxStrBytes {
+	if r.Err == nil && n > maxStrBytes {
 		r.Err = fmt.Errorf("string of %d bytes", n)
+	}
+	at, ok := r.take(n)
+	if !ok || n == 0 {
 		return ""
 	}
-	return string(r.Bytes(int(n)))
+	if r.s == "" {
+		r.s = string(r.b)
+	}
+	return r.s[at:r.off]
 }
-
-// --- Raw in-buffer primitives ---------------------------------------------
-//
-// The packed record and segment formats are assembled in memory (the
-// whole record must exist before its CRC can be computed) and read back
-// from mmap'd byte slices, so they use plain append/load helpers instead
-// of the io-based Writer/Reader above. All little-endian.
 
 // AppendU32 appends v to dst in little-endian order.
 func AppendU32(dst []byte, v uint32) []byte {
@@ -140,6 +121,16 @@ func AppendU64(dst []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, v)
 }
 
+// AppendUvarint appends v to dst as an unsigned LEB128 varint.
+func AppendUvarint(dst []byte, v uint64) []byte {
+	return binary.AppendUvarint(dst, v)
+}
+
+// AppendStr appends a varint length prefix followed by the raw bytes.
+func AppendStr(dst []byte, s string) []byte {
+	return append(AppendUvarint(dst, uint64(len(s))), s...)
+}
+
 // PutU32 stores v at b[0:4] in little-endian order.
 func PutU32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
 
@@ -148,11 +139,6 @@ func U32At(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]
 
 // U64At loads the little-endian uint64 at b[off:off+8].
 func U64At(b []byte, off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
-
-// AppendUvarint appends v to dst as an unsigned LEB128 varint.
-func AppendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
 
 // UvarintAt decodes the unsigned LEB128 varint at b[off:], returning
 // the value and the number of bytes it occupies. n <= 0 reports corrupt

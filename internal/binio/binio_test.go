@@ -1,28 +1,18 @@
 package binio
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
 )
 
-func TestWriterReaderRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := &Writer{W: &buf}
-	w.Bytes([]byte("MAGC"))
-	w.U8(7)
-	w.U32(0xDEADBEEF)
-	w.U64(1 << 40)
-	w.Uvarint(300)
-	w.Str("héllo")
-	if w.Err != nil {
-		t.Fatal(w.Err)
-	}
-	if w.N != int64(buf.Len()) {
-		t.Errorf("N = %d, want %d", w.N, buf.Len())
-	}
-	r := &Reader{R: bufio.NewReader(bytes.NewReader(buf.Bytes()))}
+func TestAppendReaderRoundTrip(t *testing.T) {
+	buf := append([]byte("MAGC"), 7)
+	buf = AppendU32(buf, 0xDEADBEEF)
+	buf = AppendU64(buf, 1<<40)
+	buf = AppendUvarint(buf, 300)
+	buf = AppendStr(buf, "héllo")
+	r := NewReader(buf)
 	if got := r.Bytes(4); string(got) != "MAGC" {
 		t.Errorf("magic = %q", got)
 	}
@@ -41,11 +31,11 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if got := r.Str(); got != "héllo" {
 		t.Errorf("str = %q", got)
 	}
-	if r.Err != nil {
-		t.Fatal(r.Err)
+	if r.Err != nil || r.Left() != 0 {
+		t.Fatalf("err %v, %d bytes left", r.Err, r.Left())
 	}
 	// Truncated input surfaces as a sticky error, not a panic.
-	r2 := &Reader{R: bufio.NewReader(bytes.NewReader(buf.Bytes()[:2]))}
+	r2 := NewReader(buf[:2])
 	r2.U32()
 	if r2.Err == nil {
 		t.Error("short read should error")
@@ -53,12 +43,14 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if r2.U8(); r2.Err == nil {
 		t.Error("error must stick")
 	}
+	// A string longer than what is left is truncated input too.
+	if r3 := NewReader(AppendUvarint(nil, 5)); r3.Str() != "" || r3.Err == nil {
+		t.Error("string past the end should error")
+	}
 }
 
 func TestStrRejectsImplausibleLength(t *testing.T) {
-	var buf bytes.Buffer
-	(&Writer{W: &buf}).Uvarint(1 << 30) // length prefix far beyond the cap
-	r := &Reader{R: bufio.NewReader(bytes.NewReader(buf.Bytes()))}
+	r := NewReader(AppendUvarint(nil, 1<<30)) // length prefix far beyond the cap
 	if r.Str(); r.Err == nil {
 		t.Error("oversized string length must be rejected")
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -22,50 +21,43 @@ import (
 //
 // str = varint length + raw bytes.
 //
-// Everything before the keyHashes array is the sketch header, which
-// readSketchHeader decodes and validates before ReadSketch sizes the
-// body by it. The store keeps the same metadata per sketch in its
-// manifest (magic "MISX", internal/store/manifest.go) so discovery
-// queries can filter candidates without decoding a record.
+// WriteTo appends the sketch to one buffer and writes it once;
+// ReadSketch reads its input to the end and parses it in place, so bytes
+// after the sketch are an error. The store keeps the header's metadata
+// per sketch in its manifest (magic "MISX", internal/store/manifest.go)
+// so discovery queries can filter candidates without decoding a record.
 
 const (
 	sketchMagic   = "MISK"
 	sketchVersion = 1
 )
 
-// WriteTo serializes the sketch. It implements io.WriterTo.
+// WriteTo serializes the sketch in one write. It implements
+// io.WriterTo.
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	buf := bufio.NewWriter(w)
-	bw := &binio.Writer{W: buf}
-	bw.Bytes([]byte(sketchMagic))
-	bw.U8(sketchVersion)
-	bw.Str(string(s.Method))
-	bw.U8(uint8(s.Role))
-	bw.U32(s.Seed)
-	bw.Uvarint(uint64(s.Size))
-	if s.Numeric {
-		bw.U8(1)
-	} else {
-		bw.U8(0)
-	}
-	bw.Uvarint(uint64(s.SourceRows))
-	bw.Uvarint(uint64(s.Len()))
+	dst := append(make([]byte, 0, 64+12*s.Len()), sketchMagic...)
+	dst = append(dst, sketchVersion)
+	dst = binio.AppendStr(dst, string(s.Method))
+	dst = append(dst, uint8(s.Role))
+	dst = binio.AppendU32(dst, s.Seed)
+	dst = binio.AppendUvarint(dst, uint64(s.Size))
+	dst = append(dst, b2u8(s.Numeric))
+	dst = binio.AppendUvarint(dst, uint64(s.SourceRows))
+	dst = binio.AppendUvarint(dst, uint64(s.Len()))
 	for _, hk := range s.KeyHashes {
-		bw.U32(hk)
+		dst = binio.AppendU32(dst, hk)
 	}
 	if s.Numeric {
 		for _, v := range s.Nums {
-			bw.U64(math.Float64bits(v))
+			dst = binio.AppendU64(dst, math.Float64bits(v))
 		}
 	} else {
 		for _, v := range s.Strs {
-			bw.Str(v)
+			dst = binio.AppendStr(dst, v)
 		}
 	}
-	if bw.Err == nil {
-		bw.Err = buf.Flush()
-	}
-	return bw.N, bw.Err
+	n, err := w.Write(dst)
+	return int64(n), err
 }
 
 // SketchHeader is the metadata prefix of a serialized sketch —
@@ -99,7 +91,7 @@ func readSketchHeader(br *binio.Reader) (*SketchHeader, error) {
 		return nil, fmt.Errorf("core: unsupported sketch version %d", version)
 	}
 	h := &SketchHeader{}
-	h.Method = Method(br.Str())
+	method := br.Str()
 	h.Role = Role(br.U8())
 	h.Seed = br.U32()
 	h.Size = int(br.Uvarint())
@@ -113,21 +105,37 @@ func readSketchHeader(br *binio.Reader) (*SketchHeader, error) {
 	if count > maxEntries {
 		return nil, fmt.Errorf("core: sketch claims %d entries", count)
 	}
-	switch h.Method {
-	case TUPSK, LV2SK, PRISK, INDSK, CSK:
-	default:
-		return nil, fmt.Errorf("core: unknown method %q in sketch", h.Method)
+	// The method constant, not a substring: a sketch must not keep its
+	// input alive.
+	if h.Method = MethodOfCode(methodCodes[Method(method)]); h.Method == "" {
+		return nil, fmt.Errorf("core: unknown method %q in sketch", method)
 	}
 	h.Entries = int(count)
 	return h, nil
 }
 
-// ReadSketch deserializes a sketch written by WriteTo.
+// ReadSketch deserializes a sketch written by WriteTo. It reads r to
+// the end and parses the bytes in place: bytes after the sketch are an
+// error, as is a numeric value that is ±Inf (no build stores one).
 func ReadSketch(r io.Reader) (*Sketch, error) {
-	br := &binio.Reader{R: bufio.NewReader(r)}
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading sketch: %w", err)
+	}
+	br := binio.NewReader(raw)
 	h, err := readSketchHeader(br)
 	if err != nil {
 		return nil, err
+	}
+	// Every entry takes a 4-byte key hash and an 8-byte value, or at
+	// least a 1-byte string length: a count the bytes left cannot hold
+	// is refused before it sizes anything.
+	perEntry := 5
+	if h.Numeric {
+		perEntry = 12
+	}
+	if h.Entries > br.Left()/perEntry {
+		return nil, fmt.Errorf("core: sketch claims %d entries in %d bytes", h.Entries, br.Left())
 	}
 	s := &Sketch{
 		Method:     h.Method,
@@ -136,19 +144,18 @@ func ReadSketch(r io.Reader) (*Sketch, error) {
 		Size:       h.Size,
 		Numeric:    h.Numeric,
 		SourceRows: h.SourceRows,
+		KeyHashes:  make([]uint32, h.Entries),
 	}
-	count := h.Entries
-	s.KeyHashes = make([]uint32, count)
 	for i := range s.KeyHashes {
 		s.KeyHashes[i] = br.U32()
 	}
 	if s.Numeric {
-		s.Nums = make([]float64, count)
+		s.Nums = make([]float64, h.Entries)
 		for i := range s.Nums {
 			s.Nums[i] = math.Float64frombits(br.U64())
 		}
 	} else {
-		s.Strs = make([]string, count)
+		s.Strs = make([]string, h.Entries)
 		for i := range s.Strs {
 			s.Strs[i] = br.Str()
 		}
@@ -156,5 +163,22 @@ func ReadSketch(r io.Reader) (*Sketch, error) {
 	if br.Err != nil {
 		return nil, fmt.Errorf("core: reading sketch body: %w", br.Err)
 	}
+	if br.Left() > 0 {
+		return nil, fmt.Errorf("core: %d bytes after the sketch", br.Left())
+	}
+	if err := CheckFinite(s); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// CheckFinite returns an error when a sketch stores ±Inf, which no build
+// does (an infinite value is NULL): ReadSketch and Store.Put refuse it.
+func CheckFinite(s *Sketch) error {
+	for i, v := range s.Nums {
+		if math.IsInf(v, 0) {
+			return fmt.Errorf("core: sketch value %d is %v: a sketch never stores ±Inf", i, v)
+		}
+	}
+	return nil
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -82,11 +82,73 @@ func TestSketchRoundTripSpecialFloats(t *testing.T) {
 		Method: TUPSK, Role: RoleTrain, Seed: 7, Size: 4, Numeric: true,
 		SourceRows: 3,
 		KeyHashes:  []uint32{1, 2, 3},
-		Nums:       []float64{math.Inf(1), -0.0, 1e-308},
+		Nums:       []float64{math.MaxFloat64, -0.0, 1e-308},
 	}
 	back := roundTrip(t, s)
 	if !sketchesEqual(s, back) {
 		t.Error("special floats mangled")
+	}
+}
+
+// TestReadSketchRejectsInfinities: no build stores ±Inf (an infinite
+// value is NULL), so crafted bytes carrying one are refused, and so is
+// the sketch itself by CheckFinite.
+func TestReadSketchRejectsInfinities(t *testing.T) {
+	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+		s := &Sketch{
+			Method: TUPSK, Role: RoleCandidate, Seed: 7, Size: 4, Numeric: true,
+			SourceRows: 2, KeyHashes: []uint32{1, 2}, Nums: []float64{1, inf},
+		}
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadSketch(&buf); err == nil {
+			t.Errorf("a sketch holding %v was accepted", inf)
+		}
+		if CheckFinite(s) == nil {
+			t.Errorf("CheckFinite accepted %v", inf)
+		}
+	}
+}
+
+// TestReadSketchRejectsTrailingBytes: ReadSketch reads its input to the
+// end, so one input is one sketch and its bytes are that sketch's.
+func TestReadSketchRejectsTrailingBytes(t *testing.T) {
+	s := &Sketch{Method: CSK, Role: RoleCandidate, Seed: 1, Size: 2, KeyHashes: []uint32{9}, Strs: []string{"v"}}
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range [][]byte{{0}, buf.Bytes()} {
+		if _, err := ReadSketch(bytes.NewReader(append(bytes.Clone(buf.Bytes()), tail...))); err == nil {
+			t.Errorf("%d trailing bytes were accepted", len(tail))
+		}
+	}
+}
+
+// hugeCountHeader is a 23-byte MISK header claiming 2^28-1 numeric
+// entries and carrying none.
+var hugeCountHeader = []byte("MISK\x01\x05TUPSK\x00\x01\x00\x00\x00\x04\x01\x00\xff\xff\xff\x7f")
+
+// TestReadSketchHugeCountAllocatesLittle: a header whose entry count the
+// bytes after it cannot hold is refused before anything is sized by it.
+func TestReadSketchHugeCountAllocatesLittle(t *testing.T) {
+	if len(hugeCountHeader) != 23 {
+		t.Fatalf("header is %d bytes", len(hugeCountHeader))
+	}
+	if h, err := readSketchHeader(binio.NewReader(hugeCountHeader)); err != nil || h.Entries != 1<<28-1 {
+		t.Fatalf("header = %+v, %v; want 2^28-1 entries", h, err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadSketch(bytes.NewReader(hugeCountHeader))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header claiming 2^28-1 entries in 0 bytes was accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("rejecting it allocated %d bytes", n)
 	}
 }
 
@@ -183,7 +245,7 @@ func TestReadSketchHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	h, err := readSketchHeader(&binio.Reader{R: bufio.NewReader(bytes.NewReader(full))})
+	h, err := readSketchHeader(binio.NewReader(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +263,7 @@ func TestReadSketchHeader(t *testing.T) {
 	if cut <= 0 {
 		t.Fatal("test sketch unexpectedly small")
 	}
-	h2, err := readSketchHeader(&binio.Reader{R: bufio.NewReader(bytes.NewReader(full[:cut]))})
+	h2, err := readSketchHeader(binio.NewReader(full[:cut]))
 	if err != nil {
 		t.Fatalf("header decode should survive a missing body: %v", err)
 	}
@@ -213,7 +275,7 @@ func TestReadSketchHeader(t *testing.T) {
 	for name, in := range map[string]string{
 		"empty": "", "bad magic": "NOPE\x01", "bad version": "MISK\x63",
 	} {
-		if _, err := readSketchHeader(&binio.Reader{R: bufio.NewReader(strings.NewReader(in))}); err == nil {
+		if _, err := readSketchHeader(binio.NewReader([]byte(in))); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}

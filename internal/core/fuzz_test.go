@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"math"
 	"testing"
@@ -36,7 +35,7 @@ func FuzzReadSketchHeader(f *testing.F) {
 	f.Add([]byte("MISK\x01\x05TUPSK\x00\x00\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, herr := readSketchHeader(&binio.Reader{R: bufio.NewReader(bytes.NewReader(data))})
+		h, herr := readSketchHeader(binio.NewReader(data))
 		s, serr := ReadSketch(bytes.NewReader(data))
 		if herr != nil {
 			if serr == nil {
@@ -84,6 +83,7 @@ func FuzzReadSketch(f *testing.F) {
 	f.Add([]byte("MISK"))
 	f.Add([]byte("MISK\x01\x05TUPSK"))
 	f.Add([]byte{})
+	f.Add(hugeCountHeader)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSketch(bytes.NewReader(data))

@@ -91,11 +91,8 @@ var methodCodes = map[Method]uint8{TUPSK: 1, LV2SK: 2, PRISK: 3, INDSK: 4, CSK: 
 
 var methodOfCode = [...]Method{1: TUPSK, 2: LV2SK, 3: PRISK, 4: INDSK, 5: CSK}
 
-// MethodCode returns the packed-record code of m (0 if unknown, which
-// is also the tombstone placeholder).
-func MethodCode(m Method) uint8 { return methodCodes[m] }
-
-// MethodOfCode is MethodCode's inverse ("" for unknown codes).
+// MethodOfCode returns the method of a packed-record code ("" for
+// unknown codes).
 func MethodOfCode(c uint8) Method {
 	if int(c) < len(methodOfCode) {
 		return methodOfCode[c]

@@ -159,6 +159,17 @@ func refBuild(t *table.Table, keyCol, valCol string, role Role, opt Options) (*S
 		t = table.New(kc, table.NewStringColumn(valCol, replaced))
 		kc, vc = t.MustColumn(keyCol), t.MustColumn(valCol)
 	}
+	if vc.Kind == table.KindFloat {
+		// ±Inf is NULL, as NaN is.
+		nums := make([]float64, vc.Len())
+		for i, v := range vc.Num {
+			if nums[i] = v; math.IsInf(v, 0) {
+				nums[i] = math.NaN()
+			}
+		}
+		t = table.New(kc, table.NewFloatColumn(valCol, nums))
+		kc, vc = t.MustColumn(keyCol), t.MustColumn(valCol)
+	}
 	if role == RoleCandidate && opt.Method != CSK {
 		agg, err := refAggregate(t, keyCol, valCol, opt.Agg)
 		if err != nil {
@@ -179,7 +190,7 @@ func refBuild(t *table.Table, keyCol, valCol string, role Role, opt Options) (*S
 	occ := make(map[uint32]uint32, t.NumRows())
 	var live []liveRow
 	for i := 0; i < t.NumRows(); i++ {
-		if kc.IsNull(i) || vc.IsNull(i) {
+		if kc.IsNull(i) || vc.IsNull(i) || s.Numeric && math.IsInf(vc.Num[i], 0) { // an aggregate that overflowed
 			continue
 		}
 		hk := hash.Key(kc.StringAt(i), opt.Seed)

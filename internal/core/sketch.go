@@ -246,7 +246,8 @@ var testHookAggregated func(groups int)
 
 // Build constructs a sketch of (keyCol, valCol) in t for the given role.
 // Rows whose key or value is NULL are skipped, implementing the paper's
-// policy of discarding NULL-producing rows before estimation.
+// policy of discarding NULL-producing rows before estimation. A numeric
+// value that is ±Inf, or aggregates to ±Inf, is NULL.
 //
 // Grouping and key hashes come from t's key plan, shared by every build
 // over keyCol. An aggregated candidate build (every method but CSK)
@@ -279,6 +280,18 @@ func Build(t *table.Table, keyCol, valCol string, role Role, opt Options) (*Sket
 			}
 		}
 		vc = table.NewStringColumn(valCol, replaced)
+	}
+	if vc.Kind == table.KindFloat && slices.ContainsFunc(vc.Num, func(v float64) bool { return math.IsInf(v, 0) }) {
+		// An infinite value is NULL, as NaN is: a sketch never stores
+		// ±Inf (an aggregate that overflows to one is NULL too, see
+		// GroupAgg.Live).
+		nums := slices.Clone(vc.Num)
+		for i, v := range nums {
+			if math.IsInf(v, 0) {
+				nums[i] = math.NaN()
+			}
+		}
+		vc = table.NewFloatColumn(valCol, nums)
 	}
 	plan, err := t.KeyPlan(keyCol)
 	if err != nil {

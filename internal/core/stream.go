@@ -136,13 +136,13 @@ func NewStreamBuilder(role Role, numeric bool, opt Options) (*StreamBuilder, err
 	return b, nil
 }
 
-// AddNum feeds one row with a numeric value. Rows with empty keys or NaN
-// values are skipped, matching batch Build's NULL policy.
+// AddNum feeds one row with a numeric value. Rows with empty keys or
+// NaN or ±Inf values are skipped, matching batch Build's NULL policy.
 func (b *StreamBuilder) AddNum(key string, v float64) {
 	if !b.numeric {
 		panic("core: AddNum on a categorical builder")
 	}
-	if key == table.NullString || math.IsNaN(v) {
+	if key == table.NullString || math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
 	b.add(key, streamValue{num: v})
@@ -316,6 +316,12 @@ func (b *StreamBuilder) Sketch() *Sketch {
 		SourceRows: b.rows,
 	}
 	appendVal := func(hk uint32, v streamValue) {
+		if b.outNumeric && math.IsInf(v.num, 0) {
+			// An aggregate that overflowed is NULL. Unlike Build, which
+			// knows it before selecting, the key has already taken its
+			// place in the sample, so the sketch keeps one entry fewer.
+			return
+		}
 		s.KeyHashes = append(s.KeyHashes, hk)
 		if b.outNumeric {
 			s.Nums = append(s.Nums, v.num)

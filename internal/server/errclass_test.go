@@ -7,9 +7,12 @@ package server
 // the shutdown bound instead of being silently replaced by the default.
 
 import (
+	"bytes"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"misketch/internal/core"
 	"misketch/internal/store"
 )
 
@@ -241,5 +245,63 @@ func TestShutdownTimeoutSemantics(t *testing.T) {
 	}
 	if _, ok := deadlineOf(Options{ShutdownTimeout: -1}); ok {
 		t.Fatal("negative ShutdownTimeout: got a deadline, want unbounded")
+	}
+}
+
+// TestCraftedSketchBytesAre400 sends sketch bytes no build writes —
+// a 23-byte header claiming 2^28-1 numeric entries, a sketch holding
+// +Inf, a sketch with bytes after it — to /v1/put and, inline, to
+// /v1/rank and /v1/rank/batch: each is refused with 400, and the first
+// is refused before anything is sized by its count.
+func TestCraftedSketchBytesAre400(t *testing.T) {
+	st, err := store.OpenWithOptions("", store.OpenOptions{Backend: store.BackendMem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	ts := httptest.NewServer(New(st, Options{}))
+	t.Cleanup(ts.Close)
+
+	inf := &core.Sketch{
+		Method: core.TUPSK, Role: core.RoleTrain, Seed: 1, Size: 4, Numeric: true,
+		SourceRows: 2, KeyHashes: []uint32{1, 2}, Nums: []float64{1, math.Inf(1)},
+	}
+	var infBytes bytes.Buffer
+	if _, err := inf.WriteTo(&infBytes); err != nil {
+		t.Fatal(err)
+	}
+	inf.Nums[1] = 2
+	var trailing bytes.Buffer
+	if _, err := inf.WriteTo(&trailing); err != nil {
+		t.Fatal(err)
+	}
+	trailing.WriteByte(0)
+	for name, raw := range map[string][]byte{
+		"huge count": []byte("MISK\x01\x05TUPSK\x00\x01\x00\x00\x00\x04\x01\x00\xff\xff\xff\x7f"),
+		"+Inf value": infBytes.Bytes(),
+		"trailing":   trailing.Bytes(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/put?name=crafted", "application/octet-stream", bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("/v1/put: status %d, want 400", resp.StatusCode)
+			}
+			b64 := base64.StdEncoding.EncodeToString(raw)
+			for path, body := range map[string]string{
+				"/v1/rank":       `{"sketch":"` + b64 + `"}`,
+				"/v1/rank/batch": `{"trains":[{"name":"t","sketch":"` + b64 + `"}]}`,
+			} {
+				if status, resp := postJSON(t, ts.URL+path, body); status != http.StatusBadRequest {
+					t.Errorf("%s: status %d, want 400 (body %s)", path, status, resp)
+				}
+			}
+		})
+	}
+	if n, err := st.Len(); err != nil || n != 0 {
+		t.Errorf("store holds %d sketches (%v), want none", n, err)
 	}
 }

@@ -13,10 +13,9 @@ package store
 //     observability (StoreStats, `store ls -segments`) can report the
 //     achieved ratio without decoding anything.
 //
-// Section layout, mirroring the key index section (keyindex.go):
+// Section layout, framed as the key index section is:
 //
-//	header (16 B): magic "MCMP" | version u8 | flags u8 | pad u16 |
-//	               payloadLen u32 | payload crc u32 (CRC-32C)
+//	header (16 B): the section frame (segment.go), magic "MCMP", version 1
 //	payload:       rawBytes u64 | compBytes u64 |
 //	               nKeys uvarint | key-hash deltas uvarint × nKeys |
 //	               symbol table (fsst serialization)
@@ -31,7 +30,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"strings"
 
@@ -40,11 +38,8 @@ import (
 	"misketch/internal/fsst"
 )
 
-const (
-	dictMagic       = "MCMP"
-	dictVersion     = 1
-	dictHeaderBytes = 16
-)
+// dictFrame frames the dict section (segment.go).
+var dictFrame = sectionFrame{name: "dict section", magic: "MCMP", version: 1}
 
 // segCompressor drives one compacted segment's compression: the record
 // compressor plus the running byte counters the dict section persists.
@@ -70,8 +65,8 @@ func trainSegCompressor(keys map[uint32]struct{}, values []string) *segCompresso
 	return &segCompressor{enc: core.NewRecordCompressor(dict, table), keyDict: dict, table: table}
 }
 
-// encodeSection serializes the dict section, header included.
-func (c *segCompressor) encodeSection() []byte {
+// appendSection appends the dict section, header included, to dst.
+func (c *segCompressor) appendSection(dst []byte) []byte {
 	payload := make([]byte, 0, 16+5*len(c.keyDict))
 	payload = binio.AppendU64(payload, c.rawBytes)
 	payload = binio.AppendU64(payload, c.compBytes)
@@ -81,14 +76,7 @@ func (c *segCompressor) encodeSection() []byte {
 		payload = binio.AppendUvarint(payload, uint64(h-prev))
 		prev = h
 	}
-	payload = c.table.Append(payload)
-
-	section := make([]byte, 0, dictHeaderBytes+len(payload))
-	section = append(section, dictMagic...)
-	section = append(section, dictVersion, 0, 0, 0)
-	section = binio.AppendU32(section, uint32(len(payload)))
-	section = binio.AppendU32(section, crc32.Checksum(payload, crcTable))
-	return append(section, payload...)
+	return dictFrame.appendSection(dst, c.table.Append(payload))
 }
 
 // trainCompressor decodes the live records once to build the output
@@ -149,57 +137,39 @@ type segDict struct {
 // every defect is an error, and the caller records the segment as
 // undecodable rather than guessing.
 func parseDictSection(section []byte) (*segDict, error) {
-	if len(section) < dictHeaderBytes {
-		return nil, fmt.Errorf("store: dict section truncated (%d bytes)", len(section))
+	payload, err := dictFrame.openSection(section, false, true)
+	if err != nil {
+		return nil, err
 	}
-	if string(section[:4]) != dictMagic {
-		return nil, fmt.Errorf("store: bad dict section magic %q", section[:4])
-	}
-	if section[4] != dictVersion {
-		return nil, fmt.Errorf("store: unsupported dict section version %d", section[4])
-	}
-	if section[5] != 0 || section[6] != 0 || section[7] != 0 {
-		return nil, fmt.Errorf("store: unknown dict section flags")
-	}
-	payloadLen := int(binio.U32At(section, 8))
-	if payloadLen < 17 || dictHeaderBytes+payloadLen > len(section) {
-		return nil, fmt.Errorf("store: implausible dict payload length %d", payloadLen)
-	}
-	payload := section[dictHeaderBytes : dictHeaderBytes+payloadLen]
-	if got, want := crc32.Checksum(payload, crcTable), binio.U32At(section, 12); got != want {
-		return nil, fmt.Errorf("store: dict section fails CRC (%08x != %08x)", got, want)
-	}
-	d := &segDict{rawBytes: binio.U64At(payload, 0), compBytes: binio.U64At(payload, 8)}
-	pos := 16
-	nKeys, n := binio.UvarintAt(payload, pos)
-	if n <= 0 || nKeys > uint64(len(payload)) {
+	r := binio.NewReader(payload)
+	d := &segDict{rawBytes: r.U64(), compBytes: r.U64()}
+	nKeys := r.Uvarint()
+	if r.Err != nil || nKeys > uint64(len(payload)) {
 		return nil, fmt.Errorf("store: implausible dict key count %d", nKeys)
 	}
-	pos += n
 	dict := make([]uint32, nKeys)
 	prev := uint64(0)
 	for i := range dict {
-		delta, n := binio.UvarintAt(payload, pos)
-		if n <= 0 {
-			return nil, fmt.Errorf("store: dict key %d truncated", i)
-		}
-		pos += n
+		delta := r.Uvarint()
 		h := prev + delta
-		if i > 0 && delta == 0 {
+		switch {
+		case r.Err != nil:
+			return nil, fmt.Errorf("store: dict key %d truncated", i)
+		case i > 0 && delta == 0:
 			return nil, fmt.Errorf("store: dict key %d repeats", i)
-		}
-		if h > 0xFFFFFFFF {
+		case h > 0xFFFFFFFF:
 			return nil, fmt.Errorf("store: dict key %d overflows", i)
 		}
 		dict[i] = uint32(h)
 		prev = h
 	}
-	table, n, err := fsst.Parse(payload[pos:])
+	rest := r.Bytes(r.Left())
+	table, n, err := fsst.Parse(rest)
 	if err != nil {
 		return nil, err
 	}
-	if pos+n != len(payload) {
-		return nil, fmt.Errorf("store: %d trailing dict payload bytes", len(payload)-pos-n)
+	if n != len(rest) {
+		return nil, fmt.Errorf("store: %d trailing dict payload bytes", len(rest)-n)
 	}
 	d.dec = core.NewRecordDecoder(dict, table)
 	return d, nil

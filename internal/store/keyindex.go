@@ -8,11 +8,10 @@ package store
 // once and let every future query intersect the train's distinct hashes
 // against it — exact overlap counts, no record decoded.
 //
-// Section layout (little-endian, appended between a sealed segment's
-// record index and its footer, covered by the footer's whole-file CRC):
+// Section layout (little-endian, appended right after a sealed
+// segment's records, covered by the footer's whole-file CRC):
 //
-//	header (16 B): magic "MKIX" | version u8 = 1 | flags u8 | pad u16 |
-//	               payloadLen u32 | crc u32 (CRC-32C of the payload)
+//	header (16 B): the section frame (segment.go), magic "MKIX", version 1
 //	payload:
 //	  recCount uvarint
 //	  recOffsets: recCount × uvarint — candidate-record offsets within
@@ -46,7 +45,6 @@ package store
 
 import (
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -54,11 +52,10 @@ import (
 	"misketch/internal/binio"
 )
 
-const (
-	kixMagic       = "MKIX"
-	kixVersion     = 1
-	kixHeaderBytes = 16
+// kixFrame frames the key index section (segment.go).
+var kixFrame = sectionFrame{name: "key index", magic: "MKIX", version: 1}
 
+const (
 	// maxKixMult caps a single posting's multiplicity (and with it the
 	// overlap accumulator's per-term magnitude). Both the encoder and
 	// the parser enforce it, so a segment that legitimately exceeds the
@@ -176,12 +173,7 @@ func (b *keyIndexBuilder) encode() (section []byte, ok bool) {
 		return nil, false
 	}
 
-	section = make([]byte, 0, kixHeaderBytes+len(payload))
-	section = append(section, kixMagic...)
-	section = append(section, kixVersion, 0, 0, 0)
-	section = binio.AppendU32(section, uint32(len(payload)))
-	section = binio.AppendU32(section, crc32.Checksum(payload, crcTable))
-	return append(section, payload...), true
+	return kixFrame.appendSection(make([]byte, 0, sectionHeaderBytes+len(payload)), payload), true
 }
 
 // keyIndex is a parsed index ready to be probed straight out of the
@@ -281,70 +273,37 @@ func (ix *keyIndex) accumulate(hk uint32, weight, cut int64, sc *selectScratch) 
 // accumulate before its first read, which past that check trusts the
 // bytes without per-probe bounds checks.
 func parseKeyIndex(section []byte, verifyCRC bool) (*keyIndex, error) {
-	if len(section) < kixHeaderBytes {
-		return nil, fmt.Errorf("store: key index section too short (%d bytes)", len(section))
-	}
-	if string(section[:4]) != kixMagic {
-		return nil, fmt.Errorf("store: bad key index magic %q", section[:4])
-	}
-	if section[4] != kixVersion {
-		return nil, fmt.Errorf("store: unsupported key index version %d", section[4])
-	}
-	// Version 1 defines no flags; an unknown flag (or scribbled pad)
-	// could change future semantics, so fail closed on any of them.
-	if section[5] != 0 || section[6] != 0 || section[7] != 0 {
-		return nil, fmt.Errorf("store: unsupported key index flags %x", section[5:8])
-	}
-	payloadLen := binio.U32At(section, 8)
-	if uint64(payloadLen) != uint64(len(section)-kixHeaderBytes) {
-		return nil, fmt.Errorf("store: key index payload length %d != %d", payloadLen, len(section)-kixHeaderBytes)
-	}
-	payload := section[kixHeaderBytes:]
-	if verifyCRC {
-		if got, want := crc32.Checksum(payload, crcTable), binio.U32At(section, 12); got != want {
-			return nil, fmt.Errorf("store: key index fails CRC (%08x != %08x)", got, want)
-		}
+	payload, err := kixFrame.openSection(section, true, verifyCRC)
+	if err != nil {
+		return nil, err
 	}
 
-	pos := 0
-	recCount, n := binio.UvarintAt(payload, pos)
-	if n <= 0 || recCount > uint64(len(payload)) {
+	r := binio.NewReader(payload)
+	recCount := r.Uvarint()
+	if r.Err != nil || recCount > uint64(len(payload)) {
 		return nil, fmt.Errorf("store: implausible key index record count %d", recCount)
 	}
-	pos += n
 	ix := &keyIndex{recOffsets: make([]int64, 0, recCount)}
 	prev := int64(0)
 	for i := uint64(0); i < recCount; i++ {
-		d, n := binio.UvarintAt(payload, pos)
-		if n <= 0 || d > math.MaxInt64 {
-			return nil, fmt.Errorf("store: key index record offset %d malformed", i)
-		}
-		pos += n
+		d := r.Uvarint()
 		off := prev + int64(d)
-		if off <= prev && i > 0 || off <= 0 {
-			return nil, fmt.Errorf("store: key index record offsets not ascending at %d", i)
+		if r.Err != nil || d > math.MaxInt64 || off <= prev && i > 0 || off <= 0 {
+			return nil, fmt.Errorf("store: key index record offset %d malformed or not ascending", i)
 		}
 		prev = off
 		ix.recOffsets = append(ix.recOffsets, off)
 	}
-	dupLen := (int(recCount) + 7) / 8
-	if len(payload)-pos < dupLen+4 {
-		return nil, fmt.Errorf("store: key index truncated in dup bitmap")
-	}
-	ix.dup = payload[pos : pos+dupLen]
-	pos += dupLen
-	slots := binio.U32At(payload, pos)
-	pos += 4
-	if slots != 0 && (slots&(slots-1) != 0 || uint64(slots) > uint64(len(payload)-pos)/8) {
-		return nil, fmt.Errorf("store: implausible key index slot count %d", slots)
+	ix.dup = r.Bytes((int(recCount) + 7) / 8)
+	slots := r.U32()
+	if r.Err != nil || slots != 0 && (slots&(slots-1) != 0 || uint64(slots) > uint64(r.Left())/8) {
+		return nil, fmt.Errorf("store: key index truncated or implausible slot count %d", slots)
 	}
 	ix.slots = int(slots)
 	ix.mask = slots - 1
-	ix.keys = payload[pos : pos+4*ix.slots]
-	pos += 4 * ix.slots
-	ix.refs = payload[pos : pos+4*ix.slots]
-	pos += 4 * ix.slots
-	ix.postings = payload[pos:]
+	ix.keys = r.Bytes(4 * ix.slots)
+	ix.refs = r.Bytes(4 * ix.slots)
+	ix.postings = r.Bytes(r.Left())
 	ix.checked = make([]atomic.Uint64, (ix.slots+63)/64)
 	return ix, nil
 }

@@ -197,7 +197,7 @@ func FuzzSegmentIndex(f *testing.F) {
 	f.Add(section)
 	f.Add(section[:len(section)/2])
 	mut := append([]byte(nil), section...)
-	mut[kixHeaderBytes+2] ^= 0xff
+	mut[sectionHeaderBytes+2] ^= 0xff
 	f.Add(mut)
 	f.Add([]byte("MKIX"))
 	f.Fuzz(func(t *testing.T, data []byte) {

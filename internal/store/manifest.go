@@ -17,14 +17,15 @@ package store
 //	  bytes varint | segment uvarint | offset uvarint |
 //	crc u32 (CRC-32C of every preceding byte)
 //
-// str = varint length + raw bytes. The segment kind byte carries the
+// str = varint length + raw bytes; the file is built by appending and
+// parsed in place (binio.Reader). The segment kind byte carries the
 // segment kind in its low bits. Bit 7 (manifestSegIndexed) was set by
 // older builds on a sealed segment holding an inverted key index; it is
 // ignored on read and never written, so a MANIFEST that carries it still
-// loads without a replay. "covered" is the byte offset
-// within the segment's record region that this manifest accounts for:
-// records beyond it (acked Puts after the manifest was written) are
-// replayed at open. "bytes" is the packed record's length and (segment, offset) its
+// loads without a replay. "covered" is the byte offset within the
+// segment's record region that this manifest accounts for: records
+// beyond it (acked Puts after the manifest was written) are replayed at
+// open. "bytes" is the packed record's length and (segment, offset) its
 // location. The trailing checksum makes a cleanly-loading manifest
 // trustworthy as-is — opening an indexed store costs one file read and
 // zero per-sketch work regardless of catalog size. A manifest that does
@@ -32,7 +33,6 @@ package store
 // further: the open path replays the segments instead.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -125,36 +125,31 @@ func writeManifestV2(path string, nextSeq uint64, segs []manifestSeg, metas map[
 	}
 	sort.Strings(names)
 
-	var buf bytes.Buffer
-	mw := &binio.Writer{W: &buf}
-	mw.Bytes([]byte(manifestMagic))
-	mw.U8(manifestVersion)
-	mw.Uvarint(nextSeq)
-	mw.Uvarint(uint64(len(segs)))
+	buf := append(make([]byte, 0, 64+48*len(names)), manifestMagic...)
+	buf = append(buf, manifestVersion)
+	buf = binio.AppendUvarint(buf, nextSeq)
+	buf = binio.AppendUvarint(buf, uint64(len(segs)))
 	for _, s := range segs {
-		mw.Uvarint(s.seq)
-		mw.U8(s.kind)
-		mw.Uvarint(uint64(s.covered))
+		buf = binio.AppendUvarint(buf, s.seq)
+		buf = append(buf, s.kind)
+		buf = binio.AppendUvarint(buf, uint64(s.covered))
 	}
-	mw.Uvarint(uint64(len(names)))
+	buf = binio.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
 		m := metas[name]
-		mw.Str(name)
-		mw.Str(string(m.Method))
-		mw.U8(uint8(m.Role))
-		mw.U32(m.Seed)
-		mw.Uvarint(uint64(m.Size))
-		mw.U8(b2u8(m.Numeric))
-		mw.Uvarint(uint64(m.SourceRows))
-		mw.Uvarint(uint64(m.Entries))
-		mw.Uvarint(uint64(m.Bytes))
-		mw.Uvarint(m.Segment)
-		mw.Uvarint(uint64(m.Offset))
+		buf = binio.AppendStr(buf, name)
+		buf = binio.AppendStr(buf, string(m.Method))
+		buf = append(buf, uint8(m.Role))
+		buf = binio.AppendU32(buf, m.Seed)
+		buf = binio.AppendUvarint(buf, uint64(m.Size))
+		buf = append(buf, b2u8(m.Numeric))
+		buf = binio.AppendUvarint(buf, uint64(m.SourceRows))
+		buf = binio.AppendUvarint(buf, uint64(m.Entries))
+		buf = binio.AppendUvarint(buf, uint64(m.Bytes))
+		buf = binio.AppendUvarint(buf, m.Segment)
+		buf = binio.AppendUvarint(buf, uint64(m.Offset))
 	}
-	if mw.Err != nil {
-		return fmt.Errorf("store: encoding manifest: %w", mw.Err)
-	}
-	payload := binio.AppendU32(buf.Bytes(), crc32.Checksum(buf.Bytes(), crcTable))
+	payload := binio.AppendU32(buf, crc32.Checksum(buf, crcTable))
 	err := atomicWrite(path, ManifestFile+".tmp*", func(f *os.File) error {
 		_, werr := f.Write(payload)
 		return werr
@@ -186,25 +181,26 @@ func loadManifestV2(path string) (*manifestV2, error) {
 	if got, want := crc32.Checksum(body, crcTable), binio.U32At(tail, 0); got != want {
 		return nil, fmt.Errorf("store: manifest fails CRC (%08x != %08x)", got, want)
 	}
-	mr := &manifestReader{b: body, s: string(body), off: 5}
+	mr := binio.NewReader(body)
+	mr.Bytes(5) // magic, version
 	man := &manifestV2{}
-	man.nextSeq = mr.uvarint()
-	segCount := mr.uvarint()
-	if mr.err != nil || segCount > uint64(len(body)) {
-		return nil, fmt.Errorf("store: reading manifest segment list: %v", mr.err)
+	man.nextSeq = mr.Uvarint()
+	segCount := mr.Uvarint()
+	if mr.Err != nil || segCount > uint64(len(body)) {
+		return nil, fmt.Errorf("store: reading manifest segment list: %v", mr.Err)
 	}
 	for i := uint64(0); i < segCount; i++ {
 		var s manifestSeg
-		s.seq = mr.uvarint()
-		s.kind = mr.u8() &^ manifestSegIndexed
-		s.covered = int64(mr.uvarint())
-		if mr.err != nil {
-			return nil, fmt.Errorf("store: reading manifest segment %d: %w", i, mr.err)
+		s.seq = mr.Uvarint()
+		s.kind = mr.U8() &^ manifestSegIndexed
+		s.covered = int64(mr.Uvarint())
+		if mr.Err != nil {
+			return nil, fmt.Errorf("store: reading manifest segment %d: %w", i, mr.Err)
 		}
 		man.segs = append(man.segs, s)
 	}
-	count := mr.uvarint()
-	if mr.err != nil || count > uint64(len(body))/minEntryBytes {
+	count := mr.Uvarint()
+	if mr.Err != nil || count > uint64(len(body))/minEntryBytes {
 		return nil, fmt.Errorf("store: implausible manifest (%d sketches in %d bytes)", count, len(body))
 	}
 	man.metas = make(map[string]Meta, count)
@@ -212,90 +208,27 @@ func loadManifestV2(path string) (*manifestV2, error) {
 	methods := map[string]core.Method{}
 	for i := uint64(0); i < count; i++ {
 		var m Meta
-		m.Name = mr.str()
-		method := mr.str()
+		m.Name = mr.Str()
+		method := mr.Str()
 		if m.Method = methods[method]; m.Method == "" {
 			m.Method = core.Method(strings.Clone(method))
 			methods[method] = m.Method
 		}
-		m.Role = core.Role(mr.u8())
-		m.Seed = mr.u32()
-		m.Size = int(mr.uvarint())
-		m.Numeric = mr.u8() == 1
-		m.SourceRows = int(mr.uvarint())
-		m.Entries = int(mr.uvarint())
-		m.Bytes = int64(mr.uvarint())
-		m.Segment = mr.uvarint()
-		m.Offset = int64(mr.uvarint())
-		if mr.err != nil {
-			return nil, fmt.Errorf("store: reading manifest entry %d: %w", i, mr.err)
+		m.Role = core.Role(mr.U8())
+		m.Seed = mr.U32()
+		m.Size = int(mr.Uvarint())
+		m.Numeric = mr.U8() == 1
+		m.SourceRows = int(mr.Uvarint())
+		m.Entries = int(mr.Uvarint())
+		m.Bytes = int64(mr.Uvarint())
+		m.Segment = mr.Uvarint()
+		m.Offset = int64(mr.Uvarint())
+		if mr.Err != nil {
+			return nil, fmt.Errorf("store: reading manifest entry %d: %w", i, mr.Err)
 		}
 		man.metas[m.Name] = m
 	}
 	return man, nil
-}
-
-// errManifestField is the error of a field that is malformed or runs past
-// the end of the manifest body.
-var errManifestField = errors.New("malformed or truncated field")
-
-// manifestReader walks a manifest body in place. A string is a substring
-// of s, so every name shares the body's one copy. The first bad field
-// sets err, and every read after it returns zero.
-type manifestReader struct {
-	b   []byte
-	s   string // string(b)
-	off int
-	err error
-}
-
-func (r *manifestReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binio.UvarintAt(r.b, r.off)
-	if n <= 0 {
-		r.err = errManifestField
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// take steps over the next n bytes and returns where they start; ok is
-// false when the body holds fewer.
-func (r *manifestReader) take(n uint64) (at int, ok bool) {
-	if r.err == nil && n > uint64(len(r.b)-r.off) {
-		r.err = errManifestField
-	}
-	if r.err != nil {
-		return 0, false
-	}
-	r.off += int(n)
-	return r.off - int(n), true
-}
-
-func (r *manifestReader) u8() uint8 {
-	if at, ok := r.take(1); ok {
-		return r.b[at]
-	}
-	return 0
-}
-
-func (r *manifestReader) u32() uint32 {
-	if at, ok := r.take(4); ok {
-		return binio.U32At(r.b, at)
-	}
-	return 0
-}
-
-// str reads a varint length and that many bytes.
-func (r *manifestReader) str() string {
-	n := r.uvarint()
-	if at, ok := r.take(n); ok {
-		return r.s[at:r.off]
-	}
-	return ""
 }
 
 // minEntryBytes bounds the per-entry size from below so a corrupt count

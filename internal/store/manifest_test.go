@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -140,4 +142,59 @@ func TestLoadManifestV2RejectsCorruptInput(t *testing.T) {
 	if _, err := loadManifestV2(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
 		t.Errorf("missing manifest should surface as not-exist, got %v", err)
 	}
+}
+
+// FuzzLoadManifest feeds loadManifestV2 — the shared in-place reader's
+// second outside input, read from disk — arbitrary bytes, both as they
+// come and with their trailing CRC recomputed so mutations reach the
+// parser. It must error, never panic, and whatever it accepts must
+// round-trip through writeManifestV2 to the same manifest.
+func FuzzLoadManifest(f *testing.F) {
+	dir := f.TempDir()
+	path := filepath.Join(dir, ManifestFile)
+	metas := map[string]Meta{
+		"a.csv#x@k": {Name: "a.csv#x@k", Method: core.TUPSK, Role: core.RoleCandidate, Seed: 42, Size: 1024, Numeric: true, SourceRows: 1234, Entries: 1024, Bytes: 13000, Segment: 3, Offset: 16},
+		"b#y":       {Name: "b#y", Method: core.CSK, Role: core.RoleTrain, Seed: 7, Size: 64, SourceRows: 99, Entries: 80, Bytes: 900, Segment: 4, Offset: 13016},
+	}
+	if err := writeManifestV2(path, 5, []manifestSeg{{seq: 3, kind: segKindCompacted, covered: 13016}, {seq: 4, covered: 900}}, metas); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for cut := 0; cut <= len(valid); cut += 7 {
+		f.Add(valid[:cut])
+	}
+	f.Add(valid)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		inputs := [][]byte{data}
+		if len(data) >= manifestCRCBytes {
+			body := data[:len(data)-manifestCRCBytes]
+			inputs = append(inputs, binio.AppendU32(bytes.Clone(body), crc32.Checksum(body, crcTable)))
+		}
+		for i, in := range inputs {
+			p := filepath.Join(dir, fmt.Sprintf("in%d", i))
+			if err := os.WriteFile(p, in, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			man, err := loadManifestV2(p)
+			if err != nil {
+				continue
+			}
+			out := filepath.Join(dir, fmt.Sprintf("out%d", i))
+			if err := writeManifestV2(out, man.nextSeq, man.segs, man.metas); err != nil {
+				t.Fatal(err)
+			}
+			back, err := loadManifestV2(out)
+			if err != nil {
+				t.Fatalf("re-encoded manifest does not load: %v", err)
+			}
+			if !reflect.DeepEqual(back, man) {
+				t.Fatalf("round trip changed the manifest:\n%+v\n%+v", man, back)
+			}
+		}
+	})
 }

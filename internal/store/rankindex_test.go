@@ -455,7 +455,7 @@ func breakPostingList(t *testing.T, dir string, seq uint64, zeroMult bool, want 
 		} else {
 			data[at] = 127
 		}
-		binio.PutU32(data[kixOff+12:], crc32.Checksum(data[kixOff+kixHeaderBytes:end], crcTable))
+		binio.PutU32(data[kixOff+12:], crc32.Checksum(data[kixOff+sectionHeaderBytes:end], crcTable))
 		binio.PutU32(data[end+24:], crc32.Checksum(data[:end], crcTable))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

@@ -3,20 +3,15 @@ package store
 // Segment files: the unit of on-disk sketch storage. A segment is an
 // append-only file of packed sketch records (internal/core/packed.go) —
 // Puts and Delete tombstones appended in arrival order, each fsynced
-// before the mutation is acknowledged — sealed with a per-record index
-// and a CRC-32C footer once it stops growing (size roll-over, store
-// close, or crash recovery). Sealed segments are immutable and mmap'd;
-// ranking borrows decoded-in-place sketch views straight out of the
-// mapping.
+// before the mutation is acknowledged — sealed with a key index and a
+// CRC-32C footer once it stops growing (size roll-over, store close, or
+// crash recovery). Sealed segments are immutable and mmap'd; ranking
+// borrows decoded-in-place sketch views straight out of the mapping.
 //
 // On-disk layout (little-endian):
 //
 //	header (16 B): magic "MSEG" | version u8 | kind u8 | pad u16 | seq u64
 //	records:       packed records, back to back, each 8-byte aligned
-//	index:         count × { name str | kind u8 | off uvarint |
-//	               len uvarint | method u8 | role u8 | numeric u8 |
-//	               seed u32 | size uvarint | entries uvarint |
-//	               sourceRows uvarint }
 //	key index:     inverted key hash → posting list section (keyindex.go);
 //	               absent when the segment could not be indexed
 //	dict section:  compression dictionaries (compress.go); present only
@@ -27,19 +22,21 @@ package store
 //	               crc u32 | reserved u32 | magic "MSEGIDX3" — written
 //	               instead of v2 when a dict section exists
 //
-// str = uvarint length + raw bytes. kind distinguishes WAL-order append
-// segments from compaction output (see recovery in fsbackend.go); seq is
-// the segment's identity within the store. The footer CRC covers every
-// byte before the footer — key index section included. kixOff locates
-// the key index section (zero: none — queries fall back to the full
-// candidate walk over that segment). An unsealed segment (crash before
-// seal — including a crash inside key index emission) is recognized by
-// its missing footer and replayed record by record, each record's own
-// CRC bounding the valid prefix; it serves without a key index until any
-// compaction folds it into indexed output.
+// kind distinguishes WAL-order append segments from compaction output
+// (see recovery in fsbackend.go); seq is the segment's identity within
+// the store. indexOff is the end of the record region and count the
+// records in it. Older builds wrote a per-record index section there,
+// between the records and the key index; no build reads it, so such a
+// segment opens as any other. The footer CRC covers every byte before
+// the footer — sections included. kixOff locates the key index section
+// (zero: none — queries fall back to the full candidate walk over that
+// segment). An unsealed segment (crash before seal — including a crash
+// before its key index is written) is recognized by its missing footer
+// and replayed record by record, each record's own CRC bounding the
+// valid prefix; it serves without a key index until any compaction
+// folds it into indexed output.
 
 import (
-	"bufio"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -98,7 +95,7 @@ type segment struct {
 	f       *os.File
 	data    []byte // mmap of the whole file; nil while unsealed
 	size    int64  // file size (sealed)
-	recEnd  int64  // end of the record region (== index offset when sealed)
+	recEnd  int64  // end of the record region (the footer's indexOff when sealed)
 	count   int    // records in the record region
 	sealed  bool
 	footLen int64 // footer length (v2 or v3); meaningful when sealed
@@ -209,6 +206,54 @@ func createSegment(dir string, seq uint64, kind uint8) (*segmentWriter, error) {
 // crcTable is the Castagnoli table shared with the record codec.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// sectionFrame is one kind of section after a sealed segment's records.
+// The key index and the dict section share one frame:
+//
+//	header (16 B): magic [4] | version u8 | flags u8 = 0 | pad u16 = 0 |
+//	               payloadLen u32 | crc u32 (CRC-32C of the payload)
+//	payload:       payloadLen bytes
+type sectionFrame struct {
+	name    string // in errors
+	magic   string
+	version uint8
+}
+
+const sectionHeaderBytes = 16
+
+// appendSection appends payload under the frame's header.
+func (k sectionFrame) appendSection(dst, payload []byte) []byte {
+	dst = append(dst, k.magic...)
+	dst = append(dst, k.version, 0, 0, 0)
+	dst = binio.AppendU32(dst, uint32(len(payload)))
+	dst = binio.AppendU32(dst, crc32.Checksum(payload, crcTable))
+	return append(dst, payload...)
+}
+
+// openSection checks a section's header and returns its payload. exact
+// requires the payload to fill the section; verifyCRC checks the
+// payload's CRC.
+func (k sectionFrame) openSection(section []byte, exact, verifyCRC bool) ([]byte, error) {
+	if len(section) < sectionHeaderBytes {
+		return nil, fmt.Errorf("store: %s section too short (%d bytes)", k.name, len(section))
+	}
+	// Version 1 defines no flags; an unknown flag (or scribbled pad)
+	// could change future semantics, so fail closed on any of them.
+	if string(section[:4]) != k.magic || section[4] != k.version || section[5]|section[6]|section[7] != 0 {
+		return nil, fmt.Errorf("store: %s header % x is not magic %q, version %d, no flags", k.name, section[:8], k.magic, k.version)
+	}
+	n, room := uint64(binio.U32At(section, 8)), uint64(len(section)-sectionHeaderBytes)
+	if n > room || exact && n != room {
+		return nil, fmt.Errorf("store: %s payload length %d in %d bytes", k.name, n, room)
+	}
+	payload := section[sectionHeaderBytes : sectionHeaderBytes+int(n)]
+	if verifyCRC {
+		if got, want := crc32.Checksum(payload, crcTable), binio.U32At(section, 12); got != want {
+			return nil, fmt.Errorf("store: %s fails CRC (%08x != %08x)", k.name, got, want)
+		}
+	}
+	return payload, nil
+}
+
 // appendRecord writes one already-encoded record at the current offset.
 // With sync set the record is fsynced before returning — the durability
 // point a Put is acknowledged at. The bulk path (compaction)
@@ -285,101 +330,64 @@ func (w *segmentWriter) readRecordAt(off, length int64) (core.Record, error) {
 	return core.DecodeRecord(buf, 0, false)
 }
 
-// seal writes the record index, the inverted key index, and the footer,
-// fsyncs, maps the now-immutable file, and returns the sealed segment.
-// The writer must not be used afterward. The key index is best-effort:
-// a segment that cannot be indexed (an undecodable record, a format
-// bound exceeded) seals with kixOff = 0 and queries fall back to the
-// full candidate walk — correctness never depends on the index.
+// seal appends the inverted key index, a compressed segment's dict
+// section and the footer after the records in one write, fsyncs, maps
+// the now-immutable file, and returns the sealed segment. The writer
+// must not be used afterward. The key index is best-effort: a segment
+// that cannot be indexed (an undecodable record, a format bound
+// exceeded) seals with kixOff = 0 and queries fall back to the full
+// candidate walk — correctness never depends on the index.
 func (w *segmentWriter) seal() (*segment, error) {
 	seg := w.seg
-	kixSection := w.buildKeyIndex()
-	if _, err := seg.f.Seek(w.off, 0); err != nil {
-		return nil, fmt.Errorf("store: sealing segment %d: %w", seg.seq, err)
-	}
-	crc := w.crc
-	buf := bufio.NewWriter(crcWriter{f: seg.f, crc: &crc})
-	bw := &binio.Writer{W: buf}
-	for _, e := range w.index {
-		bw.Str(e.info.Name)
-		bw.U8(uint8(e.info.Kind))
-		bw.Uvarint(uint64(e.off))
-		bw.Uvarint(uint64(e.info.Len))
-		bw.U8(core.MethodCode(e.info.Method))
-		bw.U8(uint8(e.info.Role))
-		bw.U8(b2u8(e.info.Numeric))
-		bw.U32(e.info.Seed)
-		bw.Uvarint(uint64(e.info.Size))
-		bw.Uvarint(uint64(e.info.Entries))
-		bw.Uvarint(uint64(e.info.SourceRows))
-	}
-	if bw.Err == nil {
-		bw.Err = buf.Flush()
-	}
-	if bw.Err != nil {
-		return nil, fmt.Errorf("store: sealing segment %d: %w", seg.seq, bw.Err)
-	}
-	var kixOff int64
-	if len(kixSection) > 0 {
-		// A crash here leaves record index bytes with no footer: the
-		// segment reopens unsealed and is frozen-replayed record by
-		// record (the index bytes fail the first record CRC), so acked
-		// Puts survive and only the index is lost — rebuilt by the next
-		// compaction.
+	tail := w.buildKeyIndex()
+	kixOff, kixLen := int64(0), int64(len(tail))
+	if kixLen > 0 {
+		// A crash here leaves the records with no footer: the segment
+		// reopens unsealed and is frozen-replayed record by record, so
+		// acked Puts survive and only the index is lost — rebuilt by the
+		// next compaction.
 		if err := crashPoint("seal.keyindex"); err != nil {
 			return nil, err
 		}
-		kixOff = w.off + bw.N
-		if _, err := (crcWriter{f: seg.f, crc: &crc}).Write(kixSection); err != nil {
-			return nil, fmt.Errorf("store: sealing segment %d key index: %w", seg.seq, err)
-		}
+		kixOff = w.off
 	}
-	var dictOff, dictLen int64
+	var dictOff int64
 	if w.comp != nil {
 		// The dict section is mandatory for a compressed segment — its
 		// compressed records are undecodable without it — so unlike the
-		// key index there is no seal-without-it path; an emit error
-		// fails the seal (compaction retries later, sources intact).
-		section := w.comp.encodeSection()
-		dictOff = w.off + bw.N + int64(len(kixSection))
-		dictLen = int64(len(section))
-		if _, err := (crcWriter{f: seg.f, crc: &crc}).Write(section); err != nil {
-			return nil, fmt.Errorf("store: sealing segment %d dict section: %w", seg.seq, err)
-		}
+		// key index there is no seal-without-it path.
+		dictOff = w.off + kixLen
+		tail = w.comp.appendSection(tail)
 	}
+	crc := crc32.Update(w.crc, crcTable, tail)
 	// The v3 footer is the v2 footer with dictOff in front.
 	footLen, magic := int64(segFooterV2Bytes), segFooterMagicV2
-	footer := make([]byte, 0, segFooterV3Bytes)
 	if dictOff > 0 {
 		footLen, magic = segFooterV3Bytes, segFooterMagicV3
-		footer = binio.AppendU64(footer, uint64(dictOff))
+		tail = binio.AppendU64(tail, uint64(dictOff))
 	}
-	footer = binio.AppendU64(footer, uint64(kixOff))
-	footer = binio.AppendU64(footer, uint64(w.off))
-	footer = binio.AppendU64(footer, uint64(len(w.index)))
-	footer = binio.AppendU32(footer, crc)
-	footer = binio.AppendU32(footer, 0)
-	footer = append(footer, magic...)
-	if _, err := seg.f.Write(footer); err != nil {
+	tail = binio.AppendU64(tail, uint64(kixOff))
+	tail = binio.AppendU64(tail, uint64(w.off)) // indexOff: the end of the records
+	tail = binio.AppendU64(tail, uint64(len(w.index)))
+	tail = binio.AppendU32(tail, crc)
+	tail = binio.AppendU32(tail, 0)
+	tail = append(tail, magic...)
+	if _, err := seg.f.WriteAt(tail, w.off); err != nil {
 		return nil, fmt.Errorf("store: sealing segment %d: %w", seg.seq, err)
 	}
 	if err := seg.f.Sync(); err != nil {
 		return nil, fmt.Errorf("store: syncing segment %d: %w", seg.seq, err)
 	}
-	fi, err := seg.f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	seg.size = fi.Size()
+	seg.size = w.off + int64(len(tail))
 	seg.recEnd = w.off
 	seg.count = len(w.index)
 	seg.sealed = true
 	seg.footLen = footLen
-	seg.kixOff = kixOff
-	if kixOff > 0 {
-		seg.kixLen = int64(len(kixSection))
+	seg.kixOff, seg.kixLen = kixOff, kixLen
+	if seg.dictOff = dictOff; dictOff > 0 {
+		seg.dictLen = seg.size - footLen - dictOff
 	}
-	seg.dictOff, seg.dictLen = dictOff, dictLen
+	var err error
 	seg.data, err = mmapFile(seg.f, seg.size)
 	if err != nil {
 		return nil, fmt.Errorf("store: mapping segment %d: %w", seg.seq, err)
@@ -503,18 +511,6 @@ func (g *segment) decoder() *core.RecordDecoder {
 	return nil
 }
 
-// crcWriter tees writes into a running CRC.
-type crcWriter struct {
-	f   *os.File
-	crc *uint32
-}
-
-func (c crcWriter) Write(p []byte) (int, error) {
-	n, err := c.f.Write(p)
-	*c.crc = crc32.Update(*c.crc, crcTable, p[:n])
-	return n, err
-}
-
 // openSegment opens an existing segment file. A sealed segment comes
 // back mapped and ready; an unsealed one (no valid footer — the store
 // crashed before sealing it) is returned with sealed=false and must go
@@ -601,7 +597,7 @@ func openSegment(path string) (*segment, error) {
 	// An implausible dict offset leaves the segment without a decoder:
 	// raw records still serve, compressed ones fail their decodes (fail
 	// closed, surfaced to the query).
-	if dictOff >= indexOff && dictOff+dictHeaderBytes <= secEnd {
+	if dictOff >= indexOff && dictOff+sectionHeaderBytes <= secEnd {
 		seg.dictOff = dictOff
 		seg.dictLen = secEnd - dictOff
 	}
@@ -611,7 +607,7 @@ func openSegment(path string) (*segment, error) {
 	}
 	// An implausible key index offset degrades to "no index" (the full
 	// walk); the record region stands on its own.
-	if kixOff >= indexOff && kixOff+kixHeaderBytes <= kixEnd {
+	if kixOff >= indexOff && kixOff+sectionHeaderBytes <= kixEnd {
 		seg.kixOff = kixOff
 		seg.kixLen = kixEnd - kixOff
 	}

@@ -286,10 +286,14 @@ func (s *Store) Close() error {
 // "table.csv#column@key"), overwriting any previous version. The write
 // is durable before Put returns: the record is appended to the active
 // segment and fsynced (a crash afterwards replays it from the segment on
-// the next open, manifest or no manifest).
+// the next open, manifest or no manifest). A sketch holding ±Inf is
+// refused (core.CheckFinite).
 func (s *Store) Put(name string, sk *core.Sketch) error {
 	if name == "" {
 		return fmt.Errorf("store: empty sketch name")
+	}
+	if err := core.CheckFinite(sk); err != nil {
+		return fmt.Errorf("store: %q: %w", name, err)
 	}
 	s.appendMu.RLock()
 	defer s.appendMu.RUnlock()

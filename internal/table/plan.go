@@ -123,8 +123,10 @@ type GroupAgg struct {
 	vc  *Column
 	agg AggFunc
 	// inf is set when an arithmetic aggregate reads a column holding an
-	// infinity: only then can it be NaN — NULL — over non-NULL values
-	// (+Inf + -Inf), so only then must Live evaluate to decide.
+	// infinity, or values whose magnitudes sum past MaxFloat64: only
+	// then can it be NaN — NULL — or ±Inf over non-NULL values (+Inf +
+	// -Inf, an overflowing SUM), so only then must Live evaluate to
+	// decide.
 	inf    bool
 	live   []int32          // the group's non-NULL rows
 	vals   []float64        // MEDIAN scratch
@@ -140,19 +142,27 @@ func (p *KeyPlan) Aggregator(vc *Column, agg AggFunc) (*GroupAgg, error) {
 	}
 	a := &GroupAgg{Kind: kind, p: p, vc: vc, agg: agg}
 	if agg == AggAvg || agg == AggSum || agg == AggMedian {
-		a.inf = slices.ContainsFunc(vc.Num, func(v float64) bool { return math.IsInf(v, 0) })
+		total := 0.0
+		for _, v := range vc.Num {
+			if !math.IsNaN(v) {
+				total += math.Abs(v)
+			}
+		}
+		a.inf = math.IsInf(total, 0)
 	}
 	return a, nil
 }
 
-// Live reports whether group g aggregates to a non-NULL value, without
-// aggregating it unless the column holds infinities.
+// Live reports whether group g aggregates to a non-NULL value — for
+// AVG, SUM and MEDIAN a finite one — without aggregating it unless the
+// column holds infinities or values large enough to overflow.
 func (a *GroupAgg) Live(g int) bool {
 	switch {
 	case a.agg == AggCount:
 		return true
 	case a.inf:
-		return !math.IsNaN(a.Num(g))
+		v := a.Num(g)
+		return !math.IsNaN(v) && !math.IsInf(v, 0)
 	}
 	for _, r := range a.p.Rows(g) {
 		if !a.vc.IsNull(int(r)) {
