@@ -21,8 +21,10 @@ package corpus
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 
 	"misketch/internal/hash"
 	"misketch/internal/table"
@@ -282,7 +284,8 @@ func (c *Corpus) Pairs(maxPairs int, rng *rand.Rand) []Pair {
 		byDomain[t.Domain] = append(byDomain[t.Domain], t)
 	}
 	var all []Pair
-	for _, ts := range byDomain {
+	for _, d := range slices.Sorted(maps.Keys(byDomain)) {
+		ts := byDomain[d]
 		for i := range ts {
 			for j := range ts {
 				if i != j {

@@ -3,7 +3,9 @@ package exp
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"misketch/internal/core"
 	"misketch/internal/corpus"
@@ -152,7 +154,8 @@ func RunTable2WithCorpora(cfg Config, pairsPerCollection int, corpora ...*corpus
 // collections (the analogue of the paper's collection description).
 func (r *Table2Result) Write(w io.Writer) {
 	fmt.Fprintln(w, "Table II — sketch estimates vs full-join estimates on open-data stand-ins")
-	for name, s := range r.Stats {
+	for _, name := range slices.Sorted(maps.Keys(r.Stats)) {
+		s := r.Stats[name]
 		fmt.Fprintf(w, "collection %-4s: avg key domains %.0f/%.0f, avg full join %.0f rows, %d pairs\n",
 			name, s.AvgTrainDomain, s.AvgCandDomain, s.AvgFullJoin, s.Pairs)
 	}

@@ -8,7 +8,9 @@ import "math"
 // extreme range ratios — and expanding square rings of cells around the
 // query until the ring's minimum possible distance can no longer beat
 // the current k-th best. Distances are computed exactly — the grid only
-// prunes — so results are identical to Tree.KNNDist on the same points.
+// prunes — and kept in the same k-best list (offer) as Tree.KNNDist's,
+// so results are identical to Tree.KNNDist on the same points, NaN
+// coordinates included.
 //
 // Reset is two O(n) counting passes (no sort, no tree build), and a
 // query touches an expected O(k) points on data without extreme
@@ -25,8 +27,6 @@ type Grid2D struct {
 	cellStart []int32 // CSR offsets per cell (len nx*ny+1)
 	cellPts   []Point // points grouped by cell
 	cellIdx   []int32 // original index of cellPts[i]
-
-	heap distHeap // k-best scratch for large k
 }
 
 // gridCellsPerPoint is the grid density the reset aims for: ~3 cells
@@ -36,10 +36,9 @@ type Grid2D struct {
 // measured slower on the ranking workload.
 const gridCellsPerPoint = 3
 
-// smallKMax is the largest k served by the insertion-array fast path of
-// Grid2D.AllKNNDist; linear insertion into a tiny descending array beats
-// heap maintenance (and its call overhead) up to well past the k the
-// KSG estimators use (3 by default).
+// smallKMax is the largest k whose k-best list Grid2D.AllKNNDist keeps
+// in a stack array; a larger k (the KSG estimators use 3 by default)
+// allocates one list per call.
 const smallKMax = 16
 
 // Reset rebuilds the grid in place over a new paired sample, reusing
@@ -75,12 +74,14 @@ func (g *Grid2D) Reset(xs, ys []float64) {
 	// absurd count on the wide axis (and a range ratio near 1/0 would
 	// overflow the int conversion outright). The clamp caps the total
 	// at ~2·cells, because the unclamped per-axis counts multiply to
-	// exactly `cells`.
+	// exactly `cells`. The counts come from the range ratio, not from
+	// rx·ry, which underflows to 0 (and would clamp both axes) on two
+	// tiny ranges.
 	var fx, fy float64
 	switch {
 	case rx > 0 && ry > 0:
-		side := math.Sqrt(rx * ry / float64(cells))
-		fx, fy = rx/side, ry/side
+		ratio := rx / ry
+		fx, fy = math.Sqrt(float64(cells)*ratio), math.Sqrt(float64(cells)/ratio)
 	case rx > 0:
 		fx, fy = float64(cells), 0
 	case ry > 0:
@@ -180,26 +181,21 @@ func (g *Grid2D) cellY(y float64) int {
 // cell shares the ring geometry between a cell's points, fuses rings 0
 // and 1 into one three-row block scan, and excludes the query point by
 // its exact slot. The distances are exact (grid2d_test.go holds them to
-// a brute-force scan). It panics if fewer than k+1 points are stored.
+// a brute-force scan); a point with fewer than k others at a non-NaN
+// distance reads +Inf. It panics if fewer than k+1 points are stored.
 func (g *Grid2D) AllKNNDist(k int, out []float64) {
 	n := len(g.cellPts)
 	if n-1 < k {
 		panic("knn: not enough points for k-NN query")
 	}
+	var buf [smallKMax]float64
+	best := buf[:]
 	if k > smallKMax {
-		for s := 0; s < n; s++ {
-			p := g.cellPts[s]
-			out[g.cellIdx[s]] = g.knnDistHeap(p.X, p.Y, k)
-		}
-		return
+		best = make([]float64, k)
 	}
-	inf := math.Inf(1)
+	best = best[:k]
 	nx, ny := g.nx, g.ny
-	maxRing := nx
-	if ny > maxRing {
-		maxRing = ny
-	}
-	var best [smallKMax]float64
+	maxRing := max(nx, ny)
 	for cy := 0; cy < ny; cy++ {
 		for cx := 0; cx < nx; cx++ {
 			c := cy*nx + cx
@@ -209,39 +205,16 @@ func (g *Grid2D) AllKNNDist(k int, out []float64) {
 			}
 			// Geometry of the rings-0-and-1 block, shared by every
 			// point of this cell.
-			bx0, bx1 := cx-1, cx+1
-			if bx0 < 0 {
-				bx0 = 0
-			}
-			if bx1 >= nx {
-				bx1 = nx - 1
-			}
-			by0, by1 := cy-1, cy+1
-			if by0 < 0 {
-				by0 = 0
-			}
-			if by1 >= ny {
-				by1 = ny - 1
-			}
+			bx0, bx1 := max(cx-1, 0), min(cx+1, nx-1)
+			by0, by1 := max(cy-1, 0), min(cy+1, ny-1)
 			for self := clo; self < chi; self++ {
 				q := g.cellPts[self]
-				x, y := q.X, q.Y
-				for i := 0; i < k; i++ {
-					best[i] = inf
-				}
+				resetBest(best)
 				// Ring rows are contiguous in the row-major CSR layout.
-				// math.Abs compiles to a sign-bit mask; spelled as a
-				// branch it would mispredict half the time on random data.
 				scanRange := func(lo, hi int32) {
 					for _, p := range g.cellPts[lo:hi] {
-						d := max(math.Abs(x-p.X), math.Abs(y-p.Y))
-						if d < best[0] {
-							j := 1
-							for j < k && d < best[j] {
-								best[j-1] = best[j]
-								j++
-							}
-							best[j-1] = d
+						if d := Chebyshev(q, p); d < best[0] {
+							offer(best, d)
 						}
 					}
 				}
@@ -258,17 +231,13 @@ func (g *Grid2D) AllKNNDist(k int, out []float64) {
 						scanRange(lo, hi)
 					}
 				}
+				// best[0] is +Inf until k distances are in, and side is
+				// +Inf only when every point shares cell (0, 0).
 				for r := 2; r <= maxRing; r++ {
-					if best[0] < inf && float64(r-1)*g.side >= best[0] {
+					if float64(r-1)*g.side >= best[0] {
 						break
 					}
-					x0, x1 := cx-r, cx+r
-					if x0 < 0 {
-						x0 = 0
-					}
-					if x1 >= nx {
-						x1 = nx - 1
-					}
+					x0, x1 := max(cx-r, 0), min(cx+r, nx-1)
 					y0, y1 := cy-r, cy+r
 					if y0 >= 0 {
 						row := y0 * nx
@@ -278,13 +247,7 @@ func (g *Grid2D) AllKNNDist(k int, out []float64) {
 						row := y1 * nx
 						scanRange(g.cellStart[row+x0], g.cellStart[row+x1+1])
 					}
-					gy0, gy1 := y0+1, y1-1
-					if gy0 < 0 {
-						gy0 = 0
-					}
-					if gy1 >= ny {
-						gy1 = ny - 1
-					}
+					gy0, gy1 := max(y0+1, 0), min(y1-1, ny-1)
 					left, right := cx-r, cx+r
 					for gy := gy0; gy <= gy1; gy++ {
 						row := gy * nx
@@ -300,72 +263,6 @@ func (g *Grid2D) AllKNNDist(k int, out []float64) {
 			}
 		}
 	}
-}
-
-// scanCellHeap is the large-k counterpart of AllKNNDist's range scan,
-// maintaining the bounded max-heap instead of the insertion array.
-func (g *Grid2D) scanCellHeap(c int, x, y float64, k int, selfLeft *bool) {
-	lo, hi := g.cellStart[c], g.cellStart[c+1]
-	for _, p := range g.cellPts[lo:hi] {
-		dx := math.Abs(x - p.X)
-		dy := math.Abs(y - p.Y)
-		if dy > dx {
-			dx = dy
-		}
-		if dx == 0 && *selfLeft && p.X == x && p.Y == y {
-			*selfLeft = false
-			continue
-		}
-		if g.heap.size < k {
-			g.heap.push(dx)
-		} else if dx < g.heap.d[0] {
-			g.heap.replaceTop(dx)
-		}
-	}
-}
-
-func (g *Grid2D) knnDistHeap(x, y float64, k int) float64 {
-	g.heap.reset(k)
-	selfLeft := true
-	cx, cy := g.cellX(x), g.cellY(y)
-	maxRing := g.nx
-	if g.ny > maxRing {
-		maxRing = g.ny
-	}
-	for r := 0; r <= maxRing; r++ {
-		if g.heap.size == k && r >= 2 && float64(r-1)*g.side >= g.heap.d[0] {
-			break
-		}
-		x0, x1 := cx-r, cx+r
-		y0, y1 := cy-r, cy+r
-		if r == 0 {
-			g.scanCellHeap(cy*g.nx+cx, x, y, k, &selfLeft)
-			continue
-		}
-		for gx := x0; gx <= x1; gx++ {
-			if gx < 0 || gx >= g.nx {
-				continue
-			}
-			if y0 >= 0 {
-				g.scanCellHeap(y0*g.nx+gx, x, y, k, &selfLeft)
-			}
-			if y1 < g.ny {
-				g.scanCellHeap(y1*g.nx+gx, x, y, k, &selfLeft)
-			}
-		}
-		for gy := y0 + 1; gy <= y1-1; gy++ {
-			if gy < 0 || gy >= g.ny {
-				continue
-			}
-			if x0 >= 0 {
-				g.scanCellHeap(gy*g.nx+x0, x, y, k, &selfLeft)
-			}
-			if x1 < g.nx {
-				g.scanCellHeap(gy*g.nx+x1, x, y, k, &selfLeft)
-			}
-		}
-	}
-	return g.heap.d[0]
 }
 
 // CountJointTies returns the number of stored points identical to

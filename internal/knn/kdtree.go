@@ -1,13 +1,20 @@
 // Package knn provides the nearest-neighbor machinery behind the
-// KSG-family mutual information estimators: a 2-D kd-tree with k-NN
-// queries under the Chebyshev (L∞ / max) norm, and sorted-array utilities
-// for 1-D neighbor distances and range counting.
+// KSG-family mutual information estimators: exact all-points k-NN
+// distances under the Chebyshev (L∞ / max) norm from a uniform grid
+// (Grid2D) or a 2-D kd-tree (Tree), and sorted-array utilities for 1-D
+// neighbor distances and range counting.
 //
 // All KSG variants measure joint-space distances with the max norm, so
 // that is the only metric implemented; marginal counts reduce to 1-D
 // interval counting on sorted copies of each coordinate.
 //
-// Both Tree and Sorted1D support rebuild-in-place via Reset, so a caller
+// Both 2-D structures keep "the k nearest so far" in one k-best list
+// (offer) and prune against its k-th entry, so they return the same
+// distances on every input, NaN included: a distance involving a NaN
+// coordinate is never among the k best, and a query with fewer than k
+// non-NaN distances reads +Inf.
+//
+// Tree, Grid2D and Sorted1D rebuild in place via Reset, so a caller
 // that estimates MI over many samples (the ranking hot path) can reuse
 // one structure's backing arrays across samples instead of reallocating
 // them per estimate.
@@ -24,14 +31,11 @@ type Point struct {
 	X, Y float64
 }
 
-// Chebyshev returns the L∞ distance between two points.
+// Chebyshev returns the L∞ distance between two points: NaN when a
+// coordinate of either is NaN. math.Abs compiles to a sign-bit mask;
+// spelled as a branch it would mispredict half the time on random data.
 func Chebyshev(a, b Point) float64 {
-	dx := math.Abs(a.X - b.X)
-	dy := math.Abs(a.Y - b.Y)
-	if dx > dy {
-		return dx
-	}
-	return dy
+	return max(math.Abs(a.X-b.X), math.Abs(a.Y-b.Y))
 }
 
 // leafSize is the bucket size below which subtrees are left unsplit and
@@ -51,17 +55,20 @@ const treeMaxDepth = 64
 // the query point itself purely by index bookkeeping, so duplicate
 // coordinates are handled exactly (important for mixed
 // discrete-continuous data, where ties are the norm rather than the
-// exception).
+// exception). A point with a NaN coordinate is no query's neighbor, so
+// it is left out of the tree: it would break the median layout that
+// pruning relies on.
 //
 // A Tree's query methods share internal scratch space: queries on one
 // Tree must not run concurrently. Keep one Tree per goroutine (or per
 // mi.Scratch) for parallel estimation.
 type Tree struct {
-	pts  []Point // points in tree order
+	n    int     // points Reset was given, NaN ones included
+	pts  []Point // the points without a NaN coordinate, in tree order
 	idx  []int32 // original index of pts[i]
 	axis []byte  // split axis per internal node (0 = X, 1 = Y)
 
-	heap  distHeap                  // reusable k-NN candidate heap
+	best  []float64                 // reusable k-best list
 	stack [treeMaxDepth]searchFrame // reusable traversal stack
 }
 
@@ -70,16 +77,15 @@ type Tree struct {
 // not modified. A Reset tree is indistinguishable from a fresh one Reset
 // over the same points.
 func (t *Tree) Reset(pts []Point) {
-	n := len(pts)
-	t.pts = append(t.pts[:0], pts...)
-	if cap(t.idx) < n {
-		t.idx = make([]int32, n)
-	} else {
-		t.idx = t.idx[:n]
+	t.n = len(pts)
+	t.pts, t.idx = t.pts[:0], t.idx[:0]
+	for i, p := range pts {
+		if p.X == p.X && p.Y == p.Y {
+			t.pts = append(t.pts, p)
+			t.idx = append(t.idx, int32(i))
+		}
 	}
-	for i := range t.idx {
-		t.idx[i] = int32(i)
-	}
+	n := len(t.pts)
 	if cap(t.axis) < n {
 		t.axis = make([]byte, n)
 	} else {
@@ -199,25 +205,30 @@ type searchFrame struct {
 
 // KNNDist returns the L∞ distance from q to its k-th nearest neighbor in
 // the tree, excluding the point whose original index is selfIdx (pass −1
-// to include every point). It panics if fewer than k eligible points
-// exist.
+// to include every point); +Inf if fewer than k points are at a non-NaN
+// distance. It panics if fewer than k points are eligible.
 func (t *Tree) KNNDist(q Point, k int, selfIdx int) float64 {
-	h := &t.heap
-	h.reset(k)
-	if len(t.pts) > 0 {
-		t.searchKNN(q, k, int32(selfIdx), h)
+	eligible := t.n
+	if uint(selfIdx) < uint(t.n) {
+		eligible--
 	}
-	if h.size < k {
+	if eligible < k {
 		panic("knn: not enough points for k-NN query")
 	}
-	return h.d[0]
+	if cap(t.best) < k {
+		t.best = make([]float64, k)
+	}
+	best := t.best[:k]
+	resetBest(best)
+	t.searchKNN(q, int32(selfIdx), best)
+	return best[0]
 }
 
 // searchKNN is an iterative depth-first k-NN search: it descends the near
 // side of every split, stacks the far side with its plane distance, scans
 // bucket leaves linearly, and revisits a stacked subtree only while its
 // splitting plane is at most the current k-th best distance.
-func (t *Tree) searchKNN(q Point, k int, selfIdx int32, h *distHeap) {
+func (t *Tree) searchKNN(q Point, selfIdx int32, best []float64) {
 	stack := &t.stack
 	sp := 0
 	lo, hi := 0, len(t.pts)
@@ -226,15 +237,8 @@ func (t *Tree) searchKNN(q Point, k int, selfIdx int32, h *distHeap) {
 			mid := (lo + hi) / 2
 			p := t.pts[mid]
 			if t.idx[mid] != selfIdx {
-				dx := math.Abs(q.X - p.X)
-				dy := math.Abs(q.Y - p.Y)
-				if dy > dx {
-					dx = dy
-				}
-				if h.size < k {
-					h.push(dx)
-				} else if dx < h.d[0] {
-					h.replaceTop(dx)
+				if d := Chebyshev(q, p); d < best[0] {
+					offer(best, d)
 				}
 			}
 			var plane float64
@@ -258,15 +262,8 @@ func (t *Tree) searchKNN(q Point, k int, selfIdx int32, h *distHeap) {
 				continue
 			}
 			p := t.pts[i]
-			dx := math.Abs(q.X - p.X)
-			dy := math.Abs(q.Y - p.Y)
-			if dy > dx {
-				dx = dy
-			}
-			if h.size < k {
-				h.push(dx)
-			} else if dx < h.d[0] {
-				h.replaceTop(dx)
+			if d := Chebyshev(q, p); d < best[0] {
+				offer(best, d)
 			}
 		}
 		for {
@@ -275,7 +272,7 @@ func (t *Tree) searchKNN(q Point, k int, selfIdx int32, h *distHeap) {
 			}
 			sp--
 			f := stack[sp]
-			if h.size < k || f.plane <= h.d[0] {
+			if f.plane <= best[0] {
 				lo, hi = int(f.lo), int(f.hi)
 				break
 			}
@@ -298,15 +295,8 @@ func (t *Tree) CountWithin(q Point, r float64, selfIdx int) int {
 		for hi-lo > leafSize {
 			mid := (lo + hi) / 2
 			p := t.pts[mid]
-			if t.idx[mid] != self {
-				dx := math.Abs(q.X - p.X)
-				dy := math.Abs(q.Y - p.Y)
-				if dy > dx {
-					dx = dy
-				}
-				if dx <= r {
-					count++
-				}
+			if t.idx[mid] != self && Chebyshev(q, p) <= r {
+				count++
 			}
 			var qc, mc float64
 			if t.axis[mid] == 0 {
@@ -332,12 +322,7 @@ func (t *Tree) CountWithin(q Point, r float64, selfIdx int) int {
 				continue
 			}
 			p := t.pts[i]
-			dx := math.Abs(q.X - p.X)
-			dy := math.Abs(q.Y - p.Y)
-			if dy > dx {
-				dx = dy
-			}
-			if dx <= r {
+			if Chebyshev(q, p) <= r {
 				count++
 			}
 		}
@@ -350,58 +335,27 @@ func (t *Tree) CountWithin(q Point, r float64, selfIdx int) int {
 	}
 }
 
-// distHeap is a bounded max-heap of the k smallest distances seen so far.
-type distHeap struct {
-	d    []float64
-	size int
-}
+// A k-best list holds the k smallest distances offered so far in
+// descending order: best[0] is the k-th smallest, and +Inf until k
+// distances have been offered, so it is the bound a search prunes
+// against. A NaN distance fails d < best[0] and is never admitted.
 
-// reset prepares the heap for a query with bound k, reusing its backing
-// array when possible.
-func (h *distHeap) reset(k int) {
-	if cap(h.d) < k {
-		h.d = make([]float64, k)
-	} else {
-		h.d = h.d[:k]
-	}
-	h.size = 0
-}
-
-// push inserts x; the caller guarantees the heap is not full.
-func (h *distHeap) push(x float64) {
-	h.d[h.size] = x
-	h.size++
-	i := h.size - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.d[parent] >= h.d[i] {
-			break
-		}
-		h.d[parent], h.d[i] = h.d[i], h.d[parent]
-		i = parent
+// resetBest empties a k-best list.
+func resetBest(best []float64) {
+	for i := range best {
+		best[i] = math.Inf(1)
 	}
 }
 
-// replaceTop replaces the current maximum with x and restores heap order;
-// the caller guarantees x < h.d[0] and the heap is full.
-func (h *distHeap) replaceTop(x float64) {
-	h.d[0] = x
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < h.size && h.d[l] > h.d[largest] {
-			largest = l
-		}
-		if r < h.size && h.d[r] > h.d[largest] {
-			largest = r
-		}
-		if largest == i {
-			break
-		}
-		h.d[i], h.d[largest] = h.d[largest], h.d[i]
-		i = largest
+// offer admits d, which the caller has checked is below best[0],
+// dropping the largest entry.
+func offer(best []float64, d float64) {
+	j := 1
+	for j < len(best) && d < best[j] {
+		best[j-1] = best[j]
+		j++
 	}
+	best[j-1] = d
 }
 
 // Sorted1D supports 1-D neighbor and interval-count queries over a fixed

@@ -22,17 +22,27 @@ func NewSorted1D(vals []float64) *Sorted1D {
 	return s
 }
 
-// bruteKNNDist is the O(n) reference for Tree.KNNDist.
-func bruteKNNDist(pts []Point, q Point, k, selfIdx int) float64 {
+// bruteDists returns the L∞ distances from q to every point but selfIdx
+// in ascending order, NaN distances left out.
+func bruteDists(pts []Point, q Point, selfIdx int) []float64 {
 	var ds []float64
 	for i, p := range pts {
-		if i == selfIdx {
-			continue
+		if d := max(math.Abs(q.X-p.X), math.Abs(q.Y-p.Y)); i != selfIdx && d == d {
+			ds = append(ds, d)
 		}
-		ds = append(ds, Chebyshev(q, p))
 	}
 	sort.Float64s(ds)
-	return ds[k-1]
+	return ds
+}
+
+// bruteKNNDist is the O(n log n) reference for Tree.KNNDist and
+// Grid2D.AllKNNDist: the k-th smallest distance bruteDists returns, +Inf
+// if it returns fewer than k.
+func bruteKNNDist(pts []Point, q Point, k, selfIdx int) float64 {
+	if ds := bruteDists(pts, q, selfIdx); k <= len(ds) {
+		return ds[k-1]
+	}
+	return math.Inf(1)
 }
 
 // bruteCountWithin is the O(n) reference for Tree.CountWithin.
@@ -69,9 +79,25 @@ func TestChebyshev(t *testing.T) {
 	if Chebyshev(Point{1, 1}, Point{1, 1}) != 0 {
 		t.Error("identical points should have distance 0")
 	}
+	for _, p := range []Point{{math.NaN(), 0}, {0, math.NaN()}} {
+		if d := Chebyshev(Point{1, 5}, p); !math.IsNaN(d) {
+			t.Errorf("Chebyshev to %v = %v, want NaN", p, d)
+		}
+	}
 }
 
 func TestKNNDistMatchesBruteForce(t *testing.T) {
+	// The case list TestGrid2DMatchesBruteForce holds the grid to.
+	var tree Tree
+	eachKNNCase(t, func(name string, xs, ys []float64, k int, want map[int]float64) {
+		pts := points(xs, ys)
+		tree.Reset(pts)
+		for i, w := range want {
+			if got := tree.KNNDist(pts[i], k, i); got != w {
+				t.Fatalf("%s n=%d k=%d: KNNDist(%d) = %v, want %v", name, len(pts), k, i, got, w)
+			}
+		}
+	})
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 30; trial++ {
 		discrete := trial%2 == 0
@@ -266,4 +292,49 @@ func BenchmarkTreeKNN10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tree.KNNDist(pts[i%len(pts)], 3, i%len(pts))
 	}
+}
+
+// FuzzKNN holds both neighbor structures to the brute force on every
+// point of a fuzzed point set: two bytes a point, each an int8
+// coordinate scaled by 2^(8·ex) (x) or 2^(8·ey) (y), −128 reading NaN,
+// so ties, extreme and tiny axis ranges and NaN points all occur.
+func FuzzKNN(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(2), int8(0), int8(0))
+	f.Add([]byte{0x80, 1, 2, 0x80, 3, 3, 3, 3, 9, 9, 0, 0}, uint8(1), int8(-100), int8(120))
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 1, 0x80, 7, 2, 7, 2, 0, 9, 4, 4}, uint8(3), int8(-127), int8(-126))
+	// NaN x values at split positions: a tree built over them prunes
+	// the finite neighbors behind a NaN plane.
+	f.Add([]byte("0\x800\x030\x030\x800  00 0 0\x00"), uint8(0), int8(-100), int8(120))
+	f.Fuzz(func(t *testing.T, data []byte, kb uint8, ex, ey int8) {
+		n := min(len(data)/2, 512)
+		k := 1 + int(kb)%70
+		if n < k+1 {
+			return
+		}
+		coord := func(b byte, e int8) float64 {
+			if b == 0x80 {
+				return math.NaN()
+			}
+			return math.Ldexp(float64(int8(b)), 8*int(e))
+		}
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ys[i] = coord(data[2*i], ex), coord(data[2*i+1], ey)
+		}
+		pts := points(xs, ys)
+		var g Grid2D
+		g.Reset(xs, ys)
+		out := make([]float64, n)
+		g.AllKNNDist(k, out)
+		tree := Build(pts)
+		for i, p := range pts {
+			want := bruteKNNDist(pts, p, k, i)
+			if out[i] != want {
+				t.Fatalf("n=%d k=%d: AllKNNDist[%d] = %v, want %v", n, k, i, out[i], want)
+			}
+			if got := tree.KNNDist(p, k, i); got != want {
+				t.Fatalf("n=%d k=%d: KNNDist(%d) = %v, want %v", n, k, i, got, want)
+			}
+		}
+	})
 }

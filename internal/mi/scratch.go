@@ -150,7 +150,8 @@ func emptied[K comparable, V any](m map[K]V) map[K]V {
 // instead of a kd-tree. Sketch joins (the ranking hot path) sit far
 // below it; full-join estimation at tens of thousands of rows — where
 // mass duplication could make the grid's tie counting quadratic — takes
-// the tree. Both structures return exact, hence identical, distances.
+// the tree. Both structures return exact distances from one k-best list,
+// hence identical ones, NaN included (see knnDists).
 const gridMaxN = 2048
 
 // points fills the reusable joint-space point buffer.
@@ -170,6 +171,9 @@ func (s *Scratch) points(xs, ys []float64) []knn.Point {
 // knnDists rebuilds the joint-space neighbor structure over the sample
 // — the grid up to gridMaxN points, the kd-tree (over s.pts) beyond — and
 // returns every point's k-NN distance, self excluded, in sample order.
+// Either way a NaN value puts its point at a NaN distance from every
+// other, which is never among the k best: that point, and any point
+// left with fewer than k non-NaN distances, reads +Inf.
 func (s *Scratch) knnDists(xs, ys []float64, k int) []float64 {
 	rho := sized(&s.rho, len(xs))
 	if len(xs) <= gridMaxN {
