@@ -7,16 +7,16 @@ import (
 	"sort"
 	"testing"
 
-	"misketch/internal/knn"
 	"misketch/internal/stats"
 )
 
 // dcksgReference is DC-KSG as Scratch.DCKSG computed it before the kernel
-// read a value order: group the masked values by class, sort a copy of
-// each class section and a copy of the whole, then answer every point by
-// binary search — its class's k-NN distance from the insertion position,
-// its neighborhood count from the two ends of the global array. It is
-// the oracle of the order-driven kernel, kept on fresh state per call.
+// read a value order: group the masked values by class, then answer
+// every point by brute force — its class's k-NN distance from every
+// distance in its class, its neighborhood count from every masked value
+// (v − d < w < v + d, or w = v when d is 0, as the sorted-array counts
+// bound it). It is the oracle of the order-driven kernel, kept on fresh
+// state per call.
 // The benchmark's verifier recomputes answers through the same kernel as
 // the server, so it cannot catch a wrong DC-KSG; this differential can.
 func dcksgReference(cs []string, ys []float64, k int) float64 {
@@ -52,14 +52,6 @@ func dcksgReference(cs []string, ys []float64, k int) float64 {
 			classCursor[id]++
 		}
 	}
-	classSorted := append([]float64(nil), grouped...)
-	for id, c := range classCounts {
-		if c > 1 {
-			sort.Float64s(classSorted[classStart[id] : classStart[id]+c])
-		}
-	}
-	var global knn.Sorted1D
-	global.Reset(grouped)
 	nMasked := float64(masked)
 	var sumK, sumNc, sumM float64
 	for id, nc := range classCounts {
@@ -68,14 +60,14 @@ func dcksgReference(cs []string, ys []float64, k int) float64 {
 		}
 		ki := min(k, nc-1)
 		start := classStart[id]
-		classView := knn.SortedView(classSorted[start : start+nc])
-		for _, v := range grouped[start : start+nc] {
-			d := classView.KNNDist(v, ki, true)
-			var m int
-			if d == 0 {
-				m = global.CountWithin(v, 0, 0)
-			} else {
-				m = global.CountStrictlyWithin(v, d, 0)
+		class := grouped[start : start+nc]
+		for _, v := range class {
+			d := kthDistance(class, v, ki)
+			m := 0
+			for _, w := range grouped {
+				if d == 0 && w == v || d != 0 && w > v-d && w < v+d {
+					m++
+				}
 			}
 			sumK += stats.DigammaInt(ki)
 			sumNc += stats.DigammaInt(nc)
@@ -83,6 +75,18 @@ func dcksgReference(cs []string, ys []float64, k int) float64 {
 		}
 	}
 	return stats.Digamma(nMasked) + (sumK-sumNc-sumM)/nMasked
+}
+
+// kthDistance is the distance from v, a member of vals, to its k-th
+// nearest other member: the (k+1)-th smallest |w − v|, v's own 0 the
+// first.
+func kthDistance(vals []float64, v float64, k int) float64 {
+	ds := make([]float64, len(vals))
+	for i, w := range vals {
+		ds[i] = math.Abs(w - v)
+	}
+	sort.Float64s(ds)
+	return ds[k]
 }
 
 // dcksgShapes are the value columns the differential sweeps; g is the

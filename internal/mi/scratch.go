@@ -10,8 +10,8 @@ import (
 )
 
 // Scratch owns every piece of reusable state the MI estimators need —
-// the kd-tree backing arrays, the Sorted1D buffers, the joined-pair
-// slices core's scratch join fills, and the category interning maps and
+// the neighbor grid with its sorted marginals, the joined-pair slices
+// core's scratch join fills, and the category interning maps and
 // count slices behind the plug-in estimator — so that steady-state
 // estimation (the ranking hot path, one estimate per candidate) performs
 // zero heap allocations per call once the buffers have grown to the
@@ -29,20 +29,16 @@ type Scratch struct {
 	JoinYNum, JoinXNum []float64
 	JoinYStr, JoinXStr []string
 
-	// KSG-family state: the joint-space neighbor structures (the
-	// ring-expanding uniform grid for sketch-scale samples, the kd-tree
-	// beyond gridMaxN) and the per-marginal sorted arrays, all rebuilt
-	// in place per estimate.
-	pts    []knn.Point
-	tree   knn.Tree
-	grid   knn.Grid2D
-	sx, sy knn.Sorted1D
-	// Hinted-path buffers: marginals materialized in sorted order from
-	// the caller's precomputed orders, each value's rank within them,
-	// and the batch k-NN distances.
-	sortedX, sortedY []float64
-	rankX, rankY     []int32
-	rho              []float64
+	// KSG-family state: the joint-space neighbor grid, cut at the
+	// marginal quantiles and rebuilt in place per estimate at every
+	// sample size; its sorted marginals serve the interval counts.
+	grid knn.Grid2D
+	// Ranked-path buffers: each value's rank within the sorted
+	// marginals (Mixed-KSG's and DC-KSG's), DC-KSG's global sorted
+	// copy, and the batch k-NN distances.
+	rankX, rankY []int32
+	global       []float64
+	rho          []float64
 
 	// Plug-in (MLE) state: marginal interning maps and count slices,
 	// plus the joint-cell map keyed by packed marginal IDs. IDs are
@@ -59,7 +55,7 @@ type Scratch struct {
 	// DC-KSG state: per-row class IDs and places among the class's rows,
 	// per-class counts, section starts and fill cursors, the masked values
 	// sorted per class section (the global sorted copy and both ranks use
-	// the hinted-path buffers), and the value order when sorted here.
+	// the ranked-path buffers), and the value order when sorted here.
 	rowClass    []int32
 	rowSlot     []int32
 	classCounts []int
@@ -145,64 +141,63 @@ func emptied[K comparable, V any](m map[K]V) map[K]V {
 	return m
 }
 
-// gridMaxN is the sample size up to which the KSG-family estimators use
-// the ring-expanding uniform grid for joint-space k-NN distances
-// instead of a kd-tree. Sketch joins (the ranking hot path) sit far
-// below it; full-join estimation at tens of thousands of rows — where
-// mass duplication could make the grid's tie counting quadratic — takes
-// the tree. Both structures return exact distances from one k-best list,
-// hence identical ones, NaN included (see knnDists).
-const gridMaxN = 2048
-
-// points fills the reusable joint-space point buffer.
-func (s *Scratch) points(xs, ys []float64) []knn.Point {
-	n := len(xs)
-	if cap(s.pts) < n {
-		s.pts = make([]knn.Point, n)
+// knnDists rebuilds the neighbor grid over the sample — from the
+// caller's value orders when h carries both, sorting each axis
+// otherwise — and returns every point's k-NN distance, self excluded,
+// in sample order. A NaN value puts its point at a NaN distance from
+// every other, and an infinite one at a NaN or infinite distance,
+// neither of which is ever among the k best: that point, and any point
+// left with fewer than k finite distances, reads +Inf.
+func (s *Scratch) knnDists(xs, ys []float64, k int, h Hints) []float64 {
+	if len(h.XOrder) == len(xs) && len(h.YOrder) == len(ys) {
+		s.grid.ResetOrdered(xs, ys, h.XOrder, h.YOrder)
 	} else {
-		s.pts = s.pts[:n]
-	}
-	for i := range xs {
-		s.pts[i] = knn.Point{X: xs[i], Y: ys[i]}
-	}
-	return s.pts
-}
-
-// knnDists rebuilds the joint-space neighbor structure over the sample
-// — the grid up to gridMaxN points, the kd-tree (over s.pts) beyond — and
-// returns every point's k-NN distance, self excluded, in sample order.
-// Either way a NaN value puts its point at a NaN distance from every
-// other, which is never among the k best: that point, and any point
-// left with fewer than k non-NaN distances, reads +Inf.
-func (s *Scratch) knnDists(xs, ys []float64, k int) []float64 {
-	rho := sized(&s.rho, len(xs))
-	if len(xs) <= gridMaxN {
 		s.grid.Reset(xs, ys)
-		s.grid.AllKNNDist(k, rho)
-		return rho
 	}
-	pts := s.points(xs, ys)
-	s.tree.Reset(pts)
-	for i := range pts {
-		rho[i] = s.tree.KNNDist(pts[i], k, i)
-	}
+	rho := sized(&s.rho, len(xs))
+	s.grid.AllKNNDist(k, rho)
 	return rho
 }
 
+// ranks returns each point's position in the grid's sorted marginals,
+// from the orders its last reset placed the points by, so the interval
+// counts walk outward from it instead of searching; ok is false when the
+// sample holds NaN, whose counts search.
+func (s *Scratch) ranks() (rankX, rankY []int32, ok bool) {
+	xo, yo := s.grid.Orders()
+	if xo == nil {
+		return nil, nil, false
+	}
+	rankX, rankY = sized(&s.rankX, len(xo)), sized(&s.rankY, len(yo))
+	for pos, j := range xo {
+		rankX[j] = int32(pos)
+	}
+	for pos, j := range yo {
+		rankY[j] = int32(pos)
+	}
+	return rankX, rankY, true
+}
+
 // KSG returns the Kraskov et al. (2004) algorithm-1 MI estimate; see the
-// package-level KSG for the formula. The neighbor structures and sorted
-// arrays are rebuilt in place.
+// package-level KSG for the formula. The neighbor grid and its sorted
+// marginals are rebuilt in place.
 func (s *Scratch) KSG(xs, ys []float64, k int) float64 {
 	n := checkNumericPair(xs, ys, k)
 	if n == 0 {
 		return 0
 	}
-	s.sx.Reset(xs)
-	s.sy.Reset(ys)
+	rhos := s.knnDists(xs, ys, k, Hints{})
+	sx, sy := s.grid.Marginals()
+	rankX, rankY, ranked := s.ranks()
+	vx, vy := sx.Values(), sy.Values()
 	sum := 0.0
-	for i, rho := range s.knnDists(xs, ys, k) {
-		nx := s.sx.CountStrictlyWithin(xs[i], rho, 1)
-		ny := s.sy.CountStrictlyWithin(ys[i], rho, 1)
+	for i, rho := range rhos {
+		var nx, ny int
+		if ranked {
+			nx, ny = knn.RangeCountStrict(vx, int(rankX[i]), rho), knn.RangeCountStrict(vy, int(rankY[i]), rho)
+		} else {
+			nx, ny = sx.CountStrictlyWithin(xs[i], rho, 1), sy.CountStrictlyWithin(ys[i], rho, 1)
+		}
 		sum += stats.DigammaInt(nx+1) + stats.DigammaInt(ny+1)
 	}
 	return stats.DigammaInt(k) + stats.DigammaInt(n) - sum/float64(n)
@@ -232,61 +227,30 @@ func (s *Scratch) mixedKSG(xs, ys []float64, k int, h Hints) float64 {
 	if n == 0 {
 		return 0
 	}
+	rhos := s.knnDists(xs, ys, k, h)
+	sx, sy := s.grid.Marginals()
+	rankX, rankY, ranked := s.ranks()
+	vx, vy := sx.Values(), sy.Values()
 	logN := math.Log(float64(n))
 	sum := 0.0
-	switch {
-	case n <= gridMaxN && len(h.XOrder) == n && len(h.YOrder) == n:
-		// Ranking hot path: marginals materialize from the caller's
-		// precomputed orders by O(n) gathers (no sorts), the grid
-		// answers every k-NN query in one batched pass, and the
-		// interval counts walk outward from each value's known rank.
-		sized(&s.sortedX, n)
-		sized(&s.sortedY, n)
-		sized(&s.rankX, n)
-		sized(&s.rankY, n)
-		for pos, j := range h.XOrder {
-			s.sortedX[pos] = xs[j]
-			s.rankX[j] = int32(pos)
+	for i, rho := range rhos {
+		ktilde, nx, ny := k, 0, 0 // all counts include the point itself
+		switch {
+		case rho == 0 && ranked:
+			ktilde = s.grid.CountJointTies(i)
+			nx, ny = knn.RangeCountTies(vx, int(rankX[i])), knn.RangeCountTies(vy, int(rankY[i]))
+		case rho == 0:
+			ktilde = s.grid.CountJointTies(i)
+			nx, ny = sx.CountWithin(xs[i], 0, 1)+1, sy.CountWithin(ys[i], 0, 1)+1
+		case ranked:
+			nx = knn.RangeCountStrict(vx, int(rankX[i]), rho) + 1
+			ny = knn.RangeCountStrict(vy, int(rankY[i]), rho) + 1
+		default:
+			nx = sx.CountStrictlyWithin(xs[i], rho, 1) + 1
+			ny = sy.CountStrictlyWithin(ys[i], rho, 1) + 1
 		}
-		for pos, j := range h.YOrder {
-			s.sortedY[pos] = ys[j]
-			s.rankY[j] = int32(pos)
-		}
-		for i, rho := range s.knnDists(xs, ys, k) {
-			var ktilde, nx, ny int // all counts include the point itself
-			if rho == 0 {
-				ktilde = s.grid.CountJointTies(xs[i], ys[i])
-				nx = knn.RangeCountTies(s.sortedX, int(s.rankX[i]))
-				ny = knn.RangeCountTies(s.sortedY, int(s.rankY[i]))
-			} else {
-				ktilde = k
-				nx = knn.RangeCountStrict(s.sortedX, int(s.rankX[i]), rho) + 1
-				ny = knn.RangeCountStrict(s.sortedY, int(s.rankY[i]), rho) + 1
-			}
-			sum += stats.DigammaInt(ktilde) + logN -
-				stats.DigammaInt(nx) - stats.DigammaInt(ny)
-		}
-	default:
-		s.sx.Reset(xs)
-		s.sy.Reset(ys)
-		for i, rho := range s.knnDists(xs, ys, k) {
-			var ktilde, nx, ny int
-			if rho == 0 {
-				if n <= gridMaxN {
-					ktilde = s.grid.CountJointTies(xs[i], ys[i])
-				} else {
-					ktilde = s.tree.CountWithin(s.pts[i], 0, i) + 1
-				}
-				nx = s.sx.CountWithin(xs[i], 0, 1) + 1
-				ny = s.sy.CountWithin(ys[i], 0, 1) + 1
-			} else {
-				ktilde = k
-				nx = s.sx.CountStrictlyWithin(xs[i], rho, 1) + 1
-				ny = s.sy.CountStrictlyWithin(ys[i], rho, 1) + 1
-			}
-			sum += stats.DigammaInt(ktilde) + logN -
-				stats.DigammaInt(nx) - stats.DigammaInt(ny)
-		}
+		sum += stats.DigammaInt(ktilde) + logN -
+			stats.DigammaInt(nx) - stats.DigammaInt(ny)
 	}
 	return sum / float64(n)
 }
@@ -350,7 +314,7 @@ func (s *Scratch) dcKSG(cs []string, ys []float64, k int, order []int32) float64
 	if len(order) != n {
 		order = s.ascending(ys)
 	}
-	global, classSorted := sized(&s.sortedX, masked)[:0], sized(&s.classSorted, masked)
+	global, classSorted := sized(&s.global, masked)[:0], sized(&s.classSorted, masked)
 	globalRank, classRank := sized(&s.rankX, masked), sized(&s.rankY, masked)
 	for _, i := range order {
 		id := rowClass[i]

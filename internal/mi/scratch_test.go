@@ -8,8 +8,7 @@ import (
 )
 
 // diffSizes are the sample sizes the differential tests sweep: empty,
-// single row, exactly k, sketch scale (grid path), and beyond gridMaxN
-// (kd-tree path).
+// single row, exactly k, sketch scale, and full-join scale.
 var diffSizes = []int{0, 1, 3, 256, 4096}
 
 // diffSamples builds paired inputs for one size: continuous columns,
@@ -86,13 +85,18 @@ func TestScratchEstimatorsBitIdentical(t *testing.T) {
 
 // TestHintedEstimateBitIdentical verifies that supplying ordering hints
 // — the ranking hot path's no-sort fast lane — never changes a single
-// bit of the estimate.
+// bit of the estimate, also on a column holding ±Inf (a record stored
+// before ±Inf was refused may carry one).
 func TestHintedEstimateBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s Scratch
 	for _, n := range []int{4, 64, 256, 1024} {
 		contX, contY, tieX, tieY, _, _ := diffSamples(n, rng)
-		for _, pair := range [][2][]float64{{contX, contY}, {tieX, tieY}, {contX, tieY}} {
+		infX := append([]float64(nil), contX...)
+		for i := 1; i < n; i += 7 {
+			infX[i] = math.Inf(2*(i%2) - 1)
+		}
+		for _, pair := range [][2][]float64{{contX, contY}, {tieX, tieY}, {contX, tieY}, {infX, contY}, {tieY, infX}} {
 			xs, ys := pair[0], pair[1]
 			h := Hints{XOrder: ascOrder(xs), YOrder: ascOrder(ys)}
 			plain := s.Estimate(NumericColumn(xs), NumericColumn(ys), DefaultK)

@@ -131,9 +131,8 @@ func TestInfinitiesAreNull(t *testing.T) {
 // NaN (only ±Inf is refused), and its pair with a numeric train is
 // answered with the same bits by EstimateMI, EstimateMIScratch and
 // RankBatch (top 0 and 5), with no rank worker panicking — on a joined
-// sample past the estimators' grid/tree switch at 2 048 points, where
-// the kd-tree answers the k-NN pass, and on one of 256, where the grid
-// does.
+// sample of 3 000 points, full-join scale, and on one of 256, sketch
+// scale.
 func TestNaNValueRanksLikeEstimateMI(t *testing.T) {
 	for _, n := range []int{3000, 256} {
 		var b strings.Builder
@@ -175,6 +174,80 @@ func TestNaNValueRanksLikeEstimateMI(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := st.Put("c", cand); err != nil {
+			t.Fatal(err)
+		}
+		for _, top := range []int{0, 5} {
+			res, err := st.RankBatch(context.Background(), []*core.Sketch{train}, RankOptions{TopK: top, K: mi.DefaultK})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := res.Queries[0].Ranked; len(r) != 1 || math.Float64bits(r[0].MI) != math.Float64bits(want.MI) {
+				t.Errorf("n=%d top %d: RankBatch %+v (skipped %v), EstimateMI %v", n, top, r, res.Skipped, want.MI)
+			}
+		}
+		if p := st.Stats().RankPanics; p != 0 {
+			t.Errorf("n=%d: %d rank workers panicked", n, p)
+		}
+		st.Close()
+	}
+}
+
+// TestStoredInfValueRanks: a record stored before Put refused ±Inf may
+// still hold one, and loading does not refuse it. Such a candidate's
+// pair with a numeric train is answered with the same bits by
+// EstimateMI, EstimateMIScratch and RankBatch (top 0 and 5), with no
+// rank worker panicking — the joined values' orders carry ±Inf into the
+// neighbour grid's ordered reset — on a joined sample of 3 000 points
+// and on one of 256.
+func TestStoredInfValueRanks(t *testing.T) {
+	for _, n := range []int{3000, 256} {
+		var b strings.Builder
+		b.WriteString("key,y,x\n")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "k%d,%d,%d\n", i, i%17, (i*7)%23+i%17)
+		}
+		tb, err := table.ReadCSV(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := core.Options{Method: core.TUPSK, Size: n}
+		train, err := core.Build(tb, "key", "y", core.RoleTrain, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cand, err := core.Build(tb, "key", "x", core.RoleCandidate, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cand.Nums[cand.Len()/2] = math.Inf(1)
+		cand.Nums[cand.Len()/3] = math.Inf(-1)
+
+		want, err := core.EstimateMI(train, cand, mi.DefaultK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.N != n || math.IsNaN(want.MI) {
+			t.Fatalf("n=%d: sample size %d, MI %v", n, want.N, want.MI)
+		}
+		got, err := core.EstimateMIScratch(core.CompileTrainProbe(train), cand, mi.DefaultK, &core.Scratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.MI) != math.Float64bits(want.MI) {
+			t.Fatalf("n=%d: EstimateMIScratch %v, EstimateMI %v", n, got.MI, want.MI)
+		}
+		dir := t.TempDir()
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The backend writes the record as a build older than the check
+		// did; the reopen replays it into the catalog.
+		if _, _, _, err := st.backend.put("c", cand); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		if st, err = Open(dir); err != nil {
 			t.Fatal(err)
 		}
 		for _, top := range []int{0, 5} {
