@@ -24,7 +24,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -33,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"misketch/internal/hash"
+	"misketch/internal/knn"
 	"misketch/internal/mi"
 	"misketch/internal/sample"
 	"misketch/internal/table"
@@ -176,26 +176,13 @@ func (s *Sketch) NumValOrder() []int32 {
 	if p := s.valOrder.Load(); p != nil {
 		return *p
 	}
-	nums := s.Nums
-	order := make([]int32, len(nums))
-	for i := range order {
-		if math.IsNaN(nums[i]) {
-			return nil
-		}
-		order[i] = int32(i)
+	// The k-NN package's radix sort, as a Grid2D reset sorts an axis:
+	// compressed numeric records recompute this on every decode. It puts
+	// NaN first.
+	order := knn.Order(s.Nums)
+	if len(order) > 0 && math.IsNaN(s.Nums[order[0]]) {
+		return nil
 	}
-	// A typed sort, not sort.Slice: compressed numeric records recompute
-	// this on every decode, and the reflection swapper was most of it.
-	slices.SortFunc(order, func(a, b int32) int {
-		va, vb := nums[a], nums[b]
-		switch {
-		case va < vb:
-			return -1
-		case va > vb:
-			return 1
-		}
-		return cmp.Compare(a, b) // equal values, -0 and +0 included
-	})
 	// A racing computation stores an identical slice; either wins.
 	s.valOrder.Store(&order)
 	return order

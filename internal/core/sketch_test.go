@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -681,5 +682,58 @@ func TestNumValOrderMatchesReference(t *testing.T) {
 	}
 	if got := (&Sketch{Nums: []float64{1, 2}}).NumValOrder(); got != nil {
 		t.Fatalf("categorical sketch ordered as %v, want nil", got)
+	}
+}
+
+// numValOrderComparator is the typed comparator sort NumValOrder ran
+// before it shared the k-NN package's radix sort.
+func numValOrderComparator(nums []float64) []int32 {
+	order := make([]int32, len(nums))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		va, vb := nums[a], nums[b]
+		switch {
+		case va < vb:
+			return -1
+		case va > vb:
+			return 1
+		}
+		return cmp.Compare(a, b) // equal values, -0 and +0 included
+	})
+	return order
+}
+
+// TestNumValOrderMatchesComparator holds the radix order to the
+// comparator it replaced, index for index — raw records persist it — on
+// random bit patterns, duplicate-heavy values, signed zeros, ±Inf and
+// subnormals, at lengths that take one radix pass and several.
+func TestNumValOrderMatchesComparator(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), tiny, -tiny, 3 * tiny, -2 * tiny, 0x1p-1022, 1}
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 200; trial++ {
+		nums := make([]float64, []int{1, 2, 17, 256, 300, 4096}[trial%6])
+		for i := range nums {
+			switch trial / 6 % 5 {
+			case 0: // random bit patterns, NaN redrawn
+				for nums[i] = math.NaN(); math.IsNaN(nums[i]); {
+					nums[i] = math.Float64frombits(rng.Uint64())
+				}
+			case 1: // duplicate-heavy
+				nums[i] = float64(rng.Intn(3))
+			case 2: // signed zeros only
+				nums[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+			case 3: // the special values, ±Inf and subnormals among them
+				nums[i] = specials[rng.Intn(len(specials))]
+			default: // subnormals only
+				nums[i] = float64(rng.Intn(9)-4) * tiny
+			}
+		}
+		got := (&Sketch{Numeric: true, Nums: nums}).NumValOrder()
+		if want := numValOrderComparator(nums); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d): NumValOrder diverges from the comparator:\n got %v\nwant %v", trial, len(nums), got, want)
+		}
 	}
 }

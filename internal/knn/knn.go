@@ -19,7 +19,11 @@
 // reallocating them per estimate.
 package knn
 
-import "math"
+import (
+	"math"
+	"slices"
+	"sync"
+)
 
 // Point is a point in the joint (x, y) space.
 type Point struct {
@@ -74,9 +78,13 @@ const signBit = 1 << 63
 
 // floatKey maps a non-NaN float64 to a uint64 whose unsigned order
 // matches the float order (negatives have their bits flipped, positives
-// their sign set), so float sorting reduces to integer sorting. No
-// non-NaN value maps to 0.
+// their sign set), so float sorting reduces to integer sorting. −0 maps
+// as +0, so the two are equal values, as they compare. No non-NaN value
+// maps to 0.
 func floatKey(v float64) uint64 {
+	if v == 0 {
+		return signBit
+	}
 	b := math.Float64bits(v)
 	if b&signBit != 0 {
 		return ^b
@@ -91,9 +99,10 @@ type radixOrder struct {
 }
 
 // sort returns the indices of vals by ascending value, NaN first and
-// equal values by index: a least-significant-digit radix sort of the
-// values' floatKeys (NaN's is 0), one byte a pass, skipping each byte
-// that every key has alike. It is valid until the next sort.
+// equal values (−0 and +0 among them) by index: a least-significant-digit
+// radix sort of the values' floatKeys (NaN's is 0), one byte a pass,
+// skipping each byte that every key has alike. It is valid until the
+// next sort.
 func (r *radixOrder) sort(vals []float64) []int32 {
 	n := len(vals)
 	keys, order, tmp := sized(&r.keys, n), sized(&r.order, n), sized(&r.tmp, n)
@@ -127,6 +136,19 @@ func (r *radixOrder) sort(vals []float64) []int32 {
 	}
 	r.order, r.tmp = order, tmp
 	return order
+}
+
+// orders recycles Order's sort state.
+var orders = sync.Pool{New: func() any { return new(radixOrder) }}
+
+// Order returns, in a new slice, the indices of vals by ascending value,
+// NaN first and equal values (−0 and +0 among them) by index: the order
+// a Grid2D reset sorts each axis into.
+func Order(vals []float64) []int32 {
+	r := orders.Get().(*radixOrder)
+	out := slices.Clone(r.sort(vals))
+	orders.Put(r)
+	return out
 }
 
 // searchGE returns the smallest index i with vals[i] >= x (len(vals) if

@@ -1,7 +1,7 @@
 package store
 
 // The storage backend abstraction. The Store keeps the catalog index
-// (manifest map), the decoded-sketch cache, and the ranking machinery;
+// (the catalog table, manifest.go), the decoded-sketch cache, and the ranking machinery;
 // a backend owns the bytes. Two implementations exist:
 //
 //   - fs (fsbackend.go): segment-packed, mmap-backed durable storage —
@@ -50,13 +50,14 @@ type backend interface {
 	// releases them. Both are cheap; rank queries pin once per query.
 	pin(segs map[uint64]struct{}) func()
 	// persist writes the durable catalog index (the fs manifest); the
-	// caller (Store) serializes calls and passes a consistent snapshot.
+	// caller (Store) serializes calls and passes a consistent snapshot,
+	// the catalog table in name order.
 	// covered caps, per segment, the byte offset the snapshot accounts
 	// for: a Put or Delete whose record is durable but whose index entry
 	// is not yet in metas must not be covered, or a crash after this
 	// persist would skip it on replay and lose an acked mutation. A nil
 	// map means the snapshot is complete (single-threaded open paths).
-	persist(metas map[string]Meta, covered map[uint64]int64) error
+	persist(metas []Meta, covered map[uint64]int64) error
 	// close releases backend resources. The backend must not be used
 	// afterwards.
 	close() error
@@ -109,6 +110,6 @@ func (b *memBackend) loadView(m Meta) (*core.Sketch, uint64, error) {
 
 func (b *memBackend) pin(map[uint64]struct{}) func() { return func() {} }
 
-func (b *memBackend) persist(map[string]Meta, map[uint64]int64) error { return nil }
+func (b *memBackend) persist([]Meta, map[uint64]int64) error { return nil }
 
 func (b *memBackend) close() error { return nil }

@@ -1,14 +1,21 @@
 package store
 
 // The catalog view: everything a rank needs from the manifest, derived
-// once per catalog state instead of once per query. Index selection
-// intersects each train's distinct key hashes with the per-segment key
-// indexes (keyindex.go) and maps every record whose exact overlap passes
-// MinJoinSize to its manifest entry, so a visit list costs the postings
-// touched plus the matches, not a walk of the catalog. Candidates no index
-// vouches for (active or frozen segments, corrupt index sections or
-// posting lists, duplicated key hashes) are always visited and left to the
-// probe prefilter, so indexed, fallback and mem-backend ranks answer alike.
+// once per catalog state instead of once per query. Its entries are the
+// catalog table itself (manifest.go), shared and never written: the
+// first view after an open takes the MANIFEST's name order as loaded and
+// sorts, copies and hashes nothing, and a later one costs the merge of
+// the p Puts and Deletes since the last into the n entries, O(n + p log p).
+// Per entry, a view then adds its segment pin and, for a candidate in an
+// indexed segment, the lookup of its record's ordinal in that segment's
+// key index. Index selection intersects each train's distinct key hashes
+// with the per-segment key indexes (keyindex.go) and maps every record
+// whose exact overlap passes MinJoinSize to its manifest entry, so a
+// visit list costs the postings touched plus the matches, not a walk of
+// the catalog. Candidates no index vouches for (active or frozen
+// segments, corrupt index sections or posting lists, duplicated key
+// hashes) are always visited and left to the probe prefilter, so indexed,
+// fallback and mem-backend ranks answer alike.
 //
 // Consistency: a view describes one (manifest, segment table) state.
 // viewLocked builds it under s.mu when a rank, List or Metas finds none;
@@ -21,7 +28,6 @@ package store
 // that returned before the rank started.
 
 import (
-	"maps"
 	"math/bits"
 	"slices"
 	"sort"
@@ -32,7 +38,7 @@ import (
 )
 
 type catalogView struct {
-	entries []Meta              // every manifest record, sorted by name
+	entries []Meta              // the catalog table: every live record, sorted by name
 	pins    map[uint64]struct{} // every segment an entry lives in
 	segs    []viewSegment       // the segments with a usable key index
 	// always lists, ascending, the non-empty candidates index selection
@@ -64,19 +70,13 @@ func (s *Store) viewLocked() *catalogView {
 	if s.view != nil {
 		return s.view
 	}
-	// Sort the names and gather the entries after: a sort moves strings,
-	// not whole Metas.
-	names := slices.Sorted(maps.Keys(s.manifest))
 	v := &catalogView{
-		entries: make([]Meta, len(names)),
+		entries: s.cat.merged(),
 		pins:    make(map[uint64]struct{}),
 		seeds:   make(map[uint32]*seedView),
 	}
 	if testHookNoMemo == nil || !testHookNoMemo(s) {
 		v.plans = cache.NewLRU[planKey, *rankPlan](planCacheBytes)
-	}
-	for i, name := range names {
-		v.entries[i] = s.manifest[name]
 	}
 	fb, _ := s.backend.(*fsBackend)
 	bySeg := make(map[uint64]*viewSegment) // nil: no usable index

@@ -670,11 +670,12 @@ func TestStatsDoesNoPerEntryWork(t *testing.T) {
 		t.Fatal("Stats built the catalog view")
 	}
 	var sum int64
-	for _, m := range st.manifest {
+	all := st.cat.merged()
+	for _, m := range all {
 		sum += m.Bytes
 	}
-	if st.liveBytes != sum || len(st.manifest) != 19999 {
-		t.Fatalf("running liveBytes %d, manifest sums to %d over %d entries", st.liveBytes, sum, len(st.manifest))
+	if st.cat.bytes != sum || st.cat.live != len(all) || len(all) != 19999 {
+		t.Fatalf("running bytes %d over %d entries, manifest sums to %d over %d", st.cat.bytes, st.cat.live, sum, len(all))
 	}
 }
 

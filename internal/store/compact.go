@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sort"
 
 	"misketch/internal/core"
 )
@@ -78,8 +77,8 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 	// Pin the sources for the copy phase; retirement is pin-aware, so the
 	// pins also cover any in-flight queries.
 	sources, srcBytes, release := fb.pinSealed()
-	live := make([]Meta, 0, len(s.manifest))
-	for _, m := range s.manifest {
+	live := make([]Meta, 0, s.cat.live) // in name order, as the table is
+	for _, m := range s.cat.merged() {
 		if _, ok := sources[m.Segment]; ok {
 			live = append(live, m)
 		}
@@ -113,7 +112,6 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 	// Copy phase, outside the store lock: raw record bytes move from the
 	// source mappings into the new segment, in name order (locality for
 	// prefix scans). No fsync per record — one seal at the end.
-	sort.Slice(live, func(i, j int) bool { return live[i].Name < live[j].Name })
 	newLocs, newSeg, err := fb.writeCompacted(ctx, newSeq, live)
 	release()
 	if err != nil {
@@ -127,17 +125,7 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 	// persist the manifest, then retire the sources.
 	s.mu.Lock()
 	fb.install(newSeg)
-	for name, loc := range newLocs {
-		m, ok := s.manifest[name]
-		if !ok {
-			continue // deleted during the pass; the racing writer wins
-		}
-		if _, src := sources[m.Segment]; !src {
-			continue // overwritten during the pass
-		}
-		m.Segment, m.Offset, m.Bytes = loc.seg, loc.off, loc.length
-		s.setMetaLocked(name, m, true)
-	}
+	s.cat.move(live, newLocs, sources)
 	// The swap bumps no generation (the contents did not change), which
 	// is why the view cannot be keyed on Gen: the records moved, and the
 	// sources retire below, so no view of them may outlive this section.
@@ -239,12 +227,12 @@ func (b *fsBackend) allocSeq() uint64 {
 // that are themselves compressed (sources from a previously compressed
 // store), which are decoded through their segment's dictionaries and
 // rewritten raw, since their encodings are meaningless outside them.
-func (b *fsBackend) writeCompacted(ctx context.Context, seq uint64, live []Meta) (map[string]recLoc, *segment, error) {
+func (b *fsBackend) writeCompacted(ctx context.Context, seq uint64, live []Meta) ([]recLoc, *segment, error) {
 	w, err := createSegment(b.dir, seq, segKindCompacted)
 	if err != nil {
 		return nil, nil, err
 	}
-	abort := func(err error) (map[string]recLoc, *segment, error) {
+	abort := func(err error) ([]recLoc, *segment, error) {
 		w.seg.f.Close()
 		os.Remove(w.seg.path)
 		return nil, nil, err
@@ -256,7 +244,7 @@ func (b *fsBackend) writeCompacted(ctx context.Context, seq uint64, live []Meta)
 		}
 		w.comp = comp
 	}
-	locs := make(map[string]recLoc, len(live))
+	locs := make([]recLoc, 0, len(live)) // parallel to live
 	for _, m := range live {
 		if err := ctx.Err(); err != nil {
 			return abort(err)
@@ -287,14 +275,14 @@ func (b *fsBackend) writeCompacted(ctx context.Context, seq uint64, live []Meta)
 			if err != nil {
 				return abort(err)
 			}
-			locs[m.Name] = recLoc{seg: seq, off: off, length: length}
+			locs = append(locs, recLoc{seg: seq, off: off, length: length})
 			continue
 		}
 		off, err := w.appendRecord(raw, info, false)
 		if err != nil {
 			return abort(err)
 		}
-		locs[m.Name] = recLoc{seg: seq, off: off, length: m.Bytes}
+		locs = append(locs, recLoc{seg: seq, off: off, length: m.Bytes})
 	}
 	seg, err := w.seal()
 	if err != nil {

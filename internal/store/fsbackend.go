@@ -59,10 +59,12 @@ func (b *fsBackend) name() string { return BackendFS }
 
 // openFSBackend opens (creating or recovering as needed) the
 // segment store rooted at dir and returns the backend together with the
-// recovered catalog index.
-func openFSBackend(dir string, rollBytes int64, compress bool) (*fsBackend, map[string]Meta, error) {
+// recovered catalog: the MANIFEST's table, with any replayed records
+// merged in.
+func openFSBackend(dir string, rollBytes int64, compress bool) (*fsBackend, catalog, error) {
+	var cat catalog
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("store: creating %s: %w", dir, err)
+		return nil, cat, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
 	if rollBytes <= 0 {
 		rollBytes = DefaultSegmentBytes
@@ -71,42 +73,42 @@ func openFSBackend(dir string, rollBytes int64, compress bool) (*fsBackend, map[
 	removeTempOrphans(dir)
 
 	man, manErr := loadManifestV2(filepath.Join(dir, ManifestFile))
-	metas := make(map[string]Meta)
 	if manErr == nil {
-		metas = man.metas
+		cat = catalog{table: man.metas, live: len(man.metas), bytes: man.bytes}
 		b.nextSeq = man.nextSeq
 	}
 
 	// Inventory the segment files on disk.
 	segFiles, err := scanSegmentFiles(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, cat, err
 	}
 
 	dirty := false
 	if manErr == nil {
-		changed, err := b.recoverWithManifest(man, segFiles, metas)
+		changed, err := b.recoverWithManifest(man, segFiles, &cat)
 		if err != nil {
 			// A manifest inconsistent with the files on disk (a segment
 			// deleted out of band) is not fatal: the records are the
 			// truth. Fall back to a full replay of what exists.
 			b.resetSegments()
-			clear(metas)
+			cat = catalog{}
 			segFiles, err = scanSegmentFiles(dir)
 			if err != nil {
-				return nil, nil, err
+				return nil, cat, err
 			}
-			if err := b.recoverFromSegments(segFiles, metas); err != nil {
-				return nil, nil, err
+			if err := b.recoverFromSegments(segFiles, &cat); err != nil {
+				return nil, cat, err
 			}
 			changed = true
 		}
 		dirty = changed
 	} else if len(segFiles) > 0 {
-		// Segments without a loadable manifest (missing, corrupt, or
-		// pre-checksum): the records are the truth — full replay.
-		if err := b.recoverFromSegments(segFiles, metas); err != nil {
-			return nil, nil, err
+		// Segments without a loadable manifest (missing, corrupt,
+		// pre-checksum, or out of name order): the records are the
+		// truth — full replay.
+		if err := b.recoverFromSegments(segFiles, &cat); err != nil {
+			return nil, cat, err
 		}
 		dirty = true
 	}
@@ -117,21 +119,22 @@ func openFSBackend(dir string, rollBytes int64, compress bool) (*fsBackend, map[
 	}
 
 	if dirty {
-		// The open path is single-threaded: the metas snapshot is
-		// complete, so every current byte is covered.
-		if err := b.persist(metas, nil); err != nil {
-			return nil, nil, err
+		// The open path is single-threaded: the catalog is complete, so
+		// every current byte is covered.
+		if err := b.persist(cat.merged(), nil); err != nil {
+			return nil, cat, err
 		}
 	}
-	return b, metas, nil
+	return b, cat, nil
 }
 
 // recoverWithManifest opens the manifest's segments, replays any records
 // past each covered offset, and disposes of orphan files per the rules
 // in the package comment. Replay application order is append order: the
 // manifest's list order (compacted output before the appends that
-// outlived it, then by seq), then orphan append segments by seq.
-func (b *fsBackend) recoverWithManifest(man *manifestV2, segFiles map[uint64]string, metas map[string]Meta) (changed bool, err error) {
+// outlived it, then by seq), then orphan append segments by seq. The
+// replayed records go into the catalog's pending set.
+func (b *fsBackend) recoverWithManifest(man *manifestV2, segFiles map[uint64]string, cat *catalog) (changed bool, err error) {
 	var horizon uint64
 	for _, ms := range man.segs {
 		if ms.seq > horizon {
@@ -150,7 +153,7 @@ func (b *fsBackend) recoverWithManifest(man *manifestV2, segFiles map[uint64]str
 		}
 		apply := func(info core.RecordInfo, off int64) {
 			changed = true
-			applyRecord(metas, seg.seq)(info, off)
+			applyRecord(cat, seg.seq)(info, off)
 		}
 		if seg.sealed {
 			from := ms.covered
@@ -187,7 +190,7 @@ func (b *fsBackend) recoverWithManifest(man *manifestV2, segFiles map[uint64]str
 		}
 		apply := func(info core.RecordInfo, off int64) {
 			changed = true
-			applyRecord(metas, seg.seq)(info, off)
+			applyRecord(cat, seg.seq)(info, off)
 		}
 		if seg.sealed {
 			replayRecords(seg.data, segHeaderBytes, seg.recEnd, apply)
@@ -203,7 +206,7 @@ func (b *fsBackend) recoverWithManifest(man *manifestV2, segFiles map[uint64]str
 // recoverFromSegments rebuilds the whole catalog index by replaying
 // every segment: compacted segments first (they hold the oldest live
 // records), then append segments, both in seq order.
-func (b *fsBackend) recoverFromSegments(segFiles map[uint64]string, metas map[string]Meta) error {
+func (b *fsBackend) recoverFromSegments(segFiles map[uint64]string, cat *catalog) error {
 	var segs []*segment
 	for _, path := range segFiles {
 		seg, err := openSegment(path)
@@ -220,8 +223,8 @@ func (b *fsBackend) recoverFromSegments(segFiles map[uint64]string, metas map[st
 	})
 	for _, seg := range segs {
 		if seg.sealed {
-			replayRecords(seg.data, segHeaderBytes, seg.recEnd, applyRecord(metas, seg.seq))
-		} else if err := freezeSegment(seg, 0, applyRecord(metas, seg.seq)); err != nil {
+			replayRecords(seg.data, segHeaderBytes, seg.recEnd, applyRecord(cat, seg.seq))
+		} else if err := freezeSegment(seg, 0, applyRecord(cat, seg.seq)); err != nil {
 			return err
 		}
 		b.segs[seg.seq] = seg
@@ -229,14 +232,14 @@ func (b *fsBackend) recoverFromSegments(segFiles map[uint64]string, metas map[st
 	return nil
 }
 
-// applyRecord folds one replayed record into the catalog index.
-func applyRecord(metas map[string]Meta, seq uint64) func(info core.RecordInfo, off int64) {
+// applyRecord folds one replayed record into the catalog.
+func applyRecord(cat *catalog, seq uint64) func(info core.RecordInfo, off int64) {
 	return func(info core.RecordInfo, off int64) {
 		if info.Kind == core.RecordTombstone {
-			delete(metas, info.Name)
+			cat.set(info.Name, Meta{})
 			return
 		}
-		metas[info.Name] = Meta{
+		cat.set(info.Name, Meta{
 			Name:       info.Name,
 			Method:     info.Method,
 			Role:       info.Role,
@@ -248,7 +251,7 @@ func applyRecord(metas map[string]Meta, seq uint64) func(info core.RecordInfo, o
 			Bytes:      int64(info.Len),
 			Segment:    seq,
 			Offset:     off,
-		}
+		})
 	}
 }
 
@@ -423,7 +426,7 @@ func (b *fsBackend) pin(segs map[uint64]struct{}) func() {
 // each segment's covered offset at what the metas snapshot actually
 // indexes — a record durable beyond that cap (a Put or Delete mid-ack)
 // stays uncovered and is replayed on the next open instead of lost.
-func (b *fsBackend) persist(metas map[string]Meta, covered map[uint64]int64) error {
+func (b *fsBackend) persist(metas []Meta, covered map[uint64]int64) error {
 	capAt := func(seq uint64, end int64) int64 {
 		if covered == nil {
 			return end

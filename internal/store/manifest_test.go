@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"misketch/internal/binio"
@@ -15,21 +16,21 @@ import (
 )
 
 func TestManifestV2RoundTrip(t *testing.T) {
-	metas := map[string]Meta{
-		"tables/a.csv#x@k": {
-			Name: "tables/a.csv#x@k", Method: core.TUPSK, Role: core.RoleCandidate,
-			Seed: 42, Size: 1024, Numeric: true, SourceRows: 123456, Entries: 1024,
-			Bytes: 13000, Segment: 3, Offset: 16,
-		},
-		"b#y": {
+	metas := []Meta{
+		{
 			Name: "b#y", Method: core.LV2SK, Role: core.RoleTrain,
 			Seed: 7, Size: 256, Numeric: false, SourceRows: 99, Entries: 80,
 			Bytes: 900, Segment: 3, Offset: 13016,
 		},
-		"empty": {
+		{
 			Name: "empty", Method: core.CSK, Role: core.RoleCandidate,
 			Seed: 1, Size: 64, Numeric: true, SourceRows: 0, Entries: 0,
 			Bytes: 48, Segment: 5, Offset: 16,
+		},
+		{
+			Name: "tables/a.csv#x@k", Method: core.TUPSK, Role: core.RoleCandidate,
+			Seed: 42, Size: 1024, Numeric: true, SourceRows: 123456, Entries: 1024,
+			Bytes: 13000, Segment: 3, Offset: 16,
 		},
 	}
 	segs := []manifestSeg{
@@ -53,6 +54,9 @@ func TestManifestV2RoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(man.metas, metas) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", man.metas, metas)
 	}
+	if man.bytes != 900+48+13000 {
+		t.Errorf("bytes = %d, want the entries' sum %d", man.bytes, 900+48+13000)
+	}
 }
 
 // TestManifestV2IgnoresIndexedBit: bit 7 of a segment's kind byte, which
@@ -61,7 +65,7 @@ func TestManifestV2RoundTrip(t *testing.T) {
 func TestManifestV2IgnoresIndexedBit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), ManifestFile)
 	segs := []manifestSeg{{seq: 3, kind: segKindCompacted, covered: 96}}
-	metas := map[string]Meta{"a": {Name: "a", Method: core.TUPSK, Entries: 4, Bytes: 80, Segment: 3, Offset: 16}}
+	metas := []Meta{{Name: "a", Method: core.TUPSK, Entries: 4, Bytes: 80, Segment: 3, Offset: 16}}
 	if err := writeManifestV2(path, 6, segs, metas); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,7 @@ func TestLoadManifestV2RejectsCorruptInput(t *testing.T) {
 
 	// A valid manifest with any byte flipped must fail the checksum.
 	path := filepath.Join(dir, ManifestFile)
-	metas := map[string]Meta{"a": {Name: "a", Method: core.TUPSK, Entries: 4, Bytes: 80, Segment: 1, Offset: 16}}
+	metas := []Meta{{Name: "a", Method: core.TUPSK, Entries: 4, Bytes: 80, Segment: 1, Offset: 16}}
 	if err := writeManifestV2(path, 2, []manifestSeg{{seq: 1, covered: 96}}, metas); err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +148,66 @@ func TestLoadManifestV2RejectsCorruptInput(t *testing.T) {
 	}
 }
 
+// misordered returns metas with entries i and i+1 swapped, and with entry
+// i+1 renamed to entry i's name: the two ways a table can fail its order.
+func misordered(metas []Meta, i int) (swapped, repeated []Meta) {
+	swapped, repeated = slices.Clone(metas), slices.Clone(metas)
+	swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
+	repeated[i+1].Name = repeated[i].Name
+	return swapped, repeated
+}
+
+// TestManifestOrderCheck: a MANIFEST whose names are not strictly
+// ascending — two swapped, or one repeated, its CRC intact — is refused
+// like a corrupt one, and the open heals by replay, rewriting the
+// MANIFEST byte for byte as the clean store had it.
+func TestManifestOrderCheck(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 12; c++ {
+		if err := st.Put(fmt.Sprintf("c%02d", c), windowSketch(t, core.RoleCandidate, 0, c, 20+c, int64(c))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ManifestFile)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := loadManifestV2(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped, repeated := misordered(man.metas, 5)
+	for label, metas := range map[string][]Meta{"swapped": swapped, "repeated": repeated} {
+		if err := writeManifestV2(path, man.nextSeq, man.segs, metas); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadManifestV2(path); err == nil {
+			t.Fatalf("%s: a MANIFEST out of name order loaded", label)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if names, _ := st.List(); len(names) != 12 {
+			t.Fatalf("%s: healed List = %v", label, names)
+		}
+		if healed, err := os.ReadFile(path); err != nil || !bytes.Equal(healed, clean) {
+			t.Fatalf("%s: the healed MANIFEST differs from the clean store's (%v)", label, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // FuzzLoadManifest feeds loadManifestV2 — the shared in-place reader's
 // second outside input, read from disk — arbitrary bytes, both as they
 // come and with their trailing CRC recomputed so mutations reach the
@@ -152,9 +216,9 @@ func TestLoadManifestV2RejectsCorruptInput(t *testing.T) {
 func FuzzLoadManifest(f *testing.F) {
 	dir := f.TempDir()
 	path := filepath.Join(dir, ManifestFile)
-	metas := map[string]Meta{
-		"a.csv#x@k": {Name: "a.csv#x@k", Method: core.TUPSK, Role: core.RoleCandidate, Seed: 42, Size: 1024, Numeric: true, SourceRows: 1234, Entries: 1024, Bytes: 13000, Segment: 3, Offset: 16},
-		"b#y":       {Name: "b#y", Method: core.CSK, Role: core.RoleTrain, Seed: 7, Size: 64, SourceRows: 99, Entries: 80, Bytes: 900, Segment: 4, Offset: 13016},
+	metas := []Meta{
+		{Name: "a.csv#x@k", Method: core.TUPSK, Role: core.RoleCandidate, Seed: 42, Size: 1024, Numeric: true, SourceRows: 1234, Entries: 1024, Bytes: 13000, Segment: 3, Offset: 16},
+		{Name: "b#y", Method: core.CSK, Role: core.RoleTrain, Seed: 7, Size: 64, SourceRows: 99, Entries: 80, Bytes: 900, Segment: 4, Offset: 13016},
 	}
 	if err := writeManifestV2(path, 5, []manifestSeg{{seq: 3, kind: segKindCompacted, covered: 13016}, {seq: 4, covered: 900}}, metas); err != nil {
 		f.Fatal(err)
@@ -167,6 +231,18 @@ func FuzzLoadManifest(f *testing.F) {
 		f.Add(valid[:cut])
 	}
 	f.Add(valid)
+	// Out of name order, CRC intact: refused.
+	swapped, repeated := misordered(metas, 0)
+	for _, bad := range [][]Meta{swapped, repeated} {
+		if err := writeManifestV2(path, 5, []manifestSeg{{seq: 3, kind: segKindCompacted, covered: 13016}, {seq: 4, covered: 900}}, bad); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

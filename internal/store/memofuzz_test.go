@@ -10,6 +10,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -32,25 +34,29 @@ func memoTrains(t testing.TB) []*core.Sketch {
 }
 
 // FuzzRankMemos plays the script its input spells — Puts, overwrites,
-// Deletes and Compacts of candidates under two prefixes, and batches of
-// the memoTrains under every option phase 1 or phase 2 reads, with and
-// without shared probes — against a store and its memo-off twin, and holds
-// every answer's rankings, Pruned, Skipped and SeedBound bit-identical. Its
-// seed corpus is in testdata/fuzz/FuzzRankMemos.
+// Deletes and Compacts of candidates under two prefixes, Flushes,
+// reopens, and batches of the memoTrains under every option phase 1 or
+// phase 2 reads, with and without shared probes — against a store and
+// its memo-off twin, and holds every answer's rankings, Pruned, Skipped
+// and SeedBound bit-identical. A reopen opens the store from its MANIFEST
+// (replaying, when the handle was abandoned unflushed, the tail past it)
+// and the twin from its segments alone, and holds List and Metas equal.
+// Its seed corpus is in testdata/fuzz/FuzzRankMemos.
 func FuzzRankMemos(f *testing.F) {
 	trains := memoTrains(f)
 	probes := compileAll(trains)
 	f.Fuzz(func(t *testing.T, script []byte) {
-		open := func() *Store {
+		dir, refDir := t.TempDir(), t.TempDir()
+		open := func(dir string) *Store {
 			// Small segments, so Puts seal (and index) some.
-			st, err := OpenWithOptions(t.TempDir(), OpenOptions{SegmentBytes: 8 << 10})
+			st, err := OpenWithOptions(dir, OpenOptions{SegmentBytes: 8 << 10})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { st.Close() })
 			return st
 		}
-		st, ref := open(), open()
+		st, ref := open(dir), open(refDir)
+		t.Cleanup(func() { st.Close(); ref.Close() })
 		testHookNoMemo = func(s *Store) bool { return s == ref }
 		defer func() { testHookNoMemo = nil }()
 		next := func() int {
@@ -72,7 +78,7 @@ func FuzzRankMemos(f *testing.F) {
 		batch, bp := trains[1:2], probes[1:2]
 		opt := RankOptions{MinJoinSize: 8, K: 3, TopK: 3, Workers: 1}
 		for step := 0; step < 48 && len(script) > 0; step++ {
-			switch op := next() % 10; {
+			switch op := next() % 11; {
 			case op < 3: // a Put, new or over an earlier name
 				n, kind, lo := next(), next(), next()
 				name := fmt.Sprintf("%c/c%d", "ab"[n%2], n/2%8)
@@ -103,6 +109,30 @@ func FuzzRankMemos(f *testing.F) {
 				}
 			case op == 4:
 				both("compact", func(s *Store) error { _, err := s.Compact(ctx); return err })
+			case op == 10:
+				// A Flush; or both handles close, or both are abandoned
+				// unflushed and unsealed, as a crash leaves them, and reopen:
+				// st from its MANIFEST, replaying any tail past it into the
+				// pending set, and ref from its segments alone.
+				mode := next() % 3
+				if mode == 0 {
+					both("flush", func(s *Store) error { return s.Flush() })
+					break
+				}
+				if mode == 1 {
+					both("close", func(s *Store) error { return s.Close() })
+				}
+				if err := os.Remove(filepath.Join(refDir, ManifestFile)); err != nil && !os.IsNotExist(err) {
+					t.Fatal(err)
+				}
+				st, ref = open(dir), open(refDir)
+				names, _ := st.List()
+				if refNames, _ := ref.List(); !slices.Equal(names, refNames) {
+					t.Fatalf("step %d: reopened List %v, replayed %v", step, names, refNames)
+				}
+				if got, want := st.Metas(), ref.Metas(); !slices.Equal(got, want) {
+					t.Fatalf("step %d: reopened Metas\n%+v\nreplayed\n%+v", step, got, want)
+				}
 			default:
 				// One change to the standing query, then rank it: most ranks
 				// repeat a key sample, as a sweep's or a coordinator's do.

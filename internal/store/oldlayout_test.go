@@ -208,16 +208,16 @@ func TestSealCutsOnlyTheRecordIndex(t *testing.T) {
 // catalog at the value older builds wrote, so a MANIFEST stays
 // readable across versions in both directions.
 func TestManifestBytesPinned(t *testing.T) {
-	metas := make(map[string]Meta)
+	var metas []Meta // in name order
 	methods := []core.Method{core.TUPSK, core.LV2SK, core.PRISK, core.INDSK, core.CSK}
 	for i := 0; i < 40; i++ {
 		name := fmt.Sprintf("t%02d.csv#col%d@key", i, i%3)
-		metas[name] = Meta{
+		metas = append(metas, Meta{
 			Name: name, Method: methods[i%len(methods)], Role: core.Role(i % 2),
 			Seed: uint32(i * 2654435761), Size: 128 << (i % 4), Numeric: i%3 != 0,
 			SourceRows: 1000 + 37*i, Entries: 100 + i, Bytes: int64(900 + 13*i),
 			Segment: uint64(1 + i/16), Offset: int64(16 + 1024*(i%16)),
-		}
+		})
 	}
 	segs := []manifestSeg{{seq: 1, kind: segKindCompacted, covered: 16400}, {seq: 2, covered: 9000}, {seq: 3, covered: 300}}
 	path := filepath.Join(t.TempDir(), ManifestFile)

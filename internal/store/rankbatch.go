@@ -247,7 +247,7 @@ func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}, gen uint64) (*cor
 		// segment is outside our pin set, so a borrowed view could be
 		// retired again mid-query; a clone cannot).
 		s.mu.Lock()
-		cur, ok := s.manifest[m.Name]
+		cur, ok := s.cat.get(m.Name)
 		s.mu.Unlock()
 		if !ok {
 			break // genuinely deleted meanwhile; triage skips it
@@ -262,7 +262,7 @@ func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}, gen uint64) (*cor
 	s.mu.Lock()
 	// Cache the decode only if the sketch was not overwritten or deleted
 	// meanwhile: a stale view must not shadow the mutation's result.
-	if cur, ok := s.manifest[m.Name]; ok && cur == m {
+	if cur, ok := s.cat.get(m.Name); ok && cur == m {
 		s.cacheLocked(m.Name, sk, tag, gen)
 	}
 	s.mu.Unlock()

@@ -50,17 +50,16 @@ type Store struct {
 	dir     string
 	backend backend
 
-	mu       sync.Mutex
-	manifest map[string]Meta
-	// view is what rank, List and Metas read in manifest's place
+	mu sync.Mutex
+	// cat is the catalog: every live record, by name (manifest.go).
+	cat catalog
+	// view is what rank, List and Metas read in cat's place
 	// (catalogview.go); nil from any mutation until one of them runs.
-	view *catalogView
-	// liveBytes is the sum of manifest[*].Bytes, kept by setMetaLocked.
-	liveBytes int64
-	cache     *sketchCache // nil when caching is disabled
-	dirty     bool         // manifest has unpersisted mutations
+	view  *catalogView
+	cache *sketchCache // nil when caching is disabled
+	dirty bool         // manifest has unpersisted mutations
 	// covered tracks, per segment, the end offset of the last record
-	// whose index entry this manifest map reflects. A Flush snapshots it
+	// whose index entry the catalog reflects. A Flush snapshots it
 	// together with the manifest, so a mutation that is durable in its
 	// segment but not yet indexed (mid-Put, mid-Delete) stays below the
 	// persisted covered horizon and is replayed — not lost — if the
@@ -176,10 +175,14 @@ func Open(dir string) (*Store, error) {
 }
 
 // OpenWithOptions opens (creating if necessary) a sketch store rooted at
-// dir. A checksummed manifest that loads cleanly is trusted as-is, so
-// opening an indexed store costs one file read plus one mmap per
-// segment, regardless of catalog size; acked mutations from after the
-// last manifest write are recovered by replaying the segment tails. When
+// dir. A checksummed manifest that loads cleanly is trusted as-is and
+// becomes the catalog as parsed: opening an indexed store costs one file
+// read, one string copy of it and one mmap per segment, plus a parse of
+// each entry's fields and an order check of its name — per-entry work,
+// but no hashing, sorting or allocation per entry. Acked mutations from
+// after the last manifest write are recovered by replaying the segment
+// tails into the catalog's pending set, merged once before the healed
+// manifest is written. When
 // the manifest is missing, corrupt or inconsistent with the segment files
 // the store heals itself from the segment records alone and persists the
 // result. This is the store's one repair path: a handle keeps the backend,
@@ -196,20 +199,17 @@ func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 	}
 	switch opt.Backend {
 	case "", BackendFS:
-		fb, metas, err := openFSBackend(dir, opt.SegmentBytes, opt.Compression)
+		fb, cat, err := openFSBackend(dir, opt.SegmentBytes, opt.Compression)
 		if err != nil {
 			return nil, err
 		}
 		s.backend = fb
-		s.manifest, s.covered = metas, fb.coveredSnapshot()
+		s.cat, s.covered = cat, fb.coveredSnapshot()
 	case BackendMem:
 		s.backend = newMemBackend()
-		s.manifest, s.covered = make(map[string]Meta), make(map[uint64]int64)
+		s.covered = make(map[uint64]int64)
 	default:
 		return nil, fmt.Errorf("store: unknown backend %q", opt.Backend)
-	}
-	for _, m := range s.manifest {
-		s.liveBytes += m.Bytes
 	}
 	if opt.CompactEvery > 0 {
 		minGarbage := opt.CompactMinGarbage
@@ -239,24 +239,18 @@ func (s *Store) flushLocked() error {
 	if !s.dirty {
 		return nil
 	}
-	if err := s.backend.persist(s.manifest, s.covered); err != nil {
+	if err := s.backend.persist(s.cat.merged(), s.covered); err != nil {
 		return err
 	}
 	s.dirty = false
 	return nil
 }
 
-// setMetaLocked installs name's manifest record (removes it when live is
-// false), keeping liveBytes in step and dropping the catalog view. Every
-// write to s.manifest after OpenWithOptions goes through here.
-func (s *Store) setMetaLocked(name string, m Meta, live bool) {
-	s.liveBytes -= s.manifest[name].Bytes
-	if live {
-		s.manifest[name] = m
-		s.liveBytes += m.Bytes
-	} else {
-		delete(s.manifest, name)
-	}
+// setMetaLocked records name's manifest record (a Delete of name when m
+// is the zero Meta) and drops the catalog view. Every Put and Delete
+// goes through here; compaction's swap writes a new table instead.
+func (s *Store) setMetaLocked(name string, m Meta) {
+	s.cat.set(name, m)
 	s.view = nil
 }
 
@@ -305,7 +299,7 @@ func (s *Store) Put(name string, sk *core.Sketch) error {
 		return err
 	}
 	s.mu.Lock()
-	s.setMetaLocked(name, metaOf(name, sk, seg, off, length), true)
+	s.setMetaLocked(name, metaOf(name, sk, seg, off, length))
 	if end := off + length; s.covered[seg] < end {
 		s.covered[seg] = end
 	}
@@ -339,7 +333,7 @@ func (s *Store) Get(name string) (*core.Sketch, error) {
 			s.mu.Unlock()
 			return sk, nil
 		}
-		m, known := s.manifest[name]
+		m, known := s.cat.get(name)
 		gen := s.gen.Load()
 		s.mu.Unlock()
 		if !known {
@@ -357,7 +351,7 @@ func (s *Store) Get(name string) (*core.Sketch, error) {
 		// Only cache the load if no Put or Delete raced it: a stale (or
 		// deleted) version must not be resurrected into the cache over
 		// the mutation's result.
-		if _, ok := s.manifest[name]; ok && s.gen.Load() == gen {
+		if _, ok := s.cat.get(name); ok && s.gen.Load() == gen {
 			s.cacheLocked(name, sk, 0, gen)
 		}
 		s.mu.Unlock()
@@ -372,7 +366,7 @@ func (s *Store) Delete(name string) error {
 	s.appendMu.RLock()
 	defer s.appendMu.RUnlock()
 	s.mu.Lock()
-	_, known := s.manifest[name]
+	_, known := s.cat.get(name)
 	s.mu.Unlock()
 	if !known {
 		return fmt.Errorf("store: no sketch %q: %w", name, ErrNotFound)
@@ -382,7 +376,7 @@ func (s *Store) Delete(name string) error {
 		return err
 	}
 	s.mu.Lock()
-	s.setMetaLocked(name, Meta{}, false)
+	s.setMetaLocked(name, Meta{})
 	s.dirty = true
 	if s.covered[seg] < end {
 		s.covered[seg] = end
@@ -411,8 +405,7 @@ func (s *Store) List() ([]string, error) {
 func (s *Store) Meta(name string) (Meta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.manifest[name]
-	return m, ok
+	return s.cat.get(name)
 }
 
 // Metas returns every manifest record, sorted by name.
@@ -560,7 +553,7 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := Stats{
 		Backend:     s.backend.name(),
-		Sketches:    len(s.manifest),
+		Sketches:    s.cat.live,
 		Compactions: s.compactions.Load(),
 		DiskReads:   s.diskReads.Load(),
 		Puts:        s.puts.Load(),
@@ -598,7 +591,7 @@ func (s *Store) Stats() Stats {
 				st.RawBytes += info.RawBytes
 			}
 		}
-		st.LiveBytes = s.liveBytes
+		st.LiveBytes = s.cat.bytes
 	}
 	return st
 }
@@ -648,7 +641,7 @@ func (s *Store) Segments() []SegmentInfo {
 	for i := range infos {
 		bySeq[infos[i].Seq] = &infos[i]
 	}
-	for _, m := range s.manifest {
+	for _, m := range s.cat.merged() {
 		if info, ok := bySeq[m.Segment]; ok {
 			info.LiveRecords++
 			info.LiveBytes += m.Bytes
@@ -884,7 +877,7 @@ func (s *Store) Gen() uint64 {
 func (s *Store) Len() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.manifest), nil
+	return s.cat.live, nil
 }
 
 // Dir returns the store's root directory ("" for a mem-backed store).
