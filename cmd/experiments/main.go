@@ -15,7 +15,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"misketch/internal/exp"
@@ -23,7 +25,7 @@ import (
 
 func main() {
 	var (
-		run    = flag.String("run", "all", "which experiment to run: all, fulljoin, fig2, fig3, fig4, fig5, table1, table2, perf, ablation, convergence, smoothing, cascade")
+		which  = flag.String("run", "all", "which experiment to run: all, "+strings.Join(experiments, ", "))
 		trials = flag.Int("trials", 40, "datasets per configuration cell (synthetic experiments)")
 		rows   = flag.Int("rows", 10000, "rows per synthetic dataset (the paper uses 10k)")
 		sketch = flag.Int("sketch", 256, "sketch size n for synthetic experiments (the paper uses 256)")
@@ -31,50 +33,68 @@ func main() {
 		seed   = flag.Int64("seed", 1, "random seed; equal seeds reproduce runs exactly")
 	)
 	flag.Parse()
-
 	cfg := exp.Config{Seed: *seed, Trials: *trials, Rows: *rows, SketchSize: *sketch}
-	w := os.Stdout
+	if *which != "all" && !slices.ContainsFunc(experiments, func(n string) bool { return strings.EqualFold(n, *which) }) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *which)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := run(os.Stdout, *which, cfg, *pairs); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
 
-	want := func(name string) bool { return *run == "all" || strings.EqualFold(*run, name) }
-	ran := false
+// experiments names what -run selects, in the order "all" prints them.
+var experiments = []string{"fulljoin", "fig2", "fig3", "fig4", "table1", "table2", "fig5", "perf", "ablation", "convergence", "smoothing", "cascade"}
+
+// run writes the experiment called name, or every one for "all", to w.
+func run(w io.Writer, name string, cfg exp.Config, pairs int) error {
+	want := func(n string) bool { return name == "all" || strings.EqualFold(name, n) }
 
 	if want("fulljoin") {
-		ran = true
 		rs, err := exp.RunFullJoin(cfg)
-		die(err)
+		if err != nil {
+			return err
+		}
 		exp.WriteFullJoin(w, rs)
 	}
 	if want("fig2") {
-		ran = true
 		r, err := exp.RunFig2(cfg)
-		die(err)
+		if err != nil {
+			return err
+		}
 		r.Write(w)
 	}
 	if want("fig3") {
-		ran = true
 		r, err := exp.RunFig3(cfg)
-		die(err)
+		if err != nil {
+			return err
+		}
 		r.Write(w)
 	}
 	if want("fig4") {
-		ran = true
 		r, err := exp.RunFig4(cfg)
-		die(err)
+		if err != nil {
+			return err
+		}
 		r.Write(w)
 	}
 	if want("table1") {
-		ran = true
 		rs, err := exp.RunTable1(cfg)
-		die(err)
+		if err != nil {
+			return err
+		}
 		exp.WriteTable1(w, rs)
 	}
 	if want("table2") || want("fig5") {
-		ran = true
 		// The paper's real-data experiments use n = 1024.
 		corpusCfg := cfg
 		corpusCfg.SketchSize = 1024
-		res, err := exp.RunTable2(corpusCfg, *pairs)
-		die(err)
+		res, err := exp.RunTable2(corpusCfg, pairs)
+		if err != nil {
+			return err
+		}
 		if want("table2") {
 			res.Write(w)
 		}
@@ -83,45 +103,39 @@ func main() {
 		}
 	}
 	if want("perf") {
-		ran = true
 		rs, err := exp.RunPerf(cfg)
-		die(err)
+		if err != nil {
+			return err
+		}
 		exp.WritePerf(w, rs)
 	}
 	if want("ablation") {
-		ran = true
 		rs, err := exp.RunCandSizeAblation(cfg)
-		die(err)
+		if err != nil {
+			return err
+		}
 		exp.WriteAblation(w, rs)
 	}
 	if want("convergence") {
-		ran = true
 		r, err := exp.RunConvergence(cfg)
-		die(err)
+		if err != nil {
+			return err
+		}
 		r.Write(w)
 	}
 	if want("smoothing") {
-		ran = true
 		r, err := exp.RunSmoothing(cfg, 1)
-		die(err)
+		if err != nil {
+			return err
+		}
 		r.Write(w)
 	}
 	if want("cascade") {
-		ran = true
-		r, err := exp.RunCascadeCalib(cfg, *pairs)
-		die(err)
+		r, err := exp.RunCascadeCalib(cfg, pairs)
+		if err != nil {
+			return err
+		}
 		r.Write(w)
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *run)
-		flag.Usage()
-		os.Exit(2)
-	}
-}
-
-func die(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
+	return nil
 }

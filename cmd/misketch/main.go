@@ -37,6 +37,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -66,8 +67,6 @@ func main() {
 		runStore(os.Args[2:])
 	case "serve":
 		runServe(os.Args[2:])
-	case "loadtest":
-		runLoadtest(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -85,11 +84,10 @@ func usage() {
   misketch store rebuild -store DIR
   misketch store compact -store DIR [-compress]
   misketch serve         -store DIR [-addr :8080] [-max-workers N] [-probe-cache N] [-cache BYTES]
-                         [-backend fs|mem] [-compact-every DUR] [-segment-bytes N] [-pprof]
-  misketch serve         -coordinator -shards URL,URL,... [-addr :8080] [-shard-timeout DUR]
-                         [-shard-connect-timeout DUR] [-shard-retries N]
-  misketch loadtest      -url URL [-duration 10s] [-concurrency N] [-top K] [-min-join N]
-                         [-prefix P] [-sketch FILE] [-label NAME] [-out FILE]`)
+                         [-result-cache-bytes BYTES] [-backend fs|mem] [-compact-every DUR]
+                         [-segment-bytes N] [-pprof]
+  misketch serve         -coordinator -shards URL,URL,... [-addr :8080] [-result-cache-bytes BYTES]
+                         [-shard-timeout DUR] [-shard-connect-timeout DUR] [-shard-retries N]`)
 }
 
 // runStore dispatches the store subcommand family.
@@ -624,10 +622,12 @@ func runServe(args []string) {
 			ResultCacheBytes: *resultCache,
 		})
 		die(err)
+		ln, err := net.Listen("tcp", *addr)
+		die(err)
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		fmt.Printf("misketch serve: coordinating %d shards, listening on %s\n", len(urls), *addr)
-		die(co.ListenAndServe(ctx, *addr))
+		fmt.Printf("misketch serve: coordinating %d shards, listening on %s\n", len(urls), ln.Addr())
+		die(co.ServeListener(ctx, ln))
 		fmt.Println("misketch serve: coordinator drained, bye")
 		return
 	}
@@ -650,10 +650,12 @@ func runServe(args []string) {
 		EnablePprof:      *pprofFlag,
 		ResultCacheBytes: *resultCache,
 	})
+	ln, err := net.Listen("tcp", *addr)
+	die(err)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("misketch serve: %d sketches in %s, listening on %s\n", n, *storeDir, *addr)
-	die(srv.ListenAndServe(ctx, *addr))
+	fmt.Printf("misketch serve: %d sketches in %s, listening on %s\n", n, *storeDir, ln.Addr())
+	die(srv.ServeListener(ctx, ln))
 	fmt.Println("misketch serve: drained and persisted, bye")
 }
 
