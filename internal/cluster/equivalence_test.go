@@ -307,11 +307,12 @@ func TestStatsKeySets(t *testing.T) {
 			"result_misses", "result_not_modified", "sketch_requests", "workers_held",
 		},
 		tc.union.URL + " store": {
-			"backend", "cache_bytes", "cache_hits", "cache_misses", "candidates_skipped_no_decode",
-			"cascade_cheap_only", "cascade_exact", "cascade_margin_rescues", "compactions",
+			"backend", "cache_bytes", "cache_hits", "cache_misses", "candidate_loads", "candidates_skipped_no_decode",
+			"candidates_visited", "cascade_cheap_only", "cascade_exact", "cascade_margin_rescues", "compactions",
 			"compressed_bytes", "compressed_segments", "deletes", "disk_reads", "evictions", "exact_memo_hits",
 			"indexed_segments", "live_bytes", "plan_hits", "plan_misses", "posting_bytes", "pruned_pairs", "puts", "rank_batches", "rank_panics",
 			"rank_queries", "raw_bytes", "segment_bytes", "segments", "select_hits", "select_misses", "side_fills", "side_hits", "sketches",
+			"view_build_ns",
 		},
 		coord.URL + " coordinator": {
 			"batch_failures", "batch_partial", "batch_requests", "floor_fallbacks", "floor_queries",

@@ -553,14 +553,24 @@ func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchReque
 	}
 	measured := fmt.Sprintf(`rank;dur=%.3f, probes;desc="%d/%d", workers;desc=%d`,
 		float64(elapsed)/float64(time.Millisecond), probesCached, len(trains), opt.Workers)
-	if res.ViewBuild > 0 { // this rank rebuilt the catalog view an open or a mutation dropped
-		measured += fmt.Sprintf(", view;dur=%.3f", float64(res.ViewBuild)/float64(time.Millisecond))
+	return Outcome{Status: http.StatusOK, Body: EncodeJSON(ep.shape(resp))}, measured + traceTiming(&res.RankTrace)
+}
+
+// traceTiming is the Server-Timing entries of a rank's trace: the catalog
+// view it rebuilt, if it did; unless a plan hit skipped phase 1, the
+// candidates phase 1 answered without a load of those it visited; and for
+// a cascaded rank, whether phase 1 was reused and what phase 2 remembered.
+func traceTiming(t *store.RankTrace) string {
+	var b []byte
+	if t.ViewBuild > 0 {
+		b = fmt.Appendf(b, ", view;dur=%.3f", float64(t.ViewBuild)/float64(time.Millisecond))
 	}
-	if res.Plan != "hit" { // phase 1 ran: the candidates it answered without a load, of those it visited
-		measured += fmt.Sprintf(`, phase1;desc="%d/%d"`, res.SideHits, res.Visited)
+	if t.PlanHits == 0 {
+		b = fmt.Appendf(b, `, phase1;desc="%d/%d"`, t.SideHits, t.Visited)
 	}
-	if res.Plan != "" { // a cascaded rank: whether phase 1 was reused, and what phase 2 remembered
-		measured += fmt.Sprintf(`, plan;desc=%s, exact;desc="%d/%d"`, res.Plan, res.ExactMemo, res.Exact)
+	// A call that looked for a plan counts one hit or one miss.
+	if plan := [...]string{"", "miss", "hit"}[min(t.PlanMisses+2*t.PlanHits, 2)]; plan != "" {
+		b = fmt.Appendf(b, `, plan;desc=%s, exact;desc="%d/%d"`, plan, t.ExactMemoHits, t.CascadeExact)
 	}
-	return Outcome{Status: http.StatusOK, Body: EncodeJSON(ep.shape(resp))}, measured
+	return string(b)
 }

@@ -261,6 +261,54 @@ func TestServerTimingSideHits(t *testing.T) {
 	}
 }
 
+// TestServerTimingPinned pins whole Server-Timing headers, each dur=
+// value masked, so an entry that moves, changes shape or goes missing
+// fails: a rank that built the catalog view and ran phase 1, a plan miss
+// on a known key sample, a plan hit, a rank without the cascade and a
+// batch of two trains. One worker keeps the exact-tier counts fixed.
+func TestServerTimingPinned(t *testing.T) {
+	_, ts, _, train := newTestServer(t, 20, Options{MaxWorkers: 2})
+	minJoin := 10
+	fresh := func(d float64) string {
+		sk := &core.Sketch{Method: train.Method, Role: train.Role, Seed: train.Seed, Size: train.Size, Numeric: true,
+			KeyHashes: train.KeyHashes, Nums: make([]float64, len(train.Nums)), SourceRows: train.SourceRows}
+		for j, v := range train.Nums {
+			sk.Nums[j] = v + d
+		}
+		return sketchBase64(t, sk)
+	}
+	base, shifted := sketchBase64(t, train), fresh(1)
+	one := func(sketch string, top int, noCascade bool) RankRequest {
+		return RankRequest{Sketch: sketch, Prefix: "corpus/", MinJoin: &minJoin, K: 3, Top: top, Workers: 1, NoCascade: noCascade}
+	}
+	dur := regexp.MustCompile(`dur=[0-9.]+`)
+	for _, step := range []struct {
+		label, path string
+		req         any
+		want        string
+	}{
+		{"view built", "/v1/rank", one(base, 5, false),
+			`cache;desc=miss, rank;dur=#, probes;desc="0/1", workers;desc=1, view;dur=#, phase1;desc="0/20", plan;desc=miss, exact;desc="0/20"`},
+		{"plan miss", "/v1/rank", one(shifted, 5, false),
+			`cache;desc=miss, rank;dur=#, probes;desc="0/1", workers;desc=1, phase1;desc="0/20", plan;desc=miss, exact;desc="0/20"`},
+		{"plan hit", "/v1/rank", one(shifted, 8, false),
+			`cache;desc=miss, rank;dur=#, probes;desc="1/1", workers;desc=1, plan;desc=hit, exact;desc="20/20"`},
+		{"no cascade", "/v1/rank", one(base, 5, true),
+			`cache;desc=miss, rank;dur=#, probes;desc="1/1", workers;desc=1, phase1;desc="0/20"`},
+		{"two trains", "/v1/rank/batch", RankBatchRequest{Trains: []BatchTrainRef{{Name: "a", Sketch: base}, {Name: "b", Sketch: fresh(2)}},
+			Prefix: "corpus/", MinJoin: &minJoin, K: 3, Top: 5, Workers: 1},
+			`cache;desc=miss, rank;dur=#, probes;desc="1/2", workers;desc=1, phase1;desc="0/20", plan;desc=miss, exact;desc="0/40"`},
+	} {
+		status, hdr, raw := postRaw(t, ts.URL, step.path, mustJSON(t, step.req), nil)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", step.label, status, raw)
+		}
+		if got := dur.ReplaceAllString(hdr.Get("Server-Timing"), "dur=#"); got != step.want {
+			t.Errorf("%s: Server-Timing\n got %s\nwant %s", step.label, got, step.want)
+		}
+	}
+}
+
 // TestRankByStoredTrain ranks by referencing a stored train sketch
 // instead of uploading one; results must match the upload path exactly.
 func TestRankByStoredTrain(t *testing.T) {

@@ -132,7 +132,7 @@ func (w *viewWalk) check(step string) {
 			// or, if phase 1 answered it from the view's candidate sides,
 			// by phase 2 when it scores the pair exactly.
 			reads, must := w.st.Stats().DiskReads-before, w.mustVisit(w.trains[:1], prefix, minJoin)
-			if int64(res.Visited) != must || reads != int64(res.Decoded) || res.Decoded < res.Visited-res.SideHits || res.Decoded > res.Visited {
+			if res.Visited != must || reads != res.Decoded || res.Decoded < res.Visited-res.SideHits || res.Decoded > res.Visited {
 				t.Fatalf("%s: the cascaded rank visited %d candidates and decoded %d (%d read), %d side hits; brute force says %d",
 					label, res.Visited, res.Decoded, reads, res.SideHits, must)
 			}

@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -33,15 +34,28 @@ func memoTrains(t testing.TB) []*core.Sketch {
 	return out
 }
 
+// checkMoved fails unless every RankTrace field of the store's Stats moved
+// from before to after by exactly what trace reports.
+func checkMoved(t *testing.T, label string, before, after Stats, trace RankTrace) {
+	t.Helper()
+	b, a, r := reflect.ValueOf(before.RankTrace), reflect.ValueOf(after.RankTrace), reflect.ValueOf(trace)
+	for i := range r.NumField() {
+		if moved := a.Field(i).Int() - b.Field(i).Int(); moved != r.Field(i).Int() {
+			t.Fatalf("%s: Stats.%s moved %d, the trace holds %d", label, r.Type().Field(i).Name, moved, r.Field(i).Int())
+		}
+	}
+}
+
 // FuzzRankMemos plays the script its input spells — Puts, overwrites,
 // Deletes and Compacts of candidates under two prefixes, Flushes,
 // reopens, and batches of the memoTrains under every option phase 1 or
 // phase 2 reads, with and without shared probes — against a store and
 // its memo-off twin, and holds every answer's rankings, Pruned, Skipped
-// and SeedBound bit-identical. A reopen opens the store from its MANIFEST
-// (replaying, when the handle was abandoned unflushed, the tail past it)
-// and the twin from its segments alone, and holds List and Metas equal.
-// Its seed corpus is in testdata/fuzz/FuzzRankMemos.
+// and SeedBound bit-identical and the store's totals moving by exactly
+// the RankTrace each call reports. A reopen opens the store from its
+// MANIFEST (replaying, when the handle was abandoned unflushed, the tail
+// past it) and the twin from its segments alone, and holds List and Metas
+// equal. Its seed corpus is in testdata/fuzz/FuzzRankMemos.
 func FuzzRankMemos(f *testing.F) {
 	trains := memoTrains(f)
 	probes := compileAll(trains)
@@ -176,10 +190,11 @@ func FuzzRankMemos(f *testing.F) {
 				}
 				if err == nil {
 					sameBatch(t, label, got, want)
+					checkMoved(t, label, s0, st.Stats(), got.RankTrace)
 					// Phase 1 counts what index selection excluded, from a
 					// sample plan too; a reused probe plan ran no phase 1.
 					n, refN := st.Stats().CandidatesSkippedNoDecode-s0.CandidatesSkippedNoDecode, ref.Stats().CandidatesSkippedNoDecode-r0.CandidatesSkippedNoDecode
-					if got.Plan != "hit" && n != refN {
+					if got.PlanHits == 0 && n != refN {
 						t.Fatalf("%s: %d candidates skipped undecoded, memo-off %d", label, n, refN)
 					}
 				}

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -99,20 +100,73 @@ type BatchResult struct {
 	// (incompatible seed or role, or mutated mid-query). The list is
 	// shared: every query in a batch filters on the same seed.
 	Skipped []string
-	// ViewBuild is how long this call held the store's lock building the
-	// catalog view an open or a mutation had dropped; zero when it found
-	// one built.
-	ViewBuild time.Duration
-	// Plan is "hit" or "miss" when the call looked for a memoised plan (a
-	// cascaded rank on caller-supplied probes) and "" when it did not.
-	// Exact counts the pairs it scored in the exact tier, and ExactMemo
-	// those of them whose answer the plan remembered from an earlier call.
-	Plan             string
-	Exact, ExactMemo int
-	// Visited counts the candidates this call's phase 1 visited (none on a
-	// plan hit), SideHits those it did not load (rankplan.go), and Decoded
-	// the loads of both phases, sketch-cache hits included.
-	Visited, Decoded, SideHits int
+	// RankTrace is what this call did.
+	RankTrace
+}
+
+// RankTrace counts what ranking did: one call, on its BatchResult, or
+// every call of a store handle, in Stats. It is the one list of a rank's
+// counters; each worker tallies its own and a call sums them once, as it
+// returns.
+type RankTrace struct {
+	// PrunedPairs counts the (train, candidate) pairs discovery queries
+	// skipped via the key-overlap prefilter — estimator invocations the
+	// coordinated-sample intersection proved unnecessary (whether the
+	// overlap came from a segment's key index or a loaded candidate).
+	PrunedPairs int64 `json:"pruned_pairs"`
+	// CandidatesSkippedNoDecode counts candidates the per-segment key
+	// indexes excluded from ranking without decoding a single record —
+	// the prune rate that makes selection sub-linear in catalog size.
+	CandidatesSkippedNoDecode int64 `json:"candidates_skipped_no_decode"`
+	// CascadeCheapOnly / CascadeExact split the cascade-eligible
+	// (train, candidate) pairs of ranking queries by how they resolved:
+	// by the cheap binned tier alone (the exact estimator never ran) or
+	// by the exact KSG-family tier. Their sum is the number of
+	// cascade-eligible pairs estimated; pairs of two categorical columns
+	// (whose exact estimator is already the cheap plug-in) and queries
+	// run with NoCascade or without a top-K bound are not counted.
+	CascadeCheapOnly int64 `json:"cascade_cheap_only"`
+	CascadeExact     int64 `json:"cascade_exact"`
+	// CascadeMarginRescues counts exact-tier runs that the raw cheap
+	// score alone would have pruned — the safety margin or the
+	// saturation guard admitted them — and that then entered a running
+	// top-K heap. A zero rescue count under a representative workload is
+	// evidence the margin has slack; a high one means the cheap tier
+	// misorders that workload and the margin is load-bearing.
+	CascadeMarginRescues int64 `json:"cascade_margin_rescues"`
+	// ExactMemoHits counts the CascadeExact pairs whose answer a reused
+	// plan remembered from an earlier call at the same K (rankplan.go):
+	// offered as computed then, with no load, join or estimate.
+	ExactMemoHits int64 `json:"exact_memo_hits"`
+	// PlanHits counts cascaded ranks that found their phase 1 memoised on
+	// the catalog view (rankplan.go) and ran phase 2 alone, PlanMisses
+	// those that looked and had to plan. A rank that compiles its own
+	// probe, or runs without the cascade, never looks.
+	PlanHits   int64 `json:"plan_hits"`
+	PlanMisses int64 `json:"plan_misses"`
+	// SelectHits counts phase 1s that found their trains' sample plan on
+	// the catalog view (rankplan.go); SelectMisses those that selected anew.
+	SelectHits   int64 `json:"select_hits"`
+	SelectMisses int64 `json:"select_misses"`
+	// SideHits counts candidates phase 1 answered from a sample plan's
+	// sides (rankplan.go); SideFills the sides phase 1 collected for one.
+	SideHits  int64 `json:"side_hits"`
+	SideFills int64 `json:"side_fills"`
+	// Visited counts the candidates phase 1 visited, Decoded the loads of
+	// both phases, sketch-cache hits included.
+	Visited int64 `json:"candidates_visited"`
+	Decoded int64 `json:"candidate_loads"`
+	// ViewBuild is how long ranks held the store's lock building the
+	// catalog view an open or a mutation had dropped.
+	ViewBuild time.Duration `json:"view_build_ns"`
+}
+
+// add adds o to t field by field; each field is an int64 or a Duration.
+func (t *RankTrace) add(o *RankTrace) {
+	tv, ov := reflect.ValueOf(t).Elem(), reflect.ValueOf(o).Elem()
+	for i := range tv.NumField() {
+		tv.Field(i).SetInt(tv.Field(i).Int() + ov.Field(i).Int())
+	}
 }
 
 // RankBatch ranks every train sketch against the stored candidates in
@@ -144,7 +198,7 @@ type BatchResult struct {
 // and any other number as a batch, whichever entry point the call came
 // through. Estimation stops early when ctx is cancelled, and any
 // worker's error cancels the whole batch.
-func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOptions) (*BatchResult, error) {
+func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOptions) (res *BatchResult, err error) {
 	if len(trains) == 1 {
 		s.rankQueries.Add(1)
 	} else {
@@ -153,8 +207,7 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 	if len(trains) == 0 {
 		return &BatchResult{Queries: []BatchQueryResult{}}, nil
 	}
-	opt, err := opt.Resolve(len(trains))
-	if err != nil {
+	if opt, err = opt.Resolve(len(trains)); err != nil {
 		return nil, err
 	}
 	for q, tr := range trains {
@@ -170,6 +223,18 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 	// one, the context's cause — so work after a failure is wasted.
 	r.ctx, r.cancel = context.WithCancelCause(ctx)
 	defer r.cancel(nil)
+	// However the call ends, its trace reaches the store's totals once.
+	defer func() {
+		for _, w := range r.w {
+			r.trace.add(&w.trace)
+		}
+		s.mu.Lock()
+		s.ranked.add(&r.trace)
+		s.mu.Unlock()
+		if res != nil {
+			res.RankTrace = r.trace
+		}
+	}()
 
 	// The catalog view, this seed's partition of it, its generation and
 	// the segment pins come from one critical section — one atomic
@@ -180,7 +245,7 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 	if s.view == nil {
 		start := time.Now()
 		s.viewLocked()
-		r.viewBuild = max(time.Since(start), time.Nanosecond) // non-zero: it was built
+		r.trace.ViewBuild = max(time.Since(start), time.Nanosecond) // non-zero: it was built
 	}
 	r.v = s.viewLocked()
 	r.gen = s.gen.Load()
@@ -204,13 +269,11 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 	if memo {
 		key = r.planKey()
 		if p, ok := r.v.plans.Get(key); ok {
-			s.planHits.Add(1)
-			r.planMemo = "hit"
+			r.trace.PlanHits = 1
 			r.start(p.visit)
 			return r.runPlan(p)
 		}
-		s.planMisses.Add(1)
-		r.planMemo = "miss"
+		r.trace.PlanMisses = 1
 	}
 	p, clean := r.planRank(sv)
 	if err := context.Cause(r.ctx); err != nil {
@@ -298,9 +361,7 @@ type rankRun struct {
 	cands   []atomic.Pointer[core.Sketch]
 	sides   []sideEntry // the sample plan's candidate sides (rankplan.go)
 	collect bool        // phase 1 fills sides for a new sample plan and reads none
-	// viewBuild and planMemo are BatchResult.ViewBuild and .Plan.
-	viewBuild time.Duration
-	planMemo  string
+	trace   RankTrace   // the call's, less its workers' until it returns
 }
 
 // rankWorker is one worker's partial state: its tallies and its share of
@@ -308,7 +369,7 @@ type rankRun struct {
 type rankWorker struct {
 	pruned []int64
 	late   []string
-	counts [6]int64 // cheap-only, exact, rescues, remembered exact, loads, side hits
+	trace  RankTrace
 	tasks  []cascadeTask
 }
 
@@ -412,7 +473,7 @@ func (r *rankRun) load(w *rankWorker, m Meta) (*core.Sketch, error) {
 		}
 		return nil, err
 	}
-	w.counts[4]++
+	w.trace.Decoded++
 	if cand.Seed != r.seed || cand.Role != core.RoleCandidate {
 		// A Put overwrote the sketch with an incompatible one
 		// after the snapshot filtered on the old metadata.
@@ -434,8 +495,8 @@ func (r *rankRun) load(w *rankWorker, m Meta) (*core.Sketch, error) {
 // kept would be the whole catalog's samples in memory. Without the cascade
 // phase 1 scored every pair exactly and only the ordering is left.
 func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
-	opt, s := &r.opt, r.s
-	res := &BatchResult{Queries: make([]BatchQueryResult, len(r.trains)), ViewBuild: r.viewBuild, Plan: r.planMemo}
+	opt := &r.opt
+	res := &BatchResult{Queries: make([]BatchQueryResult, len(r.trains))}
 	for q := range res.Queries {
 		res.Queries[q].Pruned = p.pruned[q]
 		if opt.Seed && r.cascade {
@@ -477,19 +538,7 @@ func (r *rankRun) runPlan(p *rankPlan) (*BatchResult, error) {
 		return nil, err
 	}
 	res.Skipped = slices.Clone(p.skipped)
-	if r.planMemo != "hit" {
-		res.Visited = len(p.visit)
-	}
 	for _, w := range r.w {
-		s.cascadeCheap.Add(w.counts[0])
-		s.cascadeExact.Add(w.counts[1])
-		s.cascadeRescues.Add(w.counts[2])
-		s.exactMemoHits.Add(w.counts[3])
-		s.sideHits.Add(w.counts[5])
-		res.Exact += int(w.counts[1])
-		res.ExactMemo += int(w.counts[3])
-		res.Decoded += int(w.counts[4])
-		res.SideHits += int(w.counts[5])
 		res.Skipped = append(res.Skipped, w.late...)
 	}
 	if len(res.Skipped) > len(p.skipped) {
@@ -524,7 +573,7 @@ func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, i int) bool {
 			kth := math.Float64frombits(tb - 1)
 			ub := t.cheap + r.margin
 			if ub < t.ceil && ub < kth {
-				w.counts[0]++ // settled by the cheap tier alone
+				w.trace.CascadeCheapOnly++ // settled by the cheap tier alone
 				return true
 			}
 			// Admitted only thanks to the margin or the
@@ -534,12 +583,12 @@ func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, i int) bool {
 	}
 	// Exempt pairs pay the exact tier too: together the two
 	// counters partition every pair that survived the filters.
-	w.counts[1]++
+	w.trace.CascadeExact++
 	m := r.v.entries[r.visit[t.ci]]
 	slot := &r.plan.exact[i]
 	rs, remembered := slot.get(r.opt.K)
 	if remembered {
-		w.counts[3]++
+		w.trace.ExactMemoHits++
 	} else {
 		cand := r.cands[t.ci].Load()
 		// A reused plan keeps positions, not sketches, and phase 1 loads no
@@ -576,7 +625,7 @@ func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, i int) bool {
 	}
 	rs.Name = m.Name
 	if rs.MI >= r.opt.MinMI[t.q] && r.tops[t.q].offer(rs, r.opt.TopK) && rescue {
-		w.counts[2]++
+		w.trace.CascadeMarginRescues++
 	}
 	return true
 }

@@ -161,13 +161,13 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 	intact := !slices.ContainsFunc(v.segs, func(vs viewSegment) bool { return vs.ix.bad.Load() })
 	sp, found := v.plans.Get(key)
 	if found = found && intact; found {
-		s.selectHits.Add(1)
+		r.trace.SelectHits++
 	} else {
-		s.selectMisses.Add(1)
+		r.trace.SelectMisses++
 		sp = r.selectVisit(sv, lo, hi)
 	}
 	p.visit, p.pruned = sp.visit, slices.Repeat([]int{sp.excluded}, len(r.trains))
-	s.candNoDecode.Add(int64(sp.excluded))
+	r.trace.CandidatesSkippedNoDecode += int64(sp.excluded)
 	r.start(p.visit)
 	if r.cascade && found {
 		// The sample's sides or, on its second phase 1, a collection of
@@ -196,8 +196,9 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 		w.tasks, w.late = nil, nil
 	}
 	for _, n := range p.pruned {
-		s.prunedPairs.Add(int64(n))
+		r.trace.PrunedPairs += int64(n)
 	}
+	r.trace.Visited = int64(len(p.visit))
 	slices.Sort(p.skipped)
 	if intact && clean && s.gen.Load() == r.gen {
 		switch {
@@ -255,7 +256,7 @@ func (r *rankRun) joinCandidate(w *rankWorker, scratch *core.Scratch, i int) boo
 	}
 	var cand *core.Sketch
 	if sides != nil && !slices.ContainsFunc(sides, func(e sideEntry) bool { return !e.answers }) {
-		w.counts[5]++ // a side hit
+		w.trace.SideHits++
 	} else {
 		var err error
 		if cand, err = r.load(w, m); err != nil {
@@ -363,7 +364,7 @@ func (r *rankRun) keepSides(key planKey, sp *rankPlan) {
 			kept++
 		}
 	}
-	r.s.sideFills.Add(int64(kept))
+	r.trace.SideFills += int64(kept)
 	if full.cost(key) > planCacheBytes {
 		full.sides = nil
 	}

@@ -129,6 +129,7 @@ func TestCancelMidPhase2(t *testing.T) {
 	}
 	defer func() { testHookRankWork = nil }()
 	hits, _ := planCounters(st)
+	before := st.Stats()
 	_, err := st.RankBatch(ctx, trains, opt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("rank cancelled mid-phase-2 returned %v, want context.Canceled", err)
@@ -136,6 +137,10 @@ func TestCancelMidPhase2(t *testing.T) {
 	if now, _ := planCounters(st); now != hits+1 {
 		t.Fatal("fixture: the cancelled rank did not reuse the plan, so the hook saw phase 1")
 	}
+	// What it did reaches the store's totals once, failed as it is: every
+	// pair claimed went exact, and the first rank remembered each answer.
+	n := claimed.Load()
+	checkMoved(t, "the cancelled rank", before, st.Stats(), RankTrace{PlanHits: 1, CascadeExact: n, ExactMemoHits: n})
 	// The canceller finishes its pair; the other worker may have been
 	// between its check and the hook.
 	if n := claimed.Load(); n > 5+int64(opt.Workers)-1 {

@@ -161,8 +161,8 @@ func TestSideMemoBitIdentical(t *testing.T) {
 		if c := counters(s0, s1); c != wantCounters {
 			t.Fatalf("%s: counters (cheap, exact, rescues, pruned) %v, a fresh twin %v", label, c, wantCounters)
 		}
-		if int64(got.SideHits) != s1.SideHits-s0.SideHits || got.SideHits > got.Visited {
-			t.Fatalf("%s: %d side hits of %d visited, Stats moved %d", label, got.SideHits, got.Visited, s1.SideHits-s0.SideHits)
+		if got.SideHits > got.Visited {
+			t.Fatalf("%s: %d side hits of %d visited", label, got.SideHits, got.Visited)
 		}
 		return got
 	}
@@ -244,7 +244,7 @@ func TestSideMemoOversizeSampleNeverFills(t *testing.T) {
 				}
 				if i == 0 {
 					want = got
-					if over := got.Visited*entry > planCacheBytes; over == tc.fills || got.Visited*4*len(train.KeyHashes) <= planCacheBytes {
+					if over := int(got.Visited)*entry > planCacheBytes; over == tc.fills || int(got.Visited)*4*len(train.KeyHashes) <= planCacheBytes {
 						t.Fatalf("fixture: %d candidates visited", got.Visited)
 					}
 				}
@@ -419,8 +419,8 @@ func TestPlanHitLoadsItsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fired || got.Plan != "hit" || got.Decoded == 0 {
-		t.Fatalf("fixture: Put fired %v, plan %q, %d loads", fired, got.Plan, got.Decoded)
+	if !fired || got.PlanHits != 1 || got.Decoded == 0 {
+		t.Fatalf("fixture: Put fired %v, %d plan hits, %d loads", fired, got.PlanHits, got.Decoded)
 	}
 	sameBatch(t, "Put mid-phase-2 of a plan hit", got, want)
 }

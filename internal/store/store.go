@@ -96,26 +96,10 @@ type Store struct {
 	deletes     atomic.Int64 // successful Delete calls
 	rankQueries atomic.Int64 // ranks of one train (including failed ones)
 	rankBatches atomic.Int64 // ranks of several trains (including failed ones)
-	prunedPairs atomic.Int64 // (train, candidate) pairs pruned by the key-overlap prefilter
-	// candNoDecode counts candidates the per-segment key indexes excluded
-	// from ranking without a record decode — the sub-linear selection win.
-	candNoDecode atomic.Int64
-	compactions  atomic.Int64 // completed compaction passes
-	// Cascade tier counters: over cascade-eligible (train, candidate)
-	// pairs, how many were resolved by the cheap binned tier alone, how
-	// many went on to pay the exact KSG-family estimator, and how many of
-	// those were admitted only by the safety margin (or saturation guard)
-	// and then actually entered a running top-K heap — the rescues the
-	// margin exists for.
-	cascadeCheap   atomic.Int64
-	cascadeExact   atomic.Int64
-	cascadeRescues atomic.Int64
-	exactMemoHits  atomic.Int64 // see Stats.ExactMemoHits
-
-	planHits, planMisses     atomic.Int64 // see Stats.PlanHits
-	selectHits, selectMisses atomic.Int64 // see Stats.SelectHits
-	sideHits, sideFills      atomic.Int64 // see Stats.SideHits
-	rankPanics               atomic.Int64 // see Stats.RankPanics
+	rankPanics  atomic.Int64 // see Stats.RankPanics
+	compactions atomic.Int64 // completed compaction passes
+	// ranked is every rank's trace, each added under mu as its call returns.
+	ranked RankTrace
 
 	// rankScratch is the estimator scratch pool ranking workers draw
 	// from, so consecutive queries on one handle reuse grown-to-size
@@ -492,49 +476,8 @@ type Stats struct {
 	// shared core counts by train count, failed ranks included.
 	RankQueries int64 `json:"rank_queries"`
 	RankBatches int64 `json:"rank_batches"`
-	// PrunedPairs counts the (train, candidate) pairs discovery queries
-	// skipped via the key-overlap prefilter — estimator invocations the
-	// coordinated-sample intersection proved unnecessary (whether the
-	// overlap came from a segment's key index or a loaded candidate).
-	PrunedPairs int64 `json:"pruned_pairs"`
-	// CandidatesSkippedNoDecode counts candidates the per-segment key
-	// indexes excluded from ranking without decoding a single record —
-	// the prune rate that makes selection sub-linear in catalog size.
-	CandidatesSkippedNoDecode int64 `json:"candidates_skipped_no_decode"`
-	// CascadeCheapOnly / CascadeExact split the cascade-eligible
-	// (train, candidate) pairs of ranking queries by how they resolved:
-	// by the cheap binned tier alone (the exact estimator never ran) or
-	// by the exact KSG-family tier. Their sum is the number of
-	// cascade-eligible pairs estimated; pairs of two categorical columns
-	// (whose exact estimator is already the cheap plug-in) and queries
-	// run with NoCascade or without a top-K bound are not counted.
-	CascadeCheapOnly int64 `json:"cascade_cheap_only"`
-	CascadeExact     int64 `json:"cascade_exact"`
-	// CascadeMarginRescues counts exact-tier runs that the raw cheap
-	// score alone would have pruned — the safety margin or the
-	// saturation guard admitted them — and that then entered a running
-	// top-K heap. A zero rescue count under a representative workload is
-	// evidence the margin has slack; a high one means the cheap tier
-	// misorders that workload and the margin is load-bearing.
-	CascadeMarginRescues int64 `json:"cascade_margin_rescues"`
-	// ExactMemoHits counts the CascadeExact pairs whose answer a reused
-	// plan remembered from an earlier call at the same K (rankplan.go):
-	// offered as computed then, with no load, join or estimate.
-	ExactMemoHits int64 `json:"exact_memo_hits"`
-	// PlanHits counts cascaded ranks that found their phase 1 memoised on
-	// the catalog view (rankplan.go) and ran phase 2 alone, PlanMisses
-	// those that looked and had to plan. A rank that compiles its own
-	// probe, or runs without the cascade, never looks.
-	PlanHits   int64 `json:"plan_hits"`
-	PlanMisses int64 `json:"plan_misses"`
-	// SelectHits counts phase 1s that found their trains' sample plan on
-	// the catalog view (rankplan.go); SelectMisses those that selected anew.
-	SelectHits   int64 `json:"select_hits"`
-	SelectMisses int64 `json:"select_misses"`
-	// SideHits counts candidates phase 1 answered from a sample plan's
-	// sides (rankplan.go); SideFills the sides phase 1 collected for one.
-	SideHits  int64 `json:"side_hits"`
-	SideFills int64 `json:"side_fills"`
+	// RankTrace is the sum of every rank's trace, failed ranks included.
+	RankTrace
 	// RankPanics counts rank workers that panicked; each one failed its
 	// own query ("store: rank worker panicked: …") and nothing else.
 	RankPanics int64 `json:"rank_panics"`
@@ -560,20 +503,8 @@ func (s *Store) Stats() Stats {
 		Deletes:     s.deletes.Load(),
 		RankQueries: s.rankQueries.Load(),
 		RankBatches: s.rankBatches.Load(),
-		PrunedPairs: s.prunedPairs.Load(),
-
-		CandidatesSkippedNoDecode: s.candNoDecode.Load(),
-		CascadeCheapOnly:          s.cascadeCheap.Load(),
-		CascadeExact:              s.cascadeExact.Load(),
-		CascadeMarginRescues:      s.cascadeRescues.Load(),
-		ExactMemoHits:             s.exactMemoHits.Load(),
-		PlanHits:                  s.planHits.Load(),
-		PlanMisses:                s.planMisses.Load(),
-		SelectHits:                s.selectHits.Load(),
-		SelectMisses:              s.selectMisses.Load(),
-		SideHits:                  s.sideHits.Load(),
-		SideFills:                 s.sideFills.Load(),
-		RankPanics:                s.rankPanics.Load(),
+		RankTrace:   s.ranked,
+		RankPanics:  s.rankPanics.Load(),
 	}
 	cs := s.cache.Stats()
 	st.CacheBytes, st.CacheHits, st.CacheMisses, st.Evictions = cs.Used, cs.Hits, cs.Misses, cs.Evictions

@@ -3,15 +3,12 @@ package misketch
 import (
 	"context"
 
-	"misketch/internal/core"
 	"misketch/internal/store"
 )
 
 // This file exposes batch discovery: ranking many train sketches (an
 // analyst's sweep over dozens of target columns) against the stored
-// corpus in one pass, with the key-overlap prefilter pruning every
-// (train, candidate) pair whose coordinated-sample key intersection
-// already proves the join too small to pass the min-join filter.
+// corpus in one pass.
 
 // BatchRankOptions is another name for RankOptions: one value describes a
 // rank of one train or of many.
@@ -36,12 +33,4 @@ type BatchQueryRanking = store.BatchQueryResult
 // a hash seed.
 func RankBatch(ctx context.Context, st *Store, trains []*Sketch, opt BatchRankOptions) (*BatchRanking, error) {
 	return st.RankBatch(ctx, trains, opt)
-}
-
-// KeyOverlap returns the sketch join size of (train, cand) computed
-// from key hashes alone — the quantity the batch prefilter thresholds
-// against the min-join filter. Both sketches must share a hash seed for
-// the count to be meaningful.
-func KeyOverlap(train, cand *Sketch) int {
-	return core.KeyOverlap(train, cand)
 }
