@@ -671,9 +671,9 @@ func runStoreRebuild(args []string) {
 	st, err := misketch.OpenStore(*storeDir)
 	die(err)
 	verr := st.Verify()
-	die(st.Close())
-	die(verr)
 	n, err := st.Len()
 	die(err)
+	die(st.Close())
+	die(verr)
 	fmt.Printf("rebuilt manifest: %d sketches indexed in %s\n", n, *storeDir)
 }

@@ -162,8 +162,8 @@ type Server struct {
 }
 
 // New wraps an open store in a discovery server. The caller keeps
-// ownership of the store handle; ListenAndServe flushes its manifest on
-// graceful shutdown, and Close flushes it on demand.
+// ownership of the store handle and closes it; ListenAndServe flushes its
+// manifest on graceful shutdown.
 func New(st *store.Store, opt Options) *Server {
 	if opt.MaxWorkers <= 0 {
 		opt.MaxWorkers = runtime.GOMAXPROCS(0)
@@ -217,9 +217,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
 	s.mux.ServeHTTP(w, r)
 }
-
-// Close flushes the store manifest.
-func (s *Server) Close() error { return s.st.Flush() }
 
 // ListenAndServe serves on addr until ctx is cancelled, then shuts down
 // gracefully: stop accepting, drain in-flight requests (bounded by

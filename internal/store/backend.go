@@ -58,8 +58,8 @@ type backend interface {
 	// persist would skip it on replay and lose an acked mutation. A nil
 	// map means the snapshot is complete (single-threaded open paths).
 	persist(metas []Meta, covered map[uint64]int64) error
-	// close releases backend resources. The backend must not be used
-	// afterwards.
+	// close seals what the next open needs and gives back memory, mappings
+	// and files, each once its pins drain; a later load finds nothing.
 	close() error
 }
 
@@ -112,4 +112,9 @@ func (b *memBackend) pin(map[uint64]struct{}) func() { return func() {} }
 
 func (b *memBackend) persist([]Meta, map[uint64]int64) error { return nil }
 
-func (b *memBackend) close() error { return nil }
+func (b *memBackend) close() error {
+	b.mu.Lock()
+	b.sketches = nil
+	b.mu.Unlock()
+	return nil
+}

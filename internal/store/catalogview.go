@@ -21,7 +21,7 @@ package store
 // viewLocked builds it under s.mu when a rank, List or Metas finds none;
 // every site that changes either drops it under s.mu: Put, Delete, the
 // compaction roll and swap (which moves records without bumping Gen),
-// Close's seal. Once published it changes only in seeds, which gains
+// Close. Once published it changes only in seeds, which gains
 // immutable entries under s.mu, and in its plans (rankplan.go), which lock
 // for themselves. A query takes the view, its seed's lists and the segment
 // pins in one critical section: a snapshot holding every Put or Delete

@@ -63,9 +63,9 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 		s.appendMu.Unlock()
 	}
 	fb, ok := s.backend.(*fsBackend)
-	if !ok {
+	if err := s.closedErr(); err != nil || !ok {
 		unlock()
-		return CompactStats{}, nil
+		return CompactStats{}, err
 	}
 	// Roll the active segment so every record is in a compactable
 	// (immutable) segment; appends during the pass go to a new active.
@@ -298,8 +298,8 @@ func (b *fsBackend) install(seg *segment) {
 	b.segMu.Unlock()
 }
 
-// retire removes the segments from the live set and marks them for
-// teardown (munmap, close, unlink) when their last pin drains.
+// retire removes the segments from the live set; each is unmapped,
+// closed and unlinked when its last pin drains.
 func (b *fsBackend) retire(sources map[uint64]*segment) {
 	b.segMu.Lock()
 	for seq := range sources {
@@ -307,7 +307,7 @@ func (b *fsBackend) retire(sources map[uint64]*segment) {
 	}
 	b.segMu.Unlock()
 	for _, seg := range sources {
-		seg.retired.Store(true)
-		seg.release() // the segment-table ref
+		seg.unlink.Store(true)
+		seg.release() // the table ref
 	}
 }

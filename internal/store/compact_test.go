@@ -229,7 +229,8 @@ func TestCompactDuringRankAndMutations(t *testing.T) {
 // accumulates, the loop folds it without any explicit Compact call, and
 // Close stops the loop.
 func TestAutoCompactLoop(t *testing.T) {
-	st, err := OpenWithOptions(t.TempDir(), OpenOptions{
+	dir := t.TempDir()
+	st, err := OpenWithOptions(dir, OpenOptions{
 		CompactEvery:      10 * time.Millisecond,
 		CompactMinGarbage: 0.1,
 	})
@@ -251,11 +252,19 @@ func TestAutoCompactLoop(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	if n, _ := st.Len(); n != 6 {
+		t.Errorf("Len = %d after auto-compaction", n)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	st, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	if n, _ := st.Len(); n != 6 {
-		t.Errorf("Len = %d after auto-compaction", n)
+		t.Errorf("Len = %d after auto-compaction and a reopen", n)
 	}
 }
 

@@ -91,7 +91,7 @@ func openFSBackend(dir string, rollBytes int64, compress bool) (*fsBackend, cata
 			// A manifest inconsistent with the files on disk (a segment
 			// deleted out of band) is not fatal: the records are the
 			// truth. Fall back to a full replay of what exists.
-			b.resetSegments()
+			b.close() // nothing to seal yet: this closes the segments
 			cat = catalog{}
 			segFiles, err = scanSegmentFiles(dir)
 			if err != nil {
@@ -151,20 +151,11 @@ func (b *fsBackend) recoverWithManifest(man *manifestV2, segFiles map[uint64]str
 		if err != nil {
 			return false, err
 		}
-		apply := func(info core.RecordInfo, off int64) {
-			changed = true
-			applyRecord(cat, seg.seq)(info, off)
-		}
-		if seg.sealed {
-			from := ms.covered
-			if from < segHeaderBytes {
-				from = segHeaderBytes
-			}
-			replayRecords(seg.data, from, seg.recEnd, apply)
-		} else if err := freezeSegment(seg, ms.covered, apply); err != nil {
+		replayed, err := b.adopt(seg, ms.covered, cat)
+		if err != nil {
 			return false, err
 		}
-		b.segs[seg.seq] = seg
+		changed = changed || replayed
 	}
 	// Orphans: append segments above the horizon are post-flush rolls
 	// and replay whole, in seq order; everything else is redundant.
@@ -183,21 +174,13 @@ func (b *fsBackend) recoverWithManifest(man *manifestV2, segFiles map[uint64]str
 			// Redundant with live segments: either a compaction output
 			// whose manifest swap never happened, or a source whose
 			// unlink crashed after the swap.
-			seg.f.Close()
-			os.Remove(path)
-			delete(segFiles, seq)
+			seg.unlink.Store(true)
+			seg.release()
 			continue
 		}
-		apply := func(info core.RecordInfo, off int64) {
-			changed = true
-			applyRecord(cat, seg.seq)(info, off)
-		}
-		if seg.sealed {
-			replayRecords(seg.data, segHeaderBytes, seg.recEnd, apply)
-		} else if err := freezeSegment(seg, 0, apply); err != nil {
+		if _, err := b.adopt(seg, 0, cat); err != nil {
 			return false, err
 		}
-		b.segs[seg.seq] = seg
 		changed = true
 	}
 	return changed, nil
@@ -222,14 +205,28 @@ func (b *fsBackend) recoverFromSegments(segFiles map[uint64]string, cat *catalog
 		return segs[i].seq < segs[j].seq
 	})
 	for _, seg := range segs {
-		if seg.sealed {
-			replayRecords(seg.data, segHeaderBytes, seg.recEnd, applyRecord(cat, seg.seq))
-		} else if err := freezeSegment(seg, 0, applyRecord(cat, seg.seq)); err != nil {
+		if _, err := b.adopt(seg, 0, cat); err != nil {
 			return err
 		}
-		b.segs[seg.seq] = seg
 	}
 	return nil
+}
+
+// adopt adds seg to the table and replays its records past covered into
+// the catalog, reporting whether there were any: a sealed segment's up to
+// its record end, a crash-frozen one's up to its last valid record.
+func (b *fsBackend) adopt(seg *segment, covered int64, cat *catalog) (replayed bool, err error) {
+	b.segs[seg.seq] = seg
+	apply := func(info core.RecordInfo, off int64) {
+		replayed = true
+		applyRecord(cat, seg.seq)(info, off)
+	}
+	if seg.sealed {
+		replayRecords(seg.data, max(covered, segHeaderBytes), seg.recEnd, apply)
+	} else {
+		err = freezeSegment(seg, covered, apply)
+	}
+	return replayed, err
 }
 
 // applyRecord folds one replayed record into the catalog.
@@ -523,36 +520,20 @@ func (b *fsBackend) segmentInfos() []SegmentInfo {
 }
 
 // close seals the active segment so the next open maps everything
-// without replay. Mappings and descriptors stay valid — like the
-// file-per-sketch engine before it, a closed Store remains usable (the
-// Close contract), so teardown is left to process exit or retirement.
-// What close does give up is the mappings' resident pages: a closed
-// store is usually dropped, and a process that opens store after store
-// (bulk ingest rounds) otherwise grew by each one's size for good. A
-// later read faults them back in.
+// without replay, then empties the segment table: each segment is
+// unmapped and closed, not unlinked, when its last pin drains.
 func (b *fsBackend) close() error {
 	b.segMu.Lock()
 	defer b.segMu.Unlock()
-	if err := b.rollLocked(); err != nil {
-		return err
+	err := b.rollLocked()
+	if err != nil { // the seal failed: close the segment as it is, the next open replays it
+		b.active.seg.release()
 	}
-	for _, seg := range b.segs {
-		dropResident(seg.data)
+	for seq, seg := range b.segs {
+		delete(b.segs, seq)
+		seg.release() // the table ref
 	}
-	return nil
-}
-
-// resetSegments drops every open segment (recovery-fallback path; no
-// pins can exist during open).
-func (b *fsBackend) resetSegments() {
-	for _, seg := range b.segs {
-		if seg.data != nil {
-			munmapFile(seg.data)
-			seg.data = nil
-		}
-		seg.f.Close()
-	}
-	b.segs = make(map[uint64]*segment)
+	return err
 }
 
 // scanSegmentFiles inventories dir's segment files by seq, clearing

@@ -242,6 +242,10 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 	// zero-copy sketch views borrow) and key indexes valid even if a
 	// compaction retires them.
 	s.mu.Lock()
+	if s.closed.Load() {
+		s.mu.Unlock()
+		return nil, errClosed
+	}
 	if s.view == nil {
 		start := time.Now()
 		s.viewLocked()
@@ -467,7 +471,9 @@ func (r *rankRun) load(w *rankWorker, m Meta) (*core.Sketch, error) {
 		// concurrent mutation (the manifest no longer carries the
 		// snapshotted record — skip, the racing writer wins) from
 		// genuine corruption behind an unchanged manifest (fail).
-		if cur, ok := r.s.Meta(m.Name); !ok || cur != m {
+		if cur, ok := r.s.Meta(m.Name); r.s.closed.Load() {
+			return nil, errClosed // Close empties the catalog Meta reads
+		} else if !ok || cur != m {
 			w.late = append(w.late, m.Name)
 			return nil, nil
 		}

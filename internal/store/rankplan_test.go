@@ -2,7 +2,9 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"reflect"
@@ -305,11 +307,12 @@ func TestJoinMemoAcrossCompaction(t *testing.T) {
 // TestPlanDiesWithItsView: every kind of mutation between two identical
 // ranks makes the second plan for itself on the new catalog state.
 func TestPlanDiesWithItsView(t *testing.T) {
-	st, err := OpenWithOptions(t.TempDir(), OpenOptions{SegmentBytes: 16 << 10})
+	dir, opened := t.TempDir(), OpenOptions{SegmentBytes: 16 << 10}
+	st, err := OpenWithOptions(dir, opened)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	defer func() { st.Close() }()
 	for c := 0; c < 24; c++ {
 		if err := st.Put(fmt.Sprintf("view/c%02d", c), windowSketch(t, core.RoleCandidate, 0, 50+c, 80, int64(c))); err != nil {
 			t.Fatal(err)
@@ -373,7 +376,17 @@ func TestPlanDiesWithItsView(t *testing.T) {
 			}
 			return err
 		}, func(after []RankedSketch) bool { return len(after) == 23 }},
-		{"close", st.Close, func(after []RankedSketch) bool { return len(after) == 23 }},
+		// A closed store ranks nothing; the same catalog reopened plans afresh.
+		{"close", func() error {
+			if err := st.Close(); err != nil {
+				return err
+			}
+			if _, _, err := st.RankQuery(ctx, train, opt); !errors.Is(err, fs.ErrClosed) {
+				return fmt.Errorf("rank after Close = %v, want fs.ErrClosed", err)
+			}
+			st, err = OpenWithOptions(dir, opened)
+			return err
+		}, func(after []RankedSketch) bool { return len(after) == 23 }},
 	}
 	for _, step := range steps {
 		if err := step.mutate(); err != nil {

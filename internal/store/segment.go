@@ -116,27 +116,28 @@ type segment struct {
 	dictVal          *segDict
 
 	// refs counts reasons the mapping must stay valid: 1 for segment-table
-	// membership plus one per pinned reader. retire drops the table ref;
-	// the last unpin (or retire itself) unmaps, closes, and — because
-	// retirement follows a manifest swap that no longer references the
-	// segment — unlinks the file.
-	refs    atomic.Int64
-	retired atomic.Bool
+	// membership plus one per pinned reader. Whoever takes the segment out
+	// of the table releases the table ref; the last release unmaps and
+	// closes it, and unlinks the file if unlink was set first (a retired
+	// compaction source, a redundant orphan: its records live elsewhere).
+	refs   atomic.Int64
+	unlink atomic.Bool
 }
 
 // acquire takes a reader pin. The caller must hold the backend's segment
 // table lock (or otherwise know the segment is still live).
 func (g *segment) acquire() { g.refs.Add(1) }
 
-// release drops a pin (or the table ref); the last release of a retired
-// segment tears it down.
+// release drops a pin (or the table ref); the last one tears the segment
+// down.
 func (g *segment) release() {
-	if g.refs.Add(-1) == 0 && g.retired.Load() {
-		munmapFile(g.data)
-		g.data = nil
-		if g.f != nil {
-			g.f.Close()
-		}
+	if g.refs.Add(-1) != 0 {
+		return
+	}
+	munmapFile(g.data)
+	g.data = nil
+	g.f.Close()
+	if g.unlink.Load() {
 		os.Remove(g.path)
 	}
 }

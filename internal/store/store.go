@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"slices"
 	"sync"
@@ -41,6 +42,8 @@ import (
 // corruption, not a missing name, and conflating the two turns data
 // loss into a silent "not found".
 var ErrNotFound = errors.New("sketch not found")
+
+var errClosed = fmt.Errorf("store: %w", fs.ErrClosed) // what a closed Store's entry points return
 
 // Store is a catalog of persisted sketches with a manifest index, a
 // bounded in-memory cache, and a pluggable storage backend. It is safe
@@ -80,16 +83,17 @@ type Store struct {
 	// produced it.
 	gen atomic.Uint64
 
-	// compactStop ends the auto-compaction loop (nil when disabled).
+	// compactStop, closed by Close, ends the auto-compaction loop.
 	compactStop chan struct{}
-	compactDone chan struct{}
-	compactMu   sync.Mutex // serializes Compact calls
+	compactLoop sync.WaitGroup // Close waits for the loop to exit
+	compactMu   sync.Mutex     // serializes Compact calls
 	// appendMu makes a mutation's record append and manifest update one
 	// step to compaction: Put and Delete hold it shared across both,
 	// compaction exclusively while it seals the active segment and
 	// snapshots the manifest. Otherwise a record appended before the seal
 	// and indexed after the snapshot is retired with its source segment.
 	appendMu sync.RWMutex
+	closed   atomic.Bool // set by Close while it holds appendMu and mu
 
 	diskReads   atomic.Int64 // record decodes out of the backend
 	puts        atomic.Int64 // successful Put calls
@@ -172,7 +176,7 @@ func Open(dir string) (*Store, error) {
 // result. This is the store's one repair path: a handle keeps the backend,
 // cache and covered offsets it opened with for its whole life.
 func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
-	s := &Store{dir: dir}
+	s := &Store{dir: dir, compactStop: make(chan struct{})}
 	s.selectPool.New = func() any { return new(selectScratch) }
 	if opt.CacheBytes >= 0 {
 		max := opt.CacheBytes
@@ -200,9 +204,8 @@ func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 		if minGarbage <= 0 {
 			minGarbage = DefaultCompactMinGarbage
 		}
-		s.compactStop = make(chan struct{})
-		s.compactDone = make(chan struct{})
-		go s.autoCompact(s.compactStop, s.compactDone, opt.CompactEvery, minGarbage)
+		s.compactLoop.Add(1)
+		go s.autoCompact(opt.CompactEvery, minGarbage)
 	}
 	return s, nil
 }
@@ -216,6 +219,9 @@ func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return errClosed
+	}
 	return s.flushLocked()
 }
 
@@ -238,26 +244,30 @@ func (s *Store) setMetaLocked(name string, m Meta) {
 	s.view = nil
 }
 
-// Close stops the auto-compaction loop (if any), flushes the manifest,
-// and seals the active segment so the next open maps everything without
-// replay. The Store remains usable afterwards; Close exists so callers
-// can defer persistence idiomatically.
+// Close ends the store's life. After an in-flight Compact, Put or Delete
+// it flushes the manifest and seals the active segment, so the next open
+// maps everything without replay; then it stops the auto-compaction loop
+// and drops the cache, the catalog and every segment (a rank in flight
+// keeps the ones it pinned until it returns). From then on every method
+// but Stats, Segments, Gen, Dir and Backend fails with an error wrapping
+// fs.ErrClosed (Meta and Metas report nothing), even if the flush or the
+// seal failed, and a second Close returns nil.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	stop := s.compactStop
-	s.compactStop = nil
-	s.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-s.compactDone
-	}
+	defer s.compactLoop.Wait() // runs last: a pass the loop is in needs the locks below
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
-		return err
+	if s.closed.Swap(true) {
+		return nil
 	}
-	s.view = nil // sealing the active segment gives its records an index
-	return s.backend.close()
+	close(s.compactStop)
+	err := s.flushLocked()
+	s.cache.DeleteFunc(func(string, cachedSketch) bool { return true })
+	s.view, s.cat, s.covered = nil, catalog{}, nil
+	return errors.Join(err, s.backend.close())
 }
 
 // Put persists a sketch under the given name (conventionally
@@ -275,6 +285,9 @@ func (s *Store) Put(name string, sk *core.Sketch) error {
 	}
 	s.appendMu.RLock()
 	defer s.appendMu.RUnlock()
+	if s.closed.Load() {
+		return errClosed
+	}
 	seg, off, length, err := s.backend.put(name, sk)
 	if err != nil {
 		return fmt.Errorf("store: writing %q: %w", name, err)
@@ -320,12 +333,12 @@ func (s *Store) Get(name string) (*core.Sketch, error) {
 		m, known := s.cat.get(name)
 		gen := s.gen.Load()
 		s.mu.Unlock()
-		if !known {
-			return nil, fmt.Errorf("store: no sketch %q: %w", name, ErrNotFound)
+		if !known { // Close empties the catalog
+			return nil, cmp.Or(s.closedErr(), fmt.Errorf("store: no sketch %q: %w", name, ErrNotFound))
 		}
 		sk, err := s.backend.loadOwned(m)
-		if err == errSegmentGone && attempt < 3 {
-			continue // compaction moved the record; re-read its location
+		if (err == errSegmentGone || errors.Is(err, ErrNotFound)) && attempt < 3 {
+			continue // the record moved, or left with a Delete or Close: re-read the catalog
 		}
 		if err != nil {
 			return nil, err
@@ -352,8 +365,8 @@ func (s *Store) Delete(name string) error {
 	s.mu.Lock()
 	_, known := s.cat.get(name)
 	s.mu.Unlock()
-	if !known {
-		return fmt.Errorf("store: no sketch %q: %w", name, ErrNotFound)
+	if !known { // Close empties the catalog
+		return cmp.Or(s.closedErr(), fmt.Errorf("store: no sketch %q: %w", name, ErrNotFound))
 	}
 	seg, end, err := s.backend.tombstone(name)
 	if err != nil {
@@ -372,10 +385,22 @@ func (s *Store) Delete(name string) error {
 	return nil
 }
 
+// closedErr is errClosed once Close has run, nil before.
+func (s *Store) closedErr() error {
+	if s.closed.Load() {
+		return errClosed
+	}
+	return nil
+}
+
 // List returns the names of all stored sketches, sorted. It reads only
 // the manifest — no storage access.
 func (s *Store) List() ([]string, error) {
 	s.mu.Lock()
+	if s.closed.Load() {
+		s.mu.Unlock()
+		return nil, errClosed
+	}
 	v := s.viewLocked()
 	s.mu.Unlock()
 	names := make([]string, len(v.entries))
@@ -410,12 +435,14 @@ func (s *Store) Metas() []Meta {
 // the segments it reads are pinned while it reads them. Nil on the mem
 // backend.
 func (s *Store) Verify() error {
-	fb, ok := s.backend.(*fsBackend)
-	if !ok {
-		return nil
+	segs, release := map[uint64]*segment(nil), func() {}
+	if fb, ok := s.backend.(*fsBackend); ok {
+		segs, _, release = fb.pinSealed()
 	}
-	segs, _, release := fb.pinSealed()
 	defer release()
+	if s.closed.Load() { // after the pins: Close marks the store before it empties the table
+		return errClosed
+	}
 	var errs []error
 	for _, seq := range slices.Sorted(maps.Keys(segs)) {
 		if err := segs[seq].verify(); err != nil {
@@ -808,7 +835,7 @@ func (s *Store) Gen() uint64 {
 func (s *Store) Len() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cat.live, nil
+	return s.cat.live, s.closedErr() // Close empties the catalog
 }
 
 // Dir returns the store's root directory ("" for a mem-backed store).
@@ -819,15 +846,14 @@ func (s *Store) Backend() string { return s.backend.name() }
 
 // autoCompact is the background compaction loop: every interval it
 // measures the dead fraction of segment bytes and compacts past the
-// threshold. Close stops it. The channels arrive as parameters because
-// Close nils the struct fields under the store lock.
-func (s *Store) autoCompact(stop <-chan struct{}, done chan<- struct{}, every time.Duration, minGarbage float64) {
-	defer close(done)
+// threshold. Close stops it.
+func (s *Store) autoCompact(every time.Duration, minGarbage float64) {
+	defer s.compactLoop.Done()
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-s.compactStop:
 			return
 		case <-ticker.C:
 		}

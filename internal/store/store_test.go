@@ -315,6 +315,7 @@ func TestVerifyReportsCorruptSegments(t *testing.T) {
 		if err := st.Close(); err != nil { // seals segment 1
 			t.Fatal(err)
 		}
+		st = reopen(dir)
 		put(st, "b0", "b1")
 		if err := st.Close(); err != nil { // seals segment 2
 			t.Fatal(err)

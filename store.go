@@ -156,10 +156,11 @@ var ErrNotFound = store.ErrNotFound
 type StoreStats = store.Stats
 
 // OpenStore opens (creating if necessary) a sketch store rooted at dir
-// with default options. Typical usage: at ingestion time,
-// SketchCandidate every column of every dataset and Put it (then Close
-// to persist the manifest); at query time, SketchTrain the user's table
-// and RankQuery against the store.
+// with default options. Typical usage: at ingestion time, SketchCandidate
+// every column of every dataset and Put it; at query time, SketchTrain the
+// user's table and RankQuery against the store. Close persists the manifest
+// and gives the store's memory, mappings and files back; after it every call
+// but Stats, Segments, Gen, Dir and Backend fails with fs.ErrClosed.
 func OpenStore(dir string) (*Store, error) {
 	return store.Open(dir)
 }
