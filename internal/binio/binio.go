@@ -143,21 +143,24 @@ func U64At(b []byte, off int) uint64 { return binary.LittleEndian.Uint64(b[off:]
 // UvarintAt decodes the unsigned LEB128 varint at b[off:], returning
 // the value and the number of bytes it occupies. n <= 0 reports corrupt
 // or truncated input (the binary.Uvarint contract), never a panic —
-// callers walking untrusted mmap'd bytes branch on it. The one-byte case
-// — nearly every posting delta and multiplicity of a key index — is
-// decided inline; the general case stays out of line.
+// callers walking untrusted mmap'd bytes branch on it. It makes no call,
+// so it inlines into the walks over posting lists and MANIFEST entries.
 func UvarintAt(b []byte, off int) (v uint64, n int) {
-	if uint(off) < uint(len(b)) && b[off] < 0x80 {
-		return uint64(b[off]), 1
+	for shift := uint(0); uint(off+n) < uint(len(b)); shift += 7 {
+		if shift == 70 {
+			return 0, -(n + 1) // an eleventh byte: overflow
+		}
+		c := b[off+n]
+		n++
+		if c < 0x80 {
+			if shift == 63 && c > 1 {
+				return 0, -n // overflow
+			}
+			return v | uint64(c)<<shift, n
+		}
+		v |= uint64(c&0x7f) << shift
 	}
-	return uvarintSlow(b, off)
-}
-
-func uvarintSlow(b []byte, off int) (uint64, int) {
-	if off < 0 || off > len(b) {
-		return 0, 0
-	}
-	return binary.Uvarint(b[off:])
+	return 0, 0
 }
 
 // AppendPad appends zero bytes until len(dst) is a multiple of align (a

@@ -81,10 +81,9 @@ func TestRawBufferHelpers(t *testing.T) {
 	}
 }
 
-// TestUvarintAtMatchesBinaryUvarint holds the inline one-byte case and
-// the out-of-line rest to binary.Uvarint's contract at every offset of
-// well-formed, truncated, over-long and overflowing inputs, and to
-// (0, 0) outside the buffer.
+// TestUvarintAtMatchesBinaryUvarint holds UvarintAt to binary.Uvarint's
+// contract at every offset of well-formed, truncated, over-long and
+// overflowing inputs, and to (0, 0) outside the buffer.
 func TestUvarintAtMatchesBinaryUvarint(t *testing.T) {
 	inputs := [][]byte{
 		nil,

@@ -2,20 +2,21 @@ package store
 
 // The catalog view: everything a rank needs from the manifest, derived
 // once per catalog state instead of once per query. Its entries are the
-// catalog table itself (manifest.go), shared and never written: the
-// first view after an open takes the MANIFEST's name order as loaded and
-// sorts, copies and hashes nothing, and a later one costs the merge of
-// the p Puts and Deletes since the last into the n entries, O(n + p log p).
-// Per entry, a view then adds its segment pin and, for a candidate in an
-// indexed segment, the lookup of its record's ordinal in that segment's
-// key index. Index selection intersects each train's distinct key hashes
-// with the per-segment key indexes (keyindex.go) and maps every record
-// whose exact overlap passes MinJoinSize to its manifest entry, so a
-// visit list costs the postings touched plus the matches, not a walk of
-// the catalog. Candidates no index vouches for (active or frozen
-// segments, corrupt index sections or posting lists, duplicated key
-// hashes) are always visited and left to the probe prefilter, so indexed,
-// fallback and mem-backend ranks answer alike.
+// catalog table itself (manifest.go), shared and never written: the first
+// view after an open takes the MANIFEST's name order as loaded and sorts,
+// copies and hashes nothing, and a later one costs the merge of the p Puts
+// and Deletes since the last into the n entries, O(n + p log p). A view
+// then adds a pin per segment and, for a candidate in an indexed segment,
+// its record's ordinal in that segment's key index: the one after the
+// segment's last, as a compacted segment holds its records in name order,
+// else a binary search. Index selection intersects each train's distinct
+// key hashes with the per-segment key indexes (keyindex.go) and maps every
+// record whose exact overlap passes MinJoinSize to its manifest entry, so
+// a visit list costs the postings touched plus the matches, not a walk of
+// the catalog. Candidates no index vouches for (active or frozen segments,
+// corrupt index sections or posting lists, duplicated key hashes) are
+// always visited and left to the probe prefilter, so indexed, fallback and
+// mem-backend ranks answer alike.
 //
 // Consistency: a view describes one (manifest, segment table) state.
 // viewLocked builds it under s.mu when a rank, List or Metas finds none;
@@ -52,8 +53,9 @@ type catalogView struct {
 
 // viewSegment resolves one segment's index ordinals to entry positions.
 type viewSegment struct {
-	ix  *keyIndex
-	pos []int32 // ordinal → 1 + position in entries; 0: not a live candidate
+	ix   *keyIndex
+	pos  []int32 // ordinal → 1 + position in entries; 0: not a live candidate
+	next int     // the ordinal viewLocked tries first: the last one's + 1
 }
 
 // seedView partitions the entries by what a query on one hash seed does
@@ -80,26 +82,32 @@ func (s *Store) viewLocked() *catalogView {
 	}
 	fb, _ := s.backend.(*fsBackend)
 	bySeg := make(map[uint64]*viewSegment) // nil: no usable index
+	var vs *viewSegment
 	for i := range v.entries {
 		m := &v.entries[i]
-		v.pins[m.Segment] = struct{}{}
+		if i == 0 || m.Segment != v.entries[i-1].Segment { // once a run
+			seen := false
+			if vs, seen = bySeg[m.Segment]; !seen {
+				v.pins[m.Segment] = struct{}{}
+				// No pin needed: nothing retires a segment without s.mu.
+				if fb != nil {
+					if ix := fb.keyIndexOf(m.Segment); ix != nil {
+						vs = &viewSegment{ix: ix, pos: make([]int32, ix.records())}
+					}
+				}
+				bySeg[m.Segment] = vs
+			}
+		}
 		if m.Role != core.RoleCandidate || m.Entries == 0 {
 			continue // never selected: not ranked, or joins nothing
 		}
-		vs, seen := bySeg[m.Segment]
-		if !seen {
-			// No pin needed: nothing retires a segment without s.mu.
-			if fb != nil {
-				if ix := fb.keyIndexOf(m.Segment); ix != nil {
-					vs = &viewSegment{ix: ix, pos: make([]int32, ix.records())}
-					v.maxRecords = max(v.maxRecords, len(vs.pos))
-				}
-			}
-			bySeg[m.Segment] = vs
-		}
 		if vs != nil {
-			if ord, ok := vs.ix.ordinalOf(m.Offset); ok {
-				vs.pos[ord] = int32(i) + 1
+			ord, ok := vs.next, vs.next < len(vs.pos) && vs.ix.recOffsets[vs.next] == m.Offset
+			if !ok {
+				ord, ok = vs.ix.ordinalOf(m.Offset)
+			}
+			if ok {
+				vs.pos[ord], vs.next = int32(i)+1, ord+1
 				if !vs.ix.isDup(ord) {
 					continue
 				}
@@ -111,6 +119,7 @@ func (s *Store) viewLocked() *catalogView {
 	for _, vs := range bySeg {
 		if vs != nil {
 			v.segs = append(v.segs, *vs)
+			v.maxRecords = max(v.maxRecords, len(vs.pos))
 		}
 	}
 	s.view = v

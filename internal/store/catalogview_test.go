@@ -721,3 +721,71 @@ func TestLiveBytesTracksManifest(t *testing.T) {
 	defer st.Close()
 	check("reopen")
 }
+
+// TestCatalogViewOrdinalsMatchSearch: the view's merge walk gives every
+// indexed candidate the ordinal a binary search of its segment's record
+// offsets gives it, over a compacted segment (records in name order) and
+// a sealed append segment whose records arrived in shuffled name order,
+// overwriting and deleting compacted names and each other.
+func TestCatalogViewOrdinalsMatchSearch(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := func(c int) string { return fmt.Sprintf("c%03d", c) }
+	put := func(c int, salt int64) {
+		if err := st.Put(name(c), windowSketch(t, core.RoleCandidate, 0, c%50, 30, salt)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c := 0; c < 60; c++ {
+		put(c, int64(c))
+	}
+	if _, err := st.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 2; round++ {
+		for _, c := range rng.Perm(100) {
+			switch {
+			case c%9 == 4:
+				if err := st.Delete(name(c)); err != nil && !errors.Is(err, ErrNotFound) {
+					t.Fatal(err)
+				}
+			case c >= 60 || c%4 == 0:
+				put(c, int64(1000*(round+1)+c))
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.mu.Lock()
+	v := st.viewLocked()
+	st.mu.Unlock()
+	if len(v.segs) != 2 {
+		t.Fatalf("fixture: the view indexes %d segments, want the compacted and the append one", len(v.segs))
+	}
+	fb := st.backend.(*fsBackend)
+	for _, vs := range v.segs {
+		want := make([]int32, len(vs.pos))
+		found := 0
+		for i, m := range v.entries {
+			if m.Role != core.RoleCandidate || m.Entries == 0 || fb.keyIndexOf(m.Segment) != vs.ix {
+				continue
+			}
+			if ord, ok := vs.ix.ordinalOf(m.Offset); ok {
+				want[ord] = int32(i) + 1
+				found++
+			}
+		}
+		if found == 0 || !slices.Equal(vs.pos, want) {
+			t.Fatalf("merge walk ordinals %v, binary search %v", vs.pos, want)
+		}
+	}
+}

@@ -46,6 +46,15 @@ func TestCloseReleasesMappings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if held := mappingsUnder(t, root); len(held) > 0 {
+		t.Fatalf("%d mappings under the closed stores' root, first: %s", len(held), held[0])
+	}
+}
+
+// mappingsUnder returns the lines of /proc/self/maps that map a file
+// under root.
+func mappingsUnder(t *testing.T, root string) []string {
+	t.Helper()
 	maps, err := os.ReadFile("/proc/self/maps")
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +65,52 @@ func TestCloseReleasesMappings(t *testing.T) {
 			held = append(held, line)
 		}
 	}
-	if len(held) > 0 {
-		t.Fatalf("%d mappings under the closed stores' root, first: %s", len(held), held[0])
+	return held
+}
+
+// TestFailedOpenReleasesMappings: an open that fails after mapping some
+// segments gives them back. A store without its MANIFEST and with a
+// garbage segment file next to its real ones fails to open, and five such
+// opens leave no mapping behind.
+func TestFailedOpenReleasesMappings(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads /proc/self/maps")
+	}
+	root, err := filepath.EvalSymlinks(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := OpenOptions{SegmentBytes: 16 << 10}
+	st, err := OpenWithOptions(root, opened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := numSketch(t, 400)
+	for j := 0; j < 30; j++ {
+		if err := st.Put(fmt.Sprintf("s%02d", j), sk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(st.Segments()) < 8 {
+		t.Fatalf("fixture: %d segments, want several sealed ones", len(st.Segments()))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(root, ManifestFile)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, segmentsDir, "000000000099.seg"), []byte("not a segment, not even a header"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if st, err := OpenWithOptions(root, opened); err == nil {
+			st.Close()
+			t.Fatal("a store with a garbage segment opened")
+		}
+	}
+	if held := mappingsUnder(t, root); len(held) > 0 {
+		t.Fatalf("%d mappings under the root after failed opens, first: %s", len(held), held[0])
 	}
 }
 
@@ -119,6 +172,9 @@ func TestUseAfterClose(t *testing.T) {
 			}
 			if metas := st.Metas(); metas != nil {
 				t.Errorf("Metas after Close = %+v", metas)
+			}
+			if st.view != nil {
+				t.Error("Metas after Close built a catalog view")
 			}
 			if err := st.Close(); err != nil {
 				t.Errorf("second Close = %v", err)

@@ -53,6 +53,7 @@ type fsBackend struct {
 	segs    map[uint64]*segment // sealed, live segments
 	active  *segmentWriter      // nil until the first post-open append
 	nextSeq uint64
+	warming sync.WaitGroup // the open's key index and dict parses; close waits
 }
 
 func (b *fsBackend) name() string { return BackendFS }
@@ -60,9 +61,8 @@ func (b *fsBackend) name() string { return BackendFS }
 // openFSBackend opens (creating or recovering as needed) the
 // segment store rooted at dir and returns the backend together with the
 // recovered catalog: the MANIFEST's table, with any replayed records
-// merged in.
-func openFSBackend(dir string, rollBytes int64, compress bool) (*fsBackend, catalog, error) {
-	var cat catalog
+// merged in. An open that fails releases every segment it opened.
+func openFSBackend(dir string, rollBytes int64, compress bool) (_ *fsBackend, cat catalog, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, cat, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
@@ -70,11 +70,15 @@ func openFSBackend(dir string, rollBytes int64, compress bool) (*fsBackend, cata
 		rollBytes = DefaultSegmentBytes
 	}
 	b := &fsBackend{dir: dir, rollBytes: rollBytes, compress: compress, segs: make(map[uint64]*segment), nextSeq: 1}
+	defer func() {
+		if err != nil {
+			b.close()
+		}
+	}()
 	removeTempOrphans(dir)
 
-	man, manErr := loadManifestV2(filepath.Join(dir, ManifestFile))
+	man, manErr := readManifestV2(filepath.Join(dir, ManifestFile))
 	if manErr == nil {
-		cat = catalog{table: man.metas, live: len(man.metas), bytes: man.bytes}
 		b.nextSeq = man.nextSeq
 	}
 
@@ -89,8 +93,8 @@ func openFSBackend(dir string, rollBytes int64, compress bool) (*fsBackend, cata
 		changed, err := b.recoverWithManifest(man, segFiles, &cat)
 		if err != nil {
 			// A manifest inconsistent with the files on disk (a segment
-			// deleted out of band) is not fatal: the records are the
-			// truth. Fall back to a full replay of what exists.
+			// deleted out of band) or out of name order is not fatal:
+			// the records are the truth. Fall back to a full replay.
 			b.close() // nothing to seal yet: this closes the segments
 			cat = catalog{}
 			segFiles, err = scanSegmentFiles(dir)
@@ -104,9 +108,8 @@ func openFSBackend(dir string, rollBytes int64, compress bool) (*fsBackend, cata
 		}
 		dirty = changed
 	} else if len(segFiles) > 0 {
-		// Segments without a loadable manifest (missing, corrupt,
-		// pre-checksum, or out of name order): the records are the
-		// truth — full replay.
+		// Segments without a loadable manifest (missing, corrupt or
+		// pre-checksum): the records are the truth — full replay.
 		if err := b.recoverFromSegments(segFiles, &cat); err != nil {
 			return nil, cat, err
 		}
@@ -128,20 +131,18 @@ func openFSBackend(dir string, rollBytes int64, compress bool) (*fsBackend, cata
 	return b, cat, nil
 }
 
-// recoverWithManifest opens the manifest's segments, replays any records
-// past each covered offset, and disposes of orphan files per the rules
-// in the package comment. Replay application order is append order: the
-// manifest's list order (compacted output before the appends that
-// outlived it, then by seq), then orphan append segments by seq. The
-// replayed records go into the catalog's pending set.
+// recoverWithManifest opens the manifest's segments, parses its entries
+// into the catalog, replays any records past each covered offset, and
+// disposes of orphan files per the rules in the package comment. Replay
+// application order is append order: the manifest's list order
+// (compacted output before the appends that outlived it, then by seq),
+// then orphan append segments by seq. The replayed records go into the
+// catalog's pending set.
 func (b *fsBackend) recoverWithManifest(man *manifestV2, segFiles map[uint64]string, cat *catalog) (changed bool, err error) {
 	var horizon uint64
+	listed := make([]*segment, 0, len(man.segs))
 	for _, ms := range man.segs {
-		if ms.seq > horizon {
-			horizon = ms.seq
-		}
-	}
-	for _, ms := range man.segs {
+		horizon = max(horizon, ms.seq)
 		path, ok := segFiles[ms.seq]
 		if !ok {
 			return false, fmt.Errorf("store: manifest references missing segment %d", ms.seq)
@@ -151,7 +152,29 @@ func (b *fsBackend) recoverWithManifest(man *manifestV2, segFiles map[uint64]str
 		if err != nil {
 			return false, err
 		}
-		replayed, err := b.adopt(seg, ms.covered, cat)
+		b.segs[seg.seq] = seg // adopted below, once the catalog exists
+		listed = append(listed, seg)
+	}
+	// Their key indexes and dict sections are checked and parsed beside the
+	// entry parse, not in the first view (which waits for one in progress).
+	for _, seg := range listed {
+		seg.acquire()
+	}
+	b.warming.Add(1)
+	go func() {
+		defer b.warming.Done()
+		for _, seg := range listed {
+			seg.keyIndex()
+			seg.dict()
+			seg.release()
+		}
+	}()
+	if err := man.parseEntries(); err != nil {
+		return false, err
+	}
+	*cat = catalog{table: man.metas, live: len(man.metas), bytes: man.bytes}
+	for i, seg := range listed {
+		replayed, err := b.adopt(seg, man.segs[i].covered, cat)
 		if err != nil {
 			return false, err
 		}
@@ -196,6 +219,7 @@ func (b *fsBackend) recoverFromSegments(segFiles map[uint64]string, cat *catalog
 		if err != nil {
 			return err
 		}
+		b.segs[seg.seq] = seg // for a failed open's close
 		segs = append(segs, seg)
 	}
 	sort.Slice(segs, func(i, j int) bool {
@@ -523,6 +547,7 @@ func (b *fsBackend) segmentInfos() []SegmentInfo {
 // without replay, then empties the segment table: each segment is
 // unmapped and closed, not unlinked, when its last pin drains.
 func (b *fsBackend) close() error {
+	b.warming.Wait()
 	b.segMu.Lock()
 	defer b.segMu.Unlock()
 	err := b.rollLocked()

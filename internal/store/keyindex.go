@@ -36,12 +36,13 @@ package store
 // dupBitmap and selection always visits them.
 //
 // Fail-closed contract: parseKeyIndex checks the section's own CRC and
-// its structure short of the posting lists; each list is validated when
-// a query first reads it (accumulate), so a cold open pays only for the
-// lists it reads. A parse defect leaves the segment unindexed; a list
-// defect unindexes it from then on — that query and every later one
-// visit all its live candidates. A corrupt index can cost time, never
-// results.
+// its structure short of the posting lists — at open, on a goroutine of
+// its own beside the MANIFEST parse (fsbackend.go), so before any posting
+// is read; each list is validated when a query first reads it
+// (accumulate), so a cold open pays only for the lists it reads. A parse
+// defect leaves the segment unindexed; a list defect unindexes it from
+// then on — that query and every later one visit all its live
+// candidates. A corrupt index can cost time, never results.
 
 import (
 	"fmt"
@@ -278,22 +279,23 @@ func parseKeyIndex(section []byte, verifyCRC bool) (*keyIndex, error) {
 		return nil, err
 	}
 
-	r := binio.NewReader(payload)
-	recCount := r.Uvarint()
-	if r.Err != nil || recCount > uint64(len(payload)) {
+	recCount, p := binio.UvarintAt(payload, 0)
+	if p <= 0 || recCount > uint64(len(payload)) {
 		return nil, fmt.Errorf("store: implausible key index record count %d", recCount)
 	}
-	ix := &keyIndex{recOffsets: make([]int64, 0, recCount)}
+	ix := &keyIndex{recOffsets: make([]int64, recCount)}
 	prev := int64(0)
-	for i := uint64(0); i < recCount; i++ {
-		d := r.Uvarint()
+	for i := range ix.recOffsets {
+		d, n := binio.UvarintAt(payload, p)
 		off := prev + int64(d)
-		if r.Err != nil || d > math.MaxInt64 || off <= prev && i > 0 || off <= 0 {
+		if n <= 0 || d > math.MaxInt64 || off <= prev && i > 0 || off <= 0 {
 			return nil, fmt.Errorf("store: key index record offset %d malformed or not ascending", i)
 		}
+		p += n
 		prev = off
-		ix.recOffsets = append(ix.recOffsets, off)
+		ix.recOffsets[i] = off
 	}
+	r := binio.NewReader(payload[p:])
 	ix.dup = r.Bytes((int(recCount) + 7) / 8)
 	slots := r.U32()
 	if r.Err != nil || slots != 0 && (slots&(slots-1) != 0 || uint64(slots) > uint64(r.Left())/8) {

@@ -18,23 +18,24 @@ package store
 //	crc u32 (CRC-32C of every preceding byte)
 //
 // str = varint length + raw bytes; the file is built by appending and
-// parsed in place (binio.Reader). The segment kind byte carries the
-// segment kind in its low bits. Bit 7 (manifestSegIndexed) was set by
-// older builds on a sealed segment holding an inverted key index; it is
-// ignored on read and never written, so a MANIFEST that carries it still
-// loads without a replay. "covered" is the byte offset within the
-// segment's record region that this manifest accounts for: records
-// beyond it (acked Puts after the manifest was written) are replayed at
-// open. "bytes" is the packed record's length and (segment, offset) its
-// location. The trailing checksum makes a cleanly-loading manifest
-// trustworthy as-is, and its name order makes it the store's catalog
-// table as parsed (catalog, below): an open reads the file once, copies
-// its body into one string and parses each entry's fields into a
-// name-ordered []Meta, checking that every name is greater than the one
-// before. That parse is per entry — no hashing, no sorting, and no
-// allocation per entry. A manifest that does not load (missing, corrupt,
-// out of order, or any other version byte) is never read further: the
-// open path replays the segments instead.
+// parsed in place. The segment kind byte carries the segment kind in its
+// low bits. Bit 7 (manifestSegIndexed) was set by older builds on a sealed
+// segment holding an inverted key index; it is ignored on read and never
+// written, so a MANIFEST that carries it still loads without a replay.
+// "covered" is the byte offset within the segment's record region that
+// this manifest accounts for: records beyond it (acked Puts after the
+// manifest was written) are replayed at open. "bytes" is the packed
+// record's length and (segment, offset) its location. The trailing
+// checksum makes a cleanly-loading manifest trustworthy as-is, and its
+// name order makes it the store's catalog table as parsed (catalog,
+// below): an open reads the file once and parses the entries in one pass
+// into a name-ordered []Meta whose names are substrings of the file's
+// bytes, checking that every name is greater than the one before — no
+// hashing, sorting or allocation per entry, and the segments are mapped
+// first, so their key indexes are checked on a second goroutine meanwhile
+// (fsbackend.go). A manifest that does not load (missing, corrupt, out of
+// order, or any other version byte) is never read further: the open path
+// replays the segments instead.
 
 import (
 	"errors"
@@ -46,6 +47,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"misketch/internal/binio"
 	"misketch/internal/core"
@@ -66,7 +68,7 @@ const (
 // record lives.
 type Meta struct {
 	// Name is the sketch's name. A Meta loaded from the MANIFEST shares
-	// its Name's bytes with one string holding the whole file body, so a
+	// its Name's bytes with one string over the whole file's bytes, so a
 	// name held anywhere (the catalog table, a List or Metas result)
 	// keeps that string alive: about 1 MB per 20 000 entries.
 	Name       string
@@ -219,6 +221,7 @@ type manifestV2 struct {
 	segs    []manifestSeg
 	metas   []Meta // strictly ascending by name
 	bytes   int64  // the sum of metas[*].Bytes
+	entries []byte // not yet parsed (readManifestV2)
 }
 
 // errManifestVersion marks a manifest whose magic is right but whose
@@ -267,6 +270,16 @@ func writeManifestV2(path string, nextSeq uint64, segs []manifestSeg, metas []Me
 // file surfaces as an os.IsNotExist error; any other version byte as
 // errManifestVersion.
 func loadManifestV2(path string) (*manifestV2, error) {
+	man, err := readManifestV2(path)
+	if err != nil {
+		return nil, err
+	}
+	return man, man.parseEntries()
+}
+
+// readManifestV2 is loadManifestV2 up to the entries, which an open
+// parses once it has mapped the segments (parseEntries).
+func readManifestV2(path string) (*manifestV2, error) {
 	raw, err := readFileHooked(path)
 	if err != nil {
 		return nil, err
@@ -302,39 +315,60 @@ func loadManifestV2(path string) (*manifestV2, error) {
 		}
 		man.segs = append(man.segs, s)
 	}
-	count := mr.Uvarint()
-	if mr.Err != nil || count > uint64(len(body))/minEntryBytes {
-		return nil, fmt.Errorf("store: implausible manifest (%d sketches in %d bytes)", count, len(body))
+	man.entries = body[len(body)-mr.Left():]
+	return man, nil
+}
+
+// parseEntries parses the entries in one pass over their bytes, each
+// varint by the inlined binio.UvarintAt: a string and the fixed fields
+// after it are checked against the end as the string is read, the varints
+// after them together.
+func (man *manifestV2) parseEntries() error {
+	b := man.entries
+	count, p := binio.UvarintAt(b, 0)
+	if p <= 0 || count > uint64(len(b))/minEntryBytes {
+		return fmt.Errorf("store: implausible manifest (%d sketches in %d bytes)", count, len(b))
 	}
-	man.metas = make([]Meta, count)
-	// A handful of methods, interned: no Meta's method keeps the body.
-	methods := map[string]core.Method{}
+	// Names are substrings of one string over the file's bytes, which
+	// nothing writes; methods are interned, so none keeps those bytes.
+	s, method := unsafe.String(unsafe.SliceData(b), len(b)), core.Method("")
+	man.metas, man.entries = make([]Meta, count), nil
 	for i := range man.metas {
-		m := &man.metas[i]
-		m.Name = mr.Str()
-		method := mr.Str()
-		if m.Method = methods[method]; m.Method == "" {
-			m.Method = core.Method(strings.Clone(method))
-			methods[method] = m.Method
+		m, strs := &man.metas[i], [2]string{} // name, method; after each, at least role and seed
+		for j := range strs {
+			n, k := binio.UvarintAt(b, p)
+			if k <= 0 || len(b)-p-k < 5 || n > uint64(len(b)-p-k-5) {
+				return fmt.Errorf("store: manifest entry %d is truncated", i)
+			}
+			p += k + int(n)
+			strs[j] = s[p-int(n) : p]
 		}
-		m.Role = core.Role(mr.U8())
-		m.Seed = mr.U32()
-		m.Size = int(mr.Uvarint())
-		m.Numeric = mr.U8() == 1
-		m.SourceRows = int(mr.Uvarint())
-		m.Entries = int(mr.Uvarint())
-		m.Bytes = int64(mr.Uvarint())
-		m.Segment = mr.Uvarint()
-		m.Offset = int64(mr.Uvarint())
-		if mr.Err != nil {
-			return nil, fmt.Errorf("store: reading manifest entry %d: %w", i, mr.Err)
+		if strs[1] != string(method) { // by comparison: the method rarely changes
+			if j := slices.IndexFunc(core.Methods, func(x core.Method) bool { return string(x) == strs[1] }); j >= 0 {
+				method = core.Methods[j]
+			} else {
+				method = core.Method(strings.Clone(strs[1]))
+			}
 		}
+		m.Name, m.Method, m.Role, m.Seed = strs[0], method, core.Role(b[p]), binio.U32At(b, p+1)
+		size, k := binio.UvarintAt(b, p+5)
+		p += 5 + k // the numeric byte: read only if it exists, refused below if not
+		m.Numeric = uint(p) < uint(len(b)) && b[p] == 1
+		rows, k1 := binio.UvarintAt(b, p+1)
+		entries, k2 := binio.UvarintAt(b, p+1+k1)
+		bytes, k3 := binio.UvarintAt(b, p+1+k1+k2)
+		seg, k4 := binio.UvarintAt(b, p+1+k1+k2+k3)
+		off, k5 := binio.UvarintAt(b, p+1+k1+k2+k3+k4)
+		if p += 1 + k1 + k2 + k3 + k4 + k5; min(k, k1, k2, k3, k4, k5) <= 0 {
+			return fmt.Errorf("store: manifest entry %d is truncated", i)
+		}
+		m.Size, m.SourceRows, m.Entries, m.Bytes, m.Segment, m.Offset = int(size), int(rows), int(entries), int64(bytes), seg, int64(off)
 		if i > 0 && m.Name <= man.metas[i-1].Name {
-			return nil, fmt.Errorf("store: manifest entry %d (%q) is not ordered after %q", i, m.Name, man.metas[i-1].Name)
+			return fmt.Errorf("store: manifest entry %d (%q) is not ordered after %q", i, m.Name, man.metas[i-1].Name)
 		}
 		man.bytes += m.Bytes
 	}
-	return man, nil
+	return nil
 }
 
 // minEntryBytes bounds the per-entry size from below so a corrupt count

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"misketch/internal/binio"
@@ -243,6 +244,35 @@ func FuzzLoadManifest(f *testing.F) {
 		}
 		f.Add(raw)
 	}
+	// Multi-byte varints in every field (a name longer than 127 bytes
+	// too), and three methods interleaved across adjacent entries: the
+	// parse's longer varints and its method interning.
+	long := strings.Repeat("n", 130)
+	var wide []Meta
+	for i, method := range []core.Method{core.TUPSK, core.CSK, core.LV2SK, core.CSK, core.TUPSK, core.LV2SK} {
+		wide = append(wide, Meta{
+			Name: fmt.Sprintf("%s%02d", long, i), Method: method, Role: core.RoleCandidate, Seed: 1 << 31,
+			Size: 128 << i, Numeric: i%2 == 0, SourceRows: 1<<28 + i, Entries: 200 + i, Bytes: 1<<20 + int64(i),
+			Segment: 1<<14 + uint64(i), Offset: 1<<28 + int64(i)<<10,
+		})
+	}
+	if err := writeManifestV2(path, 1<<15, []manifestSeg{{seq: 1 << 14, kind: segKindCompacted, covered: 1 << 29}, {seq: 1<<14 + 5, covered: 1 << 29}}, wide); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	if man, err := loadManifestV2(path); err != nil || !reflect.DeepEqual(man.metas, wide) {
+		f.Fatalf("wide manifest loads as %+v, %v", man, err)
+	}
+	// One entry with empty strings and a size varint that overflows: the
+	// parse must not step back before the start. The body reaches the
+	// parser with its CRC recomputed.
+	overflow := append([]byte(manifestMagic), manifestVersion, 0, 0, 1, 0, 0, 1, 1, 2, 3, 4)
+	overflow = append(overflow, bytes.Repeat([]byte{0xff}, 11)...)
+	f.Add(append(overflow, 0, 0, 0, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -17,6 +17,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -600,5 +602,102 @@ func TestLazyPostingValidationRace(t *testing.T) {
 				t.Fatalf("round %d train %d: %d results pruning %d, alone %d pruning %d", round, q, len(got[q].Ranked), got[q].Pruned, len(want[q].Ranked), want[q].Pruned)
 			}
 		}
+	}
+}
+
+// TestKeyIndexCRCFailsClosedAtOpen raises one posting's multiplicity in
+// the key index of the first of two sealed segments and recomputes only
+// the footer CRC: the list stays well formed, so the section's own CRC is
+// the one check that can tell, and the open's warm-up checks it. That
+// segment then serves unindexed — the first rank equals the NoIndex
+// walk's and only the other segment excludes candidates — and a Close
+// issued right after an open leaves no mapping.
+func TestKeyIndexCRCFailsClosedAtOpen(t *testing.T) {
+	names, cands, trains := diffSketches(t, 80, 4)
+	const minJoin = 20
+	train := trains[0]
+	var seg1, seg2 int64 // the candidates an index excludes for train, per segment
+	for i, c := range cands {
+		switch {
+		case core.KeyOverlap(train, c) > minJoin:
+		case i < len(cands)/2:
+			seg1++
+		default:
+			seg2++
+		}
+	}
+	if seg1 == 0 || seg2 == 0 {
+		t.Fatalf("degenerate fixture: %d+%d candidates excluded", seg1, seg2)
+	}
+	dir, err := filepath.EvalSymlinks(twoSegmentStore(t, names, cands))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := segmentPath(dir, 1)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(data) - segFooterV2Bytes
+	kixOff := int(binio.U64At(data, end))
+	ix, err := parseKeyIndex(data[kixOff:end], true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < ix.slots; s++ {
+		if ref := binio.U32At(ix.refs, s*4); ref != 0 {
+			at := end - len(ix.postings) + int(ref) - 1
+			_, n := binio.UvarintAt(data, at)
+			if data[at+n+1] != 1 {
+				t.Fatalf("first posting's multiplicity byte is %d, want 1", data[at+n+1])
+			}
+			data[at+n+1] = 2
+			break
+		}
+	}
+	binio.PutU32(data[end+24:], crc32.Checksum(data[:end], crcTable))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseKeyIndex(data[kixOff:end], false); err != nil {
+		t.Fatalf("the rewritten index fails more than its CRC: %v", err)
+	}
+
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rank := func(noIndex bool) BatchQueryResult {
+		res, err := st.RankBatch(ctx, []*core.Sketch{train}, RankOptions{MinJoinSize: minJoin, K: 3, NoIndex: noIndex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Queries[0]
+	}
+	got := rank(false)
+	skips := st.Stats().CandidatesSkippedNoDecode
+	want := rank(true)
+	if len(want.Ranked) == 0 || !sameRanked(got.Ranked, want.Ranked) || got.Pruned != want.Pruned {
+		t.Fatalf("%d results pruning %d, the NoIndex walk %d pruning %d", len(got.Ranked), got.Pruned, len(want.Ranked), want.Pruned)
+	}
+	if skips != seg2 {
+		t.Fatalf("%d candidates skipped without a decode, want segment 2's %d: segment 1's index served", skips, seg2)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOOS != "linux" {
+		return // the rest reads /proc/self/maps
+	}
+	st, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if held := mappingsUnder(t, dir); len(held) > 0 {
+		t.Fatalf("%d mappings under the store after Close, first: %s", len(held), held[0])
 	}
 }

@@ -99,21 +99,16 @@ type segment struct {
 	count   int    // records in the record region
 	sealed  bool
 	footLen int64 // footer length (v2 or v3); meaningful when sealed
-	// kixOff/kixLen locate the key index section (0: none). The section
-	// is parsed lazily at first use (keyIndex below) so opening a store
-	// stays O(segments) work regardless of index size.
-	kixOff, kixLen int64
-	kixMu          sync.Mutex
-	kixState       atomic.Int32 // 0 unparsed, 1 ready, 2 invalid
-	kixVal         *keyIndex
-	// dictOff/dictLen locate the compression dict section (0: none —
-	// the segment holds only raw records). Same lazy-parse discipline
-	// as the key index, except failure is not a silent fallback: a
-	// compressed record without a parseable dict fails its decode.
-	dictOff, dictLen int64
-	dictMu           sync.Mutex
-	dictState        atomic.Int32 // 0 unparsed, 1 ready, 2 invalid
-	dictVal          *segDict
+	// kixOff/kixLen locate the key index section (0: none), and
+	// dictOff/dictLen the compression dict section (0: none — the segment
+	// holds only raw records). Each is parsed once, by the open's warm-up
+	// (fsbackend.go) or at first use, whichever comes first; the other
+	// waits for it (keyIndex, dict).
+	kixOff, kixLen    int64
+	dictOff, dictLen  int64
+	kixOnce, dictOnce sync.Once
+	kixVal            *keyIndex // nil: none, or it failed its parse
+	dictVal           *segDict  // nil: none, or it failed its parse
 
 	// refs counts reasons the mapping must stay valid: 1 for segment-table
 	// membership plus one per pinned reader. Whoever takes the segment out
@@ -437,37 +432,21 @@ func (g *segment) keyIndex() *keyIndex {
 	if !g.sealed || g.kixOff == 0 {
 		return nil
 	}
-	switch g.kixState.Load() {
-	case 1:
-		return g.kixVal
-	case 2:
-		return nil
-	}
-	g.kixMu.Lock()
-	defer g.kixMu.Unlock()
-	if g.kixState.Load() == 0 {
+	g.kixOnce.Do(func() {
 		ix, err := parseKeyIndex(g.data[g.kixOff:g.kixOff+g.kixLen], true)
-		if err == nil {
-			// The section validates internally; also pin its offsets to
-			// this segment's record region.
-			for _, off := range ix.recOffsets {
-				if off < segHeaderBytes || off >= g.recEnd {
-					err = fmt.Errorf("store: key index offset %d outside record region", off)
-					break
-				}
+		if err != nil {
+			return
+		}
+		// The section validates internally; also pin its offsets to this
+		// segment's record region.
+		for _, off := range ix.recOffsets {
+			if off < segHeaderBytes || off >= g.recEnd {
+				return
 			}
 		}
-		if err != nil {
-			g.kixState.Store(2)
-		} else {
-			g.kixVal = ix
-			g.kixState.Store(1)
-		}
-	}
-	if g.kixState.Load() == 1 {
-		return g.kixVal
-	}
-	return nil
+		g.kixVal = ix
+	})
+	return g.kixVal
 }
 
 // dict parses (once) and returns the segment's compression dict
@@ -480,27 +459,10 @@ func (g *segment) dict() *segDict {
 	if !g.sealed || g.dictOff == 0 {
 		return nil
 	}
-	switch g.dictState.Load() {
-	case 1:
-		return g.dictVal
-	case 2:
-		return nil
-	}
-	g.dictMu.Lock()
-	defer g.dictMu.Unlock()
-	if g.dictState.Load() == 0 {
-		d, err := parseDictSection(g.data[g.dictOff : g.dictOff+g.dictLen])
-		if err != nil {
-			g.dictState.Store(2)
-		} else {
-			g.dictVal = d
-			g.dictState.Store(1)
-		}
-	}
-	if g.dictState.Load() == 1 {
-		return g.dictVal
-	}
-	return nil
+	g.dictOnce.Do(func() {
+		g.dictVal, _ = parseDictSection(g.data[g.dictOff : g.dictOff+g.dictLen])
+	})
+	return g.dictVal
 }
 
 // decoder returns the segment's record decoder (nil when the segment

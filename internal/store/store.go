@@ -165,16 +165,16 @@ func Open(dir string) (*Store, error) {
 // OpenWithOptions opens (creating if necessary) a sketch store rooted at
 // dir. A checksummed manifest that loads cleanly is trusted as-is and
 // becomes the catalog as parsed: opening an indexed store costs one file
-// read, one string copy of it and one mmap per segment, plus a parse of
-// each entry's fields and an order check of its name — per-entry work,
-// but no hashing, sorting or allocation per entry. Acked mutations from
-// after the last manifest write are recovered by replaying the segment
-// tails into the catalog's pending set, merged once before the healed
-// manifest is written. When
-// the manifest is missing, corrupt or inconsistent with the segment files
-// the store heals itself from the segment records alone and persists the
-// result. This is the store's one repair path: a handle keeps the backend,
-// cache and covered offsets it opened with for its whole life.
+// read and one mmap per segment, plus a one-pass parse of the entries and
+// an order check of each name — no hashing, sorting or allocation per
+// entry — while the key indexes are checked on a second goroutine. Acked
+// mutations from after the last manifest write are recovered by replaying
+// the segment tails into the catalog's pending set, merged once before the
+// healed manifest is written. When the manifest is missing, corrupt or
+// inconsistent with the segment files the store heals itself from the
+// segment records alone and persists the result. This is the store's one
+// repair path: a handle keeps the backend, cache and covered offsets it
+// opened with for its whole life.
 func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 	s := &Store{dir: dir, compactStop: make(chan struct{})}
 	s.selectPool.New = func() any { return new(selectScratch) }
@@ -417,9 +417,14 @@ func (s *Store) Meta(name string) (Meta, bool) {
 	return s.cat.get(name)
 }
 
-// Metas returns every manifest record, sorted by name.
+// Metas returns every manifest record, sorted by name; nil once the
+// store is closed.
 func (s *Store) Metas() []Meta {
 	s.mu.Lock()
+	if s.closed.Load() {
+		s.mu.Unlock()
+		return nil
+	}
 	v := s.viewLocked()
 	s.mu.Unlock()
 	return slices.Clone(v.entries) // the view's own slice is shared and immutable
