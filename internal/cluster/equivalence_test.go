@@ -307,7 +307,7 @@ func TestStatsKeySets(t *testing.T) {
 			"result_misses", "result_not_modified", "sketch_requests", "workers_held",
 		},
 		tc.union.URL + " store": {
-			"backend", "cache_bytes", "cache_hits", "cache_misses", "candidate_loads", "candidates_skipped_no_decode",
+			"backend", "cache_budget_bytes", "cache_bytes", "cache_entries", "cache_hits", "cache_misses", "candidate_loads", "candidates_skipped_no_decode",
 			"candidates_visited", "cascade_cheap_only", "cascade_exact", "cascade_margin_rescues", "compactions",
 			"compressed_bytes", "compressed_segments", "deletes", "disk_reads", "evictions", "exact_memo_hits",
 			"indexed_segments", "live_bytes", "plan_hits", "plan_misses", "posting_bytes", "pruned_pairs", "puts", "rank_batches", "rank_panics",

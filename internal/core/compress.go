@@ -339,7 +339,7 @@ func decodeCompressed(dec *RecordDecoder, data []byte, off int, rec Record, borr
 			sc.interned = make(map[string]string, 64)
 		}
 		interned, buf := sc.interned, sc.buf
-		bo := 0
+		bo, vb := 0, 0
 		for i := 0; i < n; i++ {
 			cs := blob[bo : bo+lens[i]]
 			bo += lens[i]
@@ -355,8 +355,10 @@ func decodeCompressed(dec *RecordDecoder, data []byte, off int, rec Record, borr
 			v := string(buf) // a copy: nothing pooled reaches the Sketch
 			interned[string(cs)] = v
 			s.Strs[i] = v
+			vb += len(v)
 		}
 		sc.lens, sc.buf = lens, buf
+		s.strBytes = int64(vb)
 	}
 	rec.Sketch = s
 	return rec, nil

@@ -161,6 +161,10 @@ type Sketch struct {
 	// (see HasDuplicateKeyHashes); batch ranking consults it before
 	// trusting a key-overlap prefilter decision.
 	dupKeys atomic.Uint32
+
+	// strBytes is what a compressed decode allocated for Strs, which
+	// shares one string per distinct value (0: not recorded; StrBytes).
+	strBytes int64
 }
 
 // NumValOrder returns the ascending order of the sketch's numeric
@@ -190,6 +194,19 @@ func (s *Sketch) NumValOrder() []int32 {
 
 // Len returns the number of entries stored in the sketch.
 func (s *Sketch) Len() int { return len(s.KeyHashes) }
+
+// StrBytes returns the string bytes Strs holds: once per distinct value
+// for a compressed decode, which interns them, else summed per row.
+func (s *Sketch) StrBytes() int64 {
+	if s.strBytes > 0 {
+		return s.strBytes
+	}
+	var n int64
+	for _, v := range s.Strs {
+		n += int64(len(v))
+	}
+	return n
+}
 
 // values is where a build reads its entry values: row at of col, or —
 // for an aggregated candidate build — AGG over group at of the key plan.

@@ -65,7 +65,8 @@ type backend interface {
 
 // memBackend keeps every sketch in process memory: zero durability,
 // zero syscalls. Servers and tests that want a diskless store run on it
-// (OpenOptions.Backend = "mem").
+// (OpenOptions.Backend = "mem"). By design it stores the sketch a Put
+// passes and serves that very pointer, so a caller must not modify it.
 type memBackend struct {
 	mu       sync.Mutex
 	sketches map[string]*core.Sketch

@@ -356,14 +356,8 @@ func (b *fsBackend) roll() error {
 }
 
 func (b *fsBackend) loadOwned(m Meta) (*core.Sketch, error) {
-	sk, tag, err := b.load(m, false)
-	if err != nil {
-		return nil, err
-	}
-	if tag != 0 {
-		sk = core.CloneSketch(sk)
-	}
-	return sk, nil
+	sk, _, err := b.load(m, false) // a decode without borrow owns its memory
+	return sk, err
 }
 
 func (b *fsBackend) loadView(m Meta) (*core.Sketch, uint64, error) {

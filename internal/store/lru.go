@@ -14,10 +14,12 @@ import (
 // manifest check beside it and a compaction's purge against its unmap.
 type sketchCache = cache.LRU[string, cachedSketch]
 
-// cachedSketch tags a cached sketch with the segment it borrows memory
+// cachedSketch is one decode a read admitted — a zero-copy view on a raw
+// segment or an owned decode — tagged with the segment it borrows memory
 // from (0 = the sketch owns its memory), so a compaction retiring
 // segments can purge the views that alias them before the mappings go
-// away, and with a generation its version was current at (getForRank).
+// away, and with the generation its version was current at (the loading
+// read's gen; getForRank). Put admits nothing, so no entry is a caller's.
 type cachedSketch struct {
 	sk       *core.Sketch
 	seg, gen uint64
@@ -28,11 +30,12 @@ func (s *Store) cacheLocked(name string, sk *core.Sketch, seg, gen uint64) {
 	s.cache.Add(name, cachedSketch{sk, seg, gen}, sketchBytes(sk))
 }
 
-// sketchBytes approximates the resident (or, for a borrowed view, the
-// referenced) size of a decoded sketch: the array payloads plus
-// per-string and fixed struct overhead. Charging views for the mapped
-// bytes they keep hot preserves the budget's meaning as "sketch bytes
-// this cache keeps reachable".
+// sketchBytes is what a decoded sketch holds (or, for a borrowed view,
+// the mapped bytes it keeps hot): the array payloads, string headers and
+// string bytes — a compressed decode's once per distinct value, as it
+// interns them — and fixed struct overhead, so the budget means "sketch
+// bytes this cache keeps reachable". It allocates nothing and runs under
+// s.mu.
 func sketchBytes(sk *core.Sketch) int64 {
 	n := int64(96) // struct and slice headers
 	n += 4 * int64(len(sk.KeyHashes))
@@ -41,8 +44,5 @@ func sketchBytes(sk *core.Sketch) int64 {
 	// sketches always end up paying it, so charge it up front rather
 	// than undercount every numeric entry by a third.
 	n += (8 + 4) * int64(len(sk.Nums))
-	for _, s := range sk.Strs {
-		n += int64(len(s)) + 16
-	}
-	return n
+	return n + 16*int64(len(sk.Strs)) + sk.StrBytes()
 }

@@ -275,7 +275,10 @@ func (s *Store) Close() error {
 // is durable before Put returns: the record is appended to the active
 // segment and fsynced (a crash afterwards replays it from the segment on
 // the next open, manifest or no manifest). A sketch holding ±Inf is
-// refused (core.CheckFinite).
+// refused (core.CheckFinite). The fs store keeps no reference to sk: Put
+// drops any cached version of name, and the first read caches its own
+// decode. The mem backend stores sk itself, so its caller must not
+// modify sk afterwards.
 func (s *Store) Put(name string, sk *core.Sketch) error {
 	if name == "" {
 		return fmt.Errorf("store: empty sketch name")
@@ -300,17 +303,18 @@ func (s *Store) Put(name string, sk *core.Sketch) error {
 	if end := off + length; s.covered[seg] < end {
 		s.covered[seg] = end
 	}
-	gen := s.gen.Add(1)
+	s.gen.Add(1)
 	s.dirty = true
-	s.cacheLocked(name, sk, 0, gen)
+	s.cache.Delete(name)
 	s.mu.Unlock()
 	s.puts.Add(1)
 	return nil
 }
 
 // Get loads the named sketch (from cache when warm). The returned sketch
-// owns its memory (or, on the mem backend, is the stored sketch itself)
-// and stays valid indefinitely.
+// is shared with the cache and other callers and is read-only; it owns
+// its memory (or, on the mem backend, is the stored sketch itself) and
+// stays valid indefinitely.
 func (s *Store) Get(name string) (*core.Sketch, error) {
 	for attempt := 0; ; attempt++ {
 		s.mu.Lock()
@@ -490,8 +494,11 @@ type Stats struct {
 	LiveBytes       int64 `json:"live_bytes"`
 	// Compactions counts completed compaction passes by this handle.
 	Compactions int64 `json:"compactions"`
-	// CacheBytes is the current size of the decoded-sketch cache.
-	CacheBytes int64 `json:"cache_bytes"`
+	// CacheBytes is the current size of the decoded-sketch cache,
+	// CacheEntries the sketches it holds and CacheBudgetBytes its bound.
+	CacheBytes       int64 `json:"cache_bytes"`
+	CacheEntries     int   `json:"cache_entries"`
+	CacheBudgetBytes int64 `json:"cache_budget_bytes"`
 	// CacheHits/CacheMisses/Evictions count cache outcomes.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
@@ -539,7 +546,8 @@ func (s *Store) Stats() Stats {
 		RankPanics:  s.rankPanics.Load(),
 	}
 	cs := s.cache.Stats()
-	st.CacheBytes, st.CacheHits, st.CacheMisses, st.Evictions = cs.Used, cs.Hits, cs.Misses, cs.Evictions
+	st.CacheBytes, st.CacheEntries, st.CacheBudgetBytes = cs.Used, cs.Entries, s.cache.Max()
+	st.CacheHits, st.CacheMisses, st.Evictions = cs.Hits, cs.Misses, cs.Evictions
 	if fb, ok := s.backend.(*fsBackend); ok {
 		for _, info := range fb.segmentInfos() {
 			st.Segments++

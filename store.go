@@ -148,11 +148,12 @@ var ErrNotFound = store.ErrNotFound
 
 // StoreStats are observability counters for a store handle: backend
 // kind, segment count/bytes/liveness, compaction passes, cache
-// hits/misses/evictions, bytes cached, record decodes, the ranking
-// cascade's tier counters (pairs settled by the cheap tier alone, pairs
-// that paid the exact tier, margin/guard rescues), and the compression
-// counters (compressed segment count, stored vs raw-equivalent record
-// bytes — the achieved ratio is RawBytes/CompressedBytes).
+// hits/misses/evictions, bytes and sketches cached against its budget,
+// record decodes, the ranking cascade's tier counters (pairs settled by
+// the cheap tier alone, pairs that paid the exact tier, margin/guard
+// rescues), and the compression counters (compressed segment count,
+// stored vs raw-equivalent record bytes — the achieved ratio is
+// RawBytes/CompressedBytes).
 type StoreStats = store.Stats
 
 // OpenStore opens (creating if necessary) a sketch store rooted at dir
