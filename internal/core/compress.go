@@ -283,6 +283,7 @@ func decodeCompressed(dec *RecordDecoder, data []byte, off int, rec Record, borr
 		nums := h[recHeaderBytes : recHeaderBytes+8*n]
 		if borrow && nativeLittleEndian && n > 0 {
 			s.Nums = unsafe.Slice((*float64)(unsafe.Pointer(&nums[0])), n)
+			rec.Borrowed = true
 		} else {
 			s.Nums = make([]float64, n)
 			for i := range s.Nums {

@@ -297,3 +297,47 @@ func FuzzDecodeCompressedRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestRecordBorrowedOnlyWhenAliased holds Record.Borrowed to what the
+// sketch really aliases, for raw and compressed records × numeric and
+// categorical × borrow: after the record's bytes are overwritten, a
+// decode that says it owns its memory reads the values it was given, and
+// one that says it borrows reads the overwrite.
+func TestRecordBorrowedOnlyWhenAliased(t *testing.T) {
+	sketches := packedSketches(t)
+	for _, name := range []string{"num-role1", "str-role1"} {
+		sk := sketches[name]
+		c := compressorFor(sk)
+		for _, compress := range []bool{false, true} {
+			for _, borrow := range []bool{false, true} {
+				buf, err := AppendRecord(nil, name, sk)
+				if compress {
+					var compressed bool
+					buf, compressed, err = AppendRecordCompressed(nil, name, sk, c)
+					if !compressed {
+						t.Fatalf("%s: fixture did not compress", name)
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, err := DecodeRecordWith(c.Decoder(), buf, 0, borrow)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := borrow && nativeLittleEndian && (!compress || sk.Numeric)
+				label := fmt.Sprintf("%s compressed=%v borrow=%v", name, compress, borrow)
+				if rec.Borrowed != want {
+					t.Errorf("%s: Borrowed = %v, want %v", label, rec.Borrowed, want)
+				}
+				for i := range buf {
+					buf[i] = 0xFF
+				}
+				intact := sketchesEqual(rec.Sketch, sk)
+				if intact == rec.Borrowed {
+					t.Errorf("%s: Borrowed = %v, but the sketch reads the overwritten buffer: %v", label, rec.Borrowed, !intact)
+				}
+			}
+		}
+	}
+}

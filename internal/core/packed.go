@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"strings"
 	"unsafe"
 
 	"misketch/internal/binio"
@@ -230,9 +229,12 @@ type RecordInfo struct {
 // Record is one decoded packed record.
 type Record struct {
 	RecordInfo
-	// Sketch is nil for tombstones. Whether it borrows the input buffer
-	// depends on the decode mode.
+	// Sketch is nil for tombstones.
 	Sketch *Sketch
+	// Borrowed reports that Sketch aliases the input buffer, which must
+	// then outlive it: a raw record decoded with borrow on a
+	// little-endian host, or a compressed numeric record's value array.
+	Borrowed bool
 }
 
 // DecodeRecord decodes the packed record starting at data[off].
@@ -243,7 +245,8 @@ type Record struct {
 // are responsible for that lifetime — the store pins a segment's mapping
 // while any query borrows from it. On big-endian platforms borrowing
 // falls back to copying decode (the arrays would need byte swaps), so
-// borrow=true is a permission, not a guarantee.
+// borrow=true is a permission, not a guarantee: Record.Borrowed says
+// whether the sketch took it.
 //
 // With borrow=false the sketch owns all its memory.
 //
@@ -288,6 +291,7 @@ func DecodeRecordWith(dec *RecordDecoder, data []byte, off int, borrow bool) (Re
 	}
 	strBytes := int(binio.U32At(h, 36))
 	borrow = borrow && nativeLittleEndian
+	rec.Borrowed = borrow
 	if numeric {
 		nums := h[recHeaderBytes : recHeaderBytes+8*n]
 		keys := h[recHeaderBytes+8*n : recHeaderBytes+12*n]
@@ -425,39 +429,6 @@ func VerifyRecord(data []byte, off int) (int, error) {
 		return 0, fmt.Errorf("core: record at %d fails CRC (%08x != %08x)", off, got, want)
 	}
 	return info.Len, nil
-}
-
-// CloneSketch deep-copies s, including the string bytes and the memoized
-// value order, producing a sketch with no aliases into any buffer — the
-// escape hatch for handing a borrowed (mmap-backed) sketch to a caller
-// that may outlive the mapping.
-func CloneSketch(s *Sketch) *Sketch {
-	c := &Sketch{
-		Method:     s.Method,
-		Role:       s.Role,
-		Seed:       s.Seed,
-		Size:       s.Size,
-		Numeric:    s.Numeric,
-		SourceRows: s.SourceRows,
-	}
-	c.KeyHashes = append([]uint32(nil), s.KeyHashes...)
-	if s.Nums != nil {
-		c.Nums = append([]float64(nil), s.Nums...)
-	}
-	if s.Strs != nil {
-		c.Strs = make([]string, len(s.Strs))
-		for i, v := range s.Strs {
-			c.Strs[i] = strings.Clone(v)
-		}
-	}
-	if p := s.valOrder.Load(); p != nil {
-		vo := append([]int32(nil), (*p)...)
-		c.valOrder.Store(&vo)
-	}
-	if v := s.dupKeys.Load(); v != 0 {
-		c.dupKeys.Store(v)
-	}
-	return c
 }
 
 func b2u8(b bool) uint8 {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"misketch/internal/mi"
@@ -173,33 +172,5 @@ func TestPackedRecordRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeRecord(buf, 4, true); err == nil {
 		t.Error("unaligned offset should fail")
-	}
-}
-
-func TestCloneSketchIsDeep(t *testing.T) {
-	for name, sk := range packedSketches(t) {
-		buf, err := AppendRecord(nil, name, sk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := DecodeRecord(buf, 0, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clone := CloneSketch(rec.Sketch)
-		// Scribble over the backing buffer: the clone must be unaffected.
-		for i := range buf {
-			buf[i] = 0xFF
-		}
-		packedSketchesEqual(t, name, clone, sk)
-		if sk.Numeric {
-			co, wo := clone.NumValOrder(), sk.NumValOrder()
-			if len(co) != len(wo) {
-				t.Fatalf("%s: clone lost the value-order memo", name)
-			}
-		}
-		for _, s := range clone.Strs {
-			_ = strings.Clone(s) // touch every byte; must not fault
-		}
 	}
 }

@@ -19,18 +19,31 @@ type Fig2Result struct {
 	M              int
 }
 
-// RunFig2 executes EXP-FIG2. Every series sees the same Trials datasets.
+// RunFig2 executes EXP-FIG2.
 func RunFig2(cfg Config) (*Fig2Result, error) {
-	cfg = cfg.normalized()
 	const m = 512
+	series, err := methodSeries(cfg, func(rng *rand.Rand, rows int) *synth.Dataset {
+		return synth.GenTrinomial(m, rows, rng)
+	}, synth.TreatDiscrete, synth.TreatMixture, synth.TreatDC)
+	if err != nil {
+		return nil, err
+	}
+	return &Fig2Result{SeriesByMethod: series, M: m}, nil
+}
+
+// methodSeries is the loop behind Figures 2 and 3: cfg.Trials datasets
+// drawn by gen, then one series per sketch method × treatment × key
+// process, each over every dataset.
+func methodSeries(cfg Config, gen func(rng *rand.Rand, rows int) *synth.Dataset, treatments ...synth.Treatment) (map[core.Method][]*Series, error) {
+	cfg = cfg.normalized()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	datasets := make([]*synth.Dataset, cfg.Trials)
 	for i := range datasets {
-		datasets[i] = synth.GenTrinomial(m, cfg.Rows, rng)
+		datasets[i] = gen(rng, cfg.Rows)
 	}
-	res := &Fig2Result{SeriesByMethod: map[core.Method][]*Series{}, M: m}
+	res := map[core.Method][]*Series{}
 	for _, method := range []core.Method{core.LV2SK, core.TUPSK} {
-		for _, tr := range []synth.Treatment{synth.TreatDiscrete, synth.TreatMixture, synth.TreatDC} {
+		for _, tr := range treatments {
 			for _, kg := range []synth.KeyGen{synth.KeyInd, synth.KeyDep} {
 				s := &Series{Label: fmt.Sprintf("%s %s", tr, kg)}
 				for _, ds := range datasets {
@@ -40,20 +53,25 @@ func RunFig2(cfg Config) (*Fig2Result, error) {
 					}
 					s.Points = append(s.Points, p)
 				}
-				res.SeriesByMethod[method] = append(res.SeriesByMethod[method], s)
+				res[method] = append(res[method], s)
 			}
 		}
 	}
 	return res, nil
 }
 
+// writeMethodSeries renders methodSeries' output as binned tables, one per
+// method; title is a format with one %s, the method.
+func writeMethodSeries(w io.Writer, byMethod map[core.Method][]*Series, title string, hi float64, bins int) {
+	for _, method := range []core.Method{core.LV2SK, core.TUPSK} {
+		series := byMethod[method]
+		sortSeries(series)
+		writeSeriesTable(w, fmt.Sprintf(title, method), series, 0, hi, bins)
+	}
+}
+
 // Write renders the Figure 2 series as binned tables, one per method.
 func (r *Fig2Result) Write(w io.Writer) {
-	for _, method := range []core.Method{core.LV2SK, core.TUPSK} {
-		series := r.SeriesByMethod[method]
-		sortSeries(series)
-		writeSeriesTable(w,
-			fmt.Sprintf("Figure 2 — %s, Trinomial(m=%d): true MI vs sketch estimate", method, r.M),
-			series, 0, 3.5, 7)
-	}
+	writeMethodSeries(w, r.SeriesByMethod,
+		fmt.Sprintf("Figure 2 — %%s, Trinomial(m=%d): true MI vs sketch estimate", r.M), 3.5, 7)
 }

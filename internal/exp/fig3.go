@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 
@@ -19,42 +18,20 @@ type Fig3Result struct {
 	SeriesByMethod map[core.Method][]*Series
 }
 
-// RunFig3 executes EXP-FIG3.
+// RunFig3 executes EXP-FIG3. CDUnif has a continuous Y, so only the
+// Mixed-KSG and DC-KSG treatments apply (Section V-A).
 func RunFig3(cfg Config) (*Fig3Result, error) {
-	cfg = cfg.normalized()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	datasets := make([]*synth.Dataset, cfg.Trials)
-	for i := range datasets {
-		datasets[i] = synth.GenCDUnif(2+rng.Intn(999), cfg.Rows, rng)
+	series, err := methodSeries(cfg, func(rng *rand.Rand, rows int) *synth.Dataset {
+		return synth.GenCDUnif(2+rng.Intn(999), rows, rng)
+	}, synth.TreatMixture, synth.TreatDC)
+	if err != nil {
+		return nil, err
 	}
-	res := &Fig3Result{SeriesByMethod: map[core.Method][]*Series{}}
-	for _, method := range []core.Method{core.LV2SK, core.TUPSK} {
-		// CDUnif has a continuous Y, so only the Mixed-KSG and DC-KSG
-		// treatments apply (Section V-A).
-		for _, tr := range []synth.Treatment{synth.TreatMixture, synth.TreatDC} {
-			for _, kg := range []synth.KeyGen{synth.KeyInd, synth.KeyDep} {
-				s := &Series{Label: fmt.Sprintf("%s %s", tr, kg)}
-				for _, ds := range datasets {
-					p, err := sketchTrial(ds, kg, tr, method, cfg, rng)
-					if err != nil {
-						return nil, err
-					}
-					s.Points = append(s.Points, p)
-				}
-				res.SeriesByMethod[method] = append(res.SeriesByMethod[method], s)
-			}
-		}
-	}
-	return res, nil
+	return &Fig3Result{SeriesByMethod: series}, nil
 }
 
 // Write renders the Figure 3 series.
 func (r *Fig3Result) Write(w io.Writer) {
-	for _, method := range []core.Method{core.LV2SK, core.TUPSK} {
-		series := r.SeriesByMethod[method]
-		sortSeries(series)
-		writeSeriesTable(w,
-			fmt.Sprintf("Figure 3 — %s, CDUnif(m∈[2,1000]): true MI vs sketch estimate", method),
-			series, 0, 6.5, 13)
-	}
+	writeMethodSeries(w, r.SeriesByMethod,
+		"Figure 3 — %s, CDUnif(m∈[2,1000]): true MI vs sketch estimate", 6.5, 13)
 }

@@ -9,11 +9,11 @@ package store
 //   - mem (below): everything in process memory, nothing on disk — the
 //     backend tests and ephemeral services run on.
 //
-// The interface is deliberately narrow: append-style mutation, two load
-// flavors (owned vs borrowed), pinning for borrowed lifetimes, and index
-// persistence. Compaction and verification are fs-specific and reached by
-// type assertion, not interface bloat — a mem store has nothing to
-// compact or verify. Repair is not a backend operation at all: opening a
+// The interface is deliberately narrow: append-style mutation, one load
+// (which may borrow a pinned segment's memory), pinning for borrowed
+// lifetimes, and index persistence. Compaction and verification are
+// fs-specific and reached by type assertion, not interface bloat — a mem
+// store has nothing to compact or verify. Repair is not a backend operation at all: opening a
 // store (openFSBackend) is the one place it happens, and a Store keeps
 // the backend it opened with until it is dropped.
 
@@ -40,12 +40,11 @@ type backend interface {
 	// tombstone durably records the deletion of name, returning the
 	// record's segment and end offset (zero for backends without one).
 	tombstone(name string) (seg uint64, end int64, err error)
-	// loadOwned returns a sketch owning all its memory.
-	loadOwned(m Meta) (*core.Sketch, error)
-	// loadView returns a sketch that may borrow backend memory, plus the
-	// segment it borrows from (0 = owns its memory). A borrowed sketch
-	// is valid only while its segment is pinned.
-	loadView(m Meta) (sk *core.Sketch, tag uint64, err error)
+	// load decodes m's record. With borrow the sketch may alias backend
+	// memory and is valid only while its segment is pinned; tag is that
+	// segment, or 0 when the sketch owns its memory, as it always does
+	// without borrow (and then the fs backend checks the record CRC).
+	load(m Meta, borrow bool) (sk *core.Sketch, tag uint64, err error)
 	// pin takes read pins on the given segments; the returned func
 	// releases them. Both are cheap; rank queries pin once per query.
 	pin(segs map[uint64]struct{}) func()
@@ -92,12 +91,7 @@ func (b *memBackend) tombstone(name string) (uint64, int64, error) {
 	return 0, 0, nil
 }
 
-func (b *memBackend) loadOwned(m Meta) (*core.Sketch, error) {
-	sk, _, err := b.loadView(m)
-	return sk, err
-}
-
-func (b *memBackend) loadView(m Meta) (*core.Sketch, uint64, error) {
+func (b *memBackend) load(m Meta, _ bool) (*core.Sketch, uint64, error) {
 	b.mu.Lock()
 	sk, ok := b.sketches[m.Name]
 	b.mu.Unlock()

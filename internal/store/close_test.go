@@ -239,7 +239,7 @@ func TestCloseRacesRanksAndPuts(t *testing.T) {
 		// must stay readable until the pin is released.
 		m, _ := st.Meta("base/c00")
 		unpin := st.backend.pin(map[uint64]struct{}{m.Segment: {}})
-		view, tag, err := st.backend.loadView(m)
+		view, tag, err := st.backend.load(m, true)
 		if err != nil || tag == 0 {
 			t.Fatalf("fixture: view of %+v borrows from segment %d: %v", m, tag, err)
 		}

@@ -118,7 +118,7 @@ func TestManifestAfterCompactListsOnlyExistingSegments(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	man, err := loadManifestV2(filepath.Join(dir, ManifestFile))
+	man, err := readManifestV2(filepath.Join(dir, ManifestFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +230,7 @@ func TestCompactDuringRankAndMutations(t *testing.T) {
 // Close stops the loop.
 func TestAutoCompactLoop(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenWithOptions(dir, OpenOptions{
-		CompactEvery:      10 * time.Millisecond,
-		CompactMinGarbage: 0.1,
-	})
+	st, err := OpenWithOptions(dir, OpenOptions{CompactEvery: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,9 +397,9 @@ func TestRankLoadChasesCompactedRecord(t *testing.T) {
 	if cur, _ := st.Meta("keep"); cur.Segment == m.Segment {
 		t.Fatal("compaction did not move the record; test is vacuous")
 	}
-	got, err := st.getForRank(m, map[uint64]struct{}{m.Segment: {}}, st.Gen())
+	got, err := st.read(m, map[uint64]struct{}{m.Segment: {}}, st.Gen())
 	if err != nil {
-		t.Fatalf("getForRank after compaction move: %v", err)
+		t.Fatalf("read after compaction move: %v", err)
 	}
 	if got.Len() != sk.Len() {
 		t.Error("chased record decoded wrong sketch")
@@ -424,7 +421,7 @@ func TestRankLoadChasesCompactedRecord(t *testing.T) {
 	if _, err := st.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.getForRank(mg, nil, st.Gen()); err == nil {
+	if _, err := st.read(mg, nil, st.Gen()); err == nil {
 		t.Error("deleted candidate should error (and be skipped by triage)")
 	}
 }

@@ -355,18 +355,8 @@ func (b *fsBackend) roll() error {
 	return b.rollLocked()
 }
 
-func (b *fsBackend) loadOwned(m Meta) (*core.Sketch, error) {
-	sk, _, err := b.load(m, false) // a decode without borrow owns its memory
-	return sk, err
-}
-
-func (b *fsBackend) loadView(m Meta) (*core.Sketch, uint64, error) {
-	return b.load(m, true)
-}
-
 // errSegmentGone marks a load that raced a compaction retiring its
-// segment; the caller re-reads the (already updated) manifest and
-// retries at the record's new home.
+// segment; Store.read chases the record to its new home.
 var errSegmentGone = fmt.Errorf("store: segment retired")
 
 func (b *fsBackend) load(m Meta, borrow bool) (*core.Sketch, uint64, error) {
@@ -377,7 +367,7 @@ func (b *fsBackend) load(m Meta, borrow bool) (*core.Sketch, uint64, error) {
 		b.segMu.Unlock()
 		rec, err := w.readRecordAt(m.Offset, m.Bytes)
 		w.seg.release()
-		return finishLoad(rec, err, m, 0)
+		return finishLoad(rec, err, m)
 	}
 	seg, ok := b.segs[m.Segment]
 	if !ok {
@@ -391,27 +381,35 @@ func (b *fsBackend) load(m Meta, borrow bool) (*core.Sketch, uint64, error) {
 		return nil, 0, fmt.Errorf("store: %q at segment %d [%d,%d) out of bounds", m.Name, m.Segment, m.Offset, m.Offset+m.Bytes)
 	}
 	if !borrow {
-		// Owning loads are the by-name path (Get) — rare enough that the
-		// record CRC is checked so bit rot surfaces as a load error, not a
-		// silently mutated sketch. Borrowed rank views skip the check: the
-		// hot ranking walk stays zero-overhead, and compressed records
-		// (the compacted steady state) verify on decode regardless.
+		// Owning loads (Get, and a rank chasing a moved record) are rare
+		// enough that the record CRC is checked so bit rot surfaces as a
+		// load error, not a silently mutated sketch. Borrowed rank views
+		// skip the check: the hot ranking walk stays zero-overhead, and
+		// compressed records (the compacted steady state) verify on
+		// decode regardless.
 		if _, err := core.VerifyRecord(seg.data[:m.Offset+m.Bytes], int(m.Offset)); err != nil {
 			return nil, 0, fmt.Errorf("store: reading %q: %w", m.Name, err)
 		}
 	}
 	rec, err := core.DecodeRecordWith(seg.decoder(), seg.data[:m.Offset+m.Bytes], int(m.Offset), borrow)
-	return finishLoad(rec, err, m, m.Segment)
+	return finishLoad(rec, err, m)
 }
 
-func finishLoad(rec core.Record, err error, m Meta, tag uint64) (*core.Sketch, uint64, error) {
+// finishLoad checks that rec is m's sketch and tags it with m's segment
+// only if it borrows that segment's memory: a compressed categorical
+// decode, or any decode without borrow, owns its memory, so a compaction
+// need not purge it and Get may serve it.
+func finishLoad(rec core.Record, err error, m Meta) (*core.Sketch, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: reading %q: %w", m.Name, err)
 	}
 	if rec.Kind != core.RecordSketch || rec.Name != m.Name {
 		return nil, 0, fmt.Errorf("store: record at segment %d+%d is not sketch %q", m.Segment, m.Offset, m.Name)
 	}
-	return rec.Sketch, tag, nil
+	if rec.Borrowed {
+		return rec.Sketch, m.Segment, nil
+	}
+	return rec.Sketch, 0, nil
 }
 
 // pin takes read pins on the given segments so borrowed views stay valid

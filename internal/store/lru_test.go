@@ -287,7 +287,7 @@ func TestLRUBudgetInvariantCompressed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Put(name, core.CloneSketch(got)); err != nil {
+		if err := st.Put(name, got); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := st.cache.Get(name); ok {
@@ -298,5 +298,50 @@ func TestLRUBudgetInvariantCompressed(t *testing.T) {
 	s := st.Stats()
 	if s.Evictions == 0 || s.CacheEntries == 0 || s.CacheBudgetBytes != 24*per || s.CacheBytes > s.CacheBudgetBytes {
 		t.Fatalf("stats after filling the cache past its budget: %+v", s)
+	}
+}
+
+// TestRankAdmittedCompressedDecodeOwnsItsMemory: a compressed categorical
+// record decodes into memory of its own, so the entry a rank admits for
+// it is tagged 0: Get serves that very sketch with no second decode or
+// charge, and a compaction, which purges only views of the segments it
+// retires, keeps it.
+func TestRankAdmittedCompressedDecodeOwnsItsMemory(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	train := coldCatalog(t, dir, selCatPerDomain)
+	st, _ := selCatDecode(t, dir, 0)
+	defer st.Close()
+	if _, _, err := st.RankQuery(ctx, train, RankOptions{Prefix: "sel/", MinJoinSize: 50}); err != nil {
+		t.Fatal(err)
+	}
+	const name = "sel/d000/t003#x" // categorical, not planted; only the rank has read it
+	ent, ok := st.cache.Get(name)
+	if !ok || ent.sk.Numeric {
+		t.Fatalf("fixture: the rank cached no categorical decode of %s", name)
+	}
+	if ent.seg != 0 {
+		t.Errorf("the rank's decode of %s is tagged with segment %d, but it owns its memory", name, ent.seg)
+	}
+	used := st.cache.Stats().Used
+	got, err := st.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != ent.sk {
+		t.Errorf("Get of %s returned a new sketch, not the rank's entry", name)
+	}
+	if u := st.cache.Stats().Used; u != used {
+		t.Errorf("Get of %s moved the cache's Used %d → %d", name, used, u)
+	}
+	// A second segment, so the Compact below folds both.
+	if err := st.Put("other#x", got); err != nil {
+		t.Fatal(err)
+	}
+	if cs, err := st.Compact(ctx); err != nil || !cs.Compacted {
+		t.Fatalf("compact = %+v, %v", cs, err)
+	}
+	if after, ok := st.cache.Get(name); !ok || after.sk != ent.sk {
+		t.Errorf("the compaction dropped the rank's decode of %s", name)
 	}
 }

@@ -266,19 +266,10 @@ func writeManifestV2(path string, nextSeq uint64, segs []manifestSeg, metas []Me
 	return nil
 }
 
-// loadManifestV2 reads a manifest written by writeManifestV2. A missing
-// file surfaces as an os.IsNotExist error; any other version byte as
-// errManifestVersion.
-func loadManifestV2(path string) (*manifestV2, error) {
-	man, err := readManifestV2(path)
-	if err != nil {
-		return nil, err
-	}
-	return man, man.parseEntries()
-}
-
-// readManifestV2 is loadManifestV2 up to the entries, which an open
-// parses once it has mapped the segments (parseEntries).
+// readManifestV2 reads a manifest written by writeManifestV2 up to its
+// entries, which an open parses once it has mapped the segments
+// (parseEntries). A missing file surfaces as an os.IsNotExist error; any
+// other version byte as errManifestVersion.
 func readManifestV2(path string) (*manifestV2, error) {
 	raw, err := readFileHooked(path)
 	if err != nil {

@@ -16,6 +16,16 @@ import (
 	"misketch/internal/core"
 )
 
+// readManifest reads a MANIFEST as an open does: readManifestV2, then
+// parseEntries.
+func readManifest(path string) (*manifestV2, error) {
+	man, err := readManifestV2(path)
+	if err != nil {
+		return nil, err
+	}
+	return man, man.parseEntries()
+}
+
 func TestManifestV2RoundTrip(t *testing.T) {
 	metas := []Meta{
 		{
@@ -42,7 +52,7 @@ func TestManifestV2RoundTrip(t *testing.T) {
 	if err := writeManifestV2(path, 6, segs, metas); err != nil {
 		t.Fatal(err)
 	}
-	man, err := loadManifestV2(path)
+	man, err := readManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +94,7 @@ func TestManifestV2IgnoresIndexedBit(t *testing.T) {
 	if err := os.WriteFile(path, binio.AppendU32(body, crc32.Checksum(body, crcTable)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	man, err := loadManifestV2(path)
+	man, err := readManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +127,7 @@ func TestLoadManifestV2RejectsCorruptInput(t *testing.T) {
 		if err := os.WriteFile(bad, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := loadManifestV2(bad); err == nil {
+		if _, err := readManifest(bad); err == nil {
 			t.Errorf("bit flip at %d: expected error", i)
 		}
 	}
@@ -131,7 +141,7 @@ func TestLoadManifestV2RejectsCorruptInput(t *testing.T) {
 		if err := os.WriteFile(p, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := loadManifestV2(p); err == nil {
+		if _, err := readManifest(p); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -141,10 +151,10 @@ func TestLoadManifestV2RejectsCorruptInput(t *testing.T) {
 	if err := os.WriteFile(other, otherVersionManifest, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadManifestV2(other); !errors.Is(err, errManifestVersion) {
+	if _, err := readManifest(other); !errors.Is(err, errManifestVersion) {
 		t.Errorf("version byte 1: got %v, want errManifestVersion", err)
 	}
-	if _, err := loadManifestV2(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
+	if _, err := readManifest(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
 		t.Errorf("missing manifest should surface as not-exist, got %v", err)
 	}
 }
@@ -181,7 +191,7 @@ func TestManifestOrderCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := loadManifestV2(path)
+	man, err := readManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +200,7 @@ func TestManifestOrderCheck(t *testing.T) {
 		if err := writeManifestV2(path, man.nextSeq, man.segs, metas); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := loadManifestV2(path); err == nil {
+		if _, err := readManifest(path); err == nil {
 			t.Fatalf("%s: a MANIFEST out of name order loaded", label)
 		}
 		st, err := Open(dir)
@@ -209,7 +219,7 @@ func TestManifestOrderCheck(t *testing.T) {
 	}
 }
 
-// FuzzLoadManifest feeds loadManifestV2 — the shared in-place reader's
+// FuzzLoadManifest feeds readManifest — the shared in-place reader's
 // second outside input, read from disk — arbitrary bytes, both as they
 // come and with their trailing CRC recomputed so mutations reach the
 // parser. It must error, never panic, and whatever it accepts must
@@ -264,7 +274,7 @@ func FuzzLoadManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw)
-	if man, err := loadManifestV2(path); err != nil || !reflect.DeepEqual(man.metas, wide) {
+	if man, err := readManifest(path); err != nil || !reflect.DeepEqual(man.metas, wide) {
 		f.Fatalf("wide manifest loads as %+v, %v", man, err)
 	}
 	// One entry with empty strings and a size varint that overflows: the
@@ -286,7 +296,7 @@ func FuzzLoadManifest(f *testing.F) {
 			if err := os.WriteFile(p, in, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			man, err := loadManifestV2(p)
+			man, err := readManifest(p)
 			if err != nil {
 				continue
 			}
@@ -294,7 +304,7 @@ func FuzzLoadManifest(f *testing.F) {
 			if err := writeManifestV2(out, man.nextSeq, man.segs, man.metas); err != nil {
 				t.Fatal(err)
 			}
-			back, err := loadManifestV2(out)
+			back, err := readManifest(out)
 			if err != nil {
 				t.Fatalf("re-encoded manifest does not load: %v", err)
 			}

@@ -289,53 +289,6 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 	return r.runPlan(p)
 }
 
-// getForRank loads a candidate for a rank whose view is of generation
-// gen, preferring the cache and falling back to a zero-copy view decoded
-// out of the pinned segment mappings. A cached entry is only trusted if
-// its version is no newer than the view and it owns its memory or borrows
-// from a segment this query pinned; anything else (an overwrite since the
-// view, a view into a newer, unpinned segment) is bypassed in favor of the
-// snapshot's own — pinned — location, whose bytes are immutable.
-func (s *Store) getForRank(m Meta, pinned map[uint64]struct{}, gen uint64) (*core.Sketch, error) {
-	s.mu.Lock()
-	if ent, ok := s.cache.Get(m.Name); ok && ent.gen <= gen {
-		if _, isPinned := pinned[ent.seg]; ent.seg == 0 || isPinned {
-			s.mu.Unlock()
-			return ent.sk, nil
-		}
-		// Borrowed from a segment outside the pin set; fall through.
-	}
-	s.mu.Unlock()
-	sk, tag, err := s.backend.loadView(m)
-	for attempt := 0; err == errSegmentGone && attempt < 3; attempt++ {
-		// A compaction retired the snapshot's segment between this
-		// query's pin and this load: the record was copied, not lost.
-		// Chase its current location with an owning load (the new
-		// segment is outside our pin set, so a borrowed view could be
-		// retired again mid-query; a clone cannot).
-		s.mu.Lock()
-		cur, ok := s.cat.get(m.Name)
-		s.mu.Unlock()
-		if !ok {
-			break // genuinely deleted meanwhile; triage skips it
-		}
-		sk, err = s.backend.loadOwned(cur)
-		tag = 0
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.diskReads.Add(1)
-	s.mu.Lock()
-	// Cache the decode only if the sketch was not overwritten or deleted
-	// meanwhile: a stale view must not shadow the mutation's result.
-	if cur, ok := s.cat.get(m.Name); ok && cur == m {
-		s.cacheLocked(m.Name, sk, tag, gen)
-	}
-	s.mu.Unlock()
-	return sk, nil
-}
-
 // rankRun is what one ranking call threads through its stages.
 type rankRun struct {
 	s      *Store
@@ -465,7 +418,7 @@ func (r *rankRun) work(w *rankWorker, next *atomic.Int64, total, chunk int, body
 // load fetches a snapshot-admitted candidate for either phase and
 // triages a racing mutation: nil with no error means skipped.
 func (r *rankRun) load(w *rankWorker, m Meta) (*core.Sketch, error) {
-	cand, err := r.s.getForRank(m, r.v.pins, r.gen)
+	cand, err := r.s.read(m, r.v.pins, r.gen)
 	if err != nil {
 		// The snapshot admitted this candidate; distinguish a
 		// concurrent mutation (the manifest no longer carries the

@@ -317,11 +317,15 @@ func (w *segmentWriter) appendTombstone(name string) error {
 
 // readRecordAt pread-decodes the record at off from the unsealed
 // segment — the cache-miss path for sketches put since the segment was
-// created (sealed segments serve views from their mapping instead).
+// created (sealed segments serve views from their mapping instead). The
+// decode owns its memory, so its CRC is checked, as every owning load's is.
 func (w *segmentWriter) readRecordAt(off, length int64) (core.Record, error) {
 	buf := make([]byte, length)
 	if _, err := w.seg.f.ReadAt(buf, off); err != nil {
 		return core.Record{}, fmt.Errorf("store: reading segment %d @%d: %w", w.seg.seq, off, err)
+	}
+	if _, err := core.VerifyRecord(buf, 0); err != nil {
+		return core.Record{}, err
 	}
 	return core.DecodeRecord(buf, 0, false)
 }

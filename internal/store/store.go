@@ -148,12 +148,9 @@ type OpenOptions struct {
 	Compression bool
 	// CompactEvery, when positive, starts a background loop that
 	// examines the fs store every interval and compacts once the dead
-	// fraction of segment bytes exceeds CompactMinGarbage. Close stops
-	// the loop.
+	// fraction of segment bytes reaches DefaultCompactMinGarbage. Close
+	// stops the loop.
 	CompactEvery time.Duration
-	// CompactMinGarbage overrides the dead-byte fraction that triggers
-	// auto-compaction (zero means DefaultCompactMinGarbage).
-	CompactMinGarbage float64
 }
 
 // Open opens (creating if necessary) a sketch store rooted at dir with
@@ -200,12 +197,8 @@ func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 		return nil, fmt.Errorf("store: unknown backend %q", opt.Backend)
 	}
 	if opt.CompactEvery > 0 {
-		minGarbage := opt.CompactMinGarbage
-		if minGarbage <= 0 {
-			minGarbage = DefaultCompactMinGarbage
-		}
 		s.compactLoop.Add(1)
-		go s.autoCompact(opt.CompactEvery, minGarbage)
+		go s.autoCompact(opt.CompactEvery)
 	}
 	return s, nil
 }
@@ -314,50 +307,67 @@ func (s *Store) Put(name string, sk *core.Sketch) error {
 // Get loads the named sketch (from cache when warm). The returned sketch
 // is shared with the cache and other callers and is read-only; it owns
 // its memory (or, on the mem backend, is the stored sketch itself) and
-// stays valid indefinitely.
+// stays valid indefinitely. Every load Get makes from the fs backend
+// checks the record CRC, so rot is an error, never a sketch.
 func (s *Store) Get(name string) (*core.Sketch, error) {
-	for attempt := 0; ; attempt++ {
-		s.mu.Lock()
-		if ent, ok := s.cache.Get(name); ok {
-			sk := ent.sk
-			if ent.seg != 0 {
-				// A ranking query cached a borrowed view; hand the
-				// caller an owning copy instead of a sketch whose
-				// memory a compaction could retire. The clone happens
-				// under the lock — a concurrent compaction purges and
-				// unmaps retired segments under the same lock, so the
-				// view's bytes cannot vanish mid-copy — and replaces
-				// the borrowed entry so later Gets are plain hits.
-				sk = core.CloneSketch(sk)
-				s.cacheLocked(name, sk, 0, ent.gen)
-			}
-			s.mu.Unlock()
-			return sk, nil
-		}
-		m, known := s.cat.get(name)
-		gen := s.gen.Load()
-		s.mu.Unlock()
-		if !known { // Close empties the catalog
-			return nil, cmp.Or(s.closedErr(), fmt.Errorf("store: no sketch %q: %w", name, ErrNotFound))
-		}
-		sk, err := s.backend.loadOwned(m)
-		if (err == errSegmentGone || errors.Is(err, ErrNotFound)) && attempt < 3 {
-			continue // the record moved, or left with a Delete or Close: re-read the catalog
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.diskReads.Add(1)
-		s.mu.Lock()
-		// Only cache the load if no Put or Delete raced it: a stale (or
-		// deleted) version must not be resurrected into the cache over
-		// the mutation's result.
-		if _, ok := s.cat.get(name); ok && s.gen.Load() == gen {
-			s.cacheLocked(name, sk, 0, gen)
-		}
-		s.mu.Unlock()
-		return sk, nil
+	s.mu.Lock()
+	m, known := s.cat.get(name)
+	gen := s.gen.Load()
+	s.mu.Unlock()
+	if !known { // Close empties the catalog
+		return nil, cmp.Or(s.closedErr(), fmt.Errorf("store: no sketch %q: %w", name, ErrNotFound))
 	}
+	return s.read(m, nil, gen)
+}
+
+// read is the one way the store reads a stored sketch: m is the record a
+// reader's snapshot of generation gen holds, pins the segments it pinned
+// (nil for Get). A cached entry serves it if it is no newer than gen and
+// owns its memory or borrows from a pinned segment. Otherwise one load
+// decodes m, borrowing only from a pinned segment; a record a compaction
+// moved is chased once to its current home with an owning load, and a
+// name that is gone reads ErrNotFound (the closed error after Close).
+// The decode is cached only if m is still current at gen: a stale
+// version must not shadow a mutation's result, and two versions can
+// share one Meta (mem backend), so the Meta check alone is not enough.
+func (s *Store) read(m Meta, pins map[uint64]struct{}, gen uint64) (*core.Sketch, error) {
+	s.mu.Lock()
+	if ent, ok := s.cache.Get(m.Name); ok && ent.gen <= gen {
+		if _, pinned := pins[ent.seg]; ent.seg == 0 || pinned {
+			s.mu.Unlock()
+			return ent.sk, nil
+		}
+	}
+	s.mu.Unlock()
+	_, borrow := pins[m.Segment]
+	sk, tag, err := s.backend.load(m, borrow)
+	if err == errSegmentGone {
+		// A compaction retired m's segment after the snapshot: the
+		// record was copied, not lost. The chase loads its current home
+		// under s.mu, which a compaction holds to retire a segment, so
+		// no second one can move it again; that home is outside the pin
+		// set, so the chase owns what it decodes.
+		s.mu.Lock()
+		if cur, ok := s.cat.get(m.Name); ok {
+			sk, tag, err = s.backend.load(cur, false)
+		} else {
+			err = fmt.Errorf("store: no sketch %q: %w", m.Name, ErrNotFound)
+		}
+		s.mu.Unlock()
+	}
+	if errors.Is(err, ErrNotFound) {
+		return nil, cmp.Or(s.closedErr(), err) // Close empties the catalog
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.diskReads.Add(1)
+	s.mu.Lock()
+	if cur, ok := s.cat.get(m.Name); ok && cur == m && s.gen.Load() == gen {
+		s.cacheLocked(m.Name, sk, tag, gen)
+	}
+	s.mu.Unlock()
+	return sk, nil
 }
 
 // Delete removes the named sketch: a tombstone record is appended
@@ -859,8 +869,8 @@ func (s *Store) Backend() string { return s.backend.name() }
 
 // autoCompact is the background compaction loop: every interval it
 // measures the dead fraction of segment bytes and compacts past the
-// threshold. Close stops it.
-func (s *Store) autoCompact(every time.Duration, minGarbage float64) {
+// threshold (DefaultCompactMinGarbage). Close stops it.
+func (s *Store) autoCompact(every time.Duration) {
 	defer s.compactLoop.Done()
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
@@ -875,7 +885,7 @@ func (s *Store) autoCompact(every time.Duration, minGarbage float64) {
 			continue
 		}
 		garbage := float64(st.SegmentBytes-st.LiveBytes) / float64(st.SegmentBytes)
-		if garbage < minGarbage {
+		if garbage < DefaultCompactMinGarbage {
 			continue
 		}
 		s.Compact(context.Background()) // best effort; next tick retries

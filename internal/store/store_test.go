@@ -369,6 +369,116 @@ func TestVerifyReportsCorruptSegments(t *testing.T) {
 	})
 }
 
+// TestGetChecksRankCachedRecord: a rank's borrowed view of a rotted raw
+// record does not vouch for it. Get pins nothing, so it decodes an owning
+// copy of its own and fails the record CRC; so does Get of a rotted
+// record in the active segment, which a pread serves.
+func TestGetChecksRankCachedRecord(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	level := func(g int) float64 { return float64(g % 9) }
+	put := func(name string) Meta {
+		t.Helper()
+		if err := st.Put(name, buildSketch(t, core.RoleCandidate, 0, level)); err != nil {
+			t.Fatal(err)
+		}
+		m, _ := st.Meta(name)
+		return m
+	}
+	// rot flips a mantissa byte of m's first value, past the 40-byte
+	// record header: the record still decodes, to a wrong value.
+	rot := func(m Meta) {
+		t.Helper()
+		f, err := os.OpenFile(segmentPath(dir, m.Segment), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		b, off := make([]byte, 1), m.Offset+40+3
+		if _, err := f.ReadAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0xff
+		if _, err := f.WriteAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("rot")
+	if err := st.Close(); err != nil { // seals the record's segment
+		t.Fatal(err)
+	}
+	if st, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	m, _ := st.Meta("rot")
+	rot(m)
+	train := buildSketch(t, core.RoleTrain, 0, level)
+	if _, _, err := st.RankQuery(context.Background(), train, RankOptions{MinJoinSize: 50}); err != nil {
+		t.Fatal(err)
+	}
+	if ent, ok := st.cache.Get("rot"); !ok || ent.seg != m.Segment {
+		t.Fatalf("fixture: the rank cached no view of segment %d", m.Segment)
+	}
+	if _, err := st.Get("rot"); err == nil || errors.Is(err, ErrNotFound) {
+		t.Errorf("Get of the rotted sketch the rank cached = %v; want a CRC failure", err)
+	}
+	rot(put("active"))
+	if _, err := st.Get("active"); err == nil || errors.Is(err, ErrNotFound) {
+		t.Errorf("Get of a rotted sketch in the active segment = %v; want a CRC failure", err)
+	}
+}
+
+// staleLoad is a mem backend whose next load returns stale, the version a
+// Put is about to replace, as a load that began before that Put does.
+type staleLoad struct {
+	*memBackend
+	stale *core.Sketch
+}
+
+func (b *staleLoad) load(m Meta, borrow bool) (*core.Sketch, uint64, error) {
+	if sk := b.stale; sk != nil {
+		b.stale = nil
+		return sk, 0, nil
+	}
+	return b.memBackend.load(m, borrow)
+}
+
+// TestReadRacingPutCachesNothing: on the mem backend a same-shape
+// overwrite keeps the record's Meta, so a read at the generation before
+// the Put that loads the replaced version must not cache it, or later
+// reads serve it.
+func TestReadRacingPutCachesNothing(t *testing.T) {
+	st, err := OpenWithOptions("", OpenOptions{Backend: BackendMem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	old := buildSketch(t, core.RoleCandidate, 0, func(g int) float64 { return float64(g % 5) })
+	cur := buildSketch(t, core.RoleCandidate, 0, func(g int) float64 { return float64(g % 7) })
+	if err := st.Put("c", old); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := st.Meta("c")
+	gen := st.Gen()
+	st.backend = &staleLoad{memBackend: st.backend.(*memBackend), stale: old}
+	if err := st.Put("c", cur); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := st.Meta("c"); now != m {
+		t.Fatalf("fixture: the overwrite moved the Meta %+v → %+v", m, now)
+	}
+	if got, err := st.read(m, nil, gen); err != nil || got != old {
+		t.Fatalf("fixture: the read before the Put = %p, %v; want the replaced version %p", got, err, old)
+	}
+	if got, err := st.Get("c"); err != nil || got != cur {
+		t.Errorf("Get after the Put = %p, %v; want the new version %p, not the replaced %p", got, err, cur, old)
+	}
+}
+
 func TestManifestMetadataRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)

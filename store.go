@@ -125,10 +125,11 @@ const DefaultCascadeMargin = store.DefaultCascadeMargin
 // decoded-sketch LRU cache (zero means the 64 MiB default, negative
 // disables caching), Backend selects the storage engine (BackendFS
 // default, BackendMem for diskless), SegmentBytes sets the fs segment
-// roll threshold, and CompactEvery/CompactMinGarbage enable the
-// background compaction loop. Compression makes compaction write
-// FSST-compressed segments (categorical values packed against a
-// per-segment symbol table, key hashes dictionary-coded) — rankings stay
+// roll threshold, and CompactEvery starts the background compaction
+// loop, which compacts once 30% of segment bytes are dead. Compression
+// makes compaction write FSST-compressed segments (categorical values
+// packed against a per-segment symbol table, key hashes
+// dictionary-coded) — rankings stay
 // bit-identical, raw and compressed segments mix freely, and existing
 // segments compress at their next compaction (`store compact -compress`
 // backfills in one pass).
