@@ -7,6 +7,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -116,6 +118,39 @@ func TestKeyIndexRoundTrip(t *testing.T) {
 	sc.touched = sc.touched[:0]
 	if ix.accumulate(0xffffffff, 1, 0, sc); len(sc.touched) != 0 {
 		t.Fatalf("absent hash touched %d records", len(sc.touched))
+	}
+}
+
+// TestKeyIndexBytesPinned pins the section bytes of several builder
+// shapes to sha256 digests taken from the map-of-posting-slices builder
+// the encoded-size builder replaced: repeated hashes, an empty segment,
+// multiplicities above 1 (adjacent and not), and ordinal deltas of two
+// and three varint bytes across more than 2¹⁴ records.
+func TestKeyIndexBytesPinned(t *testing.T) {
+	mults := newKeyIndexBuilder()
+	off := int64(segHeaderBytes)
+	for r, hs := range [][]uint32{{7, 7, 7, 9}, {}, {9, 4, 9, 7, 9}, {4}, {5, 5}, {7, 4, 7}} {
+		mults.add(off, hs)
+		off += int64(8 * (r + 3))
+	}
+	for _, c := range []struct {
+		name string
+		kb   func() *keyIndexBuilder
+		want string
+	}{
+		{"dups", func() *keyIndexBuilder { kb, _, _ := kixFixture(300, 64, 8, 7, 1); return kb }, "8f4bec661c454e71cc080f76ac32b40f0f68608a860183969b7f3c5a72b97a5d"},
+		{"empty", newKeyIndexBuilder, "0257c6e517d1d8b01d418bdf8ad387846db56f9d1230734e8b42d8b66a711567"},
+		{"multiplicities", func() *keyIndexBuilder { return mults }, "c44597d00c626546336c53f3302c56c949830d9d333deca3aba0fb01f084546b"},
+		{"wide-deltas", func() *keyIndexBuilder { kb, _, _ := kixFixture(1<<14+500, 1<<16, 4, 0, 2); return kb }, "c0b45c4134596373f409d7f5d1d6ee50e9a59db6f50ea6761345e162ded638cb"},
+		{"dense-deltas", func() *keyIndexBuilder { kb, _, _ := kixFixture(1<<14+10, 300, 40, 97, 3); return kb }, "38a076c0cbfd6e515246a2a8ece2445b6963c1a4affb76839948566195e58cfa"},
+	} {
+		section, ok := c.kb().encode()
+		if !ok {
+			t.Fatalf("%s: encode failed", c.name)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(section)); got != c.want {
+			t.Errorf("%s: section (%d bytes) sha256 %s, want %s", c.name, len(section), got, c.want)
+		}
 	}
 }
 
