@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // maxStrBytes caps length-prefixed strings so corrupt input cannot ask
@@ -125,6 +126,9 @@ func AppendU64(dst []byte, v uint64) []byte {
 func AppendUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
+
+// UvarintLen returns the number of bytes AppendUvarint writes for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // AppendStr appends a varint length prefix followed by the raw bytes.
 func AppendStr(dst []byte, s string) []byte {

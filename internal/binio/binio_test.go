@@ -114,3 +114,16 @@ func TestUvarintAtMatchesBinaryUvarint(t *testing.T) {
 		}
 	}
 }
+
+func TestUvarintLen(t *testing.T) {
+	for shift := 0; shift < 64; shift++ {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			if got, want := UvarintLen(v), len(AppendUvarint(nil, v)); got != want {
+				t.Errorf("UvarintLen(%d) = %d, AppendUvarint writes %d bytes", v, got, want)
+			}
+		}
+	}
+	if got := UvarintLen(1<<64 - 1); got != 10 {
+		t.Errorf("UvarintLen(2⁶⁴-1) = %d, want 10", got)
+	}
+}

@@ -205,26 +205,66 @@ func NewRecordDecoder(keyDict []uint32, table *fsst.Table) *RecordDecoder {
 	return &RecordDecoder{keyDict: keyDict, table: table}
 }
 
-// keyRefs decodes n key-hash ordinals from b, which must hold exactly
-// the uvarint stream.
-func (d *RecordDecoder) keyRefs(b []byte, n int) ([]uint32, error) {
-	keys := make([]uint32, n)
-	pos := 0
-	for i := 0; i < n; i++ {
-		v, c := binio.UvarintAt(b, pos)
+// appendKeyRefs appends the hashes of the key refs that open the
+// compressed record h's uvarint-packed region and returns the bytes they
+// took. A numeric record's region follows its values and holds nothing
+// else.
+func (d *RecordDecoder) appendKeyRefs(dst []uint32, h []byte, info RecordInfo) ([]uint32, int, error) {
+	at := recHeaderBytes
+	if info.Numeric {
+		at += 8 * info.Entries
+	}
+	p, pos := h[at:at+int(binio.U32At(h, 36))], 0
+	for i := 0; i < info.Entries; i++ {
+		v, c := binio.UvarintAt(p, pos)
 		if c <= 0 {
-			return nil, fmt.Errorf("core: key ref %d truncated", i)
+			return dst, 0, fmt.Errorf("key ref %d truncated", i)
 		}
 		if v >= uint64(len(d.keyDict)) {
-			return nil, fmt.Errorf("core: key ref %d = %d beyond dictionary (%d keys)", i, v, len(d.keyDict))
+			return dst, 0, fmt.Errorf("key ref %d = %d beyond dictionary (%d keys)", i, v, len(d.keyDict))
 		}
-		keys[i] = d.keyDict[v]
+		dst = append(dst, d.keyDict[v])
 		pos += c
 	}
-	if pos != len(b) {
-		return nil, fmt.Errorf("core: %d trailing bytes after key refs", len(b)-pos)
+	if info.Numeric && pos != len(p) {
+		return dst, 0, fmt.Errorf("%d trailing bytes after key refs", len(p)-pos)
 	}
-	return keys, nil
+	return dst, pos, nil
+}
+
+// AppendKeyHashes appends the key hashes of the sketch record at
+// data[off] to dst and decodes nothing else: a raw record's key column
+// is read where it lies, a compressed record's refs go through dec's
+// dictionary after the CRC check its full decode makes.
+func AppendKeyHashes(dec *RecordDecoder, dst []uint32, data []byte, off int) ([]uint32, error) {
+	info, err := DecodeRecordInfo(data, off)
+	if err != nil {
+		return dst, err
+	}
+	if info.Kind != RecordSketch {
+		return dst, fmt.Errorf("core: record at %d is not a sketch", off)
+	}
+	h, n := data[off:off+info.Len], info.Entries
+	if !info.Compressed {
+		at := recHeaderBytes + 8*n
+		if !info.Numeric {
+			at = recHeaderBytes + 4*(n+1)
+		}
+		for i := 0; i < n; i++ {
+			dst = append(dst, binio.U32At(h, at+4*i))
+		}
+		return dst, nil
+	}
+	if dec == nil {
+		return dst, fmt.Errorf("core: compressed record at %d has no segment decoder", off)
+	}
+	if _, err := VerifyRecord(data, off); err != nil {
+		return dst, err
+	}
+	if dst, _, err = dec.appendKeyRefs(dst, h, info); err != nil {
+		return dst, fmt.Errorf("core: record at %d: %w", off, err)
+	}
+	return dst, nil
 }
 
 // decodeScratch is what decoding one categorical record needs and its
@@ -278,7 +318,11 @@ func decodeCompressed(dec *RecordDecoder, data []byte, off int, rec Record, borr
 	} else {
 		s.dupKeys.Store(dupKeysNo)
 	}
-	strBytes := int(binio.U32At(h, 36))
+	keys, pos, err := dec.appendKeyRefs(make([]uint32, 0, n), h, info)
+	if err != nil {
+		return Record{}, fmt.Errorf("core: record at %d: %w", off, err)
+	}
+	s.KeyHashes = keys
 	if info.Numeric {
 		nums := h[recHeaderBytes : recHeaderBytes+8*n]
 		if borrow && nativeLittleEndian && n > 0 {
@@ -290,28 +334,10 @@ func decodeCompressed(dec *RecordDecoder, data []byte, off int, rec Record, borr
 				s.Nums[i] = math.Float64frombits(binio.U64At(nums, 8*i))
 			}
 		}
-		keys, err := dec.keyRefs(h[recHeaderBytes+8*n:recHeaderBytes+8*n+strBytes], n)
-		if err != nil {
-			return Record{}, fmt.Errorf("core: record at %d: %w", off, err)
-		}
-		s.KeyHashes = keys
 		// The ascending value order is not persisted in compressed
 		// records; NumValOrder recomputes it lazily and deterministically.
 	} else {
-		payload := h[recHeaderBytes : recHeaderBytes+strBytes]
-		keys := make([]uint32, n)
-		pos := 0
-		for i := 0; i < n; i++ {
-			v, c := binio.UvarintAt(payload, pos)
-			if c <= 0 {
-				return Record{}, fmt.Errorf("core: record at %d: key ref %d truncated", off, i)
-			}
-			if v >= uint64(len(dec.keyDict)) {
-				return Record{}, fmt.Errorf("core: record at %d: key ref %d beyond dictionary", off, i)
-			}
-			keys[i] = dec.keyDict[v]
-			pos += c
-		}
+		payload := h[recHeaderBytes : recHeaderBytes+int(binio.U32At(h, 36))]
 		sc := decodeScratchPool.Get().(*decodeScratch)
 		defer sc.release()
 		lens := slices.Grow(sc.lens[:0], n)[:n]
@@ -332,7 +358,6 @@ func decodeCompressed(dec *RecordDecoder, data []byte, off int, rec Record, borr
 		if total != len(blob) {
 			return Record{}, fmt.Errorf("core: record at %d: blob is %d bytes, values claim %d", off, len(blob), total)
 		}
-		s.KeyHashes = keys
 		s.Strs = make([]string, n)
 		// Intern per distinct compressed blob: a repeated value decodes
 		// (and allocates) once per record, not once per row.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -295,7 +296,64 @@ func FuzzDecodeCompressedRecord(f *testing.F) {
 		if err == nil && rec.Kind == RecordSketch && rec.Sketch == nil {
 			t.Fatal("nil sketch without error")
 		}
+		// What the full decode accepts, the key-hash read accepts too,
+		// with the same hashes.
+		if err == nil && rec.Sketch != nil {
+			if hs, err := AppendKeyHashes(dec, nil, data, 0); err != nil || !slices.Equal(hs, rec.Sketch.KeyHashes) {
+				t.Fatalf("AppendKeyHashes = %v, %v; the decode read %v", hs, err, rec.Sketch.KeyHashes)
+			}
+		}
 	})
+}
+
+// TestAppendKeyHashesMatchesDecode holds the key-hash read seal uses to
+// the full decode, raw and compressed, numeric and categorical, and to
+// the same refusals: a compressed record needs its decoder, a flipped
+// bit fails its CRC, and a ref beyond the dictionary is an error.
+func TestAppendKeyHashesMatchesDecode(t *testing.T) {
+	for name, sk := range packedSketches(t) {
+		c := compressorFor(sk)
+		raw, err := AppendRecord(nil, name, sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, compressed, err := AppendRecordCompressed(nil, name, sk, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, buf := range [][]byte{raw, comp} {
+			rec, err := DecodeRecordWith(c.Decoder(), buf, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix := []uint32{1, 2}
+			got, err := AppendKeyHashes(c.Decoder(), prefix, buf, 0)
+			if err != nil || !slices.Equal(got, append(prefix, rec.Sketch.KeyHashes...)) {
+				t.Errorf("%s compressed=%v: AppendKeyHashes = %v, %v; want %v after %v", name, rec.Compressed, got, err, rec.Sketch.KeyHashes, prefix)
+			}
+		}
+		if !compressed {
+			continue
+		}
+		if _, err := AppendKeyHashes(nil, nil, comp, 0); err == nil {
+			t.Errorf("%s: a compressed record read without a decoder", name)
+		}
+		if _, err := AppendKeyHashes(NewRecordDecoder(nil, nil), nil, comp, 0); err == nil {
+			t.Errorf("%s: key refs read against an empty dictionary", name)
+		}
+		mut := append([]byte(nil), comp...)
+		mut[len(mut)-9] ^= 0x40
+		if _, err := AppendKeyHashes(c.Decoder(), nil, mut, 0); err == nil {
+			t.Errorf("%s: a flipped byte passed the CRC", name)
+		}
+	}
+	tomb, err := AppendTombstone(nil, "gone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AppendKeyHashes(nil, nil, tomb, 0); err == nil {
+		t.Error("a tombstone read as a sketch")
+	}
 }
 
 // TestRecordBorrowedOnlyWhenAliased holds Record.Borrowed to what the

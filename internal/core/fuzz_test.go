@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"misketch/internal/binio"
@@ -174,6 +175,9 @@ func FuzzDecodeRecord(f *testing.F) {
 			if a.KeyHashes[i] != b.KeyHashes[i] {
 				t.Fatal("key hashes disagree")
 			}
+		}
+		if hs, err := AppendKeyHashes(nil, nil, data, 0); err != nil || !slices.Equal(hs, a.KeyHashes) {
+			t.Fatalf("AppendKeyHashes = %v, %v; the decode read %v", hs, err, a.KeyHashes)
 		}
 		for i := range a.Nums {
 			if math.Float64bits(a.Nums[i]) != math.Float64bits(b.Nums[i]) {

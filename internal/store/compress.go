@@ -67,16 +67,19 @@ func trainSegCompressor(keys map[uint32]struct{}, values []string) *segCompresso
 
 // appendSection appends the dict section, header included, to dst.
 func (c *segCompressor) appendSection(dst []byte) []byte {
-	payload := make([]byte, 0, 16+5*len(c.keyDict))
-	payload = binio.AppendU64(payload, c.rawBytes)
-	payload = binio.AppendU64(payload, c.compBytes)
-	payload = binio.AppendUvarint(payload, uint64(len(c.keyDict)))
+	start := len(dst)
+	dst = append(dst, make([]byte, sectionHeaderBytes)...)
+	dst = binio.AppendU64(dst, c.rawBytes)
+	dst = binio.AppendU64(dst, c.compBytes)
+	dst = binio.AppendUvarint(dst, uint64(len(c.keyDict)))
 	prev := uint32(0)
 	for _, h := range c.keyDict {
-		payload = binio.AppendUvarint(payload, uint64(h-prev))
+		dst = binio.AppendUvarint(dst, uint64(h-prev))
 		prev = h
 	}
-	return dictFrame.appendSection(dst, c.table.Append(payload))
+	dst = c.table.Append(dst)
+	dictFrame.putHeader(dst[start:])
+	return dst
 }
 
 // trainCompressor decodes the live records once to build the output

@@ -380,18 +380,17 @@ func (b *fsBackend) load(m Meta, borrow bool) (*core.Sketch, uint64, error) {
 	if m.Offset < segHeaderBytes || m.Offset+m.Bytes > seg.recEnd {
 		return nil, 0, fmt.Errorf("store: %q at segment %d [%d,%d) out of bounds", m.Name, m.Segment, m.Offset, m.Offset+m.Bytes)
 	}
-	if !borrow {
+	data := seg.data[:m.Offset+m.Bytes]
+	rec, err := core.DecodeRecordWith(seg.decoder(), data, int(m.Offset), borrow)
+	if err == nil && !borrow && !rec.Compressed {
 		// Owning loads (Get, and a rank chasing a moved record) are rare
 		// enough that the record CRC is checked so bit rot surfaces as a
 		// load error, not a silently mutated sketch. Borrowed rank views
-		// skip the check: the hot ranking walk stays zero-overhead, and
-		// compressed records (the compacted steady state) verify on
-		// decode regardless.
-		if _, err := core.VerifyRecord(seg.data[:m.Offset+m.Bytes], int(m.Offset)); err != nil {
-			return nil, 0, fmt.Errorf("store: reading %q: %w", m.Name, err)
-		}
+		// skip the check: the hot ranking walk stays zero-overhead.
+		// Compressed records (the compacted steady state) are checked
+		// by their decode, borrowed or not, so only once.
+		_, err = core.VerifyRecord(data, int(m.Offset))
 	}
-	rec, err := core.DecodeRecordWith(seg.decoder(), seg.data[:m.Offset+m.Bytes], int(m.Offset), borrow)
 	return finishLoad(rec, err, m)
 }
 

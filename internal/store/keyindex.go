@@ -27,6 +27,10 @@ package store
 //	              uvarint, multiplicity uvarint), ordinals strictly
 //	              ascending record positions in recOffsets
 //
+// A seal builds the section from its records' key hashes alone
+// (segmentWriter.buildKeyIndex), holding each posting list in the form
+// above as it grows, so it holds about what the section takes.
+//
 // Only candidate-role sketch records are indexed: train-role records and
 // tombstones never rank, and a record the index omits is simply never
 // selected — exactly the manifest's own admission rule. Records whose
@@ -45,8 +49,10 @@ package store
 // candidates. A corrupt index can cost time, never results.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -65,116 +71,119 @@ const (
 	maxKixMult = 1 << 30
 )
 
-// kixPost is one posting: a record ordinal (position in recOffsets) and
-// how many of the record's sketch entries carry the hash.
-type kixPost struct {
-	ord  uint32
-	mult uint32
+// kixList is one hash's posting list in its on-disk form as it grows: the
+// last posting is held open, so a hash its record repeats can still
+// raise that posting's multiplicity.
+type kixList struct {
+	hash      uint32
+	n         uint32 // postings, the open one included
+	prev      uint32 // the last closed posting's ordinal; 0 before one closes
+	ord, mult uint32 // the open posting
+	closed    []byte // the others: ordinal delta, multiplicity
 }
 
 // keyIndexBuilder accumulates the index while the segment's records are
-// walked in offset order at seal time.
+// walked in offset order at seal time. Its postings take what they take
+// on disk (2–3 bytes in a sel-shaped segment) until encode lays them out.
 type keyIndexBuilder struct {
-	offsets []int64
+	recs    int
+	last    int64  // the last record's offset
+	offsets []byte // record offsets, delta-coded as on disk
 	dup     []byte
-	posts   map[uint32][]kixPost
-	keys    []uint32 // distinct hashes, insertion order
-	bad     bool     // a cap was exceeded; emit no index
+	list    map[uint32]int32 // hash → its list in lists
+	lists   []kixList
+	bad     bool // a cap was exceeded; emit no index
 }
 
 func newKeyIndexBuilder() *keyIndexBuilder {
-	return &keyIndexBuilder{posts: make(map[uint32][]kixPost)}
+	return &keyIndexBuilder{list: make(map[uint32]int32)}
 }
 
 // add indexes one candidate record's key hashes. Records must arrive in
 // strictly ascending offset order.
 func (b *keyIndexBuilder) add(off int64, hashes []uint32) {
-	ord := uint32(len(b.offsets))
-	b.offsets = append(b.offsets, off)
+	ord := uint32(b.recs)
+	b.recs++
+	b.offsets = binio.AppendUvarint(b.offsets, uint64(off-b.last))
+	b.last = off
 	b.dup = append(b.dup, 0)
 	dup := false
 	for _, hk := range hashes {
-		pl := b.posts[hk]
-		if n := len(pl); n > 0 && pl[n-1].ord == ord {
-			pl[n-1].mult++
-			if pl[n-1].mult > maxKixMult {
+		i, ok := b.list[hk]
+		if !ok {
+			b.list[hk] = int32(len(b.lists))
+			b.lists = append(b.lists, kixList{hash: hk, n: 1, ord: ord, mult: 1})
+			continue
+		}
+		l := &b.lists[i]
+		if l.ord == ord {
+			if l.mult++; l.mult > maxKixMult {
 				b.bad = true
 			}
 			dup = true
 			continue
 		}
-		if len(pl) == 0 {
-			b.keys = append(b.keys, hk)
-		}
-		b.posts[hk] = append(pl, kixPost{ord: ord, mult: 1})
+		l.closed = binio.AppendUvarint(binio.AppendUvarint(l.closed, uint64(l.ord-l.prev)), uint64(l.mult))
+		l.prev, l.ord, l.mult = l.ord, ord, 1
+		l.n++
 	}
 	if dup {
 		b.dup[ord/8] |= 1 << (ord % 8)
 	}
 }
 
-// encode assembles the on-disk section. ok is false when the segment
+// encode assembles the on-disk section, sized first so it is written
+// into one buffer of exactly its length. ok is false when the segment
 // cannot be indexed within the format's bounds (the caller seals without
 // an index and queries fall back to the walk).
 func (b *keyIndexBuilder) encode() (section []byte, ok bool) {
-	if b.bad || len(b.offsets) > math.MaxInt32 {
+	if b.bad || b.recs > math.MaxInt32 {
 		return nil, false
 	}
-	sort.Slice(b.keys, func(i, j int) bool { return b.keys[i] < b.keys[j] })
-
-	payload := make([]byte, 0, 64+8*len(b.offsets))
-	payload = binio.AppendUvarint(payload, uint64(len(b.offsets)))
-	prev := int64(0)
-	for _, off := range b.offsets {
-		payload = binio.AppendUvarint(payload, uint64(off-prev))
-		prev = off
-	}
-	payload = append(payload, b.dup[:(len(b.offsets)+7)/8]...)
-
+	slices.SortFunc(b.lists, func(x, y kixList) int { return cmp.Compare(x.hash, y.hash) })
 	slots := 0
-	if len(b.keys) > 0 {
+	if len(b.lists) > 0 {
 		slots = 4
-		for slots < 2*len(b.keys) {
+		for slots < 2*len(b.lists) {
 			slots <<= 1
 		}
 	}
-	payload = binio.AppendU32(payload, uint32(slots))
-	tableAt := len(payload)
-	payload = append(payload, make([]byte, 8*slots)...)
-	keys, refs := payload[tableAt:tableAt+4*slots], payload[tableAt+4*slots:tableAt+8*slots]
-
-	var blob []byte
-	mask := uint32(slots - 1)
-	for _, hk := range b.keys {
-		if uint64(len(blob))+1 > math.MaxUint32 {
-			return nil, false
-		}
-		ref := uint32(len(blob)) + 1
-		pl := b.posts[hk]
-		blob = binio.AppendUvarint(blob, uint64(len(pl)))
-		prevOrd := uint32(0)
-		for i, p := range pl {
-			d := p.ord
-			if i > 0 {
-				d = p.ord - prevOrd
-			}
-			prevOrd = p.ord
-			blob = binio.AppendUvarint(blob, uint64(d))
-			blob = binio.AppendUvarint(blob, uint64(p.mult))
-		}
-		i := hk & mask
-		for binio.U32At(refs, int(i)*4) != 0 {
-			i = (i + 1) & mask
-		}
-		binio.PutU32(keys[i*4:], hk)
-		binio.PutU32(refs[i*4:], ref)
+	dup := b.dup[:(b.recs+7)/8]
+	size := uint64(binio.UvarintLen(uint64(b.recs)) + len(b.offsets) + len(dup) + 4 + 8*slots)
+	for i := range b.lists {
+		l := &b.lists[i]
+		size += uint64(binio.UvarintLen(uint64(l.n)) + len(l.closed) +
+			binio.UvarintLen(uint64(l.ord-l.prev)) + binio.UvarintLen(uint64(l.mult)))
 	}
-	payload = append(payload, blob...)
-	if uint64(len(payload)) > math.MaxUint32 {
+	// A list's ref (its blob offset + 1) is at most the payload's length,
+	// so this one bound keeps every ref within its u32 too.
+	if size > math.MaxUint32 {
 		return nil, false
 	}
 
-	return kixFrame.appendSection(make([]byte, 0, sectionHeaderBytes+len(payload)), payload), true
+	buf := make([]byte, sectionHeaderBytes, sectionHeaderBytes+int(size))
+	buf = binio.AppendUvarint(buf, uint64(b.recs))
+	buf = append(append(buf, b.offsets...), dup...)
+	buf = binio.AppendU32(buf, uint32(slots))
+	tableAt := len(buf)
+	buf = buf[:tableAt+8*slots] // zeroed by make: every slot empty
+	keys, refs := buf[tableAt:tableAt+4*slots], buf[tableAt+4*slots:]
+	blob := len(buf)
+	mask := uint32(slots - 1)
+	for i := range b.lists {
+		l := &b.lists[i]
+		ref := uint32(len(buf)-blob) + 1
+		buf = append(binio.AppendUvarint(buf, uint64(l.n)), l.closed...)
+		buf = binio.AppendUvarint(binio.AppendUvarint(buf, uint64(l.ord-l.prev)), uint64(l.mult))
+		j := l.hash & mask
+		for binio.U32At(refs, int(j)*4) != 0 {
+			j = (j + 1) & mask
+		}
+		binio.PutU32(keys[j*4:], l.hash)
+		binio.PutU32(refs[j*4:], ref)
+	}
+	kixFrame.putHeader(buf)
+	return buf, true
 }
 
 // keyIndex is a parsed index ready to be probed straight out of the

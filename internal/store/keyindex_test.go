@@ -9,10 +9,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 
 	"misketch/internal/binio"
+	"misketch/internal/core"
 )
 
 // kixFixture builds a deterministic builder fixture: nRec records at
@@ -154,6 +158,163 @@ func TestKeyIndexBytesPinned(t *testing.T) {
 	}
 }
 
+// refKixBuilder is the builder the encoded-size one replaced: one
+// 8-byte posting per (hash, record) in a slice per hash, laid out only
+// at encode. It is the reference keyIndexBuilder is held to byte for
+// byte.
+type refKixBuilder struct {
+	offsets []int64
+	dup     []byte
+	posts   map[uint32][]kixPost
+	keys    []uint32 // distinct hashes, insertion order
+	bad     bool
+}
+
+type kixPost struct{ ord, mult uint32 }
+
+func (b *refKixBuilder) add(off int64, hashes []uint32) {
+	ord := uint32(len(b.offsets))
+	b.offsets = append(b.offsets, off)
+	b.dup = append(b.dup, 0)
+	dup := false
+	for _, hk := range hashes {
+		pl := b.posts[hk]
+		if n := len(pl); n > 0 && pl[n-1].ord == ord {
+			pl[n-1].mult++
+			if pl[n-1].mult > maxKixMult {
+				b.bad = true
+			}
+			dup = true
+			continue
+		}
+		if len(pl) == 0 {
+			b.keys = append(b.keys, hk)
+		}
+		b.posts[hk] = append(pl, kixPost{ord: ord, mult: 1})
+	}
+	if dup {
+		b.dup[ord/8] |= 1 << (ord % 8)
+	}
+}
+
+func (b *refKixBuilder) encode() (section []byte, ok bool) {
+	if b.bad || len(b.offsets) > math.MaxInt32 {
+		return nil, false
+	}
+	sort.Slice(b.keys, func(i, j int) bool { return b.keys[i] < b.keys[j] })
+	payload := binio.AppendUvarint(nil, uint64(len(b.offsets)))
+	prev := int64(0)
+	for _, off := range b.offsets {
+		payload = binio.AppendUvarint(payload, uint64(off-prev))
+		prev = off
+	}
+	payload = append(payload, b.dup[:(len(b.offsets)+7)/8]...)
+	slots := 0
+	if len(b.keys) > 0 {
+		slots = 4
+		for slots < 2*len(b.keys) {
+			slots <<= 1
+		}
+	}
+	payload = binio.AppendU32(payload, uint32(slots))
+	tableAt := len(payload)
+	payload = append(payload, make([]byte, 8*slots)...)
+	keys, refs := payload[tableAt:tableAt+4*slots], payload[tableAt+4*slots:tableAt+8*slots]
+	var blob []byte
+	mask := uint32(slots - 1)
+	for _, hk := range b.keys {
+		if uint64(len(blob))+1 > math.MaxUint32 {
+			return nil, false
+		}
+		ref := uint32(len(blob)) + 1
+		pl := b.posts[hk]
+		blob = binio.AppendUvarint(blob, uint64(len(pl)))
+		prevOrd := uint32(0)
+		for i, p := range pl {
+			d := p.ord
+			if i > 0 {
+				d = p.ord - prevOrd
+			}
+			prevOrd = p.ord
+			blob = binio.AppendUvarint(binio.AppendUvarint(blob, uint64(d)), uint64(p.mult))
+		}
+		i := hk & mask
+		for binio.U32At(refs, int(i)*4) != 0 {
+			i = (i + 1) & mask
+		}
+		binio.PutU32(keys[i*4:], hk)
+		binio.PutU32(refs[i*4:], ref)
+	}
+	payload = append(payload, blob...)
+	if uint64(len(payload)) > math.MaxUint32 {
+		return nil, false
+	}
+	section = append(make([]byte, sectionHeaderBytes), payload...)
+	kixFrame.putHeader(section)
+	return section, true
+}
+
+// checkKixAgainstReference builds one index from data with both builders
+// and demands the same section. Each byte of data is a hash drawn from a
+// 64-value universe (so records repeat hashes, adjacent and not, and
+// lists run long) or, when its top two bits are set, the end of a record
+// (so two in a row make an empty record).
+func checkKixAgainstReference(t *testing.T, data []byte) {
+	kb, ref := newKeyIndexBuilder(), &refKixBuilder{posts: map[uint32][]kixPost{}}
+	off := int64(segHeaderBytes)
+	var hs []uint32
+	for i, c := range data {
+		if c < 0xc0 {
+			hs = append(hs, uint32(c&0x3f)*2654435761+1)
+			if i < len(data)-1 {
+				continue
+			}
+		}
+		kb.add(off, hs)
+		ref.add(off, hs)
+		off += int64(8 * (1 + len(hs)))
+		hs = hs[:0]
+	}
+	got, okGot := kb.encode()
+	want, okWant := ref.encode()
+	if okGot != okWant || !bytes.Equal(got, want) {
+		t.Fatalf("records % x: section (%d bytes, ok %v) differs from the reference's (%d bytes, ok %v)",
+			data, len(got), okGot, len(want), okWant)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("records % x: the %d-byte section was built in a %d-byte buffer", data, len(got), cap(got))
+	}
+}
+
+// TestKeyIndexBuilderMatchesReference holds the builder to the reference
+// on 300 random shapes: long and short records, empty ones, and hashes a
+// record repeats next to each other or apart.
+func TestKeyIndexBuilderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		data := make([]byte, rng.Intn(4000))
+		ends := 1 + rng.Intn(64) // one byte in ends closes a record
+		for j := range data {
+			if rng.Intn(ends) == 0 {
+				data[j] = 0xc0
+			} else {
+				data[j] = byte(rng.Intn(1 + rng.Intn(64)))
+			}
+		}
+		checkKixAgainstReference(t, data)
+	}
+}
+
+// FuzzKeyIndexBuilder searches for a record sequence on which the
+// builder's section differs from the reference's.
+func FuzzKeyIndexBuilder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xc0, 0xc0, 0xc0})
+	f.Add([]byte{1, 1, 1, 2, 0xc0, 2, 1, 2, 0xc0, 0xc0, 3})
+	f.Add(bytes.Repeat([]byte{5, 0xc0}, 300))
+	f.Fuzz(checkKixAgainstReference)
+}
+
 func TestKeyIndexEncodeDeterministic(t *testing.T) {
 	a, _, _ := kixFixture(100, 32, 6, 5, 9)
 	b, _, _ := kixFixture(100, 32, 6, 5, 9)
@@ -265,4 +426,113 @@ func FuzzSegmentIndex(f *testing.F) {
 			}
 		}
 	})
+}
+
+// selSegment writes n candidate records shaped like the benchmark's
+// sel20k catalog into an unsealed segment: 200 candidates a domain, each
+// a 256-entry sketch of the domain's 300 keys, half numeric and half
+// categorical with long shared labels. compressed makes the writer
+// compress against the segment's dictionaries, as compaction does. It
+// returns the writer and the number of postings its key index holds.
+func selSegment(tb testing.TB, n int, compressed bool) (*segmentWriter, int) {
+	tb.Helper()
+	w, err := createSegment(tb.TempDir(), 1, segKindAppend)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { w.seg.f.Close() })
+	rng := rand.New(rand.NewSource(1))
+	sketches := make([][2]*core.Sketch, (n+selCatPerDomain-1)/selCatPerDomain)
+	keys, values := map[uint32]struct{}{}, []string(nil)
+	for d := range sketches {
+		for kind := range sketches[d] {
+			b, err := core.NewStreamBuilder(core.RoleCandidate, kind == 0, core.Options{Method: core.TUPSK, Size: 256})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for g := 0; g < selCatKeys; g++ {
+				key := fmt.Sprintf("d%03d-k%d", d, g)
+				if kind == 0 {
+					b.AddNum(key, rng.NormFloat64())
+				} else {
+					b.AddStr(key, fmt.Sprintf("category/region-%03d/level-%02d", d, rng.Intn(12)))
+				}
+			}
+			sk := b.Sketch()
+			for _, h := range sk.KeyHashes {
+				keys[h] = struct{}{}
+			}
+			values = append(values, sk.Strs...)
+			sketches[d][kind] = sk
+		}
+	}
+	if compressed {
+		w.comp = trainSegCompressor(keys, values)
+	}
+	postings := 0
+	for c := 0; c < n; c++ {
+		d, j := c/selCatPerDomain, c%selCatPerDomain
+		sk := sketches[d][j%2]
+		if _, _, err := w.appendSketch(fmt.Sprintf("sel/d%03d/t%03d#x", d, j), sk, false); err != nil {
+			tb.Fatal(err)
+		}
+		postings += sk.Len()
+	}
+	return w, postings
+}
+
+// TestKeyIndexBuildAllocs bounds what building a segment's key index
+// allocates, as a multiple of the section it builds: the postings are
+// held in their encoded form while they accumulate, and the read-back
+// decodes key hashes only: 4× the section, raw or compressed. The
+// map-of-posting-slices builder over full record decodes allocated 21.5×
+// on the raw segment and 23.8× on the compressed one.
+func TestKeyIndexBuildAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		compressed bool
+		multiple   uint64
+	}{{"raw", false, 10}, {"compressed", true, 10}} {
+		w, _ := selSegment(t, 2000, c.compressed)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		section := w.buildKeyIndex()
+		runtime.ReadMemStats(&after)
+		if section == nil {
+			t.Fatalf("%s: the segment sealed without a key index", c.name)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: building a %d-byte section allocated %d bytes (%.1f×)", c.name, len(section), alloc, float64(alloc)/float64(len(section)))
+		if alloc > c.multiple*uint64(len(section)) {
+			t.Errorf("%s: building a %d-byte section allocated %d bytes, above %d× the section", c.name, len(section), alloc, c.multiple)
+		}
+	}
+}
+
+// BenchmarkSealKeyIndex times building the key index of a segment of
+// 20 000 sel-shaped records, raw (a roll) and compressed (compaction
+// output), and reports what it allocates per posting.
+//
+//	go test -run '^$' -bench SealKeyIndex -benchtime 3x ./internal/store
+func BenchmarkSealKeyIndex(b *testing.B) {
+	for _, compressed := range []bool{false, true} {
+		name := map[bool]string{false: "raw", true: "compressed"}[compressed]
+		b.Run(name, func(b *testing.B) {
+			w, postings := selSegment(b, 20000, compressed)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if w.buildKeyIndex() == nil {
+					b.Fatal("the segment sealed without a key index")
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*postings), "B/posting")
+		})
+	}
 }

@@ -216,13 +216,14 @@ type sectionFrame struct {
 
 const sectionHeaderBytes = 16
 
-// appendSection appends payload under the frame's header.
-func (k sectionFrame) appendSection(dst, payload []byte) []byte {
-	dst = append(dst, k.magic...)
-	dst = append(dst, k.version, 0, 0, 0)
-	dst = binio.AppendU32(dst, uint32(len(payload)))
-	dst = binio.AppendU32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+// putHeader writes the header of section, whose payload is what follows
+// the header's bytes.
+func (k sectionFrame) putHeader(section []byte) {
+	payload := section[sectionHeaderBytes:]
+	copy(section, k.magic)
+	section[4], section[5], section[6], section[7] = k.version, 0, 0, 0
+	binio.PutU32(section[8:], uint32(len(payload)))
+	binio.PutU32(section[12:], crc32.Checksum(payload, crcTable))
 }
 
 // openSection checks a section's header and returns its payload. exact
@@ -334,9 +335,9 @@ func (w *segmentWriter) readRecordAt(off, length int64) (core.Record, error) {
 // section and the footer after the records in one write, fsyncs, maps
 // the now-immutable file, and returns the sealed segment. The writer
 // must not be used afterward. The key index is best-effort: a segment
-// that cannot be indexed (an undecodable record, a format bound
-// exceeded) seals with kixOff = 0 and queries fall back to the full
-// candidate walk — correctness never depends on the index.
+// that cannot be indexed (a record whose key hashes do not read back, a
+// format bound exceeded) seals with kixOff = 0 and queries fall back to
+// the full candidate walk — correctness never depends on the index.
 func (w *segmentWriter) seal() (*segment, error) {
 	seg := w.seg
 	tail := w.buildKeyIndex()
@@ -398,11 +399,15 @@ func (w *segmentWriter) seal() (*segment, error) {
 // buildKeyIndex reads the writer's candidate-role sketch records back
 // and assembles the inverted key index section (keyindex.go). It covers
 // both seal paths — Put-driven rolls and compaction output, whose
-// records were appended as raw bytes and never decoded. A nil return
-// means the segment seals without an index.
+// records were appended as raw bytes and never decoded. The read-back
+// decodes key hashes alone (core.AppendKeyHashes), into one reused
+// slice, so what a seal holds is the postings in their encoded form. A
+// nil return means the segment seals without an index.
 func (w *segmentWriter) buildKeyIndex() []byte {
 	kb := newKeyIndexBuilder()
+	dec := w.decoder()
 	var rbuf []byte
+	var hashes []uint32
 	for _, e := range w.index {
 		if e.info.Kind != core.RecordSketch || e.info.Role != core.RoleCandidate {
 			continue
@@ -414,11 +419,11 @@ func (w *segmentWriter) buildKeyIndex() []byte {
 		if _, err := w.seg.f.ReadAt(buf, e.off); err != nil {
 			return nil
 		}
-		rec, err := core.DecodeRecordWith(w.decoder(), buf, 0, true)
-		if err != nil || rec.Sketch == nil {
+		var err error
+		if hashes, err = core.AppendKeyHashes(dec, hashes[:0], buf, 0); err != nil {
 			return nil
 		}
-		kb.add(e.off, rec.Sketch.KeyHashes)
+		kb.add(e.off, hashes)
 	}
 	section, ok := kb.encode()
 	if !ok {
