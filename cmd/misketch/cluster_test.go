@@ -181,8 +181,7 @@ func TestClusterRealProcesses(t *testing.T) {
 		return nil
 	}
 
-	// Two rankers (top 5 and top 10, so the coordinator caches two
-	// digests) and one writer run until the main loop has seen enough
+	// Two rankers (top 5 and top 10) and one writer run until the main loop has seen enough
 	// on both sides of the kill.
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup

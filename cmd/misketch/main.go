@@ -86,7 +86,7 @@ func usage() {
   misketch serve         -store DIR [-addr :8080] [-max-workers N] [-probe-cache N] [-cache BYTES]
                          [-result-cache-bytes BYTES] [-backend fs|mem] [-compact-every DUR]
                          [-segment-bytes N] [-pprof]
-  misketch serve         -coordinator -shards URL,URL,... [-addr :8080] [-result-cache-bytes BYTES]
+  misketch serve         -coordinator -shards URL,URL,... [-addr :8080]
                          [-shard-timeout DUR] [-shard-connect-timeout DUR] [-shard-retries N]`)
 }
 
@@ -596,7 +596,7 @@ func runServe(args []string) {
 	maxWorkers := fs.Int("max-workers", 0, "total rank-worker bound across requests (0 = GOMAXPROCS)")
 	probeCache := fs.Int("probe-cache", 0, "compiled train-probe cache entries (0 = default, negative disables)")
 	cacheBytes := fs.Int64("cache", 0, "decoded-sketch cache bytes (0 = default, negative disables)")
-	resultCache := fs.Int64("result-cache-bytes", 64<<20, "generation-fenced rank result cache bytes (0 disables; both modes)")
+	resultCache := fs.Int64("result-cache-bytes", 64<<20, "generation-fenced rank result cache bytes (0 disables; store mode only: a coordinator keeps no results)")
 	backend := fs.String("backend", "fs", "storage backend: fs (segments+mmap) or mem (diskless)")
 	compactEvery := fs.Duration("compact-every", 0, "background compaction check interval (0 disables)")
 	segmentBytes := fs.Int64("segment-bytes", 0, "segment roll threshold in bytes (0 = default 128 MiB)")
@@ -616,10 +616,9 @@ func runServe(args []string) {
 			}
 		}
 		co, err := misketch.OpenCluster(urls, misketch.ClusterOptions{
-			ConnectTimeout:   *shardConnect,
-			RequestTimeout:   *shardTimeout,
-			Retries:          *shardRetries,
-			ResultCacheBytes: *resultCache,
+			ConnectTimeout: *shardConnect,
+			RequestTimeout: *shardTimeout,
+			Retries:        *shardRetries,
 		})
 		die(err)
 		ln, err := net.Listen("tcp", *addr)

@@ -1,8 +1,9 @@
 // Package cache holds the module's one LRU and its one singleflight,
-// under the store's decoded-sketch cache, the server's probe cache,
-// train-digest memo and rank result cache, and the coordinator's result
-// cache. A caller decides what a key is and what an entry costs; this
-// package keeps the bound, the recency order and the counters.
+// under the store's decoded-sketch cache and plan LRU and the server's
+// probe cache and rank result cache — the system's only result cache: a
+// cluster coordinator keeps none. A caller decides what a key is and what
+// an entry costs; this package keeps the bound, the recency order and the
+// counters.
 package cache
 
 import (

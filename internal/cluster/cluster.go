@@ -44,7 +44,6 @@ package cluster
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"net"
 	"net/http"
@@ -54,7 +53,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"misketch/internal/cache"
 	"misketch/internal/server"
 )
 
@@ -90,14 +88,11 @@ type Options struct {
 	// further one. Zero means DefaultRetryBackoff, negative retries
 	// immediately.
 	RetryBackoff time.Duration
-	// ResultCacheBytes bounds the coordinator's result cache: per-shard
-	// answers revalidated by shard ETag (an unchanged shard answers 304
-	// and its cached answer feeds the merge without a body transfer),
-	// merged encoded responses replayed when every shard revalidates, and
-	// singleflight coalescing of concurrent identical requests. Zero or
-	// negative disables caching and coalescing; the coordinator still
-	// emits ETags and honors client If-None-Match. Partial (degraded)
-	// responses are never cached.
+	// ResultCacheBytes is ignored: the coordinator keeps no results, and
+	// each shard's own result cache serves and coalesces a repeated
+	// scatter.
+	//
+	// Deprecated: set server.Options.ResultCacheBytes on the shards.
 	ResultCacheBytes int64
 	// ShutdownTimeout bounds the graceful drain in ListenAndServe.
 	ShutdownTimeout time.Duration
@@ -206,13 +201,6 @@ type Coordinator struct {
 	// counters (rank.go).
 	rank, batch *endpoint
 
-	// results is the shard-ETag-driven result cache and flights the
-	// singleflight table beside it (both nil when disabled); see
-	// resultcache.go. The three counters are the cache's own.
-	results     *cache.LRU[ccKey, *ccEntry]
-	flights     *cache.Flights[[sha256.Size]byte, server.Outcome]
-	shardHits   atomic.Int64 // shard 304s whose cached answer fed a merge
-	mergedHits  atomic.Int64 // merged bodies replayed without a merge
 	notModified atomic.Int64 // client If-None-Match answered 304
 	// The two-round scatter's counters (rank.go).
 	floorQueries, round2Requests, round2Skipped, floorFallbacks atomic.Int64
@@ -242,10 +230,6 @@ func New(shardURLs []string, opt Options) (*Coordinator, error) {
 	}
 	c := &Coordinator{shards: shards, opt: opt, mux: http.NewServeMux(), maxBody: server.DefaultMaxBodyBytes}
 	c.rank, c.batch = rankEndpoint(), batchEndpoint()
-	if opt.ResultCacheBytes > 0 {
-		c.results = cache.NewLRU[ccKey, *ccEntry](opt.ResultCacheBytes)
-		c.flights = cache.NewFlights[[sha256.Size]byte, server.Outcome]()
-	}
 	c.mux.HandleFunc("POST /v1/rank", c.serveRank(c.rank))
 	c.mux.HandleFunc("POST /v1/rank/batch", c.serveRank(c.batch))
 	c.mux.HandleFunc("GET /v1/ls", c.handleLs)
@@ -292,11 +276,9 @@ func (c *Coordinator) ServeListener(ctx context.Context, ln net.Listener) error 
 }
 
 // scatter issues the same request to every shard concurrently and
-// returns one result per shard, in shard order. inm, when non-nil, is a
-// per-shard If-None-Match value (inm[i] for shard i; empty sends none),
-// so shards holding unchanged answers reply 304 without a body. only,
-// when non-nil, marks the shards to ask; the others' results stay zero.
-func (c *Coordinator) scatter(ctx context.Context, method, pathAndQuery string, body []byte, inm []string, only []bool) []shardResult {
+// returns one result per shard, in shard order. only, when non-nil,
+// marks the shards to ask; the others' results stay zero.
+func (c *Coordinator) scatter(ctx context.Context, method, pathAndQuery string, body []byte, only []bool) []shardResult {
 	out := make([]shardResult, len(c.shards))
 	var wg sync.WaitGroup
 	for i, sh := range c.shards {
@@ -306,11 +288,7 @@ func (c *Coordinator) scatter(ctx context.Context, method, pathAndQuery string, 
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			tag := ""
-			if i < len(inm) {
-				tag = inm[i]
-			}
-			out[i] = sh.do(ctx, method, pathAndQuery, body, tag, c.opt)
+			out[i] = sh.do(ctx, method, pathAndQuery, body, c.opt)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -345,18 +323,9 @@ type CoordinatorStats struct {
 	BatchRequests int64 `json:"batch_requests"`
 	BatchPartial  int64 `json:"batch_partial"`
 	BatchFailures int64 `json:"batch_failures"`
-	// The shard-ETag result cache: shard 304s whose cached decoded
-	// answers fed a merge, merged bodies replayed without re-merging,
-	// requests coalesced behind an identical in-flight scatter, LRU
-	// evictions, client revalidations answered 304, and the cache's
-	// current footprint.
-	ResultShardHits   int64 `json:"result_shard_hits"`
-	ResultMergedHits  int64 `json:"result_merged_hits"`
-	ResultCoalesced   int64 `json:"result_coalesced"`
-	ResultEvictions   int64 `json:"result_evictions"`
+	// ResultNotModified counts client If-None-Match revalidations
+	// answered 304.
 	ResultNotModified int64 `json:"result_not_modified"`
-	ResultBytes       int64 `json:"result_bytes"`
-	ResultEntries     int   `json:"result_entries"`
 	// The two-round scatter: queries that ran a seed round, round-2
 	// requests sent, shards round 2 skipped (their seed bound under the
 	// floor), and floored merges that came up short and were rerun.
@@ -375,7 +344,6 @@ type StatsResponse struct {
 // Stats snapshots the coordinator's counters (also served at
 // /v1/stats).
 func (c *Coordinator) Stats() StatsResponse {
-	rc := c.results.Stats()
 	resp := StatsResponse{
 		Shards: make([]ShardStats, len(c.shards)),
 		Coordinator: CoordinatorStats{
@@ -385,13 +353,7 @@ func (c *Coordinator) Stats() StatsResponse {
 			BatchRequests:     c.batch.requests.Load(),
 			BatchPartial:      c.batch.partial.Load(),
 			BatchFailures:     c.batch.failures.Load(),
-			ResultShardHits:   c.shardHits.Load(),
-			ResultMergedHits:  c.mergedHits.Load(),
-			ResultCoalesced:   c.flights.Coalesced(),
-			ResultEvictions:   rc.Evictions,
 			ResultNotModified: c.notModified.Load(),
-			ResultBytes:       rc.Used,
-			ResultEntries:     rc.Entries,
 			FloorQueries:      c.floorQueries.Load(),
 			Round2Requests:    c.round2Requests.Load(),
 			Round2Skipped:     c.round2Skipped.Load(),
@@ -424,7 +386,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			res := sh.doOnce(ctx, http.MethodGet, "/healthz", nil, "", c.opt)
+			res := sh.doOnce(ctx, http.MethodGet, "/healthz", nil, c.opt)
 			health[i] = shardHealth{URL: sh.url, OK: res.err == nil && res.status == http.StatusOK}
 		}(i, sh)
 	}

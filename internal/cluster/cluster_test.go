@@ -28,9 +28,9 @@ import (
 	"misketch/internal/store"
 )
 
-// testCluster is N shard servers over disjoint mem-backed stores plus
-// a single-node server over the union catalog — the differential
-// harness.
+// testCluster is N shard servers, each with its own result cache, over
+// disjoint mem-backed stores plus a single-node server over the union
+// catalog — the differential harness.
 type testCluster struct {
 	shards   []*httptest.Server
 	union    *httptest.Server
@@ -89,7 +89,7 @@ func newTestCluster(t testing.TB, nShards, nCand int) *testCluster {
 	tc.union = httptest.NewServer(server.New(tc.unionSt, server.Options{}))
 	t.Cleanup(tc.union.Close)
 	for _, st := range tc.shardSts {
-		ts := httptest.NewServer(server.New(st, server.Options{}))
+		ts := httptest.NewServer(server.New(st, server.Options{ResultCacheBytes: 1 << 20}))
 		tc.shards = append(tc.shards, ts)
 		t.Cleanup(ts.Close)
 	}

@@ -75,7 +75,7 @@ func TestSingleVsBatchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord := httptest.NewServer(tc.coordinator(t, Options{ResultCacheBytes: 1 << 20}))
+	coord := httptest.NewServer(tc.coordinator(t, Options{}))
 	defer coord.Close()
 	tiers := []struct{ name, url string }{{"server", tc.union.URL}, {"coordinator", coord.URL}}
 
@@ -275,7 +275,7 @@ func TestClusterBodyCapReturns413(t *testing.T) {
 // unnoticed.
 func TestStatsKeySets(t *testing.T) {
 	tc := newTestCluster(t, 2, 4)
-	coord := httptest.NewServer(tc.coordinator(t, Options{ResultCacheBytes: 1 << 20}))
+	coord := httptest.NewServer(tc.coordinator(t, Options{}))
 	defer coord.Close()
 	keys := func(url string, section string) []string {
 		t.Helper()
@@ -316,9 +316,7 @@ func TestStatsKeySets(t *testing.T) {
 		},
 		coord.URL + " coordinator": {
 			"batch_failures", "batch_partial", "batch_requests", "floor_fallbacks", "floor_queries",
-			"rank_failures", "rank_partial", "rank_requests",
-			"result_bytes", "result_coalesced", "result_entries", "result_evictions", "result_merged_hits",
-			"result_not_modified", "result_shard_hits", "round2_requests", "round2_skipped",
+			"rank_failures", "rank_partial", "rank_requests", "result_not_modified", "round2_requests", "round2_skipped",
 		},
 		// last_error is omitempty and absent on a healthy shard.
 		coord.URL + " shards": {"errors", "mean_latency_ns", "requests", "retries", "total_latency_ns", "url"},

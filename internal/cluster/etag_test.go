@@ -1,9 +1,11 @@
 package cluster
 
-// Coordinator result-cache tests: shard 304 revalidation must merge
-// bit-identically to a full-body scatter — including across a shard
-// restart whose generation counter collides with the old process —
-// and partial (degraded) answers must never be cached or carry ETags.
+// The coordinator keeps no results: a repeated query scatters again and
+// each shard's own result cache answers it. These tests hold what the
+// coordinator still owes its clients — one strong ETag per answer, built
+// from the shards' ETags, that changes when a shard's catalog moves or a
+// shard restarts, a bodyless 304 on a matching If-None-Match, and no ETag
+// on a partial answer — and that the shards' caches serve the repeats.
 
 import (
 	"bytes"
@@ -23,11 +25,11 @@ import (
 	"misketch/internal/store"
 )
 
-// postCoord posts a rank body to a coordinator server and returns the
-// status, ETag, and raw body.
+// postCoord posts a rank body to a coordinator endpoint URL and returns
+// the status, ETag, and raw body.
 func postCoord(t testing.TB, url string, body []byte, inm string) (int, string, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/rank", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +49,9 @@ func postCoord(t testing.TB, url string, body []byte, inm string) (int, string, 
 	return resp.StatusCode, resp.Header.Get("ETag"), raw
 }
 
-// prime posts body once so its digest is past the coordinator cache's
-// first sight, which marks the digest and keeps no answer: the bodies of
-// the next identical request are the first ones cached.
+// prime posts body once so its digest is past the shards' first sight,
+// which marks the digest and keeps no answer: the answers to the next
+// identical request are the first ones the shards keep.
 func prime(t testing.TB, url string, body []byte) {
 	t.Helper()
 	if status, _, raw := postCoord(t, url, body, ""); status != http.StatusOK {
@@ -57,119 +59,131 @@ func prime(t testing.TB, url string, body []byte) {
 	}
 }
 
-// TestClusterFirstSightRetainsNoBody: the first request for a digest
-// leaves a marker of fixed cost and no answer, so a stream of queries
-// that never repeat grows the cache by ccEntryOverhead each, not by
-// three bodies; the second identical request is a full scatter too and
-// leaves the shard answers and the merge; the third replays them.
-func TestClusterFirstSightRetainsNoBody(t *testing.T) {
-	tc := newTestCluster(t, 3, 31)
-	coord := tc.coordinator(t, Options{ResultCacheBytes: 1 << 20})
-	cs := httptest.NewServer(coord)
-	defer cs.Close()
-	body := mustMarshal(t, tc.rankRequest(t, 10))
-
-	_, etag, _ := postCoord(t, cs.URL, body, "")
-	st := coord.Stats().Coordinator
-	if st.ResultEntries != 1 || st.ResultBytes != ccEntryOverhead {
-		t.Fatalf("first sight retains %d entries, %d bytes; want the marker's 1 and %d", st.ResultEntries, st.ResultBytes, ccEntryOverhead)
+// resultHits reads every shard's result_hits, in shard order.
+func resultHits(t testing.TB, urls []string) []int64 {
+	t.Helper()
+	hits := make([]int64, len(urls))
+	for i, url := range urls {
+		resp, err := http.Get(url + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats server.StatsResponse
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits[i] = stats.Server.ResultHits
 	}
-	if etag == "" {
-		t.Fatal("a first-sight answer carries its ETag all the same")
-	}
-	if status, etag2, raw := postCoord(t, cs.URL, body, ""); status != http.StatusOK || etag2 != etag {
-		t.Fatalf("second sight: status %d etag %q, want 200 under %q: %s", status, etag2, etag, raw)
-	}
-	st = coord.Stats().Coordinator
-	if st.ResultEntries != 5 || st.ResultShardHits != 0 || st.ResultMergedHits != 0 {
-		t.Fatalf("second sight: %+v, want marker + 3 shard answers + merge and no hit yet", st)
-	}
-	if status, _, _ := postCoord(t, cs.URL, body, etag); status != http.StatusNotModified {
-		t.Fatalf("third sight: status %d, want 304", status)
-	}
-	if st = coord.Stats().Coordinator; st.ResultShardHits != 3 || st.ResultMergedHits != 1 || st.ResultEntries != 5 {
-		t.Fatalf("third sight: %+v, want three shard 304s and the merged replay", st)
-	}
-	// A mutation moves the ETags, not the marker: the very next request
-	// caches its bodies again.
-	if err := tc.shardSts[0].Put("corpus/extra", buildCandidate(t, 91)); err != nil {
-		t.Fatal(err)
-	}
-	prime(t, cs.URL, body)
-	postCoord(t, cs.URL, body, "")
-	if after := coord.Stats().Coordinator; after.ResultMergedHits != 2 || after.ResultShardHits != 3+2+3 {
-		t.Fatalf("after a mutation: %+v, want the request after it cached (2 + 3 more shard 304s, one more replay)", after)
-	}
+	return hits
 }
 
-// TestClusterShard304MergeBitIdentical: with the coordinator cache on,
-// a repeated query revalidates every shard (304, no bodies) and the
-// merged answer is bit-identical to the first full-body scatter and to
-// the single-node ground truth.
-func TestClusterShard304MergeBitIdentical(t *testing.T) {
+// TestClusterRepeatServedByShardCaches: three identical coordinator ranks,
+// on both endpoints and seeded, give byte-identical bodies under one ETag,
+// the single-node answer; the first two are computed on every shard (first
+// sight leaves a marker, second is kept), and from the third on every
+// shard request, in both rounds, is a shard cache hit. A client holding
+// the ETag gets a bodyless 304. A Put on one shard changes the next answer
+// and its ETag.
+func TestClusterRepeatServedByShardCaches(t *testing.T) {
 	tc := newTestCluster(t, 3, 31)
-	coord := tc.coordinator(t, Options{ResultCacheBytes: 1 << 20})
+	coord := tc.coordinator(t, Options{})
 	cs := httptest.NewServer(coord)
 	defer cs.Close()
+	mj := 10
+	train := sketchBase64(t, tc.train)
+	single := tc.rankRequest(t, 10)
+	for _, q := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/rank", mustMarshal(t, single)},
+		{"/v1/rank/batch", mustMarshal(t, RankBatchRequest{Trains: []server.BatchTrainRef{
+			{Name: "a", Sketch: train}, {Name: "b", Sketch: train},
+		}, Prefix: "corpus/", MinJoin: &mj, K: 3, Top: 5})},
+	} {
+		var etag string
+		var first []byte
+		for pass := 0; pass < 3; pass++ {
+			hits, requests := resultHits(t, tc.urls()), shardRequests(coord)
+			status, e, raw := postCoord(t, cs.URL+q.path, q.body, "")
+			if status != http.StatusOK || e == "" {
+				t.Fatalf("%s pass %d: status %d etag %q: %s", q.path, pass, status, e, raw)
+			}
+			if pass == 0 {
+				etag, first = e, raw
+			} else if e != etag || !bytes.Equal(raw, first) {
+				t.Fatalf("%s pass %d: ETag %q and body\n%s\nafter ETag %q and body\n%s", q.path, pass, e, raw, etag, first)
+			}
+			var served int64
+			for i, h := range resultHits(t, tc.urls()) {
+				if pass == 2 && h == hits[i] {
+					t.Fatalf("%s pass %d: shard %d served nothing from its cache", q.path, pass, i)
+				}
+				served += h - hits[i]
+			}
+			want := int64(0)
+			if pass == 2 {
+				want = shardRequests(coord) - requests
+			}
+			if served != want {
+				t.Fatalf("%s pass %d: %d shard cache hits, want %d", q.path, pass, served, want)
+			}
+		}
+		if q.path == "/v1/rank" {
+			var rr RankResponse
+			mustUnmarshal(t, first, &rr)
+			assertIdenticalRanked(t, rr.Ranked, tc.singleNodeRank(t, single).Ranked)
+		}
+		status, e, raw := postCoord(t, cs.URL+q.path, q.body, etag)
+		if status != http.StatusNotModified || e != etag || len(raw) != 0 {
+			t.Fatalf("%s: revalidation: status %d etag %q body %q; want a bodyless 304 under %q", q.path, status, e, raw, etag)
+		}
+	}
+	if st := coord.Stats().Coordinator; st.ResultNotModified != 2 || st.FloorQueries != 8 || st.Round2Requests == 0 {
+		t.Fatalf("coordinator counters %+v: want two 304s and eight seeded queries", st)
+	}
 
-	req := tc.rankRequest(t, 10)
-	body := mustMarshal(t, req)
-	want := tc.singleNodeRank(t, req)
-
-	prime(t, cs.URL, body)
-	status, etag1, first := postCoord(t, cs.URL, body, "")
-	if status != http.StatusOK {
-		t.Fatalf("first query: status %d: %s", status, first)
+	// A copy of the best candidate, under a name that sorts first, lands
+	// on shard 0: it ties the best score and leads the next answer.
+	body := mustMarshal(t, single)
+	_, etag, before := postCoord(t, cs.URL+"/v1/rank", body, "")
+	best, err := tc.unionSt.Get(tc.singleNodeRank(t, single).Ranked[0].Name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if etag1 == "" {
-		t.Fatal("full cluster answer carried no ETag")
+	for _, st := range []*store.Store{tc.shardSts[0], tc.unionSt} {
+		if err := st.Put("corpus/a-newcomer", best); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var fr RankResponse
-	mustUnmarshal(t, first, &fr)
-	assertIdenticalRanked(t, fr.Ranked, want.Ranked)
-
-	status, etag2, second := postCoord(t, cs.URL, body, "")
-	if status != http.StatusOK {
-		t.Fatalf("second query: status %d: %s", status, second)
+	status, e, raw := postCoord(t, cs.URL+"/v1/rank", body, etag)
+	if status != http.StatusOK || e == "" || e == etag || bytes.Equal(raw, before) {
+		t.Fatalf("after a Put: status %d etag %q (before %q): %s", status, e, etag, raw)
 	}
-	if etag2 != etag1 {
-		t.Fatalf("ETag changed without a mutation: %q -> %q", etag1, etag2)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatalf("304-merged answer diverges from full scatter:\n%s\n%s", first, second)
-	}
-	st := coord.Stats().Coordinator
-	if st.ResultShardHits != 3 {
-		t.Fatalf("shard 304 reuses = %d, want 3", st.ResultShardHits)
-	}
-	if st.ResultMergedHits != 1 {
-		t.Fatalf("merged replays = %d, want 1", st.ResultMergedHits)
-	}
-
-	// A client holding the coordinator ETag revalidates for free.
-	status, _, revalBody := postCoord(t, cs.URL, body, etag1)
-	if status != http.StatusNotModified {
-		t.Fatalf("client revalidation: status %d, want 304: %s", status, revalBody)
-	}
-	if len(revalBody) != 0 {
-		t.Fatalf("304 carried a body: %q", revalBody)
+	var rr RankResponse
+	mustUnmarshal(t, raw, &rr)
+	assertIdenticalRanked(t, rr.Ranked, tc.singleNodeRank(t, single).Ranked)
+	if rr.Ranked[0].Name != "corpus/a-newcomer" {
+		t.Fatalf("after a Put: %+v leads, want the newcomer", rr.Ranked[0])
 	}
 }
 
 // TestClusterCacheMutationInvalidates: a Put on one shard must change
 // that shard's ETag (and the coordinator's), and the next identical
-// query must merge the fresh answer while the untouched shards still
-// revalidate with 304.
+// query must merge the fresh answer while the untouched shards serve
+// theirs from their caches.
 func TestClusterCacheMutationInvalidates(t *testing.T) {
 	tc := newTestCluster(t, 3, 31)
-	coord := tc.coordinator(t, Options{ResultCacheBytes: 1 << 20})
+	coord := tc.coordinator(t, Options{})
 	cs := httptest.NewServer(coord)
 	defer cs.Close()
 
 	req := tc.rankRequest(t, 0) // all results, so the new candidate must appear
 	body := mustMarshal(t, req)
-	prime(t, cs.URL, body)
-	_, etag1, _ := postCoord(t, cs.URL, body, "")
+	prime(t, cs.URL+"/v1/rank", body)
+	_, etag1, _ := postCoord(t, cs.URL+"/v1/rank", body, "")
 
 	// Mutate shard 0 (and the union ground truth identically).
 	extra := buildCandidate(t, 91)
@@ -180,7 +194,8 @@ func TestClusterCacheMutationInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	status, etag2, second := postCoord(t, cs.URL, body, "")
+	hits := resultHits(t, tc.urls())
+	status, etag2, second := postCoord(t, cs.URL+"/v1/rank", body, "")
 	if status != http.StatusOK {
 		t.Fatalf("post-mutation query: status %d: %s", status, second)
 	}
@@ -200,15 +215,18 @@ func TestClusterCacheMutationInvalidates(t *testing.T) {
 	if !found {
 		t.Fatal("merged answer missing the candidate added between queries")
 	}
-	// Shards 1 and 2 were untouched: they revalidated.
-	if st := coord.Stats().Coordinator; st.ResultShardHits != 2 {
-		t.Fatalf("shard 304 reuses = %d, want 2 (untouched shards only)", st.ResultShardHits)
+	// Shards 1 and 2 were untouched: their caches answered.
+	after := resultHits(t, tc.urls())
+	for i := range after {
+		if got, want := after[i]-hits[i], min(int64(i), 1); got != want {
+			t.Fatalf("shard %d: %d cache hits, want %d (untouched shards only)", i, got, want)
+		}
 	}
 }
 
 // TestClusterShardRestartEpoch: a shard restart that lands on the same
-// generation number but different content must NOT revalidate the old
-// ETag — the per-process epoch makes the stale entry unusable and the
+// generation number but different content must change the coordinator's
+// ETag — the per-process epoch in the shard's ETag sees to it — and the
 // merge stays bit-identical to ground truth.
 func TestClusterShardRestartEpoch(t *testing.T) {
 	tc := newTestCluster(t, 2, 20)
@@ -224,7 +242,7 @@ func TestClusterShardRestartEpoch(t *testing.T) {
 	go hs1.Serve(ln)
 
 	urls := []string{"http://" + addr, tc.shards[1].URL}
-	coord, err := New(urls, Options{ResultCacheBytes: 1 << 20})
+	coord, err := New(urls, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +251,9 @@ func TestClusterShardRestartEpoch(t *testing.T) {
 
 	req := tc.rankRequest(t, 0)
 	body := mustMarshal(t, req)
-	if status, _, raw := postCoord(t, cs.URL, body, ""); status != http.StatusOK {
-		t.Fatalf("warmup: status %d: %s", status, raw)
+	status, etag1, raw := postCoord(t, cs.URL+"/v1/rank", body, "")
+	if status != http.StatusOK || etag1 == "" {
+		t.Fatalf("warmup: status %d etag %q: %s", status, etag1, raw)
 	}
 
 	// "Restart" shard 0: a new store with the same number of puts (so
@@ -280,9 +299,9 @@ func TestClusterShardRestartEpoch(t *testing.T) {
 	defer hs2.Close()
 	go hs2.Serve(ln2)
 
-	status, _, raw := postCoord(t, cs.URL, body, "")
-	if status != http.StatusOK {
-		t.Fatalf("post-restart query: status %d: %s", status, raw)
+	status, etag2, raw := postCoord(t, cs.URL+"/v1/rank", body, etag1)
+	if status != http.StatusOK || etag2 == "" || etag2 == etag1 {
+		t.Fatalf("post-restart query: status %d etag %q (before %q): %s", status, etag2, etag1, raw)
 	}
 	var rr RankResponse
 	mustUnmarshal(t, raw, &rr)
@@ -294,14 +313,13 @@ func TestClusterShardRestartEpoch(t *testing.T) {
 }
 
 // TestClusterPartialNeverCached: with one shard down the answer is
-// partial — no coordinator ETag, no merged-cache entry — and recovery
-// is never served from a degraded merge.
+// partial and carries no ETag, so no client can revalidate it; the same
+// holds for a shard lost between the rounds.
 func TestClusterPartialNeverCached(t *testing.T) {
 	tc := newTestCluster(t, 3, 31)
 	coord := tc.coordinator(t, Options{
-		ResultCacheBytes: 1 << 20,
-		RequestTimeout:   2 * time.Second,
-		Retries:          -1,
+		RequestTimeout: 2 * time.Second,
+		Retries:        -1,
 	})
 	cs := httptest.NewServer(coord)
 	defer cs.Close()
@@ -309,15 +327,14 @@ func TestClusterPartialNeverCached(t *testing.T) {
 	req := tc.rankRequest(t, 10)
 	body := mustMarshal(t, req)
 
-	// Warm the full merge first, then lose a shard.
-	prime(t, cs.URL, body)
-	if status, etag, _ := postCoord(t, cs.URL, body, ""); status != http.StatusOK || etag == "" {
+	// A full answer first, then lose a shard.
+	if status, etag, _ := postCoord(t, cs.URL+"/v1/rank", body, ""); status != http.StatusOK || etag == "" {
 		t.Fatalf("warmup: status %d etag %q", status, etag)
 	}
 	tc.shards[1].Close()
 
 	for pass := 0; pass < 2; pass++ {
-		status, etag, raw := postCoord(t, cs.URL, body, "")
+		status, etag, raw := postCoord(t, cs.URL+"/v1/rank", body, "")
 		if status != http.StatusOK {
 			t.Fatalf("degraded pass %d: status %d: %s", pass, status, raw)
 		}
@@ -330,12 +347,9 @@ func TestClusterPartialNeverCached(t *testing.T) {
 			t.Fatalf("degraded pass %d: partial answer carried ETag %q", pass, etag)
 		}
 	}
-	if st := coord.Stats().Coordinator; st.ResultMergedHits != 0 {
-		t.Fatalf("merged replays = %d during degraded service, want 0", st.ResultMergedHits)
-	}
 
 	// A shard that answers round 1 and is gone before round 2: its seeds
-	// are in hand, and the answer is still partial, untagged and uncached.
+	// are in hand, and the answer is still partial and untagged.
 	// (Shard 0 holds eleven candidates, one more than the seeds of a top
 	// 10, so round 2 has to come back to it.)
 	shard0 := server.New(tc.shardSts[0], server.Options{})
@@ -348,23 +362,21 @@ func TestClusterPartialNeverCached(t *testing.T) {
 		shard0.ServeHTTP(w, r)
 	}))
 	defer flaky.Close()
-	coord2, err := New([]string{flaky.URL, tc.shards[2].URL}, Options{ResultCacheBytes: 1 << 20, Retries: -1})
+	coord2, err := New([]string{flaky.URL, tc.shards[2].URL}, Options{Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs2 := httptest.NewServer(coord2)
 	defer cs2.Close()
-	for pass := 0; pass < 3; pass++ { // first sight, cached, revalidated
-		status, etag, raw := postCoord(t, cs2.URL, body, "")
+	for pass := 0; pass < 3; pass++ {
+		status, etag, raw := postCoord(t, cs2.URL+"/v1/rank", body, "")
 		var rr RankResponse
 		mustUnmarshal(t, raw, &rr)
 		if status != http.StatusOK || !rr.Partial || etag != "" || len(rr.ShardErrors) != 1 || rr.ShardErrors[0].Shard != flaky.URL {
 			t.Fatalf("round-2 loss, pass %d: status %d etag %q: %s", pass, status, etag, raw)
 		}
 	}
-	// Only the two seed answers are cached (beside the digest's marker) —
-	// each authoritative for its shard — and the last pass revalidated both.
-	if st := coord2.Stats().Coordinator; st.ResultMergedHits != 0 || st.ResultEntries != 3 || st.ResultShardHits != 2 || st.Round2Requests < 2 {
+	if st := coord2.Stats().Coordinator; st.Round2Requests < 2 {
 		t.Fatalf("round-2 loss: %+v", st)
 	}
 }
@@ -391,14 +403,14 @@ func TestClusterDuplicateCandidate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	coord := tc.coordinator(t, Options{ResultCacheBytes: 1 << 20})
+	coord := tc.coordinator(t, Options{})
 	cs := httptest.NewServer(coord)
 	defer cs.Close()
 	for _, top := range []int{0, 5} {
 		req := tc.rankRequest(t, top)
 		want := tc.singleNodeRank(t, req).Ranked
 		for pass := 0; pass < 3; pass++ {
-			status, etag, raw := postCoord(t, cs.URL, mustMarshal(t, req), "")
+			status, etag, raw := postCoord(t, cs.URL+"/v1/rank", mustMarshal(t, req), "")
 			var rr RankResponse
 			mustUnmarshal(t, raw, &rr)
 			if status != http.StatusOK || etag != "" || !rr.Partial || len(rr.ShardErrors) == 0 {
@@ -417,8 +429,8 @@ func TestClusterDuplicateCandidate(t *testing.T) {
 			assertIdenticalRanked(t, rr.Ranked, want)
 		}
 	}
-	if st := coord.Stats().Coordinator; st.ResultMergedHits != 0 || st.FloorQueries == 0 {
-		t.Fatalf("%+v: want seeded queries and no merged replay", st)
+	if st := coord.Stats().Coordinator; st.FloorQueries == 0 {
+		t.Fatalf("%+v: want seeded queries", st)
 	}
 }
 
@@ -472,23 +484,31 @@ func mustUnmarshal(t testing.TB, b []byte, v any) {
 
 // TestStrongETagMeansSameBytes is the coordinator's half of the server
 // test of the same name: every 200 it gives one request under one ETag —
-// merged from full shard bodies, merged from revalidated ones, replayed
-// from the cache, shared with a coalesced request, or (cache off) merged
-// again from scratch — is the same bytes. Shard 0 answers through a gate
-// so that concurrent requests meet in one flight.
+// merged from shard answers computed afresh, or (shard caches on) served
+// from the shards' caches, or scattered beside concurrent copies of
+// itself — is the same bytes. Shard 0 answers through a gate so that the
+// concurrent requests reach it together.
 func TestStrongETagMeansSameBytes(t *testing.T) {
 	for _, cacheBytes := range []int64{1 << 20, 0} {
 		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
 			tc := newTestCluster(t, 2, 24)
+			shards := make([]*server.Server, len(tc.shardSts))
+			for i, st := range tc.shardSts {
+				shards[i] = server.New(st, server.Options{ResultCacheBytes: cacheBytes})
+			}
 			var gate atomic.Pointer[chan struct{}]
+			var arrived atomic.Int64
 			gated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if g := gate.Load(); g != nil {
+					arrived.Add(1)
 					<-*g
 				}
-				tc.shards[0].Config.Handler.ServeHTTP(w, r)
+				shards[0].ServeHTTP(w, r)
 			}))
 			defer gated.Close()
-			coord, err := New([]string{gated.URL, tc.shards[1].URL}, Options{ResultCacheBytes: cacheBytes})
+			other := httptest.NewServer(shards[1])
+			defer other.Close()
+			coord, err := New([]string{gated.URL, other.URL}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -509,62 +529,54 @@ func TestStrongETagMeansSameBytes(t *testing.T) {
 				}
 				return resp.Header.Get("ETag"), resp.Header.Get("Server-Timing"), raw
 			}
-			// First sight (full bodies, nothing kept), second (full bodies,
-			// kept), third (every shard revalidates, the merge is replayed).
+			// First sight, second (kept by caching shards), third (served
+			// from their caches).
 			body := mustMarshal(t, tc.rankRequest(t, 5))
 			etag, _, first := post(body)
-			for i, wantCache := range []string{"miss", "hit"} {
-				if cacheBytes == 0 {
-					wantCache = "miss"
-				}
+			for i := 0; i < 2; i++ {
 				e, timing, raw := post(body)
 				if e != etag || !bytes.Equal(raw, first) {
 					t.Fatalf("repeat %d: ETag %q and body\n%s\nafter ETag %q and body\n%s", i, e, raw, etag, first)
 				}
-				if !strings.HasPrefix(timing, "cache;desc="+wantCache+", rank;dur=") {
-					t.Fatalf("repeat %d: Server-Timing %q, want a %s", i, timing, wantCache)
+				if !strings.HasPrefix(timing, "rank;dur=") {
+					t.Fatalf("repeat %d: Server-Timing %q, want the coordinator's rank time", i, timing)
 				}
 			}
-			if cacheBytes == 0 {
-				return // nothing coalesces without the flight table
+			var hits int64
+			for _, sh := range shards {
+				hits += sh.Stats().Server.ResultHits
 			}
+			if (hits > 0) != (cacheBytes > 0) {
+				t.Fatalf("%d shard cache hits over three identical queries with cache %d", hits, cacheBytes)
+			}
+
 			open := make(chan struct{})
 			gate.Store(&open)
 			body = mustMarshal(t, tc.rankRequest(t, 6))
 			type answer struct {
-				etag, timing string
-				raw          []byte
+				etag string
+				raw  []byte
 			}
 			answers := make(chan answer, 3)
 			for i := 0; i < cap(answers); i++ {
 				go func() {
-					e, timing, raw := post(body)
-					answers <- answer{e, timing, raw}
+					e, _, raw := post(body)
+					answers <- answer{e, raw}
 				}()
 			}
-			for deadline := time.Now().Add(5 * time.Second); coord.flights.Coalesced() < int64(cap(answers))-1; {
+			for deadline := time.Now().Add(5 * time.Second); arrived.Load() < int64(cap(answers)); {
 				if time.Now().After(deadline) {
-					t.Fatal("the concurrent requests never coalesced")
+					t.Fatal("the concurrent requests never reached shard 0 together")
 				}
 				time.Sleep(time.Millisecond)
 			}
 			gate.Store(nil)
 			close(open)
 			a := <-answers
-			how := map[string]int{}
-			for i := 0; i < cap(answers); i++ {
-				b := a
-				if i > 0 {
-					b = <-answers
-				}
-				cache, _, _ := strings.Cut(b.timing, ",")
-				how[cache]++
-				if b.etag != a.etag || b.etag == etag || !bytes.Equal(b.raw, a.raw) {
+			for i := 1; i < cap(answers); i++ {
+				if b := <-answers; b.etag != a.etag || b.etag == etag || !bytes.Equal(b.raw, a.raw) {
 					t.Fatalf("concurrent: ETag %q and body\n%s\nbeside ETag %q and body\n%s", b.etag, b.raw, a.etag, a.raw)
 				}
-			}
-			if how["cache;desc=miss"] != 1 || how["cache;desc=coalesced"] != cap(answers)-1 {
-				t.Fatalf("concurrent: Server-Timing said %v, want one miss and the rest coalesced", how)
 			}
 		})
 	}

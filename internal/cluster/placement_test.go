@@ -367,7 +367,7 @@ func TestClusterPlacementMatrix(t *testing.T) {
 	for _, cell := range cells {
 		for _, nShards := range []int{2, 3, 5} {
 			t.Run(fmt.Sprintf("%s/%d shards", cell.name, nShards), func(t *testing.T) {
-				cl := newMatrixCluster(t, cell.corpus, nShards, cell.home(nShards), Options{ResultCacheBytes: 1 << 20})
+				cl := newMatrixCluster(t, cell.corpus, nShards, cell.home(nShards), Options{})
 				cl.checkAgainstUnion(t, cell.corpus.trains, cell.knobs)
 				cs := cl.coord.Stats()
 				if cell.check != nil {

@@ -16,11 +16,24 @@ package cluster
 // body decodes, the merged response's shape going out, the digest tag
 // and the counters — is an endpoint value; prep, scatterMerge and
 // serveRank are written once.
+//
+// The coordinator keeps no results. A repeated query scatters again, and
+// each shard's own generation-fenced result cache answers it (and
+// coalesces concurrent copies of it): the cache sits on the node that
+// computes the answer and knows when its catalog moved. The coordinator's
+// ETag is a content hash of the request digest and every shard's ETag, in
+// shard order. Each shard ETag carries its process epoch and generation,
+// so the coordinator's changes exactly when some shard's answer may have,
+// survives a coordinator restart, and lets a client revalidate with
+// If-None-Match. A partial answer carries none: it is not a pure function
+// of the request.
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -64,14 +77,14 @@ type endpoint struct {
 type scatterRequest struct {
 	// wire is the request as the shards take it; it is re-marshaled
 	// after by-name trains are inlined, so JSON field order and spelling
-	// cannot split the cache, and encode rewrites its seed flag and
-	// floors between the rounds.
+	// cannot change the coordinator's ETag, and encode rewrites its seed
+	// flag and floors between the rounds.
 	wire   *server.RankBatchRequest
 	seeded bool      // the query runs a seed round
 	own    []float64 // the floors the request came with
 
-	// canon and digest are set by prep: the canonical body and the key
-	// of the cache and flight tables.
+	// canon and digest are set by prep: the canonical body and its
+	// digest, which the coordinator's ETag hashes.
 	canon  []byte
 	digest [sha256.Size]byte
 }
@@ -121,7 +134,7 @@ func query[R any](ctx context.Context, c *Coordinator, ep *endpoint, req any) (*
 		ep.failures.Add(1)
 		return nil, cerr
 	}
-	out, _, cerr := c.scatterMerge(ctx, ep, sreq)
+	out, cerr := c.scatterMerge(ctx, ep, sreq)
 	if cerr != nil {
 		return nil, cerr
 	}
@@ -134,7 +147,7 @@ func query[R any](ctx context.Context, c *Coordinator, ep *endpoint, req any) (*
 
 // prep turns a raw request body into its canonical scattered form:
 // decoded, by-name trains resolved to inline sketches, re-marshaled,
-// and digested for the cache and singleflight keys.
+// and digested for the ETag.
 func (c *Coordinator) prep(ctx context.Context, ep *endpoint, body []byte) (*scatterRequest, *ClusterError) {
 	wire, err := ep.decode(body)
 	if err != nil {
@@ -172,44 +185,17 @@ func (r *scatterRequest) encode(seed bool, floors []float64) ([]byte, error) {
 	return json.Marshal(r.wire)
 }
 
-// scatterMerge runs the cached scatter-merge, in the package comment's
-// two rounds when the query is seeded. Round 1 is the request as prep
-// canonicalized it, revalidated per shard with If-None-Match; when every
-// shard revalidates and the merge of exactly those answers is cached,
-// its bytes are replayed and nothing else runs. Round 2 depends on every
-// shard's seeds and is never cached. Skipped and pruned are round 1's,
-// whose phase 1 computes them in full. The outcome's ETag is "" when the
-// answer is partial or a shard sent none; replayed reports a merged body
-// served from the cache. The body is the answer alone — what the shards'
-// own requests experienced stays in their Server-Timing headers — so one
-// ETag is one byte string here too.
-func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatterRequest) (out server.Outcome, replayed bool, cerr *ClusterError) {
+// scatterMerge runs the scatter-merge, in the package comment's two
+// rounds when the query is seeded. Round 1 is the request as prep
+// canonicalized it; round 2 depends on every shard's seeds. Skipped and
+// pruned are round 1's, whose phase 1 computes them in full. The
+// outcome's ETag is "" when the answer is partial or a shard sent none.
+// The body is the answer alone — what the shards' own requests
+// experienced stays in their Server-Timing headers — so one ETag is one
+// byte string here too.
+func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatterRequest) (server.Outcome, *ClusterError) {
 	n := len(c.shards)
-	admit := c.admits(req.digest)
-	inm, cached := make([]string, n), make([]*ccEntry, n)
-	for i := range c.shards {
-		if ent, ok := c.results.Get(ccKey{shard: i, digest: req.digest}); ok {
-			cached[i], inm[i] = ent, ent.etag
-		}
-	}
-	results := c.scatter(ctx, http.MethodPost, shardRankPath, req.canon, inm, nil)
-	tags := make([]string, n)
-	hits := 0
-	for i := range results {
-		if r := &results[i]; r.err == nil && r.status == http.StatusNotModified && cached[i] != nil {
-			// The shard vouched for its cached answer: no body crossed.
-			r.status, r.body, r.etag = http.StatusOK, cached[i].body, cached[i].etag
-			hits++
-		}
-		tags[i] = results[i].etag
-	}
-	c.shardHits.Add(int64(hits))
-	mergedKey := ccKey{shard: mergedShard, digest: req.digest}
-	if ent, ok := c.results.Get(mergedKey); ok && hits == n && ent.etag == coordEtagFor(req.digest, tags) {
-		c.mergedHits.Add(1)
-		return server.Outcome{Status: http.StatusOK, ETag: ent.etag, Body: ent.body}, true, nil
-	}
-
+	results := c.scatter(ctx, http.MethodPost, shardRankPath, req.canon, nil)
 	var lost []ShardError
 	// answer decodes one shard's 200, which must answer every train;
 	// anything else loses the shard.
@@ -232,11 +218,9 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 	// first[i] is shard i's round-1 answer, nil once the shard is lost; a
 	// round-2 answer replaces its ranked rows and nothing else.
 	first := make([]*server.RankBatchResponse, n)
+	tags := make([]string, n)
 	for i, r := range results {
-		first[i] = answer(r)
-		if admit && first[i] != nil && r.etag != "" && (cached[i] == nil || cached[i].etag != r.etag) {
-			c.remember(ccKey{shard: i, digest: req.digest}, r.etag, r.body)
-		}
+		first[i], tags[i] = answer(r), r.etag
 	}
 	floors := req.own
 	// round2 asks the shards still answering — all of them, or those
@@ -249,7 +233,7 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 			}
 		}
 		body, _ := req.encode(false, floors) // prep marshaled it; only floats moved
-		for i, r := range c.scatter(ctx, http.MethodPost, shardRankPath, body, nil, only) {
+		for i, r := range c.scatter(ctx, http.MethodPost, shardRankPath, body, only) {
 			if !only[i] {
 				continue
 			}
@@ -330,11 +314,11 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 	}
 	if answered == 0 {
 		ep.failures.Add(1)
-		return server.Outcome{}, false, allShardsFailed(ep.what, lost)
+		return server.Outcome{}, allShardsFailed(ep.what, lost)
 	}
 	// Every shard either answered or is in lost, and a candidate two shards
 	// returned makes the answer partial too, so lost is non-empty exactly
-	// on a partial answer, which is never cached or ETagged.
+	// on a partial answer, which is never ETagged.
 	if lost = append(lost, dups...); len(lost) > 0 {
 		ep.partial.Add(1)
 	}
@@ -345,16 +329,43 @@ func (c *Coordinator) scatterMerge(ctx context.Context, ep *endpoint, req *scatt
 	}
 	slices.Sort(m.Skipped)
 	m.Skipped = slices.Compact(m.Skipped)
-	out = server.Outcome{Status: http.StatusOK, Body: server.EncodeJSON(ep.respond(m, lost))}
+	out := server.Outcome{Status: http.StatusOK, Body: server.EncodeJSON(ep.respond(m, lost))}
 	// Without an ETag from every shard the coordinator cannot vouch for
 	// content stability and emits none.
 	if len(lost) == 0 && !slices.Contains(tags, "") {
 		out.ETag = coordEtagFor(req.digest, tags)
-		if admit {
-			c.remember(mergedKey, out.ETag, out.Body)
-		}
 	}
-	return out, false, nil
+	return out, nil
+}
+
+// requestDigest hashes a scattered request for the coordinator's ETag: a
+// tag separating the endpoints plus the canonical (decoded and
+// re-marshaled) body.
+func requestDigest(tag string, canonicalBody []byte) [sha256.Size]byte {
+	h := sha256.New()
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(tag)))
+	h.Write(n[:])
+	h.Write([]byte(tag))
+	h.Write(canonicalBody)
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// coordEtagFor derives the coordinator's ETag for a fully-answered
+// request: a content hash of the request digest and every shard's ETag,
+// in shard order.
+func coordEtagFor(digest [sha256.Size]byte, shardTags []string) string {
+	h := sha256.New()
+	h.Write([]byte("cluster"))
+	h.Write(digest[:])
+	var n [8]byte
+	for _, tag := range shardTags {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(tag)))
+		h.Write(n[:])
+		h.Write([]byte(tag))
+	}
+	sum := h.Sum(nil)
+	return `"` + hex.EncodeToString(sum[:16]) + `"`
 }
 
 // reaches reports whether a seed answer leaves its shard anything a
@@ -375,7 +386,7 @@ func reaches(sr *server.RankBatchResponse, floors []float64) bool {
 // nowhere; a sick shard (5xx, unreachable) could be the owner, so the
 // resolution fails 502 rather than inventing a 404.
 func (c *Coordinator) resolveTrain(ctx context.Context, name string) (string, *ClusterError) {
-	results := c.scatter(ctx, http.MethodGet, "/v1/get?name="+url.QueryEscape(name), nil, nil, nil)
+	results := c.scatter(ctx, http.MethodGet, "/v1/get?name="+url.QueryEscape(name), nil, nil)
 	notFound := 0
 	var serrs []ShardError
 	for _, r := range results {
@@ -456,52 +467,19 @@ func (c *Coordinator) serveRank(ep *endpoint) http.HandlerFunc {
 			errorOutcome(cerr).Write(w)
 			return
 		}
-
-		f, leader, release := c.flights.Join(r.Context(), req.digest)
-		defer release()
-		if !leader {
-			// Serve the flight's published outcome; a replayed error
-			// counts against this endpoint.
-			select {
-			case <-f.Done():
-				if f.Result().Status != http.StatusOK {
-					ep.failures.Add(1)
-				}
-				server.SetServerTiming(w, "coalesced", "")
-				c.writeOutcome(w, r, f.Result())
-			case <-r.Context().Done():
-				server.HTTPError(w, http.StatusServiceUnavailable,
-					"client cancelled while coalesced behind an identical in-flight query")
-			}
-			return
-		}
 		started := time.Now()
-		out, replayed, cerr := c.scatterMerge(f.Context(), ep, req)
+		out, cerr := c.scatterMerge(r.Context(), ep, req)
 		if cerr != nil {
 			out = errorOutcome(cerr)
 		}
-		c.flights.Finish(req.digest, f, out)
-		cache := "miss"
-		if replayed {
-			cache = "hit"
-		}
-		server.SetServerTiming(w, cache, fmt.Sprintf("rank;dur=%.3f", float64(time.Since(started))/float64(time.Millisecond)))
-		c.writeOutcome(w, r, out)
-	}
-}
-
-// writeOutcome puts an outcome on the wire, honoring the request's own
-// If-None-Match when the outcome carries an ETag — each coalesced
-// participant revalidates independently.
-func (c *Coordinator) writeOutcome(w http.ResponseWriter, r *http.Request, out server.Outcome) {
-	if out.ETag != "" && server.ETagMatches(r.Header.Get("If-None-Match"), out.ETag) {
-		if c.results != nil {
+		w.Header().Set("Server-Timing", fmt.Sprintf("rank;dur=%.3f", float64(time.Since(started))/float64(time.Millisecond)))
+		if out.ETag != "" && server.ETagMatches(r.Header.Get("If-None-Match"), out.ETag) {
 			c.notModified.Add(1)
+			server.WriteNotModified(w, out.ETag)
+			return
 		}
-		server.WriteNotModified(w, out.ETag)
-		return
+		out.Write(w)
 	}
-	out.Write(w)
 }
 
 // errorOutcome maps a query failure onto the wire: the ClusterError's
@@ -520,7 +498,7 @@ func (c *Coordinator) handleLs(w http.ResponseWriter, r *http.Request) {
 	if prefix := r.URL.Query().Get("prefix"); prefix != "" {
 		pathAndQuery += "?prefix=" + url.QueryEscape(prefix)
 	}
-	results := c.scatter(r.Context(), http.MethodGet, pathAndQuery, nil, nil, nil)
+	results := c.scatter(r.Context(), http.MethodGet, pathAndQuery, nil, nil)
 	resp := LsResponse{LsResponse: server.LsResponse{Sketches: []server.MetaResult{}}}
 	answered := 0
 	for _, res := range results {

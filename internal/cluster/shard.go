@@ -54,8 +54,8 @@ type shardResult struct {
 	shard  *shard
 	status int
 	body   []byte
-	// etag is the shard's ETag header, when it sent one — the handle
-	// the coordinator's result cache revalidates with.
+	// etag is the shard's ETag header, when it sent one; the
+	// coordinator's own ETag is built from every shard's.
 	etag string
 	// err is a transport-level failure (dial, timeout, broken
 	// connection) that survived the retry budget; status and body are
@@ -83,17 +83,15 @@ func (r shardResult) transient() bool {
 // do issues one request to the shard, retrying transient failures with
 // exponential backoff up to the Options budget. The context bounds the
 // whole exchange including backoff waits; each attempt additionally
-// gets its own RequestTimeout. A non-nil body is a JSON rank request. A
-// non-empty ifNoneMatch is sent as the If-None-Match header so an
-// unchanged shard can answer 304 bodyless.
-func (s *shard) do(ctx context.Context, method, pathAndQuery string, body []byte, ifNoneMatch string, opt Options) shardResult {
+// gets its own RequestTimeout. A non-nil body is a JSON rank request.
+func (s *shard) do(ctx context.Context, method, pathAndQuery string, body []byte, opt Options) shardResult {
 	s.requests.Add(1)
 	started := time.Now()
 	backoff := server.Timeout(opt.RetryBackoff, DefaultRetryBackoff)
 	attempts := retryBudget(opt.Retries) + 1
 	var res shardResult
 	for attempt := 0; ; attempt++ {
-		res = s.doOnce(ctx, method, pathAndQuery, body, ifNoneMatch, opt)
+		res = s.doOnce(ctx, method, pathAndQuery, body, opt)
 		if !res.transient() || attempt+1 >= attempts || ctx.Err() != nil {
 			break
 		}
@@ -129,7 +127,7 @@ var errTooLong = errors.New("response exceeds the shard response cap")
 
 // doOnce is a single attempt: one request, one response, body fully
 // read so the connection returns to the pool.
-func (s *shard) doOnce(ctx context.Context, method, pathAndQuery string, body []byte, ifNoneMatch string, opt Options) shardResult {
+func (s *shard) doOnce(ctx context.Context, method, pathAndQuery string, body []byte, opt Options) shardResult {
 	if d := server.Timeout(opt.RequestTimeout, DefaultRequestTimeout); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
@@ -145,14 +143,6 @@ func (s *shard) doOnce(ctx context.Context, method, pathAndQuery string, body []
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
-		if opt.ResultCacheBytes > 0 {
-			// The coordinator keeps what it can revalidate; the shard's
-			// own copy would buy nothing.
-			req.Header.Set("Cache-Control", "no-store")
-		}
-	}
-	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
 	}
 	resp, err := s.client.Do(req)
 	if err != nil {

@@ -3,16 +3,15 @@ package cluster
 // Failure paths of the two-round scatter, and what each one shows the
 // caller: a shard lost in round 1 is one shard_errors row and is not
 // asked again; a catalog that moves between the rounds is caught by the
-// short merge and answered without the floor; a catalog that moves
-// between two queries revalidates shard by shard; a full revalidation is
-// one round of bodyless requests; a shard that streams past the response
+// short merge and answered without the floor; a catalog that moves on one
+// shard between two queries is answered afresh there while the other
+// shards' caches serve theirs; a shard that streams past the response
 // cap, or answers 200 with a body that does not decode to one answer per
 // train, is a lost shard, never a buffered or a believed one.
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -68,7 +67,7 @@ func TestClusterShardLostInRound1(t *testing.T) {
 	cl := newMatrixCluster(t, mc, 3, cohortOnShard0, Options{})
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
-	c, err := New([]string{cl.urls[0], dead.URL, cl.urls[2]}, Options{ResultCacheBytes: 1 << 20, Retries: 1, RetryBackoff: time.Millisecond})
+	c, err := New([]string{cl.urls[0], dead.URL, cl.urls[2]}, Options{Retries: 1, RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +141,12 @@ func TestClusterDeleteBetweenRounds(t *testing.T) {
 			}
 		}
 	})
-	c, err := New([]string{front.URL, cl.urls[1], cl.urls[2]}, Options{ResultCacheBytes: 1 << 20})
+	c, err := New([]string{front.URL, cl.urls[1], cl.urls[2]}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := topK(t, mc, 5)
-	// First sight keeps nothing; the deletes wait for the query after it,
-	// whose seed answers are the ones the cache holds.
+	// The deletes wait for the second query.
 	if _, err := c.Rank(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -173,22 +171,22 @@ func TestClusterDeleteBetweenRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRows(t, "the query after", resp.Ranked, cl.unionRows(t, mc, 5))
-	if cs := c.Stats().Coordinator; cs.FloorFallbacks != 1 || cs.ResultShardHits != 2 {
-		t.Fatalf("second query: counters %+v, want no new fallback and two shard 304s", cs)
+	if cs := c.Stats().Coordinator; cs.FloorFallbacks != 1 {
+		t.Fatalf("second query: counters %+v, want no new fallback", cs)
 	}
 }
 
 // TestClusterOneShardMovesOthersRevalidate: between two identical
 // queries one shard gains a candidate strong enough to lead the ranking
-// and loses one of the cohort. The untouched shards answer 304 and their
-// cached seeds meet the fresh ones: the floor is computed from the mix
-// and the answer is the single-node rank of the new union.
+// and loses one of the cohort. The untouched shards' caches serve their
+// seeds, which meet the moved shard's fresh ones: the floor is computed
+// from the mix and the answer is the single-node rank of the new union.
 func TestClusterOneShardMovesOthersRevalidate(t *testing.T) {
 	mc := cohortCorpus(t)
-	cl := newMatrixCluster(t, mc, 3, func(i int, _ placed) int { return i }, Options{ResultCacheBytes: 1 << 20})
+	cl := newMatrixCluster(t, mc, 3, func(i int, _ placed) int { return i }, Options{})
 	body := mustMarshal(t, topK(t, mc, 5))
-	prime(t, cl.url, body)
-	status, etag1, raw := postCoord(t, cl.url, body, "")
+	prime(t, cl.url+"/v1/rank", body)
+	status, etag1, raw := postCoord(t, cl.url+"/v1/rank", body, "")
 	var first RankResponse
 	mustUnmarshal(t, raw, &first)
 	if status != http.StatusOK || etag1 == "" {
@@ -200,9 +198,10 @@ func TestClusterOneShardMovesOthersRevalidate(t *testing.T) {
 	// name that sorts first, and one of its own cohort members goes.
 	gone := first.Ranked[1].Name
 	var owner *store.Store
-	for _, st := range cl.shards {
+	moved := -1
+	for i, st := range cl.shards {
 		if _, err := st.Get(gone); err == nil {
-			owner = st
+			owner, moved = st, i
 		}
 	}
 	best, err := cl.union.Get(first.Ranked[0].Name)
@@ -218,8 +217,8 @@ func TestClusterOneShardMovesOthersRevalidate(t *testing.T) {
 		}
 	}
 
-	before := cl.coord.Stats().Coordinator
-	status, etag2, raw := postCoord(t, cl.url, body, "")
+	before, hits := cl.coord.Stats().Coordinator, resultHits(t, cl.urls)
+	status, etag2, raw := postCoord(t, cl.url+"/v1/rank", body, "")
 	var second RankResponse
 	mustUnmarshal(t, raw, &second)
 	if status != http.StatusOK || etag2 == "" || etag2 == etag1 || second.Partial {
@@ -230,91 +229,19 @@ func TestClusterOneShardMovesOthersRevalidate(t *testing.T) {
 		t.Fatalf("the newcomer ties the best score and sorts first, got %+v", second.Ranked[0])
 	}
 	after := cl.coord.Stats().Coordinator
-	if after.ResultShardHits-before.ResultShardHits != 2 || after.ResultMergedHits != before.ResultMergedHits ||
-		after.FloorQueries-before.FloorQueries != 1 || after.FloorFallbacks != 0 {
-		t.Fatalf("counters %+v -> %+v: want two shard 304s, no merged replay, one floor, no fallback", before, after)
+	if after.FloorQueries-before.FloorQueries != 1 || after.FloorFallbacks != 0 {
+		t.Fatalf("counters %+v -> %+v: want one floor, no fallback", before, after)
 	}
-}
-
-// TestClusterFullRevalidationIsOneRound: a repeated query costs one
-// bodyless request per shard and replays the merged bytes; no seed is
-// decoded, no floor computed, no round 2 sent.
-func TestClusterFullRevalidationIsOneRound(t *testing.T) {
-	mc := cohortCorpus(t)
-	cl := newMatrixCluster(t, mc, 3, cohortOnShard0, Options{ResultCacheBytes: 1 << 20})
-	for _, path := range []string{"/v1/rank", "/v1/rank/batch"} {
-		body := mustMarshal(t, topK(t, mc, 5))
-		if path == "/v1/rank/batch" {
-			mj := matrixMinJoin
-			body = mustMarshal(t, RankBatchRequest{Trains: []server.BatchTrainRef{
-				{Name: "a", Sketch: sketchBase64(t, mc.trains[0])}, {Name: "b", Sketch: sketchBase64(t, mc.trains[3])},
-			}, Prefix: matrixPrefix, MinJoin: &mj, K: 3, Top: 5})
-		}
-		post(t, cl.url+path, body) // first sight: nothing kept
-		status, first := post(t, cl.url+path, body)
-		if status != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", path, status, first)
-		}
-		before, requests := cl.coord.Stats().Coordinator, shardRequests(cl.coord)
-		if before.Round2Requests == 0 {
-			t.Fatalf("%s: the first query ran no round 2: %+v", path, before)
-		}
-		status, second := post(t, cl.url+path, body)
-		if status != http.StatusOK || !bytes.Equal(first, second) {
-			t.Fatalf("%s: replay differs (status %d):\n%s\n%s", path, status, first, second)
-		}
-		after := cl.coord.Stats().Coordinator
-		if got := shardRequests(cl.coord) - requests; got != 3 {
-			t.Fatalf("%s: a full revalidation sent %d shard requests, want 3", path, got)
-		}
-		if after.ResultMergedHits-before.ResultMergedHits != 1 || after.ResultShardHits-before.ResultShardHits != 3 ||
-			after.Round2Requests != before.Round2Requests || after.FloorQueries != before.FloorQueries {
-			t.Fatalf("%s: counters %+v -> %+v", path, before, after)
+	for i, h := range resultHits(t, cl.urls) {
+		if served := h > hits[i]; served == (i == moved) {
+			t.Fatalf("shard %d (moved: %v): cache hits %d -> %d", i, i == moved, hits[i], h)
 		}
 	}
-	// The shards were told no-store: nothing of the scatter is held twice.
-	for i, url := range cl.urls {
-		var stats server.StatsResponse
-		resp, err := http.Get(url + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&stats)
-		resp.Body.Close()
-		if err != nil || stats.Server.ResultEntries != 0 {
-			t.Fatalf("shard %d retains %d results (%v), want 0", i, stats.Server.ResultEntries, err)
-		}
-	}
-}
-
-// TestClusterCacheChargesWhatItHolds: an entry is an exact-size copy of
-// its body, charged body + ETag + the fixed overhead.
-func TestClusterCacheChargesWhatItHolds(t *testing.T) {
-	c, err := New([]string{"http://127.0.0.1:1"}, Options{ResultCacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := append(make([]byte, 0, 4096), bytes.Repeat([]byte("x"), 1000)...)
-	key := ccKey{shard: 0}
-	c.remember(key, `"tag"`, body)
-	ent, ok := c.results.Get(key)
-	if !ok || !bytes.Equal(ent.body, body) || cap(ent.body) >= 2048 || &ent.body[0] == &body[0] {
-		t.Fatalf("entry holds %d bytes in a %d-byte buffer (found %v)", len(ent.body), cap(ent.body), ok)
-	}
-	if used := c.Stats().Coordinator.ResultBytes; used != 1000+5+ccEntryOverhead {
-		t.Fatalf("charged %d bytes, want %d", used, 1000+5+ccEntryOverhead)
-	}
-	// A disabled cache remembers nothing and does not mind being asked.
-	off, err := New([]string{"http://127.0.0.1:1"}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off.remember(key, `"tag"`, body)
 }
 
 // TestClusterShardResponseCap: a shard that streams past the response
 // cap is that shard's failure — one shard_errors row, partial: true, no
-// ETag, nothing cached, no retry — on /v1/rank, /v1/rank/batch and the
+// ETag, no retry — on /v1/rank, /v1/rank/batch and the
 // /v1/get behind a by-name train.
 func TestClusterShardResponseCap(t *testing.T) {
 	tc := newTestCluster(t, 1, 12)
@@ -336,7 +263,7 @@ func TestClusterShardResponseCap(t *testing.T) {
 		}
 	}))
 	defer firehose.Close()
-	c, err := New([]string{firehose.URL, tc.shards[0].URL}, Options{ResultCacheBytes: 1 << 20, RetryBackoff: time.Millisecond})
+	c, err := New([]string{firehose.URL, tc.shards[0].URL}, Options{RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,12 +308,6 @@ func TestClusterShardResponseCap(t *testing.T) {
 	if st.Shards[0].Retries != 0 || served.Load() != st.Shards[0].Requests {
 		t.Fatalf("the firehose was asked %d times for %d requests (%d retries): an over-cap answer must not be retried", served.Load(), st.Shards[0].Requests, st.Shards[0].Retries)
 	}
-	// The honest shard's answer to each distinct scattered request (the
-	// by-name query scatters the inline one), each request's first-sight
-	// marker, and nothing else.
-	if st.Coordinator.ResultMergedHits != 0 || st.Coordinator.ResultEntries != 4 {
-		t.Fatalf("cache: %d merged replays, %d entries; want 0 and the honest shard's 2 + 2 markers", st.Coordinator.ResultMergedHits, st.Coordinator.ResultEntries)
-	}
 	// A train only the firehose could own is not "missing": 502, not 404.
 	_, rerr := c.Rank(context.Background(), RankRequest{Train: "no/such", Prefix: "corpus/", MinJoin: &mj})
 	if ce, ok := rerr.(*ClusterError); !ok || ce.StatusCode != http.StatusBadGateway || len(ce.Shards) != 1 {
@@ -397,7 +318,7 @@ func TestClusterShardResponseCap(t *testing.T) {
 // TestClusterShardAnswerUndecodable: a shard that answers 200 with a body
 // that is not JSON, or with a batch answer of the wrong query count, is
 // that shard's failure on both endpoints — one shard_errors row, partial:
-// true, no ETag — and nothing it sent is cached.
+// true, no ETag.
 func TestClusterShardAnswerUndecodable(t *testing.T) {
 	tc := newTestCluster(t, 1, 12)
 	var lie atomic.Value
@@ -407,7 +328,7 @@ func TestClusterShardAnswerUndecodable(t *testing.T) {
 		w.Write([]byte(lie.Load().(string)))
 	}))
 	defer liar.Close()
-	c, err := New([]string{liar.URL, tc.shards[0].URL}, Options{ResultCacheBytes: 1 << 20})
+	c, err := New([]string{liar.URL, tc.shards[0].URL}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,10 +363,5 @@ func TestClusterShardAnswerUndecodable(t *testing.T) {
 				}
 			}
 		}
-	}
-	// The honest shard's answer to each of the two scattered requests and
-	// each request's first-sight marker, and nothing else.
-	if st := c.Stats().Coordinator; st.ResultMergedHits != 0 || st.ResultEntries != 4 {
-		t.Fatalf("cache: %d merged replays, %d entries; want 0 and the honest shard's 2 + 2 markers", st.ResultMergedHits, st.ResultEntries)
 	}
 }

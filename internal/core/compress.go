@@ -258,7 +258,7 @@ func AppendKeyHashes(dec *RecordDecoder, dst []uint32, data []byte, off int) ([]
 	if dec == nil {
 		return dst, fmt.Errorf("core: compressed record at %d has no segment decoder", off)
 	}
-	if _, err := VerifyRecord(data, off); err != nil {
+	if err := checkCRC(data, off, info.Len); err != nil {
 		return dst, err
 	}
 	if dst, _, err = dec.appendKeyRefs(dst, h, info); err != nil {
@@ -298,10 +298,10 @@ func decodeCompressed(dec *RecordDecoder, data []byte, off int, rec Record, borr
 	if dec == nil {
 		return Record{}, fmt.Errorf("core: compressed record at %d has no segment decoder", off)
 	}
-	if _, err := VerifyRecord(data, off); err != nil {
+	info := rec.RecordInfo
+	if err := checkCRC(data, off, info.Len); err != nil {
 		return Record{}, err
 	}
-	info := rec.RecordInfo
 	h := data[off : off+info.Len]
 	n := info.Entries
 	flags := h[12]

@@ -399,3 +399,27 @@ func TestRecordBorrowedOnlyWhenAliased(t *testing.T) {
 		}
 	}
 }
+
+// TestCompressedNumericDecodeAllocs: a borrowed compressed numeric decode
+// allocates the record's name, the Sketch and its key hashes, and nothing
+// else: its CRC check reuses the frame the decode already holds.
+func TestCompressedNumericDecodeAllocs(t *testing.T) {
+	if !nativeLittleEndian {
+		t.Skip("the value array is borrowed only on little-endian hosts")
+	}
+	sk := packedSketches(t)["num-role1"]
+	c := compressorFor(sk)
+	buf, compressed, err := AppendRecordCompressed(nil, "store/x", sk, c)
+	if err != nil || !compressed {
+		t.Fatalf("fixture did not compress: %v", err)
+	}
+	dec := c.Decoder()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeRecordWith(dec, buf, 0, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Fatalf("a borrowed compressed numeric decode allocates %v times, want 3", allocs)
+	}
+}

@@ -424,11 +424,17 @@ func VerifyRecord(data []byte, off int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return info.Len, checkCRC(data, off, info.Len)
+}
+
+// checkCRC checks the CRC of the record at data[off], whose frame of
+// length recLen DecodeRecordInfo has validated.
+func checkCRC(data []byte, off, recLen int) error {
 	want := binio.U32At(data[off:], 0)
-	if got := RecordCRC(data[off+8 : off+info.Len]); got != want {
-		return 0, fmt.Errorf("core: record at %d fails CRC (%08x != %08x)", off, got, want)
+	if got := RecordCRC(data[off+8 : off+recLen]); got != want {
+		return fmt.Errorf("core: record at %d fails CRC (%08x != %08x)", off, got, want)
 	}
-	return info.Len, nil
+	return nil
 }
 
 func b2u8(b bool) uint8 {

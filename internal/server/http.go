@@ -155,18 +155,6 @@ func (o Outcome) Write(w http.ResponseWriter) {
 	_, _ = w.Write(o.Body) // the status line is already out; nothing to recover
 }
 
-// SetServerTiming sets the Server-Timing header of a rank response,
-// which carries what this request experienced and no body or cache ever
-// does: cache is the result cache's part (hit, coalesced or miss) and
-// measured, when not empty, the metrics of the computation a miss ran.
-func SetServerTiming(w http.ResponseWriter, cache, measured string) {
-	v := "cache;desc=" + cache
-	if measured != "" {
-		v += ", " + measured
-	}
-	w.Header().Set("Server-Timing", v)
-}
-
 // WriteNotModified answers an If-None-Match revalidation: 304, no
 // body, the current ETag so the client can keep revalidating.
 func WriteNotModified(w http.ResponseWriter, etag string) {

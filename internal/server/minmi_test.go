@@ -1,15 +1,13 @@
 package server
 
 // The wire side of the two-round scatter: min_mi as a public filter on
-// both rank endpoints, the seed flag and its seed_bound, their place in
-// the canonical digest, and Cache-Control: no-store.
+// both rank endpoints, the seed flag and its seed_bound, and their place
+// in the canonical digest.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
-	"reflect"
 	"testing"
 
 	"misketch/internal/store"
@@ -189,54 +187,5 @@ func TestRankSeedAnswer(t *testing.T) {
 	_, seeded, _ := postRaw(t, ts.URL, "/v1/rank", mustJSON(t, RankRequest{Sketch: sk[0], MinJoin: &mj, Top: 3, Seed: true}), nil)
 	if plain.Get("ETag") == seeded.Get("ETag") {
 		t.Fatal("a seed request and the plain one share an ETag")
-	}
-}
-
-// TestRankNoStore: Cache-Control: no-store on a rank request is answered
-// in full — body, ETag, revalidation — and retains nothing.
-func TestRankNoStore(t *testing.T) {
-	_, ts, _, train := newTestServer(t, 12, Options{ResultCacheBytes: 1 << 20})
-	mj := 10
-	body := mustJSON(t, RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", MinJoin: &mj, Top: 5})
-	noStore := http.Header{"Cache-Control": {"no-store"}}
-
-	status, hdr, raw := postRaw(t, ts.URL, "/v1/rank", body, noStore)
-	if status != http.StatusOK || hdr.Get("ETag") == "" {
-		t.Fatalf("no-store rank: status %d etag %q", status, hdr.Get("ETag"))
-	}
-	var first RankResponse
-	if err := json.Unmarshal(raw, &first); err != nil || len(first.Ranked) != 5 {
-		t.Fatalf("no-store rank: %v, %d rows: %s", err, len(first.Ranked), raw)
-	}
-	if s := statsOf(t, ts.URL); s.ResultEntries != 0 || s.ResultBytes != 0 || s.ResultMisses != 1 {
-		t.Fatalf("after a no-store rank: %d entries, %d bytes, %d misses; want 0, 0, 1", s.ResultEntries, s.ResultBytes, s.ResultMisses)
-	}
-	if status, _, _ := postRaw(t, ts.URL, "/v1/rank", body, http.Header{"Cache-Control": {"no-store"}, "If-None-Match": {hdr.Get("ETag")}}); status != http.StatusNotModified {
-		t.Fatalf("no-store revalidation: status %d, want 304", status)
-	}
-	// The same query without the header is computed again — its first
-	// sight leaves a marker, its second is kept — and then served from the
-	// cache, to a no-store caller too.
-	for pass, want := range []ServerStats{{ResultMisses: 2, ResultEntries: 1}, {ResultMisses: 3, ResultEntries: 2}, {ResultMisses: 3, ResultEntries: 2, ResultHits: 1}} {
-		h := http.Header{}
-		if pass == 2 {
-			h = noStore
-		}
-		status, _, raw := postRaw(t, ts.URL, "/v1/rank", body, h)
-		var again RankResponse
-		if err := json.Unmarshal(raw, &again); status != http.StatusOK || err != nil || !reflect.DeepEqual(again.Ranked, first.Ranked) {
-			t.Fatalf("pass %d: status %d (%v) body %s, want the rows of the first answer", pass, status, err, raw)
-		}
-		if s := statsOf(t, ts.URL); s.ResultMisses != want.ResultMisses || s.ResultEntries != want.ResultEntries || s.ResultHits != want.ResultHits {
-			t.Fatalf("pass %d: misses %d entries %d hits %d, want %+v", pass, s.ResultMisses, s.ResultEntries, s.ResultHits, want)
-		}
-	}
-	// The batch endpoint honours it as well.
-	batch := mustJSON(t, RankBatchRequest{Trains: []BatchTrainRef{{Name: "q", Sketch: sketchBase64(t, train)}}, Prefix: "corpus/", MinJoin: &mj, Top: 5})
-	if status, _, raw := postRaw(t, ts.URL, "/v1/rank/batch", batch, noStore); status != http.StatusOK {
-		t.Fatalf("no-store batch: status %d: %s", status, raw)
-	}
-	if s := statsOf(t, ts.URL); s.ResultEntries != 2 {
-		t.Fatalf("after a no-store batch: %d entries, want the 2 from before", s.ResultEntries)
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -333,21 +332,9 @@ func trainErrStatus(ref *BatchTrainRef, err error) int {
 	return http.StatusInternalServerError
 }
 
-// trainDigest is the content digest of a stored train sketch as of one
-// store generation.
-type trainDigest struct {
-	gen    uint64
-	digest probeDigest
-}
-
-// maxTrainDigests bounds the stored-train digest memo's entry count.
-const maxTrainDigests = 1024
-
 // trainSketch resolves one train reference to (sketch, content digest).
-// An inline sketch is digested from its uploaded bytes; a stored sketch
-// is serialized once to derive its digest, which is then memoized by
-// (name, store generation) so the warm path skips the re-serialization
-// until the next store mutation.
+// An inline sketch is digested from its uploaded bytes, a stored sketch
+// from its serialization.
 func (s *Server) trainSketch(ref *BatchTrainRef) (*core.Sketch, probeDigest, error) {
 	if ref.Sketch != "" {
 		raw, err := base64.StdEncoding.DecodeString(ref.Sketch)
@@ -360,21 +347,15 @@ func (s *Server) trainSketch(ref *BatchTrainRef) (*core.Sketch, probeDigest, err
 		}
 		return sk, sha256.Sum256(raw), nil
 	}
-	gen := s.st.Gen()
 	sk, err := s.st.Get(ref.Train)
 	if err != nil {
 		return nil, probeDigest{}, err
-	}
-	if memo, ok := s.digests.Get(ref.Train); ok && memo.gen == gen {
-		return sk, memo.digest, nil
 	}
 	var buf bytes.Buffer
 	if _, err := sk.WriteTo(&buf); err != nil {
 		return nil, probeDigest{}, err
 	}
-	d := probeDigest(sha256.Sum256(buf.Bytes()))
-	s.digests.Add(ref.Train, trainDigest{gen: gen, digest: d}, 1)
-	return sk, d, nil
+	return sk, sha256.Sum256(buf.Bytes()), nil
 }
 
 // serveRank is the handler of both rank endpoints.
@@ -440,14 +421,12 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 		// Revalidation needs no ranking, no cache, and no semaphore: the
 		// ETag is a pure function of (epoch, canonical request, generation).
 		if ETagMatches(r.Header.Get("If-None-Match"), etag) {
-			if s.results != nil {
-				s.notModified.Add(1)
-			}
+			s.notModified.Add(1)
 			WriteNotModified(w, etag)
 			return
 		}
 		if cached, ok := s.results.Get(key); ok {
-			SetServerTiming(w, "hit", "")
+			setServerTiming(w, "hit", "")
 			Outcome{Status: http.StatusOK, ETag: etag, Body: cached}.Write(w)
 			return
 		}
@@ -461,7 +440,7 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 				if f.Result().Status != http.StatusOK {
 					ep.failures.Add(1)
 				}
-				SetServerTiming(w, "coalesced", "")
+				setServerTiming(w, "coalesced", "")
 				f.Result().Write(w)
 			case <-r.Context().Done():
 				s.rankRejected.Add(1)
@@ -473,17 +452,26 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 		out, measured := s.leadRank(f.Context(), ep, req, trains, digests, opt)
 		if out.Status == http.StatusOK {
 			out.ETag = etag
-			// no-store: the caller keeps the answer itself (a coordinator
-			// does), so the result is served and not retained.
-			if !strings.Contains(r.Header.Get("Cache-Control"), "no-store") &&
-				s.results.SeenBefore(cacheKey{digest: canon, gen: seenGen}, nil, cacheEntryOverhead) {
+			if s.results.SeenBefore(cacheKey{digest: canon, gen: seenGen}, nil, cacheEntryOverhead) {
 				s.cacheResult(key, out.Body, int64(len(out.Body)+len(etag))+cacheEntryOverhead)
 			}
 		}
 		s.flights.Finish(key, f, out)
-		SetServerTiming(w, "miss", measured)
+		setServerTiming(w, "miss", measured)
 		out.Write(w)
 	}
+}
+
+// setServerTiming sets the Server-Timing header of a rank response,
+// which carries what this request experienced and no body or cache ever
+// does: cache is the result cache's part (hit, coalesced or miss) and
+// measured, when not empty, the metrics of the computation a miss ran.
+func setServerTiming(w http.ResponseWriter, cache, measured string) {
+	v := "cache;desc=" + cache
+	if measured != "" {
+		v += ", " + measured
+	}
+	w.Header().Set("Server-Timing", v)
 }
 
 // leadRank is the flight leader's body: probe compile-or-reuse,

@@ -5,7 +5,9 @@ package server
 // answer is structurally impossible, with a singleflight layer so N
 // concurrent identical misses share one rank computation. The LRU and
 // the flight table are internal/cache's; this file holds what is the
-// server's own: what a key is, what an entry costs, and the ETag.
+// server's own: what a key is, what an entry costs, and the ETag. It is
+// the system's one result cache: a cluster coordinator keeps none, and
+// each shard's serves and coalesces the coordinator's repeated scatters.
 //
 // Keying. An entry is keyed by (canonical request digest, store
 // generation). The canonical digest is computed over the *resolved*
@@ -27,9 +29,9 @@ package server
 // computed under an older generation than the newest cached one is
 // served but not kept.
 //
-// Admission on second sight, as on the coordinator: a digest's first
-// answer leaves only a marker, keyed by the digest alone so it survives
-// every generation, and answers are kept from the digest's second miss on.
+// Admission on second sight: a digest's first answer leaves only a
+// marker, keyed by the digest alone so it survives every generation, and
+// answers are kept from the digest's second miss on.
 //
 // Singleflight. A miss enters a per-key flight. The first caller (the
 // leader) admits through the weighted semaphore and computes the
@@ -44,9 +46,9 @@ package server
 // ETags. Every 200 rank/batch response carries a strong ETag derived
 // from (process epoch, canonical digest, generation). The epoch is
 // random per server start: a restarted shard resets its generation
-// counter, and without the epoch a client (or cluster coordinator)
-// holding an ETag from the previous process could revalidate against a
-// different catalog that happens to share the generation number. The
+// counter, and without the epoch a client holding an ETag from the
+// previous process could revalidate against a different catalog that
+// happens to share the generation number. The
 // ETag is computable before ranking, so If-None-Match revalidation
 // costs no estimation and no semaphore admission even when the result
 // cache is disabled.

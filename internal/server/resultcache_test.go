@@ -357,6 +357,27 @@ func TestRankETagRevalidation(t *testing.T) {
 	}
 }
 
+// TestNotModifiedCountedWithoutCache: a node with no result cache still
+// answers If-None-Match with 304, and result_not_modified counts each one
+// on both rank endpoints.
+func TestNotModifiedCountedWithoutCache(t *testing.T) {
+	_, ts, _, train := newTestServer(t, 10, Options{ResultCacheBytes: 0})
+	mj := 10
+	for i, q := range []struct{ path, body string }{
+		{"/v1/rank", string(mustJSON(t, RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", MinJoin: &mj, Top: 5}))},
+		{"/v1/rank/batch", string(mustJSON(t, RankBatchRequest{Trains: []BatchTrainRef{{Name: "q", Sketch: sketchBase64(t, train)}}, Prefix: "corpus/", MinJoin: &mj, Top: 5}))},
+	} {
+		_, hdr, _ := postRaw(t, ts.URL, q.path, []byte(q.body), nil)
+		status, _, raw := postRaw(t, ts.URL, q.path, []byte(q.body), http.Header{"If-None-Match": {hdr.Get("ETag")}})
+		if status != http.StatusNotModified || len(raw) != 0 {
+			t.Fatalf("%s: status %d, body %q; want a bodyless 304", q.path, status, raw)
+		}
+		if s := statsOf(t, ts.URL); s.ResultNotModified != int64(i+1) || s.ResultEntries != 0 {
+			t.Fatalf("%s: result_not_modified %d, %d entries; want %d and none", q.path, s.ResultNotModified, s.ResultEntries, i+1)
+		}
+	}
+}
+
 // TestGenerationFencingHammer is the -race stale-read hammer: rankers
 // hit a cache-enabled server while a mutator deletes and re-puts a
 // sentinel candidate. Any response whose query began after a mutation

@@ -136,11 +136,6 @@ type Server struct {
 	// against the same train sketch skips it entirely on a hit. Probes
 	// are immutable and shared across concurrent requests.
 	probes *cache.LRU[probeDigest, *core.TrainProbe]
-	// digests memoizes the content digest of stored train sketches by
-	// name, valid for one store generation, so warm by-name rank
-	// requests skip re-serializing the sketch just to key the probe
-	// cache.
-	digests *cache.LRU[string, trainDigest]
 
 	// results is the generation-fenced rank result cache and flights
 	// the singleflight table beside it (both nil when disabled; see
@@ -178,15 +173,14 @@ func New(st *store.Store, opt Options) *Server {
 	// ShutdownTimeout is resolved at shutdown time (Timeouts), not
 	// clamped here: zero means the default, negative means unbounded.
 	s := &Server{
-		st:      st,
-		opt:     opt,
-		sem:     newSemaphore(opt.MaxWorkers),
-		probes:  cache.NewLRU[probeDigest, *core.TrainProbe](int64(probeMax)),
-		digests: cache.NewLRU[string, trainDigest](maxTrainDigests),
-		mux:     http.NewServeMux(),
-		epoch:   newEpoch(),
-		rank:    rankEndpoint(),
-		batch:   batchEndpoint(),
+		st:     st,
+		opt:    opt,
+		sem:    newSemaphore(opt.MaxWorkers),
+		probes: cache.NewLRU[probeDigest, *core.TrainProbe](int64(probeMax)),
+		mux:    http.NewServeMux(),
+		epoch:  newEpoch(),
+		rank:   rankEndpoint(),
+		batch:  batchEndpoint(),
 	}
 	if opt.ResultCacheBytes > 0 {
 		s.results = cache.NewLRU[cacheKey, []byte](opt.ResultCacheBytes)
@@ -449,7 +443,8 @@ type ServerStats struct {
 	// The generation-fenced rank result cache. Hits served encoded
 	// bytes without ranking; coalesced counts requests that joined an
 	// in-flight identical computation; not_modified counts 304
-	// revalidations (served even when the cache is disabled).
+	// revalidations, which are served and counted with the cache
+	// disabled too.
 	ResultHits        int64 `json:"result_hits"`
 	ResultMisses      int64 `json:"result_misses"`
 	ResultCoalesced   int64 `json:"result_coalesced"`
