@@ -83,7 +83,7 @@ func usage() {
   misketch store ls      -store DIR [-segments]
   misketch store rebuild -store DIR
   misketch store compact -store DIR [-compress]
-  misketch serve         -store DIR [-addr :8080] [-max-workers N] [-probe-cache N] [-cache BYTES]
+  misketch serve         -store DIR [-addr :8080] [-max-workers N] [-cache BYTES]
                          [-result-cache-bytes BYTES] [-backend fs|mem] [-compact-every DUR]
                          [-segment-bytes N] [-pprof]
   misketch serve         -coordinator -shards URL,URL,... [-addr :8080]
@@ -583,8 +583,8 @@ func runStoreCompact(args []string) {
 }
 
 // runServe runs the long-running discovery service over a sketch store:
-// one open store, a compiled-probe cache, and pooled estimator scratch
-// shared across requests, with the total rank-worker fan-out bounded by
+// one open store, its plan memo, and pooled estimator scratch shared
+// across requests, with the total rank-worker fan-out bounded by
 // -max-workers. With -coordinator it instead fronts a set of shard
 // replicas, scattering each rank query to all of them and merging the
 // per-shard top-K heaps. Ctrl-C (or SIGTERM) drains in-flight requests
@@ -594,7 +594,6 @@ func runServe(args []string) {
 	storeDir := fs.String("store", "", "sketch store directory")
 	addr := fs.String("addr", ":8080", "listen address")
 	maxWorkers := fs.Int("max-workers", 0, "total rank-worker bound across requests (0 = GOMAXPROCS)")
-	probeCache := fs.Int("probe-cache", 0, "compiled train-probe cache entries (0 = default, negative disables)")
 	cacheBytes := fs.Int64("cache", 0, "decoded-sketch cache bytes (0 = default, negative disables)")
 	resultCache := fs.Int64("result-cache-bytes", 64<<20, "generation-fenced rank result cache bytes (0 disables; store mode only: a coordinator keeps no results)")
 	backend := fs.String("backend", "fs", "storage backend: fs (segments+mmap) or mem (diskless)")
@@ -645,7 +644,6 @@ func runServe(args []string) {
 	die(err)
 	srv := misketch.NewServer(st, misketch.ServerOptions{
 		MaxWorkers:       *maxWorkers,
-		ProbeCache:       *probeCache,
 		EnablePprof:      *pprofFlag,
 		ResultCacheBytes: *resultCache,
 	})

@@ -93,8 +93,9 @@ func TestE2EServiceMatchesDirectRanking(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rank over HTTP (top-10), twice: the repeat must hit the probe cache,
-	// which only its Server-Timing header tells — the bodies are the answer.
+	// Rank over HTTP (top-10), twice: the repeat must reuse the first's
+	// plan, which only its Server-Timing header tells — the bodies are the
+	// answer.
 	minJoin := 10
 	rank := func() (RankResponse, string) {
 		t.Helper()
@@ -118,11 +119,11 @@ func TestE2EServiceMatchesDirectRanking(t *testing.T) {
 	}
 	cold, coldTiming := rank()
 	warm, warmTiming := rank()
-	if !strings.Contains(coldTiming, `probes;desc="0/1"`) {
-		t.Fatalf("first query claims a cached probe: Server-Timing %q", coldTiming)
+	if !strings.Contains(coldTiming, "plan;desc=miss") {
+		t.Fatalf("first query claims a kept plan: Server-Timing %q", coldTiming)
 	}
-	if !strings.Contains(warmTiming, `probes;desc="1/1"`) {
-		t.Fatalf("repeat query missed the probe cache: Server-Timing %q", warmTiming)
+	if !strings.Contains(warmTiming, "plan;desc=hit") {
+		t.Fatalf("repeat query missed the plan: Server-Timing %q", warmTiming)
 	}
 
 	// Direct path on the same store and the same sketch bytes.
@@ -197,8 +198,8 @@ func TestE2EServiceMatchesDirectRanking(t *testing.T) {
 	if len(br.Queries) != 2 || br.Queries[0].Name != "t1" || br.Queries[1].Name != "t2" {
 		t.Fatalf("batch queries: %+v", br.Queries)
 	}
-	if timing := bresp.Header.Get("Server-Timing"); !strings.Contains(timing, `probes;desc="1/2"`) {
-		t.Fatalf("batch Server-Timing %q; the single-rank queries above compiled t1's probe", timing)
+	if timing := bresp.Header.Get("Server-Timing"); !strings.Contains(timing, "plan;desc=miss") {
+		t.Fatalf("batch Server-Timing %q; a batch's trains are a plan key of their own", timing)
 	}
 	for q, b64 := range []string{trainReply.Sketch, train2Reply.Sketch} {
 		skRaw, err := base64.StdEncoding.DecodeString(b64)
@@ -256,9 +257,10 @@ func TestE2EServiceMatchesDirectRanking(t *testing.T) {
 	if stats.Store.Sketches != 25 || stats.Store.Puts != 25 {
 		t.Fatalf("store stats: %+v", stats.Store)
 	}
-	// Two probe hits: the warm single rank, plus t1's slice of the batch.
+	// Three plan hits: the warm single rank, and both library ranks of t1,
+	// which reuse the plan the service's first rank kept.
 	if stats.Server.RankRequests != 2 || stats.Server.BatchRequests != 1 ||
-		stats.Server.ProbeHits != 2 || stats.Store.RankBatches != 1 {
+		stats.Store.PlanHits != 3 || stats.Store.RankBatches != 1 {
 		t.Fatalf("server stats: %+v / %+v", stats.Server, stats.Store)
 	}
 }

@@ -11,9 +11,9 @@
 // With -client local, the query phase instead goes through the HTTP
 // discovery service (`misketch serve`): an in-process server is started
 // over the same store and the ranking is requested twice over
-// /v1/rank, demonstrating the probe cache turning the second query into
-// a warm hit. Pass -client host:port to hit an already-running server
-// instead.
+// /v1/rank, demonstrating plan reuse: the second query finds the first's
+// phase 1 on the catalog view and runs only the exact tier. Pass
+// -client host:port to hit an already-running server instead.
 package main
 
 import (
@@ -203,7 +203,7 @@ func runClient(addr string, st *misketch.Store, query *corpus.Table, trainSk *mi
 	}
 
 	// The body is the answer; what the request experienced (the ranking's
-	// wall time, probe-cache hits, workers) is its Server-Timing header.
+	// wall time, workers, plan reuse) is its Server-Timing header.
 	rank := func() (misketch.RankResponse, string) {
 		resp, err := http.Post(base+"/v1/rank", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -221,7 +221,7 @@ func runClient(addr string, st *misketch.Store, query *corpus.Table, trainSk *mi
 		return rr, resp.Header.Get("Server-Timing")
 	}
 	_, cold := rank()
-	second, warm := rank() // identical query: the compiled probe is cached
+	second, warm := rank() // identical query: phase 1's plan is reused
 
 	fmt.Printf("query: table-%03d (domain %d, key-dependence %.2f), via %s\n",
 		query.ID, query.Domain, query.Dependence, base)

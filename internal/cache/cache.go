@@ -1,7 +1,7 @@
 // Package cache holds the module's one LRU and its one singleflight,
 // under the store's decoded-sketch cache and plan LRU and the server's
-// probe cache and rank result cache — the system's only result cache: a
-// cluster coordinator keeps none. A caller decides what a key is and what
+// rank result cache — the system's only result cache: a cluster
+// coordinator keeps none. A caller decides what a key is and what
 // an entry costs; this package keeps the bound, the recency order and the
 // counters.
 package cache

@@ -101,7 +101,7 @@ func TestLRUBoundInvariant(t *testing.T) {
 }
 
 // TestLRUCountsAndEntryBound covers the entry-counted use (cost 1 per
-// entry, as the probe cache charges) and the counters: a bound below 1
+// entry) and the counters: a bound below 1
 // admits nothing but still counts its misses.
 func TestLRUCountsAndEntryBound(t *testing.T) {
 	c := NewLRU[string, int](2)

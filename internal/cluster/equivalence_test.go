@@ -301,7 +301,7 @@ func TestStatsKeySets(t *testing.T) {
 	}
 	want := map[string][]string{
 		tc.union.URL + " server": {
-			"batch_failures", "batch_requests", "max_workers", "probe_hits", "probe_misses", "probes_cached",
+			"batch_failures", "batch_requests", "max_workers", "probe_hits", "probe_misses",
 			"put_requests", "rank_failures", "rank_rejected", "rank_requests", "ranks_queued",
 			"result_bytes", "result_coalesced", "result_entries", "result_evictions", "result_hits",
 			"result_misses", "result_not_modified", "sketch_requests", "workers_held",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"misketch/internal/mi"
 )
@@ -18,7 +17,6 @@ import (
 // across concurrent rankers (each ranker brings its own Scratch).
 type TrainProbe struct {
 	train *Sketch
-	id    uint64
 	// Open-addressing hash table from key hash to the packed range
 	// [(val>>32)−1, uint32(val)) into order; a zero val marks an empty
 	// slot (the +1 start bias keeps real entries nonzero). Linear
@@ -40,9 +38,6 @@ type TrainProbe struct {
 	distinct []uint32
 	distMult []int32
 }
-
-// probeIDs numbers the probes this process compiles.
-var probeIDs atomic.Uint64
 
 // CompileTrainProbe builds the per-query index over a train sketch.
 func CompileTrainProbe(train *Sketch) *TrainProbe {
@@ -68,7 +63,6 @@ func CompileTrainProbe(train *Sketch) *TrainProbe {
 	}
 	p := &TrainProbe{
 		train:    train,
-		id:       probeIDs.Add(1),
 		htabKey:  make([]uint32, size),
 		htabVal:  make([]uint64, size),
 		mask:     uint32(size - 1),
@@ -103,10 +97,6 @@ func CompileTrainProbe(train *Sketch) *TrainProbe {
 
 // Train returns the sketch the probe was compiled from.
 func (p *TrainProbe) Train() *Sketch { return p.train }
-
-// ID is the probe's process-unique number: a key under which work
-// derived from the probe can be memoised without keeping it reachable.
-func (p *TrainProbe) ID() uint64 { return p.id }
 
 // DistinctKeyHashes returns the train sketch's distinct key hashes and,
 // parallel to them, how many train entries carry each hash. Summing
@@ -147,8 +137,9 @@ type Scratch struct {
 	// the candidate key hashes it matched (a candidate's own may borrow a
 	// segment mapping no later query pins). The seed check comes first, so
 	// the probe fixes the seed too. A candidate carrying equal hashes
-	// matches identically: it reuses candOf, the overlap and its Rows.
-	memoProbe   uint64 // 0: nothing remembered
+	// matches identically: it reuses candOf, the overlap and its Rows. The
+	// memo holds its probe, so no other probe can take its address.
+	memoProbe   *TrainProbe // nil: nothing remembered
 	memoKeys    []uint32
 	memoOverlap int
 	rows        *JoinRows // the memo's Rows, once asked for
@@ -157,7 +148,7 @@ type Scratch struct {
 	// probe sideProbe's at sideRows. gathers numbers the names.
 	trainSide uint64
 	sideRows  *JoinRows
-	sideProbe uint64
+	sideProbe *TrainProbe
 	gathers   uint64
 }
 
@@ -253,12 +244,12 @@ func (p *TrainProbe) match(cand *Sketch, s *Scratch) (int, error) {
 		return 0, fmt.Errorf("core: sketches built with different seeds (%#x vs %#x)", train.Seed, cand.Seed)
 	}
 	s.chained = false
-	if s.memoProbe == p.id && slices.Equal(s.memoKeys, cand.KeyHashes) {
+	if s.memoProbe == p && slices.Equal(s.memoKeys, cand.KeyHashes) {
 		return s.memoOverlap, nil
 	}
 	// Forgotten before candOf changes: a failing match leaves it half
 	// written.
-	s.memoProbe, s.trainSide, s.rows = 0, 0, nil
+	s.memoProbe, s.trainSide, s.rows = nil, 0, nil
 	candOf := slices.Grow(s.candOf[:0], train.Len())[:train.Len()]
 	clear(candOf)
 	s.candOf = candOf
@@ -284,7 +275,7 @@ func (p *TrainProbe) match(cand *Sketch, s *Scratch) (int, error) {
 			i = (i + 1) & mask
 		}
 	}
-	s.memoProbe, s.memoOverlap = p.id, overlap
+	s.memoProbe, s.memoOverlap = p, overlap
 	s.memoKeys = append(s.memoKeys[:0], cand.KeyHashes...)
 	return overlap, nil
 }
@@ -420,9 +411,9 @@ func (s *Scratch) Rows() *JoinRows {
 // train with the same key hashes in the same order, from that join's Rows
 // and the candidate side it filled: the candidate is not read.
 func (p *TrainProbe) CheapMIKept(rows *JoinRows, y *mi.CheapY, bins int, s *Scratch) mi.CheapResult {
-	if s.trainSide == 0 || s.sideRows != rows || s.sideProbe != p.id {
+	if s.trainSide == 0 || s.sideRows != rows || s.sideProbe != p {
 		s.gatherTrain(p.train, rows.candOf)
-		s.sideRows, s.sideProbe = rows, p.id
+		s.sideRows, s.sideProbe = rows, p
 	}
 	return s.MI.CheapMIKeep(s.trainSide, s.trainColumn(p.train), mi.Column{}, y, bins)
 }

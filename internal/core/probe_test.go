@@ -476,7 +476,7 @@ func TestJoinMemoBitIdentical(t *testing.T) {
 		bins := []int{mi.DefaultCheapBins, 5}[rng.Intn(2)]
 		label := fmt.Sprintf("step %d (train num=%v seed %d, cand num=%v seed %d, minJoin %d, exact %v)",
 			step, p.Train().Numeric, p.Train().Seed, cand.Numeric, cand.Seed, minJoin, exact)
-		if s.memoProbe == p.id && slices.Equal(s.memoKeys, cand.KeyHashes) {
+		if s.memoProbe == p && slices.Equal(s.memoKeys, cand.KeyHashes) {
 			hits++
 		} else {
 			misses++

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"misketch/internal/core"
@@ -84,7 +85,7 @@ func rankBatchViaHTTP(t testing.TB, url string, req RankBatchRequest) RankBatchR
 // contract: every query in a batch returns bit-for-bit the results of
 // an independent direct Store.RankQuery — same candidates, order, MI
 // bits — the prefilter visibly prunes dead pairs, and repeating the
-// batch hits the probe cache for every train.
+// batch reuses the plan the first one left.
 func TestRankBatchMatchesDirect(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -102,12 +103,12 @@ func TestRankBatchMatchesDirect(t *testing.T) {
 		})
 	}
 	cold := rankBatchViaHTTP(t, ts.URL, req)
-	if ss := srv.Stats().Server; ss.ProbeHits != 0 || ss.ProbeMisses != int64(len(trains)) {
-		t.Fatalf("cold batch: %d probe hits, %d misses", ss.ProbeHits, ss.ProbeMisses)
+	if ss := srv.Stats().Store; ss.PlanHits != 0 || ss.PlanMisses != 1 {
+		t.Fatalf("cold batch: %d plan hits, %d misses", ss.PlanHits, ss.PlanMisses)
 	}
 	warm := rankBatchViaHTTP(t, ts.URL, req)
-	if ss := srv.Stats().Server; ss.ProbeHits != int64(len(trains)) {
-		t.Fatalf("warm batch hit %d probes, want %d", ss.ProbeHits, len(trains))
+	if ss := srv.Stats().Store; ss.PlanHits != 1 {
+		t.Fatalf("warm batch: %d plan hits, want 1", ss.PlanHits)
 	}
 
 	prunedTotal := 0
@@ -139,6 +140,48 @@ func TestRankBatchMatchesDirect(t *testing.T) {
 	}
 	if stats.Store.RankBatches != 2 || stats.Store.PrunedPairs == 0 {
 		t.Fatalf("store batch counters: %+v", stats.Store)
+	}
+}
+
+// TestStatsCountWhatAPlanHitPruned: a rank that reuses its plan runs no
+// phase 1, yet /v1/stats moves pruned_pairs by the pairs its answer says
+// the prefilter pruned, as the rank that planned it did.
+func TestStatsCountWhatAPlanHitPruned(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trains := buildBatchCorpus(t, st, 40, 1)
+	ts := newHTTPServer(t, New(st, Options{}))
+	minJoin := 15
+	body := mustJSON(t, RankBatchRequest{Trains: []BatchTrainRef{{Name: "q", Sketch: sketchBase64(t, trains[0])}},
+		Prefix: "corpus/", MinJoin: &minJoin, Top: 8})
+	prunedPairs := func() int64 {
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sr StatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr.Store.PrunedPairs
+	}
+	for _, plan := range []string{"miss", "hit"} {
+		before := prunedPairs()
+		status, hdr, raw := postRaw(t, ts.URL, "/v1/rank/batch", body, nil)
+		if status != http.StatusOK {
+			t.Fatalf("plan %s: status %d: %s", plan, status, raw)
+		}
+		var rr RankBatchResponse
+		if err := json.Unmarshal(raw, &rr); err != nil {
+			t.Fatal(err)
+		}
+		timing := hdr.Get("Server-Timing")
+		if moved, pruned := prunedPairs()-before, rr.Queries[0].Pruned; !strings.Contains(timing, "plan;desc="+plan) || pruned == 0 || moved != int64(pruned) {
+			t.Fatalf("plan %s: pruned_pairs moved %d, the answer pruned %d; Server-Timing %q", plan, moved, pruned, timing)
+		}
 	}
 }
 

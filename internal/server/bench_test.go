@@ -20,8 +20,8 @@ import (
 
 // The service acceptance benchmark: a warm /v1/rank against a
 // 1000-sketch store must stay within 1.5x of a direct Store.RankQuery
-// call — the HTTP hop, JSON codec, probe-cache lookup, and semaphore
-// admission are all the service adds on the warm path. The workload
+// call — the HTTP hop, JSON codec, train decode and probe compile, and
+// semaphore admission are all the service adds on the warm path. The workload
 // mirrors the repo's BenchmarkStoreRank (400-key numeric candidates,
 // 256-entry train sketch over 4000 rows).
 var (
@@ -87,9 +87,9 @@ func sketchB64(raw []byte) string {
 }
 
 // BenchmarkServerRank/direct is the library floor: Store.RankQuery on a
-// warm store handle, probe compiled per call (exactly what a one-shot
-// caller pays). BenchmarkServerRank/http is the same query through the
-// running service with a warm probe cache.
+// warm store handle, probe compiled per call, phase 1's plan reused.
+// BenchmarkServerRank/http is the same query through the running service,
+// which reuses the same plan.
 func BenchmarkServerRank(b *testing.B) {
 	benchSetup()
 	if benchErr != nil {
@@ -139,13 +139,13 @@ func BenchmarkServerRank(b *testing.B) {
 			}
 			return rr, resp.Header.Get("Server-Timing")
 		}
-		if warm, _ := post(); len(warm.Ranked) != 10 { // warm cache + probe
+		if warm, _ := post(); len(warm.Ranked) != 10 { // warm cache + plan
 			b.Fatalf("%d results", len(warm.Ranked))
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rr, timing := post()
-			if len(rr.Ranked) != 10 || !strings.Contains(timing, `probes;desc="1/1"`) {
+			if len(rr.Ranked) != 10 || !strings.Contains(timing, "plan;desc=hit") {
 				b.Fatalf("%d results, Server-Timing %q", len(rr.Ranked), timing)
 			}
 		}

@@ -206,9 +206,9 @@ func FuzzCanonicalization(f *testing.F) {
 		if err != nil {
 			t.Fatalf("a request the decoder admits does not resolve: %v", err)
 		}
-		train := probeDigest(sha256.Sum256([]byte(fmt.Sprintf("train-%d", seed))))
+		train := trainDigest(sha256.Sum256([]byte(fmt.Sprintf("train-%d", seed))))
 		digest := func(o store.RankOptions) [sha256.Size]byte {
-			return canonicalDigest("rank", []string{""}, []probeDigest{train}, o)
+			return canonicalDigest("rank", []string{""}, []trainDigest{train}, o)
 		}
 		key := digest(opt)
 
@@ -253,8 +253,8 @@ func FuzzCanonicalization(f *testing.F) {
 				t.Fatalf("perturbation %d collided: %+v vs %+v", i, opt, q)
 			}
 		}
-		other := probeDigest(sha256.Sum256([]byte(fmt.Sprintf("train-%d'", seed))))
-		if canonicalDigest("rank", []string{""}, []probeDigest{other}, opt) == key {
+		other := trainDigest(sha256.Sum256([]byte(fmt.Sprintf("train-%d'", seed))))
+		if canonicalDigest("rank", []string{""}, []trainDigest{other}, opt) == key {
 			t.Fatal("different train content collided with the original key")
 		}
 
@@ -267,18 +267,18 @@ func FuzzCanonicalization(f *testing.F) {
 		if f0 == alt {
 			alt = 2
 		}
-		if one := canonicalDigest("rank batch", []string{""}, []probeDigest{train}, opt); one == key {
+		if one := canonicalDigest("rank batch", []string{""}, []trainDigest{train}, opt); one == key {
 			t.Fatalf("one-train batch collided with the single rank key for %+v", opt)
 		}
 		opt.MinMI = []float64{f0, alt}
 		swapped := opt
 		swapped.MinMI = []float64{alt, f0}
-		both := []probeDigest{train, other}
+		both := []trainDigest{train, other}
 		ab := canonicalDigest("rank batch", names, both, opt)
 		if ab == canonicalDigest("rank batch", names, both, swapped) {
 			t.Fatalf("two trains trading floors collided for %+v", opt)
 		}
-		if ab == canonicalDigest("rank batch", []string{"b", "a"}, []probeDigest{other, train}, opt) {
+		if ab == canonicalDigest("rank batch", []string{"b", "a"}, []trainDigest{other, train}, opt) {
 			t.Fatalf("reordered batch trains collided for %+v", opt)
 		}
 		if again := canonicalDigest("rank batch", names, both, opt); again != ab {

@@ -2,7 +2,7 @@ package server
 
 // POST /v1/rank and POST /v1/rank/batch: one serving path. A single
 // rank is a batch of one train — same fence, digest, revalidation,
-// cache, flight, probe reuse, admission and store pass — and differs
+// cache, flight, admission and store pass — and differs
 // from a batch only in how its body decodes, how its canonical digest
 // is tagged, which counters it moves, and the shape of its response.
 // Those differences are an endpoint value; serveRank and leadRank are
@@ -13,7 +13,7 @@ package server
 // request and the store generation, so one strong ETag names one byte
 // string whether the answer was computed, replayed from the result cache
 // or shared by a flight. What a request experienced — the result cache's
-// part, the ranking's wall time, probe-cache hits, admitted workers — is
+// part, the ranking's wall time, admitted workers, plan reuse — is
 // its Server-Timing header, written per request and never cached.
 //
 // An analyst sweeping many target columns over the same catalog sends
@@ -335,25 +335,25 @@ func trainErrStatus(ref *BatchTrainRef, err error) int {
 // trainSketch resolves one train reference to (sketch, content digest).
 // An inline sketch is digested from its uploaded bytes, a stored sketch
 // from its serialization.
-func (s *Server) trainSketch(ref *BatchTrainRef) (*core.Sketch, probeDigest, error) {
+func (s *Server) trainSketch(ref *BatchTrainRef) (*core.Sketch, trainDigest, error) {
 	if ref.Sketch != "" {
 		raw, err := base64.StdEncoding.DecodeString(ref.Sketch)
 		if err != nil {
-			return nil, probeDigest{}, fmt.Errorf("decoding sketch base64: %w", err)
+			return nil, trainDigest{}, fmt.Errorf("decoding sketch base64: %w", err)
 		}
 		sk, err := core.ReadSketch(bytes.NewReader(raw))
 		if err != nil {
-			return nil, probeDigest{}, err
+			return nil, trainDigest{}, err
 		}
 		return sk, sha256.Sum256(raw), nil
 	}
 	sk, err := s.st.Get(ref.Train)
 	if err != nil {
-		return nil, probeDigest{}, err
+		return nil, trainDigest{}, err
 	}
 	var buf bytes.Buffer
 	if _, err := sk.WriteTo(&buf); err != nil {
-		return nil, probeDigest{}, err
+		return nil, trainDigest{}, err
 	}
 	return sk, sha256.Sum256(buf.Bytes()), nil
 }
@@ -384,11 +384,9 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 		gen := s.st.Gen()
 
 		// Resolve every train before admission, so a queued request holds
-		// no capacity while its sketches decode. Probe compilation waits
-		// for the flight leader — a coalesced or cached request never
-		// compiles.
+		// no capacity while its sketches decode.
 		trains := make([]*core.Sketch, len(req.Trains))
-		digests := make([]probeDigest, len(req.Trains))
+		digests := make([]trainDigest, len(req.Trains))
 		names := make([]string, len(req.Trains))
 		opt, err := req.options(s.opt.MaxWorkers)
 		if err != nil {
@@ -449,7 +447,7 @@ func (s *Server) serveRank(ep *endpoint) http.HandlerFunc {
 			return
 		}
 
-		out, measured := s.leadRank(f.Context(), ep, req, trains, digests, opt)
+		out, measured := s.leadRank(f.Context(), ep, req, trains, opt)
 		if out.Status == http.StatusOK {
 			out.ETag = etag
 			if s.results.SeenBefore(cacheKey{digest: canon, gen: seenGen}, nil, cacheEntryOverhead) {
@@ -474,33 +472,15 @@ func setServerTiming(w http.ResponseWriter, cache, measured string) {
 	w.Header().Set("Server-Timing", v)
 }
 
-// leadRank is the flight leader's body: probe compile-or-reuse,
-// semaphore admission, the store ranking, and JSON encoding — once: the
-// caller that paid the computation, the result cache and every coalesced
-// waiter get the same bytes. The string is the Server-Timing of what this
-// computation experienced, the leader's alone; empty when it failed.
-func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchRequest, trains []*core.Sketch, digests []probeDigest, opt store.RankOptions) (Outcome, string) {
+// leadRank is the flight leader's body: semaphore admission, the store
+// ranking, and JSON encoding — once: the caller that paid the
+// computation, the result cache and every coalesced waiter get the same
+// bytes. The string is the Server-Timing of what this computation
+// experienced, the leader's alone; empty when it failed.
+func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchRequest, trains []*core.Sketch, opt store.RankOptions) (Outcome, string) {
 	failed := func(status int, format string, args ...any) (Outcome, string) {
 		return Outcome{Status: status, Body: EncodeJSON(ErrorResponse{Error: fmt.Sprintf(format, args...)})}, ""
 	}
-	opt.Probes = make([]*core.TrainProbe, len(trains))
-	probesCached := 0
-	for i := range trains {
-		probe, cached := s.probes.Get(digests[i])
-		if !cached {
-			probe = core.CompileTrainProbe(trains[i])
-			// Racing adds of the same digest are harmless: probes
-			// compiled from identical bytes are interchangeable.
-			s.probes.Add(digests[i], probe, 1)
-		} else {
-			// The cached probe was compiled from bit-identical sketch
-			// bytes; rank against its train so they always agree.
-			trains[i] = probe.Train()
-			probesCached++
-		}
-		opt.Probes[i] = probe
-	}
-
 	if err := s.sem.acquire(ctx, opt.Workers); err != nil {
 		// Every interested client went away while queued; the waiter is
 		// already unlinked, so its slots were never held. Counted as a
@@ -539,8 +519,7 @@ func (s *Server) leadRank(ctx context.Context, ep *endpoint, req *RankBatchReque
 		}
 		resp.Queries[q] = out
 	}
-	measured := fmt.Sprintf(`rank;dur=%.3f, probes;desc="%d/%d", workers;desc=%d`,
-		float64(elapsed)/float64(time.Millisecond), probesCached, len(trains), opt.Workers)
+	measured := fmt.Sprintf(`rank;dur=%.3f, workers;desc=%d`, float64(elapsed)/float64(time.Millisecond), opt.Workers)
 	return Outcome{Status: http.StatusOK, Body: EncodeJSON(ep.shape(resp))}, measured + traceTiming(&res.RankTrace)
 }
 

@@ -65,12 +65,12 @@ import (
 	"misketch/internal/store"
 )
 
-// probeDigest identifies a train sketch by the SHA-256 of its serialized
+// trainDigest identifies a train sketch by the SHA-256 of its serialized
 // bytes. Content addressing (rather than a client-supplied name) makes
-// the probe cache safe by construction: two sketches share a compiled
-// probe exactly when their bytes are identical, so an overwritten stored
-// sketch or a re-uploaded query can never be served a stale index.
-type probeDigest [sha256.Size]byte
+// the result cache safe by construction: two requests share an answer
+// only when their trains' bytes are identical, so an overwritten stored
+// sketch or a re-uploaded query can never be served a stale one.
+type trainDigest [sha256.Size]byte
 
 // cacheKey identifies one cacheable response: the canonical request
 // digest plus the store generation it was computed against. It keys
@@ -119,10 +119,10 @@ func (s *Server) cacheResult(key cacheKey, body []byte, cost int64) {
 // endpoint: the endpoint's tag, the ordered (response name, train content
 // digest) pairs and the resolved options. Order matters — the response
 // lists queries in request order, so a reordered batch is a different
-// request. Every RankOptions field is written but the two that cannot
-// move an answer: Workers, and Probes (the trains' content stands for
-// them); a test flips each field to hold a new one to that.
-func canonicalDigest(tag string, names []string, trains []probeDigest, opt store.RankOptions) [sha256.Size]byte {
+// request. Every RankOptions field is written but the one that cannot
+// move an answer, Workers; a test flips each field to hold a new one to
+// that.
+func canonicalDigest(tag string, names []string, trains []trainDigest, opt store.RankOptions) [sha256.Size]byte {
 	h := newDigestWriter(tag)
 	h.int64(int64(len(names)))
 	for i := range names {

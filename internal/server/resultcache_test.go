@@ -495,20 +495,20 @@ func TestGenerationFencingHammer(t *testing.T) {
 
 // rankKey is the canonical digest the /v1/rank handler computes for req
 // over a train whose content digest is dig.
-func rankKey(t testing.TB, dig probeDigest, req RankRequest, maxWorkers int) [sha256.Size]byte {
+func rankKey(t testing.TB, dig trainDigest, req RankRequest, maxWorkers int) [sha256.Size]byte {
 	t.Helper()
 	batch := req.asBatch()
 	opt, err := batch.options(maxWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return canonicalDigest(rankEndpoint().what, []string{batch.Trains[0].Name}, []probeDigest{dig}, opt)
+	return canonicalDigest(rankEndpoint().what, []string{batch.Trains[0].Name}, []trainDigest{dig}, opt)
 }
 
 // TestCanonicalization pins the request-equivalence contract directly:
 // semantically equal requests share a key, distinct ones never do.
 func TestCanonicalization(t *testing.T) {
-	var dig probeDigest
+	var dig trainDigest
 	dig[3] = 7
 	maxW := 8
 	base := RankRequest{Prefix: "p/", Top: 10}
@@ -543,7 +543,7 @@ func TestCanonicalization(t *testing.T) {
 			t.Errorf("distinct request %d collided with base: %+v", i, req)
 		}
 	}
-	var dig2 probeDigest
+	var dig2 trainDigest
 	dig2[3] = 8
 	if rankKey(t, dig2, base, maxW) == baseKey {
 		t.Error("different train digest collided")
@@ -557,12 +557,12 @@ func TestCanonicalization(t *testing.T) {
 	}
 	batch := batchEndpoint().what
 	a, b := dig, dig2
-	k1 := canonicalDigest(batch, []string{"a", "b"}, []probeDigest{a, b}, opt)
-	k2 := canonicalDigest(batch, []string{"b", "a"}, []probeDigest{b, a}, opt)
+	k1 := canonicalDigest(batch, []string{"a", "b"}, []trainDigest{a, b}, opt)
+	k2 := canonicalDigest(batch, []string{"b", "a"}, []trainDigest{b, a}, opt)
 	if k1 == k2 {
 		t.Error("reordered batch trains collided")
 	}
-	if canonicalDigest(batch, []string{""}, []probeDigest{a}, opt) == baseKey {
+	if canonicalDigest(batch, []string{""}, []trainDigest{a}, opt) == baseKey {
 		t.Error("single-train batch collided with plain rank")
 	}
 }
@@ -575,15 +575,14 @@ func TestCanonicalization(t *testing.T) {
 func TestDigestCoversRankOptions(t *testing.T) {
 	answerNeutral := map[string]bool{
 		"Workers": true, // rankings are bit-identical at every fan-out
-		"Probes":  true, // compiled from the trains, whose content is digested
 	}
 	base := store.RankOptions{
 		Prefix: "p/", MinJoinSize: 100, K: 3, TopK: 10, Workers: 2,
-		Probes: []*core.TrainProbe{nil}, CascadeMargin: store.DefaultCascadeMargin, MinMI: []float64{0.5},
+		CascadeMargin: store.DefaultCascadeMargin, MinMI: []float64{0.5},
 	}
-	var dig probeDigest
+	var dig trainDigest
 	key := func(opt store.RankOptions) [sha256.Size]byte {
-		return canonicalDigest("rank", []string{""}, []probeDigest{dig}, opt)
+		return canonicalDigest("rank", []string{""}, []trainDigest{dig}, opt)
 	}
 	typ := reflect.TypeOf(base)
 	seen := 0
@@ -601,8 +600,6 @@ func TestDigestCoversRankOptions(t *testing.T) {
 			f.SetFloat(f.Float() + 0.25)
 		case []float64:
 			f.Set(reflect.ValueOf([]float64{0.75}))
-		case []*core.TrainProbe:
-			f.Set(reflect.ValueOf([]*core.TrainProbe{new(core.TrainProbe)}))
 		default:
 			t.Fatalf("RankOptions.%s has type %s: teach this test to flip it", name, f.Type())
 		}
@@ -677,7 +674,7 @@ func TestStrongETagMeansSameBytes(t *testing.T) {
 			} {
 				// Sequential repeats: computed, computed again and kept (the
 				// first sight only marks the digest), then replayed — or,
-				// with the cache off, computed again with a warm probe cache.
+				// with the cache off, computed again on a kept plan.
 				var etag string
 				var first []byte
 				for i, wantCache := range []string{"miss", "miss", "hit"} {

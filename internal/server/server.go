@@ -43,8 +43,6 @@ import (
 
 // Defaults for Options zero values.
 const (
-	// DefaultProbeCache bounds the compiled-probe cache entry count.
-	DefaultProbeCache = 64
 	// DefaultMaxBodyBytes caps request bodies (sketch uploads, CSVs).
 	DefaultMaxBodyBytes = 256 << 20
 	// DefaultShutdownTimeout bounds the graceful drain on shutdown.
@@ -83,9 +81,6 @@ type Options struct {
 	// concurrent requests; zero means GOMAXPROCS. A request asking for
 	// more workers than the bound is clamped to it.
 	MaxWorkers int
-	// ProbeCache bounds the compiled train-probe cache entry count; zero
-	// means DefaultProbeCache, negative disables probe caching.
-	ProbeCache int
 	// MaxBodyBytes caps request body sizes; zero means
 	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
@@ -129,14 +124,6 @@ type Server struct {
 	sem *semaphore
 	mux *http.ServeMux
 
-	// probes memoizes compiled core.TrainProbe values by sketch digest,
-	// bounded to Options.ProbeCache entries (each costs 1). Compiling a
-	// probe is the per-query fixed cost of ranking (hash-table build
-	// over the train sketch); a service answering repeated queries
-	// against the same train sketch skips it entirely on a hit. Probes
-	// are immutable and shared across concurrent requests.
-	probes *cache.LRU[probeDigest, *core.TrainProbe]
-
 	// results is the generation-fenced rank result cache and flights
 	// the singleflight table beside it (both nil when disabled; see
 	// resultcache.go); resultGen is the newest generation an answer was
@@ -163,24 +150,19 @@ func New(st *store.Store, opt Options) *Server {
 	if opt.MaxWorkers <= 0 {
 		opt.MaxWorkers = runtime.GOMAXPROCS(0)
 	}
-	probeMax := opt.ProbeCache
-	if probeMax == 0 {
-		probeMax = DefaultProbeCache
-	}
 	if opt.MaxBodyBytes <= 0 {
 		opt.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	// ShutdownTimeout is resolved at shutdown time (Timeouts), not
 	// clamped here: zero means the default, negative means unbounded.
 	s := &Server{
-		st:     st,
-		opt:    opt,
-		sem:    newSemaphore(opt.MaxWorkers),
-		probes: cache.NewLRU[probeDigest, *core.TrainProbe](int64(probeMax)),
-		mux:    http.NewServeMux(),
-		epoch:  newEpoch(),
-		rank:   rankEndpoint(),
-		batch:  batchEndpoint(),
+		st:    st,
+		opt:   opt,
+		sem:   newSemaphore(opt.MaxWorkers),
+		mux:   http.NewServeMux(),
+		epoch: newEpoch(),
+		rank:  rankEndpoint(),
+		batch: batchEndpoint(),
 	}
 	if opt.ResultCacheBytes > 0 {
 		s.results = cache.NewLRU[cacheKey, []byte](opt.ResultCacheBytes)
@@ -434,12 +416,14 @@ type ServerStats struct {
 	BatchFailures  int64 `json:"batch_failures"`
 	SketchRequests int64 `json:"sketch_requests"`
 	PutRequests    int64 `json:"put_requests"`
-	ProbeHits      int64 `json:"probe_hits"`
-	ProbeMisses    int64 `json:"probe_misses"`
-	ProbesCached   int   `json:"probes_cached"`
-	WorkersHeld    int   `json:"workers_held"`
-	RanksQueued    int   `json:"ranks_queued"`
-	MaxWorkers     int   `json:"max_workers"`
+	// Deprecated: reads 0. No server caches probes: the store keys its
+	// plans by train content.
+	ProbeHits int64 `json:"probe_hits"`
+	// Deprecated: reads 0, as ProbeHits.
+	ProbeMisses int64 `json:"probe_misses"`
+	WorkersHeld int   `json:"workers_held"`
+	RanksQueued int   `json:"ranks_queued"`
+	MaxWorkers  int   `json:"max_workers"`
 	// The generation-fenced rank result cache. Hits served encoded
 	// bytes without ranking; coalesced counts requests that joined an
 	// in-flight identical computation; not_modified counts 304
@@ -462,7 +446,6 @@ type StatsResponse struct {
 
 // Stats snapshots the server's counters (also served at /v1/stats).
 func (s *Server) Stats() StatsResponse {
-	probes := s.probes.Stats()
 	held, waiting := s.sem.inFlight()
 	rc := s.results.Stats()
 	return StatsResponse{
@@ -475,9 +458,6 @@ func (s *Server) Stats() StatsResponse {
 			BatchFailures:     s.batch.failures.Load(),
 			SketchRequests:    s.sketchRequests.Load(),
 			PutRequests:       s.putRequests.Load(),
-			ProbeHits:         probes.Hits,
-			ProbeMisses:       probes.Misses,
-			ProbesCached:      probes.Entries,
 			WorkersHeld:       held,
 			RanksQueued:       waiting,
 			MaxWorkers:        s.opt.MaxWorkers,

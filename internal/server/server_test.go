@@ -127,7 +127,8 @@ func assertSameRanking(t testing.TB, got []RankedResult, want []store.RankedSket
 // TestRankMatchesDirect is the end-to-end contract: ranking through the
 // HTTP service returns bit-for-bit the results of a direct
 // Store.RankQuery call — same candidates, order, MI bits, estimators,
-// join sizes — and the second identical query hits the probe cache.
+// join sizes — and both queries reuse the plan the library call left: a
+// plan is keyed by the train's content, however it arrived.
 func TestRankMatchesDirect(t *testing.T) {
 	_, ts, st, train := newTestServer(t, 30, Options{})
 	want, wantSkipped, err := st.RankQuery(context.Background(), train, store.RankOptions{
@@ -150,14 +151,14 @@ func TestRankMatchesDirect(t *testing.T) {
 	if len(first.Skipped) != len(wantSkipped) {
 		t.Fatalf("skipped %v, want %v", first.Skipped, wantSkipped)
 	}
-	if !strings.Contains(timing, `probes;desc="0/1"`) {
-		t.Fatalf("first query's Server-Timing %q claims a probe cache hit", timing)
+	if !strings.Contains(timing, "plan;desc=hit") {
+		t.Fatalf("first query missed the library rank's plan: Server-Timing %q", timing)
 	}
 
 	second, timing := rankTimed(t, ts.URL, req)
 	assertSameRanking(t, second.Ranked, want)
-	if !strings.Contains(timing, `probes;desc="1/1"`) {
-		t.Fatalf("second identical query missed the probe cache: Server-Timing %q", timing)
+	if !strings.Contains(timing, "plan;desc=hit") {
+		t.Fatalf("second identical query missed the plan: Server-Timing %q", timing)
 	}
 
 	// Top unset returns the full ranking, still bit-identical.
@@ -288,16 +289,16 @@ func TestServerTimingPinned(t *testing.T) {
 		want        string
 	}{
 		{"view built", "/v1/rank", one(base, 5, false),
-			`cache;desc=miss, rank;dur=#, probes;desc="0/1", workers;desc=1, view;dur=#, phase1;desc="0/20", plan;desc=miss, exact;desc="0/20"`},
+			`cache;desc=miss, rank;dur=#, workers;desc=1, view;dur=#, phase1;desc="0/20", plan;desc=miss, exact;desc="0/20"`},
 		{"plan miss", "/v1/rank", one(shifted, 5, false),
-			`cache;desc=miss, rank;dur=#, probes;desc="0/1", workers;desc=1, phase1;desc="0/20", plan;desc=miss, exact;desc="0/20"`},
+			`cache;desc=miss, rank;dur=#, workers;desc=1, phase1;desc="0/20", plan;desc=miss, exact;desc="0/20"`},
 		{"plan hit", "/v1/rank", one(shifted, 8, false),
-			`cache;desc=miss, rank;dur=#, probes;desc="1/1", workers;desc=1, plan;desc=hit, exact;desc="20/20"`},
+			`cache;desc=miss, rank;dur=#, workers;desc=1, plan;desc=hit, exact;desc="20/20"`},
 		{"no cascade", "/v1/rank", one(base, 5, true),
-			`cache;desc=miss, rank;dur=#, probes;desc="1/1", workers;desc=1, phase1;desc="0/20"`},
+			`cache;desc=miss, rank;dur=#, workers;desc=1, phase1;desc="0/20"`},
 		{"two trains", "/v1/rank/batch", RankBatchRequest{Trains: []BatchTrainRef{{Name: "a", Sketch: base}, {Name: "b", Sketch: fresh(2)}},
 			Prefix: "corpus/", MinJoin: &minJoin, K: 3, Top: 5, Workers: 1},
-			`cache;desc=miss, rank;dur=#, probes;desc="1/2", workers;desc=1, phase1;desc="0/20", plan;desc=miss, exact;desc="0/40"`},
+			`cache;desc=miss, rank;dur=#, workers;desc=1, phase1;desc="0/20", plan;desc=miss, exact;desc="0/40"`},
 	} {
 		status, hdr, raw := postRaw(t, ts.URL, step.path, mustJSON(t, step.req), nil)
 		if status != http.StatusOK {
@@ -317,8 +318,8 @@ func TestRankByStoredTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	minJoin := 10
-	byName := rankViaHTTP(t, ts.URL, RankRequest{Train: "query/train", Prefix: "corpus/", MinJoin: &minJoin, K: 3})
-	byUpload, timing := rankTimed(t, ts.URL, RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", MinJoin: &minJoin, K: 3})
+	byName := rankViaHTTP(t, ts.URL, RankRequest{Train: "query/train", Prefix: "corpus/", MinJoin: &minJoin, K: 3, Top: 12})
+	byUpload, timing := rankTimed(t, ts.URL, RankRequest{Sketch: sketchBase64(t, train), Prefix: "corpus/", MinJoin: &minJoin, K: 3, Top: 12})
 	if len(byName.Ranked) == 0 {
 		t.Fatal("empty ranking")
 	}
@@ -327,15 +328,14 @@ func TestRankByStoredTrain(t *testing.T) {
 			t.Fatalf("rank[%d]: by-name %+v != by-upload %+v", i, byName.Ranked[i], byUpload.Ranked[i])
 		}
 	}
-	// The two paths share a content-addressed probe: the second query,
-	// whichever it was, must have hit the cache.
-	if !strings.Contains(timing, `probes;desc="1/1"`) {
-		t.Fatalf("upload of the bit-identical stored sketch missed the probe cache: Server-Timing %q", timing)
+	// The two paths share a plan keyed by the train's content: the second
+	// query, whichever it was, must have reused it.
+	if !strings.Contains(timing, "plan;desc=hit") {
+		t.Fatalf("upload of the bit-identical stored sketch missed the plan: Server-Timing %q", timing)
 	}
 
-	// Overwriting the stored train must invalidate the digest memo: the
-	// next by-name query sees the new content (fresh probe, not a stale
-	// cache hit on the old bytes).
+	// Overwriting the stored train: the next by-name query ranks the new
+	// content, planned afresh, not the old bytes' plan.
 	tb2, err := core.NewStreamBuilder(core.RoleTrain, true, core.Options{Method: core.TUPSK, Size: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -347,10 +347,15 @@ func TestRankByStoredTrain(t *testing.T) {
 	if err := st.Put("query/train", tb2.Sketch()); err != nil {
 		t.Fatal(err)
 	}
-	_, timing = rankTimed(t, ts.URL, RankRequest{Train: "query/train", Prefix: "corpus/", MinJoin: &minJoin, K: 3})
-	if !strings.Contains(timing, `probes;desc="0/1"`) {
-		t.Fatalf("overwritten stored train still served the old cached probe: Server-Timing %q", timing)
+	got, timing := rankTimed(t, ts.URL, RankRequest{Train: "query/train", Prefix: "corpus/", MinJoin: &minJoin, K: 3, Top: 12})
+	if !strings.Contains(timing, "plan;desc=miss") {
+		t.Fatalf("overwritten stored train reused a plan: Server-Timing %q", timing)
 	}
+	want, _, err := st.RankQuery(context.Background(), tb2.Sketch(), store.RankOptions{Prefix: "corpus/", MinJoinSize: minJoin, K: 3, TopK: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRanking(t, got.Ranked, want)
 }
 
 // TestSketchPutLsRankRoundTrip drives the full API surface the way a

@@ -53,6 +53,7 @@ type viewWalk struct {
 	st     *Store
 	model  map[string]*core.Sketch
 	trains []*core.Sketch
+	checks int // numbers the fresh trains the cascaded ranks of check send
 }
 
 // mustVisit is the brute-force visit set of a query: every joinable
@@ -121,9 +122,13 @@ func (w *viewWalk) check(step string) {
 				}
 			}
 
+			// A fresh train on the first one's keys: phase 1 runs, and
+			// visits what it would.
+			w.checks++
+			train := freshOn(w.trains[0], w.checks)
 			opt := RankOptions{Prefix: prefix, MinJoinSize: minJoin, K: 3, TopK: 5}
 			before := w.st.Stats().DiskReads
-			res, err := w.st.RankBatch(ctx, w.trains[:1], opt)
+			res, err := w.st.RankBatch(ctx, []*core.Sketch{train}, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -137,7 +142,7 @@ func (w *viewWalk) check(step string) {
 					label, res.Visited, res.Decoded, reads, res.SideHits, must)
 			}
 			opt.NoIndex = true
-			ref, refSkipped, err := w.st.RankQuery(ctx, w.trains[0], opt)
+			ref, refSkipped, err := w.st.RankQuery(ctx, train, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -438,17 +443,16 @@ func TestCatalogViewRaceHammer(t *testing.T) {
 			}
 		})
 	}
-	// Two more rankers share one compiled probe across TopK values, so
-	// between mutations they reuse each other's phase-1 plan: a plan met
-	// on a view is that view's, and its candidates load wherever a
-	// compaction has moved them since.
-	probe := core.CompileTrainProbe(train)
+	// Two more rankers rank the train across TopK values, so between
+	// mutations they reuse each other's phase-1 plan: a plan met on a view
+	// is that view's, and its candidates load wherever a compaction has
+	// moved them since.
 	hits0 := st.Stats().PlanHits
 	for r := 0; r < 2; r++ {
 		r := r
 		run(func(i int) {
 			o := opt
-			o.Probes, o.TopK = []*core.TrainProbe{probe}, []int{5, 12, 30}[(i+r)%3]
+			o.TopK = []int{5, 12, 30}[(i+r)%3]
 			got, skipped, err := st.RankQuery(ctx, train, o)
 			if err != nil {
 				t.Error(err)
@@ -456,7 +460,7 @@ func TestCatalogViewRaceHammer(t *testing.T) {
 				return
 			}
 			if len(skipped) != 0 || !sameRanked(got, want[:min(o.TopK, stable)]) {
-				t.Errorf("top %d with a shared probe: %d rows, skipped %v", o.TopK, len(got), skipped)
+				t.Errorf("top %d on a shared plan: %d rows, skipped %v", o.TopK, len(got), skipped)
 				stop.Store(true)
 			}
 		})

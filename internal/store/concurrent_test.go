@@ -158,12 +158,10 @@ func TestRankDuringPutNotHalfVisible(t *testing.T) {
 	}
 }
 
-// TestRankQueryProbeAndScratchPool checks that threading a pre-compiled
-// probe through RankOptions changes nothing about the results: same
-// order, bit-identical MI, across repeated queries at different worker
-// counts drawing from the store's one scratch pool (no cross-query scratch
-// contamination).
-func TestRankQueryProbeAndScratchPool(t *testing.T) {
+// TestRankQueryScratchPool checks that repeated queries at different
+// worker counts, drawing from the store's one scratch pool, return the
+// same order and bit-identical MI (no cross-query scratch contamination).
+func TestRankQueryScratchPool(t *testing.T) {
 	st, train := corpusStore(t, t.TempDir(), 24)
 	ctx := context.Background()
 
@@ -171,11 +169,9 @@ func TestRankQueryProbeAndScratchPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := core.CompileTrainProbe(train)
 	for iter := 0; iter < 5; iter++ {
 		got, _, err := st.RankQuery(ctx, train, RankOptions{
-			Prefix: "corpus/", MinJoinSize: 5, K: 3,
-			Workers: 1 + iter%4, Probes: []*core.TrainProbe{probe},
+			Prefix: "corpus/", MinJoinSize: 5, K: 3, Workers: 1 + iter%4,
 		})
 		if err != nil {
 			t.Fatal(err)

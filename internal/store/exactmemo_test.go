@@ -15,10 +15,11 @@ import (
 	"misketch/internal/core"
 )
 
-// slotsFilled counts the slots of v's plan under opt that hold an answer.
-func slotsFilled(t *testing.T, v *catalogView, opt RankOptions) int {
+// slotsFilled counts the slots of v's plan for trains under opt that hold
+// an answer.
+func slotsFilled(t *testing.T, v *catalogView, trains []*core.Sketch, opt RankOptions) int {
 	t.Helper()
-	p, ok := v.plans.Get((&rankRun{probes: opt.Probes, opt: opt}).planKey())
+	p, ok := v.plans.Get((&rankRun{trains: trains, seed: trains[0].Seed, opt: opt}).planKey(false))
 	if !ok {
 		t.Fatal("the view keeps no plan for the call")
 	}
@@ -62,18 +63,16 @@ func TestExactMemoBitIdentical(t *testing.T) {
 	sets := []struct {
 		name   string
 		trains []*core.Sketch
-		probes []*core.TrainProbe
 	}{
-		{"single", trains[:1], compileAll(trains[:1])},
-		{"batch2", trains, compileAll(trains)},
-		{"batch4", append(trains[:2:2], trains...), compileAll(append(trains[:2:2], trains...))},
+		{"single", trains[:1]},
+		{"batch2", trains},
+		{"batch4", append(trains[:2:2], trains...)},
 	}
 	tiers := func(a, b Stats) [3]int64 {
 		return [3]int64{b.CascadeCheapOnly - a.CascadeCheapOnly, b.CascadeExact - a.CascadeExact, b.CascadeMarginRescues - a.CascadeMarginRescues}
 	}
-	rank := func(label string, set int, probes []*core.TrainProbe, o RankOptions) *BatchResult {
+	rank := func(label string, set int, trs []*core.Sketch, o RankOptions) *BatchResult {
 		t.Helper()
-		trs := sets[set].trains
 		label = fmt.Sprintf("%s %s", sets[set].name, label)
 		o.Prefix, o.MinJoinSize, o.Workers = "casc/", 30, 1
 		if o.MinMI != nil {
@@ -91,7 +90,6 @@ func TestExactMemoBitIdentical(t *testing.T) {
 		if err := fresh.Close(); err != nil {
 			t.Fatal(err)
 		}
-		o.Probes = probes
 		s0 := st.Stats()
 		got, err := st.RankBatch(ctx, trs, o)
 		if err != nil {
@@ -123,23 +121,24 @@ func TestExactMemoBitIdentical(t *testing.T) {
 	for _, k := range []int{3, 5} {
 		for set := range sets {
 			for i, top := range []int{5, 8, 10, 12} {
-				got := rank(fmt.Sprintf("K=%d top=%d", k, top), set, sets[set].probes, RankOptions{K: k, TopK: top})
+				got := rank(fmt.Sprintf("K=%d top=%d", k, top), set, sets[set].trains, RankOptions{K: k, TopK: top})
 				if k != 3 && i == 0 && got.ExactMemoHits != 0 {
 					t.Fatalf("%s: the first call at K=%d took %d answers remembered at K=3", sets[set].name, k, got.ExactMemoHits)
 				}
 				memo += got.ExactMemoHits
 			}
-			memo += rank(fmt.Sprintf("K=%d top=10 floored", k), set, sets[set].probes, RankOptions{K: k, TopK: 10, MinMI: mid}).ExactMemoHits
-			// A coordinator's two rounds on a plan of their own: the seed
-			// answer's K-th MI is round 2's floor, and round 2 re-estimates
-			// none of the pairs the seed round scored.
-			probes := compileAll(sets[set].trains)
-			seed := rank(fmt.Sprintf("K=%d seed", k), set, probes, RankOptions{K: k, TopK: 5, Seed: true})
+			memo += rank(fmt.Sprintf("K=%d top=10 floored", k), set, sets[set].trains, RankOptions{K: k, TopK: 10, MinMI: mid}).ExactMemoHits
+			// A coordinator's two rounds on a plan of their own, of fresh
+			// trains on the same keys: the seed answer's K-th MI is round 2's
+			// floor, and round 2 re-estimates none of the pairs the seed
+			// round scored.
+			own := freshAll(sets[set].trains, k)
+			seed := rank(fmt.Sprintf("K=%d seed", k), set, own, RankOptions{K: k, TopK: 5, Seed: true})
 			floors := make([]float64, len(seed.Queries))
 			for q, qr := range seed.Queries {
 				floors[q] = qr.Ranked[len(qr.Ranked)-1].MI
 			}
-			if r2 := rank(fmt.Sprintf("K=%d round 2", k), set, probes, RankOptions{K: k, TopK: 5, MinMI: floors}); r2.ExactMemoHits == 0 {
+			if r2 := rank(fmt.Sprintf("K=%d round 2", k), set, own, RankOptions{K: k, TopK: 5, MinMI: floors}); r2.ExactMemoHits == 0 {
 				t.Fatalf("%s K=%d: round 2 remembered none of the %d pairs it scored exactly", sets[set].name, k, r2.CascadeExact)
 			}
 		}
@@ -156,9 +155,10 @@ func TestExactMemoBitIdentical(t *testing.T) {
 // every pair it scores.
 func TestExactMemoSkipsRacingPut(t *testing.T) {
 	st, trains := cascadeStore(t, 60)
+	ref, _ := cascadeStore(t, 60)
 	ctx := context.Background()
 	opt := RankOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: 5, Workers: 1}
-	want, err := st.RankBatch(ctx, trains, opt)
+	want, err := memoOff(t, ref).RankBatch(ctx, trains, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,6 @@ func TestExactMemoSkipsRacingPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Probes = compileAll(trains)
 	v := currentView(st)
 	fired := false
 	testHookRankWork = func(int) {
@@ -188,7 +187,7 @@ func TestExactMemoSkipsRacingPut(t *testing.T) {
 		t.Fatalf("fixture: Put fired %v, %d plan misses, %d exact", fired, got.PlanMisses, got.CascadeExact)
 	}
 	sameBatch(t, "Put mid-phase-2", got, want)
-	if n := slotsFilled(t, v, opt); n != 0 {
+	if n := slotsFilled(t, v, trains, opt); n != 0 {
 		t.Fatalf("%d of %d pairs scored after a racing Put were remembered", n, got.CascadeExact)
 	}
 
@@ -196,7 +195,7 @@ func TestExactMemoSkipsRacingPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := slotsFilled(t, currentView(st), opt); quiet.PlanMisses != 1 || int64(n) != quiet.CascadeExact || n == 0 {
+	if n := slotsFilled(t, currentView(st), trains, opt); quiet.PlanMisses != 1 || int64(n) != quiet.CascadeExact || n == 0 {
 		t.Fatalf("quiet store: %d plan misses, %d of %d pairs remembered, want all", quiet.PlanMisses, n, quiet.CascadeExact)
 	}
 }
@@ -206,7 +205,6 @@ func TestExactMemoSkipsRacingPut(t *testing.T) {
 // and every answer is the exact pass's. Run it with -race.
 func TestExactMemoHammer(t *testing.T) {
 	st, trains := cascadeStore(t, 60)
-	probes := compileAll(trains)
 	ctx := context.Background()
 	base := RankOptions{Prefix: "casc/", MinJoinSize: 30}
 	var variants []RankOptions
@@ -219,7 +217,7 @@ func TestExactMemoHammer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o.Workers, o.NoCascade, o.Probes = 2, false, probes
+			o.Workers, o.NoCascade = 2, false
 			variants, want = append(variants, o), append(want, res)
 		}
 	}

@@ -156,6 +156,8 @@ func TestMinMIFloorPrunes(t *testing.T) {
 
 func TestSeedAnswer(t *testing.T) {
 	st, trains := cascadeStore(t, 60)
+	// No plan is kept, so every call runs phase 1 and reports the same trace.
+	memoOff(t, st)
 	ref := exactReference(t, st, trains)
 	ctx := context.Background()
 	seed := func(opt RankOptions) *BatchResult {

@@ -140,8 +140,8 @@ type RankTrace struct {
 	ExactMemoHits int64 `json:"exact_memo_hits"`
 	// PlanHits counts cascaded ranks that found their phase 1 memoised on
 	// the catalog view (rankplan.go) and ran phase 2 alone, PlanMisses
-	// those that looked and had to plan. A rank that compiles its own
-	// probe, or runs without the cascade, never looks.
+	// those that looked and had to plan. A rank without the cascade never
+	// looks.
 	PlanHits   int64 `json:"plan_hits"`
 	PlanMisses int64 `json:"plan_misses"`
 	// SelectHits counts phase 1s that found their trains' sample plan on
@@ -182,9 +182,9 @@ func (t *RankTrace) add(o *RankTrace) {
 // runPlan is phase 2 — seed cut, MinMI floors, K-th bound, exact tier,
 // ordering. Phase 1 reads nothing of TopK, MinMI, Seed, K, CascadeMargin
 // or Workers, so under the cascade its plan is memoised on the catalog
-// view and calls that differ only in those (and reuse their compiled
-// probes) share it until the catalog moves. A (train, candidate) pair
-// whose key-hash overlap is at or below MinJoinSize (when that is >= 0 —
+// view, and calls on trains of equal content that differ only in those
+// share it until the catalog moves. A (train, candidate) pair whose
+// key-hash overlap is at or below MinJoinSize (when that is >= 0 —
 // a negative cutoff keeps even empty joins, so nothing is prunable) is
 // counted as pruned instead of estimated — by the index when the
 // candidate's segment has one and NoIndex is off (the candidate is then
@@ -258,22 +258,19 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 	s.mu.Unlock()
 	defer release()
 
-	// A probe compiled here has a number no later call can present: its
-	// plan could never be reused and is not kept.
-	memo := r.cascade
 	r.probes = make([]*core.TrainProbe, len(trains))
 	for q, tr := range trains {
-		if opt.Probes != nil && opt.Probes[q] != nil {
-			r.probes[q] = opt.Probes[q]
-		} else {
-			r.probes[q], memo = core.CompileTrainProbe(tr), false
-		}
+		r.probes[q] = core.CompileTrainProbe(tr)
 	}
 	var key planKey
-	if memo {
-		key = r.planKey()
+	if r.cascade {
+		key = r.planKey(false)
 		if p, ok := r.v.plans.Get(key); ok {
-			r.trace.PlanHits = 1
+			// What phase 1 pruned and excluded, as a miss counts it.
+			r.trace.PlanHits, r.trace.CandidatesSkippedNoDecode = 1, int64(p.excluded)
+			for _, n := range p.pruned {
+				r.trace.PrunedPairs += int64(n)
+			}
 			r.start(p.visit)
 			return r.runPlan(p)
 		}
@@ -283,7 +280,7 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 	if err := context.Cause(r.ctx); err != nil {
 		return nil, err
 	}
-	if memo && clean {
+	if r.cascade && clean {
 		r.v.plans.Add(key, p, p.cost(key))
 	}
 	return r.runPlan(p)

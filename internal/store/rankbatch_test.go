@@ -189,22 +189,23 @@ func TestRankBatchMinJoinNegative(t *testing.T) {
 	}
 }
 
-// TestRankBatchSharedProbesAndScratch exercises the service plumbing:
-// pre-compiled probes (some supplied, some nil) and a second worker on
-// the store's scratch pool must not change a single bit of any ranking.
-func TestRankBatchSharedProbesAndScratch(t *testing.T) {
+// TestRankBatchTrainCopiesAndScratch exercises the service plumbing: a
+// batch of deep copies of the trains, as a server decodes them from each
+// request, reuses the plan the trains left, and neither that nor a second
+// worker on the store's scratch pool changes a single bit of any ranking.
+func TestRankBatchTrainCopiesAndScratch(t *testing.T) {
 	st, trains := batchStore(t, 30, 3)
 	ctx := context.Background()
-	base, err := st.RankBatch(ctx, trains, RankOptions{MinJoinSize: 10, K: 3})
+	base, err := st.RankBatch(ctx, trains, RankOptions{MinJoinSize: 10, K: 3, TopK: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probes := make([]*core.TrainProbe, len(trains))
-	probes[0] = core.CompileTrainProbe(trains[0])
-	probes[2] = core.CompileTrainProbe(trains[2])
-	got, err := st.RankBatch(ctx, trains, RankOptions{MinJoinSize: 10, K: 3, Probes: probes, Workers: 2})
+	got, err := st.RankBatch(ctx, freshAll(trains, 0), RankOptions{MinJoinSize: 10, K: 3, TopK: 20, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if base.PlanMisses != 1 || got.PlanHits != 1 {
+		t.Fatalf("%d plan misses, then %d hits for the copies; want 1 and 1", base.PlanMisses, got.PlanHits)
 	}
 	for q := range trains {
 		if len(got.Queries[q].Ranked) != len(base.Queries[q].Ranked) {
@@ -213,14 +214,14 @@ func TestRankBatchSharedProbesAndScratch(t *testing.T) {
 		for i, w := range base.Queries[q].Ranked {
 			g := got.Queries[q].Ranked[i]
 			if g.Name != w.Name || math.Float64bits(g.MI) != math.Float64bits(w.MI) {
-				t.Fatalf("train %d result %d diverges with shared probes: %+v vs %+v", q, i, g, w)
+				t.Fatalf("train %d result %d diverges on the copies: %+v vs %+v", q, i, g, w)
 			}
 		}
 	}
 }
 
 // TestRankBatchValidation covers the up-front failure modes: mixed
-// seeds, probe/train length mismatch, the empty batch, and — on both
+// seeds, the empty batch, and — on both
 // entry points — a negative K, which used to panic inside a worker
 // goroutine ("mi: k must be positive") and take the process with it.
 // K 0 is the default, as it is on the wire: the zero RankOptions ranks.
@@ -231,9 +232,6 @@ func TestRankBatchValidation(t *testing.T) {
 	odd := &core.Sketch{Method: core.TUPSK, Role: core.RoleTrain, Seed: trains[0].Seed + 1, Numeric: true}
 	if _, err := st.RankBatch(ctx, []*core.Sketch{trains[0], odd}, RankOptions{}); err == nil {
 		t.Fatal("mixed-seed batch did not fail")
-	}
-	if _, err := st.RankBatch(ctx, trains, RankOptions{Probes: make([]*core.TrainProbe, 1)}); err == nil {
-		t.Fatal("probe length mismatch did not fail")
 	}
 	res, err := st.RankBatch(ctx, nil, RankOptions{})
 	if err != nil {

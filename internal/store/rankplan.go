@@ -5,10 +5,11 @@ package store
 // that call met no racing mutation, and dies with its view: no invalidation
 // code. It holds positions, numbers and owned copies, so it pins nothing.
 //
-// A probe plan is all of phase 1, keyed by the probes, Prefix, MinJoinSize
-// and NoIndex: a `top` variant of one train, or a coordinator's round 2
-// after its seed round, runs phase 2 alone, and a pair scored once at a K
-// is not estimated again (exactSlot).
+// A probe plan is all of phase 1, keyed by the trains' content, Prefix,
+// MinJoinSize and NoIndex: a `top` variant of one train, or a
+// coordinator's round 2 after its seed round, runs phase 2 alone, whoever
+// sent the train and however it arrived, and a pair scored once at a K is
+// not estimated again (exactSlot).
 //
 // A sample plan is the part of phase 1 no train value touches, keyed by
 // the trains' key samples instead. TUPSK gives every column of one table
@@ -36,30 +37,33 @@ import (
 const planCacheBytes = 3 << 19
 
 // planKey is everything a plan reads besides the view it is cached on.
-// ids is, for a probe plan, the probes' process-unique numbers in train
-// order; for a sample plan, the seed and each train's key hashes in entry
-// order — the joined rows' order, which the cheap tier's sums follow.
+// ids is the seed and each train's key hashes in entry order — the joined
+// rows' order, which the cheap tier's sums follow — and, for a probe plan,
+// each train's kind and values too: all that phase 1 and the exact slots
+// read of a train, as length-prefixed bytes, so that equal keys are equal
+// inputs.
 type planKey struct {
 	ids, prefix     string
 	minJoin         int
 	noIndex, sample bool
 }
 
-func (r *rankRun) planKey() planKey {
-	ids := make([]byte, 0, 8*len(r.probes))
-	for _, p := range r.probes {
-		ids = binio.AppendU64(ids, p.ID())
-	}
-	return planKey{string(ids), r.opt.Prefix, r.opt.MinJoinSize, r.opt.NoIndex, false}
-}
-
-func (r *rankRun) sampleKey() planKey {
+func (r *rankRun) planKey(sample bool) planKey {
 	ids := binio.AppendU32(nil, r.seed)
-	for _, p := range r.probes {
-		keys := p.Train().KeyHashes
-		ids, _ = binary.Append(binio.AppendU32(ids, uint32(len(keys))), binary.LittleEndian, keys)
+	for _, tr := range r.trains {
+		ids, _ = binary.Append(binio.AppendU32(ids, uint32(len(tr.KeyHashes))), binary.LittleEndian, tr.KeyHashes)
+		switch {
+		case sample:
+		case tr.Numeric:
+			ids, _ = binary.Append(binio.AppendU32(append(ids, 1), uint32(len(tr.Nums))), binary.LittleEndian, tr.Nums)
+		default:
+			ids = binio.AppendU32(append(ids, 0), uint32(len(tr.Strs)))
+			for _, v := range tr.Strs {
+				ids = append(binio.AppendU32(ids, uint32(len(v))), v...)
+			}
+		}
 	}
-	return planKey{string(ids), r.opt.Prefix, r.opt.MinJoinSize, r.opt.NoIndex, true}
+	return planKey{string(ids), r.opt.Prefix, r.opt.MinJoinSize, r.opt.NoIndex, sample}
 }
 
 // rankPlan is a plan of either kind; a memoised one is read by concurrent
@@ -74,12 +78,13 @@ type rankPlan struct {
 	exact   []exactSlot
 	pruned  []int    // per train: pairs the prefilter removed
 	skipped []string // sorted; nil when empty
-	// A sample plan's: the candidates the index excluded, each a pruned
-	// pair for every train, and, once a call collected them, the candidate
-	// sides, len(visit) × trains of them, by visit index then train.
-	// sideBytes is what the sides hold: until a collection measures it, a
-	// bound of an entry and one ID a train entry for each pair.
-	excluded  int
+	// Either kind's: the candidates the index excluded, each a pruned pair
+	// for every train.
+	excluded int
+	// A sample plan's: once a call collected them, the candidate sides,
+	// len(visit) × trains of them, by visit index then train. sideBytes is
+	// what the sides hold: until a collection measures it, a bound of an
+	// entry and one ID a train entry for each pair.
 	sides     []sideEntry
 	sideBytes int64
 }
@@ -157,7 +162,7 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 	// A key index that turns bad widens what its segment selects, so no
 	// sample plan is read or kept while any index of the view is bad: one
 	// kept before an index turned bad is never met again.
-	key := r.sampleKey()
+	key := r.planKey(true)
 	intact := !slices.ContainsFunc(v.segs, func(vs viewSegment) bool { return vs.ix.bad.Load() })
 	sp, found := v.plans.Get(key)
 	if found = found && intact; found {
@@ -166,7 +171,7 @@ func (r *rankRun) planRank(sv *seedView) (p *rankPlan, clean bool) {
 		r.trace.SelectMisses++
 		sp = r.selectVisit(sv, lo, hi)
 	}
-	p.visit, p.pruned = sp.visit, slices.Repeat([]int{sp.excluded}, len(r.trains))
+	p.visit, p.excluded, p.pruned = sp.visit, sp.excluded, slices.Repeat([]int{sp.excluded}, len(r.trains))
 	r.trace.CandidatesSkippedNoDecode += int64(sp.excluded)
 	r.start(p.visit)
 	if r.cascade && found {

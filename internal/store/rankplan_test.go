@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,21 +20,52 @@ import (
 
 // The plan memo's contract, from outside: a rank that reuses phase 1
 // answers exactly what the same call answers when it plans for itself.
-// The reference is always the same call without Probes — a probe
-// compiled inside the call has a number no memoised plan carries, so
-// that call never consults the memo.
+// Plans are keyed by the trains' content, so the reference is the same
+// call on a twin whose views keep no plan (memoOff), or a call on a
+// fresh train on the same keys (freshOn), whose phase 1 always runs.
 
 func planCounters(st *Store) (hits, misses int64) {
 	ss := st.Stats()
 	return ss.PlanHits, ss.PlanMisses
 }
 
-func compileAll(trains []*core.Sketch) []*core.TrainProbe {
-	probes := make([]*core.TrainProbe, len(trains))
-	for q, tr := range trains {
-		probes[q] = core.CompileTrainProbe(tr)
+// memoOff makes every catalog view st builds from now on keep no plan,
+// so every rank on st plans afresh, and drops its current view.
+func memoOff(t testing.TB, st *Store) *Store {
+	t.Helper()
+	prev := testHookNoMemo
+	testHookNoMemo = func(s *Store) bool { return s == st || prev != nil && prev(s) }
+	t.Cleanup(func() { testHookNoMemo = prev })
+	st.mu.Lock()
+	st.view = nil
+	st.mu.Unlock()
+	return st
+}
+
+// freshOn is a train on tr's key sample, in tr's entry order, with values
+// no other i gives: its rank plans phase 1 for itself and meets the
+// sample plan of its keys, as a never-repeated train on known keys does.
+// freshOn(tr, 0) is a deep copy of tr, which meets tr's plans.
+func freshOn(tr *core.Sketch, i int) *core.Sketch {
+	f := &core.Sketch{Method: tr.Method, Role: tr.Role, Seed: tr.Seed, Size: tr.Size, Numeric: tr.Numeric,
+		KeyHashes: slices.Clone(tr.KeyHashes), Nums: slices.Clone(tr.Nums), Strs: slices.Clone(tr.Strs), SourceRows: tr.SourceRows}
+	for j := range f.Nums {
+		f.Nums[j] += 0.01 * float64(i) * float64(j%3)
 	}
-	return probes
+	for j := range f.Strs {
+		if i != 0 {
+			f.Strs[j] = fmt.Sprintf("%s~%d", f.Strs[j], i*(j%2))
+		}
+	}
+	return f
+}
+
+func freshAll(trains []*core.Sketch, i int) []*core.Sketch {
+	out := make([]*core.Sketch, len(trains))
+	for q, tr := range trains {
+		out[q] = freshOn(tr, i)
+	}
+	return out
 }
 
 // sameBatch holds two batch answers equal in every field a caller sees.
@@ -89,7 +121,8 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			st, trains := tc.open(t)
-			probes := compileAll(trains)
+			ref, _ := tc.open(t)
+			memoOff(t, ref)
 			// The floors come off the exact ranking: its median MI, and a
 			// value above every candidate's.
 			all := tc.opt
@@ -123,42 +156,39 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 			hits0, misses0 := planCounters(st)
 			for _, o := range variants {
 				label := fmt.Sprintf("top=%d floors=%v seed=%v workers=%d k=%d", o.TopK, o.MinMI, o.Seed, o.Workers, o.K)
-				s0 := st.Stats()
-				want, err := st.RankBatch(ctx, trains, o)
+				s0 := ref.Stats()
+				want, err := ref.RankBatch(ctx, trains, o)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				s1 := st.Stats()
-				o.Probes = probes
+				s1, s2 := ref.Stats(), st.Stats()
 				got, err := st.RankBatch(ctx, trains, o)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				s2 := st.Stats()
 				sameBatch(t, label, got, want)
 				// One worker fixes the visit order, so every pair must settle
 				// in the same tier whether phase 1 ran or was reused.
 				tiers := func(a, b Stats) [3]int64 {
 					return [3]int64{b.CascadeCheapOnly - a.CascadeCheapOnly, b.CascadeExact - a.CascadeExact, b.CascadeMarginRescues - a.CascadeMarginRescues}
 				}
-				if o.Workers == 1 && tiers(s1, s2) != tiers(s0, s1) {
-					t.Fatalf("%s: tiers (cheap, exact, rescues) %v with the shared probes, %v planning afresh", label, tiers(s1, s2), tiers(s0, s1))
+				if s3 := st.Stats(); o.Workers == 1 && tiers(s2, s3) != tiers(s0, s1) {
+					t.Fatalf("%s: tiers (cheap, exact, rescues) %v on the kept plan, %v planning afresh", label, tiers(s2, s3), tiers(s0, s1))
 				}
 			}
 			if hits, misses := planCounters(st); misses-misses0 != 1 || hits-hits0 != int64(len(variants))-1 {
 				t.Fatalf("%d variants of one key: %d plan misses and %d hits, want 1 and the rest", len(variants), misses-misses0, hits-hits0)
 			}
 
-			// RankQuery goes through the same stages. One probe is a
+			// RankQuery goes through the same stages. One train is a
 			// different key from the batch's list unless the batch is it.
 			hits0, misses0 = planCounters(st)
 			for i, topK := range []int{3, 1, 10} {
 				o := RankOptions{Prefix: tc.opt.Prefix, MinJoinSize: tc.opt.MinJoinSize, K: 3, TopK: topK, MinMI: []float64{mid[0] * float64(i%2)}}
-				want, wantSkipped, err := st.RankQuery(ctx, trains[0], o)
+				want, wantSkipped, err := ref.RankQuery(ctx, trains[0], o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				o.Probes = probes[:1]
 				got, gotSkipped, err := st.RankQuery(ctx, trains[0], o)
 				if err != nil {
 					t.Fatal(err)
@@ -184,11 +214,10 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 			noIndex.NoIndex = true
 			for _, o := range []RankOptions{prefix, minJoin, noIndex} {
 				o.K, o.TopK = 3, 5
-				want, err := st.RankBatch(ctx, trains, o)
+				want, err := ref.RankBatch(ctx, trains, o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				o.Probes = probes
 				for pass, wantHit := range []int64{0, 1} {
 					hits0, misses0 = planCounters(st)
 					got, err := st.RankBatch(ctx, trains, o)
@@ -205,18 +234,19 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 		})
 	}
 
-	// A batch's key is its probes in order: same eight, any TopK, is one
-	// plan; a permutation or one recompiled probe is another.
+	// A batch's key is its trains' content in order: same eight, any TopK,
+	// is one plan, and so are deep copies of them; a permutation, or one
+	// value changed, is another.
 	st, trains := batchStore(t, 60, 8)
-	probes := compileAll(trains)
-	rank := func(label string, trains []*core.Sketch, probes []*core.TrainProbe, topK int, wantHit int64) {
+	ref, _ := batchStore(t, 60, 8)
+	memoOff(t, ref)
+	rank := func(label string, trains []*core.Sketch, topK int, wantHit int64) {
 		t.Helper()
 		o := RankOptions{Prefix: "batch/", MinJoinSize: 20, K: 3, TopK: topK}
-		want, err := st.RankBatch(ctx, trains, o)
+		want, err := ref.RankBatch(ctx, trains, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.Probes = probes
 		hits0, misses0 := planCounters(st)
 		got, err := st.RankBatch(ctx, trains, o)
 		if err != nil {
@@ -227,15 +257,67 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 			t.Fatalf("%s: %d hits, %d misses; want %d and %d", label, hits-hits0, misses-misses0, wantHit, 1-wantHit)
 		}
 	}
-	rank("eight probes, top 5", trains, probes, 5, 0)
-	rank("the same eight, top 10", trains, probes, 10, 1)
-	swappedT, swappedP := append([]*core.Sketch(nil), trains...), append([]*core.TrainProbe(nil), probes...)
-	swappedT[2], swappedT[5], swappedP[2], swappedP[5] = swappedT[5], swappedT[2], swappedP[5], swappedP[2]
-	rank("two of them swapped", swappedT, swappedP, 10, 0)
-	probes[7] = core.CompileTrainProbe(trains[7])
-	rank("one recompiled", trains, probes, 10, 0)
-	rank("and again", trains, probes, 5, 1)
-	rank("a prefix of the list", trains[:7], probes[:7], 5, 0)
+	rank("eight trains, top 5", trains, 5, 0)
+	rank("the same eight, top 10", trains, 10, 1)
+	swapped := slices.Clone(trains)
+	swapped[2], swapped[5] = swapped[5], swapped[2]
+	rank("two of them swapped", swapped, 10, 0)
+	rank("deep copies of the eight", freshAll(trains, 0), 10, 1)
+	nudged := slices.Clone(trains)
+	nudged[7] = freshOn(trains[7], 1)
+	rank("one train's values changed", nudged, 10, 0)
+	rank("and again", nudged, 5, 1)
+	rank("a prefix of the list", trains[:7], 5, 0)
+}
+
+// TestPlanKeyIsTrainContent: a plan is keyed by all that phase 1 and the
+// exact slots read of the trains. Two trains on one seed and one key
+// sample that differ in one value never share a plan: ranked alternately,
+// each answers its own uncascaded ranking, and each finds only its own
+// plan again. A deep copy of a train meets the train's plan.
+func TestPlanKeyIsTrainContent(t *testing.T) {
+	st, trains := cascadeStore(t, 60)
+	ctx := context.Background()
+	opt := RankOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: 10, Workers: 1}
+	exact := opt
+	exact.NoCascade = true
+	for _, a := range trains { // one numeric, one categorical
+		b := freshOn(a, 0)
+		if b.Numeric {
+			b.Nums[0] += 100
+		} else {
+			b.Strs[0] += "'"
+		}
+		var answers [2]*BatchResult
+		for round := range 3 {
+			for i, tr := range []*core.Sketch{a, b} {
+				label := fmt.Sprintf("numeric %v, train %c, round %d", a.Numeric, "ab"[i], round)
+				want, err := st.RankBatch(ctx, []*core.Sketch{tr}, exact)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := st.RankBatch(ctx, []*core.Sketch{tr}, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBatch(t, label, got, want)
+				if hit := got.PlanHits == 1; hit != (round > 0) {
+					t.Fatalf("%s: plan hit %v", label, hit)
+				}
+				answers[i] = want
+			}
+		}
+		if sameRanked(answers[0].Queries[0].Ranked, answers[1].Queries[0].Ranked) {
+			t.Fatalf("fixture: the value changed in train b (numeric %v) moves no answer", a.Numeric)
+		}
+		got, err := st.RankBatch(ctx, []*core.Sketch{freshOn(b, 0)}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.PlanHits != 1 {
+			t.Fatalf("a deep copy of b (numeric %v) missed its plan", a.Numeric)
+		}
+	}
 }
 
 // TestJoinMemoAcrossCompaction ranks on one worker again and again while
@@ -263,9 +345,9 @@ func TestJoinMemoAcrossCompaction(t *testing.T) {
 	if _, err := st.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// One probe for every rank, so a scratch's memo can match it.
-	probes := []*core.TrainProbe{core.CompileTrainProbe(train)}
-	opt := RankOptions{Prefix: "memo/", MinJoinSize: 20, K: 3, TopK: 5, Workers: 1, Probes: probes}
+	// One worker, so each candidate after a scratch's first in a rank is
+	// matched against its memo.
+	opt := RankOptions{Prefix: "memo/", MinJoinSize: 20, K: 3, TopK: 5, Workers: 1}
 	want, _, err := st.RankQuery(ctx, train, opt)
 	if err != nil || len(want) != 5 {
 		t.Fatalf("fixture: %v, %d ranked", err, len(want))
@@ -320,13 +402,14 @@ func TestPlanDiesWithItsView(t *testing.T) {
 	}
 	train := windowSketch(t, core.RoleTrain, 0, 60, 90, 77)
 	ctx := context.Background()
-	opt := RankOptions{Prefix: "view/", MinJoinSize: 20, K: 3, TopK: 30, Probes: []*core.TrainProbe{core.CompileTrainProbe(train)}}
-	// rank answers with the shared probe, checks it against the probe-less
-	// reference on the same catalog state, and reports hit or miss.
+	opt := RankOptions{Prefix: "view/", MinJoinSize: 20, K: 3, TopK: 30}
+	// rank answers, checks it against the uncascaded reference on the same
+	// catalog state — which looks for no plan, and with TopK above the
+	// catalog ranks the same rows — and reports hit or miss.
 	rank := func(label string) (ranked []RankedSketch, hit bool) {
 		t.Helper()
 		ref := opt
-		ref.Probes = nil
+		ref.NoCascade = true
 		want, wantSkipped, err := st.RankQuery(ctx, train, ref)
 		if err != nil {
 			t.Fatal(err)
@@ -405,9 +488,9 @@ func TestPlanDiesWithItsView(t *testing.T) {
 	}
 }
 
-// TestPlanPinsNothing: a memoised plan keeps neither its probe nor its
-// train reachable, and a view's plans stay inside their budget however
-// many distinct probes rank on it.
+// TestPlanPinsNothing: a memoised plan keeps neither its train nor the
+// probe compiled from it (which holds the train) reachable, and a view's
+// plans stay inside their budget however many distinct trains rank on it.
 func TestPlanPinsNothing(t *testing.T) {
 	st, train := cohortStore(t)
 	ctx := context.Background()
@@ -421,32 +504,26 @@ func TestPlanPinsNothing(t *testing.T) {
 		return ps.Used, ps.Evictions
 	}
 	for i := 0; i < n; i++ {
-		// A private copy of the train per probe, so both can be watched.
-		tr := &core.Sketch{
-			Method: train.Method, Role: train.Role, Seed: train.Seed, Size: train.Size, Numeric: train.Numeric,
-			KeyHashes: train.KeyHashes, Nums: train.Nums, Strs: train.Strs, SourceRows: train.SourceRows,
-		}
-		probe := core.CompileTrainProbe(tr)
-		runtime.SetFinalizer(probe, func(*core.TrainProbe) { finalized.Add(1) })
+		tr := freshOn(train, i+1)
 		runtime.SetFinalizer(tr, func(*core.Sketch) { finalized.Add(1) })
-		if _, _, err := st.RankQuery(ctx, tr, RankOptions{Prefix: "bench/", MinJoinSize: 100, K: 3, TopK: 3, Probes: []*core.TrainProbe{probe}}); err != nil {
+		if _, _, err := st.RankQuery(ctx, tr, RankOptions{Prefix: "bench/", MinJoinSize: 100, K: 3, TopK: 3}); err != nil {
 			t.Fatal(err)
 		}
 		if used, _ := viewPlans(); used > planCacheBytes {
-			t.Fatalf("after %d probes the view holds %d plan bytes, over its %d budget", i+1, used, planCacheBytes)
+			t.Fatalf("after %d trains the view holds %d plan bytes, over its %d budget", i+1, used, planCacheBytes)
 		}
 	}
 	if _, misses := planCounters(st); misses != n {
-		t.Fatalf("%d misses for %d distinct probes", misses, n)
+		t.Fatalf("%d misses for %d distinct trains", misses, n)
 	}
 	if used, evictions := viewPlans(); evictions == 0 || used == 0 {
 		t.Fatalf("degenerate: %d plan bytes, %d evictions — the budget was never reached", used, evictions)
 	}
-	for deadline := time.Now().Add(10 * time.Second); finalized.Load() < 2*n && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(10 * time.Second); finalized.Load() < n && time.Now().Before(deadline); {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	if got := finalized.Load(); got != 2*n {
-		t.Fatalf("%d of %d probes and trains were collected: something on the store keeps the rest reachable", got, 2*n)
+	if got := finalized.Load(); got != n {
+		t.Fatalf("%d of %d trains were collected: something on the store keeps the rest reachable", got, n)
 	}
 }

@@ -102,7 +102,7 @@ func TestSharedTopKHammer(t *testing.T) {
 func TestCancelMidPhase2(t *testing.T) {
 	st, trains := cascadeStore(t, 60)
 	// K above the catalog: no bound ever lands, every pair goes exact.
-	opt := RankOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: 100, Workers: 2, Probes: compileAll(trains)}
+	opt := RankOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: 100, Workers: 2}
 	pre := st.Stats()
 	if _, err := st.RankBatch(context.Background(), trains, opt); err != nil {
 		t.Fatal(err)

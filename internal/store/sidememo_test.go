@@ -201,7 +201,8 @@ func TestSideMemoBitIdentical(t *testing.T) {
 // fit the view's bound is never kept. When the visit list alone could
 // overflow it, no side is filled. When the joins' rows do, the sides are
 // filled once and never again on the view: a set dropped after every fill
-// would have every other rank refill it. The ranks answer as before.
+// would have every other rank refill it. The ranks, of fresh trains on the
+// sample, answer what a twin that keeps no plan answers.
 func TestSideMemoOversizeSampleNeverFills(t *testing.T) {
 	build := func(role core.Role, lo, width, size int, salt int64) *core.Sketch {
 		rng := rand.New(rand.NewSource(salt))
@@ -222,28 +223,38 @@ func TestSideMemoOversizeSampleNeverFills(t *testing.T) {
 		fills bool // the sample's second rank fills its sides
 	}{{"visit list over the bound", 600, false}, {"rows over the bound", 150, true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			st, err := OpenWithOptions(t.TempDir(), OpenOptions{Backend: BackendMem})
-			if err != nil {
-				t.Fatal(err)
+			open := func() *Store {
+				st, err := OpenWithOptions(t.TempDir(), OpenOptions{Backend: BackendMem})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { st.Close() })
+				return st
 			}
-			defer st.Close()
+			st, ref := open(), memoOff(t, open())
 			for c := 0; c < tc.cands; c++ {
 				// Key windows of their own: no two candidates share rows.
-				if err := st.Put(fmt.Sprintf("big/c%03d", c), build(core.RoleCandidate, c*9%5800, 200, 32, int64(c))); err != nil {
-					t.Fatal(err)
+				sk := build(core.RoleCandidate, c*9%5800, 200, 32, int64(c))
+				for _, s := range []*Store{st, ref} {
+					if err := s.Put(fmt.Sprintf("big/c%03d", c), sk); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			ctx := context.Background()
 			opt := RankOptions{MinJoinSize: 0, K: 3, TopK: 5, Workers: 1}
-			var want *BatchResult
 			for i := range 6 {
 				fills := st.Stats().SideFills
-				got, err := st.RankBatch(ctx, []*core.Sketch{train}, opt)
+				batch := []*core.Sketch{freshOn(train, i)}
+				want, err := ref.RankBatch(ctx, batch, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := st.RankBatch(ctx, batch, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if i == 0 {
-					want = got
 					if over := int(got.Visited)*entry > planCacheBytes; over == tc.fills || int(got.Visited)*4*len(train.KeyHashes) <= planCacheBytes {
 						t.Fatalf("fixture: %d candidates visited", got.Visited)
 					}
@@ -279,12 +290,12 @@ func TestSamplePlanBytesFollowTheVisitList(t *testing.T) {
 	ctx := context.Background()
 	opt := RankOptions{Prefix: "s/d000/", MinJoinSize: 10, K: 3, TopK: 5, Workers: 1}
 	samplePlan := func(st *Store, train *core.Sketch) (*rankPlan, int64) {
-		r := &rankRun{probes: compileAll([]*core.Sketch{train}), opt: opt, seed: train.Seed}
-		p, ok := currentView(st).plans.Get(r.sampleKey())
+		key := (&rankRun{trains: []*core.Sketch{train}, opt: opt, seed: train.Seed}).planKey(true)
+		p, ok := currentView(st).plans.Get(key)
 		if !ok {
 			t.Fatal("the view keeps no plan for the sample")
 		}
-		return p, p.cost(r.sampleKey())
+		return p, p.cost(key)
 	}
 	train := sketch(core.RoleTrain, 0, 400, 256, 99)
 	var costs []int64
@@ -302,9 +313,11 @@ func TestSamplePlanBytesFollowTheVisitList(t *testing.T) {
 				}
 			}
 		}
+		// Three fresh trains on the sample: the first selects, the second
+		// keeps the sides, the third answers from them.
 		var res *BatchResult
-		for range 3 {
-			if res, err = st.RankBatch(ctx, []*core.Sketch{train}, opt); err != nil {
+		for i := range 3 {
+			if res, err = st.RankBatch(ctx, []*core.Sketch{freshOn(train, i)}, opt); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -320,8 +333,8 @@ func TestSamplePlanBytesFollowTheVisitList(t *testing.T) {
 			t.Fatalf("fixture: a %d-key train's sides fit", big.Len())
 		}
 		s0 := st.Stats()
-		for range 4 {
-			if res, err = st.RankBatch(ctx, []*core.Sketch{big}, opt); err != nil || res.SideHits != 0 {
+		for i := range 4 {
+			if res, err = st.RankBatch(ctx, []*core.Sketch{freshOn(big, i)}, opt); err != nil || res.SideHits != 0 {
 				t.Fatalf("the big train: %v, %d side hits", err, res.SideHits)
 			}
 		}
@@ -339,12 +352,18 @@ func TestSamplePlanBytesFollowTheVisitList(t *testing.T) {
 // would keep the candidate sides moves the store past the call's view, so
 // none is kept, and the call still answers the view's catalog — the
 // overwritten candidate is loaded from its snapshot, not from the cache
-// the Put filled. On a quiet store the same calls keep them.
+// the Put filled. On a quiet store the same calls keep them. Every call
+// ranks fresh trains on the same samples, so each runs phase 1.
 func TestSideMemoSkipsRacingPut(t *testing.T) {
 	st, trains := cascadeStore(t, 60)
+	ref, _ := cascadeStore(t, 60)
 	ctx := context.Background()
 	opt := RankOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: 5, Workers: 1}
-	want, err := st.RankBatch(ctx, trains, opt) // the samples' first sight
+	if _, err := st.RankBatch(ctx, trains, opt); err != nil { // the samples' first sight
+		t.Fatal(err)
+	}
+	racing := freshAll(trains, 1)
+	want, err := memoOff(t, ref).RankBatch(ctx, racing, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +381,7 @@ func TestSideMemoSkipsRacingPut(t *testing.T) {
 			}
 		}
 	}
-	got, err := st.RankBatch(ctx, trains, opt)
+	got, err := st.RankBatch(ctx, racing, opt)
 	testHookRankWork = nil
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +392,7 @@ func TestSideMemoSkipsRacingPut(t *testing.T) {
 	}
 	for i, wantFills := range []bool{false, true} {
 		fills := st.Stats().SideFills
-		if _, err := st.RankBatch(ctx, trains, opt); err != nil {
+		if _, err := st.RankBatch(ctx, freshAll(trains, 2+i), opt); err != nil {
 			t.Fatal(err)
 		}
 		if n := st.Stats().SideFills - fills; (n > 0) != wantFills {
@@ -388,15 +407,16 @@ func TestSideMemoSkipsRacingPut(t *testing.T) {
 // take for its view's: it scores the candidate the view admitted.
 func TestPlanHitLoadsItsSnapshot(t *testing.T) {
 	st, trains := cascadeStore(t, 60)
+	ref, _ := cascadeStore(t, 60)
 	ctx := context.Background()
 	opt := RankOptions{Prefix: "casc/", MinJoinSize: 30, K: 5, TopK: 5, Workers: 1}
-	want, err := st.RankBatch(ctx, trains, opt)
+	want, err := memoOff(t, ref).RankBatch(ctx, trains, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Keeps the plan, and its exact answers at K 3: at K 5 every pair
 	// phase 2 scores loads its candidate.
-	opt.Probes, opt.K = compileAll(trains), 3
+	opt.K = 3
 	if _, err := st.RankBatch(ctx, trains, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -425,10 +445,10 @@ func TestPlanHitLoadsItsSnapshot(t *testing.T) {
 	sameBatch(t, "Put mid-phase-2 of a plan hit", got, want)
 }
 
-// TestSideMemoAcrossCompaction ranks fresh probes of one train on one
-// worker again and again while each round overwrites candidates and
-// compacts, retiring and unmapping the segments the last queries'
-// candidates were borrowed from — and a second ranker races the
+// TestSideMemoAcrossCompaction ranks three fresh trains on one key
+// sample on one worker again and again while each round overwrites
+// candidates and compacts, retiring and unmapping the segments the last
+// queries' candidates were borrowed from — and a second ranker races the
 // compactions. Each view's third rank of the sample answers phase 1 from
 // the sides its second kept, which must hold no borrowed bytes: the
 // answers stay the first round's. Run it with -race.
@@ -450,18 +470,23 @@ func TestSideMemoAcrossCompaction(t *testing.T) {
 	if _, err := st.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rank := func() ([]RankedSketch, error) {
-		// A probe of its own: no plan is ever reused, phase 1 always runs.
-		opt := RankOptions{Prefix: "side/", MinJoinSize: 20, K: 3, TopK: 5, Workers: 1, Probes: []*core.TrainProbe{core.CompileTrainProbe(train)}}
-		got, _, err := st.RankQuery(ctx, train, opt)
+	// Three trains on one sample: on a view at rest, the first to rank
+	// selects, the second keeps the sides and the third answers from them.
+	var trains [3]*core.Sketch
+	var want [3][]RankedSketch
+	rank := func(i int) ([]RankedSketch, error) {
+		opt := RankOptions{Prefix: "side/", MinJoinSize: 20, K: 3, TopK: 5, Workers: 1}
+		got, _, err := st.RankQuery(ctx, trains[i], opt)
 		return got, err
 	}
-	want, err := rank()
-	if err != nil || len(want) != 5 {
-		t.Fatalf("fixture: %v, %d ranked", err, len(want))
+	for i := range trains {
+		trains[i] = freshOn(train, i)
+		if want[i], err = rank(i); err != nil || len(want[i]) != 5 {
+			t.Fatalf("fixture: %v, %d ranked", err, len(want[i]))
+		}
 	}
-	check := func(label string) {
-		if got, err := rank(); err != nil || !sameRanked(got, want) {
+	check := func(label string, i int) {
+		if got, err := rank(i); err != nil || !sameRanked(got, want[i]) {
 			t.Errorf("%s: %v, %d ranked, differing from the first round", label, err, len(got))
 		}
 	}
@@ -475,7 +500,7 @@ func TestSideMemoAcrossCompaction(t *testing.T) {
 			case <-done:
 				return
 			default:
-				check(fmt.Sprintf("racing rank %d", i))
+				check(fmt.Sprintf("racing rank %d", i), i%3)
 			}
 		}
 	}()
@@ -488,8 +513,8 @@ func TestSideMemoAcrossCompaction(t *testing.T) {
 		if cs, err := st.Compact(ctx); err != nil || !cs.Compacted {
 			t.Fatalf("round %d: compact %+v, %v", round, cs, err)
 		}
-		for i := range 3 {
-			check(fmt.Sprintf("round %d rank %d", round, i))
+		for i := range trains {
+			check(fmt.Sprintf("round %d rank %d", round, i), i)
 		}
 	}
 	close(done)

@@ -661,11 +661,6 @@ type RankOptions struct {
 	// Workers overrides the estimation fan-out; <= 0 means GOMAXPROCS.
 	// Rankings are bit-identical at every worker count.
 	Workers int
-	// Probes, when non-nil, must be parallel to the trains; non-nil
-	// entries are pre-compiled indexes (core.CompileTrainProbe on the same
-	// sketch) reused instead of compiling. Long-running services cache
-	// probes by train-sketch content so repeated queries skip compilation.
-	Probes []*core.TrainProbe
 	// NoIndex disables index-driven candidate selection: every
 	// manifest-admitted candidate is loaded and its overlap cut per pair
 	// by the probe, exactly as before segments carried inverted key
@@ -717,9 +712,6 @@ func (opt RankOptions) Resolve(n int) (RankOptions, error) {
 	if opt.K < 0 {
 		return opt, fmt.Errorf("store: rank needs a non-negative K (0 is the default), got %d", opt.K)
 	}
-	if opt.Probes != nil && len(opt.Probes) != n {
-		return opt, fmt.Errorf("store: rank got %d probes for %d trains", len(opt.Probes), n)
-	}
 	if opt.MinMI != nil && len(opt.MinMI) != n {
 		return opt, fmt.Errorf("store: rank got %d MinMI floors for %d trains", len(opt.MinMI), n)
 	}
@@ -739,7 +731,7 @@ func (opt RankOptions) Resolve(n int) (RankOptions, error) {
 // candidate sketch, dropping candidates whose sketch join has at most
 // opt.MinJoinSize samples, and returns the rest ordered by decreasing
 // MI (bounded to the best opt.TopK when positive). It is RankBatch for
-// one train (opt.Probes and opt.MinMI, when set, hold one element).
+// one train (opt.MinMI, when set, holds one element).
 //
 // Candidate selection never decodes excluded sketches: the manifest
 // filters on prefix, hash seed, and role, and sealed segments' inverted
@@ -755,13 +747,12 @@ func (opt RankOptions) Resolve(n int) (RankOptions, error) {
 // A malformed candidate with duplicated key hashes fails the query only
 // when a duplicate actually joins the train sketch; duplicates that
 // match nothing cannot affect any result and are ranked normally. The
-// query is compiled once (core.TrainProbe, reused from opt.Probes when
-// set) and estimation fans out across opt.Workers workers, each owning a
-// core.Scratch so the per-candidate hot path performs no steady-state
-// allocations. On the fs backend, candidates are decoded in place out of
-// the pinned segment mappings — no syscalls, no copies. Estimation stops
-// early when ctx is cancelled; the result order is deterministic
-// regardless of scheduling.
+// query is compiled once (core.TrainProbe) and estimation fans out
+// across opt.Workers workers, each owning a core.Scratch so the
+// per-candidate hot path performs no steady-state allocations. On the fs
+// backend, candidates are decoded in place out of the pinned segment
+// mappings — no syscalls, no copies. Estimation stops early when ctx is
+// cancelled; the result order is deterministic regardless of scheduling.
 //
 // The query runs against a snapshot of the manifest: candidates
 // admitted by the snapshot whose sketch is concurrently overwritten

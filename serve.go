@@ -9,18 +9,17 @@ import (
 
 // This file exposes the discovery service: a long-running HTTP/JSON
 // server over an open Store, the deployment mode for sustained query
-// traffic. One store handle, its decoded-sketch cache, a compiled-probe
-// cache, and pooled estimator scratch are shared across all requests, so
-// a warm ranking query pays none of the per-invocation costs of the CLI
-// (store open, manifest load, probe compilation, buffer growth).
+// traffic. One store handle, its decoded-sketch cache and plan memo, and
+// pooled estimator scratch are shared across all requests, so a warm
+// ranking query pays none of the per-invocation costs of the CLI (store
+// open, manifest load, phase 1 of a repeated train, buffer growth).
 
 // DiscoveryServer serves discovery queries over HTTP; see NewServer. It
 // implements http.Handler, so it can be mounted inside a larger mux.
 type DiscoveryServer = server.Server
 
-// ServerOptions tunes a DiscoveryServer: total rank-worker bound,
-// compiled-probe cache size, request body cap, and shutdown drain
-// timeout.
+// ServerOptions tunes a DiscoveryServer: total rank-worker bound, result
+// cache size, request body cap, and shutdown drain timeout.
 type ServerOptions = server.Options
 
 // Server request/response bodies, for typed clients of the service.

@@ -112,7 +112,7 @@ type RankedSketch = store.RankedSketch
 // count), the two-tier estimator cascade (on by default for top-K
 // queries; NoCascade forces the exact tier everywhere, CascadeMargin
 // overrides the calibrated safety margin), and, per train, optional
-// pre-compiled probes and result floors.
+// result floors.
 type RankOptions = store.RankOptions
 
 // DefaultCascadeMargin is the calibrated safety margin, in nats, the
