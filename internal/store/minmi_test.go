@@ -156,31 +156,48 @@ func TestMinMIFloorPrunes(t *testing.T) {
 
 func TestSeedAnswer(t *testing.T) {
 	st, trains := cascadeStore(t, 60)
-	// No plan is kept, so every call runs phase 1 and reports the same trace.
-	memoOff(t, st)
+	twin, _ := cascadeStore(t, 60)
+	memoOff(t, twin) // keeps no plan: every call runs phase 1 alone
 	ref := exactReference(t, st, trains)
 	ctx := context.Background()
-	seed := func(opt RankOptions) *BatchResult {
+	var planHits, sideHits int64
+	seedOn := func(st *Store, trains []*core.Sketch, opt RankOptions) *BatchResult {
 		t.Helper()
 		opt.Prefix, opt.MinJoinSize, opt.K, opt.Seed = "casc/", 30, 3, true
 		res, err := st.RankBatch(ctx, trains, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Per call: the sample plan it found or kept, and the loads the
-		// view's candidate sides spared it.
+		planHits, sideHits = planHits+res.PlanHits, sideHits+res.SideHits
+		// Per call: the view it built, the plans it found or kept, the exact
+		// answers a found probe plan remembered, and the visits and loads
+		// they spared it.
+		res.ViewBuild, res.PlanHits, res.PlanMisses, res.ExactMemoHits, res.Visited = 0, 0, 0, 0, 0
 		res.SelectHits, res.SelectMisses, res.SideFills, res.Decoded, res.SideHits = 0, 0, 0, 0, 0
 		return res
 	}
+	seed := func(opt RankOptions) *BatchResult { return seedOn(st, trains, opt) }
 
+	// Each repeat ranks the trains again, which reuses their probe plan,
+	// and fresh trains on their keys, which run phase 1 and, from the
+	// third, answer it from the candidate sides: both answer what the
+	// twin does.
 	const k = 5
-	want := seed(RankOptions{TopK: k, Workers: 1})
+	want := seedOn(twin, trains, RankOptions{TopK: k, Workers: 1})
 	for run := 0; run < 3; run++ {
-		for _, workers := range []int{1, 2, 4} {
-			if got := seed(RankOptions{TopK: k, Workers: workers}); !reflect.DeepEqual(got, want) {
-				t.Fatalf("run %d workers %d: seed answer differs from the first:\n%+v\n%+v", run, workers, got, want)
+		for i, workers := range []int{1, 2, 4} {
+			opt := RankOptions{TopK: k, Workers: workers}
+			if got := seed(opt); !reflect.DeepEqual(got, want) {
+				t.Fatalf("run %d workers %d: seed answer differs from the twin's:\n%+v\n%+v", run, workers, got, want)
+			}
+			fresh := freshAll(trains, 1+3*run+i)
+			if got, w := seedOn(st, fresh, opt), seedOn(twin, fresh, opt); !reflect.DeepEqual(got, w) {
+				t.Fatalf("run %d workers %d: fresh trains' seed answer differs from the twin's:\n%+v\n%+v", run, workers, got, w)
 			}
 		}
+	}
+	if planHits == 0 || sideHits == 0 {
+		t.Fatalf("fixture: %d plan hits, %d side hits", planHits, sideHits)
 	}
 	for q, qr := range want.Queries {
 		if len(qr.Ranked) != k {

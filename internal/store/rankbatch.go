@@ -280,7 +280,8 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 	if err := context.Cause(r.ctx); err != nil {
 		return nil, err
 	}
-	if r.cascade && clean {
+	// Trains whose values alone would crowd out the view's other plans keep none.
+	if r.cascade && clean && len(key.ids) <= planCacheBytes/8 {
 		r.v.plans.Add(key, p, p.cost(key))
 	}
 	return r.runPlan(p)

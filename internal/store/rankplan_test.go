@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -317,6 +318,49 @@ func TestPlanKeyIsTrainContent(t *testing.T) {
 		if got.PlanHits != 1 {
 			t.Fatalf("a deep copy of b (numeric %v) missed its plan", a.Numeric)
 		}
+	}
+}
+
+// TestPlanKeyBound: trains whose values would make a probe plan's key
+// crowd out the view's other plans keep no probe plan, and answer as
+// before. A categorical train of long strings, whose key alone nearly
+// fills the view's plan bound, leaves a small train's plan in place.
+func TestPlanKeyBound(t *testing.T) {
+	st, trains := cascadeStore(t, 60)
+	ctx := context.Background()
+	opt := RankOptions{Prefix: "casc/", MinJoinSize: 30, K: 3, TopK: 10, Workers: 1}
+	rank := func(tr *core.Sketch, opt RankOptions) *BatchResult {
+		t.Helper()
+		res, err := st.RankBatch(ctx, []*core.Sketch{tr}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	rank(trains[0], opt)
+	if rank(trains[0], opt).PlanHits != 1 {
+		t.Fatal("fixture: the small train keeps no plan")
+	}
+	big := freshOn(trains[1], 0)
+	pad := strings.Repeat("x", (planCacheBytes-1<<16)/len(big.Strs))
+	for j := range big.Strs {
+		big.Strs[j] = pad + big.Strs[j]
+	}
+	key := (&rankRun{trains: []*core.Sketch{big}, opt: opt, seed: big.Seed}).planKey(false)
+	if n := len(key.ids); n <= planCacheBytes/8 || n >= planCacheBytes-1<<15 {
+		t.Fatalf("fixture: a %d-byte key", n)
+	}
+	exact := opt
+	exact.NoCascade = true
+	for round := range 2 {
+		got := rank(big, opt)
+		sameBatch(t, fmt.Sprintf("the big train, round %d", round), got, rank(big, exact))
+		if got.PlanHits != 0 || got.PlanMisses != 1 {
+			t.Fatalf("the big train, round %d: %d plan hits, %d misses", round, got.PlanHits, got.PlanMisses)
+		}
+	}
+	if rank(trains[0], opt).PlanHits != 1 {
+		t.Fatal("the big train's rank evicted the small train's plan")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"misketch/internal/core"
@@ -445,24 +446,32 @@ func TestPlanHitLoadsItsSnapshot(t *testing.T) {
 	sameBatch(t, "Put mid-phase-2 of a plan hit", got, want)
 }
 
-// TestSideMemoAcrossCompaction ranks three fresh trains on one key
-// sample on one worker again and again while each round overwrites
+// TestSideMemoAcrossCompaction ranks a train of its own on one key
+// sample, on one worker, again and again while each round overwrites
 // candidates and compacts, retiring and unmapping the segments the last
 // queries' candidates were borrowed from — and a second ranker races the
-// compactions. Each view's third rank of the sample answers phase 1 from
-// the sides its second kept, which must hold no borrowed bytes: the
-// answers stay the first round's. Run it with -race.
+// compactions. No train repeats, so no probe plan is ever reused and
+// every rank runs phase 1: from the third rank on a view, phase 1 answers
+// from the sides an earlier one kept, which must hold no borrowed bytes.
+// Each answer is the one a twin that keeps no plan gives the same train.
+// Run it with -race.
 func TestSideMemoAcrossCompaction(t *testing.T) {
-	st, err := OpenWithOptions(t.TempDir(), OpenOptions{CacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
+	open := func() *Store {
+		st, err := OpenWithOptions(t.TempDir(), OpenOptions{CacheBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
 	}
-	defer st.Close()
+	st, ref := open(), memoOff(t, open())
 	cands := make([]*core.Sketch, 24)
 	for c := range cands {
 		cands[c] = windowSketch(t, core.RoleCandidate, 0, 0, 80, int64(c))
-		if err := st.Put(fmt.Sprintf("side/c%02d", c), cands[c]); err != nil {
-			t.Fatal(err)
+		for _, s := range []*Store{st, ref} {
+			if err := s.Put(fmt.Sprintf("side/c%02d", c), cands[c]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	train := windowSketch(t, core.RoleTrain, 0, 0, 80, 99)
@@ -470,24 +479,22 @@ func TestSideMemoAcrossCompaction(t *testing.T) {
 	if _, err := st.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Three trains on one sample: on a view at rest, the first to rank
-	// selects, the second keeps the sides and the third answers from them.
-	var trains [3]*core.Sketch
-	var want [3][]RankedSketch
-	rank := func(i int) ([]RankedSketch, error) {
-		opt := RankOptions{Prefix: "side/", MinJoinSize: 20, K: 3, TopK: 5, Workers: 1}
-		got, _, err := st.RankQuery(ctx, trains[i], opt)
-		return got, err
-	}
-	for i := range trains {
-		trains[i] = freshOn(train, i)
-		if want[i], err = rank(i); err != nil || len(want[i]) != 5 {
-			t.Fatalf("fixture: %v, %d ranked", err, len(want[i]))
+	opt := RankOptions{Prefix: "side/", MinJoinSize: 20, K: 3, TopK: 5, Workers: 1}
+	var next, sided atomic.Int64 // trains handed out; ranks that answered from sides
+	check := func(label string) {
+		batch := []*core.Sketch{freshOn(train, int(next.Add(1)))}
+		want, err := ref.RankBatch(ctx, batch, opt)
+		if err != nil || len(want.Queries[0].Ranked) != 5 {
+			t.Errorf("%s: fixture: %v", label, err)
+			return
 		}
-	}
-	check := func(label string, i int) {
-		if got, err := rank(i); err != nil || !sameRanked(got, want[i]) {
-			t.Errorf("%s: %v, %d ranked, differing from the first round", label, err, len(got))
+		got, err := st.RankBatch(ctx, batch, opt)
+		if err != nil || !sameRanked(got.Queries[0].Ranked, want.Queries[0].Ranked) {
+			t.Errorf("%s: %v, differing from the twin's answer", label, err)
+			return
+		}
+		if got.SideHits > 0 {
+			sided.Add(1)
 		}
 	}
 	done := make(chan struct{})
@@ -500,11 +507,12 @@ func TestSideMemoAcrossCompaction(t *testing.T) {
 			case <-done:
 				return
 			default:
-				check(fmt.Sprintf("racing rank %d", i), i%3)
+				check(fmt.Sprintf("racing rank %d", i))
 			}
 		}
 	}()
-	for round := 0; round < 20 && !t.Failed(); round++ {
+	const rounds = 20
+	for round := 0; round < rounds && !t.Failed(); round++ {
 		for _, c := range []int{round % 24, (round + 7) % 24} {
 			if err := st.Put(fmt.Sprintf("side/c%02d", c), cands[c]); err != nil {
 				t.Fatal(err)
@@ -513,13 +521,13 @@ func TestSideMemoAcrossCompaction(t *testing.T) {
 		if cs, err := st.Compact(ctx); err != nil || !cs.Compacted {
 			t.Fatalf("round %d: compact %+v, %v", round, cs, err)
 		}
-		for i := range trains {
-			check(fmt.Sprintf("round %d rank %d", round, i), i)
+		for i := range 3 {
+			check(fmt.Sprintf("round %d rank %d", round, i))
 		}
 	}
 	close(done)
 	wg.Wait()
-	if st.Stats().SideHits == 0 {
-		t.Fatal("no rank answered a candidate from its side")
+	if s := st.Stats(); s.PlanHits != 0 || sided.Load() < rounds {
+		t.Fatalf("%d plan hits, %d of %d ranks answered from sides: want none, and one a view at least", s.PlanHits, sided.Load(), next.Load())
 	}
 }
