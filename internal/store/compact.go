@@ -109,10 +109,10 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 	newSeq := fb.allocSeq()
 	unlock()
 
-	// Copy phase, outside the store lock: raw record bytes move from the
-	// source mappings into the new segment, in name order (locality for
+	// Copy phase, outside the store lock: live records move, read by pread
+	// from the sources, into the new segment in name order (locality for
 	// prefix scans). No fsync per record — one seal at the end.
-	newLocs, newSeg, err := fb.writeCompacted(ctx, newSeq, live)
+	newLocs, newSeg, err := fb.writeCompacted(ctx, newSeq, live, sources)
 	release()
 	if err != nil {
 		return stats, err
@@ -219,15 +219,15 @@ func (b *fsBackend) allocSeq() uint64 {
 	return seq
 }
 
-// writeCompacted copies the live records into a fresh compacted segment
-// and seals it. The caller holds pins on every source segment. With the
-// backend's compression opt-in the records are re-encoded against
-// freshly trained per-segment dictionaries (one decode pass to train,
-// one to encode); without it records move as raw bytes — except records
-// that are themselves compressed (sources from a previously compressed
-// store), which are decoded through their segment's dictionaries and
-// rewritten raw, since their encodings are meaningless outside them.
-func (b *fsBackend) writeCompacted(ctx context.Context, seq uint64, live []Meta) ([]recLoc, *segment, error) {
+// writeCompacted copies the live records out of the pinned sources into a
+// fresh compacted segment and seals it. With the backend's compression
+// opt-in the records are re-encoded against freshly trained per-segment
+// dictionaries (one decode pass to train, one to encode); without it
+// records move as raw bytes — except records that are themselves
+// compressed (sources from a previously compressed store), which are
+// decoded through their segment's dictionaries and rewritten raw, since
+// their encodings are meaningless outside them.
+func (b *fsBackend) writeCompacted(ctx context.Context, seq uint64, live []Meta, sources map[uint64]*segment) ([]recLoc, *segment, error) {
 	w, err := createSegment(b.dir, seq, segKindCompacted)
 	if err != nil {
 		return nil, nil, err
@@ -238,27 +238,22 @@ func (b *fsBackend) writeCompacted(ctx context.Context, seq uint64, live []Meta)
 		return nil, nil, err
 	}
 	if b.compress {
-		comp, err := b.trainCompressor(ctx, live)
+		comp, err := trainCompressor(ctx, live, sources)
 		if err != nil {
 			return abort(err)
 		}
 		w.comp = comp
 	}
 	locs := make([]recLoc, 0, len(live)) // parallel to live
+	var raw []byte
 	for _, m := range live {
 		if err := ctx.Err(); err != nil {
 			return abort(err)
 		}
-		b.segMu.Lock()
-		src, ok := b.segs[m.Segment]
-		b.segMu.Unlock()
-		if !ok {
-			return abort(fmt.Errorf("store: compaction source segment %d vanished", m.Segment))
+		src, err := readSource(sources, &raw, m)
+		if err != nil {
+			return abort(err)
 		}
-		if m.Offset < segHeaderBytes || m.Offset+m.Bytes > src.recEnd {
-			return abort(fmt.Errorf("store: %q at segment %d [%d,%d) out of bounds", m.Name, m.Segment, m.Offset, m.Offset+m.Bytes))
-		}
-		raw := src.data[m.Offset : m.Offset+m.Bytes]
 		info, err := core.DecodeRecordInfo(raw, 0)
 		if err != nil {
 			return abort(fmt.Errorf("store: compacting %q: %w", m.Name, err))
@@ -289,6 +284,17 @@ func (b *fsBackend) writeCompacted(ctx context.Context, seq uint64, live []Meta)
 		return abort(err)
 	}
 	return locs, seg, nil
+}
+
+// readSource preads live record m out of its source into *buf, so a
+// compaction never faults a source's mapping into RSS. What a decode
+// borrows of *buf is valid until the next read.
+func readSource(sources map[uint64]*segment, buf *[]byte, m Meta) (*segment, error) {
+	src, ok := sources[m.Segment]
+	if !ok || m.Offset < segHeaderBytes || m.Offset+m.Bytes > src.recEnd {
+		return nil, fmt.Errorf("store: %q at segment %d [%d,%d) is not in a compaction source", m.Name, m.Segment, m.Offset, m.Offset+m.Bytes)
+	}
+	return src, src.readAt(buf, m.Offset, m.Bytes)
 }
 
 // install adds a freshly sealed segment to the live set.

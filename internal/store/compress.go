@@ -84,28 +84,23 @@ func (c *segCompressor) appendSection(dst []byte) []byte {
 
 // trainCompressor decodes the live records once to build the output
 // segment's dictionaries: the distinct union of their key hashes and a
-// value sample (cloned out of the borrowed views — symbol-table strings
-// must not alias source mappings that retire after the pass) for the
-// symbol table. The caller holds pins on every source segment.
-func (b *fsBackend) trainCompressor(ctx context.Context, live []Meta) (*segCompressor, error) {
+// value sample for the symbol table, cloned out of the views of the one
+// buffer readSource reuses. The caller holds pins on the sources.
+func trainCompressor(ctx context.Context, live []Meta, sources map[uint64]*segment) (*segCompressor, error) {
 	const valueSampleCap = 1 << 16
 	keys := make(map[uint32]struct{})
 	var values []string
 	valueBytes := 0
+	var raw []byte
 	for _, m := range live {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		b.segMu.Lock()
-		src, ok := b.segs[m.Segment]
-		b.segMu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("store: compaction source segment %d vanished", m.Segment)
+		src, err := readSource(sources, &raw, m)
+		if err != nil {
+			return nil, err
 		}
-		if m.Offset < segHeaderBytes || m.Offset+m.Bytes > src.recEnd {
-			return nil, fmt.Errorf("store: %q at segment %d [%d,%d) out of bounds", m.Name, m.Segment, m.Offset, m.Offset+m.Bytes)
-		}
-		rec, err := core.DecodeRecordWith(src.decoder(), src.data[:m.Offset+m.Bytes], int(m.Offset), true)
+		rec, err := core.DecodeRecordWith(src.decoder(), raw, 0, true)
 		if err != nil {
 			return nil, fmt.Errorf("store: training compressor on %q: %w", m.Name, err)
 		}

@@ -4,7 +4,7 @@ package store
 // segment files (segment.go). Mutations append packed records — Puts and
 // tombstones — to the active segment, fsynced before acknowledgement;
 // the active segment seals (index + CRC footer) when it outgrows
-// rollBytes or the store closes, and sealed segments serve ranking
+// rollBytes or the store closes, and sealed raw segments serve ranking
 // queries as zero-copy record views out of their read-only mappings.
 // Background compaction (compact.go) folds overwritten records and
 // tombstones into fresh compacted segments.
@@ -361,43 +361,53 @@ var errSegmentGone = fmt.Errorf("store: segment retired")
 
 func (b *fsBackend) load(m Meta, borrow bool) (*core.Sketch, uint64, error) {
 	b.segMu.Lock()
-	if b.active != nil && b.active.seg.seq == m.Segment && !b.active.seg.sealed {
-		w := b.active
-		w.seg.acquire()
-		b.segMu.Unlock()
-		rec, err := w.readRecordAt(m.Offset, m.Bytes)
-		w.seg.release()
-		return finishLoad(rec, err, m)
-	}
 	seg, ok := b.segs[m.Segment]
+	if !ok && b.active != nil && b.active.seg.seq == m.Segment {
+		seg, ok = b.active.seg, true
+	}
 	if !ok {
 		b.segMu.Unlock()
 		return nil, 0, errSegmentGone
 	}
+	// Only a raw record in a mapped segment is worth a view: any other
+	// decode copies everything, so it preads and never faults a mapping in.
+	end, compressed := seg.recEnd, seg.dictOff != 0
+	view := borrow && seg.data != nil && !compressed
 	seg.acquire()
 	b.segMu.Unlock()
 	defer seg.release()
-	if m.Offset < segHeaderBytes || m.Offset+m.Bytes > seg.recEnd {
+	if m.Offset < segHeaderBytes || m.Offset+m.Bytes > end {
 		return nil, 0, fmt.Errorf("store: %q at segment %d [%d,%d) out of bounds", m.Name, m.Segment, m.Offset, m.Offset+m.Bytes)
 	}
-	data := seg.data[:m.Offset+m.Bytes]
-	rec, err := core.DecodeRecordWith(seg.decoder(), data, int(m.Offset), borrow)
-	if err == nil && !borrow && !rec.Compressed {
-		// Owning loads (Get, and a rank chasing a moved record) are rare
-		// enough that the record CRC is checked so bit rot surfaces as a
-		// load error, not a silently mutated sketch. Borrowed rank views
-		// skip the check: the hot ranking walk stays zero-overhead.
-		// Compressed records (the compacted steady state) are checked
-		// by their decode, borrowed or not, so only once.
-		_, err = core.VerifyRecord(data, int(m.Offset))
+	if view {
+		rec, err := core.DecodeRecord(seg.data[:m.Offset+m.Bytes], int(m.Offset), true)
+		return finishLoad(rec, err, m)
+	}
+	var dec *core.RecordDecoder
+	if compressed {
+		dec = seg.decoder()
+	}
+	bp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bp)
+	if err := seg.readAt(bp, m.Offset, m.Bytes); err != nil {
+		return finishLoad(core.Record{}, err, m)
+	}
+	rec, err := core.DecodeRecordWith(dec, *bp, 0, false)
+	if err == nil && !rec.Compressed {
+		// An owning load checks the CRC (a compressed decode does itself):
+		// bit rot is a load error, not a silently mutated sketch.
+		_, err = core.VerifyRecord(*bp, 0)
 	}
 	return finishLoad(rec, err, m)
 }
 
+// readBufs pools the buffers owning loads pread records into.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // finishLoad checks that rec is m's sketch and tags it with m's segment
-// only if it borrows that segment's memory: a compressed categorical
-// decode, or any decode without borrow, owns its memory, so a compaction
-// need not purge it and Get may serve it.
+// only if it borrows that segment's memory, as only a view of a raw
+// record does: every other decode owns its memory, so a compaction need
+// not purge it and Get may serve it.
 func finishLoad(rec core.Record, err error, m Meta) (*core.Sketch, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: reading %q: %w", m.Name, err)

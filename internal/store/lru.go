@@ -14,13 +14,13 @@ import (
 // manifest check beside it and a compaction's purge against its unmap.
 type sketchCache = cache.LRU[string, cachedSketch]
 
-// cachedSketch is one decode Store.read admitted — a zero-copy view on a
-// raw segment or an owned decode — tagged with the segment it borrows
-// memory from (0 = the sketch owns its memory, as a compressed
-// categorical decode always does), so a compaction retiring segments can
-// purge the views that alias them before the mappings go away, and with
-// the generation its version was current at (the loading read's). Put
-// admits nothing, so no entry is a caller's.
+// cachedSketch is one decode Store.read admitted — a zero-copy view of a
+// raw record in a raw segment or an owned decode — tagged with the
+// segment it borrows memory from (0 = the sketch owns its memory, as
+// every decode of a compressed segment's record does), so a compaction
+// retiring segments can purge the views that alias them before the
+// mappings go away, and with the generation its version was current at
+// (the loading read's). Put admits nothing, so no entry is a caller's.
 type cachedSketch struct {
 	sk       *core.Sketch
 	seg, gen uint64

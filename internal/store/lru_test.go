@@ -307,6 +307,20 @@ func TestLRUBudgetInvariantCompressed(t *testing.T) {
 // charge, and a compaction, which purges only views of the segments it
 // retires, keeps it.
 func TestRankAdmittedCompressedDecodeOwnsItsMemory(t *testing.T) {
+	rankAdmittedEntryOwnsItsMemory(t, "sel/d000/t003#x", false) // categorical, not planted
+}
+
+// TestCompressedLoadsOwnTheirMemory is its numeric twin: a rank reads a
+// compressed numeric record by pread and copies its values, so its entry
+// too is tagged 0, serves Get and survives a compaction.
+func TestCompressedLoadsOwnTheirMemory(t *testing.T) {
+	rankAdmittedEntryOwnsItsMemory(t, "sel/d000/t004#x", true) // numeric, not planted
+}
+
+// rankAdmittedEntryOwnsItsMemory ranks domain 0 of a compressed cold
+// catalog and checks the entry the rank admitted for name, which only
+// the rank has read.
+func rankAdmittedEntryOwnsItsMemory(t *testing.T, name string, numeric bool) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	train := coldCatalog(t, dir, selCatPerDomain)
@@ -315,10 +329,9 @@ func TestRankAdmittedCompressedDecodeOwnsItsMemory(t *testing.T) {
 	if _, _, err := st.RankQuery(ctx, train, RankOptions{Prefix: "sel/", MinJoinSize: 50}); err != nil {
 		t.Fatal(err)
 	}
-	const name = "sel/d000/t003#x" // categorical, not planted; only the rank has read it
 	ent, ok := st.cache.Get(name)
-	if !ok || ent.sk.Numeric {
-		t.Fatalf("fixture: the rank cached no categorical decode of %s", name)
+	if !ok || ent.sk.Numeric != numeric {
+		t.Fatalf("fixture: the rank cached no decode of %s with Numeric %v", name, numeric)
 	}
 	if ent.seg != 0 {
 		t.Errorf("the rank's decode of %s is tagged with segment %d, but it owns its memory", name, ent.seg)

@@ -24,10 +24,30 @@ const (
 )
 
 // coldCatalog writes a catalog of n candidates (n/200 domains) into dir —
-// Puts, a compressing Compact, Close — and returns domain 0's train.
+// rawCatalog's Puts, then a compressing Compact — and returns domain 0's
+// train.
 func coldCatalog(tb testing.TB, dir string, n int) *core.Sketch {
 	tb.Helper()
+	train := rawCatalog(tb, dir, n)
 	st, err := OpenWithOptions(dir, OpenOptions{Compression: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := st.Compact(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return train
+}
+
+// rawCatalog Puts coldCatalog's n candidates into dir, closes the store,
+// which leaves them in one sealed raw segment, and returns domain 0's
+// train.
+func rawCatalog(tb testing.TB, dir string, n int) *core.Sketch {
+	tb.Helper()
+	st, err := Open(dir)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -62,9 +82,6 @@ func coldCatalog(tb testing.TB, dir string, n int) *core.Sketch {
 		if err := st.Put(fmt.Sprintf("sel/d%03d/t%03d#x", d, j), sk); err != nil {
 			tb.Fatal(err)
 		}
-	}
-	if _, err := st.Compact(context.Background()); err != nil {
-		tb.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		tb.Fatal(err)

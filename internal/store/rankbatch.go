@@ -238,9 +238,9 @@ func (s *Store) RankBatch(ctx context.Context, trains []*core.Sketch, opt RankOp
 
 	// The catalog view, this seed's partition of it, its generation and
 	// the segment pins come from one critical section — one atomic
-	// snapshot. The pins keep the mmap'd record bytes (which the workers'
-	// zero-copy sketch views borrow) and key indexes valid even if a
-	// compaction retires them.
+	// snapshot. The pins keep the mmap'd raw record bytes (which the
+	// workers' zero-copy sketch views borrow) and key indexes valid even
+	// if a compaction retires them.
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()

@@ -6,7 +6,7 @@ package store
 // before the mutation is acknowledged — sealed with a key index and a
 // CRC-32C footer once it stops growing (size roll-over, store close, or
 // crash recovery). Sealed segments are immutable and mmap'd; ranking
-// borrows decoded-in-place sketch views straight out of the mapping.
+// borrows views of raw records out of the mapping, other reads pread.
 //
 // On-disk layout (little-endian):
 //
@@ -85,9 +85,9 @@ func parseSegmentPath(name string) (uint64, bool) {
 	return seq, true
 }
 
-// segment is one open segment file. Sealed segments are immutable and
-// carry the read-only mapping views borrow from; the (at most one)
-// unsealed segment is the append target and is read via pread instead.
+// segment is one open segment file. A sealed segment is immutable and
+// mapped read-only for rank views of its raw records; every decode that
+// copies, and any of the unsealed append target, preads (readAt) instead.
 type segment struct {
 	seq     uint64
 	kind    uint8
@@ -95,7 +95,7 @@ type segment struct {
 	f       *os.File
 	data    []byte // mmap of the whole file; nil while unsealed
 	size    int64  // file size (sealed)
-	recEnd  int64  // end of the record region (the footer's indexOff when sealed)
+	recEnd  int64  // end of the record region: the append offset, then the footer's indexOff
 	count   int    // records in the record region
 	sealed  bool
 	footLen int64 // footer length (v2 or v3); meaningful when sealed
@@ -267,6 +267,7 @@ func (w *segmentWriter) appendRecord(rec []byte, info core.RecordInfo, sync bool
 	}
 	w.crc = crc32.Update(w.crc, crcTable, rec)
 	w.off += int64(len(rec))
+	w.seg.recEnd = w.off // a load of the active segment reads it under segMu
 	w.index = append(w.index, segIndexEntry{info: info, off: off})
 	return off, nil
 }
@@ -316,19 +317,18 @@ func (w *segmentWriter) appendTombstone(name string) error {
 	return err
 }
 
-// readRecordAt pread-decodes the record at off from the unsealed
-// segment — the cache-miss path for sketches put since the segment was
-// created (sealed segments serve views from their mapping instead). The
-// decode owns its memory, so its CRC is checked, as every owning load's is.
-func (w *segmentWriter) readRecordAt(off, length int64) (core.Record, error) {
-	buf := make([]byte, length)
-	if _, err := w.seg.f.ReadAt(buf, off); err != nil {
-		return core.Record{}, fmt.Errorf("store: reading segment %d @%d: %w", w.seg.seq, off, err)
+// readAt preads the n bytes at off into *buf, growing it as needed.
+// Whatever a decode copies is read this way, sealed segment or not, so
+// only a rank's views of raw records touch a mapping.
+func (g *segment) readAt(buf *[]byte, off, n int64) error {
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
 	}
-	if _, err := core.VerifyRecord(buf, 0); err != nil {
-		return core.Record{}, err
+	*buf = (*buf)[:n]
+	if _, err := g.f.ReadAt(*buf, off); err != nil {
+		return fmt.Errorf("store: reading segment %d @%d: %w", g.seq, off, err)
 	}
-	return core.DecodeRecord(buf, 0, false)
+	return nil
 }
 
 // seal appends the inverted key index, a compressed segment's dict

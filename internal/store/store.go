@@ -8,9 +8,9 @@
 // Storage is pluggable (OpenOptions.Backend). The default "fs" backend
 // packs sketches into append-only segment files (segment.go, fsbackend.go):
 // Puts and Delete tombstones append fsynced records, sealed segments are
-// mmap'd and ranking decodes candidate sketches in place out of the
-// mapping — a cold discovery query performs no per-candidate syscalls
-// and no array copies — and a background (or on-demand) compaction folds
+// mmap'd and ranking decodes raw candidate sketches in place out of the
+// mapping (a record whose decode copies anyway is pread instead) — and
+// a background (or on-demand) compaction folds
 // overwritten records and tombstones into fresh segments. The "mem"
 // backend keeps everything in process memory for diskless servers and
 // tests. Both sit under the same manifest-indexed catalog, byte-bounded
@@ -750,8 +750,8 @@ func (opt RankOptions) Resolve(n int) (RankOptions, error) {
 // query is compiled once (core.TrainProbe) and estimation fans out
 // across opt.Workers workers, each owning a core.Scratch so the
 // per-candidate hot path performs no steady-state allocations. On the fs
-// backend, candidates are decoded in place out of the pinned segment
-// mappings — no syscalls, no copies. Estimation stops early when ctx is
+// backend, raw candidates decode in place out of the pinned mappings and
+// compressed ones are pread. Estimation stops early when ctx is
 // cancelled; the result order is deterministic regardless of scheduling.
 //
 // The query runs against a snapshot of the manifest: candidates
