@@ -87,7 +87,7 @@ func TestCompressedRecordShrinksSharedKeyCorpus(t *testing.T) {
 		num := &Sketch{Method: TUPSK, Role: RoleCandidate, Seed: 1, Size: n, Numeric: true, SourceRows: n}
 		cat := &Sketch{Method: CSK, Role: RoleCandidate, Seed: 1, Size: n, SourceRows: n}
 		for i := 0; i < n; i++ {
-			h := uint32(i * 2654435761)
+			h := uint32(i) * 2654435761
 			num.KeyHashes = append(num.KeyHashes, h)
 			num.Nums = append(num.Nums, math.Sqrt(float64(i*c+1)))
 			cat.KeyHashes = append(cat.KeyHashes, h)
@@ -187,7 +187,7 @@ func catRecords(t *testing.T, nRec int, root string) ([]*Sketch, [][]byte, *Reco
 	for r := range sks {
 		sk := &Sketch{Method: CSK, Role: RoleCandidate, Seed: 1, Size: 256, SourceRows: 256}
 		for i := 0; i < 200+r; i++ {
-			sk.KeyHashes = append(sk.KeyHashes, uint32(i*2654435761))
+			sk.KeyHashes = append(sk.KeyHashes, uint32(i)*2654435761)
 			sk.Strs = append(sk.Strs, fmt.Sprintf("%s/region-%03d/level-%02d", root, r%3, (i*(r+3))%(7+r)))
 		}
 		sks[r] = sk

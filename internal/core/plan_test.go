@@ -14,6 +14,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"misketch/internal/hash"
 	"misketch/internal/sample"
@@ -473,6 +474,143 @@ func TestConcurrentBuildsShareOnePlan(t *testing.T) {
 		for _, seed := range []uint32{hash.DefaultSeed, 1} {
 			if h1, h2 := plans[0].Hashes(seed), plans[0].Hashes(seed); &h1[0] != &h2[0] {
 				t.Fatalf("seed %d: key hashes computed twice", seed)
+			}
+		}
+	}
+}
+
+// sharedCSV is a CSV table with 300 keys repeated over 1 500 rows: n1,
+// n2, c1 and c2 have a value in every group, n3 has none in the groups
+// of every seventh key, so AVG leaves those groups NULL.
+func sharedCSV() []byte {
+	rng := rand.New(rand.NewSource(31))
+	var b bytes.Buffer
+	b.WriteString("key,n1,n2,n3,c1,c2\n")
+	for r := 0; r < 1500; r++ {
+		g := rng.Intn(300)
+		n3 := ""
+		if g%7 != 0 {
+			n3 = fmt.Sprint(rng.Intn(100))
+		}
+		fmt.Fprintf(&b, "k%d,%.4f,%.3g,%s,grade-%d,site-%d\n", g, float64(g%13)+rng.NormFloat64(), rng.NormFloat64(), n3, g%20, rng.Intn(15))
+	}
+	return b.Bytes()
+}
+
+// TestSharedSelectionMatchesFreshBuilds builds every value column of one
+// CSV table — in sequence, then from one goroutine a column at once — as
+// an ingest does, under two seeds and two sizes: the plan's shared
+// selection serves every column whose groups are all live, and each
+// sketch must equal, byte for byte, the same build over a freshly read
+// copy of the table and the frozen reference. n3's NULL groups send its
+// build down the unshared path.
+func TestSharedSelectionMatchesFreshBuilds(t *testing.T) {
+	in := sharedCSV()
+	read := func() *table.Table {
+		tb, err := table.ReadCSV(bytes.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+	type job struct {
+		col string
+		opt Options
+	}
+	var jobs []job
+	for _, seed := range []uint32{0, 7} {
+		for _, size := range []int{64, 512} {
+			for _, col := range []string{"n1", "n2", "n3", "c1", "c2"} {
+				agg := table.AggAvg
+				if col[0] == 'c' {
+					agg = table.AggMode
+				}
+				jobs = append(jobs, job{col, Options{Method: TUPSK, Size: size, Seed: seed, Agg: agg}})
+			}
+		}
+	}
+	want := make([][]byte, len(jobs))
+	for i, j := range jobs {
+		fresh, err := Build(read(), "key", j.col, RoleCandidate, j.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := refBuild(read(), "key", j.col, RoleCandidate, j.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i] = sketchBytes(t, fresh); !bytes.Equal(want[i], sketchBytes(t, ref)) {
+			t.Fatalf("%s %+v: a fresh table's build differs from the frozen reference", j.col, j.opt)
+		}
+	}
+	tb := read()
+	for i, j := range jobs {
+		s, err := Build(tb, "key", j.col, RoleCandidate, j.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sketchBytes(t, s), want[i]) {
+			t.Errorf("%s %+v: built after the table's other columns, differs from a fresh table's build", j.col, j.opt)
+		}
+	}
+	for round := 0; round < 4; round++ {
+		tb := read()
+		var wg sync.WaitGroup
+		for i, j := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s, err := Build(tb, "key", j.col, RoleCandidate, j.opt)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(sketchBytes(t, s), want[i]) {
+					t.Errorf("%s %+v: built beside the table's other columns, differs from a fresh table's build", j.col, j.opt)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestCategoricalValuesOwnTheirMemory builds categorical sketches of a
+// table read from plain CSV, whose cells are substrings of the input:
+// through an aggregate, through the rows of a train and through CSK's
+// first values, no kept value may point into that input, or every
+// sketch would keep its table's whole input alive.
+func TestCategoricalValuesOwnTheirMemory(t *testing.T) {
+	tb, err := table.ReadCSV(bytes.NewReader(sharedCSV()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := ^uintptr(0), uintptr(0) // the cells' span
+	for _, c := range tb.Columns() {
+		for _, v := range c.Str {
+			if v != "" {
+				p := uintptr(unsafe.Pointer(unsafe.StringData(v)))
+				lo, hi = min(lo, p), max(hi, p+uintptr(len(v)))
+			}
+		}
+	}
+	for _, b := range []struct {
+		role Role
+		opt  Options
+	}{
+		{RoleCandidate, Options{Method: TUPSK, Size: 64, Agg: table.AggMode}},
+		{RoleTrain, Options{Method: TUPSK, Size: 64}},
+		{RoleCandidate, Options{Method: CSK, Size: 64}},
+	} {
+		s, err := Build(tb, "key", "c1", b.role, b.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Strs) == 0 {
+			t.Fatalf("%+v: no values", b.opt)
+		}
+		for _, v := range s.Strs {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(v))); p >= lo && p < hi {
+				t.Fatalf("%s %+v: value %q points into the table's input", b.opt.Method, b.opt, v)
 			}
 		}
 	}

@@ -29,6 +29,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"misketch/internal/hash"
@@ -217,17 +218,19 @@ type values struct {
 
 // appendValue appends the value v holds at at; it is the one place a
 // build reads values, so an aggregated build aggregates only what it
-// keeps.
+// keeps. A categorical value is copied: a table's cells can be
+// substrings of its whole input (see table.ReadCSV), which a sketch
+// must not keep alive.
 func (s *Sketch) appendValue(v values, at int) {
 	switch {
 	case v.agg != nil && s.Numeric:
 		s.Nums = append(s.Nums, v.agg.Num(at))
 	case v.agg != nil:
-		s.Strs = append(s.Strs, v.agg.Str(at))
+		s.Strs = append(s.Strs, strings.Clone(v.agg.Str(at)))
 	case s.Numeric:
 		s.Nums = append(s.Nums, v.col.Num[at])
 	default:
-		s.Strs = append(s.Strs, v.col.Str[at])
+		s.Strs = append(s.Strs, strings.Clone(v.col.Str[at]))
 	}
 }
 
@@ -354,7 +357,10 @@ func Build(t *table.Table, keyCol, valCol string, role Role, opt Options) (*Sket
 
 	switch opt.Method {
 	case TUPSK:
-		buildTUPSK(s, src, live, opt)
+		if src.agg == nil || len(live) < len(hashes) {
+			plan = nil // the selection depends on which groups are live
+		}
+		buildTUPSK(s, src, live, opt, plan)
 	case LV2SK, PRISK:
 		buildTwoLevel(s, src, live, occ, opt, role)
 	case CSK:
@@ -367,16 +373,27 @@ func Build(t *table.Table, keyCol, valCol string, role Role, opt Options) (*Sket
 
 // buildTUPSK selects the n rows with minimum hu(⟨k, j⟩). An aggregated
 // candidate build has one live entry per key, so j = 1 for every one and
-// the hashes coordinate with the train side's first occurrences.
-func buildTUPSK(s *Sketch, src values, live []liveRow, opt Options) {
-	kmv := sample.NewKMV[rowRef](opt.Size)
-	for _, r := range live {
-		u := hash.UnitTuple(r.keyHash, r.j, opt.Seed)
-		kmv.Offer(u, r.rowRef)
+// the hashes coordinate with the train side's first occurrences. When
+// every group of an aggregated build is live, the selection depends on
+// the plan, the seed and the size alone, and plan (nil otherwise) draws
+// it once for all of the table's columns.
+func buildTUPSK(s *Sketch, src values, live []liveRow, opt Options, plan *table.KeyPlan) {
+	pick := func() []int32 {
+		kmv := sample.NewKMV[int32](opt.Size)
+		for i, r := range live {
+			kmv.Offer(hash.UnitTuple(r.keyHash, r.j, opt.Seed), int32(i))
+		}
+		return kmv.Items()
 	}
-	for _, r := range kmv.Items() {
-		s.KeyHashes = append(s.KeyHashes, r.keyHash)
-		s.appendValue(src, r.row)
+	var picked []int32
+	if plan != nil {
+		picked = plan.Sample(opt.Seed, opt.Size, pick)
+	} else {
+		picked = pick()
+	}
+	for _, i := range picked {
+		s.KeyHashes = append(s.KeyHashes, live[i].keyHash)
+		s.appendValue(src, live[i].row)
 	}
 }
 

@@ -57,6 +57,11 @@ func checkMoved(t *testing.T, label string, before, after Stats, trace RankTrace
 // MANIFEST (replaying, when the handle was abandoned unflushed, the tail
 // past it) and the twin from its segments alone, and holds List and Metas
 // equal. Its seed corpus is in testdata/fuzz/FuzzRankMemos.
+//
+// Fuzz it with -fuzzminimizetime as a count (20x): the engine minimises
+// every input that finds new coverage, re-running its whole script per
+// candidate (~n²/2 runs of ~10 ms for an n-byte script), so a time bound
+// — 60 s unless set — is spent in full on each, and the run stalls.
 func FuzzRankMemos(f *testing.F) {
 	trains := memoTrains(f)
 	f.Fuzz(func(t *testing.T, script []byte) {

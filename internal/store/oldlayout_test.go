@@ -214,7 +214,7 @@ func TestManifestBytesPinned(t *testing.T) {
 		name := fmt.Sprintf("t%02d.csv#col%d@key", i, i%3)
 		metas = append(metas, Meta{
 			Name: name, Method: methods[i%len(methods)], Role: core.Role(i % 2),
-			Seed: uint32(i * 2654435761), Size: 128 << (i % 4), Numeric: i%3 != 0,
+			Seed: uint32(i) * 2654435761, Size: 128 << (i % 4), Numeric: i%3 != 0,
 			SourceRows: 1000 + 37*i, Entries: 100 + i, Bytes: int64(900 + 13*i),
 			Segment: uint64(1 + i/16), Offset: int64(16 + 1024*(i%16)),
 		})

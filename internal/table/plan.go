@@ -17,17 +17,27 @@ import (
 // that key shares it, so a table with many value columns is grouped and
 // hashed once, not once per column. It costs 4 bytes per row plus a
 // string header and an offset per distinct key (a string column's keys
-// are the column's own strings), and lives as long as its table.
+// are the column's own strings), plus 4 bytes a sampled group, and lives
+// as long as its table.
 //
-// A plan is immutable apart from the per-seed hashes it adds under its
-// own lock, and safe for concurrent use.
+// A plan is immutable apart from the per-seed hashes and the samples of
+// its groups (see Sample) it adds under its own lock, and safe for
+// concurrent use.
 type KeyPlan struct {
 	order []string // distinct non-NULL keys, first-seen order
 	start []int32  // group g's rows are rows[start[g]:start[g+1]]
 	rows  []int32  // row indices, ascending within a group
 
-	mu     sync.Mutex
-	hashes map[uint32][]uint32 // seed → hash.Key of each group's key
+	mu      sync.Mutex
+	hashes  map[uint32][]uint32 // seed → hash.Key of each group's key
+	samples map[sampleKey][]int32
+}
+
+// sampleKey names a sample of a plan's groups: the hash seed and the
+// sample's size.
+type sampleKey struct {
+	seed uint32
+	size int
 }
 
 // KeyPlan returns the table's plan for keyCol, building it on first
@@ -54,7 +64,7 @@ func (t *Table) KeyPlan(keyCol string) (*KeyPlan, error) {
 // only string-keyed map any build over this key will touch, a second
 // lays the rows out group by group.
 func newKeyPlan(kc *Column) *KeyPlan {
-	p := &KeyPlan{start: []int32{0}, hashes: map[uint32][]uint32{}}
+	p := &KeyPlan{start: []int32{0}, hashes: map[uint32][]uint32{}, samples: map[sampleKey][]int32{}}
 	ids := make(map[string]int32, 64)
 	group := make([]int32, kc.Len()) // row → group, -1 under a NULL key
 	for i := range group {
@@ -106,6 +116,30 @@ func (p *KeyPlan) Hashes(seed uint32) []uint32 {
 		p.hashes[seed] = h
 	}
 	return h
+}
+
+// Sample returns the plan's sample of its groups for seed and size,
+// calling pick to draw it on the first request, so a sketch builder
+// whose choice of groups depends on the plan, the seed and the size
+// alone draws it once for all of the table's columns. Racing first
+// requests each draw, and the first to finish is kept. The slice is the
+// plan's own and must not be modified.
+func (p *KeyPlan) Sample(seed uint32, size int, pick func() []int32) []int32 {
+	k := sampleKey{seed, size}
+	p.mu.Lock()
+	s, ok := p.samples[k]
+	p.mu.Unlock()
+	if ok {
+		return s
+	}
+	s = pick()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if kept, ok := p.samples[k]; ok {
+		return kept
+	}
+	p.samples[k] = s
+	return s
 }
 
 // GroupAgg evaluates AGG(vc) one group of a plan at a time, so a caller
