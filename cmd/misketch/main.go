@@ -84,7 +84,7 @@ func usage() {
   misketch store rebuild -store DIR
   misketch store compact -store DIR [-compress]
   misketch serve         -store DIR [-addr :8080] [-max-workers N] [-cache BYTES]
-                         [-result-cache-bytes BYTES] [-backend fs|mem] [-compact-every DUR]
+                         [-result-cache-bytes BYTES] [-compact-every DUR]
                          [-segment-bytes N] [-pprof]
   misketch serve         -coordinator -shards URL,URL,... [-addr :8080]
                          [-shard-timeout DUR] [-shard-connect-timeout DUR] [-shard-retries N]`)
@@ -596,7 +596,6 @@ func runServe(args []string) {
 	maxWorkers := fs.Int("max-workers", 0, "total rank-worker bound across requests (0 = GOMAXPROCS)")
 	cacheBytes := fs.Int64("cache", 0, "decoded-sketch cache bytes (0 = default, negative disables)")
 	resultCache := fs.Int64("result-cache-bytes", 64<<20, "generation-fenced rank result cache bytes (0 disables; store mode only: a coordinator keeps no results)")
-	backend := fs.String("backend", "fs", "storage backend: fs (segments+mmap) or mem (diskless)")
 	compactEvery := fs.Duration("compact-every", 0, "background compaction check interval (0 disables)")
 	segmentBytes := fs.Int64("segment-bytes", 0, "segment roll threshold in bytes (0 = default 128 MiB)")
 	pprofFlag := fs.Bool("pprof", false, "expose /debug/pprof profiling handlers (trusted networks only)")
@@ -629,13 +628,10 @@ func runServe(args []string) {
 		fmt.Println("misketch serve: coordinator drained, bye")
 		return
 	}
-	if *backend != misketch.BackendMem {
-		requireFlags(map[string]string{"store": *storeDir})
-	}
+	requireFlags(map[string]string{"store": *storeDir})
 
 	st, err := misketch.OpenStoreWithOptions(*storeDir, misketch.OpenStoreOptions{
 		CacheBytes:   *cacheBytes,
-		Backend:      *backend,
 		SegmentBytes: *segmentBytes,
 		CompactEvery: *compactEvery,
 	})

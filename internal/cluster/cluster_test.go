@@ -29,7 +29,7 @@ import (
 )
 
 // testCluster is N shard servers, each with its own result cache, over
-// disjoint mem-backed stores plus a single-node server over the union
+// disjoint stores plus a single-node server over the union
 // catalog — the differential harness.
 type testCluster struct {
 	shards   []*httptest.Server
@@ -45,17 +45,17 @@ type testCluster struct {
 func newTestCluster(t testing.TB, nShards, nCand int) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
-	openMem := func() *store.Store {
-		st, err := store.OpenWithOptions(t.TempDir(), store.OpenOptions{Backend: store.BackendMem})
+	openStore := func() *store.Store {
+		st, err := store.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
 		return st
 	}
-	tc.unionSt = openMem()
+	tc.unionSt = openStore()
 	for i := 0; i < nShards; i++ {
-		tc.shardSts = append(tc.shardSts, openMem())
+		tc.shardSts = append(tc.shardSts, openStore())
 	}
 
 	rng := rand.New(rand.NewSource(7))

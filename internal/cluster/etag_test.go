@@ -259,7 +259,7 @@ func TestClusterShardRestartEpoch(t *testing.T) {
 	// "Restart" shard 0: a new store with the same number of puts (so
 	// the generation counter collides with the old process) but one
 	// candidate replaced by different data.
-	st2, err := store.OpenWithOptions(t.TempDir(), store.OpenOptions{Backend: store.BackendMem})
+	st2, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ func categoricalCorpus(t testing.TB) matrixCorpus {
 	return mc
 }
 
-// matrixCluster is a corpus dealt to nShards mem-backed shard servers by
+// matrixCluster is a corpus dealt to nShards shard servers by
 // home, a coordinator over them, and the union store the answers are
 // held to.
 type matrixCluster struct {
@@ -169,17 +169,17 @@ type matrixCluster struct {
 
 func newMatrixCluster(t testing.TB, mc matrixCorpus, nShards int, home func(i int, c placed) int, opt Options) *matrixCluster {
 	t.Helper()
-	openMem := func() *store.Store {
-		st, err := store.OpenWithOptions(t.TempDir(), store.OpenOptions{Backend: store.BackendMem})
+	openStore := func() *store.Store {
+		st, err := store.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
 		return st
 	}
-	cl := &matrixCluster{union: openMem()}
+	cl := &matrixCluster{union: openStore()}
 	for i := 0; i < nShards; i++ {
-		cl.shards = append(cl.shards, openMem())
+		cl.shards = append(cl.shards, openStore())
 	}
 	for i, c := range mc.cands {
 		if err := cl.union.Put(c.name, c.sketch); err != nil {

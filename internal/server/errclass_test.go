@@ -254,7 +254,7 @@ func TestShutdownTimeoutSemantics(t *testing.T) {
 // /v1/rank and /v1/rank/batch: each is refused with 400, and the first
 // is refused before anything is sized by its count.
 func TestCraftedSketchBytesAre400(t *testing.T) {
-	st, err := store.OpenWithOptions("", store.OpenOptions{Backend: store.BackendMem})
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

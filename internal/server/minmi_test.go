@@ -118,7 +118,7 @@ func TestRankSeedAnswer(t *testing.T) {
 	// synth.PlantedCohort(130): three strong candidates and a straggler
 	// after each over joinable noise, so a seed answer of four leaves
 	// nothing the cheap tier cannot bound.
-	st, err := store.OpenWithOptions(t.TempDir(), store.OpenOptions{Backend: store.BackendMem})
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -904,16 +904,18 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestServeDiskless runs the whole HTTP service on the mem backend: no
-// store directory, rankings bit-for-bit equal to the same corpus served
-// from segments, and /v1/stats reporting the backend.
+// TestServeDiskless runs the whole HTTP service the way a user without a
+// store directory does, on a store in a temporary directory: rankings
+// bit-for-bit equal to the same corpus in a second store, and /v1/stats
+// reporting the deprecated "backend" as "fs".
 func TestServeDiskless(t *testing.T) {
-	mem, err := store.OpenWithOptions("", store.OpenOptions{Backend: store.BackendMem})
+	tmp, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	train := buildCorpus(t, mem, 20)
-	srv := New(mem, Options{})
+	t.Cleanup(func() { tmp.Close() })
+	train := buildCorpus(t, tmp, 20)
+	srv := New(tmp, Options{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
@@ -944,7 +946,7 @@ func TestServeDiskless(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Store.Backend != store.BackendMem || stats.Store.Segments != 0 {
+	if stats.Store.Backend != "fs" || stats.Store.Segments != 1 {
 		t.Errorf("diskless stats = %+v", stats.Store)
 	}
 	if stats.Store.Sketches != 20 {

@@ -15,8 +15,8 @@ package store
 // a visit list costs the postings touched plus the matches, not a walk of
 // the catalog. Candidates no index vouches for (active or frozen segments,
 // corrupt index sections or posting lists, duplicated key hashes) are
-// always visited and left to the probe prefilter, so indexed, fallback and
-// mem-backend ranks answer alike.
+// always visited and left to the probe prefilter, so indexed and fallback
+// ranks answer alike.
 //
 // Consistency: a view describes one (manifest, segment table) state.
 // viewLocked builds it under s.mu when a rank, List or Metas finds none;
@@ -80,7 +80,6 @@ func (s *Store) viewLocked() *catalogView {
 	if testHookNoMemo == nil || !testHookNoMemo(s) {
 		v.plans = cache.NewLRU[planKey, *rankPlan](planCacheBytes)
 	}
-	fb, _ := s.backend.(*fsBackend)
 	bySeg := make(map[uint64]*viewSegment) // nil: no usable index
 	var vs *viewSegment
 	for i := range v.entries {
@@ -90,10 +89,8 @@ func (s *Store) viewLocked() *catalogView {
 			if vs, seen = bySeg[m.Segment]; !seen {
 				v.pins[m.Segment] = struct{}{}
 				// No pin needed: nothing retires a segment without s.mu.
-				if fb != nil {
-					if ix := fb.keyIndexOf(m.Segment); ix != nil {
-						vs = &viewSegment{ix: ix, pos: make([]int32, ix.records())}
-					}
+				if ix := s.backend.keyIndexOf(m.Segment); ix != nil {
+					vs = &viewSegment{ix: ix, pos: make([]int32, ix.records())}
 				}
 				bySeg[m.Segment] = vs
 			}

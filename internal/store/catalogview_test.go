@@ -188,94 +188,89 @@ func (w *viewWalk) check(step string) {
 // count to the NoIndex oracle and a brute-force model. The cache is off
 // so DiskReads counts exactly the candidates a query visited.
 func TestCatalogViewDifferentialWalk(t *testing.T) {
-	for _, backend := range []string{BackendFS, BackendMem} {
-		t.Run(backend, func(t *testing.T) {
-			dir := t.TempDir()
-			open := func() *Store {
-				// Small segments, so the walk seals (and indexes) many.
-				st, err := OpenWithOptions(dir, OpenOptions{Backend: backend, CacheBytes: -1, SegmentBytes: 8 << 10})
-				if err != nil {
+	t.Run("fs", func(t *testing.T) {
+		dir := t.TempDir()
+		open := func() *Store {
+			// Small segments, so the walk seals (and indexes) many.
+			st, err := OpenWithOptions(dir, OpenOptions{CacheBytes: -1, SegmentBytes: 8 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		w := &viewWalk{t: t, st: open(), model: map[string]*core.Sketch{}}
+		defer func() { w.st.Close() }()
+		for q := 0; q < 8; q++ {
+			w.trains = append(w.trains, windowSketch(t, core.RoleTrain, 0, q*30, 90, int64(900+q)))
+		}
+		rng := rand.New(rand.NewSource(5))
+		name := func() string { return fmt.Sprintf("%c/c%02d", "ab"[rng.Intn(2)], rng.Intn(14)) }
+		put := func(name string, sk *core.Sketch) {
+			if err := w.st.Put(name, sk); err != nil {
+				t.Fatal(err)
+			}
+			w.model[name] = sk
+		}
+		ctx := context.Background()
+		for step := 0; step < 70; step++ {
+			var op string
+			switch r := rng.Intn(20); {
+			case r < 8 || len(w.model) < 6:
+				op = "put"
+				put(name(), windowSketch(t, core.RoleCandidate, 0, rng.Intn(300), 80, int64(step)))
+			case r == 8:
+				op = "put other seed"
+				put(name(), windowSketch(t, core.RoleCandidate, 9, rng.Intn(300), 80, int64(step)))
+			case r == 9:
+				op = "put train role"
+				put(name(), windowSketch(t, core.RoleTrain, 0, rng.Intn(300), 80, int64(step)))
+			case r == 10:
+				op = "put empty"
+				put(name(), &core.Sketch{Method: core.TUPSK, Role: core.RoleCandidate, Numeric: true})
+			case r == 11:
+				op = "put duplicated hash"
+				put(name(), &core.Sketch{
+					Method: core.TUPSK, Role: core.RoleCandidate, Numeric: true,
+					KeyHashes: []uint32{0xdeadbeef, 0xdeadbeef}, Nums: []float64{1, 2}, SourceRows: 2,
+				})
+			case r < 15:
+				op = "delete"
+				names, _ := w.st.List()
+				victim := names[rng.Intn(len(names))]
+				if err := w.st.Delete(victim); err != nil {
 					t.Fatal(err)
 				}
-				return st
-			}
-			w := &viewWalk{t: t, st: open(), model: map[string]*core.Sketch{}}
-			defer func() { w.st.Close() }()
-			for q := 0; q < 8; q++ {
-				w.trains = append(w.trains, windowSketch(t, core.RoleTrain, 0, q*30, 90, int64(900+q)))
-			}
-			rng := rand.New(rand.NewSource(5))
-			name := func() string { return fmt.Sprintf("%c/c%02d", "ab"[rng.Intn(2)], rng.Intn(14)) }
-			put := func(name string, sk *core.Sketch) {
-				if err := w.st.Put(name, sk); err != nil {
+				delete(w.model, victim)
+			case r == 15:
+				op = "flush"
+				if err := w.st.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				w.model[name] = sk
-			}
-			ctx := context.Background()
-			for step := 0; step < 70; step++ {
-				var op string
-				switch r := rng.Intn(20); {
-				case r < 8 || len(w.model) < 6:
-					op = "put"
-					put(name(), windowSketch(t, core.RoleCandidate, 0, rng.Intn(300), 80, int64(step)))
-				case r == 8:
-					op = "put other seed"
-					put(name(), windowSketch(t, core.RoleCandidate, 9, rng.Intn(300), 80, int64(step)))
-				case r == 9:
-					op = "put train role"
-					put(name(), windowSketch(t, core.RoleTrain, 0, rng.Intn(300), 80, int64(step)))
-				case r == 10:
-					op = "put empty"
-					put(name(), &core.Sketch{Method: core.TUPSK, Role: core.RoleCandidate, Numeric: true})
-				case r == 11:
-					op = "put duplicated hash"
-					put(name(), &core.Sketch{
-						Method: core.TUPSK, Role: core.RoleCandidate, Numeric: true,
-						KeyHashes: []uint32{0xdeadbeef, 0xdeadbeef}, Nums: []float64{1, 2}, SourceRows: 2,
-					})
-				case r < 15:
-					op = "delete"
-					names, _ := w.st.List()
-					victim := names[rng.Intn(len(names))]
-					if err := w.st.Delete(victim); err != nil {
-						t.Fatal(err)
-					}
-					delete(w.model, victim)
-				case r == 15:
-					op = "flush"
-					if err := w.st.Flush(); err != nil {
-						t.Fatal(err)
-					}
-				case r == 16 || r == 17:
-					op = "compact"
-					if _, err := w.st.Compact(ctx); err != nil {
-						t.Fatal(err)
-					}
-				case r == 18:
-					// Reads every segment and changes nothing: the check below
-					// holds the rankings to the model the last step left.
-					op = "verify"
-					if err := w.st.Verify(); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					if backend == BackendMem {
-						continue // a mem store does not survive its handle
-					}
-					op = "reopen"
-					if err := w.st.Close(); err != nil {
-						t.Fatal(err)
-					}
-					w.st = open()
+			case r == 16 || r == 17:
+				op = "compact"
+				if _, err := w.st.Compact(ctx); err != nil {
+					t.Fatal(err)
 				}
-				w.check(fmt.Sprintf("step %d (%s)", step, op))
+			case r == 18:
+				// Reads every segment and changes nothing: the check below
+				// holds the rankings to the model the last step left.
+				op = "verify"
+				if err := w.st.Verify(); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				op = "reopen"
+				if err := w.st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				w.st = open()
 			}
-			if backend == BackendFS && w.st.Stats().CandidatesSkippedNoDecode == 0 {
-				t.Fatal("degenerate walk: the index never excluded a candidate")
-			}
-		})
-	}
+			w.check(fmt.Sprintf("step %d (%s)", step, op))
+		}
+		if w.st.Stats().CandidatesSkippedNoDecode == 0 {
+			t.Fatal("degenerate walk: the index never excluded a candidate")
+		}
+	})
 }
 
 // TestCompactionAloneKeepsCandidatesLive pins the reason the view is not
@@ -404,7 +399,7 @@ func TestCatalogViewRaceHammer(t *testing.T) {
 		if st.view == nil {
 			return
 		}
-		fb := st.backend.(*fsBackend)
+		fb := st.backend
 		fb.segMu.Lock()
 		defer fb.segMu.Unlock()
 		for seq := range st.view.pins {
@@ -652,10 +647,11 @@ func TestVerifyRacingCompaction(t *testing.T) {
 // running sum kept where the manifest is written, so a Stats call
 // neither walks the manifest nor builds the view a mutation dropped.
 func TestStatsDoesNoPerEntryWork(t *testing.T) {
-	st, err := OpenWithOptions("", OpenOptions{Backend: BackendMem})
+	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	sk := windowSketch(t, core.RoleCandidate, 0, 0, 10, 1)
 	for c := 0; c < 20000; c++ {
 		if err := st.Put(fmt.Sprintf("c%05d", c), sk); err != nil {
@@ -666,7 +662,7 @@ func TestStatsDoesNoPerEntryWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { st.Stats() }); allocs != 0 {
-		t.Fatalf("Stats allocates %v times per call on a mem store", allocs)
+		t.Fatalf("Stats allocates %v times per call", allocs)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -775,12 +771,11 @@ func TestCatalogViewOrdinalsMatchSearch(t *testing.T) {
 	if len(v.segs) != 2 {
 		t.Fatalf("fixture: the view indexes %d segments, want the compacted and the append one", len(v.segs))
 	}
-	fb := st.backend.(*fsBackend)
 	for _, vs := range v.segs {
 		want := make([]int32, len(vs.pos))
 		found := 0
 		for i, m := range v.entries {
-			if m.Role != core.RoleCandidate || m.Entries == 0 || fb.keyIndexOf(m.Segment) != vs.ix {
+			if m.Role != core.RoleCandidate || m.Entries == 0 || st.backend.keyIndexOf(m.Segment) != vs.ix {
 				continue
 			}
 			if ord, ok := vs.ix.ordinalOf(m.Offset); ok {

@@ -46,11 +46,11 @@ type CompactStats struct {
 
 // Compact folds all sealed segments into one fresh compacted segment,
 // dropping overwritten records and tombstones, and retires the sources.
-// It is a no-op on the mem backend and on an fs store whose records
-// already live in a single fully-live sealed segment; a crash-frozen
-// segment always counts as work, and the pass's output carries the key
-// index the torn seal lost. Safe to run concurrently with queries and
-// mutations; concurrent Compact calls serialize.
+// It is a no-op on a store whose records already live in a single
+// fully-live sealed segment; a crash-frozen segment always counts as
+// work, and the pass's output carries the key index the torn seal lost.
+// Safe to run concurrently with queries and mutations; concurrent Compact
+// calls serialize.
 func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -62,21 +62,20 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 		s.mu.Unlock()
 		s.appendMu.Unlock()
 	}
-	fb, ok := s.backend.(*fsBackend)
-	if err := s.closedErr(); err != nil || !ok {
+	if err := s.closedErr(); err != nil {
 		unlock()
 		return CompactStats{}, err
 	}
 	// Roll the active segment so every record is in a compactable
 	// (immutable) segment; appends during the pass go to a new active.
-	if err := fb.roll(); err != nil {
+	if err := s.backend.roll(); err != nil {
 		unlock()
 		return CompactStats{}, err
 	}
 	s.view = nil // the rolled segment's records are indexed from here on
 	// Pin the sources for the copy phase; retirement is pin-aware, so the
 	// pins also cover any in-flight queries.
-	sources, srcBytes, release := fb.pinSealed()
+	sources, srcBytes, release := s.backend.pinSealed()
 	live := make([]Meta, 0, s.cat.live) // in name order, as the table is
 	for _, m := range s.cat.merged() {
 		if _, ok := sources[m.Segment]; ok {
@@ -91,7 +90,7 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 	// store opened without Compression) is not a trigger — they stay
 	// readable as-is and decompress whenever a real pass folds them.
 	wantRecompress := false
-	if fb.compress {
+	if s.backend.compress {
 		for _, seg := range sources {
 			if seg.dictOff == 0 {
 				wantRecompress = true
@@ -106,13 +105,13 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 		stats.BytesAfter = stats.BytesBefore
 		return stats, nil
 	}
-	newSeq := fb.allocSeq()
+	newSeq := s.backend.allocSeq()
 	unlock()
 
 	// Copy phase, outside the store lock: live records move, read by pread
 	// from the sources, into the new segment in name order (locality for
 	// prefix scans). No fsync per record — one seal at the end.
-	newLocs, newSeg, err := fb.writeCompacted(ctx, newSeq, live, sources)
+	newLocs, newSeg, err := s.backend.writeCompacted(ctx, newSeq, live, sources)
 	release()
 	if err != nil {
 		return stats, err
@@ -124,7 +123,7 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 	// Swap phase: move each still-unmoved sketch to its new location,
 	// persist the manifest, then retire the sources.
 	s.mu.Lock()
-	fb.install(newSeg)
+	s.backend.install(newSeg)
 	s.cat.move(live, newLocs, sources)
 	// The swap bumps no generation (the contents did not change), which
 	// is why the view cannot be keyed on Gen: the records moved, and the
@@ -149,7 +148,7 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 		_, gone := sources[ent.seg]
 		return ent.seg != 0 && gone
 	})
-	fb.retire(sources)
+	s.backend.retire(sources)
 	// Persist again now that the sources are out of the segment table:
 	// the manifest written above still listed them (needed in case we
 	// crashed before retiring), and leaving it that way would force a

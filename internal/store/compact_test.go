@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -265,21 +266,23 @@ func TestAutoCompactLoop(t *testing.T) {
 	}
 }
 
-// TestMemBackend runs the store contract diskless: puts, gets, deletes,
-// ranking, and stats — with rankings bit-identical to an fs-backed
-// store holding the same sketches.
+// TestMemBackend holds the deprecated BackendMem alias to its contract:
+// it opens an ordinary store on a private temporary directory, ignoring
+// the one passed, whose puts, gets, deletes and rankings match a store on
+// a directory of its own and whose Stats read "fs"; Close removes the
+// temporary directory. A Backend other than "", "fs" and "mem" is refused.
 func TestMemBackend(t *testing.T) {
 	mem, err := OpenWithOptions("", OpenOptions{Backend: BackendMem})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mem.Backend() != BackendMem {
-		t.Fatalf("Backend() = %q", mem.Backend())
-	}
+	defer mem.Close() // a no-op after the Close below
+	tmp := mem.Dir()
 	fs, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fs.Close()
 	train := buildSketch(t, core.RoleTrain, 0, func(g int) float64 { return float64(g % 5) })
 	for i := 0; i < 8; i++ {
 		cand := buildSketch(t, core.RoleCandidate, 0, func(g int) float64 { return float64(g % (i + 2)) })
@@ -289,14 +292,20 @@ func TestMemBackend(t *testing.T) {
 			}
 		}
 	}
+	if _, err := os.Stat(filepath.Join(tmp, segmentsDir)); err != nil {
+		t.Fatalf("the alias store wrote no segments under %q: %v", tmp, err)
+	}
 	if err := mem.Delete("c7"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Delete("c7"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mem.Get("c7"); err == nil {
-		t.Error("deleted sketch should be gone from mem backend")
+	if _, err := mem.Get("c7"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get of a deleted sketch = %v, want ErrNotFound", err)
+	}
+	if _, err := mem.Get("c3"); err != nil {
+		t.Error(err)
 	}
 	memRanked, _, err := mem.RankQuery(context.Background(), train, RankOptions{MinJoinSize: 0, K: mi.DefaultK})
 	if err != nil {
@@ -307,23 +316,52 @@ func TestMemBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	rankingsBitEqual(t, "mem-vs-fs", memRanked, fsRanked)
-	// Flush/Close/Compact are no-ops that must not fail; stats report
-	// the backend and no segments.
 	if err := mem.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if cs, err := mem.Compact(context.Background()); err != nil || cs.Compacted {
-		t.Fatalf("mem compact = %+v, %v", cs, err)
+	if _, err := mem.Compact(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	stats := mem.Stats()
-	if stats.Backend != BackendMem || stats.Segments != 0 || stats.Sketches != 7 {
+	if stats.Backend != "fs" || stats.Sketches != 7 {
 		t.Errorf("mem stats = %+v", stats)
-	}
-	if mem.Segments() != nil {
-		t.Error("mem backend should report no segments")
 	}
 	if err := mem.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("the temporary directory outlived Close: %v", err)
+	}
+
+	// A directory passed with the alias is left as it was.
+	given := t.TempDir()
+	if err := os.WriteFile(filepath.Join(given, "keep"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other, err := OpenWithOptions(given, OpenOptions{Backend: BackendMem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if err := other.Put("c0", train); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(given); err != nil || len(ents) != 1 || ents[0].Name() != "keep" {
+		t.Errorf("the passed directory holds %v, %v; want only its own file", ents, err)
+	}
+	if other.Dir() == given {
+		t.Error("the alias opened on the passed directory")
+	}
+	if _, err := os.Stat(other.Dir()); !os.IsNotExist(err) {
+		t.Errorf("the temporary directory outlived Close: %v", err)
+	}
+
+	if st, err := OpenWithOptions(t.TempDir(), OpenOptions{Backend: "bogus"}); err == nil {
+		st.Close()
+		t.Error("Backend \"bogus\" opened")
 	}
 }
 

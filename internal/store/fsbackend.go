@@ -56,8 +56,6 @@ type fsBackend struct {
 	warming sync.WaitGroup // the open's key index and dict parses; close waits
 }
 
-func (b *fsBackend) name() string { return BackendFS }
-
 // openFSBackend opens (creating or recovering as needed) the
 // segment store rooted at dir and returns the backend together with the
 // recovered catalog: the MANIFEST's table, with any replayed records
@@ -296,6 +294,8 @@ func (b *fsBackend) put(name string, sk *core.Sketch) (uint64, int64, int64, err
 	return seq, off, length, nil
 }
 
+// tombstone durably records the deletion of name, returning the record's
+// segment and end offset.
 func (b *fsBackend) tombstone(name string) (uint64, int64, error) {
 	b.segMu.Lock()
 	defer b.segMu.Unlock()
@@ -359,6 +359,10 @@ func (b *fsBackend) roll() error {
 // segment; Store.read chases the record to its new home.
 var errSegmentGone = fmt.Errorf("store: segment retired")
 
+// load decodes m's record. With borrow the sketch may alias the mapping
+// and is valid only while its segment is pinned; tag is that segment, or
+// 0 when the sketch owns its memory, as it always does without borrow
+// (and then the record CRC is checked).
 func (b *fsBackend) load(m Meta, borrow bool) (*core.Sketch, uint64, error) {
 	b.segMu.Lock()
 	seg, ok := b.segs[m.Segment]
@@ -515,11 +519,11 @@ func (b *fsBackend) keyIndexOf(seq uint64) *keyIndex {
 	return seg.keyIndex()
 }
 
-// segmentInfos snapshots per-segment observability state.
-func (b *fsBackend) segmentInfos() []SegmentInfo {
+// eachSegment calls f with every live segment's observability state, in
+// no order, under segMu; it allocates nothing itself.
+func (b *fsBackend) eachSegment(f func(SegmentInfo)) {
 	b.segMu.Lock()
 	defer b.segMu.Unlock()
-	infos := make([]SegmentInfo, 0, len(b.segs)+1)
 	for _, seg := range b.segs {
 		info := SegmentInfo{
 			Seq: seg.seq, Compacted: seg.kind == segKindCompacted,
@@ -533,15 +537,11 @@ func (b *fsBackend) segmentInfos() []SegmentInfo {
 				info.RawBytes = int64(d.rawBytes)
 			}
 		}
-		infos = append(infos, info)
+		f(info)
 	}
 	if b.active != nil {
-		infos = append(infos, SegmentInfo{
-			Seq: b.active.seg.seq, Bytes: b.active.off, Records: len(b.active.index),
-		})
+		f(SegmentInfo{Seq: b.active.seg.seq, Bytes: b.active.off, Records: len(b.active.index)})
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Seq < infos[j].Seq })
-	return infos
 }
 
 // close seals the active segment so the next open maps everything

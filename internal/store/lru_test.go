@@ -54,10 +54,11 @@ func TestSketchBytesChargesValOrder(t *testing.T) {
 // in internal/cache.)
 func TestLRUBudgetInvariant(t *testing.T) {
 	per := sketchBytes(numSketch(t, 256))
-	st, err := OpenWithOptions("", OpenOptions{Backend: BackendMem, CacheBytes: 4 * per})
+	st, err := OpenWithOptions(t.TempDir(), OpenOptions{CacheBytes: 4 * per})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	for i := 0; i < 16; i++ {
 		st.cacheLocked(fmt.Sprintf("s%d", i), numSketch(t, 256), 0, 0)
 		checkCacheCharges(t, st, fmt.Sprintf("add %d", i))
@@ -78,12 +79,11 @@ func TestLRUBudgetInvariant(t *testing.T) {
 	}
 }
 
-// TestPutKeepsNoReference: the fs store keeps no reference to the sketch
-// a Put passes, raw or compressed. After the caller overwrites its
+// TestPutKeepsNoReference: the store keeps no reference to the sketch a
+// Put passes, raw or compressed. After the caller overwrites its
 // sketches' arrays, Get, a rank and a reopen all read the stored values,
 // bit for bit what a twin store that never saw the overwrite reads, and
-// Get never hands back the caller's pointer. (The mem backend stores the
-// caller's sketch by design and is not tested here.)
+// Get never hands back the caller's pointer.
 func TestPutKeepsNoReference(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compression=%v", compress), func(t *testing.T) {

@@ -81,11 +81,9 @@ type Meta struct {
 	// Entries is the sketch's stored entry count (its Len); an upper
 	// bound contributor to any join size involving it.
 	Entries int
-	// Bytes is the packed record's length on disk (for the mem backend,
-	// an in-memory size estimate).
+	// Bytes is the packed record's length on disk.
 	Bytes int64
-	// Segment and Offset locate the packed record (fs backend; zero for
-	// mem).
+	// Segment and Offset locate the packed record.
 	Segment uint64
 	Offset  int64
 }

@@ -90,10 +90,10 @@ func rankingsBitEqual(t *testing.T, label string, got, want []RankedSketch) {
 }
 
 // TestMigrationRankingsBitForBit follows one catalog through every state
-// the fs backend can hold it in — active segment, warm cache, sealed and
+// a store can hold it in — active segment, warm cache, sealed and
 // reopened, compacted, compression-backfilled — and asserts each ranks
-// bit-for-bit identically to the reference: the same sketches served
-// from memory (no packing, no mmap), estimated by the same query.
+// bit-for-bit identically to the reference: the same sketches put into a
+// second store, estimated by the same query.
 func TestMigrationRankingsBitForBit(t *testing.T) {
 	train, sketches := mixedCorpus(t)
 	fill := func(st *Store) {
@@ -104,10 +104,11 @@ func TestMigrationRankingsBitForBit(t *testing.T) {
 		}
 	}
 
-	ref, err := OpenWithOptions("", OpenOptions{Backend: BackendMem})
+	ref, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ref.Close()
 	fill(ref)
 	wantFull, wantTop, wantSkipped := rankAll(t, ref, train)
 	if len(wantFull) == 0 || len(wantTop) != 5 || len(wantSkipped) != 2 {
@@ -152,7 +153,7 @@ func TestMigrationRankingsBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// And through a compression backfill: raw segments -> FSST-compressed
-	// segments, still bit-identical to the in-memory reference.
+	// segments, still bit-identical to the reference.
 	st3, err := OpenWithOptions(dir, OpenOptions{Compression: true})
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ func cohortStore(t *testing.T) (*Store, *core.Sketch) { return cohortStoreN(t, 2
 // num1k catalog.
 func cohortStoreN(t *testing.T, n int) (*Store, *core.Sketch) {
 	t.Helper()
-	st, err := OpenWithOptions(t.TempDir(), OpenOptions{Backend: BackendMem})
+	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

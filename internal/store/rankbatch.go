@@ -574,8 +574,7 @@ func (r *rankRun) scoreTask(w *rankWorker, scratch *core.Scratch, i int) bool {
 		e := r.probes[t.q].EstimateJoined(cand, js, r.opt.K, scratch)
 		rs = RankedSketch{MI: e.MI, Estimator: e.Estimator, JoinSize: e.N}
 		// Remembered only if no mutation has moved the store since the view
-		// was taken: a record a compaction moved is read at its new home,
-		// and a mem store has only the newest version to read.
+		// was taken: a record a compaction moved is read at its new home.
 		if r.s.gen.Load() == r.gen {
 			slot.put(r.opt.K, rs)
 		}

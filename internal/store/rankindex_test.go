@@ -1,8 +1,8 @@
 package store
 
 // Differential coverage for index-driven candidate selection: the same
-// catalog served from an indexed store, an index-less store, a mixed
-// store, and the mem backend must produce bit-identical rankings and
+// catalog served from an indexed store, an index-less store and a mixed
+// store must produce bit-identical rankings and
 // identical Pruned counts, and only indexed segments may skip decodes.
 // The index-less fixtures are the two states a store can be in without
 // a key index: a segment whose seal was torn at the seal.keyindex
@@ -170,8 +170,8 @@ func diffCompare(t *testing.T, label string, got, want []diffRanking) {
 }
 
 // TestIndexedRankingsBitIdentical is the core differential: indexed,
-// torn (frozen, index-less), active (never sealed), mixed (one torn, one
-// indexed and the active segment), and mem stores — plus the indexed
+// torn (frozen, index-less), active (never sealed) and mixed (one torn,
+// one indexed and the active segment) stores — plus the indexed
 // store's own NoIndex reference walk — agree bit for bit on every
 // ranking and on every Pruned count.
 func TestIndexedRankingsBitIdentical(t *testing.T) {
@@ -220,13 +220,6 @@ func TestIndexedRankingsBitIdentical(t *testing.T) {
 		return st
 	}()
 
-	mem, err := OpenWithOptions("", OpenOptions{Backend: BackendMem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mem.Close() })
-	putAll(t, mem, names, cands)
-
 	ref := rankAllTrains(t, indexed, trains, minJoin, true) // historic full walk
 	anyRanked, anyPruned := false, false
 	for q := range ref {
@@ -245,7 +238,6 @@ func TestIndexedRankingsBitIdentical(t *testing.T) {
 	diffCompare(t, "torn", rankAllTrains(t, torn, trains, minJoin, false), ref)
 	diffCompare(t, "active", rankAllTrains(t, active, trains, minJoin, false), ref)
 	diffCompare(t, "mixed", rankAllTrains(t, mixed, trains, minJoin, false), ref)
-	diffCompare(t, "mem", rankAllTrains(t, mem, trains, minJoin, false), ref)
 
 	// Only indexed segments may skip decodes; the index-less stores must
 	// have answered everything through the full walk.

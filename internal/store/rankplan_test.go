@@ -91,16 +91,14 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 			return open(t, names, cands), trains
 		}
 	}
-	unsealed := func(backend string) func(t *testing.T, names []string, cands []*core.Sketch) *Store {
-		return func(t *testing.T, names []string, cands []*core.Sketch) *Store {
-			st, err := OpenWithOptions(t.TempDir(), OpenOptions{Backend: backend})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { st.Close() })
-			putAll(t, st, names, cands)
-			return st
+	unsealed := func(t *testing.T, names []string, cands []*core.Sketch) *Store {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { st.Close() })
+		putAll(t, st, names, cands)
+		return st
 	}
 	cases := []struct {
 		name string
@@ -112,11 +110,10 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 			st, train := cohortStore(t)
 			return st, []*core.Sketch{train}
 		}, RankOptions{Prefix: "bench/", MinJoinSize: 100}},
-		{"golden/fs-open", goldenIn(unsealed(BackendFS)), RankOptions{MinJoinSize: 30}},
+		{"golden/fs-open", goldenIn(unsealed), RankOptions{MinJoinSize: 30}},
 		{"golden/fs-sealed", goldenIn(func(t *testing.T, names []string, cands []*core.Sketch) *Store {
 			return sealedStore(t, names, cands, false)
 		}), RankOptions{MinJoinSize: 30}},
-		{"golden/mem", goldenIn(unsealed(BackendMem)), RankOptions{MinJoinSize: 30}},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {

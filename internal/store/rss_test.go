@@ -71,7 +71,7 @@ func TestRecordReadsStayOffTheMappings(t *testing.T) {
 	st := open(0)
 	// A pin, as a rank in flight holds, keeps the source mapped past its
 	// retirement, so what the copy faulted in is still there to measure.
-	_, _, release := st.backend.(*fsBackend).pinSealed()
+	_, _, release := st.backend.pinSealed()
 	grows("a compressing Compact", st, func() {
 		if cs, err := st.Compact(ctx); err != nil || !cs.Compacted {
 			t.Fatalf("compact = %+v, %v", cs, err)

@@ -225,7 +225,7 @@ func TestSideMemoOversizeSampleNeverFills(t *testing.T) {
 	}{{"visit list over the bound", 600, false}, {"rows over the bound", 150, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			open := func() *Store {
-				st, err := OpenWithOptions(t.TempDir(), OpenOptions{Backend: BackendMem})
+				st, err := Open(t.TempDir())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -301,7 +301,7 @@ func TestSamplePlanBytesFollowTheVisitList(t *testing.T) {
 	train := sketch(core.RoleTrain, 0, 400, 256, 99)
 	var costs []int64
 	for _, domains := range []int{10, 100} {
-		st, err := OpenWithOptions(t.TempDir(), OpenOptions{Backend: BackendMem})
+		st, err := Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}

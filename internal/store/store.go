@@ -5,16 +5,15 @@
 // ("which candidate features carry information about my target?") run
 // against the stored sketches alone — no source data access, no joins.
 //
-// Storage is pluggable (OpenOptions.Backend). The default "fs" backend
-// packs sketches into append-only segment files (segment.go, fsbackend.go):
-// Puts and Delete tombstones append fsynced records, sealed segments are
-// mmap'd and ranking decodes raw candidate sketches in place out of the
-// mapping (a record whose decode copies anyway is pread instead) — and
-// a background (or on-demand) compaction folds
-// overwritten records and tombstones into fresh segments. The "mem"
-// backend keeps everything in process memory for diskless servers and
-// tests. Both sit under the same manifest-indexed catalog, byte-bounded
-// decoded-sketch LRU, and worker-pool ranking machinery.
+// Sketches are packed into append-only segment files (segment.go,
+// fsbackend.go): Puts and Delete tombstones append fsynced records, sealed
+// segments are mmap'd and ranking decodes raw candidate sketches in place
+// out of the mapping (a record whose decode copies anyway is pread
+// instead) — and a background (or on-demand) compaction folds overwritten
+// records and tombstones into fresh segments. Above the segments sit the
+// manifest-indexed catalog, a byte-bounded decoded-sketch LRU, and the
+// worker-pool ranking machinery. A diskless user opens a store on a
+// temporary directory.
 package store
 
 import (
@@ -24,6 +23,7 @@ import (
 	"fmt"
 	"io/fs"
 	"maps"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -46,12 +46,15 @@ var ErrNotFound = errors.New("sketch not found")
 var errClosed = fmt.Errorf("store: %w", fs.ErrClosed) // what a closed Store's entry points return
 
 // Store is a catalog of persisted sketches with a manifest index, a
-// bounded in-memory cache, and a pluggable storage backend. It is safe
-// for concurrent use by one process; concurrent writers from separate
-// processes are not supported (readers are).
+// bounded in-memory cache, and segment storage. It is safe for concurrent
+// use by one process; concurrent writers from separate processes are not
+// supported (readers are).
 type Store struct {
 	dir     string
-	backend backend
+	backend *fsBackend
+	// tempDir is set when the store opened on a private temporary
+	// directory (BackendMem), which Close removes.
+	tempDir bool
 
 	mu sync.Mutex
 	// cat is the catalog: every live record, by name (manifest.go).
@@ -69,10 +72,9 @@ type Store struct {
 	// process dies before the next flush.
 	covered map[uint64]int64
 	// gen counts Put/Delete mutations; Get uses it to detect a mutation
-	// racing its unlocked load (two sketch versions can share identical
-	// metadata, so manifest comparison is not enough). A single
-	// store-wide counter keeps memory bounded; the cost is only that a
-	// read concurrent with any write skips populating the cache.
+	// racing its unlocked load. A single store-wide counter keeps memory
+	// bounded; the cost is only that a read concurrent with any write
+	// skips populating the cache.
 	//
 	// It is an atomic so Gen() — the fence every result-caching layer
 	// above the store reads on its hot path — never touches the store
@@ -95,7 +97,7 @@ type Store struct {
 	appendMu sync.RWMutex
 	closed   atomic.Bool // set by Close while it holds appendMu and mu
 
-	diskReads   atomic.Int64 // record decodes out of the backend
+	diskReads   atomic.Int64 // record decodes out of the segments
 	puts        atomic.Int64 // successful Put calls
 	deletes     atomic.Int64 // successful Delete calls
 	rankQueries atomic.Int64 // ranks of one train (including failed ones)
@@ -128,12 +130,13 @@ type OpenOptions struct {
 	// CacheBytes bounds the decoded-sketch LRU cache. Zero means
 	// DefaultCacheBytes; a negative value disables caching entirely.
 	CacheBytes int64
-	// Backend selects the storage engine: BackendFS (default) packs
-	// sketches into mmap-backed segment files under dir; BackendMem
-	// keeps everything in memory and never touches dir.
+	// Backend is "" or "fs".
+	//
+	// Deprecated: there is one storage engine. BackendMem opens the store
+	// on a private temporary directory, ignoring dir, which Close removes.
 	Backend string
-	// SegmentBytes is the fs backend's segment roll threshold (zero
-	// means DefaultSegmentBytes).
+	// SegmentBytes is the segment roll threshold (zero means
+	// DefaultSegmentBytes).
 	SegmentBytes int64
 	// Compression makes compaction write FSST-compressed segments:
 	// categorical values packed against a per-segment symbol table, key
@@ -153,6 +156,12 @@ type OpenOptions struct {
 	CompactEvery time.Duration
 }
 
+// BackendMem is the OpenOptions.Backend value that opens a store on a
+// private temporary directory.
+//
+// Deprecated: open the store on a temporary directory.
+const BackendMem = "mem"
+
 // Open opens (creating if necessary) a sketch store rooted at dir with
 // default options.
 func Open(dir string) (*Store, error) {
@@ -170,10 +179,25 @@ func Open(dir string) (*Store, error) {
 // healed manifest is written. When the manifest is missing, corrupt or
 // inconsistent with the segment files the store heals itself from the
 // segment records alone and persists the result. This is the store's one
-// repair path: a handle keeps the backend, cache and covered offsets it
+// repair path: a handle keeps the segments, cache and covered offsets it
 // opened with for its whole life.
-func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
+func OpenWithOptions(dir string, opt OpenOptions) (_ *Store, err error) {
 	s := &Store{dir: dir, compactStop: make(chan struct{})}
+	switch opt.Backend {
+	case "", "fs":
+	case BackendMem:
+		if s.dir, err = os.MkdirTemp("", "misketch-store-"); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		s.tempDir = true
+		defer func() {
+			if err != nil {
+				os.RemoveAll(s.dir)
+			}
+		}()
+	default:
+		return nil, fmt.Errorf("store: unknown backend %q", opt.Backend)
+	}
 	s.selectPool.New = func() any { return new(selectScratch) }
 	if opt.CacheBytes >= 0 {
 		max := opt.CacheBytes
@@ -182,20 +206,10 @@ func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 		}
 		s.cache = cache.NewLRU[string, cachedSketch](max)
 	}
-	switch opt.Backend {
-	case "", BackendFS:
-		fb, cat, err := openFSBackend(dir, opt.SegmentBytes, opt.Compression)
-		if err != nil {
-			return nil, err
-		}
-		s.backend = fb
-		s.cat, s.covered = cat, fb.coveredSnapshot()
-	case BackendMem:
-		s.backend = newMemBackend()
-		s.covered = make(map[uint64]int64)
-	default:
-		return nil, fmt.Errorf("store: unknown backend %q", opt.Backend)
+	if s.backend, s.cat, err = openFSBackend(s.dir, opt.SegmentBytes, opt.Compression); err != nil {
+		return nil, err
 	}
+	s.covered = s.backend.coveredSnapshot()
 	if opt.CompactEvery > 0 {
 		s.compactLoop.Add(1)
 		go s.autoCompact(opt.CompactEvery)
@@ -205,7 +219,7 @@ func OpenWithOptions(dir string, opt OpenOptions) (*Store, error) {
 
 // Flush persists the manifest if it has unsaved mutations. Put and
 // Delete update the manifest in memory only (their records are already
-// durable in the backend; rewriting the index on every mutation would
+// durable in their segments; rewriting the index on every mutation would
 // make bulk ingestion quadratic); a store that crashes between Flushes
 // recovers the un-indexed mutations by replaying segment tails on the
 // next Open.
@@ -242,9 +256,10 @@ func (s *Store) setMetaLocked(name string, m Meta) {
 // maps everything without replay; then it stops the auto-compaction loop
 // and drops the cache, the catalog and every segment (a rank in flight
 // keeps the ones it pinned until it returns). From then on every method
-// but Stats, Segments, Gen, Dir and Backend fails with an error wrapping
+// but Stats, Segments, Gen and Dir fails with an error wrapping
 // fs.ErrClosed (Meta and Metas report nothing), even if the flush or the
-// seal failed, and a second Close returns nil.
+// seal failed, and a second Close returns nil. A store opened with
+// BackendMem then removes its temporary directory.
 func (s *Store) Close() error {
 	defer s.compactLoop.Wait() // runs last: a pass the loop is in needs the locks below
 	s.compactMu.Lock()
@@ -260,7 +275,11 @@ func (s *Store) Close() error {
 	err := s.flushLocked()
 	s.cache.DeleteFunc(func(string, cachedSketch) bool { return true })
 	s.view, s.cat, s.covered = nil, catalog{}, nil
-	return errors.Join(err, s.backend.close())
+	err = errors.Join(err, s.backend.close())
+	if s.tempDir {
+		err = errors.Join(err, os.RemoveAll(s.dir))
+	}
+	return err
 }
 
 // Put persists a sketch under the given name (conventionally
@@ -268,10 +287,9 @@ func (s *Store) Close() error {
 // is durable before Put returns: the record is appended to the active
 // segment and fsynced (a crash afterwards replays it from the segment on
 // the next open, manifest or no manifest). A sketch holding ±Inf is
-// refused (core.CheckFinite). The fs store keeps no reference to sk: Put
+// refused (core.CheckFinite). The store keeps no reference to sk: Put
 // drops any cached version of name, and the first read caches its own
-// decode. The mem backend stores sk itself, so its caller must not
-// modify sk afterwards.
+// decode.
 func (s *Store) Put(name string, sk *core.Sketch) error {
 	if name == "" {
 		return fmt.Errorf("store: empty sketch name")
@@ -306,9 +324,8 @@ func (s *Store) Put(name string, sk *core.Sketch) error {
 
 // Get loads the named sketch (from cache when warm). The returned sketch
 // is shared with the cache and other callers and is read-only; it owns
-// its memory (or, on the mem backend, is the stored sketch itself) and
-// stays valid indefinitely. Every load Get makes from the fs backend
-// checks the record CRC, so rot is an error, never a sketch.
+// its memory and stays valid indefinitely. Every load Get makes checks the
+// record CRC, so rot is an error, never a sketch.
 func (s *Store) Get(name string) (*core.Sketch, error) {
 	s.mu.Lock()
 	m, known := s.cat.get(name)
@@ -327,9 +344,9 @@ func (s *Store) Get(name string) (*core.Sketch, error) {
 // decodes m, borrowing only from a pinned segment; a record a compaction
 // moved is chased once to its current home with an owning load, and a
 // name that is gone reads ErrNotFound (the closed error after Close).
-// The decode is cached only if m is still current at gen: a stale
-// version must not shadow a mutation's result, and two versions can
-// share one Meta (mem backend), so the Meta check alone is not enough.
+// The decode is cached only if m is still current at gen, so a stale
+// version never shadows a mutation's result. The gen check is the
+// fence: it does not lean on every overwrite moving the Meta.
 func (s *Store) read(m Meta, pins map[uint64]struct{}, gen uint64) (*core.Sketch, error) {
 	s.mu.Lock()
 	if ent, ok := s.cache.Get(m.Name); ok && ent.gen <= gen {
@@ -451,13 +468,9 @@ func (s *Store) Metas() []Meta {
 // appended and fsynced, is not read. Verify repairs nothing — a record
 // whose bytes rotted is gone, and opening the store is the one repair path
 // for everything else — and runs beside queries, mutations and compaction:
-// the segments it reads are pinned while it reads them. Nil on the mem
-// backend.
+// the segments it reads are pinned while it reads them.
 func (s *Store) Verify() error {
-	segs, release := map[uint64]*segment(nil), func() {}
-	if fb, ok := s.backend.(*fsBackend); ok {
-		segs, _, release = fb.pinSealed()
-	}
+	segs, _, release := s.backend.pinSealed()
 	defer release()
 	if s.closed.Load() { // after the pins: Close marks the store before it empties the table
 		return errClosed
@@ -487,7 +500,9 @@ func (s *Store) Verify() error {
 // The field order and tags are the "store" object of the discovery
 // server's GET /v1/stats, which serves this struct as is.
 type Stats struct {
-	// Backend is the storage engine ("fs" or "mem").
+	// Backend always reads "fs".
+	//
+	// Deprecated: there is one storage engine.
 	Backend string `json:"backend"`
 	// Sketches is the number of indexed sketches.
 	Sketches int `json:"sketches"`
@@ -496,7 +511,6 @@ type Stats struct {
 	// the manifest — the rest is garbage awaiting compaction.
 	// IndexedSegments counts live segments carrying an inverted key
 	// index and PostingBytes their total index section size on disk.
-	// All zero on the mem backend.
 	Segments        int   `json:"segments"`
 	IndexedSegments int   `json:"indexed_segments"`
 	SegmentBytes    int64 `json:"segment_bytes"`
@@ -513,7 +527,7 @@ type Stats struct {
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	Evictions   int64 `json:"evictions"`
-	// DiskReads counts sketch record decodes out of the backend — the
+	// DiskReads counts sketch record decodes out of the segments — the
 	// operation manifest filtering and the cache exist to avoid.
 	DiskReads int64 `json:"disk_reads"`
 	// Puts/Deletes count successful mutations through this handle.
@@ -544,7 +558,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Backend:     s.backend.name(),
+		Backend:     "fs",
 		Sketches:    s.cat.live,
 		Compactions: s.compactions.Load(),
 		DiskReads:   s.diskReads.Load(),
@@ -558,26 +572,24 @@ func (s *Store) Stats() Stats {
 	cs := s.cache.Stats()
 	st.CacheBytes, st.CacheEntries, st.CacheBudgetBytes = cs.Used, cs.Entries, s.cache.Max()
 	st.CacheHits, st.CacheMisses, st.Evictions = cs.Hits, cs.Misses, cs.Evictions
-	if fb, ok := s.backend.(*fsBackend); ok {
-		for _, info := range fb.segmentInfos() {
-			st.Segments++
-			st.SegmentBytes += info.Bytes
-			if info.Indexed {
-				st.IndexedSegments++
-				st.PostingBytes += info.IndexBytes
-			}
-			if info.Compressed {
-				st.CompressedSegments++
-				st.CompressedBytes += info.CompressedBytes
-				st.RawBytes += info.RawBytes
-			}
+	s.backend.eachSegment(func(info SegmentInfo) {
+		st.Segments++
+		st.SegmentBytes += info.Bytes
+		if info.Indexed {
+			st.IndexedSegments++
+			st.PostingBytes += info.IndexBytes
 		}
-		st.LiveBytes = s.cat.bytes
-	}
+		if info.Compressed {
+			st.CompressedSegments++
+			st.CompressedBytes += info.CompressedBytes
+			st.RawBytes += info.RawBytes
+		}
+	})
+	st.LiveBytes = s.cat.bytes
 	return st
 }
 
-// SegmentInfo describes one live segment file of an fs-backed store.
+// SegmentInfo describes one live segment file of a store.
 type SegmentInfo struct {
 	// Seq is the segment's sequence number (its filename).
 	Seq uint64
@@ -609,15 +621,13 @@ type SegmentInfo struct {
 }
 
 // Segments returns per-segment observability state, ordered by sequence
-// number. The mem backend has none.
+// number.
 func (s *Store) Segments() []SegmentInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fb, ok := s.backend.(*fsBackend)
-	if !ok {
-		return nil
-	}
-	infos := fb.segmentInfos()
+	var infos []SegmentInfo
+	s.backend.eachSegment(func(info SegmentInfo) { infos = append(infos, info) })
+	slices.SortFunc(infos, func(a, b SegmentInfo) int { return cmp.Compare(a.Seq, b.Seq) })
 	bySeq := make(map[uint64]*SegmentInfo, len(infos))
 	for i := range infos {
 		bySeq[infos[i].Seq] = &infos[i]
@@ -852,11 +862,9 @@ func (s *Store) Len() (int, error) {
 	return s.cat.live, s.closedErr() // Close empties the catalog
 }
 
-// Dir returns the store's root directory ("" for a mem-backed store).
+// Dir returns the store's root directory (the temporary one for
+// BackendMem).
 func (s *Store) Dir() string { return s.dir }
-
-// Backend returns the storage engine name ("fs" or "mem").
-func (s *Store) Backend() string { return s.backend.name() }
 
 // autoCompact is the background compaction loop: every interval it
 // measures the dead fraction of segment bytes and compacts past the

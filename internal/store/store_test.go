@@ -253,7 +253,8 @@ func TestOpenRemovesOrphanedTempFiles(t *testing.T) {
 // TestVerifyReportsCorruptSegments pins Verify's contract: nil on a clean
 // store, one error naming each segment whose bytes rotted — a sealed one
 // by its footer CRC, a crash-frozen one by its record CRCs — and nil on
-// the mem backend. Bit rot is reported, not repaired: a reopen still
+// a store whose one segment is still active, which it does not read. Bit
+// rot is reported, not repaired: a reopen still
 // reports it and Get of the damaged sketch fails its record CRC.
 func TestVerifyReportsCorruptSegments(t *testing.T) {
 	sketch := func(i int) *core.Sketch {
@@ -357,14 +358,12 @@ func TestVerifyReportsCorruptSegments(t *testing.T) {
 		}
 	})
 
-	t.Run("mem", func(t *testing.T) {
-		st, err := OpenWithOptions("", OpenOptions{Backend: BackendMem})
-		if err != nil {
-			t.Fatal(err)
-		}
+	t.Run("active", func(t *testing.T) {
+		st := reopen(t.TempDir())
+		defer st.Close()
 		put(st, "m0")
 		if err := st.Verify(); err != nil {
-			t.Fatalf("mem backend: Verify = %v", err)
+			t.Fatalf("active segment only: Verify = %v", err)
 		}
 	})
 }
@@ -432,27 +431,13 @@ func TestGetChecksRankCachedRecord(t *testing.T) {
 	}
 }
 
-// staleLoad is a mem backend whose next load returns stale, the version a
-// Put is about to replace, as a load that began before that Put does.
-type staleLoad struct {
-	*memBackend
-	stale *core.Sketch
-}
-
-func (b *staleLoad) load(m Meta, borrow bool) (*core.Sketch, uint64, error) {
-	if sk := b.stale; sk != nil {
-		b.stale = nil
-		return sk, 0, nil
-	}
-	return b.memBackend.load(m, borrow)
-}
-
-// TestReadRacingPutCachesNothing: on the mem backend a same-shape
-// overwrite keeps the record's Meta, so a read at the generation before
-// the Put that loads the replaced version must not cache it, or later
-// reads serve it.
+// TestReadRacingPutCachesNothing: a read at the generation before a Put
+// that loads the replaced version must not cache it, or later reads
+// serve it. An overwrite appends a new record, so the Meta moves and two
+// versions never share one; the read of the old Meta still decodes the
+// old record out of the active segment.
 func TestReadRacingPutCachesNothing(t *testing.T) {
-	st, err := OpenWithOptions("", OpenOptions{Backend: BackendMem})
+	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,19 +449,21 @@ func TestReadRacingPutCachesNothing(t *testing.T) {
 	}
 	m, _ := st.Meta("c")
 	gen := st.Gen()
-	st.backend = &staleLoad{memBackend: st.backend.(*memBackend), stale: old}
 	if err := st.Put("c", cur); err != nil {
 		t.Fatal(err)
 	}
-	if now, _ := st.Meta("c"); now != m {
-		t.Fatalf("fixture: the overwrite moved the Meta %+v → %+v", m, now)
+	if now, _ := st.Meta("c"); now.Offset == m.Offset {
+		t.Fatalf("the overwrite kept the Meta %+v; want a new offset", m)
 	}
-	if got, err := st.read(m, nil, gen); err != nil || got != old {
-		t.Fatalf("fixture: the read before the Put = %p, %v; want the replaced version %p", got, err, old)
+	got, err := st.read(m, nil, gen)
+	if err != nil {
+		t.Fatalf("the read before the Put: %v", err)
 	}
-	if got, err := st.Get("c"); err != nil || got != cur {
-		t.Errorf("Get after the Put = %p, %v; want the new version %p, not the replaced %p", got, err, cur, old)
+	sketchesBitEqual(t, "the read before the Put", got, old)
+	if got, err = st.Get("c"); err != nil {
+		t.Fatal(err)
 	}
+	sketchesBitEqual(t, "Get after the Put", got, cur)
 }
 
 func TestManifestMetadataRoundTrip(t *testing.T) {

@@ -300,11 +300,12 @@ func TestReadCSVMatchesTwoPassInference(t *testing.T) {
 
 func TestReadCSVParsesEachCellOnce(t *testing.T) {
 	calls := 0
+	prev := parseFloat
+	defer func() { parseFloat = prev }()
 	parseFloat = func(s string, bits int) (float64, error) {
 		calls++
 		return strconv.ParseFloat(s, bits)
 	}
-	defer func() { parseFloat = strconv.ParseFloat }()
 	var in strings.Builder
 	in.WriteString("key,n1,n2,label,late\n")
 	const rows = 300

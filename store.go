@@ -70,32 +70,27 @@ func LoadSketch(path string) (*Sketch, error) {
 }
 
 // Store is a manifest-indexed catalog of persisted sketches serving
-// discovery queries; see OpenStore. Storage is pluggable
-// (OpenStoreOptions.Backend): the default "fs" engine packs sketches
-// into append-only, mmap-backed segment files — ranking decodes
-// candidates in place out of the mappings with zero per-candidate
-// syscalls or copies, mutations append fsynced records replayed on
-// crash, and Compact (or the background loop enabled by
-// OpenStoreOptions.CompactEvery) folds overwrites and deletes into
-// fresh segments. The "mem" backend keeps everything in process memory
-// for diskless services and tests. Ranking filters candidates on the
+// discovery queries; see OpenStore. It packs sketches into append-only,
+// mmap-backed segment files — ranking decodes candidates in place out of
+// the mappings with zero per-candidate syscalls or copies, mutations
+// append fsynced records replayed on crash, and Compact (or the
+// background loop enabled by OpenStoreOptions.CompactEvery) folds
+// overwrites and deletes into fresh segments. A diskless user opens a
+// store on a temporary directory. Ranking filters candidates on the
 // manifest alone (no record decodes for excluded candidates), supports
 // context cancellation, and bounds results to the top K with one heap
 // per train that every worker shares (Store.RankQuery).
 type Store = store.Store
 
-// Storage backends selectable via OpenStoreOptions.Backend.
-const (
-	// BackendFS is the default: segment-packed, mmap-backed durable
-	// storage rooted at the store directory.
-	BackendFS = store.BackendFS
-	// BackendMem keeps every sketch in process memory; nothing touches
-	// disk and the directory argument is ignored.
-	BackendMem = store.BackendMem
-)
+// BackendMem is the OpenStoreOptions.Backend value that opens a store on
+// a private temporary directory, ignoring the directory argument; Close
+// removes it.
+//
+// Deprecated: open the store on a temporary directory.
+const BackendMem = store.BackendMem
 
-// SegmentInfo describes one live segment file of an fs-backed store;
-// see Store.Segments.
+// SegmentInfo describes one live segment file of a store; see
+// Store.Segments.
 type SegmentInfo = store.SegmentInfo
 
 // CompactStats reports one Store.Compact pass: segments and bytes
@@ -123,16 +118,14 @@ const DefaultCascadeMargin = store.DefaultCascadeMargin
 
 // OpenStoreOptions tunes a store handle: CacheBytes bounds the
 // decoded-sketch LRU cache (zero means the 64 MiB default, negative
-// disables caching), Backend selects the storage engine (BackendFS
-// default, BackendMem for diskless), SegmentBytes sets the fs segment
-// roll threshold, and CompactEvery starts the background compaction
-// loop, which compacts once 30% of segment bytes are dead. Compression
-// makes compaction write FSST-compressed segments (categorical values
-// packed against a per-segment symbol table, key hashes
-// dictionary-coded) — rankings stay
+// disables caching), SegmentBytes sets the segment roll threshold, and
+// CompactEvery starts the background compaction loop, which compacts once
+// 30% of segment bytes are dead. Compression makes compaction write
+// FSST-compressed segments (categorical values packed against a
+// per-segment symbol table, key hashes dictionary-coded) — rankings stay
 // bit-identical, raw and compressed segments mix freely, and existing
 // segments compress at their next compaction (`store compact -compress`
-// backfills in one pass).
+// backfills in one pass). Backend is deprecated (see BackendMem).
 type OpenStoreOptions = store.OpenOptions
 
 // SketchMeta is one manifest record: the per-sketch metadata (seed,
@@ -147,8 +140,7 @@ type SketchMeta = store.Meta
 // (the HTTP layer's 404-vs-500 split) must not treat it as a miss.
 var ErrNotFound = store.ErrNotFound
 
-// StoreStats are observability counters for a store handle: backend
-// kind, segment count/bytes/liveness, compaction passes, cache
+// StoreStats are observability counters for a store handle: segment count/bytes/liveness, compaction passes, cache
 // hits/misses/evictions, bytes and sketches cached against its budget,
 // record decodes, the ranking cascade's tier counters (pairs settled by
 // the cheap tier alone, pairs that paid the exact tier, margin/guard
@@ -162,12 +154,12 @@ type StoreStats = store.Stats
 // every column of every dataset and Put it; at query time, SketchTrain the
 // user's table and RankQuery against the store. Close persists the manifest
 // and gives the store's memory, mappings and files back; after it every call
-// but Stats, Segments, Gen, Dir and Backend fails with fs.ErrClosed.
+// but Stats, Segments, Gen and Dir fails with fs.ErrClosed.
 func OpenStore(dir string) (*Store, error) {
 	return store.Open(dir)
 }
 
-// OpenStoreWithOptions is OpenStore with explicit cache, backend and
+// OpenStoreWithOptions is OpenStore with explicit cache, segment and
 // compaction options.
 func OpenStoreWithOptions(dir string, opt OpenStoreOptions) (*Store, error) {
 	return store.OpenWithOptions(dir, opt)
